@@ -25,7 +25,7 @@
 PY := PYTHONPATH=src python
 
 .PHONY: test smoke lint lint-deep fuzz bench-segmented bench-gate \
-	bench-baselines bench-full docs docs-check
+	bench-baselines bench-full perf-compare docs docs-check
 
 test:
 	$(PY) -m pytest -x -q
@@ -81,6 +81,17 @@ bench-full:
 		benchmarks/bench_fabric_scaling.py \
 		benchmarks/bench_deep_fabric.py \
 		benchmarks/bench_sim_throughput.py
+
+# A/B the end-to-end perf benchmark (benchmarks/perf, BENCHMARK.json):
+# the working tree against BASE, one base/head pair of runs per seed,
+# alternating which side runs first; see docs/BENCHMARKS.md.
+#   make perf-compare BASE=HEAD~1 WORKLOAD=hier-auto SEEDS="1 2 3"
+perf-compare:
+	@test -n "$(BASE)" || { echo 'usage: make perf-compare BASE=<rev>' \
+		'[WORKLOAD=<name>] [SEEDS="1 2 3"]'; exit 2; }
+	python3 scripts/perf_compare.py $(BASE) \
+		$(if $(WORKLOAD),--workload $(WORKLOAD)) \
+		$(if $(SEEDS),--seeds $(SEEDS))
 
 # Regenerate the derived docs (the collective registry reference and
 # the benchmarks index).

@@ -14,6 +14,8 @@ envelope), so this module offers both:
 
 from __future__ import annotations
 
+from functools import cached_property, lru_cache
+
 from ..core.channel import MCAST_HEADER_BYTES
 from ..mpi.collective.barrier_p2p import largest_power_of_two_leq
 from ..simnet.calibration import NetParams
@@ -219,13 +221,6 @@ def expected_seg_repair_frames(n: int, nsegs: int, loss: float,
 # steady-state counts, and the benches compare snapshots around a single
 # collective.
 
-def _seg_paths(seg_of_rank, paths):
-    """Resolve ``paths`` (two-tier default: segment s at path (s,))."""
-    if paths is not None:
-        return paths
-    return tuple((s,) for s in range(max(seg_of_rank) + 1))
-
-
 def multicast_trunk_edges(root_seg: int, segs, paths) -> int:
     """Trunk edges a multicast frame from ``root_seg`` serializes on to
     reach every segment in ``segs``: the edges of the switch subtree
@@ -249,22 +244,135 @@ def multicast_trunk_edges(root_seg: int, segs, paths) -> int:
     return len(edges)
 
 
+@lru_cache(maxsize=64)
+def _hop_matrix(paths) -> tuple:
+    """``[a][b]`` trunk hops between segment paths ``a`` and ``b``."""
+    from ..simnet.fabric import path_trunk_hops
+
+    return tuple(tuple(path_trunk_hops(pa, pb) for pb in paths)
+                 for pa in paths)
+
+
+class TopoDigest:
+    """Every topology coefficient of the trunk and hierarchy models for
+    one ``(seg_of_rank, paths)``, computed once (:func:`topo_digest`
+    caches it) so that a model call is arithmetic on the payload terms
+    — no loop over rank pairs, no ``path_trunk_hops`` call.
+
+    One loss-free engine stream rooted at rank ``r`` (header +
+    ``nsegs`` data frames + one round of control) costs
+    ``(1 + nsegs) * edges[seg r] + 2 * tree_hops(r) + 2 * star[seg r]``
+    trunk serializations: data crosses every edge of the switch subtree
+    spanning the occupied segments once; the two scout gathers pay
+    their binomial edges' trunk paths; every remote receiver's report
+    and decision pay the receiver-root path each way.  With one
+    occupied segment every coefficient is 0.
+    """
+
+    def __init__(self, seg_of_rank: tuple, paths: tuple):
+        self.seg_of_rank = seg_of_rank
+        self.paths = paths
+        self.size = size = len(seg_of_rank)
+        #: segment-pair trunk hops, ``hops[a][b]``
+        self.hops = hops = _hop_matrix(paths)
+        members = [0] * len(paths)
+        for seg in seg_of_rank:
+            members[seg] += 1
+        #: ranks per segment
+        self.members = tuple(members)
+        occupied = [s for s, n in enumerate(members) if n]
+        #: occupied segments; with one, nothing crosses a trunk
+        self.nsegments = len(occupied)
+        #: per root segment: trunk edges one multicast frame crosses
+        edges = [0] * len(paths)
+        #: per root segment: every member's hops to it, summed
+        star = [0] * len(paths)
+        for seg in occupied:
+            edges[seg] = multicast_trunk_edges(seg, occupied, paths)
+            star[seg] = sum(members[s] * hops[seg][s] for s in occupied)
+        self.edges, self.star = tuple(edges), tuple(star)
+        # The stream coefficients summed over every root rank.  Rooted
+        # at r, the binomial tree's level-``mask`` edges join ranks a
+        # and a + mask (mod size) for a = r, r + 2*mask, ...; over all
+        # roots every a starts each of those ``terms`` edges once.
+        tree_all, mask = 0, 1
+        while mask < size:
+            terms = len(range(0, size - mask, 2 * mask))
+            tree_all += terms * sum(
+                hops[seg_of_rank[a]][seg_of_rank[(a + mask) % size]]
+                for a in range(size))
+            mask *= 2
+        self.edges_all = sum(members[s] * edges[s] for s in occupied)
+        self.ctl_all = 2 * tree_all + 2 * sum(members[s] * star[s]
+                                              for s in occupied)
+
+    def tree_hops(self, root: int) -> int:
+        """Trunk hops of the binomial tree's edges rooted at ``root``:
+        each edge pays the distance between its endpoints' segments."""
+        if self.nsegments < 2:
+            return 0
+        seg, hops, size = self.seg_of_rank, self.hops, self.size
+        total, mask = 0, 1
+        while mask < size:
+            for rel in range(root, root + size - mask, 2 * mask):
+                total += hops[seg[rel % size]][seg[(rel + mask) % size]]
+            mask *= 2
+        return total
+
+    def stream(self, root: int, nsegs: int) -> int:
+        """Trunk serializations of one engine stream rooted at
+        ``root``."""
+        seg = self.seg_of_rank[root]
+        return ((1 + nsegs) * self.edges[seg]
+                + 2 * self.tree_hops(root) + 2 * self.star[seg])
+
+    def all_streams(self, nsegs: int) -> int:
+        """The same summed over one stream per rank (the turn loops)."""
+        return (1 + nsegs) * self.edges_all + self.ctl_all
+
+    def ready_round(self) -> int:
+        """Trunk serializations of the rank-0-anchored paced ready
+        round: scout gather up, one "go" unicast per rank back down."""
+        return self.tree_hops(0) + self.star[self.seg_of_rank[0]]
+
+    def group(self, members) -> "TopoDigest":
+        """The digest of a sub-group of ranks (one hierarchy phase)."""
+        return _digest(tuple(self.seg_of_rank[m] for m in members),
+                       self.paths)
+
+    @cached_property
+    def tree(self):
+        """The collapsed hierarchy the ``hier-mcast`` plans walk."""
+        from ..mpi.collective.hier import build_hier_tree
+
+        return build_hier_tree(self.seg_of_rank, self.paths)
+
+
+@lru_cache(maxsize=512)
+def _digest(seg_of_rank: tuple, paths: "tuple | None") -> TopoDigest:
+    if paths is None:   # two-tier default: segment s at path (s,)
+        paths = tuple((s,) for s in range(max(seg_of_rank, default=-1) + 1))
+    return TopoDigest(seg_of_rank, paths)
+
+
+def topo_digest(seg_of_rank, paths=None) -> TopoDigest:
+    """The cached :class:`TopoDigest` of a rank→segment map."""
+    return _digest(tuple(seg_of_rank),
+                   None if paths is None else tuple(paths))
+
+
+def clear_caches() -> None:
+    """Drop every cached digest and hop matrix."""
+    _hop_matrix.cache_clear()
+    _digest.cache_clear()
+
+
 def binomial_cross_edges(seg_of_rank, root: int) -> int:
     """Edges of the binomial gather/broadcast tree rooted at ``root``
     whose endpoints sit in different segments (``seg_of_rank`` maps each
-    communicator rank to its segment id)."""
-    size = len(seg_of_rank)
-    cross = 0
-    for rel in range(1, size):
-        mask = 1
-        while not rel & mask:
-            mask <<= 1
-        parent_rel = rel & ~mask
-        child = (rel + root) % size
-        parent = (parent_rel + root) % size
-        if seg_of_rank[child] != seg_of_rank[parent]:
-            cross += 1
-    return cross
+    communicator rank to its segment id) — each pays exactly 2 hops on
+    the two-tier geometry."""
+    return topo_digest(seg_of_rank).tree_hops(root) // 2
 
 
 def binomial_tree_trunk_hops(seg_of_rank, root: int,
@@ -273,21 +381,7 @@ def binomial_tree_trunk_hops(seg_of_rank, root: int,
     ``root``: each edge pays the switch-tree distance between its
     endpoints' segments (2 per cross edge on a two-tier fabric —
     the generalization of :func:`binomial_cross_edges`)."""
-    from ..simnet.fabric import path_trunk_hops
-
-    paths = _seg_paths(seg_of_rank, paths)
-    size = len(seg_of_rank)
-    total = 0
-    for rel in range(1, size):
-        mask = 1
-        while not rel & mask:
-            mask <<= 1
-        parent_rel = rel & ~mask
-        child = (rel + root) % size
-        parent = (parent_rel + root) % size
-        total += path_trunk_hops(paths[seg_of_rank[child]],
-                                 paths[seg_of_rank[parent]])
-    return total
+    return topo_digest(seg_of_rank, paths).tree_hops(root)
 
 
 def model_p2p_tree_trunk_frames(params: NetParams, seg_of_rank,
@@ -299,36 +393,13 @@ def model_p2p_tree_trunk_frames(params: NetParams, seg_of_rank,
     return binomial_tree_trunk_hops(seg_of_rank, root, paths) * per_msg
 
 
-def _mcast_stream_trunk_frames(seg_of_rank, root: int, nsegs: int,
-                               paths=None) -> int:
-    """Trunk serializations of ONE loss-free engine stream (header +
-    ``nsegs`` data frames + one round of control) rooted at ``root`` on
-    a fabric: data crosses every edge of the switch subtree spanning
-    the occupied segments once, the two scout gathers pay their edges'
-    trunk paths, and each remote receiver's report and decision pay the
-    receiver-root path each way."""
-    from ..simnet.fabric import path_trunk_hops
-
-    if len(set(seg_of_rank)) <= 1:
-        return 0
-    paths = _seg_paths(seg_of_rank, paths)
-    root_seg = seg_of_rank[root]
-    data_edges = multicast_trunk_edges(root_seg, seg_of_rank, paths)
-    gathers = binomial_tree_trunk_hops(seg_of_rank, root, paths)
-    round_trips = sum(path_trunk_hops(paths[s], paths[root_seg])
-                     for i, s in enumerate(seg_of_rank) if i != root)
-    return ((1 + nsegs) * data_edges  # header + data, once per edge
-            + 2 * gathers             # header-phase + arming gathers
-            + 2 * round_trips)        # reports + decisions
-
-
 def model_seg_bcast_trunk_frames(seg_of_rank, root: int, nsegs: int,
                                  paths=None) -> int:
     """Loss-free trunk serializations of the flat ``mcast-seg-nack``
-    broadcast on a tiered fabric (exact; asserted by
-    ``benchmarks/bench_fabric_scaling.py`` and
+    broadcast on a tiered fabric — one engine stream (exact; asserted
+    by ``benchmarks/bench_fabric_scaling.py`` and
     ``benchmarks/bench_deep_fabric.py``)."""
-    return _mcast_stream_trunk_frames(seg_of_rank, root, nsegs, paths)
+    return topo_digest(seg_of_rank, paths).stream(root, nsegs)
 
 
 def model_seg_reduce_trunk_frames(seg_of_rank, root: int, nsegs: int,
@@ -338,10 +409,8 @@ def model_seg_reduce_trunk_frames(seg_of_rank, root: int, nsegs: int,
     same turn loop): one engine stream per non-root contributor, each
     rooted at its turn's sender (every stream's data still crosses
     every occupied trunk edge — all members joined the group)."""
-    size = len(seg_of_rank)
-    return sum(_mcast_stream_trunk_frames(seg_of_rank, turn, nsegs,
-                                          paths)
-               for turn in range(size) if turn != root)
+    digest = topo_digest(seg_of_rank, paths)
+    return digest.all_streams(nsegs) - digest.stream(root, nsegs)
 
 
 def model_seg_scatter_trunk_frames(seg_of_rank, root: int, nsegs: int,
@@ -350,26 +419,16 @@ def model_seg_scatter_trunk_frames(seg_of_rank, root: int, nsegs: int,
     scatter: one engine stream of all ``nsegs`` per-rank-addressed
     segments (exact — the per-rank ``needed`` subsets change what
     receivers reassemble, not what crosses the wire)."""
-    return _mcast_stream_trunk_frames(seg_of_rank, root, nsegs, paths)
+    return topo_digest(seg_of_rank, paths).stream(root, nsegs)
 
 
 def model_seg_allgather_trunk_frames(seg_of_rank, nsegs: int,
                                      paths=None) -> int:
     """Loss-free trunk serializations of the flat ``mcast-seg-paced``
-    allgather: the rank-0-anchored ready round (scout gather up, one
-    "go" unicast per rank back down) plus one engine stream per rank,
-    each rooted at its turn's sender."""
-    from ..simnet.fabric import path_trunk_hops
-
-    if len(set(seg_of_rank)) <= 1:
-        return 0
-    paths = _seg_paths(seg_of_rank, paths)
-    ready = (binomial_tree_trunk_hops(seg_of_rank, 0, paths)
-             + sum(path_trunk_hops(paths[s], paths[seg_of_rank[0]])
-                   for i, s in enumerate(seg_of_rank) if i != 0))
-    return ready + sum(
-        _mcast_stream_trunk_frames(seg_of_rank, turn, nsegs, paths)
-        for turn in range(len(seg_of_rank)))
+    allgather: the rank-0-anchored ready round plus one engine stream
+    per rank, each rooted at its turn's sender."""
+    digest = topo_digest(seg_of_rank, paths)
+    return digest.ready_round() + digest.all_streams(nsegs)
 
 
 # ---------------------------------------------------------------------------
@@ -377,25 +436,6 @@ def model_seg_allgather_trunk_frames(seg_of_rank, nsegs: int,
 # superseding PR 4's two-tier closed forms, which the phase walk
 # reproduces bit-for-bit on two-tier fabrics)
 # ---------------------------------------------------------------------------
-def _phase_stream(seg_of_rank, phase, turn: int, nsegs: int, paths,
-                  loss: float,
-                  receivers: "int | None" = None) -> tuple[float, int]:
-    """(host frames incl. expected repairs, trunk serializations) of one
-    engine stream of ``nsegs`` segments served by comm rank ``turn``
-    inside ``phase``'s group (``receivers=1`` for single-consumer
-    turn-loop streams, default every other member)."""
-    from ..core.segment import seg_nack_frame_count
-
-    members = phase.members
-    frames = (seg_nack_frame_count(len(members), nsegs)
-              + expected_seg_repair_frames(len(members), nsegs, loss,
-                                           receivers=receivers))
-    segs = tuple(seg_of_rank[m] for m in members)
-    trunk = _mcast_stream_trunk_frames(segs, members.index(turn), nsegs,
-                                       paths)
-    return frames, trunk
-
-
 def model_hier_frames(op: str, seg_of_rank, root: int, nbytes: int,
                       params: NetParams, paths=None,
                       loss: float = 0.0) -> tuple[float, float]:
@@ -418,134 +458,111 @@ def model_hier_frames(op: str, seg_of_rank, root: int, nbytes: int,
     phase's switch subtree, which is most of the hierarchy's win on
     lossy fabrics.
     """
-    from ..core.segment import plan_transport
+    from ..core.segment import plan_transport, seg_nack_frame_count
     from ..mpi.collective.hier import (allgather_phases, bcast_phases,
-                                       build_hier_tree, scatter_phases,
-                                       up_phases)
-    from ..simnet.fabric import path_trunk_hops
+                                       scatter_phases, up_phases)
 
-    size = len(seg_of_rank)
-    if size < 2 or len(set(seg_of_rank)) < 2:
+    digest = topo_digest(seg_of_rank, paths)
+    size = digest.size
+    if digest.nsegments < 2:
         return (0.0, 0.0)
-    tree = build_hier_tree(seg_of_rank, paths)
-    rpaths = _seg_paths(seg_of_rank, paths)
-    frames = 0.0
-    trunk = 0.0
-
-    def nsegs_of(payload_bytes: int) -> int:
-        return plan_transport(max(payload_bytes, 0), params).nsegs
-
-    def p2p_hop(src: int, dst: int, payload_bytes: int):
-        nonlocal frames, trunk
-        per = params.frames_for(payload_bytes + params.mpi_header)
-        frames += per
-        trunk += per * path_trunk_hops(rpaths[seg_of_rank[src]],
-                                       rpaths[seg_of_rank[dst]])
-
-    if op == "bcast":
-        nsegs = nsegs_of(nbytes)
-        for phase in bcast_phases(tree, root):
-            f, t = _phase_stream(seg_of_rank, phase, phase.root, nsegs,
-                                 paths, loss)
-            frames, trunk = frames + f, trunk + t
-        return frames, trunk
-    if op == "reduce":
-        nsegs = nsegs_of(nbytes)
-        phases, holder = up_phases(tree, root)
-        for phase in phases:
-            for turn in phase.members:
-                if turn == phase.root:
-                    continue
-                f, t = _phase_stream(seg_of_rank, phase, turn, nsegs,
-                                     paths, loss, receivers=1)
-                frames, trunk = frames + f, trunk + t
-        if holder != root:
-            p2p_hop(holder, root, nbytes)
-        return frames, trunk
     if op == "allreduce":
         f1, t1 = model_hier_frames("reduce", seg_of_rank, 0, nbytes,
                                    params, paths, loss)
         f2, t2 = model_hier_frames("bcast", seg_of_rank, 0, nbytes,
                                    params, paths, loss)
         return f1 + f2, t1 + t2
+    tree = digest.tree
+    frames = 0.0
+    trunk = 0.0
 
-    def subtree_sizes(phase) -> dict[int, int]:
-        """member rank -> ranks its bundle covers (its child subtree,
-        or itself on a leaf phase)."""
+    def stream(members: int, payload_bytes: int,
+               receivers: "int | None" = None) -> tuple[int, float]:
+        """(nsegs, host frames incl. expected repairs) of one engine
+        stream of ``payload_bytes`` inside a ``members``-strong group
+        (``receivers=1`` for single-consumer turn-loop streams, default
+        every other member)."""
+        nsegs = plan_transport(max(payload_bytes, 0), params).nsegs
+        return nsegs, (seg_nack_frame_count(members, nsegs)
+                       + expected_seg_repair_frames(members, nsegs, loss,
+                                                    receivers=receivers))
+
+    def covers(phase) -> tuple:
+        """Ranks each member's bundle covers, in member order: its
+        child subtree, or itself on a leaf phase."""
         if phase.node.is_leaf:
-            return {m: 1 for m in phase.members}
-        out = {}
-        for member in phase.members:
-            for child in phase.node.children:
-                if member in child.members:
-                    out[member] = len(child.members)
-                    break
-        return out
+            return (1,) * phase.size
+        return tuple(len(child.members) for child in sorted(
+            phase.node.children, key=lambda child: child.leader))
 
-    if op == "scatter":
+    def serve(phase, payload_bytes: int) -> None:
+        """One stream from the phase's server to every other member."""
+        nonlocal frames, trunk
+        nsegs, f = stream(phase.size, payload_bytes)
+        frames += f
+        trunk += digest.group(phase.members).stream(
+            phase.members.index(phase.root), nsegs)
+
+    def collect(phase, payload_bytes: int, every: bool = False,
+                bundled: bool = True) -> None:
+        """The turn loop: one stream per member (the collecting one
+        too when ``every``), carrying ``payload_bytes`` — per rank its
+        bundle covers when ``bundled``.  Host frames add up stream by
+        stream in turn order: they are floats under loss."""
+        nonlocal frames, trunk
+        group = digest.group(phase.members)
+        for turn, covered in enumerate(covers(phase)):
+            if phase.members[turn] == phase.root and not every:
+                continue
+            nsegs, f = stream(phase.size,
+                              payload_bytes * (covered if bundled else 1),
+                              None if every else 1)
+            frames += f
+            trunk += group.stream(turn, nsegs)
+
+    def p2p_hop(src: int, dst: int, payload_bytes: int) -> None:
+        nonlocal frames, trunk
+        per = params.frames_for(payload_bytes + params.mpi_header)
+        frames += per
+        trunk += per * digest.hops[seg_of_rank[src]][seg_of_rank[dst]]
+
+    if op == "bcast":
+        for phase in bcast_phases(tree, root):
+            serve(phase, nbytes)
+    elif op in ("reduce", "gather"):
+        phases, holder = up_phases(tree, root)
+        for phase in phases:
+            collect(phase, nbytes, bundled=op == "gather")
+        if holder != root:
+            p2p_hop(holder, root,
+                    nbytes if op == "reduce" else nbytes * size)
+    elif op == "scatter":
         share = -(-nbytes // size)
         plan = scatter_phases(tree, root)
         if plan.root_leaf is not None:
-            nsegs = nsegs_of(share * (len(plan.root_leaf.members) - 1))
-            f, t = _phase_stream(seg_of_rank, plan.root_leaf, root,
-                                 nsegs, paths, loss)
-            frames, trunk = frames + f, trunk + t
-        root_leaf_members = {m for m in range(size)
-                             if seg_of_rank[m] == seg_of_rank[root]}
-        outside = size - len(root_leaf_members)
+            serve(plan.root_leaf, share * (plan.root_leaf.size - 1))
         if plan.hoist is not None:
-            p2p_hop(plan.hoist[0], plan.hoist[1], share * outside)
+            p2p_hop(*plan.hoist, share * (
+                size - digest.members[seg_of_rank[root]]))
         for phase in plan.internals:
-            sizes = subtree_sizes(phase)
-            bundle = sum(share * sizes[m] for m in phase.members
-                         if m != phase.root)
-            f, t = _phase_stream(seg_of_rank, phase, phase.root,
-                                 nsegs_of(bundle), paths, loss)
-            frames, trunk = frames + f, trunk + t
+            serve(phase, sum(
+                share * covered
+                for member, covered in zip(phase.members, covers(phase))
+                if member != phase.root))
         for phase in plan.leaves:
-            nsegs = nsegs_of(share * (len(phase.members) - 1))
-            f, t = _phase_stream(seg_of_rank, phase, phase.root, nsegs,
-                                 paths, loss)
-            frames, trunk = frames + f, trunk + t
-        return frames, trunk
-    if op == "gather":
-        phases, holder = up_phases(tree, root)
-        for phase in phases:
-            sizes = subtree_sizes(phase)
-            for turn in phase.members:
-                if turn == phase.root:
-                    continue
-                f, t = _phase_stream(seg_of_rank, phase, turn,
-                                     nsegs_of(nbytes * sizes[turn]),
-                                     paths, loss, receivers=1)
-                frames, trunk = frames + f, trunk + t
-        if holder != root:
-            p2p_hop(holder, root, nbytes * size)
-        return frames, trunk
-    if op == "allgather":
+            serve(phase, share * (phase.size - 1))
+    elif op == "allgather":
         plan = allgather_phases(tree)
         for phase in plan.up:
-            sizes = subtree_sizes(phase)
-            frames += 2 * (len(phase.members) - 1)   # paced ready round
-            segs = tuple(seg_of_rank[m] for m in phase.members)
-            anchor = phase.members[0]
-            trunk += (binomial_tree_trunk_hops(segs, 0, rpaths)
-                      + sum(path_trunk_hops(rpaths[seg_of_rank[m]],
-                                            rpaths[seg_of_rank[anchor]])
-                            for m in phase.members[1:]))
-            for turn in phase.members:
-                f, t = _phase_stream(seg_of_rank, phase, turn,
-                                     nsegs_of(nbytes * sizes[turn]),
-                                     paths, loss)
-                frames, trunk = frames + f, trunk + t
-        full = nsegs_of(nbytes * size)
+            frames += 2 * (phase.size - 1)   # paced ready round
+            trunk += digest.group(phase.members).ready_round()
+            collect(phase, nbytes, every=True)
         for phase in plan.down:
-            f, t = _phase_stream(seg_of_rank, phase, phase.root, full,
-                                 paths, loss)
-            frames, trunk = frames + f, trunk + t
-        return frames, trunk
-    raise KeyError(f"no hierarchical frame model for collective "
-                   f"{op!r}")
+            serve(phase, nbytes * size)
+    else:
+        raise KeyError(f"no hierarchical frame model for collective "
+                       f"{op!r}")
+    return frames, trunk
 
 
 # ---------------------------------------------------------------------------

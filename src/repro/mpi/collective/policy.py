@@ -52,19 +52,29 @@ down the binomial scout tree
 frames, ``log2 N`` deep, independent of the payload.  ``allgather``
 anchors the announcement at rank 0 so heterogeneous contribution sizes
 can never split the group's decision.
+
+**Cost.**  The models are off the per-call path: their topology
+coefficients live in a :class:`~repro.analysis.framecount.TopoDigest`
+built once per ``(seg_of_rank, paths)``, and the candidate table and
+pick of one call signature are memoised process-wide
+(:func:`cache_info`, :func:`clear_caches`).  The memo key is made of
+the rank-invariant inputs above and nothing else, so ranks sharing an
+entry is the consistency rule itself, not an exception to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Optional
+from functools import lru_cache
+from typing import Generator, NamedTuple, Optional
 
 from ..datatypes import payload_bytes
 
 __all__ = ["AUTO", "AUTO_CHOICES", "HIER_AUTO", "POLICY_WAIVERS",
            "TopoInfo", "comm_topology", "auto_impl",
            "modeled_frame_costs", "p2p_frame_estimate",
-           "seg_frame_estimate", "hier_frame_estimate", "resolve_auto"]
+           "seg_frame_estimate", "hier_frame_estimate", "resolve_auto",
+           "cache_info", "clear_caches"]
 
 #: the pseudo-implementation name accepted by ``use_collectives``
 AUTO = "auto"
@@ -130,15 +140,19 @@ class TopoInfo:
     paths: "tuple[tuple, ...] | None" = None
 
     @property
+    def _digest(self):
+        """The shared topology digest (cached there, not per object)."""
+        from ...analysis.framecount import topo_digest
+
+        return topo_digest(self.seg_of_rank, self.paths)
+
+    @property
     def nsegments(self) -> int:
-        return len(set(self.seg_of_rank))
+        return self._digest.nsegments
 
     @property
     def seg_sizes(self) -> tuple[int, ...]:
-        sizes = [0] * self.nsegments
-        for s in self.seg_of_rank:
-            sizes[s] += 1
-        return tuple(sizes)
+        return self._digest.members
 
 
 def comm_topology(comm) -> Optional[TopoInfo]:
@@ -347,32 +361,61 @@ def hier_frame_estimate(op: str, nbytes: int, size: int, params,
     return frames + trunk
 
 
-def modeled_frame_costs(op: str, nbytes: int, size: int, params,
-                        topo: Optional[TopoInfo] = None, root: int = 0,
-                        hier_ok: bool = True) -> dict[str, float]:
-    """Modeled serializations of every candidate implementation for one
-    call — the table :func:`auto_impl` takes the argmin of (and the
-    fabric bench audits against the simulator)."""
-    try:
-        p2p_name, seg_name = AUTO_CHOICES[op]
-    except KeyError:
-        raise KeyError(
-            f"no auto selection policy for collective {op!r}; "
-            f"auto-capable ops: {sorted(AUTO_CHOICES)}") from None
+def _no_policy(op: str) -> KeyError:
+    return KeyError(f"no auto selection policy for collective {op!r}; "
+                    f"auto-capable ops: {sorted(AUTO_CHOICES)}")
+
+
+def _hier_competes(op: str, topo, hier_ok: bool) -> bool:
+    """Whether ``hier-mcast`` is a candidate: the caller allows it and
+    the communicator spans 2..MAX_HIER_SEGMENTS segments.  Evaluated
+    ahead of the memo (one digest lookup, ~3 us), so calls that differ
+    only in a ``hier_ok`` the segment count overrides share an entry."""
+    if not hier_ok or topo is None or op not in HIER_AUTO:
+        return False
     from .hier import MAX_HIER_SEGMENTS
 
+    return 1 < topo.nsegments <= MAX_HIER_SEGMENTS
+
+
+@lru_cache(maxsize=1024)
+def _decide(op: str, nbytes: int, size: int, params, topo, root: int,
+            hier: bool) -> tuple[dict, str]:
+    """(modeled cost of every candidate, the pick) for one call
+    signature; ``hier`` is :func:`_hier_competes`.  A pure function of
+    hashable frozen values — ``params`` and ``topo`` are rank-invariant
+    — so one memo serves every rank of every communicator in the
+    process: a collective evaluates the models once, not once per
+    rank, and a repeated call not at all.  Every rank reading the same
+    entry is the §4 consistency rule (identical inputs, identical
+    pick) made literal."""
+    p2p_name, seg_name = AUTO_CHOICES[op]
     costs = {
         seg_name: seg_frame_estimate(op, nbytes, size, params, topo,
                                      root),
         p2p_name: p2p_frame_estimate(op, nbytes, size, params, topo,
                                      root),
     }
-    if (hier_ok and topo is not None
-            and 1 < topo.nsegments <= MAX_HIER_SEGMENTS
-            and op in HIER_AUTO):
+    if hier:
         costs[HIER_AUTO[op]] = hier_frame_estimate(op, nbytes, size,
                                                    params, topo, root)
-    return costs
+    # ties keep the historical preference order: segmented multicast
+    # over hierarchical over the p2p baseline
+    order = {seg_name: 0, HIER_AUTO.get(op, "hier-mcast"): 1,
+             p2p_name: 2}
+    return costs, min(costs, key=lambda name: (costs[name], order[name]))
+
+
+def modeled_frame_costs(op: str, nbytes: int, size: int, params,
+                        topo: Optional[TopoInfo] = None, root: int = 0,
+                        hier_ok: bool = True) -> dict[str, float]:
+    """Modeled serializations of every candidate implementation for one
+    call — the table :func:`auto_impl` takes the argmin of (and the
+    fabric bench audits against the simulator)."""
+    if op not in AUTO_CHOICES:
+        raise _no_policy(op)
+    return dict(_decide(op, nbytes, size, params, topo, root,
+                        _hier_competes(op, topo, hier_ok))[0])
 
 
 def auto_impl(op: str, nbytes: int, size: int, params,
@@ -384,19 +427,33 @@ def auto_impl(op: str, nbytes: int, size: int, params,
     p2p baseline — so on a flat, loss-free cluster the choice is
     exactly PR 3's "segmented iff its frame estimate is at or below
     p2p's"."""
-    try:
-        p2p_name, seg_name = AUTO_CHOICES[op]
-    except KeyError:
-        raise KeyError(
-            f"no auto selection policy for collective {op!r}; "
-            f"auto-capable ops: {sorted(AUTO_CHOICES)}") from None
+    if op not in AUTO_CHOICES:
+        raise _no_policy(op)
     if size < 2:
-        return p2p_name
-    costs = modeled_frame_costs(op, nbytes, size, params, topo, root,
-                                hier_ok)
-    order = {seg_name: 0, HIER_AUTO.get(op, "hier-mcast"): 1,
-             p2p_name: 2}
-    return min(costs, key=lambda name: (costs[name], order[name]))
+        return AUTO_CHOICES[op][0]
+    return _decide(op, nbytes, size, params, topo, root,
+                   _hier_competes(op, topo, hier_ok))[1]
+
+
+class CacheInfo(NamedTuple):
+    evaluations: int   #: times the models ran (distinct call signatures)
+    hits: int          #: calls answered from the memo
+    size: int          #: entries held (bounded)
+
+
+def cache_info() -> CacheInfo:
+    """Read-only counters of the shared decision memo."""
+    info = _decide.cache_info()
+    return CacheInfo(info.misses, info.hits, info.currsize)
+
+
+def clear_caches() -> None:
+    """Drop the decision memo and the topology digests under it (the
+    tests' autouse fixture calls this so counts are order-independent)."""
+    from ...analysis import framecount
+
+    _decide.cache_clear()
+    framecount.clear_caches()
 
 
 def resolve_auto(comm, op: str, args: tuple) -> Generator:
@@ -409,9 +466,7 @@ def resolve_auto(comm, op: str, args: tuple) -> Generator:
         # hook returning "auto" for an op without a policy must fail
         # loudly and symmetrically, not strand the non-root ranks in
         # the announcement wait
-        raise KeyError(
-            f"no auto selection policy for collective {op!r}; "
-            f"auto-capable ops: {sorted(AUTO_CHOICES)}")
+        raise _no_policy(op)
     size = comm.size
     params = comm.host.params
     if size < 2:

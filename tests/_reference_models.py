@@ -1,0 +1,352 @@
+"""Differential reference for :mod:`repro.analysis.framecount`.
+
+The trunk and hierarchy frame models exactly as they stood before the
+topology digest (PR 13): every function loops over rank pairs and asks
+:func:`~repro.simnet.fabric.path_trunk_hops` per pair, and
+``model_hier_frames`` rebuilds the hierarchy tree and re-walks its
+phase plans on every call.  Slow (cubic in the communicator size
+through the policy) and obviously right; ``tests/test_topo_digest.py``
+holds the digest-backed models to these, value and type.  Do not
+optimise this file.
+"""
+
+from repro.analysis.framecount import expected_seg_repair_frames
+from repro.simnet.calibration import NetParams
+
+#: the public models this file is the reference for (the names
+#: ``test_topo_digest`` patches into ``repro.analysis.framecount`` to
+#: run the policy's estimates over the reference loops)
+PUBLIC = ("binomial_tree_trunk_hops", "multicast_trunk_edges",
+          "model_p2p_tree_trunk_frames", "model_seg_bcast_trunk_frames",
+          "model_seg_reduce_trunk_frames",
+          "model_seg_scatter_trunk_frames",
+          "model_seg_allgather_trunk_frames", "model_hier_frames")
+
+
+def _seg_paths(seg_of_rank, paths):
+    """Resolve ``paths`` (two-tier default: segment s at path (s,))."""
+    if paths is not None:
+        return paths
+    return tuple((s,) for s in range(max(seg_of_rank) + 1))
+
+
+def multicast_trunk_edges(root_seg: int, segs, paths) -> int:
+    """Trunk edges a multicast frame from ``root_seg`` serializes on to
+    reach every segment in ``segs``: the edges of the switch subtree
+    spanning the union of root-to-segment paths (K on a two-tier
+    fabric with K occupied segments, if any is remote)."""
+    edges: set[tuple] = set()
+    pa = paths[root_seg]
+    for seg in set(segs):
+        if seg == root_seg:
+            continue
+        pb = paths[seg]
+        common = 0
+        for a, b in zip(pa, pb):
+            if a != b:
+                break
+            common += 1
+        for i in range(common + 1, len(pa) + 1):
+            edges.add(pa[:i])
+        for i in range(common + 1, len(pb) + 1):
+            edges.add(pb[:i])
+    return len(edges)
+
+
+def binomial_cross_edges(seg_of_rank, root: int) -> int:
+    """Edges of the binomial gather/broadcast tree rooted at ``root``
+    whose endpoints sit in different segments (``seg_of_rank`` maps each
+    communicator rank to its segment id)."""
+    size = len(seg_of_rank)
+    cross = 0
+    for rel in range(1, size):
+        mask = 1
+        while not rel & mask:
+            mask <<= 1
+        parent_rel = rel & ~mask
+        child = (rel + root) % size
+        parent = (parent_rel + root) % size
+        if seg_of_rank[child] != seg_of_rank[parent]:
+            cross += 1
+    return cross
+
+
+def binomial_tree_trunk_hops(seg_of_rank, root: int,
+                             paths=None) -> int:
+    """Total trunk hops of the binomial tree's edges rooted at
+    ``root``: each edge pays the switch-tree distance between its
+    endpoints' segments (2 per cross edge on a two-tier fabric —
+    the generalization of :func:`binomial_cross_edges`)."""
+    from repro.simnet.fabric import path_trunk_hops
+
+    paths = _seg_paths(seg_of_rank, paths)
+    size = len(seg_of_rank)
+    total = 0
+    for rel in range(1, size):
+        mask = 1
+        while not rel & mask:
+            mask <<= 1
+        parent_rel = rel & ~mask
+        child = (rel + root) % size
+        parent = (parent_rel + root) % size
+        total += path_trunk_hops(paths[seg_of_rank[child]],
+                                 paths[seg_of_rank[parent]])
+    return total
+
+
+def model_p2p_tree_trunk_frames(params: NetParams, seg_of_rank,
+                                root: int, m: int, paths=None) -> int:
+    """Trunk serializations of a binomial tree moving an ``m``-byte
+    payload across every edge once (p2p bcast/reduce): each
+    cross-segment edge pays its trunk-path hops per payload frame."""
+    per_msg = params.frames_for(m + params.mpi_header)
+    return binomial_tree_trunk_hops(seg_of_rank, root, paths) * per_msg
+
+
+def _mcast_stream_trunk_frames(seg_of_rank, root: int, nsegs: int,
+                               paths=None) -> int:
+    """Trunk serializations of ONE loss-free engine stream (header +
+    ``nsegs`` data frames + one round of control) rooted at ``root`` on
+    a fabric: data crosses every edge of the switch subtree spanning
+    the occupied segments once, the two scout gathers pay their edges'
+    trunk paths, and each remote receiver's report and decision pay the
+    receiver-root path each way."""
+    from repro.simnet.fabric import path_trunk_hops
+
+    if len(set(seg_of_rank)) <= 1:
+        return 0
+    paths = _seg_paths(seg_of_rank, paths)
+    root_seg = seg_of_rank[root]
+    data_edges = multicast_trunk_edges(root_seg, seg_of_rank, paths)
+    gathers = binomial_tree_trunk_hops(seg_of_rank, root, paths)
+    round_trips = sum(path_trunk_hops(paths[s], paths[root_seg])
+                     for i, s in enumerate(seg_of_rank) if i != root)
+    return ((1 + nsegs) * data_edges  # header + data, once per edge
+            + 2 * gathers             # header-phase + arming gathers
+            + 2 * round_trips)        # reports + decisions
+
+
+def model_seg_bcast_trunk_frames(seg_of_rank, root: int, nsegs: int,
+                                 paths=None) -> int:
+    """Loss-free trunk serializations of the flat ``mcast-seg-nack``
+    broadcast on a tiered fabric (exact; asserted by
+    ``benchmarks/bench_fabric_scaling.py`` and
+    ``benchmarks/bench_deep_fabric.py``)."""
+    return _mcast_stream_trunk_frames(seg_of_rank, root, nsegs, paths)
+
+
+def model_seg_reduce_trunk_frames(seg_of_rank, root: int, nsegs: int,
+                                  paths=None) -> int:
+    """Loss-free trunk serializations of the flat ``mcast-seg-combine``
+    reduce (and of the ``mcast-seg-root-follow`` gather, which runs the
+    same turn loop): one engine stream per non-root contributor, each
+    rooted at its turn's sender (every stream's data still crosses
+    every occupied trunk edge — all members joined the group)."""
+    size = len(seg_of_rank)
+    return sum(_mcast_stream_trunk_frames(seg_of_rank, turn, nsegs,
+                                          paths)
+               for turn in range(size) if turn != root)
+
+
+def model_seg_scatter_trunk_frames(seg_of_rank, root: int, nsegs: int,
+                                   paths=None) -> int:
+    """Loss-free trunk serializations of the flat ``mcast-seg-root``
+    scatter: one engine stream of all ``nsegs`` per-rank-addressed
+    segments (exact — the per-rank ``needed`` subsets change what
+    receivers reassemble, not what crosses the wire)."""
+    return _mcast_stream_trunk_frames(seg_of_rank, root, nsegs, paths)
+
+
+def model_seg_allgather_trunk_frames(seg_of_rank, nsegs: int,
+                                     paths=None) -> int:
+    """Loss-free trunk serializations of the flat ``mcast-seg-paced``
+    allgather: the rank-0-anchored ready round (scout gather up, one
+    "go" unicast per rank back down) plus one engine stream per rank,
+    each rooted at its turn's sender."""
+    from repro.simnet.fabric import path_trunk_hops
+
+    if len(set(seg_of_rank)) <= 1:
+        return 0
+    paths = _seg_paths(seg_of_rank, paths)
+    ready = (binomial_tree_trunk_hops(seg_of_rank, 0, paths)
+             + sum(path_trunk_hops(paths[s], paths[seg_of_rank[0]])
+                   for i, s in enumerate(seg_of_rank) if i != 0))
+    return ready + sum(
+        _mcast_stream_trunk_frames(seg_of_rank, turn, nsegs, paths)
+        for turn in range(len(seg_of_rank)))
+
+
+# ---------------------------------------------------------------------------
+# recursive hierarchy models (PR 5: phase-walking, any tree depth —
+# superseding PR 4's two-tier closed forms, which the phase walk
+# reproduces bit-for-bit on two-tier fabrics)
+# ---------------------------------------------------------------------------
+def _phase_stream(seg_of_rank, phase, turn: int, nsegs: int, paths,
+                  loss: float,
+                  receivers: "int | None" = None) -> tuple[float, int]:
+    """(host frames incl. expected repairs, trunk serializations) of one
+    engine stream of ``nsegs`` segments served by comm rank ``turn``
+    inside ``phase``'s group (``receivers=1`` for single-consumer
+    turn-loop streams, default every other member)."""
+    from repro.core.segment import seg_nack_frame_count
+
+    members = phase.members
+    frames = (seg_nack_frame_count(len(members), nsegs)
+              + expected_seg_repair_frames(len(members), nsegs, loss,
+                                           receivers=receivers))
+    segs = tuple(seg_of_rank[m] for m in members)
+    trunk = _mcast_stream_trunk_frames(segs, members.index(turn), nsegs,
+                                       paths)
+    return frames, trunk
+
+
+def model_hier_frames(op: str, seg_of_rank, root: int, nbytes: int,
+                      params: NetParams, paths=None,
+                      loss: float = 0.0) -> tuple[float, float]:
+    """(host frames, trunk serializations) of one ``hier-mcast`` call
+    on an arbitrary-depth hierarchy, by walking the *same* phase plans
+    the implementation executes (:mod:`repro.mpi.collective.hier`), so
+    model and behaviour cannot drift.
+
+    Loss-free (``loss=0``) the ``bcast`` and ``reduce`` counts are
+    **exact** — every phase streams the same payload — and asserted
+    against ``NetStats.frames_trunk`` by
+    ``benchmarks/bench_deep_fabric.py``.  The ``scatter`` / ``gather``
+    / ``allgather`` counts approximate per-phase bundle sizes by their
+    member payload shares (the wire carries pickled bundle objects
+    whose envelope the closed form ignores), so they are
+    estimate-grade: good enough to rank candidates in the auto policy,
+    checked by the bench only for the strict hier-below-flat
+    inequality.  With ``loss > 0`` every phase additionally carries its
+    expected NACK-repair traffic — repairs stay inside the losing
+    phase's switch subtree, which is most of the hierarchy's win on
+    lossy fabrics.
+    """
+    from repro.core.segment import plan_transport
+    from repro.mpi.collective.hier import (allgather_phases, bcast_phases,
+                                       build_hier_tree, scatter_phases,
+                                       up_phases)
+    from repro.simnet.fabric import path_trunk_hops
+
+    size = len(seg_of_rank)
+    if size < 2 or len(set(seg_of_rank)) < 2:
+        return (0.0, 0.0)
+    tree = build_hier_tree(seg_of_rank, paths)
+    rpaths = _seg_paths(seg_of_rank, paths)
+    frames = 0.0
+    trunk = 0.0
+
+    def nsegs_of(payload_bytes: int) -> int:
+        return plan_transport(max(payload_bytes, 0), params).nsegs
+
+    def p2p_hop(src: int, dst: int, payload_bytes: int):
+        nonlocal frames, trunk
+        per = params.frames_for(payload_bytes + params.mpi_header)
+        frames += per
+        trunk += per * path_trunk_hops(rpaths[seg_of_rank[src]],
+                                       rpaths[seg_of_rank[dst]])
+
+    if op == "bcast":
+        nsegs = nsegs_of(nbytes)
+        for phase in bcast_phases(tree, root):
+            f, t = _phase_stream(seg_of_rank, phase, phase.root, nsegs,
+                                 paths, loss)
+            frames, trunk = frames + f, trunk + t
+        return frames, trunk
+    if op == "reduce":
+        nsegs = nsegs_of(nbytes)
+        phases, holder = up_phases(tree, root)
+        for phase in phases:
+            for turn in phase.members:
+                if turn == phase.root:
+                    continue
+                f, t = _phase_stream(seg_of_rank, phase, turn, nsegs,
+                                     paths, loss, receivers=1)
+                frames, trunk = frames + f, trunk + t
+        if holder != root:
+            p2p_hop(holder, root, nbytes)
+        return frames, trunk
+    if op == "allreduce":
+        f1, t1 = model_hier_frames("reduce", seg_of_rank, 0, nbytes,
+                                   params, paths, loss)
+        f2, t2 = model_hier_frames("bcast", seg_of_rank, 0, nbytes,
+                                   params, paths, loss)
+        return f1 + f2, t1 + t2
+
+    def subtree_sizes(phase) -> dict[int, int]:
+        """member rank -> ranks its bundle covers (its child subtree,
+        or itself on a leaf phase)."""
+        if phase.node.is_leaf:
+            return {m: 1 for m in phase.members}
+        out = {}
+        for member in phase.members:
+            for child in phase.node.children:
+                if member in child.members:
+                    out[member] = len(child.members)
+                    break
+        return out
+
+    if op == "scatter":
+        share = -(-nbytes // size)
+        plan = scatter_phases(tree, root)
+        if plan.root_leaf is not None:
+            nsegs = nsegs_of(share * (len(plan.root_leaf.members) - 1))
+            f, t = _phase_stream(seg_of_rank, plan.root_leaf, root,
+                                 nsegs, paths, loss)
+            frames, trunk = frames + f, trunk + t
+        root_leaf_members = {m for m in range(size)
+                             if seg_of_rank[m] == seg_of_rank[root]}
+        outside = size - len(root_leaf_members)
+        if plan.hoist is not None:
+            p2p_hop(plan.hoist[0], plan.hoist[1], share * outside)
+        for phase in plan.internals:
+            sizes = subtree_sizes(phase)
+            bundle = sum(share * sizes[m] for m in phase.members
+                         if m != phase.root)
+            f, t = _phase_stream(seg_of_rank, phase, phase.root,
+                                 nsegs_of(bundle), paths, loss)
+            frames, trunk = frames + f, trunk + t
+        for phase in plan.leaves:
+            nsegs = nsegs_of(share * (len(phase.members) - 1))
+            f, t = _phase_stream(seg_of_rank, phase, phase.root, nsegs,
+                                 paths, loss)
+            frames, trunk = frames + f, trunk + t
+        return frames, trunk
+    if op == "gather":
+        phases, holder = up_phases(tree, root)
+        for phase in phases:
+            sizes = subtree_sizes(phase)
+            for turn in phase.members:
+                if turn == phase.root:
+                    continue
+                f, t = _phase_stream(seg_of_rank, phase, turn,
+                                     nsegs_of(nbytes * sizes[turn]),
+                                     paths, loss, receivers=1)
+                frames, trunk = frames + f, trunk + t
+        if holder != root:
+            p2p_hop(holder, root, nbytes * size)
+        return frames, trunk
+    if op == "allgather":
+        plan = allgather_phases(tree)
+        for phase in plan.up:
+            sizes = subtree_sizes(phase)
+            frames += 2 * (len(phase.members) - 1)   # paced ready round
+            segs = tuple(seg_of_rank[m] for m in phase.members)
+            anchor = phase.members[0]
+            trunk += (binomial_tree_trunk_hops(segs, 0, rpaths)
+                      + sum(path_trunk_hops(rpaths[seg_of_rank[m]],
+                                            rpaths[seg_of_rank[anchor]])
+                            for m in phase.members[1:]))
+            for turn in phase.members:
+                f, t = _phase_stream(seg_of_rank, phase, turn,
+                                     nsegs_of(nbytes * sizes[turn]),
+                                     paths, loss)
+                frames, trunk = frames + f, trunk + t
+        full = nsegs_of(nbytes * size)
+        for phase in plan.down:
+            f, t = _phase_stream(seg_of_rank, phase, phase.root, full,
+                                 paths, loss)
+            frames, trunk = frames + f, trunk + t
+        return frames, trunk
+    raise KeyError(f"no hierarchical frame model for collective "
+                   f"{op!r}")

@@ -9,10 +9,15 @@ no undrained events.  See :mod:`repro.runtime.sanitize`.
 
 Without the variable the fixture only drains the (empty) registry, so
 plain ``pytest`` runs are unaffected.
+
+The auto policy's decision memo is process-wide; it is dropped before
+every test so ``policy.cache_info()`` counts never depend on test
+order.
 """
 
 import pytest
 
+from repro.mpi.collective import policy
 from repro.runtime.sanitize import (drain_pending, full_teardown,
                                     sanitize_enabled)
 
@@ -20,6 +25,7 @@ from repro.runtime.sanitize import (drain_pending, full_teardown,
 @pytest.fixture(autouse=True)
 def _sanitize_teardown():
     drain_pending()        # never inherit another test's leftovers
+    policy.clear_caches()
     yield
     runs = drain_pending()
     if not sanitize_enabled():

@@ -1,0 +1,269 @@
+"""The topology digest and the shared decision memo, pinned to the
+rank-pair reference (``tests/_reference_models.py``): every public
+trunk/hier model and ``modeled_frame_costs`` must agree with it in
+value *and* int/float type (``BENCH_*.json`` is canonical JSON), the
+memo must not change an answer, and the model must actually be off the
+per-call hot path — counted, not timed."""
+
+import sys
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import _reference_models as ref
+from repro import run_spmd
+from repro.analysis import framecount
+from repro.core.segment import plan_transport
+from repro.mpi.collective import policy
+from repro.mpi.collective.hier import layout_from_segments
+from repro.mpi.collective.policy import (AUTO_CHOICES, TopoInfo,
+                                         auto_impl, modeled_frame_costs)
+from repro.mpi.ops import SUM
+from repro.simnet import quiet
+from repro.simnet.calibration import FAST_ETHERNET_SWITCH
+from repro.simnet.fabric import parse_topology
+
+AUTO = replace(quiet(FAST_ETHERNET_SWITCH), segment_bytes="auto")
+LOSSES = (0.0, 0.02)
+SIZES = (0, 512, 24_000, 1 << 20)
+HIER_OPS = ("bcast", "reduce", "allreduce", "scatter", "gather",
+            "allgather")
+
+
+def _fabric(spec: str):
+    """(seg_of_rank, paths) of ``run_spmd``'s natural placement."""
+    fab = parse_topology(spec)
+    seg_of = tuple(s for s, n in enumerate(fab.leaf_sizes)
+                   for _ in range(n))
+    return seg_of, tuple(fab.leaf_paths())
+
+
+TWO_TIER = ((0, 0, 0, 1, 1, 1, 1, 2), None)      # paths=None geometry
+FABRICS = {"two-tier": TWO_TIER,
+           "tree:2x2x2": _fabric("tree:2x2x2"),
+           "tree:2x4x4": _fabric("tree:2x4x4"),
+           "tree:[4,8,2]": _fabric("tree:[4,8,2]")}
+
+
+def same(got, want):
+    """Equal in value and in type, element-wise for tuples/dicts."""
+    assert type(got) is type(want), (got, want)
+    if isinstance(want, dict):
+        assert list(got) == list(want)
+        got, want = tuple(got.values()), tuple(want.values())
+    if isinstance(want, tuple):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            same(g, w)
+    else:
+        assert got == want
+
+
+def check_models(seg_of, paths):
+    """Every public trunk/hier model against the reference, every
+    root, every size, both loss rates."""
+    n = len(seg_of)
+    rpaths = ref._seg_paths(seg_of, paths)
+    for seg in sorted(set(seg_of)):
+        same(framecount.multicast_trunk_edges(seg, seg_of, rpaths),
+             ref.multicast_trunk_edges(seg, seg_of, rpaths))
+    nsegs_of = [plan_transport(size, AUTO).nsegs for size in SIZES]
+    for nsegs in nsegs_of:
+        same(framecount.model_seg_allgather_trunk_frames(seg_of, nsegs,
+                                                         paths),
+             ref.model_seg_allgather_trunk_frames(seg_of, nsegs, paths))
+    for root in range(n):
+        same(framecount.binomial_tree_trunk_hops(seg_of, root, paths),
+             ref.binomial_tree_trunk_hops(seg_of, root, paths))
+        if paths is None:
+            same(framecount.binomial_cross_edges(seg_of, root),
+                 ref.binomial_cross_edges(seg_of, root))
+        for size, nsegs in zip(SIZES, nsegs_of):
+            same(framecount.model_p2p_tree_trunk_frames(
+                AUTO, seg_of, root, size, paths),
+                ref.model_p2p_tree_trunk_frames(
+                    AUTO, seg_of, root, size, paths))
+            for name in ("model_seg_bcast_trunk_frames",
+                         "model_seg_reduce_trunk_frames",
+                         "model_seg_scatter_trunk_frames"):
+                same(getattr(framecount, name)(seg_of, root, nsegs, paths),
+                     getattr(ref, name)(seg_of, root, nsegs, paths))
+            for op in HIER_OPS:
+                for loss in LOSSES:
+                    same(framecount.model_hier_frames(
+                        op, seg_of, root, size, AUTO, paths, loss),
+                        ref.model_hier_frames(
+                            op, seg_of, root, size, AUTO, paths, loss))
+
+
+@pytest.mark.parametrize("fabric", sorted(FABRICS))
+def test_models_match_rank_pair_reference(fabric):
+    check_models(*FABRICS[fabric])
+
+
+@st.composite
+def placements(draw):
+    """A non-contiguous rank→segment map onto a drawn switch tree
+    (dense segment ids, every listed segment occupied)."""
+    spec = draw(st.sampled_from(("tree:3x1", "tree:2x2x1", "tree:2x3x1",
+                                 "tree:2x2x2x1")))
+    paths = tuple(parse_topology(spec).leaf_paths())
+    used = draw(st.integers(2, len(paths)))
+    picked = sorted(draw(st.permutations(range(len(paths))))[:used])
+    n = draw(st.integers(used, 12))
+    body = draw(st.lists(st.integers(0, used - 1), min_size=n - used,
+                         max_size=n - used))
+    seg_of = tuple(draw(st.permutations(list(range(used)) + body)))
+    return seg_of, tuple(paths[i] for i in picked)
+
+
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(placements(), st.booleans())
+def test_models_match_reference_on_drawn_placements(placement, two_tier):
+    seg_of, paths = placement
+    check_models(seg_of, None if two_tier else paths)
+
+
+def _reference_costs(monkeypatch, *key):
+    """``modeled_frame_costs`` evaluated, unmemoised, with every
+    digest-backed model swapped for its rank-pair reference (the
+    policy resolves them from the module at call time)."""
+    with monkeypatch.context() as patch:
+        for name in ref.PUBLIC:
+            patch.setattr(framecount, name, getattr(ref, name))
+        return policy._decide.__wrapped__(*key)
+
+
+@pytest.mark.parametrize("fabric", sorted(FABRICS))
+def test_modeled_costs_and_picks_match_reference(fabric, monkeypatch):
+    """The policy's table over the reference loops == over the digest
+    == through the memo (first call and repeated call)."""
+    seg_of, paths = FABRICS[fabric]
+    n = len(seg_of)
+    contiguous = layout_from_segments(list(seg_of), paths)[3]
+    topo = TopoInfo(seg_of_rank=seg_of, contiguous=contiguous,
+                    paths=paths)
+    for loss in LOSSES:
+        params = replace(AUTO, loss=loss)
+        for op in sorted(AUTO_CHOICES):
+            # every root (a stride of 3 still lands in all eight
+            # segments of tree:2x4x4, on leaders and non-leaders;
+            # check_models above walks every root of every model)
+            roots = range(0, n, 3 if n > 16 else 1) if op in (
+                "bcast", "reduce", "scatter", "gather") else (0,)
+            for size in SIZES:
+                for root in roots:
+                    # hier_ok == _hier_competes on these fabrics
+                    for hier_ok in (True, False) if root == 0 else (True,):
+                        key = (op, size, n, params, topo, root, hier_ok)
+                        want, pick = _reference_costs(monkeypatch, *key)
+                        same(policy._decide.__wrapped__(*key),
+                             (want, pick))
+                        for _ in range(2):
+                            same(modeled_frame_costs(*key), want)
+                            assert auto_impl(*key) == pick
+
+
+def test_memo_hands_out_copies():
+    seg_of, paths = FABRICS["tree:2x2x2"]
+    topo = TopoInfo(seg_of_rank=seg_of, contiguous=True, paths=paths)
+    first = modeled_frame_costs("bcast", 24_000, 8, AUTO, topo)
+    first["p2p-binomial"] = -1
+    assert modeled_frame_costs("bcast", 24_000, 8, AUTO, topo)[
+        "p2p-binomial"] > 0
+
+
+# ---------------------------------------------------------------------
+# the model is off the per-call hot path: counts, not wall time
+# ---------------------------------------------------------------------
+def _mixed_auto_cycle(cycles: int):
+    """benchmarks/perf's ``hier-auto`` program: seven collectives x two
+    sizes, every auto-capable op on ``"auto"``, barrier pinned."""
+    def main(env):
+        comm, n = env.comm, env.comm.size
+        comm.use_collectives(barrier="hier-mcast",
+                             **{op: "auto" for op in AUTO_CHOICES})
+        for _ in range(cycles):
+            for size in (512, 24_000):
+                block = bytes([env.rank + 1]) * max(1, size // n)
+                vec = np.full(size // 8, float(env.rank + 1))
+                yield from comm.bcast(
+                    bytes(size) if env.rank == 0 else None, 0)
+                yield from comm.allreduce(vec, SUM)
+                yield from comm.reduce(vec, SUM, 0)
+                yield from comm.gather(block, 0)
+                yield from comm.scatter(
+                    [block] * n if env.rank == 0 else None, 0)
+                yield from comm.allgather(block)
+                yield from comm.barrier()
+        return list(comm.impl_log)
+    return main
+
+
+def test_model_evaluations_equal_distinct_call_signatures(monkeypatch):
+    """32 ranks x 3 cycles of the mixed cycle: the models run once per
+    distinct call signature, every other resolution is a hit, and the
+    picks are those of a run with no memo at all.
+
+    At least six auto ops x two sizes; today 14, because the
+    ``p2p-gather-bcast`` allgather dispatches its inner bcast of the
+    gathered *list* (624 B / 24,208 B) through ``"auto"`` too.
+    """
+    run = dict(topology="tree:2x4x4", params=AUTO, seed=1)
+    logs = run_spmd(32, _mixed_auto_cycle(3), **run).returns
+    info = policy.cache_info()
+    assert all(log == logs[0] for log in logs)
+
+    asked = []
+    evaluate = policy._decide.__wrapped__
+
+    def unmemoised(*key):
+        asked.append(key)
+        return evaluate(*key)
+
+    # one cycle with no memo at all: the same picks, cycle for cycle
+    policy.clear_caches()
+    monkeypatch.setattr(policy, "_decide", unmemoised)
+    one_cycle = run_spmd(32, _mixed_auto_cycle(1), **run).returns[0]
+    assert logs[0] == one_cycle * 3
+    assert len(set(asked)) >= 2 * len(AUTO_CHOICES)
+    assert info.evaluations == info.size == len(set(asked))
+    assert info.evaluations + info.hits == 3 * len(asked)
+
+
+def _count_calls(fn) -> int:
+    """Python + C calls made under ``fn`` (what cProfile counts)."""
+    calls = 0
+
+    def tick(_frame, event, _arg):
+        nonlocal calls
+        if event in ("call", "c_call"):
+            calls += 1
+
+    sys.setprofile(tick)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_cold_evaluation_at_1024_ranks_is_bounded():
+    """One cold allreduce evaluation on ``tree:32x32`` was ~7.5 million
+    calls over the rank-pair loops; the digest must keep it under
+    200,000 (deterministic, so an exact gate) and a repeat is free."""
+    seg_of, paths = _fabric("tree:32x32")
+    topo = TopoInfo(seg_of_rank=seg_of, contiguous=True, paths=paths)
+    policy.clear_caches()
+
+    def evaluate():
+        return modeled_frame_costs("allreduce", 24_000, 1024, AUTO, topo)
+
+    cold = _count_calls(evaluate)
+    assert cold <= 200_000, cold
+    assert _count_calls(evaluate) < 50
+    assert evaluate()["hier-mcast"] < evaluate()["mcast-seg-nack"]
