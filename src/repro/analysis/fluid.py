@@ -33,12 +33,15 @@ only on single-tier platforms — estimate-grade numbers must come from
 the simulator (or stay advisory).  The sweep runner consults this
 module only for exact integer frame metrics; everything else still runs
 the DES.  Setting ``REPRO_FLUID=0`` in the environment forces the
-sweep areas to run the DES even for eligible cases.
+sweep areas to run the DES even for eligible cases; :func:`enabled` /
+:func:`forced` are the only code that touches the variable.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+import os
+from contextlib import contextmanager
+from typing import Callable, Iterator, Optional, Sequence
 
 from ..core.segment import plan_transport
 from ..simnet.calibration import NetParams
@@ -47,8 +50,33 @@ from .framecount import (MODEL_COVERAGE, model_hier_frames,
                          model_seg_reduce_trunk_frames,
                          model_seg_scatter_trunk_frames)
 
-__all__ = ["HIER_EXACT_OPS", "exact_model", "answers",
-           "trunk_frames_per_call"]
+__all__ = ["FLUID_ENV", "HIER_EXACT_OPS", "answers", "enabled",
+           "exact_model", "forced", "trunk_frames_per_call"]
+
+#: environment variable gating the backend (on unless set to ``0``)
+FLUID_ENV = "REPRO_FLUID"
+
+
+def enabled() -> bool:
+    """May the analytic backend stand in for the DES?  On by default;
+    ``REPRO_FLUID=0`` forces every sweep case to simulate (the parity
+    tests use it to prove both paths produce the same document)."""
+    return os.environ.get(FLUID_ENV, "1") != "0"
+
+
+@contextmanager
+def forced(on: bool) -> Iterator[None]:
+    """Pin the backend on or off for the block, then restore the
+    caller's ``REPRO_FLUID``."""
+    saved = os.environ.get(FLUID_ENV)
+    os.environ[FLUID_ENV] = "1" if on else "0"
+    try:
+        yield
+    finally:
+        if saved is None:
+            os.environ.pop(FLUID_ENV, None)
+        else:
+            os.environ[FLUID_ENV] = saved
 
 #: ``model_hier_frames`` ops whose loss-free walk is exact (every phase
 #: streams the same payload); scatter/gather/allgather approximate

@@ -222,6 +222,7 @@ def _trace_cmd(args_list, scale: str, base_seed: int, output) -> int:
     import os
 
     from .. import obs
+    from ..analysis import fluid
     from . import sweep
 
     if not args_list:
@@ -245,19 +246,18 @@ def _trace_cmd(args_list, scale: str, base_seed: int, output) -> int:
     family, axes = cases[case]
     # Force the event-level simulator (the fluid backend sends no
     # frames) and arm the recorder for every run_spmd inside the case.
-    saved = {k: os.environ.get(k) for k in (obs.TRACE_ENV, "REPRO_FLUID")}
+    saved = os.environ.get(obs.TRACE_ENV)
     os.environ[obs.TRACE_ENV] = "1"
-    os.environ["REPRO_FLUID"] = "0"
     obs.drain_recorders()               # drop stale recorders, if any
     try:
         seed = sweep.case_seed(area, base_seed, case)
-        family.runner(scale=scale, seed=seed, **axes)
+        with fluid.forced(False):
+            family.runner(scale=scale, seed=seed, **axes)
     finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+        if saved is None:
+            os.environ.pop(obs.TRACE_ENV, None)
+        else:
+            os.environ[obs.TRACE_ENV] = saved
         recorders = obs.drain_recorders()
     if not recorders:
         print(f"case {case!r} ran no traced SPMD program",

@@ -28,6 +28,7 @@ the schema and the gate contract field by field.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import multiprocessing
@@ -261,7 +262,14 @@ def _git_output(*args: str) -> Optional[str]:
 def run_meta() -> dict:
     """Env + git provenance of one sweep run.  Deliberately excludes
     wall-clock timestamps so reruns stay bit-for-bit identical; the
-    gate (:func:`diff_docs`) never compares this block."""
+    gate (:func:`diff_docs`) never compares this block.  Asked of git
+    once per process: three subprocess spawns are ~0.1 s of wall, which
+    a timed ``run_area`` (``thru_sweep_case``) must not keep paying."""
+    return dict(_run_meta())
+
+
+@functools.lru_cache(maxsize=None)
+def _run_meta() -> dict:
     status = _git_output("status", "--porcelain")
     return {
         "python": platform.python_version(),

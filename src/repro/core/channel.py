@@ -36,7 +36,7 @@ from __future__ import annotations
 from typing import Any, Generator, Optional
 
 from ..simnet.frame import mcast_mac
-from ..simnet.kernel import Event
+from ..simnet.kernel import Event, Timer
 
 __all__ = ["McastChannel", "GROUP_ID_BASE", "DATA_PORT_BASE",
            "SCOUT_PORT_BASE", "SCOUT_BYTES", "MCAST_HEADER_BYTES",
@@ -307,13 +307,24 @@ class McastChannel:
         """Withdraw every untriggered descriptor in ``posted``."""
         self.data_sock.cancel_recv_all(list(posted))
 
+    def data_timer(self) -> Timer:
+        """A disarmed drain timer for this channel's data descriptors:
+        ``timer.arm(us, posted)`` expires ``posted`` after ``us`` of
+        silence, and :meth:`wait_data` on it then returns ``None``.  One
+        timer serves a whole round — re-arm it per descriptor, and
+        ``cancel()`` it on every exit of the wait."""
+        return self.sim.timer(self.data_sock.expire_recv)
+
     def wait_data(self, posted: Event) -> Generator:
-        """Complete a posted receive: returns ``(root, seq, payload)``.
+        """Complete a posted receive: returns ``(root, seq, payload)``,
+        or ``None`` if a :meth:`data_timer` expired the descriptor.
 
         Charges the UDP receive cost plus ``mcast_recv_extra_us`` (group
         receive validation / posted-descriptor handling) on the host CPU.
         """
         dgram = yield posted
+        if dgram is None:
+            return None
         cost = self.data_sock.recv_cost_us
         if dgram.kind in ("mcast-data", "mcast-seg"):
             # The extra models payload validation + user-buffer delivery;

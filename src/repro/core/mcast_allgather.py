@@ -136,25 +136,27 @@ def allgather_mcast_unpaced(comm, obj: Any,
     # Consume + re-post until everything arrived or nothing more comes.
     # The drain timeout is generous: several worst-case serializations.
     drain_us = 50_000.0
-    while received < expected and posted:
-        ev = posted.pop(0)
-        if not ev.triggered:
-            timer = comm.sim.timeout(drain_us)
-            yield comm.sim.any_of([ev, timer])
+    timer = channel.data_timer()
+    try:
+        while received < expected and posted:
+            ev = posted.pop(0)
             if not ev.triggered:
-                channel.data_sock.cancel_recv(ev)
+                timer.arm(drain_us, ev)
+            got = yield from channel.wait_data(ev)
+            if got is None:
                 break
-        src, got_seq, (tag, data) = yield from channel.wait_data(ev)
-        if got_seq == seq and results[tag] is None:
-            results[tag] = data
-            received += 1
-        if received + len(posted) < expected:
-            posted.append(channel.post_data())
-
-    # Withdraw every descriptor still outstanding (not just the one that
-    # timed out): a stale posted receive would swallow the next
-    # collective's multicast payload on this channel and hang it.
-    channel.data_sock.cancel_recv_all(posted)
+            src, got_seq, (tag, data) = got
+            if got_seq == seq and results[tag] is None:
+                results[tag] = data
+                received += 1
+            if received + len(posted) < expected:
+                posted.append(channel.post_data())
+    finally:
+        timer.cancel()
+        # Withdraw every descriptor still outstanding (not just the one
+        # that timed out): a stale posted receive would swallow the next
+        # collective's multicast payload on this channel and hang it.
+        channel.cancel_data(posted)
 
     lost = expected - received
     return results, lost

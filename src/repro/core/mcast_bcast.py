@@ -105,13 +105,16 @@ def bcast_mcast_naive(comm, obj: Any, root: int = 0) -> Generator:
         return obj
 
     posted = channel.post_data()
+    timer = channel.data_timer()
     if channel.naive_timeout_us is not None:
-        timer = comm.sim.timeout(channel.naive_timeout_us)
-        yield comm.sim.any_of([posted, timer])
-        if not posted.triggered:
-            channel.data_sock.cancel_recv(posted)
-            raise McastLost(comm.rank, seq)
-    src, got_seq, data = yield from channel.wait_data(posted)
+        timer.arm(channel.naive_timeout_us, posted)
+    try:
+        got = yield from channel.wait_data(posted)
+    finally:
+        timer.cancel()
+    if got is None:                     # timed out
+        raise McastLost(comm.rank, seq)
+    _src, got_seq, data = got
     if got_seq != seq:
         raise McastLost(comm.rank, seq)
     return data

@@ -393,47 +393,52 @@ def _consume_round(comm, channel, posted, ndatagrams: int, seq,
     and is cancelled immediately, keeping the NACK on the critical path
     instead of a timeout.  Only when the *tail* of the stream is lost
     does the receiver fall back to ``drain_us`` of silence (the adaptive
-    :func:`round_drain_timeout_us`).  Either way every leftover
-    descriptor is withdrawn — leaving one behind would swallow a later
-    collective's traffic.  Non-segment or stale-sequence datagrams waste
-    their descriptor; the segments they displaced are simply reported
-    missing and repaired next round.
+    :func:`round_drain_timeout_us`): one drain timer serves the whole
+    round, re-armed per wait, and expires the awaited descriptor.  On
+    every exit — exceptions included — the timer is disarmed and every
+    leftover descriptor is withdrawn; leaving one behind would swallow a
+    later collective's traffic.  Non-segment or stale-sequence datagrams
+    waste their descriptor; the segments they displaced are simply
+    reported missing and repaired next round.
     """
     issued = len(posted)
     i = 0
-    while i < len(posted):
-        ev = posted[i]
-        if not ev.triggered:
-            timer = comm.sim.timeout(drain_us)
-            yield comm.sim.any_of([ev, timer])
+    timer = channel.data_timer()
+    try:
+        while i < len(posted):
+            ev = posted[i]
             if not ev.triggered:
+                timer.arm(drain_us, ev)
+            got = yield from channel.wait_data(ev)
+            if got is None:             # drain_us of silence: tail lost
                 rec = comm.host.stats.recorder
                 if rec is not None:
                     rec.drain_timeout(comm.sim.now, comm.host.addr, rnd,
                                       len(posted) - i)
-                channel.cancel_data(posted[i:])
                 return
-        _src, got_seq, payload = yield from channel.wait_data(ev)
-        i += 1
-        if issued < ndatagrams:
-            posted.append(channel.post_data())
-            issued += 1
-        if got_seq != seq:
-            continue
-        if isinstance(payload, Segment):
-            batch = (payload,)
-        elif (isinstance(payload, tuple) and payload
-                and isinstance(payload[0], Segment)):
-            batch = payload
-        else:
-            continue
-        done = False
-        for seg in batch:
-            reasm.add(seg)
-            done = done or seg.index == last_index
-        if done:
-            channel.cancel_data(posted[i:])
-            return
+            i += 1
+            if issued < ndatagrams:
+                posted.append(channel.post_data())
+                issued += 1
+            _src, got_seq, payload = got
+            if got_seq != seq:
+                continue
+            if isinstance(payload, Segment):
+                batch = (payload,)
+            elif (isinstance(payload, tuple) and payload
+                    and isinstance(payload[0], Segment)):
+                batch = payload
+            else:
+                continue
+            done = False
+            for seg in batch:
+                reasm.add(seg)
+                done = done or seg.index == last_index
+            if done:
+                return
+    finally:
+        timer.cancel()
+        channel.cancel_data(posted[i:])
 
 
 # ----------------------------------------------------------------------

@@ -24,6 +24,22 @@ Typical use::
     sim.run()
     assert proc.value == "ping"
 
+A wait with a deadline keeps one re-armable :class:`Timer` and yields
+the awaited event itself (no ``Timeout`` + ``AnyOf`` pair per wait)::
+
+    timer = sim.timer(sock.expire_recv)     # fn(*args) runs at the deadline
+    try:
+        for ev in descriptors:
+            timer.arm(500.0, ev)            # due = now + 500, the float a
+            if (yield ev) is None: ...      #   Timeout(500) would have had
+    finally:
+        timer.cancel()                      # on every exit, exceptions too
+
+However often it is re-armed, a timer keeps one heap record: a record
+that pops before the current deadline re-schedules itself there, one
+that pops after ``cancel()`` is a no-op.  (Only re-arming to an
+*earlier* deadline pushes a second record, orphaning the later one.)
+
 The kernel also detects **deadlock**: if :meth:`Simulator.run` exhausts the
 event heap while processes are still suspended, it raises
 :class:`DeadlockError` naming them — invaluable when debugging MPI programs
@@ -40,6 +56,7 @@ __all__ = [
     "Simulator",
     "Event",
     "Timeout",
+    "Timer",
     "Process",
     "AnyOf",
     "AllOf",
@@ -201,6 +218,51 @@ class _Call:
 
     def _dispatch(self) -> None:
         self.fn(*self.args)
+
+
+class Timer:
+    """A re-armable one-shot: ``fn(*args)`` runs when the deadline passes
+    (see the module docstring for the wait idiom).  ``arm`` replaces the
+    deadline and the arguments, ``cancel`` disarms; neither touches the
+    heap while a record at or before the deadline is pending."""
+
+    __slots__ = ("sim", "fn", "args", "_due", "_rec_due")
+
+    def __init__(self, sim: "Simulator", fn: Callable):
+        self.sim = sim
+        self.fn = fn
+        self.args: tuple = ()
+        self._due: Optional[float] = None       # deadline; None = disarmed
+        self._rec_due: Optional[float] = None   # due time of the live record
+
+    @property
+    def armed(self) -> bool:
+        return self._due is not None
+
+    def arm(self, delay: float, *args: Any) -> None:
+        """(Re)arm: call ``fn(*args)`` ``delay`` µs from now."""
+        self.args = args
+        self._due = due = self.sim.now + delay
+        if self._rec_due is None or due < self._rec_due:
+            self._rec_due = due
+            self.sim.schedule_at(due, self._pop, due)
+
+    def cancel(self) -> None:
+        """Disarm; the pending record (if any) pops as a no-op."""
+        self._due = None
+
+    def _pop(self, rec_due: float) -> None:
+        if rec_due != self._rec_due:
+            return                  # orphaned by a re-arm to an earlier time
+        due, self._rec_due = self._due, None
+        if due is None:
+            return
+        if due > self.sim.now:      # re-armed since: chase the deadline
+            self._rec_due = due
+            self.sim.schedule_at(due, self._pop, due)
+        else:
+            self._due = None
+            self.fn(*self.args)
 
 
 class Process(Event):
@@ -400,6 +462,10 @@ class Simulator:
         """An event that fires ``delay`` µs from now."""
         return Timeout(self, delay, value)
 
+    def timer(self, fn: Callable) -> Timer:
+        """A disarmed re-armable one-shot calling ``fn`` at its deadline."""
+        return Timer(self, fn)
+
     def process(self, gen: Generator, name: str = "",
                 daemon: bool = False) -> Process:
         """Start ``gen`` as a simulated process; returns its Process event.
@@ -431,6 +497,20 @@ class Simulator:
         else:
             heapq.heappush(self._heap,
                            (self.now + delay, self._seq, _Call(fn, args)))
+        live = len(self._heap) + len(self._nowq)
+        if live > self.peak_live:
+            self.peak_live = live
+
+    def schedule_at(self, due: float, fn: Callable, *args: Any) -> None:
+        """Call ``fn(*args)`` at absolute time ``due`` (>= now) — for a
+        caller holding a due time computed earlier (a link's free-at
+        instant, a timer's deadline) that must hit exactly that float,
+        not ``now + (due - now)``."""
+        if due < self.now:
+            raise ValueError(f"cannot schedule into the past (due={due}, "
+                             f"now={self.now})")
+        self._seq += 1
+        heapq.heappush(self._heap, (due, self._seq, _Call(fn, args)))
         live = len(self._heap) + len(self._nowq)
         if live > self.peak_live:
             self.peak_live = live

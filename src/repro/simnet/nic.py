@@ -14,41 +14,29 @@ before reaching the host's IP stack.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Optional, Protocol
+from typing import Callable, Optional
 
 from .calibration import NetParams
 from .frame import BROADCAST, Frame, is_multicast, release_frame
-from .kernel import Event, Simulator
+from .kernel import Simulator
 from .stats import NetStats
 
 __all__ = ["Nic", "TxPort"]
 
-
-class TxPort(Protocol):
-    """Anything a NIC can transmit through (shared medium or half link)."""
-
-    def transmit(self, nic: "Nic", frame: Frame) -> Event:
-        ...
-
-
-class _MediumPort:
-    """Adapter: hub/shared-medium attachment."""
-
-    def __init__(self, medium):
-        self.medium = medium
-
-    def transmit(self, nic: "Nic", frame: Frame) -> Event:
-        return self.medium.transmit(nic, frame)
+#: What a NIC transmits through — a half link's ``send`` or a shared
+#: medium behind :func:`_medium_port`: ``port(frame, on_done)`` calls
+#: ``on_done(True)`` once the frame is on the wire, or ``on_done(exc)``
+#: if the medium gave up on it.
+TxPort = Callable[[Frame, Callable[[object], None]], None]
 
 
-class _LinkPort:
-    """Adapter: switched attachment through an egress half link."""
-
-    def __init__(self, halflink):
-        self.halflink = halflink
-
-    def transmit(self, nic: "Nic", frame: Frame) -> Event:
-        return self.halflink.send(frame)
+def _medium_port(medium, nic: "Nic") -> TxPort:
+    """A hub attachment as a :data:`TxPort` (the medium reports through
+    an event because every deferring station's fate hangs on it)."""
+    def port(frame: Frame, on_done: Callable[[object], None]) -> None:
+        medium.transmit(nic, frame).add_callback(
+            lambda ev: on_done(ev._value))
+    return port
 
 
 class Nic:
@@ -63,7 +51,7 @@ class Nic:
         self.name = name or f"nic{mac}"
         self._port: Optional[TxPort] = None
         self._receiver: Optional[Callable[[Frame], None]] = None
-        self._txq: deque[tuple[Frame, Event]] = deque()
+        self._txq: deque[Frame] = deque()
         self._tx_busy = False
         self._mcast_refs: dict[int, int] = {}
         self.tx_frames = 0
@@ -74,12 +62,12 @@ class Nic:
     # -- wiring -------------------------------------------------------------
     def attach_medium(self, medium) -> None:
         """Plug into a shared CSMA/CD segment (hub topology)."""
-        self._port = _MediumPort(medium)
+        self._port = _medium_port(medium, self)
         medium.attach(self)
 
     def attach_link(self, out_halflink) -> None:
         """Plug into a switch via the host→switch half link."""
-        self._port = _LinkPort(out_halflink)
+        self._port = out_halflink.send
 
     def set_receiver(self, fn: Callable[[Frame], None]) -> None:
         """Install the IP-input callback (one per host)."""
@@ -100,15 +88,14 @@ class Nic:
         return group_mac in self._mcast_refs
 
     # -- transmit path ------------------------------------------------------
-    def send(self, frame: Frame) -> Event:
-        """Queue a frame; the event fires once it is on the wire."""
+    def send(self, frame: Frame) -> None:
+        """Queue a frame for transmission (FIFO, one on the wire at a
+        time); the outcome is counted in ``tx_frames`` / ``tx_errors``."""
         if self._port is None:
             raise RuntimeError(f"{self.name} is not attached to any network")
-        done = self.sim.event()
-        self._txq.append((frame, done))
+        self._txq.append(frame)
         if not self._tx_busy:
             self._tx_pump()
-        return done
 
     @property
     def tx_queue_depth(self) -> int:
@@ -119,17 +106,13 @@ class Nic:
             self._tx_busy = False
             return
         self._tx_busy = True
-        frame, done = self._txq.popleft()
-        port_done = self._port.transmit(self, frame)
-        port_done.add_callback(lambda ev: self._tx_done(ev, done))
+        self._port(self._txq.popleft(), self._tx_done)
 
-    def _tx_done(self, port_ev: Event, done: Event) -> None:
-        if port_ev.ok:
+    def _tx_done(self, result: object) -> None:
+        if result is True:
             self.tx_frames += 1
-            done.succeed(True)
         else:
             self.tx_errors += 1
-            done.fail(port_ev._value)
         # Next frame pays the per-fragment driver cost before transmitting.
         if self._txq:
             self.sim.schedule_call(self.params.per_frame_tx_us, self._tx_pump)

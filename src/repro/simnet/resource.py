@@ -9,7 +9,7 @@ the duration of each software overhead via :meth:`Resource.use`.
 from __future__ import annotations
 
 from collections import deque
-from typing import Generator
+from typing import Generator, Optional
 
 from .kernel import Event, SimError, Simulator
 
@@ -33,14 +33,14 @@ class Resource:
     def queue_depth(self) -> int:
         return len(self._waiters)
 
-    def acquire(self) -> Event:
-        """Event that fires when the caller holds the resource."""
-        ev = self.sim.event()
+    def acquire(self) -> Optional[Event]:
+        """Take the resource: ``None`` if it was free (the caller holds it
+        now), else the event that fires when the caller's turn comes."""
         if not self._held:
             self._held = True
-            ev.succeed(None)
-        else:
-            self._waiters.append(ev)
+            return None
+        ev = self.sim.event()
+        self._waiters.append(ev)
         return ev
 
     def release(self) -> None:
@@ -53,7 +53,9 @@ class Resource:
 
     def use(self, duration_us: float) -> Generator:
         """``yield from cpu.use(t)`` — hold the resource for ``t`` µs."""
-        yield self.acquire()
+        turn = self.acquire()
+        if turn is not None:
+            yield turn
         try:
             yield self.sim.timeout(duration_us)
         finally:

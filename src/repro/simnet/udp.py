@@ -187,6 +187,15 @@ class UdpSocket:
             if not ev.triggered:
                 self.cancel_recv(ev)
 
+    def expire_recv(self, ev: Event) -> None:
+        """Time a posted receive out: withdraw it and complete it with
+        ``None`` (no-op once it has fired).  The deadline callback of a
+        timed wait — ``sim.timer(sock.expire_recv)``, armed with the
+        descriptor, lets the waiter ``yield`` the descriptor itself."""
+        if not ev.triggered:
+            self.cancel_recv(ev)
+            ev.succeed(None)
+
     def recv(self, timeout: Optional[float] = None) -> Generator:
         """Blocking receive; returns a Datagram, or None on timeout.
 
@@ -194,15 +203,17 @@ class UdpSocket:
         (the syscall + copy cost).  Usage: ``d = yield from sock.recv()``.
         """
         ev = self.post_recv()
-        if timeout is None:
+        if timeout is None or ev.triggered:
             dgram = yield ev
         else:
-            timer = self.sim.timeout(timeout)
-            fired = yield self.sim.any_of([ev, timer])
-            if ev not in fired:
-                self.cancel_recv(ev)
+            timer = self.sim.timer(self.expire_recv)
+            timer.arm(timeout, ev)
+            try:
+                dgram = yield ev
+            finally:
+                timer.cancel()
+            if dgram is None:
                 return None
-            dgram = ev.value
         yield from self.host.cpu.use(self.host.jitter(self.recv_cost_us))
         self.stats.datagrams_delivered += 1
         return dgram

@@ -1,38 +1,22 @@
-"""Full-duplex point-to-point links (host ↔ switch cabling).
+"""Differential reference for :class:`repro.simnet.link.HalfLink`.
 
-Unlike the hub's shared medium, a switched segment gives every station a
-private collision-free channel in each direction.  Each
-:class:`HalfLink` is an independent serializer: frames queue FIFO, occupy
-the transmitter for their wire time, and arrive at the far end one
-propagation delay after serialization completes (store-and-forward —
-the receiving device only sees a frame once the last bit is in).
-
-Record economy: a frame sent on an idle link costs **one** kernel record
-(its arrival).  The transmitter remembers the instant the wire falls
-idle (``_free_at``) instead of scheduling a wake-up for it; a record at
-serialization end exists only when somebody observes it — the sender
-asked for a completion callback, or a frame is queued behind the wire.
+The half link exactly as it stood before the record-economy rewrite
+(PR 14): every frame allocates a ``done`` :class:`Event`, the
+transmitter is a ``_queue`` / ``_busy`` / ``_sent`` pump that schedules a
+wake-up at the end of *every* serialization, and ``send`` returns the
+event.  Three kernel records per frame where the live link spends one —
+slow and obviously right; ``tests/test_link_reference.py`` holds the
+live link to it on arrival times and order, completion times and every
+counter.  Do not optimise this file.
 """
-
-from __future__ import annotations
 
 from collections import deque
 from typing import Callable, Optional
 
-from .calibration import NetParams
-from .frame import Frame, release_frame, retain_frame
-from .kernel import Simulator
-from .stats import NetStats
-
-__all__ = ["HalfLink", "FullLink"]
-
-#: return values a :attr:`HalfLink.fault` hook may produce per frame:
-#: ``None``/``"deliver"`` passes the frame through, ``"drop"`` loses it
-#: on the wire, ``"dup"`` delivers two copies, ``("delay", us)`` holds
-#: the frame back ``us`` microseconds (later traffic overtakes it —
-#: reordering).  See :mod:`repro.chaos.scenarios` for the stateful
-#: hooks built on this seam.
-LinkFate = "Optional[str | tuple]"
+from repro.simnet.calibration import NetParams
+from repro.simnet.frame import Frame, release_frame, retain_frame
+from repro.simnet.kernel import Event, Simulator
+from repro.simnet.stats import NetStats
 
 
 class HalfLink:
@@ -68,30 +52,27 @@ class HalfLink:
         #: scouts, IGMP), so it can model corruption-like loss,
         #: duplication and reordering below the IP stack.
         self.fault: Optional[Callable] = None
-        self._queue: deque[tuple[Frame, Optional[Callable]]] = deque()
-        self._free_at = 0.0     # instant the frame on the wire ends
-        self._wake_at = -1.0    # == _free_at iff a _sent record is due then
+        self._queue: deque[tuple[Frame, Event]] = deque()
+        self._busy = False
 
-    def send(self, frame: Frame,
-             on_sent: Optional[Callable[[bool], object]] = None) -> None:
-        """Transmit ``frame`` (FIFO behind whatever is on the wire).
-
-        ``on_sent(True)`` is called when serialization finishes, if given.
-        """
-        if self._queue or self.sim.now < self._free_at:
-            self._queue.append((frame, on_sent))
-            if self._wake_at != self._free_at:
-                self._wake_at = self._free_at
-                self.sim.schedule_at(self._free_at, self._sent, None)
-        else:
-            self._start(frame, on_sent)
+    def send(self, frame: Frame) -> Event:
+        """Queue ``frame``; the event fires when serialization finishes."""
+        done = self.sim.event()
+        self._queue.append((frame, done))
+        if not self._busy:
+            self._pump()
+        return done
 
     @property
     def queue_depth(self) -> int:
         return len(self._queue)
 
-    def _start(self, frame: Frame, on_sent: Optional[Callable]) -> None:
-        sim = self.sim
+    def _pump(self) -> None:
+        if not self._queue:
+            self._busy = False
+            return
+        self._busy = True
+        frame, done = self._queue.popleft()
         wire_us = frame.wire_time_us(self.params.rate_mbps)
         if self.count_as_send:
             self.stats.record_send(frame.wire_size, frame.kind)
@@ -102,24 +83,17 @@ class HalfLink:
         rec = self.stats.recorder
         if rec is not None:
             if self.count_as_send:
-                rec.frame_sent(sim.now, frame, self.name)
+                rec.frame_sent(self.sim.now, frame, self.name)
             else:
-                rec.frame_forwarded(sim.now, frame, self.name,
+                rec.frame_forwarded(self.sim.now, frame, self.name,
                                     self.is_trunk)
-        sim.schedule_call(wire_us + self.params.prop_delay_us,
-                          self._arrive, frame)
-        self._free_at = free_at = sim.now + wire_us
-        if on_sent is not None or self._queue:
-            self._wake_at = free_at
-            sim.schedule_at(free_at, self._sent, on_sent)
+        self.sim.schedule_call(wire_us + self.params.prop_delay_us,
+                               self._arrive, frame)
+        self.sim.schedule_call(wire_us, self._sent, done)
 
-    def _sent(self, on_sent: Optional[Callable]) -> None:
-        # A send landing exactly at _free_at may have taken the idle wire
-        # ahead of this record; the queue then waits for *its* wake-up.
-        if self._queue and self.sim.now >= self._free_at:
-            self._start(*self._queue.popleft())
-        if on_sent is not None:
-            on_sent(True)
+    def _sent(self, done: Event) -> None:
+        done.succeed(True)
+        self._pump()
 
     def _arrive(self, frame: Frame) -> None:
         if not self.up:
@@ -147,11 +121,3 @@ class HalfLink:
         else:
             raise ValueError(f"link fault hook on {self.name!r} returned "
                              f"unknown fate {fate!r}")
-
-
-class FullLink:
-    """A pair of half links; convenience container used by topologies."""
-
-    def __init__(self, a_to_b: HalfLink, b_to_a: HalfLink):
-        self.a_to_b = a_to_b
-        self.b_to_a = b_to_a

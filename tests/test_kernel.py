@@ -275,3 +275,93 @@ def test_determinism_same_seedless_structure():
         return trace
 
     assert build() == build()
+
+
+# ------------------------------------------------------------------ Timer
+def _pending(sim):
+    return len(sim._heap) + len(sim._nowq)
+
+
+def test_timer_fires_at_the_float_a_timeout_would():
+    """Armed at an awkward instant with an awkward delay, the timer fires
+    at bit-for-bit the ``now + delay`` a Timeout created there has."""
+    sim = Simulator()
+    fired = {}
+
+    def arm():
+        sim.timer(lambda: fired.setdefault("timer", sim.now)).arm(1 / 3)
+        sim.timeout(1 / 3).add_callback(
+            lambda _ev: fired.setdefault("timeout", sim.now))
+
+    sim.schedule_call(0.1, arm)
+    sim.schedule_call(0.7, arm)     # a second pair must not disturb it
+    sim.run()
+    assert fired["timer"] == fired["timeout"] == 0.1 + 1 / 3
+
+
+def test_timer_rearms_leave_one_pending_record():
+    sim = Simulator()
+    fired = []
+    timer = sim.timer(lambda tag: fired.append((sim.now, tag)))
+    timer.arm(10.0, "first")
+    assert _pending(sim) == 1
+
+    def rearm(i):
+        timer.arm(10.0, i)
+        # the timer's one record + the rearm calls still to come
+        assert _pending(sim) == 1 + (49 - i)
+
+    for i in range(50):
+        sim.schedule_call(1.0 + i, rearm, i)     # deadlines 11 .. 60
+    assert _pending(sim) == 51
+    sim.run(until=50.5)
+    assert timer.armed and fired == [] and _pending(sim) == 1
+    sim.run()
+    assert fired == [(60.0, 49)]                 # last deadline, last args
+    # one record at t=10 that chased the deadline a few times, not 50
+    assert sim.processed <= 50 + 8
+
+
+def test_timer_cancel_never_fires_and_the_loop_drains():
+    sim = Simulator()
+    fired = []
+    timer = sim.timer(fired.append)
+    timer.arm(5.0, "x")
+    timer.cancel()
+    assert not timer.armed
+    assert sim.run() == 5.0          # the record pops as a no-op
+    assert fired == [] and _pending(sim) == 0
+
+
+def test_timer_rearm_after_firing_and_after_cancel():
+    sim = Simulator()
+    fired = []
+    timer = sim.timer(lambda tag: fired.append((sim.now, tag)))
+    timer.arm(2.0, "a")
+    sim.run()
+    assert fired == [(2.0, "a")] and not timer.armed
+    timer.arm(3.0, "b")
+    sim.run()
+    assert fired == [(2.0, "a"), (5.0, "b")]
+    # cancel, then arm *earlier* than the orphaned record: fires on time
+    timer.arm(100.0, "late")
+    timer.cancel()
+    timer.arm(1.0, "early")
+    sim.run()
+    assert fired[-1] == (6.0, "early") and len(fired) == 3
+    assert _pending(sim) == 0
+
+
+def test_timer_rejects_negative_delay_and_schedule_at_the_past():
+    sim = Simulator()
+    with pytest.raises(ValueError):
+        sim.timer(print).arm(-1.0)
+    sim.schedule_call(5.0, lambda: None)
+    sim.run()
+    with pytest.raises(ValueError):
+        sim.schedule_at(4.0, print)
+    order = []
+    sim.schedule_call(0.0, order.append, "call")
+    sim.schedule_at(5.0, order.append, "at-now")     # due == now: FIFO
+    sim.run()
+    assert order == ["call", "at-now"]

@@ -1,0 +1,149 @@
+"""The record-economy :class:`HalfLink` against the historical one.
+
+``tests/_reference_link.py`` is the link as it stood before PR 14: one
+``done`` event and one end-of-serialization wake-up per frame.  The live
+link schedules neither unless somebody observes it, so the two must
+agree on everything a device, a test or ``NetStats`` can see — arrival
+timestamps and order, completion timestamps, every counter — under any
+send schedule, while the live link dispatches fewer kernel records.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.simnet.calibration import FAST_ETHERNET_SWITCH, quiet
+from repro.simnet.frame import Frame
+from repro.simnet.kernel import Simulator
+from repro.simnet.link import HalfLink
+from repro.simnet.stats import NetStats
+
+from _reference_link import HalfLink as ReferenceHalfLink
+
+PARAMS = quiet(FAST_ETHERNET_SWITCH)
+COUNTERS = ("frames_sent", "frames_forwarded", "frames_trunk",
+            "drops_chaos", "dups_chaos", "delays_chaos")
+FATES = (None, "deliver", "drop", "dup", ("delay", 7.5), ("delay", 300.0))
+
+
+def wire_us(size: int) -> float:
+    return Frame(src=0, dst=1, size=size, payload=None).wire_time_us(
+        PARAMS.rate_mbps)
+
+
+def drive(link_cls, schedule, *, count_as_send, is_trunk, fates, cuts):
+    """Run one send schedule through ``link_cls``; return what the world
+    saw.  ``schedule`` is ``[(at_us, size, want_completion)]`` (frame *i*
+    is tagged ``i``), ``fates[i]`` is frame *i*'s fault verdict and
+    ``cuts`` are ``(at_us, up)`` cable toggles."""
+    sim = Simulator()
+    stats = NetStats()
+    arrivals, completions = [], []
+    link = link_cls(sim, PARAMS, stats,
+                    deliver=lambda f: arrivals.append((sim.now, f.payload)),
+                    name="dut", count_as_send=count_as_send,
+                    is_trunk=is_trunk)
+    if any(f is not None for f in fates):
+        link.fault = lambda frame, _link: fates[frame.payload]
+
+    def send(i, size, want):
+        frame = Frame(src=0, dst=1, size=size, payload=i)
+
+        def done(_ok=True):
+            completions.append((sim.now, i))
+
+        if link_cls is HalfLink:
+            link.send(frame, done if want else None)
+        else:
+            ev = link.send(frame)
+            if want:
+                ev.add_callback(lambda _ev: done())
+
+    for i, (at, size, want) in enumerate(schedule):
+        sim.schedule_call(at, send, i, size, want)
+    for at, up in cuts:
+        sim.schedule_call(at, setattr, link, "up", up)
+    end = sim.run()
+    assert link.queue_depth == 0
+    return {"arrivals": arrivals, "completions": completions, "end": end,
+            "counters": {c: getattr(stats, c) for c in COUNTERS},
+            "records": sim.processed}
+
+
+@st.composite
+def schedules(draw):
+    """Send instants built to hit the transmitter's edges: a send on an
+    idle wire, a burst at one instant, a send landing *exactly* when the
+    wire falls idle, one exactly on an earlier frame boundary with
+    frames still queued, one mid-frame, one after a gap."""
+    n = draw(st.integers(1, 12))
+    sends, at, free_at, bounds = [], 0.0, 0.0, []
+    for _ in range(n):
+        size = draw(st.sampled_from((0, 46, 100, 962, 1462)))
+        step = draw(st.sampled_from(
+            ("burst", "at-free", "boundary", "mid", "gap")))
+        if step == "at-free":
+            at = max(at, free_at)
+        elif step == "boundary":
+            at = draw(st.sampled_from([b for b in bounds if b >= at] or [at]))
+        elif step == "mid":
+            at = max(at, free_at - draw(st.sampled_from((0.5, 3.0, 40.0))))
+        elif step == "gap":
+            at = max(at, free_at) + draw(st.sampled_from((0.25, 10.0, 500.0)))
+        free_at = max(at, free_at) + wire_us(size)
+        bounds.append(free_at)
+        sends.append((at, size, draw(st.booleans())))
+    fates = ([None] * n if draw(st.booleans()) else
+             [draw(st.sampled_from(FATES)) for _ in range(n)])
+    cuts = draw(st.lists(
+        st.tuples(st.sampled_from((0.0, 45.0, 81.0, 250.0, 900.0)),
+                  st.booleans()), max_size=3))
+    return sends, fates, sorted(cuts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(schedules(), st.booleans(), st.booleans())
+def test_live_link_matches_reference(case, count_as_send, is_trunk):
+    sends, fates, cuts = case
+    kw = dict(count_as_send=count_as_send, is_trunk=is_trunk, fates=fates,
+              cuts=cuts)
+    ref = drive(ReferenceHalfLink, sends, **kw)
+    live = drive(HalfLink, sends, **kw)
+    records = live.pop("records"), ref.pop("records")
+    assert live == ref          # exact floats, exact order
+    assert records[0] <= records[1]
+
+
+def test_idle_send_costs_one_record_reference_three():
+    """The rule itself: nobody observes the end of serialization of a
+    lone frame, so only its arrival is scheduled."""
+    sends = [(0.0, 962, False)]
+    kw = dict(count_as_send=False, is_trunk=False, fates=[None], cuts=[])
+    # +1: the schedule_call that issues the send
+    assert drive(HalfLink, sends, **kw)["records"] == 1 + 1
+    assert drive(ReferenceHalfLink, sends, **kw)["records"] == 1 + 3
+
+
+def test_burst_pumps_once_per_queued_frame():
+    """N frames at one instant: N arrivals + N-1 wake-ups (each starts
+    the next queued frame), against 3N on the reference."""
+    n = 5
+    sends = [(0.0, 962, False)] * n
+    kw = dict(count_as_send=True, is_trunk=False, fates=[None] * n, cuts=[])
+    live = drive(HalfLink, sends, **kw)
+    assert live["records"] == n + (2 * n - 1)
+    assert [t for t, _ in live["arrivals"]] == pytest.approx(
+        [80.0 * (i + 1) + PARAMS.prop_delay_us for i in range(n)])
+
+
+def test_send_at_exactly_free_at_starts_at_once_and_keeps_fifo():
+    """A send landing on the instant the wire falls idle takes it without
+    a wake-up; one queued behind it in the same instant still follows."""
+    t = wire_us(962)
+    sends = [(0.0, 962, True), (t, 100, False), (t, 46, True)]
+    kw = dict(count_as_send=True, is_trunk=False, fates=[None] * 3, cuts=[])
+    live = drive(HalfLink, sends, **kw)
+    assert live == {**drive(ReferenceHalfLink, sends, **kw),
+                    "records": live["records"]}
+    assert [i for _, i in live["arrivals"]] == [0, 1, 2]
+    assert live["completions"] == [(t, 0), (t + wire_us(100) + wire_us(46), 2)]

@@ -28,18 +28,16 @@ def test_halflink_fifo_and_serialization():
 
 
 def test_halflink_send_event_fires_at_serialization_end():
+    """The completion callback (the historical ``done`` event) fires when
+    the last bit leaves the transmitter, not when it arrives."""
     sim = Simulator()
     link = HalfLink(sim, PARAMS, NetStats(), deliver=lambda f: None)
-    done = link.send(Frame(src=0, dst=1, size=962, payload=None))
     times = []
-
-    def watch():
-        yield done
-        times.append(sim.now)
-
-    sim.process(watch())
+    ret = link.send(Frame(src=0, dst=1, size=962, payload=None),
+                    on_sent=lambda ok: times.append((sim.now, ok)))
+    assert ret is None          # no Event is allocated for the sender
     sim.run()
-    assert times == [pytest.approx(80.0)]
+    assert times == [(pytest.approx(80.0), True)]
 
 
 class _Sink:

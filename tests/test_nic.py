@@ -82,18 +82,24 @@ def test_tx_queue_preserves_order():
 
 
 def test_send_event_fires_in_order():
+    """Per-frame completions (the historical per-send event, now the
+    port's ``on_done`` callback) arrive in FIFO order, one per frame."""
     sim, a, b, _ = make_pair()
     completions = []
+    port = a._port
 
-    def waiter(ev, tag):
-        yield ev
-        completions.append(tag)
+    def spy(frame, on_done):
+        def done(result):
+            completions.append((frame.payload, result))
+            on_done(result)
+        port(frame, done)
 
+    a._port = spy
     for i in range(3):
-        ev = a.send(Frame(src=0, dst=1, size=100, payload=i))
-        sim.process(waiter(ev, i))
+        assert a.send(Frame(src=0, dst=1, size=100, payload=i)) is None
     sim.run()
-    assert completions == [0, 1, 2]
+    assert completions == [(0, True), (1, True), (2, True)]
+    assert a.tx_frames == 3 and a.tx_errors == 0
 
 
 def test_unattached_nic_rejects_send():

@@ -295,6 +295,144 @@ def test_serve_follow_sequential_namespaces_do_not_cross_match():
     assert result.returns == [[True, True]] * 3
 
 
+# ------------------------------------------------- the drain timer (PR 14)
+def _eat_tail_once():
+    """A drop_filter losing the first datagram that carries the stream's
+    last segment — the loss only silence can detect."""
+    done = []
+
+    def flt(dgram):
+        if dgram.kind != "mcast-seg" or done:
+            return False
+        payload = dgram.payload[2]
+        segs = payload if isinstance(payload, tuple) else (payload,)
+        if segs[-1].index == segs[-1].nsegs - 1:
+            done.append(True)
+            return True
+        return False
+
+    return flt
+
+
+def test_tail_loss_records_one_drain_timeout_at_the_historical_instant():
+    """The round's drain timer replaced a Timeout + AnyOf per awaited
+    descriptor.  Same deadline arithmetic: rank 2's only drain timeout
+    and the end of the run land on the floats the per-wait Timeout
+    produced at the parent commit (f05fb36, 701 kernel records)."""
+    from repro.obs.trace import FlightRecorder
+
+    params = replace(FAST_ETHERNET_SWITCH, segment_bytes=1000)  # jittered
+    recorders = []
+
+    def main(env):
+        env.comm.use_collectives(bcast="mcast-seg-nack")
+        if env.rank == 2:
+            env.comm.mcast.data_sock.drop_filter = _eat_tail_once()
+        out = yield from env.comm.bcast(
+            bytes(range(250)) * 20 if env.rank == 0 else None, 0)
+        return len(out)
+
+    result = run_spmd(
+        4, main, params=params, seed=3,
+        on_cluster=lambda c: recorders.append(FlightRecorder().attach(c)))
+    assert result.returns == [5000] * 4
+    assert result.stats["drops_induced"] == 1
+    assert result.stats["retransmissions"] == 1
+    drains = [e for e in recorders[0].events
+              if e[0] == "inst" and e[3] == "drain-timeout"]
+    assert drains == [("inst", 2, "round", "drain-timeout",
+                       3497.1483289758607,
+                       (("round", 0), ("cancelled", 1)))]
+    assert result.sim_time_us == 4944.944007055952
+    assert result.cluster.sim.processed < 701 * 0.65
+
+
+def test_interrupt_in_consume_round_disarms_and_withdraws(monkeypatch):
+    """Every exit of the wait — an Interrupt thrown into the parked rank
+    included — cancels the drain timer and withdraws the descriptors
+    (the sanitizer's quiesce check would name a leftover one)."""
+    from repro.core.rounds import _consume_round, _post_round
+    from repro.simnet.kernel import Interrupt
+
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    timers = []
+
+    def main(env):
+        if env.rank != 1:
+            return None
+        channel = env.comm.mcast
+        make_timer = channel.data_timer
+        channel.data_timer = lambda: timers.append(make_timer()) or timers[-1]
+        env.sim.schedule_call(200.0, env.sim.active_process.interrupt,
+                              "evict")
+        posted = _post_round(channel, 3)
+        assert channel.data_sock.posted_depth == 3
+        try:
+            yield from _consume_round(env.comm, channel, posted, 3,
+                                      channel.next_seq(), Reassembler(3),
+                                      last_index=2, drain_us=5_000.0)
+        except Interrupt as exc:
+            return (exc.cause, timers[0].armed,
+                    channel.data_sock.posted_depth, env.sim.now)
+        return "not interrupted"
+
+    result = run_spmd(2, main, params=QUIET)      # check_quiesced passes
+    cause, armed, depth, _at = result.returns[1]
+    assert (cause, armed, depth) == ("evict", False, 0)
+    assert len(timers) == 1
+    # the orphaned timer record popped as a no-op; nothing else ran
+    assert not result.cluster.sim._heap and not result.cluster.sim._nowq
+
+
+def test_timed_recv_returns_none_and_leaves_no_descriptor():
+    """UdpSocket.recv(timeout=) on the same timer: None at exactly
+    ``now + timeout``, descriptor withdrawn, a later datagram queues."""
+    from repro.simnet.topology import build_cluster
+    from repro.simnet.udp import UdpSocket
+
+    cluster = build_cluster(2, topology="switch", params=QUIET)
+    sim = cluster.sim
+    rx = UdpSocket(cluster.hosts[1], 9000)
+    tx = UdpSocket(cluster.hosts[0], 9001)
+    out = []
+
+    def receiver():
+        out.append(((yield from rx.recv(timeout=1 / 3)), sim.now))
+        assert rx.posted_depth == 0
+        got = yield from rx.recv(timeout=10_000.0)
+        out.append((got.payload, rx.posted_depth))
+
+    def sender():
+        yield sim.timeout(50.0)
+        yield from tx.sendto("hello", 100, cluster.hosts[1].addr, 9000)
+
+    sim.process(receiver())
+    sim.process(sender())
+    sim.run()
+    assert out == [(None, 1 / 3), ("hello", 0)]
+
+
+# -------------------------------------------------- record budget (PR 14)
+def test_record_budget_64_rank_bcast():
+    """ROADMAP's own case: 64 ranks on tree:8x8, one 24 kB mcast-seg-nack
+    bcast.  A record is scheduled only when something observes its
+    effect, so a delivered frame costs < 9.5 kernel records (15.0 before
+    PR 14: 26,570 / 1,770) and the heap never holds more than 400
+    (1,176 before).  Counts are deterministic: a gate, not a band."""
+    def main(env):
+        env.comm.use_collectives(bcast="mcast-seg-nack")
+        out = yield from env.comm.bcast(
+            bytes(24_000) if env.rank == 0 else None, 0)
+        return len(out)
+
+    result = run_spmd(64, main, topology="tree:8x8", seed=1)
+    assert result.returns == [24_000] * 64
+    sim = result.cluster.sim
+    assert result.stats["frames_delivered"] == 1770
+    assert sim.processed / result.stats["frames_delivered"] <= 9.5
+    assert sim.peak_live <= 400
+
+
 # ------------------------------------------------------------- the pacer
 def test_round_pacer_unit():
     pacer = RoundPacer(QUIET, 1472)
