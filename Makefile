@@ -1,7 +1,10 @@
 # Developer entry points.  `make smoke` is the CI gate: tier-1 tests plus
-# tiny benchmark invocations, so the benchmark entry points cannot
-# silently rot.  `make bench-gate` is the perf gate: the declarative
-# sweeps re-run at gate scale and diff against the committed
+# every sweep area run once through the one benchmark entry point
+# (`repro.bench.cli sweep`, gate scale, postconditions checked, documents
+# written to a scratch directory — the tree stays clean), so it cannot
+# silently rot.  `make bench-gate` is the perf gate: the same sweeps —
+# the paper's own Figs. 7-13 (area `paper-figures`) and this repo's
+# extension areas — diffed against the committed
 # benchmarks/results/BENCH_*.json baselines (frame counts exactly,
 # latency within the band documented in docs/BENCHMARKS.md); refresh
 # baselines intentionally with `make bench-baselines`.  `make
@@ -15,8 +18,8 @@
 # teardown assert that no sockets, group memberships or events leak.
 #
 # CI: .github/workflows/ci.yml runs `make smoke` on every push and PR
-# across Python 3.10-3.12 (uploading benchmarks/results/ as an artifact),
-# plus `make bench-gate`, `make lint`, `make lint-deep` and
+# across Python 3.10-3.12 (and asserts it left benchmarks/results/
+# untouched), plus `make bench-gate`, `make lint`, `make lint-deep` and
 # `make docs-check` as separate jobs.  Locally, `make lint` needs ruff
 # on PATH (pip install ruff) and skips with a notice otherwise — CI
 # always installs it, so lint failures cannot slip through.  `make
@@ -25,18 +28,13 @@
 PY := PYTHONPATH=src python
 
 .PHONY: test smoke lint lint-deep fuzz bench-segmented bench-gate \
-	bench-baselines bench-full perf-compare docs docs-check
+	bench-baselines bench-full perf-compare loc docs docs-check
 
 test:
 	$(PY) -m pytest -x -q
 
 smoke: test
-	REPRO_SEG_SMOKE=1 REPRO_BENCH_REPS=3 $(PY) -m pytest -q \
-		benchmarks/bench_segmented_bcast.py \
-		benchmarks/bench_segmented_reduce.py \
-		benchmarks/bench_fabric_scaling.py \
-		benchmarks/bench_deep_fabric.py \
-		benchmarks/bench_sim_throughput.py
+	$(PY) -m repro.bench.cli sweep --results-dir .bench_build/smoke
 
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
@@ -60,7 +58,7 @@ fuzz:
 		--workers 2 --artifacts chaos-artifacts
 
 bench-segmented:
-	$(PY) -m pytest -q benchmarks/bench_segmented_bcast.py
+	$(PY) -m repro.bench.cli sweep segmented-bcast --scale full
 
 # The perf regression gate CI runs: re-sweep every area at gate scale
 # and diff against the committed BENCH_*.json baselines (frame counts
@@ -74,13 +72,12 @@ bench-baselines:
 	$(PY) -m repro.bench.cli sweep
 	$(PY) -m repro.bench.cli bench-doc
 
-# The big sweeps (not committed; honours REPRO_BENCH_REPS).
+# The big sweeps: postconditions checked, a summary line per area,
+# nothing written (benchmarks/results/ holds gate baselines only; add
+# `--results-dir DIR` by hand to keep the documents).  Honours
+# REPRO_BENCH_REPS.
 bench-full:
-	$(PY) -m pytest -q benchmarks/bench_segmented_bcast.py \
-		benchmarks/bench_segmented_reduce.py \
-		benchmarks/bench_fabric_scaling.py \
-		benchmarks/bench_deep_fabric.py \
-		benchmarks/bench_sim_throughput.py
+	$(PY) -m repro.bench.cli sweep --scale full
 
 # A/B the end-to-end perf benchmark (benchmarks/perf, BENCHMARK.json):
 # the working tree against BASE, one base/head pair of runs per seed,
@@ -92,6 +89,18 @@ perf-compare:
 	python3 scripts/perf_compare.py $(BASE) \
 		$(if $(WORKLOAD),--workload $(WORKLOAD)) \
 		$(if $(SEEDS),--seeds $(SEEDS))
+
+# Net line count of a change, per directory (ROADMAP: "net line count
+# is reported per PR"): the working tree against BASE, generated
+# baselines and the self-contained perf benchmark left out.  Stage new
+# files first (`git add -A`) or they are not counted.
+#   make loc BASE=HEAD~1
+loc:
+	@test -n "$(BASE)" || { echo 'usage: make loc BASE=<rev>'; exit 2; }
+	@for dir in src benchmarks tests examples; do \
+		printf '%-11s%s\n' "$$dir:" "$$(git diff --shortstat $(BASE) -- \
+			$$dir ':!benchmarks/results' ':!benchmarks/perf')"; \
+	done
 
 # Regenerate the derived docs (the collective registry reference and
 # the benchmarks index).

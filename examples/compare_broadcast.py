@@ -10,8 +10,7 @@ Run:  python examples/compare_broadcast.py [--reps 15]
 
 import argparse
 
-from repro.bench import (PAPER_SIZES, ascii_plot, crossover, measure_bcast,
-                         table)
+from repro.bench import PAPER_SIZES, ascii_plot, crossover, measure_bcast
 
 
 def main() -> None:
@@ -33,9 +32,13 @@ def main() -> None:
                           PAPER_SIZES, reps=args.reps, seed=3,
                           label=f"mcast binary/{topology}"),
         ]
-        print(table(series,
-                    title=f"MPI_Bcast, {args.procs} processes, {topology} "
-                          f"(median of {args.reps} runs, us)"))
+        print(f"MPI_Bcast, {args.procs} processes, {topology} "
+              f"(median of {args.reps} runs, us)")
+        print(f"{'bytes':>6} | "
+              + " | ".join(f"{ser.label:>20}" for ser in series))
+        for size in PAPER_SIZES:
+            print(f"{size:>6} | " + " | ".join(
+                f"{ser.median(size):>20.1f}" for ser in series))
         print()
         print(ascii_plot(series, title=f"{topology}: latency vs size"))
         mpich = series[0]

@@ -14,9 +14,10 @@ The package rebuilds the paper's whole experimental stack in Python:
 * :mod:`repro.runtime` — an mpiexec-like SPMD launcher;
 * :mod:`repro.sockets` — the same collective algorithms over *real* UDP
   multicast sockets (loopback), for functional validation;
-* :mod:`repro.bench` / :mod:`repro.analysis` — the harness that
-  regenerates every figure in the paper, and the closed-form models it is
-  checked against.
+* :mod:`repro.bench` / :mod:`repro.analysis` — the measurement harness
+  and gated sweep areas (the paper's Figs. 7–13 are the ``paper-figures``
+  area's postconditions), and the closed-form models they are checked
+  against.
 
 Quickstart::
 

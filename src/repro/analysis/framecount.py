@@ -175,9 +175,10 @@ def expected_seg_repair_frames(n: int, nsegs: int, loss: float,
     ``u = 1-(1-loss)**R``), which overestimates late rounds badly —
     round 2 by ~5x at n=8, loss=0.05 — because the union is over
     per-receiver misses that each thin out as ``loss**r``;
-    ``benchmarks/bench_segmented_bcast.py::check_repair_model_band``
-    pins the tightened accuracy and ``benchmarks/bench_deep_fabric.py``
-    closes the loop on a tiered fabric.
+    the ``segmented-bcast`` area's ``seg_post_repair_band`` pins the
+    tightened accuracy and ``deep-fabric``'s ``deep_post_repair_band``
+    the legacy band (both postconditions of
+    :mod:`repro.bench.sweep_areas`).
 
     ``receivers`` defaults to ``n - 1`` (the broadcast case: every
     non-root posts for the data); streams with a single consuming
@@ -397,8 +398,7 @@ def model_seg_bcast_trunk_frames(seg_of_rank, root: int, nsegs: int,
                                  paths=None) -> int:
     """Loss-free trunk serializations of the flat ``mcast-seg-nack``
     broadcast on a tiered fabric — one engine stream (exact; asserted
-    by ``benchmarks/bench_fabric_scaling.py`` and
-    ``benchmarks/bench_deep_fabric.py``)."""
+    by the ``fabric-scaling`` and ``deep-fabric`` sweep areas)."""
     return topo_digest(seg_of_rank, paths).stream(root, nsegs)
 
 
@@ -446,8 +446,8 @@ def model_hier_frames(op: str, seg_of_rank, root: int, nbytes: int,
 
     Loss-free (``loss=0``) the ``bcast`` and ``reduce`` counts are
     **exact** — every phase streams the same payload — and asserted
-    against ``NetStats.frames_trunk`` by
-    ``benchmarks/bench_deep_fabric.py``.  The ``scatter`` / ``gather``
+    against ``NetStats.frames_trunk`` by the ``deep-fabric`` sweep
+    area.  The ``scatter`` / ``gather``
     / ``allgather`` counts approximate per-phase bundle sizes by their
     member payload shares (the wire carries pickled bundle objects
     whose envelope the closed form ignores), so they are

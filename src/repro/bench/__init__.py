@@ -1,19 +1,17 @@
-"""``repro.bench`` — the harness that regenerates every paper figure,
-plus the declarative sweep runner behind ``BENCH_<area>.json``."""
+"""``repro.bench`` — one harness: the paper's windowed timed loop
+(:mod:`.harness`), the declarative sweep runner behind
+``BENCH_<area>.json`` (:mod:`.sweep`), and the sweep areas it gates —
+the paper's own figures (:mod:`.paper_figures`) beside this repo's
+extensions (:mod:`.sweep_areas`)."""
 
-from .figures import (FIGURES, MCAST_BINARY, MCAST_LINEAR, MPICH,
-                      PAPER_SIZES, run_figure, sweep_markdown)
-from .harness import (Sample, Series, measure_allreduce, measure_barrier,
-                      measure_bcast, measure_reduce)
-from .report import (ascii_plot, crossover, markdown_table, series_summary,
-                     table)
-from .sweep import (diff_docs, dumps_canonical, load_areas, run_area)
+from .harness import Sample, Series, measure_barrier, measure_bcast
+from .paper_figures import PAPER_SIZES
+from .report import ascii_plot, crossover
+from .sweep import (diff_docs, dumps_canonical, load_areas, run_area,
+                    sweep_markdown)
 
 __all__ = [
-    "FIGURES", "MCAST_BINARY", "MCAST_LINEAR", "MPICH", "PAPER_SIZES",
-    "Sample", "Series", "ascii_plot", "crossover", "diff_docs",
-    "dumps_canonical", "load_areas", "markdown_table",
-    "measure_allreduce", "measure_barrier", "measure_bcast",
-    "measure_reduce", "run_area", "run_figure", "series_summary",
-    "sweep_markdown", "table",
+    "PAPER_SIZES", "Sample", "Series", "ascii_plot", "crossover",
+    "diff_docs", "dumps_canonical", "load_areas", "measure_barrier",
+    "measure_bcast", "run_area", "sweep_markdown",
 ]

@@ -1,26 +1,22 @@
-"""Command-line entry point: ``repro-bench --figure fig7``.
-
-Regenerates any of the paper's figures as a latency table plus an ASCII
-plot, or dumps the frame-count table.  ``--all`` iterates everything
-(this is how EXPERIMENTS.md's measured columns were produced).
-
-Beyond the paper's figures the registry carries this repo's extension
-sweeps — ``ablation`` (reliability schemes) and ``segcoll`` (the PR 3
-segmented reduce/allreduce vs their p2p defaults vs the payload-aware
-``"auto"`` policy).
-
-The docs generators and the sweep runner ride the same entry point::
+"""Command-line entry point of the bench package: the sweep runner,
+the docs generators and the per-case profiling / tracing tools::
 
     python -m repro.bench.cli registry-doc          # docs/collectives.md
     python -m repro.bench.cli registry-doc --check  # exit 1 if stale
-    python -m repro.bench.cli sweep segmented-bcast # BENCH_*.json + md
+    python -m repro.bench.cli sweep paper-figures   # BENCH_*.json + md
     python -m repro.bench.cli sweep --check         # the bench-gate diff
     python -m repro.bench.cli bench-doc        # docs/benchmarks-index.md
     python -m repro.bench.cli profile deep-fabric \
         "trunk-hier[fabric=tree:2x2x2,op=gather]"   # cProfile one case
+    python -m repro.bench.cli trace deep-fabric \
+        "trunk-hier[fabric=tree:2x2x2,op=gather]"   # flight-record one
 
-``sweep`` with no area names runs every registered area (see
-``docs/BENCHMARKS.md`` for the document schema and gate tolerances).
+``sweep`` with no area names runs every registered area — the paper's
+own figures (``paper-figures``) included; see ``docs/BENCHMARKS.md``
+for the document schema and gate tolerances.  Only gate-scale
+documents are baselines: a ``--scale full`` run checks the area's
+postconditions and writes nothing unless ``--results-dir`` names
+somewhere other than ``benchmarks/results/``.
 """
 
 from __future__ import annotations
@@ -29,75 +25,25 @@ import argparse
 import pathlib
 import sys
 
-from .figures import FIGURES, run_figure
-from .report import ascii_plot, crossover, markdown_table, table
-
 __all__ = ["main"]
 
 
-def _render_figure(figure_id: str, reps: int, seed: int,
-                   markdown: bool) -> str:
-    out = []
-    if figure_id == "framecounts":
-        rows, notes = run_figure(figure_id)
-        cols = list(rows[0].keys())
-        out.append(f"== {figure_id}: {notes}")
-        out.append(" | ".join(c.rjust(18) for c in cols))
-        for row in rows:
-            out.append(" | ".join(str(row[c]).rjust(18) for c in cols))
-        return "\n".join(out)
+def _doc_cmd(command: str, output: str, check: bool) -> int:
+    """(Re)generate one derived document, or with ``check`` diff it."""
+    if command == "registry-doc":
+        from .registry_doc import collective_registry_doc as render
+        from .registry_doc import default_doc_path as default_path
+    else:
+        from .bench_doc import benchmarks_index_doc as render
+        from .bench_doc import default_index_path as default_path
 
-    series, notes = run_figure(figure_id, reps=reps, seed=seed)
-    out.append(f"== {figure_id} ==")
-    out.append(f"expectation: {notes}")
-    out.append("")
-    render = markdown_table if markdown else table
-    out.append(render(series, title=f"{figure_id}: median latency (us)"))
-    out.append("")
-    if not markdown:
-        out.append(ascii_plot(series, title=f"{figure_id} medians"))
-    # Crossovers of every multicast series against the first MPICH series.
-    mpich = next((s for s in series if "mpich" in s.label), None)
-    if mpich is not None:
-        for ser in series:
-            if ser is mpich or "mpich" in ser.label:
-                continue
-            x = crossover(ser, mpich)
-            out.append(f"crossover {ser.label} vs {mpich.label}: "
-                       f"{x if x is not None else 'never in range'}")
-    return "\n".join(out)
-
-
-def _registry_doc_cmd(output: str, check: bool) -> int:
-    from .registry_doc import collective_registry_doc, default_doc_path
-
-    path = pathlib.Path(output) if output else default_doc_path()
-    fresh = collective_registry_doc()
+    path = pathlib.Path(output) if output else default_path()
+    fresh = render()
     if check:
         current = path.read_text() if path.exists() else ""
         if current != fresh:
             print(f"{path} is stale — regenerate with "
-                  f"'python -m repro.bench.cli registry-doc'",
-                  file=sys.stderr)
-            return 1
-        print(f"{path} is up to date")
-        return 0
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(fresh)
-    print(f"wrote {path}")
-    return 0
-
-
-def _bench_doc_cmd(output: str, check: bool) -> int:
-    from .bench_doc import benchmarks_index_doc, default_index_path
-
-    path = pathlib.Path(output) if output else default_index_path()
-    fresh = benchmarks_index_doc()
-    if check:
-        current = path.read_text() if path.exists() else ""
-        if current != fresh:
-            print(f"{path} is stale — regenerate with "
-                  f"'python -m repro.bench.cli bench-doc'",
+                  f"'python -m repro.bench.cli {command}'",
                   file=sys.stderr)
             return 1
         print(f"{path} is up to date")
@@ -111,7 +57,6 @@ def _bench_doc_cmd(output: str, check: bool) -> int:
 def _sweep_cmd(areas, scale: str, base_seed: int, workers,
                results_dir, check: bool) -> int:
     from . import sweep
-    from .figures import sweep_markdown
 
     known = sweep.load_areas()
     targets = areas or sorted(known)
@@ -122,6 +67,7 @@ def _sweep_cmd(areas, scale: str, base_seed: int, workers,
         return 2
     results = (pathlib.Path(results_dir) if results_dir
                else sweep.results_dir())
+    baselines = results.resolve() == sweep.results_dir().resolve()
     failed = False
     for area in targets:
         doc = sweep.run_area(area, scale=scale, base_seed=base_seed,
@@ -143,7 +89,7 @@ def _sweep_cmd(areas, scale: str, base_seed: int, workers,
                 print(f"{area}: {err}", file=sys.stderr)
             stale_md = (not md_path.exists()
                         or md_path.read_text()
-                        != sweep_markdown(baseline))
+                        != sweep.sweep_markdown(baseline))
             if stale_md:
                 print(f"{area}: {md_path} does not match the committed "
                       f"baseline — regenerate with 'make "
@@ -153,13 +99,49 @@ def _sweep_cmd(areas, scale: str, base_seed: int, workers,
             else:
                 print(f"{area}: ok — {report.matched} series within "
                       f"tolerance")
+        elif scale != "gate" and baselines:
+            # benchmarks/results/ holds the gate baselines and nothing
+            # else: a big sweep has run its postconditions (run_area
+            # raises on a violated one) and is summarised, not kept
+            print(f"{area}: ok — {len(doc['series'])} cases at scale "
+                  f"{scale!r}, all postconditions hold (not written: "
+                  f"pass --results-dir to keep the document)")
         else:
             results.mkdir(parents=True, exist_ok=True)
             json_path.write_text(sweep.dumps_canonical(doc))
-            md_path.write_text(sweep_markdown(doc))
+            md_path.write_text(sweep.sweep_markdown(doc))
             print(f"wrote {json_path}")
             print(f"wrote {md_path}")
     return 1 if failed else 0
+
+
+def _find_case(command: str, args_list, scale: str, base_seed: int):
+    """Resolve profile/trace's ``<area> [<case key>]`` arguments to
+    ``(area, case, run)`` — ``run()`` executes the one case, seeded as
+    the sweep seeds it (``profile`` without a key: the whole area) —
+    or say why not and exit 2."""
+    from . import sweep
+
+    area, case = (list(args_list) + [None, None])[:2]
+    known = sweep.load_areas()
+    if area not in known:
+        print(f"{command} needs an area name and a case key (profile: "
+              f"no key = the whole area); areas: {sorted(known)}",
+              file=sys.stderr)
+        raise SystemExit(2)
+    if case is None and command == "profile":
+        return area, None, lambda: sweep.run_area(
+            area, scale=scale, base_seed=base_seed, workers=1, check=True)
+    cases = {sweep.case_key(f.name, axes): (f, axes)
+             for f in known[area].families(scale)
+             for axes in sweep.expand(f.axes)}
+    if case not in cases:
+        print(f"no case {case!r} in area {area!r} at scale {scale!r}; "
+              f"cases: {sorted(cases)}", file=sys.stderr)
+        raise SystemExit(2)
+    family, axes = cases[case]
+    seed = sweep.case_seed(area, base_seed, case)
+    return area, case, lambda: family.runner(scale=scale, seed=seed, **axes)
 
 
 def _profile_cmd(args_list, scale: str, base_seed: int, sort: str,
@@ -168,47 +150,13 @@ def _profile_cmd(args_list, scale: str, base_seed: int, sort: str,
     import cProfile
     import pstats
 
-    from . import sweep
-
-    if not args_list:
-        print("profile needs an area name (and optionally a case key)",
-              file=sys.stderr)
-        return 2
-    area, case = args_list[0], (args_list[1] if len(args_list) > 1
-                                else None)
-    known = sweep.load_areas()
-    if area not in known:
-        print(f"unknown area {area!r}; known: {sorted(known)}",
-              file=sys.stderr)
-        return 2
+    area, case, run = _find_case("profile", args_list, scale, base_seed)
+    target = (f"area {area!r} [{scale}]" if case is None
+              else f"case {case!r} of {area!r} [{scale}]")
     profiler = cProfile.Profile()
-    if case is None:
-        profiler.enable()
-        sweep.run_area(area, scale=scale, base_seed=base_seed,
-                       workers=1, check=True)
-        profiler.disable()
-        target = f"area {area!r} [{scale}]"
-    else:
-        for family in known[area].families(scale):
-            for axes in sweep.expand(family.axes):
-                if sweep.case_key(family.name, axes) == case:
-                    seed = sweep.case_seed(area, base_seed,
-                                           case)
-                    profiler.enable()
-                    family.runner(scale=scale, seed=seed, **axes)
-                    profiler.disable()
-                    target = f"case {case!r} of {area!r} [{scale}]"
-                    break
-            else:
-                continue
-            break
-        else:
-            keys = [sweep.case_key(f.name, a)
-                    for f in known[area].families(scale)
-                    for a in sweep.expand(f.axes)]
-            print(f"no case {case!r} in area {area!r} at scale "
-                  f"{scale!r}; cases: {keys}", file=sys.stderr)
-            return 2
+    profiler.enable()
+    run()
+    profiler.disable()
     print(f"profile of {target}, sorted by {sort}:")
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.strip_dirs().sort_stats(sort).print_stats(limit)
@@ -223,36 +171,16 @@ def _trace_cmd(args_list, scale: str, base_seed: int, output) -> int:
 
     from .. import obs
     from ..analysis import fluid
-    from . import sweep
 
-    if not args_list:
-        print("trace needs an area name and a case key",
-              file=sys.stderr)
-        return 2
-    area, case = args_list[0], (args_list[1] if len(args_list) > 1
-                                else None)
-    known = sweep.load_areas()
-    if area not in known:
-        print(f"unknown area {area!r}; known: {sorted(known)}",
-              file=sys.stderr)
-        return 2
-    cases = {sweep.case_key(f.name, axes): (f, axes)
-             for f in known[area].families(scale)
-             for axes in sweep.expand(f.axes)}
-    if case not in cases:
-        print(f"no case {case!r} in area {area!r} at scale {scale!r}; "
-              f"cases: {sorted(cases)}", file=sys.stderr)
-        return 2
-    family, axes = cases[case]
+    _area, case, run = _find_case("trace", args_list, scale, base_seed)
     # Force the event-level simulator (the fluid backend sends no
     # frames) and arm the recorder for every run_spmd inside the case.
     saved = os.environ.get(obs.TRACE_ENV)
     os.environ[obs.TRACE_ENV] = "1"
     obs.drain_recorders()               # drop stale recorders, if any
     try:
-        seed = sweep.case_seed(area, base_seed, case)
         with fluid.forced(False):
-            family.runner(scale=scale, seed=seed, **axes)
+            run()
     finally:
         if saved is None:
             os.environ.pop(obs.TRACE_ENV, None)
@@ -286,9 +214,11 @@ def _trace_cmd(args_list, scale: str, base_seed: int, output) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-bench",
-        description="Regenerate figures from 'MPI Collective Operations "
-                    "over IP Multicast' (IPPS 2000) on the simulator.")
-    parser.add_argument("command", nargs="?",
+        description="Benchmark sweeps, generated docs and per-case "
+                    "profiling/tracing for the 'MPI Collective "
+                    "Operations over IP Multicast' (IPPS 2000) "
+                    "reproduction.")
+    parser.add_argument("command",
                         choices=["registry-doc", "sweep", "bench-doc",
                                  "profile", "trace"],
                         help="registry-doc: (re)generate the "
@@ -306,15 +236,6 @@ def main(argv=None) -> int:
                              "registered areas); profile/trace: an area "
                              "name plus a case key like "
                              "'trunk-flat[fabric=tree:2x2x2,op=bcast]'")
-    parser.add_argument("--figure", choices=sorted(FIGURES),
-                        help="which figure/table to regenerate")
-    parser.add_argument("--all", action="store_true",
-                        help="regenerate every figure")
-    parser.add_argument("--reps", type=int, default=25,
-                        help="iterations per point (paper used 20-30)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--markdown", action="store_true",
-                        help="emit Markdown tables (for EXPERIMENTS.md)")
     parser.add_argument("--check", action="store_true",
                         help="registry-doc/bench-doc: fail if the doc "
                              "is stale instead of rewriting it; sweep: "
@@ -346,30 +267,15 @@ def main(argv=None) -> int:
                         help="profile: rows of stats to print")
     args = parser.parse_args(argv)
 
-    if args.command == "registry-doc":
-        return _registry_doc_cmd(args.output, args.check)
-    if args.command == "bench-doc":
-        return _bench_doc_cmd(args.output, args.check)
+    if args.command in ("registry-doc", "bench-doc"):
+        return _doc_cmd(args.command, args.output, args.check)
     if args.command == "sweep":
         return _sweep_cmd(args.areas, args.scale, args.base_seed,
                           args.workers, args.results_dir, args.check)
     if args.command == "profile":
         return _profile_cmd(args.areas, args.scale, args.base_seed,
                             args.sort, args.limit)
-    if args.command == "trace":
-        return _trace_cmd(args.areas, args.scale, args.base_seed,
-                          args.output)
-    if args.areas:
-        parser.error("area arguments are only valid with 'sweep'")
-    if not args.figure and not args.all:
-        parser.error("pass --figure <id>, --all, or registry-doc")
-
-    targets = sorted(FIGURES) if args.all else [args.figure]
-    for figure_id in targets:
-        print(_render_figure(figure_id, args.reps, args.seed,
-                             args.markdown))
-        print()
-    return 0
+    return _trace_cmd(args.areas, args.scale, args.base_seed, args.output)
 
 
 if __name__ == "__main__":  # pragma: no cover

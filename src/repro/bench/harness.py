@@ -21,14 +21,11 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from ..runtime import run_spmd
 from ..runtime.skew import compute_phase
 from ..simnet.calibration import NetParams
 
-__all__ = ["Sample", "Series", "measure_bcast", "measure_barrier",
-           "measure_reduce", "measure_allreduce"]
+__all__ = ["Sample", "Series", "measure_bcast", "measure_barrier"]
 
 #: mean µs of the pseudo-compute phase between iterations
 DEFAULT_THINK_US = 60.0
@@ -97,9 +94,12 @@ def _agree_base(env):
     return base
 
 
-def _bcast_workload(sizes, reps, think_us, setup=None,
-                    window_us=WINDOW_US):
-    """SPMD body: timed bcast loop, per-rank durations into records.
+def _timed_loop(call, sizes, reps, think_us, setup=None,
+                window_us=WINDOW_US):
+    """SPMD body: the windowed timed loop, per-rank durations into
+    records.  ``call(env, size)`` is the generator under the stopwatch
+    (one collective); it is the only thing that differs between the
+    broadcast and barrier sweeps.
 
     ``setup(env)`` runs once per rank before the loop — benchmarks use it
     to install fault-injection filters (e.g. induced multicast loss for
@@ -119,13 +119,11 @@ def _bcast_workload(sizes, reps, think_us, setup=None,
     """
 
     def main(env):
-        comm = env.comm
         if setup is not None:
             setup(env)
         base = yield from _agree_base(env)
         k = 0
         for size in sizes:
-            payload = bytes(size)
             for it in range(reps):
                 delay = _window_sync(env, base, k, window_us)
                 k += 1
@@ -134,68 +132,22 @@ def _bcast_workload(sizes, reps, think_us, setup=None,
                 # staggered entry, like real compute between collectives
                 yield from compute_phase(env, think_us)
                 t0 = env.now
-                obj = payload if comm.rank == 0 else None
-                obj = yield from comm.bcast(obj, root=0)
+                yield from call(env, size)
                 env.log("durations", (size, it, env.now - t0))
-                if len(obj) != size:  # pragma: no cover - correctness net
-                    raise AssertionError("bcast corrupted payload")
 
     return main
 
 
-def _reduce_workload(op, sizes, reps, think_us, setup=None,
-                     window_us=WINDOW_US):
-    """SPMD body for reduce/allreduce sweeps (same windowing as bcast).
-
-    Payloads are float64 NumPy arrays (``size`` bytes each, so ``size``
-    must be a multiple of 8): the buffer path sizes them exactly and
-    elementwise SUM keeps the payload size constant across the tree,
-    unlike ``bytes`` whose ``+`` would concatenate.
-    """
-    from ..mpi.ops import SUM
-
-    def main(env):
-        comm = env.comm
-        if setup is not None:
-            setup(env)
-        base = yield from _agree_base(env)
-        k = 0
-        for size in sizes:
-            arr = np.full(max(1, size // 8), float(env.rank + 1),
-                          dtype=np.float64)
-            for it in range(reps):
-                delay = _window_sync(env, base, k, window_us)
-                k += 1
-                if delay > 0:
-                    yield env.sim.timeout(delay)
-                yield from compute_phase(env, think_us)
-                t0 = env.now
-                if op == "reduce":
-                    out = yield from comm.reduce(arr, SUM, 0)
-                    ok = comm.rank != 0 or out is not None
-                else:
-                    out = yield from comm.allreduce(arr, SUM)
-                    ok = out is not None
-                env.log("durations", (size, it, env.now - t0))
-                if not ok:  # pragma: no cover - correctness net
-                    raise AssertionError(f"{op} lost its result")
-
-    return main
+def _bcast(env, size):
+    comm = env.comm
+    obj = yield from comm.bcast(bytes(size) if comm.rank == 0 else None,
+                                root=0)
+    if len(obj) != size:  # pragma: no cover - correctness net
+        raise AssertionError("bcast corrupted payload")
 
 
-def _barrier_workload(reps, think_us):
-    def main(env):
-        base = yield from _agree_base(env)
-        for it in range(reps):
-            delay = _window_sync(env, base, it)
-            if delay > 0:
-                yield env.sim.timeout(delay)
-            yield from compute_phase(env, think_us)
-            t0 = env.now
-            yield from env.comm.barrier()
-            env.log("durations", (0, it, env.now - t0))
-
-    return main
+def _barrier(env, _size):
+    yield from env.comm.barrier()
 
 
 def _collect(result, label, impl, topology, nprocs) -> Series:
@@ -213,6 +165,17 @@ def _collect(result, label, impl, topology, nprocs) -> Series:
     return series
 
 
+def _measure(op, call, impl, topology, nprocs, sizes, reps, seed, params,
+             think_us, label, setup=None, window_us=WINDOW_US) -> Series:
+    result = run_spmd(nprocs,
+                      _timed_loop(call, sizes, reps, think_us, setup=setup,
+                                  window_us=window_us),
+                      topology=topology, params=params, seed=seed,
+                      collectives={op: impl})
+    return _collect(result, label or f"{impl}/{topology}/{nprocs}p",
+                    impl, topology, nprocs)
+
+
 def measure_bcast(impl: str, topology: str, nprocs: int,
                   sizes: list[int], reps: int = 25, seed: int = 0,
                   params: Optional[NetParams] = None,
@@ -226,48 +189,8 @@ def measure_bcast(impl: str, topology: str, nprocs: int,
     ``setup(env)`` runs per rank before the timed loop (fault injection);
     ``window_us`` widens the measurement window for slow collectives.
     """
-    result = run_spmd(nprocs,
-                      _bcast_workload(sizes, reps, think_us, setup=setup,
-                                      window_us=window_us),
-                      topology=topology, params=params, seed=seed,
-                      collectives={"bcast": impl})
-    return _collect(result, label or f"{impl}/{topology}/{nprocs}p",
-                    impl, topology, nprocs)
-
-
-def _measure_reduction(op, impl, topology, nprocs, sizes, reps, seed,
-                       params, think_us, label, setup, window_us):
-    result = run_spmd(nprocs,
-                      _reduce_workload(op, sizes, reps, think_us,
-                                       setup=setup, window_us=window_us),
-                      topology=topology, params=params, seed=seed,
-                      collectives={op: impl})
-    return _collect(result, label or f"{op}:{impl}/{topology}/{nprocs}p",
-                    impl, topology, nprocs)
-
-
-def measure_reduce(impl: str, topology: str, nprocs: int,
-                   sizes: list[int], reps: int = 25, seed: int = 0,
-                   params: Optional[NetParams] = None,
-                   think_us: float = DEFAULT_THINK_US,
-                   label: Optional[str] = None, setup=None,
-                   window_us: float = WINDOW_US) -> Series:
-    """Latency sweep of one reduce implementation (incl. ``"auto"``)."""
-    return _measure_reduction("reduce", impl, topology, nprocs, sizes,
-                              reps, seed, params, think_us, label, setup,
-                              window_us)
-
-
-def measure_allreduce(impl: str, topology: str, nprocs: int,
-                      sizes: list[int], reps: int = 25, seed: int = 0,
-                      params: Optional[NetParams] = None,
-                      think_us: float = DEFAULT_THINK_US,
-                      label: Optional[str] = None, setup=None,
-                      window_us: float = WINDOW_US) -> Series:
-    """Latency sweep of one allreduce implementation (incl. ``"auto"``)."""
-    return _measure_reduction("allreduce", impl, topology, nprocs, sizes,
-                              reps, seed, params, think_us, label, setup,
-                              window_us)
+    return _measure("bcast", _bcast, impl, topology, nprocs, sizes, reps,
+                    seed, params, think_us, label, setup, window_us)
 
 
 def measure_barrier(impl: str, topology: str, nprocs: int,
@@ -276,8 +199,5 @@ def measure_barrier(impl: str, topology: str, nprocs: int,
                     think_us: float = DEFAULT_THINK_US,
                     label: Optional[str] = None) -> Series:
     """Latency samples of one barrier implementation (size axis = {0})."""
-    result = run_spmd(nprocs, _barrier_workload(reps, think_us),
-                      topology=topology, params=params, seed=seed,
-                      collectives={"barrier": impl})
-    return _collect(result, label or f"{impl}/{topology}/{nprocs}p",
-                    impl, topology, nprocs)
+    return _measure("barrier", _barrier, impl, topology, nprocs, [0], reps,
+                    seed, params, think_us, label)

@@ -1,67 +1,19 @@
-"""Rendering and shape-checking of benchmark series.
+"""Shape-checking and sketching of benchmark series.
 
-``table`` prints the same rows the paper's graphs plot (median latency
-per message size per implementation); ``ascii_plot`` sketches the curves
-in a terminal; ``crossover`` finds where one series starts beating
-another — the quantity the paper's Figs. 7–10 discussion revolves around.
+``crossover`` finds where one series starts beating another — the
+quantity the paper's Figs. 7–10 discussion revolves around (the
+``paper-figures`` postconditions assert it); ``ascii_plot`` sketches
+the median curves in a terminal.  Tables are rendered from the sweep
+documents (``repro.bench.sweep.sweep_markdown``).
 """
 
 from __future__ import annotations
 
-import statistics
 from typing import Optional, Sequence
 
 from .harness import Series
 
-__all__ = ["table", "ascii_plot", "crossover", "markdown_table",
-           "series_summary"]
-
-
-def table(series_list: Sequence[Series], title: str = "",
-          xlabel: str = "size (bytes)") -> str:
-    """Fixed-width median table, one column per series."""
-    sizes = sorted({s for ser in series_list for s in ser.sizes})
-    head = [xlabel.rjust(14)] + [ser.label.rjust(24) for ser in series_list]
-    lines = []
-    if title:
-        lines.append(title)
-        lines.append("=" * len(title))
-    lines.append(" | ".join(head))
-    lines.append("-+-".join("-" * len(h) for h in head))
-    for size in sizes:
-        row = [f"{size:>14d}"]
-        for ser in series_list:
-            try:
-                med = ser.median(size)
-                lo, hi = ser.spread(size)
-                row.append(f"{med:>10.1f} [{lo:>6.0f},{hi:>6.0f}]"[:24]
-                           .rjust(24))
-            except KeyError:
-                row.append(" " * 24)
-        lines.append(" | ".join(row))
-    return "\n".join(lines)
-
-
-def markdown_table(series_list: Sequence[Series], title: str = "",
-                   xlabel: str = "size (bytes)") -> str:
-    """The same medians as a Markdown table (for EXPERIMENTS.md)."""
-    sizes = sorted({s for ser in series_list for s in ser.sizes})
-    lines = []
-    if title:
-        lines.append(f"**{title}**")
-        lines.append("")
-    header = [xlabel] + [ser.label for ser in series_list]
-    lines.append("| " + " | ".join(header) + " |")
-    lines.append("|" + "|".join(["---"] * len(header)) + "|")
-    for size in sizes:
-        row = [str(size)]
-        for ser in series_list:
-            try:
-                row.append(f"{ser.median(size):.0f}")
-            except KeyError:
-                row.append("")
-        lines.append("| " + " | ".join(row) + " |")
-    return "\n".join(lines)
+__all__ = ["ascii_plot", "crossover"]
 
 
 def crossover(a: Series, b: Series) -> Optional[int]:
@@ -75,20 +27,6 @@ def crossover(a: Series, b: Series) -> Optional[int]:
         if a.median(size) < b.median(size):
             return size
     return None
-
-
-def series_summary(ser: Series) -> dict:
-    """Aggregate stats for logging / EXPERIMENTS.md."""
-    meds = ser.medians()
-    all_lats = [s.latency_us for s in ser.samples]
-    return {
-        "label": ser.label,
-        "sizes": ser.sizes,
-        "median_by_size": meds,
-        "overall_min": min(all_lats),
-        "overall_max": max(all_lats),
-        "overall_median": statistics.median(all_lats),
-    }
 
 
 def ascii_plot(series_list: Sequence[Series], width: int = 72,

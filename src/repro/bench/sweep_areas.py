@@ -1,29 +1,26 @@
-"""The in-tree sweep areas — the bespoke benchmark scripts re-ported
-onto :mod:`repro.bench.sweep`.
+"""This repo's extension sweep areas (the paper's own figures are the
+sixth area, :mod:`repro.bench.paper_figures`).
 
-Five areas — one per former bespoke script, plus the simulator's own
-speed:
+Five areas — four extension claims, plus the simulator's own speed:
 
-* ``segmented-bcast`` (was ``benchmarks/bench_segmented_bcast.py``):
-  frame counts of the segmented NACK-repair broadcast vs the PVM-style
-  ``mcast-ack`` baseline under induced loss, the seeded-loss repair
-  closed loop, and the latency sweep incl. the ``"auto"`` policy;
-* ``fabric-scaling`` (was ``bench_fabric_scaling.py``): per-call trunk
-  serializations of flat vs hierarchical broadcast on a two-tier
-  ``tree:2x4`` fabric, the auto policy's model-consistency audit, and
-  the latency sweep;
-* ``deep-fabric`` (was ``bench_deep_fabric.py``): exact trunk models
-  for flat and hierarchical collectives on three-tier and
-  heterogeneous trees, hierarchy trunk wins, auto dispatch, and the
-  loss-model closed loop;
-* ``segmented-reduce`` (was ``bench_segmented_reduce.py``): payload
-  frames of the turn-based segmented reduce/allreduce vs the MPICH
-  binomial trees, selective segment repair under induced loss, and
-  the ``"auto"`` never-worse postcondition over frames and latency;
-* ``sim-throughput`` (new with the speed overhaul): wall-clock and
-  events/sec of a 1024-host broadcast plus the deep-fabric gate sweep
-  with the analytic fluid backend on vs off.  Event/clock metrics are
-  exact; ``wall*``/``rate*`` metrics are banded wide in
+* ``segmented-bcast``: frame counts of the segmented NACK-repair
+  broadcast vs the PVM-style ``mcast-ack`` baseline under induced
+  loss, the seeded-loss repair closed loop, and the latency sweep
+  incl. the ``"auto"`` policy;
+* ``fabric-scaling``: per-call trunk serializations of flat vs
+  hierarchical broadcast on a two-tier ``tree:2x4`` fabric, the auto
+  policy's model-consistency audit, and the latency sweep;
+* ``deep-fabric``: exact trunk models for flat and hierarchical
+  collectives on three-tier and heterogeneous trees, hierarchy trunk
+  wins, auto dispatch, and the loss-model closed loop;
+* ``segmented-reduce``: payload frames of the turn-based segmented
+  reduce/allreduce vs the MPICH binomial trees, selective segment
+  repair under induced loss, and the ``"auto"`` never-worse
+  postcondition over frames and latency;
+* ``sim-throughput``: wall-clock and events/sec of a 1024-host
+  broadcast plus the deep-fabric gate sweep with the analytic fluid
+  backend on vs off.  Event/clock metrics are exact; ``wall*``/
+  ``rate*`` metrics are banded wide in
   :func:`repro.bench.sweep.diff_docs` and so are the one deliberate
   exception to gate documents being rerun-deterministic.
 
@@ -32,21 +29,23 @@ coverage ledger marks exact, :mod:`repro.analysis.fluid` answers it
 analytically instead of simulating (``REPRO_FLUID=0`` forces the DES;
 ``tests/test_fluid.py`` proves both paths emit identical documents).
 
-Every reproduction criterion the scripts used to ``assert`` inline is
-now either an in-runner assertion (correctness of the collective's
-result) or an area **postcondition** over the collected document — so
-``run_area(..., check=True)`` fails exactly where the old scripts did.
+Every reproduction criterion is either an in-runner assertion
+(correctness of the collective's result) or an area **postcondition**
+over the collected document, so ``run_area(..., check=True)`` fails on
+a violated claim.
 
-Two scales per area: ``"gate"`` is tiny and **environment-independent**
-(its documents are committed under ``benchmarks/results/`` and re-run
-by ``make bench-gate``); ``"full"`` is the big sweep and may read
-``REPRO_BENCH_REPS``.
+Two scales per area, spelled out in one table (:data:`DIMS`):
+``"gate"`` is tiny and **environment-independent** (its documents are
+committed under ``benchmarks/results/`` and re-run by ``make
+bench-gate``); ``"full"`` is the big sweep and scales its repetition
+counts with ``REPRO_BENCH_REPS``.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -73,13 +72,35 @@ QUIET = quiet(FIXED)
 QUIET_AUTO = quiet(AUTO)
 
 
-def _env_reps(default: int) -> int:
-    """Full-scale rep count (gate scales never read the environment)."""
-    return int(os.environ.get("REPRO_BENCH_REPS", str(default)))
+#: full-scale rep budget (gate scales never read the environment)
+_FULL_REPS = int(os.environ.get("REPRO_BENCH_REPS", "20"))
+_ALL_OPS = ("bcast", "reduce", "scatter", "gather", "allgather")
+
+#: every scale-dependent sweep dimension of the five areas, in one place
+DIMS = {
+    "gate": SimpleNamespace(
+        seg_sizes=(12_000,), seg_reps=3,
+        fab_sizes=(24_000,), fab_reps=2,
+        deep_size=24_000, deep_repair_size=48_000, repair_ops=2,
+        deep_flat_ops=("bcast", "scatter", "gather"),
+        deep_hier_ops=("bcast", "gather"),
+        deep_hier_exact_ops=("bcast",),
+        segred_sizes=(12_000,), segred_reps=2,
+        thru_fabrics=("tree:8x8", "tree:32x32")),
+    "full": SimpleNamespace(
+        seg_sizes=(1000, 12_000, 48_000), seg_reps=_FULL_REPS,
+        fab_sizes=(2000, 24_000, 96_000), fab_reps=max(5, _FULL_REPS // 4),
+        deep_size=48_000, deep_repair_size=96_000, repair_ops=4,
+        deep_flat_ops=_ALL_OPS, deep_hier_ops=_ALL_OPS,
+        deep_hier_exact_ops=("bcast", "reduce"),
+        segred_sizes=(1000, 12_000, 48_000),
+        segred_reps=max(8, _FULL_REPS // 2),
+        thru_fabrics=("tree:8x8", "tree:16x16", "tree:32x32")),
+}
 
 
 # ---------------------------------------------------------------------------
-# induced-loss machinery (verbatim semantics from the bespoke scripts)
+# induced-loss machinery
 # ---------------------------------------------------------------------------
 def _drop_first_copy(unit_of):
     """Filter dropping the first arrival of each distinct data unit."""
@@ -116,6 +137,14 @@ def _any_data_unit(kind):
     return unit_of
 
 
+def _seg_stream_frames(kinds) -> int:
+    """Frames of the segmented engine's streams: data, headers, the
+    report/decision control sweep and the arming scouts."""
+    return sum(kinds.get(k, 0) for k in
+               ("mcast-seg", "mcast-seg-hdr", "seg-report", "seg-dec",
+                "scout"))
+
+
 def _lossy_setup(unit_of):
     def setup(env):
         if env.rank % 2 == 1:
@@ -125,13 +154,27 @@ def _lossy_setup(unit_of):
 
 # ===========================================================================
 # area: segmented-bcast
+#
+# The reproduction criteria its postconditions number:
+# 1. selective NACK repair beats ``mcast-ack``'s whole-payload
+#    retransmission on the wire (and, full scale, in median latency)
+#    at the many-segment end;
+# 2. per-segment frame counts match ``seg_nack_frame_count`` exactly,
+#    loss-free and with one repair round;
+# 3. no crossover: the batched auto plan never puts more payload frames
+#    on the wire than ``mcast-ack`` under symmetric loss, and its
+#    datagram count matches ``seg_nack_datagram_count``;
+# 4. (full scale) the auto plan's loss-free median beats the fixed
+#    per-segment plan's below the batching crossover;
+# 5. seeded-loss repair traffic lands in the [x/3, 1.5x] band around
+#    ``expected_seg_repair_frames``.
 # ===========================================================================
 SEG_NPROCS = 4
 #: wide enough for mcast-ack's full-payload retransmission storms
 SEG_WINDOW_US = 150_000.0
 
 #: variant -> (registry impl, NetParams, lossy?)
-_SEG_VARIANTS = {
+_SEG_GATE_VARIANTS = {
     "seg-fixed-lossy": ("mcast-seg-nack", FIXED, True),
     "seg-auto-lossy": ("mcast-seg-nack", AUTO, True),
     "seg-fixed-clean": ("mcast-seg-nack", FIXED, False),
@@ -140,21 +183,15 @@ _SEG_VARIANTS = {
     "p2p-clean": ("p2p-binomial", FIXED, False),
     "policy-clean": ("auto", AUTO, False),
 }
-_SEG_VARIANTS_FULL = dict(_SEG_VARIANTS)
-_SEG_VARIANTS_FULL["seg-730-lossy"] = (
-    "mcast-seg-nack", replace(FIXED, segment_bytes=730), True)
-
-
-def _seg_sizes(scale: str) -> tuple:
-    return (12_000,) if scale == "gate" else (1000, 12_000, 48_000)
-
-
-def _seg_reps(scale: str) -> int:
-    return 3 if scale == "gate" else _env_reps(20)
+_SEG_VARIANTS = {
+    "gate": _SEG_GATE_VARIANTS,
+    "full": {**_SEG_GATE_VARIANTS, "seg-730-lossy": (
+        "mcast-seg-nack", replace(FIXED, segment_bytes=730), True)},
+}
 
 
 def _seg_loss_unit(impl: str, plan: str):
-    """The bespoke scripts' per-impl induced-loss units: the fixed
+    """The per-impl induced-loss units: the fixed
     per-segment plan loses segments ≡ 3 mod 8, the batched auto plan
     and the ack baseline lose the first copy of each call's data."""
     if impl == "mcast-ack":
@@ -194,9 +231,7 @@ def seg_frames_case(scale, seed, impl, size, loss):
         stream = kinds.get("mcast-data", 0) + kinds.get("scout", 0)
         data = kinds.get("mcast-data", 0)
     else:
-        stream = sum(kinds.get(k, 0) for k in
-                     ("mcast-seg", "mcast-seg-hdr", "seg-report",
-                      "seg-dec", "scout"))
+        stream = _seg_stream_frames(kinds)
         data = kinds.get("mcast-seg", 0)
     return {
         "frames_stream": stream,
@@ -207,10 +242,11 @@ def seg_frames_case(scale, seed, impl, size, loss):
     }
 
 
-def seg_repair_case(scale, seed):
-    """Seeded probabilistic loss vs ``expected_seg_repair_frames``."""
-    n, loss, size = 8, 0.05, 96_000
-    n_ops = 2 if scale == "gate" else 4
+def _repair_case(size, n_ops, seed):
+    """Seeded probabilistic loss vs ``expected_seg_repair_frames``: the
+    frames ``n_ops`` 8-rank broadcasts at 5% multicast loss add over
+    the same broadcasts loss-free."""
+    n, loss = 8, 0.05
 
     def main(env):
         env.comm.use_collectives(bcast="mcast-seg-nack")
@@ -234,13 +270,17 @@ def seg_repair_case(scale, seed):
     }
 
 
+def seg_repair_case(scale, seed):
+    """The repair closed loop at 96 kB (band: ``seg_post_repair_band``)."""
+    return _repair_case(96_000, DIMS[scale].repair_ops, seed)
+
+
 def seg_latency_case(scale, seed, variant, size):
     """Max-over-ranks bcast latency of one variant at one size."""
-    variants = (_SEG_VARIANTS if scale == "gate" else _SEG_VARIANTS_FULL)
-    impl, params, lossy = variants[variant]
+    impl, params, lossy = _SEG_VARIANTS[scale][variant]
     setup = (_lossy_setup(_seg_loss_unit(impl, "any")) if lossy else None)
     series = measure_bcast(
-        impl, "switch", SEG_NPROCS, [size], reps=_seg_reps(scale),
+        impl, "switch", SEG_NPROCS, [size], reps=DIMS[scale].seg_reps,
         seed=seed, params=params, window_us=SEG_WINDOW_US, setup=setup,
         label=variant)
     lo, hi = series.spread(size)
@@ -249,14 +289,14 @@ def seg_latency_case(scale, seed, variant, size):
 
 
 def _seg_families(scale):
-    sizes = _seg_sizes(scale)
-    variants = (_SEG_VARIANTS if scale == "gate" else _SEG_VARIANTS_FULL)
+    sizes = DIMS[scale].seg_sizes
     return [
         Family("frames", {"impl": ("seg-fixed", "seg-auto", "ack"),
                           "size": sizes, "loss": ("clean", "induced")},
                seg_frames_case),
         Family("repair", {}, seg_repair_case),
-        Family("latency", {"variant": tuple(variants), "size": sizes},
+        Family("latency", {"variant": tuple(_SEG_VARIANTS[scale]),
+                           "size": sizes},
                seg_latency_case),
     ]
 
@@ -266,9 +306,9 @@ def _seg_union(nsegs: int) -> list:
 
 
 def seg_post_frame_formula(doc):
-    """Per-segment frame counts match the closed formula (criterion 2
-    of the bespoke script), loss-free and with one repair round."""
-    size = _seg_sizes(doc["scale"])[-1]
+    """Per-segment frame counts match the closed formula (criterion
+    2), loss-free and with one repair round."""
+    size = DIMS[doc["scale"]].seg_sizes[-1]
     nsegs = len(plan_segments(size, QUIET.segment_bytes))
     union = _seg_union(nsegs)
 
@@ -289,7 +329,7 @@ def seg_post_frame_formula(doc):
 def seg_post_beats_ack(doc):
     """Selective repair beats whole-payload retransmission on the wire
     at the many-segment end (criterion 1)."""
-    size = _seg_sizes(doc["scale"])[-1]
+    size = DIMS[doc["scale"]].seg_sizes[-1]
     seg = metric(doc, "frames", "frames_stream", impl="seg-fixed",
                  size=size, loss="induced")
     ack = metric(doc, "frames", "frames_stream", impl="ack",
@@ -303,7 +343,7 @@ def seg_post_auto_plan(doc):
     no more payload frames on the wire than mcast-ack under symmetric
     first-copy loss, and its loss-free datagram count matches the
     batched closed form."""
-    for size in _seg_sizes(doc["scale"]):
+    for size in DIMS[doc["scale"]].seg_sizes:
         seg_data = metric(doc, "frames", "frames_data", impl="seg-auto",
                           size=size, loss="induced")
         ack_data = metric(doc, "frames", "frames_data", impl="ack",
@@ -335,7 +375,7 @@ def seg_post_policy_tracks(doc):
     (modulo the scout announcement + window jitter)."""
     from ..mpi.collective.policy import auto_impl
 
-    for size in _seg_sizes(doc["scale"]):
+    for size in DIMS[doc["scale"]].seg_sizes:
         def med(variant):
             return metric(doc, "latency", "latency_us_median",
                           variant=variant, size=size)
@@ -355,7 +395,7 @@ def seg_post_full_orderings(doc):
     batching crossover."""
     if doc["scale"] != "full":
         return
-    big = _seg_sizes("full")[-1]
+    big = DIMS["full"].seg_sizes[-1]
 
     def med(variant, size):
         return metric(doc, "latency", "latency_us_median",
@@ -388,48 +428,26 @@ FAB_IMPLS = ("p2p-binomial", "mcast-seg-nack", "hier-mcast", "auto")
 _FAB_ENGINE = {"flat": "mcast-seg-nack", "hier": "hier-mcast"}
 
 
-def _fab_sizes(scale: str) -> tuple:
-    return (24_000,) if scale == "gate" else (2000, 24_000, 96_000)
-
-
-def _fab_reps(scale: str) -> int:
-    return 2 if scale == "gate" else max(5, _env_reps(20) // 4)
-
-
-def _bcast_trunk(topology, nprocs, impl, size, n_ops, seed):
-    def main(env):
-        env.comm.use_collectives(bcast=impl)
-        for _ in range(n_ops):
-            data = yield from env.comm.bcast(
-                bytes(size) if env.rank == 0 else None, 0)
-            assert len(data) == size
-        return True
-
-    result = run_spmd(nprocs, main, topology=topology,
-                      params=QUIET_AUTO, seed=seed)
-    assert all(result.returns)
-    return result.stats["frames_trunk"]
-
-
-def _fab_per_call_des(impl, size, seed):
-    """Per-call trunk frames measured by the simulator (two-op minus
-    one-op, isolating channel-setup IGMP)."""
-    one = _bcast_trunk(FAB_TOPOLOGY, FAB_NPROCS, impl, size, 1, seed)
-    two = _bcast_trunk(FAB_TOPOLOGY, FAB_NPROCS, impl, size, 2, seed)
-    return two - one
+def _trunk_case(topology, n, seg_of, paths, op, impl, size, seed):
+    """One per-call trunk measurement, fluid-first: when the frame
+    model for (op, impl) is exact, the analytic backend supplies the
+    integer the DES would measure (the area postconditions assert the
+    equality whenever the DES does run); otherwise — estimate-grade
+    models, lossy platforms, ``REPRO_FLUID=0`` — fall back to the
+    two-op-minus-one-op simulation."""
+    if fluid.enabled():
+        trunk = fluid.trunk_frames_per_call(op, impl, seg_of, 0, size,
+                                            QUIET_AUTO, paths)
+        if trunk is not None:
+            return {"frames_trunk_call": trunk}
+    return {"frames_trunk_call":
+            _deep_per_call(topology, n, op, impl, size, seed)}
 
 
 def fab_trunk_case(scale, seed, engine, size):
-    """Trunk frames of ONE bcast (quiet, deterministic).  The fluid
-    backend answers when its model is exact (same integer, no
-    simulation); ``REPRO_FLUID=0`` forces the DES."""
-    impl = _FAB_ENGINE[engine]
-    if fluid.enabled():
-        trunk = fluid.trunk_frames_per_call("bcast", impl, FAB_SEG_OF,
-                                            0, size, QUIET_AUTO)
-        if trunk is not None:
-            return {"frames_trunk_call": trunk}
-    return {"frames_trunk_call": _fab_per_call_des(impl, size, seed)}
+    """Trunk frames of ONE bcast (quiet, deterministic)."""
+    return _trunk_case(FAB_TOPOLOGY, FAB_NPROCS, FAB_SEG_OF, None, "bcast",
+                       _FAB_ENGINE[engine], size, seed)
 
 
 def fab_latency_case(scale, seed, impl, size):
@@ -437,7 +455,7 @@ def fab_latency_case(scale, seed, impl, size):
     platform, barrier-fenced reps)."""
     import statistics
 
-    reps = _fab_reps(scale)
+    reps = DIMS[scale].fab_reps
 
     def main(env):
         env.comm.use_collectives(bcast=impl)
@@ -458,34 +476,42 @@ def fab_latency_case(scale, seed, impl, size):
     return {"latency_us_median": statistics.median(per_rep)}
 
 
-def fab_audit_case(scale, seed):
-    """The policy's pick equals the modeled argmin for every benched
-    (op, size), loss-free and at 10% loss (asserted in-runner)."""
-    from ..mpi.collective.policy import (TopoInfo, auto_impl,
-                                         modeled_frame_costs)
+def _audit(n, topo, ops, sizes, loss, where=""):
+    """The policy's pick equals the modeled argmin for every (op,
+    size), loss-free and at ``loss`` (asserted here, in-runner)."""
+    from ..mpi.collective.policy import auto_impl, modeled_frame_costs
 
-    topo = TopoInfo(seg_of_rank=FAB_SEG_OF, contiguous=True)
     picks = []
     for params, tag in ((QUIET_AUTO, "loss-free"),
-                        (replace(QUIET_AUTO, loss=0.10), "10% loss")):
-        for op in ("bcast", "reduce", "allreduce"):
-            for size in _fab_sizes(scale):
-                costs = modeled_frame_costs(op, size, FAB_NPROCS,
-                                            params, topo, root=0)
-                pick = auto_impl(op, size, FAB_NPROCS, params,
-                                 topo=topo)
+                        (replace(QUIET_AUTO, loss=loss),
+                         f"{loss:.0%} loss")):
+        for op in ops:
+            for size in sizes:
+                costs = modeled_frame_costs(op, size, n, params, topo,
+                                            root=0)
+                pick = auto_impl(op, size, n, params, topo=topo)
                 assert costs[pick] == min(costs.values()), (
-                    f"auto {op}@{size}B ({tag}) picked {pick} "
+                    f"auto {op}@{size}B{where} ({tag}) picked {pick} "
                     f"({costs[pick]:.0f} modeled frames); costs {costs}")
                 picks.append(f"{tag}:{op}@{size}->{pick}")
     return {"audited": len(picks), "picks": ";".join(picks)}
+
+
+def fab_audit_case(scale, seed):
+    """Auto model-consistency on the two-tier fabric."""
+    from ..mpi.collective.policy import TopoInfo
+
+    return _audit(FAB_NPROCS, TopoInfo(seg_of_rank=FAB_SEG_OF,
+                                       contiguous=True),
+                  ("bcast", "reduce", "allreduce"), DIMS[scale].fab_sizes,
+                  loss=0.10)
 
 
 def fab_dispatch_case(scale, seed):
     """Every rank of an auto bcast dispatches the modeled argmin."""
     from ..mpi.collective.policy import TopoInfo, auto_impl
 
-    sizes = _fab_sizes(scale)
+    sizes = DIMS[scale].fab_sizes
 
     def main(env):
         env.comm.use_collectives(bcast="auto")
@@ -506,7 +532,7 @@ def fab_dispatch_case(scale, seed):
 
 
 def _fab_families(scale):
-    sizes = _fab_sizes(scale)
+    sizes = DIMS[scale].fab_sizes
     return [
         Family("trunk", {"engine": ("flat", "hier"), "size": sizes},
                fab_trunk_case),
@@ -520,7 +546,7 @@ def _fab_families(scale):
 def fab_post_trunk_models(doc):
     """Hier-mcast bcast puts strictly fewer frames on the trunks than
     the flat engine, and both match the closed forms exactly."""
-    for size in _fab_sizes(doc["scale"]):
+    for size in DIMS[doc["scale"]].fab_sizes:
         nsegs = plan_transport(size, QUIET_AUTO).nsegs
         flat = metric(doc, "trunk", "frames_trunk_call", engine="flat",
                       size=size)
@@ -536,7 +562,7 @@ def fab_post_trunk_models(doc):
 
 def fab_post_latency_sanity(doc):
     """The trunk savings are not bought with pathological slowdowns."""
-    for size in _fab_sizes(doc["scale"]):
+    for size in DIMS[doc["scale"]].fab_sizes:
         hier = metric(doc, "latency", "latency_us_median",
                       impl="hier-mcast", size=size)
         flat = metric(doc, "latency", "latency_us_median",
@@ -571,26 +597,6 @@ DEEP_FLAT_IMPL = {"bcast": "mcast-seg-nack",
                   "scatter": "mcast-seg-root",
                   "gather": "mcast-seg-root-follow",
                   "allgather": "mcast-seg-paced"}
-
-
-def _deep_size(scale: str) -> int:
-    return 24_000 if scale == "gate" else 48_000
-
-
-def _deep_flat_ops(scale: str) -> tuple:
-    if scale == "gate":
-        return ("bcast", "scatter", "gather")
-    return ("bcast", "reduce", "scatter", "gather", "allgather")
-
-
-def _deep_hier_ops(scale: str) -> tuple:
-    if scale == "gate":
-        return ("bcast", "gather")
-    return ("bcast", "reduce", "scatter", "gather", "allgather")
-
-
-def _deep_hier_exact_ops(scale: str) -> tuple:
-    return ("bcast",) if scale == "gate" else ("bcast", "reduce")
 
 
 def _deep_win_ops(scale: str, fabric: str) -> tuple:
@@ -644,27 +650,16 @@ def _deep_trunk(topology, n, op, impl, size, n_ops, seed):
 
 
 def _deep_per_call(topology, n, op, impl, size, seed):
-    """Per-call trunk frames (two-op minus one-op, as upstream)."""
+    """Per-call trunk frames measured by the simulator (two-op minus
+    one-op, isolating channel-setup IGMP)."""
     return (_deep_trunk(topology, n, op, impl, size, 2, seed)
             - _deep_trunk(topology, n, op, impl, size, 1, seed))
 
 
 def _deep_case(scale, seed, fabric, op, impl):
-    """One per-call trunk measurement, fluid-first: when the frame
-    model for (op, impl) is exact, the analytic backend supplies the
-    integer the DES would measure (the area postconditions assert the
-    equality whenever the DES does run); otherwise — estimate-grade
-    models, lossy platforms, ``REPRO_FLUID=0`` — fall back to the
-    two-op-minus-one-op simulation."""
     n, seg_of, paths = DEEP_FABRICS[fabric]
-    size = _deep_size(scale)
-    if fluid.enabled():
-        trunk = fluid.trunk_frames_per_call(op, impl, seg_of, 0, size,
-                                            QUIET_AUTO, paths)
-        if trunk is not None:
-            return {"frames_trunk_call": trunk}
-    return {"frames_trunk_call":
-            _deep_per_call(fabric, n, op, impl, size, seed)}
+    return _trunk_case(fabric, n, seg_of, paths, op, impl,
+                       DIMS[scale].deep_size, seed)
 
 
 def deep_flat_case(scale, seed, fabric, op):
@@ -677,53 +672,21 @@ def deep_hier_case(scale, seed, fabric, op):
 
 def deep_repair_case(scale, seed):
     """The loss-model closed loop at the legacy [x/4, 2x] band."""
-    n, loss = 8, 0.05
-    n_ops = 2 if scale == "gate" else 4
-    size = 48_000 if scale == "gate" else 96_000
-
-    def main(env):
-        env.comm.use_collectives(bcast="mcast-seg-nack")
-        for _ in range(n_ops):
-            out = yield from env.comm.bcast(
-                bytes(size) if env.rank == 0 else None, 0)
-            assert len(out) == size
-        return True
-
-    clean = run_spmd(n, main, params=QUIET_AUTO, seed=seed)
-    lossy = run_spmd(n, main, params=replace(QUIET_AUTO, loss=loss),
-                     seed=seed)
-    assert all(clean.returns) and all(lossy.returns)
-    nsegs = plan_transport(size, QUIET_AUTO).nsegs
-    return {
-        "frames_repair": (lossy.stats["frames_sent"]
-                          - clean.stats["frames_sent"]),
-        "frames_repair_expected":
-            n_ops * expected_seg_repair_frames(n, nsegs, loss),
-        "drops_lossy": lossy.stats["drops_lossy"],
-    }
+    return _repair_case(DIMS[scale].deep_repair_size,
+                        DIMS[scale].repair_ops, seed)
 
 
 def deep_audit_case(scale, seed, fabric):
-    """Auto model-consistency on deep trees (asserted in-runner)."""
-    from ..mpi.collective.policy import (TopoInfo, auto_impl,
-                                         modeled_frame_costs)
+    """Auto model-consistency on deep trees."""
+    from ..mpi.collective.policy import TopoInfo
 
     n, seg_of, paths = DEEP_FABRICS[fabric]
-    topo = TopoInfo(seg_of_rank=seg_of, contiguous=True, paths=paths)
-    picks = []
-    for params, tag in ((QUIET_AUTO, "loss-free"),
-                        (replace(QUIET_AUTO, loss=0.05), "5% loss")):
-        for op in ("bcast", "reduce", "allreduce", "scatter",
-                   "gather", "allgather"):
-            for size in (2000, _deep_size(scale)):
-                costs = modeled_frame_costs(op, size, n, params, topo,
-                                            root=0)
-                pick = auto_impl(op, size, n, params, topo=topo)
-                assert costs[pick] == min(costs.values()), (
-                    f"auto {op}@{size}B on {fabric} ({tag}) picked "
-                    f"{pick}; costs {costs}")
-                picks.append(f"{tag}:{op}@{size}->{pick}")
-    return {"audited": len(picks), "picks": ";".join(picks)}
+    return _audit(n, TopoInfo(seg_of_rank=seg_of, contiguous=True,
+                              paths=paths),
+                  ("bcast", "reduce", "allreduce", "scatter", "gather",
+                   "allgather"),
+                  (2000, DIMS[scale].deep_size), loss=0.05,
+                  where=f" on {fabric}")
 
 
 def deep_dispatch_case(scale, seed):
@@ -733,7 +696,7 @@ def deep_dispatch_case(scale, seed):
 
     fabric = "tree:2x2x2"
     n, seg_of, paths = DEEP_FABRICS[fabric]
-    size = _deep_size(scale)
+    size = DIMS[scale].deep_size
 
     def main(env):
         env.comm.use_collectives(gather="auto", bcast="auto")
@@ -757,10 +720,10 @@ def _deep_families(scale):
     fabrics = tuple(DEEP_FABRICS)
     return [
         Family("trunk-flat", {"fabric": fabrics,
-                              "op": _deep_flat_ops(scale)},
+                              "op": DIMS[scale].deep_flat_ops},
                deep_flat_case),
         Family("trunk-hier", {"fabric": fabrics,
-                              "op": _deep_hier_ops(scale)},
+                              "op": DIMS[scale].deep_hier_ops},
                deep_hier_case),
         Family("repair", {}, deep_repair_case),
         Family("auto-audit", {"fabric": fabrics}, deep_audit_case),
@@ -770,7 +733,7 @@ def _deep_families(scale):
 
 def deep_post_flat_models(doc):
     """Flat segmented trunk counts == closed forms on deep trees."""
-    size = _deep_size(doc["scale"])
+    size = DIMS[doc["scale"]].deep_size
     for fabric, (n, seg_of, paths) in DEEP_FABRICS.items():
         nsegs = plan_transport(size, QUIET_AUTO).nsegs
         share = plan_transport(size // n, QUIET_AUTO).nsegs
@@ -786,7 +749,7 @@ def deep_post_flat_models(doc):
             "allgather": model_seg_allgather_trunk_frames(seg_of, share,
                                                           paths),
         }
-        for op in _deep_flat_ops(doc["scale"]):
+        for op in DIMS[doc["scale"]].deep_flat_ops:
             sim = metric(doc, "trunk-flat", "frames_trunk_call",
                          fabric=fabric, op=op)
             assert sim == models[op], (
@@ -797,9 +760,9 @@ def deep_post_flat_models(doc):
 def deep_post_hier_models_and_wins(doc):
     """Hier bcast/reduce trunk counts == the phase-walking model, and
     hier strictly below flat where confinement wins."""
-    size = _deep_size(doc["scale"])
+    size = DIMS[doc["scale"]].deep_size
     for fabric, (n, seg_of, paths) in DEEP_FABRICS.items():
-        for op in _deep_hier_exact_ops(doc["scale"]):
+        for op in DIMS[doc["scale"]].deep_hier_exact_ops:
             _f, trunk_model = model_hier_frames(op, seg_of, 0, size,
                                                 QUIET_AUTO, paths)
             sim = metric(doc, "trunk-hier", "frames_trunk_call",
@@ -851,18 +814,10 @@ _SEGRED_IMPLS = {
 }
 
 
-def _segred_sizes(scale: str) -> tuple:
-    return (12_000,) if scale == "gate" else (1000, 12_000, 48_000)
-
-
-def _segred_reps(scale: str) -> int:
-    return 2 if scale == "gate" else max(8, _env_reps(20) // 2)
-
-
 def _segred_drop_unit(want=None):
     """First-copy unit of each ``mcast-seg`` datagram whose leading
     segment index satisfies ``want`` (default all) — the induced-loss
-    policy of the old ``bench_segmented_reduce.py``."""
+    policy of the ``segmented-reduce`` repair cases."""
     def unit_of(dgram):
         if dgram.kind != "mcast-seg":
             return None
@@ -934,14 +889,11 @@ def segred_formulas_case(scale, seed):
     from ..analysis.framecount import (model_seg_allreduce_frames,
                                        model_seg_reduce_frames)
 
-    size = _segred_sizes(scale)[-1]
+    size = DIMS[scale].segred_sizes[-1]
     nsegs = len(plan_segments(size, QUIET.segment_bytes))
 
     def stream(stats):
-        kinds = stats["frames_by_kind"]
-        return sum(kinds.get(k, 0) for k in
-                   ("mcast-seg", "mcast-seg-hdr", "seg-report",
-                    "seg-dec", "scout"))
+        return _seg_stream_frames(stats["frames_by_kind"])
 
     red_stats, _ = _segred_run("reduce", "mcast-seg-combine", size,
                                QUIET, seed)
@@ -961,7 +913,7 @@ def segred_repair_case(scale, seed):
     """Selective repair: induced loss at the root (the only consumer of
     reduce data) re-multicasts exactly the lost segments, never whole
     payloads."""
-    size = _segred_sizes(scale)[-1]
+    size = DIMS[scale].segred_sizes[-1]
     stats, _ = _segred_run("reduce", "mcast-seg-combine", size, QUIET,
                            seed, lossy_ranks=(0,),
                            want=lambda first: first % 8 == 3)
@@ -1002,7 +954,7 @@ def segred_latency_case(scale, seed, op, size):
     "auto" under the jittered platform (barrier-fenced reps)."""
     import statistics
 
-    reps = _segred_reps(scale)
+    reps = DIMS[scale].segred_reps
     out = {}
     for role, impl in (("p2p", _SEGRED_IMPLS[op]["p2p"]),
                        ("seg", _SEGRED_IMPLS[op]["seg"]),
@@ -1030,7 +982,7 @@ def segred_latency_case(scale, seed, op, size):
 
 
 def _segred_families(scale):
-    sizes = _segred_sizes(scale)
+    sizes = DIMS[scale].segred_sizes
     ops = tuple(_SEGRED_IMPLS)
     return [
         Family("frames", {"op": ops, "size": sizes},
@@ -1046,7 +998,7 @@ def _segred_families(scale):
 def segred_post_payload_frames(doc):
     """Segmented reduce never exceeds p2p in payload frames; the
     composed segmented allreduce beats p2p outright at every size."""
-    for size in _segred_sizes(doc["scale"]):
+    for size in DIMS[doc["scale"]].segred_sizes:
         red_seg = metric(doc, "frames", "frames_payload_seg",
                          op="reduce", size=size)
         red_p2p = metric(doc, "frames", "frames_payload_p2p",
@@ -1062,7 +1014,7 @@ def segred_post_payload_frames(doc):
 def segred_post_auto_never_worse(doc):
     """The policy's pick is never worse than the best fixed entry in
     measured total frames — the auto-never-worse criterion."""
-    for size in _segred_sizes(doc["scale"]):
+    for size in DIMS[doc["scale"]].segred_sizes:
         for op in _SEGRED_IMPLS:
             mine = metric(doc, "auto", "frames_auto", op=op, size=size)
             best = metric(doc, "auto", "frames_best_fixed", op=op,
@@ -1076,7 +1028,7 @@ def segred_post_auto_latency_tracks(doc):
     """"auto" resolves reduce/allreduce locally (zero announcement
     cost): its median must track the faster fixed entry (generous
     slack — separately seeded jitter draws)."""
-    for size in _segred_sizes(doc["scale"]):
+    for size in DIMS[doc["scale"]].segred_sizes:
         for op in _SEGRED_IMPLS:
             auto = metric(doc, "latency", "latency_us_auto", op=op,
                           size=size)
@@ -1103,8 +1055,6 @@ register_area(AreaSpec(
 # ===========================================================================
 # area: sim-throughput
 # ===========================================================================
-#: topology -> rank count of the thousand-host throughput workloads
-THRU_FABRICS = {"tree:8x8": 64, "tree:32x32": 1024}
 THRU_SIZE = 24_000
 
 #: generous wall budget (seconds) for the 1024-host broadcast — the
@@ -1113,15 +1063,7 @@ THRU_SIZE = 24_000
 THRU_BUDGET_S = 60.0
 
 
-def _thru_fabrics(scale: str) -> tuple:
-    if scale == "gate":
-        return tuple(THRU_FABRICS)
-    return ("tree:8x8", "tree:16x16", "tree:32x32")
-
-
 def _thru_nprocs(fabric: str) -> int:
-    if fabric in THRU_FABRICS:
-        return THRU_FABRICS[fabric]
     segs, hosts = fabric.split(":")[1].split("x")
     return int(segs) * int(hosts)
 
@@ -1181,7 +1123,7 @@ def thru_sweep_case(scale, seed, mode):
 
 def _thru_families(scale):
     return [
-        Family("workload", {"fabric": _thru_fabrics(scale)},
+        Family("workload", {"fabric": DIMS[scale].thru_fabrics},
                thru_workload_case),
         Family("gate-sweep", {"mode": ("fluid", "des")},
                thru_sweep_case),
@@ -1225,7 +1167,7 @@ def thru_post_trace_off_wall(doc):
     if (baseline.get("scale") != doc.get("scale")
             or baseline.get("base_seed") != doc.get("base_seed")):
         return                  # ad-hoc run; the gate diff still applies
-    for fabric in _thru_fabrics(doc.get("scale", "gate")):
+    for fabric in DIMS[doc.get("scale", "gate")].thru_fabrics:
         try:
             base = find_series(baseline, "workload", fabric=fabric)
             fresh = find_series(doc, "workload", fabric=fabric)

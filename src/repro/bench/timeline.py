@@ -1,9 +1,11 @@
 """Wire-activity timelines: see the algorithms happen.
 
-:func:`record_timeline` runs an SPMD program with full frame tracing and
-returns the chronological list of wire events; :func:`ascii_timeline`
-renders them as a Gantt-like strip per frame kind.  The scout-then-
-multicast structure of the paper's Fig. 3/4 becomes directly visible::
+:func:`record_timeline` runs an SPMD program under the flight recorder
+(:class:`repro.obs.FlightRecorder`) and returns the chronological list
+of wire events — a view over the recorder's ``send:*`` instants;
+:func:`ascii_timeline` renders them as a Gantt-like strip per frame
+kind.  The scout-then-multicast structure of the paper's Fig. 3/4
+becomes directly visible::
 
     scout        |  ##  ## ##                                         |
     mcast-data   |            ########                                |
@@ -17,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from ..obs import FlightRecorder
 from ..runtime import run_spmd
 from ..simnet.calibration import NetParams
-from ..simnet.trace import Tracer
 
 __all__ = ["WireEvent", "record_timeline", "ascii_timeline",
            "kinds_in_order"]
@@ -38,35 +40,34 @@ def record_timeline(n: int, main: Callable, *, topology: str = "switch",
                     params: Optional[NetParams] = None, seed: int = 0,
                     collectives: Optional[dict] = None,
                     skip_before_us: float = 0.0) -> list[WireEvent]:
-    """Run ``main`` under tracing; returns wire events (sorted by time).
+    """Run ``main`` under the flight recorder; returns its host-originated
+    transmissions (the ``send:<kind>`` instants) as wire events sorted
+    by time.
 
     ``skip_before_us`` drops setup traffic (e.g. MPI init) from the
     result.  Wire durations are computed from frame wire sizes at the
     cluster's link rate.
     """
-    # NetStats is one shared object per cluster, so attaching a Tracer
-    # from any rank sees every host's sends; run_spmd builds the cluster
-    # internally, so hook via a wrapper program whose first act attaches
-    # the tracer to the recorder slot (the old implementation monkey-
-    # patched ``record_send`` here and could not see frame addressing).
-    holder: dict[str, object] = {}
+    recorders = []
 
-    def wrapper(env):
-        if "tracer" not in holder:
-            holder["tracer"] = Tracer(env.sim, env.host.stats).install()
-            holder["rate"] = env.host.params.rate_mbps
-        result = yield from main(env)
-        return result
+    def attach(cluster):
+        # under REPRO_TRACE=1 run_spmd has attached a recorder already
+        recorders.append(cluster.stats.recorder
+                         or FlightRecorder().attach(cluster))
 
-    run_spmd(n, wrapper, topology=topology, params=params, seed=seed,
-             collectives=collectives)
-    tracer: Tracer = holder["tracer"]  # type: ignore[assignment]
-    rate_mbps: float = holder["rate"]  # type: ignore[assignment]
-    tracer.uninstall()
-    out = [WireEvent(start_us=e.time_us,
-                     duration_us=e.size / (rate_mbps / 8.0),
-                     kind=e.kind)
-           for e in tracer.events if e.time_us >= skip_before_us]
+    result = run_spmd(n, main, topology=topology, params=params, seed=seed,
+                      collectives=collectives, on_cluster=attach)
+    rate_mbps = result.cluster.params.rate_mbps
+    out = []
+    for event in recorders[0].events:
+        if event[0] != "inst" or not event[3].startswith("send:"):
+            continue
+        _inst, _rank, _cat, name, ts, args = event
+        if ts >= skip_before_us:
+            out.append(WireEvent(
+                start_us=ts,
+                duration_us=dict(args)["bytes"] / (rate_mbps / 8.0),
+                kind=name[len("send:"):]))
     out.sort(key=lambda e: e.start_us)
     return out
 

@@ -19,9 +19,10 @@ gather-plus-broadcast trees.  Two schedules are provided:
   registered): after the ready round every rank multicasts at once.
   Receivers holding fewer than N-1 posted descriptors can be overrun —
   exactly the buffer-overflow scenario the paper worried about.  The
-  function reports per-rank losses instead of hanging, and the ablation
-  benchmark (`benchmarks/bench_ablation_overrun.py`) sweeps the
-  descriptor budget to chart the overrun boundary.
+  function reports per-rank losses instead of hanging, and the
+  ``overrun`` family of the ``paper-figures`` sweep area
+  (:mod:`repro.bench.paper_figures`) sweeps the descriptor budget to
+  chart the overrun boundary.
 
 Both build on the per-communicator :class:`~repro.core.channel.McastChannel`.
 For contributions larger than one MTU, :mod:`repro.core.segment` registers

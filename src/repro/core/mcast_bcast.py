@@ -15,9 +15,9 @@ Four registered implementations:
   multicast immediately, collect per-receiver acks, retransmit the whole
   payload on timeout until everyone acked.  Reliable, but the paper notes
   it "did not produce improvement in performance" — the retransmissions
-  and the ack implosion at the root eat the multicast win.  Our ablation
-  benchmark (`benchmarks/bench_ablation_reliability.py`) reproduces that
-  verdict.
+  and the ack implosion at the root eat the multicast win.  The
+  ``ablation_reliability`` postcondition of the ``paper-figures`` sweep
+  area (:mod:`repro.bench.paper_figures`) reproduces that verdict.
 
 A fifth implementation, ``mcast-seg-nack`` (:mod:`repro.core.segment`),
 addresses exactly the weakness that sinks ``mcast-ack`` at large

@@ -21,7 +21,7 @@ from .resource import Resource
 from .stats import NetStats
 from .switchdev import Switch
 from .topology import TOPOLOGIES, Cluster, build_cluster
-from .trace import RecorderHooks, TraceEvent, Tracer
+from .trace import RecorderHooks
 from .udp import SocketClosed, UdpSocket
 
 __all__ = [
@@ -32,7 +32,7 @@ __all__ = [
     "NetStats", "Nic", "PartitionError", "Process", "RecorderHooks",
     "Resource", "SharedMedium", "SimError",
     "Simulator", "SocketClosed", "Switch", "TOPOLOGIES", "Timeout",
-    "TraceEvent", "Tracer", "UdpSocket", "VIA_SWITCH", "build_cluster",
+    "UdpSocket", "VIA_SWITCH", "build_cluster",
     "fragment_sizes", "is_group_addr", "is_multicast", "mcast_mac",
     "parse_topology", "quiet", "wire_bytes",
 ]

@@ -1,4 +1,4 @@
-"""Flight-recorder hook points + lightweight wire-event tracing.
+"""Flight-recorder hook points.
 
 :class:`RecorderHooks` is the protocol every layer of the stack reports
 into: devices (medium, links, switches, NICs) call the ``frame_*``
@@ -18,21 +18,11 @@ and nothing in ``simnet``/``core``/``mpi`` ever imports upward.
 Hook implementations must copy what they need out of a ``frame``
 argument *synchronously*: frames are pool-recycled the moment the last
 delivery path releases them, so holding a reference records garbage.
-
-:class:`Tracer` is the original, minimal consumer: a flat list of
-:class:`TraceEvent` used by tests and ``bench/timeline.py`` to assert
-wire orderings.  It used to monkey-patch ``NetStats.record_send`` and
-could therefore only record ``src=-1, dst=-1`` placeholders; it is now
-a :class:`RecorderHooks` subclass fed from the same frame-context hook
-points as the full flight recorder, so events carry real addressing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
-__all__ = ["RecorderHooks", "TraceEvent", "Tracer"]
+__all__ = ["RecorderHooks"]
 
 
 class RecorderHooks:
@@ -125,51 +115,3 @@ class RecorderHooks:
 
     def chaos_fault_end(self, now: float, token) -> None:
         """The fault window that returned ``token`` was healed."""
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    time_us: float
-    kind: str          #: frame kind ("data", "scout", "release", "igmp"...)
-    src: int
-    dst: int
-    size: int
-
-
-class Tracer(RecorderHooks):
-    """Records every frame send passing through a NetStats instance."""
-
-    def __init__(self, sim, stats):
-        self.sim = sim
-        self.events: list[TraceEvent] = []
-        self._stats = stats
-        self._installed = False
-
-    def install(self) -> "Tracer":
-        """Attach as ``stats.recorder`` so every ``frame_sent`` hook
-        (the same sites ``record_send`` counts) logs a TraceEvent with
-        real addressing.  Replaces the deprecated ``record_send``
-        monkey-patch, which could not see the frame."""
-        self._stats.recorder = self
-        self._installed = True
-        return self
-
-    def uninstall(self) -> None:
-        if self._installed and self._stats.recorder is self:
-            self._stats.recorder = None
-        self._installed = False
-
-    def frame_sent(self, now: float, frame, via: str) -> None:
-        self.events.append(TraceEvent(now, frame.kind, frame.src,
-                                      frame.dst, frame.wire_size))
-
-    def note(self, kind: str, src: int, dst: int, size: int) -> None:
-        """Explicitly record an event with full addressing."""
-        self.events.append(TraceEvent(self.sim.now, kind, src, dst, size))
-
-    def of_kind(self, kind: str) -> list[TraceEvent]:
-        return [e for e in self.events if e.kind == kind]
-
-    def first_time(self, kind: str) -> Optional[float]:
-        evs = self.of_kind(kind)
-        return evs[0].time_us if evs else None

@@ -130,8 +130,7 @@ def model_seg_bcast_trunk_frames(seg_of_rank, root: int, nsegs: int,
                                  paths=None) -> int:
     """Loss-free trunk serializations of the flat ``mcast-seg-nack``
     broadcast on a tiered fabric (exact; asserted by
-    ``benchmarks/bench_fabric_scaling.py`` and
-    ``benchmarks/bench_deep_fabric.py``)."""
+    the ``fabric-scaling`` and ``deep-fabric`` sweep areas)."""
     return _mcast_stream_trunk_frames(seg_of_rank, root, nsegs, paths)
 
 
@@ -210,8 +209,8 @@ def model_hier_frames(op: str, seg_of_rank, root: int, nbytes: int,
 
     Loss-free (``loss=0``) the ``bcast`` and ``reduce`` counts are
     **exact** — every phase streams the same payload — and asserted
-    against ``NetStats.frames_trunk`` by
-    ``benchmarks/bench_deep_fabric.py``.  The ``scatter`` / ``gather``
+    against ``NetStats.frames_trunk`` by the ``deep-fabric`` sweep
+    area.  The ``scatter`` / ``gather``
     / ``allgather`` counts approximate per-phase bundle sizes by their
     member payload shares (the wire carries pickled bundle objects
     whose envelope the closed form ignores), so they are

@@ -1,10 +1,12 @@
 """Benchmark harness and reporting tests (small sweeps, fast)."""
 
+import json
+
 import pytest
 
-from repro.bench import (FIGURES, Sample, Series, ascii_plot, crossover,
-                         markdown_table, measure_barrier, measure_bcast,
-                         run_figure, series_summary, table)
+from repro.bench import (Sample, Series, ascii_plot, crossover,
+                         load_areas, measure_barrier, measure_bcast)
+from repro.bench.sweep import baseline_path
 
 SIZES = [0, 2000]
 
@@ -67,55 +69,38 @@ def test_crossover_never():
     assert crossover(a, b) is None   # identical medians: never strictly <
 
 
-def test_table_renders_all_series():
-    ser = small_series()
-    out = table([ser], title="demo table")
-    assert "demo table" in out
-    assert "1000" in out and "305" in out
-
-
-def test_markdown_table():
-    out = markdown_table([small_series()], title="t")
-    assert out.count("|") > 6
-    assert "305" in out
-
-
 def test_ascii_plot_smoke():
     out = ascii_plot([small_series()], width=40, height=8, title="p")
     assert "p" in out and "demo" in out
 
 
-def test_series_summary():
-    s = series_summary(small_series())
-    assert s["overall_min"] == 100.0
-    assert s["overall_max"] == 310.0
-    assert s["sizes"] == [0, 1000]
-
-
-def test_run_figure_unknown_id():
-    with pytest.raises(KeyError, match="unknown figure"):
-        run_figure("fig99")
-
-
 def test_figure_registry_complete():
+    """Every figure of the paper (and each ablation the old scripts
+    carried) is a named postcondition of the ``paper-figures`` area."""
+    posts = {p.__name__ for p in load_areas()["paper-figures"].postconditions}
     assert {"fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
-            "framecounts", "ablation"} <= set(FIGURES)
+            "framecounts", "ablation_reliability", "overrun",
+            "via"} <= posts
 
 
 @pytest.mark.slow
 def test_fig7_smoke_tiny():
-    series, notes = run_figure("fig7", reps=3, sizes=[0, 4000])
-    assert len(series) == 3
-    assert "multicast" in notes
-    mpich, linear, binary = series
+    mpich, linear, binary = (
+        measure_bcast(impl, "hub", 4, [0, 4000], reps=3)
+        for impl in ("p2p-binomial", "mcast-linear", "mcast-binary"))
     # even a tiny run shows the large-message multicast win
     assert binary.median(4000) < mpich.median(4000)
+    assert linear.median(4000) < mpich.median(4000)
 
 
 def test_framecounts_figure_rows():
-    rows, _ = run_figure("framecounts", nmax=6)
-    # Multicast saves frames exactly when (f-1)(N-2) >= 1, i.e. for any
-    # multi-frame message once there are at least 3 processes.
+    """The committed §3 table: multicast saves frames exactly when
+    (f-1)(N-2) >= 1, i.e. for any multi-frame message once there are at
+    least 3 processes."""
+    doc = json.loads(baseline_path("paper-figures").read_text())
+    rows = [dict(e["axes"], **e["metrics"]) for e in doc["series"]
+            if e["family"] == "framecounts"]
+    assert len(rows) == 8 * 4
     for r in rows:
         if r["n"] >= 3 and r["m"] >= 1500:
             assert r["paper_mcast_bcast"] <= r["paper_mpich_bcast"], r
@@ -124,16 +109,17 @@ def test_framecounts_figure_rows():
             assert r["paper_mcast_bcast"] >= r["paper_mpich_bcast"], r
 
 
-def test_cli_framecounts(capsys):
-    from repro.bench.cli import main
-
-    assert main(["--figure", "framecounts"]) == 0
-    out = capsys.readouterr().out
-    assert "paper_mpich_bcast" in out
-
-
 def test_cli_requires_target():
     from repro.bench.cli import main
 
     with pytest.raises(SystemExit):
         main([])
+
+
+@pytest.mark.parametrize("flag", [["--all"], ["--reps", "3"],
+                                  ["--seed", "1"], ["--markdown"]])
+def test_cli_has_no_figure_mode(flag):
+    from repro.bench.cli import main
+
+    with pytest.raises(SystemExit):
+        main(["sweep", "synthtest-none", *flag])

@@ -24,11 +24,11 @@ from dataclasses import replace
 from repro.analysis import fluid
 from repro.bench.sweep import baseline_path, run_area
 from repro.bench.sweep_areas import (DEEP_FABRICS, DEEP_FLAT_IMPL,
-                                     FAB_SEG_OF, QUIET_AUTO,
-                                     _deep_per_call, _deep_size,
-                                     _fab_per_call_des)
+                                     DIMS, FAB_NPROCS, FAB_SEG_OF,
+                                     FAB_TOPOLOGY, QUIET_AUTO,
+                                     _deep_per_call)
 
-GATE_SIZE = _deep_size("gate")
+GATE_SIZE = DIMS["gate"].deep_size
 
 
 # ---------------------------------------------------------------- eligibility
@@ -94,7 +94,8 @@ def test_fluid_matches_des_on_fabric_scaling_trunk(impl):
     answer = fluid.trunk_frames_per_call("bcast", impl, FAB_SEG_OF, 0,
                                          24_000, QUIET_AUTO)
     assert answer is not None
-    assert answer == _fab_per_call_des(impl, 24_000, seed=1)
+    assert answer == _deep_per_call(FAB_TOPOLOGY, FAB_NPROCS, "bcast",
+                                    impl, 24_000, seed=1)
 
 
 # -------------------------------------------------------- overhaul parity

@@ -393,6 +393,43 @@ def test_cli_sweep_check_flags_stale_markdown(tmp_path, capsys):
         capsys.readouterr().err
 
 
+def test_cli_full_scale_never_lands_among_the_gate_baselines(
+        tmp_path, capsys, monkeypatch):
+    """``sweep --scale full`` used to overwrite the committed gate
+    baselines in place (after which ``--check`` failed on the scale
+    mismatch).  A non-gate document is summarised, never written into
+    ``results_dir()`` — not even when ``--results-dir`` names it."""
+    from repro.bench import sweep
+
+    baselines = tmp_path / "results"
+    monkeypatch.setattr(sweep, "results_dir", lambda: baselines)
+    gate = ["sweep", "synthtest", "--workers", "1"]
+    assert main(gate) == 0
+    committed = (baselines / "BENCH_synthtest.json").read_bytes()
+    capsys.readouterr()
+
+    for argv in (gate + ["--scale", "full"],
+                 gate + ["--scale", "full", "--results-dir",
+                         str(baselines)]):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "7 cases at scale 'full'" in out
+        assert "all postconditions hold" in out and "wrote" not in out
+    assert (baselines / "BENCH_synthtest.json").read_bytes() == committed
+    assert main(gate + ["--check"]) == 0
+
+    # a violated full-scale postcondition still fails the run
+    with pytest.raises(AssertionError, match="on purpose"):
+        main(["sweep", "synthtest-bad", "--scale", "full"])
+
+    # ... and an explicit other directory does get the document
+    elsewhere = tmp_path / "elsewhere"
+    assert main(gate + ["--scale", "full", "--results-dir",
+                        str(elsewhere)]) == 0
+    kept = json.loads((elsewhere / "BENCH_synthtest.json").read_text())
+    assert kept["scale"] == "full" and len(kept["series"]) == 7
+
+
 def test_cli_sweep_unknown_area_exits_2(capsys):
     assert main(["sweep", "no-such-area"]) == 2
     assert "unknown area" in capsys.readouterr().err

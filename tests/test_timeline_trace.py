@@ -1,9 +1,8 @@
-"""Wire-timeline tool and trace module tests."""
+"""Wire-timeline tool tests (a view over the flight recorder)."""
 
 
 from repro.bench.timeline import (WireEvent, ascii_timeline,
                                   kinds_in_order, record_timeline)
-from repro.simnet import Frame, Simulator, NetStats, Tracer
 from repro.simnet import quiet
 from repro.simnet.calibration import FAST_ETHERNET_HUB
 
@@ -62,42 +61,15 @@ def test_ascii_timeline_empty():
     assert ascii_timeline([]) == "(no wire activity)"
 
 
-def test_tracer_install_uninstall():
-    """The tracer rides the recorder hook slot (no monkey-patching):
-    install sets ``stats.recorder``, events carry real frame context,
-    uninstall clears the slot while stats keep counting."""
-    sim = Simulator()
-    stats = NetStats()
-    tracer = Tracer(sim, stats).install()
-    assert stats.recorder is tracer
+def test_timeline_reads_the_recorder_run_spmd_attached(monkeypatch):
+    """Under ``REPRO_TRACE=1`` run_spmd has attached a flight recorder
+    before ``on_cluster`` runs; the timeline is a view over that one
+    (a second ``attach`` would raise) and shows the same wire."""
+    from repro import obs
 
-    def fire(frame):
-        # what every device-level send site does: count, then hand the
-        # frame to the recorder behind the single-branch guard
-        stats.record_send(frame.wire_size, frame.kind)
-        rec = stats.recorder
-        if rec is not None:
-            rec.frame_sent(sim.now, frame, "test")
-
-    data = Frame(src=1, dst=2, size=100, payload=None, kind="data")
-    scout = Frame(src=3, dst=0, size=20, payload=None, kind="scout")
-    fire(data)
-    sim.schedule_call(5.0, fire, scout)
-    sim.run()
-    assert len(tracer.events) == 2
-    assert tracer.first_time("scout") == 5.0
-    assert tracer.of_kind("data")[0].size == data.wire_size
-    assert tracer.of_kind("data")[0].src == 1
-    assert tracer.of_kind("scout")[0].dst == 0
-    tracer.uninstall()
-    assert stats.recorder is None
-    fire(data)
-    assert len(tracer.events) == 2            # no longer recording
-    assert stats.frames_sent == 3             # but stats still count
-
-
-def test_tracer_note_full_addressing():
-    sim = Simulator()
-    tracer = Tracer(sim, NetStats())
-    tracer.note("release", src=0, dst=99, size=64)
-    assert tracer.events[0].dst == 99
+    plain = _one_bcast(3000, "mcast-binary")
+    monkeypatch.setenv(obs.TRACE_ENV, "1")
+    obs.drain_recorders()
+    traced = _one_bcast(3000, "mcast-binary")
+    assert len(obs.drain_recorders()) == 1
+    assert traced == plain
