@@ -4,14 +4,17 @@
     python3 scripts/perf_compare.py BASE [--workload NAME] [--seeds 1 2 3]
 
 (``make perf-compare BASE=<rev> [WORKLOAD=...] [SEEDS="1 2 3"]``.)
-Checks ``BASE`` out into a temporary ``git worktree``, runs each tree's
-own ``benchmarks/perf/run.py --out`` once per seed — alternating which
-side goes first, so host drift lands on both — and finishes with
+Checks ``BASE`` out into a temporary local ``git clone`` (hard-linked,
+well under a second here; unlike ``git worktree add`` it writes nothing
+into this repository's ``.git`` and works where worktrees are
+unavailable), runs each tree's own ``benchmarks/perf/run.py --out``
+once per seed — alternating which side goes first, so host drift lands
+on both — and finishes with
 ``benchmarks/perf/compare.py`` over the two run lists; its exit status
 (1 if any metric is worse than its bound) is this script's.  With two
 or more seeds it then prints what a *claimed gain* is judged by
 (docs/BENCHMARKS.md): per metric, the pairs head won, both medians and
-the base's own quartile distance.  The worktree is always removed.
+the base's own quartile distance.  The clone is always removed.
 
 Refuses (exit 2) when ``benchmarks/perf/`` or ``BENCHMARK.json`` differ
 between the two trees: a comparison only means something when both
@@ -81,6 +84,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        # a sha: the clone has this repository's objects, not its
+        # relative names (HEAD~1, a local branch)
+        base_sha = git("rev-parse", "--verify",
+                       args.base + "^{commit}").strip()
         changed = benchmark_changes(args.base)
     except subprocess.CalledProcessError as exc:
         print(exc.stderr.strip(), file=sys.stderr)     # unknown revision
@@ -97,7 +104,9 @@ def main(argv=None) -> int:
     outs = {side: os.path.join(tmp, f"{side}.json") for side in trees}
     extra = ["--workload", args.workload] if args.workload else []
     try:
-        git("worktree", "add", "--detach", trees["base"], args.base)
+        git("clone", "--quiet", "--no-checkout", ROOT, trees["base"])
+        subprocess.run(["git", "checkout", "--quiet", "--detach", base_sha],
+                       cwd=trees["base"], check=True)
         for i, seed in enumerate(args.seeds):
             for side in (("base", "head"), ("head", "base"))[i % 2]:
                 print(f"== seed {seed}: {side}", flush=True)
@@ -112,8 +121,6 @@ def main(argv=None) -> int:
             print_pairs(outs["base"], outs["head"])
         return status
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force",
-                        trees["base"]], cwd=ROOT, capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
 
 

@@ -11,12 +11,10 @@ simulator* and computes the answer:
 
 * **eligibility** is keyed off :data:`~repro.analysis.framecount.
   MODEL_COVERAGE` — only (op, impl) pairs whose ledger entry names a
-  closed-form model (not an ``"estimate: ..."`` marker) qualify, minus
-  the ``hier-mcast`` ops whose :func:`~repro.analysis.framecount.
-  model_hier_frames` walk is documented estimate-grade
-  (:data:`HIER_EXACT_OPS` keeps bcast/reduce/allreduce, drops
-  scatter/gather/allgather), and only at ``loss == 0`` — repair
-  traffic is stochastic, the DES owns it;
+  closed-form model (not an ``"estimate: ..."`` marker) qualify (the
+  ``hier-mcast`` entries are derived from step-kind exactness, so
+  bundle-carrying scatter/gather/allgather are out), and only at
+  ``loss == 0`` — repair traffic is stochastic, the DES owns it;
 * **answers** are per-call trunk serializations
   (:func:`trunk_frames_per_call`) — the steady-state metric the
   fabric-scaling and deep-fabric sweep areas persist — computed by the
@@ -50,8 +48,8 @@ from .framecount import (MODEL_COVERAGE, model_hier_frames,
                          model_seg_reduce_trunk_frames,
                          model_seg_scatter_trunk_frames)
 
-__all__ = ["FLUID_ENV", "HIER_EXACT_OPS", "answers", "enabled",
-           "exact_model", "forced", "trunk_frames_per_call"]
+__all__ = ["FLUID_ENV", "answers", "enabled", "exact_model", "forced",
+           "trunk_frames_per_call"]
 
 #: environment variable gating the backend (on unless set to ``0``)
 FLUID_ENV = "REPRO_FLUID"
@@ -78,22 +76,13 @@ def forced(on: bool) -> Iterator[None]:
         else:
             os.environ[FLUID_ENV] = saved
 
-#: ``model_hier_frames`` ops whose loss-free walk is exact (every phase
-#: streams the same payload); scatter/gather/allgather approximate
-#: bundle envelopes and stay estimate-grade (see its docstring).
-HIER_EXACT_OPS = frozenset({"bcast", "reduce", "allreduce"})
-
 
 def exact_model(op: str, impl: str) -> bool:
     """True iff the (op, impl) frame model is exact per the coverage
-    ledger: the entry names a closed form (no ``"estimate:"`` marker)
-    and, for ``hier-mcast``, the op is in :data:`HIER_EXACT_OPS`."""
+    ledger: the entry names a closed form (no ``"estimate:"``
+    marker)."""
     entry = MODEL_COVERAGE.get((op, impl))
-    if entry is None or entry.startswith("estimate:"):
-        return False
-    if impl == "hier-mcast" and op not in HIER_EXACT_OPS:
-        return False
-    return True
+    return entry is not None and not entry.startswith("estimate:")
 
 
 def _share_nsegs(size: int, n: int, params: NetParams) -> int:
@@ -124,29 +113,19 @@ def _trunk_seg_gather(seg_of, root, size, params, paths):
     return model_seg_reduce_trunk_frames(seg_of, root, share, paths)
 
 
-def _trunk_hier(op: str):
-    def model(seg_of, root, size, params, paths):
-        _frames, trunk = model_hier_frames(op, seg_of, root, size,
-                                           params, paths)
-        return int(round(trunk))
-    return model
-
-
 #: (op, impl) -> per-call trunk-serialization model.  ``size`` is the
 #: collective's benched payload size; per-rank shares (``size // n``
 #: for scatter/gather) are derived inside, matching the sweep bodies.
 #: p2p-binomial is absent although its *total-frame* ledger entry is
 #: exact: ``model_p2p_tree_trunk_frames`` omits the rendezvous sync
 #: traffic's trunk crossings (it is a policy cost estimate), so the
-#: DES keeps those cases.
+#: DES keeps those cases.  ``hier-mcast`` needs no entry: its one model
+#: returns the trunk count for every op.
 _TRUNK_MODELS: dict[tuple[str, str], Callable] = {
     ("bcast", "mcast-seg-nack"): _trunk_seg_bcast,
     ("reduce", "mcast-seg-combine"): _trunk_seg_reduce,
     ("scatter", "mcast-seg-root"): _trunk_seg_scatter,
     ("gather", "mcast-seg-root-follow"): _trunk_seg_gather,
-    ("bcast", "hier-mcast"): _trunk_hier("bcast"),
-    ("reduce", "hier-mcast"): _trunk_hier("reduce"),
-    ("allreduce", "hier-mcast"): _trunk_hier("allreduce"),
 }
 
 
@@ -156,7 +135,8 @@ def answers(op: str, impl: str, params: NetParams) -> bool:
     loss-free (repair traffic is stochastic — DES territory)."""
     if params.loss > 0.0:
         return False
-    return exact_model(op, impl) and (op, impl) in _TRUNK_MODELS
+    return exact_model(op, impl) and (impl == "hier-mcast"
+                                      or (op, impl) in _TRUNK_MODELS)
 
 
 def trunk_frames_per_call(op: str, impl: str,
@@ -175,5 +155,9 @@ def trunk_frames_per_call(op: str, impl: str,
     """
     if not answers(op, impl, params):
         return None
+    if impl == "hier-mcast":
+        _frames, trunk = model_hier_frames(op, tuple(seg_of_rank), root,
+                                           size, params, paths)
+        return int(round(trunk))
     model = _TRUNK_MODELS[(op, impl)]
     return int(model(tuple(seg_of_rank), root, size, params, paths))

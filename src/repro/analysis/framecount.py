@@ -18,6 +18,8 @@ from functools import cached_property, lru_cache
 
 from ..core.channel import MCAST_HEADER_BYTES
 from ..mpi.collective.barrier_p2p import largest_power_of_two_leq
+from ..mpi.collective.hier import (BUNDLE_KINDS, build_hier_tree,
+                                   compile_plan)
 from ..simnet.calibration import NetParams
 
 __all__ = [
@@ -344,8 +346,6 @@ class TopoDigest:
     @cached_property
     def tree(self):
         """The collapsed hierarchy the ``hier-mcast`` plans walk."""
-        from ..mpi.collective.hier import build_hier_tree
-
         return build_hier_tree(self.seg_of_rank, self.paths)
 
 
@@ -432,136 +432,107 @@ def model_seg_allgather_trunk_frames(seg_of_rank, nsegs: int,
 
 
 # ---------------------------------------------------------------------------
-# recursive hierarchy models (PR 5: phase-walking, any tree depth —
-# superseding PR 4's two-tier closed forms, which the phase walk
-# reproduces bit-for-bit on two-tier fabrics)
+# recursive hierarchy model: one cost fold over the compiled plan
 # ---------------------------------------------------------------------------
 def model_hier_frames(op: str, seg_of_rank, root: int, nbytes: int,
                       params: NetParams, paths=None,
                       loss: float = 0.0) -> tuple[float, float]:
     """(host frames, trunk serializations) of one ``hier-mcast`` call
-    on an arbitrary-depth hierarchy, by walking the *same* phase plans
-    the implementation executes (:mod:`repro.mpi.collective.hier`), so
-    model and behaviour cannot drift.
+    on an arbitrary-depth hierarchy: a fold over the *same* step list
+    the implementation interprets
+    (:func:`~repro.mpi.collective.hier.compile_plan`), so model and
+    behaviour cannot drift.  Each step kind contributes its engine
+    streams (host frames, expected repairs, the trunk term of its
+    group's own :meth:`TopoDigest.group`), a ``forward`` its p2p hop,
+    the barrier's ``sync`` / ``release`` their scouts and release
+    frame.
 
-    Loss-free (``loss=0``) the ``bcast`` and ``reduce`` counts are
-    **exact** — every phase streams the same payload — and asserted
-    against ``NetStats.frames_trunk`` by the ``deep-fabric`` sweep
-    area.  The ``scatter`` / ``gather``
-    / ``allgather`` counts approximate per-phase bundle sizes by their
-    member payload shares (the wire carries pickled bundle objects
-    whose envelope the closed form ignores), so they are
+    Loss-free (``loss=0``) a plan is **exact** unless it contains a
+    :data:`~repro.mpi.collective.hier.BUNDLE_KINDS` step — asserted
+    against ``NetStats`` by the ``deep-fabric`` sweep area and
+    ``tests/test_hier_deep.py``.  ``collect`` / ``deal`` / ``exchange``
+    approximate bundle sizes by their member payload shares (the wire
+    carries pickled bundle objects whose envelope the closed form
+    ignores), so ``scatter`` / ``gather`` / ``allgather`` are
     estimate-grade: good enough to rank candidates in the auto policy,
     checked by the bench only for the strict hier-below-flat
-    inequality.  With ``loss > 0`` every phase additionally carries its
-    expected NACK-repair traffic — repairs stay inside the losing
-    phase's switch subtree, which is most of the hierarchy's win on
-    lossy fabrics.
+    inequality; :data:`MODEL_COVERAGE` derives its ``hier-mcast``
+    entries from exactly this.  With ``loss > 0`` every stream
+    additionally carries its expected NACK-repair traffic — repairs
+    stay inside the losing group's switch subtree, which is most of the
+    hierarchy's win on lossy fabrics.
     """
     from ..core.segment import plan_transport, seg_nack_frame_count
-    from ..mpi.collective.hier import (allgather_phases, bcast_phases,
-                                       scatter_phases, up_phases)
 
     digest = topo_digest(seg_of_rank, paths)
     size = digest.size
     if digest.nsegments < 2:
         return (0.0, 0.0)
-    if op == "allreduce":
+    if op == "allreduce":   # summed per half: frames are floats under loss
         f1, t1 = model_hier_frames("reduce", seg_of_rank, 0, nbytes,
                                    params, paths, loss)
         f2, t2 = model_hier_frames("bcast", seg_of_rank, 0, nbytes,
                                    params, paths, loss)
         return f1 + f2, t1 + t2
-    tree = digest.tree
+    steps = compile_plan(op, digest.tree, root)
+    kinds = {step.kind for step in steps}
+    # ``unit``: bytes one rank contributes; ``whole``: bytes of the
+    # value a serve or a forward moves in one piece
+    if "deal" in kinds:
+        # the root splits nbytes among the ranks and forwards every
+        # share but its own leaf's
+        unit = -(-nbytes // size)
+        whole = unit * (size - digest.members[seg_of_rank[root]])
+    elif kinds & BUNDLE_KINDS:      # every rank adds nbytes to a bundle
+        unit, whole = nbytes, nbytes * size
+    else:                           # one nbytes message
+        unit = whole = nbytes
     frames = 0.0
     trunk = 0.0
-
-    def stream(members: int, payload_bytes: int,
-               receivers: "int | None" = None) -> tuple[int, float]:
-        """(nsegs, host frames incl. expected repairs) of one engine
-        stream of ``payload_bytes`` inside a ``members``-strong group
-        (``receivers=1`` for single-consumer turn-loop streams, default
-        every other member)."""
-        nsegs = plan_transport(max(payload_bytes, 0), params).nsegs
-        return nsegs, (seg_nack_frame_count(members, nsegs)
-                       + expected_seg_repair_frames(members, nsegs, loss,
+    for step in steps:
+        kind, group = step.kind, step.group
+        if kind == "forward":
+            src, dst = group.key[1]
+            per = params.frames_for(whole + params.mpi_header)
+            frames += per
+            trunk += per * digest.hops[seg_of_rank[src]][seg_of_rank[dst]]
+            continue
+        k = len(group.members)
+        at = group.members.index(group.root)
+        sub = digest.group(group.members)
+        # how many ranks each member's bundle covers, in turn order
+        covers = [len(cover) for cover in group.covers]
+        others = [turn for turn in range(k) if turn != at]
+        #: engine streams as (serving turn, payload bytes, receivers);
+        #: ``receivers=1`` for single-consumer turn-loop streams
+        streams: list = []
+        if kind == "serve":
+            streams = [(at, whole, None)]
+        elif kind == "deal":
+            streams = [(at, unit * sum(covers[t] for t in others), None)]
+        elif kind == "fold":
+            streams = [(turn, unit, 1) for turn in others]
+        elif kind == "collect":
+            streams = [(turn, unit * covers[turn], 1) for turn in others]
+        elif kind == "exchange":
+            frames += 2 * (k - 1)            # the paced ready round
+            trunk += sub.ready_round()
+            streams = [(turn, unit * covers[turn], None)
+                       for turn in range(k)]
+        elif kind == "sync":                 # k-1 scouts up the tree
+            frames += k - 1
+            trunk += sub.tree_hops(at)
+        else:                                # "release": one multicast
+            frames += 1
+            trunk += sub.edges[sub.seg_of_rank[at]]
+        # streams add up in plan order and, inside a turn loop, in turn
+        # order: host frames are floats under loss
+        for turn, payload, receivers in streams:
+            nsegs = plan_transport(max(payload, 0), params).nsegs
+            frames += (seg_nack_frame_count(k, nsegs)
+                       + expected_seg_repair_frames(k, nsegs, loss,
                                                     receivers=receivers))
-
-    def covers(phase) -> tuple:
-        """Ranks each member's bundle covers, in member order: its
-        child subtree, or itself on a leaf phase."""
-        if phase.node.is_leaf:
-            return (1,) * phase.size
-        return tuple(len(child.members) for child in sorted(
-            phase.node.children, key=lambda child: child.leader))
-
-    def serve(phase, payload_bytes: int) -> None:
-        """One stream from the phase's server to every other member."""
-        nonlocal frames, trunk
-        nsegs, f = stream(phase.size, payload_bytes)
-        frames += f
-        trunk += digest.group(phase.members).stream(
-            phase.members.index(phase.root), nsegs)
-
-    def collect(phase, payload_bytes: int, every: bool = False,
-                bundled: bool = True) -> None:
-        """The turn loop: one stream per member (the collecting one
-        too when ``every``), carrying ``payload_bytes`` — per rank its
-        bundle covers when ``bundled``.  Host frames add up stream by
-        stream in turn order: they are floats under loss."""
-        nonlocal frames, trunk
-        group = digest.group(phase.members)
-        for turn, covered in enumerate(covers(phase)):
-            if phase.members[turn] == phase.root and not every:
-                continue
-            nsegs, f = stream(phase.size,
-                              payload_bytes * (covered if bundled else 1),
-                              None if every else 1)
-            frames += f
-            trunk += group.stream(turn, nsegs)
-
-    def p2p_hop(src: int, dst: int, payload_bytes: int) -> None:
-        nonlocal frames, trunk
-        per = params.frames_for(payload_bytes + params.mpi_header)
-        frames += per
-        trunk += per * digest.hops[seg_of_rank[src]][seg_of_rank[dst]]
-
-    if op == "bcast":
-        for phase in bcast_phases(tree, root):
-            serve(phase, nbytes)
-    elif op in ("reduce", "gather"):
-        phases, holder = up_phases(tree, root)
-        for phase in phases:
-            collect(phase, nbytes, bundled=op == "gather")
-        if holder != root:
-            p2p_hop(holder, root,
-                    nbytes if op == "reduce" else nbytes * size)
-    elif op == "scatter":
-        share = -(-nbytes // size)
-        plan = scatter_phases(tree, root)
-        if plan.root_leaf is not None:
-            serve(plan.root_leaf, share * (plan.root_leaf.size - 1))
-        if plan.hoist is not None:
-            p2p_hop(*plan.hoist, share * (
-                size - digest.members[seg_of_rank[root]]))
-        for phase in plan.internals:
-            serve(phase, sum(
-                share * covered
-                for member, covered in zip(phase.members, covers(phase))
-                if member != phase.root))
-        for phase in plan.leaves:
-            serve(phase, share * (phase.size - 1))
-    elif op == "allgather":
-        plan = allgather_phases(tree)
-        for phase in plan.up:
-            frames += 2 * (phase.size - 1)   # paced ready round
-            trunk += digest.group(phase.members).ready_round()
-            collect(phase, nbytes, every=True)
-        for phase in plan.down:
-            serve(phase, nbytes * size)
-    else:
-        raise KeyError(f"no hierarchical frame model for collective "
-                       f"{op!r}")
+            trunk += sub.stream(turn, nsegs)
     return frames, trunk
 
 
@@ -570,7 +541,8 @@ def model_hier_frames(op: str, seg_of_rank, root: int, nbytes: int,
 # ---------------------------------------------------------------------------
 #: (op, impl) -> the closed-form frame model backing it, as a dotted
 #: function path, or an explicit ``"estimate: <why>"`` marker for
-#: implementations whose traffic has no asserted closed form.  The
+#: implementations whose traffic has no asserted closed form (the
+#: ``hier-mcast`` entries are derived below, :func:`_hier_coverage`).  The
 #: REG01 rule (``python -m repro.lint``) checks this table both ways
 #: against the live registry: every registered implementation must
 #: appear here (a missing entry is a silent modeling gap — the
@@ -597,8 +569,6 @@ MODEL_COVERAGE: dict[tuple[str, str], str] = {
     ("bcast", "mcast-sequencer"):
         "estimate: sequencer hop doubles data frames; ordering traffic "
         "modeled only asymptotically (DESIGN.md)",
-    ("bcast", "hier-mcast"):
-        "repro.analysis.framecount.model_hier_frames",
     ("barrier", "p2p-mpich"):
         "repro.analysis.framecount.paper_mpich_barrier_messages",
     ("barrier", "p2p-dissemination"):
@@ -606,36 +576,25 @@ MODEL_COVERAGE: dict[tuple[str, str], str] = {
         "only as a message count in tests, not a frame model",
     ("barrier", "mcast"):
         "repro.core.mcast_barrier.barrier_mcast_message_count",
-    ("barrier", "hier-mcast"):
-        "estimate: per-phase mcast barriers over the recursive tree; "
-        "no closed form asserted yet (latency-bound op)",
     ("reduce", "p2p-binomial"):
         "repro.analysis.framecount.model_p2p_tree_frames",
     ("reduce", "mcast-seg-combine"):
         "repro.analysis.framecount.model_seg_reduce_frames",
-    ("reduce", "hier-mcast"):
-        "repro.analysis.framecount.model_hier_frames",
     ("allreduce", "p2p-reduce-bcast"):
         "estimate: composition — 2 x model_p2p_tree_frames (reduce "
         "down, bcast back)",
     ("allreduce", "mcast-seg-nack"):
         "repro.analysis.framecount.model_seg_allreduce_frames",
-    ("allreduce", "hier-mcast"):
-        "repro.analysis.framecount.model_hier_frames",
     ("gather", "p2p-binomial"):
         "estimate: inner edges re-forward growing subtree batches; "
         "policy uses the (size-1) contributions lower bound",
     ("gather", "mcast-seg-root-follow"):
         "repro.analysis.framecount.model_seg_reduce_frames",
-    ("gather", "hier-mcast"):
-        "repro.analysis.framecount.model_hier_frames",
     ("scatter", "p2p-binomial"):
         "estimate: per-level subtree shares (exact only at power-of-"
         "two sizes); see policy.p2p_frame_estimate",
     ("scatter", "mcast-seg-root"):
         "repro.analysis.framecount.model_seg_scatter_frames",
-    ("scatter", "hier-mcast"):
-        "repro.analysis.framecount.model_hier_frames",
     ("allgather", "p2p-gather-bcast"):
         "estimate: composition — gather lower bound + full-list "
         "broadcast; see policy.p2p_frame_estimate",
@@ -645,8 +604,6 @@ MODEL_COVERAGE: dict[tuple[str, str], str] = {
     ("allgather", "mcast-seg-paced"):
         "estimate: composition — paced ready round (2(N-1)) + N x "
         "seg_nack_frame_count; see policy.seg_frame_estimate",
-    ("allgather", "hier-mcast"):
-        "repro.analysis.framecount.model_hier_frames",
     ("alltoall", "p2p-pairwise"):
         "estimate: (N-1) pairwise exchanges; ROADMAP gap — no "
         "multicast rival or asserted closed form yet",
@@ -658,3 +615,22 @@ MODEL_COVERAGE: dict[tuple[str, str], str] = {
     ("reduce_scatter", "p2p-reduce-scatter"):
         "estimate: reduce-to-root + scatter composition; ROADMAP gap",
 }
+
+
+def _hier_coverage(op: str) -> str:
+    """The ledger entry of ``(op, "hier-mcast")``, from the kinds of
+    steps its plan compiles to: :func:`model_hier_frames` is exact
+    unless a step carries a pickled bundle."""
+    plan = compile_plan(op, build_hier_tree((0, 0, 1, 1)), 1)
+    bundled = sorted({step.kind for step in plan} & BUNDLE_KINDS)
+    if not bundled:
+        return "repro.analysis.framecount.model_hier_frames"
+    return (f"estimate: model_hier_frames counts member payload shares; "
+            f"the plan's {' / '.join(bundled)} steps carry pickled "
+            f"bundles whose envelope it ignores")
+
+
+MODEL_COVERAGE.update(
+    ((op, "hier-mcast"), _hier_coverage(op))
+    for op in ("bcast", "reduce", "allreduce", "barrier", "scatter",
+               "gather", "allgather"))

@@ -29,12 +29,8 @@ subtree that contains its participants.
   world-level slab (:meth:`repro.mpi.world.MpiWorld.alloc_hier_slab`).
   IGMP snooping confines each group's frames to the switch subtree
   spanning its members;
-* **engine reuse** — every phase runs the *existing* flat collectives
-  (:func:`~repro.core.segment.bcast_mcast_seg_nack`,
-  :func:`~repro.core.mcast_reduce.reduce_mcast_seg_combine`,
-  :func:`~repro.core.mcast_scatter.scatter_mcast_seg_root`,
-  :func:`~repro.core.mcast_gather.gather_mcast_seg_root_follow`,
-  :func:`~repro.core.segment.allgather_mcast_seg_paced`) over a
+* **engine reuse** — every phase runs an *existing* flat collective of
+  :mod:`repro.core` (the step kinds below name each) over a
   :class:`SegmentComm` — a group-local *view* of the communicator that
   renumbers member ranks densely and carries its own channel, so the
   round engine (serve/follow, NACK repair, pacing) needs no changes and
@@ -50,15 +46,45 @@ it per call whenever the modeled frame count — trunk crossings and
 expected loss repairs included — beats the flat engine and the p2p
 trees.
 
-**Phase plans.**  Each collective derives a *plan* — an ordered list of
-:class:`HierPhase` (group members + the rank serving/collecting it) —
-from pure functions over the hierarchy tree (:func:`bcast_phases`,
-:func:`up_phases`, :func:`scatter_phases`, :func:`allgather_phases`).
-Every rank executes the restriction of the same global plan to the
-groups it belongs to, so all per-rank schedules embed in one total
-order and can never deadlock; and the frame models in
-:mod:`repro.analysis.framecount` walk the *same* plans, so the policy's
-model and the implementation's behaviour cannot drift.
+**One plan, three readers.**  Each collective *compiles*
+(:func:`compile_plan`, a pure function of the hierarchy tree and the
+root) to one global, ordered tuple of typed :class:`Step` s — a
+``kind`` over a group (:class:`HierPhase`: members + the rank serving
+or collecting).  Every rank *interprets* (:func:`run_plan`) the
+restriction of that list to the groups it belongs to, so all per-rank
+schedules embed in one total order and can never deadlock; the frame
+model (:func:`repro.analysis.framecount.model_hier_frames`) is a cost
+fold over the same list, so the policy's model and the
+implementation's behaviour cannot drift; and the flight recorder's
+span labels are the steps' own.  The kinds are a closed set — engine
+call over the group; payload rule; cost term (``k`` = group size,
+``covers`` = ranks under a member: 1 in a leaf group, its child
+subtree's in a node group; a *stream* = one NACK-repaired engine
+stream: closed-form host frames, expected repairs under loss, the
+trunk term of the group's own ``TopoDigest.group(members)``); exact?
+
+* ``serve`` — ``bcast_mcast_seg_nack``; the server's whole value;
+  1 stream; exact.
+* ``fold`` — ``reduce_mcast_seg_combine``; every turn's partial, the
+  collector keeps the reduction; k-1 single-receiver streams; exact.
+* ``collect`` — ``gather_mcast_seg_root_follow``; every turn's bundle,
+  the collector merges them; k-1 streams of covers x unit; estimate.
+* ``deal`` — ``scatter_mcast_seg_root``; the server's bundle split by
+  child subtree (a leaf's elements travel bare); 1 stream of the other
+  members' covers x unit; estimate.
+* ``exchange`` — ``allgather_mcast_seg_paced``; every turn's bundle,
+  everyone merges; the paced ready round + k streams; estimate.
+* ``forward`` — ``TAG_HIER`` p2p send / recv; the sender's whole
+  value; its frames x the trunk hops between the two; exact.
+* ``sync`` / ``release`` — the barrier's ``scout_gather_binary`` and
+  data-less release multicast, paired by group key (the release
+  consumes the sequence number and descriptor its sync posted *before*
+  scouting up); k-1 scouts, then 1 frame x its multicast edges; exact.
+
+The three :data:`BUNDLE_KINDS` carry pickled ``{rank: element}``
+bundles whose envelope the closed form ignores, so a plan containing
+one is estimate-grade — which is exactly what the coverage ledger and
+the fluid backend read.
 
 **Reduction order.**  The hierarchical reduce folds each group in
 ascending rank order at every level, which equals MPI's canonical
@@ -81,16 +107,18 @@ from __future__ import annotations
 import copy
 from contextlib import contextmanager
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Generator, Optional
 
+from ... import core        # a cycle: only called into, never at import
 from .registry import register
 from .tags import TAG_HIER
 
-__all__ = ["SegmentComm", "HierState", "HierNode", "HierPhase",
-           "build_hier_tree", "canonical_order", "tree_internal_nodes",
-           "group_members", "bcast_phases", "up_phases",
-           "scatter_phases", "allgather_phases", "layout_from_segments",
-           "segment_layout", "hier_state", "hier_ready", "bcast_hier",
+__all__ = ["SegmentComm", "HierState", "HierNode", "HierPhase", "Step",
+           "BUNDLE_KINDS", "build_hier_tree", "canonical_order",
+           "tree_internal_nodes", "group_members", "compile_plan",
+           "run_plan", "layout_from_segments", "segment_layout",
+           "hier_state", "hier_ready", "bcast_hier",
            "reduce_hier", "allreduce_hier", "barrier_hier",
            "scatter_hier", "gather_hier", "allgather_hier",
            "HIER_GROUP_BASE", "HIER_PORT_BASE", "MAX_HIER_SEGMENTS"]
@@ -229,19 +257,28 @@ def build_hier_tree(seg_of_rank, paths=None) -> HierNode:
     return _build(0, list(range(nsegs)))
 
 
-def tree_internal_nodes(tree: HierNode) -> list[HierNode]:
-    """The tree's internal (group-bearing) nodes, top-down: sorted by
-    depth then path — the deterministic order channels are numbered
-    in."""
-    out: list[HierNode] = []
+def _tree_nodes(tree: HierNode) -> tuple[list, list]:
+    """One walk of the tree: its leaves by segment id, and its internal
+    (group-bearing) nodes top-down — sorted by depth then path, the
+    deterministic order channels are numbered in."""
+    leaves: list[HierNode] = []
+    internals: list[HierNode] = []
     stack = [tree]
     while stack:
         node = stack.pop()
-        if not node.is_leaf:
-            out.append(node)
+        if node.children:
+            internals.append(node)
             stack.extend(node.children)
-    out.sort(key=lambda n: (len(n.path), n.path))
-    return out
+        else:
+            leaves.append(node)
+    leaves.sort(key=attrgetter("seg"))
+    internals.sort(key=lambda n: (len(n.path), n.path))
+    return leaves, internals
+
+
+def tree_internal_nodes(tree: HierNode) -> list[HierNode]:
+    """The tree's internal (group-bearing) nodes, top-down."""
+    return _tree_nodes(tree)[1]
 
 
 def group_members(node: HierNode) -> tuple:
@@ -261,13 +298,6 @@ def canonical_order(node: HierNode) -> list[int]:
     return out
 
 
-def _leaf_of(tree: HierNode, rank: int) -> HierNode:
-    node = tree
-    while not node.is_leaf:
-        node = _child_containing(node, rank)
-    return node
-
-
 def _child_containing(node: HierNode, rank: int) -> HierNode:
     for child in node.children:
         if rank in child.members:
@@ -275,143 +305,140 @@ def _child_containing(node: HierNode, rank: int) -> HierNode:
     raise ValueError(f"rank {rank} is not in subtree {node.path}")
 
 
-def _is_prefix(p: tuple, q: tuple) -> bool:
-    return len(p) <= len(q) and q[:len(p)] == p
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class HierPhase:
-    """One group-collective phase of a hierarchical plan."""
+    """One group of a hierarchical plan: who takes part and who serves
+    (or collects)."""
 
-    key: tuple            #: ("leaf", seg) or ("node", path) — channel id
+    key: tuple            #: ("leaf", seg) | ("node", path) — channel id;
+                          #: ("hop", (src, dst)) for a p2p forward
     members: tuple        #: participating comm ranks, ascending
-    root: int             #: the rank serving / collecting this phase
-    node: HierNode        #: the hierarchy node the phase bridges
+    root: int             #: the rank serving / collecting this group
+    node: HierNode        #: the hierarchy node the group bridges
 
     @property
-    def size(self) -> int:
-        return len(self.members)
+    def covers(self) -> list:
+        """The ranks each member speaks for, in member order: itself in
+        a leaf group, its child subtree in a node group."""
+        if self.node.is_leaf:
+            return [(member,) for member in self.members]
+        return [child.members for child in sorted(
+            self.node.children, key=attrgetter("leader"))]
 
 
-def _leaf_phase(leaf: HierNode, root: int) -> HierPhase:
-    return HierPhase(("leaf", leaf.seg), leaf.members, root, leaf)
+#: step kinds whose payload is a pickled ``{rank: element}`` bundle — a
+#: plan containing one is estimate-grade (see the module docstring)
+BUNDLE_KINDS = frozenset({"collect", "deal", "exchange"})
 
 
-def _node_phase(node: HierNode, root: int) -> HierPhase:
-    return HierPhase(("node", node.path), group_members(node), root, node)
+@dataclass(eq=False, slots=True)
+class Step:
+    """One typed step of a compiled plan (see :func:`compile_plan`)."""
+
+    kind: str             #: serve | fold | collect | deal | exchange |
+                          #: forward | sync | release
+    group: HierPhase      #: who takes part, and who serves / collects
+    tag: str              #: label prefix: the op, or its sweep
+
+    @property
+    def label(self) -> str:
+        """Compact stable span label — ``bcast@leaf2``,
+        ``gather@node0.1``, ``reduce@hop4.5`` — derived from the tag
+        and the group key alone, so every rank of a step names it
+        identically (formatted on demand: only a traced run reads
+        it)."""
+        kind, ident = self.group.key
+        if kind == "leaf":
+            return f"{self.tag}@leaf{ident}"
+        return f"{self.tag}@{kind}" + ".".join(str(p) for p in ident)
 
 
-def bcast_phases(tree: HierNode, root: int) -> list[HierPhase]:
-    """Global phase order of the hierarchical broadcast: the root's
-    leaf, then the groups on the root's ancestor chain bottom-up (each
-    served by the leader of its root-side child), then the remaining
-    groups top-down (served by their subtree leader), then the
-    remaining leaves (served by their leaf leader)."""
-    phases: list[HierPhase] = []
-    root_leaf = _leaf_of(tree, root)
-    if len(root_leaf.members) > 1:
-        phases.append(_leaf_phase(root_leaf, root))
-    internals = tree_internal_nodes(tree)
-    chain = [n for n in internals if _is_prefix(n.path, root_leaf.path)]
-    for node in sorted(chain, key=lambda n: -len(n.path)):   # bottom-up
-        phases.append(_node_phase(node, _child_containing(node,
-                                                          root).leader))
-    for node in internals:                                   # top-down
-        if not _is_prefix(node.path, root_leaf.path):
-            phases.append(_node_phase(node, node.leader))
-    for leaf in _tree_leaves(tree):
-        if leaf is not root_leaf and len(leaf.members) > 1:
-            phases.append(_leaf_phase(leaf, leaf.leader))
-    return phases
+def compile_plan(op: str, tree: HierNode, root: int = 0) -> tuple:
+    """The global, rank-invariant step list of one ``hier-mcast``
+    collective on a multi-segment hierarchy (``tree`` is internal).
 
+    * ``bcast`` — the root's leaf, then the groups on the root's
+      ancestor chain bottom-up (each served by the leader of its
+      root-side child), then the remaining groups top-down and the
+      remaining leaves (served by their subtree leader);
+    * ``reduce`` / ``gather`` — all leaves fold to their leaders, then
+      the groups bottom-up to their subtree leaders; the top group is
+      rooted at the *holder* — the leader of its child subtree
+      containing ``root`` — so the final forward (holder → root, when
+      they differ) stays inside the root's top-level subtree;
+    * ``scatter`` — the reverse: the root's leaf, the forward (root →
+      holder), the groups top-down, the remaining leaves;
+    * ``allgather`` — every group exchanges bottom-up (leaves first),
+      then every group *below the top* re-serves the full result
+      top-down, then the leaves;
+    * ``barrier`` — every group syncs bottom-up, then releases
+      top-down (a release consumes what its group's sync posted);
+    * ``allreduce`` — ``reduce`` to rank 0 (leader of every subtree on
+      its chain, so nothing is forwarded), then ``bcast`` from it.
 
-def up_phases(tree: HierNode, root: int) -> tuple[list[HierPhase], int]:
-    """Global phase order of the hierarchical reduce/gather, plus the
-    *holder*: all leaves fold to their leaders, then the groups fold
-    bottom-up to their subtree leaders — except the top group, which is
-    rooted at the leader of its child subtree containing ``root`` so
-    the final point-to-point forward (holder → root, when they differ)
-    stays inside the root's top-level subtree."""
-    phases: list[HierPhase] = []
-    for leaf in _tree_leaves(tree):
-        if len(leaf.members) > 1:
-            phases.append(_leaf_phase(leaf, leaf.leader))
-    holder = _child_containing(tree, root).leader
-    internals = tree_internal_nodes(tree)
-    for node in sorted(internals, key=lambda n: -len(n.path)):
-        collect = holder if node is tree else node.leader
-        phases.append(_node_phase(node, collect))
-    return phases, holder
+    Single-member leaves bridge nothing and get no step.
+    """
+    if op == "allreduce":
+        return (compile_plan("reduce", tree, 0)
+                + compile_plan("bcast", tree, 0))
+    leaves, down = _tree_nodes(tree)                          # top-down
+    up = sorted(down, key=lambda n: -len(n.path))             # bottom-up
+    leaves = [leaf for leaf in leaves if len(leaf.members) > 1]
+    # The root's chain — its leaf, then its ancestors bottom-up — with
+    # the member through which its data enters each group: the root
+    # itself in the leaf, the leader of the root-side child above (the
+    # top group's is the *holder*).
+    chain = {node: (root if node.is_leaf
+                    else _child_containing(node, root).leader)
+             for node in leaves + up if root in node.members}
+    holder = chain[tree]
+    # Every group is served by its subtree leader, except: a bcast
+    # serves every chain group from where the data entered it; reduce /
+    # gather / scatter root the top group at the holder, and the
+    # scatter root serves its own leaf.
+    serves = {node: node.leader for node in leaves + up}
+    if op == "bcast":
+        serves.update(chain)
+    elif op in ("reduce", "gather", "scatter"):
+        serves[tree] = holder
+        if op == "scatter":
+            serves.update({n: root for n in chain if n.is_leaf})
+    group = {leaf: HierPhase(("leaf", leaf.seg), leaf.members,
+                             serves[leaf], leaf) for leaf in leaves}
+    group.update({node: HierPhase(("node", node.path), group_members(node),
+                                  serves[node], node) for node in up})
 
+    def steps(kind: str, nodes, tag: str = op) -> list:
+        return [Step(kind, group[node], tag) for node in nodes]
 
-@dataclass(frozen=True, eq=False)
-class ScatterPlan:
-    """The hierarchical scatter's plan: the root's leaf phase, an
-    optional hoist (root → top-phase server p2p carrying the bundle for
-    every rank outside the root's leaf), the internal distribution
-    phases top-down, and the remaining leaf phases."""
+    def forward(src: int, dst: int) -> list:
+        if src == dst:
+            return []
+        return [Step("forward", HierPhase(
+            ("hop", (src, dst)), tuple(sorted((src, dst))), dst, tree), op)]
 
-    root_leaf: Optional[HierPhase]
-    hoist: Optional[tuple]        #: (src rank, dst rank) or None
-    internals: tuple
-    leaves: tuple
-
-
-def scatter_phases(tree: HierNode, root: int) -> ScatterPlan:
-    root_leaf = _leaf_of(tree, root)
-    first = (_leaf_phase(root_leaf, root)
-             if len(root_leaf.members) > 1 else None)
-    holder = _child_containing(tree, root).leader
-    hoist = (root, holder) if holder != root else None
-    internals = []
-    for node in tree_internal_nodes(tree):                   # top-down
-        serve = holder if node is tree else node.leader
-        internals.append(_node_phase(node, serve))
-    leaves = tuple(_leaf_phase(leaf, leaf.leader)
-                   for leaf in _tree_leaves(tree)
-                   if leaf is not root_leaf and len(leaf.members) > 1)
-    return ScatterPlan(first, hoist, tuple(internals), leaves)
-
-
-@dataclass(frozen=True, eq=False)
-class AllgatherPlan:
-    """Up: every group allgathers its children's bundles bottom-up
-    (leaves first).  Down: every group *below the top* re-broadcasts
-    the full result top-down, then the leaves."""
-
-    up: tuple
-    down: tuple
-
-
-def allgather_phases(tree: HierNode) -> AllgatherPlan:
-    up: list[HierPhase] = []
-    for leaf in _tree_leaves(tree):
-        if len(leaf.members) > 1:
-            up.append(_leaf_phase(leaf, leaf.leader))
-    internals = tree_internal_nodes(tree)
-    for node in sorted(internals, key=lambda n: -len(n.path)):
-        up.append(_node_phase(node, node.leader))
-    down: list[HierPhase] = []
-    for node in internals:                                   # top-down
-        if node is not tree:
-            down.append(_node_phase(node, node.leader))
-    for leaf in _tree_leaves(tree):
-        if len(leaf.members) > 1:
-            down.append(_leaf_phase(leaf, leaf.leader))
-    return AllgatherPlan(tuple(up), tuple(down))
-
-
-def _tree_leaves(tree: HierNode) -> list[HierNode]:
-    leaves: list[HierNode] = []
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            leaves.append(node)
-        else:
-            stack.extend(node.children)
-    leaves.sort(key=lambda n: n.seg)
-    return leaves
+    if op == "bcast":
+        plan = (steps("serve", chain)
+                + steps("serve", [n for n in down + leaves
+                                  if n not in chain]))
+    elif op in ("reduce", "gather"):
+        plan = (steps("fold" if op == "reduce" else "collect", leaves + up)
+                + forward(holder, root))
+    elif op == "scatter":
+        plan = (steps("deal", [n for n in leaves if n in chain])
+                + forward(root, holder)
+                + steps("deal", down)
+                + steps("deal", [n for n in leaves if n not in chain]))
+    elif op == "allgather":
+        plan = (steps("exchange", leaves + up, "allgather-up")
+                + steps("serve", [n for n in down if n is not tree]
+                        + leaves, "allgather-down"))
+    elif op == "barrier":
+        plan = (steps("sync", leaves + up, "barrier-up")
+                + steps("release", down + leaves, "barrier-down"))
+    else:
+        raise KeyError(f"no hierarchical plan for collective {op!r}")
+    return tuple(plan)
 
 
 def layout_from_segments(raw, paths=None):
@@ -495,8 +522,6 @@ class HierState:
         self.seg_comm: Optional[SegmentComm] = None
         #: channels of every group this rank is a member of, by key
         self.comms: dict[tuple, SegmentComm] = {}
-        #: this rank's leader-group chain, bottom-up (node, channel)
-        self.chain: list[tuple[HierNode, SegmentComm]] = []
         self._slab: "tuple | None" = None   # (world, ctx) to release
         if self.nsegments > 1:
             internals = tree_internal_nodes(self.tree)
@@ -521,15 +546,13 @@ class HierState:
             for node in sorted(internals, key=lambda n: -len(n.path)):
                 gm = group_members(node)
                 if comm.rank in gm:
-                    sub = make(("node", node.path), gm)
-                    self.comms[("node", node.path)] = sub
-                    self.chain.append((node, sub))
+                    self.comms[("node", node.path)] = make(
+                        ("node", node.path), gm)
 
     def close(self) -> None:
         for sub in self.comms.values():
             sub.close()
         self.comms = {}
-        self.chain = []
         self.seg_comm = None
         if self._slab is not None:
             world, ctx = self._slab
@@ -573,19 +596,9 @@ def hier_ready(comm) -> Generator:
     return st
 
 
-def _phase_label(op: str, key: tuple) -> str:
-    """Compact stable span label for one phase: ``bcast@leaf2``,
-    ``gather@node0.1`` — derived from the plan key alone, so every rank
-    of a phase names it identically."""
-    kind, ident = key
-    if kind == "leaf":
-        return f"{op}@leaf{ident}"
-    return f"{op}@node" + ".".join(str(p) for p in ident)
-
-
 @contextmanager
-def _phase_span(comm, label: str):
-    """Bracket one hierarchical phase for the flight recorder.
+def _phase_span(comm, step: Step):
+    """Bracket one step of a hierarchical plan for the flight recorder.
 
     Duck-typed through ``stats.recorder`` like every producer-side hook:
     one attribute load and a branch when tracing is off.  The span is
@@ -596,7 +609,7 @@ def _phase_span(comm, label: str):
     if rec is None:
         yield
         return
-    token = rec.phase_begin(comm.sim.now, comm.host.addr, label)
+    token = rec.phase_begin(comm.sim.now, comm.host.addr, step.label)
     try:
         yield
     finally:
@@ -604,36 +617,125 @@ def _phase_span(comm, label: str):
 
 
 # ----------------------------------------------------------------------
-# the collectives
+# the interpreter and the collectives
 # ----------------------------------------------------------------------
+def _merged(parts) -> dict:
+    """One bundle from a group's per-member bundles, member order."""
+    merged: dict = {}
+    for part in parts:
+        merged.update(part)
+    return merged
+
+
+def run_plan(comm, st: HierState, steps, value: Any, op=None) -> Generator:
+    """Execute this rank's restriction of a compiled plan: the steps
+    whose group it belongs to, in plan order, each bracketed by its
+    span.  ``value`` is what the rank carries from step to step — the
+    message (``serve`` / ``fold``, reduced with ``op``) or a ``{rank:
+    element}`` bundle (:data:`BUNDLE_KINDS`); the module docstring's
+    step-kind table states each kind's engine call and payload rule.
+    Returns the carried value after the last step."""
+    #: barrier: group key -> (seq, release descriptor) its sync created
+    pending: dict = {}
+    for step in steps:
+        kind, group = step.kind, step.group
+        if comm.rank not in group.members:
+            continue
+        serving = comm.rank == group.root
+        sub = st.comms.get(group.key)       # None for a p2p forward
+        at = group.members.index(group.root)
+        with _phase_span(comm, step):
+            if kind == "serve":
+                value = yield from core.bcast_mcast_seg_nack(
+                    sub, value if serving else None, at)
+            elif kind == "fold":
+                out = yield from core.reduce_mcast_seg_combine(
+                    sub, value, op, at)
+                if serving:
+                    value = out
+            elif kind == "collect":
+                out = yield from core.gather_mcast_seg_root_follow(
+                    sub, value, at)
+                if serving:
+                    value = _merged(out)
+            elif kind == "exchange":
+                out = yield from core.allgather_mcast_seg_paced(sub, value)
+                value = _merged(out)
+            elif kind == "deal":
+                # One part per member: the entries of its child subtree
+                # (on a leaf, its own element, which travels bare).  The
+                # server keeps its own part — and what it does not deal
+                # away: the scatter root at its own leaf still holds
+                # the bundle for every other leaf.
+                leaf = group.node.is_leaf
+                parts = None
+                if serving:
+                    parts = [{r: value.pop(r) for r in cover if r in value}
+                             for cover in group.covers]
+                    value.update(parts[at])
+                    if leaf:
+                        parts = [part.get(m) for part, m
+                                 in zip(parts, group.members)]
+                got = yield from core.scatter_mcast_seg_root(sub, parts, at)
+                if not serving:
+                    value.update({comm.rank: got} if leaf else got)
+            elif kind == "forward":
+                src, dst = group.key[1]
+                if comm.rank == src:
+                    yield from comm._send_coll(value, dst, TAG_HIER)
+                else:
+                    got = yield from comm._recv_coll(src, TAG_HIER)
+                    # a message replaces what the receiver held; a
+                    # bundle joins it (the scatter's holder may already
+                    # hold its own element from the root's leaf)
+                    if BUNDLE_KINDS.isdisjoint(s.kind for s in steps):
+                        value = got
+                    else:
+                        value.update(got)
+            elif kind == "sync":
+                # post the release receive BEFORE scouting up (the
+                # paper's readiness invariant, same as the flat barrier)
+                seq = sub.mcast.next_seq()
+                pending[group.key] = (
+                    seq, None if serving else sub.mcast.post_data())
+                yield from core.scout_gather_binary(sub, sub.mcast, seq, at)
+            else:                                       # "release"
+                seq, posted = pending.pop(group.key)
+                if serving:
+                    yield from sub.mcast.send_data(None, 0, seq,
+                                                   control=True)
+                else:
+                    src, got_seq, _ = yield from sub.mcast.wait_data(
+                        posted)
+                    if got_seq != seq or src != at:  # pragma: no cover
+                        raise AssertionError(
+                            f"rank {comm.rank} got stale hierarchical "
+                            f"barrier release (seq {got_seq} != {seq})")
+    return value
+
+
 @register("bcast", "hier-mcast")
 def bcast_hier(comm, obj: Any, root: int = 0) -> Generator:
-    """Recursive hierarchical broadcast (see :func:`bcast_phases`): the
-    root streams to its leaf, the data climbs the root's leader chain
-    (each trunk tier carries each payload frame once, and only
-    per-*leader* control, not per-rank), then cascades down the other
-    subtrees and leaves in parallel — repairs stay inside the losing
-    group's switch subtree."""
-    from ...core.segment import bcast_mcast_seg_nack
-
+    """Recursive hierarchical broadcast: the root streams to its leaf,
+    the data climbs the root's leader chain (each trunk tier carries
+    each payload frame once, and only per-*leader* control, not
+    per-rank), then cascades down the other subtrees and leaves in
+    parallel — repairs stay inside the losing group's switch
+    subtree."""
     st = yield from hier_ready(comm)
     if st.nsegments == 1:
-        result = yield from bcast_mcast_seg_nack(comm, obj, root)
+        result = yield from core.bcast_mcast_seg_nack(comm, obj, root)
         return result
-    for phase in bcast_phases(st.tree, root):
-        if comm.rank in phase.members:
-            sub = st.comms[phase.key]
-            with _phase_span(comm, _phase_label("bcast", phase.key)):
-                obj = yield from bcast_mcast_seg_nack(
-                    sub, obj, sub.members.index(phase.root))
-    return obj
+    result = yield from run_plan(
+        comm, st, compile_plan("bcast", st.tree, root), obj)
+    return result
 
 
 @register("reduce", "hier-mcast")
 def reduce_hier(comm, obj: Any, op, root: int = 0) -> Generator:
     """Recursive hierarchical reduce: leaves fold to their leaders,
-    leader groups fold bottom-up (see :func:`up_phases`), and the
-    holder forwards to the root point-to-point when they differ.
+    leader groups fold bottom-up, and the holder forwards to the root
+    point-to-point when they differ.
 
     Folding order is canonical (ascending absolute rank) whenever the
     hierarchy partitions the ranks into recursively contiguous blocks;
@@ -641,31 +743,15 @@ def reduce_hier(comm, obj: Any, op, root: int = 0) -> Generator:
     (see module docstring).  Returns the reduction at ``root``; ``None``
     elsewhere.
     """
-    from ...core.mcast_reduce import reduce_mcast_seg_combine
-
     st = yield from hier_ready(comm)
     if st.nsegments == 1 or (not st.contiguous
                              and not getattr(op, "commutative", True)):
-        result = yield from reduce_mcast_seg_combine(comm, obj, op, root)
+        result = yield from core.reduce_mcast_seg_combine(comm, obj, op, root)
         return result
-    phases, holder = up_phases(st.tree, root)
-    value = copy.copy(obj)
-    for phase in phases:
-        if comm.rank in phase.members:
-            sub = st.comms[phase.key]
-            with _phase_span(comm, _phase_label("reduce", phase.key)):
-                out = yield from reduce_mcast_seg_combine(
-                    sub, value, op, sub.members.index(phase.root))
-            if comm.rank == phase.root:
-                value = out
-    result = value if comm.rank == holder else None
-    if holder != root:
-        if comm.rank == holder:
-            yield from comm._send_coll(result, root, TAG_HIER)
-            result = None
-        elif comm.rank == root:
-            result = yield from comm._recv_coll(holder, TAG_HIER)
-    return result if comm.rank == root else None
+    value = yield from run_plan(
+        comm, st, compile_plan("reduce", st.tree, root), copy.copy(obj),
+        op)
+    return value if comm.rank == root else None
 
 
 @register("allreduce", "hier-mcast")
@@ -683,191 +769,66 @@ def barrier_hier(comm) -> Generator:
     """Recursive hierarchical barrier: scouts gather up every group of
     this rank's chain (leaf first), the top leader — global rank 0 —
     pivots, and data-less release multicasts cascade back down."""
-    from ...core.scout import scout_gather_binary
-
     st = yield from hier_ready(comm)
     if st.nsegments == 1:
-        from ...core.mcast_barrier import barrier_mcast
-
-        yield from barrier_mcast(comm)
+        yield from core.barrier_mcast(comm)
         return None
-    stages: list[SegmentComm] = []
-    if st.seg_comm is not None:
-        stages.append(st.seg_comm)
-    stages.extend(sub for _node, sub in st.chain)
-    seqs: list[int] = []
-    posted: list = []
-    for i, sub in enumerate(stages):        # gather up, bottom-up
-        channel = sub.mcast
-        seq = channel.next_seq()
-        seqs.append(seq)
-        # post the release receive BEFORE scouting up (the paper's
-        # readiness invariant, same as the flat barrier)
-        posted.append(None if sub.rank == 0 else channel.post_data())
-        with _phase_span(comm, f"barrier@up{i}"):
-            yield from scout_gather_binary(sub, channel, seq, 0)
-    for i in reversed(range(len(stages))):  # release down, top-down
-        sub, channel = stages[i], stages[i].mcast
-        with _phase_span(comm, f"barrier@down{i}"):
-            if sub.rank == 0:
-                yield from channel.send_data(None, 0, seqs[i],
-                                             control=True)
-            else:
-                src, got_seq, _ = yield from channel.wait_data(posted[i])
-                if got_seq != seqs[i] or src != 0:  # pragma: no cover
-                    raise AssertionError(
-                        f"rank {comm.rank} got stale hierarchical "
-                        f"barrier release (seq {got_seq} != {seqs[i]})")
+    yield from run_plan(comm, st, compile_plan("barrier", st.tree), None)
     return None
 
 
 @register("scatter", "hier-mcast")
 def scatter_hier(comm, objs, root: int = 0) -> Generator:
-    """Hierarchical scatter (see :func:`scatter_phases`): the root
-    serves its own leaf directly, hands the remaining elements to the
-    top phase's server (a p2p hoist, skipped when the root serves the
-    top itself), and per-subtree *bundles* cascade down the leader
-    groups until each leaf leader scatters its segment.  Returns this
-    rank's element of the root's sequence."""
-    from ...core.mcast_scatter import scatter_mcast_seg_root
-
+    """Hierarchical scatter: the root serves its own leaf directly,
+    hands the remaining elements to the top group's server (a p2p
+    forward, skipped when the root serves the top itself), and
+    per-subtree *bundles* cascade down the leader groups until each
+    leaf leader scatters its segment.  Returns this rank's element of
+    the root's sequence."""
     st = yield from hier_ready(comm)
     if st.nsegments == 1:
-        result = yield from scatter_mcast_seg_root(comm, objs, root)
+        result = yield from core.scatter_mcast_seg_root(comm, objs, root)
         return result
     size = comm.size
-    if comm.rank == root and (objs is None or len(objs) != size):
-        raise ValueError(
-            f"scatter root needs exactly {size} elements, "
-            f"got {None if objs is None else len(objs)}")
-    plan = scatter_phases(st.tree, root)
-    root_seg = st.seg_of_rank[root]
-    result = objs[root] if comm.rank == root else None
-
-    if plan.root_leaf is not None and comm.rank in plan.root_leaf.members:
-        sub = st.comms[plan.root_leaf.key]
-        local = [objs[r] for r in plan.root_leaf.members] \
-            if comm.rank == root else None
-        with _phase_span(comm,
-                         _phase_label("scatter", plan.root_leaf.key)):
-            mine = yield from scatter_mcast_seg_root(
-                sub, local, sub.members.index(root))
-        if comm.rank != root:
-            result = mine
-
-    # the bundle: {rank: element} for every rank outside the root's leaf
-    carried = None
+    bundle: dict = {}
     if comm.rank == root:
-        carried = {r: objs[r] for r in range(size)
-                   if st.seg_of_rank[r] != root_seg}
-    if plan.hoist is not None:
-        src, dst = plan.hoist
-        if comm.rank == src:
-            yield from comm._send_coll(carried, dst, TAG_HIER)
-            carried = None
-        elif comm.rank == dst:
-            carried = yield from comm._recv_coll(src, TAG_HIER)
-
-    for phase in plan.internals:
-        if comm.rank not in phase.members:
-            continue
-        sub = st.comms[phase.key]
-        local = None
-        if comm.rank == phase.root:
-            parts = []
-            for member in phase.members:
-                child = _child_containing(phase.node, member)
-                parts.append({r: carried[r] for r in child.members
-                              if r in carried})
-            local = parts
-        with _phase_span(comm, _phase_label("scatter", phase.key)):
-            carried = yield from scatter_mcast_seg_root(
-                sub, local, sub.members.index(phase.root))
-
-    for phase in plan.leaves:
-        if comm.rank in phase.members:
-            sub = st.comms[phase.key]
-            local = None
-            if comm.rank == phase.root:
-                local = [carried[r] for r in phase.members]
-            with _phase_span(comm, _phase_label("scatter", phase.key)):
-                result = yield from scatter_mcast_seg_root(
-                    sub, local, sub.members.index(phase.root))
-    if result is None and carried is not None:
-        # a single-member leaf outside the root's: the element arrived
-        # as this rank's one-entry bundle from its lowest leader group
-        result = carried.get(comm.rank)
-    return result
+        if objs is None or len(objs) != size:
+            raise ValueError(
+                f"scatter root needs exactly {size} elements, "
+                f"got {None if objs is None else len(objs)}")
+        bundle = {r: objs[r] for r in range(size) if r != root}
+    bundle = yield from run_plan(
+        comm, st, compile_plan("scatter", st.tree, root), bundle)
+    return objs[root] if comm.rank == root else bundle[comm.rank]
 
 
 @register("gather", "hier-mcast")
 def gather_hier(comm, obj: Any, root: int = 0) -> Generator:
     """Hierarchical gather: the reverse of the scatter — leaves gather
-    to their leaders, leader groups gather bundles bottom-up (see
-    :func:`up_phases`), and the holder forwards the assembled list to
-    the root when they differ.  Returns the rank-ordered list at
-    ``root``; ``None`` elsewhere."""
-    from ...core.mcast_gather import gather_mcast_seg_root_follow
-
+    to their leaders, leader groups gather bundles bottom-up, and the
+    holder forwards the assembled bundle to the root when they differ.
+    Returns the rank-ordered list at ``root``; ``None`` elsewhere."""
     st = yield from hier_ready(comm)
     if st.nsegments == 1:
-        result = yield from gather_mcast_seg_root_follow(comm, obj, root)
+        result = yield from core.gather_mcast_seg_root_follow(comm, obj, root)
         return result
-    phases, holder = up_phases(st.tree, root)
-    carried = {comm.rank: obj}
-    for phase in phases:
-        if comm.rank in phase.members:
-            sub = st.comms[phase.key]
-            with _phase_span(comm, _phase_label("gather", phase.key)):
-                out = yield from gather_mcast_seg_root_follow(
-                    sub, carried, sub.members.index(phase.root))
-            if comm.rank == phase.root:
-                merged: dict = {}
-                for part in out:
-                    merged.update(part)
-                carried = merged
-    if holder != root:
-        if comm.rank == holder:
-            yield from comm._send_coll(carried, root, TAG_HIER)
-        elif comm.rank == root:
-            carried = yield from comm._recv_coll(holder, TAG_HIER)
+    bundle = yield from run_plan(
+        comm, st, compile_plan("gather", st.tree, root), {comm.rank: obj})
     if comm.rank == root:
-        return [carried[r] for r in range(comm.size)]
+        return [bundle[r] for r in range(comm.size)]
     return None
 
 
 @register("allgather", "hier-mcast")
 def allgather_hier(comm, obj: Any) -> Generator:
-    """Hierarchical allgather (see :func:`allgather_phases`): every
-    group allgathers its children's bundles bottom-up — each trunk tier
-    carries each contribution once — then the groups below the top
-    re-broadcast the assembled result top-down and the leaf leaders
-    deliver it segment-locally."""
-    from ...core.segment import (allgather_mcast_seg_paced,
-                                 bcast_mcast_seg_nack)
-
+    """Hierarchical allgather: every group allgathers its children's
+    bundles bottom-up — each trunk tier carries each contribution once
+    — then the groups below the top re-broadcast the assembled result
+    top-down and the leaf leaders deliver it segment-locally."""
     st = yield from hier_ready(comm)
     if st.nsegments == 1:
-        result = yield from allgather_mcast_seg_paced(comm, obj)
+        result = yield from core.allgather_mcast_seg_paced(comm, obj)
         return result
-    plan = allgather_phases(st.tree)
-    carried = {comm.rank: obj}
-    for phase in plan.up:
-        if comm.rank in phase.members:
-            sub = st.comms[phase.key]
-            with _phase_span(
-                    comm, _phase_label("allgather-up", phase.key)):
-                outs = yield from allgather_mcast_seg_paced(sub, carried)
-            merged: dict = {}
-            for part in outs:
-                merged.update(part)
-            carried = merged
-    for phase in plan.down:
-        if comm.rank in phase.members:
-            sub = st.comms[phase.key]
-            payload = carried if comm.rank == phase.root else None
-            with _phase_span(
-                    comm, _phase_label("allgather-down", phase.key)):
-                carried = yield from bcast_mcast_seg_nack(
-                    sub, payload, sub.members.index(phase.root))
-    return [carried[r] for r in range(comm.size)]
+    bundle = yield from run_plan(
+        comm, st, compile_plan("allgather", st.tree), {comm.rank: obj})
+    return [bundle[r] for r in range(comm.size)]

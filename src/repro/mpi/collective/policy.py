@@ -342,12 +342,12 @@ def seg_frame_estimate(op: str, nbytes: int, size: int, params,
 def hier_frame_estimate(op: str, nbytes: int, size: int, params,
                         topo: TopoInfo, root: int = 0) -> float:
     """Modeled serializations of the ``hier-mcast`` implementation on
-    ``topo``: host frames plus trunk crossings of every phase of the
+    ``topo``: host frames plus trunk crossings of every step of the
     recursive plan (:func:`~repro.analysis.framecount.
-    model_hier_frames` walks the same phase lists the implementation
-    executes), and the expected per-phase repair traffic — repairs
-    never leave the losing phase's switch subtree, which is most of
-    the hierarchy's win under loss."""
+    model_hier_frames` folds over the same step list the
+    implementation interprets), and the expected per-step repair
+    traffic — repairs never leave the losing group's switch subtree,
+    which is most of the hierarchy's win under loss."""
     from ...analysis.framecount import model_hier_frames
 
     if op not in HIER_AUTO:

@@ -4,13 +4,18 @@ The trunk and hierarchy frame models exactly as they stood before the
 topology digest (PR 13): every function loops over rank pairs and asks
 :func:`~repro.simnet.fabric.path_trunk_hops` per pair, and
 ``model_hier_frames`` rebuilds the hierarchy tree and re-walks its
-phase plans on every call.  Slow (cubic in the communicator size
-through the policy) and obviously right; ``tests/test_topo_digest.py``
+four phase plans (frozen below, pre-PR 16) on every call.  Slow (cubic
+in the communicator size through the policy) and obviously right; ``tests/test_topo_digest.py``
 holds the digest-backed models to these, value and type.  Do not
 optimise this file.
 """
 
+from dataclasses import dataclass
+from typing import Optional
+
 from repro.analysis.framecount import expected_seg_repair_frames
+from repro.mpi.collective.hier import (HierNode, build_hier_tree,
+                                       group_members, tree_internal_nodes)
 from repro.simnet.calibration import NetParams
 
 #: the public models this file is the reference for (the names
@@ -176,6 +181,166 @@ def model_seg_allgather_trunk_frames(seg_of_rank, nsegs: int,
 
 
 # ---------------------------------------------------------------------------
+# the hier-mcast phase plans exactly as they stood before the typed
+# step list (PR 16), moved here verbatim from
+# ``repro.mpi.collective.hier`` so this oracle shares no plan code with
+# the ``compile_plan`` it judges — only the hierarchy tree itself
+# (``build_hier_tree`` and its two public walkers) is imported
+# ---------------------------------------------------------------------------
+def _leaf_of(tree: HierNode, rank: int) -> HierNode:
+    node = tree
+    while not node.is_leaf:
+        node = _child_containing(node, rank)
+    return node
+
+
+def _child_containing(node: HierNode, rank: int) -> HierNode:
+    for child in node.children:
+        if rank in child.members:
+            return child
+    raise ValueError(f"rank {rank} is not in subtree {node.path}")
+
+
+def _is_prefix(p: tuple, q: tuple) -> bool:
+    return len(p) <= len(q) and q[:len(p)] == p
+
+
+@dataclass(frozen=True, eq=False)
+class HierPhase:
+    """One group-collective phase of a hierarchical plan."""
+
+    key: tuple            #: ("leaf", seg) or ("node", path) — channel id
+    members: tuple        #: participating comm ranks, ascending
+    root: int             #: the rank serving / collecting this phase
+    node: HierNode        #: the hierarchy node the phase bridges
+
+    @property
+    def size(self) -> int:
+        return len(self.members)
+
+
+def _leaf_phase(leaf: HierNode, root: int) -> HierPhase:
+    return HierPhase(("leaf", leaf.seg), leaf.members, root, leaf)
+
+
+def _node_phase(node: HierNode, root: int) -> HierPhase:
+    return HierPhase(("node", node.path), group_members(node), root, node)
+
+
+def bcast_phases(tree: HierNode, root: int) -> list[HierPhase]:
+    """Global phase order of the hierarchical broadcast: the root's
+    leaf, then the groups on the root's ancestor chain bottom-up (each
+    served by the leader of its root-side child), then the remaining
+    groups top-down (served by their subtree leader), then the
+    remaining leaves (served by their leaf leader)."""
+    phases: list[HierPhase] = []
+    root_leaf = _leaf_of(tree, root)
+    if len(root_leaf.members) > 1:
+        phases.append(_leaf_phase(root_leaf, root))
+    internals = tree_internal_nodes(tree)
+    chain = [n for n in internals if _is_prefix(n.path, root_leaf.path)]
+    for node in sorted(chain, key=lambda n: -len(n.path)):   # bottom-up
+        phases.append(_node_phase(node, _child_containing(node,
+                                                          root).leader))
+    for node in internals:                                   # top-down
+        if not _is_prefix(node.path, root_leaf.path):
+            phases.append(_node_phase(node, node.leader))
+    for leaf in _tree_leaves(tree):
+        if leaf is not root_leaf and len(leaf.members) > 1:
+            phases.append(_leaf_phase(leaf, leaf.leader))
+    return phases
+
+
+def up_phases(tree: HierNode, root: int) -> tuple[list[HierPhase], int]:
+    """Global phase order of the hierarchical reduce/gather, plus the
+    *holder*: all leaves fold to their leaders, then the groups fold
+    bottom-up to their subtree leaders — except the top group, which is
+    rooted at the leader of its child subtree containing ``root`` so
+    the final point-to-point forward (holder → root, when they differ)
+    stays inside the root's top-level subtree."""
+    phases: list[HierPhase] = []
+    for leaf in _tree_leaves(tree):
+        if len(leaf.members) > 1:
+            phases.append(_leaf_phase(leaf, leaf.leader))
+    holder = _child_containing(tree, root).leader
+    internals = tree_internal_nodes(tree)
+    for node in sorted(internals, key=lambda n: -len(n.path)):
+        collect = holder if node is tree else node.leader
+        phases.append(_node_phase(node, collect))
+    return phases, holder
+
+
+@dataclass(frozen=True, eq=False)
+class ScatterPlan:
+    """The hierarchical scatter's plan: the root's leaf phase, an
+    optional hoist (root → top-phase server p2p carrying the bundle for
+    every rank outside the root's leaf), the internal distribution
+    phases top-down, and the remaining leaf phases."""
+
+    root_leaf: Optional[HierPhase]
+    hoist: Optional[tuple]        #: (src rank, dst rank) or None
+    internals: tuple
+    leaves: tuple
+
+
+def scatter_phases(tree: HierNode, root: int) -> ScatterPlan:
+    root_leaf = _leaf_of(tree, root)
+    first = (_leaf_phase(root_leaf, root)
+             if len(root_leaf.members) > 1 else None)
+    holder = _child_containing(tree, root).leader
+    hoist = (root, holder) if holder != root else None
+    internals = []
+    for node in tree_internal_nodes(tree):                   # top-down
+        serve = holder if node is tree else node.leader
+        internals.append(_node_phase(node, serve))
+    leaves = tuple(_leaf_phase(leaf, leaf.leader)
+                   for leaf in _tree_leaves(tree)
+                   if leaf is not root_leaf and len(leaf.members) > 1)
+    return ScatterPlan(first, hoist, tuple(internals), leaves)
+
+
+@dataclass(frozen=True, eq=False)
+class AllgatherPlan:
+    """Up: every group allgathers its children's bundles bottom-up
+    (leaves first).  Down: every group *below the top* re-broadcasts
+    the full result top-down, then the leaves."""
+
+    up: tuple
+    down: tuple
+
+
+def allgather_phases(tree: HierNode) -> AllgatherPlan:
+    up: list[HierPhase] = []
+    for leaf in _tree_leaves(tree):
+        if len(leaf.members) > 1:
+            up.append(_leaf_phase(leaf, leaf.leader))
+    internals = tree_internal_nodes(tree)
+    for node in sorted(internals, key=lambda n: -len(n.path)):
+        up.append(_node_phase(node, node.leader))
+    down: list[HierPhase] = []
+    for node in internals:                                   # top-down
+        if node is not tree:
+            down.append(_node_phase(node, node.leader))
+    for leaf in _tree_leaves(tree):
+        if len(leaf.members) > 1:
+            down.append(_leaf_phase(leaf, leaf.leader))
+    return AllgatherPlan(tuple(up), tuple(down))
+
+
+def _tree_leaves(tree: HierNode) -> list[HierNode]:
+    leaves: list[HierNode] = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            leaves.append(node)
+        else:
+            stack.extend(node.children)
+    leaves.sort(key=lambda n: n.seg)
+    return leaves
+
+
+# ---------------------------------------------------------------------------
 # recursive hierarchy models (PR 5: phase-walking, any tree depth —
 # superseding PR 4's two-tier closed forms, which the phase walk
 # reproduces bit-for-bit on two-tier fabrics)
@@ -222,9 +387,6 @@ def model_hier_frames(op: str, seg_of_rank, root: int, nbytes: int,
     lossy fabrics.
     """
     from repro.core.segment import plan_transport
-    from repro.mpi.collective.hier import (allgather_phases, bcast_phases,
-                                       build_hier_tree, scatter_phases,
-                                       up_phases)
     from repro.simnet.fabric import path_trunk_hops
 
     size = len(seg_of_rank)

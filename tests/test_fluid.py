@@ -44,11 +44,12 @@ def test_exact_model_follows_the_coverage_ledger():
 
 
 def test_hier_exception_drops_estimate_grade_ops():
-    # the ledger maps all six ops to model_hier_frames, but its walk is
-    # exact only for bcast/reduce/allreduce (see its docstring)
+    # the ledger derives its hier-mcast entries from the plans' step
+    # kinds: exact unless a step carries a pickled bundle
     assert fluid.exact_model("bcast", "hier-mcast")
     assert fluid.exact_model("reduce", "hier-mcast")
     assert fluid.exact_model("allreduce", "hier-mcast")
+    assert fluid.exact_model("barrier", "hier-mcast")
     assert not fluid.exact_model("gather", "hier-mcast")
     assert not fluid.exact_model("scatter", "hier-mcast")
     assert not fluid.exact_model("allgather", "hier-mcast")

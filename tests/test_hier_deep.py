@@ -8,15 +8,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from _invariants import assert_quiesced
 from repro import run_spmd
-from repro.mpi.collective.hier import (allgather_phases, bcast_phases,
-                                       build_hier_tree, canonical_order,
-                                       group_members, hier_state,
-                                       scatter_phases,
-                                       tree_internal_nodes, up_phases)
+from repro.mpi.collective.hier import (build_hier_tree, canonical_order,
+                                       compile_plan, group_members,
+                                       hier_state, tree_internal_nodes)
 from repro.mpi.ops import Op, SUM
+from repro.obs import FlightRecorder
 from repro.simnet import quiet
 from repro.simnet.calibration import FAST_ETHERNET_SWITCH
 
@@ -56,23 +57,129 @@ def test_build_hier_tree_recursion_and_collapse():
 
 def test_phase_plans_cover_and_order_the_deep_tree():
     tree = build_hier_tree(DEEP_SEG, DEEP_PATHS)
-    phases = bcast_phases(tree, root=5)
+    plan = compile_plan("bcast", tree, 5)
+    assert {step.kind for step in plan} == {"serve"}
+    groups = [step.group for step in plan]
     # root 5's leaf first, then its chain bottom-up, then the rest
-    assert phases[0].key == ("leaf", 2) and phases[0].root == 5
-    assert phases[1].key == ("node", (1,)) and phases[1].root == 4
-    assert phases[2].key == ("node", ()) and phases[2].root == 4
-    # every rank receives: union of members over phases = all ranks
+    assert groups[0].key == ("leaf", 2) and groups[0].root == 5
+    assert groups[1].key == ("node", (1,)) and groups[1].root == 4
+    assert groups[2].key == ("node", ()) and groups[2].root == 4
+    # every rank receives: union of members over groups = all ranks
     covered = set()
-    for ph in phases:
-        covered.update(ph.members)
+    for group in groups:
+        covered.update(group.members)
     assert covered == set(range(8))
-    up, holder = up_phases(tree, root=5)
-    assert holder == 4            # leader of root 5's top-level subtree
-    plan = scatter_phases(tree, root=5)
-    assert plan.hoist == (5, 4)   # root is not its subtree's leader
-    ag = allgather_phases(tree)
+    # the up-sweep's holder is the leader of root 5's top-level
+    # subtree: it collects the top group and forwards to the root
+    for op, kind in (("reduce", "fold"), ("gather", "collect")):
+        *body, last = compile_plan(op, tree, 5)
+        assert {step.kind for step in body} == {kind}
+        assert body[-1].group.key == ("node", ())
+        assert body[-1].group.root == 4
+        assert last.kind == "forward" and last.group.key == ("hop", (4, 5))
+        assert last.label == f"{op}@hop4.5"
+    # ... and nothing is forwarded when the root is the holder
+    assert all(step.kind != "forward"
+               for step in compile_plan("gather", tree, 4))
+    # scatter: the root is not its subtree's leader, so it hoists the
+    # rest to the holder right after serving its own leaf
+    kinds = [(step.kind, step.group.key)
+             for step in compile_plan("scatter", tree, 5)]
+    assert kinds[:3] == [("deal", ("leaf", 2)), ("forward", ("hop", (5, 4))),
+                         ("deal", ("node", ()))]
     # the top group never re-broadcasts downwards (it learned in "up")
-    assert all(ph.key != ("node", ()) for ph in ag.down)
+    ag = compile_plan("allgather", tree)
+    assert [step.kind for step in ag] == ["exchange"] * 7 + ["serve"] * 6
+    assert all(step.group.key != ("node", ())
+               for step in ag if step.kind == "serve")
+    # barrier: every sync bottom-up precedes every release top-down,
+    # each pair named by its group key on every member
+    bar = compile_plan("barrier", tree)
+    assert [step.label for step in bar] == [
+        "barrier-up@leaf0", "barrier-up@leaf1", "barrier-up@leaf2",
+        "barrier-up@leaf3", "barrier-up@node0", "barrier-up@node1",
+        "barrier-up@node", "barrier-down@node", "barrier-down@node0",
+        "barrier-down@node1", "barrier-down@leaf0", "barrier-down@leaf1",
+        "barrier-down@leaf2", "barrier-down@leaf3"]
+    assert [step.label for step in compile_plan("allreduce", tree)] == [
+        step.label for step in (compile_plan("reduce", tree, 0)
+                                + compile_plan("bcast", tree, 0))]
+    with pytest.raises(KeyError):
+        compile_plan("alltoall", tree)
+
+
+@st.composite
+def _placements(draw):
+    """A fabric, which of its hosts join the communicator (at least
+    two segments' worth), their shuffled rank order, and a root."""
+    topology, n = draw(st.sampled_from((
+        ("tree:2x2x2", 8), ("tree:[2,1,2]", 5), ("tree:3x2", 6),
+        ("tree:2x2x1", 4))))
+    order = draw(st.permutations(range(n)))
+    size = draw(st.integers(n - 1, n))
+    return topology, n, order[:size], draw(st.integers(0, size - 1))
+
+
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_placements())
+def test_every_rank_traces_its_restriction_of_the_plan(placement):
+    """For every op, the ``phase`` spans a rank records are exactly the
+    compiled plan restricted to the groups it belongs to — same order,
+    same labels on every member of a group."""
+    topology, n, order, root = placement
+    ops = ("bcast", "reduce", "allreduce", "scatter", "gather",
+           "allgather", "barrier")
+
+    def main(env):
+        key = order.index(env.rank) if env.rank in order else None
+        sub = yield from env.comm.split(None if key is None else 0,
+                                        key or 0)
+        if sub is None:
+            return None
+        sub.use_collectives(**HIER_ALL)
+        size = sub.size
+        yield from sub.bcast(b"x" * 3000 if sub.rank == root else None,
+                             root)
+        yield from sub.reduce(sub.rank, SUM, root)
+        yield from sub.allreduce(sub.rank, SUM)
+        mine = yield from sub.scatter(
+            list(range(size)) if sub.rank == root else None, root)
+        assert mine == sub.rank
+        got = yield from sub.gather(mine, root)
+        assert got == (list(range(size)) if sub.rank == root else None)
+        every = yield from sub.allgather(mine)
+        assert every == list(range(size))
+        yield from sub.barrier()
+        return sub.rank, sub._hier.tree
+
+    recorders = []
+    result = run_spmd(
+        n, main, topology=topology, params=QUIET,
+        on_cluster=lambda c: recorders.append(FlightRecorder().attach(c)))
+    members = [r for r in result.returns if r is not None]
+    tree = members[0][1]
+    # per sub-communicator rank: [(op, [phase labels in order]), ...]
+    traced = {rank: [] for rank, _tree in members}
+    open_phases = {rank: [] for rank in traced}
+    for ev in recorders[0].events:
+        if ev[0] != "span":
+            continue
+        _span, rank, cat, name = ev[:4]
+        if cat == "phase":
+            open_phases[rank].append(name)
+        elif cat == "collective" and name.endswith(":hier-mcast"):
+            traced[rank].append((name.split(":")[0], open_phases[rank]))
+            open_phases[rank] = []
+    for rank, calls in traced.items():
+        # (the allreduce entry nests the reduce and bcast entries, whose
+        # collective spans do not exist: they are called, not dispatched)
+        assert [op for op, _labels in calls] == list(ops)
+        for op, labels in calls:
+            plan = compile_plan(op, tree, root)
+            assert labels and labels == [
+                step.label for step in plan
+                if rank in step.group.members], (rank, op)
 
 
 def test_non_contiguous_on_deep_tree_detected():
@@ -154,6 +261,38 @@ def test_deep_allreduce_and_barrier():
         assert released >= last_entry
         assert ok
     assert_quiesced(result.cluster, result.world)
+
+
+@pytest.mark.parametrize("topology", ["tree:2x4", "tree:2x2x2",
+                                      "tree:2x4x4"])
+def test_barrier_closed_form_matches_the_simulator(topology):
+    """The plan's barrier cost — per group of k, k-1 scouts + 1 release
+    frame; trunk = the scout tree's hops + the release's multicast
+    edges — equals the simulator's per-call ``frames_sent`` and
+    ``frames_trunk`` deltas (two calls minus one, isolating the
+    one-time channel setup)."""
+    from repro.analysis.framecount import model_hier_frames
+    from repro.simnet.fabric import parse_topology
+
+    fab = parse_topology(topology)
+    seg_of = tuple(s for s, n in enumerate(fab.leaf_sizes)
+                   for _ in range(n))
+
+    def stats(calls):
+        def main(env):
+            for _ in range(calls):
+                yield from env.comm.barrier()
+
+        return run_spmd(len(seg_of), main, topology=topology,
+                        params=QUIET,
+                        collectives={"barrier": "hier-mcast"}).stats
+
+    one, two = stats(1), stats(2)
+    frames, trunk = model_hier_frames("barrier", seg_of, 0, 0, QUIET,
+                                      tuple(fab.leaf_paths()))
+    assert frames == two["frames_sent"] - one["frames_sent"]
+    assert trunk == two["frames_trunk"] - one["frames_trunk"]
+    assert frames > 0 and trunk > 0
 
 
 def test_deep_hier_state_builds_recursive_channels():
