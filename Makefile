@@ -2,7 +2,10 @@
 # every sweep area run once through the one benchmark entry point
 # (`repro.bench.cli sweep`, gate scale, postconditions checked, documents
 # written to a scratch directory — the tree stays clean), so it cannot
-# silently rot.  `make bench-gate` is the perf gate: the same sweeps —
+# silently rot, then one case traced end to end (`cli trace`: flight
+# recorder -> `events` view -> exporters; exits non-zero unless the
+# per-call frame attribution equals NetStats).  `make bench-gate` is
+# the perf gate: the same sweeps —
 # the paper's own Figs. 7-13 (area `paper-figures`) and this repo's
 # extension areas — diffed against the committed
 # benchmarks/results/BENCH_*.json baselines (frame counts exactly,
@@ -35,6 +38,9 @@ test:
 
 smoke: test
 	$(PY) -m repro.bench.cli sweep --results-dir .bench_build/smoke
+	$(PY) -m repro.bench.cli trace deep-fabric \
+		'trunk-hier[fabric=tree:2x2x2,op=bcast]' \
+		--output .bench_build/trace
 
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \

@@ -336,7 +336,12 @@ def run_case(case: Case, base_seed: int = 0,
                 f"oracle mismatch: returns={result.returns!r} "
                 f"expected={expect!r}")
     else:
-        artifact = build_hang_dump(cluster, type(error).__name__)
+        # run_spmd parked the dump of a rank-program error under the
+        # error's name; its deadlock dump is headed "deadlock" whichever
+        # typed error it became, so that one is rebuilt under the name
+        artifact = build_hang_dump(cluster, type(error).__name__) \
+            if isinstance(error, (DeadlockError, PartitionError)) \
+            else recorder.hang_report
         if isinstance(error, TYPED_ERRORS) and not spec.may_fail:
             violations.append(
                 f"scenario {spec.name!r} must complete but failed: "

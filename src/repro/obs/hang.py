@@ -4,10 +4,12 @@
 simulation state into one deterministic text block: every live process
 with its wait reason, every socket still holding posted receive
 descriptors, and every open NACK round with the segment indices its
-reassembler is still missing.  ``run_spmd`` calls it on three paths —
+reassembler is still missing.  ``run_spmd`` calls it on four paths —
 a ``max_sim_us`` deadline expiring with processes still live, a
-:class:`~repro.simnet.kernel.DeadlockError`, and a ``REPRO_SANITIZE``
-quiesce failure — and parks the text on ``recorder.hang_report``.
+:class:`~repro.simnet.kernel.DeadlockError`, a ``REPRO_SANITIZE``
+quiesce failure, and a rank program raising (``McastLost``, ...; the
+reason is the exception's type name) — and parks the text on
+``recorder.hang_report``.
 """
 
 from __future__ import annotations

@@ -109,8 +109,10 @@ def run_spmd(n: int,
     hooks / schedule fault timelines (:mod:`repro.chaos`) without
     monkey-patching.  On any failure escaping the simulation the raised
     exception carries ``repro_cluster`` / ``repro_world`` attributes so
-    the caller can still reach the wreckage (hang dumps, teardown
-    checks); a deadlock while the cluster reports active partition
+    the caller can still reach the wreckage (teardown checks), and an
+    attached recorder's ``hang_report`` holds the dump of what
+    everything was doing — for a deadlock and for an error a rank
+    program raised (``McastLost``, ...) alike; a deadlock while the cluster reports active partition
     faults is re-raised as the typed
     :class:`~repro.simnet.fabric.PartitionError`.
 
@@ -197,7 +199,11 @@ def run_spmd(n: int,
     except BaseException as exc:
         # rank-program exceptions (McastLost, ...) propagate out of the
         # event loop; tag them so the caller can still reach the run's
-        # wreckage for diagnostics and teardown.
+        # wreckage for diagnostics and teardown, and park the dump of
+        # what everything was doing when the error surfaced.
+        if recorder is not None and isinstance(exc, Exception):
+            recorder.hang_report = build_hang_dump(cluster,
+                                                   type(exc).__name__)
         exc.repro_cluster = cluster
         exc.repro_world = world
         raise

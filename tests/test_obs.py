@@ -15,6 +15,7 @@ import pytest
 from repro import obs
 from repro.bench.sweep import (AreaSpec, Family, dumps_canonical,
                                register_area, run_area)
+from repro.core.rounds import McastLost
 from repro.runtime import run_spmd
 from repro.simnet import DeadlockError
 from repro.simnet.calibration import FAST_ETHERNET_SWITCH, quiet
@@ -273,6 +274,63 @@ def test_deadlock_hang_dump():
     assert rec.hang_report is not None
     assert "deadlock" in rec.hang_report
     assert "rank0" in rec.hang_report
+
+
+def test_rank_program_error_parks_hang_dump():
+    """A typed error raised by a rank program (not a deadlock, not a
+    deadline) used to leave ``hang_report`` empty, so every driver but
+    the fuzzer lost the wreckage.  A follower whose host eats every
+    data frame aborts with McastLost; the dump parked on the way out
+    names the error, the rounds still open and the last events."""
+    recorder = obs.FlightRecorder()
+
+    def on_cluster(cluster):
+        recorder.attach(cluster)
+        cluster.hosts[3].frame_fate = lambda dgram: \
+            "drop" if dgram.kind == "mcast-seg" else None
+
+    def main(env):
+        out = yield from env.comm.bcast(
+            b"x" * 8000 if env.rank == 0 else None, root=0)
+        return len(out)
+
+    with pytest.raises(McastLost) as info:
+        run_spmd(4, main, params=replace(QUIET, max_repair_rounds=2),
+                 collectives={"bcast": "mcast-seg-nack"},
+                 on_cluster=on_cluster)
+    dump = recorder.hang_report
+    assert dump is not None
+    assert dump.startswith("== flight-recorder hang dump (McastLost) at")
+    assert "rank3 follow:seq" in dump and "missing=[" in dump
+    assert f"-- last 40 of {len(recorder.events)} events --" in dump
+    assert "decision" in dump and "plan=abort" in dump
+    # the same text a driver would have had to rebuild by hand
+    assert dump == obs.build_hang_dump(info.value.repro_cluster,
+                                       "McastLost")
+
+
+# ------------------------------------------------------- the trace CLI
+def test_trace_cli_writes_exact_attribution(tmp_path, capsys):
+    from repro.bench.cli import main
+
+    out = tmp_path / "trace"
+    assert main(["trace", "deep-fabric",
+                 "trunk-hier[fabric=tree:2x2x2,op=bcast]",
+                 "--output", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    runs = [line for line in printed if line.startswith("run ")]
+    assert len(runs) == 2 and all(
+        line.endswith("frame attribution exact") for line in runs)
+    assert printed[-2:] == [f"wrote {out / 'trace.json'}",
+                            f"wrote {out / 'report.txt'}"]
+    doc = json.loads((out / "trace.json").read_text())
+    nevents = sum(int(line.split()[5]) for line in runs)
+    assert sum(ev["ph"] != "M" for ev in doc["traceEvents"]) == nevents
+    report = (out / "report.txt").read_text()
+    assert report.count("frame attribution vs NetStats: exact") == 2
+    assert "MISMATCH" not in report
+    assert os.environ.get(obs.TRACE_ENV) in (None, "", "0")
+    assert obs.drain_recorders() == []
 
 
 def test_tracing_off_leaves_no_recorder():
