@@ -81,8 +81,8 @@ def compare_trunk_traffic() -> None:
         print(f"  {impl:<21} {per_call:>4} trunk frames")
     print("the hierarchy gathers within each leaf, then leader groups "
           "bridge each\ntier — every tier's trunks carry each "
-          "contribution once, not once per\ncontrol sweep of every "
-          "remote rank.")
+          "contribution once, where the flat\nturn loop spans the "
+          "whole fabric once per contributing rank.")
 
 
 if __name__ == "__main__":

@@ -4,18 +4,24 @@
 Builds a ``tree:2x4`` cluster (two 4-host leaf switches behind a core,
 joined by trunks — see :mod:`repro.simnet.fabric`), walks the topology
 discovery API, elects per-segment leaders the way ``hier-mcast`` does,
-and compares the trunk traffic of a flat segmented broadcast against
-the hierarchical one.  The trunks are the scarce, shared resource of a
-multi-segment fabric: the hierarchy pays them once per segment and once
-per *leader* for control, instead of once per remote rank.
+and compares the trunk traffic of the flat segmented collectives
+against the hierarchical ones.  The trunks are the scarce, shared
+resource of a multi-segment fabric.  The flat engine's control plane
+walks the *rank* binomial tree, so what it pays on the trunks depends on
+how ranks are placed; the hierarchy walks the *fabric*, so it pays each
+trunk once per segment whatever the placement — a tie on block
+placement, a win on round-robin placement and on the reduce turn loop.
 
 Run:  python examples/hier_cluster.py
 """
 
 from dataclasses import replace
 
+import numpy as np
+
 from repro import run_spmd
 from repro.mpi.collective.hier import hier_state
+from repro.mpi.ops import SUM
 from repro.simnet import FAST_ETHERNET_SWITCH, quiet
 
 TOPOLOGY = "tree:2x4"
@@ -52,13 +58,22 @@ def show_topology() -> None:
         print("  ", row)
 
 
-def trunk_frames(impl: str, n_ops: int) -> int:
+def trunk_frames(op: str, impl: str, n_ops: int,
+                 round_robin: bool) -> int:
     def main(env):
-        env.comm.use_collectives(bcast=impl)
+        comm = env.comm
+        if round_robin:
+            # comm ranks 0..7 on hosts 0,4,1,5,...: segments alternate
+            comm = yield from env.comm.split(
+                0, key=(env.rank % 4) * 2 + env.rank // 4)
+        comm.use_collectives(**{op: impl})
         for _ in range(n_ops):
-            data = yield from env.comm.bcast(
-                bytes(SIZE) if env.rank == 0 else None, 0)
-            assert len(data) == SIZE
+            if op == "bcast":
+                data = yield from comm.bcast(
+                    bytes(SIZE) if comm.rank == 0 else None, 0)
+                assert len(data) == SIZE
+            else:
+                yield from comm.reduce(np.ones(SIZE // 8), SUM, 0)
         return True
 
     result = run_spmd(NPROCS, main, topology=TOPOLOGY, params=PARAMS,
@@ -67,13 +82,23 @@ def trunk_frames(impl: str, n_ops: int) -> int:
 
 
 def compare_trunk_traffic() -> None:
-    print(f"\nper-call trunk serializations, {SIZE} B bcast:")
-    for impl in ("mcast-seg-nack", "hier-mcast"):
-        per_call = trunk_frames(impl, 2) - trunk_frames(impl, 1)
-        print(f"  {impl:<15} {per_call:>4} trunk frames")
-    print("the hierarchy pays each trunk once per segment for data and "
-          "once per leader\nfor control — the flat engine pays it once "
-          "per remote rank per control sweep.")
+    print(f"\nper-call trunk serializations, {SIZE} B:")
+    for op, flat_impl, round_robin in (
+            ("bcast", "mcast-seg-nack", False),
+            ("bcast", "mcast-seg-nack", True),
+            ("reduce", "mcast-seg-combine", False)):
+        placement = "round-robin" if round_robin else "block"
+        per_call = {
+            impl: (trunk_frames(op, impl, 2, round_robin)
+                   - trunk_frames(op, impl, 1, round_robin))
+            for impl in (flat_impl, "hier-mcast")}
+        print(f"  {op + ', ' + placement + ' placement:':<32}"
+              f"flat {per_call[flat_impl]:>4}   "
+              f"hier {per_call['hier-mcast']:>4}")
+    print("every multicast crosses each trunk once either way; the flat "
+          "engine's scout\ngathers and report fold walk the rank tree "
+          "(one trunk edge on block placement,\nevery other edge on "
+          "round-robin), the hierarchy's walk the fabric.")
 
 
 if __name__ == "__main__":

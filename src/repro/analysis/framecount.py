@@ -171,8 +171,9 @@ def expected_seg_repair_frames(n: int, nsegs: int, loss: float,
     lands in round ``r``'s plan with probability
     ``1 - (1 - loss**r)**R`` (~ ``R * loss**r`` for small loss), and
     round ``r`` adds that expected segment count plus the per-round
-    control sweep (arming scouts, reports, decisions: ``3(N-1)``
-    frames).  An earlier version of this model compounded the
+    control sweep (arming scouts, the report fold and one decision
+    multicast: ``2(N-1) + 1`` frames).  An earlier version of this
+    model compounded the
     *union* probability geometrically (``u**r`` with
     ``u = 1-(1-loss)**R``), which overestimates late rounds badly —
     round 2 by ~5x at n=8, loss=0.05 — because the union is over
@@ -203,7 +204,7 @@ def expected_seg_repair_frames(n: int, nsegs: int, loss: float,
         expect = nsegs * (1.0 - (1.0 - p ** r) ** receivers)
         if expect < 0.5:
             break
-        extra += expect + 3 * (n - 1)
+        extra += expect + 2 * (n - 1) + 1
     return extra
 
 
@@ -264,11 +265,11 @@ class TopoDigest:
 
     One loss-free engine stream rooted at rank ``r`` (header +
     ``nsegs`` data frames + one round of control) costs
-    ``(1 + nsegs) * edges[seg r] + 2 * tree_hops(r) + 2 * star[seg r]``
-    trunk serializations: data crosses every edge of the switch subtree
-    spanning the occupied segments once; the two scout gathers pay
-    their binomial edges' trunk paths; every remote receiver's report
-    and decision pay the receiver-root path each way.  With one
+    ``(2 + nsegs) * edges[seg r] + 3 * tree_hops(r)`` trunk
+    serializations: the header, every data frame and the round's one
+    decision multicast each cross every edge of the switch subtree
+    spanning the occupied segments once; the two scout gathers and the
+    report fold each pay their binomial edges' trunk paths.  With one
     occupied segment every coefficient is 0.
     """
 
@@ -288,12 +289,9 @@ class TopoDigest:
         self.nsegments = len(occupied)
         #: per root segment: trunk edges one multicast frame crosses
         edges = [0] * len(paths)
-        #: per root segment: every member's hops to it, summed
-        star = [0] * len(paths)
         for seg in occupied:
             edges[seg] = multicast_trunk_edges(seg, occupied, paths)
-            star[seg] = sum(members[s] * hops[seg][s] for s in occupied)
-        self.edges, self.star = tuple(edges), tuple(star)
+        self.edges = tuple(edges)
         # The stream coefficients summed over every root rank.  Rooted
         # at r, the binomial tree's level-``mask`` edges join ranks a
         # and a + mask (mod size) for a = r, r + 2*mask, ...; over all
@@ -306,8 +304,7 @@ class TopoDigest:
                 for a in range(size))
             mask *= 2
         self.edges_all = sum(members[s] * edges[s] for s in occupied)
-        self.ctl_all = 2 * tree_all + 2 * sum(members[s] * star[s]
-                                              for s in occupied)
+        self.tree_all = tree_all
 
     def tree_hops(self, root: int) -> int:
         """Trunk hops of the binomial tree's edges rooted at ``root``:
@@ -326,17 +323,19 @@ class TopoDigest:
         """Trunk serializations of one engine stream rooted at
         ``root``."""
         seg = self.seg_of_rank[root]
-        return ((1 + nsegs) * self.edges[seg]
-                + 2 * self.tree_hops(root) + 2 * self.star[seg])
+        return (2 + nsegs) * self.edges[seg] + 3 * self.tree_hops(root)
 
     def all_streams(self, nsegs: int) -> int:
         """The same summed over one stream per rank (the turn loops)."""
-        return (1 + nsegs) * self.edges_all + self.ctl_all
+        return (2 + nsegs) * self.edges_all + 3 * self.tree_all
 
     def ready_round(self) -> int:
         """Trunk serializations of the rank-0-anchored paced ready
-        round: scout gather up, one "go" unicast per rank back down."""
-        return self.tree_hops(0) + self.star[self.seg_of_rank[0]]
+        round: scout gather up, one "go" unicast per rank back down
+        (the star: every member's hops to rank 0's segment)."""
+        from_anchor = self.hops[self.seg_of_rank[0]]
+        return self.tree_hops(0) + sum(
+            n * from_anchor[seg] for seg, n in enumerate(self.members))
 
     def group(self, members) -> "TopoDigest":
         """The digest of a sub-group of ranks (one hierarchy phase)."""

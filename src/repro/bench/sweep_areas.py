@@ -167,7 +167,8 @@ def _lossy_setup(unit_of):
 # 4. (full scale) the auto plan's loss-free median beats the fixed
 #    per-segment plan's below the batching crossover;
 # 5. seeded-loss repair traffic lands in the [x/3, 1.5x] band around
-#    ``expected_seg_repair_frames``.
+#    ``expected_seg_repair_frames`` at 8 ranks and 5%, and in the
+#    legacy [x/4, 2x] band at 64 ranks and 2%.
 # ===========================================================================
 SEG_NPROCS = 4
 #: wide enough for mcast-ack's full-payload retransmission storms
@@ -242,12 +243,10 @@ def seg_frames_case(scale, seed, impl, size, loss):
     }
 
 
-def _repair_case(size, n_ops, seed):
+def _repair_case(size, n_ops, seed, n=8, loss=0.05):
     """Seeded probabilistic loss vs ``expected_seg_repair_frames``: the
-    frames ``n_ops`` 8-rank broadcasts at 5% multicast loss add over
-    the same broadcasts loss-free."""
-    n, loss = 8, 0.05
-
+    frames ``n_ops`` ``n``-rank broadcasts at ``loss`` multicast loss
+    (default 8 ranks, 5%) add over the same broadcasts loss-free."""
     def main(env):
         env.comm.use_collectives(bcast="mcast-seg-nack")
         for _ in range(n_ops):
@@ -275,6 +274,14 @@ def seg_repair_case(scale, seed):
     return _repair_case(96_000, DIMS[scale].repair_ops, seed)
 
 
+def seg_repair_wide_case(scale, seed):
+    """The same closed loop over four 24 kB broadcasts at 64 ranks and
+    2% loss — a size where flat repair aborted with ``McastLost``
+    before the folded control plane (band:
+    ``seg_post_repair_band_wide``)."""
+    return _repair_case(24_000, 4, seed, n=64, loss=0.02)
+
+
 def seg_latency_case(scale, seed, variant, size):
     """Max-over-ranks bcast latency of one variant at one size."""
     impl, params, lossy = _SEG_VARIANTS[scale][variant]
@@ -295,6 +302,7 @@ def _seg_families(scale):
                           "size": sizes, "loss": ("clean", "induced")},
                seg_frames_case),
         Family("repair", {}, seg_repair_case),
+        Family("repair-wide", {}, seg_repair_wide_case),
         Family("latency", {"variant": tuple(_SEG_VARIANTS[scale]),
                            "size": sizes},
                seg_latency_case),
@@ -358,16 +366,31 @@ def seg_post_auto_plan(doc):
                                              tp.batch)
 
 
-def seg_post_repair_band(doc):
-    """Criterion 5: measured seeded-loss repair traffic inside the
-    [expected/3, 1.5*expected] model band."""
-    entry = find_series(doc, "repair")
+def _assert_repair_band(doc, family, low, high):
+    """Measured seeded-loss repair frames of ``family``'s case inside
+    ``[expected / low, high * expected]``."""
+    entry = find_series(doc, family)
     measured = entry["metrics"]["frames_repair"]
     expected = entry["metrics"]["frames_repair_expected"]
     assert entry["metrics"]["drops_lossy"] > 0
-    assert expected / 3 <= measured <= 1.5 * expected, (
-        f"measured {measured} repair frames outside the model band "
-        f"[{expected / 3:.0f}, {1.5 * expected:.0f}]")
+    assert expected / low <= measured <= high * expected, (
+        f"{family}: measured {measured} repair frames outside the model "
+        f"band [{expected / low:.0f}, {high * expected:.0f}]")
+
+
+def seg_post_repair_band(doc):
+    """Criterion 5: measured seeded-loss repair traffic inside the
+    [expected/3, 1.5*expected] model band."""
+    _assert_repair_band(doc, "repair", 3, 1.5)
+
+
+def seg_post_repair_band_wide(doc):
+    """The 64-rank, 2% closed loop inside the legacy [x/4, 2x] band
+    (``deep_post_repair_band``'s): at this width one straggler needing
+    a third round costs a whole extra ``2(N-1)+1``-frame control sweep
+    the expectation's half-a-segment cut-off does not price, so the
+    tight band's 1.5x ceiling is too low here."""
+    _assert_repair_band(doc, "repair-wide", 4, 2)
 
 
 def seg_post_policy_tracks(doc):
@@ -414,7 +437,8 @@ register_area(AreaSpec(
     families=_seg_families,
     postconditions=(seg_post_frame_formula, seg_post_beats_ack,
                     seg_post_auto_plan, seg_post_repair_band,
-                    seg_post_policy_tracks, seg_post_full_orderings),
+                    seg_post_repair_band_wide, seg_post_policy_tracks,
+                    seg_post_full_orderings),
 ))
 
 
@@ -544,17 +568,22 @@ def _fab_families(scale):
 
 
 def fab_post_trunk_models(doc):
-    """Hier-mcast bcast puts strictly fewer frames on the trunks than
-    the flat engine, and both match the closed forms exactly."""
+    """Flat and hier-mcast bcast both match their closed forms exactly
+    — and on this fabric's block placement they *tie* on the trunks:
+    since the flat engine's reports fold up the rank tree and its
+    decision is one multicast, both pay every multicast once per
+    spanning edge and each gather/fold one cross edge (the hierarchy's
+    strict wins — the turn loops, loss, placements that fight the
+    fabric — are ``deep-fabric``'s to assert)."""
     for size in DIMS[doc["scale"]].fab_sizes:
         nsegs = plan_transport(size, QUIET_AUTO).nsegs
         flat = metric(doc, "trunk", "frames_trunk_call", engine="flat",
                       size=size)
         hier = metric(doc, "trunk", "frames_trunk_call", engine="hier",
                       size=size)
-        assert hier < flat, (
+        assert hier == flat, (
             f"hier-mcast bcast at {size} B crossed the trunks {hier} "
-            f"times, the flat engine only {flat}")
+            f"times, the flat engine {flat}: block placement should tie")
         assert flat == model_seg_bcast_trunk_frames(FAB_SEG_OF, 0, nsegs)
         assert hier == model_hier_frames("bcast", FAB_SEG_OF, 0, size,
                                          QUIET_AUTO)[1]
@@ -782,13 +811,7 @@ def deep_post_hier_models_and_wins(doc):
 
 def deep_post_repair_band(doc):
     """Measured repair traffic inside the legacy [x/4, 2x] band."""
-    entry = find_series(doc, "repair")
-    measured = entry["metrics"]["frames_repair"]
-    expected = entry["metrics"]["frames_repair_expected"]
-    assert entry["metrics"]["drops_lossy"] > 0
-    assert expected / 4 <= measured <= 2 * expected, (
-        f"measured {measured} repair frames outside the model band "
-        f"[{expected / 4:.0f}, {2 * expected:.0f}]")
+    _assert_repair_band(doc, "repair", 4, 2)
 
 
 register_area(AreaSpec(

@@ -10,7 +10,11 @@ per process group / context) plus two sockets on every member host:
 * the **scout socket** — an ordinary buffered UDP socket carrying the
   small synchronization messages (scouts, barrier-release acks, PVM-style
   acks).  Scouts are matched by ``(source rank, sequence, phase)`` with a
-  stash for early arrivals from ranks that have raced ahead.
+  stash for early arrivals from ranks that have raced ahead.  It joins
+  the group too (``IP_MULTICAST_LOOP`` off; the host's membership is
+  refcounted, so no second IGMP report leaves the host): the round
+  engine's per-round decision is one control multicast to
+  ``(group, scout_port)``.
 
 Every collective call advances the channel's **sequence number**; because
 MPI code must be *safe* (all ranks issue collectives on a communicator in
@@ -25,10 +29,16 @@ For payloads larger than one MTU the channel also speaks *segments*
 (:meth:`McastChannel.post_data_many`), each ``mcast-seg`` datagram
 carries one segment or a *batch* of consecutive segments (each with its
 own per-segment envelope), and the NACK-repair control plane (per-round
-receiver reports, root decisions) rides the buffered scout socket so it
-is immune to the posted-only discipline.  Reports additionally carry the
-receiver's descriptor budget (:attr:`McastChannel.recv_budget`), the
-feedback the root's rate pacing adapts its burst length to.
+reports folded up the scout tree, the root's decision multicast) rides
+the buffered scout socket so it is immune to the posted-only discipline
+— a decision on the data socket would compete for descriptors with
+repair data, stragglers and duplicates, and bystanders post none.  The
+buffer does not weaken the readiness model: the root multicasts a
+decision only after the report fold told it every rank is already
+blocked waiting for it (:mod:`repro.core.rounds`).  Reports additionally
+carry the subtree's smallest descriptor budget
+(:attr:`McastChannel.recv_budget`), the feedback the root's rate pacing
+adapts its burst length to.
 """
 
 from __future__ import annotations
@@ -127,8 +137,11 @@ class McastChannel:
                            if scout_port is None else scout_port)
         self.data_sock = self.host.socket(self.data_port, posted_only=True,
                                           mcast_loop=False)
-        self.scout_sock = self.host.socket(self.scout_port)
+        self.scout_sock = self.host.socket(self.scout_port,
+                                           mcast_loop=False)
         self.data_sock.join(self.group)
+        # the host's membership is refcounted: no second IGMP report
+        self.scout_sock.join(self.group)
         self.seq = 0
         #: the members' trunk diameter — the most switch-to-switch hops
         #: any sender-receiver pair of this channel spans on a tiered
@@ -230,31 +243,39 @@ class McastChannel:
             kind=kind or tag)
 
     def send_report(self, dst_rank: int, seq: int, rnd,
-                    missing, nsegs: int) -> Generator:
-        """Send a per-round segment report to ``dst_rank``.
+                    missing, budget: Optional[int],
+                    nsegs: int) -> Generator:
+        """Send one round's segment report to ``dst_rank`` — the
+        sender's parent in the report fold
+        (:func:`~repro.core.scout.report_fold_binary`).
 
-        ``missing`` is the set of segment indices this rank has not
-        received after round ``rnd`` (empty = everything arrived).  The
-        report also carries this rank's descriptor budget
-        (:attr:`recv_budget`) — the feedback the sender's rate pacing
-        adapts to.  Wire size: a scout plus an ``nsegs``-bit bitmap plus
-        a 4-byte budget field.
+        ``missing`` is the set of segment indices the sender's whole
+        subtree has not received after round ``rnd`` (empty =
+        everything arrived) and ``budget`` the subtree's smallest finite
+        descriptor ring (:attr:`recv_budget`; ``None`` = all unbounded)
+        — the feedback the root's rate pacing adapts to.  Wire size: a
+        scout plus an ``nsegs``-bit bitmap plus a 4-byte budget field,
+        merged or not.
         """
         nbytes = SCOUT_BYTES + (nsegs + 7) // 8 + 4
-        value = (tuple(sorted(missing)), self.recv_budget)
         yield from self.send_tagged(dst_rank, seq, "seg-report", rnd,
-                                    value, nbytes)
+                                    (tuple(sorted(missing)), budget),
+                                    nbytes)
 
-    def send_decision(self, dst_rank: int, seq: int, rnd,
-                      segments, nsegs: int) -> Generator:
-        """Tell ``dst_rank`` what round ``rnd``'s verdict is.
+    def send_decision(self, seq: int, rnd, segments,
+                      nsegs: int) -> Generator:
+        """Multicast round ``rnd``'s verdict to the whole group: ONE
+        control datagram to ``(group, scout_port)``, matched by every
+        follower's ``wait_tagged({root}, seq, "seg-dec", rnd)``.
 
-        ``segments`` is the sorted tuple of segment indices the root will
-        re-multicast next round, or ``None`` for "done".
+        ``segments`` is the sorted tuple of segment indices the root
+        will re-multicast next round, ``None`` for "done", or
+        ``"abort"``.
         """
         nbytes = SCOUT_BYTES + (nsegs + 7) // 8
-        yield from self.send_tagged(dst_rank, seq, "seg-dec", rnd,
-                                    segments, nbytes)
+        yield from self.scout_sock.sendto(
+            (self.comm.rank, seq, ("seg-dec", rnd, segments)), nbytes,
+            self.group, self.scout_port, kind="seg-dec")
 
     def wait_tagged(self, src_ranks: set[int], seq: int, tag: str,
                     rnd) -> Generator:

@@ -25,8 +25,9 @@ payloads: it fragments the payload into single-frame segments sized by
 ``NetParams.segment_bytes``, streams them back-to-back, and repairs
 losses with selective per-segment NACK retransmission instead of
 re-multicasting everything.  Loss-free it costs
-``1 + 4(N-1) + ceil(M / segment_bytes)`` frames (header multicast, four
-scout/report/decision sweeps, one frame per segment — the full formula,
+``2 + 3(N-1) + ceil(M / segment_bytes)`` frames (header and decision
+multicasts, two scout gathers and the report fold, one frame per
+segment — the full formula,
 including repair rounds, is derived in the segment module's docstring
 and exported as :func:`repro.core.segment.seg_nack_frame_count`).
 

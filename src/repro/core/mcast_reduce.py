@@ -94,15 +94,13 @@ def stream_turns(comm, obj: Any, root: int, key: str,
                 consume(turn, obj)
             continue
         if comm.rank == turn:
-            others = {r for r in range(size) if r != turn}
             yield from scout_gather_binary(comm, channel, seq, turn,
                                            phase=hdr_phase)
             yield from channel.send_data(
                 ("seg-hdr", turn, tplan.nsegs, tplan.batch),
                 SEG_HEADER_BYTES, seq, control=True, kind="mcast-seg-hdr")
             yield from serve_rounds(comm, channel, seq, turn, mine,
-                                    tplan.batch, others, arm_phase,
-                                    rnd_token)
+                                    tplan.batch, arm_phase, rnd_token)
         elif comm.rank == root:
             hdr_posted = channel.post_data()
             yield from scout_gather_binary(comm, channel, seq, turn,

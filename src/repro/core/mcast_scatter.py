@@ -73,7 +73,6 @@ def scatter_mcast_seg_root(comm, objs: Optional[Sequence[Any]],
         # receiver's slice is the contiguous index range its count spans.
         segments = [Segment(i, nsegs, s.nbytes, s.chunk, s.opaque)
                     for i, s in enumerate(flat)]
-        receivers = {r for r in range(size) if r != root}
         yield from scout_gather_binary(comm, channel, seq, root,
                                        phase="sc-hdr")
         yield from channel.send_data(
@@ -81,8 +80,8 @@ def scatter_mcast_seg_root(comm, objs: Optional[Sequence[Any]],
             SEG_HEADER_BYTES + 4 * size, seq, control=True,
             kind="mcast-seg-hdr")
         yield from serve_rounds(comm, channel, seq, root, segments,
-                                auto_batch(params, nsegs), receivers,
-                                arm_phase, rnd_token)
+                                auto_batch(params, nsegs), arm_phase,
+                                rnd_token)
         return objs[root]
 
     # Receiver: header phase — one descriptor, posted before the scout.

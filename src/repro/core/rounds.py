@@ -14,33 +14,58 @@ The contract has exactly two sides:
 
 * :func:`serve_rounds` — the **sender**: given a segment stream, it arms
   the group (scout gather), streams the round's datagrams (rate-paced,
-  see :class:`RoundPacer`), collects per-receiver NACK reports, folds the
-  receivers' descriptor budgets into its pacing, and multicasts repair
-  rounds built from the union of missing sets until every receiver
-  reports complete (or ``max_retransmits`` is exhausted, in which case it
-  tells everyone before raising);
+  see :class:`RoundPacer`), takes the group's folded NACK report, feeds
+  the smallest descriptor budget it carries into its pacing, and
+  multicasts repair rounds built from the union of missing sets until
+  the whole group reports complete (or ``max_retransmits`` is
+  exhausted, in which case it tells everyone before raising);
 * :func:`follow_rounds` — a **receiver**: it posts one descriptor per
   expected datagram (window-limited by :attr:`McastChannel.recv_budget`),
-  arms, drains the round into a :class:`Reassembler`, reports its missing
-  bitmap (plus its budget) and obeys the sender's per-round decision.
+  arms, drains the round into a :class:`Reassembler`, folds its missing
+  bitmap (plus its budget) with its subtree's and obeys the sender's
+  per-round decision.
   A ``needed`` subset restricts what the receiver reassembles and
   reports — the scatter's per-rank addressing, and ``needed=set()`` is a
   pure *bystander* that stays in lockstep with the repair loop without
   posting a single descriptor (used by the multicast reduce, where only
   the root consumes data).
 
+**One round**, on the wire: ``N-1`` arming scouts up the binomial tree,
+the round's data multicasts, ``N-1`` reports folded up the *same* tree
+(:func:`~repro.core.scout.report_fold_binary`: every rank merges its
+children's missing sets and budgets into its own and sends one report,
+so the root hears ``ceil(log2 N)`` messages), and **one** decision
+multicast back — ``2(N-1) + 1`` control frames and ``O(log N)``
+sequential steps, the paper's gather-then-multicast shape (§3, Fig. 3);
+a star of ``N-1`` reports into the root and ``N-1`` decision unicasts
+out of it would serialize ``2(N-1)`` steps on the root's one CPU.
+
+The decision rides the channel's **buffered scout port**, as a
+multicast to the group — not the posted-only data socket, where repair
+data meant for other ranks, ``duplicate``/``reorder`` stragglers and
+bystanders that post nothing would eat or miss its descriptor.  That
+does not weaken the paper's readiness model: the report fold *is* the
+decision's scout gather — a rank reports only after its whole subtree
+has, then blocks on the decision, so the root multicasts only once
+every rank is waiting for it; the buffer merely spares each rank a
+descriptor whose accounting the data path would have to share.  One
+multicast also releases every follower at the same instant, so the only
+arming skew is the gather's depth, which :func:`round_drain_timeout_us`
+derives.
+
 Pacing, budget feedback, selective repair, and the two adaptive
 behaviours below are engine concerns — callers only provide the segment
-stream, the receiver set, and a *round namespace*
-(:func:`round_namespace`) so concurrent/consecutive repair loops on one
-channel never cross-match each other's control traffic.
+stream and a *round namespace* (:func:`round_namespace`) so
+concurrent/consecutive repair loops on one channel never cross-match
+each other's control traffic.
 
 **Adaptive drain timeout** (:func:`round_drain_timeout_us`).  A receiver
 that lost a round's *tail* can only detect it by silence.  PR 2 waited a
 fixed ``NetParams.seg_drain_timeout_us``; the engine instead scales the
 timeout to the round's expected serialization (wire time + send/receive
-software + pacing gap, per datagram) plus a fixed arming-skew floor
-(``NetParams.seg_drain_floor_us``), capped by the configured timeout.  A
+software + pacing gap, per datagram) plus a scheduling-jitter floor
+(``NetParams.seg_drain_floor_us``), capped by the configured timeout,
+plus the arming gather's depth derived from the group size.  A
 single-datagram round — the whole-round-lost case of the auto transport
 plan — now NACKs after ~1-2 ms instead of the full fixed timeout.
 
@@ -59,8 +84,9 @@ from typing import Any, Callable, Generator, Optional
 
 from dataclasses import dataclass
 
-from .channel import MCAST_HEADER_BYTES, SEG_HEADER_BYTES
-from .scout import scout_gather_binary
+from .channel import MCAST_HEADER_BYTES, SCOUT_BYTES, SEG_HEADER_BYTES
+from .scout import (binary_tree_steps, report_fold_binary,
+                    scout_gather_binary)
 
 __all__ = ["McastLost", "Segment", "Reassembler", "RoundPacer",
            "auto_gap_us", "chunk_plan", "frame_segment_bytes",
@@ -181,32 +207,41 @@ def auto_gap_us(params, datagram_bytes: int) -> float:
 def round_drain_timeout_us(params, ndatagrams: int,
                            datagram_bytes: int,
                            trunk_hops: int = 0,
-                           trunk_us_per_byte: Optional[float] = None
-                           ) -> float:
+                           trunk_us_per_byte: Optional[float] = None,
+                           size: int = 1) -> float:
     """Adaptive drain timeout for one round of ``ndatagrams`` datagrams.
 
     Expected per-datagram cost = wire serialization + sender software +
     receiver drain software + the (resolved) pacing gap; the timeout is
     that expectation for the whole round plus the
-    ``seg_drain_floor_us`` skew floor (covers the arming-gather depth a
-    leaf receiver starts its timer ahead of the root's first send),
-    capped by the configured ``seg_drain_timeout_us`` so no round ever
-    waits *longer* than the PR 2 fixed behaviour.
+    ``seg_drain_floor_us`` scheduling-jitter margin, capped by the
+    configured ``seg_drain_timeout_us`` so no round's *flat
+    expectation* ever waits longer than the PR 2 fixed behaviour.  Two
+    terms of real physics ride on top of the cap:
 
-    ``trunk_hops`` extends the timeout past the cap on tiered fabrics
+    ``trunk_hops`` — the store-and-forward path on tiered fabrics
     (:mod:`repro.simnet.fabric`): each switch-to-switch hop on the
-    farthest sender-receiver path store-and-forwards the whole
-    datagram once more, so a receiver ``h`` trunks from the root must
-    allow ``h`` extra serializations (plus switch latency) before
-    declaring the round lost — without this, a deep tree's leaf NACKs
-    *before the data can physically arrive* and cancels the very
-    descriptor the repair needs, livelocking the repair loop.
-    ``trunk_us_per_byte`` prices those serializations at the trunks'
-    *own* tier rates (``McastChannel.trunk_us_per_byte``) — a backbone
-    slower than the edge needs proportionally more allowance; when
-    ``None`` the hops are priced at the edge rate.  The path term
-    rides on top of the cap: the cap bounds the flat expectation, the
-    fabric depth is real physics.
+    farthest sender-receiver path serializes the whole datagram once
+    more, so a receiver ``h`` trunks from the root must allow ``h``
+    extra serializations (plus switch latency) before declaring the
+    round lost — without this, a deep tree's leaf NACKs *before the
+    data can physically arrive* and cancels the very descriptor the
+    repair needs, livelocking the repair loop.  ``trunk_us_per_byte``
+    prices those serializations at the trunks' *own* tier rates
+    (``McastChannel.trunk_us_per_byte``) — a backbone slower than the
+    edge needs proportionally more allowance; when ``None`` the hops
+    are priced at the edge rate.
+
+    ``size`` — the arming skew of a ``size``-rank group: every follower
+    leaves a round's decision multicast at the same instant, a leaf
+    starts its silence timer as soon as its arming scout is away, and
+    the root streams only once the binomial gather has climbed its
+    ``ceil(log2 size)`` levels, each costing one scout's send and
+    receive software plus its wire/switch path (trunk hops priced like
+    the data path above).  A constant cannot stand in for this term:
+    one sized for 8 ranks fires before the repair data arrives at 12
+    (docs/CHAOS.md).  The default prices no gather — one round's flat
+    expectation, as the unit tests read it.
     """
     cap = params.seg_drain_timeout_us
     per = (datagram_bytes * 8.0 / params.rate_mbps
@@ -218,9 +253,15 @@ def round_drain_timeout_us(params, ndatagrams: int,
     expected = max(1, ndatagrams) * (per + float(gap))
     if trunk_us_per_byte is None:
         trunk_us_per_byte = trunk_hops * 8.0 / params.rate_mbps
-    path = (datagram_bytes * trunk_us_per_byte
-            + trunk_hops * params.switch_latency_us)
-    return min(cap, params.seg_drain_floor_us + expected) + path
+    hop_latency = trunk_hops * params.switch_latency_us
+    path = datagram_bytes * trunk_us_per_byte + hop_latency
+    scout_bytes = SCOUT_BYTES + params.udp_header + params.ip_header
+    level = (params.udp_send_us + params.udp_recv_us
+             + params.per_frame_rx_us + params.switch_latency_us
+             + scout_bytes * (2 * 8.0 / params.rate_mbps
+                              + trunk_us_per_byte) + hop_latency)
+    return (min(cap, params.seg_drain_floor_us + expected) + path
+            + binary_tree_steps(size) * level)
 
 
 def round_namespace(*key) -> tuple[Callable, Callable]:
@@ -445,15 +486,16 @@ def _consume_round(comm, channel, posted, ndatagrams: int, seq,
 # the serve/follow API
 # ----------------------------------------------------------------------
 def serve_rounds(comm, channel, seq, root: int, segments, batch: int,
-                 receivers, arm_phase, rnd_token) -> Generator:
-    """Sender side of the NACK repair loop: arm, stream (paced), collect
-    reports, decide, repair — until every receiver reports complete.
+                 arm_phase, rnd_token) -> Generator:
+    """Sender side of the NACK repair loop: arm, stream (paced), fold
+    the reports, decide, repair — until the whole group reports
+    complete.
 
-    ``segments`` is the full stream (round 0's plan is all of it);
-    ``receivers`` is the set of ranks that will report — every rank of
-    the communicator still joins the arming gathers, so pure bystanders
-    must run :func:`follow_rounds` with ``needed=set()``.  ``arm_phase``
-    / ``rnd_token`` come from :func:`round_namespace`.
+    ``segments`` is the full stream (round 0's plan is all of it).
+    Every other rank of the communicator joins each round's arming
+    gather and report fold and hears its decision, so pure bystanders
+    must run :func:`follow_rounds` with ``needed=set()``.
+    ``arm_phase`` / ``rnd_token`` come from :func:`round_namespace`.
     """
     params = comm.host.params
     rec = comm.host.stats.recorder
@@ -484,35 +526,25 @@ def serve_rounds(comm, channel, seq, root: int, segments, batch: int,
                     yield comm.sim.timeout(delay)
                 yield from channel.send_batch(
                     [segments[j] for j in chunk], seq, retransmit=rnd > 0)
-            reports = yield from channel.wait_tagged(receivers, seq,
-                                                     "seg-report",
-                                                     rnd_token(rnd))
+            # the root itself is missing nothing and its own descriptor
+            # ring paces nobody: the fold starts from (nothing, None)
+            union, budget = yield from report_fold_binary(
+                comm, channel, seq, root, rnd_token(rnd), (), None, nsegs)
         finally:
             if rec is not None:
                 rec.round_close(comm.sim.now, addr,
                                 f"serve:seq{seq}:r{rnd}")
-        union: set[int] = set()
-        budgets = []
-        for missing, budget in reports.values():
-            union.update(missing)
-            budgets.append(budget)
-        pacer.note_budgets(budgets)
-        if rec is not None:
-            for src in sorted(reports):
-                missing, budget = reports[src]
-                rec.nack_report(comm.sim.now, addr, src, rnd,
-                                tuple(missing), budget)
+        pacer.note_budgets([budget])
         if not union:
             decision = None
         elif rnd >= repair_round_limit(params):
-            decision = "abort"      # tell receivers before raising,
+            decision = "abort"      # tell the group before raising,
         else:                       # so nobody arms a dead round
             decision = tuple(sorted(union))
         if rec is not None:
             rec.repair_decision(comm.sim.now, addr, rnd, decision)
-        for dst in sorted(receivers):
-            yield from channel.send_decision(dst, seq, rnd_token(rnd),
-                                             decision, nsegs)
+        yield from channel.send_decision(seq, rnd_token(rnd), decision,
+                                         nsegs)
         if rec is not None:
             rec.round_end(comm.sim.now, rtok)
         if decision is None:
@@ -571,7 +603,8 @@ def follow_rounds(comm, channel, seq, root: int, nsegs: int, batch: int,
                     params, ndatagrams, dgram_bytes,
                     trunk_hops=getattr(channel, "trunk_hops", 0),
                     trunk_us_per_byte=getattr(channel,
-                                              "trunk_us_per_byte", None))
+                                              "trunk_us_per_byte", None),
+                    size=comm.size)
                 yield from _consume_round(comm, channel, posted,
                                           ndatagrams, seq, reasm,
                                           last_index=plan[-1],
@@ -579,8 +612,9 @@ def follow_rounds(comm, channel, seq, root: int, nsegs: int, batch: int,
             if rec is not None:
                 rec.nack_sent(comm.sim.now, addr, rnd,
                               tuple(sorted(reasm.missing())))
-            yield from channel.send_report(root, seq, rnd_token(rnd),
-                                           reasm.missing(), nsegs)
+            yield from report_fold_binary(
+                comm, channel, seq, root, rnd_token(rnd), reasm.missing(),
+                channel.recv_budget, nsegs)
             decision = yield from channel.wait_tagged({root}, seq,
                                                       "seg-dec",
                                                       rnd_token(rnd))

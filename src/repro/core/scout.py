@@ -31,8 +31,11 @@ from __future__ import annotations
 
 from typing import Generator
 
+from .binomial import binomial_children, binomial_parent
+
 __all__ = ["scout_gather_binary", "scout_gather_linear",
-           "scout_scatter_binary", "binary_tree_steps", "scout_count"]
+           "scout_scatter_binary", "report_fold_binary",
+           "binary_tree_steps", "scout_count"]
 
 
 def scout_count(n: int) -> int:
@@ -86,7 +89,6 @@ def scout_scatter_binary(comm, channel, seq: int, root: int = 0,
     layer uses this to announce the root's per-call implementation
     choice before any rank commits to an algorithm's traffic pattern.
     """
-    from .binomial import binomial_children
     from .channel import SCOUT_BYTES
 
     size = comm.size
@@ -105,6 +107,49 @@ def scout_scatter_binary(comm, channel, seq: int, root: int = 0,
         yield from channel.send_tagged(dst, seq, tag, 0, value,
                                        SCOUT_BYTES, kind="scout-dec")
     return value
+
+
+def report_fold_binary(comm, channel, seq: int, root: int, rnd,
+                       missing, budget, nsegs: int) -> Generator:
+    """Binomial bottom-up fold of one round's NACK reports toward
+    ``root`` — :func:`scout_scatter_binary` run backwards over the tree
+    :func:`scout_gather_binary` arms the round on, riding the buffered
+    scout socket as ``("seg-report", rnd, (missing, budget))`` tagged
+    messages (``N-1`` of them, ``ceil(log2 N)`` sequential steps).
+
+    Every rank — pure bystanders included — hears each child's report,
+    unions the child's missing set into its own ``missing``, keeps the
+    smallest finite descriptor ``budget`` and sends ONE merged report
+    to its parent, so the root hears ``ceil(log2 N)`` reports instead
+    of ``N-1``.  Returns the folded ``(missing, budget)`` of the
+    caller's subtree: the whole group's at the root.
+
+    The fold doubles as the scout gather of the decision multicast that
+    answers it: a rank reports only after its whole subtree has, and
+    then blocks on the decision, so the root's fold completing *is*
+    "every follower is waiting".
+    """
+    size = comm.size
+    rel = (comm.rank - root) % size
+    missing = set(missing)
+    children = {(child + root) % size
+                for child in binomial_children(rel, size)}
+    reports = yield from channel.wait_tagged(children, seq, "seg-report",
+                                             rnd)
+    rec = comm.host.stats.recorder
+    for child in sorted(reports):
+        heard, ring = reports[child]
+        if rec is not None:
+            rec.nack_report(comm.sim.now, comm.host.addr, child, rnd,
+                            heard, ring)
+        missing.update(heard)
+        if ring is not None and (budget is None or ring < budget):
+            budget = ring
+    if rel:
+        parent = (binomial_parent(rel) + root) % size
+        yield from channel.send_report(parent, seq, rnd, missing, budget,
+                                       nsegs)
+    return missing, budget
 
 
 def scout_gather_linear(comm, channel, seq: int,

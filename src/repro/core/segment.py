@@ -37,15 +37,21 @@ Round structure of ``mcast-seg-nack`` (N ranks, root r):
   batch factor;
 * round ``k`` — receivers still missing data post one descriptor per
   planned *datagram*, everyone arms via a binary scout gather, the root
-  streams the round's segments, every receiver reports its missing set
-  (plus its descriptor budget), and the root unicasts a per-receiver
-  decision: ``done`` or the next round's repair plan (the sorted union
-  of all missing sets).
+  streams the round's segments, the missing sets (plus the descriptor
+  budgets) fold back **up the same binary tree** — every rank merges
+  its children's reports into its own and sends one
+  (:func:`~repro.core.scout.report_fold_binary`), so the root hears
+  ``ceil(log2 N)`` reports, not N-1 — and the root answers with **one
+  control multicast**: ``done``, or the next round's repair plan (the
+  sorted union of all missing sets).  The end-of-round handshake is
+  the paper's own pair of mechanisms: a ``ceil(log2 N)``-step gather
+  and a single multicast.
 
-All repair control (reports, decisions) rides the **buffered** scout
-socket, so it is immune to the posted-only discipline; only ``mcast-seg``
-data frames can be lost.  Because every receiver learns the exact repair
-plan before arming, descriptor counts always match the datagrams the root
+All repair control (reports, the decision) rides the **buffered** scout
+socket — the decision as a multicast to the group on the scout port —
+so it is immune to the posted-only discipline; only ``mcast-seg`` data
+frames can be lost.  Because every receiver learns the exact repair plan
+before arming, descriptor counts always match the datagrams the root
 will send — no repair frame can steal a descriptor belonging to a later
 protocol step.
 
@@ -73,9 +79,10 @@ re-sending unions U_1..U_R (U_0 = all S segments)::
                     + sum over rounds r=0..R of
                         (N-1)                 # arming scout gather
                       + |U_r|                 # segment frames
-                      + (N-1)                 # per-receiver reports
-                      + (N-1)                 # per-receiver decisions
-                    = 1 + (N-1)(3(R+1) + 1) + S + sum(|U_r|, r >= 1)
+                      + (N-1)                 # report fold, one per rank
+                      + 1                     # the decision multicast
+                    = 1 + (N-1)(2(R+1) + 1) + (R+1) + S
+                        + sum(|U_r|, r >= 1)
 
 **Batched generalization.**  With batch factor B, round r's |U_r|
 segments ride ``ceil(|U_r| / B_r)`` datagrams instead of |U_r| (B_0 = B;
@@ -87,11 +94,11 @@ while each extra fragment offers 20 bytes of header slack.  What
 batching changes is the *datagram* count — the unit of per-receive
 software tax and of descriptor usage::
 
-    datagrams(N, S, R, B) = 1 + (N-1)(3(R+1) + 1)
+    datagrams(N, S, R, B) = 1 + (N-1)(2(R+1) + 1) + (R+1)
                           + ceil(S/B) + sum(ceil(|U_r|/B_r), r >= 1)
 
 (:func:`seg_nack_frame_count` / :func:`seg_nack_datagram_count` export
-both closed forms.)  Loss-free this is ``1 + 4(N-1) + S`` frames —
+both closed forms.)  Loss-free this is ``2 + 3(N-1) + S`` frames —
 linear in payload like the paper's single multicast, with a constant
 per-round synchronization tax; under loss, repair cost is proportional
 to what was actually lost, not to the payload (contrast ``mcast-ack``:
@@ -232,7 +239,7 @@ def seg_nack_frame_count(n: int, nsegs: int,
         return 0
     repairs = repairs or []
     rounds = 1 + len(repairs)
-    return 1 + (n - 1) * (3 * rounds + 1) + nsegs + sum(repairs)
+    return 1 + (n - 1) * (2 * rounds + 1) + rounds + nsegs + sum(repairs)
 
 
 def seg_nack_datagram_count(n: int, nsegs: int, batch: int = 1,
@@ -259,7 +266,7 @@ def seg_nack_datagram_count(n: int, nsegs: int, batch: int = 1,
     rounds = 1 + len(repairs)
     data = -(-nsegs // batch) + sum(
         -(-u // b) for u, b in zip(repairs, repair_batches))
-    return 1 + (n - 1) * (3 * rounds + 1) + data
+    return 1 + (n - 1) * (2 * rounds + 1) + rounds + data
 
 
 # ----------------------------------------------------------------------
@@ -273,7 +280,6 @@ def bcast_mcast_seg_nack(comm, obj: Any, root: int = 0) -> Generator:
     seq = channel.next_seq()
     if comm.size == 1:
         return obj
-    receivers = {r for r in range(comm.size) if r != root}
     arm_phase, rnd_token = round_namespace()
 
     if comm.rank == root:
@@ -285,8 +291,7 @@ def bcast_mcast_seg_nack(comm, obj: Any, root: int = 0) -> Generator:
             ("seg-hdr", tplan.nsegs, tplan.batch), SEG_HEADER_BYTES, seq,
             control=True, kind="mcast-seg-hdr")
         yield from serve_rounds(comm, channel, seq, root, segments,
-                                tplan.batch, receivers, arm_phase,
-                                rnd_token)
+                                tplan.batch, arm_phase, rnd_token)
         return obj
 
     # Receiver: header phase — one descriptor, posted before the scout.
@@ -316,7 +321,7 @@ def allgather_mcast_seg_paced(comm, obj: Any) -> Generator:
 
     Per turn: the sender runs exactly the broadcast round structure with
     itself as root — header scout gather, segment-count announcement,
-    arm gather, (paced) segment stream, NACK reports, decisions, repair
+    arm gather, (paced) segment stream, report fold, decision, repair
     rounds.  Arm synchronization still makes losses impossible under the
     paper's readiness model; a loss injected anyway (``drop_filter``
     fault injection, or a descriptor-budget overrun) is now selectively
@@ -339,15 +344,13 @@ def allgather_mcast_seg_paced(comm, obj: Any) -> Generator:
     for turn in range(size):
         arm_phase, rnd_token = round_namespace("ag", turn)
         if turn == comm.rank:
-            others = {r for r in range(size) if r != turn}
             yield from scout_gather_binary(comm, channel, seq, turn,
                                            phase=("ag-hdr", turn))
             yield from channel.send_data(
                 ("seg-hdr", turn, tplan.nsegs, tplan.batch),
                 SEG_HEADER_BYTES, seq, control=True, kind="mcast-seg-hdr")
             yield from serve_rounds(comm, channel, seq, turn, mine,
-                                    tplan.batch, others, arm_phase,
-                                    rnd_token)
+                                    tplan.batch, arm_phase, rnd_token)
             continue
         hdr_posted = channel.post_data()
         yield from scout_gather_binary(comm, channel, seq, turn,

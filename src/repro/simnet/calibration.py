@@ -116,11 +116,13 @@ class NetParams:
     #: (:func:`repro.core.rounds.round_drain_timeout_us`), so a
     #: whole-round loss on a short round NACKs long before this.
     seg_drain_timeout_us: float = 2500.0
-    #: fixed floor of the adaptive drain timeout, covering the arming
-    #: skew between a leaf receiver (which starts its silence timer as
-    #: soon as its scout is away) and the root (which streams only after
-    #: the whole gather) plus scheduling jitter.
-    seg_drain_floor_us: float = 700.0
+    #: fixed floor of the adaptive drain timeout: the scheduling-jitter
+    #: margin only.  The arming skew between a leaf receiver (which
+    #: starts its silence timer as soon as its scout is away) and the
+    #: root (which streams only after the whole gather) grows with the
+    #: gather's depth, so :func:`repro.core.rounds.round_drain_timeout_us`
+    #: derives it from the group size instead of folding it in here.
+    seg_drain_floor_us: float = 250.0
     #: root-side inter-datagram pacing of the segment stream (paper §5:
     #: a sender overrunning a receiver's descriptor budget).  ``0`` sends
     #: back-to-back; a float inserts that many µs between data datagrams;

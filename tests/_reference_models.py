@@ -112,23 +112,35 @@ def _mcast_stream_trunk_frames(seg_of_rank, root: int, nsegs: int,
                                paths=None) -> int:
     """Trunk serializations of ONE loss-free engine stream (header +
     ``nsegs`` data frames + one round of control) rooted at ``root`` on
-    a fabric: data crosses every edge of the switch subtree spanning
-    the occupied segments once, the two scout gathers pay their edges'
-    trunk paths, and each remote receiver's report and decision pay the
-    receiver-root path each way."""
+    a fabric, re-derived from the protocol frame by frame — never from
+    the closed forms it judges: every multicast (the header, each data
+    frame, the round's one decision) crosses each edge of the switch
+    subtree spanning the occupied segments once; the header-phase and
+    arming scout gathers pay their binomial edges' trunk paths; and the
+    report fold sends one merged report per non-root rank to its
+    binomial parent."""
     from repro.simnet.fabric import path_trunk_hops
 
     if len(set(seg_of_rank)) <= 1:
         return 0
     paths = _seg_paths(seg_of_rank, paths)
+    size = len(seg_of_rank)
     root_seg = seg_of_rank[root]
-    data_edges = multicast_trunk_edges(root_seg, seg_of_rank, paths)
+    spanning = multicast_trunk_edges(root_seg, seg_of_rank, paths)
+    multicasts = 1 + nsegs + 1        # header, data, decision
     gathers = binomial_tree_trunk_hops(seg_of_rank, root, paths)
-    round_trips = sum(path_trunk_hops(paths[s], paths[root_seg])
-                     for i, s in enumerate(seg_of_rank) if i != root)
-    return ((1 + nsegs) * data_edges  # header + data, once per edge
+    fold = 0
+    for rank in range(size):
+        rel = (rank - root) % size
+        if rel == 0:
+            continue                  # the root reports to nobody
+        low = rel & -rel              # lowest set bit: the fold's edge
+        parent = ((rel ^ low) + root) % size
+        fold += path_trunk_hops(paths[seg_of_rank[rank]],
+                                paths[seg_of_rank[parent]])
+    return (multicasts * spanning     # once per spanning edge each
             + 2 * gathers             # header-phase + arming gathers
-            + 2 * round_trips)        # reports + decisions
+            + fold)                   # one merged report per rank
 
 
 def model_seg_bcast_trunk_frames(seg_of_rank, root: int, nsegs: int,

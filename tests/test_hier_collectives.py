@@ -154,13 +154,22 @@ def test_hier_on_single_segment_subcomm_degrades():
     assert result.returns == [True] * 8
 
 
-def _trunk_frames(impl, n_ops, size=24_000):
+def _trunk_frames(impl, n_ops, size=24_000, op="bcast",
+                  round_robin=False):
     def main(env):
-        env.comm.use_collectives(bcast=impl)
+        comm = env.comm
+        if round_robin:
+            # comm ranks 0..7 on hosts 0,4,1,5,...: segments alternate
+            comm = yield from env.comm.split(
+                0, key=(env.rank % 4) * 2 + env.rank // 4)
+        comm.use_collectives(**{op: impl})
         for _ in range(n_ops):
-            data = yield from env.comm.bcast(
-                bytes(size) if env.rank == 0 else None, 0)
-            assert len(data) == size
+            if op == "bcast":
+                data = yield from comm.bcast(
+                    bytes(size) if comm.rank == 0 else None, 0)
+                assert len(data) == size
+            else:
+                yield from comm.reduce(np.ones(size // 8), SUM, 0)
         return True
 
     result = run_spmd(8, main, topology="tree:2x4", params=AUTO)
@@ -168,15 +177,35 @@ def _trunk_frames(impl, n_ops, size=24_000):
     return result.stats["frames_trunk"]
 
 
+def _trunk_frames_per_call(impl, **kw):
+    """One call's trunk serializations (the one-time IGMP setup is
+    excluded by differencing a one-op and a two-op run)."""
+    return _trunk_frames(impl, 2, **kw) - _trunk_frames(impl, 1, **kw)
+
+
 def test_hier_bcast_beats_flat_on_trunk_frames_per_call():
-    """The headline claim: per call, the hierarchical broadcast
-    serializes strictly fewer frames on the trunks than the flat
-    segmented broadcast (the one-time IGMP setup is excluded by
-    differencing a one-op and a two-op run)."""
-    flat = _trunk_frames("mcast-seg-nack", 2) - _trunk_frames(
-        "mcast-seg-nack", 1)
-    hier = _trunk_frames("hier-mcast", 2) - _trunk_frames("hier-mcast", 1)
-    assert hier < flat
+    """The headline claim, restated on measurement in PR 18.  Before
+    it the flat segmented broadcast paid the trunk once per remote
+    rank per control sweep (56 trunk frames a call against the
+    hierarchy's 44).  Its reports now fold up the rank tree and its
+    decision is one multicast, so on block placement — where the rank
+    binomial tree crosses the trunk on a single edge — flat *ties* the
+    hierarchy, 44 = 44: same spanning edges for every multicast, same
+    one cross edge per gather.  Where the hierarchy still wins on the
+    trunks, strictly: round-robin placement (the rank tree crosses the
+    trunk on every other edge; the hierarchy never looks at rank
+    order), the reduce turn loop (N-1 flat streams span the fabric,
+    the hierarchy folds inside each segment first), and under loss
+    (``test_hier_repair_stays_inside_the_losing_segment``)."""
+    flat = _trunk_frames_per_call("mcast-seg-nack")
+    hier = _trunk_frames_per_call("hier-mcast")
+    assert (flat, hier) == (44, 44)
+    flat = _trunk_frames_per_call("mcast-seg-nack", round_robin=True)
+    hier = _trunk_frames_per_call("hier-mcast", round_robin=True)
+    assert (flat, hier) == (62, 44)
+    flat = _trunk_frames_per_call("mcast-seg-combine", op="reduce")
+    hier = _trunk_frames_per_call("hier-mcast", op="reduce")
+    assert hier == 44 and flat == 404
 
 
 def test_hier_repair_stays_inside_the_losing_segment():

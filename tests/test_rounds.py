@@ -7,10 +7,9 @@ from dataclasses import replace
 import pytest
 
 from repro import run_spmd
-from repro.core.rounds import (McastLost, Reassembler, RoundPacer,
-                               follow_rounds, repair_batch,
-                               round_drain_timeout_us, round_namespace,
-                               serve_rounds)
+from repro.core.rounds import (Reassembler, RoundPacer, follow_rounds,
+                               repair_batch, round_drain_timeout_us,
+                               round_namespace, serve_rounds)
 from repro.core.segment import (fragment, seg_nack_datagram_count)
 from repro.simnet import quiet
 from repro.simnet.calibration import FAST_ETHERNET_SWITCH
@@ -95,29 +94,48 @@ def test_whole_round_loss_nacks_faster_than_fixed_timeout():
     assert adaptive.sim_time_us < fixed.sim_time_us - 500.0
 
 
-@pytest.mark.xfail(strict=True, raises=McastLost,
-                   reason="repair-round drain timer's skew allowance is "
-                          "the constant seg_drain_floor_us, but the arming "
-                          "gather it covers deepens with log2 N — see "
-                          "docs/CHAOS.md, Known limitations")
-def test_flat_lossy_bcast_completes_at_12_ranks():
-    """Known failure, pinned with its cause: one lost segment on a flat
-    12-rank switch is never repaired.  Rank 1's repair-round drain
-    timer fires at 5989.56 sim-us and cancels its descriptor; the
-    repair datagram reaches it at 6240.8 and dies as
-    ``drops_not_posted`` — identically in all 40 rounds, until the root
-    gives up ("still missing [10]").  ``seg_drain_floor_us=1500``
-    completes at 12 and 16 ranks; no floor under the
-    ``seg_drain_timeout_us`` cap does at 64."""
+def _flat_lossy_bcast(n, topology, seed):
     def main(env):
         env.comm.use_collectives(bcast="mcast-seg-nack")
         obj = bytes(24_000) if env.rank == 0 else None
         out = yield from env.comm.bcast(obj, 0)
-        return len(out)
+        return out == bytes(24_000)
 
-    result = run_spmd(12, main, topology="switch",
-                      params=replace(AUTO, loss=0.02), seed=1)
-    assert result.returns == [24_000] * 12
+    return run_spmd(n, main, topology=topology,
+                    params=replace(AUTO, loss=0.02), seed=seed)
+
+
+def test_flat_lossy_bcast_completes_at_12_ranks():
+    """The PR 18 fix, pinned where the bug was: on a flat 12-rank switch
+    at 2 % loss one lost segment used to be unrepairable.  The root
+    unicast its N-1 decisions one after another (4845.7 ... 5250.2
+    sim-us), so rank 1 — told first — armed and started its repair-round
+    drain clock (4893.7) while the root was still talking; the timer
+    fired at 5989.6, cancelled the descriptor, and the repair datagram
+    (sent 5790.2) reached it at 6240.8 to die as ``drops_not_posted`` —
+    identically in all 40 rounds, until the root gave up ("still
+    missing [10]").  480 of the 896 us of skew were decision stagger,
+    the rest the arming gather's depth.  Now the decision is one
+    multicast (no stagger) and the drain timeout derives the gather
+    term from the group size: one repair round, then done."""
+    result = _flat_lossy_bcast(12, "switch", 1)
+    assert result.returns == [True] * 12
+    assert result.stats["retransmissions"] == 1
+    assert result.stats["frames_by_kind"]["seg-dec"] == 2   # repair, done
+
+
+@pytest.mark.parametrize("n,topology,seed", [
+    (64, "switch", 1), (64, "switch", 2), (64, "switch", 3),
+    (256, "tree:16x16", 1)])
+def test_flat_lossy_bcast_completes_at_scale(n, topology, seed):
+    """Sizes where no floor under the cap used to help: the decision
+    stagger grew with N (every case here raised McastLost before
+    PR 18).  Byte-correct everywhere, within a handful of repair
+    rounds — one decision multicast per round."""
+    result = _flat_lossy_bcast(n, topology, seed)
+    assert result.returns == [True] * n
+    assert result.stats["retransmissions"] >= 1
+    assert 1 <= result.stats["frames_by_kind"]["seg-dec"] - 1 <= 4
 
 
 # ------------------------------------------------------ repair re-batching
@@ -239,7 +257,7 @@ def test_serve_follow_contract_with_subsets_and_bystander():
             segs = fragment(payload, 512)
             assert len(segs) == nsegs
             yield from serve_rounds(comm, channel, seq, 0, segs, batch,
-                                    {1, 2, 3}, arm, tok)
+                                    arm, tok)
             return "served"
         if env.rank == 1:
             channel.data_sock.drop_filter = drop_seg7_once()
@@ -282,7 +300,7 @@ def test_serve_follow_sequential_namespaces_do_not_cross_match():
             if env.rank == 0:
                 segs = fragment(payload, 512)
                 yield from serve_rounds(comm, channel, seq, 0, segs, 1,
-                                        {1, 2}, arm, tok)
+                                        arm, tok)
                 out.append(payload)
             else:
                 nsegs = len(fragment(payload, 512))
@@ -316,9 +334,15 @@ def _eat_tail_once():
 
 def test_tail_loss_records_one_drain_timeout_at_the_historical_instant():
     """The round's drain timer replaced a Timeout + AnyOf per awaited
-    descriptor.  Same deadline arithmetic: rank 2's only drain timeout
-    and the end of the run land on the floats the per-wait Timeout
-    produced at the parent commit (f05fb36, 701 kernel records)."""
+    descriptor (PR 14: 701 kernel records at f05fb36, same deadline
+    arithmetic).  PR 18 re-pins the instant, derived not fitted: round
+    0 still arms at the same float, and the timeout moved from
+    ``700 + 5 x 237.96 = 1889.80`` to ``250 + 1189.80`` plus the
+    derived arming-gather allowance of a 4-rank group, ``2`` levels x
+    ``(48 + 45 + 4 + 12 + 32 B x 0.16) = 114.12`` — ``1668.04``, that
+    is 221.76 us earlier: 3497.148... - 221.76 = 3275.388...  The run
+    ends earlier still (the repair's reports fold, its decision is one
+    multicast)."""
     from repro.obs.trace import FlightRecorder
 
     params = replace(FAST_ETHERNET_SWITCH, segment_bytes=1000)  # jittered
@@ -341,9 +365,12 @@ def test_tail_loss_records_one_drain_timeout_at_the_historical_instant():
     drains = [e for e in recorders[0].events
               if e[0] == "inst" and e[3] == "drain-timeout"]
     assert drains == [("inst", 2, "round", "drain-timeout",
-                       3497.1483289758607,
+                       3275.388328975861,
                        (("round", 0), ("cancelled", 1)))]
-    assert result.sim_time_us == 4944.944007055952
+    assert drains[0][4] == pytest.approx(3497.1483289758607 - 221.76)
+    assert round_drain_timeout_us(params, 5, 1012, size=4) == \
+        pytest.approx(1668.04)
+    assert result.sim_time_us == 4448.548976282426
     assert result.cluster.sim.processed < 701 * 0.65
 
 

@@ -106,7 +106,7 @@ def test_seg_nack_datagram_count_formula():
             == seg_nack_frame_count(4, 33))
     # batching shrinks only the data terms
     assert (seg_nack_datagram_count(4, 33, batch=8, repairs=[5])
-            == 1 + 3 * 7 + 5 + 1)
+            == 1 + 3 * 5 + 2 + 5 + 1)
     assert seg_nack_datagram_count(1, 10, batch=2) == 0
 
 
@@ -326,7 +326,7 @@ def test_seg_nack_frame_count_formula():
     assert kinds["mcast-seg"] == 33
     assert kinds["mcast-seg-hdr"] == 1
     assert kinds["seg-report"] == n - 1
-    assert kinds["seg-dec"] == n - 1
+    assert kinds["seg-dec"] == 1              # one control multicast
 
 
 # -------------------------------------------------- seg-paced allgather
