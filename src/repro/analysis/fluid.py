@@ -9,18 +9,20 @@ reproduce a number the model computes in microseconds.  This module is
 the dispatch layer that decides *when the model may stand in for the
 simulator* and computes the answer:
 
-* **eligibility** is keyed off :data:`~repro.analysis.framecount.
-  MODEL_COVERAGE` — only (op, impl) pairs whose ledger entry names a
-  closed-form model (not an ``"estimate: ..."`` marker) qualify (the
-  ``hier-mcast`` entries are derived from step-kind exactness, so
-  bundle-carrying scatter/gather/allgather are out), and only at
-  ``loss == 0`` — repair traffic is stochastic, the DES owns it;
+* **eligibility** follows from :data:`~repro.analysis.framecount.
+  MODEL_COVERAGE` alone — only (op, impl) pairs whose ledger entry
+  names the plan fold (:func:`~repro.analysis.framecount.
+  model_flat_frames` for the flat segmented collectives,
+  :func:`~repro.analysis.framecount.model_hier_frames` for
+  ``hier-mcast``, whose entries are derived from step-kind exactness,
+  so its bundle-carrying scatter/gather/allgather are out) qualify,
+  and only at ``loss == 0`` — repair traffic is stochastic, the DES
+  owns it;
 * **answers** are per-call trunk serializations
   (:func:`trunk_frames_per_call`) — the steady-state metric the
   fabric-scaling and deep-fabric sweep areas persist — computed by the
-  very model functions the postconditions assert against, so a fluid
-  answer and a DES measurement cannot disagree without the gate
-  noticing;
+  very fold the ledger names (the postconditions assert the equality
+  whenever the DES does run);
 * **cross-check** — ``tests/test_fluid.py`` re-runs the DES for every
   gate-scale case the backend answers and asserts exact equality, so
   the shortcut never silently drifts from the machine it models.
@@ -41,12 +43,9 @@ import os
 from contextlib import contextmanager
 from typing import Callable, Iterator, Optional, Sequence
 
-from ..core.segment import plan_transport
 from ..simnet.calibration import NetParams
-from .framecount import (MODEL_COVERAGE, model_hier_frames,
-                         model_seg_bcast_trunk_frames,
-                         model_seg_reduce_trunk_frames,
-                         model_seg_scatter_trunk_frames)
+from .framecount import (MODEL_COVERAGE, model_flat_frames,
+                         model_hier_frames)
 
 __all__ = ["FLUID_ENV", "answers", "enabled", "exact_model", "forced",
            "trunk_frames_per_call"]
@@ -85,58 +84,24 @@ def exact_model(op: str, impl: str) -> bool:
     return entry is not None and not entry.startswith("estimate:")
 
 
-def _share_nsegs(size: int, n: int, params: NetParams) -> int:
-    """Segments of one rank's ``size // n`` share (the deep-fabric
-    benches hand every rank an equal ``bytes(size // n)`` element)."""
-    return plan_transport(size // n, params).nsegs
-
-
-def _trunk_seg_bcast(seg_of, root, size, params, paths):
-    nsegs = plan_transport(size, params).nsegs
-    return model_seg_bcast_trunk_frames(seg_of, root, nsegs, paths)
-
-
-def _trunk_seg_reduce(seg_of, root, size, params, paths):
-    nsegs = plan_transport(size, params).nsegs
-    return model_seg_reduce_trunk_frames(seg_of, root, nsegs, paths)
-
-
-def _trunk_seg_scatter(seg_of, root, size, params, paths):
-    n = len(seg_of)
-    share = _share_nsegs(size, n, params)
-    return model_seg_scatter_trunk_frames(seg_of, root, (n - 1) * share,
-                                          paths)
-
-
-def _trunk_seg_gather(seg_of, root, size, params, paths):
-    share = _share_nsegs(size, len(seg_of), params)
-    return model_seg_reduce_trunk_frames(seg_of, root, share, paths)
-
-
-#: (op, impl) -> per-call trunk-serialization model.  ``size`` is the
-#: collective's benched payload size; per-rank shares (``size // n``
-#: for scatter/gather) are derived inside, matching the sweep bodies.
-#: p2p-binomial is absent although its *total-frame* ledger entry is
-#: exact: ``model_p2p_tree_trunk_frames`` omits the rendezvous sync
-#: traffic's trunk crossings (it is a policy cost estimate), so the
-#: DES keeps those cases.  ``hier-mcast`` needs no entry: its one model
-#: returns the trunk count for every op.
-_TRUNK_MODELS: dict[tuple[str, str], Callable] = {
-    ("bcast", "mcast-seg-nack"): _trunk_seg_bcast,
-    ("reduce", "mcast-seg-combine"): _trunk_seg_reduce,
-    ("scatter", "mcast-seg-root"): _trunk_seg_scatter,
-    ("gather", "mcast-seg-root-follow"): _trunk_seg_gather,
-}
+def _plan_model(op: str, impl: str) -> Optional[Callable]:
+    """The plan fold the ledger names for (op, impl), or ``None``: the
+    one model that returns trunk serializations beside host frames.
+    (p2p-binomial's *total-frame* entry is exact too, but
+    ``model_p2p_tree_trunk_frames`` omits the rendezvous sync
+    traffic's trunk crossings, so the DES keeps those cases.)"""
+    entry = MODEL_COVERAGE.get((op, impl))
+    for model in (model_flat_frames, model_hier_frames):
+        if entry == f"{model.__module__}.{model.__name__}":
+            return model
+    return None
 
 
 def answers(op: str, impl: str, params: NetParams) -> bool:
     """True iff the backend may answer (op, impl) on ``params``: the
-    frame model is exact, a trunk model is wired, and the platform is
+    ledger prices it with the (exact) plan fold, and the platform is
     loss-free (repair traffic is stochastic — DES territory)."""
-    if params.loss > 0.0:
-        return False
-    return exact_model(op, impl) and (impl == "hier-mcast"
-                                      or (op, impl) in _TRUNK_MODELS)
+    return params.loss <= 0.0 and _plan_model(op, impl) is not None
 
 
 def trunk_frames_per_call(op: str, impl: str,
@@ -148,16 +113,20 @@ def trunk_frames_per_call(op: str, impl: str,
 
     ``seg_of_rank`` / ``paths`` describe the fabric exactly as the
     sweep areas do (:data:`~repro.bench.sweep_areas.DEEP_FABRICS`);
-    ``size`` is the benched payload size.  The returned value is what
+    ``size`` is the benched payload size, of which the sweep bodies
+    hand every rank an equal ``size // n`` share where the op takes
+    per-rank elements.  The returned value is what
     ``NetStats.frames_trunk`` grows by per steady-state call — the
     quantity the trunk sweep families measure by differencing a two-op
     and a one-op run.
     """
-    if not answers(op, impl, params):
+    model = _plan_model(op, impl)
+    if model is None or params.loss > 0.0:
         return None
-    if impl == "hier-mcast":
-        _frames, trunk = model_hier_frames(op, tuple(seg_of_rank), root,
-                                           size, params, paths)
-        return int(round(trunk))
-    model = _TRUNK_MODELS[(op, impl)]
-    return int(model(tuple(seg_of_rank), root, size, params, paths))
+    n = len(seg_of_rank)
+    share = size // n
+    nbytes = {"scatter": share * n, "gather": share,
+              "allgather": share}.get(op, size)
+    _frames, trunk = model(op, tuple(seg_of_rank), root, nbytes, params,
+                           paths)
+    return int(round(trunk))

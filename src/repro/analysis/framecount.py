@@ -27,13 +27,10 @@ __all__ = [
     "paper_mcast_bcast_frames", "paper_mpich_barrier_messages",
     "paper_mcast_barrier_messages", "model_mpich_bcast_frames",
     "model_mcast_bcast_frames", "mcast_bcast_total_frames",
-    "model_p2p_tree_frames", "model_seg_reduce_frames",
-    "model_seg_allreduce_frames", "model_seg_scatter_frames",
-    "expected_seg_repair_frames", "binomial_cross_edges",
-    "binomial_tree_trunk_hops", "multicast_trunk_edges",
-    "model_p2p_tree_trunk_frames", "model_seg_bcast_trunk_frames",
-    "model_seg_reduce_trunk_frames", "model_seg_scatter_trunk_frames",
-    "model_seg_allgather_trunk_frames", "model_hier_frames",
+    "model_p2p_tree_frames", "expected_seg_repair_frames",
+    "binomial_cross_edges", "binomial_tree_trunk_hops",
+    "multicast_trunk_edges", "model_p2p_tree_trunk_frames",
+    "model_plan_frames", "model_flat_frames", "model_hier_frames",
     "MODEL_COVERAGE",
 ]
 
@@ -108,7 +105,8 @@ def mcast_bcast_total_frames(params: NetParams, n: int, m: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# reduction-side collectives (PR 3: segmented reduce/scatter/allreduce)
+# the p2p tree (the flat segmented collectives are the one-group plan:
+# model_flat_frames below)
 # ---------------------------------------------------------------------------
 def model_p2p_tree_frames(params: NetParams, n: int, m: int) -> int:
     """Exact frames of a binomial tree moving the whole payload across
@@ -116,39 +114,6 @@ def model_p2p_tree_frames(params: NetParams, n: int, m: int) -> int:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return params.frames_for(m + params.mpi_header) * (n - 1)
-
-
-def model_seg_reduce_frames(n: int, nsegs: int) -> int:
-    """Loss-free frames of ``mcast-seg-combine``: one engine stream per
-    non-root contributor, each exactly the broadcast round structure
-    (:func:`~repro.core.segment.seg_nack_frame_count`)."""
-    from ..core.segment import seg_nack_frame_count
-
-    if n < 2:
-        return 0
-    return (n - 1) * seg_nack_frame_count(n, nsegs)
-
-
-def model_seg_allreduce_frames(n: int, nsegs: int) -> int:
-    """Loss-free frames of the segmented allreduce: the mcast reduce
-    plus one segmented broadcast of the result."""
-    from ..core.segment import seg_nack_frame_count
-
-    if n < 2:
-        return 0
-    return model_seg_reduce_frames(n, nsegs) + seg_nack_frame_count(
-        n, nsegs)
-
-
-def model_seg_scatter_frames(n: int, seg_counts) -> int:
-    """Loss-free frames of ``mcast-seg-root``: one engine stream over
-    the concatenation of every non-root rank's fragments
-    (``seg_counts`` lists the per-rank segment counts, root's 0)."""
-    from ..core.segment import seg_nack_frame_count
-
-    if n < 2:
-        return 0
-    return seg_nack_frame_count(n, sum(seg_counts))
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +303,10 @@ class TopoDigest:
             n * from_anchor[seg] for seg, n in enumerate(self.members))
 
     def group(self, members) -> "TopoDigest":
-        """The digest of a sub-group of ranks (one hierarchy phase)."""
+        """The digest of a sub-group of ranks (one hierarchy phase);
+        the whole communicator's is this one."""
+        if len(members) == self.size:
+            return self
         return _digest(tuple(self.seg_of_rank[m] for m in members),
                        self.paths)
 
@@ -393,87 +361,53 @@ def model_p2p_tree_trunk_frames(params: NetParams, seg_of_rank,
     return binomial_tree_trunk_hops(seg_of_rank, root, paths) * per_msg
 
 
-def model_seg_bcast_trunk_frames(seg_of_rank, root: int, nsegs: int,
-                                 paths=None) -> int:
-    """Loss-free trunk serializations of the flat ``mcast-seg-nack``
-    broadcast on a tiered fabric — one engine stream (exact; asserted
-    by the ``fabric-scaling`` and ``deep-fabric`` sweep areas)."""
-    return topo_digest(seg_of_rank, paths).stream(root, nsegs)
-
-
-def model_seg_reduce_trunk_frames(seg_of_rank, root: int, nsegs: int,
-                                  paths=None) -> int:
-    """Loss-free trunk serializations of the flat ``mcast-seg-combine``
-    reduce (and of the ``mcast-seg-root-follow`` gather, which runs the
-    same turn loop): one engine stream per non-root contributor, each
-    rooted at its turn's sender (every stream's data still crosses
-    every occupied trunk edge — all members joined the group)."""
-    digest = topo_digest(seg_of_rank, paths)
-    return digest.all_streams(nsegs) - digest.stream(root, nsegs)
-
-
-def model_seg_scatter_trunk_frames(seg_of_rank, root: int, nsegs: int,
-                                   paths=None) -> int:
-    """Loss-free trunk serializations of the flat ``mcast-seg-root``
-    scatter: one engine stream of all ``nsegs`` per-rank-addressed
-    segments (exact — the per-rank ``needed`` subsets change what
-    receivers reassemble, not what crosses the wire)."""
-    return topo_digest(seg_of_rank, paths).stream(root, nsegs)
-
-
-def model_seg_allgather_trunk_frames(seg_of_rank, nsegs: int,
-                                     paths=None) -> int:
-    """Loss-free trunk serializations of the flat ``mcast-seg-paced``
-    allgather: the rank-0-anchored ready round plus one engine stream
-    per rank, each rooted at its turn's sender."""
-    digest = topo_digest(seg_of_rank, paths)
-    return digest.ready_round() + digest.all_streams(nsegs)
-
-
 # ---------------------------------------------------------------------------
-# recursive hierarchy model: one cost fold over the compiled plan
+# the plan model: one cost fold over a compiled step list
 # ---------------------------------------------------------------------------
-def model_hier_frames(op: str, seg_of_rank, root: int, nbytes: int,
-                      params: NetParams, paths=None,
+def model_plan_frames(op: str, tree, digest: TopoDigest, root: int,
+                      nbytes: int, params: NetParams,
                       loss: float = 0.0) -> tuple[float, float]:
-    """(host frames, trunk serializations) of one ``hier-mcast`` call
-    on an arbitrary-depth hierarchy: a fold over the *same* step list
-    the implementation interprets
-    (:func:`~repro.mpi.collective.hier.compile_plan`), so model and
-    behaviour cannot drift.  Each step kind contributes its engine
-    streams (host frames, expected repairs, the trunk term of its
-    group's own :meth:`TopoDigest.group`), a ``forward`` its p2p hop,
-    the barrier's ``sync`` / ``release`` their scouts and release
-    frame.
+    """(host frames, trunk serializations) of one call of the plan
+    :func:`~repro.mpi.collective.hier.compile_plan` ``(op, tree,
+    root)`` on ``digest``'s fabric: a fold over the *same* step list
+    the implementation interprets, so model and behaviour cannot drift.
+    Each step kind contributes its engine streams, a ``forward`` its
+    p2p hop, the barrier's ``sync`` / ``release`` their scouts and
+    release frame.
 
-    Loss-free (``loss=0``) a plan is **exact** unless it contains a
-    :data:`~repro.mpi.collective.hier.BUNDLE_KINDS` step — asserted
-    against ``NetStats`` by the ``deep-fabric`` sweep area and
-    ``tests/test_hier_deep.py``.  ``collect`` / ``deal`` / ``exchange``
-    approximate bundle sizes by their member payload shares (the wire
-    carries pickled bundle objects whose envelope the closed form
-    ignores), so ``scatter`` / ``gather`` / ``allgather`` are
-    estimate-grade: good enough to rank candidates in the auto policy,
-    checked by the bench only for the strict hier-below-flat
-    inequality; :data:`MODEL_COVERAGE` derives its ``hier-mcast``
-    entries from exactly this.  With ``loss > 0`` every stream
+    One **stream** — header, NACK-repaired rounds — is priced in one
+    place, from the *parts* the engine fragments one by one (a
+    ``deal`` has one per receiving member, every other kind one):
+    their segments add up; when the plan ships one segment per
+    datagram (``auto_batch == 1``) each is a frame of its own,
+    otherwise the whole plan is ONE batched datagram whose frames are
+    those of its summed bytes.  The segment count feeds the expected
+    repairs, the frame count :func:`~repro.core.segment.
+    seg_nack_frame_count`'s data term and the trunk term of the group's
+    own :meth:`TopoDigest.group`.  A turn loop whose turns all carry
+    the same payload (always, on a leaf group) is priced once through
+    :meth:`TopoDigest.all_streams`, never turn by turn.
+
+    ``nbytes`` is the op's natural payload: the bcast / reduce
+    message, the scatter's *total* sequence, the gather's and
+    allgather's per-rank contribution.  Loss-free (``loss=0``) a plan
+    is **exact** unless a bundle-carrying step runs in it (see
+    :data:`MODEL_COVERAGE`); with ``loss > 0`` every stream
     additionally carries its expected NACK-repair traffic — repairs
-    stay inside the losing group's switch subtree, which is most of the
-    hierarchy's win on lossy fabrics.
+    stay inside the losing group's switch subtree, which is most of
+    the hierarchy's win on lossy fabrics.
     """
-    from ..core.segment import plan_transport, seg_nack_frame_count
+    from ..core.segment import (auto_batch, plan_transport,
+                                seg_nack_frame_count)
 
-    digest = topo_digest(seg_of_rank, paths)
-    size = digest.size
-    if digest.nsegments < 2:
-        return (0.0, 0.0)
     if op == "allreduce":   # summed per half: frames are floats under loss
-        f1, t1 = model_hier_frames("reduce", seg_of_rank, 0, nbytes,
-                                   params, paths, loss)
-        f2, t2 = model_hier_frames("bcast", seg_of_rank, 0, nbytes,
-                                   params, paths, loss)
+        f1, t1 = model_plan_frames("reduce", tree, digest, 0, nbytes,
+                                   params, loss)
+        f2, t2 = model_plan_frames("bcast", tree, digest, 0, nbytes,
+                                   params, loss)
         return f1 + f2, t1 + t2
-    steps = compile_plan(op, digest.tree, root)
+    size, seg_of_rank = digest.size, digest.seg_of_rank
+    steps = compile_plan(op, tree, root)
     kinds = {step.kind for step in steps}
     # ``unit``: bytes one rank contributes; ``whole``: bytes of the
     # value a serve or a forward moves in one piece
@@ -486,6 +420,10 @@ def model_hier_frames(op: str, seg_of_rank, root: int, nbytes: int,
         unit, whole = nbytes, nbytes * size
     else:                           # one nbytes message
         unit = whole = nbytes
+
+    def nsegs_of(part: int) -> int:
+        return plan_transport(part, params).nsegs
+
     frames = 0.0
     trunk = 0.0
     for step in steps:
@@ -502,21 +440,21 @@ def model_hier_frames(op: str, seg_of_rank, root: int, nbytes: int,
         # how many ranks each member's bundle covers, in turn order
         covers = [len(cover) for cover in group.covers]
         others = [turn for turn in range(k) if turn != at]
-        #: engine streams as (serving turn, payload bytes, receivers);
-        #: ``receivers=1`` for single-consumer turn-loop streams
+        #: engine streams as (serving turn, parts, receivers);
+        #: ``receivers=1`` where each segment has a single consumer
         streams: list = []
         if kind == "serve":
-            streams = [(at, whole, None)]
+            streams = [(at, (whole,), None)]
         elif kind == "deal":
-            streams = [(at, unit * sum(covers[t] for t in others), None)]
+            streams = [(at, tuple(unit * covers[t] for t in others), 1)]
         elif kind == "fold":
-            streams = [(turn, unit, 1) for turn in others]
+            streams = [(turn, (unit,), 1) for turn in others]
         elif kind == "collect":
-            streams = [(turn, unit * covers[turn], 1) for turn in others]
+            streams = [(turn, (unit * covers[turn],), 1) for turn in others]
         elif kind == "exchange":
             frames += 2 * (k - 1)            # the paced ready round
             trunk += sub.ready_round()
-            streams = [(turn, unit * covers[turn], None)
+            streams = [(turn, (unit * covers[turn],), None)
                        for turn in range(k)]
         elif kind == "sync":                 # k-1 scouts up the tree
             frames += k - 1
@@ -525,14 +463,64 @@ def model_hier_frames(op: str, seg_of_rank, root: int, nbytes: int,
             frames += 1
             trunk += sub.edges[sub.seg_of_rank[at]]
         # streams add up in plan order and, inside a turn loop, in turn
-        # order: host frames are floats under loss
-        for turn, payload, receivers in streams:
-            nsegs = plan_transport(max(payload, 0), params).nsegs
-            frames += (seg_nack_frame_count(k, nsegs)
-                       + expected_seg_repair_frames(k, nsegs, loss,
-                                                    receivers=receivers))
-            trunk += sub.stream(turn, nsegs)
+        # order (host frames are floats under loss); each distinct
+        # payload is priced once
+        priced: dict = {}
+        data = []                            # data frames per stream
+        for _turn, parts, receivers in streams:
+            if parts not in priced:
+                nsegs = sum(map(nsegs_of, parts))
+                nframes = (nsegs if auto_batch(params, nsegs) == 1
+                           else nsegs_of(sum(parts)))
+                priced[parts] = (
+                    seg_nack_frame_count(k, nframes)
+                    + expected_seg_repair_frames(k, nsegs, loss,
+                                                 receivers=receivers),
+                    nframes)
+            host, nframes = priced[parts]
+            frames += host
+            data.append(nframes)
+        if len(streams) > 1 and len(priced) == 1:   # a uniform turn loop
+            trunk += sub.all_streams(data[0]) - (
+                sub.stream(at, data[0]) if len(streams) < k else 0)
+        else:
+            trunk += sum(sub.stream(turn, nframes) for (turn, _p, _r),
+                         nframes in zip(streams, data))
     return frames, trunk
+
+
+def model_flat_frames(op: str, seg_of_rank, root: int, nbytes: int,
+                      params: NetParams, paths=None,
+                      loss: float = 0.0) -> tuple[float, float]:
+    """:func:`model_plan_frames` of the op's *flat* segmented
+    implementation: the one-group plan — the whole communicator as a
+    single leaf, elements bare — priced with the communicator's own
+    digest (every trunk coefficient is 0 on a flat cluster).  Exact
+    loss-free for every op: asserted against ``NetStats`` by
+    ``tests/test_plan_model.py`` and the sweep areas."""
+    digest = topo_digest(seg_of_rank, paths)
+    if digest.size < 2:
+        return (0.0, 0.0)
+    return model_plan_frames(op, build_hier_tree((0,) * digest.size),
+                             digest, root, nbytes, params, loss)
+
+
+def model_hier_frames(op: str, seg_of_rank, root: int, nbytes: int,
+                      params: NetParams, paths=None,
+                      loss: float = 0.0) -> tuple[float, float]:
+    """:func:`model_plan_frames` of one ``hier-mcast`` call on an
+    arbitrary-depth hierarchy.  Exact loss-free (asserted by the
+    ``deep-fabric`` sweep area and ``tests/test_hier_deep.py``) unless
+    the plan holds a :data:`~repro.mpi.collective.hier.BUNDLE_KINDS`
+    step, whose pickled bundle the fold sizes by its member payload
+    shares: estimate-grade ``scatter`` / ``gather`` / ``allgather``
+    rank the auto policy's candidates and are checked by the bench only
+    for the strict hier-below-flat inequality."""
+    digest = topo_digest(seg_of_rank, paths)
+    if digest.nsegments < 2:
+        return (0.0, 0.0)
+    return model_plan_frames(op, digest.tree, digest, root, nbytes,
+                             params, loss)
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +552,7 @@ MODEL_COVERAGE: dict[tuple[str, str], str] = {
         "estimate: ack-implosion retransmit traffic depends on timing "
         "(the PVM-style baseline exists to measure, not to model)",
     ("bcast", "mcast-seg-nack"):
-        "repro.core.segment.seg_nack_frame_count",
+        "repro.analysis.framecount.model_flat_frames",
     ("bcast", "mcast-sequencer"):
         "estimate: sequencer hop doubles data frames; ordering traffic "
         "modeled only asymptotically (DESIGN.md)",
@@ -578,22 +566,22 @@ MODEL_COVERAGE: dict[tuple[str, str], str] = {
     ("reduce", "p2p-binomial"):
         "repro.analysis.framecount.model_p2p_tree_frames",
     ("reduce", "mcast-seg-combine"):
-        "repro.analysis.framecount.model_seg_reduce_frames",
+        "repro.analysis.framecount.model_flat_frames",
     ("allreduce", "p2p-reduce-bcast"):
         "estimate: composition — 2 x model_p2p_tree_frames (reduce "
         "down, bcast back)",
     ("allreduce", "mcast-seg-nack"):
-        "repro.analysis.framecount.model_seg_allreduce_frames",
+        "repro.analysis.framecount.model_flat_frames",
     ("gather", "p2p-binomial"):
         "estimate: inner edges re-forward growing subtree batches; "
         "policy uses the (size-1) contributions lower bound",
     ("gather", "mcast-seg-root-follow"):
-        "repro.analysis.framecount.model_seg_reduce_frames",
+        "repro.analysis.framecount.model_flat_frames",
     ("scatter", "p2p-binomial"):
         "estimate: per-level subtree shares (exact only at power-of-"
         "two sizes); see policy.p2p_frame_estimate",
     ("scatter", "mcast-seg-root"):
-        "repro.analysis.framecount.model_seg_scatter_frames",
+        "repro.analysis.framecount.model_flat_frames",
     ("allgather", "p2p-gather-bcast"):
         "estimate: composition — gather lower bound + full-list "
         "broadcast; see policy.p2p_frame_estimate",
@@ -601,8 +589,7 @@ MODEL_COVERAGE: dict[tuple[str, str], str] = {
         "estimate: unsegmented per-turn streaming; superseded by "
         "mcast-seg-paced, kept as a measured baseline",
     ("allgather", "mcast-seg-paced"):
-        "estimate: composition — paced ready round (2(N-1)) + N x "
-        "seg_nack_frame_count; see policy.seg_frame_estimate",
+        "repro.analysis.framecount.model_flat_frames",
     ("alltoall", "p2p-pairwise"):
         "estimate: (N-1) pairwise exchanges; ROADMAP gap — no "
         "multicast rival or asserted closed form yet",

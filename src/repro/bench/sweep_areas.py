@@ -51,11 +51,7 @@ import numpy as np
 
 from ..analysis import fluid
 from ..analysis.framecount import (expected_seg_repair_frames,
-                                   model_hier_frames,
-                                   model_seg_allgather_trunk_frames,
-                                   model_seg_bcast_trunk_frames,
-                                   model_seg_reduce_trunk_frames,
-                                   model_seg_scatter_trunk_frames)
+                                   model_flat_frames, model_hier_frames)
 from ..core.segment import (plan_segments, plan_transport,
                             seg_nack_datagram_count,
                             seg_nack_frame_count)
@@ -576,7 +572,6 @@ def fab_post_trunk_models(doc):
     strict wins — the turn loops, loss, placements that fight the
     fabric — are ``deep-fabric``'s to assert)."""
     for size in DIMS[doc["scale"]].fab_sizes:
-        nsegs = plan_transport(size, QUIET_AUTO).nsegs
         flat = metric(doc, "trunk", "frames_trunk_call", engine="flat",
                       size=size)
         hier = metric(doc, "trunk", "frames_trunk_call", engine="hier",
@@ -584,9 +579,10 @@ def fab_post_trunk_models(doc):
         assert hier == flat, (
             f"hier-mcast bcast at {size} B crossed the trunks {hier} "
             f"times, the flat engine {flat}: block placement should tie")
-        assert flat == model_seg_bcast_trunk_frames(FAB_SEG_OF, 0, nsegs)
-        assert hier == model_hier_frames("bcast", FAB_SEG_OF, 0, size,
-                                         QUIET_AUTO)[1]
+        for sim, model in ((flat, model_flat_frames),
+                           (hier, model_hier_frames)):
+            assert sim == model("bcast", FAB_SEG_OF, 0, size,
+                                QUIET_AUTO)[1]
 
 
 def fab_post_latency_sanity(doc):
@@ -760,45 +756,34 @@ def _deep_families(scale):
     ]
 
 
+def _assert_trunk_model(doc, family, fabric, op, impl):
+    """The family's measured per-call trunk count == the plan fold's
+    (what the fluid backend answers with, whenever the DES ran)."""
+    _n, seg_of, paths = DEEP_FABRICS[fabric]
+    sim = metric(doc, family, "frames_trunk_call", fabric=fabric, op=op)
+    model = fluid.trunk_frames_per_call(
+        op, impl, seg_of, 0, DIMS[doc["scale"]].deep_size, QUIET_AUTO,
+        paths)
+    assert sim == model, (
+        f"{impl} {op} on {fabric}: sim {sim} != model {model}")
+
+
 def deep_post_flat_models(doc):
-    """Flat segmented trunk counts == closed forms on deep trees."""
-    size = DIMS[doc["scale"]].deep_size
-    for fabric, (n, seg_of, paths) in DEEP_FABRICS.items():
-        nsegs = plan_transport(size, QUIET_AUTO).nsegs
-        share = plan_transport(size // n, QUIET_AUTO).nsegs
-        models = {
-            "bcast": model_seg_bcast_trunk_frames(seg_of, 0, nsegs,
-                                                  paths),
-            "reduce": model_seg_reduce_trunk_frames(seg_of, 0, nsegs,
-                                                    paths),
-            "scatter": model_seg_scatter_trunk_frames(
-                seg_of, 0, (n - 1) * share, paths),
-            "gather": model_seg_reduce_trunk_frames(seg_of, 0, share,
-                                                    paths),
-            "allgather": model_seg_allgather_trunk_frames(seg_of, share,
-                                                          paths),
-        }
+    """Flat segmented trunk counts == the one-group plan's on deep
+    trees."""
+    for fabric in DEEP_FABRICS:
         for op in DIMS[doc["scale"]].deep_flat_ops:
-            sim = metric(doc, "trunk-flat", "frames_trunk_call",
-                         fabric=fabric, op=op)
-            assert sim == models[op], (
-                f"flat {op} on {fabric}: sim {sim} != model "
-                f"{models[op]}")
+            _assert_trunk_model(doc, "trunk-flat", fabric, op,
+                                DEEP_FLAT_IMPL[op])
 
 
 def deep_post_hier_models_and_wins(doc):
-    """Hier bcast/reduce trunk counts == the phase-walking model, and
+    """Hier bcast/reduce trunk counts == the hierarchy plan's, and
     hier strictly below flat where confinement wins."""
-    size = DIMS[doc["scale"]].deep_size
-    for fabric, (n, seg_of, paths) in DEEP_FABRICS.items():
+    for fabric in DEEP_FABRICS:
         for op in DIMS[doc["scale"]].deep_hier_exact_ops:
-            _f, trunk_model = model_hier_frames(op, seg_of, 0, size,
-                                                QUIET_AUTO, paths)
-            sim = metric(doc, "trunk-hier", "frames_trunk_call",
-                         fabric=fabric, op=op)
-            assert sim == trunk_model, (
-                f"hier {op} on {fabric}: sim {sim} != model "
-                f"{trunk_model}")
+            _assert_trunk_model(doc, "trunk-hier", fabric, op,
+                                "hier-mcast")
         for op in _deep_win_ops(doc["scale"], fabric):
             flat = metric(doc, "trunk-flat", "frames_trunk_call",
                           fabric=fabric, op=op)
@@ -909,24 +894,23 @@ def segred_frames_case(scale, seed, op, size):
 def segred_formulas_case(scale, seed):
     """Loss-free stream frames == the closed forms, with the fixed
     per-segment plan (the formulas count segments exactly)."""
-    from ..analysis.framecount import (model_seg_allreduce_frames,
-                                       model_seg_reduce_frames)
-
     size = DIMS[scale].segred_sizes[-1]
     nsegs = len(plan_segments(size, QUIET.segment_bytes))
 
     def stream(stats):
         return _seg_stream_frames(stats["frames_by_kind"])
 
+    def model(op):
+        return model_flat_frames(op, (0,) * SEGRED_NPROCS, 0, size,
+                                 QUIET)[0]
+
     red_stats, _ = _segred_run("reduce", "mcast-seg-combine", size,
                                QUIET, seed)
-    assert stream(red_stats) == model_seg_reduce_frames(SEGRED_NPROCS,
-                                                        nsegs)
+    assert stream(red_stats) == model("reduce")
     assert red_stats["retransmissions"] == 0
     ar_stats, _ = _segred_run("allreduce", "mcast-seg-nack", size,
                               QUIET, seed)
-    assert stream(ar_stats) == model_seg_allreduce_frames(SEGRED_NPROCS,
-                                                          nsegs)
+    assert stream(ar_stats) == model("allreduce")
     return {"nsegs": nsegs,
             "frames_stream_reduce": stream(red_stats),
             "frames_stream_allreduce": stream(ar_stats)}

@@ -53,9 +53,7 @@ from typing import Any, Callable, Generator
 from ..mpi.collective.registry import register
 from ..mpi.datatypes import payload_bytes
 from ..mpi.ops import Op
-from .channel import SEG_HEADER_BYTES
 from .rounds import follow_rounds, round_namespace, serve_rounds
-from .scout import scout_gather_binary
 from .segment import bcast_mcast_seg_nack, fragment, plan_transport
 
 __all__ = ["stream_turns", "reduce_mcast_seg_combine",
@@ -70,9 +68,9 @@ def stream_turns(comm, obj: Any, root: int, key: str,
     ``obj`` (turn order = ascending rank); the root follows each turn
     and hands the reassembled value — and its own ``obj``, which never
     touches the wire — to ``consume(turn, value)`` in strictly
-    ascending turn order.  ``key`` namespaces the per-turn repair loops
-    and header phases (``"red"`` for reduce, ``"gat"`` for gather) so
-    different collectives can never cross-match control traffic.
+    ascending turn order.  ``key`` namespaces the per-turn streams
+    (``"red"`` for reduce, ``"gat"`` for gather) so different
+    collectives can never cross-match control traffic.
     """
     channel = comm.mcast
     params = comm.host.params
@@ -87,47 +85,23 @@ def stream_turns(comm, obj: Any, root: int, key: str,
 
     for turn in range(size):
         arm_phase, rnd_token = round_namespace(key, turn)
-        hdr_phase = (key + "-hdr", turn)
         if turn == root:
             # The root's own contribution never touches the wire.
             if comm.rank == root:
                 consume(turn, obj)
-            continue
-        if comm.rank == turn:
-            yield from scout_gather_binary(comm, channel, seq, turn,
-                                           phase=hdr_phase)
-            yield from channel.send_data(
-                ("seg-hdr", turn, tplan.nsegs, tplan.batch),
-                SEG_HEADER_BYTES, seq, control=True, kind="mcast-seg-hdr")
+        elif comm.rank == turn:
             yield from serve_rounds(comm, channel, seq, turn, mine,
                                     tplan.batch, arm_phase, rnd_token)
         elif comm.rank == root:
-            hdr_posted = channel.post_data()
-            yield from scout_gather_binary(comm, channel, seq, turn,
-                                           phase=hdr_phase)
-            while True:
-                src, got_seq, hdr = yield from channel.wait_data(
-                    hdr_posted)
-                if (got_seq == seq and src == turn
-                        and isinstance(hdr, tuple)
-                        and hdr[0] == "seg-hdr" and hdr[1] == turn):
-                    break
-                # A straggler from an earlier collective consumed the
-                # descriptor; re-post and re-wait (FIFO wire: the header
-                # cannot overtake same-source stragglers).
-                hdr_posted = channel.post_data()
             reasm = yield from follow_rounds(comm, channel, seq, turn,
-                                            hdr[2], hdr[3], arm_phase,
-                                            rnd_token)
+                                             arm_phase, rnd_token)
             consume(turn, reasm.result())
         else:
-            # Bystander: stay in lockstep with the turn's repair loop
-            # (arm gathers, empty reports, decisions) without posting
+            # Bystander: stay in lockstep with the turn's stream (its
+            # gathers, empty reports, decisions) without posting
             # descriptors — the turn's data is not for us.
-            yield from scout_gather_binary(comm, channel, seq, turn,
-                                           phase=hdr_phase)
-            yield from follow_rounds(comm, channel, seq, turn, 1, 1,
-                                     arm_phase, rnd_token, needed=set())
+            yield from follow_rounds(comm, channel, seq, turn, arm_phase,
+                                     rnd_token, needed=set())
 
 
 @register("reduce", "mcast-seg-combine")

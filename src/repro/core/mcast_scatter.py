@@ -30,10 +30,8 @@ from __future__ import annotations
 from typing import Any, Generator, Optional, Sequence
 
 from ..mpi.collective.registry import register
-from .channel import SEG_HEADER_BYTES
 from .rounds import (Segment, follow_rounds, resolved_segment_bytes,
                      round_namespace, serve_rounds)
-from .scout import scout_gather_binary
 from .segment import auto_batch, fragment
 
 __all__ = ["scatter_mcast_seg_root"]
@@ -52,13 +50,13 @@ def scatter_mcast_seg_root(comm, objs: Optional[Sequence[Any]],
             raise ValueError("scatter at root needs exactly size elements")
         return objs[0]
     arm_phase, rnd_token = round_namespace("sc")
-    seg_bytes = resolved_segment_bytes(params)
 
     if comm.rank == root:
         if objs is None or len(objs) != size:
             raise ValueError(
                 f"scatter root needs exactly {size} elements, "
                 f"got {None if objs is None else len(objs)}")
+        seg_bytes = resolved_segment_bytes(params)
         counts = []
         flat: list[Segment] = []
         for r in range(size):
@@ -73,34 +71,13 @@ def scatter_mcast_seg_root(comm, objs: Optional[Sequence[Any]],
         # receiver's slice is the contiguous index range its count spans.
         segments = [Segment(i, nsegs, s.nbytes, s.chunk, s.opaque)
                     for i, s in enumerate(flat)]
-        yield from scout_gather_binary(comm, channel, seq, root,
-                                       phase="sc-hdr")
-        yield from channel.send_data(
-            ("sc-hdr", tuple(counts), auto_batch(params, nsegs)),
-            SEG_HEADER_BYTES + 4 * size, seq, control=True,
-            kind="mcast-seg-hdr")
         yield from serve_rounds(comm, channel, seq, root, segments,
                                 auto_batch(params, nsegs), arm_phase,
-                                rnd_token)
+                                rnd_token, counts=tuple(counts))
         return objs[root]
 
-    # Receiver: header phase — one descriptor, posted before the scout.
-    hdr_posted = channel.post_data()
-    yield from scout_gather_binary(comm, channel, seq, root,
-                                   phase="sc-hdr")
-    while True:
-        src, got_seq, hdr = yield from channel.wait_data(hdr_posted)
-        if (got_seq == seq and src == root and isinstance(hdr, tuple)
-                and hdr[0] == "sc-hdr"):
-            break
-        hdr_posted = channel.post_data()
-    _tag, counts, batch = hdr
-    nsegs = sum(counts)
-    start = sum(counts[:comm.rank])
-    needed = set(range(start, start + counts[comm.rank]))
-    reasm = yield from follow_rounds(comm, channel, seq, root, nsegs,
-                                     batch, arm_phase, rnd_token,
-                                     needed=needed)
+    reasm = yield from follow_rounds(comm, channel, seq, root, arm_phase,
+                                     rnd_token)
     mine = reasm.segments()
     if mine and mine[0].opaque:
         return mine[0].chunk

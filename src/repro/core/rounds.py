@@ -10,25 +10,39 @@ in the spirit of Träff's decomposition of collectives into reusable
 communication rounds ("Decomposing Collectives for Exploiting Multi-lane
 Communication").
 
-The contract has exactly two sides:
+The engine's unit is the **stream**: a *header handshake* followed by
+NACK-repaired *rounds*, written once, here, and priced once, in
+:func:`repro.analysis.framecount.model_plan_frames`.  The contract has
+exactly two sides:
 
-* :func:`serve_rounds` — the **sender**: given a segment stream, it arms
+* :func:`serve_rounds` — the **sender**: given a segment stream, it
+  gathers the header scouts and multicasts the header (segment count
+  and batch factor, or the scatter's per-rank counts); then it arms
   the group (scout gather), streams the round's datagrams (rate-paced,
   see :class:`RoundPacer`), takes the group's folded NACK report, feeds
   the smallest descriptor budget it carries into its pacing, and
   multicasts repair rounds built from the union of missing sets until
   the whole group reports complete (or ``max_retransmits`` is
   exhausted, in which case it tells everyone before raising);
-* :func:`follow_rounds` — a **receiver**: it posts one descriptor per
-  expected datagram (window-limited by :attr:`McastChannel.recv_budget`),
-  arms, drains the round into a :class:`Reassembler`, folds its missing
-  bitmap (plus its budget) with its subtree's and obeys the sender's
-  per-round decision.
+* :func:`follow_rounds` — a **receiver**: it posts its header
+  descriptor before its header scout and learns the stream's shape
+  from the header, discarding stragglers by one rule; then it posts
+  one descriptor per expected datagram (window-limited by
+  :attr:`McastChannel.recv_budget`), arms, drains the round into a
+  :class:`Reassembler`, folds its missing bitmap (plus its budget) with
+  its subtree's and obeys the sender's per-round decision.
   A ``needed`` subset restricts what the receiver reassembles and
-  reports — the scatter's per-rank addressing, and ``needed=set()`` is a
-  pure *bystander* that stays in lockstep with the repair loop without
-  posting a single descriptor (used by the multicast reduce, where only
-  the root consumes data).
+  reports — the scatter's per-rank addressing, derived from the
+  header's counts — and ``needed=set()`` is a pure *bystander* that
+  stays in lockstep with the stream without posting a single
+  descriptor (used by the multicast reduce, where only the root
+  consumes data).
+
+**The header**, on the wire: ``N-1`` header scouts up the binomial
+tree, then one ``mcast-seg-hdr`` control multicast ``("seg-hdr", key,
+nsegs, batch, per-rank counts | None)`` of ``SEG_HEADER_BYTES`` (``+ 4``
+per rank when it carries counts) — ``key`` is the stream's own header
+phase, so a header can only ever match the stream it opens.
 
 **One round**, on the wire: ``N-1`` arming scouts up the binomial tree,
 the round's data multicasts, ``N-1`` reports folded up the *same* tree
@@ -53,11 +67,11 @@ multicast also releases every follower at the same instant, so the only
 arming skew is the gather's depth, which :func:`round_drain_timeout_us`
 derives.
 
-Pacing, budget feedback, selective repair, and the two adaptive
-behaviours below are engine concerns — callers only provide the segment
-stream and a *round namespace* (:func:`round_namespace`) so
-concurrent/consecutive repair loops on one channel never cross-match
-each other's control traffic.
+The header, pacing, budget feedback, selective repair, and the two
+adaptive behaviours below are engine concerns — callers only provide
+the segment stream and a *round namespace* (:func:`round_namespace`) so
+concurrent/consecutive streams on one channel never cross-match each
+other's control traffic.
 
 **Adaptive drain timeout** (:func:`round_drain_timeout_us`).  A receiver
 that lost a round's *tail* can only detect it by silence.  PR 2 waited a
@@ -268,11 +282,12 @@ def round_namespace(*key) -> tuple[Callable, Callable]:
     """Build the ``(arm_phase, rnd_token)`` pair namespacing one sender's
     repair loop.
 
-    ``key`` distinguishes concurrent/consecutive loops on one channel
+    ``key`` distinguishes concurrent/consecutive streams on one channel
     (e.g. ``("ag", turn)`` for each allgather turn); the empty key is the
-    broadcast's single loop.  ``arm_phase(rnd)`` names the scout phase
+    broadcast's single stream.  ``arm_phase(rnd)`` names the scout phase
     arming round ``rnd``; ``rnd_token(rnd)`` tags that round's
-    report/decision messages.
+    report/decision messages; the engine's header phase is round
+    ``"hdr"`` of the same namespace.
     """
     if not key:
         return (lambda r: ("seg-arm", r), lambda r: r)
@@ -486,21 +501,31 @@ def _consume_round(comm, channel, posted, ndatagrams: int, seq,
 # the serve/follow API
 # ----------------------------------------------------------------------
 def serve_rounds(comm, channel, seq, root: int, segments, batch: int,
-                 arm_phase, rnd_token) -> Generator:
-    """Sender side of the NACK repair loop: arm, stream (paced), fold
-    the reports, decide, repair — until the whole group reports
-    complete.
+                 arm_phase, rnd_token, counts=None) -> Generator:
+    """Sender side of one engine stream: the header handshake, then the
+    NACK repair loop — arm, stream (paced), fold the reports, decide,
+    repair — until the whole group reports complete.
 
-    ``segments`` is the full stream (round 0's plan is all of it).
-    Every other rank of the communicator joins each round's arming
-    gather and report fold and hears its decision, so pure bystanders
-    must run :func:`follow_rounds` with ``needed=set()``.
-    ``arm_phase`` / ``rnd_token`` come from :func:`round_namespace`.
+    ``segments`` is the full stream (round 0's plan is all of it); the
+    header announces its length and ``batch`` — or, for a per-rank
+    addressed stream (the scatter), the per-rank segment ``counts``
+    each follower derives its own slice from.  Every other rank of the
+    communicator joins the header gather, each round's arming gather
+    and report fold and hears its decision, so pure bystanders must run
+    :func:`follow_rounds` with ``needed=set()``.  ``arm_phase`` /
+    ``rnd_token`` come from :func:`round_namespace`.
     """
     params = comm.host.params
     rec = comm.host.stats.recorder
     addr = comm.host.addr
     nsegs = len(segments)
+    hdr_phase = arm_phase("hdr")
+    yield from scout_gather_binary(comm, channel, seq, root,
+                                   phase=hdr_phase)
+    yield from channel.send_data(
+        ("seg-hdr", hdr_phase, nsegs, batch, counts),
+        SEG_HEADER_BYTES + (0 if counts is None else 4 * len(counts)), seq,
+        control=True, kind="mcast-seg-hdr")
     datagram_bytes = (batch * max(s.nbytes for s in segments)
                       + batch * SEG_HEADER_BYTES + MCAST_HEADER_BYTES)
     pacer = RoundPacer(params, datagram_bytes)
@@ -557,23 +582,47 @@ def serve_rounds(comm, channel, seq, root: int, segments, batch: int,
         plan = list(decision)
 
 
-def follow_rounds(comm, channel, seq, root: int, nsegs: int, batch: int,
-                  arm_phase, rnd_token,
+def follow_rounds(comm, channel, seq, root: int, arm_phase, rnd_token,
                   needed: Optional[set] = None) -> Generator:
-    """Receiver side of the NACK repair loop; returns the
+    """Receiver side of one engine stream; returns the
     :class:`Reassembler`.
+
+    The follower posts its header descriptor **before** its header
+    scout and learns the stream's length and batch factor — and, from a
+    per-rank count header, its own ``needed`` slice — from the header.
+    Any other datagram landing in that descriptor (a delayed or
+    duplicated segment of an earlier stream) is discarded and the
+    descriptor re-posted: the wire is FIFO, so the header cannot
+    overtake same-source stragglers.
 
     A receiver that has everything it needs keeps arming/reporting
     (other ranks may still need repairs) but posts no descriptors, so
     the repair frames it does not need die at its posted-only socket.
     ``needed`` restricts interest to a stream subset (see
     :class:`Reassembler`); ``needed=set()`` follows the loop as a pure
-    bystander.
+    bystander, which posts no header descriptor either and reports as a
+    one-segment stream.
     """
     params = comm.host.params
     rec = comm.host.stats.recorder
     addr = comm.host.addr
     seg_bytes = resolved_segment_bytes(params)
+    nsegs = batch = 1       # what a bystander, which reads no header, reports
+    posted = (None if needed is not None and not needed
+              else channel.post_data())             # before the scout
+    hdr_phase = arm_phase("hdr")
+    yield from scout_gather_binary(comm, channel, seq, root,
+                                   phase=hdr_phase)
+    while posted is not None:
+        src, got_seq, hdr = yield from channel.wait_data(posted)
+        if (got_seq == seq and src == root and isinstance(hdr, tuple)
+                and hdr[:2] == ("seg-hdr", hdr_phase)):
+            nsegs, batch, counts = hdr[2:]
+            if counts is not None:          # per-rank addressed: my slice
+                start = sum(counts[:comm.rank])
+                needed = set(range(start, start + counts[comm.rank]))
+            break
+        posted = channel.post_data()        # a straggler ate it
     reasm = Reassembler(nsegs, needed=needed)
     plan = list(range(nsegs))
     rnd = 0

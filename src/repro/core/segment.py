@@ -20,40 +20,22 @@ broadcasts of Zhou et al. and Träff's multi-lane decompositions:
    (selective NACK repair), round by round, until every receiver reports
    an empty bitmap.
 
-Since PR 3 the arm/stream/report/decide state machine itself lives in
-the reusable round engine of :mod:`repro.core.rounds`
+The whole **stream** — the header handshake and the
+arm/stream/report/decide state machine — lives in the reusable round
+engine of :mod:`repro.core.rounds`
 (:func:`~repro.core.rounds.serve_rounds` /
 :func:`~repro.core.rounds.follow_rounds`): this module owns payload
 *planning* (segment sizing, batching, fragmentation, the closed-form
 frame/datagram formulas) plus the broadcast and allgather collectives
-built on the engine; :mod:`repro.core.mcast_reduce` and
-:mod:`repro.core.mcast_scatter` add the reduction-side collectives on
-the same engine.
+built on the engine — each one fragment → serve / follow → reassemble;
+:mod:`repro.core.mcast_reduce` and :mod:`repro.core.mcast_scatter` add
+the reduction-side collectives on the same engine.
 
-Round structure of ``mcast-seg-nack`` (N ranks, root r):
-
-* header phase — receivers post one descriptor, scout-sync up the binary
-  tree, root multicasts a tiny header carrying the segment count and the
-  batch factor;
-* round ``k`` — receivers still missing data post one descriptor per
-  planned *datagram*, everyone arms via a binary scout gather, the root
-  streams the round's segments, the missing sets (plus the descriptor
-  budgets) fold back **up the same binary tree** — every rank merges
-  its children's reports into its own and sends one
-  (:func:`~repro.core.scout.report_fold_binary`), so the root hears
-  ``ceil(log2 N)`` reports, not N-1 — and the root answers with **one
-  control multicast**: ``done``, or the next round's repair plan (the
-  sorted union of all missing sets).  The end-of-round handshake is
-  the paper's own pair of mechanisms: a ``ceil(log2 N)``-step gather
-  and a single multicast.
-
-All repair control (reports, the decision) rides the **buffered** scout
-socket — the decision as a multicast to the group on the scout port —
-so it is immune to the posted-only discipline; only ``mcast-seg`` data
-frames can be lost.  Because every receiver learns the exact repair plan
-before arming, descriptor counts always match the datagrams the root
-will send — no repair frame can steal a descriptor belonging to a later
-protocol step.
+The stream's wire protocol — the header handshake, then per round a
+scout gather, the data, the report fold and one decision multicast, and
+why all of that control rides the buffered scout socket so that only
+``mcast-seg`` data frames can be lost — is described there, in one
+place.
 
 **Adaptive transport plan** (:func:`plan_transport`).  With
 ``NetParams.segment_bytes = "auto"`` the logical segment size is derived
@@ -90,9 +72,12 @@ repair rounds may re-batch, see above).  The *Ethernet frame* count
 above is unchanged for frame-sized segments: a batched datagram of k
 segments IP-fragments into exactly k frames, because each extra segment
 adds 4 envelope bytes (:data:`~repro.core.channel.SEG_HEADER_BYTES`)
-while each extra fragment offers 20 bytes of header slack.  What
-batching changes is the *datagram* count — the unit of per-receive
-software tax and of descriptor usage::
+while each extra fragment offers 20 bytes of header slack.  (A stream
+fragmented part by part — the scatter's one part per rank — holds
+short per-part tails, so *its* batched datagram is priced by its
+bytes: :func:`repro.analysis.framecount.model_plan_frames` owns that
+data term.)  What batching changes is the *datagram* count — the unit
+of per-receive software tax and of descriptor usage::
 
     datagrams(N, S, R, B) = 1 + (N-1)(2(R+1) + 1) + (R+1)
                           + ceil(S/B) + sum(ceil(|U_r|/B_r), r >= 1)
@@ -111,9 +96,9 @@ receiver") is an engine concern — see
 
 The allgather variant ``mcast-seg-paced`` applies the same machinery to
 the many-to-many case: after the paced ready round, each rank takes a
-turn as the "root" of exactly the broadcast round structure above —
-header, arm, stream, report, decision — so a lost segment is selectively
-repaired by its sender instead of surfacing as ``McastLost``.
+turn as the server of exactly the stream above — header, arm, stream,
+report, decision — so a lost segment is selectively repaired by its
+sender instead of surfacing as ``McastLost``.
 """
 
 from __future__ import annotations
@@ -123,12 +108,10 @@ from typing import Any, Generator, Optional
 
 from ..mpi.collective.registry import register
 from ..mpi.datatypes import payload_bytes
-from .channel import SEG_HEADER_BYTES
 from .mcast_allgather import _ready_round
-from .rounds import (McastLost, Reassembler, Segment, chunk_plan,
-                     follow_rounds, frame_segment_bytes, reassemble,
-                     round_namespace, serve_rounds)
-from .scout import scout_gather_binary
+from .rounds import (Reassembler, Segment, chunk_plan, follow_rounds,
+                     frame_segment_bytes, reassemble, round_namespace,
+                     serve_rounds)
 
 __all__ = ["Segment", "Reassembler", "TransportPlan", "auto_batch",
            "plan_transport", "frame_segment_bytes", "chunk_plan",
@@ -281,34 +264,14 @@ def bcast_mcast_seg_nack(comm, obj: Any, root: int = 0) -> Generator:
     if comm.size == 1:
         return obj
     arm_phase, rnd_token = round_namespace()
-
     if comm.rank == root:
         tplan = plan_transport(payload_bytes(obj), params)
-        segments = fragment(obj, tplan.segment_bytes)
-        yield from scout_gather_binary(comm, channel, seq, root,
-                                       phase="seg-hdr")
-        yield from channel.send_data(
-            ("seg-hdr", tplan.nsegs, tplan.batch), SEG_HEADER_BYTES, seq,
-            control=True, kind="mcast-seg-hdr")
-        yield from serve_rounds(comm, channel, seq, root, segments,
+        yield from serve_rounds(comm, channel, seq, root,
+                                fragment(obj, tplan.segment_bytes),
                                 tplan.batch, arm_phase, rnd_token)
         return obj
-
-    # Receiver: header phase — one descriptor, posted before the scout.
-    hdr_posted = channel.post_data()
-    yield from scout_gather_binary(comm, channel, seq, root,
-                                   phase="seg-hdr")
-    while True:
-        src, got_seq, hdr = yield from channel.wait_data(hdr_posted)
-        if (got_seq == seq and src == root and isinstance(hdr, tuple)
-                and hdr[0] == "seg-hdr"):
-            break
-        # A straggler frame consumed the descriptor; re-post and re-wait
-        # (the header cannot overtake same-source stragglers: FIFO wire).
-        hdr_posted = channel.post_data()
-    _tag, nsegs, batch = hdr
-    reasm = yield from follow_rounds(comm, channel, seq, root, nsegs,
-                                     batch, arm_phase, rnd_token)
+    reasm = yield from follow_rounds(comm, channel, seq, root, arm_phase,
+                                     rnd_token)
     return reasm.result()
 
 
@@ -319,10 +282,10 @@ def bcast_mcast_seg_nack(comm, obj: Any, root: int = 0) -> Generator:
 def allgather_mcast_seg_paced(comm, obj: Any) -> Generator:
     """Rank-ordered allgather with segmented, pipelined contributions.
 
-    Per turn: the sender runs exactly the broadcast round structure with
-    itself as root — header scout gather, segment-count announcement,
-    arm gather, (paced) segment stream, report fold, decision, repair
-    rounds.  Arm synchronization still makes losses impossible under the
+    Per turn: the sender serves one engine stream with itself as root
+    — header scout gather, segment-count announcement, arm gather,
+    (paced) segment stream, report fold, decision, repair rounds.
+    Arm synchronization still makes losses impossible under the
     paper's readiness model; a loss injected anyway (``drop_filter``
     fault injection, or a descriptor-budget overrun) is now selectively
     repaired by the turn's sender instead of raising ``McastLost``.
@@ -344,37 +307,10 @@ def allgather_mcast_seg_paced(comm, obj: Any) -> Generator:
     for turn in range(size):
         arm_phase, rnd_token = round_namespace("ag", turn)
         if turn == comm.rank:
-            yield from scout_gather_binary(comm, channel, seq, turn,
-                                           phase=("ag-hdr", turn))
-            yield from channel.send_data(
-                ("seg-hdr", turn, tplan.nsegs, tplan.batch),
-                SEG_HEADER_BYTES, seq, control=True, kind="mcast-seg-hdr")
             yield from serve_rounds(comm, channel, seq, turn, mine,
                                     tplan.batch, arm_phase, rnd_token)
-            continue
-        hdr_posted = channel.post_data()
-        yield from scout_gather_binary(comm, channel, seq, turn,
-                                       phase=("ag-hdr", turn))
-        # A straggler from an earlier turn — a data segment the fabric
-        # delayed or duplicated in flight — can land in the header
-        # descriptor.  Discard and repost (the stale backlog is bounded
-        # by the frames already sent this call); if the budget runs
-        # out, fail crisply instead of wedging on a dead sender.
-        discards = 2 * size * (tplan.nsegs + 2)
-        for _ in range(discards):
-            src, got_seq, hdr = yield from channel.wait_data(hdr_posted)
-            if (got_seq == seq and src == turn and isinstance(hdr, tuple)
-                    and hdr[0] == "seg-hdr" and hdr[1] == turn):
-                break
-            hdr_posted = channel.post_data()
         else:
-            raise McastLost(
-                comm.rank, seq,
-                reason=f"rank {comm.rank}: seg-paced allgather never saw "
-                       f"the turn {turn} header after discarding "
-                       f"{discards} stale frame(s) for seq={seq}")
-        reasm = yield from follow_rounds(comm, channel, seq, turn,
-                                        hdr[2], hdr[3], arm_phase,
-                                        rnd_token)
-        results[turn] = reasm.result()
+            reasm = yield from follow_rounds(comm, channel, seq, turn,
+                                             arm_phase, rnd_token)
+            results[turn] = reasm.result()
     return results

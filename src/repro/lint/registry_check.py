@@ -33,7 +33,11 @@ registered (op, implementation) pair the rule requires:
   analysis.framecount.MODEL_COVERAGE, mapping to a resolvable frame-
   model function (dotted path) or an explicit "estimate: <why>" marker.
   Entries for unregistered pairs, and dangling function paths, are
-  flagged.
+  flagged;
+* a plan: every op in AUTO_CHOICES must compile (``hier.compile_plan``)
+  on the one-leaf tree — the flat segmented candidate *is* that plan —
+  and every op in HIER_AUTO on a two-leaf tree: the plan's step kinds
+  are the only cost terms and the only fluid eligibility there are.
 
 This turns the ROADMAP's alltoall/scan/exscan/reduce_scatter gaps into
 tracked waivers: deleting the waiver without adding the real policy or
@@ -49,6 +53,16 @@ def _resolvable(dotted: str) -> bool:
         return callable(getattr(importlib.import_module(mod), attr))
     except (ImportError, AttributeError):
         return False
+
+
+def _compiles(op: str, seg_of_rank: tuple) -> bool:
+    from repro.mpi.collective.hier import build_hier_tree, compile_plan
+
+    try:
+        compile_plan(op, build_hier_tree(seg_of_rank), 0)
+    except KeyError:
+        return False
+    return True
 
 
 def check_tables(registry, defaults, auto_choices, hier_auto, waivers,
@@ -107,6 +121,14 @@ def check_tables(registry, defaults, auto_choices, hier_auto, waivers,
         if op in hier_auto and hier_auto[op] not in impls:
             flag(f"HIER_AUTO[{op!r}] names unregistered implementation "
                  f"{hier_auto[op]!r}")
+        for table, name, seg_of_rank in (
+                (auto_choices, "AUTO_CHOICES", (0, 0)),
+                (hier_auto, "HIER_AUTO", (0, 0, 1, 1))):
+            if op in table and not _compiles(op, seg_of_rank):
+                flag(f"op {op!r} is in {name} but hier.compile_plan has "
+                     f"no plan for it on a {len(set(seg_of_rank))}-leaf "
+                     f"tree — without step kinds it has no cost term "
+                     f"and no fluid eligibility")
     for op in sorted(set(defaults) - set(registry)):
         flag(f"stale DEFAULTS entry for unregistered op {op!r}")
     for op in sorted(set(waivers) - set(registry)):

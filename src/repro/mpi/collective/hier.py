@@ -53,10 +53,13 @@ root) to one global, ordered tuple of typed :class:`Step` s — a
 or collecting).  Every rank *interprets* (:func:`run_plan`) the
 restriction of that list to the groups it belongs to, so all per-rank
 schedules embed in one total order and can never deadlock; the frame
-model (:func:`repro.analysis.framecount.model_hier_frames`) is a cost
+model (:func:`repro.analysis.framecount.model_plan_frames`) is a cost
 fold over the same list, so the policy's model and the
 implementation's behaviour cannot drift; and the flight recorder's
-span labels are the steps' own.  The kinds are a closed set — engine
+span labels are the steps' own.  A flat segmented collective is the
+same plan on the one-leaf tree — one group, the whole communicator,
+one step whose engine entry *is* the registered implementation — so
+the fold prices it too.  The kinds are a closed set — engine
 call over the group; payload rule; cost term (``k`` = group size,
 ``covers`` = ranks under a member: 1 in a leaf group, its child
 subtree's in a node group; a *stream* = one NACK-repaired engine
@@ -70,8 +73,8 @@ trunk term of the group's own ``TopoDigest.group(members)``); exact?
 * ``collect`` — ``gather_mcast_seg_root_follow``; every turn's bundle,
   the collector merges them; k-1 streams of covers x unit; estimate.
 * ``deal`` — ``scatter_mcast_seg_root``; the server's bundle split by
-  child subtree (a leaf's elements travel bare); 1 stream of the other
-  members' covers x unit; estimate.
+  child subtree (a leaf's elements travel bare); 1 stream, one part of
+  covers x unit per other member, each with one consumer; estimate.
 * ``exchange`` — ``allgather_mcast_seg_paced``; every turn's bundle,
   everyone merges; the paced ready round + k streams; estimate.
 * ``forward`` — ``TAG_HIER`` p2p send / recv; the sender's whole
@@ -82,9 +85,10 @@ trunk term of the group's own ``TopoDigest.group(members)``); exact?
   scouting up); k-1 scouts, then 1 frame x its multicast edges; exact.
 
 The three :data:`BUNDLE_KINDS` carry pickled ``{rank: element}``
-bundles whose envelope the closed form ignores, so a plan containing
-one is estimate-grade — which is exactly what the coverage ledger and
-the fluid backend read.
+bundles whose envelope the closed form ignores, so a hierarchy's plan
+containing one is estimate-grade — which is exactly what the coverage
+ledger and the fluid backend read (on the one-group plan the elements
+travel bare, and all five kinds are exact).
 
 **Reduction order.**  The hierarchical reduce folds each group in
 ascending rank order at every level, which equals MPI's canonical
@@ -354,8 +358,11 @@ class Step:
 
 
 def compile_plan(op: str, tree: HierNode, root: int = 0) -> tuple:
-    """The global, rank-invariant step list of one ``hier-mcast``
-    collective on a multi-segment hierarchy (``tree`` is internal).
+    """The global, rank-invariant step list of one collective on a
+    hierarchy: ``hier-mcast``'s on a multi-segment tree, and on the
+    one-leaf tree — the whole communicator as a single group — the
+    flat segmented collective itself, one step (``allreduce``: two) of
+    the kind's own engine entry.
 
     * ``bcast`` — the root's leaf, then the groups on the root's
       ancestor chain bottom-up (each served by the leader of its
@@ -431,8 +438,8 @@ def compile_plan(op: str, tree: HierNode, root: int = 0) -> tuple:
                 + steps("deal", [n for n in leaves if n not in chain]))
     elif op == "allgather":
         plan = (steps("exchange", leaves + up, "allgather-up")
-                + steps("serve", [n for n in down if n is not tree]
-                        + leaves, "allgather-down"))
+                + steps("serve", [n for n in down + leaves
+                                  if n is not tree], "allgather-down"))
     elif op == "barrier":
         plan = (steps("sync", leaves + up, "barrier-up")
                 + steps("release", down + leaves, "barrier-down"))

@@ -19,8 +19,13 @@ module is that policy layer:
   fall through to the payload-aware resolution).
 
 The decision metric generalizes the paper's §3 currency: **modeled
-serializations** — closed-form Ethernet frame counts
-(:func:`p2p_frame_estimate` / :func:`seg_frame_estimate`), plus
+serializations** — closed-form Ethernet frame counts.  The p2p
+baselines keep a per-op ladder (:func:`p2p_frame_estimate`); the
+segmented candidates have none: the flat implementation is the
+*one-group plan* and ``hier-mcast`` the hierarchy's, both priced by the
+one cost fold of :mod:`repro.analysis.framecount`
+(:func:`seg_frame_estimate` / :func:`hier_frame_estimate` are its two
+calls).  On top of host frames the metric counts
 
 * **trunk crossings** on a tiered fabric (:func:`comm_topology` reads
   the cluster's discovery API; each crossing re-serializes the frame on
@@ -267,87 +272,27 @@ def seg_frame_estimate(op: str, nbytes: int, size: int, params,
                        topo: Optional[TopoInfo] = None,
                        root: int = 0) -> float:
     """Modeled serializations of the op's flat segmented-multicast impl:
-    the shared loss-free closed forms of
-    :mod:`repro.analysis.framecount` (the same ones the benches assert
-    against the simulator), plus the expected repair traffic at
-    ``params.loss`` and — with ``topo`` — the trunk crossings of every
-    stream (multi-level distances when ``topo.paths`` is present)."""
-    from ...analysis.framecount import (expected_seg_repair_frames,
-                                        model_seg_allgather_trunk_frames,
-                                        model_seg_allreduce_frames,
-                                        model_seg_bcast_trunk_frames,
-                                        model_seg_reduce_frames,
-                                        model_seg_reduce_trunk_frames,
-                                        model_seg_scatter_frames,
-                                        model_seg_scatter_trunk_frames)
-    from ...core.segment import plan_transport, seg_nack_frame_count
+    host frames plus — with ``topo`` — trunk crossings of the one-group
+    plan (:func:`~repro.analysis.framecount.model_flat_frames`, the
+    cost fold the benches assert against the simulator), expected
+    repair traffic at ``params.loss`` included."""
+    from ...analysis.framecount import model_flat_frames
 
-    if size < 2:
-        return 0
-    nsegs = plan_transport(nbytes, params).nsegs
-    loss = getattr(params, "loss", 0.0)
-    if op == "bcast":
-        total = (seg_nack_frame_count(size, nsegs)
-                 + expected_seg_repair_frames(size, nsegs, loss))
-        if topo is not None:
-            total += model_seg_bcast_trunk_frames(topo.seg_of_rank, root,
-                                                  nsegs, topo.paths)
-        return total
-    if op in ("reduce", "gather"):
-        # one engine stream per non-root contributor (the gather runs
-        # the same turn loop, collecting instead of folding)
-        total = (model_seg_reduce_frames(size, nsegs)
-                 + (size - 1) * expected_seg_repair_frames(
-                     size, nsegs, loss, receivers=1))
-        if topo is not None:
-            total += model_seg_reduce_trunk_frames(topo.seg_of_rank,
-                                                   root, nsegs,
-                                                   topo.paths)
-        return total
-    if op == "allreduce":
-        total = (model_seg_allreduce_frames(size, nsegs)
-                 + (size - 1) * expected_seg_repair_frames(
-                     size, nsegs, loss, receivers=1)
-                 + expected_seg_repair_frames(size, nsegs, loss))
-        if topo is not None:
-            total += (model_seg_reduce_trunk_frames(topo.seg_of_rank, 0,
-                                                    nsegs, topo.paths)
-                      + model_seg_bcast_trunk_frames(topo.seg_of_rank,
-                                                     0, nsegs,
-                                                     topo.paths))
-        return total
-    if op == "scatter":
-        # one global stream of every non-root rank's share
-        share = plan_transport(-(-nbytes // size), params).nsegs
-        total_segs = (size - 1) * share
-        total = (model_seg_scatter_frames(size, [share] * (size - 1))
-                 + expected_seg_repair_frames(size, total_segs, loss,
-                                              receivers=1))
-        if topo is not None:
-            total += model_seg_scatter_trunk_frames(
-                topo.seg_of_rank, root, total_segs, topo.paths)
-        return total
-    if op == "allgather":
-        # paced ready round + one engine stream per rank
-        total = (2 * (size - 1)
-                 + size * seg_nack_frame_count(size, nsegs)
-                 + size * expected_seg_repair_frames(size, nsegs, loss))
-        if topo is not None:
-            total += model_seg_allgather_trunk_frames(
-                topo.seg_of_rank, nsegs, topo.paths)
-        return total
-    raise KeyError(f"no segmented frame estimate for collective {op!r}")
+    if op not in AUTO_CHOICES:
+        raise KeyError(f"no segmented frame estimate for collective {op!r}")
+    seg_of_rank, paths = (((0,) * size, None) if topo is None
+                          else (topo.seg_of_rank, topo.paths))
+    return sum(model_flat_frames(op, seg_of_rank, root, nbytes, params,
+                                 paths, getattr(params, "loss", 0.0)))
 
 
 def hier_frame_estimate(op: str, nbytes: int, size: int, params,
                         topo: TopoInfo, root: int = 0) -> float:
     """Modeled serializations of the ``hier-mcast`` implementation on
-    ``topo``: host frames plus trunk crossings of every step of the
-    recursive plan (:func:`~repro.analysis.framecount.
-    model_hier_frames` folds over the same step list the
-    implementation interprets), and the expected per-step repair
-    traffic — repairs never leave the losing group's switch subtree,
-    which is most of the hierarchy's win under loss."""
+    ``topo``: the same fold over the recursive plan
+    (:func:`~repro.analysis.framecount.model_hier_frames`) — repairs
+    never leave the losing group's switch subtree, which is most of the
+    hierarchy's win under loss."""
     from ...analysis.framecount import model_hier_frames
 
     if op not in HIER_AUTO:
@@ -355,10 +300,9 @@ def hier_frame_estimate(op: str, nbytes: int, size: int, params,
                        f"hier-capable ops: {sorted(HIER_AUTO)}")
     if size < 2:
         return 0
-    frames, trunk = model_hier_frames(
-        op, topo.seg_of_rank, root if op != "allreduce" else 0, nbytes,
-        params, topo.paths, loss=getattr(params, "loss", 0.0))
-    return frames + trunk
+    return sum(model_hier_frames(op, topo.seg_of_rank, root, nbytes,
+                                 params, topo.paths,
+                                 getattr(params, "loss", 0.0)))
 
 
 def _no_policy(op: str) -> KeyError:

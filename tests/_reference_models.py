@@ -8,9 +8,16 @@ four phase plans (frozen below, pre-PR 16) on every call.  Slow (cubic
 in the communicator size through the policy) and obviously right; ``tests/test_topo_digest.py``
 holds the digest-backed models to these, value and type.  Do not
 optimise this file.
+
+Since PR 19 it also holds the *flat* segmented family as it was priced
+before the one-group plan: ``seg_frame_estimate`` — the policy's
+per-op ladder — and the three host-frame closed forms it composed,
+frozen verbatim (only their import lines changed), beside the four
+trunk references that already lived here.  ``tests/test_plan_model.py``
+holds the fold on the one-group plan to them.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.analysis.framecount import expected_seg_repair_frames
@@ -22,10 +29,7 @@ from repro.simnet.calibration import NetParams
 #: ``test_topo_digest`` patches into ``repro.analysis.framecount`` to
 #: run the policy's estimates over the reference loops)
 PUBLIC = ("binomial_tree_trunk_hops", "multicast_trunk_edges",
-          "model_p2p_tree_trunk_frames", "model_seg_bcast_trunk_frames",
-          "model_seg_reduce_trunk_frames",
-          "model_seg_scatter_trunk_frames",
-          "model_seg_allgather_trunk_frames", "model_hier_frames")
+          "model_p2p_tree_trunk_frames", "model_plan_frames")
 
 
 def _seg_paths(seg_of_rank, paths):
@@ -190,6 +194,127 @@ def model_seg_allgather_trunk_frames(seg_of_rank, nsegs: int,
     return ready + sum(
         _mcast_stream_trunk_frames(seg_of_rank, turn, nsegs, paths)
         for turn in range(len(seg_of_rank)))
+
+
+# ---------------------------------------------------------------------------
+# the flat segmented family as it was priced before the one-group plan
+# (PR 19): the three host-frame closed forms of
+# ``repro.analysis.framecount`` and the per-op ladder of
+# ``repro.mpi.collective.policy``, frozen verbatim
+# ---------------------------------------------------------------------------
+def model_seg_reduce_frames(n: int, nsegs: int) -> int:
+    """Loss-free frames of ``mcast-seg-combine``: one engine stream per
+    non-root contributor, each exactly the broadcast round structure
+    (:func:`~repro.core.segment.seg_nack_frame_count`)."""
+    from repro.core.segment import seg_nack_frame_count
+
+    if n < 2:
+        return 0
+    return (n - 1) * seg_nack_frame_count(n, nsegs)
+
+
+def model_seg_allreduce_frames(n: int, nsegs: int) -> int:
+    """Loss-free frames of the segmented allreduce: the mcast reduce
+    plus one segmented broadcast of the result."""
+    from repro.core.segment import seg_nack_frame_count
+
+    if n < 2:
+        return 0
+    return model_seg_reduce_frames(n, nsegs) + seg_nack_frame_count(
+        n, nsegs)
+
+
+def model_seg_scatter_frames(n: int, seg_counts) -> int:
+    """Loss-free frames of ``mcast-seg-root``: one engine stream over
+    the concatenation of every non-root rank's fragments
+    (``seg_counts`` lists the per-rank segment counts, root's 0)."""
+    from repro.core.segment import seg_nack_frame_count
+
+    if n < 2:
+        return 0
+    return seg_nack_frame_count(n, sum(seg_counts))
+
+
+def seg_frame_estimate(op: str, nbytes: int, size: int, params,
+                       topo=None, root: int = 0) -> float:
+    """Modeled serializations of the op's flat segmented-multicast impl:
+    the shared loss-free closed forms of
+    :mod:`repro.analysis.framecount` (the same ones the benches assert
+    against the simulator), plus the expected repair traffic at
+    ``params.loss`` and — with ``topo`` — the trunk crossings of every
+    stream (multi-level distances when ``topo.paths`` is present)."""
+    from repro.core.segment import plan_transport, seg_nack_frame_count
+
+    if size < 2:
+        return 0
+    nsegs = plan_transport(nbytes, params).nsegs
+    loss = getattr(params, "loss", 0.0)
+    if op == "bcast":
+        total = (seg_nack_frame_count(size, nsegs)
+                 + expected_seg_repair_frames(size, nsegs, loss))
+        if topo is not None:
+            total += model_seg_bcast_trunk_frames(topo.seg_of_rank, root,
+                                                  nsegs, topo.paths)
+        return total
+    if op in ("reduce", "gather"):
+        # one engine stream per non-root contributor (the gather runs
+        # the same turn loop, collecting instead of folding)
+        total = (model_seg_reduce_frames(size, nsegs)
+                 + (size - 1) * expected_seg_repair_frames(
+                     size, nsegs, loss, receivers=1))
+        if topo is not None:
+            total += model_seg_reduce_trunk_frames(topo.seg_of_rank,
+                                                   root, nsegs,
+                                                   topo.paths)
+        return total
+    if op == "allreduce":
+        total = (model_seg_allreduce_frames(size, nsegs)
+                 + (size - 1) * expected_seg_repair_frames(
+                     size, nsegs, loss, receivers=1)
+                 + expected_seg_repair_frames(size, nsegs, loss))
+        if topo is not None:
+            total += (model_seg_reduce_trunk_frames(topo.seg_of_rank, 0,
+                                                    nsegs, topo.paths)
+                      + model_seg_bcast_trunk_frames(topo.seg_of_rank,
+                                                     0, nsegs,
+                                                     topo.paths))
+        return total
+    if op == "scatter":
+        # one global stream of every non-root rank's share
+        share = plan_transport(-(-nbytes // size), params).nsegs
+        total_segs = (size - 1) * share
+        total = (model_seg_scatter_frames(size, [share] * (size - 1))
+                 + expected_seg_repair_frames(size, total_segs, loss,
+                                              receivers=1))
+        if topo is not None:
+            total += model_seg_scatter_trunk_frames(
+                topo.seg_of_rank, root, total_segs, topo.paths)
+        return total
+    if op == "allgather":
+        # paced ready round + one engine stream per rank
+        total = (2 * (size - 1)
+                 + size * seg_nack_frame_count(size, nsegs)
+                 + size * expected_seg_repair_frames(size, nsegs, loss))
+        if topo is not None:
+            total += model_seg_allgather_trunk_frames(
+                topo.seg_of_rank, nsegs, topo.paths)
+        return total
+    raise KeyError(f"no segmented frame estimate for collective {op!r}")
+
+
+def model_plan_frames(op: str, tree: HierNode, digest, root: int,
+                      nbytes: int, params: NetParams,
+                      loss: float = 0.0) -> tuple:
+    """The one fold's signature over the frozen references: the ladder
+    (its total, trunk term included) for the one-leaf tree, the phase
+    walk below for a hierarchy.  ``digest`` serves as the ladder's
+    ``topo``: it carries ``seg_of_rank`` and ``paths``."""
+    if tree.is_leaf:
+        return (seg_frame_estimate(op, nbytes, digest.size,
+                                   replace(params, loss=loss), digest,
+                                   root), 0)
+    return model_hier_frames(op, digest.seg_of_rank, root, nbytes, params,
+                             digest.paths, loss)
 
 
 # ---------------------------------------------------------------------------
@@ -358,20 +483,24 @@ def _tree_leaves(tree: HierNode) -> list[HierNode]:
 # reproduces bit-for-bit on two-tier fabrics)
 # ---------------------------------------------------------------------------
 def _phase_stream(seg_of_rank, phase, turn: int, nsegs: int, paths,
-                  loss: float,
-                  receivers: "int | None" = None) -> tuple[float, int]:
+                  loss: float, receivers: "int | None" = None,
+                  nframes: "int | None" = None) -> tuple[float, int]:
     """(host frames incl. expected repairs, trunk serializations) of one
     engine stream of ``nsegs`` segments served by comm rank ``turn``
     inside ``phase``'s group (``receivers=1`` for single-consumer
-    turn-loop streams, default every other member)."""
+    streams, default every other member).  ``nframes`` is the stream's
+    data frames where they are not one per segment (a scatter plan
+    batched into one datagram)."""
     from repro.core.segment import seg_nack_frame_count
 
+    if nframes is None:
+        nframes = nsegs
     members = phase.members
-    frames = (seg_nack_frame_count(len(members), nsegs)
+    frames = (seg_nack_frame_count(len(members), nframes)
               + expected_seg_repair_frames(len(members), nsegs, loss,
                                            receivers=receivers))
     segs = tuple(seg_of_rank[m] for m in members)
-    trunk = _mcast_stream_trunk_frames(segs, members.index(turn), nsegs,
+    trunk = _mcast_stream_trunk_frames(segs, members.index(turn), nframes,
                                        paths)
     return frames, trunk
 
@@ -460,13 +589,35 @@ def model_hier_frames(op: str, seg_of_rank, root: int, nbytes: int,
         return out
 
     if op == "scatter":
+        from repro.core.segment import auto_batch
+
         share = -(-nbytes // size)
         plan = scatter_phases(tree, root)
-        if plan.root_leaf is not None:
-            nsegs = nsegs_of(share * (len(plan.root_leaf.members) - 1))
-            f, t = _phase_stream(seg_of_rank, plan.root_leaf, root,
-                                 nsegs, paths, loss)
+
+        def deal(phase, parts):
+            """One scatter stream (PR 19): the engine fragments part by
+            part; a plan of one segment per datagram puts each on the
+            wire as its own frame, a batched plan is ONE datagram whose
+            frames are those of its summed bytes; every segment has a
+            single consumer."""
+            nonlocal frames, trunk
+            nsegs = 0
+            for part in parts:
+                nsegs += nsegs_of(part)
+            nframes = nsegs
+            if auto_batch(params, nsegs) != 1:
+                total = 0
+                for part in parts:
+                    total += part
+                nframes = nsegs_of(total)
+            f, t = _phase_stream(seg_of_rank, phase, phase.root, nsegs,
+                                 paths, loss, receivers=1,
+                                 nframes=nframes)
             frames, trunk = frames + f, trunk + t
+
+        if plan.root_leaf is not None:
+            deal(plan.root_leaf,
+                 [share] * (len(plan.root_leaf.members) - 1))
         root_leaf_members = {m for m in range(size)
                              if seg_of_rank[m] == seg_of_rank[root]}
         outside = size - len(root_leaf_members)
@@ -474,16 +625,10 @@ def model_hier_frames(op: str, seg_of_rank, root: int, nbytes: int,
             p2p_hop(plan.hoist[0], plan.hoist[1], share * outside)
         for phase in plan.internals:
             sizes = subtree_sizes(phase)
-            bundle = sum(share * sizes[m] for m in phase.members
-                         if m != phase.root)
-            f, t = _phase_stream(seg_of_rank, phase, phase.root,
-                                 nsegs_of(bundle), paths, loss)
-            frames, trunk = frames + f, trunk + t
+            deal(phase, [share * sizes[m] for m in phase.members
+                         if m != phase.root])
         for phase in plan.leaves:
-            nsegs = nsegs_of(share * (len(phase.members) - 1))
-            f, t = _phase_stream(seg_of_rank, phase, phase.root, nsegs,
-                                 paths, loss)
-            frames, trunk = frames + f, trunk + t
+            deal(phase, [share] * (len(phase.members) - 1))
         return frames, trunk
     if op == "gather":
         phases, holder = up_phases(tree, root)

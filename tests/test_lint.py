@@ -423,6 +423,18 @@ def test_reg01_flags_dangling_model_and_bare_estimate():
     assert any("no rationale" in v.message for v in _check(coverage=cov))
 
 
+def test_reg01_flags_an_auto_op_without_a_plan():
+    """``scan`` is registered and waived; promoting it to the auto
+    tables without teaching ``compile_plan`` its steps is flagged —
+    once per table."""
+    found = _check(auto_choices={"bcast": ("fast", "slow"),
+                                 "scan": ("lin", "lin")},
+                   hier_auto={"bcast": "fast", "scan": "lin"}, waivers={})
+    assert sorted(v.message.split(" but ")[0] for v in found
+                  if "no plan" in v.message) == [
+        "op 'scan' is in AUTO_CHOICES", "op 'scan' is in HIER_AUTO"]
+
+
 def test_reg01_live_tables_are_consistent():
     import repro  # noqa: F401 - registers every implementation
     from repro.analysis.framecount import MODEL_COVERAGE

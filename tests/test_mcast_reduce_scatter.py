@@ -9,9 +9,7 @@ import numpy as np
 import pytest
 
 from repro import run_spmd
-from repro.analysis.framecount import (model_seg_allreduce_frames,
-                                       model_seg_reduce_frames,
-                                       model_seg_scatter_frames)
+from repro.analysis.framecount import model_flat_frames
 from repro.core.segment import plan_segments
 from repro.mpi.ops import MAX, SUM, Op
 from repro.simnet import quiet
@@ -156,7 +154,8 @@ def test_seg_reduce_frame_count_formula():
     observed = sum(kinds.get(k, 0) for k in
                    ("mcast-seg", "mcast-seg-hdr", "seg-report", "seg-dec",
                     "scout"))
-    assert observed == model_seg_reduce_frames(n, nsegs)
+    assert observed == model_flat_frames("reduce", (0,) * n, 0, size,
+                                         QUIET)[0]
     assert kinds["mcast-seg"] == (n - 1) * nsegs
     assert kinds["mcast-seg-hdr"] == n - 1
 
@@ -257,7 +256,8 @@ def test_seg_scatter_frame_count_formula():
     observed = sum(kinds.get(k, 0) for k in
                    ("mcast-seg", "mcast-seg-hdr", "seg-report", "seg-dec",
                     "scout"))
-    assert observed == model_seg_scatter_frames(n, counts)
+    assert observed == model_flat_frames("scatter", (0,) * n, 0,
+                                         n * per_rank, QUIET)[0]
     # the root's own element never touched the wire
     assert kinds["mcast-seg"] == sum(counts)
 
@@ -327,7 +327,8 @@ def test_seg_allreduce_frame_count_formula():
     observed = sum(kinds.get(k, 0) for k in
                    ("mcast-seg", "mcast-seg-hdr", "seg-report", "seg-dec",
                     "scout"))
-    assert observed == model_seg_allreduce_frames(n, nsegs)
+    assert observed == model_flat_frames("allreduce", (0,) * n, 0, size,
+                                         QUIET)[0]
     assert kinds["mcast-seg"] == n * nsegs
 
 

@@ -97,11 +97,11 @@ def test_fold_carries_the_union_and_the_smallest_ring_to_the_root(group):
         channel.data_sock.drop_filter = _lose_first_copy_of(
             lost[env.rank])
         if env.rank in bystanders:
-            yield from follow_rounds(comm, channel, seq, root, NSEGS, 1,
-                                     arm, tok, needed=set())
+            yield from follow_rounds(comm, channel, seq, root, arm, tok,
+                                     needed=set())
             return PAYLOAD
-        reasm = yield from follow_rounds(comm, channel, seq, root, NSEGS,
-                                         1, arm, tok)
+        reasm = yield from follow_rounds(comm, channel, seq, root, arm,
+                                         tok)
         return reasm.result()
 
     with pytest.MonkeyPatch.context() as patch:
@@ -123,6 +123,9 @@ def test_fold_carries_the_union_and_the_smallest_ring_to_the_root(group):
     kinds = result.stats["frames_by_kind"]
     assert kinds["seg-report"] == nrounds * (n - 1)
     assert kinds["seg-dec"] == nrounds
+    # the engine's header handshake rides ahead of the rounds
+    assert kinds["mcast-seg-hdr"] == 1
+    assert kinds["scout"] == (1 + nrounds) * (n - 1)
     assert at_root["seg-report"] <= nrounds * binary_tree_steps(n)
     assert at_root["seg-dec"] == 0
 
@@ -149,7 +152,7 @@ def test_abort_decision_reaches_every_follower():
                         lambda d: d.kind == "mcast-seg"
                         and d.payload[2].index == 3)
                 yield from follow_rounds(
-                    comm, channel, seq, root, NSEGS, 1, arm, tok,
+                    comm, channel, seq, root, arm, tok,
                     needed=set() if env.rank == 0 else None)
         except McastLost as exc:
             return str(exc)

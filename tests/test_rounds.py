@@ -6,16 +6,21 @@ from dataclasses import replace
 
 import pytest
 
+from _invariants import assert_quiesced
 from repro import run_spmd
-from repro.core.rounds import (Reassembler, RoundPacer, follow_rounds,
-                               repair_batch, round_drain_timeout_us,
-                               round_namespace, serve_rounds)
+from repro.core.rounds import (Reassembler, RoundPacer, Segment,
+                               follow_rounds, repair_batch,
+                               round_drain_timeout_us, round_namespace,
+                               serve_rounds)
 from repro.core.segment import (fragment, seg_nack_datagram_count)
+from repro.mpi.ops import Op
 from repro.simnet import quiet
 from repro.simnet.calibration import FAST_ETHERNET_SWITCH
+from repro.simnet.frame import retain_frame
 
 QUIET = quiet(FAST_ETHERNET_SWITCH)
 AUTO = replace(QUIET, segment_bytes="auto")
+CONCAT = Op("CONCAT", lambda a, b: a + b, commutative=False)
 
 
 # ------------------------------------------------------------ namespace
@@ -261,16 +266,15 @@ def test_serve_follow_contract_with_subsets_and_bystander():
             return "served"
         if env.rank == 1:
             channel.data_sock.drop_filter = drop_seg7_once()
-            reasm = yield from follow_rounds(comm, channel, seq, 0,
-                                             nsegs, batch, arm, tok)
+            reasm = yield from follow_rounds(comm, channel, seq, 0, arm,
+                                             tok)
             return reasm.result()
         if env.rank == 2:
-            reasm = yield from follow_rounds(comm, channel, seq, 0,
-                                             nsegs, batch, arm, tok,
-                                             needed=set(range(5)))
+            reasm = yield from follow_rounds(comm, channel, seq, 0, arm,
+                                             tok, needed=set(range(5)))
             return b"".join(s.chunk for s in reasm.segments())
-        reasm = yield from follow_rounds(comm, channel, seq, 0, nsegs,
-                                         batch, arm, tok, needed=set())
+        reasm = yield from follow_rounds(comm, channel, seq, 0, arm, tok,
+                                         needed=set())
         return ("bystander", reasm.segments(),
                 channel.data_sock.posted_high_water)
 
@@ -284,6 +288,11 @@ def test_serve_follow_contract_with_subsets_and_bystander():
     # the batch holding segment 7 (one datagram of 2 segments) was the
     # only repair
     assert result.stats["retransmissions"] == 1
+    # the engine's own header handshake: N-1 scouts and one header
+    # multicast ahead of the two rounds' arming gathers
+    kinds = result.stats["frames_by_kind"]
+    assert kinds["mcast-seg-hdr"] == 1
+    assert kinds["scout"] == (4 - 1) * (1 + 2)
 
 
 def test_serve_follow_sequential_namespaces_do_not_cross_match():
@@ -303,14 +312,17 @@ def test_serve_follow_sequential_namespaces_do_not_cross_match():
                                         arm, tok)
                 out.append(payload)
             else:
-                nsegs = len(fragment(payload, 512))
                 reasm = yield from follow_rounds(comm, channel, seq, 0,
-                                                 nsegs, 1, arm, tok)
+                                                 arm, tok)
                 out.append(reasm.result())
         return [o == e for o, e in zip(out, (b"a" * 1500, b"b" * 3000))]
 
     result = run_spmd(3, main, params=QUIET)
     assert result.returns == [[True, True]] * 3
+    # per stream: one header, header + arming scout gathers
+    kinds = result.stats["frames_by_kind"]
+    assert kinds["mcast-seg-hdr"] == 2
+    assert kinds["scout"] == 2 * (3 - 1) * 2
 
 
 # ------------------------------------------------- the drain timer (PR 14)
@@ -482,3 +494,96 @@ def test_round_pacer_unit():
     no_fb = RoundPacer(replace(QUIET, seg_pace_feedback=False), 1472)
     no_fb.note_budgets([2])
     assert no_fb.burst == 2 and no_fb.gap_us == 0.0  # learns, won't pace
+
+
+# ------------------------------------------- the header straggler rule
+def _late_duplicate(cluster, addr):
+    """Chaos through the ``HalfLink.fault`` seam, on one host's access
+    link: the first ``mcast-seg`` frame down to ``addr`` is delivered —
+    and delivered once more (the ``dup`` fate, delayed) at the instant
+    the host's next scout leaves its NIC.  That scout is the header
+    scout of the stream after the duplicated one, and a follower posts
+    its header descriptor before it scouts: the stale copy lands in
+    exactly that descriptor, ahead of the header (the server sends it
+    only once every scout is in)."""
+    up, down = cluster.host_links[addr]
+    held = []
+
+    def capture(frame, link):
+        if frame.kind == "mcast-seg" and not held and up.fault is None:
+            retain_frame(frame, 1)
+            held.append(frame)
+            up.fault = release
+        return None
+
+    def release(frame, link):
+        if frame.kind == "scout" and held:
+            down.deliver(held.pop())
+        return None
+
+    down.fault = capture
+
+
+def _straggler_program(op, size, seen):
+    """Rank 0 — a follower of every stream after its own — logs what
+    its engine reads off the data socket; every rank returns whether
+    its result was byte-correct."""
+    def block(rank):
+        return bytes([rank + 1]) * 24_000
+
+    def main(env):
+        comm, rank = env.comm, env.rank
+        if rank == 0:
+            real = comm.mcast.wait_data
+
+            def spy(posted):
+                got = yield from real(posted)
+                seen.append(got[2])
+                return got
+
+            comm.mcast.wait_data = spy
+        if op == "bcast":       # two streams, two sequence numbers
+            outs = []
+            for root in (1, 2):
+                outs.append((yield from comm.bcast(
+                    block(root) if rank == root else None, root)))
+            return outs == [block(1), block(2)]
+        if op == "scatter":
+            outs = []
+            for root in (1, 2):
+                outs.append((yield from comm.scatter(
+                    [block(root + r) for r in range(size)]
+                    if rank == root else None, root)))
+            return outs == [block(1 + rank), block(2 + rank)]
+        if op == "reduce":      # one sequence number, a stream per turn
+            out = yield from comm.reduce(block(rank), CONCAT, 0)
+            return rank != 0 or out == b"".join(map(block, range(size)))
+        out = yield from comm.allgather(block(rank))
+        return out == [block(r) for r in range(size)]
+
+    return main
+
+
+@pytest.mark.parametrize("op,impl", [
+    ("bcast", "mcast-seg-nack"), ("scatter", "mcast-seg-root"),
+    ("reduce", "mcast-seg-combine"), ("allgather", "mcast-seg-paced")])
+def test_stale_duplicate_in_the_header_descriptor_is_discarded(op, impl):
+    """The ONE straggler rule of the unified follower: a stale
+    ``mcast-seg`` duplicate of the previous stream — previous call
+    (bcast, scatter) or previous turn of the same sequence number
+    (reduce, allgather) — eats the header descriptor, is discarded, the
+    descriptor re-posted, and the header still arrives: byte-correct
+    results, no repair traffic, nothing left posted."""
+    n, seen = 4, []
+    result = run_spmd(n, _straggler_program(op, n, seen), params=AUTO,
+                      collectives={op: impl},
+                      on_cluster=lambda c: _late_duplicate(c, 0))
+    assert result.returns == [True] * n
+    twice = [i for i, got in enumerate(seen)
+             if any(got is earlier for earlier in seen[:i])]
+    assert len(twice) == 1              # the duplicate was read ...
+    assert isinstance(seen[twice[0]], Segment)
+    assert seen[twice[0] + 1][0] == "seg-hdr"   # ... where a header was due
+    assert result.stats["retransmissions"] == 0
+    assert result.stats["drops_chaos"] == 0
+    assert_quiesced(result.cluster, result.world)
