@@ -170,17 +170,14 @@ def _trace_cmd(args_list, scale: str, base_seed: int, output) -> int:
     import os
 
     from .. import obs
-    from ..analysis import fluid
 
     _area, case, run = _find_case("trace", args_list, scale, base_seed)
-    # Force the event-level simulator (the fluid backend sends no
-    # frames) and arm the recorder for every run_spmd inside the case.
+    # Arm the recorder for every run_spmd inside the case.
     saved = os.environ.get(obs.TRACE_ENV)
     os.environ[obs.TRACE_ENV] = "1"
     obs.drain_recorders()               # drop stale recorders, if any
     try:
-        with fluid.forced(False):
-            run()
+        run()
     finally:
         if saved is None:
             os.environ.pop(obs.TRACE_ENV, None)

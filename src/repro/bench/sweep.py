@@ -74,8 +74,8 @@ ABS_TOL_US = 100.0
 #: ``rate*`` metrics are throughput rates (lower is worse).  Unlike
 #: simulated latencies they measure the machine running the gate, so
 #: their band is deliberately huge — it exists to catch order-of-
-#: magnitude performance collapses (an accidental O(n^2) kernel, a
-#: disabled fluid backend), not scheduler jitter.
+#: magnitude performance collapses (an accidental O(n^2) kernel), not
+#: scheduler jitter.
 WALL_PREFIX = "wall"
 RATE_PREFIX = "rate"
 WALL_REL_TOL = 3.0          # fail only past 4x the committed value
@@ -266,7 +266,7 @@ def run_meta() -> dict:
     wall-clock timestamps so reruns stay bit-for-bit identical; the
     gate (:func:`diff_docs`) never compares this block.  Asked of git
     once per process: three subprocess spawns are ~0.1 s of wall, which
-    a timed ``run_area`` (``thru_sweep_case``) must not keep paying."""
+    the six ``run_area`` calls of one gate run must not keep paying."""
     return dict(_run_meta())
 
 

@@ -17,17 +17,14 @@ Five areas — four extension claims, plus the simulator's own speed:
   reduce/allreduce vs the MPICH binomial trees, selective segment
   repair under induced loss, and the ``"auto"`` never-worse
   postcondition over frames and latency;
-* ``sim-throughput``: wall-clock and events/sec of a 1024-host
-  broadcast plus the deep-fabric gate sweep with the analytic fluid
-  backend on vs off.  Event/clock metrics are exact; ``wall*``/
-  ``rate*`` metrics are banded wide in
+* ``sim-throughput``: kernel records, high-water mark, wall-clock and
+  events/sec of 64- and 1024-host broadcasts.  Event/clock metrics
+  are exact; ``wall*``/``rate*`` metrics are banded wide in
   :func:`repro.bench.sweep.diff_docs` and so are the one deliberate
   exception to gate documents being rerun-deterministic.
 
-Where a case asks only for a loss-free trunk-frame count that the
-coverage ledger marks exact, :mod:`repro.analysis.fluid` answers it
-analytically instead of simulating (``REPRO_FLUID=0`` forces the DES;
-``tests/test_fluid.py`` proves both paths emit identical documents).
+Every number in a document is measured on the simulator; where a
+closed-form model exists, a postcondition holds the measurement to it.
 
 Every reproduction criterion is either an in-runner assertion
 (correctness of the collective's result) or an area **postcondition**
@@ -49,8 +46,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ..analysis import fluid
-from ..analysis.framecount import (expected_seg_repair_frames,
+from ..analysis.framecount import (MODEL_COVERAGE,
+                                   expected_seg_repair_frames,
                                    model_flat_frames, model_hier_frames)
 from ..core.segment import (plan_segments, plan_transport,
                             seg_nack_datagram_count,
@@ -80,7 +77,6 @@ DIMS = {
         deep_size=24_000, deep_repair_size=48_000, repair_ops=2,
         deep_flat_ops=("bcast", "scatter", "gather"),
         deep_hier_ops=("bcast", "gather"),
-        deep_hier_exact_ops=("bcast",),
         segred_sizes=(12_000,), segred_reps=2,
         thru_fabrics=("tree:8x8", "tree:32x32")),
     "full": SimpleNamespace(
@@ -88,7 +84,6 @@ DIMS = {
         fab_sizes=(2000, 24_000, 96_000), fab_reps=max(5, _FULL_REPS // 4),
         deep_size=48_000, deep_repair_size=96_000, repair_ops=4,
         deep_flat_ops=_ALL_OPS, deep_hier_ops=_ALL_OPS,
-        deep_hier_exact_ops=("bcast", "reduce"),
         segred_sizes=(1000, 12_000, 48_000),
         segred_reps=max(8, _FULL_REPS // 2),
         thru_fabrics=("tree:8x8", "tree:16x16", "tree:32x32")),
@@ -448,25 +443,16 @@ FAB_IMPLS = ("p2p-binomial", "mcast-seg-nack", "hier-mcast", "auto")
 _FAB_ENGINE = {"flat": "mcast-seg-nack", "hier": "hier-mcast"}
 
 
-def _trunk_case(topology, n, seg_of, paths, op, impl, size, seed):
-    """One per-call trunk measurement, fluid-first: when the frame
-    model for (op, impl) is exact, the analytic backend supplies the
-    integer the DES would measure (the area postconditions assert the
-    equality whenever the DES does run); otherwise — estimate-grade
-    models, lossy platforms, ``REPRO_FLUID=0`` — fall back to the
-    two-op-minus-one-op simulation."""
-    if fluid.enabled():
-        trunk = fluid.trunk_frames_per_call(op, impl, seg_of, 0, size,
-                                            QUIET_AUTO, paths)
-        if trunk is not None:
-            return {"frames_trunk_call": trunk}
+def _trunk_case(topology, n, op, impl, size, seed):
+    """One per-call trunk measurement: the two-op-minus-one-op
+    simulation (the area postconditions hold it to the plan fold)."""
     return {"frames_trunk_call":
             _deep_per_call(topology, n, op, impl, size, seed)}
 
 
 def fab_trunk_case(scale, seed, engine, size):
     """Trunk frames of ONE bcast (quiet, deterministic)."""
-    return _trunk_case(FAB_TOPOLOGY, FAB_NPROCS, FAB_SEG_OF, None, "bcast",
+    return _trunk_case(FAB_TOPOLOGY, FAB_NPROCS, "bcast",
                        _FAB_ENGINE[engine], size, seed)
 
 
@@ -633,6 +619,16 @@ def _deep_win_ops(scale: str, fabric: str) -> tuple:
     return tuple(ops)
 
 
+def _op_nbytes(op, size, n):
+    """The plan fold's ``nbytes`` for what :func:`_op_body` hands out
+    of a benched ``size``: an equal ``size // n`` share per rank where
+    the op takes per-rank elements (the scatter's total, the gather's
+    and allgather's contribution), the whole ``size`` otherwise."""
+    share = size // n
+    return {"scatter": share * n, "gather": share,
+            "allgather": share}.get(op, size)
+
+
 def _op_body(op, size):
     def body(env):
         n = env.comm.size
@@ -682,9 +678,8 @@ def _deep_per_call(topology, n, op, impl, size, seed):
 
 
 def _deep_case(scale, seed, fabric, op, impl):
-    n, seg_of, paths = DEEP_FABRICS[fabric]
-    return _trunk_case(fabric, n, seg_of, paths, op, impl,
-                       DIMS[scale].deep_size, seed)
+    n, _seg_of, _paths = DEEP_FABRICS[fabric]
+    return _trunk_case(fabric, n, op, impl, DIMS[scale].deep_size, seed)
 
 
 def deep_flat_case(scale, seed, fabric, op):
@@ -756,16 +751,17 @@ def _deep_families(scale):
     ]
 
 
-def _assert_trunk_model(doc, family, fabric, op, impl):
-    """The family's measured per-call trunk count == the plan fold's
-    (what the fluid backend answers with, whenever the DES ran)."""
-    _n, seg_of, paths = DEEP_FABRICS[fabric]
+def _assert_trunk_model(doc, family, fabric, op, model):
+    """The family's simulated per-call trunk count == the plan fold's
+    (``model`` is :func:`model_flat_frames` or
+    :func:`model_hier_frames`)."""
+    n, seg_of, paths = DEEP_FABRICS[fabric]
     sim = metric(doc, family, "frames_trunk_call", fabric=fabric, op=op)
-    model = fluid.trunk_frames_per_call(
-        op, impl, seg_of, 0, DIMS[doc["scale"]].deep_size, QUIET_AUTO,
-        paths)
-    assert sim == model, (
-        f"{impl} {op} on {fabric}: sim {sim} != model {model}")
+    want = model(op, seg_of, 0,
+                 _op_nbytes(op, DIMS[doc["scale"]].deep_size, n),
+                 QUIET_AUTO, paths)[1]
+    assert sim == want, (
+        f"{family} {op} on {fabric}: sim {sim} != model {want}")
 
 
 def deep_post_flat_models(doc):
@@ -774,16 +770,20 @@ def deep_post_flat_models(doc):
     for fabric in DEEP_FABRICS:
         for op in DIMS[doc["scale"]].deep_flat_ops:
             _assert_trunk_model(doc, "trunk-flat", fabric, op,
-                                DEEP_FLAT_IMPL[op])
+                                model_flat_frames)
 
 
 def deep_post_hier_models_and_wins(doc):
-    """Hier bcast/reduce trunk counts == the hierarchy plan's, and
-    hier strictly below flat where confinement wins."""
+    """Hier trunk counts == the hierarchy plan's for every op the
+    coverage ledger marks exact (bcast, reduce — not the bundle-
+    carrying scatter / gather / allgather), and hier strictly below
+    flat where confinement wins."""
     for fabric in DEEP_FABRICS:
-        for op in DIMS[doc["scale"]].deep_hier_exact_ops:
-            _assert_trunk_model(doc, "trunk-hier", fabric, op,
-                                "hier-mcast")
+        for op in DIMS[doc["scale"]].deep_hier_ops:
+            if not MODEL_COVERAGE[op, "hier-mcast"].startswith(
+                    "estimate:"):
+                _assert_trunk_model(doc, "trunk-hier", fabric, op,
+                                    model_hier_frames)
         for op in _deep_win_ops(doc["scale"], fabric):
             flat = metric(doc, "trunk-flat", "frames_trunk_call",
                           fabric=fabric, op=op)
@@ -1064,11 +1064,6 @@ register_area(AreaSpec(
 # ===========================================================================
 THRU_SIZE = 24_000
 
-#: generous wall budget (seconds) for the 1024-host broadcast — the
-#: make-smoke guard: an order-of-magnitude kernel regression blows it,
-#: scheduler jitter on a loaded CI box does not
-THRU_BUDGET_S = 60.0
-
 
 def _thru_nprocs(fabric: str) -> int:
     segs, hosts = fabric.split(":")[1].split("x")
@@ -1105,98 +1100,20 @@ def thru_workload_case(scale, seed, fabric):
     }
 
 
-def thru_sweep_case(scale, seed, mode):
-    """Wall seconds of the whole deep-fabric gate sweep, with the
-    analytic fluid backend answering eligible cases (``fluid``) and
-    with every case simulated (``des``).  The committed pair is the
-    recorded evidence of the backend's speedup.  Each side is the best
-    of at least two runs and at least a second of running:
-    ``thru_post_fluid_wins`` holds two sub-second readings to a fixed 2x
-    floor, and a single sample of either catches cold caches after the
-    fork or a scheduler hiccup (the workload cases share the box)."""
-    import time
-
-    from .sweep import run_area as _run_area
-
-    walls = []
-    with fluid.forced(mode == "fluid"):
-        while len(walls) < 2 or sum(walls) < 1.0:
-            t0 = time.perf_counter()
-            doc = _run_area("deep-fabric", scale="gate", workers=1,
-                            check=True)
-            walls.append(time.perf_counter() - t0)
-    return {"cases": len(doc["series"]), "wall_s": round(min(walls), 3)}
-
-
 def _thru_families(scale):
     return [
         Family("workload", {"fabric": DIMS[scale].thru_fabrics},
                thru_workload_case),
-        Family("gate-sweep", {"mode": ("fluid", "des")},
-               thru_sweep_case),
     ]
 
 
-def thru_post_smoke_budget(doc):
-    """The 1024-host broadcast completes inside the smoke budget."""
-    wall = metric(doc, "workload", "wall_s", fabric="tree:32x32")
-    assert wall < THRU_BUDGET_S, (
-        f"1024-host bcast took {wall:.1f}s — over the {THRU_BUDGET_S:.0f}s "
-        f"smoke budget; the kernel has regressed an order of magnitude")
-
-
-def thru_post_fluid_wins(doc):
-    """The analytic backend strictly beats running every case in the
-    DES (2x floor — the committed evidence shows ~5x)."""
-    fluid_wall = metric(doc, "gate-sweep", "wall_s", mode="fluid")
-    des_wall = metric(doc, "gate-sweep", "wall_s", mode="des")
-    assert metric(doc, "gate-sweep", "cases", mode="fluid") == \
-        metric(doc, "gate-sweep", "cases", mode="des")
-    assert fluid_wall * 2 <= des_wall, (
-        f"fluid sweep {fluid_wall:.3f}s vs DES {des_wall:.3f}s — the "
-        f"backend no longer pays for itself")
-
-
-def thru_post_trace_off_wall(doc):
-    """Tracing off costs ~nothing: the flight-recorder hooks on the
-    frame/round/dispatch hot paths are one predictable ``recorder is
-    None`` branch each, so with ``REPRO_TRACE`` unset the workload must
-    process the *exact* committed event count in wall time within the
-    usual band of the committed (pre-hook) baseline."""
-    import json
-
-    from .sweep import WALL_REL_TOL, baseline_path, find_series
-
-    path = baseline_path("sim-throughput")
-    if not path.exists():
-        return                  # nothing committed to hold against
-    baseline = json.loads(path.read_text())
-    if (baseline.get("scale") != doc.get("scale")
-            or baseline.get("base_seed") != doc.get("base_seed")):
-        return                  # ad-hoc run; the gate diff still applies
-    for fabric in DIMS[doc.get("scale", "gate")].thru_fabrics:
-        try:
-            base = find_series(baseline, "workload", fabric=fabric)
-            fresh = find_series(doc, "workload", fabric=fabric)
-        except KeyError:
-            continue
-        assert fresh["metrics"]["events"] == base["metrics"]["events"], (
-            f"workload[{fabric}]: processed {fresh['metrics']['events']} "
-            f"events vs the committed {base['metrics']['events']} — the "
-            f"tracing hooks must schedule nothing")
-        base_wall = base["metrics"]["wall_s"]
-        wall = fresh["metrics"]["wall_s"]
-        assert wall <= base_wall * (1.0 + WALL_REL_TOL), (
-            f"workload[{fabric}]: {wall:.3f}s wall vs committed "
-            f"{base_wall:.3f}s — tracing-off overhead regressed past "
-            f"the {WALL_REL_TOL:.0f}x band")
-
-
+# No postconditions: the gate's ``diff_docs`` already holds ``events``,
+# ``peak_live`` and ``sim_clock_us`` exactly and ``wall*`` / ``rate*``
+# inside ``WALL_REL_TOL`` of the committed document — a second wall-clock
+# assert here could only restate that band.
 register_area(AreaSpec(
     name="sim-throughput",
-    title="Simulator speed: events/sec and wall-clock of thousand-host "
-          "fabrics, and the analytic-backend speedup",
+    title="Simulator speed: kernel records, events/sec and wall-clock "
+          "of thousand-host fabrics",
     families=_thru_families,
-    postconditions=(thru_post_smoke_budget, thru_post_fluid_wins,
-                    thru_post_trace_off_wall),
 ))

@@ -3,11 +3,11 @@
 The predicted-vs-measured repair loop (expected_seg_repair_frames vs
 ``NetStats.drops_lossy``) and every frame-count assertion in the benches
 only mean something if a (topology, params, seed) tuple replays the same
-run.  Four things silently break that: unseeded randomness, wall-clock
-reads, iteration order of hash-based sets, and iteration order of the
-frame-path registry dicts (MAC/multicast tables, membership refcounts,
-reassembly state) whose insertion order tracks traffic and frame-pool
-history rather than any canonical order.
+run.  Five things silently break that: unseeded randomness, wall-clock
+reads, reads of the process environment, iteration order of hash-based
+sets, and iteration order of the frame-path registry dicts
+(MAC/multicast tables, membership refcounts, reassembly state) whose
+insertion order tracks traffic rather than any canonical order.
 """
 
 from __future__ import annotations
@@ -31,6 +31,12 @@ Inside repro.simnet / repro.core / repro.mpi the rule flags:
 * wall-clock and entropy reads: `time.time` / `time_ns` /
   `perf_counter` / `monotonic`, `os.urandom`, `uuid.uuid4` — simulation
   time comes from the event kernel (`sim.now`), never the host;
+* process-environment reads: `os.environ` / `os.getenv` (or importing
+  either from `os`) — a simulated or modeled number is a function of
+  (topology, params, seed), never of a variable somebody exported.
+  This one check also covers repro.analysis, whose closed forms the
+  simulator is held to; switches that only choose what is *observed*
+  (`REPRO_TRACE`, `REPRO_SANITIZE`) live in repro.obs / repro.runtime;
 * iterating a `set` (literal, `set()` / `frozenset()` call, set
   comprehension, set-operator expression, `.union`/`.intersection`/
   `.difference` result, or a local name bound to one) in a `for` loop
@@ -44,9 +50,9 @@ Inside repro.simnet / repro.core / repro.mpi the rule flags:
   `.values()` / `.items()` view, or a local name bound from one via
   `.get()` / `.setdefault()` — without `sorted()`.  Dicts preserve
   insertion order, but for these registries insertion order is a
-  trace of traffic and recycled pooled frames, not a canonical order:
-  code whose output depends on it diverges between the batched DES
-  and the analytic fluid backend even at the same seed.  The same
+  trace of traffic (who joined, sent or fragmented first), not a
+  canonical order: code whose output depends on it changes with any
+  edit that reorders two same-instant kernel records.  The same
   order-insensitive consumers as for sets are accepted, plus set
   comprehensions (building a set erases the order again).
 
@@ -56,6 +62,11 @@ same seeded lossy tree:2x2x2 allreduce twice, identical NetStats.
 """
 
 _SCOPES = ("repro.simnet", "repro.core", "repro.mpi")
+#: the environment-read check alone also covers the closed-form models
+#: (their other hazards stay out of scope: framecount.
+#: multicast_trunk_edges iterates a set into a set)
+_ENV_SCOPES = _SCOPES + ("repro.analysis",)
+_ENV_READS = {"environ", "getenv"}
 
 _GLOBAL_RANDOM_FNS = {"random", "randint", "choice", "shuffle",
                       "sample", "uniform", "randrange", "gauss",
@@ -65,7 +76,7 @@ _TIME_FNS = {"time", "time_ns", "perf_counter", "perf_counter_ns",
 _SET_METHODS = {"union", "intersection", "difference",
                 "symmetric_difference"}
 #: attribute-name suffixes of the frame-path registry dicts whose
-#: insertion order tracks traffic/pool history (switchdev._mac_table,
+#: insertion order tracks traffic history (switchdev._mac_table,
 #: switchdev._mcast_table, nic._mcast_refs, ipstack._reasm, ...)
 _REGISTRY_SUFFIXES = ("_table", "_refs", "_reasm")
 _DICT_VIEWS = {"keys", "values", "items"}
@@ -76,10 +87,10 @@ _DESETTERS = {"sorted", "list", "tuple"}     # rebinding launders a set
 _COMPS = (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
 
 
-def _in_scope(src: SourceFile) -> bool:
+def _in_scope(src: SourceFile, scopes: tuple = _SCOPES) -> bool:
     return (src.module is not None
             and any(src.module == s or src.module.startswith(s + ".")
-                    for s in _SCOPES))
+                    for s in scopes))
 
 
 def _is_setlike(node: ast.AST, set_names: set[str]) -> bool:
@@ -169,13 +180,30 @@ def _ordered_consumer(comp: ast.AST) -> bool:
 
 
 def check_file(src: SourceFile) -> list[Violation]:
-    if not _in_scope(src):
+    if not _in_scope(src, _ENV_SCOPES):
         return []
-    attach_parents(src.tree)
     out: list[Violation] = []
 
     def flag(node: ast.AST, msg: str) -> None:
         out.append(Violation(CODE, str(src.path), node.lineno, msg))
+
+    for node in ast.walk(src.tree):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "os"):
+            names = [node.attr]
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        for name in names:
+            if name in _ENV_READS:
+                flag(node, f"os.{name} reads the process environment — "
+                           f"a simulated or modeled number depends "
+                           f"only on (topology, params, seed)")
+    if not _in_scope(src):
+        return out
+    attach_parents(src.tree)
 
     for node in ast.walk(src.tree):
         if isinstance(node, ast.Call):
@@ -232,8 +260,8 @@ def check_file(src: SourceFile) -> list[Violation]:
                         continue
                     flag(where, "iteration over a frame-path registry "
                                 "dict without sorted() — its insertion "
-                                "order is a trace of traffic and frame-"
-                                "pool recycling, not a canonical order")
+                                "order is a trace of traffic, not a "
+                                "canonical order")
     # de-dup (nested scopes see the same For nodes)
     seen = set()
     unique = []

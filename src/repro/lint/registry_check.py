@@ -37,7 +37,7 @@ registered (op, implementation) pair the rule requires:
 * a plan: every op in AUTO_CHOICES must compile (``hier.compile_plan``)
   on the one-leaf tree — the flat segmented candidate *is* that plan —
   and every op in HIER_AUTO on a two-leaf tree: the plan's step kinds
-  are the only cost terms and the only fluid eligibility there are.
+  are the only cost terms there are.
 
 This turns the ROADMAP's alltoall/scan/exscan/reduce_scatter gaps into
 tracked waivers: deleting the waiver without adding the real policy or
@@ -127,8 +127,7 @@ def check_tables(registry, defaults, auto_choices, hier_auto, waivers,
             if op in table and not _compiles(op, seg_of_rank):
                 flag(f"op {op!r} is in {name} but hier.compile_plan has "
                      f"no plan for it on a {len(set(seg_of_rank))}-leaf "
-                     f"tree — without step kinds it has no cost term "
-                     f"and no fluid eligibility")
+                     f"tree — without step kinds it has no cost term")
     for op in sorted(set(defaults) - set(registry)):
         flag(f"stale DEFAULTS entry for unregistered op {op!r}")
     for op in sorted(set(waivers) - set(registry)):

@@ -87,8 +87,8 @@ trunk term of the group's own ``TopoDigest.group(members)``); exact?
 The three :data:`BUNDLE_KINDS` carry pickled ``{rank: element}``
 bundles whose envelope the closed form ignores, so a hierarchy's plan
 containing one is estimate-grade — which is exactly what the coverage
-ledger and the fluid backend read (on the one-group plan the elements
-travel bare, and all five kinds are exact).
+ledger reads (on the one-group plan the elements travel bare, and all
+five kinds are exact).
 
 **Reduction order.**  The hierarchical reduce folds each group in
 ascending rank order at every level, which equals MPI's canonical

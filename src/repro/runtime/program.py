@@ -171,12 +171,11 @@ def run_spmd(n: int,
 
     try:
         end = cluster.sim.run(until=max_sim_us)
-        if strict_deadlock and not cluster.sim._heap \
-                and not cluster.sim._nowq:
+        if strict_deadlock and not cluster.sim._heap:
             stuck = [p for p in cluster.sim._live_processes
                      if p.is_alive and not p.daemon]
             if stuck:
-                # bounded run, but the queues drained before the
+                # bounded run, but the heap drained before the
                 # deadline: that is a deadlock, not a deadline cut
                 raise DeadlockError(stuck)
     except DeadlockError as exc:

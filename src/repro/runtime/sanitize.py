@@ -170,7 +170,7 @@ def _assert_torn_down(cluster: "Cluster") -> None:
             problems.append(
                 f"switch {switch.name}: snooped members remain for "
                 f"groups {stale} — somebody skipped an IGMP leave")
-    pending = len(cluster.sim._heap) + len(cluster.sim._nowq)
+    pending = len(cluster.sim._heap)
     if pending:
         problems.append(
             f"event heap not drained: {pending} "

@@ -14,7 +14,7 @@ rule) while remaining byte-accurate for timing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any
 
 from .units import bytes_to_us
 
@@ -28,11 +28,8 @@ __all__ = [
     "ETH_MIN_PAYLOAD",
     "ETH_OVERHEAD",
     "Frame",
-    "FramePool",
     "is_multicast",
     "mcast_mac",
-    "release_frame",
-    "retain_frame",
     "wire_bytes",
 ]
 
@@ -89,10 +86,9 @@ class Frame:
     ``payload`` is the opaque object delivered to the receiver; ``kind`` is
     a short label used by traces and statistics ("data", "scout", ...).
 
-    Frames on the simulator's hot path come from a :class:`FramePool`
-    (``_pool`` set, ``_refs`` counting in-flight forks) and are recycled
-    when the last path releases them; directly-constructed frames — tests,
-    one-off tools — have ``_pool is None`` and retain/release are no-ops.
+    Nothing mutates a frame once it is on the wire: a multicast fan-out
+    hands every port the same object, and whoever holds a reference —
+    a fault hook, a trace reader — may keep it as long as it likes.
     """
 
     src: int
@@ -101,9 +97,6 @@ class Frame:
     payload: Any
     kind: str = "data"
     frame_id: int = field(default_factory=_next_frame_id)
-    _refs: int = field(default=1, repr=False, compare=False)
-    _pool: Optional["FramePool"] = field(default=None, repr=False,
-                                         compare=False)
 
     def __post_init__(self) -> None:
         if self.size < 0:
@@ -121,67 +114,3 @@ class Frame:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Frame#{self.frame_id}({self.kind} {self.src}->{self.dst} "
                 f"{self.size}B)")
-
-
-class FramePool:
-    """A free-list recycler for :class:`Frame` objects.
-
-    One pool is owned by each :class:`~repro.simnet.stats.NetStats` — the
-    object already shared by every device in a cluster — so frames can
-    never leak between concurrently-built simulations.  ``acquire`` pops a
-    dead frame off the free list and rewrites its slots (fresh
-    ``frame_id`` from the same global counter direct construction uses, so
-    id sequences are unchanged); devices hand the single reference along
-    the delivery chain, fork it with :func:`retain_frame` at multicast
-    fan-out points, and drop it with :func:`release_frame` at each
-    endpoint.  The last release clears ``payload`` (releasing the
-    datagram for GC) and returns the frame to the list.
-    """
-
-    __slots__ = ("_free", "allocated", "reused")
-
-    def __init__(self) -> None:
-        self._free: list[Frame] = []
-        #: frames constructed because the free list was empty
-        self.allocated = 0
-        #: acquisitions served by recycling a dead frame
-        self.reused = 0
-
-    def acquire(self, src: int, dst: int, size: int, payload: Any,
-                kind: str) -> Frame:
-        free = self._free
-        if free:
-            frame = free.pop()
-            frame.src = src
-            frame.dst = dst
-            frame.size = size
-            frame.payload = payload
-            frame.kind = kind
-            frame.frame_id = _next_frame_id()
-            frame._refs = 1
-            self.reused += 1
-            return frame
-        frame = Frame(src, dst, size, payload, kind)
-        frame._pool = self
-        self.allocated += 1
-        return frame
-
-
-def retain_frame(frame: Frame, extra: int) -> None:
-    """Add ``extra`` in-flight references (multicast fork points)."""
-    if frame._pool is not None:
-        frame._refs += extra
-
-
-def release_frame(frame: Frame) -> None:
-    """Drop one reference; the last one recycles the frame to its pool."""
-    pool = frame._pool
-    if pool is None:
-        return
-    refs = frame._refs - 1
-    if refs > 0:
-        frame._refs = refs
-    else:
-        frame._refs = 0
-        frame.payload = None
-        pool._free.append(frame)

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator
 
 from .calibration import NetParams
-from .frame import Frame, FramePool, is_multicast, mcast_mac
+from .frame import Frame, is_multicast, mcast_mac
 
 __all__ = ["Datagram", "Fragment", "fragment_sizes", "make_frames",
            "GroupAllocator", "is_group_addr"]
@@ -73,23 +73,13 @@ def fragment_sizes(params: NetParams, user_bytes: int) -> list[int]:
     return sizes
 
 
-def make_frames(params: NetParams, dgram: Datagram,
-                pool: Optional[FramePool] = None) -> Iterator[Frame]:
-    """Fragment a datagram into Ethernet frames.
-
-    With ``pool`` the frames are drawn from the cluster's recycler (the
-    hot path); without it they are constructed directly (tests, tools).
-    """
+def make_frames(params: NetParams, dgram: Datagram) -> Iterator[Frame]:
+    """Fragment a datagram into Ethernet frames."""
     sizes = fragment_sizes(params, dgram.size)
     nfrags = len(sizes)
-    if pool is None:
-        for i, l2_size in enumerate(sizes):
-            yield Frame(src=dgram.src, dst=dgram.dst, size=l2_size,
-                        payload=Fragment(dgram, i, nfrags), kind=dgram.kind)
-    else:
-        for i, l2_size in enumerate(sizes):
-            yield pool.acquire(dgram.src, dgram.dst, l2_size,
-                               Fragment(dgram, i, nfrags), dgram.kind)
+    for i, l2_size in enumerate(sizes):
+        yield Frame(dgram.src, dgram.dst, l2_size,
+                    Fragment(dgram, i, nfrags), dgram.kind)
 
 
 class GroupAllocator:

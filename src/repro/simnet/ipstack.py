@@ -91,17 +91,15 @@ class IpStack:
         return self._memberships.get(group, 0) > 0
 
     def _send_igmp(self, op: str, group: int) -> None:
-        frame = self.stats.frame_pool.acquire(
-            self.host.addr, group, IGMP_REPORT_SIZE, (op, group), "igmp")
-        self.host.nic.send(frame)
+        self.host.nic.send(Frame(self.host.addr, group, IGMP_REPORT_SIZE,
+                                 (op, group), "igmp"))
 
     # -- transmit ---------------------------------------------------------
     def send_datagram(self, dgram: Datagram, mcast_loop: bool = True) -> None:
         """Fragment and queue on the NIC. Loopback multicast is delivered
         locally too if this host joined the group (IP_MULTICAST_LOOP)."""
         self.stats.datagrams_sent += 1
-        for frame in make_frames(self.params, dgram,
-                                 self.stats.frame_pool):
+        for frame in make_frames(self.params, dgram):
             self.host.nic.send(frame)
         if mcast_loop and is_group_addr(dgram.dst) and self.member_of(dgram.dst):
             # Local copy bypasses the wire (kernel loopback), but still

@@ -49,7 +49,6 @@ whose ranks wait on messages that never arrive.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
@@ -140,7 +139,7 @@ class Event:
         self._triggered = True
         self._value = value
         self._ok = True
-        self.sim._push(delay, self)
+        self.sim.schedule_call(delay, self._dispatch)
         return self
 
     def fail(self, exc: BaseException, delay: float = 0.0) -> "Event":
@@ -152,7 +151,7 @@ class Event:
         self._triggered = True
         self._value = exc
         self._ok = False
-        self.sim._push(delay, self)
+        self.sim.schedule_call(delay, self._dispatch)
         return self
 
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
@@ -197,27 +196,7 @@ class Timeout(Event):
         self._ok = True
         self._triggered = True
         self._processed = False
-        sim._push(delay, self)
-
-
-class _Call:
-    """A lightweight scheduled-callback heap record.
-
-    :meth:`Simulator.schedule_call` used to allocate a full :class:`Event`
-    plus a closure per call; since nothing ever waits on those events, the
-    kernel now pushes one of these two-slot records instead.  The record
-    rides the same ``(due, seq)`` heap as real events, so tie-breaking by
-    insertion order — the determinism contract — is unchanged.
-    """
-
-    __slots__ = ("fn", "args")
-
-    def __init__(self, fn: Callable, args: tuple):
-        self.fn = fn
-        self.args = args
-
-    def _dispatch(self) -> None:
-        self.fn(*self.args)
+        sim.schedule_call(delay, self._dispatch)
 
 
 class Timer:
@@ -418,30 +397,23 @@ class AllOf(_Condition):
 
 
 class Simulator:
-    """The event loop: ``(due_time, seq, record)`` triples, heap + now-queue.
+    """The event loop: one binary heap of ``(due, seq, fn, args)`` records.
 
-    Records are :class:`Event` instances or the lightweight :class:`_Call`
-    callback records.  Two structures hold them:
+    Every record is a plain callable with its arguments —
+    :meth:`schedule_call` / :meth:`schedule_at` push the caller's, an
+    :class:`Event` pushes its own bound ``_dispatch`` — and the loop
+    pops the smallest and calls ``fn(*args)``.  ``seq`` is a global
+    insertion counter, unique per record, so the heap orders by
+    ``(due, seq)`` and a comparison never reaches ``fn``.
 
-    * ``_heap`` — the classic binary heap, for records due in the future;
-    * ``_nowq`` — a FIFO for records scheduled with **zero delay**.  The
-      global ``_seq`` counter makes the queue sorted by ``(due, seq)`` by
-      construction (appends happen at the current time with increasing
-      seq), so the dispatcher merges the two structures by comparing heads
-      — exactly the ``(due, seq)`` order a single heap would produce, at
-      O(1) per zero-delay record instead of O(log n) heap churn.  Since
-      most records in a protocol simulation fire "now" (succeed(),
-      same-instant callbacks), this is the same-timestamp batch-pop that
-      makes thousand-host fabrics tractable.
-
-    Determinism contract: ties at one timestamp dispatch in insertion
-    order, identical to the historical single-heap kernel.
+    Determinism contract: records dispatch in ``(due, seq)`` order —
+    ties at one timestamp in insertion order, a zero-delay record in
+    its ``(now, seq)`` place among them.
     """
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._heap: list[tuple[float, int, Any]] = []
-        self._nowq: deque[tuple[float, int, Any]] = deque()
+        self._heap: list[tuple[float, int, Callable, tuple]] = []
         self._seq = 0
         self.active_process: Optional[Process] = None
         self._live_processes: set[Process] = set()
@@ -449,8 +421,10 @@ class Simulator:
         #: records dispatched over the simulator's lifetime (the
         #: denominator-free half of the events/sec throughput metric)
         self.processed: int = 0
-        #: high-water mark of pending records (heap + now-queue) — the
-        #: kernel's working-set size, recorded by the sim-throughput area
+        #: high-water mark of pending records — the kernel's working-set
+        #: size, recorded by the sim-throughput area.  Read once per pop
+        #: (and when :meth:`run` returns): the pending count only grows
+        #: between two pops, so that is the maximum over every push.
         self.peak_live: int = 0
 
     # -- event factories ------------------------------------------------
@@ -485,21 +459,12 @@ class Simulator:
     def schedule_call(self, delay: float, fn: Callable, *args: Any) -> None:
         """Call ``fn(*args)`` after ``delay`` µs.
 
-        The hot path of every frame hop: pushes a two-slot :class:`_Call`
-        record instead of allocating an :class:`Event` plus a closure.
         Nothing can wait on the record, so nothing is returned.
         """
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         self._seq += 1
-        if delay == 0.0:
-            self._nowq.append((self.now, self._seq, _Call(fn, args)))
-        else:
-            heapq.heappush(self._heap,
-                           (self.now + delay, self._seq, _Call(fn, args)))
-        live = len(self._heap) + len(self._nowq)
-        if live > self.peak_live:
-            self.peak_live = live
+        heapq.heappush(self._heap, (self.now + delay, self._seq, fn, args))
 
     def schedule_at(self, due: float, fn: Callable, *args: Any) -> None:
         """Call ``fn(*args)`` at absolute time ``due`` (>= now) — for a
@@ -510,43 +475,21 @@ class Simulator:
             raise ValueError(f"cannot schedule into the past (due={due}, "
                              f"now={self.now})")
         self._seq += 1
-        heapq.heappush(self._heap, (due, self._seq, _Call(fn, args)))
-        live = len(self._heap) + len(self._nowq)
-        if live > self.peak_live:
-            self.peak_live = live
-
-    # -- scheduling internals --------------------------------------------
-    def _push(self, delay: float, event: Event) -> None:
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay})")
-        self._seq += 1
-        if delay == 0.0:
-            self._nowq.append((self.now, self._seq, event))
-        else:
-            heapq.heappush(self._heap, (self.now + delay, self._seq, event))
-        live = len(self._heap) + len(self._nowq)
-        if live > self.peak_live:
-            self.peak_live = live
+        heapq.heappush(self._heap, (due, self._seq, fn, args))
 
     # -- main loop --------------------------------------------------------
     def step(self) -> None:
         """Process exactly one record, in global ``(due, seq)`` order."""
-        nowq = self._nowq
         heap = self._heap
-        if nowq and (not heap or nowq[0] < heap[0]):
-            due, _seq, event = nowq.popleft()
-        else:
-            due, _seq, event = heapq.heappop(heap)
+        if len(heap) > self.peak_live:
+            self.peak_live = len(heap)
+        due, _seq, fn, args = heapq.heappop(heap)
         self.now = due
         self.processed += 1
-        event._dispatch()
+        fn(*args)
 
     def peek(self) -> float:
         """Due time of the next record, or +inf if nothing is pending."""
-        if self._nowq:
-            if self._heap and self._heap[0] < self._nowq[0]:
-                return self._heap[0][0]
-            return self._nowq[0][0]
         return self._heap[0][0] if self._heap else float("inf")
 
     def process_snapshot(self) -> list:
@@ -572,39 +515,27 @@ class Simulator:
         return out
 
     def run(self, until: Optional[float] = None) -> float:
-        """Run until the queues drain or the clock passes ``until``.
+        """Run until the heap drains or the clock passes ``until``.
 
         Returns the final clock value.  Raises :class:`DeadlockError` if
-        the queues drain with live processes remaining, and re-raises the
+        the heap drains with live processes remaining, and re-raises the
         first uncaught exception from any process that nothing joined on.
-
-        The loop merges ``_nowq`` and ``_heap`` inline (head comparison
-        per record) rather than calling :meth:`step`, so the per-record
-        overhead is a tuple compare plus a deque popleft for the
-        zero-delay majority.
         """
         heap = self._heap
-        nowq = self._nowq
         heappop = heapq.heappop
         crashed = self._crashed
         n_dispatched = 0
+        peak = self.peak_live
         try:
-            while heap or nowq:
-                if nowq and (not heap or nowq[0] < heap[0]):
-                    head = nowq[0]
-                    if until is not None and head[0] > until:
-                        self.now = until
-                        break
-                    nowq.popleft()
-                else:
-                    head = heap[0]
-                    if until is not None and head[0] > until:
-                        self.now = until
-                        break
-                    heappop(heap)
-                self.now = head[0]
+            while heap:
+                if len(heap) > peak:
+                    peak = len(heap)
+                if until is not None and heap[0][0] > until:
+                    self.now = until
+                    break
+                self.now, _seq, fn, args = heappop(heap)
                 n_dispatched += 1
-                head[2]._dispatch()
+                fn(*args)
                 if crashed:
                     proc, exc = crashed[0]
                     # A crash is only fatal if nobody is joined on that
@@ -620,7 +551,8 @@ class Simulator:
                 if alive and until is None:
                     raise DeadlockError(alive)
         finally:
-            # Local counter + one writeback keeps the hot loop free of
+            # Local counters + one writeback keep the hot loop free of
             # attribute stores while still surviving exceptions.
             self.processed += n_dispatched
+            self.peak_live = max(peak, len(heap))
         return self.now

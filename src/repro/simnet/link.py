@@ -20,7 +20,7 @@ from collections import deque
 from typing import Callable, Optional
 
 from .calibration import NetParams
-from .frame import Frame, release_frame, retain_frame
+from .frame import Frame
 from .kernel import Simulator
 from .stats import NetStats
 
@@ -123,22 +123,17 @@ class HalfLink:
 
     def _arrive(self, frame: Frame) -> None:
         if not self.up:
-            # Cable cut: the last bit never arrives.  The ingress path
-            # handed us one reference for this copy; give it back.
+            # Cable cut: the last bit never arrives.
             self.stats.drops_chaos += 1
-            release_frame(frame)
             return
         fate = self.fault(frame, self) if self.fault is not None else None
         if fate is None or fate == "deliver":
             self.deliver(frame)
         elif fate == "drop":
             self.stats.drops_chaos += 1
-            release_frame(frame)
         elif fate == "dup":
-            # Two copies reach the far end: one extra reference for the
-            # extra delivery.
+            # Two copies reach the far end.
             self.stats.dups_chaos += 1
-            retain_frame(frame, 1)
             self.deliver(frame)
             self.deliver(frame)
         elif isinstance(fate, tuple) and fate[0] == "delay":

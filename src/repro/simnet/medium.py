@@ -24,11 +24,11 @@ The model (standard simplified CSMA/CD for a zero-diameter segment):
 from __future__ import annotations
 
 import random
-from typing import Optional
+from typing import Callable, Optional
 
 from .calibration import NetParams
-from .frame import Frame, release_frame, retain_frame
-from .kernel import Event, SimError, Simulator
+from .frame import Frame
+from .kernel import SimError, Simulator
 from .stats import NetStats
 
 __all__ = ["SharedMedium", "ExcessiveCollisions"]
@@ -44,11 +44,12 @@ class ExcessiveCollisions(SimError):
 
 
 class _Tx:
-    """One pending transmission attempt (station + frame + attempt count)."""
+    """One pending transmission attempt (station + frame + completion
+    callback + attempt count)."""
 
     __slots__ = ("nic", "frame", "done", "attempts")
 
-    def __init__(self, nic, frame: Frame, done: Event):
+    def __init__(self, nic, frame: Frame, done: Optional[Callable]):
         self.nic = nic
         self.frame = frame
         self.done = done
@@ -77,15 +78,17 @@ class SharedMedium:
         self.nics.append(nic)
 
     # -- public API ----------------------------------------------------------
-    def transmit(self, nic, frame: Frame) -> Event:
-        """Ask the medium to carry ``frame``; the event fires on delivery.
+    def transmit(self, nic, frame: Frame,
+                 on_done: Optional[Callable[[object], object]] = None
+                 ) -> None:
+        """Ask the medium to carry ``frame``.
 
-        The returned event fails with :class:`ExcessiveCollisions` if the
-        retry limit is reached.
+        ``on_done(True)`` is called once the frame is delivered, or
+        ``on_done(exc)`` with an :class:`ExcessiveCollisions` if the
+        retry limit is reached — as a kernel record of its own at that
+        instant, after the deliveries it reports.
         """
-        tx = _Tx(nic, frame, self.sim.event())
-        self._attempt(tx)
-        return tx.done
+        self._attempt(_Tx(nic, frame, on_done))
 
     @property
     def idle(self) -> bool:
@@ -135,20 +138,13 @@ class SharedMedium:
         self._active = None
         delivered = 0
         frame = tx.frame
-        kind = frame.kind
-        others = [nic for nic in self.nics if nic is not tx.nic]
-        if others:
-            # Every station gets its own copy of the frame (deliver
-            # consumes one reference whether the filter accepts or not).
-            retain_frame(frame, len(others) - 1)
-            for nic in others:
-                if nic.deliver(frame):
-                    delivered += 1
-        else:
-            release_frame(frame)
-        if delivered == 0 and kind != "igmp":
+        for nic in self.nics:
+            if nic is not tx.nic and nic.deliver(frame):
+                delivered += 1
+        if delivered == 0 and frame.kind != "igmp":
             self.stats.drops_no_listener += 1
-        tx.done.succeed(True)
+        if tx.done is not None:
+            self.sim.schedule_call(0.0, tx.done, True)
         self._release_deferred()
 
     def _collide(self, starters: list[_Tx]) -> None:
@@ -158,8 +154,10 @@ class SharedMedium:
         for tx in starters:
             tx.attempts += 1
             if tx.attempts >= self.params.max_attempts:
-                tx.done.fail(ExcessiveCollisions(tx.frame, tx.attempts))
-                release_frame(tx.frame)
+                if tx.done is not None:
+                    self.sim.schedule_call(
+                        0.0, tx.done,
+                        ExcessiveCollisions(tx.frame, tx.attempts))
                 continue
             self.stats.backoffs += 1
             k = min(tx.attempts, self.params.backoff_limit)

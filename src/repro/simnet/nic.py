@@ -14,29 +14,21 @@ before reaching the host's IP stack.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Callable, Optional
 
 from .calibration import NetParams
-from .frame import BROADCAST, Frame, is_multicast, release_frame
+from .frame import BROADCAST, Frame, is_multicast
 from .kernel import Simulator
 from .stats import NetStats
 
 __all__ = ["Nic", "TxPort"]
 
 #: What a NIC transmits through — a half link's ``send`` or a shared
-#: medium behind :func:`_medium_port`: ``port(frame, on_done)`` calls
-#: ``on_done(True)`` once the frame is on the wire, or ``on_done(exc)``
-#: if the medium gave up on it.
+#: medium's ``transmit`` for this station: ``port(frame, on_done)``
+#: calls ``on_done(True)`` once the frame is on the wire, or
+#: ``on_done(exc)`` if the medium gave up on it.
 TxPort = Callable[[Frame, Callable[[object], None]], None]
-
-
-def _medium_port(medium, nic: "Nic") -> TxPort:
-    """A hub attachment as a :data:`TxPort` (the medium reports through
-    an event because every deferring station's fate hangs on it)."""
-    def port(frame: Frame, on_done: Callable[[object], None]) -> None:
-        medium.transmit(nic, frame).add_callback(
-            lambda ev: on_done(ev._value))
-    return port
 
 
 class Nic:
@@ -62,7 +54,7 @@ class Nic:
     # -- wiring -------------------------------------------------------------
     def attach_medium(self, medium) -> None:
         """Plug into a shared CSMA/CD segment (hub topology)."""
-        self._port = _medium_port(medium, self)
+        self._port = partial(medium.transmit, self)
         medium.attach(self)
 
     def attach_link(self, out_halflink) -> None:
@@ -127,7 +119,6 @@ class Nic:
                   or (is_multicast(dst) and dst in self._mcast_refs))
         if not accept:
             self.filtered_frames += 1
-            release_frame(frame)
             return False
         self.rx_frames += 1
         self.stats.frames_delivered += 1
@@ -136,13 +127,5 @@ class Nic:
             rec.frame_delivered(self.sim.now, frame, self.mac)
         if self._receiver is not None:
             self.sim.schedule_call(self.params.per_frame_rx_us,
-                                   self._rx_dispatch, frame)
-        else:
-            release_frame(frame)
+                                   self._receiver, frame)
         return True
-
-    def _rx_dispatch(self, frame: Frame) -> None:
-        self._receiver(frame)
-        # This copy's journey ends here: the IP input has extracted the
-        # fragment, so the frame can go back to the pool.
-        release_frame(frame)

@@ -11,8 +11,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .frame import FramePool
-
 __all__ = ["NetStats"]
 
 
@@ -47,17 +45,11 @@ class NetStats:
     #: switch-to-switch link, so a frame that traverses two trunks
     #: counts twice here)
     trunk_frames_by_kind: Counter = field(default_factory=Counter)
-    #: the cluster's frame recycler (not a counter — lives here because
-    #: NetStats is the one object every device in a cluster shares, which
-    #: scopes recycled frames to exactly one simulation)
-    frame_pool: FramePool = field(default_factory=FramePool, repr=False,
-                                  compare=False)
     #: optional flight recorder (:class:`~repro.simnet.trace.RecorderHooks`)
     #: — ``None`` by default; every hook site in the stack guards on this
     #: single attribute, so tracing off costs one branch per event.  Rides
-    #: on NetStats for the same reason the pool does: it is the one object
-    #: every device in a cluster shares, which scopes a recording to
-    #: exactly one simulation.
+    #: on NetStats because it is the one object every device in a cluster
+    #: shares, which scopes a recording to exactly one simulation.
     recorder: object = field(default=None, repr=False, compare=False)
 
     def record_send(self, wire_size: int, kind: str) -> None:
@@ -92,8 +84,6 @@ class NetStats:
             "retransmissions": self.retransmissions,
             "frames_by_kind": dict(self.frames_by_kind),
             "trunk_frames_by_kind": dict(self.trunk_frames_by_kind),
-            "pool_frames_allocated": self.frame_pool.allocated,
-            "pool_frames_reused": self.frame_pool.reused,
         }
 
     def diff(self, earlier: dict) -> dict:

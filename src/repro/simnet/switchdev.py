@@ -40,8 +40,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .calibration import NetParams
-from .frame import (BROADCAST, Frame, is_multicast, release_frame,
-                    retain_frame)
+from .frame import BROADCAST, Frame, is_multicast
 from .kernel import Simulator
 from .link import HalfLink
 from .stats import NetStats
@@ -112,7 +111,6 @@ class Switch:
         """Ingress entry point, called by the host→switch half link."""
         if not self.alive:
             self.stats.drops_chaos += 1
-            release_frame(frame)
             return
         self._mac_table[frame.src] = port_idx
         if frame.kind == "igmp":
@@ -124,15 +122,10 @@ class Switch:
         if rec is not None:
             rec.frame_switched(self.sim.now, frame, self.name, len(egress))
         if not egress:
-            release_frame(frame)
             return
-        # One scheduled record fans the frame to every interested port
-        # (the ports fork the frame: one extra reference per egress copy
-        # beyond the one the ingress path handed us).  The sends run in
-        # the same port order, at the same instant, with no intervening
-        # records — identical to the historical one-record-per-port
-        # schedule, minus the heap churn.
-        retain_frame(frame, len(egress) - 1)
+        # One scheduled record fans the frame to every interested port:
+        # the sends run in port order, at the same instant, with no
+        # intervening records.
         ports = self._ports
         self.sim.schedule_call(self.params.switch_latency_us, self._fanout,
                                [ports[idx].out for idx in egress], frame)
@@ -182,12 +175,9 @@ class Switch:
         # fabric is a tree, so propagation cannot loop.
         outs = [port.out for port in self._ports
                 if port.trunk and port.index != port_idx]
-        if not outs:
-            release_frame(frame)
-            return
-        retain_frame(frame, len(outs) - 1)
-        self.sim.schedule_call(self.params.switch_latency_us, self._fanout,
-                               outs, frame)
+        if outs:
+            self.sim.schedule_call(self.params.switch_latency_us,
+                                   self._fanout, outs, frame)
 
     # -- inspection -------------------------------------------------------
     def members_of(self, group: int) -> set[int]:

@@ -14,10 +14,6 @@ The base class implements every hook as a no-op, which is what lets a
 recorder live below every layer: ``repro.simnet`` defines the
 vocabulary, ``repro.obs`` subclasses it with the full flight recorder,
 and nothing in ``simnet``/``core``/``mpi`` ever imports upward.
-
-Hook implementations must copy what they need out of a ``frame``
-argument *synchronously*: frames are pool-recycled the moment the last
-delivery path releases them, so holding a reference records garbage.
 """
 
 from __future__ import annotations

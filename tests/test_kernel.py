@@ -1,9 +1,12 @@
 """Unit tests for the discrete-event kernel."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.simnet.kernel import (AllOf, AnyOf, DeadlockError,
-                                 Interrupt, SimError, Simulator)
+from repro.simnet.kernel import (AllOf, AnyOf, DeadlockError, Event,
+                                 Interrupt, SimError, Simulator, Timeout,
+                                 Timer)
 
 
 def test_timeout_advances_clock():
@@ -279,7 +282,7 @@ def test_determinism_same_seedless_structure():
 
 # ------------------------------------------------------------------ Timer
 def _pending(sim):
-    return len(sim._heap) + len(sim._nowq)
+    return len(sim._heap)
 
 
 def test_timer_fires_at_the_float_a_timeout_would():
@@ -365,3 +368,126 @@ def test_timer_rejects_negative_delay_and_schedule_at_the_past():
     sim.schedule_at(5.0, order.append, "at-now")     # due == now: FIFO
     sim.run()
     assert order == ["call", "at-now"]
+
+
+# ------------------------------------------- the contract, as a property
+class ModelSim:
+    """The kernel's whole scheduling contract: pending records kept in
+    issue order, the next to run is the first of those with the
+    smallest due time (a stable sort by due), ``processed`` counts
+    dispatches and ``peak_live`` is the most that were ever pending."""
+
+    def __init__(self):
+        self.now, self.pending, self.processed, self.peak_live = 0.0, [], 0, 0
+
+    def schedule_at(self, due, fn, *args):
+        self.pending.append((due, fn, args))
+        self.peak_live = max(self.peak_live, len(self.pending))
+
+    def schedule_call(self, delay, fn, *args):
+        self.schedule_at(self.now + delay, fn, *args)
+
+    def run(self, until=None):
+        while self.pending:
+            first = min(range(len(self.pending)),
+                        key=lambda i: self.pending[i][0])
+            if until is not None and self.pending[first][0] > until:
+                self.now = until
+                break
+            self.now, fn, args = self.pending.pop(first)
+            self.processed += 1
+            fn(*args)
+
+
+_KINDS = ("call", "at", "succeed", "fail", "timeout",
+          "arm0", "arm1", "cancel0", "cancel1")
+_DELAYS = st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.0, 2.0, 3.25])   # ties
+_NODES = st.recursive(
+    st.tuples(st.sampled_from(_KINDS), _DELAYS, st.just(())),
+    lambda kids: st.tuples(st.sampled_from(_KINDS), _DELAYS,
+                           st.lists(kids, max_size=3).map(tuple)),
+    max_leaves=25)
+
+
+def _interpret(sim, program, untils, drive):
+    """Run ``program`` — a forest of ``(kind, delay, children)`` nodes,
+    each issuing its children when it fires — on ``sim`` (anything with
+    ``now`` / ``schedule_call`` / ``schedule_at``: the real ``Event``,
+    ``Timeout`` and ``Timer`` classes ask for nothing else).  Returns
+    the dispatch log and, after each ``until`` cut-off and the final
+    drain, ``(now, fired so far, processed, peak_live)``."""
+    log = []
+
+    def fire(path, kids):
+        log.append((sim.now, path))
+        for i, kid in enumerate(kids):
+            issue(path + (i,), kid)
+
+    timers = [Timer(sim, fire), Timer(sim, fire)]
+
+    def issue(path, node):
+        kind, delay, kids = node
+        if kind == "call":
+            sim.schedule_call(delay, fire, path, kids)
+        elif kind == "at":
+            sim.schedule_at(sim.now + delay, fire, path, kids)
+        elif kind == "timeout":
+            Timeout(sim, delay).add_callback(lambda _ev: fire(path, kids))
+        elif kind in ("succeed", "fail"):
+            ev = Event(sim)
+            ev.add_callback(lambda _ev: fire(path, kids))
+            if kind == "succeed":
+                ev.succeed(path, delay)
+            else:
+                ev.fail(KeyError(path), delay)
+        elif kind.startswith("arm"):        # re-arms whatever was armed
+            timers[int(kind[-1])].arm(delay, path, kids)
+        else:
+            timers[int(kind[-1])].cancel()
+
+    for i, node in enumerate(program):
+        issue((i,), node)
+    marks = []
+    for until in sorted(untils) + [None]:
+        drive(sim, until)
+        marks.append((sim.now, len(log), sim.processed, sim.peak_live))
+    return log, marks
+
+
+def _drive_by_step(sim, _until):
+    while sim.peek() != float("inf"):
+        sim.step()
+
+
+@settings(max_examples=300, deadline=None)
+@given(program=st.lists(_NODES, min_size=1, max_size=6),
+       untils=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0]),
+                       max_size=3))
+def test_dispatch_order_is_a_stable_sort_by_due_time(program, untils):
+    """Every way of putting a record on the heap — ``schedule_call``
+    (zero and positive delay), ``schedule_at``, ``Event.succeed`` /
+    ``fail``, ``Timeout``, a ``Timer`` armed, re-armed and cancelled —
+    from callbacks that schedule further records: the kernel dispatches
+    exactly as the model does, and counts what the model counts, at
+    every ``run(until=...)`` cut-off and at the end; driven record by
+    record through ``step`` / ``peek`` it ends in the same place."""
+    want = _interpret(ModelSim(), program, untils, ModelSim.run)
+    assert _interpret(Simulator(), program, untils, Simulator.run) == want
+    log, marks = _interpret(Simulator(), program, [], _drive_by_step)
+    assert (log, marks[-1]) == (want[0], want[1][-1])
+
+
+def test_counters_survive_a_crashing_record():
+    """``run`` writes ``processed`` / ``peak_live`` back on the way out
+    of an exception too, counting what the crashing record pushed."""
+    sim = Simulator()
+
+    def crash():
+        for _ in range(3):
+            sim.schedule_call(1.0, print)
+        raise KeyError("boom")
+
+    sim.schedule_call(0.0, crash)
+    with pytest.raises(KeyError):
+        sim.run()
+    assert (sim.processed, sim.peak_live) == (1, 3)

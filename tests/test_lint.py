@@ -260,6 +260,36 @@ def test_det01_clean_registry_iteration_when_sorted_or_setcomp(tmp_path):
     assert "DET01" not in codes(v)
 
 
+def test_det01_triggers_on_environment_reads_models_included(tmp_path):
+    """A simulated or modeled number may not depend on the process
+    environment: the one DET01 check that also covers repro.analysis
+    (whose set iteration stays out of scope)."""
+    backend = """\
+        import os
+        from os import getenv
+
+        def enabled():
+            return os.environ.get("REPRO_FAST", "1") != "0"
+
+        def level():
+            return os.getenv("REPRO_LEVEL") or getenv("LEVEL")
+
+        def edges(segs):
+            return [s for s in set(segs)]
+    """
+    v = lint_tree(tmp_path, {"repro/analysis/backend.py": backend,
+                             "repro/simnet/backend.py": backend,
+                             "repro/obs/switch.py": backend})
+    det = [x for x in v if x.code == "DET01"]
+    env = [x for x in det if "process environment" in x.message]
+    assert sorted((Path(x.path).parent.name, x.line) for x in env) == [
+        ("analysis", 2), ("analysis", 5), ("analysis", 8),
+        ("simnet", 2), ("simnet", 5), ("simnet", 8)]
+    # the set iteration is flagged in the simulation layer only
+    assert [Path(x.path).parent.name for x in det if x not in env] == [
+        "simnet"]
+
+
 def test_det01_ignores_modules_outside_sim_layers(tmp_path):
     v = lint_tree(tmp_path, {"repro/bench/x.py": """\
         import time

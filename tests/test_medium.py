@@ -37,9 +37,10 @@ def make_medium(n_nics=3, seed=0):
 def test_single_transmission_delivers_to_all_others():
     sim, medium, nics, stats = make_medium()
     frame = Frame(src=0, dst=1, size=100, payload="x")
-    done = medium.transmit(nics[0], frame)
+    done = []
+    assert medium.transmit(nics[0], frame, done.append) is None
     sim.run()
-    assert done.ok and done.value is True
+    assert done == [True]
     assert [f.payload for f in nics[1].received] == ["x"]
     assert [f.payload for f in nics[2].received] == ["x"]
     assert nics[0].received == []          # sender hears nothing back
@@ -72,11 +73,12 @@ def test_simultaneous_start_collides_then_resolves():
     sim, medium, nics, stats = make_medium(seed=1)
     f0 = Frame(src=0, dst=2, size=100, payload="a")
     f1 = Frame(src=1, dst=2, size=100, payload="b")
-    d0 = medium.transmit(nics[0], f0)
-    d1 = medium.transmit(nics[1], f1)
+    d0, d1 = [], []
+    medium.transmit(nics[0], f0, d0.append)
+    medium.transmit(nics[1], f1, d1.append)
     sim.run()
     assert stats.collisions >= 1
-    assert d0.ok and d1.ok
+    assert d0 == d1 == [True]
     assert sorted(f.payload for f in nics[2].received) == ["a", "b"]
 
 
@@ -110,24 +112,15 @@ def test_excessive_collisions_fails_send():
     nics = [FakeNic(0), FakeNic(1), FakeNic(2)]
     for nic in nics:
         medium.attach(nic)
-    d0 = medium.transmit(nics[0], Frame(src=0, dst=2, size=10, payload="a"))
-    d1 = medium.transmit(nics[1], Frame(src=1, dst=2, size=10, payload="b"))
     failures = []
-
-    def watcher():
-        try:
-            yield d0
-        except ExcessiveCollisions as exc:
-            failures.append(exc)
-        try:
-            yield d1
-        except ExcessiveCollisions as exc:
-            failures.append(exc)
-
-    sim.process(watcher())
+    medium.transmit(nics[0], Frame(src=0, dst=2, size=10, payload="a"),
+                    failures.append)
+    medium.transmit(nics[1], Frame(src=1, dst=2, size=10, payload="b"),
+                    failures.append)
     sim.run()
     assert len(failures) == 2
-    assert all(f.attempts == 16 for f in failures)
+    assert all(isinstance(f, ExcessiveCollisions) and f.attempts == 16
+               for f in failures)
     assert stats.collisions == 16
 
 
@@ -153,13 +146,14 @@ def test_throughput_serializes_back_to_back_frames():
     wire rate — wire size already includes the inter-frame gap."""
     sim, medium, nics, stats = make_medium()
 
-    def station():
-        for i in range(3):
-            done = medium.transmit(
-                nics[0], Frame(src=0, dst=1, size=962, payload=i))
-            yield done  # 1000 B wire = 80 µs each
+    def station(sent, i=0):
+        assert sent is True
+        if i < 3:               # 1000 B wire = 80 µs each
+            medium.transmit(nics[0],
+                            Frame(src=0, dst=1, size=962, payload=i),
+                            lambda sent: station(sent, i + 1))
 
-    sim.process(station())
+    station(True)
     sim.run()
     assert stats.frames_sent == 3
     assert stats.collisions == 0

@@ -1,8 +1,7 @@
 """Flight recorder (:mod:`repro.obs`): byte-identical traces across
 reruns and worker counts, exact per-collective frame attribution
-against NetStats, per-call metrics on the communicator, FramePool
-counters in snapshots, and hang diagnostics on the deadline/deadlock
-paths."""
+against NetStats, per-call metrics on the communicator, and hang
+diagnostics on the deadline/deadlock paths."""
 
 import json
 import multiprocessing
@@ -168,16 +167,6 @@ def test_metrics_log_empty_with_tracing_off():
     assert os.environ.get(obs.TRACE_ENV) in (None, "", "0")
     result = run_spmd(2, main, topology="switch", params=QUIET, seed=1)
     assert result.returns == [0, 0]
-
-
-def test_pool_counters_in_snapshot():
-    result = run_spmd(8, _program, topology=DEEP, params=QUIET, seed=2,
-                      collectives=HIER)
-    assert result.stats["pool_frames_allocated"] > 0
-    assert result.stats["pool_frames_reused"] >= 0
-    total = (result.stats["pool_frames_allocated"]
-             + result.stats["pool_frames_reused"])
-    assert total >= result.stats["frames_sent"] > 0
 
 
 # ----------------------------------------------------------- exports

@@ -16,7 +16,6 @@ from repro.core.segment import (fragment, seg_nack_datagram_count)
 from repro.mpi.ops import Op
 from repro.simnet import quiet
 from repro.simnet.calibration import FAST_ETHERNET_SWITCH
-from repro.simnet.frame import retain_frame
 
 QUIET = quiet(FAST_ETHERNET_SWITCH)
 AUTO = replace(QUIET, segment_bytes="auto")
@@ -420,7 +419,7 @@ def test_interrupt_in_consume_round_disarms_and_withdraws(monkeypatch):
     assert (cause, armed, depth) == ("evict", False, 0)
     assert len(timers) == 1
     # the orphaned timer record popped as a no-op; nothing else ran
-    assert not result.cluster.sim._heap and not result.cluster.sim._nowq
+    assert not result.cluster.sim._heap
 
 
 def test_timed_recv_returns_none_and_leaves_no_descriptor():
@@ -511,14 +510,17 @@ def _late_duplicate(cluster, addr):
 
     def capture(frame, link):
         if frame.kind == "mcast-seg" and not held and up.fault is None:
-            retain_frame(frame, 1)
-            held.append(frame)
+            held.append((frame, frame.frame_id))
             up.fault = release
         return None
 
     def release(frame, link):
         if frame.kind == "scout" and held:
-            down.deliver(held.pop())
+            stale, frame_id = held.pop()
+            # a hook holds a frame without asking anybody: it is still
+            # the frame it captured, however much traffic went by
+            assert (stale.kind, stale.frame_id) == ("mcast-seg", frame_id)
+            down.deliver(stale)
         return None
 
     down.fault = capture

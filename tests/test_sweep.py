@@ -188,6 +188,22 @@ def test_run_area_postconditions_gate_the_document():
     assert doc["series"][0]["metrics"] == {"frames_total": 1}
 
 
+@pytest.mark.parametrize("area", ["deep-fabric", "fabric-scaling"])
+def test_trunk_model_postconditions_measure_the_simulator(area,
+                                                          monkeypatch):
+    """Every trunk case is simulated, so a simulator that miscounts a
+    single trunk frame per call cannot pass the areas' model == sim
+    postconditions (a model-answered case would compare the model with
+    itself)."""
+    from repro.bench import sweep_areas
+
+    real = sweep_areas._deep_per_call
+    monkeypatch.setattr(sweep_areas, "_deep_per_call",
+                        lambda *args, **kw: real(*args, **kw) + 1)
+    with pytest.raises(AssertionError):
+        run_area(area, workers=1)
+
+
 def test_rerun_is_bit_for_bit_identical():
     a = dumps_canonical(run_area("synthtest", workers=1))
     b = dumps_canonical(run_area("synthtest", workers=1))
