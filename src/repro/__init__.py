@@ -12,8 +12,9 @@ The package rebuilds the paper's whole experimental stack in Python:
   multicast with binary-tree / linear scout synchronization, plus naive,
   ack-retransmit (PVM-style) and sequencer (Orca-style) baselines;
 * :mod:`repro.runtime` — an mpiexec-like SPMD launcher;
-* :mod:`repro.sockets` — the same collective algorithms over *real* UDP
-  multicast sockets (loopback), for functional validation;
+* :mod:`repro.sockets` — a second launcher for the same code:
+  ``run_loopback`` swaps the hosts' IP layer for *real* UDP multicast
+  sockets (loopback), for functional validation;
 * :mod:`repro.bench` / :mod:`repro.analysis` — the measurement harness
   and gated sweep areas (the paper's Figs. 7–13 are the ``paper-figures``
   area's postconditions), and the closed-form models they are checked

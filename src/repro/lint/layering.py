@@ -70,10 +70,12 @@ Layer table (module prefix -> repro imports it may make):
                        launcher, benches, or sockets backends)
 
 repro.runtime / repro.bench / repro.sockets / repro.lint sit above the
-table and are unrestricted.  Relative imports are resolved before
-checking; a "deferred" import is one inside a function body, paid at
-call time.  The same table is documented in docs/ARCHITECTURE.md — keep
-the two in sync.
+table and are unrestricted (repro.sockets is a second launcher beside
+repro.runtime's: it subclasses simnet's IpStack and boots the same MPI
+world; the wall-clock reads DET01 forbids below live only there).
+Relative imports are resolved before checking; a "deferred" import is
+one inside a function body, paid at call time.  The same table is
+documented in docs/ARCHITECTURE.md — keep the two in sync.
 """
 
 

@@ -1,20 +1,12 @@
-"""``repro.sockets`` — the paper's algorithms over real UDP multicast.
+"""``repro.sockets`` — the same code over real UDP, IP layer swapped.
 
-Functional-fidelity backend: the same scout-synchronized broadcast and
-barrier protocols, running on genuine BSD sockets with IP multicast on
-the loopback interface, driven by one thread per rank.  Performance
-numbers from this backend are meaningless (Python threads + loopback);
-correctness and ordering are what it validates.  See DESIGN.md §2.
+:func:`run_loopback` runs the registered collectives over genuine BSD
+sockets with IP multicast on loopback.  Its timings are Python's and mean
+nothing; it validates that the measured code survives a real stack.
 """
 
-from .cluster import allocate_group, multicast_available, run_threads
-from .comm import RealComm
-from .framing import Kind, Message, pack, unpack
-from .transport import (LOOPBACK, RealEndpoint, TransportTimeout,
-                        make_mcast_socket)
+from .loopback import (LoopbackStack, decode, encode, multicast_available,
+                       run_loopback)
 
-__all__ = [
-    "Kind", "LOOPBACK", "Message", "RealComm", "RealEndpoint",
-    "TransportTimeout", "allocate_group", "make_mcast_socket",
-    "multicast_available", "pack", "run_threads", "unpack",
-]
+__all__ = ["LoopbackStack", "decode", "encode", "multicast_available",
+           "run_loopback"]

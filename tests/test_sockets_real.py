@@ -1,11 +1,19 @@
-"""Real-socket backend tests (skipped where loopback multicast is off)."""
+"""The registered collectives over real loopback multicast (skipped where
+loopback multicast is off): one ``main(env)``, two launchers."""
 
-import time
+import gc
+import warnings
+from dataclasses import replace
 
 import pytest
 
-from repro.sockets import (Kind, Message, multicast_available, pack,
-                           run_threads, unpack)
+from repro import run_spmd
+from repro.core import McastLost
+from repro.core.rounds import Segment
+from repro.mpi import ops
+from repro.simnet import FAST_ETHERNET_SWITCH, Datagram
+from repro.sockets import (LoopbackStack, decode, encode,
+                           multicast_available, run_loopback)
 
 pytestmark = pytest.mark.realnet
 
@@ -13,94 +21,134 @@ HAVE_MCAST = multicast_available()
 needs_mcast = pytest.mark.skipif(
     not HAVE_MCAST, reason="UDP multicast on loopback unavailable")
 
+CONCAT = ops.Op("concat", lambda a, b: a + b, commutative=False)
+PAPER = {"bcast": "mcast-binary", "barrier": "mcast"}
+
 
 # ---------------------------------------------------------------- framing
 def test_framing_roundtrip():
-    msg = Message(kind=Kind.P2P, ctx=3, src=2, tag=-17,
-                  payload={"a": [1, 2, 3]})
-    assert unpack(pack(msg)) == msg
+    chunk = memoryview(b"0123456789")[2:7]
+    dgram = Datagram(src=2, src_port=20003, dst=1, dst_port=40003,
+                     payload=(2, 9, Segment(1, 4, 5, chunk)), size=17,
+                     kind="mcast-seg")
+    got, mcast_loop = decode(encode(dgram, mcast_loop=False), "127.0.0.1")
+    assert mcast_loop is False
+    assert got == replace(dgram, payload=(2, 9, Segment(1, 4, 5, b"23456")))
+    assert type(got.payload[2].chunk) is bytes
 
 
 def test_framing_rejects_garbage():
     with pytest.raises(ValueError):
-        unpack(b"\x00\x01")
+        decode(b"\x00\x01", "127.0.0.1")        # short
     with pytest.raises(ValueError):
-        unpack(b"\xff" * 32)
+        decode(b"MC", "127.0.0.1")              # magic and nothing else
+    with pytest.raises(ValueError):
+        decode(b"\xff" * 32, "127.0.0.1")       # foreign magic
 
 
 def test_framing_rejects_oversize():
-    msg = Message(kind=Kind.MDATA, ctx=0, src=0, tag=1,
-                  payload=b"x" * 100_000)
+    dgram = Datagram(0, 1, 1, 1, b"x" * 100_000, 100_000)
     with pytest.raises(ValueError, match="too large"):
-        pack(msg)
+        encode(dgram)
+
+
+def test_framing_rejects_foreign_source_before_unpickling():
+    """A wildcard-bound port is reachable from off-host: nothing from
+    there may reach pickle, however well-formed it looks."""
+    raw = encode(Datagram(0, 1, 1, 1, "hello", 5))
+    assert decode(raw, "127.0.0.1")[0].payload == "hello"
+    with pytest.raises(ValueError, match="foreign host 10.1.2.3"):
+        decode(raw, "10.1.2.3")
+    # an off-host sender's "pickle" is never loaded: this one is not
+    # even a pickle, and the source check must win
+    with pytest.raises(ValueError, match="foreign host"):
+        decode(b"MC" + b"\x80not a pickle", "192.168.0.9")
+
+
+@needs_mcast
+def test_real_sender_does_not_hear_its_own_multicast():
+    """Real ``IP_MULTICAST_LOOP`` is per machine and every rank lives on
+    this one, the model's is per socket and the channel turns it off: the
+    driver drops a host's own echo, so the root's unposted data socket
+    sees nothing to drop."""
+    def main(env):
+        data = yield from env.comm.bcast("x" if env.rank == 0 else None, 0)
+        yield from env.comm.barrier()
+        return data
+
+    result = run_loopback(3, main, PAPER)
+    assert result.returns == ["x"] * 3
+    assert result.stats["drops_not_posted"] == 0
+    assert result.stats["drops_no_listener"] == 0
 
 
 # ---------------------------------------------------------------- p2p
 @needs_mcast
 def test_real_send_recv():
-    def body(comm):
+    def main(env):
+        comm = env.comm
         if comm.rank == 0:
-            comm.send({"n": 41}, dest=1, tag=9)
-            return comm.recv(source=1, tag=10)
-        data = comm.recv(source=0, tag=9)
-        comm.send(data["n"] + 1, dest=0, tag=10)
-        return None
+            yield from comm.send({"n": 41}, dest=1, tag=9)
+            return (yield from comm.recv(source=1, tag=10))
+        data = yield from comm.recv(source=0, tag=9)
+        yield from comm.send(data["n"] + 1, dest=0, tag=10)
 
-    results = run_threads(2, body)
-    assert results[0] == 42
+    assert run_loopback(2, main).returns[0] == 42
 
 
 @needs_mcast
 def test_real_tag_matching():
-    def body(comm):
+    def main(env):
+        comm = env.comm
         if comm.rank == 0:
-            comm.send("first", dest=1, tag=1)
-            comm.send("second", dest=1, tag=2)
+            yield from comm.send("first", dest=1, tag=1)
+            yield from comm.send("second", dest=1, tag=2)
             return None
-        two = comm.recv(source=0, tag=2)
-        one = comm.recv(source=0, tag=1)
+        two = yield from comm.recv(source=0, tag=2)
+        one = yield from comm.recv(source=0, tag=1)
         return (one, two)
 
-    results = run_threads(2, body)
-    assert results[1] == ("first", "second")
+    assert run_loopback(2, main).returns[1] == ("first", "second")
 
 
 # ---------------------------------------------------------------- bcast
-@pytest.mark.parametrize("impl", ["binary", "linear", "p2p", "ack"])
+BINARY = pytest.param("mcast-binary", id="binary")
+LINEAR = pytest.param("mcast-linear", id="linear")
+P2P = pytest.param("p2p-binomial", id="p2p")
+ACK = pytest.param("mcast-ack", id="ack")
+
+
+@pytest.mark.parametrize("impl", [BINARY, LINEAR, P2P, ACK])
 @needs_mcast
 def test_real_bcast_impls(impl):
-    def body(comm):
-        obj = {"payload": list(range(200))} if comm.rank == 0 else None
-        return comm.bcast(obj, root=0, impl=impl)
-
-    n = 5
-    results = run_threads(n, body)
     expected = {"payload": list(range(200))}
-    assert results == [expected] * n
+
+    def main(env):
+        obj = expected if env.rank == 0 else None
+        return (yield from env.comm.bcast(obj, root=0))
+
+    assert run_loopback(5, main, {"bcast": impl}).returns == [expected] * 5
 
 
-@pytest.mark.parametrize("impl", ["binary", "linear"])
+@pytest.mark.parametrize("impl", [BINARY, LINEAR])
 @needs_mcast
 def test_real_bcast_nonzero_root(impl):
-    def body(comm):
-        obj = f"from-{comm.rank}" if comm.rank == 2 else None
-        return comm.bcast(obj, root=2, impl=impl)
+    def main(env):
+        obj = f"from-{env.rank}" if env.rank == 2 else None
+        return (yield from env.comm.bcast(obj, root=2))
 
-    results = run_threads(4, body)
-    assert results == ["from-2"] * 4
+    assert run_loopback(4, main, {"bcast": impl}).returns == ["from-2"] * 4
 
 
 @needs_mcast
 def test_real_bcast_large_payload_single_datagram():
     blob = bytes(range(256)) * 150       # 38.4 kB, one UDP datagram
 
-    def body(comm):
-        obj = blob if comm.rank == 0 else None
-        data = comm.bcast(obj, root=0, impl="binary")
-        return len(data)
+    def main(env):
+        obj = blob if env.rank == 0 else None
+        return (yield from env.comm.bcast(obj, root=0))
 
-    results = run_threads(3, body)
-    assert results == [len(blob)] * 3
+    assert run_loopback(3, main, PAPER).returns == [blob] * 3
 
 
 @needs_mcast
@@ -109,82 +157,192 @@ def test_real_bcast_sequence_order_preserved():
     from different roots arrive in program order everywhere."""
     roots = [1, 2, 3, 0, 2]
 
-    def body(comm):
+    def main(env):
         out = []
         for i, root in enumerate(roots):
-            obj = (root, i) if comm.rank == root else None
-            out.append(comm.bcast(obj, root=root, impl="binary"))
+            obj = (root, i) if env.rank == root else None
+            out.append((yield from env.comm.bcast(obj, root=root)))
         return out
 
-    results = run_threads(4, body)
     expected = [(root, i) for i, root in enumerate(roots)]
-    assert all(r == expected for r in results)
+    result = run_loopback(4, main, PAPER)
+    assert result.returns == [expected] * 4
+    result.verify_safe_schedules()
 
 
 @needs_mcast
 def test_real_bcast_many_iterations_no_crosstalk():
-    def body(comm):
+    def main(env):
         acc = []
         for i in range(30):
-            obj = i if comm.rank == 0 else None
-            acc.append(comm.bcast(obj, root=0, impl="linear"))
+            obj = i if env.rank == 0 else None
+            acc.append((yield from env.comm.bcast(obj, root=0)))
         return acc
 
-    results = run_threads(4, body)
-    assert all(r == list(range(30)) for r in results)
+    result = run_loopback(4, main, {"bcast": "mcast-linear"})
+    assert result.returns == [list(range(30))] * 4
 
 
 # ---------------------------------------------------------------- barrier
-@pytest.mark.parametrize("impl", ["mcast", "p2p"])
+@pytest.mark.parametrize("impl", [pytest.param("mcast", id="mcast"),
+                                  pytest.param("p2p-mpich", id="p2p")])
 @needs_mcast
 def test_real_barrier_synchronizes(impl):
-    def body(comm):
-        time.sleep(0.01 * comm.rank)       # staggered entry
-        entered = time.monotonic()
-        comm.barrier(impl=impl)
-        left = time.monotonic()
-        return (entered, left)
+    def main(env):
+        yield env.sim.timeout(200 * env.rank)      # staggered entry
+        entered = env.sim.now
+        yield from env.comm.barrier()
+        return (entered, env.sim.now)
 
-    n = 5
-    results = run_threads(n, body)
-    last_entry = max(e for e, _l in results)
-    for _entered, left in results:
-        assert left >= last_entry - 1e-4
+    returns = run_loopback(5, main, {"barrier": impl}).returns
+    last_entry = max(entered for entered, _left in returns)
+    assert all(left >= last_entry for _entered, left in returns)
 
 
 @needs_mcast
 def test_real_mixed_collectives():
-    def body(comm):
-        obj = "x" if comm.rank == 0 else None
-        a = comm.bcast(obj, root=0, impl="binary")
-        comm.barrier(impl="mcast")
-        b = comm.allreduce(comm.rank, lambda x, y: x + y)
-        comm.barrier(impl="p2p")
-        g = comm.gather(comm.rank * 2, root=0)
+    def main(env):
+        comm = env.comm
+        a = yield from comm.bcast("x" if comm.rank == 0 else None, root=0)
+        yield from comm.barrier()
+        b = yield from comm.allreduce(comm.rank, ops.SUM)
+        comm.use_collectives(barrier="p2p-mpich")
+        yield from comm.barrier()
+        g = yield from comm.gather(comm.rank * 2, root=0)
         return (a, b, g)
 
     n = 4
-    results = run_threads(n, body)
+    returns = run_loopback(n, main, PAPER).returns
     total = n * (n - 1) // 2
-    assert results[0] == ("x", total, [0, 2, 4, 6])
-    for r in results[1:]:
-        assert r == ("x", total, None)
+    assert returns[0] == ("x", total, [0, 2, 4, 6])
+    assert returns[1:] == [("x", total, None)] * (n - 1)
 
 
 @needs_mcast
 def test_real_reduce_rank_order():
-    def body(comm):
-        return comm.reduce(str(comm.rank), lambda a, b: a + b, root=0)
+    def main(env):
+        return (yield from env.comm.reduce(str(env.rank), CONCAT, root=0))
 
-    results = run_threads(5, body)
-    assert results[0] == "01234"
+    assert run_loopback(5, main).returns[0] == "01234"
 
 
 @needs_mcast
 def test_real_invalid_rank_raises():
-    def body(comm):
+    def main(env):
         with pytest.raises(ValueError):
-            comm.send("x", dest=99)
+            yield from env.comm.send("x", dest=99)
         return "ok"
 
-    assert run_threads(2, body) == ["ok", "ok"]
+    assert run_loopback(2, main).returns == ["ok", "ok"]
+
+
+# ------------------------------------ what only one transport story checks
+@needs_mcast
+def test_real_seg_nack_repairs_loss():
+    """The NACK-repair round engine over real UDP at 5 % data loss."""
+    blob = bytes(range(256)) * 94        # 24 kB: 17 frame-sized segments
+
+    def main(env):
+        comm = env.comm
+        data = yield from comm.bcast(blob if comm.rank == 0 else None, 0)
+        total = yield from comm.allreduce(bytes([comm.rank]) * 1000, CONCAT)
+        return (data, total)
+
+    result = run_loopback(
+        6, main, {"bcast": "mcast-seg-nack", "allreduce": "mcast-seg-nack"},
+        params=replace(FAST_ETHERNET_SWITCH, loss=0.05), seed=7)
+    expected = b"".join(bytes([r]) * 1000 for r in range(6))
+    assert result.returns == [(blob, expected)] * 6
+    assert result.stats["drops_lossy"] > 0
+    assert result.stats["retransmissions"] > 0
+
+
+@needs_mcast
+def test_real_naive_multicast_loses_a_late_receiver():
+    """The paper's loss mode on a real stack: the data socket is
+    posted-only above the swapped IP layer, so an unsynchronised
+    multicast that lands before the receive is posted is gone."""
+    late = 2
+
+    def main(env):
+        comm = env.comm
+        comm.mcast.naive_timeout_us = 2_000.0
+        if comm.rank == late:
+            yield env.sim.timeout(5_000)
+        try:
+            return (yield from comm.bcast("x" if comm.rank == 0 else None, 0))
+        except McastLost as exc:
+            return exc
+
+    result = run_loopback(4, main, {"bcast": "mcast-naive"})
+    assert isinstance(result.returns[late], McastLost)
+    assert result.returns[late].rank == late
+    assert result.stats["drops_not_posted"] >= 1
+
+
+def _tour(env):
+    """A split and its sub-collectives, then one of everything."""
+    comm = env.comm
+    sub = yield from comm.split(color=comm.rank % 2, key=-comm.rank)
+    out = [sub.rank, (yield from sub.bcast(
+        ("sub", comm.rank) if sub.rank == 0 else None, 0))]
+    out.append((yield from sub.allreduce(comm.rank, ops.SUM)))
+    sub.free()
+    blob = bytes(range(250)) * 36        # 9 kB
+    out.append((yield from comm.bcast(blob if comm.rank == 3 else None, 3)))
+    out.append((yield from comm.allgather(comm.rank * comm.rank)))
+    parts = [f"part-{r}" for r in range(comm.size)]
+    out.append((yield from comm.scatter(parts if comm.rank == 1 else None, 1)))
+    out.append((yield from comm.reduce(str(comm.rank), CONCAT, root=2)))
+    yield from comm.barrier()
+    return out
+
+
+AUTO_OPS = ("bcast", "allreduce", "reduce", "gather", "scatter", "allgather")
+HIER_OPS = AUTO_OPS + ("barrier",)
+
+
+@pytest.mark.parametrize("collectives", [
+    pytest.param(PAPER, id="paper"),
+    pytest.param(dict.fromkeys(AUTO_OPS, "auto"), id="auto"),
+    pytest.param(dict.fromkeys(HIER_OPS, "hier-mcast"), id="hier-mcast"),
+])
+@needs_mcast
+def test_real_equals_simulated(collectives):
+    """One ``main``, two launchers, identical per-rank values."""
+    simulated = run_spmd(6, _tour, "switch", collectives=collectives)
+    real = run_loopback(6, _tour, collectives)
+    assert real.returns == simulated.returns
+    assert real.call_logs == simulated.call_logs
+
+
+@needs_mcast
+def test_real_teardown_leaves_nothing_open():
+    """After a completed and after a crashing run: no real socket open,
+    no simulated socket bound, no membership held."""
+    def main(env, crash=False):
+        hosts.append(env.host)
+        sub = yield from env.comm.split(color=env.rank % 2)   # never freed
+        yield from sub.barrier()
+        if crash and env.rank == 1:
+            raise RuntimeError("rank 1 exploded")
+        yield from env.comm.barrier()
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for crash in (False, True):
+            hosts = []
+            if crash:
+                with pytest.raises(RuntimeError, match="rank 1 exploded"):
+                    run_loopback(4, lambda env: main(env, crash=True), PAPER)
+            else:
+                run_loopback(4, main, PAPER)
+            assert len(hosts) == 4
+            for host in hosts:
+                stack = host.ipstack
+                assert isinstance(stack, LoopbackStack)
+                assert stack._sockets == {} and stack._memberships == {}
+                assert stack.uni.fileno() == stack.mcast.fileno() == -1
+            gc.collect()
+        assert [w for w in caught
+                if issubclass(w.category, ResourceWarning)] == []

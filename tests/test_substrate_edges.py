@@ -147,18 +147,27 @@ def test_stats_diff():
 
 
 def test_run_threads_validates_and_surfaces_errors():
-    from repro.sockets import multicast_available, run_threads
+    """(Named for the launcher it first tested; ``run_loopback`` now.)"""
+    from repro.sockets import multicast_available, run_loopback
 
     with pytest.raises(ValueError):
-        run_threads(0, lambda comm: None)
+        run_loopback(0, lambda env: None)
 
     if not multicast_available():
         pytest.skip("no loopback multicast")
 
-    def crasher(comm):
-        if comm.rank == 1:
+    def crasher(env):
+        yield from env.comm.barrier()
+        if env.rank == 1:
             raise RuntimeError("rank 1 exploded")
-        return comm.rank
+        return env.rank
 
-    with pytest.raises(RuntimeError, match="rank 1"):
-        run_threads(2, crasher)
+    with pytest.raises(RuntimeError, match="rank 1 exploded"):
+        run_loopback(2, crasher)
+
+    def stuck(env):
+        if env.rank == 1:
+            yield from env.comm.recv(source=0)      # never sent
+
+    with pytest.raises(TimeoutError, match=r"0\.2s: rank1$"):
+        run_loopback(2, stuck, timeout_s=0.2)
