@@ -8,6 +8,8 @@ the docs generators and the per-case profiling / tracing tools::
     python -m repro.bench.cli bench-doc        # docs/benchmarks-index.md
     python -m repro.bench.cli profile deep-fabric \
         "trunk-hier[fabric=tree:2x2x2,op=gather]"   # cProfile one case
+    python -m repro.bench.cli profile sim-throughput \
+        "workload[fabric=tree:8x8]" --records       # records by callable
     python -m repro.bench.cli trace deep-fabric \
         "trunk-hier[fabric=tree:2x2x2,op=gather]"   # flight-record one
 
@@ -144,15 +146,55 @@ def _find_case(command: str, args_list, scale: str, base_seed: int):
     return area, case, lambda: family.runner(scale=scale, seed=seed, **axes)
 
 
+def _count_records(run) -> None:
+    """``profile --records``: run the case with every kernel push
+    tallied by the callable it schedules and print the table.  The two
+    ``Simulator`` push methods are wrapped for the duration of the run
+    only, from here — the simulator has no counting hook."""
+    from collections import Counter
+
+    from ..simnet.kernel import Simulator
+
+    tally, sims = Counter(), set()
+    pushes = Simulator.schedule_call, Simulator.schedule_at
+
+    def counting(push):
+        def wrapper(sim, when, fn, *args):
+            # Event / Timeout / Process inherit one _dispatch: name a
+            # bound method by its object's own class
+            owner = getattr(fn, "__self__", None)
+            tally[fn.__qualname__ if owner is None else
+                  f"{type(owner).__name__}.{fn.__name__}"] += 1
+            sims.add(sim)
+            push(sim, when, fn, *args)
+        return wrapper
+
+    Simulator.schedule_call, Simulator.schedule_at = map(counting, pushes)
+    try:
+        run()
+    finally:
+        Simulator.schedule_call, Simulator.schedule_at = pushes
+    for name, n in tally.most_common():
+        print(f"{n:>10,}  {name}")
+    print(f"{sum(tally.values()):>10,}  records pushed; sim.processed = "
+          f"{sum(sim.processed for sim in sims):,} over {len(sims)} "
+          f"simulator(s)")
+
+
 def _profile_cmd(args_list, scale: str, base_seed: int, sort: str,
-                 limit: int) -> int:
-    """cProfile one sweep case (or a whole area) and print the stats."""
+                 limit: int, records: bool) -> int:
+    """cProfile one sweep case (or a whole area) and print the stats —
+    or, with ``records``, its kernel records by callable."""
     import cProfile
     import pstats
 
     area, case, run = _find_case("profile", args_list, scale, base_seed)
     target = (f"area {area!r} [{scale}]" if case is None
               else f"case {case!r} of {area!r} [{scale}]")
+    if records:
+        print(f"kernel records of {target}, by scheduled callable:")
+        _count_records(run)
+        return 0
     profiler = cProfile.Profile()
     profiler.enable()
     run()
@@ -262,6 +304,10 @@ def main(argv=None) -> int:
                              "(default cumulative)")
     parser.add_argument("--limit", type=int, default=25,
                         help="profile: rows of stats to print")
+    parser.add_argument("--records", action="store_true",
+                        help="profile: instead of cProfile, count the "
+                             "kernel records the run pushes, by the "
+                             "callable each one schedules")
     args = parser.parse_args(argv)
 
     if args.command in ("registry-doc", "bench-doc"):
@@ -271,7 +317,7 @@ def main(argv=None) -> int:
                           args.workers, args.results_dir, args.check)
     if args.command == "profile":
         return _profile_cmd(args.areas, args.scale, args.base_seed,
-                            args.sort, args.limit)
+                            args.sort, args.limit, args.records)
     return _trace_cmd(args.areas, args.scale, args.base_seed, args.output)
 
 

@@ -343,17 +343,8 @@ class McastChannel:
         Charges the UDP receive cost plus ``mcast_recv_extra_us`` (group
         receive validation / posted-descriptor handling) on the host CPU.
         """
-        dgram = yield posted
-        if dgram is None:
-            return None
-        cost = self.data_sock.recv_cost_us
-        if dgram.kind in ("mcast-data", "mcast-seg"):
-            # The extra models payload validation + user-buffer delivery;
-            # control multicasts (barrier release, segment headers) skip it.
-            cost += self.params.mcast_recv_extra_us
-        yield from self.host.cpu.use(self.host.jitter(cost))
-        root, seq, payload = dgram.payload
-        return root, seq, payload
+        dgram = yield from self.data_sock.finish_recv(posted)
+        return None if dgram is None else dgram.payload
 
     def send_data(self, payload: Any, nbytes: int, seq: int,
                   retransmit: bool = False,

@@ -97,19 +97,15 @@ class Frame:
     payload: Any
     kind: str = "data"
     frame_id: int = field(default_factory=_next_frame_id)
+    #: bytes on the wire including all Ethernet overhead
+    wire_size: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.size < 0:
-            raise ValueError(f"frame payload size must be >= 0: {self.size}")
-
-    @property
-    def wire_size(self) -> int:
-        """Bytes on the wire including all Ethernet overhead."""
-        return wire_bytes(self.size)
+        self.wire_size = wire_bytes(self.size)
 
     def wire_time_us(self, rate_mbps: float) -> float:
         """Serialization time of this frame at ``rate_mbps``."""
-        return bytes_to_us(wire_bytes(self.size), rate_mbps)
+        return bytes_to_us(self.wire_size, rate_mbps)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Frame#{self.frame_id}({self.kind} {self.src}->{self.dst} "

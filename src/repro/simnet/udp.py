@@ -64,6 +64,10 @@ class UdpSocket:
         self._queue: deque[Datagram] = deque()
         self._queued_bytes = 0
         self._posted: deque[Event] = deque()
+        #: the descriptor a process is parked on in :meth:`finish_recv`
+        #: (the only one ``_accept`` may charge) and the one it charged
+        self._parked: Optional[Event] = None
+        self._charged: Optional[Event] = None
         self._closed = False
         self.rx_dropped = 0
         #: most receive descriptors simultaneously posted over the
@@ -204,17 +208,50 @@ class UdpSocket:
         """
         ev = self.post_recv()
         if timeout is None or ev.triggered:
+            return (yield from self.finish_recv(ev))
+        timer = self.sim.timer(self.expire_recv)
+        timer.arm(timeout, ev)
+        try:
+            return (yield from self.finish_recv(ev))
+        finally:
+            timer.cancel()
+
+    def recv_cost(self, dgram: Datagram) -> float:
+        """Mean receive software cost of ``dgram`` on this socket (µs)."""
+        cost = self.recv_cost_us
+        if dgram.kind in ("mcast-data", "mcast-seg"):
+            # The extra models payload validation + user-buffer delivery;
+            # control multicasts (barrier release, segment headers) skip it.
+            cost += self.params.mcast_recv_extra_us
+        return cost
+
+    def finish_recv(self, ev: Event) -> Generator:
+        """Complete the posted receive ``ev``: park on it, pay the
+        receive cost on the host CPU, count the delivery; returns the
+        Datagram, or ``None`` if :meth:`expire_recv` timed ``ev`` out.
+
+        A datagram that fills ``ev`` while this process is parked here
+        and the CPU is idle is charged by :meth:`_accept` in the record
+        that completes ``ev`` — the same jitter draw, CPU hold and due
+        time as the two steps below, one kernel record instead of two.
+        One parked process is remembered (a socket here has one: its
+        rank, or p2p's daemon); an earlier one takes the two steps.
+        """
+        self._parked = ev
+        try:
             dgram = yield ev
-        else:
-            timer = self.sim.timer(self.expire_recv)
-            timer.arm(timeout, ev)
-            try:
-                dgram = yield ev
-            finally:
-                timer.cancel()
-            if dgram is None:
-                return None
-        yield from self.host.cpu.use(self.host.jitter(self.recv_cost_us))
+        finally:
+            if self._parked is ev:
+                self._parked = None
+            charged = self._charged is ev
+            if charged:
+                self._charged = None
+                self.host.cpu.release()
+        if dgram is None:
+            return None
+        if not charged:
+            yield from self.host.cpu.use(
+                self.host.jitter(self.recv_cost(dgram)))
         self.stats.datagrams_delivered += 1
         return dgram
 
@@ -264,7 +301,15 @@ class UdpSocket:
         """The delivery tail every surviving datagram copy goes through:
         fill a posted descriptor, or queue/drop per the socket mode."""
         if self._posted:
-            self._posted.popleft().succeed(dgram)
+            ev = self._posted.popleft()
+            cpu = self.host.cpu
+            if ev is self._parked and not cpu.held:
+                cpu.acquire()
+                self._charged = ev
+                ev.succeed(dgram, delay=self.host.jitter(
+                    self.recv_cost(dgram)))
+            else:
+                ev.succeed(dgram)
             return
         if self.posted_only:
             self.rx_dropped += 1

@@ -123,3 +123,28 @@ def test_cli_has_no_figure_mode(flag):
 
     with pytest.raises(SystemExit):
         main(["sweep", "synthtest-none", *flag])
+
+
+def test_profile_records_tally_sums_to_the_documents_events(capsys):
+    """``profile --records`` names every kernel record of a case by the
+    callable it schedules; the tally is the committed ``events`` count,
+    and the two push methods are restored afterwards."""
+    from repro.bench.cli import main
+    from repro.simnet.kernel import Simulator
+
+    pushes = Simulator.schedule_call, Simulator.schedule_at
+    case = "workload[fabric=tree:8x8]"
+    assert main(["profile", "sim-throughput", case, "--records"]) == 0
+    assert (Simulator.schedule_call, Simulator.schedule_at) == pushes
+    rows = [line.split(None, 1)
+            for line in capsys.readouterr().out.splitlines()[1:]]
+    tally = {name: int(n.replace(",", "")) for n, name in rows[:-1]}
+    doc = json.loads(baseline_path("sim-throughput").read_text())
+    events = next(e["metrics"]["events"] for e in doc["series"]
+                  if e["key"] == case)
+    assert sum(tally.values()) == events
+    assert rows[-1][1].startswith(
+        f"records pushed; sim.processed = {events:,} over 1 simulator")
+    # receive completions: told apart from the Timeout of a two-step one
+    assert tally["Event._dispatch"] > tally["Timeout._dispatch"] > 0
+    assert tally["HalfLink._arrive"] > 0 and tally["Timer._pop"] > 0

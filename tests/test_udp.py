@@ -5,11 +5,20 @@ datagram reaching a host with no posted receive (posted-only mode) or no
 buffer space (buffered mode) is silently dropped and *counted*.
 """
 
-import pytest
+from dataclasses import replace
+from types import SimpleNamespace
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.channel import McastChannel
 from repro.simnet import build_cluster, quiet
 from repro.simnet.calibration import FAST_ETHERNET_HUB, FAST_ETHERNET_SWITCH
+from repro.simnet.ip import Datagram
 from repro.simnet.ipstack import PortInUse
+from repro.simnet.kernel import Interrupt
+from repro.simnet.udp import UdpSocket
 
 
 def make2(topology="hub", **kw):
@@ -348,3 +357,332 @@ def test_posted_depth_and_high_water_track_the_descriptor_ring():
     rx.cancel_recv_all(posted)
     assert rx.posted_depth == 0
     assert rx.posted_high_water == 3
+
+
+# ------------------------------------------- receive completion (PR 22)
+# A datagram that fills the descriptor a process is parked on inside
+# finish_recv, CPU idle, is charged in the record that completes the
+# descriptor: one kernel record and one resume instead of two.  Every
+# other case runs the two-step path — fill now, cpu.use on resume — and
+# TwoStepSocket, which never charges, *is* that path: the parent
+# commit's behaviour and the oracle of the property below.
+class TwoStepSocket(UdpSocket):
+    def _accept(self, dgram):
+        self._parked = None
+        super()._accept(dgram)
+
+
+def dgram_to(sock, payload, kind="data", size=64):
+    return Datagram(src=0, src_port=9, dst=sock.host.addr,
+                    dst_port=sock.port, payload=payload, size=size,
+                    kind=kind)
+
+
+def parked_receiver(sim, sock, out, ev=None):
+    """A process parked in finish_recv on ``ev`` (default: a fresh post),
+    appending ``(payload, completion time)`` to ``out``."""
+    ev = sock.post_recv() if ev is None else ev
+
+    def receiver():
+        d = yield from sock.finish_recv(ev)
+        out.append((d and d.payload, sim.now))
+
+    return sim.process(receiver())
+
+
+def test_parked_idle_receive_costs_one_record():
+    cl, sim, h0, h1 = make2()
+    rx = h1.socket(100, posted_only=True)
+    out = []
+    parked_receiver(sim, rx, out)
+    sim.run(until=5.0)                  # parked; nothing pending
+    assert sim.peek() == float("inf")
+    sim.schedule_call(5.0, rx._deliver, dgram_to(rx, "x", "mcast-seg"))
+    sim.step()                          # the arrival: fill + charge
+    assert h1.cpu.held and out == []
+    sim.step()                          # ONE record later: the return
+    cost = rx.recv_cost_us + rx.params.mcast_recv_extra_us
+    assert out == [("x", 5.0 + cost)]
+    assert not h1.cpu.held and cl.stats.datagrams_delivered == 1
+
+
+def test_charge_holds_the_cpu_for_exactly_the_receive_cost():
+    cl, sim, h0, h1 = make2()
+    rx = h1.socket(100)
+    out, grants = [], []
+    parked_receiver(sim, rx, out)
+
+    def competitor():
+        yield sim.timeout(20.0)         # mid-charge: queues behind it
+        yield from h1.cpu.use(5.0)
+        grants.append(sim.now)
+
+    sim.process(competitor())
+    sim.schedule_call(10.0, rx._deliver, dgram_to(rx, "x"))
+    sim.run(until=15.0)
+    assert h1.cpu.held and out == []    # charged at the fill
+    sim.run()
+    assert out == [("x", 10.0 + rx.recv_cost_us)]
+    assert grants == [10.0 + rx.recv_cost_us + 5.0]
+    assert not h1.cpu.held
+
+
+def test_descriptor_filled_before_the_wait_takes_two_steps():
+    cl, sim, h0, h1 = make2()
+    rx = h1.socket(100, posted_only=True)
+    ev = rx.post_recv()
+    sim.schedule_call(10.0, rx._deliver, dgram_to(rx, "early"))
+    sim.run()
+    assert ev.triggered and not h1.cpu.held     # nobody to charge
+    out = []
+    sim.schedule_call(10.0, parked_receiver, sim, rx, out, ev)
+    sim.run()
+    assert out == [("early", 20.0 + rx.recv_cost_us)]
+    assert not h1.cpu.held
+
+
+def test_cpu_held_at_fill_queues_behind_the_holder():
+    cl, sim, h0, h1 = make2()
+    rx = h1.socket(100, posted_only=True)
+    out = []
+    parked_receiver(sim, rx, out)
+    sim.process(h1.cpu.use(100.0))      # holds the CPU over [0, 100)
+    sim.schedule_call(50.0, rx._deliver, dgram_to(rx, "x"))
+    sim.run()
+    assert out == [("x", 100.0 + rx.recv_cost_us)]
+    assert not h1.cpu.held
+
+
+@pytest.mark.parametrize("waiter", ["any_of", "callback"])
+def test_foreign_waiter_is_never_charged(waiter):
+    """Only a process inside finish_recv is charged — the socket
+    remembers it; it does not guess from ``ev.callbacks``."""
+    cl, sim, h0, h1 = make2()
+    rx = h1.socket(100, posted_only=True)
+    ev = rx.post_recv()
+    seen = []
+    if waiter == "any_of":
+        def proc():
+            got = yield sim.any_of([ev])
+            seen.append((got[ev].payload, sim.now))
+        sim.process(proc())
+    else:
+        ev.add_callback(lambda e: seen.append((e.value.payload, sim.now)))
+    sim.schedule_call(10.0, rx._deliver, dgram_to(rx, "x"))
+    sim.schedule_call(10.0, lambda: seen.append(h1.cpu.held))
+    sim.run()
+    assert seen == [False, ("x", 10.0)] and not h1.cpu.held
+    assert cl.stats.datagrams_delivered == 0    # nobody finished it
+
+
+def test_exception_into_the_parked_waiter_mid_charge_releases_the_cpu():
+    cl, sim, h0, h1 = make2()
+    rx = h1.socket(100, posted_only=True)
+    out = []
+    proc = parked_receiver(sim, rx, out)
+    sim.schedule_call(10.0, rx._deliver, dgram_to(rx, "x"))
+    sim.schedule_call(20.0, proc.interrupt, "stop")
+    with pytest.raises(Interrupt):      # a SimError, not swallowed
+        sim.run()
+    assert sim.now == 20.0 and not h1.cpu.held and out == []
+    sim.run()                           # the orphaned completion: a no-op
+    assert out == [] and cl.stats.datagrams_delivered == 0
+    # the socket is not wedged: the next parked receive is charged again
+    parked_receiver(sim, rx, out)
+    sim.schedule_call(100.0, rx._deliver, dgram_to(rx, "y"))
+    sim.run()
+    assert out == [("y", sim.now)] and not h1.cpu.held
+
+
+def test_deadlines_do_not_expire_a_descriptor_mid_charge():
+    """``ev.triggered`` is true from the fill, so neither recv(timeout=)
+    nor the round engine's drain Timer can time out a datagram whose
+    receive cost is being paid."""
+    cl, sim, h0, h1 = make2()
+    rx = h1.socket(100)
+    cost = rx.recv_cost_us
+    out = []
+
+    def by_recv():
+        d = yield from rx.recv(timeout=10.0 + cost / 2)
+        out.append((d and d.payload, sim.now))
+        ev = rx.post_recv()
+        timer = sim.timer(rx.expire_recv)      # McastChannel.data_timer
+        timer.arm(10.0 + cost / 2, ev)
+        try:
+            d = yield from rx.finish_recv(ev)
+        finally:
+            timer.cancel()
+        out.append((d and d.payload, sim.now))
+
+    sim.process(by_recv())
+    sim.schedule_call(10.0, rx._deliver, dgram_to(rx, "a"))
+    sim.schedule_call(10.0 + cost + 10.0, rx._deliver, dgram_to(rx, "b"))
+    sim.run()
+    assert out == [("a", 10.0 + cost), ("b", 20.0 + 2 * cost)]
+    assert not h1.cpu.held and cl.stats.datagrams_delivered == 2
+
+
+def test_close_with_a_charge_in_flight_still_delivers():
+    cl, sim, h0, h1 = make2()
+    rx = h1.socket(100, posted_only=True)
+    out = []
+    parked_receiver(sim, rx, out)
+    sim.schedule_call(10.0, rx._deliver, dgram_to(rx, "x"))
+    sim.schedule_call(20.0, rx.close)
+    sim.run()
+    assert out == [("x", 10.0 + rx.recv_cost_us)]
+    assert not h1.cpu.held and cl.stats.datagrams_delivered == 1
+
+
+def test_datagrams_delivered_counts_every_completed_receive():
+    """Regression: only recv() used to count, so every datagram finished
+    through McastChannel.wait_data (all multicast data, headers, barrier
+    releases) was missing from NetStats.datagrams_delivered."""
+    cl, sim, h0, h1 = make2(topology="switch")
+    chans = [McastChannel(SimpleNamespace(
+        rank=h.addr, size=2, ctx=0, host=h, sim=sim, addr_of=int))
+        for h in (h0, h1)]
+    tx, rx = chans
+    k_mcast, k_unicast = 3, 2
+    got = []
+
+    def sender():
+        for i in range(k_mcast):
+            yield from tx.send_data(i, 100, seq=1)
+        for i in range(k_unicast):
+            yield from tx.send_scout(1, seq=1)
+
+    def receiver():
+        timer = rx.data_timer()
+        for ev in rx.post_data_many(k_mcast + 1):
+            timer.arm(5000.0, ev)       # the last one expires: None
+            got.append((yield from rx.wait_data(ev)))
+        for _ in range(k_unicast):
+            got.append((yield from rx.scout_sock.recv()).payload)
+        got.append((yield from rx.scout_sock.recv(timeout=100.0)))
+
+    sim.process(receiver())
+    sim.process(sender())
+    sim.run()
+    assert got == [(0, 1, 0), (0, 1, 1), (0, 1, 2), None,
+                   (0, 1, "up"), (0, 1, "up"), None]
+    assert cl.stats.datagrams_delivered == k_mcast + k_unicast
+    assert cl.stats.datagrams_sent == k_mcast + k_unicast
+
+
+class CountingSocket(UdpSocket):
+    """The socket under test, counting the fills it charged."""
+    charges = 0
+
+    def _accept(self, dgram):
+        super()._accept(dgram)
+        if self._charged is not None and self._charged.value is dgram:
+            type(self).charges += 1
+
+
+KINDS = ("data", "scout", "mcast-data", "mcast-seg", "mcast-seg-hdr")
+
+#: arrivals sit on the integer grid and are scheduled first, so at its
+#: instant an arrival runs before any other record; every other actor
+#: starts at a half-integer instant.  That is the one assumption of the
+#: equivalence: nothing else of the *same host* acquires its CPU or
+#: draws its jitter at the very instant of a fill, between the fill and
+#: the waiter's resume in tie order — one NIC serializes a host's
+#: arrivals and a parked rank does nothing else, so no run_spmd program
+#: produces such a tie (the byte-identical sweep documents are the
+#: evidence at that scope).
+_ARRIVALS = st.lists(
+    st.tuples(st.integers(0, 1500), st.integers(0, 1),
+              st.sampled_from(KINDS)), max_size=14)
+_WAITS = st.lists(
+    st.tuples(st.integers(0, 1500), st.integers(0, 1), st.integers(1, 3),
+              st.integers(1, 400)), max_size=8)
+_BURSTS = st.lists(
+    st.tuples(st.integers(0, 1500), st.integers(1, 120)), max_size=6)
+
+
+def _drive(sock_cls, sigma, arrivals, waits, bursts):
+    """One host, a posted-only and a small buffered socket of
+    ``sock_cls``; returns everything observable about the run."""
+    params = replace(quiet(FAST_ETHERNET_SWITCH), jitter_sigma=sigma)
+    cl = build_cluster(2, "switch", params=params, seed=7)
+    sim, host = cl.sim, cl.hosts[1]
+    socks = [sock_cls(host, 100, posted_only=True),
+             sock_cls(host, 101, buffer_bytes=150)]
+    log = []
+    for i, (t, which, kind) in enumerate(arrivals):
+        sim.schedule_call(float(t), socks[which]._deliver,
+                          dgram_to(socks[which], i, kind))
+
+    def receiver(sock, steps):
+        # the one process that receives on ``sock`` (as in src/: the
+        # rank on a channel's sockets, the progress daemon on p2p's)
+        for t, _, n, patience in steps:
+            if t + 0.5 > sim.now:       # posted late, or already behind
+                yield sim.timeout(t + 0.5 - sim.now)
+            posted = sock.post_recv_many(n)
+            timer = sim.timer(sock.expire_recv)
+            try:                        # like a round: one drain timer
+                for ev in posted:
+                    timer.arm(float(patience), ev)
+                    d = yield from sock.finish_recv(ev)
+                    log.append(("recv", sock.port, d and d.payload, sim.now))
+            finally:
+                timer.cancel()
+            if n == 2:                  # and like a plain blocking recv
+                d = yield from sock.recv(timeout=float(patience))
+                log.append(("recv", sock.port, d and d.payload, sim.now))
+
+    def burst(b, length):
+        turn = host.cpu.acquire()
+        if turn is not None:
+            yield turn
+        log.append(("cpu", b, sim.now))
+        yield sim.timeout(float(length))
+        host.cpu.release()
+
+    for which, sock in enumerate(socks):
+        sim.process(receiver(sock, sorted(
+            w for w in waits if w[1] == which)))
+    for b, (t, length) in enumerate(bursts):
+        sim.schedule_call(t + 0.5, sim.process, burst(b, length))
+    sim.run()
+    assert not host.cpu.held
+    stats = cl.stats
+    return (log, sim.now, host.rng.getstate(), stats.datagrams_delivered,
+            stats.drops_not_posted, stats.drops_buffer_full,
+            [s.rx_dropped for s in socks],
+            [s.queue_depth for s in socks]), sim.processed
+
+
+@settings(max_examples=250, deadline=None)
+@given(arrivals=_ARRIVALS, waits=_WAITS, bursts=_BURSTS,
+       sigma=st.sampled_from([0.0, 0.06]))
+def test_charged_fill_equals_the_two_step_path(arrivals, waits, bursts,
+                                               sigma):
+    """The slow path is the oracle: completion times (``==`` on floats),
+    CPU grant order, the host's jitter stream and every drop counter are
+    those of a socket that never charges — and each charged fill saves
+    exactly the one kernel record it folds away."""
+    CountingSocket.charges = 0
+    fast, fast_records = _drive(CountingSocket, sigma, arrivals, waits,
+                                bursts)
+    slow, slow_records = _drive(TwoStepSocket, sigma, arrivals, waits,
+                                bursts)
+    assert fast == slow
+    assert slow_records - fast_records == CountingSocket.charges
+
+
+def test_the_property_reaches_the_fast_path():
+    """The strategy above is not vacuous: a pre-posted ring under a
+    back-to-back burst charges its first descriptor and falls back on
+    the ones filled while that charge holds the CPU."""
+    CountingSocket.charges = 0
+    arrivals = [(100, 0, "mcast-seg"), (101, 0, "mcast-seg"),
+                (400, 0, "mcast-seg-hdr")]
+    waits = [(0, 0, 3, 400)]        # one step: three descriptors
+    fast, fast_records = _drive(CountingSocket, 0.06, arrivals, waits, [])
+    slow, slow_records = _drive(TwoStepSocket, 0.06, arrivals, waits, [])
+    assert fast == slow and [e[2] for e in fast[0]] == [0, 1, 2]
+    assert CountingSocket.charges == 2 == slow_records - fast_records
