@@ -80,13 +80,6 @@ def paper_mcast_barrier_messages(n: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # header-aware counts that match the simulator exactly
 # ---------------------------------------------------------------------------
-def model_mpich_bcast_frames(params: NetParams, n: int, m: int) -> int:
-    """Exact frames for the binomial broadcast over our p2p engine."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return params.frames_for(m + params.mpi_header) * (n - 1)
-
-
 def model_mcast_bcast_frames(params: NetParams, n: int,
                              m: int) -> tuple[int, int]:
     """Exact (scout, data) frames for the scouted multicast broadcast."""
@@ -114,6 +107,10 @@ def model_p2p_tree_frames(params: NetParams, n: int, m: int) -> int:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return params.frames_for(m + params.mpi_header) * (n - 1)
+
+
+#: the binomial broadcast over the p2p engine: the same tree, run downward
+model_mpich_bcast_frames = model_p2p_tree_frames
 
 
 # ---------------------------------------------------------------------------

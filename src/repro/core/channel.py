@@ -7,38 +7,35 @@ per process group / context) plus two sockets on every member host:
   datagram is delivered only if the receive was already posted, the
   paper's readiness model.  ``IP_MULTICAST_LOOP`` is off so the root does
   not consume its own broadcast;
-* the **scout socket** — an ordinary buffered UDP socket carrying the
-  small synchronization messages (scouts, barrier-release acks, PVM-style
-  acks).  Scouts are matched by ``(source rank, sequence, phase)`` with a
-  stash for early arrivals from ranks that have raced ahead.  It joins
-  the group too (``IP_MULTICAST_LOOP`` off; the host's membership is
-  refcounted, so no second IGMP report leaves the host): the round
-  engine's per-round decision is one control multicast to
+* the **scout socket** — an ordinary buffered UDP socket that carries
+  the **control plane**.  It joins the group too (``IP_MULTICAST_LOOP``
+  off; the host's membership is refcounted, so no second IGMP report
+  leaves the host), so a control message can be one multicast to
   ``(group, scout_port)``.
+
+**One control message, one matcher.**  Every scout, ack, NACK report,
+per-round decision and implementation announcement is the message
+``(source rank, sequence, key, value)``: :meth:`McastChannel.send_ctrl`
+sends it (unicast, or one multicast to the group) and
+:meth:`McastChannel.wait_ctrl` matches it on ``(source, sequence, key)``,
+optionally under a deadline.  A scout has no value; a report's value is
+a subtree's missing set and descriptor budget; a decision's the next
+round's plan.  Ranks that race ahead are absorbed by one stash under one
+rule: stale (a completed sequence) and duplicate messages are dropped,
+anything else is early and kept for the wait that wants it — so the
+stash stays bounded across collectives.
 
 Every collective call advances the channel's **sequence number**; because
 MPI code must be *safe* (all ranks issue collectives on a communicator in
 the same order — paper §4), sequence numbers advance identically
-everywhere and stale traffic is detectable.  The stash is bounded: scouts
-for sequences that already completed, and duplicates of pairs the current
-wait has already satisfied, are purged instead of accumulating across
-collectives.
+everywhere and stale traffic is detectable: on the control plane by the
+rule above, on the data socket by :meth:`McastChannel.wait_data_from`.
 
 For payloads larger than one MTU the channel also speaks *segments*
-(:mod:`repro.core.segment`): descriptors are posted in batches
-(:meth:`McastChannel.post_data_many`), each ``mcast-seg`` datagram
-carries one segment or a *batch* of consecutive segments (each with its
-own per-segment envelope), and the NACK-repair control plane (per-round
-reports folded up the scout tree, the root's decision multicast) rides
-the buffered scout socket so it is immune to the posted-only discipline
-— a decision on the data socket would compete for descriptors with
-repair data, stragglers and duplicates, and bystanders post none.  The
-buffer does not weaken the readiness model: the root multicasts a
-decision only after the report fold told it every rank is already
-blocked waiting for it (:mod:`repro.core.rounds`).  Reports additionally
-carry the subtree's smallest descriptor budget
-(:attr:`McastChannel.recv_budget`), the feedback the root's rate pacing
-adapts its burst length to.
+(:mod:`repro.core.segment`): descriptors are posted in batches and each
+``mcast-seg`` datagram carries one segment or a batch of them.  Why the
+NACK-repair control plane rides the buffered scout port and not the
+posted-only data socket is argued in :mod:`repro.core.rounds`.
 """
 
 from __future__ import annotations
@@ -48,7 +45,7 @@ from typing import Any, Generator, Optional
 from ..simnet.frame import mcast_mac
 from ..simnet.kernel import Event, Timer
 
-__all__ = ["McastChannel", "GROUP_ID_BASE", "DATA_PORT_BASE",
+__all__ = ["McastChannel", "McastLost", "GROUP_ID_BASE", "DATA_PORT_BASE",
            "SCOUT_PORT_BASE", "SCOUT_BYTES", "MCAST_HEADER_BYTES",
            "SEG_HEADER_BYTES"]
 
@@ -68,6 +65,27 @@ MCAST_HEADER_BYTES = 8
 #: extra envelope bytes on a *segment* frame (segment index, total
 #: segment count) — on top of MCAST_HEADER_BYTES
 SEG_HEADER_BYTES = 4
+
+
+class McastLost(RuntimeError):
+    """A multicast transfer was lost for good.
+
+    Raised by the naive (unsynchronized) broadcast when the payload
+    never arrives, by :meth:`McastChannel.wait_data_from` on a stale
+    copy, and by the round engine when the repair-round budget
+    (:func:`~repro.core.rounds.repair_round_limit`) is exhausted with
+    segments still missing — the crisp, typed end of the "complete or
+    fail" contract the chaos fuzzer asserts.  A ``RuntimeError``, for
+    callers that catch the engine's historical bare error.
+    """
+
+    def __init__(self, rank: int, seq, reason: Optional[str] = None):
+        self.rank = rank
+        self.seq = seq
+        super().__init__(
+            reason if reason is not None else
+            f"rank {rank} lost multicast broadcast seq={seq} "
+            f"(receive posted too late and no synchronization was used)")
 
 
 def _members_trunk_path(comm) -> tuple[int, float]:
@@ -153,7 +171,7 @@ class McastChannel:
         #: backbone — never NACKs data that is still in flight.
         self.trunk_hops, self.trunk_us_per_byte = \
             _members_trunk_path(comm)
-        self._scout_stash: list[tuple[int, int, str]] = []
+        self._scout_stash: list[tuple] = []
         #: receive-descriptor ring size for segmented rounds (None =
         #: unbounded).  Seeded from ``NetParams.seg_recv_budget``; tests
         #: and the overrun benchmark override it per rank.
@@ -169,150 +187,63 @@ class McastChannel:
         self.seq += 1
         return self.seq
 
-    # -- scouts ----------------------------------------------------------
-    def send_scout(self, dst_rank: int, seq: int,
-                   phase: str = "up") -> Generator:
-        """Send one scout/ack to ``dst_rank`` (UDP unicast, tiny)."""
+    # -- control messages -------------------------------------------------
+    def send_ctrl(self, dst_rank: Optional[int], seq: int, key,
+                  value=None, nbytes: int = SCOUT_BYTES,
+                  kind: str = "scout") -> Generator:
+        """Send one control message ``(rank, seq, key, value)`` on the
+        scout port: a unicast to ``dst_rank``, or — ``None`` — ONE
+        multicast to ``(group, scout_port)``.  ``nbytes`` is the declared
+        wire size (a bare scout carries no data), ``kind`` the frame's
+        trace label."""
         yield from self.scout_sock.sendto(
-            (self.comm.rank, seq, phase), SCOUT_BYTES,
-            self.comm.addr_of(dst_rank), self.scout_port, kind="scout")
+            (self.comm.rank, seq, key, value), nbytes,
+            self.group if dst_rank is None else self.comm.addr_of(dst_rank),
+            self.scout_port, kind=kind)
 
-    def wait_scouts(self, src_ranks: set[int], seq: int,
-                    phase: str = "up",
-                    timeout_us: Optional[float] = None) -> Generator:
-        """Collect scouts ``(src, seq, phase)`` from every rank in
-        ``src_ranks``; returns the set of ranks still missing (empty on
-        success, non-empty only if ``timeout_us`` expired).
+    def wait_ctrl(self, src_ranks, seq: int, key,
+                  timeout_us: Optional[float] = None) -> Generator:
+        """Collect the ``(seq, key)`` message of every rank in
+        ``src_ranks``; returns ``{src: value}`` — of every source, or of
+        those heard before ``timeout_us`` expired.
 
-        Early scouts for other (seq, phase) pairs are stashed, never lost.
-        """
-        remaining = set(src_ranks)
-        self._drain_stash(remaining, seq, phase)
-        satisfied: set[int] = set(src_ranks) - remaining
+        The one matcher: a message of a completed sequence is stale, a
+        second copy of one this wait took is a duplicate — both dropped;
+        anything else (another ``(seq, key)``, or a source not asked
+        about, e.g. a sibling subtree racing ahead in the up-walk) is
+        early: stashed once, for the wait that wants it."""
+        wanted = set(src_ranks)
+        got: dict[int, Any] = {}
+        keep = []
+        for msg in self._scout_stash:
+            src, s, k, value = msg
+            mine = s == seq and k == key
+            if mine and src in wanted:
+                wanted.discard(src)
+                got[src] = value
+            elif s >= self.seq and not (mine and src in got):
+                keep.append(msg)
+        self._scout_stash = keep
         deadline = (None if timeout_us is None
                     else self.sim.now + timeout_us)
-        while remaining:
+        while wanted:
             budget = None
             if deadline is not None:
                 budget = deadline - self.sim.now
                 if budget <= 0:
-                    return remaining
+                    break
             dgram = yield from self.scout_sock.recv(timeout=budget)
             if dgram is None:
-                return remaining
-            src, s, ph = dgram.payload
-            if s == seq and ph == phase and src in remaining:
-                remaining.discard(src)
-                satisfied.add(src)
-            elif s < self.seq:
-                pass    # stale: belongs to a completed collective
-            elif s == seq and ph == phase and src in satisfied:
-                pass    # duplicate of a scout this wait already consumed
-            else:
-                # Early arrival for another (seq, phase) — or for a rank
-                # this call was not asked about (e.g. a sibling subtree's
-                # scout racing ahead of ours in the binary gather): stash.
-                self._scout_stash.append((src, s, ph))
-        return remaining
-
-    def _drain_stash(self, remaining: set[int], seq: int,
-                     phase: str) -> None:
-        keep = []
-        for (src, s, ph) in self._scout_stash:
-            if s == seq and ph == phase and src in remaining:
-                remaining.discard(src)
-            elif s >= self.seq:
-                keep.append((src, s, ph))
-            # else: stale entry from a completed collective — purge
-        self._scout_stash = keep
-
-    # -- tagged control messages (NACK repair + selection control plane) ----
-    def send_tagged(self, dst_rank: int, seq: int, tag: str, rnd,
-                    value, nbytes: int,
-                    kind: Optional[str] = None) -> Generator:
-        """Send one ``(tag, rnd, value)`` control message to ``dst_rank``.
-
-        The generic half of :meth:`wait_tagged`: rides the buffered
-        scout socket (immune to the posted-only discipline), matched by
-        ``(seq, tag, rnd)``.  The segment reports/decisions and the
-        "auto" implementation announcements are all instances.
-        """
-        yield from self.scout_sock.sendto(
-            (self.comm.rank, seq, (tag, rnd, value)), nbytes,
-            self.comm.addr_of(dst_rank), self.scout_port,
-            kind=kind or tag)
-
-    def send_report(self, dst_rank: int, seq: int, rnd,
-                    missing, budget: Optional[int],
-                    nsegs: int) -> Generator:
-        """Send one round's segment report to ``dst_rank`` — the
-        sender's parent in the report fold
-        (:func:`~repro.core.scout.report_fold_binary`).
-
-        ``missing`` is the set of segment indices the sender's whole
-        subtree has not received after round ``rnd`` (empty =
-        everything arrived) and ``budget`` the subtree's smallest finite
-        descriptor ring (:attr:`recv_budget`; ``None`` = all unbounded)
-        — the feedback the root's rate pacing adapts to.  Wire size: a
-        scout plus an ``nsegs``-bit bitmap plus a 4-byte budget field,
-        merged or not.
-        """
-        nbytes = SCOUT_BYTES + (nsegs + 7) // 8 + 4
-        yield from self.send_tagged(dst_rank, seq, "seg-report", rnd,
-                                    (tuple(sorted(missing)), budget),
-                                    nbytes)
-
-    def send_decision(self, seq: int, rnd, segments,
-                      nsegs: int) -> Generator:
-        """Multicast round ``rnd``'s verdict to the whole group: ONE
-        control datagram to ``(group, scout_port)``, matched by every
-        follower's ``wait_tagged({root}, seq, "seg-dec", rnd)``.
-
-        ``segments`` is the sorted tuple of segment indices the root
-        will re-multicast next round, ``None`` for "done", or
-        ``"abort"``.
-        """
-        nbytes = SCOUT_BYTES + (nsegs + 7) // 8
-        yield from self.scout_sock.sendto(
-            (self.comm.rank, seq, ("seg-dec", rnd, segments)), nbytes,
-            self.group, self.scout_port, kind="seg-dec")
-
-    def wait_tagged(self, src_ranks: set[int], seq: int, tag: str,
-                    rnd) -> Generator:
-        """Collect one ``(tag, rnd, value)`` scout-socket message from
-        every rank in ``src_ranks``; returns ``{src: value}``.
-
-        Shares the early-arrival stash with :meth:`wait_scouts` (a report
-        can land while a rank is still inside a scout gather, and vice
-        versa); the same staleness purge applies.
-        """
-        remaining = set(src_ranks)
-        results: dict[int, Any] = {}
-
-        def match(src, s, ph):
-            return (s == seq and isinstance(ph, tuple) and len(ph) == 3
-                    and ph[0] == tag and ph[1] == rnd and src in remaining)
-
-        keep = []
-        for (src, s, ph) in self._scout_stash:
-            if match(src, s, ph):
-                results[src] = ph[2]
-                remaining.discard(src)
-            elif s >= self.seq:
-                keep.append((src, s, ph))
-        self._scout_stash = keep
-        while remaining:
-            dgram = yield from self.scout_sock.recv()
-            src, s, ph = dgram.payload
-            if match(src, s, ph):
-                results[src] = ph[2]
-                remaining.discard(src)
-            elif (s == seq and isinstance(ph, tuple) and len(ph) == 3
-                    and ph[0] == tag and ph[1] == rnd and src in results):
-                pass    # duplicate of a message this wait already took
-            elif s >= self.seq:
-                self._scout_stash.append((src, s, ph))
-        return results
+                break
+            msg = dgram.payload
+            src, s, k, value = msg
+            mine = s == seq and k == key
+            if mine and src in wanted:
+                wanted.discard(src)
+                got[src] = value
+            elif s >= self.seq and not (mine and src in got):
+                self._scout_stash.append(msg)
+        return got
 
     # -- multicast data ----------------------------------------------------
     def post_data(self) -> Event:
@@ -346,6 +277,24 @@ class McastChannel:
         dgram = yield from self.data_sock.finish_recv(posted)
         return None if dgram is None else dgram.payload
 
+    def wait_data_from(self, posted: Event, root: int,
+                       seq: int) -> Generator:
+        """Complete a posted receive that only ``root``'s multicast of
+        collective ``seq`` may fill; returns its payload.  A copy of an
+        *earlier* sequence (a reliable sender's late retransmission) has
+        eaten the descriptor the multicast was posted for:
+        :class:`McastLost`.  Anything else is not safe MPI code."""
+        src, got_seq, payload = (
+            yield from self.data_sock.finish_recv(posted)).payload
+        if got_seq == seq and src == root:
+            return payload
+        what = (f"rank {self.comm.rank} posted for (root={root}, seq={seq}) "
+                f"and got (root={src}, seq={got_seq})")
+        if got_seq < seq:
+            raise McastLost(self.comm.rank, seq,
+                            reason=f"{what}: a stale copy took the descriptor")
+        raise AssertionError(f"{what} — unsafe MPI code?")
+
     def send_data(self, payload: Any, nbytes: int, seq: int,
                   retransmit: bool = False,
                   control: bool = False,
@@ -368,40 +317,27 @@ class McastChannel:
             (self.comm.rank, seq, payload), nbytes + MCAST_HEADER_BYTES,
             self.group, self.data_port, kind=kind)
 
-    def send_segment(self, segment, seq: int,
-                     retransmit: bool = False) -> Generator:
-        """Multicast one payload segment (kind ``mcast-seg``).
-
-        Wire size: the segment's chunk bytes plus the data envelope plus
-        the per-segment envelope (:data:`SEG_HEADER_BYTES`).
-        """
-        yield from self.send_data(
-            segment, segment.nbytes + SEG_HEADER_BYTES, seq,
-            retransmit=retransmit, kind="mcast-seg")
-
     def send_batch(self, segments, seq: int,
                    retransmit: bool = False) -> Generator:
         """Multicast a batch of segments as **one** ``mcast-seg`` datagram.
 
-        A single-segment batch uses the PR 1 wire format (a bare
-        :class:`~repro.core.segment.Segment` payload); a larger batch
-        ships the tuple of segments in one datagram, each segment still
-        paying its own :data:`SEG_HEADER_BYTES` envelope.  The receiver
-        pays the per-datagram software tax **once** for the whole batch —
-        that is the entire point of batching below the segment-count
-        crossover.
+        A single-segment batch ships the bare
+        :class:`~repro.core.segment.Segment`, a larger one the tuple;
+        either way each segment pays its own :data:`SEG_HEADER_BYTES`
+        envelope and the receiver the per-datagram software tax **once**
+        — the entire point of batching below the crossover.
         """
-        segments = list(segments)
-        if not segments:
+        segments = tuple(segments)
+        n = len(segments)
+        if n == 0:
             raise ValueError("cannot send an empty segment batch")
-        if len(segments) == 1:
-            yield from self.send_segment(segments[0], seq,
-                                         retransmit=retransmit)
-            return
-        nbytes = (sum(s.nbytes for s in segments)
-                  + SEG_HEADER_BYTES * len(segments))
-        yield from self.send_data(tuple(segments), nbytes, seq,
-                                  retransmit=retransmit, kind="mcast-seg")
+        if n == 1:
+            payload, nbytes = segments[0], segments[0].nbytes
+        else:
+            payload, nbytes = segments, sum(s.nbytes for s in segments)
+        yield from self.send_data(payload, nbytes + SEG_HEADER_BYTES * n,
+                                  seq, retransmit=retransmit,
+                                  kind="mcast-seg")
 
     # ------------------------------------------------------------------
     def close(self) -> None:

@@ -45,20 +45,15 @@ __all__ = ["allgather_mcast_paced", "allgather_mcast_unpaced"]
 
 
 def _ready_round(comm, channel, seq: int) -> Generator:
-    """Scout-sync "everyone has posted" round (like the barrier, but the
-    release rides the scout socket so it cannot consume a data post)."""
-    root = 0
-    yield from scout_gather_binary(comm, channel, seq, root,
-                                   phase="ag-ready")
-    if comm.rank == root:
-        for dst in range(comm.size):
-            if dst != root:
-                yield from channel.send_scout(dst, seq, phase="ag-go")
+    """Scout-sync "everyone has posted" round at rank 0 (like the
+    barrier, but the release rides the scout socket so it cannot consume
+    a data post)."""
+    yield from scout_gather_binary(comm, channel, seq, 0, phase="ag-ready")
+    if comm.rank == 0:
+        for dst in range(1, comm.size):
+            yield from channel.send_ctrl(dst, seq, "ag-go")
     else:
-        missing = yield from channel.wait_scouts({root}, seq,
-                                                 phase="ag-go")
-        if missing:  # pragma: no cover - no timeout used
-            raise AssertionError("allgather ready round timed out")
+        yield from channel.wait_ctrl({0}, seq, "ag-go")
 
 
 @register("allgather", "mcast-paced")

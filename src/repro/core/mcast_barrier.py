@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Generator
 
 from ..mpi.collective.registry import register
+from .mcast_bcast import scouted_mcast
 from .scout import scout_gather_binary
 
 __all__ = ["barrier_mcast", "barrier_mcast_message_count"]
@@ -33,23 +34,6 @@ def barrier_mcast_message_count(n: int) -> tuple[int, int]:
 
 @register("barrier", "mcast")
 def barrier_mcast(comm) -> Generator:
-    """``yield from barrier_mcast(comm)``."""
-    channel = comm.mcast
-    seq = channel.next_seq()
-    if comm.size == 1:
-        return None
-    root = 0
-
-    if comm.rank == root:
-        yield from scout_gather_binary(comm, channel, seq, root)
-        yield from channel.send_data(None, 0, seq, control=True)
-        return None
-
-    posted = channel.post_data()
-    yield from scout_gather_binary(comm, channel, seq, root)
-    src, got_seq, _ = yield from channel.wait_data(posted)
-    if got_seq != seq or src != root:  # pragma: no cover - protocol guard
-        raise AssertionError(
-            f"rank {comm.rank} got stale barrier release "
-            f"(seq {got_seq} != {seq}) — unsafe MPI code?")
-    return None
+    """``yield from barrier_mcast(comm)``: the scouted broadcast of
+    nothing from rank 0."""
+    return scouted_mcast(comm, None, 0, scout_gather_binary, release=True)

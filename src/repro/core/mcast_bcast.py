@@ -47,45 +47,39 @@ from .rounds import McastLost
 from .scout import scout_gather_binary, scout_gather_linear
 
 __all__ = ["bcast_mcast_binary", "bcast_mcast_linear", "bcast_mcast_naive",
-           "bcast_mcast_ack", "McastLost"]
+           "bcast_mcast_ack", "bcast_acked", "scouted_mcast", "McastLost"]
 
 
-def _bcast_scouted(comm, obj: Any, root: int, gather) -> Generator:
-    """Common scout-then-multicast skeleton for binary and linear."""
+def scouted_mcast(comm, obj: Any, root: int, gather,
+                  release: bool = False) -> Generator:
+    """The paper's skeleton: scout sync toward ``root``, then ONE
+    multicast of ``obj`` — or, ``release``, of nothing: the data-less
+    control multicast that makes it the barrier (§3.2)."""
     channel = comm.mcast
     seq = channel.next_seq()
     if comm.size == 1:
         return obj
-
     if comm.rank == root:
         yield from gather(comm, channel, seq, root)
-        yield from channel.send_data(obj, payload_bytes(obj), seq)
+        yield from channel.send_data(
+            obj, 0 if release else payload_bytes(obj), seq, control=release)
         return obj
-
     posted = channel.post_data()          # BEFORE the scout: the invariant
     yield from gather(comm, channel, seq, root)
-    src, got_seq, data = yield from channel.wait_data(posted)
-    if got_seq != seq or src != root:  # pragma: no cover - protocol guard
-        raise AssertionError(
-            f"rank {comm.rank} expected bcast (root={root}, seq={seq}), "
-            f"got (root={src}, seq={got_seq}) — unsafe MPI code?")
+    data = yield from channel.wait_data_from(posted, root, seq)
     return data
 
 
 @register("bcast", "mcast-binary")
 def bcast_mcast_binary(comm, obj: Any, root: int = 0) -> Generator:
     """Binary-tree scout sync + single IP multicast (paper Fig. 3)."""
-    result = yield from _bcast_scouted(comm, obj, root,
-                                       scout_gather_binary)
-    return result
+    return scouted_mcast(comm, obj, root, scout_gather_binary)
 
 
 @register("bcast", "mcast-linear")
 def bcast_mcast_linear(comm, obj: Any, root: int = 0) -> Generator:
     """Linear scout sync + single IP multicast (paper Fig. 4)."""
-    result = yield from _bcast_scouted(comm, obj, root,
-                                       scout_gather_linear)
-    return result
+    return scouted_mcast(comm, obj, root, scout_gather_linear)
 
 
 @register("bcast", "mcast-naive")
@@ -113,56 +107,49 @@ def bcast_mcast_naive(comm, obj: Any, root: int = 0) -> Generator:
         got = yield from channel.wait_data(posted)
     finally:
         timer.cancel()
-    if got is None:                     # timed out
+    if got is None or got[1] != seq:    # timed out, or a stale copy
         raise McastLost(comm.rank, seq)
-    _src, got_seq, data = got
-    if got_seq != seq:
-        raise McastLost(comm.rank, seq)
-    return data
+    return got[2]
+
+
+def bcast_acked(comm, obj: Any, server: int) -> Generator:
+    """Sender-reliable multicast of ``obj`` from ``server``: multicast,
+    wait ``ack_timeout_us`` for every receiver's ack, re-multicast the
+    **full payload** while any is missing (``max_retransmits`` times at
+    most).  A receiver keeps posting until its ``(seq, server)`` copy
+    arrives — stale retransmissions are discarded — then acks."""
+    channel = comm.mcast
+    seq = channel.next_seq()
+    if comm.size == 1:
+        return obj
+    if comm.rank != server:
+        while True:
+            posted = channel.post_data()
+            src, got_seq, data = yield from channel.wait_data(posted)
+            if got_seq == seq and src == server:
+                break
+        yield from channel.send_ctrl(server, seq, "ack")
+        return data
+    params = comm.host.params
+    nbytes = payload_bytes(obj)
+    yield from channel.send_data(obj, nbytes, seq)
+    missing = set(range(comm.size)) - {server}
+    retransmits = 0
+    while True:
+        acks = yield from channel.wait_ctrl(
+            missing, seq, "ack", timeout_us=params.ack_timeout_us)
+        missing -= acks.keys()
+        if not missing:
+            return obj
+        if retransmits == params.max_retransmits:
+            raise McastLost(comm.rank, seq, reason=(
+                f"rank {server}: gave up after {retransmits} retransmits "
+                f"of bcast seq={seq}; no ack from ranks {sorted(missing)}"))
+        retransmits += 1
+        yield from channel.send_data(obj, nbytes, seq, retransmit=True)
 
 
 @register("bcast", "mcast-ack")
 def bcast_mcast_ack(comm, obj: Any, root: int = 0) -> Generator:
-    """PVM-style sender-reliable multicast: ack + retransmit (paper [2]).
-
-    The root multicasts, then waits for an ack from every receiver,
-    re-multicasting the **full payload** each ``ack_timeout_us`` until all
-    acks arrive (bounded by ``max_retransmits``).  Receivers that missed
-    an earlier copy are caught by a retransmission; duplicates are
-    discarded by sequence check.
-    """
-    channel = comm.mcast
-    params = comm.host.params
-    seq = channel.next_seq()
-    if comm.size == 1:
-        return obj
-
-    if comm.rank == root:
-        nbytes = payload_bytes(obj)
-        yield from channel.send_data(obj, nbytes, seq)
-        missing = {r for r in range(comm.size) if r != root}
-        attempts = 0
-        while missing:
-            missing = yield from channel.wait_scouts(
-                missing, seq, phase="ack",
-                timeout_us=params.ack_timeout_us)
-            if missing:
-                attempts += 1
-                if attempts > params.max_retransmits:
-                    raise McastLost(comm.rank, seq, reason=(
-                        f"bcast_mcast_ack: gave up after {attempts - 1} "
-                        f"retransmits; unreachable ranks "
-                        f"{sorted(missing)}"))
-                yield from channel.send_data(obj, nbytes, seq,
-                                             retransmit=True)
-        return obj
-
-    # Receiver: keep posting until our sequence number arrives (stale
-    # retransmissions of earlier broadcasts are discarded).
-    while True:
-        posted = channel.post_data()
-        src, got_seq, data = yield from channel.wait_data(posted)
-        if got_seq == seq and src == root:
-            break
-    yield from channel.send_scout(root, seq, phase="ack")
-    return data
+    """PVM-style sender-reliable multicast: ack + retransmit (paper [2])."""
+    return bcast_acked(comm, obj, root)

@@ -46,13 +46,18 @@ phase, so a header can only ever match the stream it opens.
 
 **One round**, on the wire: ``N-1`` arming scouts up the binomial tree,
 the round's data multicasts, ``N-1`` reports folded up the *same* tree
-(:func:`~repro.core.scout.report_fold_binary`: every rank merges its
-children's missing sets and budgets into its own and sends one report,
-so the root hears ``ceil(log2 N)`` messages), and **one** decision
-multicast back — ``2(N-1) + 1`` control frames and ``O(log N)``
-sequential steps, the paper's gather-then-multicast shape (§3, Fig. 3);
-a star of ``N-1`` reports into the root and ``N-1`` decision unicasts
-out of it would serialize ``2(N-1)`` steps on the root's one CPU.
+and **one** decision multicast back — ``2(N-1) + 1`` control frames and
+``O(log N)`` sequential steps, the paper's gather-then-multicast shape
+(§3, Fig. 3); a star of ``N-1`` reports into the root and ``N-1``
+decision unicasts out of it would serialize ``2(N-1)`` steps on the
+root's one CPU.
+
+All of it is the channel's one control message (``send_ctrl`` /
+``wait_ctrl``) moved by one tree walk (:mod:`repro.core.scout`): the
+header and arming gathers are the walk keyed ``arm_phase(...)``, the
+fold is the walk keyed ``("seg-report", token)`` carrying ``(missing
+set, smallest budget)``, the decision is ``send_ctrl(None, ...)`` keyed
+``("seg-dec", token)``.
 
 The decision rides the channel's **buffered scout port**, as a
 multicast to the group — not the posted-only data socket, where repair
@@ -98,7 +103,8 @@ from typing import Any, Callable, Generator, Optional
 
 from dataclasses import dataclass
 
-from .channel import MCAST_HEADER_BYTES, SCOUT_BYTES, SEG_HEADER_BYTES
+from .channel import (MCAST_HEADER_BYTES, SCOUT_BYTES, SEG_HEADER_BYTES,
+                      McastLost)
 from .scout import (binary_tree_steps, report_fold_binary,
                     scout_gather_binary)
 
@@ -107,27 +113,6 @@ __all__ = ["McastLost", "Segment", "Reassembler", "RoundPacer",
            "reassemble", "repair_batch", "repair_round_limit",
            "resolved_segment_bytes", "round_drain_timeout_us",
            "round_namespace", "serve_rounds", "follow_rounds"]
-
-
-class McastLost(RuntimeError):
-    """A multicast transfer was lost for good.
-
-    Raised by the naive (unsynchronized) broadcast when the payload
-    never arrives, and by the round engine when the repair-round budget
-    (:func:`repair_round_limit`) is exhausted with segments still
-    missing — the crisp, typed end of the "complete or fail" contract
-    the chaos fuzzer (:mod:`repro.chaos`) asserts.  A subclass of
-    ``RuntimeError`` for backward compatibility with callers that catch
-    the engine's historical bare error.
-    """
-
-    def __init__(self, rank: int, seq, reason: Optional[str] = None):
-        self.rank = rank
-        self.seq = seq
-        super().__init__(
-            reason if reason is not None else
-            f"rank {rank} lost multicast broadcast seq={seq} "
-            f"(receive posted too late and no synchronization was used)")
 
 
 def repair_round_limit(params) -> int:
@@ -568,8 +553,11 @@ def serve_rounds(comm, channel, seq, root: int, segments, batch: int,
             decision = tuple(sorted(union))
         if rec is not None:
             rec.repair_decision(comm.sim.now, addr, rnd, decision)
-        yield from channel.send_decision(seq, rnd_token(rnd), decision,
-                                         nsegs)
+        # ONE control multicast — the next round's segments, None for
+        # "done", or "abort" — sized as a scout plus the bitmap
+        yield from channel.send_ctrl(
+            None, seq, ("seg-dec", rnd_token(rnd)), decision,
+            SCOUT_BYTES + (nsegs + 7) // 8, "seg-dec")
         if rec is not None:
             rec.round_end(comm.sim.now, rtok)
         if decision is None:
@@ -664,10 +652,8 @@ def follow_rounds(comm, channel, seq, root: int, arm_phase, rnd_token,
             yield from report_fold_binary(
                 comm, channel, seq, root, rnd_token(rnd), reasm.missing(),
                 channel.recv_budget, nsegs)
-            decision = yield from channel.wait_tagged({root}, seq,
-                                                      "seg-dec",
-                                                      rnd_token(rnd))
-            plan_t = decision[root]
+            plan_t = (yield from channel.wait_ctrl(
+                {root}, seq, ("seg-dec", rnd_token(rnd))))[root]
             if rec is not None:
                 rec.round_end(comm.sim.now, rtok,
                               posted_hw=channel.data_sock

@@ -19,6 +19,13 @@ the following multicast safe is established by the caller posting its
 multicast receive **before** invoking the gather (checked by the
 property-based tests in ``tests/test_core_properties.py``).
 
+**One walk.**  A gather is a tree walked upward — hear every child,
+then tell the parent — and :func:`_walk_up` writes that once over the
+channel's one control message: with no value it is the scout gather (on
+the binomial tree or the star), with a value and a merge it is the round
+engine's NACK report fold (:func:`report_fold_binary`).
+:func:`scout_scatter_binary` is the same tree walked downward.
+
 The tree layout is the textbook binomial gather (MPICH's reduce tree).
 The paper's Fig. 3 draws a slightly different edge layout, but the text
 only requires "binary tree, height log2(K)+1, N-1 scout messages", which
@@ -32,6 +39,7 @@ from __future__ import annotations
 from typing import Generator
 
 from .binomial import binomial_children, binomial_parent
+from .channel import SCOUT_BYTES
 
 __all__ = ["scout_gather_binary", "scout_gather_linear",
            "scout_scatter_binary", "report_fold_binary",
@@ -52,116 +60,101 @@ def binary_tree_steps(n: int) -> int:
     return (n - 1).bit_length()
 
 
-def scout_gather_binary(comm, channel, seq: int,
-                        root: int = 0, phase: str = "up") -> Generator:
-    """Binomial-tree scout gather toward ``root``.
-
-    Non-root ranks return once their scout is sent (their subtree is
-    ready); the root returns once all ``N-1`` scouts are accounted for.
-    """
+def _walk_up(comm, channel, seq: int, root: int, key, value=None,
+             merge=None, nbytes: int = SCOUT_BYTES, kind: str = "scout",
+             star: bool = False) -> Generator:
+    """The up-walk: hear every child's ``(seq, key)`` message, merge
+    their values into ``value`` in ascending child order, send ONE
+    message to the parent; returns the subtree's value — the group's at
+    ``root``, whose return therefore means "every rank got here".  The
+    tree is the binomial one rooted at ``root`` or, ``star``, the
+    paper's linear algorithm: everyone's parent is the root."""
     size = comm.size
-    if size == 1:
-        return
     rel = (comm.rank - root) % size
-    mask = 1
-    while mask < size:
-        if rel & mask:
-            parent = ((rel & ~mask) + root) % size
-            yield from channel.send_scout(parent, seq, phase)
-            return
-        child_rel = rel | mask
-        if child_rel < size:
-            child = (child_rel + root) % size
-            missing = yield from channel.wait_scouts({child}, seq, phase)
-            if missing:  # pragma: no cover - no timeout passed
-                raise AssertionError("scout gather timed out")
-        mask <<= 1
-
-
-def scout_scatter_binary(comm, channel, seq: int, root: int = 0,
-                         tag: str = "scval", value=None) -> Generator:
-    """Binomial top-down scatter of one small ``value`` from ``root`` —
-    the mirror of :func:`scout_gather_binary`, riding the buffered scout
-    socket as ``(tag, 0, value)`` tagged messages (scout-sized frames,
-    ``N-1`` of them, ``ceil(log2 N)`` sequential steps).
-
-    Every rank returns the root's value.  The "auto" collective-selection
-    layer uses this to announce the root's per-call implementation
-    choice before any rank commits to an algorithm's traffic pattern.
-    """
-    from .channel import SCOUT_BYTES
-
-    size = comm.size
-    if size == 1:
-        return value
-    rel = (comm.rank - root) % size
-    if rel != 0:
+    if star:
+        children = set(range(size)) - {root} if rel == 0 else None
+        parent = root
+    else:
+        # binomial links, inline (no call per rank): a child per bit
+        # below ``rel``'s lowest set bit, the parent clears that bit
+        children = set()
         mask = 1
-        while not rel & mask:
+        while mask < size and not rel & mask:
+            if rel | mask < size:
+                children.add(((rel | mask) + root) % size)
             mask <<= 1
-        parent = ((rel & ~mask) + root) % size
-        got = yield from channel.wait_tagged({parent}, seq, tag, 0)
-        value = got[parent]
-    for child in binomial_children(rel, size):
-        dst = (child + root) % size
-        yield from channel.send_tagged(dst, seq, tag, 0, value,
-                                       SCOUT_BYTES, kind="scout-dec")
+        parent = ((rel ^ mask) + root) % size
+    if children:
+        heard = yield from channel.wait_ctrl(children, seq, key)
+        if merge is not None:
+            value = merge(comm, key, value, sorted(heard.items()))
+    if rel:
+        yield from channel.send_ctrl(parent, seq, key, value, nbytes, kind)
     return value
 
 
-def report_fold_binary(comm, channel, seq: int, root: int, rnd,
-                       missing, budget, nsegs: int) -> Generator:
-    """Binomial bottom-up fold of one round's NACK reports toward
-    ``root`` — :func:`scout_scatter_binary` run backwards over the tree
-    :func:`scout_gather_binary` arms the round on, riding the buffered
-    scout socket as ``("seg-report", rnd, (missing, budget))`` tagged
-    messages (``N-1`` of them, ``ceil(log2 N)`` sequential steps).
-
-    Every rank — pure bystanders included — hears each child's report,
-    unions the child's missing set into its own ``missing``, keeps the
-    smallest finite descriptor ``budget`` and sends ONE merged report
-    to its parent, so the root hears ``ceil(log2 N)`` reports instead
-    of ``N-1``.  Returns the folded ``(missing, budget)`` of the
-    caller's subtree: the whole group's at the root.
-
-    The fold doubles as the scout gather of the decision multicast that
-    answers it: a rank reports only after its whole subtree has, and
-    then blocks on the decision, so the root's fold completing *is*
-    "every follower is waiting".
-    """
-    size = comm.size
-    rel = (comm.rank - root) % size
-    missing = set(missing)
-    children = {(child + root) % size
-                for child in binomial_children(rel, size)}
-    reports = yield from channel.wait_tagged(children, seq, "seg-report",
-                                             rnd)
-    rec = comm.host.stats.recorder
-    for child in sorted(reports):
-        heard, ring = reports[child]
-        if rec is not None:
-            rec.nack_report(comm.sim.now, comm.host.addr, child, rnd,
-                            heard, ring)
-        missing.update(heard)
-        if ring is not None and (budget is None or ring < budget):
-            budget = ring
-    if rel:
-        parent = (binomial_parent(rel) + root) % size
-        yield from channel.send_report(parent, seq, rnd, missing, budget,
-                                       nsegs)
-    return missing, budget
+def scout_gather_binary(comm, channel, seq: int,
+                        root: int = 0, phase: str = "up") -> Generator:
+    """Binomial-tree scout gather toward ``root``: a non-root rank
+    returns once its scout is sent (its subtree is ready), the root once
+    all ``N-1`` scouts are accounted for."""
+    return _walk_up(comm, channel, seq, root, phase)
 
 
 def scout_gather_linear(comm, channel, seq: int,
                         root: int = 0, phase: str = "up") -> Generator:
     """Linear scout gather: everyone scouts the root directly."""
+    return _walk_up(comm, channel, seq, root, phase, star=True)
+
+
+def _merge_reports(comm, key, report, heard):
+    """Union of the missing sets, smallest finite descriptor budget."""
+    missing, budget = report
+    missing = set(missing)
+    rec = comm.host.stats.recorder
+    for child, (lost, ring) in heard:
+        if rec is not None:
+            rec.nack_report(comm.sim.now, comm.host.addr, child, key[1],
+                            lost, ring)
+        missing.update(lost)
+        if ring is not None and (budget is None or ring < budget):
+            budget = ring
+    return frozenset(missing), budget
+
+
+def report_fold_binary(comm, channel, seq: int, root: int, rnd,
+                       missing, budget, nsegs: int) -> Generator:
+    """Fold round ``rnd``'s NACK reports toward ``root`` up the tree
+    :func:`scout_gather_binary` armed it on.  Every rank — bystanders
+    included — merges its children's reports into its own ``missing``
+    set and descriptor ``budget`` (``None`` = unbounded) and sends ONE
+    ``seg-report`` (a scout + an ``nsegs``-bit bitmap + a 4-byte budget),
+    so the root hears ``ceil(log2 N)`` of them instead of ``N-1``.
+    Returns the caller's subtree's ``(missing, budget)``.
+
+    The fold doubles as the scout gather of the decision multicast that
+    answers it: a rank reports only after its whole subtree has, then
+    blocks on the decision, so the root's fold completing *is* "every
+    follower is waiting".
+    """
+    return _walk_up(comm, channel, seq, root, ("seg-report", rnd),
+                    (frozenset(missing), budget), _merge_reports,
+                    SCOUT_BYTES + (nsegs + 7) // 8 + 4, "seg-report")
+
+
+def scout_scatter_binary(comm, channel, seq: int, root: int = 0,
+                         tag: str = "scval", value=None) -> Generator:
+    """Binomial top-down scatter of one small ``value`` from ``root`` —
+    the up-walk's mirror: ``N-1`` scout-sized ``scout-dec`` messages
+    keyed ``tag``; every rank returns the root's value.  The "auto"
+    selection layer announces the root's per-call implementation choice
+    with it before any rank commits to a traffic pattern."""
     size = comm.size
-    if size == 1:
-        return
-    if comm.rank == root:
-        others = {r for r in range(size) if r != root}
-        missing = yield from channel.wait_scouts(others, seq, phase)
-        if missing:  # pragma: no cover - no timeout passed
-            raise AssertionError("scout gather timed out")
-    else:
-        yield from channel.send_scout(root, seq, phase)
+    rel = (comm.rank - root) % size
+    if rel:
+        parent = (binomial_parent(rel) + root) % size
+        value = (yield from channel.wait_ctrl({parent}, seq, tag))[parent]
+    for child in binomial_children(rel, size):
+        yield from channel.send_ctrl((child + root) % size, seq, tag,
+                                     value, kind="scout-dec")
+    return value

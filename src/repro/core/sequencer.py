@@ -24,8 +24,7 @@ from typing import Any, Generator
 
 from ..mpi.collective.registry import register
 from ..mpi.collective.tags import TAG_BCAST
-from ..mpi.datatypes import payload_bytes
-from .rounds import McastLost
+from .mcast_bcast import bcast_acked
 
 __all__ = ["bcast_mcast_sequencer", "SEQUENCER_RANK"]
 
@@ -37,44 +36,13 @@ SEQUENCER_RANK = 0
 def bcast_mcast_sequencer(comm, obj: Any, root: int = 0) -> Generator:
     """Orca-style: root → sequencer (p2p), sequencer → group (multicast
     with ack/retransmit reliability)."""
-    channel = comm.mcast
-    params = comm.host.params
-    seq = channel.next_seq()
-    if comm.size == 1:
-        return obj
-
-    me = comm.rank
-    if me == root and root != SEQUENCER_RANK:
+    if root != SEQUENCER_RANK:
         # Ship the payload to the sequencer over the reliable p2p path.
-        yield from comm._send_coll(obj, SEQUENCER_RANK, TAG_BCAST)
-
-    if me == SEQUENCER_RANK:
-        if root != SEQUENCER_RANK:
+        if comm.rank == root:
+            yield from comm._send_coll(obj, SEQUENCER_RANK, TAG_BCAST)
+        elif comm.rank == SEQUENCER_RANK:
             obj = yield from comm._recv_coll(root, TAG_BCAST)
-        nbytes = payload_bytes(obj)
-        yield from channel.send_data(obj, nbytes, seq)
-        missing = {r for r in range(comm.size) if r != SEQUENCER_RANK}
-        attempts = 0
-        while missing:
-            missing = yield from channel.wait_scouts(
-                missing, seq, phase="ack",
-                timeout_us=params.ack_timeout_us)
-            if missing:
-                attempts += 1
-                if attempts > params.max_retransmits:
-                    raise McastLost(comm.rank, seq, reason=(
-                        f"sequencer gave up after {attempts - 1} "
-                        f"retransmits; unreachable {sorted(missing)}"))
-                yield from channel.send_data(obj, nbytes, seq,
-                                             retransmit=True)
-        return obj
-
-    # Everyone else (including a non-sequencer root) receives the
+    # Everyone else (a non-sequencer root included) receives the
     # sequencer's multicast and acks it.
-    while True:
-        posted = channel.post_data()
-        src, got_seq, data = yield from channel.wait_data(posted)
-        if got_seq == seq and src == SEQUENCER_RANK:
-            break
-    yield from channel.send_scout(SEQUENCER_RANK, seq, phase="ack")
-    return data
+    result = yield from bcast_acked(comm, obj, SEQUENCER_RANK)
+    return result

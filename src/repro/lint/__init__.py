@@ -12,8 +12,8 @@ import-graph pass plus one executed cross-consistency check:
   (:mod:`repro.lint.determinism`);
 * **LAY01** — layering: the simnet → core → mpi → analysis import
   discipline, with an explicit allowlist (:mod:`repro.lint.layering`);
-* **TAG01** — tag-namespace collisions over ``mpi/collective/tags.py``
-  and every ``round_namespace`` call site (:mod:`repro.lint.tagspace`);
+* **TAG01** — collisions among ``mpi/collective/tags.py`` tags,
+  ``round_namespace`` keys and control keys (:mod:`repro.lint.tagspace`);
 * **REG01** — registry cross-consistency, *executed* against the live
   registry/policy/model tables (:mod:`repro.lint.registry_check`);
 * **SUP01** — a ``# repro-lint: skip=CODE`` suppression without a

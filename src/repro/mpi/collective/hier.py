@@ -712,12 +712,7 @@ def run_plan(comm, st: HierState, steps, value: Any, op=None) -> Generator:
                     yield from sub.mcast.send_data(None, 0, seq,
                                                    control=True)
                 else:
-                    src, got_seq, _ = yield from sub.mcast.wait_data(
-                        posted)
-                    if got_seq != seq or src != at:  # pragma: no cover
-                        raise AssertionError(
-                            f"rank {comm.rank} got stale hierarchical "
-                            f"barrier release (seq {got_seq} != {seq})")
+                    yield from sub.mcast.wait_data_from(posted, at, seq)
     return value
 
 

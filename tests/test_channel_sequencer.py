@@ -1,5 +1,6 @@
 """Direct unit tests for McastChannel and the sequencer variant."""
 
+import pytest
 
 from repro.core.channel import (DATA_PORT_BASE, GROUP_ID_BASE,
                                 SCOUT_PORT_BASE)
@@ -60,29 +61,33 @@ def test_scout_stash_keeps_early_arrivals():
         ch = env.comm.mcast
         if env.rank == 1:
             # send two scouts out of order: seq 8 then seq 7
-            yield from ch.send_scout(0, 8, phase="up")
-            yield from ch.send_scout(0, 7, phase="up")
+            yield from ch.send_ctrl(0, 8, "up", "eight")
+            yield from ch.send_ctrl(0, 7, "up", "seven")
         else:
             yield env.sim.timeout(3000.0)
-            missing7 = yield from ch.wait_scouts({1}, 7, phase="up")
-            missing8 = yield from ch.wait_scouts({1}, 8, phase="up")
-            log["missing"] = (missing7, missing8)
+            got7 = yield from ch.wait_ctrl({1}, 7, "up")
+            got8 = yield from ch.wait_ctrl({1}, 8, "up")
+            log["got"] = (got7, got8)
 
     run_spmd(2, main, params=QUIET)
-    assert log["missing"] == (set(), set())
+    assert log["got"] == ({1: "seven"}, {1: "eight"})
 
 
 def test_wait_scouts_timeout_reports_missing():
     def main(env):
         ch = env.comm.mcast
         if env.rank == 0:
-            missing = yield from ch.wait_scouts({1}, 1, phase="up",
-                                                timeout_us=500.0)
-            return missing
+            t0 = env.sim.now
+            got = yield from ch.wait_ctrl({1, 2}, 1, "up",
+                                          timeout_us=500.0)
+            return got, env.sim.now - t0
+        if env.rank == 2:
+            yield from ch.send_ctrl(0, 1, "up")
         yield env.sim.timeout(0.0)   # rank 1 never scouts
 
-    result = run_spmd(2, main, params=QUIET)
-    assert result.returns[0] == {1}
+    result = run_spmd(3, main, params=QUIET)
+    # the partial dict: who was heard before the deadline
+    assert result.returns[0] == ({2: None}, pytest.approx(500.0))
 
 
 def test_channel_close_idempotent_and_frees_ports():
@@ -194,11 +199,11 @@ def test_scout_stash_stays_bounded_over_many_collectives():
             seq = ch.next_seq()
             if env.rank == 1:
                 # a duplicate ack: the second copy can never match
-                yield from ch.send_scout(0, seq, "ack")
-                yield from ch.send_scout(0, seq, "ack")
+                yield from ch.send_ctrl(0, seq, "ack")
+                yield from ch.send_ctrl(0, seq, "ack")
             if env.rank == 0:
-                missing = yield from ch.wait_scouts({1}, seq, "ack")
-                assert not missing
+                got = yield from ch.wait_ctrl({1}, seq, "ack")
+                assert got == {1: None}
             high = max(high, len(ch._scout_stash))
             yield from env.comm.barrier()     # p2p: keeps ranks in step
         return high

@@ -1,0 +1,260 @@
+"""The one control plane: ``McastChannel.wait_ctrl`` against a ten-line
+model, the one tree walk of :mod:`repro.core.scout` on every (size,
+root), and the stale-copy guard ``wait_data_from`` on docs/CHAOS.md's
+reproducer."""
+
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.binomial import binomial_children, binomial_parent
+from repro.core.channel import McastChannel, McastLost
+from repro.core.scout import (report_fold_binary, scout_gather_binary,
+                              scout_gather_linear)
+from repro.runtime import run_spmd
+from repro.simnet import quiet
+from repro.simnet.calibration import FAST_ETHERNET_SWITCH
+
+QUIET = quiet(FAST_ETHERNET_SWITCH)
+
+SEQ = 5                         # the sequence under wait; SEQ - 1 is stale
+KEYS = ("up", "ack", ("seg-dec", 0))
+
+
+# ------------------------------------------------- wait_ctrl vs its model
+def model_wait(stash, arrivals, wanted, key):
+    """What a wait for ``(SEQ, key)`` from ``wanted`` must do with the
+    stash, then with the datagrams in arrival order: ``(the first value
+    per wanted source, the stash it leaves, datagrams it consumed)``."""
+    got, early, consumed = {}, [], 0
+    pending = list(stash)
+    while True:
+        for msg in pending:
+            src, s, k, value = msg
+            if (s, k) == (SEQ, key) and src in wanted:
+                got.setdefault(src, value)      # later copies: duplicates
+            elif s >= SEQ:
+                early.append(msg)               # older ones: stale
+        if got.keys() >= wanted or consumed == len(arrivals):
+            return got, early, consumed
+        pending = [arrivals[consumed]]
+        consumed += 1
+
+
+class ScriptedSocket:
+    """A scout socket that delivers a fixed arrival order, then times
+    out (or, with no deadline to honour, fails the test)."""
+
+    def __init__(self, sim, arrivals):
+        self.sim, self.arrivals, self.consumed = sim, arrivals, 0
+
+    def recv(self, timeout=None):
+        if self.consumed == len(self.arrivals):
+            assert timeout is not None, "would block forever"
+            self.sim.now += timeout
+            return None
+        self.sim.now += 1.0
+        self.consumed += 1
+        return SimpleNamespace(payload=self.arrivals[self.consumed - 1])
+        yield                                           # a generator
+
+
+def scripted_channel(stash, arrivals):
+    channel = McastChannel.__new__(McastChannel)
+    channel.sim = SimpleNamespace(now=0.0)
+    channel.seq = SEQ
+    channel._scout_stash = list(stash)
+    channel.scout_sock = ScriptedSocket(channel.sim, arrivals)
+    return channel
+
+
+def drive(gen):
+    try:
+        next(gen)
+    except StopIteration as stop:
+        return stop.value
+    raise AssertionError("a scripted wait must never suspend")
+
+
+@st.composite
+def _traffic(draw):
+    """Wanted, early (another key or SEQ + 1), stale (SEQ - 1),
+    duplicate and sibling-subtree (an unwanted source) messages in any
+    order, every value distinct; some of it already stashed."""
+    msg = st.tuples(st.integers(0, 5),
+                    st.sampled_from((SEQ - 1, SEQ, SEQ + 1)),
+                    st.sampled_from(KEYS))
+    heads = draw(st.lists(msg, max_size=24))
+    msgs = [head + (i,) for i, head in enumerate(heads)]
+    cut = draw(st.integers(0, len(msgs)))
+    # a stash never holds stale entries of its own sequence's past
+    stash = [m for m in msgs[:cut] if m[1] >= SEQ]
+    wanted = draw(st.sets(st.integers(0, 5), max_size=4))
+    key = draw(st.sampled_from(KEYS))
+    deadline = draw(st.booleans())
+    arrivals = msgs[cut:]
+    if not deadline:            # no deadline: everyone wanted does arrive
+        arrivals += [(src, SEQ, key, -1 - src) for src in sorted(wanted)]
+    return stash, arrivals, wanted, key, deadline
+
+
+@settings(max_examples=300, deadline=None)
+@given(traffic=_traffic())
+def test_wait_ctrl_is_its_model_over_any_interleaving(traffic):
+    stash, arrivals, wanted, key, deadline = traffic
+    channel = scripted_channel(stash, arrivals)
+    got = drive(channel.wait_ctrl(wanted, SEQ, key,
+                                  timeout_us=500.0 if deadline else None))
+    want, early, consumed = model_wait(stash, arrivals, wanted, key)
+    # exactly the first value per wanted source — the partial dict when
+    # the deadline cut the wait short — and not one datagram more
+    assert got == want
+    assert channel.scout_sock.consumed == consumed
+    assert (got.keys() == wanted) or (deadline and consumed == len(arrivals))
+    # every early message stashed once, in arrival order; no stale or
+    # duplicate entry survives
+    assert channel._scout_stash == early
+    assert all(s >= SEQ for _src, s, _k, _v in early)
+    assert not any((s, k) == (SEQ, key) and src in got
+                   for src, s, k, _v in early)
+
+    # ... and matched later, by the wait that wants it, off the stash alone
+    channel.scout_sock = ScriptedSocket(channel.sim, [])
+    for s, k in sorted({(s, k) for _src, s, k, _v in early}, key=repr):
+        first = {}
+        for src, s2, k2, value in early:
+            if (s2, k2) == (s, k):
+                first.setdefault(src, value)
+        channel.seq = s
+        assert drive(channel.wait_ctrl(set(first), s, k)) == first
+    # once the sequence has moved on, whatever is left is stale
+    channel.seq = SEQ + 2
+    assert drive(channel.wait_ctrl((), SEQ + 2, "up")) == {}
+    assert channel._scout_stash == []
+
+
+# ------------------------------------------------------- the one up-walk
+def subtree(rel, size):
+    out = {rel}
+    for child in binomial_children(rel, size):
+        out |= subtree(child, size)
+    return out
+
+
+def walk_all(n, root, walk):
+    """Run ``walk(env, channel, seq)`` on ``n`` ranks; returns the
+    per-rank results and the log of ``(time, src, dst)`` control sends."""
+    sends = []
+
+    def main(env):
+        channel = env.comm.mcast
+        real_send = channel.send_ctrl
+
+        def send_ctrl(dst, *args, **kw):
+            sends.append((env.sim.now, env.rank, dst))
+            return real_send(dst, *args, **kw)
+
+        channel.send_ctrl = send_ctrl
+        out = yield from walk(env, channel, channel.next_seq())
+        return out, env.sim.now
+
+    result = run_spmd(n, main, params=QUIET)
+    return result, sends
+
+
+@pytest.mark.parametrize("n", range(1, 18))
+def test_walk_merges_every_subtree_and_sends_one_message_up(n):
+    """Every size up to 17 and every root: N-1 messages, each rank one
+    to its binomial parent and only after all of its children did; a
+    rank's return is the merge of its whole subtree — the group's at
+    the root."""
+    for root in range(n):
+        def fold(env, channel, seq):
+            return report_fold_binary(env.comm, channel, seq, root, 0,
+                                      {env.rank}, 100 + env.rank, nsegs=n)
+
+        result, sends = walk_all(n, root, fold)
+        assert result.stats["frames_by_kind"].get("seg-report", 0) == n - 1
+        sent_at = {src: t for t, src, _dst in sends}
+        assert len(sends) == len(sent_at) == n - 1
+        for rank in range(n):
+            rel = (rank - root) % n
+            mine = {(r + root) % n for r in subtree(rel, n)}
+            assert result.returns[rank][0] == \
+                (mine, 100 + min(mine)), (n, root, rank)
+            for child in binomial_children(rel, n):
+                assert sent_at[(child + root) % n] < sent_at.get(
+                    rank, float("inf"))
+        assert {(src, dst) for _t, src, dst in sends} == {
+            (rank, (binomial_parent((rank - root) % n) + root) % n)
+            for rank in range(n) if rank != root}
+
+
+@pytest.mark.parametrize("gather,kind", [(scout_gather_binary, "binary"),
+                                         (scout_gather_linear, "linear")])
+def test_gathers_are_the_walk_without_a_value(gather, kind):
+    """N-1 bare scouts; the root returns last; the linear gather is the
+    walk on the star (everyone's parent is the root)."""
+    for n, root in ((1, 0), (2, 1), (6, 0), (9, 4), (17, 16)):
+        result, sends = walk_all(
+            n, root, lambda env, channel, seq: gather(
+                env.comm, channel, seq, root, "ready"))
+        assert result.stats["frames_by_kind"].get("scout", 0) == n - 1
+        assert sorted(src for _t, src, _dst in sends) == \
+            [r for r in range(n) if r != root]
+        assert all(out is None for out, _t in result.returns)
+        assert all(t < result.returns[root][1] for t, _s, _d in sends)
+        if kind == "linear":
+            assert {dst for _t, _src, dst in sends} <= {root}
+
+
+# ---------------------------------- the stale-copy guard (docs/CHAOS.md)
+@pytest.mark.parametrize("nbytes", [100, 3000])
+@pytest.mark.parametrize("n", [3, 5, 6, 9])
+def test_ack_bcast_then_mcast_barrier_completes_or_raises_typed(n, nbytes):
+    """docs/CHAOS.md's reproducer: the ``mcast-ack`` root's late
+    retransmission of seq k fills the descriptor a receiver posted for
+    the barrier release of seq k+1.  Every case must end in success or
+    in ``McastLost`` raised by a rank program — never the untyped
+    ``AssertionError`` of old, never the kernel's ``DeadlockError``."""
+    payload = bytes(nbytes)
+
+    def main(env):
+        out = yield from env.comm.bcast(
+            payload if env.rank == 0 else None, 0)
+        yield from env.comm.barrier()
+        return out
+
+    outcomes = set()
+    for seed in range(3):
+        try:
+            result = run_spmd(n, main, "switch", seed=seed, collectives={
+                "bcast": "mcast-ack", "barrier": "mcast"})
+        except McastLost as lost:
+            assert "a stale copy took the descriptor" in str(lost)
+            outcomes.add("lost")
+        else:
+            assert result.returns == [payload] * n
+            outcomes.add("ok")
+    assert outcomes <= {"ok", "lost"}
+
+
+def test_a_future_or_foreign_multicast_is_still_unsafe_code():
+    """Only a *stale* sequence is a transport loss; a later sequence or
+    another root in the descriptor means the ranks disagree about the
+    order of collectives."""
+    def main(env):
+        channel = env.comm.mcast
+        if env.rank == 0:
+            yield env.sim.timeout(500.0)
+            yield from channel.send_data("x", 1, seq=7)
+            return None
+        posted = channel.post_data()
+        with pytest.raises(AssertionError, match="unsafe MPI code"):
+            yield from channel.wait_data_from(
+                posted, root=0 if env.rank == 1 else 2,
+                seq=3 if env.rank == 1 else 7)
+
+    run_spmd(3, main, params=QUIET)

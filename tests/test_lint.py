@@ -360,6 +360,34 @@ def test_tag01_clean_with_distinct_tags_and_keys(tmp_path):
     assert "TAG01" not in codes(v)
 
 
+def test_tag01_triggers_on_control_key_minted_by_two_modules(tmp_path):
+    v = lint_tree(tmp_path, {
+        "repro/core/a.py": 'def f(ch):\n'
+                           '    yield from ch.send_ctrl(0, 1, "ack")\n',
+        "repro/core/b.py": 'def g(ch):\n'
+                           '    yield from ch.wait_ctrl({1}, 1, ("ack", 0))'
+                           '\n'})
+    assert [x.path.rsplit("/", 1)[-1] for x in v if x.code == "TAG01"] \
+        == ["b.py"]
+    v = lint_tree(tmp_path / "walks", {
+        "repro/core/a.py": 'g = scout_gather_binary(c, ch, 1, 0, "go")\n',
+        "repro/mpi/b.py": 'g = scout_scatter_binary(c, ch, 1, tag="go")\n'})
+    assert "TAG01" in codes(v)
+
+
+def test_tag01_clean_with_one_module_per_control_key(tmp_path):
+    v = lint_tree(tmp_path, {
+        # both sides of one protocol, and a variable key, in one module
+        "repro/core/a.py": 'def f(ch, key):\n'
+                           '    yield from ch.send_ctrl(0, 1, "ack")\n'
+                           '    yield from ch.wait_ctrl({1}, 1, "ack")\n'
+                           '    yield from ch.wait_ctrl({1}, 1, key)\n',
+        "repro/core/b.py": 'def g(ch, key):\n'
+                           '    yield from ch.send_ctrl(None, 1, ("dec", 0))\n'
+                           '    yield from ch.wait_ctrl({1}, 1, key=key)\n'})
+    assert "TAG01" not in codes(v)
+
+
 # --------------------------------------------------------------- SUP01
 # (the magic comment is assembled at runtime so the scanner doesn't
 # read these fixture strings as suppressions *in this file*)

@@ -551,7 +551,7 @@ def test_datagrams_delivered_counts_every_completed_receive():
         for i in range(k_mcast):
             yield from tx.send_data(i, 100, seq=1)
         for i in range(k_unicast):
-            yield from tx.send_scout(1, seq=1)
+            yield from tx.send_ctrl(1, 1, "up")
 
     def receiver():
         timer = rx.data_timer()
@@ -566,7 +566,7 @@ def test_datagrams_delivered_counts_every_completed_receive():
     sim.process(sender())
     sim.run()
     assert got == [(0, 1, 0), (0, 1, 1), (0, 1, 2), None,
-                   (0, 1, "up"), (0, 1, "up"), None]
+                   (0, 1, "up", None), (0, 1, "up", None), None]
     assert cl.stats.datagrams_delivered == k_mcast + k_unicast
     assert cl.stats.datagrams_sent == k_mcast + k_unicast
 
