@@ -368,9 +368,10 @@ def model_plan_frames(op: str, tree, digest: TopoDigest, root: int,
     :func:`~repro.mpi.collective.hier.compile_plan` ``(op, tree,
     root)`` on ``digest``'s fabric: a fold over the *same* step list
     the implementation interprets, so model and behaviour cannot drift.
-    Each step kind contributes its engine streams, a ``forward`` its
-    p2p hop, the barrier's ``sync`` / ``release`` their scouts and
-    release frame.
+    Each step kind contributes its engine streams — the rows of
+    :func:`~repro.core.segment.step_streams`, the schedule the executor
+    runs — a ``forward`` its p2p hop, the barrier's ``sync`` /
+    ``release`` their scouts and release frame.
 
     One **stream** — header, NACK-repaired rounds — is priced in one
     place, from the *parts* the engine fragments one by one (a
@@ -395,7 +396,7 @@ def model_plan_frames(op: str, tree, digest: TopoDigest, root: int,
     the hierarchy's win on lossy fabrics.
     """
     from ..core.segment import (auto_batch, plan_transport,
-                                seg_nack_frame_count)
+                                seg_nack_frame_count, step_streams)
 
     if op == "allreduce":   # summed per half: frames are floats under loss
         f1, t1 = model_plan_frames("reduce", tree, digest, 0, nbytes,
@@ -436,29 +437,29 @@ def model_plan_frames(op: str, tree, digest: TopoDigest, root: int,
         sub = digest.group(group.members)
         # how many ranks each member's bundle covers, in turn order
         covers = [len(cover) for cover in group.covers]
-        others = [turn for turn in range(k) if turn != at]
         #: engine streams as (serving turn, parts, receivers);
         #: ``receivers=1`` where each segment has a single consumer
         streams: list = []
-        if kind == "serve":
-            streams = [(at, (whole,), None)]
-        elif kind == "deal":
-            streams = [(at, tuple(unit * covers[t] for t in others), 1)]
-        elif kind == "fold":
-            streams = [(turn, (unit,), 1) for turn in others]
-        elif kind == "collect":
-            streams = [(turn, (unit * covers[turn],), 1) for turn in others]
-        elif kind == "exchange":
-            frames += 2 * (k - 1)            # the paced ready round
-            trunk += sub.ready_round()
-            streams = [(turn, (unit * covers[turn],), None)
-                       for turn in range(k)]
-        elif kind == "sync":                 # k-1 scouts up the tree
+        if kind == "sync":                   # k-1 scouts up the tree
             frames += k - 1
             trunk += sub.tree_hops(at)
-        else:                                # "release": one multicast
+        elif kind == "release":              # one multicast
             frames += 1
             trunk += sub.edges[sub.seg_of_rank[at]]
+        else:                                # a row of the schedule
+            if kind == "exchange":           # the paced ready round
+                frames += 2 * (k - 1)
+                trunk += sub.ready_round()
+            for turn, consumer in step_streams(kind, k, at):
+                if consumer == "each":       # one part per other member
+                    parts = tuple(unit * covers[t] for t in range(k)
+                                  if t != turn)
+                elif kind in BUNDLE_KINDS:   # the turn's bundle
+                    parts = (unit * covers[turn],)
+                else:                        # the value, the partial
+                    parts = (whole,)
+                streams.append((turn, parts,
+                                None if consumer is None else 1))
         # streams add up in plan order and, inside a turn loop, in turn
         # order (host frames are floats under loss); each distinct
         # payload is priced once

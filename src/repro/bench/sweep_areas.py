@@ -52,6 +52,7 @@ from ..analysis.framecount import (MODEL_COVERAGE,
 from ..core.segment import (plan_segments, plan_transport,
                             seg_nack_datagram_count,
                             seg_nack_frame_count)
+from ..mpi.collective.policy import AUTO_CHOICES
 from ..mpi.ops import SUM
 from ..runtime import run_spmd
 from ..simnet import quiet
@@ -603,11 +604,9 @@ DEEP_FABRICS = {
                      ((0,), (1,), (2,))),
 }
 
-DEEP_FLAT_IMPL = {"bcast": "mcast-seg-nack",
-                  "reduce": "mcast-seg-combine",
-                  "scatter": "mcast-seg-root",
-                  "gather": "mcast-seg-root-follow",
-                  "allgather": "mcast-seg-paced"}
+#: op -> the flat segmented rival of ``hier-mcast``: the auto policy's own
+DEEP_FLAT_IMPL = {op: AUTO_CHOICES[op][1] for op in
+                  ("bcast", "reduce", "scatter", "gather", "allgather")}
 
 
 def _deep_win_ops(scale: str, fabric: str) -> tuple:
@@ -815,11 +814,10 @@ register_area(AreaSpec(
 # ===========================================================================
 SEGRED_NPROCS = 4
 
-#: op -> {role: registry impl} — the reduction-side rivals of PR 3
-_SEGRED_IMPLS = {
-    "reduce": {"p2p": "p2p-binomial", "seg": "mcast-seg-combine"},
-    "allreduce": {"p2p": "p2p-reduce-bcast", "seg": "mcast-seg-nack"},
-}
+#: op -> {role: registry impl} — the reduction-side rivals of PR 3,
+#: the auto policy's own two candidates
+_SEGRED_IMPLS = {op: dict(zip(("p2p", "seg"), AUTO_CHOICES[op]))
+                 for op in ("reduce", "allreduce")}
 
 
 def _segred_drop_unit(want=None):

@@ -17,7 +17,9 @@ engine of :mod:`repro.core.rounds` (serve/follow, rate pacing,
 descriptor-budget feedback, adaptive drain timeouts, repair
 re-batching); :mod:`repro.core.segment` owns payload planning
 (fragmentation, adaptive sizing/batching, the closed-form frame and
-datagram formulas).
+datagram formulas), the stream schedule (which engine streams a step
+kind runs) and its one reader ``run_streams`` — the turn loop all six
+are one row of.
 """
 
 from .channel import (DATA_PORT_BASE, GROUP_ID_BASE, MCAST_HEADER_BYTES,
@@ -27,10 +29,6 @@ from .mcast_allgather import (allgather_mcast_paced,
 from .mcast_barrier import barrier_mcast, barrier_mcast_message_count
 from .mcast_bcast import (McastLost, bcast_mcast_ack, bcast_mcast_binary,
                           bcast_mcast_linear, bcast_mcast_naive)
-from .mcast_gather import gather_mcast_seg_root_follow
-from .mcast_reduce import (allreduce_mcast_seg_nack,
-                           reduce_mcast_seg_combine, stream_turns)
-from .mcast_scatter import scatter_mcast_seg_root
 from .ordering import (UnsafeScheduleError, check_safe_schedule,
                        run_bcast_sequence)
 from .rounds import (Reassembler, RoundPacer, Segment, chunk_plan,
@@ -40,9 +38,12 @@ from .rounds import (Reassembler, RoundPacer, Segment, chunk_plan,
 from .scout import (binary_tree_steps, scout_count, scout_gather_binary,
                     scout_gather_linear, scout_scatter_binary)
 from .segment import (TransportPlan, allgather_mcast_seg_paced,
-                      auto_batch, bcast_mcast_seg_nack, fragment,
-                      plan_segments, plan_transport,
-                      seg_nack_datagram_count, seg_nack_frame_count)
+                      allreduce_mcast_seg_nack,
+                      auto_batch, bcast_mcast_seg_nack, check_scatter_root,
+                      fragment, gather_mcast_seg_root_follow, plan_segments,
+                      plan_transport, reduce_mcast_seg_combine, run_streams,
+                      scatter_mcast_seg_root, seg_nack_datagram_count,
+                      seg_nack_frame_count, step_streams)
 from . import sequencer  # noqa: F401  (registers mcast-sequencer)
 
 __all__ = [
@@ -54,12 +55,12 @@ __all__ = [
     "barrier_mcast", "barrier_mcast_message_count", "bcast_mcast_ack",
     "bcast_mcast_binary", "bcast_mcast_linear", "bcast_mcast_naive",
     "bcast_mcast_seg_nack", "binary_tree_steps", "check_safe_schedule",
-    "chunk_plan", "follow_rounds", "fragment", "frame_segment_bytes",
+    "check_scatter_root", "chunk_plan", "follow_rounds", "fragment", "frame_segment_bytes",
     "gather_mcast_seg_root_follow", "plan_segments", "plan_transport",
     "reassemble", "reduce_mcast_seg_combine", "repair_batch",
     "round_drain_timeout_us", "round_namespace", "run_bcast_sequence",
-    "scatter_mcast_seg_root", "scout_count", "scout_gather_binary",
+    "run_streams", "scatter_mcast_seg_root", "scout_count", "scout_gather_binary",
     "scout_gather_linear", "scout_scatter_binary",
     "seg_nack_datagram_count", "seg_nack_frame_count", "serve_rounds",
-    "stream_turns",
+    "step_streams",
 ]

@@ -3,9 +3,9 @@
 PR 1/2 grew a reliable segmented-multicast transport inside the broadcast
 implementation; this module extracts it as a standalone **round engine**
 so every collective that streams data through a
-:class:`~repro.core.channel.McastChannel` — broadcast, allgather turns,
-the reduction-side collectives of :mod:`repro.core.mcast_reduce` /
-:mod:`repro.core.mcast_scatter` — shares one serve/follow state machine,
+:class:`~repro.core.channel.McastChannel` — every row of the stream
+schedule in :mod:`repro.core.segment`, whose ``run_streams`` is the one
+caller — shares one serve/follow state machine,
 in the spirit of Träff's decomposition of collectives into reusable
 communication rounds ("Decomposing Collectives for Exploiting Multi-lane
 Communication").

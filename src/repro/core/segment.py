@@ -26,10 +26,17 @@ engine of :mod:`repro.core.rounds`
 (:func:`~repro.core.rounds.serve_rounds` /
 :func:`~repro.core.rounds.follow_rounds`): this module owns payload
 *planning* (segment sizing, batching, fragmentation, the closed-form
-frame/datagram formulas) plus the broadcast and allgather collectives
-built on the engine — each one fragment → serve / follow → reassemble;
-:mod:`repro.core.mcast_reduce` and :mod:`repro.core.mcast_scatter` add
-the reduction-side collectives on the same engine.
+frame/datagram formulas), the **stream schedule**
+(:func:`step_streams`: which engine streams a step kind runs —
+``serve`` one from the server to everyone, ``fold`` / ``collect`` one
+per contributor to the collector alone, ``deal`` one per-part
+addressed, ``exchange`` the ready round and one per member) and its
+executor :func:`run_streams` — fragment → serve / follow / stand by →
+reassemble.  The six registered flat segmented collectives (the paper
+multicasts only the one-to-many side; its reductions stayed on MPICH's
+p2p trees) are one schedule row each, the hierarchical plans of
+:mod:`repro.mpi.collective.hier` run the same rows per group, and the
+frame model prices them.
 
 The stream's wire protocol — the header handshake, then per round a
 scout gather, the data, the report fold and one decision multicast, and
@@ -103,20 +110,28 @@ sender instead of surfacing as ``McastLost``.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
-from typing import Any, Generator, Optional
+from functools import reduce
+from itertools import chain
+from typing import Any, Generator, Optional, Sequence
 
 from ..mpi.collective.registry import register
 from ..mpi.datatypes import payload_bytes
+from ..mpi.ops import Op
 from .mcast_allgather import _ready_round
 from .rounds import (Reassembler, Segment, chunk_plan, follow_rounds,
-                     frame_segment_bytes, reassemble, round_namespace,
-                     serve_rounds)
+                     frame_segment_bytes, reassemble,
+                     resolved_segment_bytes, round_namespace, serve_rounds)
 
 __all__ = ["Segment", "Reassembler", "TransportPlan", "auto_batch",
            "plan_transport", "frame_segment_bytes", "chunk_plan",
            "plan_segments", "fragment", "reassemble",
-           "bcast_mcast_seg_nack", "allgather_mcast_seg_paced",
+           "step_streams", "run_streams",
+           "check_scatter_root", "bcast_mcast_seg_nack",
+           "reduce_mcast_seg_combine", "allreduce_mcast_seg_nack",
+           "gather_mcast_seg_root_follow", "scatter_mcast_seg_root",
+           "allgather_mcast_seg_paced",
            "seg_nack_frame_count", "seg_nack_datagram_count"]
 
 
@@ -253,31 +268,189 @@ def seg_nack_datagram_count(n: int, nsegs: int, batch: int = 1,
 
 
 # ----------------------------------------------------------------------
-# broadcast: segmented + pipelined + selective NACK repair
+# the stream schedule and its executor
+# ----------------------------------------------------------------------
+def step_streams(kind: str, k: int, at: int) -> list:
+    """The stream schedule: the engine streams one step of ``kind``
+    runs over a group of ``k`` members served / collected at turn
+    ``at``, in wire order, as ``(server turn, consumer)`` rows.
+    ``consumer`` is ``None`` (every member follows the whole stream), a
+    turn (that member alone follows; the rest keep lockstep as
+    bystanders) or ``"each"`` (per-part addressed: the header's counts
+    give every follower its own slice).  The executor
+    (:func:`run_streams` — and through it the plan interpreter,
+    :func:`repro.mpi.collective.hier.run_plan`) and the frame model
+    (:func:`repro.analysis.framecount.model_plan_frames`) both read
+    these rows, so a new or changed kind is one row here; ``KeyError``
+    for a kind that runs no engine stream."""
+    if kind == "serve":
+        return [(at, None)]
+    if kind == "deal":
+        return [(at, "each")]
+    if kind in ("fold", "collect"):
+        return [(turn, at) for turn in range(k) if turn != at]
+    if kind == "exchange":      # after the paced ready round
+        return [(turn, None) for turn in range(k)]
+    raise KeyError(kind)
+
+
+def check_scatter_root(comm, objs, root: int) -> None:
+    """The scatter's argument check, raised at the root before any
+    traffic: exactly one element per rank."""
+    if comm.rank == root and (objs is None or len(objs) != comm.size):
+        raise ValueError(
+            f"scatter root needs exactly {comm.size} elements, "
+            f"got {None if objs is None else len(objs)}")
+
+
+def run_streams(comm, kind: str, at: int, mine: Any, op=None) -> Generator:
+    """Run one step kind's scheduled engine streams over ``comm`` and
+    return the kind's result — the one turn loop of every segmented
+    collective, flat (``comm`` the communicator) or one group of a
+    hierarchical plan (``comm`` its ``SegmentComm``).
+
+    ``mine`` is what this rank brings: the value (``serve``, read at
+    ``at`` only), the ``k`` parts (``deal``, at ``at`` only) or its own
+    contribution (``fold`` / ``collect`` / ``exchange``).  One sequence
+    number per call, size 1 included; an ``exchange`` opens with the
+    paced ready round.  Per stream the server fragments and serves, its
+    consumers follow, everyone else follows as a pure bystander
+    (``needed=set()``: every gather and decision, no descriptor).  A
+    ``deal`` renumbers the other members' fragments into one global
+    stream whose header carries the per-member counts; the server's own
+    part never touches the wire.
+
+    Returns ``serve``: the value; ``deal``: my part; ``fold``: at
+    ``at`` the contributions folded through ``op`` in ascending turn
+    order — MPI allows reordering only for commutative operators, so
+    never reordered, the collector's own in its rank position and never
+    on the wire — ``None`` elsewhere; ``collect``: at ``at`` the
+    turn-ordered list, ``None`` elsewhere; ``exchange``: that list
+    everywhere.
+    """
+    channel = comm.mcast
+    params = comm.host.params
+    seq = channel.next_seq()
+    rank, size = comm.rank, comm.size
+    got: dict[int, Any] = {}            # serving turn -> what reached me
+    if size > 1:
+        if kind == "exchange":
+            yield from _ready_round(comm, channel, seq)
+        for server, consumer in step_streams(kind, size, at):
+            arm_phase, rnd_token = round_namespace(kind, server)
+            if rank == server:
+                seg_bytes = resolved_segment_bytes(params)
+                counts = None
+                if consumer == "each":
+                    frags = [[] if turn == server
+                             else fragment(part, seg_bytes)
+                             for turn, part in enumerate(mine)]
+                    counts = tuple(map(len, frags))
+                    nsegs = sum(counts)
+                    # one global stream: each follower's slice is the
+                    # contiguous index range its count spans
+                    segments = [
+                        Segment(i, nsegs, s.nbytes, s.chunk, s.opaque)
+                        for i, s in enumerate(chain.from_iterable(frags))]
+                else:
+                    segments = fragment(mine, seg_bytes)
+                yield from serve_rounds(
+                    comm, channel, seq, server, segments,
+                    auto_batch(params, len(segments)), arm_phase,
+                    rnd_token, counts)
+            elif consumer in (None, "each", rank):
+                reasm = yield from follow_rounds(
+                    comm, channel, seq, server, arm_phase, rnd_token)
+                if consumer == "each":
+                    segs = reasm.segments()
+                    got[server] = (segs[0].chunk if segs and segs[0].opaque
+                                   else b"".join(s.chunk for s in segs))
+                else:
+                    got[server] = reasm.result()
+            else:
+                yield from follow_rounds(comm, channel, seq, server,
+                                         arm_phase, rnd_token, needed=set())
+    if kind == "serve":
+        return mine if rank == at else got[at]
+    if kind == "deal":
+        return mine[at] if rank == at else got[at]
+    if rank != at and kind != "exchange":
+        return None
+    got[rank] = mine
+    values = [got[turn] for turn in range(size)]
+    if kind != "fold":
+        return values
+    return copy.copy(mine) if size == 1 else reduce(op, values)
+
+
+# ----------------------------------------------------------------------
+# the registered flat entries: one schedule row each
 # ----------------------------------------------------------------------
 @register("bcast", "mcast-seg-nack")
 def bcast_mcast_seg_nack(comm, obj: Any, root: int = 0) -> Generator:
     """Segmented pipelined broadcast with per-segment NACK repair."""
-    channel = comm.mcast
-    params = comm.host.params
-    seq = channel.next_seq()
-    if comm.size == 1:
-        return obj
-    arm_phase, rnd_token = round_namespace()
-    if comm.rank == root:
-        tplan = plan_transport(payload_bytes(obj), params)
-        yield from serve_rounds(comm, channel, seq, root,
-                                fragment(obj, tplan.segment_bytes),
-                                tplan.batch, arm_phase, rnd_token)
-        return obj
-    reasm = yield from follow_rounds(comm, channel, seq, root, arm_phase,
-                                     rnd_token)
-    return reasm.result()
+    return run_streams(comm, "serve", root, obj)
 
 
-# ----------------------------------------------------------------------
-# allgather: per-turn segmented streaming with per-turn NACK repair
-# ----------------------------------------------------------------------
+@register("reduce", "mcast-seg-combine")
+def reduce_mcast_seg_combine(comm, obj: Any, op: Op,
+                             root: int = 0) -> Generator:
+    """Segmented NACK-repaired reduce: gather turns folded through ``op``.
+
+    Every non-root rank takes a turn streaming its contribution with
+    itself as the stream's root; the root follows each turn and folds
+    in rank order; the rest keep lockstep as bystanders.  Many-to-one
+    traffic gains no frame-count advantage from multicast — the payload
+    frames match the p2p binomial reduce — what the engine adds is
+    selective repair under loss, descriptor-budget pacing and adaptive
+    drain timeouts.  Returns the reduction at ``root``; ``None``
+    elsewhere.
+    """
+    return run_streams(comm, "fold", root, obj, op)
+
+
+@register("allreduce", "mcast-seg-nack")
+def allreduce_mcast_seg_nack(comm, obj: Any, op: Op) -> Generator:
+    """Segmented allreduce: mcast-seg reduce to rank 0, then the
+    segmented NACK-repaired broadcast — ``N`` payload streams total
+    against MPICH's ``2(N-1)`` tree copies."""
+    result = yield from run_streams(comm, "fold", 0, obj, op)
+    result = yield from run_streams(comm, "serve", 0, result)
+    return result
+
+
+@register("gather", "mcast-seg-root-follow")
+def gather_mcast_seg_root_follow(comm, obj: Any,
+                                 root: int = 0) -> Generator:
+    """Returns the rank-ordered list at ``root``; ``None`` elsewhere.
+
+    The reduce's turns with the root *collecting* instead of folding:
+    one engine stream per contributor in ascending rank order, followed
+    by the root alone.
+    """
+    return run_streams(comm, "collect", root, obj)
+
+
+@register("scatter", "mcast-seg-root")
+def scatter_mcast_seg_root(comm, objs: Optional[Sequence[Any]],
+                           root: int = 0) -> Generator:
+    """Returns this rank's element of the root's sequence.
+
+    The root renumbers every other rank's fragments into **one global
+    segment stream** — one arm gather, one pipelined burst, one
+    report / decision round instead of MPICH's per-subtree
+    store-and-forward hops.  The header carries the per-rank segment
+    counts; each receiver posts descriptors for the whole round
+    (multicast delivers every datagram to everyone) but reassembles and
+    NACK-reports only its own slice, so repair cost tracks real damage
+    per rank.  Each byte rides the wire once, against the binomial
+    tree's ~``log2(N)/2`` copies, at the price of every receiver paying
+    the receive tax for the full stream.
+    """
+    check_scatter_root(comm, objs, root)
+    return run_streams(comm, "deal", root, objs)
+
+
 @register("allgather", "mcast-seg-paced")
 def allgather_mcast_seg_paced(comm, obj: Any) -> Generator:
     """Rank-ordered allgather with segmented, pipelined contributions.
@@ -290,27 +463,4 @@ def allgather_mcast_seg_paced(comm, obj: Any) -> Generator:
     fault injection, or a descriptor-budget overrun) is now selectively
     repaired by the turn's sender instead of raising ``McastLost``.
     """
-    channel = comm.mcast
-    params = comm.host.params
-    seq = channel.next_seq()
-    size = comm.size
-    if size == 1:
-        return [obj]
-
-    tplan = plan_transport(payload_bytes(obj), params)
-    mine = fragment(obj, tplan.segment_bytes)
-    results: list[Any] = [None] * size
-    results[comm.rank] = obj
-
-    yield from _ready_round(comm, channel, seq)
-
-    for turn in range(size):
-        arm_phase, rnd_token = round_namespace("ag", turn)
-        if turn == comm.rank:
-            yield from serve_rounds(comm, channel, seq, turn, mine,
-                                    tplan.batch, arm_phase, rnd_token)
-        else:
-            reasm = yield from follow_rounds(comm, channel, seq, turn,
-                                             arm_phase, rnd_token)
-            results[turn] = reasm.result()
-    return results
+    return run_streams(comm, "exchange", 0, obj)

@@ -37,7 +37,10 @@ registered (op, implementation) pair the rule requires:
 * a plan: every op in AUTO_CHOICES must compile (``hier.compile_plan``)
   on the one-leaf tree — the flat segmented candidate *is* that plan —
   and every op in HIER_AUTO on a two-leaf tree: the plan's step kinds
-  are the only cost terms there are.
+  are the only cost terms there are, so each must be a row of the
+  stream schedule (``core.segment.step_streams``, which executor,
+  interpreter and model all read) or one of ``forward`` / ``sync`` /
+  ``release``.
 
 This turns the ROADMAP's alltoall/scan/exscan/reduce_scatter gaps into
 tracked waivers: deleting the waiver without adding the real policy or
@@ -55,14 +58,30 @@ def _resolvable(dotted: str) -> bool:
         return False
 
 
-def _compiles(op: str, seg_of_rank: tuple) -> bool:
+#: step kinds that run no engine stream: the p2p hop, the barrier's pair
+_STREAMLESS = frozenset({"forward", "sync", "release"})
+
+
+def _plan_gap(op: str, seg_of_rank: tuple) -> "str | None":
+    """What is wrong with ``op``'s plan on that tree, or ``None``."""
+    from repro.core.segment import step_streams
     from repro.mpi.collective.hier import build_hier_tree, compile_plan
 
+    leaves = len(set(seg_of_rank))
     try:
-        compile_plan(op, build_hier_tree(seg_of_rank), 0)
+        plan = compile_plan(op, build_hier_tree(seg_of_rank), 0)
     except KeyError:
-        return False
-    return True
+        return (f"hier.compile_plan has no plan for it on a {leaves}-leaf "
+                f"tree — without step kinds it has no cost term")
+    for kind in sorted({step.kind for step in plan} - _STREAMLESS):
+        try:
+            step_streams(kind, 2, 0)
+        except KeyError:
+            return (f"its plan on a {leaves}-leaf tree holds step kind "
+                    f"{kind!r}: neither a row of core.segment.step_streams "
+                    f"nor forward / sync / release — nothing can run or "
+                    f"price it")
+    return None
 
 
 def check_tables(registry, defaults, auto_choices, hier_auto, waivers,
@@ -124,10 +143,9 @@ def check_tables(registry, defaults, auto_choices, hier_auto, waivers,
         for table, name, seg_of_rank in (
                 (auto_choices, "AUTO_CHOICES", (0, 0)),
                 (hier_auto, "HIER_AUTO", (0, 0, 1, 1))):
-            if op in table and not _compiles(op, seg_of_rank):
-                flag(f"op {op!r} is in {name} but hier.compile_plan has "
-                     f"no plan for it on a {len(set(seg_of_rank))}-leaf "
-                     f"tree — without step kinds it has no cost term")
+            gap = _plan_gap(op, seg_of_rank) if op in table else None
+            if gap:
+                flag(f"op {op!r} is in {name} but {gap}")
     for op in sorted(set(defaults) - set(registry)):
         flag(f"stale DEFAULTS entry for unregistered op {op!r}")
     for op in sorted(set(waivers) - set(registry)):

@@ -29,8 +29,9 @@ subtree that contains its participants.
   world-level slab (:meth:`repro.mpi.world.MpiWorld.alloc_hier_slab`).
   IGMP snooping confines each group's frames to the switch subtree
   spanning its members;
-* **engine reuse** — every phase runs an *existing* flat collective of
-  :mod:`repro.core` (the step kinds below name each) over a
+* **engine reuse** — every phase runs the flat collectives' own turn
+  loop (:func:`repro.core.segment.run_streams`; the step kinds below
+  name each one's schedule row) over a
   :class:`SegmentComm` — a group-local *view* of the communicator that
   renumbers member ranks densely and carries its own channel, so the
   round engine (serve/follow, NACK repair, pacing) needs no changes and
@@ -58,25 +59,30 @@ fold over the same list, so the policy's model and the
 implementation's behaviour cannot drift; and the flight recorder's
 span labels are the steps' own.  A flat segmented collective is the
 same plan on the one-leaf tree — one group, the whole communicator,
-one step whose engine entry *is* the registered implementation — so
-the fold prices it too.  The kinds are a closed set — engine
-call over the group; payload rule; cost term (``k`` = group size,
-``covers`` = ranks under a member: 1 in a leaf group, its child
-subtree's in a node group; a *stream* = one NACK-repaired engine
-stream: closed-form host frames, expected repairs under loss, the
-trunk term of the group's own ``TopoDigest.group(members)``); exact?
+one step whose engine call *is* the registered implementation — so
+the fold prices it too.  The kinds are a closed set.  The five that
+run engine streams name a row of the stream schedule
+(:func:`repro.core.segment.step_streams`, ``(server turn,
+consumer)`` per stream) that :func:`repro.core.segment.run_streams`
+executes and the model folds — schedule row; payload rule; cost term
+(``k`` = group size, ``covers`` = ranks under a member: 1 in a leaf
+group, its child subtree's in a node group; a *stream* = one
+NACK-repaired engine stream: closed-form host frames, expected repairs
+under loss, the trunk term of the group's own
+``TopoDigest.group(members)``); exact?
 
-* ``serve`` — ``bcast_mcast_seg_nack``; the server's whole value;
-  1 stream; exact.
-* ``fold`` — ``reduce_mcast_seg_combine``; every turn's partial, the
-  collector keeps the reduction; k-1 single-receiver streams; exact.
-* ``collect`` — ``gather_mcast_seg_root_follow``; every turn's bundle,
-  the collector merges them; k-1 streams of covers x unit; estimate.
-* ``deal`` — ``scatter_mcast_seg_root``; the server's bundle split by
-  child subtree (a leaf's elements travel bare); 1 stream, one part of
+* ``serve`` — ``[(at, None)]``; the server's whole value; 1 stream;
+  exact.
+* ``fold`` — ``[(turn, at) for the others]``; every turn's partial,
+  the collector keeps the reduction; k-1 single-receiver streams; exact.
+* ``collect`` — the same row; every turn's bundle, the collector merges
+  them; k-1 streams of covers x unit; estimate.
+* ``deal`` — ``[(at, "each")]``; the server's bundle split by child
+  subtree (a leaf's elements travel bare); 1 stream, one part of
   covers x unit per other member, each with one consumer; estimate.
-* ``exchange`` — ``allgather_mcast_seg_paced``; every turn's bundle,
-  everyone merges; the paced ready round + k streams; estimate.
+* ``exchange`` — ``[(turn, None) for every turn]`` after the paced
+  ready round; every turn's bundle, everyone merges; k streams;
+  estimate.
 * ``forward`` — ``TAG_HIER`` p2p send / recv; the sender's whole
   value; its frames x the trunk hops between the two; exact.
 * ``sync`` / ``release`` — the barrier's ``scout_gather_binary`` and
@@ -640,10 +646,14 @@ def run_plan(comm, st: HierState, steps, value: Any, op=None) -> Generator:
     span.  ``value`` is what the rank carries from step to step — the
     message (``serve`` / ``fold``, reduced with ``op``) or a ``{rank:
     element}`` bundle (:data:`BUNDLE_KINDS`); the module docstring's
-    step-kind table states each kind's engine call and payload rule.
+    step-kind table states each kind's schedule row and payload rule.
     Returns the carried value after the last step."""
     #: barrier: group key -> (seq, release descriptor) its sync created
     pending: dict = {}
+    # a forwarded message replaces what the receiver held; a forwarded
+    # bundle joins it (the scatter's holder may already hold its own
+    # element from the root's leaf)
+    bundled = not BUNDLE_KINDS.isdisjoint(map(attrgetter("kind"), steps))
     for step in steps:
         kind, group = step.kind, step.group
         if comm.rank not in group.members:
@@ -652,53 +662,16 @@ def run_plan(comm, st: HierState, steps, value: Any, op=None) -> Generator:
         sub = st.comms.get(group.key)       # None for a p2p forward
         at = group.members.index(group.root)
         with _phase_span(comm, step):
-            if kind == "serve":
-                value = yield from core.bcast_mcast_seg_nack(
-                    sub, value if serving else None, at)
-            elif kind == "fold":
-                out = yield from core.reduce_mcast_seg_combine(
-                    sub, value, op, at)
-                if serving:
-                    value = out
-            elif kind == "collect":
-                out = yield from core.gather_mcast_seg_root_follow(
-                    sub, value, at)
-                if serving:
-                    value = _merged(out)
-            elif kind == "exchange":
-                out = yield from core.allgather_mcast_seg_paced(sub, value)
-                value = _merged(out)
-            elif kind == "deal":
-                # One part per member: the entries of its child subtree
-                # (on a leaf, its own element, which travels bare).  The
-                # server keeps its own part — and what it does not deal
-                # away: the scatter root at its own leaf still holds
-                # the bundle for every other leaf.
-                leaf = group.node.is_leaf
-                parts = None
-                if serving:
-                    parts = [{r: value.pop(r) for r in cover if r in value}
-                             for cover in group.covers]
-                    value.update(parts[at])
-                    if leaf:
-                        parts = [part.get(m) for part, m
-                                 in zip(parts, group.members)]
-                got = yield from core.scatter_mcast_seg_root(sub, parts, at)
-                if not serving:
-                    value.update({comm.rank: got} if leaf else got)
-            elif kind == "forward":
+            if kind == "forward":
                 src, dst = group.key[1]
                 if comm.rank == src:
                     yield from comm._send_coll(value, dst, TAG_HIER)
                 else:
                     got = yield from comm._recv_coll(src, TAG_HIER)
-                    # a message replaces what the receiver held; a
-                    # bundle joins it (the scatter's holder may already
-                    # hold its own element from the root's leaf)
-                    if BUNDLE_KINDS.isdisjoint(s.kind for s in steps):
-                        value = got
-                    else:
+                    if bundled:
                         value.update(got)
+                    else:
+                        value = got
             elif kind == "sync":
                 # post the release receive BEFORE scouting up (the
                 # paper's readiness invariant, same as the flat barrier)
@@ -706,14 +679,56 @@ def run_plan(comm, st: HierState, steps, value: Any, op=None) -> Generator:
                 pending[group.key] = (
                     seq, None if serving else sub.mcast.post_data())
                 yield from core.scout_gather_binary(sub, sub.mcast, seq, at)
-            else:                                       # "release"
+            elif kind == "release":
                 seq, posted = pending.pop(group.key)
                 if serving:
                     yield from sub.mcast.send_data(None, 0, seq,
                                                    control=True)
                 else:
                     yield from sub.mcast.wait_data_from(posted, at, seq)
+            else:                       # a row of the stream schedule
+                mine = value
+                if kind == "deal":
+                    # One part per member: the entries of its child
+                    # subtree (on a leaf, its own element, which travels
+                    # bare).  The server keeps its own part — and what
+                    # it does not deal away: the scatter root at its own
+                    # leaf still holds the bundle for every other leaf.
+                    leaf = group.node.is_leaf
+                    mine = None
+                    if serving:
+                        mine = [{r: value.pop(r) for r in cover
+                                 if r in value} for cover in group.covers]
+                        value.update(mine[at])
+                        if leaf:
+                            mine = [part.get(m) for part, m
+                                    in zip(mine, group.members)]
+                out = yield from core.run_streams(sub, kind, at, mine, op)
+                if kind == "deal":
+                    if not serving:
+                        value.update({comm.rank: out} if leaf else out)
+                elif serving or kind in ("serve", "exchange"):
+                    value = _merged(out) if kind in BUNDLE_KINDS else out
     return value
+
+
+def _hier_call(comm, name: str, root: int, value: Any, kind: str,
+               carried: Any, finish, op=None) -> Generator:
+    """The shared body of the rooted / unrooted entries: build and
+    synchronize the hierarchy, then either the flat ``kind`` over the
+    whole communicator with the caller's ``value`` — one segment, or a
+    non-commutative ``op`` on a layout whose hierarchical fold would
+    reorder operands (see *Reduction order*) — or the compiled plan
+    carrying ``carried``, whose final carry ``finish`` turns into the
+    collective's result."""
+    st = yield from hier_ready(comm)
+    if st.nsegments == 1 or (op is not None and not st.contiguous
+                             and not getattr(op, "commutative", True)):
+        result = yield from core.run_streams(comm, kind, root, value, op)
+        return result
+    carried = yield from run_plan(
+        comm, st, compile_plan(name, st.tree, root), carried, op)
+    return finish(carried)
 
 
 @register("bcast", "hier-mcast")
@@ -724,13 +739,8 @@ def bcast_hier(comm, obj: Any, root: int = 0) -> Generator:
     per-rank), then cascades down the other subtrees and leaves in
     parallel — repairs stay inside the losing group's switch
     subtree."""
-    st = yield from hier_ready(comm)
-    if st.nsegments == 1:
-        result = yield from core.bcast_mcast_seg_nack(comm, obj, root)
-        return result
-    result = yield from run_plan(
-        comm, st, compile_plan("bcast", st.tree, root), obj)
-    return result
+    return _hier_call(comm, "bcast", root, obj, "serve", obj,
+                      lambda value: value)
 
 
 @register("reduce", "hier-mcast")
@@ -745,15 +755,9 @@ def reduce_hier(comm, obj: Any, op, root: int = 0) -> Generator:
     (see module docstring).  Returns the reduction at ``root``; ``None``
     elsewhere.
     """
-    st = yield from hier_ready(comm)
-    if st.nsegments == 1 or (not st.contiguous
-                             and not getattr(op, "commutative", True)):
-        result = yield from core.reduce_mcast_seg_combine(comm, obj, op, root)
-        return result
-    value = yield from run_plan(
-        comm, st, compile_plan("reduce", st.tree, root), copy.copy(obj),
-        op)
-    return value if comm.rank == root else None
+    return _hier_call(
+        comm, "reduce", root, obj, "fold", copy.copy(obj),
+        lambda value: value if comm.rank == root else None, op)
 
 
 @register("allreduce", "hier-mcast")
@@ -787,21 +791,13 @@ def scatter_hier(comm, objs, root: int = 0) -> Generator:
     per-subtree *bundles* cascade down the leader groups until each
     leaf leader scatters its segment.  Returns this rank's element of
     the root's sequence."""
-    st = yield from hier_ready(comm)
-    if st.nsegments == 1:
-        result = yield from core.scatter_mcast_seg_root(comm, objs, root)
-        return result
-    size = comm.size
-    bundle: dict = {}
-    if comm.rank == root:
-        if objs is None or len(objs) != size:
-            raise ValueError(
-                f"scatter root needs exactly {size} elements, "
-                f"got {None if objs is None else len(objs)}")
-        bundle = {r: objs[r] for r in range(size) if r != root}
-    bundle = yield from run_plan(
-        comm, st, compile_plan("scatter", st.tree, root), bundle)
-    return objs[root] if comm.rank == root else bundle[comm.rank]
+    core.check_scatter_root(comm, objs, root)
+    bundle = ({r: objs[r] for r in range(comm.size) if r != root}
+              if comm.rank == root else {})
+    return _hier_call(
+        comm, "scatter", root, objs, "deal", bundle,
+        lambda bundle: (objs[root] if comm.rank == root
+                        else bundle[comm.rank]))
 
 
 @register("gather", "hier-mcast")
@@ -810,15 +806,10 @@ def gather_hier(comm, obj: Any, root: int = 0) -> Generator:
     to their leaders, leader groups gather bundles bottom-up, and the
     holder forwards the assembled bundle to the root when they differ.
     Returns the rank-ordered list at ``root``; ``None`` elsewhere."""
-    st = yield from hier_ready(comm)
-    if st.nsegments == 1:
-        result = yield from core.gather_mcast_seg_root_follow(comm, obj, root)
-        return result
-    bundle = yield from run_plan(
-        comm, st, compile_plan("gather", st.tree, root), {comm.rank: obj})
-    if comm.rank == root:
-        return [bundle[r] for r in range(comm.size)]
-    return None
+    return _hier_call(
+        comm, "gather", root, obj, "collect", {comm.rank: obj},
+        lambda bundle: ([bundle[r] for r in range(comm.size)]
+                        if comm.rank == root else None))
 
 
 @register("allgather", "hier-mcast")
@@ -827,10 +818,6 @@ def allgather_hier(comm, obj: Any) -> Generator:
     bundles bottom-up — each trunk tier carries each contribution once
     — then the groups below the top re-broadcast the assembled result
     top-down and the leaf leaders deliver it segment-locally."""
-    st = yield from hier_ready(comm)
-    if st.nsegments == 1:
-        result = yield from core.allgather_mcast_seg_paced(comm, obj)
-        return result
-    bundle = yield from run_plan(
-        comm, st, compile_plan("allgather", st.tree), {comm.rank: obj})
-    return [bundle[r] for r in range(comm.size)]
+    return _hier_call(
+        comm, "allgather", 0, obj, "exchange", {comm.rank: obj},
+        lambda bundle: [bundle[r] for r in range(comm.size)])

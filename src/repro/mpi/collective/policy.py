@@ -155,10 +155,6 @@ class TopoInfo:
     def nsegments(self) -> int:
         return self._digest.nsegments
 
-    @property
-    def seg_sizes(self) -> tuple[int, ...]:
-        return self._digest.members
-
 
 def comm_topology(comm) -> Optional[TopoInfo]:
     """The communicator's :class:`TopoInfo`, or ``None`` when every

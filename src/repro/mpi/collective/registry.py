@@ -12,16 +12,15 @@ is exactly a comparison of entries in this table:
 * ``allgather``: ``"p2p-gather-bcast"`` vs ``"mcast-paced"`` /
   ``"mcast-seg-paced"`` (segmented per-turn streaming);
 * ``reduce``: ``"p2p-binomial"`` vs ``"mcast-seg-combine"``
-  (NACK-repaired gather turns folded through :mod:`repro.mpi.ops`,
-  :mod:`repro.core.mcast_reduce`);
+  (NACK-repaired gather turns folded through :mod:`repro.mpi.ops`);
 * ``allreduce``: ``"p2p-reduce-bcast"`` vs ``"mcast-seg-nack"``
   (mcast reduce composed with the segmented broadcast);
 * ``scatter``: ``"p2p-binomial"`` vs ``"mcast-seg-root"`` (the root
-  streams per-rank-addressed segments in one paced burst,
-  :mod:`repro.core.mcast_scatter`);
+  streams per-rank-addressed segments in one paced burst);
 * ``gather``: ``"p2p-binomial"`` vs ``"mcast-seg-root-follow"`` (the
-  root follows each contributor's engine stream,
-  :mod:`repro.core.mcast_gather`);
+  root follows each contributor's engine stream) — every segmented
+  entry is one row of the stream schedule in :mod:`repro.core.segment`,
+  run by its ``run_streams``;
 * ``bcast``/``reduce``/``allreduce``/``barrier``/``scatter``/
   ``gather``/``allgather`` additionally register ``"hier-mcast"``
   (:mod:`repro.mpi.collective.hier`): per-segment phases bridged by

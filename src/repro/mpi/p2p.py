@@ -260,9 +260,5 @@ class MpiEndpoint:
 
     # -- introspection ---------------------------------------------------
     @property
-    def unexpected_depth(self) -> int:
-        return len(self._unexpected)
-
-    @property
     def posted_depth(self) -> int:
         return len(self._posted)

@@ -89,10 +89,6 @@ class Nic:
         if not self._tx_busy:
             self._tx_pump()
 
-    @property
-    def tx_queue_depth(self) -> int:
-        return len(self._txq)
-
     def _tx_pump(self) -> None:
         if not self._txq:
             self._tx_busy = False

@@ -493,6 +493,30 @@ def test_reg01_flags_an_auto_op_without_a_plan():
         "op 'scan' is in AUTO_CHOICES", "op 'scan' is in HIER_AUTO"]
 
 
+def test_reg01_flags_a_plan_step_kind_outside_the_schedule(monkeypatch):
+    """A step kind that is neither a row of the stream schedule nor
+    forward / sync / release has no executor and no cost term: dropping
+    the ``exchange`` row orphans the allgather's plans (toy ``bcast``
+    compiles to ``serve`` steps only and stays clean)."""
+    from repro.core import segment
+
+    registry, defaults, auto, hier, waivers, coverage = _toy_tables()
+    registry["allgather"] = {"lin": _doc("lin")}
+    defaults["allgather"] = hier["allgather"] = "lin"
+    auto["allgather"] = ("lin", "lin")
+    coverage["allgather", "lin"] = "estimate: toy"
+    tables = dict(registry=registry, defaults=defaults, auto_choices=auto,
+                  hier_auto=hier, waivers=waivers, coverage=coverage)
+    assert _check(**tables) == []
+    rows = segment.step_streams
+    monkeypatch.setattr(
+        segment, "step_streams", lambda kind, k, at: rows(
+            "no-such-row" if kind == "exchange" else kind, k, at))
+    assert sorted(v.message.split(" holds ")[0] for v in _check(**tables)) \
+        == ["op 'allgather' is in AUTO_CHOICES but its plan on a 1-leaf tree",
+            "op 'allgather' is in HIER_AUTO but its plan on a 2-leaf tree"]
+
+
 def test_reg01_live_tables_are_consistent():
     import repro  # noqa: F401 - registers every implementation
     from repro.analysis.framecount import MODEL_COVERAGE

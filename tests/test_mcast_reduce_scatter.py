@@ -273,6 +273,32 @@ def test_seg_scatter_validates_root_sequence():
         run_spmd(3, main, params=QUIET, max_sim_us=100_000.0)
 
 
+@pytest.mark.parametrize("impl", ["mcast-seg-root", "hier-mcast"])
+@pytest.mark.parametrize("n", [1, 4])
+def test_scatter_root_count_is_checked_before_any_traffic(n, impl):
+    """One check, one message, at every size — raised at the root
+    before a single frame (``hier-mcast``: before its first-call
+    barrier) leaves any host."""
+    seen = {}
+
+    def main(env):
+        env.comm.use_collectives(scatter=impl)
+        stats = env.comm.host.stats
+        before = stats.frames_sent
+        try:
+            yield from env.comm.scatter(
+                [b"x"] * (n + 1) if env.rank == 0 else None, 0)
+        finally:
+            if env.rank == 0:
+                seen["sent"] = stats.frames_sent - before
+
+    with pytest.raises(ValueError,
+                       match=f"exactly {n} elements, got {n + 1}"):
+        run_spmd(n, main, params=QUIET, max_sim_us=100_000.0,
+                 topology="switch" if n == 1 else "tree:2x2")
+    assert seen["sent"] == 0
+
+
 # ------------------------------------------------------------ allreduce
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_seg_allreduce_correct(n):
