@@ -13,9 +13,9 @@ defer the choice per call to the payload-aware policy layer with
 ``comm.use_collectives(bcast="auto")``.
 
 The segmented implementations all run on the reusable NACK-repair round
-engine of :mod:`repro.core.rounds` (serve/follow, rate pacing,
-descriptor-budget feedback, adaptive drain timeouts, repair
-re-batching); :mod:`repro.core.segment` owns payload planning
+engine of :mod:`repro.core.rounds` (serve/follow, selective NACK
+repair, adaptive drain timeouts, repair re-batching);
+:mod:`repro.core.segment` owns payload planning
 (fragmentation, adaptive sizing/batching, the closed-form frame and
 datagram formulas), the stream schedule (which engine streams a step
 kind runs) and its one reader ``run_streams`` — the turn loop all six
@@ -31,7 +31,7 @@ from .mcast_bcast import (McastLost, bcast_mcast_ack, bcast_mcast_binary,
                           bcast_mcast_linear, bcast_mcast_naive)
 from .ordering import (UnsafeScheduleError, check_safe_schedule,
                        run_bcast_sequence)
-from .rounds import (Reassembler, RoundPacer, Segment, chunk_plan,
+from .rounds import (Reassembler, Segment, chunk_plan,
                      follow_rounds, frame_segment_bytes, reassemble,
                      repair_batch, round_drain_timeout_us,
                      round_namespace, serve_rounds)
@@ -48,7 +48,7 @@ from . import sequencer  # noqa: F401  (registers mcast-sequencer)
 
 __all__ = [
     "DATA_PORT_BASE", "GROUP_ID_BASE", "MCAST_HEADER_BYTES", "McastChannel",
-    "McastLost", "Reassembler", "RoundPacer", "SCOUT_BYTES",
+    "McastLost", "Reassembler", "SCOUT_BYTES",
     "SCOUT_PORT_BASE", "Segment", "TransportPlan", "UnsafeScheduleError",
     "allgather_mcast_paced", "allgather_mcast_seg_paced",
     "allgather_mcast_unpaced", "allreduce_mcast_seg_nack", "auto_batch",

@@ -19,11 +19,11 @@ per-round decision and implementation announcement is the message
 sends it (unicast, or one multicast to the group) and
 :meth:`McastChannel.wait_ctrl` matches it on ``(source, sequence, key)``,
 optionally under a deadline.  A scout has no value; a report's value is
-a subtree's missing set and descriptor budget; a decision's the next
-round's plan.  Ranks that race ahead are absorbed by one stash under one
-rule: stale (a completed sequence) and duplicate messages are dropped,
-anything else is early and kept for the wait that wants it — so the
-stash stays bounded across collectives.
+a subtree's missing set; a decision's the next round's plan.  Ranks that
+race ahead are absorbed by one stash under one rule: stale (a completed
+sequence) and duplicate messages are dropped, anything else is early and
+kept for the wait that wants it — so the stash stays bounded across
+collectives.
 
 Every collective call advances the channel's **sequence number**; because
 MPI code must be *safe* (all ranks issue collectives on a communicator in
@@ -72,11 +72,11 @@ class McastLost(RuntimeError):
 
     Raised by the naive (unsynchronized) broadcast when the payload
     never arrives, by :meth:`McastChannel.wait_data_from` on a stale
-    copy, and by the round engine when the repair-round budget
-    (:func:`~repro.core.rounds.repair_round_limit`) is exhausted with
-    segments still missing — the crisp, typed end of the "complete or
-    fail" contract the chaos fuzzer asserts.  A ``RuntimeError``, for
-    callers that catch the engine's historical bare error.
+    copy, and by the round engine when ``NetParams.max_repair_rounds``
+    repair rounds are exhausted with segments still missing — the
+    crisp, typed end of the "complete or fail" contract the chaos
+    fuzzer asserts.  A ``RuntimeError``, for callers that catch the
+    engine's historical bare error.
     """
 
     def __init__(self, rank: int, seq, reason: Optional[str] = None):
@@ -172,10 +172,6 @@ class McastChannel:
         self.trunk_hops, self.trunk_us_per_byte = \
             _members_trunk_path(comm)
         self._scout_stash: list[tuple] = []
-        #: receive-descriptor ring size for segmented rounds (None =
-        #: unbounded).  Seeded from ``NetParams.seg_recv_budget``; tests
-        #: and the overrun benchmark override it per rank.
-        self.recv_budget: Optional[int] = self.params.seg_recv_budget
         #: naive-bcast receive timeout (None = block, may deadlock — that
         #: is the point of the naive baseline); tests/benches set this.
         self.naive_timeout_us: Optional[float] = None

@@ -18,19 +18,18 @@ exactly two sides:
 * :func:`serve_rounds` — the **sender**: given a segment stream, it
   gathers the header scouts and multicasts the header (segment count
   and batch factor, or the scatter's per-rank counts); then it arms
-  the group (scout gather), streams the round's datagrams (rate-paced,
-  see :class:`RoundPacer`), takes the group's folded NACK report, feeds
-  the smallest descriptor budget it carries into its pacing, and
-  multicasts repair rounds built from the union of missing sets until
-  the whole group reports complete (or ``max_retransmits`` is
-  exhausted, in which case it tells everyone before raising);
+  the group (scout gather), streams the round's datagrams back to back,
+  takes the group's folded NACK report, and multicasts repair rounds
+  built from the union of missing sets until the whole group reports
+  complete (or ``max_repair_rounds`` is exhausted, in which case it
+  tells everyone before raising);
 * :func:`follow_rounds` — a **receiver**: it posts its header
   descriptor before its header scout and learns the stream's shape
   from the header, discarding stragglers by one rule; then it posts
-  one descriptor per expected datagram (window-limited by
-  :attr:`McastChannel.recv_budget`), arms, drains the round into a
-  :class:`Reassembler`, folds its missing bitmap (plus its budget) with
-  its subtree's and obeys the sender's per-round decision.
+  one descriptor per expected datagram, arms, drains the round's
+  datagrams from the stream's server (nobody else's) into a
+  :class:`Reassembler`, folds its missing bitmap with its subtree's and
+  obeys the sender's per-round decision.
   A ``needed`` subset restricts what the receiver reassembles and
   reports — the scatter's per-rank addressing, derived from the
   header's counts — and ``needed=set()`` is a pure *bystander* that
@@ -55,8 +54,8 @@ root's one CPU.
 All of it is the channel's one control message (``send_ctrl`` /
 ``wait_ctrl``) moved by one tree walk (:mod:`repro.core.scout`): the
 header and arming gathers are the walk keyed ``arm_phase(...)``, the
-fold is the walk keyed ``("seg-report", token)`` carrying ``(missing
-set, smallest budget)``, the decision is ``send_ctrl(None, ...)`` keyed
+fold is the walk keyed ``("seg-report", token)`` carrying the
+subtree's missing set, the decision is ``send_ctrl(None, ...)`` keyed
 ``("seg-dec", token)``.
 
 The decision rides the channel's **buffered scout port**, as a
@@ -72,17 +71,17 @@ multicast also releases every follower at the same instant, so the only
 arming skew is the gather's depth, which :func:`round_drain_timeout_us`
 derives.
 
-The header, pacing, budget feedback, selective repair, and the two
-adaptive behaviours below are engine concerns — callers only provide
-the segment stream and a *round namespace* (:func:`round_namespace`) so
-concurrent/consecutive streams on one channel never cross-match each
-other's control traffic.
+The header, selective repair, and the two adaptive behaviours below
+are engine concerns — callers only provide the segment stream and a
+*round namespace* (:func:`round_namespace`) so concurrent/consecutive
+streams on one channel never cross-match each other's control
+traffic.
 
 **Adaptive drain timeout** (:func:`round_drain_timeout_us`).  A receiver
 that lost a round's *tail* can only detect it by silence.  PR 2 waited a
 fixed ``NetParams.seg_drain_timeout_us``; the engine instead scales the
 timeout to the round's expected serialization (wire time + send/receive
-software + pacing gap, per datagram) plus a scheduling-jitter floor
+software, per datagram) plus a scheduling-jitter floor
 (``NetParams.seg_drain_floor_us``), capped by the configured timeout,
 plus the arming gather's depth derived from the group size.  A
 single-datagram round — the whole-round-lost case of the auto transport
@@ -108,22 +107,10 @@ from .channel import (MCAST_HEADER_BYTES, SCOUT_BYTES, SEG_HEADER_BYTES,
 from .scout import (binary_tree_steps, report_fold_binary,
                     scout_gather_binary)
 
-__all__ = ["McastLost", "Segment", "Reassembler", "RoundPacer",
-           "auto_gap_us", "chunk_plan", "frame_segment_bytes",
-           "reassemble", "repair_batch", "repair_round_limit",
+__all__ = ["McastLost", "Segment", "Reassembler", "chunk_plan",
+           "frame_segment_bytes", "reassemble", "repair_batch",
            "resolved_segment_bytes", "round_drain_timeout_us",
            "round_namespace", "serve_rounds", "follow_rounds"]
-
-
-def repair_round_limit(params) -> int:
-    """Repair rounds the engine runs before aborting a transfer:
-    ``NetParams.max_repair_rounds`` when set, else the historical
-    ``max_retransmits`` bound.  A receiver that can never be satisfied
-    (partitioned segment, dead host, a drop hook eating every data
-    frame) turns the drain-timeout loop into a livelock; this bound
-    converts it into a typed :class:`McastLost` instead."""
-    limit = params.max_repair_rounds
-    return params.max_retransmits if limit is None else limit
 
 
 @dataclass(frozen=True)
@@ -182,25 +169,13 @@ def repair_batch(params, nplan: int, base_batch: int) -> int:
     Under the fully-auto transport policy a repair plan that fits below
     the crossover ships as **one** batched datagram regardless of round
     0's chunking — scattered single-segment losses no longer pay one
-    per-datagram software tax each.  Explicit integer ``segment_bytes``
-    or ``seg_batch`` settings pin the wire behaviour and are honoured
-    unchanged.
+    per-datagram software tax each.  An explicit integer
+    ``segment_bytes`` pins the wire behaviour and is honoured unchanged.
     """
     if (not isinstance(params.segment_bytes, int)
-            and not isinstance(params.seg_batch, int)
             and 0 < nplan <= params.seg_auto_crossover):
         return nplan
     return base_batch
-
-
-def auto_gap_us(params, datagram_bytes: int) -> float:
-    """The resolved ``seg_pace_gap_us="auto"`` inter-datagram gap: the
-    receiver drain estimate plus 25% + 10 µs of margin, absorbing the
-    skew between a receiver's re-post and the next wire arrival.  Shared
-    by the sender's pacer and the follower's drain-timeout estimate so
-    the two sides can never disagree about the stream's pace.
-    """
-    return 1.25 * params.seg_drain_estimate_us(datagram_bytes) + 10.0
 
 
 def round_drain_timeout_us(params, ndatagrams: int,
@@ -211,11 +186,11 @@ def round_drain_timeout_us(params, ndatagrams: int,
     """Adaptive drain timeout for one round of ``ndatagrams`` datagrams.
 
     Expected per-datagram cost = wire serialization + sender software +
-    receiver drain software + the (resolved) pacing gap; the timeout is
-    that expectation for the whole round plus the
-    ``seg_drain_floor_us`` scheduling-jitter margin, capped by the
-    configured ``seg_drain_timeout_us`` so no round's *flat
-    expectation* ever waits longer than the PR 2 fixed behaviour.  Two
+    receiver drain software; the timeout is that expectation for the
+    whole round plus the ``seg_drain_floor_us`` scheduling-jitter
+    margin, capped by the configured ``seg_drain_timeout_us`` so no
+    round's *flat expectation* ever waits longer than that fixed
+    timeout did.  Two
     terms of real physics ride on top of the cap:
 
     ``trunk_hops`` — the store-and-forward path on tiered fabrics
@@ -246,10 +221,7 @@ def round_drain_timeout_us(params, ndatagrams: int,
     per = (datagram_bytes * 8.0 / params.rate_mbps
            + params.udp_send_us + params.mcast_send_extra_us
            + params.seg_drain_estimate_us(datagram_bytes))
-    gap = params.seg_pace_gap_us
-    if not isinstance(gap, (int, float)):
-        gap = auto_gap_us(params, datagram_bytes)
-    expected = max(1, ndatagrams) * (per + float(gap))
+    expected = max(1, ndatagrams) * per
     if trunk_us_per_byte is None:
         trunk_us_per_byte = trunk_hops * 8.0 / params.rate_mbps
     hop_latency = trunk_hops * params.switch_latency_us
@@ -361,72 +333,14 @@ class Reassembler:
 
 
 # ----------------------------------------------------------------------
-# root-side rate pacing (paper §5 overrun)
-# ----------------------------------------------------------------------
-class RoundPacer:
-    """Inter-datagram pacing state for one sender's segment stream.
-
-    The *gap* is the idle time the sender inserts before each data
-    datagram past the *burst*; the burst is the receivers' smallest
-    known descriptor ring (``None`` = unbounded, no pacing unless a gap
-    is configured).  The auto gap covers the receiver drain estimate
-    with margin, so a ring of even one descriptor is re-posted before
-    the next datagram can arrive.
-    """
-
-    def __init__(self, params, datagram_bytes: int):
-        self._auto_gap = auto_gap_us(params, datagram_bytes)
-        gap = params.seg_pace_gap_us
-        self.gap_us = self._auto_gap if gap == "auto" else float(gap)
-        self.burst: Optional[int] = params.seg_recv_budget
-        self._feedback = params.seg_pace_feedback
-
-    def note_budgets(self, budgets) -> None:
-        """Fold the budgets carried by a round's NACK reports in.
-
-        With feedback enabled, learning that any receiver runs a finite
-        ring turns pacing on for the rounds that follow.
-        """
-        finite = [b for b in budgets if b is not None]
-        if not finite:
-            return
-        smallest = min(finite)
-        self.burst = (smallest if self.burst is None
-                      else min(self.burst, smallest))
-        if self._feedback and self.gap_us <= 0:
-            self.gap_us = self._auto_gap
-
-    def delay_before(self, index: int) -> float:
-        """Gap (µs) to insert before the round's ``index``-th datagram."""
-        if self.gap_us <= 0:
-            return 0.0
-        burst = 1 if self.burst is None else max(1, self.burst)
-        return self.gap_us if index >= burst else 0.0
-
-
-# ----------------------------------------------------------------------
 # engine internals
 # ----------------------------------------------------------------------
-def _post_round(channel, ndatagrams: int) -> list:
-    """Post the round's initial descriptor window — MUST precede the
-    arming scout.  A finite ``recv_budget`` caps the window at the ring
-    size; :func:`_consume_round` slides it as datagrams are consumed."""
-    budget = channel.recv_budget
-    if budget is not None:
-        ndatagrams = max(1, min(budget, ndatagrams))
-    return channel.post_data_many(ndatagrams)
-
-
-def _consume_round(comm, channel, posted, ndatagrams: int, seq,
+def _consume_round(comm, channel, posted, server: int, seq,
                    reasm: Reassembler, last_index: int,
                    drain_us: float, rnd: int = 0) -> Generator:
-    """Drain one round's datagrams into ``reasm``.
-
-    ``posted`` is the pre-arm descriptor window; up to ``ndatagrams``
-    descriptors are issued in total, re-posting one as each arrival is
-    consumed (the sliding ring of a budget-limited receiver — a re-post
-    that loses the race against an unpaced burst is exactly the paper's
-    §5 overrun, surfacing as a missing segment in the NACK report).
+    """Drain one round's datagrams from the stream's ``server`` into
+    ``reasm`` through the pre-arm descriptors ``posted``, one per
+    expected datagram.
 
     Datagrams stream in plan order over a FIFO wire, so the round ends
     the moment ``last_index`` (the highest index of the round's plan)
@@ -438,11 +352,13 @@ def _consume_round(comm, channel, posted, ndatagrams: int, seq,
     round, re-armed per wait, and expires the awaited descriptor.  On
     every exit — exceptions included — the timer is disarmed and every
     leftover descriptor is withdrawn; leaving one behind would swallow a
-    later collective's traffic.  Non-segment or stale-sequence datagrams
-    waste their descriptor; the segments they displaced are simply
-    reported missing and repaired next round.
+    later collective's traffic.  A datagram that is not a segment of
+    this ``(server, seq)`` stream — a stale sequence, or a delayed
+    segment of an earlier turn, whose indices a later turn's stream
+    reuses — wastes its descriptor: the header's rule, applied to the
+    data; the segments it displaced are reported missing and repaired
+    next round.
     """
-    issued = len(posted)
     i = 0
     timer = channel.data_timer()
     try:
@@ -458,11 +374,8 @@ def _consume_round(comm, channel, posted, ndatagrams: int, seq,
                                       len(posted) - i)
                 return
             i += 1
-            if issued < ndatagrams:
-                posted.append(channel.post_data())
-                issued += 1
-            _src, got_seq, payload = got
-            if got_seq != seq:
+            src, got_seq, payload = got
+            if got_seq != seq or src != server:
                 continue
             if isinstance(payload, Segment):
                 batch = (payload,)
@@ -488,7 +401,7 @@ def _consume_round(comm, channel, posted, ndatagrams: int, seq,
 def serve_rounds(comm, channel, seq, root: int, segments, batch: int,
                  arm_phase, rnd_token, counts=None) -> Generator:
     """Sender side of one engine stream: the header handshake, then the
-    NACK repair loop — arm, stream (paced), fold the reports, decide,
+    NACK repair loop — arm, stream, fold the reports, decide,
     repair — until the whole group reports complete.
 
     ``segments`` is the full stream (round 0's plan is all of it); the
@@ -511,9 +424,6 @@ def serve_rounds(comm, channel, seq, root: int, segments, batch: int,
         ("seg-hdr", hdr_phase, nsegs, batch, counts),
         SEG_HEADER_BYTES + (0 if counts is None else 4 * len(counts)), seq,
         control=True, kind="mcast-seg-hdr")
-    datagram_bytes = (batch * max(s.nbytes for s in segments)
-                      + batch * SEG_HEADER_BYTES + MCAST_HEADER_BYTES)
-    pacer = RoundPacer(params, datagram_bytes)
     plan = list(range(nsegs))
     rnd = 0
     while True:
@@ -528,26 +438,19 @@ def serve_rounds(comm, channel, seq, root: int, segments, batch: int,
         try:
             yield from scout_gather_binary(comm, channel, seq, root,
                                            phase=arm_phase(rnd))
-            for i, chunk in enumerate(chunk_plan(plan, rbatch)):
-                delay = pacer.delay_before(i)
-                if delay > 0:
-                    if rec is not None:
-                        rec.pacing_stall(comm.sim.now, addr, delay)
-                    yield comm.sim.timeout(delay)
+            for chunk in chunk_plan(plan, rbatch):
                 yield from channel.send_batch(
                     [segments[j] for j in chunk], seq, retransmit=rnd > 0)
-            # the root itself is missing nothing and its own descriptor
-            # ring paces nobody: the fold starts from (nothing, None)
-            union, budget = yield from report_fold_binary(
-                comm, channel, seq, root, rnd_token(rnd), (), None, nsegs)
+            # the root itself is missing nothing: the fold starts empty
+            union = yield from report_fold_binary(
+                comm, channel, seq, root, rnd_token(rnd), (), nsegs)
         finally:
             if rec is not None:
                 rec.round_close(comm.sim.now, addr,
                                 f"serve:seq{seq}:r{rnd}")
-        pacer.note_budgets([budget])
         if not union:
             decision = None
-        elif rnd >= repair_round_limit(params):
+        elif rnd >= params.max_repair_rounds:
             decision = "abort"      # tell the group before raising,
         else:                       # so nobody arms a dead round
             decision = tuple(sorted(union))
@@ -629,7 +532,7 @@ def follow_rounds(comm, channel, seq, root: int, arm_phase, rnd_token,
                 posted, ndatagrams = [], 0
             else:
                 ndatagrams = len(chunk_plan(plan, rbatch))
-                posted = _post_round(channel, ndatagrams)
+                posted = channel.post_data_many(ndatagrams)
             yield from scout_gather_binary(comm, channel, seq, root,
                                            phase=arm_phase(rnd))
             if ndatagrams:
@@ -642,16 +545,15 @@ def follow_rounds(comm, channel, seq, root: int, arm_phase, rnd_token,
                     trunk_us_per_byte=getattr(channel,
                                               "trunk_us_per_byte", None),
                     size=comm.size)
-                yield from _consume_round(comm, channel, posted,
-                                          ndatagrams, seq, reasm,
-                                          last_index=plan[-1],
+                yield from _consume_round(comm, channel, posted, root,
+                                          seq, reasm, last_index=plan[-1],
                                           drain_us=drain_us, rnd=rnd)
             if rec is not None:
                 rec.nack_sent(comm.sim.now, addr, rnd,
                               tuple(sorted(reasm.missing())))
             yield from report_fold_binary(
                 comm, channel, seq, root, rnd_token(rnd), reasm.missing(),
-                channel.recv_budget, nsegs)
+                nsegs)
             plan_t = (yield from channel.wait_ctrl(
                 {root}, seq, ("seg-dec", rnd_token(rnd))))[root]
             if rec is not None:

@@ -107,38 +107,34 @@ def scout_gather_linear(comm, channel, seq: int,
     return _walk_up(comm, channel, seq, root, phase, star=True)
 
 
-def _merge_reports(comm, key, report, heard):
-    """Union of the missing sets, smallest finite descriptor budget."""
-    missing, budget = report
+def _merge_reports(comm, key, missing, heard):
+    """Union of the subtree's missing sets."""
     missing = set(missing)
     rec = comm.host.stats.recorder
-    for child, (lost, ring) in heard:
+    for child, lost in heard:
         if rec is not None:
-            rec.nack_report(comm.sim.now, comm.host.addr, child, key[1],
-                            lost, ring)
+            rec.nack_report(comm.sim.now, comm.host.addr, child, key[1], lost)
         missing.update(lost)
-        if ring is not None and (budget is None or ring < budget):
-            budget = ring
-    return frozenset(missing), budget
+    return frozenset(missing)
 
 
 def report_fold_binary(comm, channel, seq: int, root: int, rnd,
-                       missing, budget, nsegs: int) -> Generator:
+                       missing, nsegs: int) -> Generator:
     """Fold round ``rnd``'s NACK reports toward ``root`` up the tree
     :func:`scout_gather_binary` armed it on.  Every rank — bystanders
-    included — merges its children's reports into its own ``missing``
-    set and descriptor ``budget`` (``None`` = unbounded) and sends ONE
-    ``seg-report`` (a scout + an ``nsegs``-bit bitmap + a 4-byte budget),
-    so the root hears ``ceil(log2 N)`` of them instead of ``N-1``.
-    Returns the caller's subtree's ``(missing, budget)``.
+    included — merges its children's missing sets into its own and
+    sends ONE ``seg-report``, so the root hears ``ceil(log2 N)`` of them
+    instead of ``N-1``.  Returns the caller's subtree's missing set (a
+    ``frozenset``).
 
     The fold doubles as the scout gather of the decision multicast that
     answers it: a rank reports only after its whole subtree has, then
     blocks on the decision, so the root's fold completing *is* "every
     follower is waiting".
     """
+    # +4 B kept: shrinking moves sim bytes — ROADMAP 4(a), like nsegs = 1
     return _walk_up(comm, channel, seq, root, ("seg-report", rnd),
-                    (frozenset(missing), budget), _merge_reports,
+                    frozenset(missing), _merge_reports,
                     SCOUT_BYTES + (nsegs + 7) // 8 + 4, "seg-report")
 
 

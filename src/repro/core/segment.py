@@ -11,8 +11,7 @@ broadcasts of Zhou et al. and Träff's multi-lane decompositions:
    Ethernet frame at the default :attr:`NetParams.segment_bytes`;
 2. the root **streams** all segments back-to-back through the
    :class:`~repro.core.channel.McastChannel` (pipelined: the wire
-   serializes while the host prepares the next segment), optionally
-   inserting a rate-pacing gap between datagrams;
+   serializes while the host prepares the next segment);
 3. receivers pre-post descriptors, reassemble by segment index, and
    report the **bitmap of missing segments** to the root over the
    buffered scout socket;
@@ -53,8 +52,8 @@ from the MTU (one segment per Ethernet frame), and the **batch factor**
 software tax — so small payloads never pay the per-segment receive tax
 that put the PR 1 crossover against ``mcast-ack`` at ~10 segments.
 Above the crossover the batch factor drops to 1 for full
-selective-repair granularity.  Explicit integer ``segment_bytes`` /
-``seg_batch`` values override the policy.  Repair rounds under the auto
+selective-repair granularity.  An explicit integer ``segment_bytes``
+keeps one segment per datagram.  Repair rounds under the auto
 policy re-batch from the *actual* missing set
 (:func:`~repro.core.rounds.repair_batch`), so scattered losses pack into
 one repair datagram.
@@ -95,11 +94,6 @@ linear in payload like the paper's single multicast, with a constant
 per-round synchronization tax; under loss, repair cost is proportional
 to what was actually lost, not to the payload (contrast ``mcast-ack``:
 one full S-frame resend per timeout).
-
-**Pacing** (paper §5: "a set of fast senders overrunning a single
-receiver") is an engine concern — see
-:class:`~repro.core.rounds.RoundPacer` and the module docstring of
-:mod:`repro.core.rounds` for the descriptor-budget feedback loop.
 
 The allgather variant ``mcast-seg-paced`` applies the same machinery to
 the many-to-many case: after the paced ready round, each rank takes a
@@ -166,33 +160,23 @@ class TransportPlan:
 
 
 def auto_batch(params, nsegs: int) -> int:
-    """Resolve ``NetParams.seg_batch`` for a plan of ``nsegs`` segments.
-
-    An explicit int forces that batch factor; otherwise the adaptive
-    policy batches the whole plan into one datagram below
-    ``seg_auto_crossover`` segments (only when ``segment_bytes`` is also
-    ``"auto"``), and falls back to one segment per datagram above it.
-    """
-    batch = params.seg_batch
-    if not isinstance(batch, int):
-        auto = params.segment_bytes == "auto"
-        batch = (nsegs if auto and nsegs <= params.seg_auto_crossover
-                 else 1)
-    if batch < 1:
-        raise ValueError(f"seg_batch must be >= 1, got {batch}")
-    return min(batch, max(nsegs, 1))
+    """The batch factor for a plan of ``nsegs`` segments: with
+    ``segment_bytes="auto"`` the whole plan in one datagram below
+    ``seg_auto_crossover`` segments, else one segment per datagram."""
+    if params.segment_bytes == "auto" and nsegs <= params.seg_auto_crossover:
+        return max(nsegs, 1)
+    return 1
 
 
 def plan_transport(nbytes: int, params) -> TransportPlan:
-    """Resolve ``NetParams.segment_bytes`` / ``seg_batch`` for a payload.
+    """Resolve ``NetParams.segment_bytes`` for a payload.
 
     * explicit int ``segment_bytes`` → that size, batch 1 (PR 1 wire
-      behaviour) unless ``seg_batch`` is an explicit int;
-    * ``segment_bytes="auto"`` → frame-sized segments, and (with
-      ``seg_batch="auto"``, the default) the whole payload batched into
-      one datagram below ``seg_auto_crossover`` segments, batch 1 above
-      it — small payloads never pay the per-segment receive tax, large
-      ones keep full selective-repair granularity.
+      behaviour);
+    * ``segment_bytes="auto"`` → frame-sized segments, the whole payload
+      batched into one datagram below ``seg_auto_crossover`` segments,
+      batch 1 above it — small payloads never pay the per-segment
+      receive tax, large ones keep full selective-repair granularity.
     """
     auto = params.segment_bytes == "auto"
     seg = frame_segment_bytes(params) if auto else params.segment_bytes
@@ -402,9 +386,8 @@ def reduce_mcast_seg_combine(comm, obj: Any, op: Op,
     in rank order; the rest keep lockstep as bystanders.  Many-to-one
     traffic gains no frame-count advantage from multicast — the payload
     frames match the p2p binomial reduce — what the engine adds is
-    selective repair under loss, descriptor-budget pacing and adaptive
-    drain timeouts.  Returns the reduction at ``root``; ``None``
-    elsewhere.
+    selective repair under loss and adaptive drain timeouts.  Returns
+    the reduction at ``root``; ``None`` elsewhere.
     """
     return run_streams(comm, "fold", root, obj, op)
 
@@ -457,10 +440,10 @@ def allgather_mcast_seg_paced(comm, obj: Any) -> Generator:
 
     Per turn: the sender serves one engine stream with itself as root
     — header scout gather, segment-count announcement, arm gather,
-    (paced) segment stream, report fold, decision, repair rounds.
+    segment stream, report fold, decision, repair rounds.
     Arm synchronization still makes losses impossible under the
     paper's readiness model; a loss injected anyway (``drop_filter``
-    fault injection, or a descriptor-budget overrun) is now selectively
-    repaired by the turn's sender instead of raising ``McastLost``.
+    fault injection, ``NetParams.loss``) is selectively repaired by the
+    turn's sender instead of raising ``McastLost``.
     """
     return run_streams(comm, "exchange", 0, obj)

@@ -117,7 +117,6 @@ def text_report(recorders: Iterable) -> str:
                     f"({d['elapsed_us']:.1f}us) frames[{frames}] "
                     f"rounds={d['rounds']} repair={d['repair_rounds']} "
                     f"nacks={d['nack_reports']}/{d['nacks_sent']} "
-                    f"pace={d['pacing_gap_us']:.1f}us "
                     f"drains={d['drain_timeouts']} "
                     f"posted_hw={d['posted_high_water']}")
                 for label in sorted(d["phase_us"]):

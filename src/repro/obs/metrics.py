@@ -3,7 +3,7 @@
 One :class:`CallRecord` accumulates everything the flight recorder
 learns about a single collective call on a single rank: the frames its
 host put on the wire (by kind), the NACK-repair activity of the round
-engine underneath it, pacing stalls, drain timeouts, the
+engine underneath it, drain timeouts, the
 posted-descriptor high-water of its sockets, and the per-phase
 sim-time split of hierarchical plans.
 
@@ -27,7 +27,7 @@ class CallRecord:
         "op", "impl", "rank", "addr", "t0", "t1",
         "frames_by_kind", "trunk_frames",
         "rounds", "repair_rounds", "nack_reports", "nacked_segments",
-        "nacks_sent", "pacing_gap_us", "drain_timeouts",
+        "nacks_sent", "drain_timeouts",
         "posted_high_water", "phase_us",
     )
 
@@ -50,7 +50,6 @@ class CallRecord:
         self.nack_reports = 0      #: non-empty segment reports received
         self.nacked_segments = 0   #: total missing segments across reports
         self.nacks_sent = 0        #: non-empty reports this rank sent
-        self.pacing_gap_us = 0.0   #: total sender pacing stall time
         self.drain_timeouts = 0    #: receiver drain-timer expiries
         self.posted_high_water = 0  #: max posted descriptors seen per round
         #: per-phase sim-time of hierarchical plans, label -> µs
@@ -78,7 +77,6 @@ class CallRecord:
             "nack_reports": self.nack_reports,
             "nacked_segments": self.nacked_segments,
             "nacks_sent": self.nacks_sent,
-            "pacing_gap_us": self.pacing_gap_us,
             "drain_timeouts": self.drain_timeouts,
             "posted_high_water": self.posted_high_water,
             "phase_us": {k: self.phase_us[k]

@@ -275,23 +275,14 @@ class FlightRecorder(RecorderHooks):
             "span", self._rank_of[addr], "round", f"{role}:r{rnd}", t0, now,
             (("seq", seq), ("round", rnd), ("nsegs", nsegs))))
 
-    def pacing_stall(self, now, addr, gap_us):
-        call = self._call_of(addr)
-        if call is not None:
-            call.pacing_gap_us += gap_us
-        self._keep((
-            "inst", self._rank_of[addr], "round", "pace", now,
-            (("gap_us", gap_us),)))
-
-    def nack_report(self, now, addr, src, rnd, missing, budget):
+    def nack_report(self, now, addr, src, rnd, missing):
         call = self._call_of(addr)
         if call is not None and missing:
             call.nack_reports += 1
             call.nacked_segments += len(missing)
         self._keep((
             "inst", self._rank_of[addr], "round", "seg-report", now,
-            (("src", src), ("round", rnd), ("missing", len(missing)),
-             ("budget", budget))))
+            (("src", src), ("round", rnd), ("missing", len(missing)))))
 
     def nack_sent(self, now, addr, rnd, missing):
         call = self._call_of(addr)

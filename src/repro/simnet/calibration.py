@@ -72,17 +72,18 @@ class NetParams:
     #: Dunigan & Hall, whose extra data copies are why the paper found
     #: no performance gain in the approach.
     ack_timeout_us: float = 300.0
+    #: full-payload resends before the ack-based multicast gives up
+    #: (``mcast-ack``, ``mcast-sequencer``); the NACK engine's repair
+    #: rounds have their own bound below
     max_retransmits: int = 40
-    #: hard ceiling on NACK *repair rounds* per segmented transfer
-    #: (``None`` = fall back to :attr:`max_retransmits`, the historical
-    #: bound).  The round engine's drain timeout reads any silence as
-    #: loss, so a receiver that can never be reached — a partitioned
-    #: segment, a dead host — would otherwise keep the root spinning
-    #: repair rounds for the full ``max_retransmits`` budget.  A small
-    #: explicit bound converts that livelock into a crisp typed
-    #: :class:`repro.core.rounds.McastLost` within a few rounds; the
-    #: chaos fuzzer (:mod:`repro.chaos`) runs with this set low.
-    max_repair_rounds: "int | None" = None
+    #: hard ceiling on NACK *repair rounds* per segmented transfer.  The
+    #: round engine's drain timeout reads any silence as loss, so a
+    #: receiver that can never be reached — a partitioned segment, a
+    #: dead host — would keep the root spinning repair rounds forever;
+    #: this bound converts that livelock into a crisp typed
+    #: :class:`repro.core.rounds.McastLost`.  The chaos fuzzer
+    #: (:mod:`repro.chaos`) runs with it set low.
+    max_repair_rounds: int = 40
 
     # -- segmented multicast (mcast-seg-nack / mcast-seg-paced) ---------------
     #: user bytes per segment.  1460 + the 12-byte segment envelope fills
@@ -95,12 +96,6 @@ class NetParams:
     #: below :attr:`seg_auto_crossover` segments so small payloads never
     #: pay the per-datagram receive tax once per MTU.
     segment_bytes: "int | str" = 1460
-    #: logical segments packed per ``mcast-seg`` datagram.  An int forces
-    #: that batch factor; ``"auto"`` adapts it to the payload (whole
-    #: payload in one datagram below the crossover) but only when
-    #: ``segment_bytes`` is also ``"auto"``, so the explicit-size presets
-    #: keep PR 1's one-frame-per-datagram wire behaviour.
-    seg_batch: "int | str" = "auto"
     #: segment count below which the auto policy stops paying per-segment
     #: datagram taxes and ships the round as one batched datagram — the
     #: empirical ``mcast-seg-nack`` / ``mcast-ack`` latency crossover
@@ -123,29 +118,13 @@ class NetParams:
     #: gather's depth, so :func:`repro.core.rounds.round_drain_timeout_us`
     #: derives it from the group size instead of folding it in here.
     seg_drain_floor_us: float = 250.0
-    #: root-side inter-datagram pacing of the segment stream (paper §5:
-    #: a sender overrunning a receiver's descriptor budget).  ``0`` sends
-    #: back-to-back; a float inserts that many µs between data datagrams;
-    #: ``"auto"`` derives the gap from the receiver software drain
-    #: estimate (:meth:`seg_drain_estimate_us`).
-    seg_pace_gap_us: "float | str" = 0.0
-    #: when True, a root that learns from the NACK reports that some
-    #: receiver runs a finite descriptor budget switches its *repair*
-    #: rounds to auto-gap pacing with bursts capped at the smallest
-    #: reported budget — slow receivers shrink the burst.
-    seg_pace_feedback: bool = True
-    #: receive-descriptor ring size receivers may hold on the multicast
-    #: data socket (``None`` = unbounded, the pre-post-everything model).
-    #: A finite budget turns a long unpaced burst into paper-§5 overrun:
-    #: datagrams beyond the ring are dropped and must be NACK-repaired.
-    seg_recv_budget: "int | None" = None
     #: per-receiver multicast data-datagram loss probability.  Wired to
     #: an actual probabilistic drop at every receiving socket: each
     #: ``mcast-seg`` datagram is dropped independently with this
     #: probability, from a per-host seeded RNG substream
     #: (``Host.loss_rng``), so lossy runs are exactly reproducible and
     #: counted in ``NetStats.drops_lossy``.  Point fault injection is
-    #: still ``UdpSocket.drop_filter`` / finite ``seg_recv_budget``.
+    #: still ``UdpSocket.drop_filter``.
     #: The payload-aware auto policy folds the NACK-repair rounds this
     #: rate implies into its frame estimates
     #: (:func:`repro.analysis.framecount.expected_seg_repair_frames`) —
@@ -185,9 +164,8 @@ class NetParams:
     def seg_drain_estimate_us(self, datagram_bytes: int) -> float:
         """Receiver software time to consume one data datagram: the
         recvfrom syscall + copy, the multicast validation/delivery extra,
-        and the per-frame NIC/IP input cost of each fragment.  This is
-        the budget the root's auto pacing gap must cover so a receiver
-        re-posting descriptors one at a time is never overrun.
+        and the per-frame NIC/IP input cost of each fragment — the
+        receive term of the round engine's adaptive drain timeout.
         """
         return (self.udp_recv_us + self.mcast_recv_extra_us
                 + self.per_frame_rx_us * self.frames_for(datagram_bytes))

@@ -56,11 +56,8 @@ class RecorderHooks:
     def round_end(self, now: float, token, posted_hw: int = 0) -> None:
         """The round that returned ``token`` finished."""
 
-    def pacing_stall(self, now: float, addr: int, gap_us: float) -> None:
-        """The sender slept ``gap_us`` before the next paced datagram."""
-
     def nack_report(self, now: float, addr: int, src: int, rnd: int,
-                    missing: tuple, budget: int) -> None:
+                    missing: frozenset) -> None:
         """The server received one receiver's segment report."""
 
     def nack_sent(self, now: float, addr: int, rnd: int,

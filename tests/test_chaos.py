@@ -60,10 +60,30 @@ def test_max_repair_rounds_converts_livelock_to_typed_failure():
 
 
 def test_repair_round_limit_defaults_to_retransmit_ceiling():
-    from repro.core.rounds import repair_round_limit
+    """One repair bound: ``max_repair_rounds`` defaults to the 40 rounds
+    the ``max_retransmits`` fallback used to supply, and ``mcast-ack``'s
+    own resend bound no longer reaches the round engine."""
+    assert QUIET.max_repair_rounds == QUIET.max_retransmits == 40
+    lost = []
 
-    assert repair_round_limit(QUIET) == QUIET.max_retransmits
-    assert repair_round_limit(replace(QUIET, max_repair_rounds=5)) == 5
+    def drop_first_copy(dgram):
+        if dgram.kind == "mcast-seg" and not lost:
+            lost.append(dgram)
+            return True
+        return False
+
+    def main(env):
+        if env.rank == 1:
+            env.comm.mcast.data_sock.drop_filter = drop_first_copy
+        out = yield from env.comm.bcast(
+            b"x" * 8000 if env.rank == 0 else None, root=0)
+        return len(out)
+
+    # no ack resends allowed, one repair round needed: it still runs
+    result = run_spmd(3, main, params=replace(QUIET, max_retransmits=0),
+                      collectives={"bcast": "mcast-seg-nack"})
+    assert result.returns == [8000] * 3
+    assert result.stats["retransmissions"] == 1
 
 
 # ------------------------------------------------- partition hang dump

@@ -153,22 +153,3 @@ def test_unpaced_drain_cancels_every_leftover_descriptor():
     assert all(r[1] == list(range(6)) for r in result.returns)
     # and no descriptor survived into the paced collective
     assert result.stats["drops_induced"] == 3
-
-
-def test_seg_paced_allgather_matches_paced_under_finite_budget():
-    """Cross-impl agreement survives the §5 overrun scenario: with every
-    rank on a 2-descriptor ring, the segmented allgather repairs its way
-    to the same result the one-descriptor paced schedule produces."""
-
-    def main(env):
-        env.comm.use_collectives(allgather="mcast-paced")
-        a = yield from env.comm.allgather(bytes([env.rank]) * 8000)
-
-        env.comm.use_collectives(allgather="mcast-seg-paced")
-        env.comm.mcast.recv_budget = 2
-        b = yield from env.comm.allgather(bytes([env.rank]) * 8000)
-        env.comm.mcast.recv_budget = None
-        return a == b
-
-    result = run_spmd(4, main, params=QUIET_SW)
-    assert all(result.returns)

@@ -6,6 +6,8 @@ diagnostics on the deadline/deadlock paths."""
 import json
 import multiprocessing
 import os
+import pathlib
+import re
 import zlib
 from dataclasses import replace
 
@@ -18,8 +20,10 @@ from repro.core.rounds import McastLost
 from repro.runtime import run_spmd
 from repro.simnet import DeadlockError
 from repro.simnet.calibration import FAST_ETHERNET_SWITCH, quiet
+from repro.simnet.trace import RecorderHooks
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
+REPO = pathlib.Path(__file__).resolve().parents[1]
 
 QUIET = quiet(FAST_ETHERNET_SWITCH)
 #: seeded per-receiver loss — repairs happen, deterministically
@@ -205,7 +209,7 @@ def test_deadline_hang_dump_names_open_round_and_missing():
     """A receiver that drops every multicast data copy leaves its
     follow round open forever; cutting the run at the deadline must
     dump that round with the full missing-segment set."""
-    stubborn = replace(QUIET, max_retransmits=10**6)
+    stubborn = replace(QUIET, max_repair_rounds=10**6)
 
     def main(env):
         if env.rank == 1:
@@ -328,3 +332,26 @@ def test_tracing_off_leaves_no_recorder():
                       collectives=HIER)
     assert result.cluster.stats.recorder is None
     assert obs.drain_recorders() == []
+
+
+# ------------------------------------------------- the hook-point map
+def test_hook_table_lists_exactly_the_recorder_hooks():
+    """docs/OBSERVABILITY.md's hook-point table names every public
+    method of ``RecorderHooks`` and nothing else, and every function
+    its producer column names in parentheses is a ``def`` in the file
+    it is listed under."""
+    doc = (REPO / "docs" / "OBSERVABILITY.md").read_text()
+    section = doc.split("## Hook-point map", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split(" | ") for line in section.splitlines()
+            if line.startswith("| `")]
+    listed = [hook for cells in rows
+              for hook in re.findall(r"`(\w+)`", cells[0])]
+    hooks = {name for name, attr in vars(RecorderHooks).items()
+             if callable(attr) and not name.startswith("_")}
+    assert sorted(listed) == sorted(hooks)
+    for cells in rows:
+        for path, names in re.findall(r"`([\w/]+\.py)`(?: \(([^)]*)\))?",
+                                      cells[1]):
+            source = (REPO / "src" / "repro" / path).read_text()
+            for name in re.findall(r"`([\w.]+)`", names):
+                assert f"def {name.split('.')[-1]}(" in source, (path, name)

@@ -46,13 +46,8 @@ def _groups(draw):
     ranks = st.integers(min_value=0, max_value=n - 1)
     lost = st.sets(st.integers(min_value=0, max_value=NSEGS - 1),
                    max_size=3)
-    # finite rings at least one round wide: a smaller one would overrun
-    # and add losses of its own to the sets under test
-    ring = st.one_of(st.none(), st.integers(min_value=NSEGS,
-                                            max_value=NSEGS + 9))
     return (n, draw(ranks),
             draw(st.lists(lost, min_size=n, max_size=n)),
-            draw(st.lists(ring, min_size=n, max_size=n)),
             draw(st.sets(ranks, max_size=n // 2)))
 
 
@@ -60,14 +55,12 @@ def _groups(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(group=_groups())
 def test_fold_carries_the_union_and_the_smallest_ring_to_the_root(group):
-    """Any group size, root, per-rank loss pattern, per-rank descriptor
-    ring (``None`` = unbounded) and bystander subset: what the root's
-    fold returns is the union of the followers' missing sets and their
-    smallest finite ring (its own ring paces nobody); every round puts
-    exactly N-1 reports and ONE decision on the wire; the root's scout
-    socket takes at most ceil(log2 N) reports a round and never its own
-    decision."""
-    n, root, lost, rings, bystanders = group
+    """Any group size, root, per-rank loss pattern and bystander
+    subset: what the root's fold returns is the union of the followers'
+    missing sets, as a ``frozenset``; every round puts exactly N-1
+    reports and ONE decision on the wire; the root's scout socket takes
+    at most ceil(log2 N) reports a round and never its own decision."""
+    n, root, lost, bystanders = group
     bystanders = bystanders - {root}
     folded = []
     at_root = {"seg-report": 0, "seg-dec": 0}
@@ -88,7 +81,6 @@ def test_fold_carries_the_union_and_the_smallest_ring_to_the_root(group):
         comm, channel = env.comm, env.comm.mcast
         seq = channel.next_seq()
         arm, tok = round_namespace("fold", 0)
-        channel.recv_budget = rings[env.rank]
         if env.rank == root:
             channel.scout_sock.drop_filter = count
             yield from serve_rounds(comm, channel, seq, root,
@@ -112,12 +104,9 @@ def test_fold_carries_the_union_and_the_smallest_ring_to_the_root(group):
     followers = [r for r in range(n) if r != root]
     union = set().union(*(lost[r] for r in followers
                           if r not in bystanders))
-    finite = [rings[r] for r in followers if rings[r] is not None]
-    assert folded[0] == (union, min(finite, default=None))
+    assert all(type(missing) is frozenset for missing in folded)
     nrounds = 2 if union else 1             # first copies only: one repair
-    assert [missing for missing, _ring in folded[1:]] == \
-        [set()] * (nrounds - 1)
-    assert len(folded) == nrounds
+    assert folded == [union] + [set()] * (nrounds - 1)
     assert result.stats["retransmissions"] == len(union)
 
     kinds = result.stats["frames_by_kind"]

@@ -1,6 +1,6 @@
 """The reusable round engine: serve/follow contract, needed-subset and
 bystander followers, adaptive drain timeouts, repair re-batching, and
-the pacer unit behaviour."""
+the straggler rules of the header and the data descriptors."""
 
 from dataclasses import replace
 
@@ -8,7 +8,7 @@ import pytest
 
 from _invariants import assert_quiesced
 from repro import run_spmd
-from repro.core.rounds import (Reassembler, RoundPacer, Segment,
+from repro.core.rounds import (Reassembler, Segment,
                                follow_rounds, repair_batch,
                                round_drain_timeout_us, round_namespace,
                                serve_rounds)
@@ -48,18 +48,6 @@ def test_drain_timeout_shrinks_for_short_rounds():
     assert batched < AUTO.seg_drain_timeout_us
     # monotonic in round length
     assert one <= round_drain_timeout_us(QUIET, 2, 1472)
-
-
-def test_drain_timeout_covers_the_pacing_gap():
-    paced = replace(QUIET, seg_pace_gap_us=500.0)
-    assert (round_drain_timeout_us(paced, 2, 1472)
-            >= round_drain_timeout_us(QUIET, 2, 1472) + 2 * 500.0
-            or round_drain_timeout_us(paced, 2, 1472)
-            == paced.seg_drain_timeout_us)
-    # "auto" gap resolves to the drain-estimate-derived gap
-    auto_gap = replace(QUIET, seg_pace_gap_us="auto")
-    assert (round_drain_timeout_us(auto_gap, 1, 1472)
-            > round_drain_timeout_us(QUIET, 1, 1472))
 
 
 def test_whole_round_loss_nacks_faster_than_fixed_timeout():
@@ -149,9 +137,8 @@ def test_repair_batch_policy():
     assert repair_batch(AUTO, AUTO.seg_auto_crossover, 1) == 10
     # above the crossover: keep round 0's granularity
     assert repair_batch(AUTO, 11, 1) == 1
-    # explicit settings pin the wire behaviour
+    # an explicit segment size pins the wire behaviour
     assert repair_batch(QUIET, 3, 1) == 1
-    assert repair_batch(replace(AUTO, seg_batch=4), 3, 4) == 4
 
 
 def test_scattered_losses_repack_into_one_repair_datagram():
@@ -389,7 +376,7 @@ def test_interrupt_in_consume_round_disarms_and_withdraws(monkeypatch):
     """Every exit of the wait — an Interrupt thrown into the parked rank
     included — cancels the drain timer and withdraws the descriptors
     (the sanitizer's quiesce check would name a leftover one)."""
-    from repro.core.rounds import _consume_round, _post_round
+    from repro.core.rounds import _consume_round
     from repro.simnet.kernel import Interrupt
 
     monkeypatch.setenv("REPRO_SANITIZE", "1")
@@ -403,10 +390,10 @@ def test_interrupt_in_consume_round_disarms_and_withdraws(monkeypatch):
         channel.data_timer = lambda: timers.append(make_timer()) or timers[-1]
         env.sim.schedule_call(200.0, env.sim.active_process.interrupt,
                               "evict")
-        posted = _post_round(channel, 3)
+        posted = channel.post_data_many(3)
         assert channel.data_sock.posted_depth == 3
         try:
-            yield from _consume_round(env.comm, channel, posted, 3,
+            yield from _consume_round(env.comm, channel, posted, 0,
                                       channel.next_seq(), Reassembler(3),
                                       last_index=2, drain_us=5_000.0)
         except Interrupt as exc:
@@ -471,30 +458,6 @@ def test_record_budget_64_rank_bcast():
     assert result.stats["frames_delivered"] == 1770
     assert sim.processed / result.stats["frames_delivered"] <= 7.5
     assert sim.peak_live <= 400
-
-
-# ------------------------------------------------------------- the pacer
-def test_round_pacer_unit():
-    pacer = RoundPacer(QUIET, 1472)
-    assert pacer.gap_us == 0.0                      # unpaced by default
-    assert pacer.delay_before(5) == 0.0
-    pacer.note_budgets([None, 3, 7])                # feedback: ring of 3
-    assert pacer.burst == 3 and pacer.gap_us > 0
-    assert pacer.delay_before(2) == 0.0             # within the burst
-    assert pacer.delay_before(3) == pacer.gap_us
-    pacer.note_budgets([2])
-    assert pacer.burst == 2                         # shrinks, never grows
-    pacer.note_budgets([9])
-    assert pacer.burst == 2
-
-    auto = RoundPacer(replace(QUIET, seg_pace_gap_us="auto"), 1472)
-    drain = QUIET.seg_drain_estimate_us(1472)
-    assert auto.gap_us == pytest.approx(1.25 * drain + 10.0)
-    assert auto.delay_before(1) == auto.gap_us      # burst defaults to 1
-
-    no_fb = RoundPacer(replace(QUIET, seg_pace_feedback=False), 1472)
-    no_fb.note_budgets([2])
-    assert no_fb.burst == 2 and no_fb.gap_us == 0.0  # learns, won't pace
 
 
 # ------------------------------------------- the header straggler rule
@@ -590,4 +553,58 @@ def test_stale_duplicate_in_the_header_descriptor_is_discarded(op, impl):
     assert seen[twice[0] + 1][0] == "seg-hdr"   # ... where a header was due
     assert result.stats["retransmissions"] == 0
     assert result.stats["drops_chaos"] == 0
+    assert_quiesced(result.cluster, result.world)
+
+
+# ------------------------------------------- the data straggler rule
+def _delay_first_segment(cluster, addr, src, index, delay_us):
+    """Chaos through the ``HalfLink.fault`` seam, on the switch → ``addr``
+    link: the first ``mcast-seg`` frame carrying rank ``src``'s segment
+    ``index`` is held back ``delay_us`` (the ``("delay", us)`` fate)."""
+    down = cluster.host_links[addr][1]
+    held = []
+
+    def fate(frame, link):
+        if frame.kind != "mcast-seg" or held:
+            return None
+        root, _seq, seg = frame.payload.dgram.payload
+        if root == src and seg.index == index:
+            held.append(frame)
+            return ("delay", delay_us)
+        return None
+
+    down.fault = fate
+
+
+@pytest.mark.parametrize("delay_us", [1750.0, 2000.0])
+@pytest.mark.parametrize("op,impl", [("allgather", "mcast-seg-paced"),
+                                     ("gather", "mcast-seg-root-follow")])
+def test_late_segment_of_one_turn_is_not_the_next_turns_data(op, impl,
+                                                             delay_us):
+    """Every turn of one call shares its sequence number and, at equal
+    contribution sizes, its segment indices: rank 0's segment 1, held
+    back on its way to rank 2, lands in a descriptor rank 2 posted for
+    rank 1's turn.  The data descriptors take the header's rule — only
+    the stream's server may fill them — so the late copy is discarded
+    instead of reassembled as rank 1's segment 1; the segment it
+    displaced is NACKed and repaired: byte-correct, one retransmission
+    more than the turn-0 repair alone."""
+    def block(rank):
+        return bytes([rank + 1]) * 5000            # 4 segments of <= 1460
+
+    def main(env):
+        if op == "allgather":
+            out = yield from env.comm.allgather(block(env.rank))
+        else:
+            out = yield from env.comm.gather(block(env.rank), 2)
+            if env.rank != 2:
+                return out is None
+        return out == [block(r) for r in range(3)]
+
+    result = run_spmd(3, main, params=QUIET, collectives={op: impl},
+                      on_cluster=lambda c: _delay_first_segment(
+                          c, c.hosts[2].addr, 0, 1, delay_us))
+    assert result.returns == [True] * 3
+    assert result.stats["delays_chaos"] == 1
+    assert result.stats["retransmissions"] == 2
     assert_quiesced(result.cluster, result.world)

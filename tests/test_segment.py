@@ -1,8 +1,8 @@
 """Segmented pipelined multicast: fragmentation, reassembly, the
 adaptive transport plan (auto sizing + batching), and the
 ``mcast-seg-nack`` / ``mcast-seg-paced`` collectives (incl. NACK repair
-under induced loss, root rate pacing against descriptor budgets, and
-the documented frame/datagram-count formulas)."""
+under induced loss and the documented frame/datagram-count
+formulas)."""
 
 from dataclasses import replace
 
@@ -80,16 +80,6 @@ def test_plan_transport_auto_crossover(nbytes, batch, nsegs):
     assert (tp.segment_bytes, tp.batch, tp.nsegs) == (1460, batch, nsegs)
     if batch > 1:
         assert tp.ndatagrams == 1
-
-
-def test_plan_transport_explicit_batch_overrides_policy():
-    forced = replace(QUIET, seg_batch=4)
-    tp = plan_transport(12_000, forced)
-    assert (tp.batch, tp.nsegs, tp.ndatagrams) == (4, 9, 3)
-    # batch is clamped to the segment count
-    assert plan_transport(1000, forced).batch == 1
-    with pytest.raises(ValueError):
-        plan_transport(1000, replace(QUIET, seg_batch=0))
 
 
 def test_chunk_plan_groups_consecutive_indices():
@@ -428,11 +418,11 @@ def test_seg_paced_allgather_auto_batches_small_contributions():
 
 # ------------------------------------------------------ batched frames
 def test_seg_nack_batched_bcast_matches_formulas():
-    """An explicit batch factor leaves the Ethernet-frame formula intact
-    while cutting datagrams (the per-receive software tax) to
-    ceil(S/B) — both closed forms hold on the wire."""
-    forced = replace(QUIET, seg_batch=8)
-    payload = bytes(48_000)                    # 33 segments, 5 datagrams
+    """The auto plan below the crossover batches the whole payload into
+    one datagram: the Ethernet-frame formula stays intact while the
+    datagrams (the per-receive software tax) fall to ceil(S/B) — both
+    closed forms hold on the wire."""
+    payload = bytes(12_000)                    # 9 segments, 1 datagram
 
     def main(env):
         env.comm.use_collectives(bcast="mcast-seg-nack")
@@ -440,30 +430,26 @@ def test_seg_nack_batched_bcast_matches_formulas():
         out = yield from env.comm.bcast(obj, 0)
         return out == payload
 
-    result = run_spmd(4, main, params=forced)
+    result = run_spmd(4, main, params=AUTO)
     assert result.returns == [True] * 4
     kinds = result.stats["frames_by_kind"]
-    assert kinds["mcast-seg"] == 33            # one frame per segment still
+    assert kinds["mcast-seg"] == 9             # one frame per segment still
     assert collective_datagrams(result) == seg_nack_datagram_count(
-        4, 33, batch=8)
+        4, 9, batch=9)
 
 
 def test_seg_nack_batched_bcast_repairs_whole_batch_loss():
-    """Losing one batched datagram loses its whole segment run; the
+    """Losing the one batched datagram loses its whole segment run; the
     repair round re-batches exactly those segments into one datagram."""
-    forced = replace(QUIET, seg_batch=8)
-    payload = bytes(48_000)
+    payload = bytes(12_000)
     dropped = []
 
     def flt(dgram):
-        # drop the first copy of the second batch (segments 8..15)
+        # drop the first copy of the batch (segments 0..8)
         if dgram.kind != "mcast-seg" or dropped:
             return False
-        batch = dgram.payload[2]
-        if isinstance(batch, tuple) and batch[0].index == 8:
-            dropped.append([s.index for s in batch])
-            return True
-        return False
+        dropped.append([s.index for s in dgram.payload[2]])
+        return True
 
     def main(env):
         env.comm.use_collectives(bcast="mcast-seg-nack")
@@ -473,13 +459,13 @@ def test_seg_nack_batched_bcast_repairs_whole_batch_loss():
         out = yield from env.comm.bcast(obj, 0)
         return out == payload
 
-    result = run_spmd(3, main, params=forced)
+    result = run_spmd(3, main, params=AUTO)
     assert result.returns == [True] * 3
-    assert dropped == [list(range(8, 16))]
-    # the 8 lost segments came back as ONE re-batched repair datagram
+    assert dropped == [list(range(9))]
+    # the 9 lost segments came back as ONE re-batched repair datagram
     assert result.stats["retransmissions"] == 1
     assert collective_datagrams(result) == seg_nack_datagram_count(
-        3, 33, batch=8, repairs=[8])
+        3, 9, batch=9, repairs=[9])
 
 
 def test_seg_nack_auto_bcast_correct_across_the_crossover():
@@ -553,83 +539,11 @@ def test_auto_seg_nack_beats_ack_above_crossover():
     assert seg < ack / 2
 
 
-# --------------------------------------------- rate pacing (paper §5)
-SLOW_RECV = replace(QUIET, mcast_recv_extra_us=400.0)
-
-
-def _budget_bcast(params, budget, nbytes=48_000, nprocs=3):
-    def main(env):
-        env.comm.use_collectives(bcast="mcast-seg-nack")
-        if env.rank != 0 and budget is not None:
-            env.comm.mcast.recv_budget = budget
-        obj = bytes(nbytes) if env.rank == 0 else None
-        out = yield from env.comm.bcast(obj, 0)
-        return (out == bytes(nbytes),
-                env.comm.mcast.data_sock.posted_high_water)
-
-    return run_spmd(nprocs, main, params=params)
-
-
-def test_unpaced_burst_overruns_finite_descriptor_budget():
-    """A receiver with a 2-descriptor ring cannot absorb a back-to-back
-    33-segment burst from a fast root: the overflow datagrams drop
-    (paper §5 overrun) and must be NACK-repaired — correct result, but
-    real retransmission cost."""
-    result = _budget_bcast(SLOW_RECV, budget=2)
-    assert all(ok for ok, _hw in result.returns)
-    assert result.stats["drops_not_posted"] > 0
-    assert result.stats["retransmissions"] > 0
-    # the ring was honoured: receivers never held more than 2 descriptors
-    assert all(hw <= 2 for ok, hw in result.returns[1:])
-
-
-def test_auto_pacing_gap_prevents_overrun_entirely():
-    """With the auto inter-datagram gap (derived from the receiver drain
-    estimate) and the budget declared in NetParams, even a 2-descriptor
-    ring absorbs the whole stream: zero drops, zero repairs."""
-    paced = replace(SLOW_RECV, seg_pace_gap_us="auto", seg_recv_budget=2)
-    result = _budget_bcast(paced, budget=None)
-    assert all(ok for ok, _hw in result.returns)
-    assert result.stats["drops_not_posted"] == 0
-    assert result.stats["retransmissions"] == 0
-    assert all(hw <= 2 for ok, hw in result.returns[1:])
-
-
-def test_pacing_feedback_shrinks_the_burst_after_round_one():
-    """The root does not know the receivers' rings up front; the NACK
-    reports carry them, and with feedback the repair rounds run paced —
-    far fewer retransmissions than with feedback disabled."""
-    with_fb = _budget_bcast(SLOW_RECV, budget=2)
-    no_fb = _budget_bcast(replace(SLOW_RECV, seg_pace_feedback=False),
-                          budget=2)
-    assert all(ok for ok, _hw in with_fb.returns)
-    assert all(ok for ok, _hw in no_fb.returns)
-    assert (with_fb.stats["retransmissions"]
-            < no_fb.stats["retransmissions"])
-
-
-def test_seg_paced_allgather_survives_budget_overrun():
-    """The many-to-many case the paper's §5 worried about: every rank
-    runs a finite ring, senders burst, overruns are repaired per turn —
-    the allgather completes instead of raising McastLost."""
-    def main(env):
-        env.comm.use_collectives(allgather="mcast-seg-paced")
-        env.comm.mcast.recv_budget = 2
-        out = yield from env.comm.allgather(bytes([env.rank]) * 20_000)
-        return [x == bytes([r]) * 20_000 for r, x in enumerate(out)]
-
-    result = run_spmd(3, main, params=SLOW_RECV)
-    assert result.returns == [[True] * 3] * 3
-    assert result.stats["drops_not_posted"] > 0
-    assert result.stats["retransmissions"] > 0
-
-
 def test_seg_nack_gives_up_cleanly_on_unrepairable_loss():
     """If a segment can never be delivered, the root aborts the repair
     loop AND tells the receivers, so every rank raises instead of the
     receivers hanging in an arm gather the root will never serve."""
-    few = quiet(FAST_ETHERNET_SWITCH.__class__(**{
-        **FAST_ETHERNET_SWITCH.__dict__, "max_retransmits": 3}))
+    few = replace(QUIET, max_repair_rounds=3)
 
     def main(env):
         env.comm.use_collectives(bcast="mcast-seg-nack")
