@@ -14,7 +14,7 @@ Run:  python examples/barrier_scaling.py
 
 from repro.analysis import (paper_mcast_barrier_messages,
                             paper_mpich_barrier_messages)
-from repro.bench import measure_barrier
+from repro.bench import measure
 
 
 def main() -> None:
@@ -23,10 +23,12 @@ def main() -> None:
           f"speedup")
     print("-" * 78)
     for n in range(2, 10):
-        mpich = measure_barrier("p2p-mpich", "hub", n, reps=15, seed=n)
-        dis = measure_barrier("p2p-dissemination", "hub", n, reps=15,
-                              seed=200 + n)
-        mcast = measure_barrier("mcast", "hub", n, reps=15, seed=100 + n)
+        mpich = measure("barrier", "p2p-mpich", "hub", n, [0], reps=15,
+                        seed=n)
+        dis = measure("barrier", "p2p-dissemination", "hub", n, [0],
+                      reps=15, seed=200 + n)
+        mcast = measure("barrier", "mcast", "hub", n, [0], reps=15,
+                        seed=100 + n)
         mpich_us = mpich.median(0)
         mcast_us = mcast.median(0)
         scouts, releases = paper_mcast_barrier_messages(n)

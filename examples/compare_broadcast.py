@@ -10,7 +10,7 @@ Run:  python examples/compare_broadcast.py [--reps 15]
 
 import argparse
 
-from repro.bench import PAPER_SIZES, ascii_plot, crossover, measure_bcast
+from repro.bench import PAPER_SIZES, ascii_plot, crossover, measure
 
 
 def main() -> None:
@@ -22,15 +22,15 @@ def main() -> None:
 
     for topology in ("hub", "switch"):
         series = [
-            measure_bcast("p2p-binomial", topology, args.procs,
-                          PAPER_SIZES, reps=args.reps, seed=1,
-                          label=f"mpich/{topology}"),
-            measure_bcast("mcast-linear", topology, args.procs,
-                          PAPER_SIZES, reps=args.reps, seed=2,
-                          label=f"mcast linear/{topology}"),
-            measure_bcast("mcast-binary", topology, args.procs,
-                          PAPER_SIZES, reps=args.reps, seed=3,
-                          label=f"mcast binary/{topology}"),
+            measure("bcast", "p2p-binomial", topology, args.procs,
+                    PAPER_SIZES, reps=args.reps, seed=1,
+                    label=f"mpich/{topology}"),
+            measure("bcast", "mcast-linear", topology, args.procs,
+                    PAPER_SIZES, reps=args.reps, seed=2,
+                    label=f"mcast linear/{topology}"),
+            measure("bcast", "mcast-binary", topology, args.procs,
+                    PAPER_SIZES, reps=args.reps, seed=3,
+                    label=f"mcast binary/{topology}"),
         ]
         print(f"MPI_Bcast, {args.procs} processes, {topology} "
               f"(median of {args.reps} runs, us)")

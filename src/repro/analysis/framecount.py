@@ -537,8 +537,6 @@ def model_hier_frames(op: str, seg_of_rank, root: int, nbytes: int,
 MODEL_COVERAGE: dict[tuple[str, str], str] = {
     ("bcast", "p2p-binomial"):
         "repro.analysis.framecount.model_mpich_bcast_frames",
-    ("bcast", "p2p-linear"):
-        "repro.analysis.framecount.model_mpich_bcast_frames",
     ("bcast", "mcast-binary"):
         "repro.analysis.framecount.model_mcast_bcast_frames",
     ("bcast", "mcast-linear"):

@@ -4,7 +4,7 @@
 the paper's own figures (:mod:`.paper_figures`) beside this repo's
 extensions (:mod:`.sweep_areas`)."""
 
-from .harness import Sample, Series, measure_barrier, measure_bcast
+from .harness import Sample, Series, measure, op_body
 from .paper_figures import PAPER_SIZES
 from .report import ascii_plot, crossover
 from .sweep import (diff_docs, dumps_canonical, load_areas, run_area,
@@ -12,6 +12,6 @@ from .sweep import (diff_docs, dumps_canonical, load_areas, run_area,
 
 __all__ = [
     "PAPER_SIZES", "Sample", "Series", "ascii_plot", "crossover",
-    "diff_docs", "dumps_canonical", "load_areas", "measure_barrier",
-    "measure_bcast", "run_area", "sweep_markdown",
+    "diff_docs", "dumps_canonical", "load_areas", "measure", "op_body",
+    "run_area", "sweep_markdown",
 ]

@@ -13,6 +13,13 @@ samples plus the median.  A small per-iteration compute phase staggers
 entries (real SPMD ranks never enter a collective in lockstep), which —
 on the hub — is what makes CSMA/CD collisions and their variance appear,
 exactly as in the paper's scatter plots.
+
+This is the one measured-run layer of :mod:`repro.bench`:
+:func:`op_body` is the one collective call (result asserted on every
+rank) that both the timed loop and the sweep areas' single-shot runs
+execute, and :func:`measure` is the one latency protocol: every sweep
+area's latency sweep (``paper-figures``' curves and barriers, the
+``latency`` family of each extension area) runs through it.
 """
 
 from __future__ import annotations
@@ -21,11 +28,14 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
+from ..mpi.ops import SUM
 from ..runtime import run_spmd
 from ..runtime.skew import compute_phase
 from ..simnet.calibration import NetParams
 
-__all__ = ["Sample", "Series", "measure_bcast", "measure_barrier"]
+__all__ = ["Sample", "Series", "measure", "op_body"]
 
 #: mean µs of the pseudo-compute phase between iterations
 DEFAULT_THINK_US = 60.0
@@ -70,19 +80,56 @@ class Series:
 
 
 #: per-iteration measurement window (µs) — generously above the largest
-#: collective latency on any platform in the sweeps, so iterations never
-#: bleed into each other
+#: collective latency on any platform in the paper's sweeps; an iteration
+#: that outlasts its window fails the run (:func:`_timed_loop`)
 WINDOW_US = 20_000.0
 
 
-def _window_sync(env, base: float, index: int,
-                 window_us: float = WINDOW_US) -> float:
-    """Align all ranks on iteration ``index``'s window start."""
-    target = base + index * window_us
-    now = env.now
-    if target > now:
-        return target - now
-    return 0.0
+def op_body(op: str, size: int):
+    """``body(env)``: one ``op`` call over a ``size``-byte payload, its
+    result asserted on every rank.
+
+    ``bcast`` ships ``size`` bytes from rank 0; ``scatter`` / ``gather``
+    / ``allgather`` move an equal ``size // n`` share per rank; ``reduce``
+    / ``allreduce`` SUM float64 vectors of ``size`` bytes (at least one
+    element) holding ``rank + 1``, so the result is ``n (n + 1) / 2``
+    everywhere it lands; ``barrier`` ignores ``size``.  Rank 0 is the
+    root of the rooted ops."""
+
+    def body(env):
+        comm, n = env.comm, env.comm.size
+        share = bytes(size // n)
+        if op == "bcast":
+            out = yield from comm.bcast(
+                bytes(size) if comm.rank == 0 else None, 0)
+            assert out == bytes(size), f"rank {comm.rank}: bcast payload"
+        elif op in ("reduce", "allreduce"):
+            arr = np.full(max(1, size // 8), float(comm.rank + 1),
+                          dtype=np.float64)
+            if op == "reduce":
+                out = yield from comm.reduce(arr, SUM, 0)
+            else:
+                out = yield from comm.allreduce(arr, SUM)
+            if op == "allreduce" or comm.rank == 0:
+                assert np.all(out == n * (n + 1) / 2), \
+                    f"rank {comm.rank}: {op} sum"
+        elif op == "scatter":
+            out = yield from comm.scatter(
+                [share] * n if comm.rank == 0 else None, 0)
+            assert out == share, f"rank {comm.rank}: scatter share"
+        elif op == "gather":
+            out = yield from comm.gather(share, 0)
+            assert out == ([share] * n if comm.rank == 0 else None), \
+                f"rank {comm.rank}: gather result"
+        elif op == "allgather":
+            out = yield from comm.allgather(share)
+            assert out == [share] * n, f"rank {comm.rank}: allgather result"
+        elif op == "barrier":
+            yield from comm.barrier()
+        else:
+            raise KeyError(op)
+
+    return body
 
 
 def _agree_base(env):
@@ -94,19 +141,12 @@ def _agree_base(env):
     return base
 
 
-def _timed_loop(call, sizes, reps, think_us, setup=None,
-                window_us=WINDOW_US):
+def _timed_loop(op, sizes, reps, think_us, setup, window_us):
     """SPMD body: the windowed timed loop, per-rank durations into
-    records.  ``call(env, size)`` is the generator under the stopwatch
-    (one collective); it is the only thing that differs between the
-    broadcast and barrier sweeps.
+    records; the stopwatch covers one :func:`op_body` call.
 
     ``setup(env)`` runs once per rank before the loop — benchmarks use it
-    to install fault-injection filters (e.g. induced multicast loss for
-    the segmented-broadcast sweep).  ``window_us`` overrides the
-    per-iteration measurement window for workloads whose collectives
-    (e.g. ``mcast-ack`` at many-segment sizes under loss) outlast the
-    default.
+    to install fault-injection filters (e.g. induced multicast loss).
 
     Iterations are separated by **measurement windows**: every rank idles
     until a common absolute start tick (the window-mode technique of
@@ -116,6 +156,9 @@ def _timed_loop(call, sizes, reps, think_us, setup=None,
     eager-protocol root pipelines broadcasts ahead of its receivers, and
     barrier-exit stagger (itself one p2p message wide) leaks into the
     timed region and penalizes whichever algorithm finishes unevenly.
+    An iteration still running when the next window opens would hand
+    that window a late, unsynchronised start, so it fails the run
+    instead: widen ``window_us``.
     """
 
     def main(env):
@@ -124,30 +167,23 @@ def _timed_loop(call, sizes, reps, think_us, setup=None,
         base = yield from _agree_base(env)
         k = 0
         for size in sizes:
+            body = op_body(op, size)
             for it in range(reps):
-                delay = _window_sync(env, base, k, window_us)
-                k += 1
+                delay = base + k * window_us - env.now
                 if delay > 0:
                     yield env.sim.timeout(delay)
                 # staggered entry, like real compute between collectives
                 yield from compute_phase(env, think_us)
                 t0 = env.now
-                yield from call(env, size)
+                yield from body(env)
+                k += 1
+                if env.now > base + k * window_us:
+                    raise AssertionError(
+                        f"rank {env.rank}: iteration {k - 1} overran its "
+                        f"{window_us:.0f} us window")
                 env.log("durations", (size, it, env.now - t0))
 
     return main
-
-
-def _bcast(env, size):
-    comm = env.comm
-    obj = yield from comm.bcast(bytes(size) if comm.rank == 0 else None,
-                                root=0)
-    if len(obj) != size:  # pragma: no cover - correctness net
-        raise AssertionError("bcast corrupted payload")
-
-
-def _barrier(env, _size):
-    yield from env.comm.barrier()
 
 
 def _collect(result, label, impl, topology, nprocs) -> Series:
@@ -165,39 +201,25 @@ def _collect(result, label, impl, topology, nprocs) -> Series:
     return series
 
 
-def _measure(op, call, impl, topology, nprocs, sizes, reps, seed, params,
-             think_us, label, setup=None, window_us=WINDOW_US) -> Series:
+def measure(op: str, impl: str, topology: str, nprocs: int,
+            sizes: list[int], reps: int = 25, seed: int = 0,
+            params: Optional[NetParams] = None,
+            think_us: float = DEFAULT_THINK_US,
+            label: Optional[str] = None,
+            setup=None,
+            window_us: float = WINDOW_US) -> Series:
+    """Latency sweep of one implementation of one collective.
+
+    ``op`` is any :func:`op_body` op, ``impl`` its registry name
+    ("p2p-binomial", "mcast-binary", "auto", ...); a barrier sweeps
+    ``sizes=[0]``.  ``setup(env)`` runs per rank before the timed loop
+    (fault injection); ``window_us`` widens the measurement window for
+    slow collectives.
+    """
     result = run_spmd(nprocs,
-                      _timed_loop(call, sizes, reps, think_us, setup=setup,
-                                  window_us=window_us),
+                      _timed_loop(op, sizes, reps, think_us, setup,
+                                  window_us),
                       topology=topology, params=params, seed=seed,
                       collectives={op: impl})
     return _collect(result, label or f"{impl}/{topology}/{nprocs}p",
                     impl, topology, nprocs)
-
-
-def measure_bcast(impl: str, topology: str, nprocs: int,
-                  sizes: list[int], reps: int = 25, seed: int = 0,
-                  params: Optional[NetParams] = None,
-                  think_us: float = DEFAULT_THINK_US,
-                  label: Optional[str] = None,
-                  setup=None,
-                  window_us: float = WINDOW_US) -> Series:
-    """Latency sweep of one broadcast implementation.
-
-    ``impl`` is a registry name ("p2p-binomial", "mcast-binary", ...).
-    ``setup(env)`` runs per rank before the timed loop (fault injection);
-    ``window_us`` widens the measurement window for slow collectives.
-    """
-    return _measure("bcast", _bcast, impl, topology, nprocs, sizes, reps,
-                    seed, params, think_us, label, setup, window_us)
-
-
-def measure_barrier(impl: str, topology: str, nprocs: int,
-                    reps: int = 25, seed: int = 0,
-                    params: Optional[NetParams] = None,
-                    think_us: float = DEFAULT_THINK_US,
-                    label: Optional[str] = None) -> Series:
-    """Latency samples of one barrier implementation (size axis = {0})."""
-    return _measure("barrier", _barrier, impl, topology, nprocs, [0], reps,
-                    seed, params, think_us, label)

@@ -31,7 +31,7 @@ from ..core.mcast_allgather import allgather_mcast_unpaced
 from ..runtime import run_spmd
 from ..simnet import quiet
 from ..simnet.calibration import FAST_ETHERNET_SWITCH, VIA_SWITCH
-from .harness import measure_barrier, measure_bcast
+from .harness import measure
 from .report import crossover
 from .sweep import AreaSpec, Family, find_series, metric, register_area
 
@@ -59,8 +59,8 @@ def _stat(stat: str, size: int) -> str:
 # ---------------------------------------------------------------------------
 def curve_case(scale, seed, platform, topology, nprocs, impl):
     """One broadcast curve: median/min/max of the slowest rank per size."""
-    series = measure_bcast(impl, topology, nprocs, PAPER_SIZES, reps=REPS,
-                           seed=seed, params=PLATFORMS[platform])
+    series = measure("bcast", impl, topology, nprocs, PAPER_SIZES,
+                     reps=REPS, seed=seed, params=PLATFORMS[platform])
     out = {}
     for size in PAPER_SIZES:
         out[_stat("median", size)] = series.median(size)
@@ -69,7 +69,8 @@ def curve_case(scale, seed, platform, topology, nprocs, impl):
 
 
 def barrier_case(scale, seed, impl, nprocs):
-    series = measure_barrier(impl, "hub", nprocs, reps=REPS, seed=seed)
+    series = measure("barrier", impl, "hub", nprocs, [0], reps=REPS,
+                     seed=seed)
     lo, hi = series.spread(0)
     return {"latency_us_median": series.median(0),
             "latency_us_min": lo, "latency_us_max": hi}

@@ -169,13 +169,24 @@ def _run_case(area: str, scale: str, family: str, axes: dict,
               seed: int) -> dict:
     spec = AREAS[area]
     fam = next(f for f in spec.families(scale) if f.name == family)
-    metrics = fam.runner(scale=scale, seed=seed, **axes)
+    where = f"{area}/{case_key(family, axes)}"
+    try:
+        metrics = fam.runner(scale=scale, seed=seed, **axes)
+    except Exception as exc:
+        # a rank program's exception carries the cluster it died in
+        # (``repro_cluster``), which a worker cannot pickle back: keep
+        # the type and the text, drop the rest
+        try:
+            err = type(exc)(f"{where}: {exc}")
+        except Exception:       # a typed error with its own signature
+            err = RuntimeError(f"{where}: {type(exc).__name__}: {exc}")
+        raise err from None
     for name, value in metrics.items():
         if not isinstance(value, (int, float, str)) \
                 or isinstance(value, bool):
             raise TypeError(
-                f"{area}/{case_key(family, axes)}: metric {name!r} must "
-                f"be int, float or str, got {type(value).__name__}")
+                f"{where}: metric {name!r} must be int, float or str, "
+                f"got {type(value).__name__}")
     return metrics
 
 

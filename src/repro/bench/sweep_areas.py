@@ -25,6 +25,12 @@ Five areas — four extension claims, plus the simulator's own speed:
 
 Every number in a document is measured on the simulator; where a
 closed-form model exists, a postcondition holds the measurement to it.
+Every case measures through :mod:`repro.bench.harness`: each collective
+call is :func:`~repro.bench.harness.op_body` (its result asserted on
+every rank), a single-shot quiet run is :func:`_run`, and every latency
+is the paper's §4 windowed protocol,
+:func:`~repro.bench.harness.measure` (per iteration the slowest rank's
+time, median over iterations) — no case times a loop of its own.
 
 Every reproduction criterion is either an in-runner assertion
 (correctness of the collective's result) or an area **postcondition**
@@ -40,11 +46,10 @@ counts with ``REPRO_BENCH_REPS``.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import replace
 from types import SimpleNamespace
-
-import numpy as np
 
 from ..analysis.framecount import (MODEL_COVERAGE,
                                    expected_seg_repair_frames,
@@ -53,11 +58,10 @@ from ..core.segment import (plan_segments, plan_transport,
                             seg_nack_datagram_count,
                             seg_nack_frame_count)
 from ..mpi.collective.policy import AUTO_CHOICES
-from ..mpi.ops import SUM
 from ..runtime import run_spmd
 from ..simnet import quiet
 from ..simnet.calibration import FAST_ETHERNET_SWITCH
-from .harness import measure_bcast
+from .harness import measure, op_body
 from .sweep import AreaSpec, Family, find_series, metric, register_area
 
 FIXED = FAST_ETHERNET_SWITCH
@@ -92,15 +96,28 @@ DIMS = {
 
 
 # ---------------------------------------------------------------------------
-# induced-loss machinery
+# one induced-loss filter, one quiet run
 # ---------------------------------------------------------------------------
-def _drop_first_copy(unit_of):
-    """Filter dropping the first arrival of each distinct data unit."""
+def _drop_first_copy(kind, want=None):
+    """Filter dropping the first arrival of each distinct ``kind`` data
+    unit: ``(sender, seq)`` — one unit per call, so a one-segment
+    payload still sees loss — or, with ``want``, ``(sender, seq, lowest
+    index)`` of each datagram carrying a segment whose index satisfies
+    ``want``."""
     seen = set()
 
     def flt(dgram):
-        unit = unit_of(dgram)
-        if unit is None or unit in seen:
+        if dgram.kind != kind:
+            return False
+        sender, seq, seg = dgram.payload
+        unit = (sender, seq)
+        if want is not None:
+            index = [s.index for s in
+                     (seg if isinstance(seg, tuple) else (seg,))]
+            if not any(want(i) for i in index):
+                return False
+            unit += (min(index),)
+        if unit in seen:
             return False
         seen.add(unit)
         return True
@@ -108,25 +125,33 @@ def _drop_first_copy(unit_of):
     return flt
 
 
-def _seg_unit(dgram):
-    """A ``mcast-seg`` datagram whose batch holds a segment ≡ 3 mod 8."""
-    if dgram.kind != "mcast-seg":
-        return None
-    _root, seq, seg = dgram.payload
-    segs = seg if isinstance(seg, tuple) else (seg,)
-    if not any(s.index % 8 == 3 for s in segs):
-        return None
-    return (seq, min(s.index for s in segs))
+def _seg_3_mod_8(index):
+    """The fixed plans' induced-loss pattern: segments ≡ 3 (mod 8)."""
+    return index % 8 == 3
 
 
-def _any_data_unit(kind):
-    """First-copy-per-broadcast unit, symmetric across impls (used by
-    the frame-count comparison so a 1-segment payload still sees loss)."""
-    def unit_of(dgram):
-        if dgram.kind != kind:
-            return None
-        return (dgram.payload[1],)          # the broadcast's seq
-    return unit_of
+def _install_drop(env, drop, lossy):
+    """Give each ``lossy`` rank its own ``_drop_first_copy(*drop)``."""
+    if drop is not None and env.rank in lossy:
+        env.comm.mcast.data_sock.drop_filter = _drop_first_copy(*drop)
+
+
+def _run(n, op, impl, size, params=QUIET_AUTO, seed=0, topology="switch",
+         n_ops=1, drop=None, lossy=()):
+    """One quiet run of ``n_ops`` back-to-back ``op`` calls of ``impl``,
+    each checked on every rank (:func:`op_body`); ``drop`` —
+    :func:`_drop_first_copy`'s arguments — filters the data socket of
+    every ``lossy`` rank.  Each rank returns its ``impl_log``."""
+    body = op_body(op, size)
+
+    def main(env):
+        env.comm.use_collectives(**{op: impl})
+        _install_drop(env, drop, lossy)
+        for _ in range(n_ops):
+            yield from body(env)
+        return list(env.comm.impl_log)
+
+    return run_spmd(n, main, topology=topology, params=params, seed=seed)
 
 
 def _seg_stream_frames(kinds) -> int:
@@ -135,13 +160,6 @@ def _seg_stream_frames(kinds) -> int:
     return sum(kinds.get(k, 0) for k in
                ("mcast-seg", "mcast-seg-hdr", "seg-report", "seg-dec",
                 "scout"))
-
-
-def _lossy_setup(unit_of):
-    def setup(env):
-        if env.rank % 2 == 1:
-            env.comm.mcast.data_sock.drop_filter = _drop_first_copy(unit_of)
-    return setup
 
 
 # ===========================================================================
@@ -163,64 +181,47 @@ def _lossy_setup(unit_of):
 #    legacy [x/4, 2x] band at 64 ranks and 2%.
 # ===========================================================================
 SEG_NPROCS = 4
+#: the ranks that lose data under induced loss
+SEG_LOSSY = range(1, SEG_NPROCS, 2)
 #: wide enough for mcast-ack's full-payload retransmission storms
 SEG_WINDOW_US = 150_000.0
+#: induced loss: the per-segment plans lose segments ≡ 3 mod 8, the ack
+#: baseline (and, in ``frames``, the batched auto plan) the first copy
+#: of each call's data
+SEG_DROP = ("mcast-seg", _seg_3_mod_8)
+ACK_DROP = ("mcast-data",)
 
-#: variant -> (registry impl, NetParams, lossy?)
+#: variant -> (registry impl, NetParams, induced-loss drop or None)
 _SEG_GATE_VARIANTS = {
-    "seg-fixed-lossy": ("mcast-seg-nack", FIXED, True),
-    "seg-auto-lossy": ("mcast-seg-nack", AUTO, True),
-    "seg-fixed-clean": ("mcast-seg-nack", FIXED, False),
-    "seg-auto-clean": ("mcast-seg-nack", AUTO, False),
-    "ack-lossy": ("mcast-ack", FIXED, True),
-    "p2p-clean": ("p2p-binomial", FIXED, False),
-    "policy-clean": ("auto", AUTO, False),
+    "seg-fixed-lossy": ("mcast-seg-nack", FIXED, SEG_DROP),
+    "seg-auto-lossy": ("mcast-seg-nack", AUTO, SEG_DROP),
+    "seg-fixed-clean": ("mcast-seg-nack", FIXED, None),
+    "seg-auto-clean": ("mcast-seg-nack", AUTO, None),
+    "ack-lossy": ("mcast-ack", FIXED, ACK_DROP),
+    "p2p-clean": ("p2p-binomial", FIXED, None),
+    "policy-clean": ("auto", AUTO, None),
 }
 _SEG_VARIANTS = {
     "gate": _SEG_GATE_VARIANTS,
     "full": {**_SEG_GATE_VARIANTS, "seg-730-lossy": (
-        "mcast-seg-nack", replace(FIXED, segment_bytes=730), True)},
+        "mcast-seg-nack", replace(FIXED, segment_bytes=730), SEG_DROP)},
 }
 
-
-def _seg_loss_unit(impl: str, plan: str):
-    """The per-impl induced-loss units: the fixed
-    per-segment plan loses segments ≡ 3 mod 8, the batched auto plan
-    and the ack baseline lose the first copy of each call's data."""
-    if impl == "mcast-ack":
-        return _any_data_unit("mcast-data")
-    if plan == "auto":
-        return _any_data_unit("mcast-seg")
-    return _seg_unit
+#: ``frames`` family impl -> (registry impl, NetParams, induced-loss drop)
+_SEG_FRAMES = {
+    "seg-fixed": ("mcast-seg-nack", QUIET, SEG_DROP),
+    "seg-auto": ("mcast-seg-nack", QUIET_AUTO, ("mcast-seg",)),
+    "ack": ("mcast-ack", QUIET, ACK_DROP),
+}
 
 
 def seg_frames_case(scale, seed, impl, size, loss):
     """One quiet single-shot broadcast; stream/data/datagram counts."""
-    if impl == "ack":
-        registry_impl, params = "mcast-ack", QUIET
-        plan = "fixed"
-    elif impl == "seg-auto":
-        registry_impl, params = "mcast-seg-nack", QUIET_AUTO
-        plan = "auto"
-    else:                                   # seg-fixed
-        registry_impl, params = "mcast-seg-nack", QUIET
-        plan = "fixed"
-    setup = (_lossy_setup(_seg_loss_unit(registry_impl, plan))
-             if loss == "induced" else None)
-    payload = bytes(size)
-
-    def main(env):
-        env.comm.use_collectives(bcast=registry_impl)
-        if setup is not None:
-            setup(env)
-        obj = payload if env.rank == 0 else None
-        out = yield from env.comm.bcast(obj, 0)
-        return out == payload
-
-    result = run_spmd(SEG_NPROCS, main, params=params, seed=seed)
-    assert all(result.returns), f"{impl}@{size}B/{loss}: corrupt payload"
+    registry_impl, params, drop = _SEG_FRAMES[impl]
+    result = _run(SEG_NPROCS, "bcast", registry_impl, size, params, seed,
+                  drop=drop, lossy=SEG_LOSSY if loss == "induced" else ())
     kinds = result.stats["frames_by_kind"]
-    if registry_impl == "mcast-ack":
+    if impl == "ack":
         stream = kinds.get("mcast-data", 0) + kinds.get("scout", 0)
         data = kinds.get("mcast-data", 0)
     else:
@@ -239,18 +240,10 @@ def _repair_case(size, n_ops, seed, n=8, loss=0.05):
     """Seeded probabilistic loss vs ``expected_seg_repair_frames``: the
     frames ``n_ops`` ``n``-rank broadcasts at ``loss`` multicast loss
     (default 8 ranks, 5%) add over the same broadcasts loss-free."""
-    def main(env):
-        env.comm.use_collectives(bcast="mcast-seg-nack")
-        for _ in range(n_ops):
-            out = yield from env.comm.bcast(
-                bytes(size) if env.rank == 0 else None, 0)
-            assert len(out) == size
-        return True
-
-    clean = run_spmd(n, main, params=QUIET_AUTO, seed=seed)
-    lossy = run_spmd(n, main, params=replace(QUIET_AUTO, loss=loss),
-                     seed=seed)
-    assert all(clean.returns) and all(lossy.returns)
+    clean, lossy = (_run(n, "bcast", "mcast-seg-nack", size, params, seed,
+                         n_ops=n_ops)
+                    for params in (QUIET_AUTO,
+                                   replace(QUIET_AUTO, loss=loss)))
     nsegs = plan_transport(size, QUIET_AUTO).nsegs
     return {
         "frames_repair": (lossy.stats["frames_sent"]
@@ -276,12 +269,12 @@ def seg_repair_wide_case(scale, seed):
 
 def seg_latency_case(scale, seed, variant, size):
     """Max-over-ranks bcast latency of one variant at one size."""
-    impl, params, lossy = _SEG_VARIANTS[scale][variant]
-    setup = (_lossy_setup(_seg_loss_unit(impl, "any")) if lossy else None)
-    series = measure_bcast(
-        impl, "switch", SEG_NPROCS, [size], reps=DIMS[scale].seg_reps,
-        seed=seed, params=params, window_us=SEG_WINDOW_US, setup=setup,
-        label=variant)
+    impl, params, drop = _SEG_VARIANTS[scale][variant]
+    series = measure(
+        "bcast", impl, "switch", SEG_NPROCS, [size],
+        reps=DIMS[scale].seg_reps, seed=seed, params=params,
+        window_us=SEG_WINDOW_US, label=variant,
+        setup=functools.partial(_install_drop, drop=drop, lossy=SEG_LOSSY))
     lo, hi = series.spread(size)
     return {"latency_us_median": series.median(size),
             "latency_us_min": lo, "latency_us_max": hi}
@@ -302,7 +295,7 @@ def _seg_families(scale):
 
 
 def _seg_union(nsegs: int) -> list:
-    return [i for i in range(nsegs) if i % 8 == 3]
+    return [i for i in range(nsegs) if _seg_3_mod_8(i)]
 
 
 def seg_post_frame_formula(doc):
@@ -444,43 +437,18 @@ FAB_IMPLS = ("p2p-binomial", "mcast-seg-nack", "hier-mcast", "auto")
 _FAB_ENGINE = {"flat": "mcast-seg-nack", "hier": "hier-mcast"}
 
 
-def _trunk_case(topology, n, op, impl, size, seed):
-    """One per-call trunk measurement: the two-op-minus-one-op
-    simulation (the area postconditions hold it to the plan fold)."""
-    return {"frames_trunk_call":
-            _deep_per_call(topology, n, op, impl, size, seed)}
-
-
 def fab_trunk_case(scale, seed, engine, size):
     """Trunk frames of ONE bcast (quiet, deterministic)."""
-    return _trunk_case(FAB_TOPOLOGY, FAB_NPROCS, "bcast",
-                       _FAB_ENGINE[engine], size, seed)
+    return {"frames_trunk_call": _deep_per_call(
+        FAB_TOPOLOGY, FAB_NPROCS, "bcast", _FAB_ENGINE[engine], size, seed)}
 
 
 def fab_latency_case(scale, seed, impl, size):
-    """Median over reps of the slowest rank's bcast duration (jittered
-    platform, barrier-fenced reps)."""
-    import statistics
-
-    reps = DIMS[scale].fab_reps
-
-    def main(env):
-        env.comm.use_collectives(bcast=impl)
-        durations = []
-        yield from env.comm.bcast(b"w" if env.rank == 0 else None, 0)
-        for _ in range(reps):
-            yield from env.comm.barrier()
-            start = env.now
-            data = yield from env.comm.bcast(
-                bytes(size) if env.rank == 0 else None, 0)
-            assert len(data) == size
-            durations.append(env.now - start)
-        return durations
-
-    result = run_spmd(FAB_NPROCS, main, topology=FAB_TOPOLOGY,
-                      params=AUTO, seed=seed)
-    per_rep = [max(d[i] for d in result.returns) for i in range(reps)]
-    return {"latency_us_median": statistics.median(per_rep)}
+    """§4 latency of one bcast impl on the jittered two-tier fabric."""
+    series = measure("bcast", impl, FAB_TOPOLOGY, FAB_NPROCS, [size],
+                     reps=DIMS[scale].fab_reps, seed=seed, params=AUTO,
+                     window_us=SEG_WINDOW_US)
+    return {"latency_us_median": series.median(size)}
 
 
 def _audit(n, topo, ops, sizes, loss, where=""):
@@ -514,28 +482,36 @@ def fab_audit_case(scale, seed):
                   loss=0.10)
 
 
-def fab_dispatch_case(scale, seed):
-    """Every rank of an auto bcast dispatches the modeled argmin."""
-    from ..mpi.collective.policy import TopoInfo, auto_impl
+def _dispatch(topology, n, topo, calls, seed):
+    """Every rank of a run of ``calls`` — ``(op, size)`` pairs, each op
+    resolved by "auto" — dispatches the modeled argmin of each call."""
+    from ..mpi.collective.policy import auto_impl
 
-    sizes = DIMS[scale].fab_sizes
+    ops = {op for op, _size in calls}
 
     def main(env):
-        env.comm.use_collectives(bcast="auto")
-        for size in sizes:
-            data = yield from env.comm.bcast(
-                bytes(size) if env.rank == 0 else None, 0)
-            assert len(data) == size
-        return [name for op, name in env.comm.impl_log if op == "bcast"]
+        env.comm.use_collectives(**dict.fromkeys(ops, "auto"))
+        for op, size in calls:
+            yield from op_body(op, size)(env)
+        return [name for op, name in env.comm.impl_log if op in ops]
 
-    result = run_spmd(FAB_NPROCS, main, topology=FAB_TOPOLOGY,
-                      params=QUIET_AUTO, seed=seed)
-    topo = TopoInfo(seg_of_rank=FAB_SEG_OF, contiguous=True)
-    expected = [auto_impl("bcast", size, FAB_NPROCS, QUIET_AUTO,
-                          topo=topo) for size in sizes]
+    result = run_spmd(n, main, topology=topology, params=QUIET_AUTO,
+                      seed=seed)
+    expected = [auto_impl(op, _op_nbytes(op, size, n), n, QUIET_AUTO,
+                          topo=topo) for op, size in calls]
     for log in result.returns:
         assert log == expected, (log, expected)
     return {"dispatch": ",".join(expected)}
+
+
+def fab_dispatch_case(scale, seed):
+    """Every rank of an auto bcast dispatches the modeled argmin."""
+    from ..mpi.collective.policy import TopoInfo
+
+    return _dispatch(FAB_TOPOLOGY, FAB_NPROCS,
+                     TopoInfo(seg_of_rank=FAB_SEG_OF, contiguous=True),
+                     [("bcast", size) for size in DIMS[scale].fab_sizes],
+                     seed)
 
 
 def _fab_families(scale):
@@ -619,7 +595,7 @@ def _deep_win_ops(scale: str, fabric: str) -> tuple:
 
 
 def _op_nbytes(op, size, n):
-    """The plan fold's ``nbytes`` for what :func:`_op_body` hands out
+    """The plan fold's ``nbytes`` for what :func:`op_body` hands out
     of a benched ``size``: an equal ``size // n`` share per rank where
     the op takes per-rank elements (the scatter's total, the gather's
     and allgather's contribution), the whole ``size`` otherwise."""
@@ -628,65 +604,21 @@ def _op_nbytes(op, size, n):
             "allgather": share}.get(op, size)
 
 
-def _op_body(op, size):
-    def body(env):
-        n = env.comm.size
-        if op == "bcast":
-            out = yield from env.comm.bcast(
-                bytes(size) if env.rank == 0 else None, 0)
-            assert len(out) == size
-        elif op == "reduce":
-            # float64 payload of exactly `size` bytes: partials keep
-            # their size through the fold at every hierarchy level
-            yield from env.comm.reduce(
-                np.zeros(size // 8, dtype=np.float64), SUM, 0)
-        elif op == "scatter":
-            objs = ([bytes(size // n)] * n if env.rank == 0 else None)
-            out = yield from env.comm.scatter(objs, 0)
-            assert len(out) == size // n
-        elif op == "gather":
-            yield from env.comm.gather(bytes(size // n), 0)
-        elif op == "allgather":
-            out = yield from env.comm.allgather(bytes(size // n))
-            assert len(out) == n
-        else:  # pragma: no cover - config error
-            raise KeyError(op)
-    return body
-
-
-def _deep_trunk(topology, n, op, impl, size, n_ops, seed):
-    body = _op_body(op, size)
-
-    def main(env):
-        env.comm.use_collectives(**{op: impl})
-        for _ in range(n_ops):
-            yield from body(env)
-        return True
-
-    result = run_spmd(n, main, topology=topology, params=QUIET_AUTO,
-                      seed=seed)
-    assert all(result.returns)
-    return result.stats["frames_trunk"]
-
-
 def _deep_per_call(topology, n, op, impl, size, seed):
     """Per-call trunk frames measured by the simulator (two-op minus
     one-op, isolating channel-setup IGMP)."""
-    return (_deep_trunk(topology, n, op, impl, size, 2, seed)
-            - _deep_trunk(topology, n, op, impl, size, 1, seed))
+    two, one = (_run(n, op, impl, size, seed=seed, topology=topology,
+                     n_ops=n_ops).stats["frames_trunk"]
+                for n_ops in (2, 1))
+    return two - one
 
 
-def _deep_case(scale, seed, fabric, op, impl):
-    n, _seg_of, _paths = DEEP_FABRICS[fabric]
-    return _trunk_case(fabric, n, op, impl, DIMS[scale].deep_size, seed)
-
-
-def deep_flat_case(scale, seed, fabric, op):
-    return _deep_case(scale, seed, fabric, op, DEEP_FLAT_IMPL[op])
-
-
-def deep_hier_case(scale, seed, fabric, op):
-    return _deep_case(scale, seed, fabric, op, "hier-mcast")
+def deep_trunk_case(scale, seed, fabric, op, impl=None):
+    """Per-call trunk frames of ``op`` on a deep tree, by the flat
+    segmented rival (:data:`DEEP_FLAT_IMPL`) unless ``impl`` is given."""
+    return {"frames_trunk_call": _deep_per_call(
+        fabric, DEEP_FABRICS[fabric][0], op, impl or DEEP_FLAT_IMPL[op],
+        DIMS[scale].deep_size, seed)}
 
 
 def deep_repair_case(scale, seed):
@@ -711,28 +643,14 @@ def deep_audit_case(scale, seed, fabric):
 def deep_dispatch_case(scale, seed):
     """Every rank of an auto gather + bcast on the three-tier tree
     dispatches the modeled argmin."""
-    from ..mpi.collective.policy import TopoInfo, auto_impl
+    from ..mpi.collective.policy import TopoInfo
 
     fabric = "tree:2x2x2"
     n, seg_of, paths = DEEP_FABRICS[fabric]
     size = DIMS[scale].deep_size
-
-    def main(env):
-        env.comm.use_collectives(gather="auto", bcast="auto")
-        yield from env.comm.gather(bytes(size // env.comm.size), 0)
-        out = yield from env.comm.bcast(
-            bytes(size) if env.rank == 0 else None, 0)
-        assert len(out) == size
-        return [name for _op, name in env.comm.impl_log]
-
-    result = run_spmd(n, main, topology=fabric, params=QUIET_AUTO,
-                      seed=seed)
-    topo = TopoInfo(seg_of_rank=seg_of, contiguous=True, paths=paths)
-    expected = [auto_impl("gather", size // n, n, QUIET_AUTO, topo=topo),
-                auto_impl("bcast", size, n, QUIET_AUTO, topo=topo)]
-    for log in result.returns:
-        assert log == expected, (log, expected)
-    return {"dispatch": ",".join(expected)}
+    return _dispatch(fabric, n, TopoInfo(seg_of_rank=seg_of,
+                                         contiguous=True, paths=paths),
+                     [("gather", size), ("bcast", size)], seed)
 
 
 def _deep_families(scale):
@@ -740,10 +658,10 @@ def _deep_families(scale):
     return [
         Family("trunk-flat", {"fabric": fabrics,
                               "op": DIMS[scale].deep_flat_ops},
-               deep_flat_case),
+               deep_trunk_case),
         Family("trunk-hier", {"fabric": fabrics,
                               "op": DIMS[scale].deep_hier_ops},
-               deep_hier_case),
+               functools.partial(deep_trunk_case, impl="hier-mcast")),
         Family("repair", {}, deep_repair_case),
         Family("auto-audit", {"fabric": fabrics}, deep_audit_case),
         Family("auto-dispatch", {}, deep_dispatch_case),
@@ -820,46 +738,6 @@ _SEGRED_IMPLS = {op: dict(zip(("p2p", "seg"), AUTO_CHOICES[op]))
                  for op in ("reduce", "allreduce")}
 
 
-def _segred_drop_unit(want=None):
-    """First-copy unit of each ``mcast-seg`` datagram whose leading
-    segment index satisfies ``want`` (default all) — the induced-loss
-    policy of the ``segmented-reduce`` repair cases."""
-    def unit_of(dgram):
-        if dgram.kind != "mcast-seg":
-            return None
-        seg = dgram.payload[2]
-        first = seg[0].index if isinstance(seg, tuple) else seg.index
-        if want is not None and not want(first):
-            return None
-        return (dgram.payload[0], dgram.payload[1], first)
-    return unit_of
-
-
-def _segred_run(op, impl, size, params, seed, lossy_ranks=(), want=None):
-    """One quiet single-shot reduce/allreduce; asserts the numeric
-    result on every rank, returns (stats, impl_log of rank 0)."""
-    expected = float(sum(range(1, SEGRED_NPROCS + 1)))
-
-    def main(env):
-        env.comm.use_collectives(**{op: impl})
-        if env.rank in lossy_ranks:
-            env.comm.mcast.data_sock.drop_filter = _drop_first_copy(
-                _segred_drop_unit(want))
-        arr = np.full(max(1, size // 8), float(env.rank + 1),
-                      dtype=np.float64)
-        if op == "reduce":
-            out = yield from env.comm.reduce(arr, SUM, 0)
-            ok = out is None or bool(np.all(out == expected))
-        else:
-            out = yield from env.comm.allreduce(arr, SUM)
-            ok = bool(np.all(out == expected))
-        return ok, list(env.comm.impl_log)
-
-    result = run_spmd(SEGRED_NPROCS, main, params=params, seed=seed)
-    assert all(ok for ok, _log in result.returns), (op, impl, size)
-    return result.stats, result.returns[0][1]
-
-
 def _segred_null_frames(seed):
     """Wireup-only frame baseline: (p2p frames, total frames) of a run
     with no collective, subtracted from the measured runs."""
@@ -877,12 +755,11 @@ def segred_frames_case(scale, seed, op, size):
     from ..analysis.framecount import model_p2p_tree_frames
 
     base_p2p, _ = _segred_null_frames(seed)
-    p2p_stats, _ = _segred_run(op, _SEGRED_IMPLS[op]["p2p"], size,
-                               QUIET_AUTO, seed)
-    seg_stats, _ = _segred_run(op, _SEGRED_IMPLS[op]["seg"], size,
-                               QUIET_AUTO, seed)
-    p2p = p2p_stats["frames_by_kind"].get("p2p", 0) - base_p2p
-    seg = seg_stats["frames_by_kind"].get("mcast-seg", 0)
+    p2p_kinds, seg_kinds = (
+        _run(SEGRED_NPROCS, op, _SEGRED_IMPLS[op][role], size,
+             seed=seed).stats["frames_by_kind"] for role in ("p2p", "seg"))
+    p2p = p2p_kinds.get("p2p", 0) - base_p2p
+    seg = seg_kinds.get("mcast-seg", 0)
     if op == "reduce":
         assert p2p == model_p2p_tree_frames(QUIET_AUTO, SEGRED_NPROCS,
                                             size)
@@ -902,12 +779,12 @@ def segred_formulas_case(scale, seed):
         return model_flat_frames(op, (0,) * SEGRED_NPROCS, 0, size,
                                  QUIET)[0]
 
-    red_stats, _ = _segred_run("reduce", "mcast-seg-combine", size,
-                               QUIET, seed)
+    red_stats = _run(SEGRED_NPROCS, "reduce", "mcast-seg-combine", size,
+                     QUIET, seed).stats
     assert stream(red_stats) == model("reduce")
     assert red_stats["retransmissions"] == 0
-    ar_stats, _ = _segred_run("allreduce", "mcast-seg-nack", size,
-                              QUIET, seed)
+    ar_stats = _run(SEGRED_NPROCS, "allreduce", "mcast-seg-nack", size,
+                    QUIET, seed).stats
     assert stream(ar_stats) == model("allreduce")
     return {"nsegs": nsegs,
             "frames_stream_reduce": stream(red_stats),
@@ -919,11 +796,10 @@ def segred_repair_case(scale, seed):
     reduce data) re-multicasts exactly the lost segments, never whole
     payloads."""
     size = DIMS[scale].segred_sizes[-1]
-    stats, _ = _segred_run("reduce", "mcast-seg-combine", size, QUIET,
-                           seed, lossy_ranks=(0,),
-                           want=lambda first: first % 8 == 3)
+    stats = _run(SEGRED_NPROCS, "reduce", "mcast-seg-combine", size, QUIET,
+                 seed, drop=SEG_DROP, lossy=(0,)).stats
     nsegs = len(plan_segments(size, QUIET.segment_bytes))
-    lost_per_turn = len([i for i in range(nsegs) if i % 8 == 3])
+    lost_per_turn = len(_seg_union(nsegs))
     assert stats["retransmissions"] == (SEGRED_NPROCS - 1) * lost_per_turn
     assert (stats["frames_by_kind"]["mcast-seg"]
             == (SEGRED_NPROCS - 1) * (nsegs + lost_per_turn))
@@ -940,50 +816,27 @@ def segred_auto_case(scale, seed, op, size):
 
     _, base_total = _segred_null_frames(seed)
     expect = auto_impl(op, size, SEGRED_NPROCS, QUIET_AUTO)
-    auto_stats, log = _segred_run(op, "auto", size, QUIET_AUTO, seed)
+    auto = _run(SEGRED_NPROCS, op, "auto", size, seed=seed)
+    log = auto.returns[0]
     chosen = [name for o, name in log if o == op]
     assert expect in chosen, (op, size, log, expect)
-    p2p_stats, _ = _segred_run(op, _SEGRED_IMPLS[op]["p2p"], size,
-                               QUIET_AUTO, seed)
-    seg_stats, _ = _segred_run(op, _SEGRED_IMPLS[op]["seg"], size,
-                               QUIET_AUTO, seed)
-    best = min(p2p_stats["frames_sent"],
-               seg_stats["frames_sent"]) - base_total
-    mine = auto_stats["frames_sent"] - base_total
+    best = min(_run(SEGRED_NPROCS, op, impl, size, seed=seed)
+               .stats["frames_sent"]
+               for impl in _SEGRED_IMPLS[op].values()) - base_total
+    mine = auto.stats["frames_sent"] - base_total
     return {"frames_auto": mine, "frames_best_fixed": best,
             "pick": expect}
 
 
 def segred_latency_case(scale, seed, op, size):
-    """Median latencies of the p2p default, the segmented engine and
-    "auto" under the jittered platform (barrier-fenced reps)."""
-    import statistics
-
+    """§4 latencies of the p2p default, the segmented engine and
+    "auto" under the jittered platform."""
     reps = DIMS[scale].segred_reps
-    out = {}
-    for role, impl in (("p2p", _SEGRED_IMPLS[op]["p2p"]),
-                       ("seg", _SEGRED_IMPLS[op]["seg"]),
-                       ("auto", "auto")):
-        def main(env):
-            env.comm.use_collectives(**{op: impl})
-            durations = []
-            arr = np.full(max(1, size // 8), float(env.rank + 1),
-                          dtype=np.float64)
-            for _ in range(reps):
-                yield from env.comm.barrier()
-                start = env.now
-                if op == "reduce":
-                    yield from env.comm.reduce(arr, SUM, 0)
-                else:
-                    yield from env.comm.allreduce(arr, SUM)
-                durations.append(env.now - start)
-            return durations
-
-        result = run_spmd(SEGRED_NPROCS, main, params=AUTO, seed=seed)
-        per_rep = [max(d[i] for d in result.returns)
-                   for i in range(reps)]
-        out[f"latency_us_{role}"] = statistics.median(per_rep)
-    return out
+    return {f"latency_us_{role}":
+            measure(op, impl, "switch", SEGRED_NPROCS, [size], reps=reps,
+                    seed=seed, params=AUTO,
+                    window_us=SEG_WINDOW_US).median(size)
+            for role, impl in {**_SEGRED_IMPLS[op], "auto": "auto"}.items()}
 
 
 def _segred_families(scale):
@@ -1074,20 +927,10 @@ def thru_workload_case(scale, seed, fabric):
     banded wall-clock and events/sec."""
     import time
 
-    n = _thru_nprocs(fabric)
-
-    def main(env):
-        env.comm.use_collectives(bcast="mcast-seg-nack")
-        out = yield from env.comm.bcast(
-            bytes(THRU_SIZE) if env.rank == 0 else None, 0)
-        assert len(out) == THRU_SIZE
-        return True
-
     t0 = time.perf_counter()
-    result = run_spmd(n, main, topology=fabric, params=QUIET_AUTO,
-                      seed=seed)
+    result = _run(_thru_nprocs(fabric), "bcast", "mcast-seg-nack",
+                  THRU_SIZE, seed=seed, topology=fabric)
     wall = time.perf_counter() - t0
-    assert all(result.returns)
     sim = result.cluster.sim
     return {
         "events": sim.processed,

@@ -37,20 +37,3 @@ def bcast_binomial(comm, obj: Any, root: int = 0) -> Generator:
         dst = (child + root) % size
         yield from comm._send_coll(obj, dst, TAG_BCAST)
     return obj
-
-
-@register("bcast", "p2p-linear")
-def bcast_linear_p2p(comm, obj: Any, root: int = 0) -> Generator:
-    """Naive reference: root sends a separate copy to every rank in turn.
-
-    Not in the paper's comparison, but a useful lower baseline for tests
-    (it maximizes root serialization).
-    """
-    if comm.size == 1:
-        return obj
-    if comm.rank == root:
-        for dst in range(comm.size):
-            if dst != root:
-                yield from comm._send_coll(obj, dst, TAG_BCAST)
-        return obj
-    return (yield from comm._recv_coll(root, TAG_BCAST))

@@ -169,17 +169,17 @@ def test_auto_allgather_anchors_at_rank_zero():
 
 # ------------------------------------------------------------ policy hook
 def test_set_collective_policy_hook_overrides_the_table():
-    def pin_linear(comm, op, name, args):
-        return "p2p-linear" if op == "bcast" else name
+    def pin_binary(comm, op, name, args):
+        return "mcast-binary" if op == "bcast" else name
 
     def main(env):
-        env.comm.set_collective_policy(pin_linear)
+        env.comm.set_collective_policy(pin_binary)
         out = yield from env.comm.bcast(
             b"z" * 100 if env.rank == 0 else None, 0)
         return len(out), env.comm.impl_log[-1]
 
     result = run_spmd(3, main, params=QUIET)
-    assert result.returns == [(100, ("bcast", "p2p-linear"))] * 3
+    assert result.returns == [(100, ("bcast", "mcast-binary"))] * 3
 
 
 def test_policy_hook_may_fall_through_to_auto():

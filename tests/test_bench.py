@@ -4,9 +4,12 @@ import json
 
 import pytest
 
+from repro import run_spmd
 from repro.bench import (Sample, Series, ascii_plot, crossover,
-                         load_areas, measure_barrier, measure_bcast)
+                         load_areas, measure, op_body)
 from repro.bench.sweep import baseline_path
+from repro.bench.sweep_areas import DEEP_FLAT_IMPL, deep_trunk_case
+from repro.mpi.collective.registry import REGISTRY, get_impl
 
 SIZES = [0, 2000]
 
@@ -33,8 +36,8 @@ def test_series_missing_size_raises():
 
 
 def test_measure_bcast_produces_full_grid():
-    ser = measure_bcast("p2p-binomial", "switch", 3, SIZES, reps=4,
-                        seed=5)
+    ser = measure("bcast", "p2p-binomial", "switch", 3, SIZES, reps=4,
+                  seed=5)
     assert ser.sizes == SIZES
     for size in SIZES:
         assert len(ser.latencies(size)) == 4
@@ -42,15 +45,51 @@ def test_measure_bcast_produces_full_grid():
 
 
 def test_measure_bcast_reproducible():
-    a = measure_bcast("mcast-binary", "hub", 3, SIZES, reps=3, seed=7)
-    b = measure_bcast("mcast-binary", "hub", 3, SIZES, reps=3, seed=7)
+    a = measure("bcast", "mcast-binary", "hub", 3, SIZES, reps=3, seed=7)
+    b = measure("bcast", "mcast-binary", "hub", 3, SIZES, reps=3, seed=7)
     assert a.medians() == b.medians()
 
 
 def test_measure_barrier():
-    ser = measure_barrier("mcast", "hub", 4, reps=5, seed=2)
+    ser = measure("barrier", "mcast", "hub", 4, [0], reps=5, seed=2)
     assert ser.sizes == [0]
     assert len(ser.latencies(0)) == 5
+
+
+def test_measure_fails_an_iteration_that_overruns_its_window():
+    # a 5 kB three-rank bcast takes well over 100 us: the next window
+    # would open late, so the run fails instead of timing it
+    with pytest.raises(AssertionError,
+                       match=r"rank \d: iteration 0 overran its 100 us "
+                             r"window"):
+        measure("bcast", "p2p-binomial", "switch", 3, [5000], reps=2,
+                window_us=100.0)
+
+
+@pytest.mark.parametrize("op", ["bcast", "reduce", "allreduce", "scatter",
+                                "gather", "allgather", "barrier"])
+def test_op_body_runs_and_checks_every_op(op):
+    def main(env):
+        yield from op_body(op, 3000)(env)
+        return True
+
+    assert run_spmd(3, main).returns == [True] * 3
+
+
+def test_deep_trunk_case_checks_the_gather_result(monkeypatch):
+    """Every trunk run asserts its result on every rank: a gather whose
+    root returns one wrong element fails the gate case."""
+    real = get_impl("gather", DEEP_FLAT_IMPL["gather"])
+
+    def wrong_at_root(comm, obj, root=0):
+        out = yield from real(comm, obj, root)
+        return [b"wrong", *out[1:]] if comm.rank == root else out
+
+    monkeypatch.setitem(REGISTRY["gather"], "test-wrong-root",
+                        wrong_at_root)
+    with pytest.raises(AssertionError, match="rank 0: gather result"):
+        deep_trunk_case("gate", 1, "tree:2x2x2", "gather",
+                        impl="test-wrong-root")
 
 
 def test_crossover_finder():
@@ -86,7 +125,7 @@ def test_figure_registry_complete():
 @pytest.mark.slow
 def test_fig7_smoke_tiny():
     mpich, linear, binary = (
-        measure_bcast(impl, "hub", 4, [0, 4000], reps=3)
+        measure("bcast", impl, "hub", 4, [0, 4000], reps=3)
         for impl in ("p2p-binomial", "mcast-linear", "mcast-binary"))
     # even a tiny run shows the large-message multicast win
     assert binary.median(4000) < mpich.median(4000)

@@ -7,7 +7,7 @@ full-resolution versions live in ``benchmarks/``.
 
 import pytest
 
-from repro.bench import crossover, measure_barrier, measure_bcast
+from repro.bench import crossover, measure
 
 REPS = 8
 
@@ -16,9 +16,12 @@ REPS = 8
 def hub4():
     sizes = [0, 1000, 5000]
     return {
-        "mpich": measure_bcast("p2p-binomial", "hub", 4, sizes, REPS, 1),
-        "binary": measure_bcast("mcast-binary", "hub", 4, sizes, REPS, 2),
-        "linear": measure_bcast("mcast-linear", "hub", 4, sizes, REPS, 3),
+        "mpich": measure("bcast", "p2p-binomial", "hub", 4, sizes, REPS,
+                         1),
+        "binary": measure("bcast", "mcast-binary", "hub", 4, sizes, REPS,
+                          2),
+        "linear": measure("bcast", "mcast-linear", "hub", 4, sizes, REPS,
+                          3),
     }
 
 
@@ -48,10 +51,10 @@ def test_crossover_band(hub4):
 
 
 def test_barrier_ordering_and_scaling():
-    mpich9 = measure_barrier("p2p-mpich", "hub", 9, reps=REPS, seed=4)
-    mcast9 = measure_barrier("mcast", "hub", 9, reps=REPS, seed=5)
-    mpich3 = measure_barrier("p2p-mpich", "hub", 3, reps=REPS, seed=6)
-    mcast3 = measure_barrier("mcast", "hub", 3, reps=REPS, seed=7)
+    mpich9 = measure("barrier", "p2p-mpich", "hub", 9, [0], REPS, 4)
+    mcast9 = measure("barrier", "mcast", "hub", 9, [0], REPS, 5)
+    mpich3 = measure("barrier", "p2p-mpich", "hub", 3, [0], REPS, 6)
+    mcast3 = measure("barrier", "mcast", "hub", 3, [0], REPS, 7)
     assert mcast9.median(0) < mpich9.median(0)
     assert mcast3.median(0) < mpich3.median(0)
     gap3 = mpich3.median(0) - mcast3.median(0)
@@ -61,18 +64,18 @@ def test_barrier_ordering_and_scaling():
 
 def test_switch_storeforward_costs_more_for_multicast():
     sizes = [0, 4000]
-    hub = measure_bcast("mcast-binary", "hub", 4, sizes, REPS, 8)
-    sw = measure_bcast("mcast-binary", "switch", 4, sizes, REPS, 9)
+    hub = measure("bcast", "mcast-binary", "hub", 4, sizes, REPS, 8)
+    sw = measure("bcast", "mcast-binary", "switch", 4, sizes, REPS, 9)
     for size in sizes:
         assert hub.median(size) < sw.median(size)
 
 
 def test_mpich_scaling_with_process_count():
     sizes = [5000]
-    m3 = measure_bcast("p2p-binomial", "switch", 3, sizes, REPS, 10)
-    m9 = measure_bcast("p2p-binomial", "switch", 9, sizes, REPS, 11)
-    l3 = measure_bcast("mcast-linear", "switch", 3, sizes, REPS, 12)
-    l9 = measure_bcast("mcast-linear", "switch", 9, sizes, REPS, 13)
+    m3 = measure("bcast", "p2p-binomial", "switch", 3, sizes, REPS, 10)
+    m9 = measure("bcast", "p2p-binomial", "switch", 9, sizes, REPS, 11)
+    l3 = measure("bcast", "mcast-linear", "switch", 3, sizes, REPS, 12)
+    l9 = measure("bcast", "mcast-linear", "switch", 9, sizes, REPS, 13)
     # MPICH pays ~(N-1) copies; multicast pays ~constant + scouts.
     mpich_growth = m9.median(5000) / m3.median(5000)
     linear_growth = l9.median(5000) / l3.median(5000)

@@ -99,7 +99,8 @@ def test_fluid_matches_des_on_fabric_scaling_trunk(impl):
 
 # ---------------------------------------------------------- document parity
 @pytest.mark.parametrize("area", ["segmented-bcast", "fabric-scaling",
-                                  "deep-fabric"])
+                                  "deep-fabric", "segmented-reduce",
+                                  "paper-figures"])
 def test_des_gate_documents_bit_identical_to_baselines(area):
     """The simulator reproduces every committed gate series exactly —
     frame and datagram counters (NetStats) and the latency metrics

@@ -77,17 +77,6 @@ def test_bcast_nonzero_root(root):
     assert result.returns == ["payload"] * 7
 
 
-def test_bcast_linear_impl_selectable():
-    def main(env):
-        env.comm.use_collectives(bcast="p2p-linear")
-        obj = env.rank if env.rank == 0 else None
-        obj = yield from env.comm.bcast(obj, root=0)
-        return obj
-
-    result = run_spmd(5, main, params=QUIET)
-    assert result.returns == [0] * 5
-
-
 # ---------------------------------------------------------------- barrier
 @pytest.mark.parametrize("n", SIZES)
 def test_barrier_synchronizes(n):

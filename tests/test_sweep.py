@@ -13,6 +13,8 @@ import zlib
 
 import pytest
 
+from repro import run_spmd
+from repro.core.channel import McastLost
 from repro.bench.cli import main
 from repro.bench.sweep import (AreaSpec, Family, baseline_path,
                                case_key, case_seed, diff_docs,
@@ -96,6 +98,40 @@ register_area(AreaSpec(
     title="synthetic area returning a non-scalar metric",
     families=lambda scale: [
         Family("single", {}, synth_bad_metric_runner),
+    ],
+))
+
+
+def synth_rank_failure_runner(scale, seed, n):
+    """A rank program failing an assertion: the exception ``run_spmd``
+    re-raises carries the cluster, which a worker cannot pickle."""
+    def main(env):
+        yield env.sim.timeout(1.0)
+        assert env.rank == 0, f"rank {env.rank} disagrees (on purpose)"
+
+    run_spmd(n, main)
+    return {"frames_total": 1}
+
+
+register_area(AreaSpec(
+    name="synthtest-rank-failure",
+    title="synthetic area whose rank programs fail an assertion",
+    families=lambda scale: [
+        Family("grid", {"n": (2, 3)}, synth_rank_failure_runner),
+    ],
+))
+
+
+def synth_typed_failure_runner(scale, seed):
+    """A typed error whose constructor takes more than a message."""
+    raise McastLost(1, 7, reason="gave up (on purpose)")
+
+
+register_area(AreaSpec(
+    name="synthtest-typed-failure",
+    title="synthetic area raising a multi-argument typed error",
+    families=lambda scale: [
+        Family("single", {}, synth_typed_failure_runner),
     ],
 ))
 
@@ -202,6 +238,29 @@ def test_trunk_model_postconditions_measure_the_simulator(area,
                         lambda *args, **kw: real(*args, **kw) + 1)
     with pytest.raises(AssertionError):
         run_area(area, workers=1)
+
+
+@pytest.mark.parametrize("workers", [
+    1, pytest.param(2, marks=pytest.mark.skipif(
+        not HAVE_FORK, reason="needs fork start method"))])
+def test_failing_case_reports_its_key_and_assertion(workers):
+    """A case failing inside a rank program surfaces as its own
+    exception type and text, prefixed with the area and case key — from
+    a worker process too, where the original (carrying the cluster it
+    died in) cannot be pickled."""
+    with pytest.raises(AssertionError,
+                       match=r"^synthtest-rank-failure/grid\[n=2\]: "
+                             r"rank 1 disagrees \(on purpose\)"):
+        run_area("synthtest-rank-failure", workers=workers)
+
+
+def test_failing_case_with_a_typed_error_keeps_its_name():
+    """``McastLost(rank, seq, reason)`` cannot be rebuilt from a message;
+    the case still surfaces as a ``RuntimeError`` (its base) naming it."""
+    with pytest.raises(RuntimeError,
+                       match=r"^synthtest-typed-failure/single: McastLost: "
+                             r".*gave up \(on purpose\)"):
+        run_area("synthtest-typed-failure", workers=1)
 
 
 def test_rerun_is_bit_for_bit_identical():
