@@ -22,8 +22,8 @@
 #
 # CI: .github/workflows/ci.yml runs `make smoke` on every push and PR
 # across Python 3.10-3.12 (and asserts it left benchmarks/results/
-# untouched), plus `make bench-gate`, `make lint`, `make lint-deep` and
-# `make docs-check` as separate jobs.  Locally, `make lint` needs ruff
+# untouched), plus `make bench-gate`, `make lint`, `make lint-deep`,
+# `make fuzz` and `make docs-check` as separate jobs.  Locally, `make lint` needs ruff
 # on PATH (pip install ruff) and skips with a notice otherwise — CI
 # always installs it, so lint failures cannot slip through.  `make
 # lint-deep` has no dependencies beyond the repo itself.

@@ -19,14 +19,11 @@ from repro.bench import measure
 
 def main() -> None:
     print(f"{'procs':>5} | {'MPICH msgs':>10} | {'mcast msgs':>10} | "
-          f"{'MPICH us':>9} | {'dissem us':>9} | {'mcast us':>9} | "
-          f"speedup")
-    print("-" * 78)
+          f"{'MPICH us':>9} | {'mcast us':>9} | speedup")
+    print("-" * 66)
     for n in range(2, 10):
         mpich = measure("barrier", "p2p-mpich", "hub", n, [0], reps=15,
                         seed=n)
-        dis = measure("barrier", "p2p-dissemination", "hub", n, [0],
-                      reps=15, seed=200 + n)
         mcast = measure("barrier", "mcast", "hub", n, [0], reps=15,
                         seed=100 + n)
         mpich_us = mpich.median(0)
@@ -34,8 +31,7 @@ def main() -> None:
         scouts, releases = paper_mcast_barrier_messages(n)
         print(f"{n:>5} | {paper_mpich_barrier_messages(n):>10} | "
               f"{f'{scouts}+{releases}mc':>10} | {mpich_us:>9.1f} | "
-              f"{dis.median(0):>9.1f} | {mcast_us:>9.1f} | "
-              f"{mpich_us / mcast_us:>6.2f}x")
+              f"{mcast_us:>9.1f} | {mpich_us / mcast_us:>6.2f}x")
     print()
     print("The multicast release frees all waiting processes with ONE")
     print("frame; MPICH needs a release message per non-power-of-2 rank")

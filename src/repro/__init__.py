@@ -9,7 +9,7 @@ The package rebuilds the paper's whole experimental stack in Python:
 * :mod:`repro.mpi` — an MPI-1 subset with MPICH-style point-to-point and
   baseline collectives (binomial broadcast, 3-phase barrier, ...);
 * :mod:`repro.core` — **the contribution**: broadcast and barrier over IP
-  multicast with binary-tree / linear scout synchronization, plus naive,
+  multicast with binary-tree / linear scout synchronization, plus
   ack-retransmit (PVM-style) and sequencer (Orca-style) baselines;
 * :mod:`repro.runtime` — an mpiexec-like SPMD launcher;
 * :mod:`repro.sockets` — a second launcher for the same code:

@@ -26,8 +26,8 @@ __all__ = [
     "paper_frames_per_message", "paper_mpich_bcast_frames",
     "paper_mcast_bcast_frames", "paper_mpich_barrier_messages",
     "paper_mcast_barrier_messages", "model_mpich_bcast_frames",
-    "model_mcast_bcast_frames", "mcast_bcast_total_frames",
-    "model_p2p_tree_frames", "expected_seg_repair_frames",
+    "model_mcast_bcast_frames", "model_p2p_tree_frames",
+    "expected_seg_repair_frames",
     "binomial_cross_edges", "binomial_tree_trunk_hops",
     "multicast_trunk_edges", "model_p2p_tree_trunk_frames",
     "model_plan_frames", "model_flat_frames", "model_hier_frames",
@@ -90,11 +90,6 @@ def model_mcast_bcast_frames(params: NetParams, n: int,
     scouts = n - 1
     data = params.frames_for(m + MCAST_HEADER_BYTES)
     return (scouts, data)
-
-
-def mcast_bcast_total_frames(params: NetParams, n: int, m: int) -> int:
-    scouts, data = model_mcast_bcast_frames(params, n, m)
-    return scouts + data
 
 
 # ---------------------------------------------------------------------------
@@ -541,24 +536,18 @@ MODEL_COVERAGE: dict[tuple[str, str], str] = {
         "repro.analysis.framecount.model_mcast_bcast_frames",
     ("bcast", "mcast-linear"):
         "repro.analysis.framecount.model_mcast_bcast_frames",
-    ("bcast", "mcast-naive"):
-        "estimate: unreliable one-shot blast; delivered count depends "
-        "on receiver readiness, only the send side is closed-form",
     ("bcast", "mcast-ack"):
         "estimate: ack-implosion retransmit traffic depends on timing "
         "(the PVM-style baseline exists to measure, not to model)",
     ("bcast", "mcast-seg-nack"):
         "repro.analysis.framecount.model_flat_frames",
     ("bcast", "mcast-sequencer"):
-        "estimate: sequencer hop doubles data frames; ordering traffic "
-        "modeled only asymptotically (DESIGN.md)",
+        "estimate: a non-sequencer root adds one p2p payload hop; the "
+        "ack / retransmit tail depends on timing, as for mcast-ack",
     ("barrier", "p2p-mpich"):
         "repro.analysis.framecount.paper_mpich_barrier_messages",
-    ("barrier", "p2p-dissemination"):
-        "estimate: ceil(log2 N) rounds of N messages each; asserted "
-        "only as a message count in tests, not a frame model",
     ("barrier", "mcast"):
-        "repro.core.mcast_barrier.barrier_mcast_message_count",
+        "repro.analysis.framecount.paper_mcast_barrier_messages",
     ("reduce", "p2p-binomial"):
         "repro.analysis.framecount.model_p2p_tree_frames",
     ("reduce", "mcast-seg-combine"):
@@ -581,9 +570,6 @@ MODEL_COVERAGE: dict[tuple[str, str], str] = {
     ("allgather", "p2p-gather-bcast"):
         "estimate: composition — gather lower bound + full-list "
         "broadcast; see policy.p2p_frame_estimate",
-    ("allgather", "mcast-paced"):
-        "estimate: unsegmented per-turn streaming; superseded by "
-        "mcast-seg-paced, kept as a measured baseline",
     ("allgather", "mcast-seg-paced"):
         "repro.analysis.framecount.model_flat_frames",
     ("alltoall", "p2p-pairwise"):

@@ -121,9 +121,9 @@ def overrun_case(scale, seed, payload, budget):
 
 
 def paced_case(scale, seed, payload):
-    """The rank-ordered schedule with a SINGLE descriptor."""
+    """The rank-ordered cure: the registered ``mcast-seg-paced``."""
     def main(env):
-        env.comm.use_collectives(allgather="mcast-paced")
+        env.comm.use_collectives(allgather="mcast-seg-paced")
         t0 = env.now
         out = yield from env.comm.allgather(bytes(payload))
         assert len(out) == OVERRUN_N
@@ -354,7 +354,7 @@ def overrun(doc):
             f"overrun: losses non-increasing in the budget at {payload} B"
         assert lost(payload, OVERRUN_N - 1) == 0, \
             f"overrun: N-1 descriptors lose nothing at {payload} B"
-        # Pacing removes the hazard entirely with one descriptor.
+        # Pacing removes the hazard entirely.
         assert metric(doc, "paced", "drops_not_posted",
                       payload=payload) == 0, \
             f"overrun: the paced schedule drops nothing at {payload} B"

@@ -1,9 +1,9 @@
 """``repro.core`` — the paper's contribution: collectives over IP multicast.
 
 Importing this package registers the multicast implementations
-(``mcast-binary``, ``mcast-linear``, ``mcast-naive``, ``mcast-ack``,
-``mcast-seg-nack`` for bcast; ``mcast`` for barrier; ``mcast-paced`` and
-``mcast-seg-paced`` for allgather; ``mcast-seg-combine`` for reduce;
+(``mcast-binary``, ``mcast-linear``, ``mcast-ack``, ``mcast-seg-nack``
+for bcast; ``mcast`` for barrier; ``mcast-seg-paced`` for allgather;
+``mcast-seg-combine`` for reduce;
 ``mcast-seg-nack`` for allreduce; ``mcast-seg-root`` for scatter;
 ``mcast-seg-root-follow`` for gather; ``mcast-sequencer`` extension) in
 the collective registry, so any
@@ -24,11 +24,10 @@ are one row of.
 
 from .channel import (DATA_PORT_BASE, GROUP_ID_BASE, MCAST_HEADER_BYTES,
                       SCOUT_BYTES, SCOUT_PORT_BASE, McastChannel)
-from .mcast_allgather import (allgather_mcast_paced,
-                              allgather_mcast_unpaced)
-from .mcast_barrier import barrier_mcast, barrier_mcast_message_count
+from .mcast_allgather import allgather_mcast_unpaced
+from .mcast_barrier import barrier_mcast
 from .mcast_bcast import (McastLost, bcast_mcast_ack, bcast_mcast_binary,
-                          bcast_mcast_linear, bcast_mcast_naive)
+                          bcast_mcast_linear)
 from .ordering import (UnsafeScheduleError, check_safe_schedule,
                        run_bcast_sequence)
 from .rounds import (Reassembler, Segment, chunk_plan,
@@ -50,10 +49,9 @@ __all__ = [
     "DATA_PORT_BASE", "GROUP_ID_BASE", "MCAST_HEADER_BYTES", "McastChannel",
     "McastLost", "Reassembler", "SCOUT_BYTES",
     "SCOUT_PORT_BASE", "Segment", "TransportPlan", "UnsafeScheduleError",
-    "allgather_mcast_paced", "allgather_mcast_seg_paced",
-    "allgather_mcast_unpaced", "allreduce_mcast_seg_nack", "auto_batch",
-    "barrier_mcast", "barrier_mcast_message_count", "bcast_mcast_ack",
-    "bcast_mcast_binary", "bcast_mcast_linear", "bcast_mcast_naive",
+    "allgather_mcast_seg_paced", "allgather_mcast_unpaced",
+    "allreduce_mcast_seg_nack", "auto_batch", "barrier_mcast",
+    "bcast_mcast_ack", "bcast_mcast_binary", "bcast_mcast_linear",
     "bcast_mcast_seg_nack", "binary_tree_steps", "check_safe_schedule",
     "check_scatter_root", "chunk_plan", "follow_rounds", "fragment", "frame_segment_bytes",
     "gather_mcast_seg_root_follow", "plan_segments", "plan_transport",

@@ -70,22 +70,20 @@ SEG_HEADER_BYTES = 4
 class McastLost(RuntimeError):
     """A multicast transfer was lost for good.
 
-    Raised by the naive (unsynchronized) broadcast when the payload
-    never arrives, by :meth:`McastChannel.wait_data_from` on a stale
-    copy, and by the round engine when ``NetParams.max_repair_rounds``
-    repair rounds are exhausted with segments still missing — the
-    crisp, typed end of the "complete or fail" contract the chaos
-    fuzzer asserts.  A ``RuntimeError``, for callers that catch the
-    engine's historical bare error.
+    Raised by :meth:`McastChannel.wait_data_from` on a stale copy, by
+    ``mcast-ack`` when ``NetParams.max_retransmits`` retransmissions
+    leave a receiver silent, and by the round engine when
+    ``NetParams.max_repair_rounds`` repair rounds are exhausted with
+    segments still missing — the crisp, typed end of the "complete or
+    fail" contract the chaos fuzzer asserts.  Every raiser states its
+    ``reason``.  A ``RuntimeError``, for callers that catch the engine's
+    historical bare error.
     """
 
-    def __init__(self, rank: int, seq, reason: Optional[str] = None):
+    def __init__(self, rank: int, seq, reason: str):
         self.rank = rank
         self.seq = seq
-        super().__init__(
-            reason if reason is not None else
-            f"rank {rank} lost multicast broadcast seq={seq} "
-            f"(receive posted too late and no synchronization was used)")
+        super().__init__(reason)
 
 
 def _members_trunk_path(comm) -> tuple[int, float]:
@@ -172,9 +170,6 @@ class McastChannel:
         self.trunk_hops, self.trunk_us_per_byte = \
             _members_trunk_path(comm)
         self._scout_stash: list[tuple] = []
-        #: naive-bcast receive timeout (None = block, may deadlock — that
-        #: is the point of the naive baseline); tests/benches set this.
-        self.naive_timeout_us: Optional[float] = None
         self._closed = False
 
     # ------------------------------------------------------------------

@@ -7,41 +7,34 @@ further."  This module examines it.
 
 An **allgather** over multicast lets every rank contribute one payload
 and receive everyone else's — N multicasts total instead of MPICH's
-gather-plus-broadcast trees.  Two schedules are provided:
+gather-plus-broadcast trees.  This module holds the hazard; the cure is
+registered elsewhere:
 
-* ``mcast-paced`` (the safe one, registered as an ``allgather``
-  implementation): after a scout-synchronized "all ready" round, ranks
-  multicast strictly **in rank order**, each waiting for its
-  predecessor's payload before sending.  A receiver therefore never
-  needs more than **one** outstanding receive descriptor: pacing turns
-  the many-to-many hazard back into the paper's one-to-many case.
-* ``unpaced`` (:func:`allgather_mcast_unpaced`, deliberately *not*
-  registered): after the ready round every rank multicasts at once.
+* :func:`allgather_mcast_unpaced` (deliberately *not* registered): after
+  a scout-synchronized "all ready" round every rank multicasts at once.
   Receivers holding fewer than N-1 posted descriptors can be overrun —
   exactly the buffer-overflow scenario the paper worried about.  The
   function reports per-rank losses instead of hanging, and the
   ``overrun`` family of the ``paper-figures`` sweep area
   (:mod:`repro.bench.paper_figures`) sweeps the descriptor budget to
   chart the overrun boundary.
-
-Both build on the per-communicator :class:`~repro.core.channel.McastChannel`.
-For contributions larger than one MTU, :mod:`repro.core.segment` registers
-``mcast-seg-paced``: the same rank-ordered pacing, with each turn's payload
-fragmented (adaptively sized/batched) and streamed as a pipeline of
-segments, and each turn's sender running the broadcast's selective NACK
-repair rounds — so induced loss or a descriptor-budget overrun is
-repaired by the rank that owns the data instead of raising ``McastLost``.
+* ``mcast-seg-paced`` (:mod:`repro.core.segment`, the ``exchange`` row of
+  its stream schedule): after the same ready round (:func:`_ready_round`)
+  ranks multicast strictly **in rank order**, each turn's payload
+  fragmented and streamed with the broadcast's selective NACK repair —
+  pacing turns the many-to-many hazard back into the paper's one-to-many
+  case, and an overrun or induced loss is repaired by the rank that owns
+  the data.  The ``paced`` family measures it beside ``overrun``.
 """
 
 from __future__ import annotations
 
 from typing import Any, Generator
 
-from ..mpi.collective.registry import register
 from ..mpi.datatypes import payload_bytes
 from .scout import scout_gather_binary
 
-__all__ = ["allgather_mcast_paced", "allgather_mcast_unpaced"]
+__all__ = ["allgather_mcast_unpaced"]
 
 
 def _ready_round(comm, channel, seq: int) -> Generator:
@@ -54,42 +47,6 @@ def _ready_round(comm, channel, seq: int) -> Generator:
             yield from channel.send_ctrl(dst, seq, "ag-go")
     else:
         yield from channel.wait_ctrl({0}, seq, "ag-go")
-
-
-@register("allgather", "mcast-paced")
-def allgather_mcast_paced(comm, obj: Any) -> Generator:
-    """Rank-ordered multicast allgather (overrun-free by construction).
-
-    Usage: ``everything = yield from comm.allgather(obj)`` with
-    ``comm.use_collectives(allgather="mcast-paced")``.
-    """
-    channel = comm.mcast
-    seq = channel.next_seq()
-    size = comm.size
-    if size == 1:
-        return [obj]
-
-    # One post is enough: pacing guarantees at most one in-flight payload.
-    results: list[Any] = [None] * size
-    results[comm.rank] = obj
-
-    yield from _ready_round(comm, channel, seq)
-
-    for turn in range(size):
-        if turn == comm.rank:
-            yield from channel.send_data((turn, obj),
-                                         payload_bytes(obj), seq)
-            continue
-        posted = channel.post_data()
-        src, got_seq, (turn_tag, data) = yield from channel.wait_data(
-            posted)
-        if got_seq != seq or src != turn or turn_tag != turn:
-            raise AssertionError(
-                f"rank {comm.rank}: allgather pacing violated "
-                f"(expected turn {turn}, got src={src}, tag={turn_tag}, "
-                f"seq={got_seq}/{seq})")
-        results[turn] = data
-    return results
 
 
 def allgather_mcast_unpaced(comm, obj: Any,

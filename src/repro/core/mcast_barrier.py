@@ -9,7 +9,8 @@ The three MPICH phases collapse to one gather plus one multicast:
 Every rank posts its release receive *before* sending its scout up, so
 the release multicast cannot outrun a receiver — the same invariant as
 the broadcast.  Message count: ``N-1`` unicasts + 1 multicast, versus
-MPICH's ``2(N-K) + K log2 K``.
+MPICH's ``2(N-K) + K log2 K`` (both closed forms live in
+:mod:`repro.analysis.framecount`).
 """
 
 from __future__ import annotations
@@ -20,16 +21,7 @@ from ..mpi.collective.registry import register
 from .mcast_bcast import scouted_mcast
 from .scout import scout_gather_binary
 
-__all__ = ["barrier_mcast", "barrier_mcast_message_count"]
-
-
-def barrier_mcast_message_count(n: int) -> tuple[int, int]:
-    """(point-to-point scouts, multicasts) for the multicast barrier."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n == 1:
-        return (0, 0)
-    return (n - 1, 1)
+__all__ = ["barrier_mcast"]
 
 
 @register("barrier", "mcast")

@@ -1,16 +1,12 @@
 """MPI_Bcast over IP multicast — the paper's §3.1.
 
-Four registered implementations:
+Three registered implementations:
 
 * ``mcast-binary`` — scout sync up a binary tree, then **one** multicast
   of the payload.  Total frames: ``(N-1) + floor(M/T) + 1``;
 * ``mcast-linear`` — scout sync with all receivers hitting the root
   directly, then one multicast.  Same frame count, more sequential steps
   at the root;
-* ``mcast-naive`` — *no* synchronization: the root multicasts
-  immediately.  Correct only if every receiver posted in time; a slow
-  receiver silently loses the message (the unreliability the paper's
-  §2 explains).  Kept as the negative baseline;
 * ``mcast-ack`` — the PVM approach the paper cites ([2], Dunigan & Hall):
   multicast immediately, collect per-receiver acks, retransmit the whole
   payload on timeout until everyone acked.  Reliable, but the paper notes
@@ -19,7 +15,7 @@ Four registered implementations:
   ``ablation_reliability`` postcondition of the ``paper-figures`` sweep
   area (:mod:`repro.bench.paper_figures`) reproduces that verdict.
 
-A fifth implementation, ``mcast-seg-nack`` (:mod:`repro.core.segment`),
+A fourth implementation, ``mcast-seg-nack`` (:mod:`repro.core.segment`),
 addresses exactly the weakness that sinks ``mcast-ack`` at large
 payloads: it fragments the payload into single-frame segments sized by
 ``NetParams.segment_bytes``, streams them back-to-back, and repairs
@@ -34,7 +30,9 @@ and exported as :func:`repro.core.segment.seg_nack_frame_count`).
 Invariant shared by binary/linear (the paradigm-mismatch fix): every
 receiver **posts its multicast receive before releasing its scout**, so
 by the time the root has gathered all scouts, a multicast cannot find an
-unready receiver.
+unready receiver.  Without it a late receiver loses the message for good
+(the unreliability of the paper's §2), which ``mcast-ack`` only repairs
+after the fact.
 """
 
 from __future__ import annotations
@@ -46,8 +44,8 @@ from ..mpi.datatypes import payload_bytes
 from .rounds import McastLost
 from .scout import scout_gather_binary, scout_gather_linear
 
-__all__ = ["bcast_mcast_binary", "bcast_mcast_linear", "bcast_mcast_naive",
-           "bcast_mcast_ack", "bcast_acked", "scouted_mcast", "McastLost"]
+__all__ = ["bcast_mcast_binary", "bcast_mcast_linear", "bcast_mcast_ack",
+           "bcast_acked", "scouted_mcast", "McastLost"]
 
 
 def scouted_mcast(comm, obj: Any, root: int, gather,
@@ -80,36 +78,6 @@ def bcast_mcast_binary(comm, obj: Any, root: int = 0) -> Generator:
 def bcast_mcast_linear(comm, obj: Any, root: int = 0) -> Generator:
     """Linear scout sync + single IP multicast (paper Fig. 4)."""
     return scouted_mcast(comm, obj, root, scout_gather_linear)
-
-
-@register("bcast", "mcast-naive")
-def bcast_mcast_naive(comm, obj: Any, root: int = 0) -> Generator:
-    """Unsynchronized multicast: loses messages when receivers are slow.
-
-    If ``comm.mcast.naive_timeout_us`` is set, a losing receiver raises
-    :class:`McastLost`; otherwise it blocks forever (surfacing as
-    :class:`~repro.simnet.kernel.DeadlockError` at simulation end).
-    """
-    channel = comm.mcast
-    seq = channel.next_seq()
-    if comm.size == 1:
-        return obj
-
-    if comm.rank == root:
-        yield from channel.send_data(obj, payload_bytes(obj), seq)
-        return obj
-
-    posted = channel.post_data()
-    timer = channel.data_timer()
-    if channel.naive_timeout_us is not None:
-        timer.arm(channel.naive_timeout_us, posted)
-    try:
-        got = yield from channel.wait_data(posted)
-    finally:
-        timer.cancel()
-    if got is None or got[1] != seq:    # timed out, or a stale copy
-        raise McastLost(comm.rank, seq)
-    return got[2]
 
 
 def bcast_acked(comm, obj: Any, server: int) -> Generator:

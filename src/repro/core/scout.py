@@ -31,7 +31,8 @@ The paper's Fig. 3 draws a slightly different edge layout, but the text
 only requires "binary tree, height log2(K)+1, N-1 scout messages", which
 this satisfies; the observable behaviour the paper reports — including
 two inner nodes racing to send to the root at once on 6 nodes (its Fig. 9
-discussion) — emerges identically.  DESIGN.md §7 records the choice.
+discussion) — emerges identically, so the scouts keep the one binomial
+tree the p2p collectives use (``core/binomial.py``).
 """
 
 from __future__ import annotations

@@ -7,7 +7,8 @@ With ``N`` processes and ``K`` the largest power of two ≤ ``N``:
    sendrecv with partner ``rank XOR mask``;
 3. **release** — ranks ``0..N-K-1`` send to ``rank + K``.
 
-Total messages: ``2*(N-K) + K*log2(K)`` — the count the paper quotes.
+Total messages: ``2*(N-K) + K*log2(K)`` — the count the paper quotes
+(:func:`repro.analysis.framecount.paper_mpich_barrier_messages`).
 """
 
 from __future__ import annotations
@@ -65,47 +66,3 @@ def barrier_mpich(comm) -> Generator:
         yield from comm._send_coll(None, rank + k, TAG_BARRIER_OUT,
                                    nbytes=SYNC_PAYLOAD_BYTES)
     return None
-
-
-def barrier_message_count(n: int) -> int:
-    """The paper's closed-form message count for the MPICH barrier."""
-    k = largest_power_of_two_leq(n)
-    return 2 * (n - k) + k * (k.bit_length() - 1)
-
-
-@register("barrier", "p2p-dissemination")
-def barrier_dissemination(comm) -> Generator:
-    """Dissemination barrier (Hensgen/Finkel/Manber): ``ceil(log2 N)``
-    rounds of shifted sendrecv, uniform for any N.
-
-    Not the paper's baseline (MPICH 1.x used the three-phase algorithm
-    above), but the standard successor — included so the multicast
-    barrier can be measured against the *best* point-to-point scheme,
-    not just the contemporary one.  Messages: ``N * ceil(log2 N)``.
-    """
-    size = comm.size
-    if size == 1:
-        return None
-    rank = comm.rank
-    distance = 1
-    round_no = 0
-    while distance < size:
-        dst = (rank + distance) % size
-        src = (rank - distance) % size
-        # Distinct tag per round: with wrap-around partners a rank can
-        # receive round k+1 traffic before finishing round k.
-        yield from comm._sendrecv_coll(
-            None, dst, TAG_BARRIER_EXCH + 16 + round_no,
-            nbytes=SYNC_PAYLOAD_BYTES, src=src)
-        distance <<= 1
-        round_no += 1
-    return None
-
-
-def dissemination_message_count(n: int) -> int:
-    """Messages of the dissemination barrier: N per round."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n == 1:
-        return 0
-    return n * ((n - 1).bit_length())

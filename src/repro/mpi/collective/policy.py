@@ -23,9 +23,9 @@ serializations** — closed-form Ethernet frame counts.  The p2p
 baselines keep a per-op ladder (:func:`p2p_frame_estimate`); the
 segmented candidates have none: the flat implementation is the
 *one-group plan* and ``hier-mcast`` the hierarchy's, both priced by the
-one cost fold of :mod:`repro.analysis.framecount`
-(:func:`seg_frame_estimate` / :func:`hier_frame_estimate` are its two
-calls).  On top of host frames the metric counts
+one cost fold of :mod:`repro.analysis.framecount` (``model_flat_frames``
+/ ``model_hier_frames``, summed by :func:`_decide`).  On top of host
+frames the metric counts
 
 * **trunk crossings** on a tiered fabric (:func:`comm_topology` reads
   the cluster's discovery API; each crossing re-serializes the frame on
@@ -77,8 +77,7 @@ from ..datatypes import payload_bytes
 
 __all__ = ["AUTO", "AUTO_CHOICES", "HIER_AUTO", "POLICY_WAIVERS",
            "TopoInfo", "comm_topology", "auto_impl",
-           "modeled_frame_costs", "p2p_frame_estimate",
-           "seg_frame_estimate", "hier_frame_estimate", "resolve_auto",
+           "modeled_frame_costs", "p2p_frame_estimate", "resolve_auto",
            "cache_info", "clear_caches"]
 
 #: the pseudo-implementation name accepted by ``use_collectives``
@@ -264,43 +263,6 @@ def p2p_frame_estimate(op: str, nbytes: int, size: int, params,
     raise KeyError(f"no p2p frame estimate for collective {op!r}")
 
 
-def seg_frame_estimate(op: str, nbytes: int, size: int, params,
-                       topo: Optional[TopoInfo] = None,
-                       root: int = 0) -> float:
-    """Modeled serializations of the op's flat segmented-multicast impl:
-    host frames plus — with ``topo`` — trunk crossings of the one-group
-    plan (:func:`~repro.analysis.framecount.model_flat_frames`, the
-    cost fold the benches assert against the simulator), expected
-    repair traffic at ``params.loss`` included."""
-    from ...analysis.framecount import model_flat_frames
-
-    if op not in AUTO_CHOICES:
-        raise KeyError(f"no segmented frame estimate for collective {op!r}")
-    seg_of_rank, paths = (((0,) * size, None) if topo is None
-                          else (topo.seg_of_rank, topo.paths))
-    return sum(model_flat_frames(op, seg_of_rank, root, nbytes, params,
-                                 paths, getattr(params, "loss", 0.0)))
-
-
-def hier_frame_estimate(op: str, nbytes: int, size: int, params,
-                        topo: TopoInfo, root: int = 0) -> float:
-    """Modeled serializations of the ``hier-mcast`` implementation on
-    ``topo``: the same fold over the recursive plan
-    (:func:`~repro.analysis.framecount.model_hier_frames`) — repairs
-    never leave the losing group's switch subtree, which is most of the
-    hierarchy's win under loss."""
-    from ...analysis.framecount import model_hier_frames
-
-    if op not in HIER_AUTO:
-        raise KeyError(f"no hierarchical estimate for collective {op!r}; "
-                       f"hier-capable ops: {sorted(HIER_AUTO)}")
-    if size < 2:
-        return 0
-    return sum(model_hier_frames(op, topo.seg_of_rank, root, nbytes,
-                                 params, topo.paths,
-                                 getattr(params, "loss", 0.0)))
-
-
 def _no_policy(op: str) -> KeyError:
     return KeyError(f"no auto selection policy for collective {op!r}; "
                     f"auto-capable ops: {sorted(AUTO_CHOICES)}")
@@ -328,17 +290,27 @@ def _decide(op: str, nbytes: int, size: int, params, topo, root: int,
     process: a collective evaluates the models once, not once per
     rank, and a repeated call not at all.  Every rank reading the same
     entry is the §4 consistency rule (identical inputs, identical
-    pick) made literal."""
+    pick) made literal.
+
+    The segmented candidates cost host frames plus trunk crossings of
+    the one plan fold — the flat one-group plan, the hierarchy's plan —
+    expected repair traffic at ``params.loss`` included: repairs never
+    leave the losing group's switch subtree, which is most of the
+    hierarchy's win under loss."""
+    from ...analysis.framecount import model_flat_frames, model_hier_frames
+
     p2p_name, seg_name = AUTO_CHOICES[op]
+    seg_of_rank, paths = (((0,) * size, None) if topo is None
+                          else (topo.seg_of_rank, topo.paths))
     costs = {
-        seg_name: seg_frame_estimate(op, nbytes, size, params, topo,
-                                     root),
+        seg_name: sum(model_flat_frames(op, seg_of_rank, root, nbytes,
+                                        params, paths, params.loss)),
         p2p_name: p2p_frame_estimate(op, nbytes, size, params, topo,
                                      root),
     }
     if hier:
-        costs[HIER_AUTO[op]] = hier_frame_estimate(op, nbytes, size,
-                                                   params, topo, root)
+        costs[HIER_AUTO[op]] = sum(model_hier_frames(
+            op, seg_of_rank, root, nbytes, params, paths, params.loss))
     # ties keep the historical preference order: segmented multicast
     # over hierarchical over the p2p baseline
     order = {seg_name: 0, HIER_AUTO.get(op, "hier-mcast"): 1,

@@ -4,13 +4,13 @@
 is exactly a comparison of entries in this table:
 
 * ``bcast``: ``"p2p-binomial"`` (MPICH) vs ``"mcast-binary"`` /
-  ``"mcast-linear"`` (the contribution) plus ``"mcast-naive"`` and
-  ``"mcast-ack"`` (the PVM-style baseline from [2]) and
+  ``"mcast-linear"`` (the contribution) plus ``"mcast-ack"`` (the
+  PVM-style baseline from [2]), ``"mcast-sequencer"`` (Orca-style) and
   ``"mcast-seg-nack"`` (segmented + pipelined with selective NACK
   repair, :mod:`repro.core.segment`);
 * ``barrier``: ``"p2p-mpich"`` vs ``"mcast"``;
-* ``allgather``: ``"p2p-gather-bcast"`` vs ``"mcast-paced"`` /
-  ``"mcast-seg-paced"`` (segmented per-turn streaming);
+* ``allgather``: ``"p2p-gather-bcast"`` vs ``"mcast-seg-paced"``
+  (rank-ordered segmented per-turn streaming, the §5 overrun cure);
 * ``reduce``: ``"p2p-binomial"`` vs ``"mcast-seg-combine"``
   (NACK-repaired gather turns folded through :mod:`repro.mpi.ops`);
 * ``allreduce``: ``"p2p-reduce-bcast"`` vs ``"mcast-seg-nack"``

@@ -7,7 +7,8 @@ Context-id agreement note: real MPICH agrees on new context ids with a
 collective; here the world object *is* the agreed outcome (allocation is
 deterministic and shared), while the communication cost of agreement is
 still paid — ``dup``/``split`` perform a real allgather + broadcast +
-barrier over the simulated network.  DESIGN.md §7 records this deviation.
+barrier over the simulated network, so the deviation changes no
+simulated time or frame count.
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 Everything the paper's testbed provided in hardware, rebuilt in software:
 a deterministic event kernel, CSMA/CD shared Ethernet (the hub), a
 store-and-forward IGMP-snooping switch, and a UDP/IP stack with the
-paper's receiver-readiness semantics.  See DESIGN.md §3.
+paper's receiver-readiness semantics.  See docs/ARCHITECTURE.md,
+"simnet: the wire".
 """
 
 from .calibration import (FAST_ETHERNET_HUB, FAST_ETHERNET_SWITCH,

@@ -2,7 +2,8 @@
 
 All constants are chosen to match the paper's platform: nine Pentium-III
 workstations on 100 Mbps Fast Ethernet, connected through either a 3Com
-shared hub or an HP ProCurve store-and-forward switch (DESIGN.md §5).
+shared hub or an HP ProCurve store-and-forward switch; the targets are
+read off the paper's own Figs. 7 (hub) and 8 (switch).
 
 The per-message *software* overheads dominate small-message latency in the
 paper's figures (MPICH broadcast with 4 processes starts near 400 µs at

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.analysis import (LatencyModel, mcast_bcast_total_frames,
-                            model_mcast_bcast_frames,
+from repro.analysis import (LatencyModel, model_mcast_bcast_frames,
                             model_mpich_bcast_frames,
                             paper_frames_per_message,
                             paper_mcast_barrier_messages,
@@ -60,7 +59,6 @@ def test_mcast_total_frames():
     p = QUIET_SW
     scouts, data = model_mcast_bcast_frames(p, 9, 5000)
     assert scouts == 8 and data == 4
-    assert mcast_bcast_total_frames(p, 9, 5000) == 12
 
 
 # ---------------------------------------------------------------- latency model

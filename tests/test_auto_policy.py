@@ -11,16 +11,19 @@ import pytest
 from repro import run_spmd
 from repro.mpi.collective.policy import (AUTO_CHOICES, TopoInfo,
                                          auto_impl, comm_topology,
-                                         hier_frame_estimate,
                                          modeled_frame_costs,
-                                         p2p_frame_estimate,
-                                         seg_frame_estimate)
+                                         p2p_frame_estimate)
 from repro.mpi.ops import SUM, Op
 from repro.simnet import quiet
 from repro.simnet.calibration import FAST_ETHERNET_SWITCH
 
 QUIET = quiet(FAST_ETHERNET_SWITCH)
 AUTO = replace(QUIET, segment_bytes="auto")
+
+
+def seg_cost(op, nbytes, size, params):
+    """The policy's modeled cost of the op's flat segmented candidate."""
+    return modeled_frame_costs(op, nbytes, size, params)[AUTO_CHOICES[op][1]]
 
 
 # ------------------------------------------------------------ unit layer
@@ -49,7 +52,7 @@ def test_auto_reduce_keeps_the_p2p_tree_at_every_size():
     the binomial tree for plain reduce."""
     for nbytes in (64, 1460, 48_000, 1 << 20):
         assert auto_impl("reduce", nbytes, 4, AUTO) == "p2p-binomial"
-        assert (seg_frame_estimate("reduce", nbytes, 4, AUTO)
+        assert (seg_cost("reduce", nbytes, 4, AUTO)
                 > p2p_frame_estimate("reduce", nbytes, 4, AUTO))
 
 
@@ -57,14 +60,14 @@ def test_frame_estimates_grow_with_payload_and_reject_unknown_ops():
     for op in sorted(AUTO_CHOICES):
         assert (p2p_frame_estimate(op, 100_000, 4, AUTO)
                 > p2p_frame_estimate(op, 100, 4, AUTO))
-        assert (seg_frame_estimate(op, 100_000, 4, AUTO)
-                > seg_frame_estimate(op, 100, 4, AUTO))
+        assert (seg_cost(op, 100_000, 4, AUTO)
+                > seg_cost(op, 100, 4, AUTO))
     with pytest.raises(KeyError, match="auto-capable"):
         auto_impl("barrier", 0, 4, AUTO)
     with pytest.raises(KeyError):
         p2p_frame_estimate("barrier", 0, 4, AUTO)
-    with pytest.raises(KeyError):
-        seg_frame_estimate("barrier", 0, 4, AUTO)
+    with pytest.raises(KeyError, match="auto-capable"):
+        modeled_frame_costs("barrier", 0, 4, AUTO)
 
 
 def test_use_collectives_validates_auto():
@@ -255,8 +258,8 @@ def test_loss_shifts_the_bcast_crossover_back_to_p2p():
     lossy = replace(AUTO, loss=0.3)
     assert auto_impl("bcast", 24_000, 4, AUTO) == "mcast-seg-nack"
     assert auto_impl("bcast", 24_000, 4, lossy) == "p2p-binomial"
-    assert (seg_frame_estimate("bcast", 24_000, 4, lossy)
-            > seg_frame_estimate("bcast", 24_000, 4, AUTO))
+    assert (seg_cost("bcast", 24_000, 4, lossy)
+            > seg_cost("bcast", 24_000, 4, AUTO))
 
 
 def test_loss_zero_keeps_pr3_choices_exactly():
@@ -264,7 +267,7 @@ def test_loss_zero_keeps_pr3_choices_exactly():
     segmented iff its estimate is at or below p2p's."""
     for op in sorted(AUTO_CHOICES):
         for nbytes in (64, 1460, 12_000, 48_000):
-            seg = seg_frame_estimate(op, nbytes, 4, AUTO)
+            seg = seg_cost(op, nbytes, 4, AUTO)
             p2p = p2p_frame_estimate(op, nbytes, 4, AUTO)
             expect = AUTO_CHOICES[op][1 if seg <= p2p else 0]
             assert auto_impl(op, nbytes, 4, AUTO) == expect
@@ -313,8 +316,8 @@ def test_hier_estimate_tracks_trunk_savings():
 
 
 def test_hier_estimate_rejects_non_hier_ops():
-    with pytest.raises(KeyError, match="hier-capable"):
-        hier_frame_estimate("alltoall", 1000, 8, AUTO, TREE_2x4)
+    with pytest.raises(KeyError, match="auto-capable"):
+        modeled_frame_costs("alltoall", 1000, 8, AUTO, TREE_2x4)
 
 
 def test_comm_topology_is_none_on_flat_and_single_segment_comms():

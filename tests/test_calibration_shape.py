@@ -1,4 +1,5 @@
-"""Calibration-shape tests: the DESIGN.md §5 targets, as fast checks.
+"""Calibration-shape tests: the targets of ``simnet/calibration.py`` (read
+off the paper's Figs. 7 and 8), as fast checks.
 
 These pin the *shape* claims the whole reproduction rests on, with small
 sweeps (3 sizes, few reps) so they run in the unit-test budget.  The
@@ -26,7 +27,7 @@ def hub4():
 
 
 def test_absolute_magnitudes_in_era_band(hub4):
-    """DESIGN.md §5: MPICH/hub/4p ≈ 350-450 µs at 0 B and ≈ 1700-2100 µs
+    """Paper Fig. 7: MPICH/hub/4p ≈ 350-450 µs at 0 B and ≈ 1700-2100 µs
     at 5 kB on the paper's platform; we accept a generous band around
     those read-offs (this pins gross mis-calibration, not exact µs)."""
     assert 250 <= hub4["mpich"].median(0) <= 500

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import McastLost, barrier_mcast_message_count
+from repro.analysis.framecount import paper_mcast_barrier_messages
 from repro.core.scout import binary_tree_steps, scout_count
 from repro.runtime import FixedSkew, run_spmd
 from repro.simnet import quiet
@@ -28,8 +28,8 @@ def test_binary_tree_steps_is_ceil_log2():
 
 
 def test_barrier_mcast_message_count():
-    assert barrier_mcast_message_count(1) == (0, 0)
-    assert barrier_mcast_message_count(9) == (8, 1)
+    assert paper_mcast_barrier_messages(1) == (0, 0)
+    assert paper_mcast_barrier_messages(9) == (8, 1)
 
 
 # ---------------------------------------------------------------- correctness
@@ -88,46 +88,11 @@ def test_mcast_bcast_sequence_of_many(impl):
     assert result.returns == [[i * 100 for i in range(10)]] * 6
 
 
-def test_naive_bcast_works_without_skew():
-    """With lockstep ranks, even naive multicast happens to work —
-    receivers posted during MPI init barrier before the root's send."""
-
-    def main(env):
-        obj = "lucky" if env.rank == 0 else None
-        return (yield from env.comm.bcast(obj, root=0))
-
-    result = run_spmd(4, main, params=QUIET_SW,
-                      collectives={"bcast": "mcast-naive"})
-    assert result.returns == ["lucky"] * 4
-
-
-def test_naive_bcast_loses_slow_receiver():
-    """A receiver that enters the collective late misses the datagram —
-    the paper's §2 unreliability, reproduced."""
-
-    def main(env):
-        env.comm.mcast.naive_timeout_us = 20000.0
-        if env.rank == 2:
-            yield env.sim.timeout(5000.0)    # slow rank: still computing
-        obj = "gone" if env.rank == 0 else None
-        try:
-            data = yield from env.comm.bcast(obj, root=0)
-            return ("ok", data)
-        except McastLost:
-            return ("lost", None)
-
-    result = run_spmd(4, main, params=QUIET_SW,
-                      collectives={"bcast": "mcast-naive"})
-    assert result.returns[0] == ("ok", "gone")
-    assert result.returns[1] == ("ok", "gone")
-    assert result.returns[2] == ("lost", None)
-    assert result.returns[3] == ("ok", "gone")
-    assert result.stats["drops_not_posted"] >= 1
-
-
 @pytest.mark.parametrize("impl", SCOUTED)
 def test_scouted_bcast_survives_slow_receiver(impl):
-    """The scout handshake makes the same scenario lossless."""
+    """A receiver that enters the collective late: the scout handshake
+    makes it lossless (without it the root's one multicast would find no
+    posted descriptor — the paper's §2 unreliability)."""
 
     def main(env):
         if env.rank == 2:

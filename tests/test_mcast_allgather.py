@@ -1,4 +1,6 @@
-"""Many-to-many multicast (the paper's §5 future work), tested."""
+"""Many-to-many multicast (the paper's §5 future work), tested: the
+unpaced overrun experiment and its cure, the rank-ordered
+``mcast-seg-paced`` allgather."""
 
 import pytest
 
@@ -10,12 +12,13 @@ from repro.simnet.calibration import (FAST_ETHERNET_HUB,
 
 QUIET_SW = quiet(FAST_ETHERNET_SWITCH)
 QUIET_HUB = quiet(FAST_ETHERNET_HUB)
+PACED = "mcast-seg-paced"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 9])
 def test_paced_allgather_correct(n):
     def main(env):
-        env.comm.use_collectives(allgather="mcast-paced")
+        env.comm.use_collectives(allgather=PACED)
         return (yield from env.comm.allgather(f"rank{env.rank}"))
 
     result = run_spmd(n, main, params=QUIET_SW)
@@ -26,7 +29,7 @@ def test_paced_allgather_correct(n):
 @pytest.mark.parametrize("topology", ["hub", "switch"])
 def test_paced_allgather_both_topologies(topology):
     def main(env):
-        env.comm.use_collectives(allgather="mcast-paced")
+        env.comm.use_collectives(allgather=PACED)
         return (yield from env.comm.allgather(env.rank * 11))
 
     result = run_spmd(5, main, topology=topology)
@@ -34,10 +37,12 @@ def test_paced_allgather_both_topologies(topology):
 
 
 def test_paced_allgather_no_drops_with_one_descriptor():
-    """Pacing bounds the receiver's need to ONE outstanding receive."""
+    """Rank-ordered turns never overrun a receiver: where one unpaced
+    descriptor loses contributions, no paced datagram finds none
+    posted."""
 
     def main(env):
-        env.comm.use_collectives(allgather="mcast-paced")
+        env.comm.use_collectives(allgather=PACED)
         out = yield from env.comm.allgather(bytes(2000))
         return len(out)
 
@@ -48,7 +53,7 @@ def test_paced_allgather_no_drops_with_one_descriptor():
 
 def test_paced_allgather_repeated_calls():
     def main(env):
-        env.comm.use_collectives(allgather="mcast-paced")
+        env.comm.use_collectives(allgather=PACED)
         out = []
         for i in range(5):
             out.append((yield from env.comm.allgather((env.rank, i))))
@@ -63,7 +68,7 @@ def test_paced_allgather_repeated_calls():
 def test_paced_allgather_matches_p2p_allgather():
     def main(env):
         p2p = yield from env.comm.allgather(env.rank)
-        env.comm.use_collectives(allgather="mcast-paced")
+        env.comm.use_collectives(allgather=PACED)
         mc = yield from env.comm.allgather(env.rank)
         return p2p == mc
 
@@ -143,7 +148,7 @@ def test_unpaced_drain_cancels_every_leftover_descriptor():
             env.comm, bytes(1500), descriptors=2)
         env.comm.mcast.data_sock.drop_filter = None
 
-        env.comm.use_collectives(allgather="mcast-paced")
+        env.comm.use_collectives(allgather=PACED)
         out = yield from env.comm.allgather(env.rank)   # hangs before fix
         return lost, out
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.mpi import MAX, MAXLOC, MIN, Op, PROD, SUM
-from repro.mpi.collective.barrier_p2p import (barrier_message_count,
-                                              largest_power_of_two_leq)
+from repro.analysis.framecount import paper_mpich_barrier_messages
+from repro.mpi.collective.barrier_p2p import largest_power_of_two_leq
 from repro.mpi.collective.bcast_p2p import (binomial_children,
                                             binomial_parent)
 from repro.runtime import run_spmd
@@ -49,9 +49,9 @@ def test_largest_power_of_two():
 
 def test_barrier_message_count_formula():
     # paper: 2(N-K) + K log2 K
-    assert barrier_message_count(7) == 2 * 3 + 4 * 2
-    assert barrier_message_count(8) == 8 * 3
-    assert barrier_message_count(9) == 2 * 1 + 8 * 3
+    assert paper_mpich_barrier_messages(7) == 2 * 3 + 4 * 2
+    assert paper_mpich_barrier_messages(8) == 8 * 3
+    assert paper_mpich_barrier_messages(9) == 2 * 1 + 8 * 3
 
 
 # ---------------------------------------------------------------- bcast

@@ -334,8 +334,9 @@ def test_seg_paced_allgather_correct(n):
 
 
 def test_seg_paced_allgather_matches_paced():
+    """The paced allgather returns what the p2p reference returns."""
     def main(env):
-        env.comm.use_collectives(allgather="mcast-paced")
+        env.comm.use_collectives(allgather="p2p-gather-bcast")
         a = yield from env.comm.allgather(bytes([env.rank]) * 4000)
         env.comm.use_collectives(allgather="mcast-seg-paced")
         b = yield from env.comm.allgather(bytes([env.rank]) * 4000)

@@ -160,9 +160,10 @@ def test_models_match_reference_on_drawn_placements(placement, two_tier):
        st.sampled_from((0.0, 0.02, 0.2)), st.data())
 def test_fold_on_the_one_group_plan_equals_the_frozen_ladder(
         placement, two_tier, op, nbytes, loss, data):
-    """The flat estimate — the plan fold over the one-leaf tree — is the
-    per-op ladder it replaced (frozen in ``_reference_models``, trunk
-    references included), on drawn placements and on flat clusters:
+    """The policy's flat segmented cost — the plan fold over the one-leaf
+    tree — is the per-op ladder it replaced (frozen in
+    ``_reference_models``, trunk references included), on drawn
+    placements and on flat clusters:
     equal in value and type loss-free, to ``rel=1e-12`` under loss
     (turn-order sums against the ladder's products) — except a batched
     scatter, which the ladder overprices (the simulator grid of
@@ -177,7 +178,8 @@ def test_fold_on_the_one_group_plan_equals_the_frozen_ladder(
                         paths=None if two_tier else paths)
     root = data.draw(st.integers(0, n - 1))
     params = replace(AUTO, loss=loss)
-    got = policy.seg_frame_estimate(op, nbytes, n, params, topo, root)
+    got = modeled_frame_costs(op, nbytes, n, params, topo, root,
+                              hier_ok=False)[AUTO_CHOICES[op][1]]
     want = ref.seg_frame_estimate(op, nbytes, n, params, topo, root)
     if op == "scatter" and scatter_is_batched(n, nbytes, params):
         assert got <= want
