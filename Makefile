@@ -59,9 +59,13 @@ lint-deep:
 # fault scenario (docs/CHAOS.md).  Fixed seed, so the run is a
 # regression test, not a lottery; any failure prints a one-line replay
 # command and writes its flight-recorder dump under chaos-artifacts/.
+# Every case's verdict (outcome + error type) is then held to the
+# committed docs/chaos-verdicts.txt, so a change that flips a case
+# fails here even when the flipped case still honours the contract.
 fuzz:
 	REPRO_SANITIZE=1 $(PY) -m repro.chaos.fuzz --budget 200 --seed 1 \
 		--workers 2 --artifacts chaos-artifacts
+	diff -u docs/chaos-verdicts.txt chaos-artifacts/verdicts.txt
 
 bench-segmented:
 	$(PY) -m repro.bench.cli sweep segmented-bcast --scale full

@@ -32,6 +32,7 @@ import functools
 import hashlib
 import json
 import multiprocessing
+import os
 import random
 import sys
 import zlib
@@ -51,7 +52,7 @@ from ..simnet.kernel import DeadlockError
 from .scenarios import get, names
 
 __all__ = ["Case", "make_case", "build_program", "run_case", "run_fuzz",
-           "repro_command", "DEADLINE_US", "PROFILES"]
+           "repro_command", "verdict_lines", "DEADLINE_US", "PROFILES"]
 
 #: sim-time budget per case; reaching it with live ranks is a hang
 DEADLINE_US = 30_000_000.0
@@ -367,7 +368,6 @@ def run_case(case: Case, base_seed: int = 0,
     record = _record(case, outcome, error, stats_snapshot, artifact,
                      violations)
     if artifact is not None and artifacts_dir:
-        import os
         os.makedirs(artifacts_dir, exist_ok=True)
         path = os.path.join(artifacts_dir, f"case-i{case.index}.txt")
         with open(path, "w") as fh:
@@ -389,6 +389,14 @@ def _record(case: Case, outcome: str, error, stats_snapshot, artifact,
         "artifact_crc": _crc(artifact) if artifact is not None else None,
         "violations": list(violations),
     }
+
+
+def verdict_lines(records: List[dict]) -> List[str]:
+    """Per case, in case order: index, key, outcome, error type (``-``
+    for none) — what ``make fuzz`` holds to docs/chaos-verdicts.txt."""
+    return [f"{rec['index']} {rec['key']} {rec['outcome']} "
+            f"{rec['error'].split(':', 1)[0] if rec['error'] else '-'}"
+            for rec in sorted(records, key=lambda rec: rec["index"])]
 
 
 def _run_indexed(index: int, base_seed: int = 0,
@@ -489,6 +497,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                            progress=progress)
     counts = ", ".join(f"{k}={v}" for k, v in sorted(tally.items()))
     print(f"done: {len(records)} cases ({counts})")
+    if args.artifacts:
+        os.makedirs(args.artifacts, exist_ok=True)
+        with open(os.path.join(args.artifacts, "verdicts.txt"), "w") as fh:
+            fh.writelines(line + "\n" for line in verdict_lines(records))
     if not ok:
         print("POSTCONDITION VIOLATIONS:")
         for rec in records:

@@ -357,24 +357,26 @@ def _consume_round(comm, channel, posted, server: int, seq,
     segment of an earlier turn, whose indices a later turn's stream
     reuses — wastes its descriptor: the header's rule, applied to the
     data; the segments it displaced are reported missing and repaired
-    next round.
+    next round.  Descriptors complete through the data socket's
+    ``finish_recv`` itself, with no wrapper generator in between.
     """
     i = 0
     timer = channel.data_timer()
+    finish_recv = channel.data_sock.finish_recv
     try:
         while i < len(posted):
             ev = posted[i]
             if not ev.triggered:
                 timer.arm(drain_us, ev)
-            got = yield from channel.wait_data(ev)
-            if got is None:             # drain_us of silence: tail lost
+            dgram = yield from finish_recv(ev)
+            if dgram is None:           # drain_us of silence: tail lost
                 rec = comm.host.stats.recorder
                 if rec is not None:
                     rec.drain_timeout(comm.sim.now, comm.host.addr, rnd,
                                       len(posted) - i)
                 return
             i += 1
-            src, got_seq, payload = got
+            src, got_seq, payload = dgram.payload
             if got_seq != seq or src != server:
                 continue
             if isinstance(payload, Segment):

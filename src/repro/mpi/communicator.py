@@ -289,55 +289,47 @@ class Communicator:
     # ------------------------------------------------------------------
     # collectives — lowercase (generic objects)
     # ------------------------------------------------------------------
+    # Each entry returns _dispatch's generator itself: the caller's
+    # ``yield from`` drives it with no frame of ours in between.
     def bcast(self, obj: Any, root: int = 0) -> Generator:
         self._check_rank(root)
-        result = yield from self._dispatch("bcast", obj, root)
-        return result
+        return self._dispatch("bcast", obj, root)
 
     def barrier(self) -> Generator:
-        yield from self._dispatch("barrier")
+        return self._dispatch("barrier")
 
     def reduce(self, obj: Any, op: Op, root: int = 0) -> Generator:
         self._check_rank(root)
-        result = yield from self._dispatch("reduce", obj, op, root)
-        return result
+        return self._dispatch("reduce", obj, op, root)
 
     def allreduce(self, obj: Any, op: Op) -> Generator:
-        result = yield from self._dispatch("allreduce", obj, op)
-        return result
+        return self._dispatch("allreduce", obj, op)
 
     def gather(self, obj: Any, root: int = 0) -> Generator:
         self._check_rank(root)
-        result = yield from self._dispatch("gather", obj, root)
-        return result
+        return self._dispatch("gather", obj, root)
 
     def scatter(self, objs: Optional[Sequence[Any]],
                 root: int = 0) -> Generator:
         self._check_rank(root)
-        result = yield from self._dispatch("scatter", objs, root)
-        return result
+        return self._dispatch("scatter", objs, root)
 
     def allgather(self, obj: Any) -> Generator:
-        result = yield from self._dispatch("allgather", obj)
-        return result
+        return self._dispatch("allgather", obj)
 
     def alltoall(self, objs: Sequence[Any]) -> Generator:
-        result = yield from self._dispatch("alltoall", objs)
-        return result
+        return self._dispatch("alltoall", objs)
 
     def scan(self, obj: Any, op: Op) -> Generator:
-        result = yield from self._dispatch("scan", obj, op)
-        return result
+        return self._dispatch("scan", obj, op)
 
     def exscan(self, obj: Any, op: Op) -> Generator:
         """Exclusive prefix reduction (rank 0 receives None)."""
-        result = yield from self._dispatch("exscan", obj, op)
-        return result
+        return self._dispatch("exscan", obj, op)
 
     def reduce_scatter(self, objs: Sequence[Any], op: Op) -> Generator:
         """Elementwise reduce of ``objs`` then scatter block r to rank r."""
-        result = yield from self._dispatch("reduce_scatter", objs, op)
-        return result
+        return self._dispatch("reduce_scatter", objs, op)
 
     # ------------------------------------------------------------------
     # collectives — uppercase (NumPy buffers)

@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence, Union
 
 from .calibration import NetParams
@@ -67,7 +68,7 @@ from .stats import NetStats
 from .switchdev import Switch
 
 __all__ = ["FabricSpec", "Fabric", "PartitionError", "parse_topology",
-           "build_fabric", "path_trunk_hops"]
+           "build_fabric", "path_trunk_hops", "wire_host"]
 
 
 class PartitionError(SimError):
@@ -252,18 +253,18 @@ class Fabric:
         in the trunk counters.  ``path`` (the child's tree path) keys
         the trunk in :attr:`trunks` for the partition API."""
         tparams = self.trunk_params_for(tier)
-        parent_holder: list[int] = []
-        child_holder: list[int] = []
-        up = HalfLink(self.sim, tparams, self.stats,
-                      deliver=_ingress(parent, parent_holder),
+        up = HalfLink(self.sim, tparams, self.stats, deliver=None,
                       name=f"{child.name}->{parent.name}",
-                      count_as_send=False, is_trunk=True)
-        down = HalfLink(self.sim, tparams, self.stats,
-                        deliver=_ingress(child, child_holder),
+                      count_as_send=False, is_trunk=True,
+                      settle_us=parent.params.switch_latency_us)
+        down = HalfLink(self.sim, tparams, self.stats, deliver=None,
                         name=f"{parent.name}->{child.name}",
-                        count_as_send=False, is_trunk=True)
-        child_holder.append(child.add_port(up, trunk=True))
-        parent_holder.append(parent.add_port(down, trunk=True))
+                        count_as_send=False, is_trunk=True,
+                        settle_us=child.params.switch_latency_us)
+        # each direction delivers into the port whose egress is the other
+        down.deliver = partial(child.receive, child.add_port(up, trunk=True))
+        up.deliver = partial(parent.receive,
+                             parent.add_port(down, trunk=True))
         self.trunks[path] = (up, down)
 
     def add_node(self, path: tuple) -> Switch:
@@ -295,17 +296,7 @@ class Fabric:
         leaf = Switch(self.sim, self.params, stats=self.stats,
                       name=f"leaf{seg_id}")
         for host in hosts:
-            port_holder: list[int] = []
-            up = HalfLink(self.sim, self.params, self.stats,
-                          deliver=_ingress(leaf, port_holder),
-                          name=f"{host.name}->{leaf.name}")
-            down = HalfLink(self.sim, self.params, self.stats,
-                            deliver=host.nic.deliver,
-                            name=f"{leaf.name}->{host.name}",
-                            count_as_send=False)
-            port_holder.append(leaf.add_port(down))
-            host.nic.attach_link(up)
-            self.host_links[host.addr] = (up, down)
+            self.host_links[host.addr] = wire_host(leaf, host, leaf.name)
         self.nodes[path] = leaf
         self._connect(parent, leaf, tier=len(path) - 1, path=path)
         self.leaves.append(leaf)
@@ -441,10 +432,20 @@ def build_fabric(sim: Simulator, params: NetParams, hosts: list[Host],
     return fabric
 
 
-def _ingress(switch: Switch, port_holder: list[int]):
-    """Bind the ingress callback to the port index assigned afterwards."""
-
-    def ingress(frame):
-        switch.receive(port_holder[0], frame)
-
-    return ingress
+def wire_host(switch: Switch, host: Host,
+              via: str) -> tuple[HalfLink, HalfLink]:
+    """Cable ``host`` to a new port of ``switch`` (``via`` names that end
+    in the link names), each direction wired with its far end's fixed
+    delay; returns the ``(up, down)`` half links."""
+    sim, params, stats = switch.sim, switch.params, switch.stats
+    # switch -> host direction (forwarding, not a host send)
+    down = HalfLink(sim, params, stats, deliver=host.nic.deliver,
+                    name=f"{via}->{host.name}", count_as_send=False,
+                    settle_us=host.params.per_frame_rx_us)
+    # host -> switch direction: deliver into the switch
+    up = HalfLink(sim, params, stats,
+                  deliver=partial(switch.receive, switch.add_port(down)),
+                  name=f"{host.name}->{via}",
+                  settle_us=params.switch_latency_us)
+    host.nic.attach_link(up)
+    return up, down

@@ -8,7 +8,11 @@ die here, silently — the data-link half of the paper's "receiver must be
 ready" story.
 
 Accepted frames pay ``per_frame_rx_us`` (interrupt + IP input processing)
-before reaching the host's IP stack.
+after their last bit: on the hub the NIC filters at the last bit and
+schedules IP input; a switch-to-host link hands the frame over once the
+delay has elapsed (its ``settle_us``), and filter and IP input run then.
+A frame sent onto an idle link costs no record; one queued behind the
+wire costs one wake, ``per_frame_tx_us`` after the wire falls idle.
 """
 
 from __future__ import annotations
@@ -24,10 +28,10 @@ from .stats import NetStats
 
 __all__ = ["Nic", "TxPort"]
 
-#: What a NIC transmits through — a half link's ``send`` or a shared
-#: medium's ``transmit`` for this station: ``port(frame, on_done)``
-#: calls ``on_done(True)`` once the frame is on the wire, or
-#: ``on_done(exc)`` if the medium gave up on it.
+#: What a NIC on the hub transmits through — the shared medium's
+#: ``transmit`` for this station: ``port(frame, on_done)`` calls
+#: ``on_done(True)`` once the frame is on the wire, or ``on_done(exc)``
+#: if the medium gave up on it.
 TxPort = Callable[[Frame, Callable[[object], None]], None]
 
 
@@ -42,6 +46,7 @@ class Nic:
         self.stats = stats if stats is not None else NetStats()
         self.name = name or f"nic{mac}"
         self._port: Optional[TxPort] = None
+        self._link = None           # the host->switch half link, if any
         self._receiver: Optional[Callable[[Frame], None]] = None
         self._txq: deque[Frame] = deque()
         self._tx_busy = False
@@ -59,7 +64,7 @@ class Nic:
 
     def attach_link(self, out_halflink) -> None:
         """Plug into a switch via the host→switch half link."""
-        self._port = out_halflink.send
+        self._link = out_halflink
 
     def set_receiver(self, fn: Callable[[Frame], None]) -> None:
         """Install the IP-input callback (one per host)."""
@@ -83,11 +88,32 @@ class Nic:
     def send(self, frame: Frame) -> None:
         """Queue a frame for transmission (FIFO, one on the wire at a
         time); the outcome is counted in ``tx_frames`` / ``tx_errors``."""
-        if self._port is None:
-            raise RuntimeError(f"{self.name} is not attached to any network")
-        self._txq.append(frame)
-        if not self._tx_busy:
-            self._tx_pump()
+        link = self._link
+        if link is None:
+            if self._port is None:
+                raise RuntimeError(
+                    f"{self.name} is not attached to any network")
+            self._txq.append(frame)
+            if not self._tx_busy:
+                self._tx_pump()
+        elif self._txq or self.sim.now < link.free_at:
+            self._txq.append(frame)
+            if len(self._txq) == 1:
+                self.sim.schedule_at(
+                    link.free_at + self.params.per_frame_tx_us,
+                    self._tx_next)
+        else:
+            self.tx_frames += 1
+            link.send(frame)
+
+    def _tx_next(self) -> None:
+        # the wire fell idle per_frame_tx_us ago: the queue's head goes out
+        link = self._link
+        self.tx_frames += 1
+        link.send(self._txq.popleft())
+        if self._txq:
+            self.sim.schedule_at(link.free_at + self.params.per_frame_tx_us,
+                                 self._tx_next)
 
     def _tx_pump(self) -> None:
         if not self._txq:
@@ -108,8 +134,9 @@ class Nic:
             self._tx_busy = False
 
     # -- receive path --------------------------------------------------------
-    def deliver(self, frame: Frame) -> bool:
-        """Called by the medium/link; returns True if the filter accepted."""
+    def deliver(self, frame: Frame, at: Optional[float] = None) -> bool:
+        """Called by the medium/link at the last bit, or ``per_frame_rx_us``
+        after the last bit ``at``; returns True if the filter accepted."""
         dst = frame.dst
         accept = (dst == self.mac or dst == BROADCAST
                   or (is_multicast(dst) and dst in self._mcast_refs))
@@ -120,8 +147,12 @@ class Nic:
         self.stats.frames_delivered += 1
         rec = self.stats.recorder
         if rec is not None:
-            rec.frame_delivered(self.sim.now, frame, self.mac)
+            rec.frame_delivered(self.sim.now if at is None else at, frame,
+                                self.mac)
         if self._receiver is not None:
-            self.sim.schedule_call(self.params.per_frame_rx_us,
-                                   self._receiver, frame)
+            if at is None:
+                self.sim.schedule_call(self.params.per_frame_rx_us,
+                                       self._receiver, frame)
+            else:
+                self._receiver(frame)
         return True

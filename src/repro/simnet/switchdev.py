@@ -9,7 +9,9 @@ Models the paper's HP ProCurve managed switch:
   delivers on last-bit arrival), then pays ``switch_latency_us`` for lookup,
   then queues on each egress port, where it is serialized again.  This
   double serialization is why the paper's Fig. 11 shows the hub *beating*
-  the switch for multicast traffic;
+  the switch for multicast traffic.  The ingress link is wired with that
+  latency, so the tables are read and the frame fans out
+  ``switch_latency_us`` after its last bit, in the hop's one record;
 * **IGMP snooping** — the switch learns multicast group membership from
   IGMP report/leave frames and forwards a multicast frame only to member
   ports, so multicast on the switch consumes no bandwidth on uninvolved
@@ -107,30 +109,35 @@ class Switch:
         self.alive = True
 
     # -- data path ------------------------------------------------------
-    def receive(self, port_idx: int, frame: Frame) -> None:
-        """Ingress entry point, called by the host→switch half link."""
+    def receive(self, port_idx: int, frame: Frame,
+                at: Optional[float] = None) -> None:
+        """Ingress entry point, called by the ingress half link at the
+        last bit, or ``switch_latency_us`` after the last bit ``at``."""
         if not self.alive:
             self.stats.drops_chaos += 1
             return
         self._mac_table[frame.src] = port_idx
         if frame.kind == "igmp":
-            self._snoop(port_idx, frame)
+            self._snoop(port_idx, frame, at)
             return
         egress = self._egress_ports(port_idx, frame)
         self.frames_switched += 1
         rec = self.stats.recorder
         if rec is not None:
-            rec.frame_switched(self.sim.now, frame, self.name, len(egress))
-        if not egress:
-            return
-        # One scheduled record fans the frame to every interested port:
-        # the sends run in port order, at the same instant, with no
-        # intervening records.
-        ports = self._ports
-        self.sim.schedule_call(self.params.switch_latency_us, self._fanout,
-                               [ports[idx].out for idx in egress], frame)
+            rec.frame_switched(self.sim.now if at is None else at, frame,
+                               self.name, len(egress))
+        if egress:
+            ports = self._ports
+            self._fanout([ports[idx].out for idx in egress], frame, at)
 
-    def _fanout(self, outs: list[HalfLink], frame: Frame) -> None:
+    def _fanout(self, outs: list[HalfLink], frame: Frame,
+                at: Optional[float]) -> None:
+        # The sends run in port order, at one instant, with no records
+        # in between: now if the lookup delay has elapsed, else then.
+        if at is None:
+            self.sim.schedule_call(self.params.switch_latency_us,
+                                   self._fanout, outs, frame, self.sim.now)
+            return
         for out in outs:
             out.send(frame)
 
@@ -153,7 +160,8 @@ class Switch:
         return [port] if port != ingress else []
 
     # -- IGMP snooping -------------------------------------------------
-    def _snoop(self, port_idx: int, frame: Frame) -> None:
+    def _snoop(self, port_idx: int, frame: Frame,
+               at: Optional[float]) -> None:
         op, group = frame.payload
         if op == "join":
             refs = self._mcast_table.setdefault(group, {})
@@ -176,8 +184,7 @@ class Switch:
         outs = [port.out for port in self._ports
                 if port.trunk and port.index != port_idx]
         if outs:
-            self.sim.schedule_call(self.params.switch_latency_us,
-                                   self._fanout, outs, frame)
+            self._fanout(outs, frame, at)
 
     # -- inspection -------------------------------------------------------
     def members_of(self, group: int) -> set[int]:

@@ -32,11 +32,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .calibration import NetParams, FAST_ETHERNET_HUB, FAST_ETHERNET_SWITCH
-from .fabric import Fabric, build_fabric, parse_topology
+from .fabric import Fabric, build_fabric, parse_topology, wire_host
 from .host import Host
 from .ip import GroupAllocator
 from .kernel import Simulator
-from .link import HalfLink
 from .medium import SharedMedium
 from .stats import NetStats
 from .switchdev import Switch
@@ -210,26 +209,7 @@ def build_cluster(n: int, topology: str = "switch",
     else:
         switch = Switch(sim, params, stats=stats)
         for host in hosts:
-            # host -> switch direction: deliver into the switch fabric
-            port_holder: list[int] = []
-            up = HalfLink(sim, params, stats,
-                          deliver=_make_ingress(switch, port_holder),
-                          name=f"{host.name}->sw")
-            # switch -> host direction (forwarding, not a host send)
-            down = HalfLink(sim, params, stats, deliver=host.nic.deliver,
-                            name=f"sw->{host.name}", count_as_send=False)
-            port_holder.append(switch.add_port(down))
-            host.nic.attach_link(up)
-            cluster.host_links[host.addr] = (up, down)
+            cluster.host_links[host.addr] = wire_host(switch, host, "sw")
         cluster.switch = switch
 
     return cluster
-
-
-def _make_ingress(switch: Switch, port_holder: list[int]):
-    """Bind the ingress callback to the port index assigned afterwards."""
-
-    def ingress(frame):
-        switch.receive(port_holder[0], frame)
-
-    return ingress

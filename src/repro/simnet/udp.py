@@ -72,9 +72,8 @@ class UdpSocket:
         self.rx_dropped = 0
         #: most receive descriptors simultaneously posted over the
         #: socket's lifetime — the descriptor-ring size a real VIA-style
-        #: NIC would need.  The segmented collectives' pacing work reads
-        #: this to check that a budget-limited receiver really never
-        #: held more than its ring.
+        #: NIC would need.  The round engine reports it per round to the
+        #: flight recorder (``CallRecord.posted_high_water``).
         self.posted_high_water = 0
         #: optional fault-injection hook: ``drop_filter(dgram) -> bool``;
         #: a True return drops the datagram before delivery (counted as

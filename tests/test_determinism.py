@@ -1,21 +1,30 @@
-"""Bit-for-bit determinism of seeded lossy runs, and the
-``REPRO_SANITIZE`` leak checks that keep them trustworthy.
+"""Bit-for-bit determinism of seeded lossy runs, independence from the
+kernel's tie order, and the ``REPRO_SANITIZE`` leak checks that keep
+them trustworthy.
 
 The DET01 lint rule bans the nondeterminism *sources* (wall clocks,
-unseeded RNGs, set-order iteration); this test pins down the observable
+unseeded RNGs, set-order iteration); these tests pin down the observable
 contract: an identically-seeded run over a lossy multi-tier fabric —
 drops, NACKs, repair rounds and all — reproduces the exact same network
-statistics and finishing time."""
+statistics and finishing time, and no collective's result or frame mix
+depends on the order in which records due at one instant dispatch."""
 
+import heapq
+import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from repro.mpi.collective.registry import REGISTRY
 from repro.mpi.ops import SUM
 from repro.runtime.program import run_spmd
 from repro.runtime.sanitize import (LeakError, check_quiesced,
                                     drain_pending, full_teardown)
-from repro.simnet.calibration import FAST_ETHERNET_SWITCH, quiet
+from repro.simnet import topology
+from repro.simnet.calibration import (FAST_ETHERNET_HUB,
+                                      FAST_ETHERNET_SWITCH, quiet)
+from repro.simnet.kernel import Simulator
 
 QUIET = quiet(FAST_ETHERNET_SWITCH)
 
@@ -41,6 +50,113 @@ def test_seeded_lossy_fabric_run_is_reproducible():
     assert r1.stats["drops_lossy"] > 0
     assert r1.stats == r2.stats
     assert r1.sim_time_us == r2.sim_time_us
+
+
+# ------------------------------------------------- tie-order independence
+class _TieShuffledSimulator(Simulator):
+    """The kernel with its one tie rule inverted: records due at the same
+    instant dispatch in a seeded random order instead of insertion order
+    (a random draw ranks ahead of the insertion counter in the heap key).
+    Every other ordering — by due time — is untouched."""
+
+    def __init__(self, seed: int):
+        super().__init__()
+        self._tie_rng = random.Random(seed)
+
+    def schedule_call(self, delay, fn, *args):
+        if delay < 0:
+            raise ValueError(f"cannot schedule into the past (delay={delay})")
+        self.schedule_at(self.now + delay, fn, *args)
+
+    def schedule_at(self, due, fn, *args):
+        if due < self.now:
+            raise ValueError(f"cannot schedule into the past (due={due})")
+        self._seq += 1
+        heapq.heappush(self._heap, (due, (self._tie_rng.random(), self._seq),
+                                    fn, args))
+
+
+TIE_OPS = ("bcast", "barrier", "reduce", "allreduce", "gather", "scatter",
+           "allgather")
+TIE_CASES = [(op, impl) for op in TIE_OPS for impl in sorted(REGISTRY[op])]
+TIE_LAYOUTS = (("switch", 3), ("switch", 4), ("hub", 3), ("hub", 4),
+               ("tree:2x2", 4))
+TIE_SIZES = (100, 5_000)
+TIE_SEEDS = (1, 2, 3, 4)
+#: cases whose *frame mix* depends on tie order on the hub (result bytes
+#: still do not): an ack timeout and an ack land at the same quiet
+#: instant, so the order decides whether the root retransmits — see
+#: docs/CHAOS.md, "Tie order"
+TIE_FRAME_EXCEPTIONS = {("bcast", impl, "hub", n, 5_000)
+                        for impl in ("mcast-ack", "mcast-sequencer")
+                        for n in (3, 4)}
+
+
+def _tie_program(op, size):
+    """Two calls of ``op``; every rank returns the result bytes of both.
+    Each rank contributes distinct bytes, so a misrouted share shows."""
+    def call(comm):
+        n, rank = comm.size, comm.rank
+        mine = bytes([rank + 1]) * max(1, size // n)
+        if op == "bcast":
+            return (yield from comm.bcast(
+                bytes(i % 251 for i in range(size)) if rank == 0 else None,
+                0))
+        if op == "barrier":
+            yield from comm.barrier()
+            return b""
+        if op in ("reduce", "allreduce"):
+            arr = np.arange(max(1, size // 8), dtype=np.int64) * (rank + 1)
+            out = yield from (comm.reduce(arr, SUM, 0) if op == "reduce"
+                              else comm.allreduce(arr, SUM))
+            return b"" if out is None else out.tobytes()
+        if op == "scatter":
+            return (yield from comm.scatter(
+                [bytes([r + 1]) * max(1, size // n) for r in range(n)]
+                if rank == 0 else None, 0))
+        if op == "gather":
+            out = yield from comm.gather(mine, 0)
+            return b"" if out is None else b"".join(out)
+        return b"".join((yield from comm.allgather(mine)))
+
+    def main(env):
+        first = yield from call(env.comm)
+        second = yield from call(env.comm)
+        return first, second
+
+    return main
+
+
+@pytest.mark.parametrize("op,impl", TIE_CASES)
+def test_results_and_frame_mix_do_not_depend_on_tie_order(op, impl,
+                                                          monkeypatch):
+    """The kernel's contract is "dispatch == stable sort by due time",
+    and nothing may lean on the stable part.  Under
+    ``quiet(...)`` timing — where exact ties are common — every
+    registered impl of the seven collectives returns the same bytes and
+    puts the same frames (by kind) on the wire when equal-due records
+    dispatch in a shuffled order; clocks may differ."""
+    def run(topo, n, size):
+        params = quiet(FAST_ETHERNET_HUB if topo == "hub"
+                       else FAST_ETHERNET_SWITCH)
+        r = run_spmd(n, _tie_program(op, size), topology=topo,
+                     params=params, seed=7, collectives={op: impl})
+        return r.returns, r.stats["frames_by_kind"]
+
+    for topo, n in TIE_LAYOUTS:
+        for size in TIE_SIZES:
+            with monkeypatch.context() as m:
+                m.setattr(topology, "Simulator", Simulator)
+                want_bytes, want_frames = run(topo, n, size)
+            for seed in TIE_SEEDS:
+                with monkeypatch.context() as m:
+                    m.setattr(topology, "Simulator",
+                              lambda seed=seed: _TieShuffledSimulator(seed))
+                    got_bytes, got_frames = run(topo, n, size)
+                where = f"{topo} n={n} {size} B, shuffle seed {seed}"
+                assert got_bytes == want_bytes, where
+                if (op, impl, topo, n, size) not in TIE_FRAME_EXCEPTIONS:
+                    assert got_frames == want_frames, where
 
 
 # --------------------------------------------------- sanitizer itself

@@ -114,6 +114,98 @@ def test_live_link_matches_reference(case, count_as_send, is_trunk):
     assert records[0] <= records[1]
 
 
+SETTLE = PARAMS.switch_latency_us
+
+
+class _Starts:
+    """Recorder stub: notes, per frame tag, whether the link had a fault
+    hook when the frame started serializing."""
+
+    def __init__(self, link):
+        self.link = link
+        self.hooked = {}
+
+    def frame_sent(self, _now, frame, _via):
+        self.hooked[frame.payload] = self.link.fault is not None
+
+    def frame_forwarded(self, now, frame, via, _trunk):
+        self.frame_sent(now, frame, via)
+
+
+def drive_settled(link_cls, schedule, *, count_as_send, is_trunk, fates,
+                  hook_at):
+    """Run one send schedule into a far end with a fixed delay of
+    ``SETTLE``: the live link wired with it (``settle_us``) against the
+    reference link followed by the far end's own record.  The far end
+    logs ``(time, last bit, frame tag)``.  A fault hook is installed at
+    ``hook_at`` (never, if ``None``); it is offered the frames that start
+    serializing while it is installed — the live link's rule, since a
+    frame in flight is already booked into its folded record."""
+    sim = Simulator()
+    stats = NetStats()
+    far, completions = [], []
+
+    def far_end(frame, at=None):
+        if at is None:          # at the last bit: pay the delay first
+            sim.schedule_call(SETTLE, far_end, frame, sim.now)
+        else:
+            far.append((sim.now, at, frame.payload))
+
+    kw = dict(name="dut", count_as_send=count_as_send, is_trunk=is_trunk)
+    if link_cls is HalfLink:
+        link = HalfLink(sim, PARAMS, stats, deliver=far_end,
+                        settle_us=SETTLE, **kw)
+    else:
+        link = link_cls(sim, PARAMS, stats, deliver=far_end, **kw)
+    stats.recorder = starts = _Starts(link)
+
+    def hook(frame, _link):
+        return fates[frame.payload] if starts.hooked[frame.payload] else None
+
+    def send(i, size, want):
+        frame = Frame(src=0, dst=1, size=size, payload=i)
+        if link_cls is HalfLink:
+            link.send(frame, (lambda _ok: completions.append((sim.now, i)))
+                      if want else None)
+        else:
+            ev = link.send(frame)
+            if want:
+                ev.add_callback(lambda _ev: completions.append((sim.now, i)))
+
+    for i, (at, size, want) in enumerate(schedule):
+        sim.schedule_call(at, send, i, size, want)
+    if hook_at is not None:
+        sim.schedule_call(hook_at, setattr, link, "fault", hook)
+    end = sim.run()
+    return {"far": far, "completions": completions, "end": end,
+            "counters": {c: getattr(stats, c) for c in COUNTERS},
+            "records": sim.processed}
+
+
+@settings(max_examples=200, deadline=None)
+@given(schedules(), st.sampled_from((None, 0.0, 45.0, 81.0, 250.0, 900.0)),
+       st.booleans(), st.booleans())
+def test_folded_hop_matches_reference_plus_settle_record(case, hook_at,
+                                                         count_as_send,
+                                                         is_trunk):
+    """The far end's fixed delay folded into the arrival record is the
+    same hop as the historical link followed by a separate settle
+    record: the far end sees the same frames at the same instants, in
+    the same order, with the same last-bit timestamps, and every
+    counter agrees — whether or not a fault hook (installed partway
+    through) sends some frames down the two-record path.  Cable cuts are
+    left out: the folded record reads ``up`` ``SETTLE`` after the last
+    bit (docs/CHAOS.md)."""
+    sends, fates, _cuts = case
+    kw = dict(count_as_send=count_as_send, is_trunk=is_trunk, fates=fates,
+              hook_at=hook_at)
+    ref = drive_settled(ReferenceHalfLink, sends, **kw)
+    live = drive_settled(HalfLink, sends, **kw)
+    records = live.pop("records"), ref.pop("records")
+    assert live == ref          # exact floats, exact order
+    assert records[0] < records[1]
+
+
 def test_idle_send_costs_one_record_reference_three():
     """The rule itself: nobody observes the end of serialization of a
     lone frame, so only its arrival is scheduled."""

@@ -441,11 +441,13 @@ def test_timed_recv_returns_none_and_leaves_no_descriptor():
 def test_record_budget_64_rank_bcast():
     """ROADMAP's own case: 64 ranks on tree:8x8, one 24 kB mcast-seg-nack
     bcast.  A record is scheduled only when something observes its
-    effect, so a delivered frame costs < 7.5 kernel records (15.0 before
-    PR 14: 26,570 / 1,770; 8.04 before PR 22 folded the receive charge
-    into the record that fills a parked descriptor: 12,520 / 1,770 =
-    7.07) and the heap never holds more than 400 (1,176 before PR 14).
-    Counts are deterministic: a gate, not a band."""
+    effect, so a delivered frame costs < 5.5 kernel records: 15.0 when
+    every link pumped a wake-up per frame (26,570 / 1,770), 7.10 while
+    each hop still took a second record for the far end's fixed delay
+    and every idle NIC send a completion (12,570), 5.00 with both folded
+    away (8,846).  The heap never holds more than 300 (1,176 with the
+    per-frame wake-ups).  Counts are deterministic: a gate, not a
+    band."""
     def main(env):
         env.comm.use_collectives(bcast="mcast-seg-nack")
         out = yield from env.comm.bcast(
@@ -456,8 +458,8 @@ def test_record_budget_64_rank_bcast():
     assert result.returns == [24_000] * 64
     sim = result.cluster.sim
     assert result.stats["frames_delivered"] == 1770
-    assert sim.processed / result.stats["frames_delivered"] <= 7.5
-    assert sim.peak_live <= 400
+    assert sim.processed / result.stats["frames_delivered"] <= 5.5
+    assert sim.peak_live <= 300
 
 
 # ------------------------------------------- the header straggler rule
@@ -501,14 +503,15 @@ def _straggler_program(op, size, seen):
     def main(env):
         comm, rank = env.comm, env.rank
         if rank == 0:
-            real = comm.mcast.wait_data
+            sock = comm.mcast.data_sock
+            real = sock.finish_recv
 
             def spy(posted):
-                got = yield from real(posted)
-                seen.append(got[2])
-                return got
+                dgram = yield from real(posted)
+                seen.append(dgram.payload[2])
+                return dgram
 
-            comm.mcast.wait_data = spy
+            sock.finish_recv = spy
         if op == "bcast":       # two streams, two sequence numbers
             outs = []
             for root in (1, 2):
