@@ -3,8 +3,8 @@
 
 Builds a three-tier ``tree:2x2x2`` cluster (a core switch, two mid
 switches, four leaf switches of two hosts — see
-:mod:`repro.simnet.fabric`), walks the multi-level topology discovery
-API (segment paths, true trunk-hop distances), shows the recursive
+:mod:`repro.simnet.fabric`), prints the communicator's topology digest
+(segment paths, true trunk-hop distances), shows the recursive
 hierarchy ``hier-mcast`` elects (per-leaf groups, leader groups, and a
 leaders-of-leaders group at the core), and compares per-call trunk
 traffic of the flat segmented gather against the hierarchical one.
@@ -15,8 +15,8 @@ Run:  python examples/deep_fabric.py
 from dataclasses import replace
 
 from repro import run_spmd
-from repro.mpi.collective.hier import (group_members, hier_state,
-                                       tree_internal_nodes)
+from repro.mpi.collective.hier import group_members, tree_internal_nodes
+from repro.mpi.collective.policy import comm_topology
 from repro.simnet import FAST_ETHERNET_SWITCH, quiet
 
 TOPOLOGY = "tree:2x2x2"
@@ -32,32 +32,28 @@ def show_topology() -> None:
     def main(env):
         yield from env.comm.barrier()
         if env.rank == 0:
-            cluster = env.comm.world.cluster
-            env.records["segments"] = [
-                (cluster.segment_path(s), cluster.segment_members(s))
-                for s in range(cluster.nsegments)]
-            env.records["matrix"] = cluster.trunk_distance_matrix()
-            st = hier_state(env.comm)
-            env.records["tree"] = [
-                (node.path, group_members(node))
-                for node in tree_internal_nodes(st.tree)]
+            # the one topology answer the policy and hier-mcast read
+            env.records["digest"] = comm_topology(env.comm)
         return True
 
     result = run_spmd(NPROCS, main, topology=TOPOLOGY, params=PARAMS,
                       trunk_params=TRUNKS)
-    rec = result.records[0]
-    print(f"topology {TOPOLOGY}: {len(rec['segments'])} segments, "
+    digest = result.records[0]["digest"]
+    print(f"topology {TOPOLOGY}: {digest.nsegments} segments, "
           f"3 switch tiers")
-    for s, (path, members) in enumerate(rec["segments"]):
-        print(f"  segment {s} at switch path {path}: hosts {members}")
-    print("trunk-hop distance matrix (hosts 0..7; up to 4 hops "
+    for s, path in enumerate(digest.paths):
+        members = [r for r, seg in enumerate(digest.seg_of_rank)
+                   if seg == s]
+        print(f"  segment {s} at switch path {path}: ranks {members}")
+    print("trunk-hop distance matrix (segment x segment; up to 4 hops "
           "across the tree):")
-    for row in rec["matrix"]:
-        print("  ", row)
+    for row in digest.hops:
+        print("  ", list(row))
     print("recursive leader hierarchy (leaders of leaders):")
-    for path, members in rec["tree"]:
-        where = "core" if path == () else f"switch {path}"
-        print(f"  group at {where}: leader ranks {list(members)}")
+    for node in tree_internal_nodes(digest.tree):
+        where = "core" if node.path == () else f"switch {node.path}"
+        print(f"  group at {where}: leader ranks "
+              f"{list(group_members(node))}")
 
 
 def trunk_frames(impl: str, n_ops: int) -> int:

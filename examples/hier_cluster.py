@@ -2,10 +2,11 @@
 """Hierarchical collectives on a tiered switch fabric.
 
 Builds a ``tree:2x4`` cluster (two 4-host leaf switches behind a core,
-joined by trunks — see :mod:`repro.simnet.fabric`), walks the topology
-discovery API, elects per-segment leaders the way ``hier-mcast`` does,
-and compares the trunk traffic of the flat segmented collectives
-against the hierarchical ones.  The trunks are the scarce, shared
+joined by trunks — see :mod:`repro.simnet.fabric`), prints the
+communicator's topology digest (segments, the leader ``hier-mcast``
+elects in each, trunk-hop distances), and compares the trunk traffic
+of the flat segmented collectives against the hierarchical ones.  The
+trunks are the scarce, shared
 resource of a multi-segment fabric.  The flat engine's control plane
 walks the *rank* binomial tree, so what it pays on the trunks depends on
 how ranks are placed; the hierarchy walks the *fabric*, so it pays each
@@ -20,7 +21,7 @@ from dataclasses import replace
 import numpy as np
 
 from repro import run_spmd
-from repro.mpi.collective.hier import hier_state
+from repro.mpi.collective.policy import comm_topology
 from repro.mpi.ops import SUM
 from repro.simnet import FAST_ETHERNET_SWITCH, quiet
 
@@ -37,25 +38,23 @@ def show_topology() -> None:
     def main(env):
         yield from env.comm.barrier()
         if env.rank == 0:
-            cluster = env.comm.world.cluster
-            env.records["segments"] = [
-                cluster.segment_members(s)
-                for s in range(cluster.nsegments)]
-            env.records["matrix"] = cluster.trunk_distance_matrix()
-            st = hier_state(env.comm)
-            env.records["leaders"] = st.leaders
+            # the one topology answer the policy and hier-mcast read
+            env.records["digest"] = comm_topology(env.comm)
         return True
 
     result = run_spmd(NPROCS, main, topology=TOPOLOGY, params=PARAMS,
                       trunk_params=TRUNK)
-    rec = result.records[0]
-    print(f"topology {TOPOLOGY}: {len(rec['segments'])} segments")
-    for s, members in enumerate(rec["segments"]):
-        leader = rec["leaders"][s]
-        print(f"  segment {s}: hosts {members} (leader: rank {leader})")
-    print("trunk-hop distance matrix (hosts 0..7):")
-    for row in rec["matrix"]:
-        print("  ", row)
+    digest = result.records[0]["digest"]
+    print(f"topology {TOPOLOGY}: {digest.nsegments} segments")
+    for s in range(digest.nsegments):
+        members = [r for r, seg in enumerate(digest.seg_of_rank)
+                   if seg == s]
+        # the leader of a segment is its smallest rank
+        print(f"  segment {s}: ranks {members} (leader: rank "
+              f"{members[0]})")
+    print("trunk-hop distance matrix (segment x segment):")
+    for row in digest.hops:
+        print("  ", list(row))
 
 
 def trunk_frames(op: str, impl: str, n_ops: int,

@@ -19,7 +19,7 @@ from functools import cached_property, lru_cache
 from ..core.channel import MCAST_HEADER_BYTES
 from ..mpi.collective.barrier_p2p import largest_power_of_two_leq
 from ..mpi.collective.hier import (BUNDLE_KINDS, build_hier_tree,
-                                   compile_plan)
+                                   canonical_order, compile_plan)
 from ..simnet.calibration import NetParams
 
 __all__ = [
@@ -27,8 +27,7 @@ __all__ = [
     "paper_mcast_bcast_frames", "paper_mpich_barrier_messages",
     "paper_mcast_barrier_messages", "model_mpich_bcast_frames",
     "model_mcast_bcast_frames", "model_p2p_tree_frames",
-    "expected_seg_repair_frames",
-    "binomial_cross_edges", "binomial_tree_trunk_hops",
+    "expected_seg_repair_frames", "binomial_tree_trunk_hops",
     "multicast_trunk_edges", "model_p2p_tree_trunk_frames",
     "model_plan_frames", "model_flat_frames", "model_hier_frames",
     "MODEL_COVERAGE",
@@ -215,10 +214,15 @@ def _hop_matrix(paths) -> tuple:
 
 
 class TopoDigest:
-    """Every topology coefficient of the trunk and hierarchy models for
-    one ``(seg_of_rank, paths)``, computed once (:func:`topo_digest`
-    caches it) so that a model call is arithmetic on the payload terms
-    — no loop over rank pairs, no ``path_trunk_hops`` call.
+    """The one description of a communicator's topology: every
+    coefficient of the trunk and hierarchy models for one
+    ``(seg_of_rank, paths)``, computed once (:func:`topo_digest` caches
+    it) so that a model call is arithmetic on the payload terms — no
+    loop over rank pairs, no ``path_trunk_hops`` call — plus the
+    hierarchy tree (:attr:`tree`) and its reduction-order flag
+    (:attr:`contiguous`) that ``hier-mcast`` executes against.  A live
+    communicator's comes from
+    :func:`~repro.mpi.collective.policy.comm_topology`.
 
     One loss-free engine stream rooted at rank ``r`` (header +
     ``nsegs`` data frames + one round of control) costs
@@ -307,6 +311,13 @@ class TopoDigest:
         """The collapsed hierarchy the ``hier-mcast`` plans walk."""
         return build_hier_tree(self.seg_of_rank, self.paths)
 
+    @cached_property
+    def contiguous(self) -> bool:
+        """Whether the hierarchy's recursive leader-ordered fold visits
+        the ranks in MPI's canonical order ``0..size-1`` (see
+        :mod:`repro.mpi.collective.hier`, *Reduction order*)."""
+        return canonical_order(self.tree) == list(range(self.size))
+
 
 @lru_cache(maxsize=512)
 def _digest(seg_of_rank: tuple, paths: "tuple | None") -> TopoDigest:
@@ -327,20 +338,12 @@ def clear_caches() -> None:
     _digest.cache_clear()
 
 
-def binomial_cross_edges(seg_of_rank, root: int) -> int:
-    """Edges of the binomial gather/broadcast tree rooted at ``root``
-    whose endpoints sit in different segments (``seg_of_rank`` maps each
-    communicator rank to its segment id) — each pays exactly 2 hops on
-    the two-tier geometry."""
-    return topo_digest(seg_of_rank).tree_hops(root) // 2
-
-
 def binomial_tree_trunk_hops(seg_of_rank, root: int,
                              paths=None) -> int:
     """Total trunk hops of the binomial tree's edges rooted at
     ``root``: each edge pays the switch-tree distance between its
-    endpoints' segments (2 per cross edge on a two-tier fabric —
-    the generalization of :func:`binomial_cross_edges`)."""
+    endpoints' segments (2 per cross-segment edge on a two-tier
+    fabric)."""
     return topo_digest(seg_of_rank, paths).tree_hops(root)
 
 

@@ -90,15 +90,19 @@ def op_body(op: str, size: int):
     result asserted on every rank.
 
     ``bcast`` ships ``size`` bytes from rank 0; ``scatter`` / ``gather``
-    / ``allgather`` move an equal ``size // n`` share per rank; ``reduce``
-    / ``allreduce`` SUM float64 vectors of ``size`` bytes (at least one
-    element) holding ``rank + 1``, so the result is ``n (n + 1) / 2``
-    everywhere it lands; ``barrier`` ignores ``size``.  Rank 0 is the
-    root of the rooted ops."""
+    / ``allgather`` move an equal ``size // n`` share per rank, each its
+    own object filled with its rank's byte (``rank % 256``), so a share
+    delivered to the wrong rank fails the check and the root's list
+    pickles as ``n`` shares, not one; ``reduce`` / ``allreduce`` SUM
+    float64 vectors of ``size`` bytes (at least one element) holding
+    ``rank + 1``, so the result is ``n (n + 1) / 2`` everywhere it
+    lands; ``barrier`` ignores ``size``.  Rank 0 is the root of the
+    rooted ops."""
 
     def body(env):
         comm, n = env.comm, env.comm.size
-        share = bytes(size // n)
+        shares = [bytes([rank % 256]) * (size // n) for rank in range(n)]
+        share = shares[comm.rank]
         if op == "bcast":
             out = yield from comm.bcast(
                 bytes(size) if comm.rank == 0 else None, 0)
@@ -115,15 +119,15 @@ def op_body(op: str, size: int):
                     f"rank {comm.rank}: {op} sum"
         elif op == "scatter":
             out = yield from comm.scatter(
-                [share] * n if comm.rank == 0 else None, 0)
+                shares if comm.rank == 0 else None, 0)
             assert out == share, f"rank {comm.rank}: scatter share"
         elif op == "gather":
             out = yield from comm.gather(share, 0)
-            assert out == ([share] * n if comm.rank == 0 else None), \
+            assert out == (shares if comm.rank == 0 else None), \
                 f"rank {comm.rank}: gather result"
         elif op == "allgather":
             out = yield from comm.allgather(share)
-            assert out == [share] * n, f"rank {comm.rank}: allgather result"
+            assert out == shares, f"rank {comm.rank}: allgather result"
         elif op == "barrier":
             yield from comm.barrier()
         else:

@@ -9,7 +9,7 @@ Five areas — four extension claims, plus the simulator's own speed:
   incl. the ``"auto"`` policy;
 * ``fabric-scaling``: per-call trunk serializations of flat vs
   hierarchical broadcast on a two-tier ``tree:2x4`` fabric, the auto
-  policy's model-consistency audit, and the latency sweep;
+  policy's picks and dispatch, and the latency sweep;
 * ``deep-fabric``: exact trunk models for flat and hierarchical
   collectives on three-tier and heterogeneous trees, hierarchy trunk
   wins, auto dispatch, and the loss-model closed loop;
@@ -53,7 +53,8 @@ from types import SimpleNamespace
 
 from ..analysis.framecount import (MODEL_COVERAGE,
                                    expected_seg_repair_frames,
-                                   model_flat_frames, model_hier_frames)
+                                   model_flat_frames, model_hier_frames,
+                                   topo_digest)
 from ..core.segment import (plan_segments, plan_transport,
                             seg_nack_datagram_count,
                             seg_nack_frame_count)
@@ -451,10 +452,10 @@ def fab_latency_case(scale, seed, impl, size):
     return {"latency_us_median": series.median(size)}
 
 
-def _audit(n, topo, ops, sizes, loss, where=""):
-    """The policy's pick equals the modeled argmin for every (op,
-    size), loss-free and at ``loss`` (asserted here, in-runner)."""
-    from ..mpi.collective.policy import auto_impl, modeled_frame_costs
+def _audit(n, topo, ops, sizes, loss):
+    """The policy's pick of every (op, size), loss-free and at
+    ``loss`` — the ``picks`` leaf the gate holds exactly."""
+    from ..mpi.collective.policy import auto_impl
 
     picks = []
     for params, tag in ((QUIET_AUTO, "loss-free"),
@@ -462,22 +463,14 @@ def _audit(n, topo, ops, sizes, loss, where=""):
                          f"{loss:.0%} loss")):
         for op in ops:
             for size in sizes:
-                costs = modeled_frame_costs(op, size, n, params, topo,
-                                            root=0)
                 pick = auto_impl(op, size, n, params, topo=topo)
-                assert costs[pick] == min(costs.values()), (
-                    f"auto {op}@{size}B{where} ({tag}) picked {pick} "
-                    f"({costs[pick]:.0f} modeled frames); costs {costs}")
                 picks.append(f"{tag}:{op}@{size}->{pick}")
     return {"audited": len(picks), "picks": ";".join(picks)}
 
 
 def fab_audit_case(scale, seed):
-    """Auto model-consistency on the two-tier fabric."""
-    from ..mpi.collective.policy import TopoInfo
-
-    return _audit(FAB_NPROCS, TopoInfo(seg_of_rank=FAB_SEG_OF,
-                                       contiguous=True),
+    """Auto picks on the two-tier fabric."""
+    return _audit(FAB_NPROCS, topo_digest(FAB_SEG_OF),
                   ("bcast", "reduce", "allreduce"), DIMS[scale].fab_sizes,
                   loss=0.10)
 
@@ -506,10 +499,7 @@ def _dispatch(topology, n, topo, calls, seed):
 
 def fab_dispatch_case(scale, seed):
     """Every rank of an auto bcast dispatches the modeled argmin."""
-    from ..mpi.collective.policy import TopoInfo
-
-    return _dispatch(FAB_TOPOLOGY, FAB_NPROCS,
-                     TopoInfo(seg_of_rank=FAB_SEG_OF, contiguous=True),
+    return _dispatch(FAB_TOPOLOGY, FAB_NPROCS, topo_digest(FAB_SEG_OF),
                      [("bcast", size) for size in DIMS[scale].fab_sizes],
                      seed)
 
@@ -628,28 +618,21 @@ def deep_repair_case(scale, seed):
 
 
 def deep_audit_case(scale, seed, fabric):
-    """Auto model-consistency on deep trees."""
-    from ..mpi.collective.policy import TopoInfo
-
+    """Auto picks on deep trees."""
     n, seg_of, paths = DEEP_FABRICS[fabric]
-    return _audit(n, TopoInfo(seg_of_rank=seg_of, contiguous=True,
-                              paths=paths),
+    return _audit(n, topo_digest(seg_of, paths),
                   ("bcast", "reduce", "allreduce", "scatter", "gather",
                    "allgather"),
-                  (2000, DIMS[scale].deep_size), loss=0.05,
-                  where=f" on {fabric}")
+                  (2000, DIMS[scale].deep_size), loss=0.05)
 
 
 def deep_dispatch_case(scale, seed):
     """Every rank of an auto gather + bcast on the three-tier tree
     dispatches the modeled argmin."""
-    from ..mpi.collective.policy import TopoInfo
-
     fabric = "tree:2x2x2"
     n, seg_of, paths = DEEP_FABRICS[fabric]
     size = DIMS[scale].deep_size
-    return _dispatch(fabric, n, TopoInfo(seg_of_rank=seg_of,
-                                         contiguous=True, paths=paths),
+    return _dispatch(fabric, n, topo_digest(seg_of, paths),
                      [("gather", size), ("bcast", size)], seed)
 
 

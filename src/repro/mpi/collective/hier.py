@@ -16,11 +16,15 @@ subtree that contains its participants.
   (:meth:`~repro.simnet.topology.Cluster.segment_of` /
   :meth:`~repro.simnet.topology.Cluster.segment_path` via
   ``comm.world.cluster``) for the segment and switch-tree path of each
-  communicator rank.  The mapping is identical everywhere, so the whole
-  hierarchy — :func:`build_hier_tree`, a collapsed tree whose leaves are
-  occupied segments and whose internal nodes are the switch subtrees
-  with members in more than one child — is elected locally and free.
-  The **leader** of any subtree is its smallest communicator rank;
+  communicator rank, once per communicator
+  (:func:`~repro.mpi.collective.policy.comm_topology`).  The mapping is
+  identical everywhere, so its digest
+  (:class:`~repro.analysis.framecount.TopoDigest`, shared with the
+  auto policy's models) and the whole hierarchy it carries —
+  :func:`build_hier_tree`, a collapsed tree whose leaves are occupied
+  segments and whose internal nodes are the switch subtrees with
+  members in more than one child — are elected locally and free.  The
+  **leader** of any subtree is its smallest communicator rank;
 * **per-group channels** — each occupied leaf segment's members share a
   private :class:`~repro.core.channel.McastChannel`, and each internal
   node of the hierarchy carries one more for the leaders of its
@@ -100,7 +104,8 @@ five kinds are exact).
 ascending rank order at every level, which equals MPI's canonical
 absolute-rank order exactly when the recursive leader-ordered
 concatenation of segments yields ``0..size-1`` (the natural layout of
-``run_spmd`` on any ``tree:...`` cluster) — the ``contiguous`` flag.
+``run_spmd`` on any ``tree:...`` cluster) — the digest's ``contiguous``
+flag.
 For non-contiguous layouts the grouping would reorder operands, so
 non-commutative operators fall back to the flat (canonical-order)
 segmented reduce.
@@ -127,8 +132,7 @@ from .tags import TAG_HIER
 __all__ = ["SegmentComm", "HierState", "HierNode", "HierPhase", "Step",
            "BUNDLE_KINDS", "build_hier_tree", "canonical_order",
            "tree_internal_nodes", "group_members", "compile_plan",
-           "run_plan", "layout_from_segments", "segment_layout",
-           "hier_state", "hier_ready", "bcast_hier",
+           "run_plan", "hier_state", "hier_ready", "bcast_hier",
            "reduce_hier", "allreduce_hier", "barrier_hier",
            "scatter_hier", "gather_hier", "allgather_hier",
            "HIER_GROUP_BASE", "HIER_PORT_BASE", "MAX_HIER_SEGMENTS"]
@@ -454,45 +458,9 @@ def compile_plan(op: str, tree: HierNode, root: int = 0) -> tuple:
     return tuple(plan)
 
 
-def layout_from_segments(raw, paths=None):
-    """Pure core of :func:`segment_layout`: from a per-rank segment-id
-    list (and optionally the segments' switch-tree paths), compute
-    ``(seg_of_rank, members, leaders, contiguous)`` with dense segment
-    indices, ascending member lists, min-rank leaders, and the
-    contiguous flag (true iff the hierarchy's recursive leader-ordered
-    fold preserves MPI's canonical operand order)."""
-    size = len(raw)
-    segs = sorted(set(raw))
-    seg_of_rank = tuple(segs.index(s) for s in raw)
-    members = [[r for r in range(size) if seg_of_rank[r] == k]
-               for k in range(len(segs))]
-    leaders = [m[0] for m in members]
-    tree = build_hier_tree(seg_of_rank, paths)
-    contiguous = canonical_order(tree) == list(range(size))
-    return seg_of_rank, members, leaders, contiguous
-
-
-def segment_layout(comm):
-    """The rank-invariant hierarchy of one communicator, from the
-    cluster's discovery API: the :func:`layout_from_segments` tuple
-    plus the dense segments' switch-tree paths.
-
-    Single source of truth shared by :class:`HierState` (the execution
-    side) and the auto policy's
-    :func:`~repro.mpi.collective.policy.comm_topology` (the modelling
-    side) — the policy's hier-withholding gate and the reduce's
-    fallback condition must agree bit-for-bit or auto would select an
-    implementation whose model assumes the other path.
-    """
-    cluster = comm.world.cluster
-    raw = [cluster.segment_of(comm.addr_of(r)) for r in range(comm.size)]
-    segs = sorted(set(raw))
-    paths = tuple(cluster.segment_path(s) for s in segs)
-    return (*layout_from_segments(raw, paths), paths)
-
-
 class HierState:
-    """Cached per-communicator hierarchy: the tree, leaders, channels.
+    """Cached per-communicator hierarchy: the topology digest and the
+    group channels built from its tree.
 
     Built lazily on the first ``hier-mcast`` dispatch (every rank builds
     it at the same collective, so group joins pair up) and owned by the
@@ -503,32 +471,20 @@ class HierState:
 
     def __init__(self, comm):
         from ...simnet.frame import mcast_mac
+        from .policy import comm_topology
 
-        layout = segment_layout(comm)
-        #: dense segment index of every communicator rank
-        self.seg_of_rank = list(layout[0])
-        #: member ranks per dense segment, ascending
-        self.members = layout[1]
-        #: leader (smallest member rank) per dense segment
-        self.leaders = layout[2]
-        #: contiguous rank blocks — hierarchical folding is canonical
-        self.contiguous = layout[3]
-        #: switch-tree path per dense segment
-        self.paths = layout[4]
-        self.nsegments = len(self.members)
-        if self.nsegments > MAX_HIER_SEGMENTS:
+        #: the communicator's :class:`~repro.analysis.framecount.
+        #: TopoDigest` — the same object the auto policy prices (its
+        #: ``tree`` the collapsed hierarchy, its ``contiguous`` the
+        #: reduce's fallback condition); ``None`` on one segment
+        self.digest = digest = comm_topology(comm)
+        if digest is not None and digest.nsegments > MAX_HIER_SEGMENTS:
             raise ValueError(
-                f"communicator spans {self.nsegments} segments; "
+                f"communicator spans {digest.nsegments} segments; "
                 f"hier-mcast supports at most {MAX_HIER_SEGMENTS}")
-        self.my_seg = self.seg_of_rank[comm.rank]
-        self.is_leader = comm.rank == self.leaders[self.my_seg]
-        #: the collapsed hierarchy (leaves = occupied segments,
-        #: internal nodes = leader groups; see :func:`build_hier_tree`)
-        self.tree = build_hier_tree(self.seg_of_rank, self.paths)
-
         #: whether the one-time post-creation p2p barrier has run (see
         #: :func:`hier_ready`); trivially true with no sub-channels
-        self.synced = self.nsegments <= 1
+        self.synced = digest is None
         #: this rank's leaf channel (None on single-segment comms and
         #: for ranks alone in their leaf — no phase ever uses a one-
         #: member leaf group, so joining it would be pure setup waste)
@@ -536,9 +492,9 @@ class HierState:
         #: channels of every group this rank is a member of, by key
         self.comms: dict[tuple, SegmentComm] = {}
         self._slab: "tuple | None" = None   # (world, ctx) to release
-        if self.nsegments > 1:
-            internals = tree_internal_nodes(self.tree)
-            keys = ([("leaf", s) for s in range(self.nsegments)]
+        if digest is not None:
+            leaves, internals = _tree_nodes(digest.tree)
+            keys = ([("leaf", leaf.seg) for leaf in leaves]
                     + [("node", n.path) for n in internals])
             group_base, port_base = comm.world.alloc_hier_slab(
                 comm.ctx, len(keys), HIER_GROUP_BASE, HIER_PORT_BASE)
@@ -552,10 +508,10 @@ class HierState:
                                    data_port=port_base + 2 * gi,
                                    scout_port=port_base + 2 * gi + 1)
 
-            if len(self.members[self.my_seg]) > 1:
-                self.seg_comm = make(("leaf", self.my_seg),
-                                     self.members[self.my_seg])
-                self.comms[("leaf", self.my_seg)] = self.seg_comm
+            mine = leaves[digest.seg_of_rank[comm.rank]]
+            if len(mine.members) > 1:
+                self.seg_comm = make(("leaf", mine.seg), mine.members)
+                self.comms[("leaf", mine.seg)] = self.seg_comm
             for node in sorted(internals, key=lambda n: -len(n.path)):
                 gm = group_members(node)
                 if comm.rank in gm:
@@ -722,12 +678,13 @@ def _hier_call(comm, name: str, root: int, value: Any, kind: str,
     carrying ``carried``, whose final carry ``finish`` turns into the
     collective's result."""
     st = yield from hier_ready(comm)
-    if st.nsegments == 1 or (op is not None and not st.contiguous
-                             and not getattr(op, "commutative", True)):
+    digest = st.digest
+    if digest is None or (op is not None and not digest.contiguous
+                          and not getattr(op, "commutative", True)):
         result = yield from core.run_streams(comm, kind, root, value, op)
         return result
     carried = yield from run_plan(
-        comm, st, compile_plan(name, st.tree, root), carried, op)
+        comm, st, compile_plan(name, digest.tree, root), carried, op)
     return finish(carried)
 
 
@@ -776,10 +733,11 @@ def barrier_hier(comm) -> Generator:
     this rank's chain (leaf first), the top leader — global rank 0 —
     pivots, and data-less release multicasts cascade back down."""
     st = yield from hier_ready(comm)
-    if st.nsegments == 1:
+    if st.digest is None:
         yield from core.barrier_mcast(comm)
         return None
-    yield from run_plan(comm, st, compile_plan("barrier", st.tree), None)
+    yield from run_plan(comm, st, compile_plan("barrier", st.digest.tree),
+                        None)
     return None
 
 

@@ -60,23 +60,24 @@ can never split the group's decision.
 
 **Cost.**  The models are off the per-call path: their topology
 coefficients live in a :class:`~repro.analysis.framecount.TopoDigest`
-built once per ``(seg_of_rank, paths)``, and the candidate table and
-pick of one call signature are memoised process-wide
-(:func:`cache_info`, :func:`clear_caches`).  The memo key is made of
-the rank-invariant inputs above and nothing else, so ranks sharing an
-entry is the consistency rule itself, not an exception to it.
+built once per ``(seg_of_rank, paths)`` — the digest
+:func:`comm_topology` hands out, which is also what ``hier-mcast``
+executes against — and the candidate table and pick of one call
+signature are memoised process-wide (:func:`cache_info`,
+:func:`clear_caches`).  The memo key is made of the rank-invariant
+inputs above and nothing else, so ranks sharing an entry is the
+consistency rule itself, not an exception to it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Generator, NamedTuple, Optional
+from typing import Generator, NamedTuple
 
 from ..datatypes import payload_bytes
 
 __all__ = ["AUTO", "AUTO_CHOICES", "HIER_AUTO", "POLICY_WAIVERS",
-           "TopoInfo", "comm_topology", "auto_impl",
+           "comm_topology", "auto_impl",
            "modeled_frame_costs", "p2p_frame_estimate", "resolve_auto",
            "cache_info", "clear_caches"]
 
@@ -124,60 +125,33 @@ POLICY_WAIVERS: dict[str, str] = {
 }
 
 
-@dataclass(frozen=True)
-class TopoInfo:
-    """Rank-invariant fabric shape of one communicator.
+def comm_topology(comm):
+    """The communicator's :class:`~repro.analysis.framecount.
+    TopoDigest`, or ``None`` when every member shares one switch segment
+    (flat cluster, or a sub-communicator confined to one leaf).
 
-    ``seg_of_rank`` maps every communicator rank to a dense segment
-    index; ``contiguous`` records whether the segments partition the
-    ranks into contiguous blocks (the layout under which hierarchical
-    reduction preserves MPI's canonical operand order — see
-    :mod:`repro.mpi.collective.hier`).
+    The one topology answer: the policy's models and ``hier-mcast``'s
+    :class:`~repro.mpi.collective.hier.HierState` both read it, so
+    model and behaviour cannot drift.  The communicator caches only the
+    discovery key — the dense ``seg_of_rank`` and the segments'
+    switch-tree paths, from the cluster's discovery API — and every
+    read resolves the digest through the shared cache (one lookup), so
+    :func:`clear_caches` reaches long-lived communicators too.
     """
+    key = comm._topo_key
+    if key is False:
+        cluster = comm.world.cluster
+        raw = [cluster.segment_of(comm.addr_of(r)) for r in range(comm.size)]
+        segs = sorted(set(raw))
+        dense = {seg: i for i, seg in enumerate(segs)}
+        key = comm._topo_key = None if len(segs) < 2 else (
+            tuple(dense[seg] for seg in raw),
+            tuple(cluster.segment_path(seg) for seg in segs))
+    if key is None:
+        return None
+    from ...analysis.framecount import topo_digest
 
-    seg_of_rank: tuple[int, ...]
-    contiguous: bool
-    #: switch-tree path per dense segment (``None`` = the two-tier
-    #: default where every segment hangs directly off the core); feeds
-    #: the multi-level trunk-distance models of
-    #: :mod:`repro.analysis.framecount`
-    paths: "tuple[tuple, ...] | None" = None
-
-    @property
-    def _digest(self):
-        """The shared topology digest (cached there, not per object)."""
-        from ...analysis.framecount import topo_digest
-
-        return topo_digest(self.seg_of_rank, self.paths)
-
-    @property
-    def nsegments(self) -> int:
-        return self._digest.nsegments
-
-
-def comm_topology(comm) -> Optional[TopoInfo]:
-    """The communicator's :class:`TopoInfo`, or ``None`` when every
-    member shares one switch segment (flat cluster, or a
-    sub-communicator confined to one leaf).
-
-    Derives from the same :func:`~repro.mpi.collective.hier.
-    segment_layout` the ``hier-mcast`` implementations execute against,
-    so the policy's model and the impl's behaviour cannot drift; the
-    (static) answer is cached on the communicator.
-    """
-    if comm._topo_info is not False:
-        return comm._topo_info
-    info = None
-    if comm.world.cluster.nsegments > 1:
-        from .hier import segment_layout
-
-        dense, _members, _leaders, contiguous, paths = \
-            segment_layout(comm)
-        if len(set(dense)) > 1:
-            info = TopoInfo(seg_of_rank=dense, contiguous=contiguous,
-                            paths=paths)
-    comm._topo_info = info
-    return info
+    return topo_digest(*key)
 
 
 def _p2p_msg_frames(params, nbytes: int) -> int:
@@ -191,15 +165,14 @@ def _steps(size: int) -> int:
 
 
 def p2p_frame_estimate(op: str, nbytes: int, size: int, params,
-                       topo: Optional[TopoInfo] = None,
-                       root: int = 0) -> float:
+                       topo=None, root: int = 0) -> float:
     """Modeled serializations of the op's p2p baseline.
 
     ``nbytes`` is the op's natural payload: the broadcast/reduce
     message, the scatter's *total* sequence, the gather's and
-    allgather's per-rank contribution.  With ``topo``, cross-segment
-    tree edges additionally pay their trunk crossings (multi-level
-    distances when ``topo.paths`` carries the switch-tree shape).
+    allgather's per-rank contribution.  With ``topo`` (a
+    :class:`~repro.analysis.framecount.TopoDigest`), cross-segment
+    tree edges additionally pay their switch-tree trunk crossings.
 
     Known approximations: a *non-commutative* reduce at a nonzero root
     pays one extra payload forward (the tree reduces to rank 0 and
@@ -271,8 +244,9 @@ def _no_policy(op: str) -> KeyError:
 def _hier_competes(op: str, topo, hier_ok: bool) -> bool:
     """Whether ``hier-mcast`` is a candidate: the caller allows it and
     the communicator spans 2..MAX_HIER_SEGMENTS segments.  Evaluated
-    ahead of the memo (one digest lookup, ~3 us), so calls that differ
-    only in a ``hier_ok`` the segment count overrides share an entry."""
+    ahead of the memo (an attribute of the digest), so calls that
+    differ only in a ``hier_ok`` the segment count overrides share an
+    entry."""
     if not hier_ok or topo is None or op not in HIER_AUTO:
         return False
     from .hier import MAX_HIER_SEGMENTS
@@ -285,8 +259,10 @@ def _decide(op: str, nbytes: int, size: int, params, topo, root: int,
             hier: bool) -> tuple[dict, str]:
     """(modeled cost of every candidate, the pick) for one call
     signature; ``hier`` is :func:`_hier_competes`.  A pure function of
-    hashable frozen values — ``params`` and ``topo`` are rank-invariant
-    — so one memo serves every rank of every communicator in the
+    hashable values — ``params`` is frozen and rank-invariant, ``topo``
+    the shared cached digest (hashed by identity: one digest per
+    ``(seg_of_rank, paths)`` until :func:`clear_caches`) — so one memo
+    serves every rank of every communicator in the
     process: a collective evaluates the models once, not once per
     rank, and a repeated call not at all.  Every rank reading the same
     entry is the §4 consistency rule (identical inputs, identical
@@ -319,7 +295,7 @@ def _decide(op: str, nbytes: int, size: int, params, topo, root: int,
 
 
 def modeled_frame_costs(op: str, nbytes: int, size: int, params,
-                        topo: Optional[TopoInfo] = None, root: int = 0,
+                        topo=None, root: int = 0,
                         hier_ok: bool = True) -> dict[str, float]:
     """Modeled serializations of every candidate implementation for one
     call — the table :func:`auto_impl` takes the argmin of (and the
@@ -331,14 +307,14 @@ def modeled_frame_costs(op: str, nbytes: int, size: int, params,
 
 
 def auto_impl(op: str, nbytes: int, size: int, params,
-              topo: Optional[TopoInfo] = None, root: int = 0,
-              hier_ok: bool = True) -> str:
+              topo=None, root: int = 0, hier_ok: bool = True) -> str:
     """Pick the implementation for one call: the candidate with the
-    lowest modeled serialization count.  Ties keep the historical
-    preference order — segmented multicast over hierarchical over the
-    p2p baseline — so on a flat, loss-free cluster the choice is
-    exactly PR 3's "segmented iff its frame estimate is at or below
-    p2p's"."""
+    lowest modeled serialization count (``topo``: the communicator's
+    :func:`comm_topology`, ``None`` on one segment).  Ties keep the
+    historical preference order — segmented multicast over
+    hierarchical over the p2p baseline — so on a flat, loss-free
+    cluster the choice is exactly "segmented iff its frame estimate is
+    at or below p2p's"."""
     if op not in AUTO_CHOICES:
         raise _no_policy(op)
     if size < 2:
@@ -383,12 +359,13 @@ def resolve_auto(comm, op: str, args: tuple) -> Generator:
     params = comm.host.params
     if size < 2:
         return AUTO_CHOICES[op][0]
-    topo = comm_topology(comm)
+    # the topology is resolved only where a decision is evaluated
     if op in ("reduce", "allreduce"):
         # MPI requires size-matched contributions: local resolution is
         # identical everywhere and costs nothing.  The hierarchical
         # candidate is withheld when it would have to fall back anyway
         # (non-commutative operator over non-contiguous segments).
+        topo = comm_topology(comm)
         red_op = args[1]
         root = args[2] if op == "reduce" else 0
         hier_ok = (topo is None or topo.contiguous
@@ -412,7 +389,8 @@ def resolve_auto(comm, op: str, args: tuple) -> Generator:
             nbytes = sum(payload_bytes(o) for o in objs) if objs else 0
         else:
             nbytes = payload_bytes(args[0])
-        name = auto_impl(op, nbytes, size, params, topo=topo, root=root)
+        name = auto_impl(op, nbytes, size, params,
+                         topo=comm_topology(comm), root=root)
     name = yield from scout_scatter_binary(comm, channel, seq, root,
                                            tag="impl-dec", value=name)
     return name

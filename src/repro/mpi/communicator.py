@@ -56,13 +56,15 @@ class Communicator:
         self._impls = dict(DEFAULTS)
         self._policy = None
         self._mcast = None
-        #: lazily-built hierarchy state (segment map, leaders, and the
+        #: lazily-built hierarchy state (the topology digest and the
         #: per-segment/leaders multicast sub-channels) for the
         #: ``hier-mcast`` collectives; see :mod:`repro.mpi.collective.hier`
         self._hier = None
-        #: cached auto-policy topology (``False`` = not yet computed;
-        #: ``None`` = single-segment; else a policy ``TopoInfo``)
-        self._topo_info = False
+        #: topology discovery key, the digest's cache key (``False`` =
+        #: not yet discovered; ``None`` = single-segment; else
+        #: ``(seg_of_rank, paths)``); see
+        #: :func:`~repro.mpi.collective.policy.comm_topology`
+        self._topo_key = False
         self._freed = False
         #: chronological (op, args-signature) log of collective calls on
         #: this communicator — the raw material for the paper's §4

@@ -43,14 +43,16 @@ Three properties make the fabric more than wiring:
   members.  A multicast frame therefore traverses exactly the trunk
   edges that separate the sender's segment from segments with members —
   once per edge, never once per member;
-* **topology discovery** — the :class:`Fabric` exposes segment
-  membership, per-host segment ids, per-segment tree *paths*, and true
-  multi-level trunk-hop distances.
+* **topology discovery** — the :class:`Fabric` exposes per-host
+  segment ids and per-segment tree *paths*; two paths' trunk-hop
+  distance is :func:`path_trunk_hops`.
   :class:`~repro.simnet.topology.Cluster` forwards this API (degrading
-  to one segment on flat topologies), and ranks query it at runtime via
-  ``comm.world.cluster`` to elect per-segment leaders (recursively:
-  leaders of leaders, see :mod:`repro.mpi.collective.hier`) and to let
-  the auto collective policy weigh trunk crossings.
+  to one segment on flat topologies), and ranks query it once per
+  communicator via ``comm.world.cluster``
+  (:func:`~repro.mpi.collective.policy.comm_topology`) to elect
+  per-segment leaders (recursively: leaders of leaders, see
+  :mod:`repro.mpi.collective.hier`) and to let the auto collective
+  policy weigh trunk crossings.
 """
 
 from __future__ import annotations
@@ -229,7 +231,6 @@ class Fabric:
         #: per-host access links ``addr -> (up_to_leaf, down_to_host)``,
         #: the handle the host-crash API toggles
         self.host_links: dict[int, tuple[HalfLink, HalfLink]] = {}
-        self._segments: list[list[int]] = []   # host addrs per segment
         self._segment_of: dict[int, int] = {}
         self._paths: list[tuple] = []          # tree path per segment
 
@@ -300,7 +301,6 @@ class Fabric:
         self.nodes[path] = leaf
         self._connect(parent, leaf, tier=len(path) - 1, path=path)
         self.leaves.append(leaf)
-        self._segments.append([h.addr for h in hosts])
         for host in hosts:
             self._segment_of[host.addr] = seg_id
         self._paths.append(path)
@@ -344,7 +344,7 @@ class Fabric:
     # -- discovery -------------------------------------------------------
     @property
     def nsegments(self) -> int:
-        return len(self._segments)
+        return len(self._paths)
 
     @property
     def depth(self) -> int:
@@ -359,13 +359,6 @@ class Fabric:
             raise ValueError(f"host {addr} is not attached to this "
                              f"fabric") from None
 
-    def segment_members(self, seg_id: int) -> list[int]:
-        """Host addresses attached to segment ``seg_id``."""
-        if not 0 <= seg_id < len(self._segments):
-            raise ValueError(f"no segment {seg_id} in a "
-                             f"{len(self._segments)}-segment fabric")
-        return list(self._segments[seg_id])
-
     def segment_path(self, seg_id: int) -> tuple:
         """Tree path of segment ``seg_id``'s leaf switch: the child
         indices walked from the core ('(i,)' on a two-tier build)."""
@@ -374,21 +367,11 @@ class Fabric:
                              f"{len(self._paths)}-segment fabric")
         return self._paths[seg_id]
 
-    def trunk_hops(self, a: int, b: int) -> int:
-        """Trunk serializations between hosts ``a`` and ``b``: the
-        number of switch-to-switch links on their path (0 inside one
-        segment, 2 across sibling segments, up to ``2 * depth`` across
-        the fabric's farthest corners)."""
-        sa, sb = self.segment_of(a), self.segment_of(b)
-        if sa == sb:
-            return 0
-        return path_trunk_hops(self._paths[sa], self._paths[sb])
-
     def trunk_path_tiers(self, a: int, b: int) -> list[int]:
-        """Tier of every trunk edge on the a↔b path (one entry per
-        hop counted by :meth:`trunk_hops`).  Lets latency models weigh
-        each hop by its own tier's wire rate when ``trunk_params``
-        differ per tier."""
+        """Tier of every trunk edge on the a↔b host path (one entry per
+        hop :func:`path_trunk_hops` counts between their segments).
+        Lets latency models weigh each hop by its own tier's wire rate
+        when ``trunk_params`` differ per tier."""
         sa, sb = self.segment_of(a), self.segment_of(b)
         if sa == sb:
             return []
@@ -401,11 +384,6 @@ class Fabric:
         # the edge above a node at depth d is a tier-(d-1) trunk
         return ([d - 1 for d in range(common + 1, len(pa) + 1)]
                 + [d - 1 for d in range(common + 1, len(pb) + 1)])
-
-    def trunk_distance_matrix(self) -> list[list[int]]:
-        """``matrix[a][b]`` = trunk hops between host addrs a and b."""
-        addrs = sorted(self._segment_of)
-        return [[self.trunk_hops(a, b) for b in addrs] for a in addrs]
 
 
 def build_fabric(sim: Simulator, params: NetParams, hosts: list[Host],

@@ -125,14 +125,6 @@ class Cluster:
             raise ValueError(f"host {addr} is not part of this cluster")
         return 0
 
-    def segment_members(self, seg_id: int) -> list[int]:
-        """Host addresses in segment ``seg_id``."""
-        if self.fabric is not None:
-            return self.fabric.segment_members(seg_id)
-        if seg_id != 0:
-            raise ValueError(f"no segment {seg_id} in a flat cluster")
-        return [h.addr for h in self.hosts]
-
     def segment_path(self, seg_id: int) -> tuple:
         """Tree path of a segment's leaf switch in the fabric's switch
         tree (child indices from the core; ``(seg_id,)`` degenerate on
@@ -142,19 +134,6 @@ class Cluster:
         if seg_id != 0:
             raise ValueError(f"no segment {seg_id} in a flat cluster")
         return (0,)
-
-    def trunk_hops(self, a: int, b: int) -> int:
-        """Trunk serializations on the a↔b path (0 on flat topologies)."""
-        if self.fabric is not None:
-            return self.fabric.trunk_hops(a, b)
-        return 0
-
-    def trunk_distance_matrix(self) -> list[list[int]]:
-        """``matrix[a][b]`` = trunk hops between host addrs a and b."""
-        if self.fabric is not None:
-            return self.fabric.trunk_distance_matrix()
-        n = len(self.hosts)
-        return [[0] * n for _ in range(n)]
 
 
 def build_cluster(n: int, topology: str = "switch",

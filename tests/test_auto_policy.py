@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from repro import run_spmd
-from repro.mpi.collective.policy import (AUTO_CHOICES, TopoInfo,
-                                         auto_impl, comm_topology,
+from repro.analysis.framecount import topo_digest
+from repro.mpi.collective.policy import (AUTO_CHOICES, auto_impl,
+                                         comm_topology,
                                          modeled_frame_costs,
                                          p2p_frame_estimate)
 from repro.mpi.ops import SUM, Op
@@ -238,17 +239,7 @@ def test_auto_survives_dup_and_split():
 
 
 # --------------------------------------------------- topology + loss layer
-def _topo(seg_of_rank):
-    """TopoInfo through the same layout computation the impl executes
-    against — fixtures cannot drift from hier's definitions."""
-    from repro.mpi.collective.hier import layout_from_segments
-
-    dense, _members, _leaders, contiguous = layout_from_segments(
-        list(seg_of_rank))
-    return TopoInfo(seg_of_rank=dense, contiguous=contiguous)
-
-
-TREE_2x4 = _topo((0, 0, 0, 0, 1, 1, 1, 1))
+TREE_2x4 = topo_digest((0, 0, 0, 0, 1, 1, 1, 1))
 
 
 def test_loss_shifts_the_bcast_crossover_back_to_p2p():
@@ -303,12 +294,12 @@ def test_hier_estimate_tracks_trunk_savings():
     wins where the rank tree fights the fabric — round-robin placement
     sends 16 of the 31 tree edges across the trunk, flat 246 > hier 194
     — and auto picks it there."""
-    block = _topo((0,) * 16 + (1,) * 16)
+    block = topo_digest((0,) * 16 + (1,) * 16)
     costs = modeled_frame_costs("bcast", 24_000, 32, AUTO, block)
     assert (costs["mcast-seg-nack"], costs["hier-mcast"]) == (156, 194)
     assert auto_impl("bcast", 24_000, 32, AUTO,
                      topo=block) == "mcast-seg-nack"
-    round_robin = _topo((0, 1) * 16)
+    round_robin = topo_digest((0, 1) * 16)
     costs = modeled_frame_costs("bcast", 24_000, 32, AUTO, round_robin)
     assert (costs["mcast-seg-nack"], costs["hier-mcast"]) == (246, 194)
     assert auto_impl("bcast", 24_000, 32, AUTO,
@@ -379,7 +370,7 @@ def test_auto_withholds_hier_reduce_for_non_commutative_interleaved():
 def test_hier_candidate_withheld_beyond_max_segments():
     """A fabric wider than hier-mcast supports must not be offered the
     hier candidate (which would raise at dispatch)."""
-    huge = _topo(tuple(range(65)) * 2)
+    huge = topo_digest(tuple(range(65)) * 2)
     costs = modeled_frame_costs("bcast", 100_000, 130, AUTO, huge)
     assert "hier-mcast" not in costs
     assert auto_impl("bcast", 100_000, 130, AUTO, topo=huge) != "hier-mcast"

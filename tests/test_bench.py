@@ -76,6 +76,22 @@ def test_op_body_runs_and_checks_every_op(op):
     assert run_spmd(3, main).returns == [True] * 3
 
 
+def test_op_body_catches_a_scatter_that_rotates_shares():
+    """Every rank's share is its own: a scatter that hands rank r the
+    share of rank r + 1 fails the check."""
+    def main(env):
+        honest = env.comm.scatter
+
+        def rotated(objs, root):
+            return honest(objs and objs[1:] + objs[:1], root)
+
+        env.comm.scatter = rotated
+        yield from op_body("scatter", 3000)(env)
+
+    with pytest.raises(AssertionError, match="scatter share"):
+        run_spmd(3, main)
+
+
 def test_deep_trunk_case_checks_the_gather_result(monkeypatch):
     """Every trunk run asserts its result on every rank: a gather whose
     root returns one wrong element fails the gate case."""

@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 from repro import run_spmd
+from repro.analysis.framecount import topo_digest
 from repro.simnet import build_cluster, parse_topology, quiet
 from repro.simnet.calibration import FAST_ETHERNET_SWITCH
 from repro.simnet.fabric import FabricSpec, path_trunk_hops
@@ -52,15 +53,16 @@ def test_deep_cluster_discovery_api():
     cluster = build_cluster(8, topology="tree:2x2x2", params=QUIET)
     assert cluster.nsegments == 4
     assert cluster.fabric.depth == 2
-    assert [cluster.segment_of(a) for a in range(8)] == \
-        [0, 0, 1, 1, 2, 2, 3, 3]
+    seg_of = [cluster.segment_of(a) for a in range(8)]
+    assert seg_of == [0, 0, 1, 1, 2, 2, 3, 3]
     assert cluster.segment_path(0) == (0, 0)
     assert cluster.segment_path(3) == (1, 1)
-    assert cluster.trunk_hops(0, 1) == 0    # same leaf
-    assert cluster.trunk_hops(0, 2) == 2    # sibling leaves
-    assert cluster.trunk_hops(0, 7) == 4    # across the core
-    matrix = cluster.trunk_distance_matrix()
-    assert matrix[1][2] == 2 and matrix[0][4] == 4
+    hops = topo_digest(seg_of, [cluster.segment_path(s)
+                                for s in range(4)]).hops
+    assert hops[0][0] == 0      # same leaf
+    assert hops[0][1] == 2      # sibling leaves
+    assert hops[0][3] == 4      # across the core
+    assert hops[1][2] == 4 and hops[2][3] == 2
     # switch census: core + 2 mids + 4 leaves
     assert len(cluster.fabric.nodes) == 7
     assert len(cluster.fabric.leaves) == 4
@@ -69,9 +71,12 @@ def test_deep_cluster_discovery_api():
 def test_heterogeneous_cluster_discovery():
     cluster = build_cluster(14, topology="tree:[4,8,2]", params=QUIET)
     assert cluster.nsegments == 3
-    assert cluster.segment_members(1) == list(range(4, 12))
-    assert cluster.trunk_hops(0, 13) == 2
+    seg_of = [cluster.segment_of(a) for a in range(14)]
+    assert seg_of == [0] * 4 + [1] * 8 + [2] * 2
     assert cluster.segment_path(2) == (2,)
+    digest = topo_digest(seg_of, [cluster.segment_path(s)
+                                  for s in range(3)])
+    assert digest.members == (4, 8, 2) and digest.hops[0][2] == 2
     with pytest.raises(ValueError, match="exactly 14 hosts"):
         build_cluster(9, topology="tree:[4,8,2]", params=QUIET)
 

@@ -5,6 +5,7 @@ import pytest
 
 from _invariants import assert_quiesced
 from repro import run_spmd
+from repro.analysis.framecount import topo_digest
 from repro.simnet import build_cluster, parse_topology, quiet
 from repro.simnet.calibration import FAST_ETHERNET_SWITCH
 from repro.simnet.fabric import FabricSpec
@@ -39,35 +40,40 @@ def test_build_cluster_rejects_bad_specs():
 
 
 # ------------------------------------------------------------ discovery
+def cluster_digest(cluster):
+    """The topology digest of every host (rank = address) from the
+    discovery API — what a world communicator's ``comm_topology``
+    resolves to on a tiered fabric."""
+    return topo_digest(
+        [cluster.segment_of(h.addr) for h in cluster.hosts],
+        [cluster.segment_path(s) for s in range(cluster.nsegments)])
+
+
 def test_tree_cluster_discovery_api():
     cluster = build_cluster(8, topology="tree:2x4", params=QUIET)
     assert cluster.nsegments == 2
     assert [cluster.segment_of(a) for a in range(8)] == [0] * 4 + [1] * 4
-    assert cluster.segment_members(0) == [0, 1, 2, 3]
-    assert cluster.segment_members(1) == [4, 5, 6, 7]
-    assert cluster.trunk_hops(0, 3) == 0
-    assert cluster.trunk_hops(0, 4) == 2
-    matrix = cluster.trunk_distance_matrix()
-    assert matrix[1][2] == 0 and matrix[2][6] == 2 and matrix[6][2] == 2
+    digest = cluster_digest(cluster)
+    assert digest.members == (4, 4)
+    assert digest.hops == ((0, 2), (2, 0))
     assert len(cluster.fabric.leaves) == 2
     assert cluster.fabric.core.trunk_ports == [0, 1]
     with pytest.raises(ValueError):
         cluster.segment_of(99)
     with pytest.raises(ValueError):
-        cluster.segment_members(5)
+        cluster.segment_path(5)
 
 
 def test_flat_cluster_discovery_degrades_to_one_segment():
     cluster = build_cluster(3, topology="switch", params=QUIET)
     assert cluster.nsegments == 1
     assert cluster.segment_of(2) == 0
-    assert cluster.segment_members(0) == [0, 1, 2]
-    assert cluster.trunk_hops(0, 2) == 0
-    assert cluster.trunk_distance_matrix() == [[0] * 3] * 3
+    digest = cluster_digest(cluster)
+    assert digest.members == (3,) and digest.hops == ((0,),)
     with pytest.raises(ValueError):
         cluster.segment_of(9)
     with pytest.raises(ValueError):
-        cluster.segment_members(1)
+        cluster.segment_path(1)
 
 
 # ------------------------------------------------------------ switch tier

@@ -89,7 +89,7 @@ def test_hier_reduce_non_contiguous_falls_back_to_canonical():
         sub = yield from env.comm.split(0, key=key)
         st = hier_state(sub)
         out = yield from sub.reduce(str(sub.rank), concat, root=0)
-        return st.contiguous, out
+        return st.digest.contiguous, out
 
     result = run_spmd(8, main, topology="tree:2x4", params=QUIET,
                       collectives={"reduce": "hier-mcast"})

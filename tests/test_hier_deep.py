@@ -151,7 +151,7 @@ def test_every_rank_traces_its_restriction_of_the_plan(placement):
         every = yield from sub.allgather(mine)
         assert every == list(range(size))
         yield from sub.barrier()
-        return sub.rank, sub._hier.tree
+        return sub.rank, sub._hier.digest.tree
 
     recorders = []
     result = run_spmd(
@@ -299,7 +299,7 @@ def test_deep_hier_state_builds_recursive_channels():
     def main(env):
         yield from env.comm.bcast(b"w" if env.rank == 0 else None, 0)
         st = env.comm._hier
-        return (sorted(st.comms), st.contiguous)
+        return (sorted(st.comms), st.digest.contiguous)
 
     result = run_spmd(8, main, topology=DEEP, params=AUTO,
                       collectives={"bcast": "hier-mcast"})
@@ -354,10 +354,10 @@ def test_auto_picks_hier_for_new_ops_on_deep_tree():
     to hier-mcast on every rank (the model favors the hierarchy's
     trunk confinement there), and an allgather on a wide heterogeneous
     tree does too."""
-    from repro.mpi.collective.policy import auto_impl, TopoInfo
+    from repro.analysis.framecount import topo_digest
+    from repro.mpi.collective.policy import auto_impl
 
-    topo = TopoInfo(seg_of_rank=DEEP_SEG, contiguous=True,
-                    paths=DEEP_PATHS)
+    topo = topo_digest(DEEP_SEG, DEEP_PATHS)
     assert auto_impl("gather", 48_000, 8, AUTO, topo=topo) == \
         "hier-mcast"
     assert auto_impl("scatter", 200_000, 8, AUTO, topo=topo) == \
@@ -376,8 +376,8 @@ def test_auto_picks_hier_for_new_ops_on_deep_tree():
     assert logs == {("hier-mcast", "hier-mcast")}
     result.verify_safe_schedules()
 
-    wide = TopoInfo(seg_of_rank=(0,) * 4 + (1,) * 8 + (2,) * 2,
-                    contiguous=True, paths=((0,), (1,), (2,)))
+    wide = topo_digest((0,) * 4 + (1,) * 8 + (2,) * 2,
+                       ((0,), (1,), (2,)))
     assert auto_impl("allgather", 8_000, 14, AUTO, topo=wide) == \
         "hier-mcast"
 

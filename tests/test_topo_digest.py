@@ -2,8 +2,9 @@
 rank-pair reference (``tests/_reference_models.py``): every public
 trunk/hier model and ``modeled_frame_costs`` must agree with it in
 value *and* int/float type (``BENCH_*.json`` is canonical JSON), the
-memo must not change an answer, and the model must actually be off the
-per-call hot path — counted, not timed."""
+memo must not change an answer, the model must actually be off the
+per-call hot path — counted, not timed — and the digest is the one
+topology answer a live communicator's policy and hierarchy read."""
 
 import sys
 from dataclasses import replace
@@ -18,9 +19,10 @@ from repro import run_spmd
 from repro.analysis import framecount
 from repro.core.segment import auto_batch, plan_transport
 from repro.mpi.collective import policy
-from repro.mpi.collective.hier import layout_from_segments
-from repro.mpi.collective.policy import (AUTO_CHOICES, TopoInfo,
-                                         auto_impl, modeled_frame_costs)
+from repro.mpi.collective.hier import (build_hier_tree, canonical_order,
+                                       hier_state)
+from repro.mpi.collective.policy import (AUTO_CHOICES, auto_impl,
+                                         comm_topology, modeled_frame_costs)
 from repro.mpi.ops import SUM
 from repro.simnet import quiet
 from repro.simnet.calibration import FAST_ETHERNET_SWITCH
@@ -99,9 +101,9 @@ def check_models(seg_of, paths):
     for root in range(n):
         same(framecount.binomial_tree_trunk_hops(seg_of, root, paths),
              ref.binomial_tree_trunk_hops(seg_of, root, paths))
-        if paths is None:
-            same(framecount.binomial_cross_edges(seg_of, root),
-                 ref.binomial_cross_edges(seg_of, root))
+        if paths is None:       # two-tier: 2 hops per cross edge
+            same(framecount.binomial_tree_trunk_hops(seg_of, root),
+                 2 * ref.binomial_cross_edges(seg_of, root))
         for size in SIZES:
             same(framecount.model_p2p_tree_trunk_frames(
                 AUTO, seg_of, root, size, paths),
@@ -152,6 +154,48 @@ def test_models_match_reference_on_drawn_placements(placement, two_tier):
     check_models(seg_of, None if two_tier else paths)
 
 
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(placements(), st.booleans(), st.booleans())
+def test_digest_contiguous_is_the_canonical_order_test(placement, two_tier,
+                                                       block):
+    """``TopoDigest.contiguous`` is the reduction-order test the
+    hierarchy layout used to run on its own tree — on drawn
+    interleaved placements and on their block (sorted) versions, which
+    a deep tree can still reorder."""
+    seg_of, paths = placement
+    if block:
+        seg_of = tuple(sorted(seg_of))
+    if two_tier:
+        paths = None
+    canonical = canonical_order(build_hier_tree(seg_of, paths))
+    assert framecount.topo_digest(seg_of, paths).contiguous == (
+        canonical == list(range(len(seg_of))))
+
+
+def test_one_digest_per_communicator():
+    """On a live ``tree:2x2x2`` run the hierarchy ``hier-mcast``
+    executes and the topology the policy prices are one object on every
+    rank; ``policy.clear_caches()`` hands the communicator a fresh,
+    equal digest."""
+    def main(env):
+        env.comm.use_collectives(bcast="hier-mcast")
+        yield from env.comm.bcast(b"w" if env.rank == 0 else None, 0)
+        return env.comm, hier_state(env.comm).digest, comm_topology(
+            env.comm)
+
+    result = run_spmd(8, main, topology="tree:2x2x2", params=AUTO, seed=1)
+    comm, held, _read = result.returns[0]
+    assert all(h is held and r is held for _c, h, r in result.returns)
+    assert (held.seg_of_rank, held.paths) == FABRICS["tree:2x2x2"]
+    assert held.contiguous and held.nsegments == 4
+    policy.clear_caches()
+    fresh = comm_topology(comm)
+    assert fresh is not held and comm_topology(comm) is fresh
+    assert (fresh.seg_of_rank, fresh.paths) == (held.seg_of_rank,
+                                                held.paths)
+
+
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.one_of(placements(), st.integers(2, 40)), st.booleans(),
@@ -174,8 +218,7 @@ def test_fold_on_the_one_group_plan_equals_the_frozen_ladder(
     else:
         seg_of, paths = placement
         n = len(seg_of)
-        topo = TopoInfo(seg_of_rank=seg_of, contiguous=False,
-                        paths=None if two_tier else paths)
+        topo = framecount.topo_digest(seg_of, None if two_tier else paths)
     root = data.draw(st.integers(0, n - 1))
     params = replace(AUTO, loss=loss)
     got = modeled_frame_costs(op, nbytes, n, params, topo, root,
@@ -210,9 +253,7 @@ def test_modeled_costs_and_picks_match_reference(fabric, monkeypatch):
     candidates."""
     seg_of, paths = FABRICS[fabric]
     n = len(seg_of)
-    contiguous = layout_from_segments(list(seg_of), paths)[3]
-    topo = TopoInfo(seg_of_rank=seg_of, contiguous=contiguous,
-                    paths=paths)
+    topo = framecount.topo_digest(seg_of, paths)
     for loss in LOSSES:
         params = replace(AUTO, loss=loss)
         for op in sorted(AUTO_CHOICES):
@@ -245,7 +286,7 @@ def test_modeled_costs_and_picks_match_reference(fabric, monkeypatch):
 
 def test_memo_hands_out_copies():
     seg_of, paths = FABRICS["tree:2x2x2"]
-    topo = TopoInfo(seg_of_rank=seg_of, contiguous=True, paths=paths)
+    topo = framecount.topo_digest(seg_of, paths)
     first = modeled_frame_costs("bcast", 24_000, 8, AUTO, topo)
     first["p2p-binomial"] = -1
     assert modeled_frame_costs("bcast", 24_000, 8, AUTO, topo)[
@@ -334,7 +375,7 @@ def test_cold_evaluation_at_1024_ranks_is_bounded():
     every auto op's under 200,000 (deterministic, so an exact gate)
     and a repeat is free."""
     seg_of, paths = _fabric("tree:32x32")
-    topo = TopoInfo(seg_of_rank=seg_of, contiguous=True, paths=paths)
+    topo = framecount.topo_digest(seg_of, paths)
     for op in sorted(AUTO_CHOICES):
         policy.clear_caches()
 
