@@ -16,10 +16,12 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 
-from ..core.channel import MCAST_HEADER_BYTES
+from ..core.channel import MCAST_HEADER_BYTES, SEG_HEADER_BYTES
 from ..mpi.collective.barrier_p2p import largest_power_of_two_leq
 from ..mpi.collective.hier import (BUNDLE_KINDS, build_hier_tree,
                                    canonical_order, compile_plan)
+from ..mpi.datatypes import BUNDLE_LENGTH_BYTES
+from ..mpi.p2p import DEFAULT_EAGER_THRESHOLD
 from ..simnet.calibration import NetParams
 
 __all__ = [
@@ -290,14 +292,6 @@ class TopoDigest:
         """The same summed over one stream per rank (the turn loops)."""
         return (2 + nsegs) * self.edges_all + 3 * self.tree_all
 
-    def ready_round(self) -> int:
-        """Trunk serializations of the rank-0-anchored paced ready
-        round: scout gather up, one "go" unicast per rank back down
-        (the star: every member's hops to rank 0's segment)."""
-        from_anchor = self.hops[self.seg_of_rank[0]]
-        return self.tree_hops(0) + sum(
-            n * from_anchor[seg] for seg, n in enumerate(self.members))
-
     def group(self, members) -> "TopoDigest":
         """The digest of a sub-group of ranks (one hierarchy phase);
         the whole communicator's is this one."""
@@ -377,18 +371,18 @@ def model_plan_frames(op: str, tree, digest: TopoDigest, root: int,
     their segments add up; when the plan ships one segment per
     datagram (``auto_batch == 1``) each is a frame of its own,
     otherwise the whole plan is ONE batched datagram whose frames are
-    those of its summed bytes.  The segment count feeds the expected
-    repairs, the frame count :func:`~repro.core.segment.
-    seg_nack_frame_count`'s data term and the trunk term of the group's
-    own :meth:`TopoDigest.group`.  A turn loop whose turns all carry
-    the same payload (always, on a leaf group) is priced once through
-    :meth:`TopoDigest.all_streams`, never turn by turn.
+    those of its bytes, segment envelopes included.  The segment count
+    feeds the expected repairs, the frame count :func:`~repro.core.
+    segment.seg_nack_frame_count`'s data term and the trunk term of the
+    group's own :meth:`TopoDigest.group`.  A turn loop whose turns all
+    carry the same payload (always, on a leaf group) is priced once
+    through :meth:`TopoDigest.all_streams`, never turn by turn.
 
     ``nbytes`` is the op's natural payload: the bcast / reduce
     message, the scatter's *total* sequence, the gather's and
-    allgather's per-rank contribution.  Loss-free (``loss=0``) a plan
-    is **exact** unless a bundle-carrying step runs in it (see
-    :data:`MODEL_COVERAGE`); with ``loss > 0`` every stream
+    allgather's per-rank contribution; a bundle of ``c`` of them is
+    ``c * (element + BUNDLE_LENGTH_BYTES)`` bytes.  Loss-free
+    (``loss=0``) every plan is **exact**; with ``loss > 0`` every stream
     additionally carries its expected NACK-repair traffic — repairs
     stay inside the losing group's switch subtree, which is most of
     the hierarchy's win on lossy fabrics.
@@ -403,18 +397,19 @@ def model_plan_frames(op: str, tree, digest: TopoDigest, root: int,
                                    params, loss)
         return f1 + f2, t1 + t2
     size, seg_of_rank = digest.size, digest.seg_of_rank
+    home = seg_of_rank[root]
     steps = compile_plan(op, tree, root)
-    kinds = {step.kind for step in steps}
-    # ``unit``: bytes one rank contributes; ``whole``: bytes of the
-    # value a serve or a forward moves in one piece
-    if "deal" in kinds:
-        # the root splits nbytes among the ranks and forwards every
-        # share but its own leaf's
+    # ``unit``: one rank's element; ``whole``: bytes of the value a
+    # serve or a forward moves in one piece
+    if op == "scatter":
+        # the root splits nbytes among the ranks and forwards the
+        # bundle of every share outside its own leaf
         unit = -(-nbytes // size)
-        whole = unit * (size - digest.members[seg_of_rank[root]])
-    elif kinds & BUNDLE_KINDS:      # every rank adds nbytes to a bundle
-        unit, whole = nbytes, nbytes * size
-    else:                           # one nbytes message
+        whole = ((size - digest.members[home])
+                 * (unit + BUNDLE_LENGTH_BYTES))
+    elif op in ("gather", "allgather"):     # one element per rank
+        unit, whole = nbytes, size * (nbytes + BUNDLE_LENGTH_BYTES)
+    else:                                   # one nbytes message
         unit = whole = nbytes
 
     def nsegs_of(part: int) -> int:
@@ -427,14 +422,14 @@ def model_plan_frames(op: str, tree, digest: TopoDigest, root: int,
         if kind == "forward":
             src, dst = group.key[1]
             per = params.frames_for(whole + params.mpi_header)
+            if whole > DEFAULT_EAGER_THRESHOLD:
+                per += 2                     # the rendezvous RTS + CTS
             frames += per
             trunk += per * digest.hops[seg_of_rank[src]][seg_of_rank[dst]]
             continue
         k = len(group.members)
         at = group.members.index(group.root)
         sub = digest.group(group.members)
-        # how many ranks each member's bundle covers, in turn order
-        covers = [len(cover) for cover in group.covers]
         #: engine streams as (serving turn, parts, receivers);
         #: ``receivers=1`` where each segment has a single consumer
         streams: list = []
@@ -445,15 +440,19 @@ def model_plan_frames(op: str, tree, digest: TopoDigest, root: int,
             frames += 1
             trunk += sub.edges[sub.seg_of_rank[at]]
         else:                                # a row of the schedule
-            if kind == "exchange":           # the paced ready round
-                frames += 2 * (k - 1)
-                trunk += sub.ready_round()
+            # a member's share of a bundle step: its bare element in a
+            # leaf, else its child subtree's bundle (a deal's without
+            # what the root's own leaf already took)
+            leaf = group.node.is_leaf
+            shares = [unit if leaf else (unit + BUNDLE_LENGTH_BYTES) * sum(
+                kind != "deal" or seg_of_rank[r] != home for r in cover)
+                for cover in group.covers]
             for turn, consumer in step_streams(kind, k, at):
                 if consumer == "each":       # one part per other member
-                    parts = tuple(unit * covers[t] for t in range(k)
+                    parts = tuple(shares[t] for t in range(k)
                                   if t != turn)
-                elif kind in BUNDLE_KINDS:   # the turn's bundle
-                    parts = (unit * covers[turn],)
+                elif kind in BUNDLE_KINDS:   # the turn's share
+                    parts = (shares[turn],)
                 else:                        # the value, the partial
                     parts = (whole,)
                 streams.append((turn, parts,
@@ -467,7 +466,9 @@ def model_plan_frames(op: str, tree, digest: TopoDigest, root: int,
             if parts not in priced:
                 nsegs = sum(map(nsegs_of, parts))
                 nframes = (nsegs if auto_batch(params, nsegs) == 1
-                           else nsegs_of(sum(parts)))
+                           else params.frames_for(
+                               sum(parts) + SEG_HEADER_BYTES * nsegs
+                               + MCAST_HEADER_BYTES))
                 priced[parts] = (
                     seg_nack_frame_count(k, nframes)
                     + expected_seg_repair_frames(k, nsegs, loss,
@@ -505,13 +506,8 @@ def model_hier_frames(op: str, seg_of_rank, root: int, nbytes: int,
                       params: NetParams, paths=None,
                       loss: float = 0.0) -> tuple[float, float]:
     """:func:`model_plan_frames` of one ``hier-mcast`` call on an
-    arbitrary-depth hierarchy.  Exact loss-free (asserted by the
-    ``deep-fabric`` sweep area and ``tests/test_hier_deep.py``) unless
-    the plan holds a :data:`~repro.mpi.collective.hier.BUNDLE_KINDS`
-    step, whose pickled bundle the fold sizes by its member payload
-    shares: estimate-grade ``scatter`` / ``gather`` / ``allgather``
-    rank the auto policy's candidates and are checked by the bench only
-    for the strict hier-below-flat inequality."""
+    arbitrary-depth hierarchy.  Exact loss-free for every op (asserted
+    by the ``deep-fabric`` sweep area and ``tests/test_plan_model.py``)."""
     digest = topo_digest(seg_of_rank, paths)
     if digest.nsegments < 2:
         return (0.0, 0.0)
@@ -524,8 +520,7 @@ def model_hier_frames(op: str, seg_of_rank, root: int, nbytes: int,
 # ---------------------------------------------------------------------------
 #: (op, impl) -> the closed-form frame model backing it, as a dotted
 #: function path, or an explicit ``"estimate: <why>"`` marker for
-#: implementations whose traffic has no asserted closed form (the
-#: ``hier-mcast`` entries are derived below, :func:`_hier_coverage`).  The
+#: implementations whose traffic has no asserted closed form.  The
 #: REG01 rule (``python -m repro.lint``) checks this table both ways
 #: against the live registry: every registered implementation must
 #: appear here (a missing entry is a silent modeling gap — the
@@ -586,22 +581,8 @@ MODEL_COVERAGE: dict[tuple[str, str], str] = {
     ("reduce_scatter", "p2p-reduce-scatter"):
         "estimate: reduce-to-root + scatter composition; ROADMAP gap",
 }
-
-
-def _hier_coverage(op: str) -> str:
-    """The ledger entry of ``(op, "hier-mcast")``, from the kinds of
-    steps its plan compiles to: :func:`model_hier_frames` is exact
-    unless a step carries a pickled bundle."""
-    plan = compile_plan(op, build_hier_tree((0, 0, 1, 1)), 1)
-    bundled = sorted({step.kind for step in plan} & BUNDLE_KINDS)
-    if not bundled:
-        return "repro.analysis.framecount.model_hier_frames"
-    return (f"estimate: model_hier_frames counts member payload shares; "
-            f"the plan's {' / '.join(bundled)} steps carry pickled "
-            f"bundles whose envelope it ignores")
-
-
+# every hierarchical plan is priced exactly by the hierarchy's fold
 MODEL_COVERAGE.update(
-    ((op, "hier-mcast"), _hier_coverage(op))
+    ((op, "hier-mcast"), "repro.analysis.framecount.model_hier_frames")
     for op in ("bcast", "reduce", "allreduce", "barrier", "scatter",
                "gather", "allgather"))

@@ -85,19 +85,19 @@ class Series:
 WINDOW_US = 20_000.0
 
 
-def op_body(op: str, size: int):
+def op_body(op: str, size: int, root: int = 0):
     """``body(env)``: one ``op`` call over a ``size``-byte payload, its
     result asserted on every rank.
 
-    ``bcast`` ships ``size`` bytes from rank 0; ``scatter`` / ``gather``
+    ``bcast`` ships ``size`` bytes from ``root``; ``scatter`` / ``gather``
     / ``allgather`` move an equal ``size // n`` share per rank, each its
     own object filled with its rank's byte (``rank % 256``), so a share
     delivered to the wrong rank fails the check and the root's list
     pickles as ``n`` shares, not one; ``reduce`` / ``allreduce`` SUM
     float64 vectors of ``size`` bytes (at least one element) holding
     ``rank + 1``, so the result is ``n (n + 1) / 2`` everywhere it
-    lands; ``barrier`` ignores ``size``.  Rank 0 is the root of the
-    rooted ops."""
+    lands; ``barrier`` ignores ``size``.  ``root`` roots ``bcast`` /
+    ``reduce`` / ``scatter`` / ``gather``."""
 
     def body(env):
         comm, n = env.comm, env.comm.size
@@ -105,25 +105,25 @@ def op_body(op: str, size: int):
         share = shares[comm.rank]
         if op == "bcast":
             out = yield from comm.bcast(
-                bytes(size) if comm.rank == 0 else None, 0)
+                bytes(size) if comm.rank == root else None, root)
             assert out == bytes(size), f"rank {comm.rank}: bcast payload"
         elif op in ("reduce", "allreduce"):
             arr = np.full(max(1, size // 8), float(comm.rank + 1),
                           dtype=np.float64)
             if op == "reduce":
-                out = yield from comm.reduce(arr, SUM, 0)
+                out = yield from comm.reduce(arr, SUM, root)
             else:
                 out = yield from comm.allreduce(arr, SUM)
-            if op == "allreduce" or comm.rank == 0:
+            if op == "allreduce" or comm.rank == root:
                 assert np.all(out == n * (n + 1) / 2), \
                     f"rank {comm.rank}: {op} sum"
         elif op == "scatter":
             out = yield from comm.scatter(
-                shares if comm.rank == 0 else None, 0)
+                shares if comm.rank == root else None, root)
             assert out == share, f"rank {comm.rank}: scatter share"
         elif op == "gather":
-            out = yield from comm.gather(share, 0)
-            assert out == (shares if comm.rank == 0 else None), \
+            out = yield from comm.gather(share, root)
+            assert out == (shares if comm.rank == root else None), \
                 f"rank {comm.rank}: gather result"
         elif op == "allgather":
             out = yield from comm.allgather(share)

@@ -51,8 +51,7 @@ import os
 from dataclasses import replace
 from types import SimpleNamespace
 
-from ..analysis.framecount import (MODEL_COVERAGE,
-                                   expected_seg_repair_frames,
+from ..analysis.framecount import (expected_seg_repair_frames,
                                    model_flat_frames, model_hier_frames,
                                    topo_digest)
 from ..core.segment import (plan_segments, plan_transport,
@@ -81,15 +80,14 @@ DIMS = {
         seg_sizes=(12_000,), seg_reps=3,
         fab_sizes=(24_000,), fab_reps=2,
         deep_size=24_000, deep_repair_size=48_000, repair_ops=2,
-        deep_flat_ops=("bcast", "scatter", "gather"),
-        deep_hier_ops=("bcast", "gather"),
+        deep_ops=("bcast", "scatter", "gather"),
         segred_sizes=(12_000,), segred_reps=2,
         thru_fabrics=("tree:8x8", "tree:32x32")),
     "full": SimpleNamespace(
         seg_sizes=(1000, 12_000, 48_000), seg_reps=_FULL_REPS,
         fab_sizes=(2000, 24_000, 96_000), fab_reps=max(5, _FULL_REPS // 4),
         deep_size=48_000, deep_repair_size=96_000, repair_ops=4,
-        deep_flat_ops=_ALL_OPS, deep_hier_ops=_ALL_OPS,
+        deep_ops=_ALL_OPS,
         segred_sizes=(1000, 12_000, 48_000),
         segred_reps=max(8, _FULL_REPS // 2),
         thru_fabrics=("tree:8x8", "tree:16x16", "tree:32x32")),
@@ -640,10 +638,10 @@ def _deep_families(scale):
     fabrics = tuple(DEEP_FABRICS)
     return [
         Family("trunk-flat", {"fabric": fabrics,
-                              "op": DIMS[scale].deep_flat_ops},
+                              "op": DIMS[scale].deep_ops},
                deep_trunk_case),
         Family("trunk-hier", {"fabric": fabrics,
-                              "op": DIMS[scale].deep_hier_ops},
+                              "op": DIMS[scale].deep_ops},
                functools.partial(deep_trunk_case, impl="hier-mcast")),
         Family("repair", {}, deep_repair_case),
         Family("auto-audit", {"fabric": fabrics}, deep_audit_case),
@@ -668,22 +666,18 @@ def deep_post_flat_models(doc):
     """Flat segmented trunk counts == the one-group plan's on deep
     trees."""
     for fabric in DEEP_FABRICS:
-        for op in DIMS[doc["scale"]].deep_flat_ops:
+        for op in DIMS[doc["scale"]].deep_ops:
             _assert_trunk_model(doc, "trunk-flat", fabric, op,
                                 model_flat_frames)
 
 
 def deep_post_hier_models_and_wins(doc):
-    """Hier trunk counts == the hierarchy plan's for every op the
-    coverage ledger marks exact (bcast, reduce — not the bundle-
-    carrying scatter / gather / allgather), and hier strictly below
-    flat where confinement wins."""
+    """Hier trunk counts == the hierarchy plan's for every op, and
+    hier strictly below flat where confinement wins."""
     for fabric in DEEP_FABRICS:
-        for op in DIMS[doc["scale"]].deep_hier_ops:
-            if not MODEL_COVERAGE[op, "hier-mcast"].startswith(
-                    "estimate:"):
-                _assert_trunk_model(doc, "trunk-hier", fabric, op,
-                                    model_hier_frames)
+        for op in DIMS[doc["scale"]].deep_ops:
+            _assert_trunk_model(doc, "trunk-hier", fabric, op,
+                                model_hier_frames)
         for op in _deep_win_ops(doc["scale"], fabric):
             flat = metric(doc, "trunk-flat", "frames_trunk_call",
                           fabric=fabric, op=op)

@@ -19,9 +19,9 @@ registered elsewhere:
   (:mod:`repro.bench.paper_figures`) sweeps the descriptor budget to
   chart the overrun boundary.
 * ``mcast-seg-paced`` (:mod:`repro.core.segment`, the ``exchange`` row of
-  its stream schedule): after the same ready round (:func:`_ready_round`)
-  ranks multicast strictly **in rank order**, each turn's payload
-  fragmented and streamed with the broadcast's selective NACK repair —
+  its stream schedule): ranks multicast strictly **in rank order**, each
+  turn's payload fragmented and streamed with the broadcast's selective
+  NACK repair, its header gather standing in for the ready round —
   pacing turns the many-to-many hazard back into the paper's one-to-many
   case, and an overrun or induced loss is repaired by the rank that owns
   the data.  The ``paced`` family measures it beside ``overrun``.

@@ -133,7 +133,8 @@ def report_fold_binary(comm, channel, seq: int, root: int, rnd,
     blocks on the decision, so the root's fold completing *is* "every
     follower is waiting".
     """
-    # +4 B kept: shrinking moves sim bytes — ROADMAP 4(a), like nsegs = 1
+    # +4 B kept, like a bystander's nsegs = 1 bitmap: either fix moves
+    # simulated bytes on every report
     return _walk_up(comm, channel, seq, root, ("seg-report", rnd),
                     frozenset(missing), _merge_reports,
                     SCOUT_BYTES + (nsegs + 7) // 8 + 4, "seg-report")

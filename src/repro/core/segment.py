@@ -29,7 +29,7 @@ frame/datagram formulas), the **stream schedule**
 (:func:`step_streams`: which engine streams a step kind runs —
 ``serve`` one from the server to everyone, ``fold`` / ``collect`` one
 per contributor to the collector alone, ``deal`` one per-part
-addressed, ``exchange`` the ready round and one per member) and its
+addressed, ``exchange`` one per member) and its
 executor :func:`run_streams` — fragment → serve / follow / stand by →
 reassemble.  The six registered flat segmented collectives (the paper
 multicasts only the one-to-many side; its reductions stayed on MPICH's
@@ -75,15 +75,15 @@ re-sending unions U_1..U_R (U_0 = all S segments)::
 **Batched generalization.**  With batch factor B, round r's |U_r|
 segments ride ``ceil(|U_r| / B_r)`` datagrams instead of |U_r| (B_0 = B;
 repair rounds may re-batch, see above).  The *Ethernet frame* count
-above is unchanged for frame-sized segments: a batched datagram of k
-segments IP-fragments into exactly k frames, because each extra segment
-adds 4 envelope bytes (:data:`~repro.core.channel.SEG_HEADER_BYTES`)
-while each extra fragment offers 20 bytes of header slack.  (A stream
-fragmented part by part — the scatter's one part per rank — holds
-short per-part tails, so *its* batched datagram is priced by its
-bytes: :func:`repro.analysis.framecount.model_plan_frames` owns that
-data term.)  What batching changes is the *datagram* count — the unit
-of per-receive software tax and of descriptor usage::
+above is an upper bound for frame-sized segments: a batched datagram of
+k segments IP-fragments into at most k frames — each extra segment adds
+4 envelope bytes (:data:`~repro.core.channel.SEG_HEADER_BYTES`) while
+each extra fragment offers 20 bytes of header slack, so a short tail
+(or the scatter's short per-part tails) can ride that slack.  The plan
+fold (:func:`repro.analysis.framecount.model_plan_frames`) therefore
+prices a batched datagram by its bytes.  What batching changes besides
+is the *datagram* count — the unit of per-receive software tax and of
+descriptor usage::
 
     datagrams(N, S, R, B) = 1 + (N-1)(2(R+1) + 1) + (R+1)
                           + ceil(S/B) + sum(ceil(|U_r|/B_r), r >= 1)
@@ -96,9 +96,9 @@ to what was actually lost, not to the payload (contrast ``mcast-ack``:
 one full S-frame resend per timeout).
 
 The allgather variant ``mcast-seg-paced`` applies the same machinery to
-the many-to-many case: after the paced ready round, each rank takes a
-turn as the server of exactly the stream above — header, arm, stream,
-report, decision — so a lost segment is selectively repaired by its
+the many-to-many case: each rank in turn serves exactly the stream
+above — header, arm, stream, report, decision; the header gather is the
+turn's ready round — so a lost segment is selectively repaired by its
 sender instead of surfacing as ``McastLost``.
 """
 
@@ -113,7 +113,6 @@ from typing import Any, Generator, Optional, Sequence
 from ..mpi.collective.registry import register
 from ..mpi.datatypes import payload_bytes
 from ..mpi.ops import Op
-from .mcast_allgather import _ready_round
 from .rounds import (Reassembler, Segment, chunk_plan, follow_rounds,
                      frame_segment_bytes, reassemble,
                      resolved_segment_bytes, round_namespace, serve_rounds)
@@ -214,8 +213,8 @@ def seg_nack_frame_count(n: int, nsegs: int,
                          repairs: Optional[list[int]] = None) -> int:
     """The documented *frame*-count formula (see module docstring).
 
-    ``repairs`` lists ``|U_r|`` for each repair round r >= 1.  Valid for
-    every batch factor as long as segments are single-frame sized.
+    ``repairs`` lists ``|U_r|`` for each repair round r >= 1; pass a
+    batched datagram's frames, not its segments, as ``nsegs``.
     """
     if n < 2:
         return 0
@@ -273,7 +272,7 @@ def step_streams(kind: str, k: int, at: int) -> list:
         return [(at, "each")]
     if kind in ("fold", "collect"):
         return [(turn, at) for turn in range(k) if turn != at]
-    if kind == "exchange":      # after the paced ready round
+    if kind == "exchange":
         return [(turn, None) for turn in range(k)]
     raise KeyError(kind)
 
@@ -296,10 +295,11 @@ def run_streams(comm, kind: str, at: int, mine: Any, op=None) -> Generator:
     ``mine`` is what this rank brings: the value (``serve``, read at
     ``at`` only), the ``k`` parts (``deal``, at ``at`` only) or its own
     contribution (``fold`` / ``collect`` / ``exchange``).  One sequence
-    number per call, size 1 included; an ``exchange`` opens with the
-    paced ready round.  Per stream the server fragments and serves, its
-    consumers follow, everyone else follows as a pure bystander
-    (``needed=set()``: every gather and decision, no descriptor).  A
+    number per call, size 1 included, and no ready round: a stream's
+    header gather already tells its server every follower has posted.
+    Per stream the server fragments and serves, its consumers follow,
+    everyone else follows as a pure bystander (``needed=set()``: every
+    gather and decision, no descriptor).  A
     ``deal`` renumbers the other members' fragments into one global
     stream whose header carries the per-member counts; the server's own
     part never touches the wire.
@@ -318,8 +318,6 @@ def run_streams(comm, kind: str, at: int, mine: Any, op=None) -> Generator:
     rank, size = comm.rank, comm.size
     got: dict[int, Any] = {}            # serving turn -> what reached me
     if size > 1:
-        if kind == "exchange":
-            yield from _ready_round(comm, channel, seq)
         for server, consumer in step_streams(kind, size, at):
             arm_phase, rnd_token = round_namespace(kind, server)
             if rank == server:

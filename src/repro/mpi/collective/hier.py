@@ -68,37 +68,35 @@ the fold prices it too.  The kinds are a closed set.  The five that
 run engine streams name a row of the stream schedule
 (:func:`repro.core.segment.step_streams`, ``(server turn,
 consumer)`` per stream) that :func:`repro.core.segment.run_streams`
-executes and the model folds — schedule row; payload rule; cost term
-(``k`` = group size, ``covers`` = ranks under a member: 1 in a leaf
-group, its child subtree's in a node group; a *stream* = one
+executes and the model folds, every kind exactly — schedule row;
+payload rule; cost term (``k`` = group size; a *stream* = one
 NACK-repaired engine stream: closed-form host frames, expected repairs
 under loss, the trunk term of the group's own
-``TopoDigest.group(members)``); exact?
+``TopoDigest.group(members)``):
 
-* ``serve`` — ``[(at, None)]``; the server's whole value; 1 stream;
-  exact.
+* ``serve`` — ``[(at, None)]``; the server's whole value; 1 stream.
 * ``fold`` — ``[(turn, at) for the others]``; every turn's partial,
-  the collector keeps the reduction; k-1 single-receiver streams; exact.
-* ``collect`` — the same row; every turn's bundle, the collector merges
-  them; k-1 streams of covers x unit; estimate.
-* ``deal`` — ``[(at, "each")]``; the server's bundle split by child
-  subtree (a leaf's elements travel bare); 1 stream, one part of
-  covers x unit per other member, each with one consumer; estimate.
-* ``exchange`` — ``[(turn, None) for every turn]`` after the paced
-  ready round; every turn's bundle, everyone merges; k streams;
-  estimate.
+  the collector keeps the reduction; k-1 single-receiver streams.
+* ``collect`` — the same row; every turn's share, the collector merges
+  them; k-1 single-receiver streams.
+* ``deal`` — ``[(at, "each")]``; the server's share split by member,
+  less what the root's own leaf already took (a group left nothing to
+  deal gets no step); 1 stream, one part per other member, each with
+  one consumer.
+* ``exchange`` — ``[(turn, None) for every turn]``; every turn's
+  share, everyone merges; k streams.
 * ``forward`` — ``TAG_HIER`` p2p send / recv; the sender's whole
-  value; its frames x the trunk hops between the two; exact.
+  value; its frames (plus the RTS / CTS pair above the eager
+  threshold) x the trunk hops between the two.
 * ``sync`` / ``release`` — the barrier's ``scout_gather_binary`` and
   data-less release multicast, paired by group key (the release
   consumes the sequence number and descriptor its sync posted *before*
-  scouting up); k-1 scouts, then 1 frame x its multicast edges; exact.
+  scouting up); k-1 scouts, then 1 frame x its multicast edges.
 
-The three :data:`BUNDLE_KINDS` carry pickled ``{rank: element}``
-bundles whose envelope the closed form ignores, so a hierarchy's plan
-containing one is estimate-grade — which is exactly what the coverage
-ledger reads (on the one-group plan the elements travel bare, and all
-five kinds are exact).
+A member's share in the three :data:`BUNDLE_KINDS` is its bare element
+inside a leaf group, as in the flat engine, and above it a
+:class:`~repro.mpi.datatypes.Bundle` of its child subtree's elements,
+which the wire sizes as each element plus a 4-byte length.
 
 **Reduction order.**  The hierarchical reduce folds each group in
 ascending rank order at every level, which equals MPI's canonical
@@ -126,6 +124,7 @@ from operator import attrgetter
 from typing import Any, Generator, Optional
 
 from ... import core        # a cycle: only called into, never at import
+from ..datatypes import Bundle
 from .registry import register
 from .tags import TAG_HIER
 
@@ -340,8 +339,8 @@ class HierPhase:
             self.node.children, key=attrgetter("leader"))]
 
 
-#: step kinds whose payload is a pickled ``{rank: element}`` bundle — a
-#: plan containing one is estimate-grade (see the module docstring)
+#: step kinds that move per-rank elements: bare inside a leaf group, as
+#: a :class:`~repro.mpi.datatypes.Bundle` above it
 BUNDLE_KINDS = frozenset({"collect", "deal", "exchange"})
 
 
@@ -384,7 +383,8 @@ def compile_plan(op: str, tree: HierNode, root: int = 0) -> tuple:
       containing ``root`` — so the final forward (holder → root, when
       they differ) stays inside the root's top-level subtree;
     * ``scatter`` — the reverse: the root's leaf, the forward (root →
-      holder), the groups top-down, the remaining leaves;
+      holder), the groups top-down (but a group whose one receiver leads
+      the root's leaf), the remaining leaves;
     * ``allgather`` — every group exchanges bottom-up (leaves first),
       then every group *below the top* re-serves the full result
       top-down, then the leaves;
@@ -442,9 +442,15 @@ def compile_plan(op: str, tree: HierNode, root: int = 0) -> tuple:
         plan = (steps("fold" if op == "reduce" else "collect", leaves + up)
                 + forward(holder, root))
     elif op == "scatter":
+        # a group whose one receiver leads the root's leaf, dealt first,
+        # would be dealt an empty bundle: it gets no step
+        dealt = [node for node in down if any(
+            child.leader != serves[node]
+            and not (child.is_leaf and root in child.members)
+            for child in node.children)]
         plan = (steps("deal", [n for n in leaves if n in chain])
                 + forward(root, holder)
-                + steps("deal", down)
+                + steps("deal", dealt)
                 + steps("deal", [n for n in leaves if n not in chain]))
     elif op == "allgather":
         plan = (steps("exchange", leaves + up, "allgather-up")
@@ -588,9 +594,12 @@ def _phase_span(comm, step: Step):
 # ----------------------------------------------------------------------
 # the interpreter and the collectives
 # ----------------------------------------------------------------------
-def _merged(parts) -> dict:
-    """One bundle from a group's per-member bundles, member order."""
-    merged: dict = {}
+def _merged(group: HierPhase, parts) -> Bundle:
+    """One bundle from a group's per-member shares, in member order:
+    bare elements in a leaf group, bundles above it."""
+    if group.node.is_leaf:
+        return Bundle(zip(group.members, parts))
+    merged = Bundle()
     for part in parts:
         merged.update(part)
     return merged
@@ -600,16 +609,12 @@ def run_plan(comm, st: HierState, steps, value: Any, op=None) -> Generator:
     """Execute this rank's restriction of a compiled plan: the steps
     whose group it belongs to, in plan order, each bracketed by its
     span.  ``value`` is what the rank carries from step to step — the
-    message (``serve`` / ``fold``, reduced with ``op``) or a ``{rank:
-    element}`` bundle (:data:`BUNDLE_KINDS`); the module docstring's
-    step-kind table states each kind's schedule row and payload rule.
-    Returns the carried value after the last step."""
+    message (``serve`` / ``fold``, reduced with ``op``) or a
+    :class:`~repro.mpi.datatypes.Bundle` (:data:`BUNDLE_KINDS`); the
+    module docstring's step-kind table states each kind's schedule row
+    and payload rule.  Returns the carried value after the last step."""
     #: barrier: group key -> (seq, release descriptor) its sync created
     pending: dict = {}
-    # a forwarded message replaces what the receiver held; a forwarded
-    # bundle joins it (the scatter's holder may already hold its own
-    # element from the root's leaf)
-    bundled = not BUNDLE_KINDS.isdisjoint(map(attrgetter("kind"), steps))
     for step in steps:
         kind, group = step.kind, step.group
         if comm.rank not in group.members:
@@ -622,9 +627,9 @@ def run_plan(comm, st: HierState, steps, value: Any, op=None) -> Generator:
                 src, dst = group.key[1]
                 if comm.rank == src:
                     yield from comm._send_coll(value, dst, TAG_HIER)
-                else:
+                else:       # a bundle joins what the holder has
                     got = yield from comm._recv_coll(src, TAG_HIER)
-                    if bundled:
+                    if isinstance(got, Bundle):
                         value.update(got)
                     else:
                         value = got
@@ -643,28 +648,31 @@ def run_plan(comm, st: HierState, steps, value: Any, op=None) -> Generator:
                 else:
                     yield from sub.mcast.wait_data_from(posted, at, seq)
             else:                       # a row of the stream schedule
+                leaf = group.node.is_leaf
                 mine = value
                 if kind == "deal":
                     # One part per member: the entries of its child
-                    # subtree (on a leaf, its own element, which travels
-                    # bare).  The server keeps its own part — and what
-                    # it does not deal away: the scatter root at its own
-                    # leaf still holds the bundle for every other leaf.
-                    leaf = group.node.is_leaf
+                    # subtree still held.  The server keeps its own part
+                    # — and what it does not deal away: the scatter root
+                    # at its own leaf still holds every other leaf's.
                     mine = None
                     if serving:
-                        mine = [{r: value.pop(r) for r in cover
-                                 if r in value} for cover in group.covers]
+                        mine = [Bundle((r, value.pop(r)) for r in cover
+                                       if r in value)
+                                for cover in group.covers]
                         value.update(mine[at])
                         if leaf:
                             mine = [part.get(m) for part, m
                                     in zip(mine, group.members)]
+                elif leaf and kind in BUNDLE_KINDS:
+                    mine = value[comm.rank]
                 out = yield from core.run_streams(sub, kind, at, mine, op)
                 if kind == "deal":
                     if not serving:
                         value.update({comm.rank: out} if leaf else out)
                 elif serving or kind in ("serve", "exchange"):
-                    value = _merged(out) if kind in BUNDLE_KINDS else out
+                    value = (_merged(group, out) if kind in BUNDLE_KINDS
+                             else out)
     return value
 
 
@@ -750,8 +758,8 @@ def scatter_hier(comm, objs, root: int = 0) -> Generator:
     leaf leader scatters its segment.  Returns this rank's element of
     the root's sequence."""
     core.check_scatter_root(comm, objs, root)
-    bundle = ({r: objs[r] for r in range(comm.size) if r != root}
-              if comm.rank == root else {})
+    bundle = (Bundle((r, objs[r]) for r in range(comm.size) if r != root)
+              if comm.rank == root else Bundle())
     return _hier_call(
         comm, "scatter", root, objs, "deal", bundle,
         lambda bundle: (objs[root] if comm.rank == root
@@ -765,7 +773,7 @@ def gather_hier(comm, obj: Any, root: int = 0) -> Generator:
     holder forwards the assembled bundle to the root when they differ.
     Returns the rank-ordered list at ``root``; ``None`` elsewhere."""
     return _hier_call(
-        comm, "gather", root, obj, "collect", {comm.rank: obj},
+        comm, "gather", root, obj, "collect", Bundle({comm.rank: obj}),
         lambda bundle: ([bundle[r] for r in range(comm.size)]
                         if comm.rank == root else None))
 
@@ -777,5 +785,5 @@ def allgather_hier(comm, obj: Any) -> Generator:
     — then the groups below the top re-broadcast the assembled result
     top-down and the leaf leaders deliver it segment-locally."""
     return _hier_call(
-        comm, "allgather", 0, obj, "exchange", {comm.rank: obj},
+        comm, "allgather", 0, obj, "exchange", Bundle({comm.rank: obj}),
         lambda bundle: [bundle[r] for r in range(comm.size)])

@@ -18,8 +18,12 @@ import numpy as np
 
 __all__ = [
     "Datatype", "BYTE", "CHAR", "INT", "LONG", "FLOAT", "DOUBLE",
-    "COMPLEX", "BOOL", "payload_bytes", "datatype_of",
+    "COMPLEX", "BOOL", "Bundle", "BUNDLE_LENGTH_BYTES", "payload_bytes",
+    "datatype_of",
 ]
+
+#: the length prefix each element of a :class:`Bundle` carries
+BUNDLE_LENGTH_BYTES = 4
 
 
 @dataclass(frozen=True)
@@ -58,15 +62,25 @@ def datatype_of(array: np.ndarray) -> Datatype:
     return dt
 
 
+class Bundle(dict):
+    """``{rank: element}`` — what a hierarchical collective carries for
+    several ranks at once: on the wire its elements back to back, each
+    behind a :data:`BUNDLE_LENGTH_BYTES` length prefix."""
+
+
 def payload_bytes(obj: Any) -> int:
     """Wire size of a Python object / buffer, as an MPI library sees it.
 
     * NumPy arrays: ``nbytes`` (buffer path, no pickling);
     * ``bytes``/``bytearray``/``memoryview``: raw length;
+    * a :class:`Bundle`: its elements' sizes plus a length prefix each;
     * anything else: length of its pickle (object path).
     """
     if isinstance(obj, np.ndarray):
         return int(obj.nbytes)
     if isinstance(obj, (bytes, bytearray, memoryview)):
         return len(obj)
+    if isinstance(obj, Bundle):
+        return sum(payload_bytes(element) + BUNDLE_LENGTH_BYTES
+                   for element in obj.values())
     return len(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))

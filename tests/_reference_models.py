@@ -12,9 +12,17 @@ optimise this file.
 Since PR 19 it also holds the *flat* segmented family as it was priced
 before the one-group plan: ``seg_frame_estimate`` — the policy's
 per-op ladder — and the three host-frame closed forms it composed,
-frozen verbatim (only their import lines changed), beside the four
-trunk references that already lived here.  ``tests/test_plan_model.py``
-holds the fold on the one-group plan to them.
+beside the four trunk references that already lived here.
+``tests/test_topo_digest.py`` holds the fold on the one-group plan to
+them.
+
+The ladders follow the wire rules the simulator settled on, each kept
+in its own words here rather than imported: the paced allgather runs
+no ready round; a batched datagram rides the frames of its bytes
+(:func:`_data_frames`); a hierarchy's bundle is its elements plus a
+4-byte length each, its elements bare inside a leaf phase; a p2p hop
+above the eager threshold adds its RTS / CTS pair; and the scatter
+deals a leader group only what the root's own leaf did not take.
 """
 
 from dataclasses import dataclass, replace
@@ -24,6 +32,26 @@ from repro.analysis.framecount import expected_seg_repair_frames
 from repro.mpi.collective.hier import (HierNode, build_hier_tree,
                                        group_members, tree_internal_nodes)
 from repro.simnet.calibration import NetParams
+
+#: bytes a hierarchy's bundle adds per element (its length prefix)
+BUNDLE_PREFIX = 4
+
+#: p2p messages above this many bytes take the RTS / CTS rendezvous
+EAGER_LIMIT = 16 * 1024
+
+
+def _data_frames(params, nsegs: int, nbytes: int) -> int:
+    """Data frames of one stream of ``nsegs`` segments carrying
+    ``nbytes``: a frame per segment, one segment per datagram — unless
+    the auto plan batches them all into ONE datagram, which rides the
+    frames of its bytes (each segment's 4-byte envelope and the 8-byte
+    multicast header included), one fewer when a short tail fits the
+    fragments' header slack."""
+    from repro.core.segment import auto_batch
+
+    if auto_batch(params, nsegs) == 1:
+        return nsegs
+    return params.frames_for(nbytes + 4 * nsegs + 8)
 
 #: the public models this file is the reference for (the names
 #: ``test_topo_digest`` patches into ``repro.analysis.framecount`` to
@@ -180,18 +208,9 @@ def model_seg_scatter_trunk_frames(seg_of_rank, root: int, nsegs: int,
 def model_seg_allgather_trunk_frames(seg_of_rank, nsegs: int,
                                      paths=None) -> int:
     """Loss-free trunk serializations of the flat ``mcast-seg-paced``
-    allgather: the rank-0-anchored ready round (scout gather up, one
-    "go" unicast per rank back down) plus one engine stream per rank,
-    each rooted at its turn's sender."""
-    from repro.simnet.fabric import path_trunk_hops
-
-    if len(set(seg_of_rank)) <= 1:
-        return 0
-    paths = _seg_paths(seg_of_rank, paths)
-    ready = (binomial_tree_trunk_hops(seg_of_rank, 0, paths)
-             + sum(path_trunk_hops(paths[s], paths[seg_of_rank[0]])
-                   for i, s in enumerate(seg_of_rank) if i != 0))
-    return ready + sum(
+    allgather: one engine stream per rank, each rooted at its turn's
+    sender."""
+    return sum(
         _mcast_stream_trunk_frames(seg_of_rank, turn, nsegs, paths)
         for turn in range(len(seg_of_rank)))
 
@@ -227,7 +246,7 @@ def model_seg_allreduce_frames(n: int, nsegs: int) -> int:
 def model_seg_scatter_frames(n: int, seg_counts) -> int:
     """Loss-free frames of ``mcast-seg-root``: one engine stream over
     the concatenation of every non-root rank's fragments
-    (``seg_counts`` lists the per-rank segment counts, root's 0)."""
+    (``seg_counts`` sums to the stream's data frames)."""
     from repro.core.segment import seg_nack_frame_count
 
     if n < 2:
@@ -248,56 +267,58 @@ def seg_frame_estimate(op: str, nbytes: int, size: int, params,
     if size < 2:
         return 0
     nsegs = plan_transport(nbytes, params).nsegs
+    nframes = _data_frames(params, nsegs, nbytes)
     loss = getattr(params, "loss", 0.0)
     if op == "bcast":
-        total = (seg_nack_frame_count(size, nsegs)
+        total = (seg_nack_frame_count(size, nframes)
                  + expected_seg_repair_frames(size, nsegs, loss))
         if topo is not None:
             total += model_seg_bcast_trunk_frames(topo.seg_of_rank, root,
-                                                  nsegs, topo.paths)
+                                                  nframes, topo.paths)
         return total
     if op in ("reduce", "gather"):
         # one engine stream per non-root contributor (the gather runs
         # the same turn loop, collecting instead of folding)
-        total = (model_seg_reduce_frames(size, nsegs)
+        total = (model_seg_reduce_frames(size, nframes)
                  + (size - 1) * expected_seg_repair_frames(
                      size, nsegs, loss, receivers=1))
         if topo is not None:
             total += model_seg_reduce_trunk_frames(topo.seg_of_rank,
-                                                   root, nsegs,
+                                                   root, nframes,
                                                    topo.paths)
         return total
     if op == "allreduce":
-        total = (model_seg_allreduce_frames(size, nsegs)
+        total = (model_seg_allreduce_frames(size, nframes)
                  + (size - 1) * expected_seg_repair_frames(
                      size, nsegs, loss, receivers=1)
                  + expected_seg_repair_frames(size, nsegs, loss))
         if topo is not None:
             total += (model_seg_reduce_trunk_frames(topo.seg_of_rank, 0,
-                                                    nsegs, topo.paths)
+                                                    nframes, topo.paths)
                       + model_seg_bcast_trunk_frames(topo.seg_of_rank,
-                                                     0, nsegs,
+                                                     0, nframes,
                                                      topo.paths))
         return total
     if op == "scatter":
         # one global stream of every non-root rank's share
-        share = plan_transport(-(-nbytes // size), params).nsegs
+        part = -(-nbytes // size)
+        share = plan_transport(part, params).nsegs
         total_segs = (size - 1) * share
-        total = (model_seg_scatter_frames(size, [share] * (size - 1))
+        total_frames = _data_frames(params, total_segs, (size - 1) * part)
+        total = (model_seg_scatter_frames(size, [total_frames])
                  + expected_seg_repair_frames(size, total_segs, loss,
                                               receivers=1))
         if topo is not None:
             total += model_seg_scatter_trunk_frames(
-                topo.seg_of_rank, root, total_segs, topo.paths)
+                topo.seg_of_rank, root, total_frames, topo.paths)
         return total
     if op == "allgather":
-        # paced ready round + one engine stream per rank
-        total = (2 * (size - 1)
-                 + size * seg_nack_frame_count(size, nsegs)
+        # one engine stream per rank
+        total = (size * seg_nack_frame_count(size, nframes)
                  + size * expected_seg_repair_frames(size, nsegs, loss))
         if topo is not None:
             total += model_seg_allgather_trunk_frames(
-                topo.seg_of_rank, nsegs, topo.paths)
+                topo.seg_of_rank, nframes, topo.paths)
         return total
     raise KeyError(f"no segmented frame estimate for collective {op!r}")
 
@@ -482,19 +503,17 @@ def _tree_leaves(tree: HierNode) -> list[HierNode]:
 # superseding PR 4's two-tier closed forms, which the phase walk
 # reproduces bit-for-bit on two-tier fabrics)
 # ---------------------------------------------------------------------------
-def _phase_stream(seg_of_rank, phase, turn: int, nsegs: int, paths,
-                  loss: float, receivers: "int | None" = None,
-                  nframes: "int | None" = None) -> tuple[float, int]:
+def _phase_stream(seg_of_rank, phase, turn: int, parts, params, paths,
+                  loss: float, receivers: "int | None" = None
+                  ) -> tuple[float, int]:
     """(host frames incl. expected repairs, trunk serializations) of one
-    engine stream of ``nsegs`` segments served by comm rank ``turn``
-    inside ``phase``'s group (``receivers=1`` for single-consumer
-    streams, default every other member).  ``nframes`` is the stream's
-    data frames where they are not one per segment (a scatter plan
-    batched into one datagram)."""
-    from repro.core.segment import seg_nack_frame_count
+    engine stream served by comm rank ``turn`` inside ``phase``'s group,
+    fragmenting ``parts`` (their bytes) one by one (``receivers=1`` for
+    single-consumer streams, default every other member)."""
+    from repro.core.segment import plan_transport, seg_nack_frame_count
 
-    if nframes is None:
-        nframes = nsegs
+    nsegs = sum(plan_transport(part, params).nsegs for part in parts)
+    nframes = _data_frames(params, nsegs, sum(parts))
     members = phase.members
     frames = (seg_nack_frame_count(len(members), nframes)
               + expected_seg_repair_frames(len(members), nsegs, loss,
@@ -513,21 +532,14 @@ def model_hier_frames(op: str, seg_of_rank, root: int, nbytes: int,
     the implementation executes (:mod:`repro.mpi.collective.hier`), so
     model and behaviour cannot drift.
 
-    Loss-free (``loss=0``) the ``bcast`` and ``reduce`` counts are
-    **exact** — every phase streams the same payload — and asserted
-    against ``NetStats.frames_trunk`` by the ``deep-fabric`` sweep
-    area.  The ``scatter`` / ``gather``
-    / ``allgather`` counts approximate per-phase bundle sizes by their
-    member payload shares (the wire carries pickled bundle objects
-    whose envelope the closed form ignores), so they are
-    estimate-grade: good enough to rank candidates in the auto policy,
-    checked by the bench only for the strict hier-below-flat
-    inequality.  With ``loss > 0`` every phase additionally carries its
-    expected NACK-repair traffic — repairs stay inside the losing
-    phase's switch subtree, which is most of the hierarchy's win on
-    lossy fabrics.
+    Loss-free (``loss=0``) every count is **exact**: a bundle is its
+    elements plus a length prefix each (bare elements inside a leaf
+    phase), and the ``deep-fabric`` sweep area asserts the trunk term
+    against ``NetStats.frames_trunk``.  With ``loss > 0`` every phase
+    additionally carries its expected NACK-repair traffic — repairs stay
+    inside the losing phase's switch subtree, which is most of the
+    hierarchy's win on lossy fabrics.
     """
-    from repro.core.segment import plan_transport
     from repro.simnet.fabric import path_trunk_hops
 
     size = len(seg_of_rank)
@@ -538,33 +550,31 @@ def model_hier_frames(op: str, seg_of_rank, root: int, nbytes: int,
     frames = 0.0
     trunk = 0.0
 
-    def nsegs_of(payload_bytes: int) -> int:
-        return plan_transport(max(payload_bytes, 0), params).nsegs
+    def stream(phase, turn, parts, receivers=None):
+        nonlocal frames, trunk
+        f, t = _phase_stream(seg_of_rank, phase, turn, parts, params,
+                             paths, loss, receivers)
+        frames, trunk = frames + f, trunk + t
 
     def p2p_hop(src: int, dst: int, payload_bytes: int):
         nonlocal frames, trunk
         per = params.frames_for(payload_bytes + params.mpi_header)
+        if payload_bytes > EAGER_LIMIT:
+            per += 2                    # the RTS and CTS control frames
         frames += per
         trunk += per * path_trunk_hops(rpaths[seg_of_rank[src]],
                                        rpaths[seg_of_rank[dst]])
 
     if op == "bcast":
-        nsegs = nsegs_of(nbytes)
         for phase in bcast_phases(tree, root):
-            f, t = _phase_stream(seg_of_rank, phase, phase.root, nsegs,
-                                 paths, loss)
-            frames, trunk = frames + f, trunk + t
+            stream(phase, phase.root, [nbytes])
         return frames, trunk
     if op == "reduce":
-        nsegs = nsegs_of(nbytes)
         phases, holder = up_phases(tree, root)
         for phase in phases:
             for turn in phase.members:
-                if turn == phase.root:
-                    continue
-                f, t = _phase_stream(seg_of_rank, phase, turn, nsegs,
-                                     paths, loss, receivers=1)
-                frames, trunk = frames + f, trunk + t
+                if turn != phase.root:
+                    stream(phase, turn, [nbytes], receivers=1)
         if holder != root:
             p2p_hop(holder, root, nbytes)
         return frames, trunk
@@ -575,96 +585,64 @@ def model_hier_frames(op: str, seg_of_rank, root: int, nbytes: int,
                                    params, paths, loss)
         return f1 + f2, t1 + t2
 
-    def subtree_sizes(phase) -> dict[int, int]:
-        """member rank -> ranks its bundle covers (its child subtree,
-        or itself on a leaf phase)."""
+    def bundle(count: int, element: int) -> int:
+        return count * (element + BUNDLE_PREFIX)
+
+    def shares(phase, element: int, leaving=frozenset()) -> dict:
+        """member rank -> the bytes it stands for: its bare element on
+        a leaf phase, else the bundle of its child subtree's ranks (less
+        those in ``leaving``)."""
         if phase.node.is_leaf:
-            return {m: 1 for m in phase.members}
+            return {m: element for m in phase.members}
         out = {}
         for member in phase.members:
             for child in phase.node.children:
                 if member in child.members:
-                    out[member] = len(child.members)
+                    out[member] = bundle(
+                        len(set(child.members) - leaving), element)
                     break
         return out
 
     if op == "scatter":
-        from repro.core.segment import auto_batch
-
         share = -(-nbytes // size)
         plan = scatter_phases(tree, root)
-
-        def deal(phase, parts):
-            """One scatter stream (PR 19): the engine fragments part by
-            part; a plan of one segment per datagram puts each on the
-            wire as its own frame, a batched plan is ONE datagram whose
-            frames are those of its summed bytes; every segment has a
-            single consumer."""
-            nonlocal frames, trunk
-            nsegs = 0
-            for part in parts:
-                nsegs += nsegs_of(part)
-            nframes = nsegs
-            if auto_batch(params, nsegs) != 1:
-                total = 0
-                for part in parts:
-                    total += part
-                nframes = nsegs_of(total)
-            f, t = _phase_stream(seg_of_rank, phase, phase.root, nsegs,
-                                 paths, loss, receivers=1,
-                                 nframes=nframes)
-            frames, trunk = frames + f, trunk + t
-
+        root_leaf_members = frozenset(
+            m for m in range(size) if seg_of_rank[m] == seg_of_rank[root])
         if plan.root_leaf is not None:
-            deal(plan.root_leaf,
-                 [share] * (len(plan.root_leaf.members) - 1))
-        root_leaf_members = {m for m in range(size)
-                             if seg_of_rank[m] == seg_of_rank[root]}
-        outside = size - len(root_leaf_members)
+            stream(plan.root_leaf, root,
+                   [share] * (len(plan.root_leaf.members) - 1), 1)
         if plan.hoist is not None:
-            p2p_hop(plan.hoist[0], plan.hoist[1], share * outside)
+            p2p_hop(plan.hoist[0], plan.hoist[1],
+                    bundle(size - len(root_leaf_members), share))
         for phase in plan.internals:
-            sizes = subtree_sizes(phase)
-            deal(phase, [share * sizes[m] for m in phase.members
-                         if m != phase.root])
+            # the root's own leaf was dealt first: a phase left only
+            # that leaf's leader to deal to runs no stream
+            sizes = shares(phase, share, root_leaf_members)
+            parts = [sizes[m] for m in phase.members if m != phase.root]
+            if any(parts):
+                stream(phase, phase.root, parts, 1)
         for phase in plan.leaves:
-            deal(phase, [share] * (len(phase.members) - 1))
+            stream(phase, phase.root, [share] * (len(phase.members) - 1),
+                   1)
         return frames, trunk
     if op == "gather":
         phases, holder = up_phases(tree, root)
         for phase in phases:
-            sizes = subtree_sizes(phase)
+            sizes = shares(phase, nbytes)
             for turn in phase.members:
-                if turn == phase.root:
-                    continue
-                f, t = _phase_stream(seg_of_rank, phase, turn,
-                                     nsegs_of(nbytes * sizes[turn]),
-                                     paths, loss, receivers=1)
-                frames, trunk = frames + f, trunk + t
+                if turn != phase.root:
+                    stream(phase, turn, [sizes[turn]], receivers=1)
         if holder != root:
-            p2p_hop(holder, root, nbytes * size)
+            p2p_hop(holder, root, bundle(size, nbytes))
         return frames, trunk
     if op == "allgather":
         plan = allgather_phases(tree)
         for phase in plan.up:
-            sizes = subtree_sizes(phase)
-            frames += 2 * (len(phase.members) - 1)   # paced ready round
-            segs = tuple(seg_of_rank[m] for m in phase.members)
-            anchor = phase.members[0]
-            trunk += (binomial_tree_trunk_hops(segs, 0, rpaths)
-                      + sum(path_trunk_hops(rpaths[seg_of_rank[m]],
-                                            rpaths[seg_of_rank[anchor]])
-                            for m in phase.members[1:]))
+            sizes = shares(phase, nbytes)
             for turn in phase.members:
-                f, t = _phase_stream(seg_of_rank, phase, turn,
-                                     nsegs_of(nbytes * sizes[turn]),
-                                     paths, loss)
-                frames, trunk = frames + f, trunk + t
-        full = nsegs_of(nbytes * size)
+                stream(phase, turn, [sizes[turn]])
         for phase in plan.down:
-            f, t = _phase_stream(seg_of_rank, phase, phase.root, full,
-                                 paths, loss)
-            frames, trunk = frames + f, trunk + t
+            stream(phase, phase.root, [bundle(size, nbytes)])
         return frames, trunk
     raise KeyError(f"no hierarchical frame model for collective "
                    f"{op!r}")

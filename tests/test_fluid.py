@@ -56,15 +56,14 @@ def test_exact_model_follows_the_coverage_ledger():
 
 
 def test_hier_exception_drops_estimate_grade_ops():
-    # the ledger derives its hier-mcast entries from the plans' step
-    # kinds: exact unless a step carries a pickled bundle
-    assert _exact("bcast", "hier-mcast")
-    assert _exact("reduce", "hier-mcast")
-    assert _exact("allreduce", "hier-mcast")
-    assert _exact("barrier", "hier-mcast")
-    assert not _exact("gather", "hier-mcast")
-    assert not _exact("scatter", "hier-mcast")
-    assert not _exact("allgather", "hier-mcast")
+    # no hier-mcast entry is estimate-grade any more: a bundle is priced
+    # by its elements, so every plan names the hierarchy's fold
+    hier = {op: entry for (op, impl), entry in MODEL_COVERAGE.items()
+            if impl == "hier-mcast"}
+    assert sorted(hier) == ["allgather", "allreduce", "barrier", "bcast",
+                            "gather", "reduce", "scatter"]
+    assert set(hier.values()) == {
+        "repro.analysis.framecount.model_hier_frames"}
 
 
 # -------------------------------------------------------------- fold == DES

@@ -87,6 +87,12 @@ def test_phase_plans_cover_and_order_the_deep_tree():
              for step in compile_plan("scatter", tree, 5)]
     assert kinds[:3] == [("deal", ("leaf", 2)), ("forward", ("hop", (5, 4))),
                          ("deal", ("node", ()))]
+    # ... and a group whose one receiver leads the root's leaf, which
+    # that leaf's deal already served, gets no step at all
+    assert ("deal", ("node", (0,))) not in [
+        (step.kind, step.group.key) for step in compile_plan("scatter", tree, 3)]
+    assert ("deal", ("node", (0,))) in [
+        (step.kind, step.group.key) for step in compile_plan("scatter", tree, 0)]
     # the top group never re-broadcasts downwards (it learned in "up")
     ag = compile_plan("allgather", tree)
     assert [step.kind for step in ag] == ["exchange"] * 7 + ["serve"] * 6

@@ -410,11 +410,10 @@ def test_seg_paced_allgather_auto_batches_small_contributions():
     assert result.returns == [[True] * 4] * 4
     # 4 turns x 4 single-frame segments, batched: frame count unchanged
     assert result.stats["frames_by_kind"]["mcast-seg"] == 16
-    # ...but each turn's stream was ONE datagram (the batching win);
-    # subtract the per-turn header + control datagrams via the formula
+    # ...but each turn's stream was ONE datagram (the batching win),
+    # and the turns are all there is: no ready round runs before them
     per_turn = seg_nack_datagram_count(4, 4, batch=4)
-    ready = 2 * 3                      # ag-ready gather + ag-go release
-    assert collective_datagrams(result) == ready + 4 * per_turn
+    assert collective_datagrams(result) == 4 * per_turn
 
 
 # ------------------------------------------------------ batched frames

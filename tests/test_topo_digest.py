@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import _reference_models as ref
 from repro import run_spmd
 from repro.analysis import framecount
-from repro.core.segment import auto_batch, plan_transport
+from repro.core.segment import plan_transport
 from repro.mpi.collective import policy
 from repro.mpi.collective.hier import (build_hier_tree, canonical_order,
                                        hier_state)
@@ -66,28 +66,22 @@ def same(got, want):
 
 def flat_trunk_reference(op, seg_of, root, size, paths):
     """Trunk serializations of the flat segmented ``op`` from the four
-    frozen rank-pair trunk models, at the ladder's payload shares."""
+    frozen rank-pair trunk models, at the ladder's data frames."""
     n = len(seg_of)
-    nsegs = plan_transport(size, AUTO).nsegs
-    share = (n - 1) * plan_transport(-(-size // n), AUTO).nsegs
+    nframes = ref._data_frames(AUTO, plan_transport(size, AUTO).nsegs, size)
+    part = -(-size // n)
+    dealt = ref._data_frames(
+        AUTO, (n - 1) * plan_transport(part, AUTO).nsegs, (n - 1) * part)
     if op == "bcast":
-        return ref.model_seg_bcast_trunk_frames(seg_of, root, nsegs, paths)
+        return ref.model_seg_bcast_trunk_frames(seg_of, root, nframes,
+                                                paths)
     if op in ("reduce", "gather"):
-        return ref.model_seg_reduce_trunk_frames(seg_of, root, nsegs,
+        return ref.model_seg_reduce_trunk_frames(seg_of, root, nframes,
                                                  paths)
     if op == "scatter":
-        return ref.model_seg_scatter_trunk_frames(seg_of, root, share,
+        return ref.model_seg_scatter_trunk_frames(seg_of, root, dealt,
                                                   paths)
-    return ref.model_seg_allgather_trunk_frames(seg_of, nsegs, paths)
-
-
-def scatter_is_batched(n, size, params=AUTO):
-    """The flat scatter of ``size`` bytes over ``n`` ranks ships as one
-    batched datagram — the regime where the frozen ladder (one frame
-    per fragment) is wrong and the simulator grid of
-    ``tests/test_plan_model.py`` is the oracle instead."""
-    nsegs = (n - 1) * plan_transport(-(-size // n), params).nsegs
-    return auto_batch(params, nsegs) != 1
+    return ref.model_seg_allgather_trunk_frames(seg_of, nframes, paths)
 
 
 def check_models(seg_of, paths):
@@ -111,8 +105,6 @@ def check_models(seg_of, paths):
                     AUTO, seg_of, root, size, paths))
             for op in ("bcast", "reduce", "scatter", "gather",
                        "allgather"):
-                if op == "scatter" and scatter_is_batched(n, size):
-                    continue
                 trunk = framecount.model_flat_frames(
                     op, seg_of, root, size, AUTO, paths)[1]
                 assert trunk == flat_trunk_reference(op, seg_of, root,
@@ -209,9 +201,7 @@ def test_fold_on_the_one_group_plan_equals_the_frozen_ladder(
     ``_reference_models``, trunk references included), on drawn
     placements and on flat clusters:
     equal in value and type loss-free, to ``rel=1e-12`` under loss
-    (turn-order sums against the ladder's products) — except a batched
-    scatter, which the ladder overprices (the simulator grid of
-    ``tests/test_plan_model.py`` is the oracle there)."""
+    (turn-order sums against the ladder's products)."""
     topo = None
     if isinstance(placement, int):
         n = placement
@@ -224,9 +214,7 @@ def test_fold_on_the_one_group_plan_equals_the_frozen_ladder(
     got = modeled_frame_costs(op, nbytes, n, params, topo, root,
                               hier_ok=False)[AUTO_CHOICES[op][1]]
     want = ref.seg_frame_estimate(op, nbytes, n, params, topo, root)
-    if op == "scatter" and scatter_is_batched(n, nbytes, params):
-        assert got <= want
-    elif loss:
+    if loss:
         assert got == pytest.approx(want, rel=1e-12, abs=0)
     else:
         same(got, want)
@@ -248,9 +236,7 @@ def test_modeled_costs_and_picks_match_reference(fabric, monkeypatch):
     ladder == over the digest and the fold == through the memo (first
     call and repeated call): equal in value and type loss-free, the
     flat segmented entry to ``rel=1e-12`` under loss (the fold sums
-    its streams in turn order, the ladder multiplied), and a batched
-    flat scatter — where the ladder is wrong — only on the other
-    candidates."""
+    its streams in turn order, the ladder multiplied)."""
     seg_of, paths = FABRICS[fabric]
     n = len(seg_of)
     topo = framecount.topo_digest(seg_of, paths)
@@ -264,8 +250,6 @@ def test_modeled_costs_and_picks_match_reference(fabric, monkeypatch):
             roots = range(0, n, 3 if n > 16 else 1) if op in (
                 "bcast", "reduce", "scatter", "gather") else (0,)
             for size in SIZES:
-                batched = op == "scatter" and scatter_is_batched(
-                    n, size, params)
                 for root in roots:
                     # hier_ok == _hier_competes on these fabrics
                     for hier_ok in (True, False) if root == 0 else (True,):
@@ -275,13 +259,11 @@ def test_modeled_costs_and_picks_match_reference(fabric, monkeypatch):
                         for _ in range(2):      # the memo changes nothing
                             same(modeled_frame_costs(*key), got)
                             assert auto_impl(*key) == got_pick
-                        if batched:
-                            assert got.pop(seg_name) <= want.pop(seg_name)
-                        elif loss:
+                        if loss:
                             assert got.pop(seg_name) == pytest.approx(
                                 want.pop(seg_name), rel=1e-12, abs=0)
                         same(got, want)
-                        assert batched or got_pick == pick
+                        assert got_pick == pick
 
 
 def test_memo_hands_out_copies():
