@@ -10,12 +10,19 @@ envelope), so this module offers both:
   asymptotic checks;
 * ``model_*``  — header-aware counts that must match the simulator's
   frame counters *exactly* (asserted in tests and the frame-count bench).
+
+Three folds return ``(host frames, trunk serializations)`` of one call
+with one signature ``(op, seg_of_rank, root, nbytes, params, paths)``:
+:func:`model_flat_frames` and :func:`model_hier_frames` over a compiled
+multicast plan, :func:`model_p2p_frames` over the p2p collectives' tree
+edges.  A p2p hop is priced in one place (:func:`_hop`) for both.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
 
+from ..core.binomial import binomial_edges
 from ..core.channel import MCAST_HEADER_BYTES, SEG_HEADER_BYTES
 from ..mpi.collective.barrier_p2p import largest_power_of_two_leq
 from ..mpi.collective.hier import (BUNDLE_KINDS, build_hier_tree,
@@ -27,12 +34,10 @@ from ..simnet.calibration import NetParams
 __all__ = [
     "paper_frames_per_message", "paper_mpich_bcast_frames",
     "paper_mcast_bcast_frames", "paper_mpich_barrier_messages",
-    "paper_mcast_barrier_messages", "model_mpich_bcast_frames",
-    "model_mcast_bcast_frames", "model_p2p_tree_frames",
-    "expected_seg_repair_frames", "binomial_tree_trunk_hops",
-    "multicast_trunk_edges", "model_p2p_tree_trunk_frames",
-    "model_plan_frames", "model_flat_frames", "model_hier_frames",
-    "MODEL_COVERAGE",
+    "paper_mcast_barrier_messages", "model_mcast_bcast_frames",
+    "expected_seg_repair_frames", "multicast_trunk_edges",
+    "model_p2p_frames", "model_plan_frames", "model_flat_frames",
+    "model_hier_frames", "MODEL_COVERAGE",
 ]
 
 
@@ -91,22 +96,6 @@ def model_mcast_bcast_frames(params: NetParams, n: int,
     scouts = n - 1
     data = params.frames_for(m + MCAST_HEADER_BYTES)
     return (scouts, data)
-
-
-# ---------------------------------------------------------------------------
-# the p2p tree (the flat segmented collectives are the one-group plan:
-# model_flat_frames below)
-# ---------------------------------------------------------------------------
-def model_p2p_tree_frames(params: NetParams, n: int, m: int) -> int:
-    """Exact frames of a binomial tree moving the whole payload across
-    every edge once — the p2p reduce (and gather) payload cost."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return params.frames_for(m + params.mpi_header) * (n - 1)
-
-
-#: the binomial broadcast over the p2p engine: the same tree, run downward
-model_mpich_bcast_frames = model_p2p_tree_frames
 
 
 # ---------------------------------------------------------------------------
@@ -275,12 +264,8 @@ class TopoDigest:
         if self.nsegments < 2:
             return 0
         seg, hops, size = self.seg_of_rank, self.hops, self.size
-        total, mask = 0, 1
-        while mask < size:
-            for rel in range(root, root + size - mask, 2 * mask):
-                total += hops[seg[rel % size]][seg[(rel + mask) % size]]
-            mask *= 2
-        return total
+        return sum(hops[seg[(up + root) % size]][seg[(down + root) % size]]
+                   for up, down, _cover in binomial_edges(size))
 
     def stream(self, root: int, nsegs: int) -> int:
         """Trunk serializations of one engine stream rooted at
@@ -332,22 +317,76 @@ def clear_caches() -> None:
     _digest.cache_clear()
 
 
-def binomial_tree_trunk_hops(seg_of_rank, root: int,
-                             paths=None) -> int:
-    """Total trunk hops of the binomial tree's edges rooted at
-    ``root``: each edge pays the switch-tree distance between its
-    endpoints' segments (2 per cross-segment edge on a two-tier
-    fabric)."""
-    return topo_digest(seg_of_rank, paths).tree_hops(root)
+# ---------------------------------------------------------------------------
+# the p2p collectives: one fold over the messages they send
+# ---------------------------------------------------------------------------
+def _hop(digest: TopoDigest, params: NetParams, src: int, dst: int,
+         nbytes: int) -> tuple[int, int]:
+    """(frames, trunk serializations) of one p2p message of ``nbytes``
+    between ranks ``src`` and ``dst``: its fragments behind the MPI
+    envelope — plus the rendezvous RTS + CTS above the eager threshold
+    — each crossing the trunks between the two ranks' segments."""
+    frames = params.frames_for(nbytes + params.mpi_header)
+    if nbytes > DEFAULT_EAGER_THRESHOLD:
+        frames += 2                          # the rendezvous RTS + CTS
+    seg = digest.seg_of_rank
+    return frames, frames * digest.hops[seg[src]][seg[dst]]
 
 
-def model_p2p_tree_trunk_frames(params: NetParams, seg_of_rank,
-                                root: int, m: int, paths=None) -> int:
-    """Trunk serializations of a binomial tree moving an ``m``-byte
-    payload across every edge once (p2p bcast/reduce): each
-    cross-segment edge pays its trunk-path hops per payload frame."""
-    per_msg = params.frames_for(m + params.mpi_header)
-    return binomial_tree_trunk_hops(seg_of_rank, root, paths) * per_msg
+def model_p2p_frames(op: str, seg_of_rank, root: int, nbytes: int,
+                     params: NetParams, paths=None,
+                     commutative: bool = True) -> tuple[int, int]:
+    """(host frames, trunk serializations) of one call of ``op``'s p2p
+    implementation — the auto policy's baseline and the static
+    table's default: a fold of :func:`_hop` over every message it sends.
+    Exact (asserted against ``NetStats`` by ``tests/test_plan_model.py``);
+    ``reduce_scatter``, whose reduce ships a pickled list, is not priced.
+
+    The rooted four walk the binomial tree rooted at ``root``
+    (:func:`~repro.core.binomial.binomial_edges`), one message per edge:
+    ``bcast`` and ``reduce`` carry the whole ``nbytes`` message;
+    ``scatter`` (``nbytes`` its *total* sequence) and ``gather``
+    (``nbytes`` one rank's contribution) carry the bundle of the
+    child's subtree, ``BUNDLE_LENGTH_BYTES`` per element beside it.  A
+    non-``commutative`` reduce at a nonzero root runs the tree at rank
+    0 and adds its forward to the root.  ``allreduce`` and ``allgather``
+    are their parts as the static table dispatches them: a reduce /
+    gather to rank 0, then the bcast of the result / the gathered
+    bundle.  ``alltoall`` sends one ``nbytes`` element per ordered rank
+    pair; ``scan`` and ``exscan`` one ``nbytes`` value down the rank
+    chain."""
+    digest = topo_digest(seg_of_rank, paths)
+    size = digest.size
+    if op in ("allreduce", "allgather"):
+        first, whole = (("reduce", nbytes) if op == "allreduce" else
+                        ("gather", size * (nbytes + BUNDLE_LENGTH_BYTES)))
+        f1, t1 = model_p2p_frames(first, seg_of_rank, 0, nbytes, params,
+                                  paths, commutative)
+        f2, t2 = model_p2p_frames("bcast", seg_of_rank, 0, whole, params,
+                                  paths)
+        return f1 + f2, t1 + t2
+    if op == "alltoall":
+        hops = [(a, b, nbytes) for a in range(size) for b in range(size)
+                if a != b]
+    elif op in ("scan", "exscan"):
+        hops = [(r, r + 1, nbytes) for r in range(size - 1)]
+    elif op in ("bcast", "reduce", "scatter", "gather"):
+        top = root if commutative or op != "reduce" else 0
+        hops = [(0, root, nbytes)] if top != root else []
+        # one rank's element of a bundle, or None: the whole message
+        unit = {"scatter": -(-nbytes // size), "gather": nbytes}.get(op)
+        hops += [((parent + top) % size, (child + top) % size,
+                  nbytes if unit is None
+                  else len(cover) * (unit + BUNDLE_LENGTH_BYTES))
+                 for parent, child, cover in binomial_edges(size)]
+    else:
+        raise KeyError(f"no p2p frame model for collective {op!r}")
+    frames = trunk = 0
+    for src, dst, m in hops:
+        f, t = _hop(digest, params, src, dst, m)
+        frames += f
+        trunk += t
+    return frames, trunk
 
 
 # ---------------------------------------------------------------------------
@@ -420,12 +459,10 @@ def model_plan_frames(op: str, tree, digest: TopoDigest, root: int,
     for step in steps:
         kind, group = step.kind, step.group
         if kind == "forward":
-            src, dst = group.key[1]
-            per = params.frames_for(whole + params.mpi_header)
-            if whole > DEFAULT_EAGER_THRESHOLD:
-                per += 2                     # the rendezvous RTS + CTS
-            frames += per
-            trunk += per * digest.hops[seg_of_rank[src]][seg_of_rank[dst]]
+            hop_frames, hop_trunk = _hop(digest, params, *group.key[1],
+                                         whole)
+            frames += hop_frames
+            trunk += hop_trunk
             continue
         k = len(group.members)
         at = group.members.index(group.root)
@@ -523,63 +560,45 @@ def model_hier_frames(op: str, seg_of_rank, root: int, nbytes: int,
 #: implementations whose traffic has no asserted closed form.  The
 #: REG01 rule (``python -m repro.lint``) checks this table both ways
 #: against the live registry: every registered implementation must
-#: appear here (a missing entry is a silent modeling gap — the
-#: ROADMAP's alltoall/scan/exscan/reduce_scatter holes are visible
-#: below as estimate markers, not absences), and every entry must name
-#: a registered implementation and a resolvable function.
+#: appear here (a missing entry is a silent modeling gap), and every
+#: entry must name a registered implementation and a resolvable
+#: function.  ``tests/test_lint.py`` pins the ``estimate:`` set: a new
+#: marker is a deliberate test edit.
+_P2P = "repro.analysis.framecount.model_p2p_frames"
+_FLAT = "repro.analysis.framecount.model_flat_frames"
 MODEL_COVERAGE: dict[tuple[str, str], str] = {
-    ("bcast", "p2p-binomial"):
-        "repro.analysis.framecount.model_mpich_bcast_frames",
+    ("bcast", "p2p-binomial"): _P2P,
     ("bcast", "mcast-binary"):
         "repro.analysis.framecount.model_mcast_bcast_frames",
     ("bcast", "mcast-linear"):
         "repro.analysis.framecount.model_mcast_bcast_frames",
     ("bcast", "mcast-ack"):
-        "estimate: ack-implosion retransmit traffic depends on timing "
-        "(the PVM-style baseline exists to measure, not to model)",
-    ("bcast", "mcast-seg-nack"):
-        "repro.analysis.framecount.model_flat_frames",
+        "estimate: its retransmit count depends on timing (the ack "
+        "deadline races the ack round trip)",
+    ("bcast", "mcast-seg-nack"): _FLAT,
     ("bcast", "mcast-sequencer"):
-        "estimate: a non-sequencer root adds one p2p payload hop; the "
-        "ack / retransmit tail depends on timing, as for mcast-ack",
+        "estimate: its ack / retransmit tail depends on timing, as for "
+        "mcast-ack",
     ("barrier", "p2p-mpich"):
         "repro.analysis.framecount.paper_mpich_barrier_messages",
     ("barrier", "mcast"):
         "repro.analysis.framecount.paper_mcast_barrier_messages",
-    ("reduce", "p2p-binomial"):
-        "repro.analysis.framecount.model_p2p_tree_frames",
-    ("reduce", "mcast-seg-combine"):
-        "repro.analysis.framecount.model_flat_frames",
-    ("allreduce", "p2p-reduce-bcast"):
-        "estimate: composition — 2 x model_p2p_tree_frames (reduce "
-        "down, bcast back)",
-    ("allreduce", "mcast-seg-nack"):
-        "repro.analysis.framecount.model_flat_frames",
-    ("gather", "p2p-binomial"):
-        "estimate: inner edges re-forward growing subtree batches; "
-        "policy uses the (size-1) contributions lower bound",
-    ("gather", "mcast-seg-root-follow"):
-        "repro.analysis.framecount.model_flat_frames",
-    ("scatter", "p2p-binomial"):
-        "estimate: per-level subtree shares (exact only at power-of-"
-        "two sizes); see policy.p2p_frame_estimate",
-    ("scatter", "mcast-seg-root"):
-        "repro.analysis.framecount.model_flat_frames",
-    ("allgather", "p2p-gather-bcast"):
-        "estimate: composition — gather lower bound + full-list "
-        "broadcast; see policy.p2p_frame_estimate",
-    ("allgather", "mcast-seg-paced"):
-        "repro.analysis.framecount.model_flat_frames",
-    ("alltoall", "p2p-pairwise"):
-        "estimate: (N-1) pairwise exchanges; ROADMAP gap — no "
-        "multicast rival or asserted closed form yet",
-    ("scan", "p2p-linear"):
-        "estimate: N-1 chained hops; ROADMAP gap — no multicast rival "
-        "or asserted closed form yet",
-    ("exscan", "p2p-linear"):
-        "estimate: N-1 chained hops (shifted scan); ROADMAP gap",
+    ("reduce", "p2p-binomial"): _P2P,
+    ("reduce", "mcast-seg-combine"): _FLAT,
+    ("allreduce", "p2p-reduce-bcast"): _P2P,
+    ("allreduce", "mcast-seg-nack"): _FLAT,
+    ("gather", "p2p-binomial"): _P2P,
+    ("gather", "mcast-seg-root-follow"): _FLAT,
+    ("scatter", "p2p-binomial"): _P2P,
+    ("scatter", "mcast-seg-root"): _FLAT,
+    ("allgather", "p2p-gather-bcast"): _P2P,
+    ("allgather", "mcast-seg-paced"): _FLAT,
+    ("alltoall", "p2p-pairwise"): _P2P,
+    ("scan", "p2p-linear"): _P2P,
+    ("exscan", "p2p-linear"): _P2P,
     ("reduce_scatter", "p2p-reduce-scatter"):
-        "estimate: reduce-to-root + scatter composition; ROADMAP gap",
+        "estimate: its reduce ships a pickled list, whose size has no "
+        "closed form",
 }
 # every hierarchical plan is priced exactly by the hierarchy's fold
 MODEL_COVERAGE.update(

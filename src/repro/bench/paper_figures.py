@@ -22,7 +22,7 @@ the committed ``BENCH_paper-figures.json`` *is* the reproduction;
 from __future__ import annotations
 
 from ..analysis.framecount import (model_mcast_bcast_frames,
-                                   model_mpich_bcast_frames,
+                                   model_p2p_frames,
                                    paper_mcast_barrier_messages,
                                    paper_mcast_bcast_frames,
                                    paper_mpich_barrier_messages,
@@ -97,7 +97,8 @@ def framecounts_case(scale, seed, n, m):
     return {
         "paper_mpich_bcast": paper_mpich_bcast_frames(n, m),
         "paper_mcast_bcast": paper_mcast_bcast_frames(n, m),
-        "model_mpich_bcast": model_mpich_bcast_frames(QUIET, n, m),
+        "model_mpich_bcast": model_p2p_frames("bcast", (0,) * n, 0, m,
+                                              QUIET)[0],
         "model_mcast_scouts": scouts,
         "model_mcast_data": data,
         "mpich_barrier_msgs": paper_mpich_barrier_messages(n),

@@ -728,8 +728,9 @@ def segred_frames_case(scale, seed, op, size):
     """Payload frames on the wire: the segmented engine vs the p2p
     default, loss-free (each contribution crosses the wire once either
     way; the broadcast half of the segmented allreduce is ONE stream
-    against the tree's N-1 re-sends)."""
-    from ..analysis.framecount import model_p2p_tree_frames
+    against the tree's N-1 re-sends).  The p2p run's frames, the
+    rendezvous RTS / CTS included, are the p2p fold's."""
+    from ..analysis.framecount import model_p2p_frames
 
     base_p2p, _ = _segred_null_frames(seed)
     p2p_kinds, seg_kinds = (
@@ -737,9 +738,9 @@ def segred_frames_case(scale, seed, op, size):
              seed=seed).stats["frames_by_kind"] for role in ("p2p", "seg"))
     p2p = p2p_kinds.get("p2p", 0) - base_p2p
     seg = seg_kinds.get("mcast-seg", 0)
-    if op == "reduce":
-        assert p2p == model_p2p_tree_frames(QUIET_AUTO, SEGRED_NPROCS,
-                                            size)
+    rendezvous = p2p_kinds.get("p2p-rts", 0) + p2p_kinds.get("p2p-cts", 0)
+    assert p2p + rendezvous == model_p2p_frames(
+        op, (0,) * SEGRED_NPROCS, 0, 8 * max(1, size // 8), QUIET_AUTO)[0]
     return {"frames_payload_p2p": p2p, "frames_payload_seg": seg}
 
 

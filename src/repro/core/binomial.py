@@ -9,12 +9,16 @@ decisions down it.  It lives in ``core`` so the scout layer never has to
 reach up into ``mpi.collective`` (the layering rule LAY01 enforces,
 see ``docs/lint.md``); the historical import path
 ``repro.mpi.collective.bcast_p2p.binomial_children`` keeps working as a
-re-export.
+re-export.  The frame model of the p2p collectives
+(:func:`repro.analysis.framecount.model_p2p_frames`) walks the same tree
+as its list of edges, :func:`binomial_edges`.
 """
 
 from __future__ import annotations
 
-__all__ = ["binomial_parent", "binomial_children"]
+from typing import Iterator
+
+__all__ = ["binomial_parent", "binomial_children", "binomial_edges"]
 
 
 def binomial_parent(rel: int) -> int:
@@ -41,3 +45,16 @@ def binomial_children(rel: int, size: int) -> list[int]:
             kids.append(child)
         mask >>= 1
     return kids
+
+
+def binomial_edges(size: int) -> Iterator[tuple[int, int, range]]:
+    """Every edge of the tree as ``(parent, child, cover)`` in relative
+    ranks, level by level: a child joins at the mask of its lowest set
+    bit, and its subtree — the ranks whose message rides that edge — is
+    the contiguous ``cover = range(child, min(child + mask, size))``."""
+    mask = 1
+    while mask < size:
+        for parent in range(0, size - mask, 2 * mask):
+            child = parent + mask
+            yield parent, child, range(child, min(child + mask, size))
+        mask <<= 1

@@ -1,29 +1,26 @@
 """Binomial gather and scatter, plus gather-then-broadcast allgather.
 
 Gather walks the same binomial tree as reduce, but accumulates a
-``{rank: object}`` mapping instead of combining values, so the root can
-return a correctly ordered list.  Scatter walks the broadcast tree
-top-down, peeling off each subtree's slice of the payload (only the
-subtree's share rides each edge, like MPICH's minimal scatter).
+:class:`~repro.mpi.datatypes.Bundle` (``{rank: object}``) instead of
+combining values, so the root can return a correctly ordered list.
+Scatter walks the broadcast tree top-down, peeling off each subtree's
+bundle (only the subtree's share rides each edge, like MPICH's minimal
+scatter).  A child's subtree is the contiguous relative-rank range
+below it (:func:`~repro.core.binomial.binomial_edges`), and a bundle is
+sized as its elements plus a length prefix each — the format
+``hier-mcast``'s forwards ship, which the frame model prices exactly.
 """
 
 from __future__ import annotations
 
 from typing import Any, Generator, Optional, Sequence
 
+from ..datatypes import Bundle
 from .bcast_p2p import binomial_children, binomial_parent
 from .registry import register
 from .tags import TAG_GATHER, TAG_SCATTER
 
 __all__ = ["gather_binomial", "scatter_binomial", "allgather_gather_bcast"]
-
-
-def _subtree(rel: int, size: int) -> list[int]:
-    """Relative ranks in the binomial subtree rooted at ``rel`` (incl.)."""
-    out = [rel]
-    for child in binomial_children(rel, size):
-        out.extend(_subtree(child, size))
-    return out
 
 
 @register("gather", "p2p-binomial")
@@ -35,7 +32,7 @@ def gather_binomial(comm, obj: Any, root: int = 0) -> Generator:
         return [obj]
     rel = (rank - root) % size
 
-    collected: dict[int, Any] = {rank: obj}
+    collected = Bundle({rank: obj})
     # Children in the *reduce* direction: receive each child subtree.
     mask = 1
     while mask < size:
@@ -71,22 +68,25 @@ def scatter_binomial(comm, objs: Optional[Sequence[Any]],
             raise ValueError(
                 f"scatter root needs exactly {size} elements, "
                 f"got {None if objs is None else len(objs)}")
-        slice_map = {r: objs[(r + root) % size] for r in range(size)}
+        held = Bundle((r, objs[(r + root) % size]) for r in range(size))
     else:
         parent = (binomial_parent(rel) + root) % size
-        slice_map = yield from comm._recv_coll(parent, TAG_SCATTER)
+        held = yield from comm._recv_coll(parent, TAG_SCATTER)
 
     for child in binomial_children(rel, size):
-        members = sorted(set(_subtree(child, size)))
-        part = {r: slice_map[r] for r in members}
+        # the child's subtree: ``child - rel`` ranks from it on
+        part = Bundle((r, held[r])
+                      for r in range(child, min(2 * child - rel, size)))
         yield from comm._send_coll(part, (child + root) % size, TAG_SCATTER)
 
-    return slice_map[rel]
+    return held[rel]
 
 
 @register("allgather", "p2p-gather-bcast")
 def allgather_gather_bcast(comm, obj: Any) -> Generator:
     """MPICH 1.x allgather: gather to rank 0, then broadcast the list."""
     everything = yield from comm._dispatch("gather", obj, 0)
-    everything = yield from comm._dispatch("bcast", everything, 0)
-    return everything
+    bundle = yield from comm._dispatch(
+        "bcast", Bundle(enumerate(everything)) if comm.rank == 0 else None,
+        0)
+    return list(bundle.values())

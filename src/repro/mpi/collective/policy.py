@@ -19,13 +19,13 @@ module is that policy layer:
   fall through to the payload-aware resolution).
 
 The decision metric generalizes the paper's §3 currency: **modeled
-serializations** — closed-form Ethernet frame counts.  The p2p
-baselines keep a per-op ladder (:func:`p2p_frame_estimate`); the
-segmented candidates have none: the flat implementation is the
-*one-group plan* and ``hier-mcast`` the hierarchy's, both priced by the
-one cost fold of :mod:`repro.analysis.framecount` (``model_flat_frames``
-/ ``model_hier_frames``, summed by :func:`_decide`).  On top of host
-frames the metric counts
+serializations** — closed-form Ethernet frame counts.  Every candidate
+is priced by a fold of :mod:`repro.analysis.framecount` with one
+signature, summed by :func:`_decide`: the p2p baseline by
+``model_p2p_frames`` (every message of the tree it walks), the flat
+segmented implementation as the *one-group plan* and ``hier-mcast`` as
+the hierarchy's (``model_flat_frames`` / ``model_hier_frames``).  On
+top of host frames the metric counts
 
 * **trunk crossings** on a tiered fabric (:func:`comm_topology` reads
   the cluster's discovery API; each crossing re-serializes the frame on
@@ -78,7 +78,7 @@ from ..datatypes import payload_bytes
 
 __all__ = ["AUTO", "AUTO_CHOICES", "HIER_AUTO", "POLICY_WAIVERS",
            "comm_topology", "auto_impl",
-           "modeled_frame_costs", "p2p_frame_estimate", "resolve_auto",
+           "modeled_frame_costs", "resolve_auto",
            "cache_info", "clear_caches"]
 
 #: the pseudo-implementation name accepted by ``use_collectives``
@@ -154,88 +154,6 @@ def comm_topology(comm):
     return topo_digest(*key)
 
 
-def _p2p_msg_frames(params, nbytes: int) -> int:
-    """Frames of one p2p message (payload + MPI envelope)."""
-    return params.frames_for(nbytes + params.mpi_header)
-
-
-def _steps(size: int) -> int:
-    """Sequential steps of a binomial tree: ``ceil(log2 size)``."""
-    return max(1, (size - 1).bit_length())
-
-
-def p2p_frame_estimate(op: str, nbytes: int, size: int, params,
-                       topo=None, root: int = 0) -> float:
-    """Modeled serializations of the op's p2p baseline.
-
-    ``nbytes`` is the op's natural payload: the broadcast/reduce
-    message, the scatter's *total* sequence, the gather's and
-    allgather's per-rank contribution.  With ``topo`` (a
-    :class:`~repro.analysis.framecount.TopoDigest`), cross-segment
-    tree edges additionally pay their switch-tree trunk crossings.
-
-    Known approximations: a *non-commutative* reduce at a nonzero root
-    pays one extra payload forward (the tree reduces to rank 0 and
-    forwards, see :mod:`repro.mpi.collective.reduce_p2p`) that is not
-    modeled here; the scatter's and gather's per-edge subtree shares
-    are averaged as half the payload for the trunk term.  Both are
-    second-order near the crossover.
-    """
-    from ...analysis.framecount import (binomial_tree_trunk_hops,
-                                        model_p2p_tree_frames,
-                                        model_p2p_tree_trunk_frames)
-
-    if size < 2:
-        return 0
-    if op in ("bcast", "reduce"):
-        # every tree edge carries the whole payload once
-        total = model_p2p_tree_frames(params, size, nbytes)
-        if topo is not None:
-            total += model_p2p_tree_trunk_frames(
-                params, topo.seg_of_rank, root, nbytes, topo.paths)
-        return total
-    if op == "allreduce":
-        total = 2 * model_p2p_tree_frames(params, size, nbytes)
-        if topo is not None:
-            total += 2 * model_p2p_tree_trunk_frames(
-                params, topo.seg_of_rank, 0, nbytes, topo.paths)
-        return total
-    if op == "scatter":
-        # level i has 2^(i-1) edges, each forwarding a subtree share of
-        # ~nbytes/2^i (exact for power-of-two sizes, close otherwise)
-        total = 0
-        for i in range(1, _steps(size) + 1):
-            total += min(2 ** (i - 1), size - 1) * _p2p_msg_frames(
-                params, nbytes >> i)
-        if topo is not None:
-            total += (binomial_tree_trunk_hops(topo.seg_of_rank, root,
-                                               topo.paths)
-                      * _p2p_msg_frames(params, nbytes // 2))
-        return total
-    if op == "gather":
-        # each contribution crosses at least one edge; inner edges
-        # re-forward growing subtree batches (averaged as one extra
-        # payload-sized hop for the trunk term)
-        total = (size - 1) * _p2p_msg_frames(params, nbytes)
-        if topo is not None:
-            total += (binomial_tree_trunk_hops(topo.seg_of_rank, root,
-                                               topo.paths)
-                      * _p2p_msg_frames(params, nbytes * size // 2))
-        return total
-    if op == "allgather":
-        # gather of per-rank contributions (lower bound: each crosses
-        # one edge) + broadcast of the full list down the tree
-        total = ((size - 1) * _p2p_msg_frames(params, nbytes)
-                 + (size - 1) * _p2p_msg_frames(params, nbytes * size))
-        if topo is not None:
-            hops = binomial_tree_trunk_hops(topo.seg_of_rank, 0,
-                                            topo.paths)
-            total += hops * (_p2p_msg_frames(params, nbytes * size // 2)
-                             + _p2p_msg_frames(params, nbytes * size))
-        return total
-    raise KeyError(f"no p2p frame estimate for collective {op!r}")
-
-
 def _no_policy(op: str) -> KeyError:
     return KeyError(f"no auto selection policy for collective {op!r}; "
                     f"auto-capable ops: {sorted(AUTO_CHOICES)}")
@@ -256,9 +174,11 @@ def _hier_competes(op: str, topo, hier_ok: bool) -> bool:
 
 @lru_cache(maxsize=1024)
 def _decide(op: str, nbytes: int, size: int, params, topo, root: int,
-            hier: bool) -> tuple[dict, str]:
+            hier: bool, commutative: bool = True) -> tuple[dict, str]:
     """(modeled cost of every candidate, the pick) for one call
-    signature; ``hier`` is :func:`_hier_competes`.  A pure function of
+    signature; ``hier`` is :func:`_hier_competes`, ``commutative`` the
+    reduction operator's flag (a non-commutative p2p reduce at a
+    nonzero root adds a forward).  A pure function of
     hashable values — ``params`` is frozen and rank-invariant, ``topo``
     the shared cached digest (hashed by identity: one digest per
     ``(seg_of_rank, paths)`` until :func:`clear_caches`) — so one memo
@@ -268,12 +188,14 @@ def _decide(op: str, nbytes: int, size: int, params, topo, root: int,
     entry is the §4 consistency rule (identical inputs, identical
     pick) made literal.
 
-    The segmented candidates cost host frames plus trunk crossings of
-    the one plan fold — the flat one-group plan, the hierarchy's plan —
-    expected repair traffic at ``params.loss`` included: repairs never
-    leave the losing group's switch subtree, which is most of the
-    hierarchy's win under loss."""
-    from ...analysis.framecount import model_flat_frames, model_hier_frames
+    Every candidate costs host frames plus trunk crossings of its fold:
+    the p2p baseline's messages, the flat one-group plan, the
+    hierarchy's plan — the plans with expected repair traffic at
+    ``params.loss`` included: repairs never leave the losing group's
+    switch subtree, which is most of the hierarchy's win under loss."""
+    from ...analysis.framecount import (model_flat_frames,
+                                        model_hier_frames,
+                                        model_p2p_frames)
 
     p2p_name, seg_name = AUTO_CHOICES[op]
     seg_of_rank, paths = (((0,) * size, None) if topo is None
@@ -281,8 +203,8 @@ def _decide(op: str, nbytes: int, size: int, params, topo, root: int,
     costs = {
         seg_name: sum(model_flat_frames(op, seg_of_rank, root, nbytes,
                                         params, paths, params.loss)),
-        p2p_name: p2p_frame_estimate(op, nbytes, size, params, topo,
-                                     root),
+        p2p_name: sum(model_p2p_frames(op, seg_of_rank, root, nbytes,
+                                       params, paths, commutative)),
     }
     if hier:
         costs[HIER_AUTO[op]] = sum(model_hier_frames(
@@ -295,19 +217,20 @@ def _decide(op: str, nbytes: int, size: int, params, topo, root: int,
 
 
 def modeled_frame_costs(op: str, nbytes: int, size: int, params,
-                        topo=None, root: int = 0,
-                        hier_ok: bool = True) -> dict[str, float]:
+                        topo=None, root: int = 0, hier_ok: bool = True,
+                        commutative: bool = True) -> dict[str, float]:
     """Modeled serializations of every candidate implementation for one
     call — the table :func:`auto_impl` takes the argmin of (and the
     fabric bench audits against the simulator)."""
     if op not in AUTO_CHOICES:
         raise _no_policy(op)
     return dict(_decide(op, nbytes, size, params, topo, root,
-                        _hier_competes(op, topo, hier_ok))[0])
+                        _hier_competes(op, topo, hier_ok), commutative)[0])
 
 
-def auto_impl(op: str, nbytes: int, size: int, params,
-              topo=None, root: int = 0, hier_ok: bool = True) -> str:
+def auto_impl(op: str, nbytes: int, size: int, params, topo=None,
+              root: int = 0, hier_ok: bool = True,
+              commutative: bool = True) -> str:
     """Pick the implementation for one call: the candidate with the
     lowest modeled serialization count (``topo``: the communicator's
     :func:`comm_topology`, ``None`` on one segment).  Ties keep the
@@ -320,7 +243,7 @@ def auto_impl(op: str, nbytes: int, size: int, params,
     if size < 2:
         return AUTO_CHOICES[op][0]
     return _decide(op, nbytes, size, params, topo, root,
-                   _hier_competes(op, topo, hier_ok))[1]
+                   _hier_competes(op, topo, hier_ok), commutative)[1]
 
 
 class CacheInfo(NamedTuple):
@@ -366,12 +289,12 @@ def resolve_auto(comm, op: str, args: tuple) -> Generator:
         # candidate is withheld when it would have to fall back anyway
         # (non-commutative operator over non-contiguous segments).
         topo = comm_topology(comm)
-        red_op = args[1]
+        commutative = getattr(args[1], "commutative", True)
         root = args[2] if op == "reduce" else 0
-        hier_ok = (topo is None or topo.contiguous
-                   or getattr(red_op, "commutative", True))
+        hier_ok = topo is None or topo.contiguous or commutative
         return auto_impl(op, payload_bytes(args[0]), size, params,
-                         topo=topo, root=root, hier_ok=hier_ok)
+                         topo=topo, root=root, hier_ok=hier_ok,
+                         commutative=commutative)
     # Rooted (bcast, scatter, gather) or rank-0-anchored (allgather):
     # one rank announces the choice down the scout tree.  The gather's
     # anchor payload is the root's *own* contribution — heterogeneous

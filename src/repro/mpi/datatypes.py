@@ -81,6 +81,6 @@ def payload_bytes(obj: Any) -> int:
     if isinstance(obj, (bytes, bytearray, memoryview)):
         return len(obj)
     if isinstance(obj, Bundle):
-        return sum(payload_bytes(element) + BUNDLE_LENGTH_BYTES
-                   for element in obj.values())
+        return (sum(map(payload_bytes, obj.values()))
+                + BUNDLE_LENGTH_BYTES * len(obj))
     return len(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))

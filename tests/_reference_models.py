@@ -56,8 +56,7 @@ def _data_frames(params, nsegs: int, nbytes: int) -> int:
 #: the public models this file is the reference for (the names
 #: ``test_topo_digest`` patches into ``repro.analysis.framecount`` to
 #: run the policy's estimates over the reference loops)
-PUBLIC = ("binomial_tree_trunk_hops", "multicast_trunk_edges",
-          "model_p2p_tree_trunk_frames", "model_plan_frames")
+PUBLIC = ("multicast_trunk_edges", "model_plan_frames")
 
 
 def _seg_paths(seg_of_rank, paths):

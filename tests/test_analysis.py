@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis import (LatencyModel, model_mcast_bcast_frames,
-                            model_mpich_bcast_frames,
+                            model_p2p_frames,
                             paper_frames_per_message,
                             paper_mcast_barrier_messages,
                             paper_mcast_bcast_frames,
@@ -49,7 +49,7 @@ def test_model_vs_paper_headers_only():
     p = QUIET_SW
     for n in (2, 5, 9):
         for m in (0, 100, 1000, 1400, 3000):
-            model = model_mpich_bcast_frames(p, n, m)
+            model = model_p2p_frames("bcast", (0,) * n, 0, m, p)[0]
             paper = paper_mpich_bcast_frames(n, m, p.max_udp_payload)
             assert model >= paper
             assert model - paper <= (n - 1)   # at most one extra frame/copy

@@ -12,8 +12,7 @@ from repro import run_spmd
 from repro.analysis.framecount import topo_digest
 from repro.mpi.collective.policy import (AUTO_CHOICES, auto_impl,
                                          comm_topology,
-                                         modeled_frame_costs,
-                                         p2p_frame_estimate)
+                                         modeled_frame_costs)
 from repro.mpi.ops import SUM, Op
 from repro.simnet import quiet
 from repro.simnet.calibration import FAST_ETHERNET_SWITCH
@@ -25,6 +24,11 @@ AUTO = replace(QUIET, segment_bytes="auto")
 def seg_cost(op, nbytes, size, params):
     """The policy's modeled cost of the op's flat segmented candidate."""
     return modeled_frame_costs(op, nbytes, size, params)[AUTO_CHOICES[op][1]]
+
+
+def p2p_cost(op, nbytes, size, params):
+    """The policy's modeled cost of the op's p2p baseline."""
+    return modeled_frame_costs(op, nbytes, size, params)[AUTO_CHOICES[op][0]]
 
 
 # ------------------------------------------------------------ unit layer
@@ -54,19 +58,17 @@ def test_auto_reduce_keeps_the_p2p_tree_at_every_size():
     for nbytes in (64, 1460, 48_000, 1 << 20):
         assert auto_impl("reduce", nbytes, 4, AUTO) == "p2p-binomial"
         assert (seg_cost("reduce", nbytes, 4, AUTO)
-                > p2p_frame_estimate("reduce", nbytes, 4, AUTO))
+                > p2p_cost("reduce", nbytes, 4, AUTO))
 
 
 def test_frame_estimates_grow_with_payload_and_reject_unknown_ops():
     for op in sorted(AUTO_CHOICES):
-        assert (p2p_frame_estimate(op, 100_000, 4, AUTO)
-                > p2p_frame_estimate(op, 100, 4, AUTO))
+        assert (p2p_cost(op, 100_000, 4, AUTO)
+                > p2p_cost(op, 100, 4, AUTO))
         assert (seg_cost(op, 100_000, 4, AUTO)
                 > seg_cost(op, 100, 4, AUTO))
     with pytest.raises(KeyError, match="auto-capable"):
         auto_impl("barrier", 0, 4, AUTO)
-    with pytest.raises(KeyError):
-        p2p_frame_estimate("barrier", 0, 4, AUTO)
     with pytest.raises(KeyError, match="auto-capable"):
         modeled_frame_costs("barrier", 0, 4, AUTO)
 
@@ -259,7 +261,7 @@ def test_loss_zero_keeps_pr3_choices_exactly():
     for op in sorted(AUTO_CHOICES):
         for nbytes in (64, 1460, 12_000, 48_000):
             seg = seg_cost(op, nbytes, 4, AUTO)
-            p2p = p2p_frame_estimate(op, nbytes, 4, AUTO)
+            p2p = p2p_cost(op, nbytes, 4, AUTO)
             expect = AUTO_CHOICES[op][1 if seg <= p2p else 0]
             assert auto_impl(op, nbytes, 4, AUTO) == expect
 

@@ -132,10 +132,14 @@ def test_multicast_crosses_only_needed_trunk_edges_on_deep_tree():
     def main(env):
         sub = yield from env.comm.split(env.rank // 4, key=env.rank)
         sub.use_collectives(bcast="mcast-binary")
+        # world (p2p) barriers fence every rank's window around BOTH
+        # halves' broadcasts, however the split's own traffic staggers
+        # the halves
+        yield from env.comm.barrier()
         before = env.comm.world.cluster.stats.snapshot()
         data = yield from sub.bcast(
             b"x" * 900 if sub.rank == 0 else None, 0)
-        yield from sub.barrier()
+        yield from env.comm.barrier()
         diff = env.comm.world.cluster.stats.diff(before)
         return len(data), diff["trunk_frames_by_kind"].get(
             "mcast-data", 0)

@@ -50,7 +50,7 @@ def test_exact_model_follows_the_coverage_ledger():
     assert _exact("gather", "mcast-seg-root-follow")
     assert _exact("allgather", "mcast-seg-paced")
     # ...estimate markers and unknown pairs are not
-    assert not _exact("allgather", "p2p-gather-bcast")
+    assert not _exact("reduce_scatter", "p2p-reduce-scatter")
     assert not _exact("bcast", "mcast-ack")
     assert not _exact("bcast", "no-such-impl")
 

@@ -356,30 +356,36 @@ def test_deep_repair_stays_inside_the_losing_leaf():
 
 
 def test_auto_picks_hier_for_new_ops_on_deep_tree():
-    """End to end: a large gather and scatter on the deep tree resolve
-    to hier-mcast on every rank (the model favors the hierarchy's
-    trunk confinement there), and an allgather on a wide heterogeneous
-    tree does too."""
+    """End to end: a large scatter on a deep tree resolves to hier-mcast
+    on every rank (the model favors the hierarchy's trunk confinement
+    there: 2,607 vs the p2p tree's 2,650 serializations on
+    ``tree:2x2x4``), and an allgather on a wide heterogeneous tree does
+    too.  The gather beside it keeps the p2p tree: priced exactly, its
+    subtree bundles undercut the hierarchy's per-turn streams (2,650 vs
+    2,695; on ``tree:2x2x2`` at 48,000 B, 1,202 vs 1,263)."""
     from repro.analysis.framecount import topo_digest
     from repro.mpi.collective.policy import auto_impl
 
-    topo = topo_digest(DEEP_SEG, DEEP_PATHS)
-    assert auto_impl("gather", 48_000, 8, AUTO, topo=topo) == \
-        "hier-mcast"
-    assert auto_impl("scatter", 200_000, 8, AUTO, topo=topo) == \
+    assert auto_impl("gather", 48_000, 8, AUTO, topo=topo_digest(
+        DEEP_SEG, DEEP_PATHS)) == "p2p-binomial"
+    topo = topo_digest(tuple(s // 4 for s in range(16)),
+                       ((0, 0), (0, 1), (1, 0), (1, 1)))
+    assert auto_impl("gather", 48_000, 16, AUTO, topo=topo) == \
+        "p2p-binomial"
+    assert auto_impl("scatter", 16 * 48_000, 16, AUTO, topo=topo) == \
         "hier-mcast"
 
     def main(env):
         env.comm.use_collectives(gather="auto", scatter="auto")
         n = env.comm.size
         yield from env.comm.gather(bytes(48_000), 0)
-        objs = [bytes(200_000 // n)] * n if env.rank == 0 else None
+        objs = [bytes(48_000)] * n if env.rank == 0 else None
         yield from env.comm.scatter(objs, 0)
         return [name for _op, name in env.comm.impl_log]
 
-    result = run_spmd(8, main, topology=DEEP, params=AUTO)
+    result = run_spmd(16, main, topology="tree:2x2x4", params=AUTO)
     logs = set(tuple(log) for log in result.returns)
-    assert logs == {("hier-mcast", "hier-mcast")}
+    assert logs == {("p2p-binomial", "hier-mcast")}
     result.verify_safe_schedules()
 
     wide = topo_digest((0,) * 4 + (1,) * 8 + (2,) * 2,

@@ -527,6 +527,18 @@ def test_reg01_live_tables_are_consistent():
                         policy.POLICY_WAIVERS, MODEL_COVERAGE) == []
 
 
+def test_estimate_markers_are_a_ratchet():
+    """The ``estimate:`` debt is exactly these pairs: pricing another
+    pair exactly shrinks the set here, and a new marker needs a
+    deliberate edit of this test."""
+    from repro.analysis.framecount import MODEL_COVERAGE
+
+    assert sorted(pair for pair, entry in MODEL_COVERAGE.items()
+                  if entry.startswith("estimate:")) == [
+        ("bcast", "mcast-ack"), ("bcast", "mcast-sequencer"),
+        ("reduce_scatter", "p2p-reduce-scatter")]
+
+
 # ------------------------------------------------------------ the repo
 def test_repo_lints_clean():
     """The gate itself: the real tree has zero findings."""

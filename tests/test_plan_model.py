@@ -1,21 +1,26 @@
-"""Every plan against the simulator: the segmented collectives — the
+"""Every fold against the simulator: the segmented collectives — the
 flat one-group plan and ``hier-mcast``'s hierarchy — priced by the plan
 fold (:func:`repro.analysis.framecount.model_flat_frames` /
-:func:`~repro.analysis.framecount.model_hier_frames`) must equal the
-per-call ``frames_sent`` *and* ``frames_trunk`` deltas (two calls minus
-one, isolating the one-time channel setup), with no retransmission — on
-both sides of the batching crossover, where the two closed forms the
-fold replaced each got one regime wrong."""
+:func:`~repro.analysis.framecount.model_hier_frames`), and the p2p
+collectives priced by :func:`~repro.analysis.framecount.
+model_p2p_frames`, must equal the per-call ``frames_sent`` *and*
+``frames_trunk`` deltas (two calls minus one, isolating the one-time
+channel setup), with no retransmission — on both sides of the batching
+crossover, where the two closed forms the plan fold replaced each got
+one regime wrong, and of the p2p rendezvous threshold."""
 
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro import run_spmd
-from repro.analysis.framecount import model_flat_frames, model_hier_frames
+from repro.analysis.framecount import (model_flat_frames, model_hier_frames,
+                                       model_p2p_frames, topo_digest)
 from repro.bench.harness import op_body
-from repro.mpi.collective.policy import AUTO_CHOICES
+from repro.mpi.collective.policy import AUTO_CHOICES, modeled_frame_costs
+from repro.mpi.ops import MAX, SUM, Op
 from repro.simnet import quiet
 from repro.simnet.calibration import FAST_ETHERNET_SWITCH
 from repro.simnet.fabric import parse_topology
@@ -62,15 +67,16 @@ def _per_call(topology, n, op, impl, body):
                                     "tree:[3,2,2]"])
 def test_every_plan_is_priced_exactly(fabric):
     """Every segmented op, flat and ``hier-mcast``, at a seeded random
-    root and size: the fold is the simulator.  Sizes come from three
-    bands — anywhere up to 47 kB; 8,761-8,836 B, where a batched
-    datagram's short tail rides its fragments' header slack; and
-    16.4-30 kB, where a hierarchy's p2p forward takes the rendezvous
-    RTS / CTS path."""
+    root and size — and the op's p2p baseline at the same root and
+    size: the fold is the simulator.  Sizes come from three bands —
+    anywhere up to 47 kB; 8,761-8,836 B, where a batched datagram's
+    short tail rides its fragments' header slack; and 16.4-30 kB, where
+    a hierarchy's p2p forward and the p2p trees' hops take the
+    rendezvous RTS / CTS path."""
     topology, seg_of, paths = _placement(fabric)
     n = len(seg_of)
     rng = random.Random(fabric)
-    for op, (_p2p, flat) in AUTO_CHOICES.items():
+    for op, (p2p, flat) in AUTO_CHOICES.items():
         for impl, fold in ((flat, model_flat_frames),
                            ("hier-mcast", model_hier_frames)):
             root = 0 if op in ("allreduce", "allgather") else \
@@ -85,6 +91,10 @@ def test_every_plan_is_priced_exactly(fabric):
             assert fold(op, seg_of, root, nbytes, AUTO, paths) == \
                 _per_call(topology, n, op, impl,
                           op_body(op, size, root)), (op, impl, root, size)
+            assert model_p2p_frames(op, seg_of, root, nbytes, AUTO,
+                                    paths) == \
+                _per_call(topology, n, op, p2p,
+                          op_body(op, size, root)), (op, p2p, root, size)
 
 
 @pytest.mark.parametrize("fabric", sorted(FABRICS))
@@ -124,3 +134,68 @@ def test_flat_allgather_matches_the_simulator(fabric):
         assert model_flat_frames("allgather", seg_of, 0, share, AUTO,
                                  paths) == _per_call(
             topology, n, "allgather", "mcast-seg-paced", body), share
+
+
+#: ``first(a, b) = a``: associative, not commutative, size-preserving
+FIRST = Op("FIRST", lambda a, b: a, commutative=False)
+
+
+@pytest.mark.parametrize("fabric", ["switch-7", "tree:2x4"])
+def test_non_commutative_p2p_reduce_adds_its_forward(fabric):
+    """A non-commutative p2p reduce at a nonzero root runs the tree at
+    rank 0 and forwards the result: the fold prices that hop from the
+    operator's flag, and so does the policy's baseline."""
+    topology, seg_of, paths = _placement(fabric)
+    n = len(seg_of)
+    root = n - 2
+    for nbytes in (800, 24_000):
+        def body(env, nbytes=nbytes):
+            out = yield from env.comm.reduce(
+                np.full(nbytes // 8, float(env.rank)), FIRST, root)
+            if env.rank == root:
+                assert np.all(out == 0.0)
+
+        got = model_p2p_frames("reduce", seg_of, root, nbytes, AUTO, paths,
+                               commutative=False)
+        assert got == _per_call(topology, n, "reduce", "p2p-binomial", body)
+        assert got[0] > model_p2p_frames("reduce", seg_of, root, nbytes,
+                                         AUTO, paths)[0]
+        topo = None if paths is None else topo_digest(seg_of, paths)
+        assert modeled_frame_costs("reduce", nbytes, n, AUTO, topo, root,
+                                   commutative=False)["p2p-binomial"] == \
+            sum(got)
+
+
+def _element(kind, nbytes, rank):
+    """One ``nbytes`` element of rank ``rank``: bytes or float64."""
+    if kind == "bytes":
+        return bytes([rank % 256]) * nbytes
+    return np.full(nbytes // 8, float(rank + 1))
+
+
+@pytest.mark.parametrize("fabric", ["switch-4", "switch-7", "tree:2x4"])
+@pytest.mark.parametrize("op", ["alltoall", "scan", "exscan"])
+def test_p2p_only_ops_are_priced_exactly(fabric, op):
+    """The ops with one (p2p) implementation take the same fold and the
+    same per-hop price: ``alltoall`` one element per ordered rank pair,
+    ``scan`` / ``exscan`` the value down the rank chain — bytes and
+    float64, eager and rendezvous."""
+    topology, seg_of, paths = _placement(fabric)
+    n = len(seg_of)
+    impl = {"alltoall": "p2p-pairwise"}.get(op, "p2p-linear")
+    for kind, nbytes in (("bytes", 300), ("float64", 4_000),
+                         ("bytes", 20_000), ("float64", 17_600)):
+        def body(env, kind=kind, nbytes=nbytes):
+            comm = env.comm
+            if op == "alltoall":
+                out = yield from comm.alltoall(
+                    [_element(kind, nbytes, comm.rank)] * n)
+                assert [len(x) for x in out] == [len(out[0])] * n
+            else:
+                red = MAX if kind == "bytes" else SUM
+                out = yield from getattr(comm, op)(
+                    _element(kind, nbytes, comm.rank), red)
+                assert (out is None) == (op == "exscan" and comm.rank == 0)
+
+        assert model_p2p_frames(op, seg_of, 0, nbytes, AUTO, paths) == \
+            _per_call(topology, n, op, impl, body), (kind, nbytes)
