@@ -573,8 +573,8 @@ MODEL_COVERAGE: dict[tuple[str, str], str] = {
     ("bcast", "mcast-linear"):
         "repro.analysis.framecount.model_mcast_bcast_frames",
     ("bcast", "mcast-ack"):
-        "estimate: its retransmit count depends on timing (the ack "
-        "deadline races the ack round trip)",
+        "estimate: its retransmit count depends on timing (a receiver "
+        "that posts after the unscouted first copy costs a resend)",
     ("bcast", "mcast-seg-nack"): _FLAT,
     ("bcast", "mcast-sequencer"):
         "estimate: its ack / retransmit tail depends on timing, as for "

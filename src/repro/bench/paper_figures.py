@@ -323,17 +323,16 @@ def ablation_reliability(doc):
     for size in (1000, 2000, 4000):
         assert best_scout(size) < mpich.median(size), \
             f"ablation: scouted multicast beats MPICH at {size} B"
-    # The ack scheme never wins by more than noise at any size, and is
-    # strictly worse at the extremes — at 0 B the N-1 ack implosion
-    # dominates, at 4 kB the proactive full-payload retransmissions do.
-    for size, floor in ((0, 0.98), (1000, 0.98), (2000, 0.98),
-                        (4000, 0.98), (0, 1.08), (4000, 1.04)):
-        assert ack.median(size) > best_scout(size) * floor, \
-            f"ablation: mcast-ack over {floor}x the best scouted " \
+    # The ack scheme ties the scouts within noise at every size: its N-1
+    # acks are the scout gather moved behind the multicast, not removed
+    # (0.979-1.010x over base seeds 1-10).
+    for size in PAPER_SIZES:
+        assert 0.97 < ack.median(size) / best_scout(size) < 1.03, \
+            f"ablation: mcast-ack within 3% of the best scouted " \
             f"variant at {size} B"
-    # The sequencer's extra hop makes it the costliest variant for
-    # rooted broadcasts (its payoff, total order, is not measured here).
-    assert seq.median(4000) >= best_scout(4000), \
+    # Rooted at rank 0, the sequencer IS the root: no extra hop runs and
+    # it is the ack loop (its payoff, total order, is not measured here).
+    assert seq.median(4000) > best_scout(4000) * 0.97, \
         "ablation: the sequencer is no faster than scouts at 4000 B"
 
 

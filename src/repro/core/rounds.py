@@ -108,8 +108,8 @@ from .scout import (binary_tree_steps, report_fold_binary,
                     scout_gather_binary)
 
 __all__ = ["McastLost", "Segment", "Reassembler", "chunk_plan",
-           "frame_segment_bytes", "reassemble", "repair_batch",
-           "resolved_segment_bytes", "round_drain_timeout_us",
+           "control_hop_us", "frame_segment_bytes", "reassemble",
+           "repair_batch", "resolved_segment_bytes", "round_drain_timeout_us",
            "round_namespace", "serve_rounds", "follow_rounds"]
 
 
@@ -140,6 +140,18 @@ def frame_segment_bytes(params) -> int:
     one MTU's UDP payload minus the data and per-segment envelopes."""
     return max(1, params.max_udp_payload
                - MCAST_HEADER_BYTES - SEG_HEADER_BYTES)
+
+
+def control_hop_us(params, trunk_hops: int = 0,
+                   trunk_us_per_byte: float = 0.0) -> float:
+    """One control message (scout, report, ack) sender to receiver:
+    send + receive software, NIC input, edge switch and serializations,
+    and ``trunk_hops`` trunk hops — every derived deadline's price."""
+    scout_bytes = SCOUT_BYTES + params.udp_header + params.ip_header
+    return (params.udp_send_us + params.udp_recv_us
+            + params.per_frame_rx_us + params.switch_latency_us
+            + scout_bytes * (2 * 8.0 / params.rate_mbps + trunk_us_per_byte)
+            + trunk_hops * params.switch_latency_us)
 
 
 def resolved_segment_bytes(params) -> int:
@@ -181,7 +193,7 @@ def repair_batch(params, nplan: int, base_batch: int) -> int:
 def round_drain_timeout_us(params, ndatagrams: int,
                            datagram_bytes: int,
                            trunk_hops: int = 0,
-                           trunk_us_per_byte: Optional[float] = None,
+                           trunk_us_per_byte: float = 0.0,
                            size: int = 1) -> float:
     """Adaptive drain timeout for one round of ``ndatagrams`` datagrams.
 
@@ -190,8 +202,8 @@ def round_drain_timeout_us(params, ndatagrams: int,
     whole round plus the ``seg_drain_floor_us`` scheduling-jitter
     margin, capped by the configured ``seg_drain_timeout_us`` so no
     round's *flat expectation* ever waits longer than that fixed
-    timeout did.  Two
-    terms of real physics ride on top of the cap:
+    timeout did — nor less than one datagram's (a 48 kB one is ~3.8 ms
+    of wire).  Two terms of real physics ride on top of the cap:
 
     ``trunk_hops`` — the store-and-forward path on tiered fabrics
     (:mod:`repro.simnet.fabric`): each switch-to-switch hop on the
@@ -203,36 +215,28 @@ def round_drain_timeout_us(params, ndatagrams: int,
     repair needs, livelocking the repair loop.  ``trunk_us_per_byte``
     prices those serializations at the trunks' *own* tier rates
     (``McastChannel.trunk_us_per_byte``) — a backbone slower than the
-    edge needs proportionally more allowance; when ``None`` the hops
-    are priced at the edge rate.
+    edge needs proportionally more allowance.
 
     ``size`` — the arming skew of a ``size``-rank group: every follower
     leaves a round's decision multicast at the same instant, a leaf
     starts its silence timer as soon as its arming scout is away, and
     the root streams only once the binomial gather has climbed its
-    ``ceil(log2 size)`` levels, each costing one scout's send and
-    receive software plus its wire/switch path (trunk hops priced like
-    the data path above).  A constant cannot stand in for this term:
-    one sized for 8 ranks fires before the repair data arrives at 12
-    (docs/CHAOS.md).  The default prices no gather — one round's flat
-    expectation, as the unit tests read it.
+    ``ceil(log2 size)`` levels, each one :func:`control_hop_us`.  A
+    constant cannot stand in for this term: one sized for 8 ranks fires
+    before the repair data arrives at 12 (docs/CHAOS.md).  The default
+    prices no gather — one round's flat expectation, as the unit tests
+    read it.
     """
-    cap = params.seg_drain_timeout_us
     per = (datagram_bytes * 8.0 / params.rate_mbps
            + params.udp_send_us + params.mcast_send_extra_us
            + params.seg_drain_estimate_us(datagram_bytes))
+    cap = max(params.seg_drain_timeout_us, params.seg_drain_floor_us + per)
     expected = max(1, ndatagrams) * per
-    if trunk_us_per_byte is None:
-        trunk_us_per_byte = trunk_hops * 8.0 / params.rate_mbps
-    hop_latency = trunk_hops * params.switch_latency_us
-    path = datagram_bytes * trunk_us_per_byte + hop_latency
-    scout_bytes = SCOUT_BYTES + params.udp_header + params.ip_header
-    level = (params.udp_send_us + params.udp_recv_us
-             + params.per_frame_rx_us + params.switch_latency_us
-             + scout_bytes * (2 * 8.0 / params.rate_mbps
-                              + trunk_us_per_byte) + hop_latency)
+    path = (datagram_bytes * trunk_us_per_byte
+            + trunk_hops * params.switch_latency_us)
     return (min(cap, params.seg_drain_floor_us + expected) + path
-            + binary_tree_steps(size) * level)
+            + binary_tree_steps(size)
+            * control_hop_us(params, trunk_hops, trunk_us_per_byte))
 
 
 def round_namespace(*key) -> tuple[Callable, Callable]:
@@ -543,9 +547,7 @@ def follow_rounds(comm, channel, seq, root: int, arm_phase, rnd_token,
                                + MCAST_HEADER_BYTES)
                 drain_us = round_drain_timeout_us(
                     params, ndatagrams, dgram_bytes,
-                    trunk_hops=getattr(channel, "trunk_hops", 0),
-                    trunk_us_per_byte=getattr(channel,
-                                              "trunk_us_per_byte", None),
+                    channel.trunk_hops, channel.trunk_us_per_byte,
                     size=comm.size)
                 yield from _consume_round(comm, channel, posted, root,
                                           seq, reasm, last_index=plan[-1],

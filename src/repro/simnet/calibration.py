@@ -66,22 +66,12 @@ class NetParams:
     jitter_sigma: float = 0.06        #: lognormal sigma on software overheads
     socket_buffer_bytes: int = 65536  #: default UDP receive buffer
 
-    # -- reliability knobs (ack-based multicast baseline) ---------------------
-    #: PVM-style resend pacing: the sender re-multicasts the payload
-    #: whenever acks have not all arrived within this interval — the
-    #: "repeatedly sending the same message until acks were received" of
-    #: Dunigan & Hall, whose extra data copies are why the paper found
-    #: no performance gain in the approach.
-    ack_timeout_us: float = 300.0
-    #: full-payload resends before the ack-based multicast gives up
-    #: (``mcast-ack``, ``mcast-sequencer``); the NACK engine's repair
-    #: rounds have their own bound below
-    max_retransmits: int = 40
-    #: hard ceiling on NACK *repair rounds* per segmented transfer.  The
-    #: round engine's drain timeout reads any silence as loss, so a
-    #: receiver that can never be reached — a partitioned segment, a
-    #: dead host — would keep the root spinning repair rounds forever;
-    #: this bound converts that livelock into a crisp typed
+    # -- reliability -----------------------------------------------------------
+    #: the one retry bound of every multicast path: NACK repair rounds
+    #: per stream, full-payload resends of ``mcast-ack`` /
+    #: ``mcast-sequencer``.  A timeout reads any silence as loss, so an
+    #: unreachable receiver would keep the sender repairing forever; this
+    #: bound turns that livelock into a typed
     #: :class:`repro.core.rounds.McastLost`.  The chaos fuzzer
     #: (:mod:`repro.chaos`) runs with it set low.
     max_repair_rounds: int = 40

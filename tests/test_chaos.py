@@ -6,8 +6,9 @@ Three properties pinned here:
 * a receiver cut off mid-collective aborts after ``max_repair_rounds``
   repair rounds with a typed :class:`~repro.core.rounds.McastLost`
   (the regression for the round-engine livelock: before the knob the
-  engine kept repairing to ``max_retransmits`` — 40 rounds — with an
-  untyped error at the end);
+  engine kept repairing to the ack baseline's 40-resend ceiling with an
+  untyped error at the end), and the same bound stops ``mcast-ack``'s
+  full-payload resends;
 * a trunk partitioned mid-broadcast surfaces as the typed
   :class:`~repro.simnet.fabric.PartitionError` whose flight-recorder
   hang dump names the open follow round and its missing-segment set;
@@ -59,11 +60,26 @@ def test_max_repair_rounds_converts_livelock_to_typed_failure():
                  on_cluster=on_cluster)
 
 
-def test_repair_round_limit_defaults_to_retransmit_ceiling():
-    """One repair bound: ``max_repair_rounds`` defaults to the 40 rounds
-    the ``max_retransmits`` fallback used to supply, and ``mcast-ack``'s
-    own resend bound no longer reaches the round engine."""
-    assert QUIET.max_repair_rounds == QUIET.max_retransmits == 40
+def test_max_repair_rounds_is_the_one_retry_bound():
+    """One retry bound for every multicast path: ``max_repair_rounds``
+    stops ``mcast-ack``'s full-payload resends to a host that eats every
+    data copy, and lets the NACK engine run exactly the repair rounds
+    it allows."""
+    def eat_data(dgram):
+        return "drop" if dgram.kind == "mcast-data" else None
+
+    def on_cluster(cluster):
+        cluster.hosts[2].frame_fate = eat_data
+
+    def send(env):
+        out = yield from env.comm.bcast(
+            b"x" * 8000 if env.rank == 0 else None, root=0)
+        return len(out)
+
+    with pytest.raises(McastLost, match="gave up after 2 retransmits"):
+        run_spmd(3, send, params=replace(QUIET, max_repair_rounds=2),
+                 collectives={"bcast": "mcast-ack"}, on_cluster=on_cluster)
+
     lost = []
 
     def drop_first_copy(dgram):
@@ -79,8 +95,8 @@ def test_repair_round_limit_defaults_to_retransmit_ceiling():
             b"x" * 8000 if env.rank == 0 else None, root=0)
         return len(out)
 
-    # no ack resends allowed, one repair round needed: it still runs
-    result = run_spmd(3, main, params=replace(QUIET, max_retransmits=0),
+    # one repair round allowed, one needed: it runs
+    result = run_spmd(3, main, params=replace(QUIET, max_repair_rounds=1),
                       collectives={"bcast": "mcast-seg-nack"})
     assert result.returns == [8000] * 3
     assert result.stats["retransmissions"] == 1

@@ -217,7 +217,10 @@ def test_ack_bcast_then_mcast_barrier_completes_or_raises_typed(n, nbytes):
     retransmission of seq k fills the descriptor a receiver posted for
     the barrier release of seq k+1.  Every case must end in success or
     in ``McastLost`` raised by a rank program — never the untyped
-    ``AssertionError`` of old, never the kernel's ``DeadlockError``."""
+    ``AssertionError`` of old, never the kernel's ``DeadlockError``.
+    With the derived ack deadline the root resends only when a receiver
+    missed the first copy, which a 3 kB one never does here: every 3 kB
+    case completes."""
     payload = bytes(nbytes)
 
     def main(env):
@@ -237,7 +240,7 @@ def test_ack_bcast_then_mcast_barrier_completes_or_raises_typed(n, nbytes):
         else:
             assert result.returns == [payload] * n
             outcomes.add("ok")
-    assert outcomes <= {"ok", "lost"}
+    assert outcomes <= ({"ok"} if nbytes == 3000 else {"ok", "lost"})
 
 
 def test_a_future_or_foreign_multicast_is_still_unsafe_code():

@@ -198,7 +198,7 @@ def test_slow_trunks_do_not_livelock_the_repair_loop():
     """Regression: the drain timeout must price store-and-forward hops
     at the trunks' own tier rates — with a backbone 20x slower than the
     edge, a far receiver must not NACK data still crossing the core
-    (which used to livelock the repair loop until max_retransmits)."""
+    (which used to livelock the repair loop until its retry bound)."""
     slow = replace(AUTO, rate_mbps=AUTO.rate_mbps / 20)
 
     def main(env):

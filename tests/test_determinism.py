@@ -83,13 +83,6 @@ TIE_LAYOUTS = (("switch", 3), ("switch", 4), ("hub", 3), ("hub", 4),
                ("tree:2x2", 4))
 TIE_SIZES = (100, 5_000)
 TIE_SEEDS = (1, 2, 3, 4)
-#: cases whose *frame mix* depends on tie order on the hub (result bytes
-#: still do not): an ack timeout and an ack land at the same quiet
-#: instant, so the order decides whether the root retransmits — see
-#: docs/CHAOS.md, "Tie order"
-TIE_FRAME_EXCEPTIONS = {("bcast", impl, "hub", n, 5_000)
-                        for impl in ("mcast-ack", "mcast-sequencer")
-                        for n in (3, 4)}
 
 
 def _tie_program(op, size):
@@ -155,8 +148,7 @@ def test_results_and_frame_mix_do_not_depend_on_tie_order(op, impl,
                     got_bytes, got_frames = run(topo, n, size)
                 where = f"{topo} n={n} {size} B, shuffle seed {seed}"
                 assert got_bytes == want_bytes, where
-                if (op, impl, topo, n, size) not in TIE_FRAME_EXCEPTIONS:
-                    assert got_frames == want_frames, where
+                assert got_frames == want_frames, where
 
 
 # --------------------------------------------------- sanitizer itself

@@ -539,6 +539,29 @@ def test_estimate_markers_are_a_ratchet():
         ("reduce_scatter", "p2p-reduce-scatter")]
 
 
+def test_netparams_fields_are_a_ratchet():
+    """The platform's knobs are exactly these: a value the code can
+    derive from them is not a new field, and adding one needs a
+    deliberate edit of this test."""
+    from dataclasses import fields
+
+    from repro.simnet.calibration import NetParams
+
+    assert [f.name for f in fields(NetParams)] == [
+        "rate_mbps", "mtu", "prop_delay_us",
+        "slot_time_us", "jam_time_us", "max_attempts", "backoff_limit",
+        "switch_latency_us",
+        "udp_send_us", "udp_recv_us", "tcp_send_us", "tcp_recv_us",
+        "mpi_match_us", "per_frame_rx_us", "per_frame_tx_us",
+        "mcast_send_extra_us", "mcast_recv_extra_us",
+        "ip_header", "udp_header", "mpi_header",
+        "jitter_sigma", "socket_buffer_bytes",
+        "max_repair_rounds",
+        "segment_bytes", "seg_auto_crossover", "seg_drain_timeout_us",
+        "seg_drain_floor_us", "loss",
+        "label"]
+
+
 # ------------------------------------------------------------ the repo
 def test_repo_lints_clean():
     """The gate itself: the real tree has zero findings."""

@@ -88,7 +88,7 @@ def slow_fig13(doc):
 
 
 def fast_ack(doc):
-    _curve(doc, "switch", 6, "mcast-ack")[MED_0] = min(
+    _curve(doc, "switch", 6, "mcast-ack")[MED_0] = 0.95 * min(
         _curve(doc, "switch", 6, impl)[MED_0]
         for impl in ("mcast-binary", "mcast-linear"))
 
@@ -119,7 +119,7 @@ CASES = {
     "fig12": (steep_fig12, r"fig12: mcast-linear's 9-vs-3 gap flat"),
     "fig13": (slow_fig13,
               r"fig13: multicast barrier beats MPICH at 5 processes"),
-    "ablation_reliability": (fast_ack, r"ablation: mcast-ack over 1\.08x "
+    "ablation_reliability": (fast_ack, r"ablation: mcast-ack within 3% of "
                                        r"the best scouted variant at 0 B"),
     "overrun": (paced_drop,
                 r"overrun: the paced schedule drops nothing at 500 B"),

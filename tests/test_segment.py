@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro import run_spmd
+from repro.core.channel import MCAST_HEADER_BYTES
 from repro.core.segment import (Reassembler, Segment, TransportPlan,
                                 chunk_plan, fragment,
                                 frame_segment_bytes, plan_segments,
@@ -532,11 +533,14 @@ def test_auto_seg_nack_never_beaten_by_ack_below_crossover(nbytes):
 
 
 def test_auto_seg_nack_beats_ack_above_crossover():
-    """Above the crossover, selective repair wins outright — and by a
-    wide margin, because mcast-ack re-multicasts the whole payload."""
+    """Above the crossover, selective repair wins outright: the NACK
+    stream re-sends the one lost segment, ``mcast-ack`` re-multicasts
+    every frame of the payload (once — its deadline outlasts the acks
+    of the ranks that got the first copy)."""
     seg = _lossy_bcast_frames("mcast-seg-nack", 48_000, AUTO)
     ack = _lossy_bcast_frames("mcast-ack", 48_000, QUIET)
-    assert seg < ack / 2
+    frames = QUIET.frames_for(48_000 + MCAST_HEADER_BYTES)
+    assert (seg - frames, ack - frames) == (1, frames)
 
 
 def test_seg_nack_gives_up_cleanly_on_unrepairable_loss():
