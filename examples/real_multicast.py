@@ -22,9 +22,6 @@ from repro.simnet import FAST_ETHERNET_SWITCH
 from repro.sockets import multicast_available, run_loopback
 
 BCASTS = ("mcast-binary", "mcast-linear", "p2p-binomial", "mcast-ack")
-# p2p first: it fences off mcast-ack's late-ack retransmissions, which the
-# multicast barrier's posted receive would otherwise mistake for its release
-# (on the simulator just the same: one program, two launchers)
 BARRIERS = ("p2p-mpich", "mcast")
 BLOB = bytes(range(256)) * 94            # 24 kB: 17 frame-sized segments
 

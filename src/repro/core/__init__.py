@@ -25,7 +25,7 @@ are one row of.
 from .channel import (DATA_PORT_BASE, GROUP_ID_BASE, MCAST_HEADER_BYTES,
                       SCOUT_BYTES, SCOUT_PORT_BASE, McastChannel)
 from .mcast_allgather import allgather_mcast_unpaced
-from .mcast_barrier import barrier_mcast
+from .mcast_barrier import barrier_mcast, release
 from .mcast_bcast import (McastLost, bcast_mcast_ack, bcast_mcast_binary,
                           bcast_mcast_linear)
 from .ordering import (UnsafeScheduleError, check_safe_schedule,
@@ -55,7 +55,7 @@ __all__ = [
     "bcast_mcast_seg_nack", "binary_tree_steps", "check_safe_schedule",
     "check_scatter_root", "chunk_plan", "follow_rounds", "fragment", "frame_segment_bytes",
     "gather_mcast_seg_root_follow", "plan_segments", "plan_transport",
-    "reassemble", "reduce_mcast_seg_combine", "repair_batch",
+    "reassemble", "reduce_mcast_seg_combine", "release", "repair_batch",
     "round_drain_timeout_us", "round_namespace", "run_bcast_sequence",
     "run_streams", "scatter_mcast_seg_root", "scout_count", "scout_gather_binary",
     "scout_gather_linear", "scout_scatter_binary",

@@ -33,9 +33,9 @@ rule above, on the data socket by :meth:`McastChannel.wait_data_from`.
 
 For payloads larger than one MTU the channel also speaks *segments*
 (:mod:`repro.core.segment`): descriptors are posted in batches and each
-``mcast-seg`` datagram carries one segment or a batch of them.  Why the
-NACK-repair control plane rides the buffered scout port and not the
-posted-only data socket is argued in :mod:`repro.core.rounds`.
+``mcast-seg`` datagram carries one segment or a batch of them — the
+data socket carries nothing else.  Why every data-less multicast rides
+the buffered scout port is argued in :mod:`repro.core.rounds`.
 """
 
 from __future__ import annotations
@@ -287,22 +287,17 @@ class McastChannel:
 
     def send_data(self, payload: Any, nbytes: int, seq: int,
                   retransmit: bool = False,
-                  control: bool = False,
-                  kind: Optional[str] = None) -> Generator:
-        """Multicast ``payload`` to the whole group in one send.
-
-        ``control=True`` marks data-less protocol multicasts (the barrier
-        release, segment headers): they skip the payload-handling extras
-        and are traced as ``mcast-release`` frames unless ``kind``
-        overrides the trace label.
-        """
+                  kind: str = "mcast-data") -> Generator:
+        """Multicast ``payload`` to the whole group in one send on the
+        data socket, which carries only data: ``mcast-data``, or the
+        engine's ``mcast-seg`` (:meth:`send_batch`).  Data-less protocol
+        multicasts — the stream header, the decision, the barrier
+        release — are control messages (:meth:`send_ctrl`)."""
         if retransmit:
             self.host.stats.retransmissions += 1
-        if not control and self.params.mcast_send_extra_us > 0:
+        if self.params.mcast_send_extra_us > 0:
             yield from self.host.cpu.use(
                 self.host.jitter(self.params.mcast_send_extra_us))
-        if kind is None:
-            kind = "mcast-release" if control else "mcast-data"
         yield from self.data_sock.sendto(
             (self.comm.rank, seq, payload), nbytes + MCAST_HEADER_BYTES,
             self.group, self.data_port, kind=kind)

@@ -4,13 +4,14 @@ The three MPICH phases collapse to one gather plus one multicast:
 
 1. scouts reduce to rank 0 up the binary tree (``N-1`` point-to-point
    messages, ``ceil(log2 N)`` steps);
-2. rank 0 releases everyone with a **single data-less multicast**.
+2. rank 0 releases everyone with a **single data-less multicast**
+   (:func:`release`).
 
-Every rank posts its release receive *before* sending its scout up, so
-the release multicast cannot outrun a receiver — the same invariant as
-the broadcast.  Message count: ``N-1`` unicasts + 1 multicast, versus
-MPICH's ``2(N-K) + K log2 K`` (both closed forms live in
-:mod:`repro.analysis.framecount`).
+The release is a control message on the buffered scout port, beside
+the round engine's decision: it needs no posted descriptor, so a late
+data retransmission of an earlier collective cannot take its place.
+Message count: ``N-1`` unicasts + 1 multicast, versus MPICH's ``2(N-K)
++ K log2 K`` (both closed forms live in :mod:`repro.analysis.framecount`).
 """
 
 from __future__ import annotations
@@ -18,14 +19,28 @@ from __future__ import annotations
 from typing import Generator
 
 from ..mpi.collective.registry import register
-from .mcast_bcast import scouted_mcast
 from .scout import scout_gather_binary
 
-__all__ = ["barrier_mcast"]
+__all__ = ["barrier_mcast", "release"]
+
+
+def release(comm, channel, seq: int, root: int) -> Generator:
+    """The barrier's release: ``root`` sends ONE data-less
+    ``mcast-release`` control multicast, every other rank waits for it.
+    Call it after a scout gather toward ``root`` of the same ``seq``."""
+    if comm.rank == root:
+        yield from channel.send_ctrl(None, seq, "release",
+                                     kind="mcast-release")
+    else:
+        yield from channel.wait_ctrl({root}, seq, "release")
 
 
 @register("barrier", "mcast")
 def barrier_mcast(comm) -> Generator:
-    """``yield from barrier_mcast(comm)``: the scouted broadcast of
-    nothing from rank 0."""
-    return scouted_mcast(comm, None, 0, scout_gather_binary, release=True)
+    """``yield from barrier_mcast(comm)``: the scout gather to rank 0,
+    then its release."""
+    channel = comm.mcast
+    seq = channel.next_seq()
+    if comm.size > 1:
+        yield from scout_gather_binary(comm, channel, seq, 0)
+        yield from release(comm, channel, seq, 0)

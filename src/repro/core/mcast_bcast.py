@@ -22,9 +22,9 @@ payloads: it fragments the payload into single-frame segments sized by
 ``NetParams.segment_bytes``, streams them back-to-back, and repairs
 losses with selective per-segment NACK retransmission instead of
 re-multicasting everything.  Loss-free it costs
-``2 + 3(N-1) + ceil(M / segment_bytes)`` frames (header and decision
-multicasts, two scout gathers and the report fold, one frame per
-segment — the full formula,
+``2 + 3(N-1) + ceil(M / segment_bytes)`` frames (the header and
+decision control multicasts, two scout gathers and the report fold,
+one frame per segment — the full formula,
 including repair rounds, is derived in the segment module's docstring
 and exported as :func:`repro.core.segment.seg_nack_frame_count`).
 
@@ -50,19 +50,16 @@ __all__ = ["bcast_mcast_binary", "bcast_mcast_linear", "bcast_mcast_ack",
            "bcast_acked", "scouted_mcast", "McastLost"]
 
 
-def scouted_mcast(comm, obj: Any, root: int, gather,
-                  release: bool = False) -> Generator:
+def scouted_mcast(comm, obj: Any, root: int, gather) -> Generator:
     """The paper's skeleton: scout sync toward ``root``, then ONE
-    multicast of ``obj`` — or, ``release``, of nothing: the data-less
-    control multicast that makes it the barrier (§3.2)."""
+    multicast of ``obj``."""
     channel = comm.mcast
     seq = channel.next_seq()
     if comm.size == 1:
         return obj
     if comm.rank == root:
         yield from gather(comm, channel, seq, root)
-        yield from channel.send_data(
-            obj, 0 if release else payload_bytes(obj), seq, control=release)
+        yield from channel.send_data(obj, payload_bytes(obj), seq)
         return obj
     posted = channel.post_data()          # BEFORE the scout: the invariant
     yield from gather(comm, channel, seq, root)

@@ -23,9 +23,9 @@ exactly two sides:
   built from the union of missing sets until the whole group reports
   complete (or ``max_repair_rounds`` is exhausted, in which case it
   tells everyone before raising);
-* :func:`follow_rounds` — a **receiver**: it posts its header
-  descriptor before its header scout and learns the stream's shape
-  from the header, discarding stragglers by one rule; then it posts
+* :func:`follow_rounds` — a **receiver**: it sends its header scout,
+  waits for the header on the control plane and learns the stream's
+  shape from it; then it posts
   one descriptor per expected datagram, arms, drains the round's
   datagrams from the stream's server (nobody else's) into a
   :class:`Reassembler`, folds its missing bitmap with its subtree's and
@@ -33,15 +33,15 @@ exactly two sides:
   A ``needed`` subset restricts what the receiver reassembles and
   reports — the scatter's per-rank addressing, derived from the
   header's counts — and ``needed=set()`` is a pure *bystander* that
-  stays in lockstep with the stream without posting a single
-  descriptor (used by the multicast reduce, where only the root
-  consumes data).
+  stays in lockstep with the stream, reads its header and reports at
+  its true length, without posting a single descriptor (used by the
+  multicast reduce, where only the root consumes data).
 
 **The header**, on the wire: ``N-1`` header scouts up the binomial
-tree, then one ``mcast-seg-hdr`` control multicast ``("seg-hdr", key,
-nsegs, batch, per-rank counts | None)`` of ``SEG_HEADER_BYTES`` (``+ 4``
-per rank when it carries counts) — ``key`` is the stream's own header
-phase, so a header can only ever match the stream it opens.
+tree, then one ``mcast-seg-hdr`` control multicast ``(nsegs, batch,
+per-rank counts | None)`` keyed ``arm_phase("hdr")``, so it can only
+match the stream it opens.  Its gather also bounds round 0's arming
+skew, which :func:`round_drain_timeout_us` prices.
 
 **One round**, on the wire: ``N-1`` arming scouts up the binomial tree,
 the round's data multicasts, ``N-1`` reports folded up the *same* tree
@@ -55,21 +55,20 @@ All of it is the channel's one control message (``send_ctrl`` /
 ``wait_ctrl``) moved by one tree walk (:mod:`repro.core.scout`): the
 header and arming gathers are the walk keyed ``arm_phase(...)``, the
 fold is the walk keyed ``("seg-report", token)`` carrying the
-subtree's missing set, the decision is ``send_ctrl(None, ...)`` keyed
-``("seg-dec", token)``.
+subtree's missing set, the header and the decision are
+``send_ctrl(None, ...)``: every round is an up-walk plus one downward
+control multicast.
 
-The decision rides the channel's **buffered scout port**, as a
-multicast to the group — not the posted-only data socket, where repair
-data meant for other ranks, ``duplicate``/``reorder`` stragglers and
-bystanders that post nothing would eat or miss its descriptor.  That
-does not weaken the paper's readiness model: the report fold *is* the
-decision's scout gather — a rank reports only after its whole subtree
-has, then blocks on the decision, so the root multicasts only once
-every rank is waiting for it; the buffer merely spares each rank a
-descriptor whose accounting the data path would have to share.  One
-multicast also releases every follower at the same instant, so the only
-arming skew is the gather's depth, which :func:`round_drain_timeout_us`
-derives.
+Both multicasts ride the channel's **buffered scout port** — not the
+posted-only data socket, which carries only ``mcast-seg`` data, where
+repair data meant for other ranks, ``duplicate``/``reorder`` stragglers
+and bystanders that post nothing would eat or miss their descriptors.
+That does not weaken the paper's readiness model: each answers a
+gather (the header gather, the report fold) — a rank sends only after
+its whole subtree has, then blocks on the answer, so the root
+multicasts only once every rank is waiting for it.  One multicast also
+releases every follower at the same instant, so the only arming skew
+is the gather's depth, which :func:`round_drain_timeout_us` derives.
 
 The header, selective repair, and the two adaptive behaviours below
 are engine concerns — callers only provide the segment stream and a
@@ -359,10 +358,10 @@ def _consume_round(comm, channel, posted, server: int, seq,
     later collective's traffic.  A datagram that is not a segment of
     this ``(server, seq)`` stream — a stale sequence, or a delayed
     segment of an earlier turn, whose indices a later turn's stream
-    reuses — wastes its descriptor: the header's rule, applied to the
-    data; the segments it displaced are reported missing and repaired
-    next round.  Descriptors complete through the data socket's
-    ``finish_recv`` itself, with no wrapper generator in between.
+    reuses — wastes its descriptor; the segments it displaced are
+    reported missing and repaired next round.  Descriptors complete
+    through the data socket's ``finish_recv`` itself, with no wrapper
+    generator in between.
     """
     i = 0
     timer = channel.data_timer()
@@ -426,10 +425,10 @@ def serve_rounds(comm, channel, seq, root: int, segments, batch: int,
     hdr_phase = arm_phase("hdr")
     yield from scout_gather_binary(comm, channel, seq, root,
                                    phase=hdr_phase)
-    yield from channel.send_data(
-        ("seg-hdr", hdr_phase, nsegs, batch, counts),
-        SEG_HEADER_BYTES + (0 if counts is None else 4 * len(counts)), seq,
-        control=True, kind="mcast-seg-hdr")
+    yield from channel.send_ctrl(
+        None, seq, hdr_phase, (nsegs, batch, counts),
+        MCAST_HEADER_BYTES + SEG_HEADER_BYTES
+        + (0 if counts is None else 4 * len(counts)), "mcast-seg-hdr")
     plan = list(range(nsegs))
     rnd = 0
     while True:
@@ -484,42 +483,33 @@ def follow_rounds(comm, channel, seq, root: int, arm_phase, rnd_token,
     """Receiver side of one engine stream; returns the
     :class:`Reassembler`.
 
-    The follower posts its header descriptor **before** its header
-    scout and learns the stream's length and batch factor — and, from a
-    per-rank count header, its own ``needed`` slice — from the header.
-    Any other datagram landing in that descriptor (a delayed or
-    duplicated segment of an earlier stream) is discarded and the
-    descriptor re-posted: the wire is FIFO, so the header cannot
-    overtake same-source stragglers.
+    The follower sends its header scout, then waits for the header on
+    the control plane and learns the stream's length and batch factor —
+    and, from a per-rank count header, its own ``needed`` slice — from
+    it.  It has posted nothing yet, so a delayed or duplicated segment
+    of an earlier stream arriving meanwhile dies at the posted-only
+    data socket.
 
     A receiver that has everything it needs keeps arming/reporting
     (other ranks may still need repairs) but posts no descriptors, so
     the repair frames it does not need die at its posted-only socket.
     ``needed`` restricts interest to a stream subset (see
     :class:`Reassembler`); ``needed=set()`` follows the loop as a pure
-    bystander, which posts no header descriptor either and reports as a
-    one-segment stream.
+    bystander: it reads the header and reports at the stream's length,
+    but posts no descriptor.
     """
     params = comm.host.params
     rec = comm.host.stats.recorder
     addr = comm.host.addr
     seg_bytes = resolved_segment_bytes(params)
-    nsegs = batch = 1       # what a bystander, which reads no header, reports
-    posted = (None if needed is not None and not needed
-              else channel.post_data())             # before the scout
     hdr_phase = arm_phase("hdr")
     yield from scout_gather_binary(comm, channel, seq, root,
                                    phase=hdr_phase)
-    while posted is not None:
-        src, got_seq, hdr = yield from channel.wait_data(posted)
-        if (got_seq == seq and src == root and isinstance(hdr, tuple)
-                and hdr[:2] == ("seg-hdr", hdr_phase)):
-            nsegs, batch, counts = hdr[2:]
-            if counts is not None:          # per-rank addressed: my slice
-                start = sum(counts[:comm.rank])
-                needed = set(range(start, start + counts[comm.rank]))
-            break
-        posted = channel.post_data()        # a straggler ate it
+    nsegs, batch, counts = (yield from channel.wait_ctrl(
+        {root}, seq, hdr_phase))[root]
+    if counts is not None:                  # per-rank addressed: my slice
+        start = sum(counts[:comm.rank])
+        needed = set(range(start, start + counts[comm.rank]))
     reasm = Reassembler(nsegs, needed=needed)
     plan = list(range(nsegs))
     rnd = 0

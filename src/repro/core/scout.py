@@ -133,11 +133,9 @@ def report_fold_binary(comm, channel, seq: int, root: int, rnd,
     blocks on the decision, so the root's fold completing *is* "every
     follower is waiting".
     """
-    # +4 B kept, like a bystander's nsegs = 1 bitmap: either fix moves
-    # simulated bytes on every report
     return _walk_up(comm, channel, seq, root, ("seg-report", rnd),
                     frozenset(missing), _merge_reports,
-                    SCOUT_BYTES + (nsegs + 7) // 8 + 4, "seg-report")
+                    SCOUT_BYTES + (nsegs + 7) // 8, "seg-report")
 
 
 def scout_scatter_binary(comm, channel, seq: int, root: int = 0,

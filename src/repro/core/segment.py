@@ -296,7 +296,7 @@ def run_streams(comm, kind: str, at: int, mine: Any, op=None) -> Generator:
     ``at`` only), the ``k`` parts (``deal``, at ``at`` only) or its own
     contribution (``fold`` / ``collect`` / ``exchange``).  One sequence
     number per call, size 1 included, and no ready round: a stream's
-    header gather already tells its server every follower has posted.
+    header gather already tells its server every follower is waiting.
     Per stream the server fragments and serves, its consumers follow,
     everyone else follows as a pure bystander (``needed=set()``: every
     gather and decision, no descriptor).  A

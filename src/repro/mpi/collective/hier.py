@@ -89,9 +89,10 @@ under loss, the trunk term of the group's own
   value; its frames (plus the RTS / CTS pair above the eager
   threshold) x the trunk hops between the two.
 * ``sync`` / ``release`` — the barrier's ``scout_gather_binary`` and
-  data-less release multicast, paired by group key (the release
-  consumes the sequence number and descriptor its sync posted *before*
-  scouting up); k-1 scouts, then 1 frame x its multicast edges.
+  :func:`repro.core.mcast_barrier.release`, its data-less control
+  multicast, paired by group key (the release takes the sequence
+  number its sync took); k-1 scouts, then 1 frame x its multicast
+  edges.
 
 A member's share in the three :data:`BUNDLE_KINDS` is its bare element
 inside a leaf group, as in the flat engine, and above it a
@@ -389,7 +390,7 @@ def compile_plan(op: str, tree: HierNode, root: int = 0) -> tuple:
       then every group *below the top* re-serves the full result
       top-down, then the leaves;
     * ``barrier`` — every group syncs bottom-up, then releases
-      top-down (a release consumes what its group's sync posted);
+      top-down (a release takes its group's sync's sequence number);
     * ``allreduce`` — ``reduce`` to rank 0 (leader of every subtree on
       its chain, so nothing is forwarded), then ``bcast`` from it.
 
@@ -613,7 +614,7 @@ def run_plan(comm, st: HierState, steps, value: Any, op=None) -> Generator:
     :class:`~repro.mpi.datatypes.Bundle` (:data:`BUNDLE_KINDS`); the
     module docstring's step-kind table states each kind's schedule row
     and payload rule.  Returns the carried value after the last step."""
-    #: barrier: group key -> (seq, release descriptor) its sync created
+    #: barrier: group key -> the sequence number its sync took
     pending: dict = {}
     for step in steps:
         kind, group = step.kind, step.group
@@ -634,19 +635,11 @@ def run_plan(comm, st: HierState, steps, value: Any, op=None) -> Generator:
                     else:
                         value = got
             elif kind == "sync":
-                # post the release receive BEFORE scouting up (the
-                # paper's readiness invariant, same as the flat barrier)
-                seq = sub.mcast.next_seq()
-                pending[group.key] = (
-                    seq, None if serving else sub.mcast.post_data())
+                seq = pending[group.key] = sub.mcast.next_seq()
                 yield from core.scout_gather_binary(sub, sub.mcast, seq, at)
             elif kind == "release":
-                seq, posted = pending.pop(group.key)
-                if serving:
-                    yield from sub.mcast.send_data(None, 0, seq,
-                                                   control=True)
-                else:
-                    yield from sub.mcast.wait_data_from(posted, at, seq)
+                yield from core.release(sub, sub.mcast,
+                                        pending.pop(group.key), at)
             else:                       # a row of the stream schedule
                 leaf = group.node.is_leaf
                 mine = value

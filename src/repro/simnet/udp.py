@@ -220,7 +220,8 @@ class UdpSocket:
         cost = self.recv_cost_us
         if dgram.kind in ("mcast-data", "mcast-seg"):
             # The extra models payload validation + user-buffer delivery;
-            # control multicasts (barrier release, segment headers) skip it.
+            # control multicasts (stream header, decision, barrier
+            # release) ride the scout socket and skip it.
             cost += self.params.mcast_recv_extra_us
         return cost
 

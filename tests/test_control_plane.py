@@ -1,21 +1,25 @@
 """The one control plane: ``McastChannel.wait_ctrl`` against a ten-line
 model, the one tree walk of :mod:`repro.core.scout` on every (size,
-root), and the stale-copy guard ``wait_data_from`` on docs/CHAOS.md's
-reproducer."""
+root), the stale-copy guard ``wait_data_from`` on docs/CHAOS.md's
+reproducer, and the data sockets' diet: data only."""
 
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.harness import op_body
 from repro.core.binomial import binomial_children, binomial_parent
 from repro.core.channel import McastChannel, McastLost
 from repro.core.scout import (report_fold_binary, scout_gather_binary,
                               scout_gather_linear)
+from repro.mpi.collective.registry import REGISTRY
 from repro.runtime import run_spmd
 from repro.simnet import quiet
 from repro.simnet.calibration import FAST_ETHERNET_SWITCH
+from repro.simnet.udp import UdpSocket
 
 QUIET = quiet(FAST_ETHERNET_SWITCH)
 
@@ -214,13 +218,11 @@ def test_gathers_are_the_walk_without_a_value(gather, kind):
 @pytest.mark.parametrize("n", [3, 5, 6, 9])
 def test_ack_bcast_then_mcast_barrier_completes_or_raises_typed(n, nbytes):
     """docs/CHAOS.md's reproducer: the ``mcast-ack`` root's late
-    retransmission of seq k fills the descriptor a receiver posted for
-    the barrier release of seq k+1.  Every case must end in success or
-    in ``McastLost`` raised by a rank program — never the untyped
-    ``AssertionError`` of old, never the kernel's ``DeadlockError``.
-    With the derived ack deadline the root resends only when a receiver
-    missed the first copy, which a 3 kB one never does here: every 3 kB
-    case completes."""
+    retransmission of seq k reaches receivers while they wait for the
+    barrier release of seq k+1.  The release is a control message, so
+    no posted descriptor is there for the stale copy to take: it dies
+    unposted and every case completes, at 100 B too, where a receiver
+    posting after the unscouted first copy forces a real resend."""
     payload = bytes(nbytes)
 
     def main(env):
@@ -229,24 +231,16 @@ def test_ack_bcast_then_mcast_barrier_completes_or_raises_typed(n, nbytes):
         yield from env.comm.barrier()
         return out
 
-    outcomes = set()
     for seed in range(3):
-        try:
-            result = run_spmd(n, main, "switch", seed=seed, collectives={
-                "bcast": "mcast-ack", "barrier": "mcast"})
-        except McastLost as lost:
-            assert "a stale copy took the descriptor" in str(lost)
-            outcomes.add("lost")
-        else:
-            assert result.returns == [payload] * n
-            outcomes.add("ok")
-    assert outcomes <= ({"ok"} if nbytes == 3000 else {"ok", "lost"})
+        result = run_spmd(n, main, "switch", seed=seed, collectives={
+            "bcast": "mcast-ack", "barrier": "mcast"})
+        assert result.returns == [payload] * n
 
 
 def test_a_future_or_foreign_multicast_is_still_unsafe_code():
-    """Only a *stale* sequence is a transport loss; a later sequence or
-    another root in the descriptor means the ranks disagree about the
-    order of collectives."""
+    """Only a *stale* sequence is a transport loss (``McastLost``); a
+    later sequence or another root in the descriptor means the ranks
+    disagree about the order of collectives."""
     def main(env):
         channel = env.comm.mcast
         if env.rank == 0:
@@ -254,9 +248,44 @@ def test_a_future_or_foreign_multicast_is_still_unsafe_code():
             yield from channel.send_data("x", 1, seq=7)
             return None
         posted = channel.post_data()
+        if env.rank == 3:       # posted for seq 9: seq 7 is stale
+            with pytest.raises(McastLost,
+                               match="a stale copy took the descriptor"):
+                yield from channel.wait_data_from(posted, root=0, seq=9)
+            return None
         with pytest.raises(AssertionError, match="unsafe MPI code"):
             yield from channel.wait_data_from(
                 posted, root=0 if env.rank == 1 else 2,
                 seq=3 if env.rank == 1 else 7)
 
-    run_spmd(3, main, params=QUIET)
+    run_spmd(4, main, params=QUIET)
+
+
+# -------------------------------------------- the data socket carries data
+MCAST_CASES = [(op, impl) for op in sorted(REGISTRY)
+               for impl in sorted(REGISTRY[op])
+               if impl.startswith("mcast") or impl == "hier-mcast"]
+
+
+@pytest.mark.parametrize("op,impl", MCAST_CASES)
+def test_only_data_reaches_a_data_port(op, impl, monkeypatch):
+    """Every multicast implementation, flat and ``hier-mcast``, loss-free
+    on one switch and on a two-tier fabric: the only datagrams any
+    channel's posted-only data socket is offered are ``mcast-data`` and
+    ``mcast-seg`` — the stream header, the decision and the barrier
+    release all ride the control plane."""
+    kinds = Counter()
+    deliver = UdpSocket._deliver
+
+    def spy(sock, dgram):
+        if sock.posted_only:
+            kinds[dgram.kind] += 1
+        deliver(sock, dgram)
+
+    monkeypatch.setattr(UdpSocket, "_deliver", spy)
+    for topology in ("switch", "tree:2x2"):
+        for size in (100, 5000):
+            run_spmd(4, op_body(op, size), topology, params=QUIET,
+                     collectives={op: impl})
+    assert kinds.keys() <= {"mcast-data", "mcast-seg"}
+    assert bool(kinds) == (op != "barrier")
