@@ -32,9 +32,10 @@ everywhere and stale traffic is detectable: on the control plane by the
 rule above, on the data socket by :meth:`McastChannel.wait_data_from`.
 
 For payloads larger than one MTU the channel also speaks *segments*
-(:mod:`repro.core.segment`): descriptors are posted in batches and each
-``mcast-seg`` datagram carries one segment or a batch of them — the
-data socket carries nothing else.  Why every data-less multicast rides
+(:mod:`repro.core.segment`): a round's descriptors are posted as one
+ring on the data socket (``data_sock.post_ring``) and each ``mcast-seg``
+datagram carries one segment or a batch of them — the data socket
+carries nothing else.  Why every data-less multicast rides
 the buffered scout port is argued in :mod:`repro.core.rounds`.
 """
 
@@ -240,11 +241,6 @@ class McastChannel:
         """Post the multicast receive — MUST precede the scout send."""
         return self.data_sock.post_recv()
 
-    def post_data_many(self, n: int) -> list[Event]:
-        """Post ``n`` multicast receive descriptors (one per expected
-        segment) — MUST precede the arming scout."""
-        return self.data_sock.post_recv_many(n)
-
     def cancel_data(self, posted) -> None:
         """Withdraw every untriggered descriptor in ``posted``."""
         self.data_sock.cancel_recv_all(list(posted))
@@ -253,7 +249,7 @@ class McastChannel:
         """A disarmed drain timer for this channel's data descriptors:
         ``timer.arm(us, posted)`` expires ``posted`` after ``us`` of
         silence, and :meth:`wait_data` on it then returns ``None``.  One
-        timer serves a whole round — re-arm it per descriptor, and
+        timer serves a whole wait — re-arm it per descriptor, and
         ``cancel()`` it on every exit of the wait."""
         return self.sim.timer(self.data_sock.expire_recv)
 

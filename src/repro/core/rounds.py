@@ -25,8 +25,8 @@ exactly two sides:
   tells everyone before raising);
 * :func:`follow_rounds` — a **receiver**: it sends its header scout,
   waits for the header on the control plane and learns the stream's
-  shape from it; then it posts
-  one descriptor per expected datagram, arms, drains the round's
+  shape from it; then it posts a ring of one descriptor per expected
+  datagram, arms, parks once while the data socket drains the round's
   datagrams from the stream's server (nobody else's) into a
   :class:`Reassembler`, folds its missing bitmap with its subtree's and
   obeys the sender's per-round decision.
@@ -338,66 +338,52 @@ class Reassembler:
 # ----------------------------------------------------------------------
 # engine internals
 # ----------------------------------------------------------------------
-def _consume_round(comm, channel, posted, server: int, seq,
-                   reasm: Reassembler, last_index: int,
-                   drain_us: float, rnd: int = 0) -> Generator:
-    """Drain one round's datagrams from the stream's ``server`` into
-    ``reasm`` through the pre-arm descriptors ``posted``, one per
-    expected datagram.
+def _taker(server: int, seq, reasm: Reassembler,
+           last_index: int) -> Callable:
+    """The ring's ``take(dgram) -> done`` for one round of the
+    ``(server, seq)`` stream: reassemble, and report whether
+    ``last_index`` (the round plan's highest) arrived.  Anything else —
+    a stale sequence, or a delayed segment of an earlier turn, whose
+    indices a later turn reuses — wastes its descriptor; the segments
+    it displaced are reported missing and repaired next round."""
+    def take(dgram) -> bool:
+        src, got_seq, payload = dgram.payload
+        if got_seq != seq or src != server:
+            return False
+        if isinstance(payload, Segment):
+            batch = (payload,)
+        elif (isinstance(payload, tuple) and payload
+                and isinstance(payload[0], Segment)):
+            batch = payload
+        else:
+            return False
+        done = False
+        for seg in batch:
+            reasm.add(seg)
+            done = done or seg.index == last_index
+        return done
+    return take
 
+
+def _consume_round(comm, ring, drain_us: float, rnd: int = 0) -> Generator:
+    """Drain one round through ``ring`` (a
+    :class:`~repro.simnet.udp.DescriptorRing` with a :func:`_taker`,
+    posted before the arming scout): the rank resumes once per round.
     Datagrams stream in plan order over a FIFO wire, so the round ends
-    the moment ``last_index`` (the highest index of the round's plan)
-    arrives — any descriptor still empty then belongs to a lost datagram
-    and is cancelled immediately, keeping the NACK on the critical path
-    instead of a timeout.  Only when the *tail* of the stream is lost
-    does the receiver fall back to ``drain_us`` of silence (the adaptive
-    :func:`round_drain_timeout_us`): one drain timer serves the whole
-    round, re-armed per wait, and expires the awaited descriptor.  On
-    every exit — exceptions included — the timer is disarmed and every
-    leftover descriptor is withdrawn; leaving one behind would swallow a
-    later collective's traffic.  A datagram that is not a segment of
-    this ``(server, seq)`` stream — a stale sequence, or a delayed
-    segment of an earlier turn, whose indices a later turn's stream
-    reuses — wastes its descriptor; the segments it displaced are
-    reported missing and repaired next round.  Descriptors complete
-    through the data socket's ``finish_recv`` itself, with no wrapper
-    generator in between.
+    the moment the plan's last index is taken and a descriptor still
+    empty then is a lost datagram's — the NACK stays on the critical
+    path; only a lost *tail* waits out ``drain_us`` of silence
+    (:func:`round_drain_timeout_us`).  On every exit the ring is closed:
+    a descriptor left behind would swallow a later collective's data.
     """
-    i = 0
-    timer = channel.data_timer()
-    finish_recv = channel.data_sock.finish_recv
     try:
-        while i < len(posted):
-            ev = posted[i]
-            if not ev.triggered:
-                timer.arm(drain_us, ev)
-            dgram = yield from finish_recv(ev)
-            if dgram is None:           # drain_us of silence: tail lost
-                rec = comm.host.stats.recorder
-                if rec is not None:
-                    rec.drain_timeout(comm.sim.now, comm.host.addr, rnd,
-                                      len(posted) - i)
-                return
-            i += 1
-            src, got_seq, payload = dgram.payload
-            if got_seq != seq or src != server:
-                continue
-            if isinstance(payload, Segment):
-                batch = (payload,)
-            elif (isinstance(payload, tuple) and payload
-                    and isinstance(payload[0], Segment)):
-                batch = payload
-            else:
-                continue
-            done = False
-            for seg in batch:
-                reasm.add(seg)
-                done = done or seg.index == last_index
-            if done:
-                return
+        if (yield ring.drain(drain_us)) is None:    # tail lost
+            rec = comm.host.stats.recorder
+            if rec is not None:
+                rec.drain_timeout(comm.sim.now, comm.host.addr, rnd,
+                                  ring.n - ring.taken)
     finally:
-        timer.cancel()
-        channel.cancel_data(posted[i:])
+        ring.close()
 
 
 # ----------------------------------------------------------------------
@@ -524,14 +510,14 @@ def follow_rounds(comm, channel, seq, root: int, arm_phase, rnd_token,
             if rec is not None:
                 rtok = rec.round_begin(comm.sim.now, addr, "follow", seq,
                                        rnd, len(plan))
-            if reasm.complete:
-                posted, ndatagrams = [], 0
-            else:
+            ring = None
+            if not reasm.complete:
                 ndatagrams = len(chunk_plan(plan, rbatch))
-                posted = channel.post_data_many(ndatagrams)
+                ring = channel.data_sock.post_ring(
+                    ndatagrams, _taker(root, seq, reasm, plan[-1]))
             yield from scout_gather_binary(comm, channel, seq, root,
                                            phase=arm_phase(rnd))
-            if ndatagrams:
+            if ring is not None:
                 dgram_bytes = (min(rbatch, len(plan))
                                * (seg_bytes + SEG_HEADER_BYTES)
                                + MCAST_HEADER_BYTES)
@@ -539,9 +525,7 @@ def follow_rounds(comm, channel, seq, root: int, arm_phase, rnd_token,
                     params, ndatagrams, dgram_bytes,
                     channel.trunk_hops, channel.trunk_us_per_byte,
                     size=comm.size)
-                yield from _consume_round(comm, channel, posted, root,
-                                          seq, reasm, last_index=plan[-1],
-                                          drain_us=drain_us, rnd=rnd)
+                yield from _consume_round(comm, ring, drain_us, rnd)
             if rec is not None:
                 rec.nack_sent(comm.sim.now, addr, rnd,
                               tuple(sorted(reasm.missing())))

@@ -22,7 +22,7 @@ SUMMARY = "acquired transport resource with no reachable release"
 #: including the chaos fault injectors, whose "resource" is a broken
 #: fabric: a partitioned trunk or crashed host left unhealed blocks the
 #: IGMP leaves every teardown depends on
-ACQUIRE = {"post_recv", "post_recv_many", "post_data", "post_data_many",
+ACQUIRE = {"post_recv", "post_recv_many", "post_ring", "post_data",
            "join", "join_group", "alloc_hier_slab",
            "partition_trunk", "power_off", "crash_host"}
 
@@ -34,9 +34,9 @@ RELEASE = {"cancel_recv", "cancel_recv_all", "cancel_data", "leave",
 
 EXPLAIN = """\
 Calls to the transport acquire APIs (post_recv, post_recv_many,
-post_data, post_data_many, join, join_group, alloc_hier_slab) and the
-chaos fault injectors (partition_trunk, power_off, crash_host) must
-have a reachable release (cancel_recv/cancel_recv_all/cancel_data,
+post_ring, post_data, join, join_group, alloc_hier_slab) and the chaos
+fault injectors (partition_trunk, power_off, crash_host) must have a
+reachable release (cancel_recv/cancel_recv_all/cancel_data,
 leave/leave_group, free/free_hier_slab, close/shutdown, heal_trunk/
 power_on/restore_host) on the same object.  The rule accepts any of:
 

@@ -51,11 +51,25 @@ class Resource:
         else:
             self._held = False
 
+    def relinquish(self, turn: Optional[Event]) -> None:
+        """Give back what :meth:`acquire` returned, on any exit: release
+        the resource if the caller holds it (``turn`` ``None`` or
+        granted), else withdraw the queued ``turn``, which a later
+        :meth:`release` would hand a resource nobody gives back."""
+        if turn is None or turn.triggered:
+            self.release()
+        else:
+            self._waiters.remove(turn)
+
     def use(self, duration_us: float) -> Generator:
         """``yield from cpu.use(t)`` — hold the resource for ``t`` µs."""
         turn = self.acquire()
         if turn is not None:
-            yield turn
+            try:
+                yield turn
+            except BaseException:       # e.g. an Interrupt while queued
+                self.relinquish(turn)
+                raise
         try:
             yield self.sim.timeout(duration_us)
         finally:

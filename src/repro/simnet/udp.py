@@ -28,7 +28,7 @@ from .host import Host
 from .ip import Datagram
 from .kernel import Event, SimError
 
-__all__ = ["UdpSocket", "SocketClosed"]
+__all__ = ["UdpSocket", "SocketClosed", "DescriptorRing"]
 
 
 class SocketClosed(SimError):
@@ -68,6 +68,7 @@ class UdpSocket:
         #: (the only one ``_accept`` may charge) and the one it charged
         self._parked: Optional[Event] = None
         self._charged: Optional[Event] = None
+        self._ring: Optional[DescriptorRing] = None
         self._closed = False
         self.rx_dropped = 0
         #: most receive descriptors simultaneously posted over the
@@ -96,6 +97,11 @@ class UdpSocket:
             self.leave(group)
         self._closed = True
         self.host.ipstack.unbind(self.port)
+        ring = self._ring
+        if ring is not None:
+            ring.close()
+            if not ring.triggered:      # its owner is failed like a post
+                self._posted.append(ring)
         while self._posted:
             self._posted.popleft().fail(SocketClosed(
                 f"socket :{self.port} on host {self.host.addr} closed "
@@ -171,6 +177,17 @@ class UdpSocket:
         if n < 0:
             raise ValueError(f"cannot post {n} receives")
         return [self.post_recv() for _ in range(n)]
+
+    def post_ring(self, n: int,
+                  take: Callable[[Datagram], bool]) -> "DescriptorRing":
+        """Post ``n`` descriptors as one :class:`DescriptorRing`; close
+        it on every exit."""
+        self._check_open()
+        if self._posted or self._queue or self._ring is not None:
+            raise SimError(f"socket :{self.port} is not empty")
+        self._ring = ring = DescriptorRing(self, n, take)
+        self.posted_high_water = max(self.posted_high_water, n)
+        return ring
 
     def cancel_recv(self, ev: Event) -> None:
         """Withdraw a posted receive that has not fired."""
@@ -300,6 +317,10 @@ class UdpSocket:
     def _accept(self, dgram: Datagram) -> None:
         """The delivery tail every surviving datagram copy goes through:
         fill a posted descriptor, or queue/drop per the socket mode."""
+        ring = self._ring
+        if ring is not None and ring._free:
+            ring._fill(dgram)
+            return
         if self._posted:
             ev = self._posted.popleft()
             cpu = self.host.cpu
@@ -329,4 +350,107 @@ class UdpSocket:
     @property
     def posted_depth(self) -> int:
         """Receive descriptors currently posted and unfilled."""
-        return len(self._posted)
+        ring = self._ring
+        return len(self._posted) + (ring._free if ring is not None else 0)
+
+
+class DescriptorRing(Event):
+    """``n`` posted-only descriptors drained inside the socket: a
+    process looping :meth:`UdpSocket.finish_recv` over them under one
+    drain timer, record for record and jitter draw for jitter draw,
+    minus its resume per datagram.  The owner parks once (``yield
+    ring.drain(us)``); each datagram is charged as ``finish_recv`` would
+    (in its arrival record if awaited with the CPU idle, else after its
+    zero-delay fill record and the charge before it), then handed to
+    ``take(dgram) -> done``.  The ring completes in the record ending a
+    charge — ``True`` when ``take`` reports done, ``False`` when all
+    ``n`` are taken — or, through a zero-delay record, with ``None``
+    after ``us`` of silence on an awaited empty descriptor.
+    """
+
+    def __init__(self, sock: UdpSocket, n: int, take: Callable):
+        super().__init__(sock.sim)
+        self.sock, self.n, self.take = sock, n, take
+        self.filled = self.taken = 0
+        self._free = n                  # descriptors posted and unfilled
+        self.timer = sock.sim.timer(self._expire)
+        self._drain_us: Optional[float] = None  # set while parked
+        self._ready: deque[Datagram] = deque()  # filled, not yet charged
+        self._turn: Optional[Event] = None
+        self._busy = self._over = False
+
+    def drain(self, drain_us: float) -> "DescriptorRing":
+        """Start draining; returns the ring for its owner to yield."""
+        self._drain_us = drain_us
+        self._next()
+        return self
+
+    def close(self) -> None:
+        """Withdraw what is left, give back a charge's CPU; idempotent."""
+        if self.sock._ring is self:
+            self.sock._ring = None
+        self._over, self._free, self.take = True, 0, None
+        self.timer.cancel()
+        self.timer.fn = None            # no ring <-> timer cycle for gc
+        self._ready.clear()
+        if self._busy:
+            self._busy = False
+            self.sock.host.cpu.relinquish(self._turn)
+
+    def _fill(self, dgram: Datagram) -> None:
+        cpu = self.sock.host.cpu
+        awaited = self._drain_us is not None and self.filled == self.taken
+        self._free -= 1
+        self.filled += 1
+        if awaited and not (self._busy or self._over or cpu.held):
+            self._busy = True
+            cpu.acquire()
+            self.sim.schedule_call(self.sock.host.jitter(
+                self.sock.recv_cost(dgram)), self._charged, dgram)
+        else:
+            self.sim.schedule_call(0.0, self._filled, dgram)
+
+    def _filled(self, dgram: Datagram) -> None:
+        if not self._over:
+            self._ready.append(dgram)
+            if self._drain_us is not None and not self._busy:
+                self._next()
+
+    def _next(self) -> None:
+        """The charges reached descriptor ``taken``: charge it if its
+        fill record has run, arm the timer if it is still empty."""
+        if self._ready:
+            dgram = self._ready.popleft()
+            cost = self.sock.host.jitter(self.sock.recv_cost(dgram))
+            self._busy = True
+            self._turn = turn = self.sock.host.cpu.acquire()
+            if turn is None:
+                self.sim.schedule_call(cost, self._charged, dgram)
+            else:
+                turn.add_callback(lambda _: self._over or self.sim.
+                                  schedule_call(cost, self._charged, dgram))
+        elif self.filled == self.taken:
+            self.timer.arm(self._drain_us, self.taken)
+
+    def _charged(self, dgram: Datagram) -> None:
+        if self._over:
+            return                      # closed mid-charge
+        self._busy, self._turn = False, None
+        self.sock.host.cpu.release()
+        self.sock.stats.datagrams_delivered += 1
+        self.taken += 1
+        done = self.take(dgram)
+        if done or self.taken == self.n:
+            # in place, as the charge record that resumed a process
+            # parked in finish_recv: trigger and dispatch in this record
+            self._over = self._triggered = True
+            self._value = done
+            self._dispatch()
+        else:
+            self._next()
+
+    def _expire(self, index: int) -> None:
+        if self.filled == index:        # the awaited one is still empty
+            self._free -= 1
+            self._over = True
+            self.succeed(None)

@@ -172,6 +172,27 @@ def test_check_quiesced_flags_leaked_posted_recv():
         check_quiesced(result.cluster)
 
 
+def test_check_quiesced_flags_a_ring_left_open():
+    """A descriptor ring counts as posted receives until it is closed."""
+    from repro.runtime.sanitize import sanitize_enabled
+
+    def main(env):
+        if env.rank == 0:
+            sock = env.host.socket(23457, posted_only=True)
+            sock.post_ring(3, lambda dgram: False)  # repro-lint: skip=LEAK01 -- the leak is this test's point
+        yield from env.comm.barrier()
+
+    match = "socket :23457 quiesced with 3 posted"
+    if sanitize_enabled():
+        with pytest.raises(LeakError, match=match):
+            run_spmd(2, main, params=QUIET)
+        return
+    result = run_spmd(2, main, params=QUIET)
+    drain_pending()                # this run never reaches a teardown
+    with pytest.raises(LeakError, match=match):
+        check_quiesced(result.cluster)
+
+
 def test_full_teardown_leaves_nothing_and_flags_stragglers():
     def main(env):
         data = yield from env.comm.bcast(

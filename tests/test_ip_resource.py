@@ -114,6 +114,37 @@ def test_resource_released_on_exception():
     assert not cpu.held
 
 
+@pytest.mark.parametrize("interrupt_at", [2.0, 10.0])
+def test_interrupted_waiter_gives_its_turn_back(interrupt_at):
+    """A waiter interrupted while queued withdraws its turn (at 2 us), and
+    one interrupted in the record that grants it (at 10 us, before it
+    resumes) releases the resource: either way a later ``use`` runs."""
+    from repro.simnet.kernel import Interrupt
+
+    sim = Simulator()
+    cpu = Resource(sim)
+    caught, done = [], []
+
+    def victim():
+        try:
+            yield from cpu.use(5.0)
+        except Interrupt:
+            caught.append(sim.now)
+
+    def third():
+        yield sim.timeout(20.0)
+        yield from cpu.use(1.0)
+        done.append(sim.now)
+
+    sim.process(cpu.use(10.0))          # the holder, over [0, 10)
+    vproc = sim.process(victim())
+    sim.schedule_at(interrupt_at, vproc.interrupt, "evict")
+    sim.process(third())
+    sim.run()                           # DeadlockError before the fix
+    assert caught == [interrupt_at] and done == [21.0]
+    assert not cpu.held and cpu.queue_depth == 0
+
+
 def test_resource_queue_depth():
     sim = Simulator()
     cpu = Resource(sim)

@@ -54,6 +54,22 @@ def test_leak01_triggers_on_dropped_post_recv(tmp_path):
     assert "LEAK01" in codes(v)
 
 
+def test_leak01_triggers_on_a_ring_posted_with_no_close(tmp_path):
+    v = lint_tree(tmp_path, {"repro/core/x.py": """\
+        def drain(sock, take):
+            ring = sock.post_ring(3, take)
+            return 1
+
+        def drain_and_close(sock, take):
+            ring = sock.post_ring(3, take)
+            try:
+                use(ring)
+            finally:
+                ring.close()
+    """})
+    assert [(x.code, x.line) for x in v] == [("LEAK01", 2)]
+
+
 def test_leak01_clean_with_try_finally_release(tmp_path):
     v = lint_tree(tmp_path, {"repro/core/x.py": """\
         def collect(sock):

@@ -246,6 +246,37 @@ def test_deadline_hang_dump_names_open_round_and_missing():
     assert "rank1" in report and "of" in report      # event tail shown
 
 
+def test_hang_dump_counts_the_unfilled_descriptors_of_a_wedged_ring():
+    """A follower wedged mid-round is parked on its data socket's
+    descriptor ring: the dump names the wait and counts the ring's
+    descriptors still unfilled (one of three was filled)."""
+    from repro.core.rounds import Reassembler, Segment, _consume_round, \
+        _taker
+
+    recorder = obs.FlightRecorder()
+    ports = []
+
+    def main(env):
+        channel = env.comm.mcast
+        seq = channel.next_seq()
+        if env.rank == 0:
+            yield env.sim.timeout(500.0)
+            yield from channel.send_batch(
+                [Segment(0, 3, 100, b"x" * 100)], seq)
+            return None
+        ports.append(channel.data_port)
+        ring = channel.data_sock.post_ring(
+            3, _taker(0, seq, Reassembler(3), last_index=2))
+        yield from _consume_round(env.comm, ring, drain_us=1e9)
+
+    run_spmd(2, main, params=QUIET, on_cluster=recorder.attach,
+             max_sim_us=5_000.0)
+    report = recorder.hang_report
+    assert report is not None and "deadline" in report
+    assert f"host1 port {ports[0]}: 2 posted" in report
+    assert "rank1: DescriptorRing" in report
+
+
 def test_deadlock_hang_dump():
     def main(env):
         if env.rank == 0:

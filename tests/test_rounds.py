@@ -374,38 +374,35 @@ def test_tail_loss_records_one_drain_timeout_at_the_historical_instant():
 
 
 def test_interrupt_in_consume_round_disarms_and_withdraws(monkeypatch):
-    """Every exit of the wait — an Interrupt thrown into the parked rank
-    included — cancels the drain timer and withdraws the descriptors
-    (the sanitizer's quiesce check would name a leftover one)."""
-    from repro.core.rounds import _consume_round
+    """Every exit of the wait — an Interrupt thrown into the rank parked
+    on the ring included — closes the ring: drain timer disarmed,
+    descriptors withdrawn (the sanitizer's quiesce check would name a
+    leftover one)."""
+    from repro.core.rounds import _consume_round, _taker
     from repro.simnet.kernel import Interrupt
 
     monkeypatch.setenv("REPRO_SANITIZE", "1")
-    timers = []
 
     def main(env):
         if env.rank != 1:
             return None
         channel = env.comm.mcast
-        make_timer = channel.data_timer
-        channel.data_timer = lambda: timers.append(make_timer()) or timers[-1]
         env.sim.schedule_call(200.0, env.sim.active_process.interrupt,
                               "evict")
-        posted = channel.post_data_many(3)
+        due = env.sim.now + 200.0
+        seq = channel.next_seq()
+        ring = channel.data_sock.post_ring(
+            3, _taker(0, seq, Reassembler(3), last_index=2))
         assert channel.data_sock.posted_depth == 3
         try:
-            yield from _consume_round(env.comm, channel, posted, 0,
-                                      channel.next_seq(), Reassembler(3),
-                                      last_index=2, drain_us=5_000.0)
+            yield from _consume_round(env.comm, ring, drain_us=5_000.0)
         except Interrupt as exc:
-            return (exc.cause, timers[0].armed,
-                    channel.data_sock.posted_depth, env.sim.now)
+            return (exc.cause, ring.timer.armed,
+                    channel.data_sock.posted_depth, env.sim.now == due)
         return "not interrupted"
 
     result = run_spmd(2, main, params=QUIET)      # check_quiesced passes
-    cause, armed, depth, _at = result.returns[1]
-    assert (cause, armed, depth) == ("evict", False, 0)
-    assert len(timers) == 1
+    assert result.returns[1] == ("evict", False, 0, True)
     # the orphaned timer record popped as a no-op; nothing else ran
     assert not result.cluster.sim._heap
 

@@ -555,7 +555,7 @@ def test_datagrams_delivered_counts_every_completed_receive():
 
     def receiver():
         timer = rx.data_timer()
-        for ev in rx.post_data_many(k_mcast + 1):
+        for ev in [rx.post_data() for _ in range(k_mcast + 1)]:
             timer.arm(5000.0, ev)       # the last one expires: None
             got.append((yield from rx.wait_data(ev)))
         for _ in range(k_unicast):
@@ -602,9 +602,42 @@ _BURSTS = st.lists(
     st.tuples(st.integers(0, 1500), st.integers(1, 120)), max_size=6)
 
 
-def _drive(sock_cls, sigma, arrivals, waits, bursts):
+def _loop_round(sim, sock, n, patience, take):
+    """A round as the engine drained it before the ring: one
+    ``finish_recv`` per descriptor of ``post_recv_many`` under one drain
+    timer, until ``take`` reports done — the ring's oracle."""
+    posted = sock.post_recv_many(n)
+    timer = sim.timer(sock.expire_recv)
+    try:
+        for ev in posted:
+            if not ev.triggered:
+                timer.arm(patience, ev)
+            d = yield from sock.finish_recv(ev)
+            if d is None:
+                return None
+            if take(d):
+                return True
+        return False
+    finally:
+        timer.cancel()
+        sock.cancel_recv_all(posted)
+
+
+def _ring_round(sim, sock, n, patience, take):
+    """The same round drained inside the socket: one park."""
+    ring = sock.post_ring(n, take)
+    try:
+        return (yield ring.drain(patience))
+    finally:
+        ring.close()
+
+
+def _drive(sock_cls, sigma, arrivals, waits, bursts, round_fn=None):
     """One host, a posted-only and a small buffered socket of
-    ``sock_cls``; returns everything observable about the run."""
+    ``sock_cls``; returns everything observable about the run.  With a
+    ``round_fn`` each wait on the posted-only socket is one round of it
+    (the buffered one keeps :func:`_loop_round`), ended by the
+    ``mcast-seg-hdr`` datagram."""
     params = replace(quiet(FAST_ETHERNET_SWITCH), jitter_sigma=sigma)
     cl = build_cluster(2, "switch", params=params, seed=7)
     sim, host = cl.sim, cl.hosts[1]
@@ -621,6 +654,11 @@ def _drive(sock_cls, sigma, arrivals, waits, bursts):
         for t, _, n, patience in steps:
             if t + 0.5 > sim.now:       # posted late, or already behind
                 yield sim.timeout(t + 0.5 - sim.now)
+            if round_fn is not None:
+                drain = round_fn if sock.posted_only else _loop_round
+                end = yield from drain(sim, sock, n, float(patience), take)
+                log.append(("end", sock.port, end, sim.now))
+                continue
             posted = sock.post_recv_many(n)
             timer = sim.timer(sock.expire_recv)
             try:                        # like a round: one drain timer
@@ -633,6 +671,10 @@ def _drive(sock_cls, sigma, arrivals, waits, bursts):
             if n == 2:                  # and like a plain blocking recv
                 d = yield from sock.recv(timeout=float(patience))
                 log.append(("recv", sock.port, d and d.payload, sim.now))
+
+    def take(d):
+        log.append(("recv", d.dst_port, d.payload, sim.now))
+        return d.kind == "mcast-seg-hdr"
 
     def burst(b, length):
         turn = host.cpu.acquire()
@@ -686,3 +728,89 @@ def test_the_property_reaches_the_fast_path():
     slow, slow_records = _drive(TwoStepSocket, 0.06, arrivals, waits, [])
     assert fast == slow and [e[2] for e in fast[0]] == [0, 1, 2]
     assert CountingSocket.charges == 2 == slow_records - fast_records
+
+
+# ------------------------------------------------ the descriptor ring
+@settings(max_examples=250, deadline=None)
+@given(arrivals=_ARRIVALS, waits=_WAITS, bursts=_BURSTS,
+       sigma=st.sampled_from([0.0, 0.06]))
+def test_drained_ring_equals_the_descriptor_loop(arrivals, waits, bursts,
+                                                 sigma):
+    """The ring is the loop it replaced, below the process: every take
+    and round end at the same instant (``==`` on floats), the same CPU
+    grant order, jitter stream, drop and delivered counters — and the
+    same kernel records, one for one."""
+    ring, ring_records = _drive(UdpSocket, sigma, arrivals, waits, bursts,
+                                _ring_round)
+    loop, loop_records = _drive(UdpSocket, sigma, arrivals, waits, bursts,
+                                _loop_round)
+    assert ring == loop and ring_records == loop_records
+
+
+def test_the_ring_property_reaches_every_fill_path(monkeypatch):
+    """Not vacuous: one round sees a fill charged in its arrival record
+    (parked, CPU idle), one queued behind the charge before it, one
+    behind a CPU burst, the drain timer on the empty fourth descriptor
+    — and a datagram after that is dropped unposted."""
+    from repro.simnet.udp import DescriptorRing
+
+    paths = []
+    fill = DescriptorRing._fill
+
+    def spy(ring, dgram):
+        cpu_held = ring.sock.host.cpu.held
+        paths.append("behind charge" if ring._busy
+                     else "cpu held" if cpu_held
+                     else "parked idle" if ring.filled == ring.taken
+                     else "other")
+        fill(ring, dgram)
+
+    monkeypatch.setattr(DescriptorRing, "_fill", spy)
+    arrivals = [(100, 0, "mcast-seg"), (101, 0, "mcast-seg"),
+                (300, 0, "mcast-seg"), (2000, 0, "mcast-seg")]
+    waits = [(0, 0, 4, 400)]        # one round: four descriptors
+    bursts = [(290, 60)]            # the CPU is held over [290.5, 350.5)
+    ring, ring_records = _drive(UdpSocket, 0.06, arrivals, waits, bursts,
+                                _ring_round)
+    loop, loop_records = _drive(UdpSocket, 0.06, arrivals, waits, bursts,
+                                _loop_round)
+    assert ring == loop and ring_records == loop_records
+    assert paths == ["parked idle", "behind charge", "cpu held"]
+    log = ring[0]
+    assert [e[2] for e in log if e[0] == "recv"] == [0, 1, 2]
+    assert [e[:3] for e in log if e[0] == "end"] == [("end", 100, None)]
+    assert ring[4] == 1                 # drops_not_posted: the 4th
+
+
+@pytest.mark.parametrize("evict_at", [50.0, 100.0])
+def test_closing_the_ring_gives_its_cpu_turn_back(evict_at):
+    """A fill behind a CPU burst queues the ring's turn; closing the
+    ring withdraws it while queued (50 us) and releases the CPU once
+    granted (100 us, the holder's release) — the next ``use`` runs."""
+    cl, sim, h0, h1 = make2()
+    rx = h1.socket(100, posted_only=True)
+    caught, done = [], []
+
+    def owner():
+        ring = rx.post_ring(2, lambda d: False)
+        try:
+            yield ring.drain(1000.0)
+        except Interrupt:
+            caught.append((sim.now, ring._busy))
+        finally:
+            ring.close()
+
+    def third():
+        yield sim.timeout(200.0)
+        yield from h1.cpu.use(1.0)
+        done.append(sim.now)
+
+    proc = sim.process(owner())
+    sim.schedule_at(evict_at, proc.interrupt, "evict")
+    sim.process(h1.cpu.use(100.0))      # the burst, over [0, 100)
+    sim.schedule_call(10.0, rx._deliver, dgram_to(rx, "x"))
+    sim.process(third())
+    sim.run()                           # DeadlockError if the turn leaked
+    assert caught == [(evict_at, True)] and done == [201.0]
+    assert not h1.cpu.held and h1.cpu.queue_depth == 0
+    assert rx.posted_depth == 0 and cl.stats.datagrams_delivered == 0
