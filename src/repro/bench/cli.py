@@ -147,33 +147,41 @@ def _find_case(command: str, args_list, scale: str, base_seed: int):
 
 
 def _count_records(run) -> None:
-    """``profile --records``: run the case with every kernel push
-    tallied by the callable it schedules and print the table.  The two
+    """``profile --records``: run the case with every kernel record
+    tallied by the callable it schedules and print the table.  The three
     ``Simulator`` push methods are wrapped for the duration of the run
-    only, from here — the simulator has no counting hook."""
+    only, from here — the simulator has no counting hook; a fan-out
+    push counts only when it opened a record, named after its first
+    member."""
     from collections import Counter
 
     from ..simnet.kernel import Simulator
 
     tally, sims = Counter(), set()
-    pushes = Simulator.schedule_call, Simulator.schedule_at
+    pushes = (Simulator.schedule_call, Simulator.schedule_at,
+              Simulator.schedule_fanout)
 
     def counting(push):
         def wrapper(sim, when, fn, *args):
+            seq = sim._seq
+            push(sim, when, fn, *args)
+            if sim._seq == seq:
+                return              # joined the open fan-out record
             # Event / Timeout / Process inherit one _dispatch: name a
             # bound method by its object's own class
             owner = getattr(fn, "__self__", None)
             tally[fn.__qualname__ if owner is None else
                   f"{type(owner).__name__}.{fn.__name__}"] += 1
             sims.add(sim)
-            push(sim, when, fn, *args)
         return wrapper
 
-    Simulator.schedule_call, Simulator.schedule_at = map(counting, pushes)
+    (Simulator.schedule_call, Simulator.schedule_at,
+     Simulator.schedule_fanout) = map(counting, pushes)
     try:
         run()
     finally:
-        Simulator.schedule_call, Simulator.schedule_at = pushes
+        (Simulator.schedule_call, Simulator.schedule_at,
+         Simulator.schedule_fanout) = pushes
     for name, n in tally.most_common():
         print(f"{n:>10,}  {name}")
     print(f"{sum(tally.values()):>10,}  records pushed; sim.processed = "

@@ -278,7 +278,7 @@ def reassemble(segments: list[Segment]) -> Any:
             f"of {nsegs}")
     if segs[0].opaque:
         return segs[0].chunk
-    return b"".join(s.chunk for s in segs)
+    return b"".join([s.chunk for s in segs])
 
 
 class Reassembler:
@@ -296,11 +296,13 @@ class Reassembler:
         if nsegs < 1:
             raise ValueError(f"nsegs must be >= 1, got {nsegs}")
         self.nsegs = nsegs
-        self.needed = (set(range(nsegs)) if needed is None
-                       else set(needed))
-        if not all(0 <= i < nsegs for i in self.needed):
-            raise ValueError(f"needed {sorted(self.needed)} out of range "
-                             f"for a {nsegs}-segment stream")
+        if needed is None:
+            self.needed = set(range(nsegs))
+        else:
+            self.needed = set(needed)
+            if not self.needed.issubset(range(nsegs)):
+                raise ValueError(f"needed {sorted(self.needed)} out of "
+                                 f"range for a {nsegs}-segment stream")
         self.duplicates = 0
         self._got: dict[int, Segment] = {}
 

@@ -129,7 +129,8 @@ class IpStack:
         if sock is None:
             self.stats.drops_no_listener += 1
             return
-        if is_group_addr(dgram.dst) and not sock.joined(dgram.dst):
+        # a joined group skips the address test: sockets join only groups
+        if dgram.dst not in sock._groups and is_group_addr(dgram.dst):
             self.stats.drops_no_listener += 1
             return
         sock._deliver(dgram)

@@ -40,6 +40,21 @@ that pops before the current deadline re-schedules itself there, one
 that pops after ``cancel()`` is a no-op.  (Only re-arming to an
 *earlier* deadline pushes a second record, orphaning the later one.)
 
+A multicast fan-out — a switch's copies leaving one port after
+another, a hub's one transmission reaching every station — lands many
+calls at one instant.  :meth:`Simulator.schedule_fanout` gives them one
+heap record: a fan-out push *joins* the record of the previous push
+when that push was a fan-out too, at the identical ``due`` float, and
+its record has not popped; otherwise it opens a new record.  The record
+calls its members in push order.  Joined members would have been
+adjacent in ``(due, seq)`` order anyway (nothing was pushed between
+them), and whatever they schedule takes a later ``seq`` either way, so
+dispatch order is the same as with one record each; ``processed`` and
+``peak_live`` count records.  The one rule for a member: it is a device
+callback that schedules work but never resumes a process in place — a
+process crashing mid-record would otherwise let the members after it
+run before :meth:`Simulator.run` re-raises.
+
 The kernel also detects **deadlock**: if :meth:`Simulator.run` exhausts the
 event heap while processes are still suspended, it raises
 :class:`DeadlockError` naming them — invaluable when debugging MPI programs
@@ -401,14 +416,17 @@ class Simulator:
 
     Every record is a plain callable with its arguments —
     :meth:`schedule_call` / :meth:`schedule_at` push the caller's, an
-    :class:`Event` pushes its own bound ``_dispatch`` — and the loop
+    :class:`Event` pushes its own bound ``_dispatch``, a fan-out its
+    member list behind ``_run_fanout`` — and the loop
     pops the smallest and calls ``fn(*args)``.  ``seq`` is a global
     insertion counter, unique per record, so the heap orders by
     ``(due, seq)`` and a comparison never reaches ``fn``.
 
     Determinism contract: records dispatch in ``(due, seq)`` order —
     ties at one timestamp in insertion order, a zero-delay record in
-    its ``(now, seq)`` place among them.
+    its ``(now, seq)`` place among them.  A fan-out record
+    (:meth:`schedule_fanout`) runs its members in push order, in the
+    place the first of them would have had.
     """
 
     def __init__(self) -> None:
@@ -426,6 +444,11 @@ class Simulator:
         #: (and when :meth:`run` returns): the pending count only grows
         #: between two pops, so that is the maximum over every push.
         self.peak_live: int = 0
+        # the open fan-out record (its member list, due and seq), until
+        # it pops; see schedule_fanout
+        self._fan: Optional[list] = None
+        self._fan_due = 0.0
+        self._fan_seq = 0
 
     # -- event factories ------------------------------------------------
     def event(self) -> Event:
@@ -476,6 +499,30 @@ class Simulator:
                              f"now={self.now})")
         self._seq += 1
         heapq.heappush(self._heap, (due, self._seq, fn, args))
+
+    def schedule_fanout(self, due: float, fn: Callable, *args: Any) -> None:
+        """:meth:`schedule_at` for one copy of a fan-out: joins the
+        previous push's record when that push was a fan-out at the
+        identical ``due`` whose record is still pending (see the module
+        docstring); ``fn`` must never resume a process in place."""
+        fan = self._fan
+        if fan is not None and self._fan_seq == self._seq \
+                and due == self._fan_due:
+            fan.append((fn, args))
+            return
+        if due < self.now:
+            raise ValueError(f"cannot schedule into the past (due={due}, "
+                             f"now={self.now})")
+        self._seq += 1
+        self._fan = fan = [(fn, args)]
+        self._fan_due, self._fan_seq = due, self._seq
+        heapq.heappush(self._heap, (due, self._seq, self._run_fanout, (fan,)))
+
+    def _run_fanout(self, fan: list) -> None:
+        if fan is self._fan:
+            self._fan = None        # popped: a member's push opens anew
+        for fn, args in fan:
+            fn(*args)
 
     # -- main loop --------------------------------------------------------
     def step(self) -> None:

@@ -13,7 +13,9 @@ record at serialization end exists only when somebody observes it — the
 sender asked for a completion callback, or a frame is queued behind the
 wire.  A link wired with its far end's fixed delay (``settle_us``: a
 NIC's ``per_frame_rx_us``, a switch's ``switch_latency_us``) runs the
-far end's work in the arrival record, ``settle_us`` after the last bit.
+far end's work in the arrival record, ``settle_us`` after the last bit;
+the copies of a multicast fan-out that land at one instant share that
+record (:meth:`~repro.simnet.kernel.Simulator.schedule_fanout`).
 A frame offered to a :attr:`~HalfLink.fault` hook takes two records
 (the hook reads the clock at the last bit), and reaches the far end
 ``settle_us`` later all the same: every observation at one device
@@ -29,6 +31,7 @@ from .calibration import NetParams
 from .frame import Frame
 from .kernel import Simulator
 from .stats import NetStats
+from .units import rate_bytes_per_us
 
 __all__ = ["HalfLink", "FullLink"]
 
@@ -50,6 +53,7 @@ class HalfLink:
                  settle_us: Optional[float] = None):
         self.sim = sim
         self.params = params
+        self._bytes_per_us = rate_bytes_per_us(params.rate_mbps)
         self.stats = stats
         #: ``deliver(frame)`` at the last bit — or, with ``settle_us``,
         #: ``deliver(frame, at)`` that long after the last bit ``at``
@@ -103,7 +107,7 @@ class HalfLink:
 
     def _start(self, frame: Frame, on_sent: Optional[Callable]) -> None:
         sim = self.sim
-        wire_us = frame.wire_time_us(self.params.rate_mbps)
+        wire_us = frame.wire_size / self._bytes_per_us    # bytes_to_us
         if self.count_as_send:
             self.stats.record_send(frame.wire_size, frame.kind)
         else:
@@ -122,7 +126,7 @@ class HalfLink:
             sim.schedule_at(at, self._last_bit, frame)
         else:
             # the float the far end's own schedule_call would compute
-            sim.schedule_at(at + self.settle_us, self._arrive, frame, at)
+            sim.schedule_fanout(at + self.settle_us, self._arrive, frame, at)
         self.free_at = free_at = sim.now + wire_us
         if on_sent is not None or self._queue:
             self._wake_at = free_at

@@ -9,7 +9,8 @@ ready" story.
 
 Accepted frames pay ``per_frame_rx_us`` (interrupt + IP input processing)
 after their last bit: on the hub the NIC filters at the last bit and
-schedules IP input; a switch-to-host link hands the frame over once the
+schedules IP input — every station's copy of one transmission in one
+shared kernel record; a switch-to-host link hands the frame over once the
 delay has elapsed (its ``settle_us``), and filter and IP input run then.
 A frame sent onto an idle link costs no record; one queued behind the
 wire costs one wake, ``per_frame_tx_us`` after the wire falls idle.
@@ -22,7 +23,7 @@ from functools import partial
 from typing import Callable, Optional
 
 from .calibration import NetParams
-from .frame import BROADCAST, Frame, is_multicast
+from .frame import BROADCAST, Frame
 from .kernel import Simulator
 from .stats import NetStats
 
@@ -72,6 +73,8 @@ class Nic:
 
     # -- multicast filter ----------------------------------------------------
     def join_filter(self, group_mac: int) -> None:
+        """Admit ``group_mac`` (a multicast address: the filter tests
+        bare membership)."""
         self._mcast_refs[group_mac] = self._mcast_refs.get(group_mac, 0) + 1
 
     def leave_filter(self, group_mac: int) -> None:
@@ -139,7 +142,7 @@ class Nic:
         after the last bit ``at``; returns True if the filter accepted."""
         dst = frame.dst
         accept = (dst == self.mac or dst == BROADCAST
-                  or (is_multicast(dst) and dst in self._mcast_refs))
+                  or dst in self._mcast_refs)
         if not accept:
             self.filtered_frames += 1
             return False
@@ -151,8 +154,9 @@ class Nic:
                                 self.mac)
         if self._receiver is not None:
             if at is None:
-                self.sim.schedule_call(self.params.per_frame_rx_us,
-                                       self._receiver, frame)
+                sim = self.sim
+                sim.schedule_fanout(sim.now + self.params.per_frame_rx_us,
+                                    self._receiver, frame)
             else:
                 self._receiver(frame)
         return True

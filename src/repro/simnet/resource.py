@@ -22,12 +22,8 @@ class Resource:
     def __init__(self, sim: Simulator, name: str = "cpu"):
         self.sim = sim
         self.name = name
-        self._held = False
+        self.held = False
         self._waiters: deque[Event] = deque()
-
-    @property
-    def held(self) -> bool:
-        return self._held
 
     @property
     def queue_depth(self) -> int:
@@ -36,20 +32,20 @@ class Resource:
     def acquire(self) -> Optional[Event]:
         """Take the resource: ``None`` if it was free (the caller holds it
         now), else the event that fires when the caller's turn comes."""
-        if not self._held:
-            self._held = True
+        if not self.held:
+            self.held = True
             return None
         ev = self.sim.event()
         self._waiters.append(ev)
         return ev
 
     def release(self) -> None:
-        if not self._held:
+        if not self.held:
             raise SimError(f"release of un-held resource {self.name!r}")
         if self._waiters:
             self._waiters.popleft().succeed(None)
         else:
-            self._held = False
+            self.held = False
 
     def relinquish(self, turn: Optional[Event]) -> None:
         """Give back what :meth:`acquire` returned, on any exit: release

@@ -11,7 +11,8 @@ Models the paper's HP ProCurve managed switch:
   double serialization is why the paper's Fig. 11 shows the hub *beating*
   the switch for multicast traffic.  The ingress link is wired with that
   latency, so the tables are read and the frame fans out
-  ``switch_latency_us`` after its last bit, in the hop's one record;
+  ``switch_latency_us`` after its last bit, in the hop's one record —
+  shared with every other copy landing at that instant;
 * **IGMP snooping** — the switch learns multicast group membership from
   IGMP report/leave frames and forwards a multicast frame only to member
   ports, so multicast on the switch consumes no bandwidth on uninvolved
@@ -72,6 +73,9 @@ class Switch:
         self._mac_table: dict[int, int] = {}
         # group -> {port index: downstream member refcount}
         self._mcast_table: dict[int, dict[int, int]] = {}
+        # (registered group, ingress port) -> egress links; cleared by
+        # every snooped report and every new port
+        self._egress_cache: dict[tuple[int, int], list[HalfLink]] = {}
         self.frames_switched = 0
         self.frames_flooded = 0
         #: chaos seam: a powered-off switch blackholes every ingress
@@ -89,6 +93,7 @@ class Switch:
         """
         port = _Port(len(self._ports), out, trunk)
         self._ports.append(port)
+        self._egress_cache.clear()
         return port.index
 
     @property
@@ -120,15 +125,14 @@ class Switch:
         if frame.kind == "igmp":
             self._snoop(port_idx, frame, at)
             return
-        egress = self._egress_ports(port_idx, frame)
+        outs = self._egress(port_idx, frame)
         self.frames_switched += 1
         rec = self.stats.recorder
         if rec is not None:
             rec.frame_switched(self.sim.now if at is None else at, frame,
-                               self.name, len(egress))
-        if egress:
-            ports = self._ports
-            self._fanout([ports[idx].out for idx in egress], frame, at)
+                               self.name, len(outs))
+        if outs:
+            self._fanout(outs, frame, at)
 
     def _fanout(self, outs: list[HalfLink], frame: Frame,
                 at: Optional[float]) -> None:
@@ -141,28 +145,35 @@ class Switch:
         for out in outs:
             out.send(frame)
 
-    def _egress_ports(self, ingress: int, frame: Frame) -> list[int]:
+    def _egress(self, ingress: int, frame: Frame) -> list[HalfLink]:
         dst = frame.dst
         if dst == BROADCAST:
-            return [p.index for p in self._ports if p.index != ingress]
+            return [p.out for p in self._ports if p.index != ingress]
         if is_multicast(dst):
+            outs = self._egress_cache.get((dst, ingress))
+            if outs is not None:
+                return outs
             members = self._mcast_table.get(dst)
             if members is None:
                 # Unregistered group: flood (default switch behaviour).
                 self.frames_flooded += 1
-                return [p.index for p in self._ports if p.index != ingress]
-            return [i for i in sorted(members)
+                return [p.out for p in self._ports if p.index != ingress]
+            ports = self._ports
+            outs = [ports[i].out for i in sorted(members)
                     if members[i] > 0 and i != ingress]
+            self._egress_cache[dst, ingress] = outs
+            return outs
         port = self._mac_table.get(dst)
         if port is None:
             self.frames_flooded += 1
-            return [p.index for p in self._ports if p.index != ingress]
-        return [port] if port != ingress else []
+            return [p.out for p in self._ports if p.index != ingress]
+        return [self._ports[port].out] if port != ingress else []
 
     # -- IGMP snooping -------------------------------------------------
     def _snoop(self, port_idx: int, frame: Frame,
                at: Optional[float]) -> None:
         op, group = frame.payload
+        self._egress_cache.clear()
         if op == "join":
             refs = self._mcast_table.setdefault(group, {})
             refs[port_idx] = refs.get(port_idx, 0) + 1

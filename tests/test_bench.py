@@ -183,14 +183,18 @@ def test_cli_has_no_figure_mode(flag):
 def test_profile_records_tally_sums_to_the_documents_events(capsys):
     """``profile --records`` names every kernel record of a case by the
     callable it schedules; the tally is the committed ``events`` count,
-    and the two push methods are restored afterwards."""
+    and the three push methods are restored afterwards."""
     from repro.bench.cli import main
     from repro.simnet.kernel import Simulator
 
-    pushes = Simulator.schedule_call, Simulator.schedule_at
+    def current():
+        return (Simulator.schedule_call, Simulator.schedule_at,
+                Simulator.schedule_fanout)
+
+    pushes = current()
     case = "workload[fabric=tree:8x8]"
     assert main(["profile", "sim-throughput", case, "--records"]) == 0
-    assert (Simulator.schedule_call, Simulator.schedule_at) == pushes
+    assert current() == pushes
     rows = [line.split(None, 1)
             for line in capsys.readouterr().out.splitlines()[1:]]
     tally = {name: int(n.replace(",", "")) for n, name in rows[:-1]}

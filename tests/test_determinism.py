@@ -75,6 +75,9 @@ class _TieShuffledSimulator(Simulator):
         heapq.heappush(self._heap, (due, (self._tie_rng.random(), self._seq),
                                     fn, args))
 
+    # every fan-out copy a tie-shuffled record of its own
+    schedule_fanout = schedule_at
+
 
 TIE_OPS = ("bcast", "barrier", "reduce", "allreduce", "gather", "scatter",
            "allgather")

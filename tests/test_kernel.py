@@ -372,20 +372,36 @@ def test_timer_rejects_negative_delay_and_schedule_at_the_past():
 
 # ------------------------------------------- the contract, as a property
 class ModelSim:
-    """The kernel's whole scheduling contract: pending records kept in
+    """The kernel's whole scheduling contract: pending entries kept in
     issue order, the next to run is the first of those with the
-    smallest due time (a stable sort by due), ``processed`` counts
-    dispatches and ``peak_live`` is the most that were ever pending."""
+    smallest due time (a stable sort by due) and runs its calls in
+    order, ``processed`` counts dispatched entries and ``peak_live`` is
+    the most that were ever pending.  A fan-out push appends its call
+    to the last pending entry when that entry was the previous push,
+    is a fan-out and has the same due; every other push is an entry."""
 
     def __init__(self):
         self.now, self.pending, self.processed, self.peak_live = 0.0, [], 0, 0
+        self.last = None            # the entry of the previous push
+
+    def _push(self, due, fan, fn, args):
+        self.last = (due, fan, [(fn, args)])
+        self.pending.append(self.last)
+        self.peak_live = max(self.peak_live, len(self.pending))
 
     def schedule_at(self, due, fn, *args):
-        self.pending.append((due, fn, args))
-        self.peak_live = max(self.peak_live, len(self.pending))
+        self._push(due, False, fn, args)
 
     def schedule_call(self, delay, fn, *args):
         self.schedule_at(self.now + delay, fn, *args)
+
+    def schedule_fanout(self, due, fn, *args):
+        last = self.pending[-1] if self.pending else None
+        if last is self.last and last is not None and last[1] \
+                and last[0] == due:
+            last[2].append((fn, args))
+        else:
+            self._push(due, True, fn, args)
 
     def run(self, until=None):
         while self.pending:
@@ -394,12 +410,13 @@ class ModelSim:
             if until is not None and self.pending[first][0] > until:
                 self.now = until
                 break
-            self.now, fn, args = self.pending.pop(first)
+            self.now, _fan, calls = self.pending.pop(first)
             self.processed += 1
-            fn(*args)
+            for fn, args in calls:
+                fn(*args)
 
 
-_KINDS = ("call", "at", "succeed", "fail", "timeout",
+_KINDS = ("call", "at", "fan", "fan", "succeed", "fail", "timeout",
           "arm0", "arm1", "cancel0", "cancel1")
 _DELAYS = st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.0, 2.0, 3.25])   # ties
 _NODES = st.recursive(
@@ -412,8 +429,9 @@ _NODES = st.recursive(
 def _interpret(sim, program, untils, drive):
     """Run ``program`` — a forest of ``(kind, delay, children)`` nodes,
     each issuing its children when it fires — on ``sim`` (anything with
-    ``now`` / ``schedule_call`` / ``schedule_at``: the real ``Event``,
-    ``Timeout`` and ``Timer`` classes ask for nothing else).  Returns
+    ``now`` / ``schedule_call`` / ``schedule_at`` / ``schedule_fanout``:
+    the real ``Event``, ``Timeout`` and ``Timer`` classes ask for
+    nothing else).  Returns
     the dispatch log and, after each ``until`` cut-off and the final
     drain, ``(now, fired so far, processed, peak_live)``."""
     log = []
@@ -431,6 +449,8 @@ def _interpret(sim, program, untils, drive):
             sim.schedule_call(delay, fire, path, kids)
         elif kind == "at":
             sim.schedule_at(sim.now + delay, fire, path, kids)
+        elif kind == "fan":
+            sim.schedule_fanout(sim.now + delay, fire, path, kids)
         elif kind == "timeout":
             Timeout(sim, delay).add_callback(lambda _ev: fire(path, kids))
         elif kind in ("succeed", "fail"):
@@ -465,7 +485,8 @@ def _drive_by_step(sim, _until):
                        max_size=3))
 def test_dispatch_order_is_a_stable_sort_by_due_time(program, untils):
     """Every way of putting a record on the heap — ``schedule_call``
-    (zero and positive delay), ``schedule_at``, ``Event.succeed`` /
+    (zero and positive delay), ``schedule_at``, ``schedule_fanout``
+    (joining the open record or not), ``Event.succeed`` /
     ``fail``, ``Timeout``, a ``Timer`` armed, re-armed and cancelled —
     from callbacks that schedule further records: the kernel dispatches
     exactly as the model does, and counts what the model counts, at
@@ -491,3 +512,77 @@ def test_counters_survive_a_crashing_record():
     with pytest.raises(KeyError):
         sim.run()
     assert (sim.processed, sim.peak_live) == (1, 3)
+
+
+# ------------------------------------------------- the fan-out record
+def _fanout_log(sim):
+    log = []
+    return log, lambda tag: log.append((sim.now, tag))
+
+
+def test_fanout_pushes_at_one_instant_share_one_record():
+    sim = Simulator()
+    log, note = _fanout_log(sim)
+    for tag in "abc":
+        sim.schedule_fanout(5.0, note, tag)
+    sim.schedule_fanout(6.0, note, "d")         # another due: a new record
+    sim.run()
+    assert log == [(5.0, "a"), (5.0, "b"), (5.0, "c"), (6.0, "d")]
+    assert (sim.processed, sim.peak_live) == (2, 2)
+    with pytest.raises(ValueError):
+        sim.schedule_fanout(5.0, note, "past")
+
+
+def test_interleaved_push_splits_a_fanout():
+    """A push of any other kind between two fan-out pushes closes the
+    record: the three run in push order, as three records."""
+    sim = Simulator()
+    log, note = _fanout_log(sim)
+    sim.schedule_fanout(5.0, note, "a")
+    sim.schedule_at(5.0, note, "x")
+    sim.schedule_fanout(5.0, note, "b")
+    sim.run()
+    assert [tag for _, tag in log] == ["a", "x", "b"]
+    assert sim.processed == 3
+
+
+def test_fanout_push_after_its_record_popped_opens_a_new_one():
+    """A member pushing a fan-out at its own instant (nothing pushed in
+    between, identical due) does not join the record already running:
+    the new call runs after it, as a record of its own."""
+    sim = Simulator()
+    log, note = _fanout_log(sim)
+
+    def first():
+        note("first")
+        sim.schedule_fanout(sim.now, note, "again")
+
+    sim.schedule_fanout(5.0, first)
+    sim.schedule_fanout(5.0, note, "second")
+    sim.run()
+    assert [tag for _, tag in log] == ["first", "second", "again"]
+    assert sim.processed == 2
+    sim.schedule_fanout(5.0, note, "later")     # the clock stands at 5.0
+    sim.run()
+    assert log[-1] == (5.0, "later") and sim.processed == 3
+
+
+def test_fanout_members_run_in_push_order():
+    sim = Simulator()
+    log, note = _fanout_log(sim)
+    order = [3, 1, 4, 1, 5, 9, 2, 6]
+    for tag in order:
+        sim.schedule_fanout(2.5, note, tag)
+    sim.run()
+    assert [tag for _, tag in log] == order and sim.processed == 1
+
+
+def test_step_runs_a_whole_fanout_record():
+    sim = Simulator()
+    log, note = _fanout_log(sim)
+    for tag in "abc":
+        sim.schedule_fanout(1.0, note, tag)
+    sim.schedule_call(2.0, note, "z")
+    sim.step()
+    assert log == [(1.0, "a"), (1.0, "b"), (1.0, "c")]
+    assert sim.processed == 1 and sim.peek() == 2.0

@@ -8,12 +8,16 @@ timestamps and order, completion timestamps, every counter — under any
 send schedule, while the live link dispatches fewer kernel records.
 """
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simnet.calibration import FAST_ETHERNET_SWITCH, quiet
-from repro.simnet.frame import Frame
+from repro.simnet import topology
+from repro.simnet.calibration import (FAST_ETHERNET_HUB,
+                                      FAST_ETHERNET_SWITCH, quiet)
+from repro.simnet.frame import Frame, mcast_mac
 from repro.simnet.kernel import Simulator
 from repro.simnet.link import HalfLink
 from repro.simnet.stats import NetStats
@@ -239,3 +243,121 @@ def test_send_at_exactly_free_at_starts_at_once_and_keeps_fifo():
                     "records": live["records"]}
     assert [i for _, i in live["arrivals"]] == [0, 1, 2]
     assert live["completions"] == [(t, 0), (t + wire_us(100) + wire_us(46), 2)]
+
+
+# ------------------------------------------ copies sharing one record
+class _CountingSimulator(Simulator):
+    """The kernel as it is, counting the fan-out pushes that joined an
+    open record instead of opening their own."""
+
+    def __init__(self):
+        super().__init__()
+        self.joined = 0
+
+    def schedule_fanout(self, due, fn, *args):
+        seq = self._seq
+        super().schedule_fanout(due, fn, *args)
+        self.joined += self._seq == seq
+
+
+class _UnsharedSimulator(_CountingSimulator):
+    """Every fan-out copy in a heap record of its own."""
+
+    schedule_fanout = Simulator.schedule_at
+
+
+PORT, GROUPS = 7000, tuple(map(mcast_mac, (1, 2, 3)))   # 3rd: no member
+
+
+@st.composite
+def traffic(draw):
+    """Datagrams from random hosts to a group or one host, at instants
+    built to tie (a burst at one instant, sends on a few fixed marks),
+    plus one mid-run leave and a fault hook on one downlink."""
+    marks = st.sampled_from((0.0, 0.0, 40.0, 400.0, 1234.5))
+    sends = draw(st.lists(st.tuples(
+        marks, st.integers(0, 7), st.sampled_from(GROUPS + (0, 1, 2, 3)),
+        st.sampled_from((1, 300, 1400, 3000))), min_size=1, max_size=10))
+    members = draw(st.lists(st.sets(st.integers(0, 7)), min_size=2,
+                            max_size=2))
+    leave = draw(st.tuples(marks, st.integers(0, 7)))
+    fates = draw(st.lists(st.sampled_from(FATES), min_size=1, max_size=8))
+    hook = draw(st.tuples(marks, st.integers(0, 7)))
+    return sends, members, leave, fates, hook
+
+
+def drive_cluster(sim_cls, fabric, params, case):
+    """Run ``case`` on a fresh cluster built over ``sim_cls``; return
+    every socket arrival and receive completion ``(time, host, tag)``,
+    the ``NetStats`` counters, every host's jitter stream state, the
+    records dispatched and the pushes that joined a record."""
+    sends, members, (leave_at, leaver), fates, (hook_at, victim) = case
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(topology, "Simulator", sim_cls)
+        cluster = topology.build_cluster(8, fabric, params=params, seed=3)
+    sim, seen = cluster.sim, []
+    socks = [host.socket(PORT) for host in cluster.hosts]
+    for addr, sock in enumerate(socks):
+        for group, joined in zip(GROUPS, members):
+            if addr in joined:
+                sock.join(group)
+        sock.drop_filter = (lambda d, addr=addr: seen.append(
+            (sim.now, addr, "in", d.payload)) and False)
+
+    def receiver(addr):
+        while True:
+            dgram = yield from socks[addr].recv()
+            seen.append((sim.now, addr, "recv", dgram.payload))
+
+    def sender(i, at, src, dst, size):
+        yield sim.timeout(1000.0 + at)      # past the IGMP reports
+        yield from socks[src].sendto(i, size, dst, PORT)
+
+    for addr in range(8):
+        sim.process(receiver(addr), daemon=True)
+    for i, (at, src, dst, size) in enumerate(sends):
+        sim.process(sender(i, at, src, dst, size))
+    sim.schedule_call(1000.0 + leave_at, socks[leaver].leave, GROUPS[0])
+    if cluster.host_links:
+        fate = itertools.cycle(fates)
+        sim.schedule_call(1000.0 + hook_at, setattr,
+                          cluster.host_links[victim][1], "fault",
+                          lambda _frame, _link: next(fate))
+    sim.run()
+    return {"seen": seen, "stats": cluster.stats.snapshot(),
+            "rng": [host.rng.getstate() for host in cluster.hosts],
+            "end": sim.now}, sim.processed, sim.joined
+
+
+@settings(max_examples=60, deadline=None)
+@given(traffic(), st.sampled_from(("tree:2x4", "hub")), st.booleans())
+def test_shared_fanout_record_matches_one_record_per_copy(case, fabric,
+                                                          jitter):
+    """Copies that land at one instant in one kernel record are the
+    same run as one record per copy: every arrival and receive
+    completion at the same instant (exact floats) in the same order,
+    every ``NetStats`` counter and every host's jitter stream equal —
+    over switched fabrics and the hub, jitter on and off, with a link
+    fault hook installed partway through — and the records saved are
+    exactly the pushes that joined."""
+    base = FAST_ETHERNET_HUB if fabric == "hub" else FAST_ETHERNET_SWITCH
+    params = base if jitter else quiet(base)
+    want, records_unshared, none_joined = drive_cluster(
+        _UnsharedSimulator, fabric, params, case)
+    got, records, joined = drive_cluster(
+        _CountingSimulator, fabric, params, case)
+    assert got == want
+    assert none_joined == 0 and records_unshared - records == joined
+
+
+def test_shared_fanout_record_joins_a_multicast():
+    """Non-vacuity: a multicast to every host shares records."""
+    case = ([(0.0, 0, GROUPS[0], 3000)], [set(range(8)), set()],
+            (0.0, 0), [None], (0.0, 0))
+    for fabric in ("tree:2x4", "hub"):
+        want, records_unshared, _ = drive_cluster(
+            _UnsharedSimulator, fabric, quiet(FAST_ETHERNET_SWITCH), case)
+        got, records, joined = drive_cluster(
+            _CountingSimulator, fabric, quiet(FAST_ETHERNET_SWITCH), case)
+        assert got == want and joined > 0
+        assert records_unshared - records == joined
