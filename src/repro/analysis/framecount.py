@@ -15,7 +15,10 @@ Three folds return ``(host frames, trunk serializations)`` of one call
 with one signature ``(op, seg_of_rank, root, nbytes, params, paths)``:
 :func:`model_flat_frames` and :func:`model_hier_frames` over a compiled
 multicast plan, :func:`model_p2p_frames` over the p2p collectives' tree
-edges.  A p2p hop is priced in one place (:func:`_hop`) for both.
+edges.  A p2p hop is priced in one place (:func:`_hop`) for both.  A
+composite collective (:data:`~repro.mpi.collective.registry.
+COMPOSITIONS`) is priced as the sum of its parts' folds, in one place
+too (:func:`model_parts_frames`, at :func:`part_payloads`).
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from ..core.channel import MCAST_HEADER_BYTES, SEG_HEADER_BYTES
 from ..mpi.collective.barrier_p2p import largest_power_of_two_leq
 from ..mpi.collective.hier import (BUNDLE_KINDS, build_hier_tree,
                                    canonical_order, compile_plan)
+from ..mpi.collective.registry import COMPOSITIONS, parts_of
 from ..mpi.datatypes import BUNDLE_LENGTH_BYTES
 from ..mpi.p2p import DEFAULT_EAGER_THRESHOLD
 from ..simnet.calibration import NetParams
@@ -37,7 +41,8 @@ __all__ = [
     "paper_mcast_barrier_messages", "model_mcast_bcast_frames",
     "expected_seg_repair_frames", "multicast_trunk_edges",
     "model_p2p_frames", "model_plan_frames", "model_flat_frames",
-    "model_hier_frames", "MODEL_COVERAGE",
+    "model_hier_frames", "part_payloads", "model_parts_frames",
+    "composite_coverage", "MODEL_COVERAGE",
 ]
 
 
@@ -339,8 +344,7 @@ def model_p2p_frames(op: str, seg_of_rank, root: int, nbytes: int,
     """(host frames, trunk serializations) of one call of ``op``'s p2p
     implementation — the auto policy's baseline and the static
     table's default: a fold of :func:`_hop` over every message it sends.
-    Exact (asserted against ``NetStats`` by ``tests/test_plan_model.py``);
-    ``reduce_scatter``, whose reduce ships a pickled list, is not priced.
+    Exact (asserted against ``NetStats`` by ``tests/test_plan_model.py``).
 
     The rooted four walk the binomial tree rooted at ``root``
     (:func:`~repro.core.binomial.binomial_edges`), one message per edge:
@@ -349,22 +353,12 @@ def model_p2p_frames(op: str, seg_of_rank, root: int, nbytes: int,
     (``nbytes`` one rank's contribution) carry the bundle of the
     child's subtree, ``BUNDLE_LENGTH_BYTES`` per element beside it.  A
     non-``commutative`` reduce at a nonzero root runs the tree at rank
-    0 and adds its forward to the root.  ``allreduce`` and ``allgather``
-    are their parts as the static table dispatches them: a reduce /
-    gather to rank 0, then the bcast of the result / the gathered
-    bundle.  ``alltoall`` sends one ``nbytes`` element per ordered rank
-    pair; ``scan`` and ``exscan`` one ``nbytes`` value down the rank
-    chain."""
+    0 and adds its forward to the root.  ``alltoall`` sends one
+    ``nbytes`` element per ordered rank pair; ``scan`` and ``exscan``
+    one ``nbytes`` value down the rank chain.  A composite is priced by
+    :func:`model_parts_frames`."""
     digest = topo_digest(seg_of_rank, paths)
     size = digest.size
-    if op in ("allreduce", "allgather"):
-        first, whole = (("reduce", nbytes) if op == "allreduce" else
-                        ("gather", size * (nbytes + BUNDLE_LENGTH_BYTES)))
-        f1, t1 = model_p2p_frames(first, seg_of_rank, 0, nbytes, params,
-                                  paths, commutative)
-        f2, t2 = model_p2p_frames("bcast", seg_of_rank, 0, whole, params,
-                                  paths)
-        return f1 + f2, t1 + t2
     if op == "alltoall":
         hops = [(a, b, nbytes) for a in range(size) for b in range(size)
                 if a != b]
@@ -429,12 +423,6 @@ def model_plan_frames(op: str, tree, digest: TopoDigest, root: int,
     from ..core.segment import (auto_batch, plan_transport,
                                 seg_nack_frame_count, step_streams)
 
-    if op == "allreduce":   # summed per half: frames are floats under loss
-        f1, t1 = model_plan_frames("reduce", tree, digest, 0, nbytes,
-                                   params, loss)
-        f2, t2 = model_plan_frames("bcast", tree, digest, 0, nbytes,
-                                   params, loss)
-        return f1 + f2, t1 + t2
     size, seg_of_rank = digest.size, digest.seg_of_rank
     home = seg_of_rank[root]
     steps = compile_plan(op, tree, root)
@@ -553,6 +541,43 @@ def model_hier_frames(op: str, seg_of_rank, root: int, nbytes: int,
 
 
 # ---------------------------------------------------------------------------
+# the composite collectives: the sum of their parts
+# ---------------------------------------------------------------------------
+def part_payloads(op: str, size: int, nbytes: int) -> tuple[int, ...]:
+    """The ``nbytes`` each part of composite ``op`` carries, in run
+    order, for a call whose own ``nbytes`` is one rank's contribution
+    (``reduce_scatter``: one of its ``size`` elements): a reduction
+    keeps its operand's size; a value holding every rank's element is
+    their bundle; a scatter's is its total sequence."""
+    bundle = size * (nbytes + BUNDLE_LENGTH_BYTES)
+    return {"allgather": (nbytes, bundle),
+            "reduce_scatter": (bundle, size * nbytes)}.get(
+                op, (nbytes, nbytes))
+
+
+def model_parts_frames(op: str, impl: str, seg_of_rank, root: int,
+                       nbytes: int, params: NetParams, paths=None,
+                       loss: float = 0.0) -> tuple[float, float]:
+    """(host frames, trunk serializations) of one call of composite
+    ``impl`` of ``op`` (a row, or ``"+"``-joined parts): its parts'
+    own folds at :func:`part_payloads` summed, every part at root 0 —
+    ``root`` is unused.  Exact wherever they are."""
+    size = len(seg_of_rank)
+    frames = trunk = 0
+    for (part, part_impl), m in zip(parts_of(op, impl),
+                                    part_payloads(op, size, nbytes)):
+        if part_impl.startswith("p2p-"):
+            f, t = model_p2p_frames(part, seg_of_rank, 0, m, params, paths)
+        else:
+            fold = (model_hier_frames if part_impl == "hier-mcast"
+                    else model_flat_frames)
+            f, t = fold(part, seg_of_rank, 0, m, params, paths, loss)
+        frames += f
+        trunk += t
+    return frames, trunk
+
+
+# ---------------------------------------------------------------------------
 # model coverage ledger (PR 6: executed by the REG01 lint rule)
 # ---------------------------------------------------------------------------
 #: (op, impl) -> the closed-form frame model backing it, as a dotted
@@ -562,10 +587,12 @@ def model_hier_frames(op: str, seg_of_rank, root: int, nbytes: int,
 #: against the live registry: every registered implementation must
 #: appear here (a missing entry is a silent modeling gap), and every
 #: entry must name a registered implementation and a resolvable
-#: function.  ``tests/test_lint.py`` pins the ``estimate:`` set: a new
-#: marker is a deliberate test edit.
+#: function.  A composite's entry is derived from its parts' (no hand
+#: entries: REG01 flags one).  ``tests/test_lint.py`` pins the
+#: ``estimate:`` set: a new marker is a deliberate test edit.
 _P2P = "repro.analysis.framecount.model_p2p_frames"
 _FLAT = "repro.analysis.framecount.model_flat_frames"
+_HIER = "repro.analysis.framecount.model_hier_frames"
 MODEL_COVERAGE: dict[tuple[str, str], str] = {
     ("bcast", "p2p-binomial"): _P2P,
     ("bcast", "mcast-binary"):
@@ -585,23 +612,28 @@ MODEL_COVERAGE: dict[tuple[str, str], str] = {
         "repro.analysis.framecount.paper_mcast_barrier_messages",
     ("reduce", "p2p-binomial"): _P2P,
     ("reduce", "mcast-seg-combine"): _FLAT,
-    ("allreduce", "p2p-reduce-bcast"): _P2P,
-    ("allreduce", "mcast-seg-nack"): _FLAT,
     ("gather", "p2p-binomial"): _P2P,
     ("gather", "mcast-seg-root-follow"): _FLAT,
     ("scatter", "p2p-binomial"): _P2P,
     ("scatter", "mcast-seg-root"): _FLAT,
-    ("allgather", "p2p-gather-bcast"): _P2P,
     ("allgather", "mcast-seg-paced"): _FLAT,
     ("alltoall", "p2p-pairwise"): _P2P,
     ("scan", "p2p-linear"): _P2P,
     ("exscan", "p2p-linear"): _P2P,
-    ("reduce_scatter", "p2p-reduce-scatter"):
-        "estimate: its reduce ships a pickled list, whose size has no "
-        "closed form",
 }
 # every hierarchical plan is priced exactly by the hierarchy's fold
-MODEL_COVERAGE.update(
-    ((op, "hier-mcast"), "repro.analysis.framecount.model_hier_frames")
-    for op in ("bcast", "reduce", "allreduce", "barrier", "scatter",
-               "gather", "allgather"))
+MODEL_COVERAGE.update(((op, "hier-mcast"), _HIER) for op in (
+    "bcast", "reduce", "barrier", "scatter", "gather", "allgather"))
+
+
+def composite_coverage(parts, coverage) -> str:
+    """A composite's ``MODEL_COVERAGE`` entry, derived from its parts':
+    :func:`model_parts_frames` when each part's is a fold it sums."""
+    rough = [f"({op}, {impl})" for op, impl in parts
+             if coverage.get((op, impl)) not in (_P2P, _FLAT, _HIER)]
+    return (f"estimate: its parts {', '.join(rough)} have no fold to sum"
+            if rough else "repro.analysis.framecount.model_parts_frames")
+
+
+MODEL_COVERAGE.update((row, composite_coverage(parts, MODEL_COVERAGE))
+                      for row, parts in COMPOSITIONS.items())

@@ -42,6 +42,10 @@ The **frame model** column marks each implementation's coverage in
 entries name the closed form that benchmarks assert against the
 simulator's counters frame-for-frame; *estimate* entries say why only
 a bound or asymptotic model exists.
+
+A *composite* implementation (`registry.COMPOSITIONS`) runs the parts
+its summary names, in order at root 0; its frame model is their sum,
+and under `"auto"` its op is offered its parts' own picks.
 """
 
 
@@ -77,7 +81,7 @@ def collective_registry_doc() -> str:
     import repro.core  # noqa: F401  (registration side effect)
     from repro.analysis.framecount import MODEL_COVERAGE
     from repro.mpi.collective import registry
-    from repro.mpi.collective.policy import AUTO_CHOICES, HIER_AUTO
+    from repro.mpi.collective.policy import AUTO_CHOICES, AUTO_OPS, HIER_AUTO
 
     def frame_model(op: str, name: str) -> str:
         entry = MODEL_COVERAGE.get((op, name))
@@ -95,13 +99,15 @@ def collective_registry_doc() -> str:
         impls = ", ".join(f"`{name}`"
                           for name in sorted(registry.REGISTRY[op]))
         default = registry.DEFAULTS.get(op, "—")
-        if op in AUTO_CHOICES:
-            cand = [AUTO_CHOICES[op][0], AUTO_CHOICES[op][1]]
-            if op in HIER_AUTO:
-                cand.append(HIER_AUTO[op])
-            auto = ", ".join(f"`{name}`" for name in cand)
-        else:
-            auto = "—"
+        auto = "—"
+        if op in AUTO_OPS:
+            cand = [" + ".join(f"{part} pick"
+                               for part in registry.PART_OPS[op])
+                    if op in registry.PART_OPS
+                    else f"`{AUTO_CHOICES[op][0]}`"]
+            if op in AUTO_CHOICES:
+                cand += [f"`{AUTO_CHOICES[op][1]}`", f"`{HIER_AUTO[op]}`"]
+            auto = ", ".join(cand)
         lines.append(f"| {op} | {impls} | `{default}` | {auto} |")
     lines.append("")
     for op in sorted(registry.REGISTRY):

@@ -53,7 +53,7 @@ from types import SimpleNamespace
 
 from ..analysis.framecount import (expected_seg_repair_frames,
                                    model_flat_frames, model_hier_frames,
-                                   topo_digest)
+                                   model_parts_frames, topo_digest)
 from ..core.segment import (plan_segments, plan_transport,
                             seg_nack_datagram_count,
                             seg_nack_frame_count)
@@ -711,10 +711,11 @@ register_area(AreaSpec(
 # ===========================================================================
 SEGRED_NPROCS = 4
 
-#: op -> {role: registry impl} — the reduction-side rivals of PR 3,
-#: the auto policy's own two candidates
-_SEGRED_IMPLS = {op: dict(zip(("p2p", "seg"), AUTO_CHOICES[op]))
-                 for op in ("reduce", "allreduce")}
+#: op -> {role: registry impl} — the reduction-side rivals of PR 3:
+#: the reduce's auto candidates and the allreduce rows made of them
+_SEGRED_IMPLS = {
+    "reduce": dict(zip(("p2p", "seg"), AUTO_CHOICES["reduce"])),
+    "allreduce": {"p2p": "p2p-reduce-bcast", "seg": "mcast-seg-nack"}}
 
 
 def _segred_null_frames(seed):
@@ -731,9 +732,16 @@ def segred_frames_case(scale, seed, op, size):
     default, loss-free (each contribution crosses the wire once either
     way; the broadcast half of the segmented allreduce is ONE stream
     against the tree's N-1 re-sends).  The p2p run's frames, the
-    rendezvous RTS / CTS included, are the p2p fold's."""
+    rendezvous RTS / CTS included, are the p2p fold's (the allreduce's:
+    its parts')."""
     from ..analysis.framecount import model_p2p_frames
 
+    seg_of, nbytes = (0,) * SEGRED_NPROCS, 8 * max(1, size // 8)
+    if op == "allreduce":
+        model = model_parts_frames(op, _SEGRED_IMPLS[op]["p2p"], seg_of, 0,
+                                   nbytes, QUIET_AUTO)
+    else:
+        model = model_p2p_frames(op, seg_of, 0, nbytes, QUIET_AUTO)
     base_p2p, _ = _segred_null_frames(seed)
     p2p_kinds, seg_kinds = (
         _run(SEGRED_NPROCS, op, _SEGRED_IMPLS[op][role], size,
@@ -741,8 +749,7 @@ def segred_frames_case(scale, seed, op, size):
     p2p = p2p_kinds.get("p2p", 0) - base_p2p
     seg = seg_kinds.get("mcast-seg", 0)
     rendezvous = p2p_kinds.get("p2p-rts", 0) + p2p_kinds.get("p2p-cts", 0)
-    assert p2p + rendezvous == model_p2p_frames(
-        op, (0,) * SEGRED_NPROCS, 0, 8 * max(1, size // 8), QUIET_AUTO)[0]
+    assert p2p + rendezvous == model[0]
     return {"frames_payload_p2p": p2p, "frames_payload_seg": seg}
 
 
@@ -765,7 +772,9 @@ def segred_formulas_case(scale, seed):
     assert red_stats["retransmissions"] == 0
     ar_stats = _run(SEGRED_NPROCS, "allreduce", "mcast-seg-nack", size,
                     QUIET, seed).stats
-    assert stream(ar_stats) == model("allreduce")
+    assert stream(ar_stats) == model_parts_frames(
+        "allreduce", "mcast-seg-nack", (0,) * SEGRED_NPROCS, 0, size,
+        QUIET)[0]
     return {"nsegs": nsegs,
             "frames_stream_reduce": stream(red_stats),
             "frames_stream_allreduce": stream(ar_stats)}

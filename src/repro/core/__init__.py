@@ -3,8 +3,7 @@
 Importing this package registers the multicast implementations
 (``mcast-binary``, ``mcast-linear``, ``mcast-ack``, ``mcast-seg-nack``
 for bcast; ``mcast`` for barrier; ``mcast-seg-paced`` for allgather;
-``mcast-seg-combine`` for reduce;
-``mcast-seg-nack`` for allreduce; ``mcast-seg-root`` for scatter;
+``mcast-seg-combine`` for reduce; ``mcast-seg-root`` for scatter;
 ``mcast-seg-root-follow`` for gather; ``mcast-sequencer`` extension) in
 the collective registry, so any
 communicator can switch to them with
@@ -18,7 +17,7 @@ repair, adaptive drain timeouts, repair re-batching);
 :mod:`repro.core.segment` owns payload planning
 (fragmentation, adaptive sizing/batching, the closed-form frame and
 datagram formulas), the stream schedule (which engine streams a step
-kind runs) and its one reader ``run_streams`` — the turn loop all six
+kind runs) and its one reader ``run_streams`` — the turn loop all five
 are one row of.
 """
 
@@ -37,7 +36,6 @@ from .rounds import (Reassembler, Segment, chunk_plan,
 from .scout import (binary_tree_steps, scout_count, scout_gather_binary,
                     scout_gather_linear, scout_scatter_binary)
 from .segment import (TransportPlan, allgather_mcast_seg_paced,
-                      allreduce_mcast_seg_nack,
                       auto_batch, bcast_mcast_seg_nack, check_scatter_root,
                       fragment, gather_mcast_seg_root_follow, plan_segments,
                       plan_transport, reduce_mcast_seg_combine, run_streams,
@@ -50,7 +48,7 @@ __all__ = [
     "McastLost", "Reassembler", "SCOUT_BYTES",
     "SCOUT_PORT_BASE", "Segment", "TransportPlan", "UnsafeScheduleError",
     "allgather_mcast_seg_paced", "allgather_mcast_unpaced",
-    "allreduce_mcast_seg_nack", "auto_batch", "barrier_mcast",
+    "auto_batch", "barrier_mcast",
     "bcast_mcast_ack", "bcast_mcast_binary", "bcast_mcast_linear",
     "bcast_mcast_seg_nack", "binary_tree_steps", "check_safe_schedule",
     "check_scatter_root", "chunk_plan", "follow_rounds", "fragment", "frame_segment_bytes",

@@ -31,7 +31,7 @@ frame/datagram formulas), the **stream schedule**
 per contributor to the collector alone, ``deal`` one per-part
 addressed, ``exchange`` one per member) and its
 executor :func:`run_streams` — fragment → serve / follow / stand by →
-reassemble.  The six registered flat segmented collectives (the paper
+reassemble.  The five registered flat segmented collectives (the paper
 multicasts only the one-to-many side; its reductions stayed on MPICH's
 p2p trees) are one schedule row each, the hierarchical plans of
 :mod:`repro.mpi.collective.hier` run the same rows per group, and the
@@ -122,7 +122,7 @@ __all__ = ["Segment", "Reassembler", "TransportPlan", "auto_batch",
            "plan_segments", "fragment", "reassemble",
            "step_streams", "run_streams",
            "check_scatter_root", "bcast_mcast_seg_nack",
-           "reduce_mcast_seg_combine", "allreduce_mcast_seg_nack",
+           "reduce_mcast_seg_combine",
            "gather_mcast_seg_root_follow", "scatter_mcast_seg_root",
            "allgather_mcast_seg_paced",
            "seg_nack_frame_count", "seg_nack_datagram_count"]
@@ -388,16 +388,6 @@ def reduce_mcast_seg_combine(comm, obj: Any, op: Op,
     the reduction at ``root``; ``None`` elsewhere.
     """
     return run_streams(comm, "fold", root, obj, op)
-
-
-@register("allreduce", "mcast-seg-nack")
-def allreduce_mcast_seg_nack(comm, obj: Any, op: Op) -> Generator:
-    """Segmented allreduce: mcast-seg reduce to rank 0, then the
-    segmented NACK-repaired broadcast — ``N`` payload streams total
-    against MPICH's ``2(N-1)`` tree copies."""
-    result = yield from run_streams(comm, "fold", 0, obj, op)
-    result = yield from run_streams(comm, "serve", 0, result)
-    return result
 
 
 @register("gather", "mcast-seg-root-follow")

@@ -22,7 +22,7 @@ SUMMARY = "acquired transport resource with no reachable release"
 #: including the chaos fault injectors, whose "resource" is a broken
 #: fabric: a partitioned trunk or crashed host left unhealed blocks the
 #: IGMP leaves every teardown depends on
-ACQUIRE = {"post_recv", "post_recv_many", "post_ring", "post_data",
+ACQUIRE = {"post_recv", "post_ring", "post_data",
            "join", "join_group", "alloc_hier_slab",
            "partition_trunk", "power_off", "crash_host"}
 
@@ -33,12 +33,12 @@ RELEASE = {"cancel_recv", "cancel_recv_all", "cancel_data", "leave",
            "unbind", "heal_trunk", "power_on", "restore_host"}
 
 EXPLAIN = """\
-Calls to the transport acquire APIs (post_recv, post_recv_many,
-post_ring, post_data, join, join_group, alloc_hier_slab) and the chaos
-fault injectors (partition_trunk, power_off, crash_host) must have a
-reachable release (cancel_recv/cancel_recv_all/cancel_data,
-leave/leave_group, free/free_hier_slab, close/shutdown, heal_trunk/
-power_on/restore_host) on the same object.  The rule accepts any of:
+Calls to the transport acquire APIs (post_recv, post_ring, post_data,
+join, join_group, alloc_hier_slab) and the chaos fault injectors
+(partition_trunk, power_off, crash_host) must have a reachable release
+(cancel_recv/cancel_recv_all/cancel_data, leave/leave_group,
+free/free_hier_slab, close/shutdown, heal_trunk/power_on/restore_host)
+on the same object.  The rule accepts any of:
 
 * a release-name call anywhere in the same function (try/finally and
   straight-line cleanup both qualify);

@@ -26,14 +26,18 @@ registered (op, implementation) pair the rule requires:
   generated from them — an empty one ships an empty row);
 * a DEFAULTS entry for the op naming a registered implementation;
 * policy coverage: the op appears in policy.AUTO_CHOICES (and its
-  choices are registered names) or carries a justified
-  policy.POLICY_WAIVERS entry.  An op in both, or a waiver for an
-  unregistered op, is *stale* and flagged;
+  choices are registered names), is auto-capable through its parts
+  (every row a composition of AUTO_CHOICES ops: allreduce) or carries a
+  justified policy.POLICY_WAIVERS entry.  An op in both, or a waiver
+  for an unregistered op, is *stale* and flagged;
 * model coverage: the pair appears in
   analysis.framecount.MODEL_COVERAGE, mapping to a resolvable frame-
   model function (dotted path) or an explicit "estimate: <why>" marker.
   Entries for unregistered pairs, and dangling function paths, are
   flagged;
+* compositions: every part of a registry.COMPOSITIONS row is
+  registered, and the row's MODEL_COVERAGE entry is the one derived
+  from its parts' (a hand entry is flagged);
 * a plan: every op in AUTO_CHOICES must compile (``hier.compile_plan``)
   on the one-leaf tree — the flat segmented candidate *is* that plan —
   and every op in HIER_AUTO on a two-leaf tree: the plan's step kinds
@@ -85,13 +89,17 @@ def _plan_gap(op: str, seg_of_rank: tuple) -> "str | None":
 
 
 def check_tables(registry, defaults, auto_choices, hier_auto, waivers,
-                 coverage, where="registry",
+                 coverage, compositions=None, where="registry",
                  resolvable=_resolvable) -> list[Violation]:
     """The pure consistency check (unit-testable with toy tables).
 
     ``where`` anchors violations that have no better file; entries are
-    ``(op -> {impl -> fn})``, fn objects may be plain callables.
+    ``(op -> {impl -> fn})``, fn objects may be plain callables;
+    ``compositions`` maps a composite ``(op, impl)`` to its parts.
     """
+    from repro.analysis.framecount import composite_coverage
+
+    compositions = compositions or {}
     out: list[Violation] = []
 
     def flag(msg: str, path: str = where, line: int = 1) -> None:
@@ -125,7 +133,12 @@ def check_tables(registry, defaults, auto_choices, hier_auto, waivers,
                  f"registered implementation of {op!r}")
         in_auto = op in auto_choices
         in_waivers = op in waivers
-        if not in_auto and not in_waivers:
+        # auto-capable through its parts: every row a composition of
+        # auto-capable ops
+        rows = [compositions.get((op, name)) for name in impls]
+        by_parts = all(rows) and all(part in auto_choices for parts in rows
+                                     for part, _impl in parts)
+        if not in_auto and not in_waivers and not by_parts:
             flag(f"op {op!r} has no auto policy (AUTO_CHOICES) and no "
                  f"POLICY_WAIVERS entry — gaps must be tracked, not "
                  f"silent")
@@ -146,6 +159,16 @@ def check_tables(registry, defaults, auto_choices, hier_auto, waivers,
             gap = _plan_gap(op, seg_of_rank) if op in table else None
             if gap:
                 flag(f"op {op!r} is in {name} but {gap}")
+    for (op, name), parts in sorted(compositions.items()):
+        for part, impl in parts:
+            if impl not in registry.get(part, {}):
+                flag(f"composition ({op}, {name}) names unregistered "
+                     f"part ({part}, {impl})")
+        derived = composite_coverage(parts, coverage)
+        if (op, name) in coverage and coverage[op, name] != derived:
+            flag(f"MODEL_COVERAGE[({op}, {name})] is a hand entry for a "
+                 f"composition: its entry derives from its parts "
+                 f"({derived!r})")
     for op in sorted(set(defaults) - set(registry)):
         flag(f"stale DEFAULTS entry for unregistered op {op!r}")
     for op in sorted(set(waivers) - set(registry)):
@@ -188,4 +211,4 @@ def finalize(files: list[SourceFile]) -> list[Violation]:
     return check_tables(registry.REGISTRY, registry.DEFAULTS,
                         policy.AUTO_CHOICES, policy.HIER_AUTO,
                         policy.POLICY_WAIVERS, MODEL_COVERAGE,
-                        where=str(reg_src.path))
+                        registry.COMPOSITIONS, where=str(reg_src.path))

@@ -1,28 +1,25 @@
-"""Additional MPI-1 collectives: exclusive scan and reduce_scatter.
+"""An additional MPI-1 collective: exclusive scan.
 
 Not part of the paper's experiments, but part of making ``repro.mpi`` a
-library a downstream user can actually adopt.  Algorithms follow the
-MPICH-1.x playbook:
-
-* ``exscan`` — linear prefix chain like ``scan``, shifted by one: rank 0
-  returns ``None`` (MPI leaves its buffer undefined), rank r returns the
-  reduction of ranks ``0..r-1``;
-* ``reduce_scatter`` — reduce the full vector to rank 0, then scatter
-  the blocks (MPICH 1.x's approach before Rabenseifner).
+library a downstream user can actually adopt.  ``exscan`` follows the
+MPICH-1.x playbook: a linear prefix chain like ``scan``, shifted by one
+— rank 0 returns ``None`` (MPI leaves its buffer undefined), rank r
+returns the reduction of ranks ``0..r-1``.  (``reduce_scatter``, reduce
+then scatter, is a composition of the registry.)
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Any, Generator, Sequence
+from typing import Any, Generator
 
 from ..ops import Op
 from .registry import DEFAULTS, register
 from .tags import TAG_SCAN
 
-__all__ = ["exscan_linear", "reduce_scatter_rsb"]
+__all__ = ["exscan_linear"]
 
-#: reduce_scatter rides its own tag in the collective context
+#: exscan rides its own tag in the collective context
 TAG_EXSCAN = TAG_SCAN + 100
 
 
@@ -41,31 +38,4 @@ def exscan_linear(comm, obj: Any, op: Op) -> Generator:
     return prefix
 
 
-@register("reduce_scatter", "p2p-reduce-scatter")
-def reduce_scatter_rsb(comm, objs: Sequence[Any], op: Op) -> Generator:
-    """Reduce ``objs`` elementwise across ranks, scatter block ``r`` to
-    rank ``r``.  ``objs`` must have exactly ``size`` elements per rank.
-    """
-    size = comm.size
-    if objs is None or len(objs) != size:
-        raise ValueError(
-            f"reduce_scatter needs exactly {size} elements, "
-            f"got {None if objs is None else len(objs)}")
-    # Reduce the whole vector to rank 0 (element-wise via tuple trick):
-    vector = list(objs)
-
-    def vec_op(a, b):
-        return [op(x, y) for x, y in zip(a, b)]
-
-    from ..ops import Op as _Op
-
-    reduced = yield from comm._dispatch(
-        "reduce", vector, _Op(f"vec<{op.name}>", vec_op,
-                              commutative=op.commutative), 0)
-    mine = yield from comm._dispatch(
-        "scatter", reduced if comm.rank == 0 else None, 0)
-    return mine
-
-
 DEFAULTS.setdefault("exscan", "p2p-linear")
-DEFAULTS.setdefault("reduce_scatter", "p2p-reduce-scatter")

@@ -1,4 +1,5 @@
-"""Binomial gather and scatter, plus gather-then-broadcast allgather.
+"""Binomial gather and scatter (MPICH 1.x's allgather, gather then
+broadcast, is a composition of the registry).
 
 Gather walks the same binomial tree as reduce, but accumulates a
 :class:`~repro.mpi.datatypes.Bundle` (``{rank: object}``) instead of
@@ -20,7 +21,7 @@ from .bcast_p2p import binomial_children, binomial_parent
 from .registry import register
 from .tags import TAG_GATHER, TAG_SCATTER
 
-__all__ = ["gather_binomial", "scatter_binomial", "allgather_gather_bcast"]
+__all__ = ["gather_binomial", "scatter_binomial"]
 
 
 @register("gather", "p2p-binomial")
@@ -81,12 +82,3 @@ def scatter_binomial(comm, objs: Optional[Sequence[Any]],
 
     return held[rel]
 
-
-@register("allgather", "p2p-gather-bcast")
-def allgather_gather_bcast(comm, obj: Any) -> Generator:
-    """MPICH 1.x allgather: gather to rank 0, then broadcast the list."""
-    everything = yield from comm._dispatch("gather", obj, 0)
-    bundle = yield from comm._dispatch(
-        "bcast", Bundle(enumerate(everything)) if comm.rank == 0 else None,
-        0)
-    return list(bundle.values())

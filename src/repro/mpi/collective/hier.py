@@ -42,9 +42,10 @@ subtree that contains its participants.
   repairs for a loss inside a segment never touch a trunk.
 
 Registered as ``"hier-mcast"`` for ``bcast`` / ``reduce`` /
-``allreduce`` / ``barrier`` / ``scatter`` / ``gather`` / ``allgather``.
-On a flat cluster (or a communicator whose members all share one
-segment) every entry degrades to its flat segmented counterpart, so
+``barrier`` / ``scatter`` / ``gather`` / ``allgather``; ``allreduce``'s
+``"hier-mcast"`` is a row of the registry's compositions whose parts
+are entries of this module.  On a flat cluster (or a communicator
+whose members all share one segment) every entry degrades to its flat segmented counterpart, so
 ``hier-mcast`` is always safe to select; the payload- and
 topology-aware auto policy (:mod:`repro.mpi.collective.policy`) picks
 it per call whenever the modeled frame count — trunk crossings and
@@ -133,7 +134,7 @@ __all__ = ["SegmentComm", "HierState", "HierNode", "HierPhase", "Step",
            "BUNDLE_KINDS", "build_hier_tree", "canonical_order",
            "tree_internal_nodes", "group_members", "compile_plan",
            "run_plan", "hier_state", "hier_ready", "bcast_hier",
-           "reduce_hier", "allreduce_hier", "barrier_hier",
+           "reduce_hier", "barrier_hier",
            "scatter_hier", "gather_hier", "allgather_hier",
            "HIER_GROUP_BASE", "HIER_PORT_BASE", "MAX_HIER_SEGMENTS"]
 
@@ -371,8 +372,10 @@ def compile_plan(op: str, tree: HierNode, root: int = 0) -> tuple:
     """The global, rank-invariant step list of one collective on a
     hierarchy: ``hier-mcast``'s on a multi-segment tree, and on the
     one-leaf tree — the whole communicator as a single group — the
-    flat segmented collective itself, one step (``allreduce``: two) of
-    the kind's own engine entry.
+    flat segmented collective itself, one step of the kind's own
+    engine entry.  A composite collective has no plan of its own: each
+    of its parts compiles its own (see
+    :data:`~repro.mpi.collective.registry.COMPOSITIONS`).
 
     * ``bcast`` — the root's leaf, then the groups on the root's
       ancestor chain bottom-up (each served by the leader of its
@@ -390,15 +393,10 @@ def compile_plan(op: str, tree: HierNode, root: int = 0) -> tuple:
       then every group *below the top* re-serves the full result
       top-down, then the leaves;
     * ``barrier`` — every group syncs bottom-up, then releases
-      top-down (a release takes its group's sync's sequence number);
-    * ``allreduce`` — ``reduce`` to rank 0 (leader of every subtree on
-      its chain, so nothing is forwarded), then ``bcast`` from it.
+      top-down (a release takes its group's sync's sequence number).
 
     Single-member leaves bridge nothing and get no step.
     """
-    if op == "allreduce":
-        return (compile_plan("reduce", tree, 0)
-                + compile_plan("bcast", tree, 0))
     leaves, down = _tree_nodes(tree)                          # top-down
     up = sorted(down, key=lambda n: -len(n.path))             # bottom-up
     leaves = [leaf for leaf in leaves if len(leaf.members) > 1]
@@ -716,16 +714,6 @@ def reduce_hier(comm, obj: Any, op, root: int = 0) -> Generator:
     return _hier_call(
         comm, "reduce", root, obj, "fold", copy.copy(obj),
         lambda value: value if comm.rank == root else None, op)
-
-
-@register("allreduce", "hier-mcast")
-def allreduce_hier(comm, obj: Any, op) -> Generator:
-    """Hierarchical allreduce: hier reduce to rank 0 (the leader of
-    every subtree on its chain by construction), then hier broadcast of
-    the result."""
-    result = yield from reduce_hier(comm, obj, op, 0)
-    result = yield from bcast_hier(comm, result, 0)
-    return result
 
 
 @register("barrier", "hier-mcast")

@@ -13,9 +13,11 @@ module is that policy layer:
   (:data:`AUTO_CHOICES`), and — on a multi-segment fabric — the
   hierarchical ``hier-mcast`` family (:data:`HIER_AUTO`,
   :mod:`repro.mpi.collective.hier`) each time the collective is invoked;
+  a composite op (:data:`~repro.mpi.collective.registry.COMPOSITIONS`)
+  is offered its parts' own picks instead of its rows;
 * :meth:`~repro.mpi.communicator.Communicator.set_collective_policy`
   installs a *hook* that replaces the static table wholesale — it sees
-  every dispatch and may return any registered name (or ``"auto"`` to
+  every call once and may return any registered name (or ``"auto"`` to
   fall through to the payload-aware resolution).
 
 The decision metric generalizes the paper's §3 currency: **modeled
@@ -24,7 +26,8 @@ is priced by a fold of :mod:`repro.analysis.framecount` with one
 signature, summed by :func:`_decide`: the p2p baseline by
 ``model_p2p_frames`` (every message of the tree it walks), the flat
 segmented implementation as the *one-group plan* and ``hier-mcast`` as
-the hierarchy's (``model_flat_frames`` / ``model_hier_frames``).  On
+the hierarchy's (``model_flat_frames`` / ``model_hier_frames``), a
+composite as the sum of its parts' minima.  On
 top of host frames the metric counts
 
 * **trunk crossings** on a tiered fabric (:func:`comm_topology` reads
@@ -50,13 +53,16 @@ scenarios and as the allreduce building block.
 the collective deadlocks (paper §4 safety).  Topology and loss inputs
 are rank-invariant (the shared cluster object and ``NetParams``), so
 they never break the existing protocol: for ops whose payload every
-rank holds (``reduce``, ``allreduce``) resolution stays local and free;
+rank holds — ``reduce``, and ``allreduce``, which is its parts: a
+reduce and a bcast at root 0 of the contribution's size — resolution
+stays local and free;
 for rooted ops (``bcast``, ``scatter``) the root announces its choice
 down the binomial scout tree
 (:func:`~repro.core.scout.scout_scatter_binary`) — ``N-1`` scout-sized
 frames, ``log2 N`` deep, independent of the payload.  ``allgather``
 anchors the announcement at rank 0 so heterogeneous contribution sizes
-can never split the group's decision.
+can never split the group's decision.  A composite's parts are
+called, not dispatched: a call resolves — and announces — once.
 
 **Cost.**  The models are off the per-call path: their topology
 coefficients live in a :class:`~repro.analysis.framecount.TopoDigest`
@@ -75,39 +81,33 @@ from functools import lru_cache
 from typing import Generator, NamedTuple
 
 from ..datatypes import payload_bytes
+from .registry import DEFAULTS, PART_OPS, composite_name
 
 __all__ = ["AUTO", "AUTO_CHOICES", "HIER_AUTO", "POLICY_WAIVERS",
-           "comm_topology", "auto_impl",
+           "AUTO_OPS", "no_policy", "comm_topology", "auto_impl",
            "modeled_frame_costs", "resolve_auto",
            "cache_info", "clear_caches"]
 
 #: the pseudo-implementation name accepted by ``use_collectives``
 AUTO = "auto"
 
-#: op -> (p2p baseline, segmented multicast implementation)
+#: op -> (p2p baseline, segmented multicast implementation); a
+#: composite baseline is offered as its parts' picks
 AUTO_CHOICES: dict[str, tuple[str, str]] = {
     "bcast": ("p2p-binomial", "mcast-seg-nack"),
     "reduce": ("p2p-binomial", "mcast-seg-combine"),
-    "allreduce": ("p2p-reduce-bcast", "mcast-seg-nack"),
     "scatter": ("p2p-binomial", "mcast-seg-root"),
     "gather": ("p2p-binomial", "mcast-seg-root-follow"),
     "allgather": ("p2p-gather-bcast", "mcast-seg-paced"),
 }
 
 #: ops with a hierarchical candidate on multi-segment fabrics
-HIER_AUTO: dict[str, str] = {
-    "bcast": "hier-mcast",
-    "reduce": "hier-mcast",
-    "allreduce": "hier-mcast",
-    "scatter": "hier-mcast",
-    "gather": "hier-mcast",
-    "allgather": "hier-mcast",
-}
+HIER_AUTO: dict[str, str] = dict.fromkeys(AUTO_CHOICES, "hier-mcast")
 
 #: registered ops *deliberately* outside the auto policy, with the
 #: reason on record.  The REG01 lint rule requires every registered op
-#: to appear in AUTO_CHOICES or here, so a future collective cannot
-#: silently ship without a selection story — and flags a waiver as
+#: to be auto-capable (AUTO_OPS) or waived here, so a future collective
+#: cannot silently ship without a selection story — and flags a waiver as
 #: stale the moment its op gains an AUTO_CHOICES entry (or stops being
 #: registered).  These are the ROADMAP's tracked gaps, not oversights.
 POLICY_WAIVERS: dict[str, str] = {
@@ -120,9 +120,17 @@ POLICY_WAIVERS: dict[str, str] = {
     "scan": "prefix dependence serializes the chain; no multicast "
             "candidate exists (ROADMAP)",
     "exscan": "shifted scan; same serial-chain story as scan (ROADMAP)",
-    "reduce_scatter": "registered as a reduce+scatter composition; a "
-                      "dedicated segmented path is a ROADMAP item",
+    "reduce_scatter": "one composition (p2p reduce + scatter), priced "
+                      "exactly from its parts; resolving its parts per "
+                      "call and a dedicated segmented path are ROADMAP "
+                      "items",
 }
+
+#: every op "auto" resolves: the ops above, and each unwaived composite
+#: whose parts all are (allreduce: its reduce and bcast picks)
+AUTO_OPS = frozenset(AUTO_CHOICES).union(
+    op for op, parts in PART_OPS.items()
+    if op not in POLICY_WAIVERS and set(parts) <= set(AUTO_CHOICES))
 
 
 def comm_topology(comm):
@@ -154,18 +162,19 @@ def comm_topology(comm):
     return topo_digest(*key)
 
 
-def _no_policy(op: str) -> KeyError:
+def no_policy(op: str) -> KeyError:
+    """The error ``"auto"`` raises for an op it cannot resolve."""
     return KeyError(f"no auto selection policy for collective {op!r}; "
-                    f"auto-capable ops: {sorted(AUTO_CHOICES)}")
+                    f"auto-capable ops: {sorted(AUTO_OPS)}")
 
 
-def _hier_competes(op: str, topo, hier_ok: bool) -> bool:
+def _hier_competes(topo, hier_ok: bool) -> bool:
     """Whether ``hier-mcast`` is a candidate: the caller allows it and
     the communicator spans 2..MAX_HIER_SEGMENTS segments.  Evaluated
     ahead of the memo (an attribute of the digest), so calls that
     differ only in a ``hier_ok`` the segment count overrides share an
     entry."""
-    if not hier_ok or topo is None or op not in HIER_AUTO:
+    if not hier_ok or topo is None:
         return False
     from .hier import MAX_HIER_SEGMENTS
 
@@ -192,28 +201,39 @@ def _decide(op: str, nbytes: int, size: int, params, topo, root: int,
     the p2p baseline's messages, the flat one-group plan, the
     hierarchy's plan — the plans with expected repair traffic at
     ``params.loss`` included: repairs never leave the losing group's
-    switch subtree, which is most of the hierarchy's win under loss."""
+    switch subtree, which is most of the hierarchy's win under loss.
+    A composite op's baseline is its parts, each at root 0 at its
+    :func:`~repro.analysis.framecount.part_payloads` with its own pick,
+    named as the row they make up (else joined by ``"+"``) and priced
+    as the sum of those picks' costs."""
     from ...analysis.framecount import (model_flat_frames,
                                         model_hier_frames,
-                                        model_p2p_frames)
+                                        model_p2p_frames, part_payloads)
 
-    p2p_name, seg_name = AUTO_CHOICES[op]
-    seg_of_rank, paths = (((0,) * size, None) if topo is None
-                          else (topo.seg_of_rank, topo.paths))
-    costs = {
-        seg_name: sum(model_flat_frames(op, seg_of_rank, root, nbytes,
-                                        params, paths, params.loss)),
-        p2p_name: sum(model_p2p_frames(op, seg_of_rank, root, nbytes,
-                                       params, paths, commutative)),
-    }
-    if hier:
-        costs[HIER_AUTO[op]] = sum(model_hier_frames(
+    # candidates in the historical preference order ties keep:
+    # segmented multicast over hierarchical over the p2p baseline
+    costs: dict = {}
+    if op in AUTO_CHOICES:
+        seg_of_rank, paths = (((0,) * size, None) if topo is None
+                              else (topo.seg_of_rank, topo.paths))
+        p2p_name, seg_name = AUTO_CHOICES[op]
+        costs[seg_name] = sum(model_flat_frames(
             op, seg_of_rank, root, nbytes, params, paths, params.loss))
-    # ties keep the historical preference order: segmented multicast
-    # over hierarchical over the p2p baseline
-    order = {seg_name: 0, HIER_AUTO.get(op, "hier-mcast"): 1,
-             p2p_name: 2}
-    return costs, min(costs, key=lambda name: (costs[name], order[name]))
+        if hier:
+            costs[HIER_AUTO[op]] = sum(model_hier_frames(
+                op, seg_of_rank, root, nbytes, params, paths, params.loss))
+        if op not in PART_OPS:
+            costs[p2p_name] = sum(model_p2p_frames(
+                op, seg_of_rank, root, nbytes, params, paths, commutative))
+    if op in PART_OPS:
+        picks, total = [], 0
+        for part, m in zip(PART_OPS[op], part_payloads(op, size, nbytes)):
+            part_costs, pick = _decide(part, m, size, params, topo, 0,
+                                       hier, commutative)
+            picks.append(pick)
+            total += part_costs[pick]
+        costs[composite_name(op, picks)] = total
+    return costs, min(costs, key=costs.__getitem__)
 
 
 def modeled_frame_costs(op: str, nbytes: int, size: int, params,
@@ -222,10 +242,10 @@ def modeled_frame_costs(op: str, nbytes: int, size: int, params,
     """Modeled serializations of every candidate implementation for one
     call — the table :func:`auto_impl` takes the argmin of (and the
     fabric bench audits against the simulator)."""
-    if op not in AUTO_CHOICES:
-        raise _no_policy(op)
+    if op not in AUTO_OPS:
+        raise no_policy(op)
     return dict(_decide(op, nbytes, size, params, topo, root,
-                        _hier_competes(op, topo, hier_ok), commutative)[0])
+                        _hier_competes(topo, hier_ok), commutative)[0])
 
 
 def auto_impl(op: str, nbytes: int, size: int, params, topo=None,
@@ -238,12 +258,12 @@ def auto_impl(op: str, nbytes: int, size: int, params, topo=None,
     hierarchical over the p2p baseline — so on a flat, loss-free
     cluster the choice is exactly "segmented iff its frame estimate is
     at or below p2p's"."""
-    if op not in AUTO_CHOICES:
-        raise _no_policy(op)
+    if op not in AUTO_OPS:
+        raise no_policy(op)
     if size < 2:
-        return AUTO_CHOICES[op][0]
+        return DEFAULTS[op]
     return _decide(op, nbytes, size, params, topo, root,
-                   _hier_competes(op, topo, hier_ok), commutative)[1]
+                   _hier_competes(topo, hier_ok), commutative)[1]
 
 
 class CacheInfo(NamedTuple):
@@ -269,19 +289,20 @@ def clear_caches() -> None:
 
 def resolve_auto(comm, op: str, args: tuple) -> Generator:
     """Resolve ``"auto"`` for one dispatch; every rank returns the same
-    registered implementation name (see module docstring for how
-    consistency is guaranteed per op).
+    implementation name — a registered one, or a composite's
+    ``"+"``-joined parts — (see module docstring for how consistency is
+    guaranteed per op).
     """
-    if op not in AUTO_CHOICES:
+    if op not in AUTO_OPS:
         # raise identically on every rank BEFORE any traffic: a policy
         # hook returning "auto" for an op without a policy must fail
         # loudly and symmetrically, not strand the non-root ranks in
         # the announcement wait
-        raise _no_policy(op)
+        raise no_policy(op)
     size = comm.size
     params = comm.host.params
     if size < 2:
-        return AUTO_CHOICES[op][0]
+        return DEFAULTS[op]
     # the topology is resolved only where a decision is evaluated
     if op in ("reduce", "allreduce"):
         # MPI requires size-matched contributions: local resolution is

@@ -1,5 +1,6 @@
-"""Binomial-tree reduce, plus reduce-then-broadcast allreduce and a linear
-scan — the MPICH 1.x algorithm family.
+"""Binomial-tree reduce and a linear scan — the MPICH 1.x algorithm
+family (its allreduce, reduce then broadcast, is a composition of the
+registry).
 
 Combination order: the accumulator always holds the reduction of a
 *contiguous ascending* rank range, and incoming subtree results are always
@@ -21,7 +22,7 @@ from ..ops import Op
 from .registry import register
 from .tags import TAG_REDUCE, TAG_SCAN
 
-__all__ = ["reduce_binomial", "allreduce_reduce_bcast", "scan_linear"]
+__all__ = ["reduce_binomial", "scan_linear"]
 
 
 @register("reduce", "p2p-binomial")
@@ -63,14 +64,6 @@ def reduce_binomial(comm, obj: Any, op: Op, root: int = 0) -> Generator:
             return result
         return None
     return acc if rel == 0 else None
-
-
-@register("allreduce", "p2p-reduce-bcast")
-def allreduce_reduce_bcast(comm, obj: Any, op: Op) -> Generator:
-    """MPICH 1.x allreduce: reduce to rank 0, then broadcast."""
-    result = yield from comm._dispatch("reduce", obj, op, 0)
-    result = yield from comm._dispatch("bcast", result, 0)
-    return result
 
 
 @register("scan", "p2p-linear")

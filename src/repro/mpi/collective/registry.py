@@ -14,7 +14,7 @@ is exactly a comparison of entries in this table:
 * ``reduce``: ``"p2p-binomial"`` vs ``"mcast-seg-combine"``
   (NACK-repaired gather turns folded through :mod:`repro.mpi.ops`);
 * ``allreduce``: ``"p2p-reduce-bcast"`` vs ``"mcast-seg-nack"``
-  (mcast reduce composed with the segmented broadcast);
+  (the mcast reduce composed with the segmented broadcast);
 * ``scatter``: ``"p2p-binomial"`` vs ``"mcast-seg-root"`` (the root
   streams per-rank-addressed segments in one paced burst);
 * ``gather``: ``"p2p-binomial"`` vs ``"mcast-seg-root-follow"`` (the
@@ -26,6 +26,14 @@ is exactly a comparison of entries in this table:
   (:mod:`repro.mpi.collective.hier`): per-segment phases bridged by
   segment leaders — recursively, leaders of leaders per switch tier —
   on tiered fabrics (:mod:`repro.simnet.fabric`).
+
+**Compositions.**  A composite collective is a row of
+:data:`COMPOSITIONS`: its *parts*, registered ``(op, impl)`` pairs the
+op's one glue body runs in order at root 0, each looked up by name
+(:func:`get_impl`) and called, never dispatched — a call logs one
+resolution.  ``"auto"`` names a pick whose parts match no row by
+joining them with ``"+"`` (``"p2p-binomial+mcast-seg-nack"``) and runs
+it through :func:`compose`; such a name is not selectable.
 
 The op × impl matrix with per-entry summaries is *generated* into
 ``docs/collectives.md`` (``python -m repro.bench.cli registry-doc``);
@@ -40,9 +48,14 @@ to ``"auto"`` or a selection hook is installed with
 
 from __future__ import annotations
 
-from typing import Callable
+from functools import partial
+from typing import Any, Callable, Generator
 
-__all__ = ["REGISTRY", "register", "get_impl", "DEFAULTS"]
+from ..datatypes import Bundle
+from ..ops import Op
+
+__all__ = ["REGISTRY", "register", "get_impl", "DEFAULTS", "COMPOSITIONS",
+           "PART_OPS", "parts_of", "compose", "composite_name"]
 
 REGISTRY: dict[str, dict[str, Callable]] = {}
 
@@ -57,7 +70,28 @@ DEFAULTS: dict[str, str] = {
     "allgather": "p2p-gather-bcast",
     "alltoall": "p2p-pairwise",
     "scan": "p2p-linear",
+    "reduce_scatter": "p2p-reduce-scatter",
 }
+
+#: composite (op, impl) -> its parts, the registered (op, impl) pairs
+#: its glue body runs in order, every one at root 0
+COMPOSITIONS: dict[tuple[str, str], tuple[tuple[str, str], ...]] = {
+    ("allreduce", "p2p-reduce-bcast"):
+        (("reduce", "p2p-binomial"), ("bcast", "p2p-binomial")),
+    ("allreduce", "mcast-seg-nack"):
+        (("reduce", "mcast-seg-combine"), ("bcast", "mcast-seg-nack")),
+    ("allreduce", "hier-mcast"):
+        (("reduce", "hier-mcast"), ("bcast", "hier-mcast")),
+    ("allgather", "p2p-gather-bcast"):
+        (("gather", "p2p-binomial"), ("bcast", "p2p-binomial")),
+    ("reduce_scatter", "p2p-reduce-scatter"):
+        (("reduce", "p2p-binomial"), ("scatter", "p2p-binomial")),
+}
+
+#: composite op -> the ops of its parts, in run order
+PART_OPS: dict[str, tuple[str, ...]] = {
+    op: tuple(part for part, _impl in parts)
+    for (op, _name), parts in COMPOSITIONS.items()}
 
 
 def register(op: str, name: str) -> Callable:
@@ -83,3 +117,89 @@ def get_impl(op: str, name: str) -> Callable:
         raise KeyError(
             f"no implementation {name!r} for collective {op!r}; "
             f"known: {sorted(impls)}") from None
+
+
+def parts_of(op: str, name: str) -> "tuple[tuple[str, str], ...] | None":
+    """The parts composite ``name`` of ``op`` runs — its row's, or the
+    ``"+"``-joined part implementations of an ``"auto"`` pick — or
+    ``None`` when ``name`` names no composition."""
+    parts = COMPOSITIONS.get((op, name))
+    if parts is None and op in PART_OPS:
+        impls = name.split("+")
+        if len(impls) == len(PART_OPS[op]):
+            parts = tuple(zip(PART_OPS[op], impls))
+    return parts
+
+
+def compose(op: str, name: str) -> Callable:
+    """The glue body of composite ``op`` bound to the parts ``name``
+    names (:func:`parts_of`).  Only ``"auto"`` reaches a ``"+"`` name:
+    :func:`get_impl`, and so ``use_collectives``, take registered
+    names only."""
+    return partial(_GLUE[op], parts_of(op, name))
+
+
+def composite_name(op: str, impls) -> str:
+    """The name of the composition of ``op`` running ``impls``: the row
+    whose parts they are, else the parts joined with ``"+"``."""
+    parts = tuple(zip(PART_OPS[op], impls))
+    return next((name for (row_op, name), row in COMPOSITIONS.items()
+                 if row_op == op and row == parts), "+".join(impls))
+
+
+# ----------------------------------------------------------------------
+# the glue bodies: one per composite op, its parts called by name
+# ----------------------------------------------------------------------
+def _allreduce(parts, comm, obj: Any, op: Op) -> Generator:
+    """The MPICH 1.x allreduce — the reduction to rank 0, broadcast
+    back."""
+    reduce, bcast = parts
+    result = yield from get_impl(*reduce)(comm, obj, op, 0)
+    result = yield from get_impl(*bcast)(comm, result, 0)
+    return result
+
+
+def _allgather(parts, comm, obj: Any) -> Generator:
+    """The MPICH 1.x allgather — the contributions gathered to rank 0,
+    broadcast back as one bundle."""
+    gather, bcast = parts
+    everything = yield from get_impl(*gather)(comm, obj, 0)
+    bundle = yield from get_impl(*bcast)(
+        comm, Bundle(enumerate(everything)) if comm.rank == 0 else None, 0)
+    return list(bundle.values())
+
+
+def _reduce_scatter(parts, comm, objs, op: Op) -> Generator:
+    """The MPICH 1.x reduce_scatter — the bundle of ``size`` elements
+    reduced element-wise to rank 0, element ``r`` scattered to rank
+    ``r``.
+
+    ``objs`` must hold exactly ``size`` elements on every rank."""
+    size = comm.size
+    if objs is None or len(objs) != size:
+        raise ValueError(
+            f"reduce_scatter needs exactly {size} elements, "
+            f"got {None if objs is None else len(objs)}")
+    reduce, scatter = parts
+
+    def fold(a: Bundle, b: Bundle) -> Bundle:
+        return Bundle((r, op(a[r], b[r])) for r in a)
+
+    reduced = yield from get_impl(*reduce)(
+        comm, Bundle(enumerate(objs)),
+        Op(f"vec<{op.name}>", fold, commutative=op.commutative), 0)
+    mine = yield from get_impl(*scatter)(
+        comm, None if reduced is None else list(reduced.values()), 0)
+    return mine
+
+
+_GLUE = {"allreduce": _allreduce, "allgather": _allgather,
+         "reduce_scatter": _reduce_scatter}
+
+
+# a row's entry is its glue body with the parts bound, documented by them
+for (_op, _name), _parts in COMPOSITIONS.items():
+    _row = REGISTRY.setdefault(_op, {})[_name] = compose(_op, _name)
+    _row.__doc__ = ("Parts " + " then ".join(
+        f"{part} ``{impl}``" for part, impl in _parts) + ": "
+        + _GLUE[_op].__doc__[0].lower() + _GLUE[_op].__doc__[1:])

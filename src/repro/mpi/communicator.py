@@ -29,8 +29,8 @@ from typing import Any, Generator, Optional, Sequence
 import numpy as np
 
 from ..simnet.host import Host
-from .collective.policy import AUTO, AUTO_CHOICES, resolve_auto
-from .collective.registry import DEFAULTS, get_impl
+from .collective.policy import AUTO, AUTO_OPS, no_policy, resolve_auto
+from .collective.registry import DEFAULTS, REGISTRY, compose, get_impl
 from .datatypes import payload_bytes
 from .ops import Op
 from .p2p import MpiEndpoint
@@ -70,8 +70,9 @@ class Communicator:
         #: this communicator — the raw material for the paper's §4
         #: safety check (see RunResult.verify_safe_schedules)
         self.call_log: list[tuple] = []
-        #: chronological (op, resolved impl name) log — how the "auto"
-        #: policy layer's per-call choices are observed by tests/benches
+        #: chronological (op, resolved impl name) log, one entry per
+        #: call — how the "auto" policy layer's per-call choices are
+        #: observed by tests/benches
         self.impl_log: list[tuple[str, str]] = []
         #: per-collective-call metric records (plain dicts, see
         #: :mod:`repro.obs.metrics`) — populated only when a flight
@@ -121,14 +122,10 @@ class Communicator:
         misconfiguration fails loudly.
         """
         for op, name in ops.items():
-            if name == AUTO:
-                if op not in AUTO_CHOICES:
-                    raise KeyError(
-                        f"no auto selection policy for collective "
-                        f"{op!r}; auto-capable ops: "
-                        f"{sorted(AUTO_CHOICES)}")
-            else:
+            if name != AUTO:
                 get_impl(op, name)   # validate now
+            elif op not in AUTO_OPS:
+                raise no_policy(op)
             self._impls[op] = name
         return self
 
@@ -136,10 +133,12 @@ class Communicator:
         """Install a per-call selection hook replacing the static table.
 
         ``policy(comm, op, name, args) -> impl name`` sees every
-        collective dispatch with the statically configured ``name`` and
-        the call's positional args; whatever registered name it returns
-        is dispatched (``"auto"`` falls through to the payload-aware
-        resolution).  ``None`` removes the hook.  Returns self.
+        collective call once, with the statically configured ``name``
+        and the call's positional args; whatever registered name it
+        returns is dispatched (``"auto"`` falls through to the
+        payload-aware resolution).  A composite's parts are called, not
+        dispatched: the hook never sees them.  ``None`` removes the
+        hook.  Returns self.
         """
         self._policy = policy
         return self
@@ -150,7 +149,9 @@ class Communicator:
             name = self._policy(self, op, name, args)
         if name == AUTO:
             name = yield from resolve_auto(self, op, args)
-        fn = get_impl(op, name)
+            fn = REGISTRY[op].get(name) or compose(op, name)
+        else:
+            fn = get_impl(op, name)
         self.call_log.append((op, self.ctx, self._call_signature(op, args)))
         self.impl_log.append((op, name))
         rec = self.host.stats.recorder

@@ -168,16 +168,6 @@ class UdpSocket:
                                          len(self._posted))
         return ev
 
-    def post_recv_many(self, n: int) -> list[Event]:
-        """Post ``n`` receive descriptors at once (VIA-style batching).
-
-        The segmented multicast data path pre-posts one descriptor per
-        expected segment; arrivals fill descriptors in posting order.
-        """
-        if n < 0:
-            raise ValueError(f"cannot post {n} receives")
-        return [self.post_recv() for _ in range(n)]
-
     def post_ring(self, n: int,
                   take: Callable[[Datagram], bool]) -> "DescriptorRing":
         """Post ``n`` descriptors as one :class:`DescriptorRing`; close

@@ -10,9 +10,10 @@ import pytest
 
 from repro import run_spmd
 from repro.analysis.framecount import topo_digest
-from repro.mpi.collective.policy import (AUTO_CHOICES, auto_impl,
-                                         comm_topology,
+from repro.mpi.collective.policy import (AUTO_CHOICES, AUTO_OPS,
+                                         auto_impl, comm_topology,
                                          modeled_frame_costs)
+from repro.mpi.collective.registry import DEFAULTS
 from repro.mpi.ops import SUM, Op
 from repro.simnet import quiet
 from repro.simnet.calibration import FAST_ETHERNET_SWITCH
@@ -26,15 +27,23 @@ def seg_cost(op, nbytes, size, params):
     return modeled_frame_costs(op, nbytes, size, params)[AUTO_CHOICES[op][1]]
 
 
+def baseline(op, nbytes, size, params):
+    """(name, modeled cost) of the op's p2p baseline candidate — a
+    composite's is its parts' own picks."""
+    costs = modeled_frame_costs(op, nbytes, size, params)
+    (name,) = set(costs) - {AUTO_CHOICES[op][1], "hier-mcast"}
+    return name, costs[name]
+
+
 def p2p_cost(op, nbytes, size, params):
     """The policy's modeled cost of the op's p2p baseline."""
-    return modeled_frame_costs(op, nbytes, size, params)[AUTO_CHOICES[op][0]]
+    return baseline(op, nbytes, size, params)[1]
 
 
 # ------------------------------------------------------------ unit layer
-@pytest.mark.parametrize("op", sorted(AUTO_CHOICES))
+@pytest.mark.parametrize("op", sorted(AUTO_OPS))
 def test_auto_picks_p2p_for_tiny_payloads(op):
-    p2p_name, _seg = AUTO_CHOICES[op]
+    p2p_name = DEFAULTS[op]
     assert auto_impl(op, 64, 4, AUTO) == p2p_name
     # degenerate communicators always take the p2p (= no-op) path
     assert auto_impl(op, 1 << 20, 1, AUTO) == p2p_name
@@ -47,7 +56,11 @@ def test_auto_picks_p2p_for_tiny_payloads(op):
     ("scatter", 250_000, 8),     # scatter crosses over at larger N*bytes
 ])
 def test_auto_picks_segmented_multicast_for_big_payloads(op, nbytes, size):
-    assert auto_impl(op, nbytes, size, AUTO) == AUTO_CHOICES[op][1]
+    # allreduce is its parts: the reduce keeps the tree on a flat
+    # cluster, the broadcast half streams
+    want = ("p2p-binomial+mcast-seg-nack" if op == "allreduce"
+            else AUTO_CHOICES[op][1])
+    assert auto_impl(op, nbytes, size, AUTO) == want
 
 
 def test_auto_reduce_keeps_the_p2p_tree_at_every_size():
@@ -141,23 +154,46 @@ def test_auto_scatter_resolves_from_the_root():
 
 
 def test_auto_reduce_and_allreduce_resolve_locally():
+    """No announcement: the allreduce resolves its parts locally, once
+    — its reduce and bcast are called, not dispatched, so the log holds
+    one entry per call."""
     def main(env):
-        env.comm.use_collectives(reduce="auto", allreduce="auto")
+        env.comm.use_collectives(reduce="auto", allreduce="auto",
+                                 bcast="auto")
         small = yield from env.comm.reduce(
             np.ones(8, dtype=np.float64), SUM, 0)
         big = yield from env.comm.allreduce(
             np.ones(6000, dtype=np.float64), SUM)
         ok = bool(np.all(big == env.size))
         ok = ok and (env.rank != 0 or bool(np.all(small == env.size)))
-        # allreduce logs its own resolution; the composed mcast impl
-        # calls the segmented reduce/bcast directly (not via dispatch)
-        return ok, [e for e in env.comm.impl_log if e[0] != "bcast"]
+        return ok, list(env.comm.impl_log)
 
     result = run_spmd(4, main, params=AUTO)
     for ok, log in result.returns:
         assert ok
-        assert ("reduce", "p2p-binomial") in log
-        assert ("allreduce", "mcast-seg-nack") in log
+        assert log == [("reduce", "p2p-binomial"),
+                       ("allreduce", "p2p-binomial+mcast-seg-nack")]
+    assert "scout-dec" not in result.stats["frames_by_kind"]
+
+
+def test_a_composite_pick_name_is_not_selectable():
+    """``"+"``-joined parts name an ``"auto"`` pick; they are not a
+    registered implementation a communicator or a hook can select."""
+    from repro.mpi.collective.registry import get_impl
+
+    mixed = "p2p-binomial+mcast-seg-nack"
+    with pytest.raises(KeyError, match="no implementation"):
+        get_impl("allreduce", mixed)
+
+    def main(env):
+        with pytest.raises(KeyError, match="no implementation"):
+            env.comm.use_collectives(allreduce=mixed)
+        env.comm.set_collective_policy(lambda comm, op, name, args: mixed)
+        with pytest.raises(KeyError, match="no implementation"):
+            yield from env.comm.allreduce(1, SUM)
+        return True
+
+    assert run_spmd(2, main, params=AUTO).returns == [True, True]
 
 
 def test_auto_allgather_anchors_at_rank_zero():
@@ -261,8 +297,8 @@ def test_loss_zero_keeps_pr3_choices_exactly():
     for op in sorted(AUTO_CHOICES):
         for nbytes in (64, 1460, 12_000, 48_000):
             seg = seg_cost(op, nbytes, 4, AUTO)
-            p2p = p2p_cost(op, nbytes, 4, AUTO)
-            expect = AUTO_CHOICES[op][1 if seg <= p2p else 0]
+            p2p_name, p2p = baseline(op, nbytes, 4, AUTO)
+            expect = AUTO_CHOICES[op][1] if seg <= p2p else p2p_name
             assert auto_impl(op, nbytes, 4, AUTO) == expect
 
 
@@ -328,8 +364,10 @@ def test_comm_topology_is_none_on_flat_and_single_segment_comms():
 
 
 def test_auto_on_tree_fabric_resolves_hier_consistently():
-    """End to end: a big allreduce on a wide tree dispatches hier-mcast
-    on every rank, and the result is right."""
+    """End to end: a big allreduce on a wide tree dispatches its parts'
+    own picks on every rank — each part's modeled minimum among its
+    p2p, flat and hierarchical candidates, priced as their sum — and
+    the result is right."""
     def main(env):
         env.comm.use_collectives(allreduce="auto")
         out = yield from env.comm.allreduce(
@@ -343,8 +381,13 @@ def test_auto_on_tree_fabric_resolves_hier_consistently():
     assert oks == {True}
     assert len(impls) == 1   # everyone resolved identically
     (op, name), = impls
-    costs = modeled_frame_costs("allreduce", 100_000, 8, AUTO, TREE_2x4)
-    assert op == "allreduce" and costs[name] == min(costs.values())
+    parts = [modeled_frame_costs(part, 100_000, 8, AUTO, TREE_2x4)
+             for part in ("reduce", "bcast")]
+    assert all("hier-mcast" in costs for costs in parts)
+    picks = [min(costs, key=costs.get) for costs in parts]
+    assert (op, name) == ("allreduce", "+".join(picks))
+    assert modeled_frame_costs("allreduce", 100_000, 8, AUTO, TREE_2x4) \
+        == {name: sum(min(costs.values()) for costs in parts)}
 
 
 def test_auto_withholds_hier_reduce_for_non_commutative_interleaved():
@@ -376,3 +419,57 @@ def test_hier_candidate_withheld_beyond_max_segments():
     costs = modeled_frame_costs("bcast", 100_000, 130, AUTO, huge)
     assert "hier-mcast" not in costs
     assert auto_impl("bcast", 100_000, 130, AUTO, topo=huge) != "hier-mcast"
+
+
+# ------------------------------------------- a composite resolves once
+def _all_auto_run(call):
+    """32 ranks on ``tree:2x4x4``, every auto-capable op on ``"auto"``,
+    running ``call`` (or nothing): (rank 0's impl log, every log
+    length, stats)."""
+    def main(env):
+        env.comm.use_collectives(**dict.fromkeys(AUTO_OPS, "auto"))
+        if call is not None:
+            yield from call(env.comm)
+        return list(env.comm.impl_log)
+
+    result = run_spmd(32, main, topology="tree:2x4x4", params=AUTO, seed=1)
+    return (result.returns[0], {len(log) for log in result.returns},
+            result.stats)
+
+
+def _fabric_of(spec):
+    """(seg_of_rank, paths) of ``run_spmd``'s placement on ``spec``."""
+    from repro.simnet.fabric import parse_topology
+
+    fab = parse_topology(spec)
+    return (tuple(s for s, n in enumerate(fab.leaf_sizes)
+                  for _ in range(n)), tuple(fab.leaf_paths()))
+
+
+def test_composite_runs_what_the_policy_priced_and_announces_once():
+    """An all-``"auto"`` communicator resolves a composite's parts once,
+    as its pick — never again through ``"auto"`` while they run: the
+    3,000-element allreduce logs one entry per rank and announces
+    nothing, the 24 kB allgather announces once (N-1 ``scout-dec``
+    frames), and what each puts on the wire above an empty run — host
+    frames plus trunk crossings, less the announcement — is the
+    policy's priced cost of its pick."""
+    topo = topo_digest(*_fabric_of("tree:2x4x4"))
+    _log, _lengths, empty = _all_auto_run(None)
+    for call, op, nbytes in (
+            (lambda comm: comm.allreduce(np.ones(3000), SUM),
+             "allreduce", 24_000),
+            (lambda comm: comm.allgather(bytes(750)), "allgather", 750)):
+        log, lengths, stats = _all_auto_run(call)
+        assert lengths == {1}, (op, log)
+        (logged_op, pick), = log
+        costs = modeled_frame_costs(op, nbytes, 32, AUTO, topo)
+        assert logged_op == op and pick == min(costs, key=costs.get)
+        announced = stats["frames_by_kind"].get("scout-dec", 0)
+        assert announced == (0 if op == "allreduce" else 31), op
+        wire = (stats["frames_sent"] - empty["frames_sent"]
+                + stats["frames_trunk"] - empty["frames_trunk"]
+                - announced
+                - stats["trunk_frames_by_kind"].get("scout-dec", 0))
+        assert wire == costs[pick], (op, pick, wire, costs)
+

@@ -49,19 +49,24 @@ def test_exact_model_follows_the_coverage_ledger():
     assert _exact("reduce", "mcast-seg-combine")
     assert _exact("gather", "mcast-seg-root-follow")
     assert _exact("allgather", "mcast-seg-paced")
+    # ...so is a composite whose parts all are (its reduce ships a
+    # bundle, exactly sized)...
+    assert _exact("reduce_scatter", "p2p-reduce-scatter")
     # ...estimate markers and unknown pairs are not
-    assert not _exact("reduce_scatter", "p2p-reduce-scatter")
     assert not _exact("bcast", "mcast-ack")
     assert not _exact("bcast", "no-such-impl")
 
 
 def test_hier_exception_drops_estimate_grade_ops():
     # no hier-mcast entry is estimate-grade any more: a bundle is priced
-    # by its elements, so every plan names the hierarchy's fold
+    # by its elements, so every plan names the hierarchy's fold — and
+    # the allreduce, a composition of two plans, the sum of its parts
     hier = {op: entry for (op, impl), entry in MODEL_COVERAGE.items()
             if impl == "hier-mcast"}
     assert sorted(hier) == ["allgather", "allreduce", "barrier", "bcast",
                             "gather", "reduce", "scatter"]
+    assert hier.pop("allreduce") == \
+        "repro.analysis.framecount.model_parts_frames"
     assert set(hier.values()) == {
         "repro.analysis.framecount.model_hier_frames"}
 

@@ -107,11 +107,10 @@ def test_phase_plans_cover_and_order_the_deep_tree():
         "barrier-up@node", "barrier-down@node", "barrier-down@node0",
         "barrier-down@node1", "barrier-down@leaf0", "barrier-down@leaf1",
         "barrier-down@leaf2", "barrier-down@leaf3"]
-    assert [step.label for step in compile_plan("allreduce", tree)] == [
-        step.label for step in (compile_plan("reduce", tree, 0)
-                                + compile_plan("bcast", tree, 0))]
-    with pytest.raises(KeyError):
-        compile_plan("alltoall", tree)
+    # a composite has no plan of its own: its parts compile theirs
+    for op in ("allreduce", "alltoall"):
+        with pytest.raises(KeyError):
+            compile_plan(op, tree)
 
 
 @st.composite
@@ -178,11 +177,13 @@ def test_every_rank_traces_its_restriction_of_the_plan(placement):
             traced[rank].append((name.split(":")[0], open_phases[rank]))
             open_phases[rank] = []
     for rank, calls in traced.items():
-        # (the allreduce entry nests the reduce and bcast entries, whose
-        # collective spans do not exist: they are called, not dispatched)
+        # (the allreduce's parts, a reduce and a bcast at rank 0, are
+        # called, not dispatched: their phases nest in its one span)
         assert [op for op, _labels in calls] == list(ops)
         for op, labels in calls:
-            plan = compile_plan(op, tree, root)
+            plan = (compile_plan("reduce", tree, 0)
+                    + compile_plan("bcast", tree, 0)
+                    if op == "allreduce" else compile_plan(op, tree, root))
             assert labels and labels == [
                 step.label for step in plan
                 if rank in step.group.members], (rank, op)
@@ -359,10 +360,13 @@ def test_auto_picks_hier_for_new_ops_on_deep_tree():
     """End to end: a large scatter on a deep tree resolves to hier-mcast
     on every rank (the model favors the hierarchy's trunk confinement
     there: 2,607 vs the p2p tree's 2,650 serializations on
-    ``tree:2x2x4``), and an allgather on a wide heterogeneous tree does
-    too.  The gather beside it keeps the p2p tree: priced exactly, its
-    subtree bundles undercut the hierarchy's per-turn streams (2,650 vs
-    2,695; on ``tree:2x2x2`` at 48,000 B, 1,202 vs 1,263)."""
+    ``tree:2x2x4``).  The gather beside it keeps the p2p tree: priced
+    exactly, its subtree bundles undercut the hierarchy's per-turn
+    streams (2,650 vs 2,695; on ``tree:2x2x2`` at 48,000 B, 1,202 vs
+    1,263).  An allgather on a wide heterogeneous tree weighs the
+    hierarchy (978) against its gather∘bcast parts, each at its own
+    pick — the p2p gather (285) and the flat bcast of the bundle (373)
+    — and runs the parts, announced once."""
     from repro.analysis.framecount import topo_digest
     from repro.mpi.collective.policy import auto_impl
 
@@ -391,16 +395,19 @@ def test_auto_picks_hier_for_new_ops_on_deep_tree():
     wide = topo_digest((0,) * 4 + (1,) * 8 + (2,) * 2,
                        ((0,), (1,), (2,)))
     assert auto_impl("allgather", 8_000, 14, AUTO, topo=wide) == \
-        "hier-mcast"
+        "p2p-binomial+mcast-seg-nack"
 
     def ag_main(env):
-        env.comm.use_collectives(allgather="auto")
+        env.comm.use_collectives(allgather="auto", gather="auto",
+                                 bcast="auto")
         out = yield from env.comm.allgather(bytes(8_000))
         assert len(out) == env.comm.size
-        return env.comm.impl_log[-1][1]
+        return list(env.comm.impl_log)
 
     ag = run_spmd(14, ag_main, topology="tree:[4,8,2]", params=AUTO)
-    assert set(ag.returns) == {"hier-mcast"}
+    assert {tuple(log) for log in ag.returns} == {
+        (("allgather", "p2p-binomial+mcast-seg-nack"),)}
+    assert ag.stats["frames_by_kind"]["scout-dec"] == 13
 
 
 def test_hier_survives_dup_split_on_deep_tree():

@@ -540,7 +540,65 @@ def test_reg01_live_tables_are_consistent():
 
     assert check_tables(registry.REGISTRY, registry.DEFAULTS,
                         policy.AUTO_CHOICES, policy.HIER_AUTO,
-                        policy.POLICY_WAIVERS, MODEL_COVERAGE) == []
+                        policy.POLICY_WAIVERS, MODEL_COVERAGE,
+                        registry.COMPOSITIONS) == []
+
+
+def _composite_tables():
+    """The toy tables plus a composite ``allreduce`` of two toy parts,
+    its coverage entry the one derived from them."""
+    from repro.analysis.framecount import composite_coverage
+
+    registry, defaults, auto, hier, waivers, coverage = _toy_tables()
+    registry["reduce"] = {"tree": _doc("tree")}
+    defaults["reduce"] = "tree"
+    auto["reduce"] = ("tree", "tree")
+    coverage["reduce", "tree"] = "models.reduce_tree"
+    parts = (("reduce", "tree"), ("bcast", "fast"))
+    registry["allreduce"] = {"both": _doc("both")}
+    defaults["allreduce"] = "both"
+    coverage["allreduce", "both"] = composite_coverage(parts, coverage)
+    return dict(registry=registry, defaults=defaults, auto_choices=auto,
+                hier_auto=hier, waivers=waivers, coverage=coverage,
+                compositions={("allreduce", "both"): parts})
+
+
+def _check_composite(**overrides):
+    tables = {**_composite_tables(), **overrides}
+    return check_tables(*(tables[key] for key in (
+        "registry", "defaults", "auto_choices", "hier_auto", "waivers",
+        "coverage", "compositions")), resolvable=lambda dotted: True)
+
+
+def test_reg01_composite_auto_capable_through_its_parts_is_clean():
+    """``allreduce`` is in neither AUTO_CHOICES nor the waivers: its
+    one row is a composition of auto-capable ops, which is its policy."""
+    assert _check_composite() == []
+    # ... but not once a part's op is waived out of the policy
+    found = _check_composite(auto_choices={"bcast": ("fast", "slow")},
+                             waivers={"scan": "serial", "reduce": "toy"})
+    assert [v.message.split(" has ")[0] for v in found] == [
+        "op 'allreduce'"]
+
+
+def test_reg01_flags_a_composition_with_an_unregistered_part():
+    tables = _composite_tables()
+    tables["compositions"] = {
+        ("allreduce", "both"): (("reduce", "gone"), ("bcast", "fast"))}
+    found = _check_composite(compositions=tables["compositions"])
+    assert any("unregistered part (reduce, gone)" in v.message
+               for v in found), found
+
+
+def test_reg01_flags_a_hand_coverage_entry_for_a_composite():
+    """A composite's MODEL_COVERAGE entry derives from its parts'; a
+    hand entry — here one that outlived its parts' models — is
+    flagged."""
+    coverage = dict(_composite_tables()["coverage"])
+    coverage["allreduce", "both"] = "models.allreduce_both"
+    found = _check_composite(coverage=coverage)
+    assert [v.message.split(" is a ")[0] for v in found] == [
+        "MODEL_COVERAGE[(allreduce, both)]"]
 
 
 def test_estimate_markers_are_a_ratchet():
@@ -551,8 +609,7 @@ def test_estimate_markers_are_a_ratchet():
 
     assert sorted(pair for pair, entry in MODEL_COVERAGE.items()
                   if entry.startswith("estimate:")) == [
-        ("bcast", "mcast-ack"), ("bcast", "mcast-sequencer"),
-        ("reduce_scatter", "p2p-reduce-scatter")]
+        ("bcast", "mcast-ack"), ("bcast", "mcast-sequencer")]
 
 
 def test_netparams_fields_are_a_ratchet():

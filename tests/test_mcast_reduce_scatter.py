@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro import run_spmd
-from repro.analysis.framecount import model_flat_frames
+from repro.analysis.framecount import model_flat_frames, model_parts_frames
 from repro.core.segment import plan_segments
 from repro.mpi.ops import MAX, SUM, Op
 from repro.simnet import quiet
@@ -353,8 +353,8 @@ def test_seg_allreduce_frame_count_formula():
     observed = sum(kinds.get(k, 0) for k in
                    ("mcast-seg", "mcast-seg-hdr", "seg-report", "seg-dec",
                     "scout"))
-    assert observed == model_flat_frames("allreduce", (0,) * n, 0, size,
-                                         QUIET)[0]
+    assert observed == model_parts_frames("allreduce", "mcast-seg-nack",
+                                          (0,) * n, 0, size, QUIET)[0]
     assert kinds["mcast-seg"] == n * nsegs
 
 

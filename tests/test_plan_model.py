@@ -17,9 +17,11 @@ import pytest
 
 from repro import run_spmd
 from repro.analysis.framecount import (model_flat_frames, model_hier_frames,
-                                       model_p2p_frames, topo_digest)
+                                       model_p2p_frames, model_parts_frames,
+                                       topo_digest)
 from repro.bench.harness import op_body
 from repro.mpi.collective.policy import AUTO_CHOICES, modeled_frame_costs
+from repro.mpi.collective.registry import parts_of
 from repro.mpi.ops import MAX, SUM, Op
 from repro.simnet import quiet
 from repro.simnet.calibration import FAST_ETHERNET_SWITCH
@@ -43,6 +45,24 @@ def _placement(fabric):
     seg_of = tuple(s for s, k in enumerate(fab.leaf_sizes)
                    for _ in range(k))
     return topology, seg_of, tuple(fab.leaf_paths())
+
+
+#: op -> (p2p baseline, flat segmented entry): the auto candidates,
+#: and the allreduce rows made of the reduce's and the bcast's
+CANDIDATES = {**AUTO_CHOICES,
+              "allreduce": ("p2p-reduce-bcast", "mcast-seg-nack")}
+
+
+def _model(op, impl, seg_of, root, nbytes, paths):
+    """The fold pricing one call of ``(op, impl)``: a composition's
+    parts summed, else its family's."""
+    if parts_of(op, impl) is not None:
+        return model_parts_frames(op, impl, seg_of, root, nbytes, AUTO,
+                                  paths)
+    fold = (model_hier_frames if impl == "hier-mcast" else
+            model_p2p_frames if impl.startswith("p2p-") else
+            model_flat_frames)
+    return fold(op, seg_of, root, nbytes, AUTO, paths)
 
 
 def _per_call(topology, n, op, impl, body):
@@ -76,9 +96,10 @@ def test_every_plan_is_priced_exactly(fabric):
     topology, seg_of, paths = _placement(fabric)
     n = len(seg_of)
     rng = random.Random(fabric)
-    for op, (p2p, flat) in AUTO_CHOICES.items():
-        for impl, fold in ((flat, model_flat_frames),
-                           ("hier-mcast", model_hier_frames)):
+    for op in ("bcast", "reduce", "allreduce", "scatter", "gather",
+               "allgather"):
+        p2p, flat = CANDIDATES[op]
+        for impl in (flat, "hier-mcast"):
             root = 0 if op in ("allreduce", "allgather") else \
                 rng.randrange(n)
             size = rng.choice((rng.randint(1, 47_000),
@@ -88,11 +109,10 @@ def test_every_plan_is_priced_exactly(fabric):
             nbytes = {"reduce": vector, "allreduce": vector,
                       "scatter": share * n, "gather": share,
                       "allgather": share}.get(op, size)
-            assert fold(op, seg_of, root, nbytes, AUTO, paths) == \
+            assert _model(op, impl, seg_of, root, nbytes, paths) == \
                 _per_call(topology, n, op, impl,
                           op_body(op, size, root)), (op, impl, root, size)
-            assert model_p2p_frames(op, seg_of, root, nbytes, AUTO,
-                                    paths) == \
+            assert _model(op, p2p, seg_of, root, nbytes, paths) == \
                 _per_call(topology, n, op, p2p,
                           op_body(op, size, root)), (op, p2p, root, size)
 
@@ -199,3 +219,25 @@ def test_p2p_only_ops_are_priced_exactly(fabric, op):
 
         assert model_p2p_frames(op, seg_of, 0, nbytes, AUTO, paths) == \
             _per_call(topology, n, op, impl, body), (kind, nbytes)
+
+
+@pytest.mark.parametrize("fabric", ["switch-4", "switch-7", "tree:2x4"])
+def test_reduce_scatter_is_priced_exactly_from_its_parts(fabric):
+    """``reduce_scatter`` is its parts: the reduce ships the bundle of
+    the ``size`` equal-sized elements (reduced element-wise, so every
+    hop carries the same bytes), the scatter deals the reduced ones —
+    the composite fold at one element's bytes is the simulator, eager
+    and rendezvous."""
+    topology, seg_of, paths = _placement(fabric)
+    n = len(seg_of)
+    for nbytes in (8, 800, 4_000):
+        def body(env, nbytes=nbytes):
+            mine = yield from env.comm.reduce_scatter(
+                [np.full(nbytes // 8, float(r + env.rank))
+                 for r in range(n)], SUM)
+            assert np.all(mine == n * env.rank + n * (n - 1) / 2)
+
+        assert model_parts_frames(
+            "reduce_scatter", "p2p-reduce-scatter", seg_of, 0, nbytes,
+            AUTO, paths) == _per_call(topology, n, "reduce_scatter",
+                                      "p2p-reduce-scatter", body), nbytes

@@ -21,8 +21,9 @@ from repro.core.segment import plan_transport
 from repro.mpi.collective import policy
 from repro.mpi.collective.hier import (build_hier_tree, canonical_order,
                                        hier_state)
-from repro.mpi.collective.policy import (AUTO_CHOICES, auto_impl,
+from repro.mpi.collective.policy import (AUTO_CHOICES, AUTO_OPS, auto_impl,
                                          comm_topology, modeled_frame_costs)
+from repro.mpi.collective.registry import PART_OPS
 from repro.mpi.ops import SUM
 from repro.simnet import quiet
 from repro.simnet.calibration import FAST_ETHERNET_SWITCH
@@ -112,10 +113,15 @@ def check_models(seg_of, paths):
                                                      size, paths)
             for op in HIER_OPS:
                 for loss in LOSSES:
-                    same(framecount.model_hier_frames(
-                        op, seg_of, root, size, AUTO, paths, loss),
-                        ref.model_hier_frames(
+                    # the allreduce's row is its parts: hier reduce,
+                    # then hier bcast, summed
+                    got = (framecount.model_parts_frames(
+                        op, "hier-mcast", seg_of, root, size, AUTO, paths,
+                        loss) if op == "allreduce" else
+                        framecount.model_hier_frames(
                             op, seg_of, root, size, AUTO, paths, loss))
+                    same(got, ref.model_hier_frames(
+                        op, seg_of, root, size, AUTO, paths, loss))
 
 
 @pytest.mark.parametrize("fabric", sorted(FABRICS))
@@ -192,7 +198,7 @@ def test_one_digest_per_communicator():
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.one_of(placements(), st.integers(2, 40)), st.booleans(),
-       st.sampled_from(sorted(AUTO_CHOICES)),
+       st.sampled_from(sorted(AUTO_OPS)),
        st.one_of(st.sampled_from(SIZES), st.integers(0, 60_000)),
        st.sampled_from((0.0, 0.02, 0.2)), st.data())
 def test_fold_on_the_one_group_plan_equals_the_frozen_ladder(
@@ -202,18 +208,26 @@ def test_fold_on_the_one_group_plan_equals_the_frozen_ladder(
     ``_reference_models``, trunk references included), on drawn
     placements and on flat clusters:
     equal in value and type loss-free, to ``rel=1e-12`` under loss
-    (turn-order sums against the ladder's products)."""
+    (turn-order sums against the ladder's products).  The allreduce's
+    ``mcast-seg-nack`` row is its parts' folds summed, at root 0."""
     topo = None
+    seg_of, paths = None, None
     if isinstance(placement, int):
         n = placement
     else:
         seg_of, paths = placement
         n = len(seg_of)
-        topo = framecount.topo_digest(seg_of, None if two_tier else paths)
-    root = data.draw(st.integers(0, n - 1))
+        paths = None if two_tier else paths
+        topo = framecount.topo_digest(seg_of, paths)
+    root = 0 if op == "allreduce" else data.draw(st.integers(0, n - 1))
     params = replace(AUTO, loss=loss)
-    got = modeled_frame_costs(op, nbytes, n, params, topo, root,
-                              hier_ok=False)[AUTO_CHOICES[op][1]]
+    if op == "allreduce":
+        got = sum(framecount.model_parts_frames(
+            op, "mcast-seg-nack", seg_of or (0,) * n, root, nbytes,
+            params, paths, loss))
+    else:
+        got = modeled_frame_costs(op, nbytes, n, params, topo, root,
+                                  hier_ok=False)[AUTO_CHOICES[op][1]]
     want = ref.seg_frame_estimate(op, nbytes, n, params, topo, root)
     if loss:
         assert got == pytest.approx(want, rel=1e-12, abs=0)
@@ -225,11 +239,17 @@ def _reference_costs(monkeypatch, *key):
     """``modeled_frame_costs`` evaluated, unmemoised, with the plan fold
     and the multicast trunk edges swapped for their references (the
     policy resolves them from the module at call time; the p2p fold's
-    tree term is held to the reference by :func:`check_models`)."""
+    tree term is held to the reference by :func:`check_models`).  A
+    composite prices its parts through the memo, so the memo is emptied
+    on the way in and out: neither side reads the other's parts."""
     with monkeypatch.context() as patch:
         for name in ref.PUBLIC:
             patch.setattr(framecount, name, getattr(ref, name))
-        return policy._decide.__wrapped__(*key)
+        policy._decide.cache_clear()
+        try:
+            return policy._decide.__wrapped__(*key)
+        finally:
+            policy._decide.cache_clear()
 
 
 @pytest.mark.parametrize("fabric", sorted(FABRICS))
@@ -237,15 +257,17 @@ def test_modeled_costs_and_picks_match_reference(fabric, monkeypatch):
     """The policy's table over the reference loops and the frozen
     ladder == over the digest and the fold == through the memo (first
     call and repeated call): equal in value and type loss-free, the
-    flat segmented entry to ``rel=1e-12`` under loss (the fold sums
-    its streams in turn order, the ladder multiplied)."""
+    flat segmented entry (the allreduce's parts' sum) to ``rel=1e-12``
+    under loss (the fold sums its streams in turn order, the ladder
+    multiplied)."""
     seg_of, paths = FABRICS[fabric]
     n = len(seg_of)
     topo = framecount.topo_digest(seg_of, paths)
     for loss in LOSSES:
         params = replace(AUTO, loss=loss)
-        for op in sorted(AUTO_CHOICES):
-            seg_name = AUTO_CHOICES[op][1]
+        for op in sorted(AUTO_OPS):
+            # allreduce has one candidate: its parts' picks, summed
+            seg_name = AUTO_CHOICES[op][1] if op in AUTO_CHOICES else None
             # every root (a stride of 3 still lands in all eight
             # segments of tree:2x4x4, on leaders and non-leaders;
             # check_models above walks every root of every model)
@@ -261,10 +283,14 @@ def test_modeled_costs_and_picks_match_reference(fabric, monkeypatch):
                         for _ in range(2):      # the memo changes nothing
                             same(modeled_frame_costs(*key), got)
                             assert auto_impl(*key) == got_pick
-                        if loss:
-                            assert got.pop(seg_name) == pytest.approx(
-                                want.pop(seg_name), rel=1e-12, abs=0)
-                        same(got, want)
+                        if loss and seg_name is None:
+                            assert got == pytest.approx(want, rel=1e-12,
+                                                        abs=0)
+                        else:
+                            if loss:
+                                assert got.pop(seg_name) == pytest.approx(
+                                    want.pop(seg_name), rel=1e-12, abs=0)
+                            same(got, want)
                         assert got_pick == pick
 
 
@@ -286,7 +312,7 @@ def _mixed_auto_cycle(cycles: int):
     def main(env):
         comm, n = env.comm, env.comm.size
         comm.use_collectives(barrier="hier-mcast",
-                             **{op: "auto" for op in AUTO_CHOICES})
+                             **dict.fromkeys(AUTO_OPS, "auto"))
         for _ in range(cycles):
             for size in (512, 24_000):
                 block = bytes([env.rank + 1]) * max(1, size // n)
@@ -309,30 +335,44 @@ def test_model_evaluations_equal_distinct_call_signatures(monkeypatch):
     distinct call signature, every other resolution is a hit, and the
     picks are those of a run with no memo at all.
 
-    At least six auto ops x two sizes; today 14, because the
-    ``p2p-gather-bcast`` allgather dispatches its inner bcast of the
-    gathered *bundle* (640 B / 24,128 B) through ``"auto"`` too.
+    Six auto ops x two sizes, plus the bcast of the allgather's
+    gathered *bundle* (640 B / 24,128 B), which only the allgather's
+    pricing of its parts asks for: 14 signatures.  A composite's parts
+    are looked up as it is evaluated, never dispatched — one resolution
+    per call.
     """
     run = dict(topology="tree:2x4x4", params=AUTO, seed=1)
     logs = run_spmd(32, _mixed_auto_cycle(3), **run).returns
     info = policy.cache_info()
     assert all(log == logs[0] for log in logs)
+    assert len(logs[0]) == 3 * 14           # one entry per call
 
-    asked = []
+    asked, parts = [], []
     evaluate = policy._decide.__wrapped__
+    depth = 0
 
     def unmemoised(*key):
-        asked.append(key)
-        return evaluate(*key)
+        nonlocal depth
+        (parts if depth else asked).append(key)
+        depth += 1
+        try:
+            return evaluate(*key)
+        finally:
+            depth -= 1
 
     # one cycle with no memo at all: the same picks, cycle for cycle
     policy.clear_caches()
     monkeypatch.setattr(policy, "_decide", unmemoised)
     one_cycle = run_spmd(32, _mixed_auto_cycle(1), **run).returns[0]
     assert logs[0] == one_cycle * 3
-    assert len(set(asked)) >= 2 * len(AUTO_CHOICES)
-    assert info.evaluations == info.size == len(set(asked))
-    assert info.evaluations + info.hits == 3 * len(asked)
+    signatures = set(asked) | set(parts)
+    assert len(set(asked)) == 2 * len(AUTO_OPS)
+    assert len(signatures) == 2 * len(AUTO_OPS) + 2
+    assert info.evaluations == info.size == len(signatures)
+    # every call is one lookup; a composite's one evaluation adds a
+    # lookup per part
+    assert info.evaluations + info.hits == 3 * len(asked) + sum(
+        len(PART_OPS[key[0]]) for key in set(asked) if key[0] in PART_OPS)
 
 
 def _count_calls(fn) -> int:
@@ -360,7 +400,7 @@ def test_cold_evaluation_at_1024_ranks_is_bounded():
     and a repeat is free."""
     seg_of, paths = _fabric("tree:32x32")
     topo = framecount.topo_digest(seg_of, paths)
-    for op in sorted(AUTO_CHOICES):
+    for op in sorted(AUTO_OPS):
         policy.clear_caches()
 
         def evaluate():
@@ -369,5 +409,10 @@ def test_cold_evaluation_at_1024_ranks_is_bounded():
         cold = _count_calls(evaluate)
         assert cold <= 200_000, (op, cold)
         assert _count_calls(evaluate) < 50
-    costs = modeled_frame_costs("allreduce", 24_000, 1024, AUTO, topo)
-    assert costs["hier-mcast"] < costs["mcast-seg-nack"]
+    # the allreduce is its parts: the reduce's pick and the bcast's,
+    # priced as their sum
+    parts = [modeled_frame_costs(op, 24_000, 1024, AUTO, topo)
+             for op in ("reduce", "bcast")]
+    assert modeled_frame_costs("allreduce", 24_000, 1024, AUTO, topo) == {
+        "+".join(min(costs, key=costs.get) for costs in parts):
+            sum(min(costs.values()) for costs in parts)}

@@ -299,7 +299,7 @@ def test_close_fails_every_pending_descriptor():
 
     cl, sim, h0, h1 = make2()
     rx = h1.socket(100, posted_only=True)
-    posted = rx.post_recv_many(3)
+    posted = [rx.post_recv() for _ in range(3)]
     rx.close()
     sim.run()
     assert all(ev.triggered and not ev.ok for ev in posted)
@@ -307,12 +307,12 @@ def test_close_fails_every_pending_descriptor():
 
 
 def test_post_recv_many_and_cancel_recv_all():
-    """Batched descriptors fill in posting order; cancel_recv_all
-    withdraws exactly the untriggered ones."""
+    """Descriptors posted back to back fill in posting order;
+    cancel_recv_all withdraws exactly the untriggered ones."""
     cl, sim, h0, h1 = make2(topology="switch")
     rx = h1.socket(100, posted_only=True)
     tx = h0.socket(101)
-    posted = rx.post_recv_many(3)
+    posted = [rx.post_recv() for _ in range(3)]
 
     def sender():
         yield from tx.sendto("one", 32, dst=1, dst_port=100)
@@ -343,7 +343,7 @@ def test_posted_depth_and_high_water_track_the_descriptor_ring():
     tx = h0.socket(101)
     assert rx.posted_depth == 0 and rx.posted_high_water == 0
 
-    posted = rx.post_recv_many(3)
+    posted = [rx.post_recv() for _ in range(3)]
     assert rx.posted_depth == 3 and rx.posted_high_water == 3
 
     def sender():
@@ -604,9 +604,9 @@ _BURSTS = st.lists(
 
 def _loop_round(sim, sock, n, patience, take):
     """A round as the engine drained it before the ring: one
-    ``finish_recv`` per descriptor of ``post_recv_many`` under one drain
-    timer, until ``take`` reports done — the ring's oracle."""
-    posted = sock.post_recv_many(n)
+    ``finish_recv`` per descriptor posted by ``post_recv`` under one
+    drain timer, until ``take`` reports done — the ring's oracle."""
+    posted = [sock.post_recv() for _ in range(n)]
     timer = sim.timer(sock.expire_recv)
     try:
         for ev in posted:
@@ -659,7 +659,7 @@ def _drive(sock_cls, sigma, arrivals, waits, bursts, round_fn=None):
                 end = yield from drain(sim, sock, n, float(patience), take)
                 log.append(("end", sock.port, end, sim.now))
                 continue
-            posted = sock.post_recv_many(n)
+            posted = [sock.post_recv() for _ in range(n)]
             timer = sim.timer(sock.expire_recv)
             try:                        # like a round: one drain timer
                 for ev in posted:
