@@ -29,14 +29,16 @@ Every collective call advances the channel's **sequence number**; because
 MPI code must be *safe* (all ranks issue collectives on a communicator in
 the same order — paper §4), sequence numbers advance identically
 everywhere and stale traffic is detectable: on the control plane by the
-rule above, on the data socket by :meth:`McastChannel.wait_data_from`.
+rule above, on the data socket by the ``(root, seq)`` of each datagram
+a receive takes.
 
-For payloads larger than one MTU the channel also speaks *segments*
-(:mod:`repro.core.segment`): a round's descriptors are posted as one
-ring on the data socket (``data_sock.post_ring``) and each ``mcast-seg``
-datagram carries one segment or a batch of them — the data socket
-carries nothing else.  Why every data-less multicast rides
-the buffered scout port is argued in :mod:`repro.core.rounds`.
+Every receive on the data socket is one descriptor ring
+(``data_sock.post_ring(n, take)``): a ring of one for an ``mcast-data``
+payload, a round's worth of *segments* (:mod:`repro.core.segment`) for
+payloads larger than one MTU — each ``mcast-seg`` datagram carries one
+segment or a batch of them; the data socket carries nothing else.  Why
+every data-less multicast rides the buffered scout port is argued in
+:mod:`repro.core.rounds`.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from __future__ import annotations
 from typing import Any, Generator, Optional
 
 from ..simnet.frame import mcast_mac
-from ..simnet.kernel import Event, Timer
 
 __all__ = ["McastChannel", "McastLost", "GROUP_ID_BASE", "DATA_PORT_BASE",
            "SCOUT_PORT_BASE", "SCOUT_BYTES", "MCAST_HEADER_BYTES",
@@ -71,8 +72,8 @@ SEG_HEADER_BYTES = 4
 class McastLost(RuntimeError):
     """A multicast transfer was lost for good.
 
-    Raised by :meth:`McastChannel.wait_data_from` on a stale copy, and
-    by ``mcast-ack`` / ``mcast-sequencer`` and the round engine when
+    Raised by ``mcast-binary`` / ``-linear`` on a stale copy, and by
+    ``mcast-ack`` / ``mcast-sequencer`` and the round engine when
     ``NetParams.max_repair_rounds`` resends or repair rounds leave a
     receiver incomplete — the crisp, typed end of the "complete or
     fail" contract the chaos fuzzer asserts.  Every raiser states its
@@ -237,50 +238,6 @@ class McastChannel:
         return got
 
     # -- multicast data ----------------------------------------------------
-    def post_data(self) -> Event:
-        """Post the multicast receive — MUST precede the scout send."""
-        return self.data_sock.post_recv()
-
-    def cancel_data(self, posted) -> None:
-        """Withdraw every untriggered descriptor in ``posted``."""
-        self.data_sock.cancel_recv_all(list(posted))
-
-    def data_timer(self) -> Timer:
-        """A disarmed drain timer for this channel's data descriptors:
-        ``timer.arm(us, posted)`` expires ``posted`` after ``us`` of
-        silence, and :meth:`wait_data` on it then returns ``None``.  One
-        timer serves a whole wait — re-arm it per descriptor, and
-        ``cancel()`` it on every exit of the wait."""
-        return self.sim.timer(self.data_sock.expire_recv)
-
-    def wait_data(self, posted: Event) -> Generator:
-        """Complete a posted receive: returns ``(root, seq, payload)``,
-        or ``None`` if a :meth:`data_timer` expired the descriptor.
-
-        Charges the UDP receive cost plus ``mcast_recv_extra_us`` (group
-        receive validation / posted-descriptor handling) on the host CPU.
-        """
-        dgram = yield from self.data_sock.finish_recv(posted)
-        return None if dgram is None else dgram.payload
-
-    def wait_data_from(self, posted: Event, root: int,
-                       seq: int) -> Generator:
-        """Complete a posted receive that only ``root``'s multicast of
-        collective ``seq`` may fill; returns its payload.  A copy of an
-        *earlier* sequence (a reliable sender's late retransmission) has
-        eaten the descriptor the multicast was posted for:
-        :class:`McastLost`.  Anything else is not safe MPI code."""
-        src, got_seq, payload = (
-            yield from self.data_sock.finish_recv(posted)).payload
-        if got_seq == seq and src == root:
-            return payload
-        what = (f"rank {self.comm.rank} posted for (root={root}, seq={seq}) "
-                f"and got (root={src}, seq={got_seq})")
-        if got_seq < seq:
-            raise McastLost(self.comm.rank, seq,
-                            reason=f"{what}: a stale copy took the descriptor")
-        raise AssertionError(f"{what} — unsafe MPI code?")
-
     def send_data(self, payload: Any, nbytes: int, seq: int,
                   retransmit: bool = False,
                   kind: str = "mcast-data") -> Generator:

@@ -73,43 +73,31 @@ def allgather_mcast_unpaced(comm, obj: Any,
 
     results: list[Any] = [None] * size
     results[comm.rank] = obj
-
-    # Pre-post the descriptor budget (VIA-style receive descriptors).
-    budget = min(descriptors, size - 1)
-    posted = [channel.post_data() for _ in range(budget)]
-
-    yield from _ready_round(comm, channel, seq)
-
-    # Everyone fires at once.
-    yield from channel.send_data((comm.rank, obj), payload_bytes(obj),
-                                 seq)
-
     expected = size - 1
     received = 0
-    # Consume + re-post until everything arrived or nothing more comes.
-    # The drain timeout is generous: several worst-case serializations.
-    drain_us = 50_000.0
-    timer = channel.data_timer()
-    try:
-        while received < expected and posted:
-            ev = posted.pop(0)
-            if not ev.triggered:
-                timer.arm(drain_us, ev)
-            got = yield from channel.wait_data(ev)
-            if got is None:
-                break
-            src, got_seq, (tag, data) = got
-            if got_seq == seq and results[tag] is None:
+
+    def take(dgram) -> bool:
+        nonlocal received
+        _src, got_seq, payload = dgram.payload
+        if got_seq == seq:
+            tag, data = payload
+            if results[tag] is None:
                 results[tag] = data
                 received += 1
-            if received + len(posted) < expected:
-                posted.append(channel.post_data())
-    finally:
-        timer.cancel()
-        # Withdraw every descriptor still outstanding (not just the one
-        # that timed out): a stale posted receive would swallow the next
-        # collective's multicast payload on this channel and hang it.
-        channel.cancel_data(posted)
+        if received + ring.n - ring.taken < expected:
+            ring.post()
+        return received == expected
 
-    lost = expected - received
-    return results, lost
+    # Pre-post the descriptor budget (VIA-style receive descriptors).
+    ring = channel.data_sock.post_ring(min(descriptors, expected), take)
+    try:
+        yield from _ready_round(comm, channel, seq)
+        # Everyone fires at once.
+        yield from channel.send_data((comm.rank, obj), payload_bytes(obj),
+                                     seq)
+        yield ring.drain(50_000.0)  # several worst-case serializations
+    finally:
+        # A descriptor left posted would swallow the next collective's
+        # multicast payload on this channel and hang it.
+        ring.close()
+    return results, expected - received

@@ -52,7 +52,10 @@ __all__ = ["bcast_mcast_binary", "bcast_mcast_linear", "bcast_mcast_ack",
 
 def scouted_mcast(comm, obj: Any, root: int, gather) -> Generator:
     """The paper's skeleton: scout sync toward ``root``, then ONE
-    multicast of ``obj``."""
+    multicast of ``obj``.  A receiver's descriptor is posted for
+    ``(root, seq)``: an *earlier* sequence in it (a reliable sender's
+    late resend) raises :class:`McastLost`, anything else is unsafe MPI
+    code."""
     channel = comm.mcast
     seq = channel.next_seq()
     if comm.size == 1:
@@ -61,10 +64,22 @@ def scouted_mcast(comm, obj: Any, root: int, gather) -> Generator:
         yield from gather(comm, channel, seq, root)
         yield from channel.send_data(obj, payload_bytes(obj), seq)
         return obj
-    posted = channel.post_data()          # BEFORE the scout: the invariant
-    yield from gather(comm, channel, seq, root)
-    data = yield from channel.wait_data_from(posted, root, seq)
-    return data
+    got = []
+    ring = channel.data_sock.post_ring(1, got.append)  # BEFORE the scout
+    try:
+        yield from gather(comm, channel, seq, root)
+        yield ring.drain(None)
+    finally:
+        ring.close()
+    src, got_seq, data = got[0].payload
+    if got_seq == seq and src == root:
+        return data
+    what = (f"rank {comm.rank} posted for (root={root}, seq={seq}) "
+            f"and got (root={src}, seq={got_seq})")
+    if got_seq < seq:
+        raise McastLost(comm.rank, seq,
+                        reason=f"{what}: a stale copy took the descriptor")
+    raise AssertionError(f"{what} — unsafe MPI code?")
 
 
 @register("bcast", "mcast-binary")
@@ -91,13 +106,23 @@ def bcast_acked(comm, obj: Any, server: int) -> Generator:
     if comm.size == 1:
         return obj
     if comm.rank != server:
-        while True:
-            posted = channel.post_data()
-            src, got_seq, data = yield from channel.wait_data(posted)
+        got = []
+
+        def take(dgram) -> bool:
+            src, got_seq, data = dgram.payload
             if got_seq == seq and src == server:
-                break
+                got.append(data)
+                return True
+            ring.post()                 # a stale resend: post again
+            return False
+
+        ring = channel.data_sock.post_ring(1, take)
+        try:
+            yield ring.drain(None)
+        finally:
+            ring.close()
         yield from channel.send_ctrl(server, seq, "ack")
-        return data
+        return got[0]
     params = comm.host.params
     nbytes = payload_bytes(obj)
     path = channel.trunk_hops, channel.trunk_us_per_byte

@@ -96,7 +96,7 @@ def check_quiesced(cluster: "Cluster") -> None:
                     f"{host.name}: socket :{port} quiesced with {depth} "
                     f"posted receive(s), expected at most {limit} — a "
                     f"collective posted descriptors it neither consumed "
-                    f"nor cancelled (cancel_recv_all)")
+                    f"nor withdrew (ring.close() / cancel_recv)")
     problems.extend(_membership_problems(cluster))
     if problems:
         raise LeakError(

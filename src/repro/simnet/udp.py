@@ -26,7 +26,7 @@ from typing import Callable, Generator, Optional
 
 from .host import Host
 from .ip import Datagram
-from .kernel import Event, SimError
+from .kernel import Event, SimError, Timer
 
 __all__ = ["UdpSocket", "SocketClosed", "DescriptorRing"]
 
@@ -151,11 +151,9 @@ class UdpSocket:
 
     # -- receive ---------------------------------------------------------
     def post_recv(self) -> Event:
-        """Post a receive; the event fires with the :class:`Datagram`.
-
-        In posted-only mode this is the "receive descriptor" that must be
-        in place *before* the datagram arrives.
-        """
+        """Post a receive; the event fires with the :class:`Datagram`
+        (:meth:`recv`'s first half — a posted-only socket's data
+        descriptors are posted as a :meth:`post_ring`)."""
         self._check_open()
         ev = self.sim.event()
         if self._queue:
@@ -186,22 +184,9 @@ class UdpSocket:
         except ValueError:
             pass
 
-    def cancel_recv_all(self, events: list[Event]) -> None:
-        """Withdraw every untriggered posted receive in ``events``.
-
-        Leaving even one behind makes the *next* delivery on this socket
-        disappear into the stale descriptor — the cross-collective leak
-        the segmented collectives and the unpaced allgather must avoid.
-        """
-        for ev in events:
-            if not ev.triggered:
-                self.cancel_recv(ev)
-
     def expire_recv(self, ev: Event) -> None:
-        """Time a posted receive out: withdraw it and complete it with
-        ``None`` (no-op once it has fired).  The deadline callback of a
-        timed wait — ``sim.timer(sock.expire_recv)``, armed with the
-        descriptor, lets the waiter ``yield`` the descriptor itself."""
+        """:meth:`recv`'s deadline: withdraw the posted receive ``ev``
+        and complete it with ``None`` (no-op once it has fired)."""
         if not ev.triggered:
             self.cancel_recv(ev)
             ev.succeed(None)
@@ -241,8 +226,8 @@ class UdpSocket:
         and the CPU is idle is charged by :meth:`_accept` in the record
         that completes ``ev`` — the same jitter draw, CPU hold and due
         time as the two steps below, one kernel record instead of two.
-        One parked process is remembered (a socket here has one: its
-        rank, or p2p's daemon); an earlier one takes the two steps.
+        One parked process is remembered (a buffered socket has one: a
+        rank on its scout port, p2p's daemon); an earlier one takes two.
         """
         self._parked = ev
         try:
@@ -355,7 +340,8 @@ class DescriptorRing(Event):
     ``take(dgram) -> done``.  The ring completes in the record ending a
     charge — ``True`` when ``take`` reports done, ``False`` when all
     ``n`` are taken — or, through a zero-delay record, with ``None``
-    after ``us`` of silence on an awaited empty descriptor.
+    after ``us`` of silence on an awaited empty descriptor
+    (``drain(None)``: never); ``take`` may :meth:`post` one more.
     """
 
     def __init__(self, sock: UdpSocket, n: int, take: Callable):
@@ -363,25 +349,36 @@ class DescriptorRing(Event):
         self.sock, self.n, self.take = sock, n, take
         self.filled = self.taken = 0
         self._free = n                  # descriptors posted and unfilled
-        self.timer = sock.sim.timer(self._expire)
-        self._drain_us: Optional[float] = None  # set while parked
+        self.timer: Optional[Timer] = None     # a deadline drain's
+        self._drain_us: Optional[float] = None
         self._ready: deque[Datagram] = deque()  # filled, not yet charged
         self._turn: Optional[Event] = None
-        self._busy = self._over = False
+        self._parked = self._busy = self._over = False
 
-    def drain(self, drain_us: float) -> "DescriptorRing":
+    def drain(self, drain_us: Optional[float]) -> "DescriptorRing":
         """Start draining; returns the ring for its owner to yield."""
-        self._drain_us = drain_us
+        self._parked = True
+        if drain_us is not None:
+            self._drain_us = drain_us
+            self.timer = self.sim.timer(self._expire)
         self._next()
         return self
+
+    def post(self) -> None:
+        """Post one more descriptor (called from ``take``)."""
+        self.n += 1
+        self._free += 1
+        sock = self.sock
+        sock.posted_high_water = max(sock.posted_high_water, self._free)
 
     def close(self) -> None:
         """Withdraw what is left, give back a charge's CPU; idempotent."""
         if self.sock._ring is self:
             self.sock._ring = None
         self._over, self._free, self.take = True, 0, None
-        self.timer.cancel()
-        self.timer.fn = None            # no ring <-> timer cycle for gc
+        if self.timer is not None:
+            self.timer.cancel()
+            self.timer.fn = None        # no ring <-> timer cycle for gc
         self._ready.clear()
         if self._busy:
             self._busy = False
@@ -389,7 +386,7 @@ class DescriptorRing(Event):
 
     def _fill(self, dgram: Datagram) -> None:
         cpu = self.sock.host.cpu
-        awaited = self._drain_us is not None and self.filled == self.taken
+        awaited = self._parked and self.filled == self.taken
         self._free -= 1
         self.filled += 1
         if awaited and not (self._busy or self._over or cpu.held):
@@ -403,7 +400,7 @@ class DescriptorRing(Event):
     def _filled(self, dgram: Datagram) -> None:
         if not self._over:
             self._ready.append(dgram)
-            if self._drain_us is not None and not self._busy:
+            if self._parked and not self._busy:
                 self._next()
 
     def _next(self) -> None:
@@ -419,7 +416,7 @@ class DescriptorRing(Event):
             else:
                 turn.add_callback(lambda _: self._over or self.sim.
                                   schedule_call(cost, self._charged, dgram))
-        elif self.filled == self.taken:
+        elif self.filled == self.taken and self.timer is not None:
             self.timer.arm(self._drain_us, self.taken)
 
     def _charged(self, dgram: Datagram) -> None:

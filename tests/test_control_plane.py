@@ -1,7 +1,8 @@
 """The one control plane: ``McastChannel.wait_ctrl`` against a ten-line
 model, the one tree walk of :mod:`repro.core.scout` on every (size,
-root), the stale-copy guard ``wait_data_from`` on docs/CHAOS.md's
-reproducer, and the data sockets' diet: data only."""
+root), the stale-copy guard of ``scouted_mcast`` on docs/CHAOS.md's
+reproducer, the data sockets' diet: data only — and a lost control
+multicast, which still wedges a rank (ROADMAP 1(a))."""
 
 from collections import Counter
 from types import SimpleNamespace
@@ -13,11 +14,12 @@ from hypothesis import strategies as st
 from repro.bench.harness import op_body
 from repro.core.binomial import binomial_children, binomial_parent
 from repro.core.channel import McastChannel, McastLost
+from repro.core.mcast_bcast import scouted_mcast
 from repro.core.scout import (report_fold_binary, scout_gather_binary,
                               scout_gather_linear)
 from repro.mpi.collective.registry import REGISTRY
 from repro.runtime import run_spmd
-from repro.simnet import quiet
+from repro.simnet import DeadlockError, quiet
 from repro.simnet.calibration import FAST_ETHERNET_SWITCH
 from repro.simnet.udp import UdpSocket
 
@@ -241,22 +243,26 @@ def test_a_future_or_foreign_multicast_is_still_unsafe_code():
     """Only a *stale* sequence is a transport loss (``McastLost``); a
     later sequence or another root in the descriptor means the ranks
     disagree about the order of collectives."""
+    def no_scouts(comm, channel, seq, root):
+        return
+        yield
+
     def main(env):
         channel = env.comm.mcast
         if env.rank == 0:
             yield env.sim.timeout(500.0)
             yield from channel.send_data("x", 1, seq=7)
             return None
-        posted = channel.post_data()
+        # the (root, seq) a receiver posts for: next_seq() is seq + 1
+        root, channel.seq = {1: (0, 2), 2: (1, 6), 3: (0, 8)}[env.rank]
+        receive = scouted_mcast(env.comm, None, root, no_scouts)
         if env.rank == 3:       # posted for seq 9: seq 7 is stale
             with pytest.raises(McastLost,
                                match="a stale copy took the descriptor"):
-                yield from channel.wait_data_from(posted, root=0, seq=9)
+                yield from receive
             return None
         with pytest.raises(AssertionError, match="unsafe MPI code"):
-            yield from channel.wait_data_from(
-                posted, root=0 if env.rank == 1 else 2,
-                seq=3 if env.rank == 1 else 7)
+            yield from receive
 
     run_spmd(4, main, params=QUIET)
 
@@ -289,3 +295,41 @@ def test_only_data_reaches_a_data_port(op, impl, monkeypatch):
                      collectives={op: impl})
     assert kinds.keys() <= {"mcast-data", "mcast-seg"}
     assert bool(kinds) == (op != "barrier")
+
+
+# ---------------------------------------- a lost control multicast wedges
+@pytest.mark.xfail(strict=True, raises=DeadlockError, reason="ROADMAP 1(a)")
+@pytest.mark.parametrize("kind,ranks", [("seg-dec", {2}),
+                                        ("mcast-seg-hdr", {1, 2, 3})],
+                         ids=["seg-dec@2", "mcast-seg-hdr@1-3"])
+def test_a_lost_control_multicast_completes_or_fails_typed(kind, ranks):
+    """The control plane has no retry: dropping the first ``kind``
+    control multicast at ``ranks`` (one copy each) suspends them until
+    the kernel's ``DeadlockError``.  The contract every data loss
+    already honours — each rank returns the payload or raises
+    ``McastLost`` — is the one direction 1(a) must extend to it."""
+    payload = bytes(24_000)
+
+    def on_cluster(cluster):
+        for rank in ranks:
+            eaten = []
+
+            def drop_first(dgram, eaten=eaten):
+                if dgram.kind == kind and not eaten:
+                    eaten.append(dgram)
+                    return "drop"
+                return None
+            cluster.hosts[rank].frame_fate = drop_first
+
+    def main(env):
+        try:
+            out = yield from env.comm.bcast(
+                payload if env.rank == 0 else None, 0)
+        except McastLost:
+            return "lost"
+        return out
+
+    result = run_spmd(4, main, "switch", seed=1, params=QUIET,
+                      collectives={"bcast": "mcast-seg-nack"},
+                      on_cluster=on_cluster)
+    assert all(out in (payload, "lost") for out in result.returns)

@@ -77,7 +77,7 @@ def test_leak01_clean_with_try_finally_release(tmp_path):
                 ev = sock.post_recv()
                 use(ev)
             finally:
-                sock.cancel_recv_all()
+                sock.cancel_recv(ev)
     """})
     assert "LEAK01" not in codes(v)
 

@@ -308,7 +308,7 @@ def test_close_fails_every_pending_descriptor():
 
 def test_post_recv_many_and_cancel_recv_all():
     """Descriptors posted back to back fill in posting order;
-    cancel_recv_all withdraws exactly the untriggered ones."""
+    cancel_recv on each withdraws exactly the untriggered ones."""
     cl, sim, h0, h1 = make2(topology="switch")
     rx = h1.socket(100, posted_only=True)
     tx = h0.socket(101)
@@ -322,7 +322,8 @@ def test_post_recv_many_and_cancel_recv_all():
     assert posted[0].triggered and posted[0].value.payload == "one"
     assert not posted[1].triggered and not posted[2].triggered
 
-    rx.cancel_recv_all(posted)
+    for ev in posted:
+        rx.cancel_recv(ev)
 
     def sender2():
         yield from tx.sendto("two", 32, dst=1, dst_port=100)
@@ -354,7 +355,8 @@ def test_posted_depth_and_high_water_track_the_descriptor_ring():
     assert rx.posted_depth == 2             # one descriptor consumed
     assert rx.posted_high_water == 3        # high water is sticky
 
-    rx.cancel_recv_all(posted)
+    for ev in posted:
+        rx.cancel_recv(ev)
     assert rx.posted_depth == 0
     assert rx.posted_high_water == 3
 
@@ -507,7 +509,7 @@ def test_deadlines_do_not_expire_a_descriptor_mid_charge():
         d = yield from rx.recv(timeout=10.0 + cost / 2)
         out.append((d and d.payload, sim.now))
         ev = rx.post_recv()
-        timer = sim.timer(rx.expire_recv)      # McastChannel.data_timer
+        timer = sim.timer(rx.expire_recv)      # recv(timeout=)'s timer
         timer.arm(10.0 + cost / 2, ev)
         try:
             d = yield from rx.finish_recv(ev)
@@ -537,8 +539,9 @@ def test_close_with_a_charge_in_flight_still_delivers():
 
 def test_datagrams_delivered_counts_every_completed_receive():
     """Regression: only recv() used to count, so every datagram finished
-    through McastChannel.wait_data (all multicast data, headers, barrier
-    releases) was missing from NetStats.datagrams_delivered."""
+    on a channel's data socket (all multicast data, then also headers
+    and barrier releases) was missing from NetStats.datagrams_delivered;
+    today that socket drains a descriptor ring."""
     cl, sim, h0, h1 = make2(topology="switch")
     chans = [McastChannel(SimpleNamespace(
         rank=h.addr, size=2, ctx=0, host=h, sim=sim, addr_of=int))
@@ -554,10 +557,12 @@ def test_datagrams_delivered_counts_every_completed_receive():
             yield from tx.send_ctrl(1, 1, "up")
 
     def receiver():
-        timer = rx.data_timer()
-        for ev in [rx.post_data() for _ in range(k_mcast + 1)]:
-            timer.arm(5000.0, ev)       # the last one expires: None
-            got.append((yield from rx.wait_data(ev)))
+        ring = rx.data_sock.post_ring(k_mcast + 1,
+                                      lambda d: got.append(d.payload))
+        try:                            # the last one expires: None
+            got.append((yield ring.drain(5000.0)))
+        finally:
+            ring.close()
         for _ in range(k_unicast):
             got.append((yield from rx.scout_sock.recv()).payload)
         got.append((yield from rx.scout_sock.recv(timeout=100.0)))
@@ -595,9 +600,12 @@ KINDS = ("data", "scout", "mcast-data", "mcast-seg", "mcast-seg-hdr")
 _ARRIVALS = st.lists(
     st.tuples(st.integers(0, 1500), st.integers(0, 1),
               st.sampled_from(KINDS)), max_size=14)
+#: a wait: (instant, socket, descriptors, patience — None: no deadline,
+#: re-post after each ``scout`` datagram taken — rounds only)
 _WAITS = st.lists(
     st.tuples(st.integers(0, 1500), st.integers(0, 1), st.integers(1, 3),
-              st.integers(1, 400)), max_size=8)
+              st.one_of(st.none(), st.integers(1, 400)), st.booleans()),
+    max_size=8)
 _BURSTS = st.lists(
     st.tuples(st.integers(0, 1500), st.integers(1, 120)), max_size=6)
 
@@ -605,27 +613,34 @@ _BURSTS = st.lists(
 def _loop_round(sim, sock, n, patience, take):
     """A round as the engine drained it before the ring: one
     ``finish_recv`` per descriptor posted by ``post_recv`` under one
-    drain timer, until ``take`` reports done — the ring's oracle."""
+    drain timer (none if ``patience`` is None), until ``take(d, post)``
+    reports done; its ``post()`` posts one more descriptor — the ring's
+    oracle."""
     posted = [sock.post_recv() for _ in range(n)]
     timer = sim.timer(sock.expire_recv)
+
+    def post():
+        posted.append(sock.post_recv())     # the loop below reaches it
+
     try:
         for ev in posted:
-            if not ev.triggered:
+            if patience is not None and not ev.triggered:
                 timer.arm(patience, ev)
             d = yield from sock.finish_recv(ev)
             if d is None:
                 return None
-            if take(d):
+            if take(d, post):
                 return True
         return False
     finally:
         timer.cancel()
-        sock.cancel_recv_all(posted)
+        for ev in posted:
+            sock.cancel_recv(ev)
 
 
 def _ring_round(sim, sock, n, patience, take):
     """The same round drained inside the socket: one park."""
-    ring = sock.post_ring(n, take)
+    ring = sock.post_ring(n, lambda d: take(d, ring.post))
     try:
         return (yield ring.drain(patience))
     finally:
@@ -651,30 +666,38 @@ def _drive(sock_cls, sigma, arrivals, waits, bursts, round_fn=None):
     def receiver(sock, steps):
         # the one process that receives on ``sock`` (as in src/: the
         # rank on a channel's sockets, the progress daemon on p2p's)
-        for t, _, n, patience in steps:
+        for t, _, n, patience, repost in steps:
             if t + 0.5 > sim.now:       # posted late, or already behind
                 yield sim.timeout(t + 0.5 - sim.now)
+            if patience is not None:
+                patience = float(patience)
             if round_fn is not None:
                 drain = round_fn if sock.posted_only else _loop_round
-                end = yield from drain(sim, sock, n, float(patience), take)
+                end = yield from drain(sim, sock, n, patience,
+                                       taker(repost))
                 log.append(("end", sock.port, end, sim.now))
                 continue
             posted = [sock.post_recv() for _ in range(n)]
             timer = sim.timer(sock.expire_recv)
             try:                        # like a round: one drain timer
                 for ev in posted:
-                    timer.arm(float(patience), ev)
+                    if patience is not None:
+                        timer.arm(patience, ev)
                     d = yield from sock.finish_recv(ev)
                     log.append(("recv", sock.port, d and d.payload, sim.now))
             finally:
                 timer.cancel()
             if n == 2:                  # and like a plain blocking recv
-                d = yield from sock.recv(timeout=float(patience))
+                d = yield from sock.recv(timeout=patience)
                 log.append(("recv", sock.port, d and d.payload, sim.now))
 
-    def take(d):
-        log.append(("recv", d.dst_port, d.payload, sim.now))
-        return d.kind == "mcast-seg-hdr"
+    def taker(repost):
+        def take(d, post):
+            log.append(("recv", d.dst_port, d.payload, sim.now))
+            if repost and d.kind == "scout":
+                post()
+            return d.kind == "mcast-seg-hdr"
+        return take
 
     def burst(b, length):
         turn = host.cpu.acquire()
@@ -685,8 +708,10 @@ def _drive(sock_cls, sigma, arrivals, waits, bursts, round_fn=None):
         host.cpu.release()
 
     for which, sock in enumerate(socks):
+        # a daemon: a wait with no deadline may outlive the arrivals
         sim.process(receiver(sock, sorted(
-            w for w in waits if w[1] == which)))
+            (w for w in waits if w[1] == which),
+            key=lambda w: w[0])), daemon=True)
     for b, (t, length) in enumerate(bursts):
         sim.schedule_call(t + 0.5, sim.process, burst(b, length))
     sim.run()
@@ -723,7 +748,7 @@ def test_the_property_reaches_the_fast_path():
     CountingSocket.charges = 0
     arrivals = [(100, 0, "mcast-seg"), (101, 0, "mcast-seg"),
                 (400, 0, "mcast-seg-hdr")]
-    waits = [(0, 0, 3, 400)]        # one step: three descriptors
+    waits = [(0, 0, 3, 400, False)]     # one step: three descriptors
     fast, fast_records = _drive(CountingSocket, 0.06, arrivals, waits, [])
     slow, slow_records = _drive(TwoStepSocket, 0.06, arrivals, waits, [])
     assert fast == slow and [e[2] for e in fast[0]] == [0, 1, 2]
@@ -768,7 +793,7 @@ def test_the_ring_property_reaches_every_fill_path(monkeypatch):
     monkeypatch.setattr(DescriptorRing, "_fill", spy)
     arrivals = [(100, 0, "mcast-seg"), (101, 0, "mcast-seg"),
                 (300, 0, "mcast-seg"), (2000, 0, "mcast-seg")]
-    waits = [(0, 0, 4, 400)]        # one round: four descriptors
+    waits = [(0, 0, 4, 400, False)]     # one round: four descriptors
     bursts = [(290, 60)]            # the CPU is held over [290.5, 350.5)
     ring, ring_records = _drive(UdpSocket, 0.06, arrivals, waits, bursts,
                                 _ring_round)
@@ -780,6 +805,35 @@ def test_the_ring_property_reaches_every_fill_path(monkeypatch):
     assert [e[2] for e in log if e[0] == "recv"] == [0, 1, 2]
     assert [e[:3] for e in log if e[0] == "end"] == [("end", 100, None)]
     assert ring[4] == 1                 # drops_not_posted: the 4th
+
+
+@pytest.mark.parametrize("repost", [True, False])
+def test_the_ring_property_reaches_no_deadline_and_repost(repost):
+    """Not vacuous: a deadline-less ring of one leaves no timer record
+    pending, and re-posting after the ``scout`` it takes catches the
+    header that the same ring without ``post()`` drops unposted."""
+    cl, sim, h0, h1 = make2()
+    rx = h1.socket(100, posted_only=True)
+    ring = rx.post_ring(1, lambda d: False)
+    try:
+        ring.drain(None)
+        sim.run()                       # parked: nothing is pending
+        assert sim.peek() == float("inf") and ring.timer is None
+    finally:
+        ring.close()
+
+    arrivals = [(100, 0, "scout"), (300, 0, "mcast-seg-hdr")]
+    waits = [(0, 0, 1, None, repost)]
+    ring, ring_records = _drive(UdpSocket, 0.06, arrivals, waits, [],
+                                _ring_round)
+    loop, loop_records = _drive(UdpSocket, 0.06, arrivals, waits, [],
+                                _loop_round)
+    assert ring == loop and ring_records == loop_records
+    log = ring[0]
+    assert [e[2] for e in log if e[0] == "recv"] == ([0, 1] if repost
+                                                     else [0])
+    assert [e[:3] for e in log if e[0] == "end"] == [("end", 100, repost)]
+    assert ring[4] == (0 if repost else 1)  # drops_not_posted
 
 
 @pytest.mark.parametrize("evict_at", [50.0, 100.0])
