@@ -103,9 +103,9 @@ perf-compare:
 # Net line count of a change, per directory (ROADMAP: "net line count
 # is reported per PR"): the working tree against BASE, generated
 # baselines and the self-contained perf benchmark left out.  Stage new
-# files first (`git add -A`) or they are not counted.  The last line is
-# src/'s code-only count (scripts/loc_code.py: no blanks, comments or
-# docstrings) at BASE and now.
+# files first (`git add -A`) or they are not counted.  The last lines
+# are src/'s and tests/' code-only counts (scripts/loc_code.py: no
+# blanks, comments or docstrings) at BASE and now.
 #   make loc BASE=HEAD~1
 loc:
 	@test -n "$(BASE)" || { echo 'usage: make loc BASE=<rev>'; exit 2; }
@@ -113,7 +113,7 @@ loc:
 		printf '%-11s%s\n' "$$dir:" "$$(git diff --shortstat $(BASE) -- \
 			$$dir ':!benchmarks/results' ':!benchmarks/perf')"; \
 	done
-	@python3 scripts/loc_code.py $(BASE) src
+	@python3 scripts/loc_code.py $(BASE) src tests
 
 # Regenerate the derived docs (the collective registry reference and
 # the benchmarks index).

@@ -12,13 +12,19 @@ envelope), so this module offers both:
   frame counters *exactly* (asserted in tests and the frame-count bench).
 
 Three folds return ``(host frames, trunk serializations)`` of one call
-with one signature ``(op, seg_of_rank, root, nbytes, params, paths)``:
-:func:`model_flat_frames` and :func:`model_hier_frames` over a compiled
-multicast plan, :func:`model_p2p_frames` over the p2p collectives' tree
-edges.  A p2p hop is priced in one place (:func:`_hop`) for both.  A
-composite collective (:data:`~repro.mpi.collective.registry.
+with one signature ``(op, seg_of_rank, root, nbytes, params, paths,
+loss, commutative)``: :func:`model_flat_frames` and
+:func:`model_hier_frames` over a compiled multicast plan (``commutative``
+unused), :func:`model_p2p_frames` over the p2p collectives' tree edges
+(``loss`` unused).  A p2p hop is priced in one place (:func:`_hop`) for
+both.  A composite collective (:data:`~repro.mpi.collective.registry.
 COMPOSITIONS`) is priced as the sum of its parts' folds, in one place
 too (:func:`model_parts_frames`, at :func:`part_payloads`).
+
+Every implementation names its model where it registers
+(:func:`~repro.mpi.collective.registry.register`); :data:`FOLDS` maps
+that name to the function here, and :func:`model_coverage` reads the
+ledger off the registry.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from ..core.channel import MCAST_HEADER_BYTES, SEG_HEADER_BYTES
 from ..mpi.collective.barrier_p2p import largest_power_of_two_leq
 from ..mpi.collective.hier import (BUNDLE_KINDS, build_hier_tree,
                                    canonical_order, compile_plan)
-from ..mpi.collective.registry import COMPOSITIONS, parts_of
+from ..mpi.collective.registry import COMPOSITIONS, REGISTRY, parts_of
 from ..mpi.datatypes import BUNDLE_LENGTH_BYTES
 from ..mpi.p2p import DEFAULT_EAGER_THRESHOLD
 from ..simnet.calibration import NetParams
@@ -42,7 +48,7 @@ __all__ = [
     "expected_seg_repair_frames", "multicast_trunk_edges",
     "model_p2p_frames", "model_plan_frames", "model_flat_frames",
     "model_hier_frames", "part_payloads", "model_parts_frames",
-    "composite_coverage", "MODEL_COVERAGE",
+    "FOLDS", "CALL_FOLDS", "model_coverage",
 ]
 
 
@@ -339,7 +345,7 @@ def _hop(digest: TopoDigest, params: NetParams, src: int, dst: int,
 
 
 def model_p2p_frames(op: str, seg_of_rank, root: int, nbytes: int,
-                     params: NetParams, paths=None,
+                     params: NetParams, paths=None, loss: float = 0.0,
                      commutative: bool = True) -> tuple[int, int]:
     """(host frames, trunk serializations) of one call of ``op``'s p2p
     implementation — the auto policy's baseline and the static
@@ -512,8 +518,8 @@ def model_plan_frames(op: str, tree, digest: TopoDigest, root: int,
 
 
 def model_flat_frames(op: str, seg_of_rank, root: int, nbytes: int,
-                      params: NetParams, paths=None,
-                      loss: float = 0.0) -> tuple[float, float]:
+                      params: NetParams, paths=None, loss: float = 0.0,
+                      commutative: bool = True) -> tuple[float, float]:
     """:func:`model_plan_frames` of the op's *flat* segmented
     implementation: the one-group plan — the whole communicator as a
     single leaf, elements bare — priced with the communicator's own
@@ -528,8 +534,8 @@ def model_flat_frames(op: str, seg_of_rank, root: int, nbytes: int,
 
 
 def model_hier_frames(op: str, seg_of_rank, root: int, nbytes: int,
-                      params: NetParams, paths=None,
-                      loss: float = 0.0) -> tuple[float, float]:
+                      params: NetParams, paths=None, loss: float = 0.0,
+                      commutative: bool = True) -> tuple[float, float]:
     """:func:`model_plan_frames` of one ``hier-mcast`` call on an
     arbitrary-depth hierarchy.  Exact loss-free for every op (asserted
     by the ``deep-fabric`` sweep area and ``tests/test_plan_model.py``)."""
@@ -559,81 +565,52 @@ def model_parts_frames(op: str, impl: str, seg_of_rank, root: int,
                        nbytes: int, params: NetParams, paths=None,
                        loss: float = 0.0) -> tuple[float, float]:
     """(host frames, trunk serializations) of one call of composite
-    ``impl`` of ``op`` (a row, or ``"+"``-joined parts): its parts'
-    own folds at :func:`part_payloads` summed, every part at root 0 —
-    ``root`` is unused.  Exact wherever they are."""
+    ``impl`` of ``op`` (a row, or ``"+"``-joined parts): each part's
+    registered fold at :func:`part_payloads` summed, every part at
+    root 0 — ``root`` is unused.  Exact wherever they are."""
     size = len(seg_of_rank)
     frames = trunk = 0
     for (part, part_impl), m in zip(parts_of(op, impl),
                                     part_payloads(op, size, nbytes)):
-        if part_impl.startswith("p2p-"):
-            f, t = model_p2p_frames(part, seg_of_rank, 0, m, params, paths)
-        else:
-            fold = (model_hier_frames if part_impl == "hier-mcast"
-                    else model_flat_frames)
-            f, t = fold(part, seg_of_rank, 0, m, params, paths, loss)
+        f, t = FOLDS[REGISTRY[part][part_impl].model](
+            part, seg_of_rank, 0, m, params, paths, loss)
         frames += f
         trunk += t
     return frames, trunk
 
 
 # ---------------------------------------------------------------------------
-# model coverage ledger (PR 6: executed by the REG01 lint rule)
+# the models an implementation names where it registers
 # ---------------------------------------------------------------------------
-#: (op, impl) -> the closed-form frame model backing it, as a dotted
-#: function path, or an explicit ``"estimate: <why>"`` marker for
-#: implementations whose traffic has no asserted closed form.  The
-#: REG01 rule (``python -m repro.lint``) checks this table both ways
-#: against the live registry: every registered implementation must
-#: appear here (a missing entry is a silent modeling gap), and every
-#: entry must name a registered implementation and a resolvable
-#: function.  A composite's entry is derived from its parts' (no hand
-#: entries: REG01 flags one).  ``tests/test_lint.py`` pins the
-#: ``estimate:`` set: a new marker is a deliberate test edit.
-_P2P = "repro.analysis.framecount.model_p2p_frames"
-_FLAT = "repro.analysis.framecount.model_flat_frames"
-_HIER = "repro.analysis.framecount.model_hier_frames"
-MODEL_COVERAGE: dict[tuple[str, str], str] = {
-    ("bcast", "p2p-binomial"): _P2P,
-    ("bcast", "mcast-binary"):
-        "repro.analysis.framecount.model_mcast_bcast_frames",
-    ("bcast", "mcast-linear"):
-        "repro.analysis.framecount.model_mcast_bcast_frames",
-    ("bcast", "mcast-ack"):
-        "estimate: its retransmit count depends on timing (a receiver "
-        "that posts after the unscouted first copy costs a resend)",
-    ("bcast", "mcast-seg-nack"): _FLAT,
-    ("bcast", "mcast-sequencer"):
-        "estimate: its ack / retransmit tail depends on timing, as for "
-        "mcast-ack",
-    ("barrier", "p2p-mpich"):
-        "repro.analysis.framecount.paper_mpich_barrier_messages",
-    ("barrier", "mcast"):
-        "repro.analysis.framecount.paper_mcast_barrier_messages",
-    ("reduce", "p2p-binomial"): _P2P,
-    ("reduce", "mcast-seg-combine"): _FLAT,
-    ("gather", "p2p-binomial"): _P2P,
-    ("gather", "mcast-seg-root-follow"): _FLAT,
-    ("scatter", "p2p-binomial"): _P2P,
-    ("scatter", "mcast-seg-root"): _FLAT,
-    ("allgather", "mcast-seg-paced"): _FLAT,
-    ("alltoall", "p2p-pairwise"): _P2P,
-    ("scan", "p2p-linear"): _P2P,
-    ("exscan", "p2p-linear"): _P2P,
-}
-# every hierarchical plan is priced exactly by the hierarchy's fold
-MODEL_COVERAGE.update(((op, "hier-mcast"), _HIER) for op in (
-    "bcast", "reduce", "barrier", "scatter", "gather", "allgather"))
+#: registered model name -> the function that prices it.  The
+#: :data:`CALL_FOLDS` share one signature, ``(op, seg_of_rank, root,
+#: nbytes, params, paths, loss, commutative)``; the rest are the
+#: paper's closed forms and the composite sum.
+FOLDS = {"p2p": model_p2p_frames, "flat": model_flat_frames,
+         "hier": model_hier_frames, "parts": model_parts_frames,
+         "mcast-bcast": model_mcast_bcast_frames,
+         "mpich-barrier": paper_mpich_barrier_messages,
+         "mcast-barrier": paper_mcast_barrier_messages}
+
+#: the folds that price one whole call, in the order ``"auto"`` breaks
+#: ties between their candidates: segmented multicast over
+#: hierarchical over the p2p baseline
+CALL_FOLDS = ("flat", "hier", "p2p")
 
 
-def composite_coverage(parts, coverage) -> str:
-    """A composite's ``MODEL_COVERAGE`` entry, derived from its parts':
-    :func:`model_parts_frames` when each part's is a fold it sums."""
-    rough = [f"({op}, {impl})" for op, impl in parts
-             if coverage.get((op, impl)) not in (_P2P, _FLAT, _HIER)]
-    return (f"estimate: its parts {', '.join(rough)} have no fold to sum"
-            if rough else "repro.analysis.framecount.model_parts_frames")
-
-
-MODEL_COVERAGE.update((row, composite_coverage(parts, MODEL_COVERAGE))
-                      for row, parts in COMPOSITIONS.items())
+def model_coverage() -> dict[tuple[str, str], str]:
+    """(op, impl) -> the model that prices it, read off the registry on
+    every call: a :data:`FOLDS` name, or an ``"estimate: <why>"``
+    marker for traffic with no asserted closed form.  A composition
+    stays ``"parts"`` only while every part has a :data:`CALL_FOLDS`
+    fold to sum.  ``tests/test_lint.py`` pins the ``estimate:`` set: a
+    new marker is a deliberate test edit."""
+    cover = {(op, name): impl.model for op, row in REGISTRY.items()
+             for name, impl in row.items()}
+    for row, parts in COMPOSITIONS.items():
+        rough = [f"({op}, {impl})" for op, impl in parts
+                 if cover.get((op, impl)) not in CALL_FOLDS]
+        if rough:
+            cover[row] = (f"estimate: its parts {', '.join(rough)} have "
+                          f"no fold to sum")
+    return cover

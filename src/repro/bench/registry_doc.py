@@ -36,9 +36,9 @@ the payload-, topology- and loss-aware policy
 (`repro.mpi.collective.policy`) resolve the implementation per call.
 See `docs/ARCHITECTURE.md` for how the layers fit together.
 
-The **frame model** column marks each implementation's coverage in
-`repro.analysis.framecount.MODEL_COVERAGE` (rule REG01 of
-`make lint-deep` keeps that table in sync with the registry): *exact*
+The **frame model** column shows the model each implementation names
+where it registers (`repro.analysis.framecount.model_coverage()`; rule
+REG01 of `make lint-deep` checks every name is a known fold): *exact*
 entries name the closed form that benchmarks assert against the
 simulator's counters frame-for-frame; *estimate* entries say why only
 a bound or asymptotic model exists.
@@ -79,17 +79,18 @@ def collective_registry_doc() -> str:
     # hier-mcast via the collective package, the mcast-* families via
     # repro.core.
     import repro.core  # noqa: F401  (registration side effect)
-    from repro.analysis.framecount import MODEL_COVERAGE
+    from repro.analysis.framecount import FOLDS, model_coverage
     from repro.mpi.collective import registry
-    from repro.mpi.collective.policy import AUTO_CHOICES, AUTO_OPS, HIER_AUTO
+    from repro.mpi.collective.policy import auto_capable, candidates
+
+    coverage = model_coverage()
 
     def frame_model(op: str, name: str) -> str:
-        entry = MODEL_COVERAGE.get((op, name))
-        if entry is None:
-            return "—"
+        entry = coverage[op, name]
         if entry.startswith("estimate:"):
             return "estimate — " + entry[len("estimate:"):].strip()
-        return f"exact: `{entry}`"
+        fold = FOLDS[entry]
+        return f"exact: `{fold.__module__}.{fold.__name__}`"
 
     lines = [HEADER]
     lines.append("## The matrix\n")
@@ -100,13 +101,14 @@ def collective_registry_doc() -> str:
                           for name in sorted(registry.REGISTRY[op]))
         default = registry.DEFAULTS.get(op, "—")
         auto = "—"
-        if op in AUTO_OPS:
-            cand = [" + ".join(f"{part} pick"
-                               for part in registry.PART_OPS[op])
-                    if op in registry.PART_OPS
-                    else f"`{AUTO_CHOICES[op][0]}`"]
-            if op in AUTO_CHOICES:
-                cand += [f"`{AUTO_CHOICES[op][1]}`", f"`{HIER_AUTO[op]}`"]
+        if auto_capable(op):
+            models = candidates(op)
+            # the baseline first: the p2p candidate or the parts' picks
+            cand = [f"`{name}`" for name in
+                    sorted(models, key=lambda name: models[name] != "p2p")]
+            if op in registry.PART_OPS:
+                cand.insert(0, " + ".join(
+                    f"{part} pick" for part in registry.PART_OPS[op]))
             auto = ", ".join(cand)
         lines.append(f"| {op} | {impls} | `{default}` | {auto} |")
     lines.append("")
@@ -115,7 +117,7 @@ def collective_registry_doc() -> str:
         lines.append("| implementation | summary | frame model |")
         lines.append("|---|---|---|")
         for name in sorted(registry.REGISTRY[op]):
-            summary = _first_doc_line(registry.REGISTRY[op][name])
+            summary = _first_doc_line(registry.REGISTRY[op][name].fn)
             summary = summary.replace("|", "\\|")
             model = frame_model(op, name).replace("|", "\\|")
             lines.append(f"| `{name}` | {summary} | {model} |")

@@ -57,7 +57,7 @@ from ..analysis.framecount import (expected_seg_repair_frames,
 from ..core.segment import (plan_segments, plan_transport,
                             seg_nack_datagram_count,
                             seg_nack_frame_count)
-from ..mpi.collective.policy import AUTO_CHOICES
+from ..mpi.collective.policy import candidates
 from ..runtime import run_spmd
 from ..simnet import quiet
 from ..simnet.calibration import FAST_ETHERNET_SWITCH
@@ -571,8 +571,9 @@ DEEP_FABRICS = {
 }
 
 #: op -> the flat segmented rival of ``hier-mcast``: the auto policy's own
-DEEP_FLAT_IMPL = {op: AUTO_CHOICES[op][1] for op in
-                  ("bcast", "reduce", "scatter", "gather", "allgather")}
+DEEP_FLAT_IMPL = {op: name for op in _ALL_OPS
+                  for name, model in candidates(op).items()
+                  if model == "flat"}
 
 
 def _deep_win_ops(scale: str, fabric: str) -> tuple:
@@ -714,7 +715,7 @@ SEGRED_NPROCS = 4
 #: op -> {role: registry impl} — the reduction-side rivals of PR 3:
 #: the reduce's auto candidates and the allreduce rows made of them
 _SEGRED_IMPLS = {
-    "reduce": dict(zip(("p2p", "seg"), AUTO_CHOICES["reduce"])),
+    "reduce": {"p2p": "p2p-binomial", "seg": "mcast-seg-combine"},
     "allreduce": {"p2p": "p2p-reduce-bcast", "seg": "mcast-seg-nack"}}
 
 

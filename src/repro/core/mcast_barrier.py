@@ -35,7 +35,7 @@ def release(comm, channel, seq: int, root: int) -> Generator:
         yield from channel.wait_ctrl({root}, seq, "release")
 
 
-@register("barrier", "mcast")
+@register("barrier", "mcast", "mcast-barrier")
 def barrier_mcast(comm) -> Generator:
     """``yield from barrier_mcast(comm)``: the scout gather to rank 0,
     then its release."""

@@ -82,13 +82,13 @@ def scouted_mcast(comm, obj: Any, root: int, gather) -> Generator:
     raise AssertionError(f"{what} — unsafe MPI code?")
 
 
-@register("bcast", "mcast-binary")
+@register("bcast", "mcast-binary", "mcast-bcast")
 def bcast_mcast_binary(comm, obj: Any, root: int = 0) -> Generator:
     """Binary-tree scout sync + single IP multicast (paper Fig. 3)."""
     return scouted_mcast(comm, obj, root, scout_gather_binary)
 
 
-@register("bcast", "mcast-linear")
+@register("bcast", "mcast-linear", "mcast-bcast")
 def bcast_mcast_linear(comm, obj: Any, root: int = 0) -> Generator:
     """Linear scout sync + single IP multicast (paper Fig. 4)."""
     return scouted_mcast(comm, obj, root, scout_gather_linear)
@@ -146,7 +146,9 @@ def bcast_acked(comm, obj: Any, server: int) -> Generator:
         yield from channel.send_data(obj, nbytes, seq, retransmit=True)
 
 
-@register("bcast", "mcast-ack")
+@register("bcast", "mcast-ack",
+          "estimate: its retransmit count depends on timing (a receiver "
+          "that posts after the unscouted first copy costs a resend)")
 def bcast_mcast_ack(comm, obj: Any, root: int = 0) -> Generator:
     """PVM-style sender-reliable multicast: ack + retransmit (paper [2])."""
     return bcast_acked(comm, obj, root)

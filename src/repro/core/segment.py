@@ -368,13 +368,13 @@ def run_streams(comm, kind: str, at: int, mine: Any, op=None) -> Generator:
 # ----------------------------------------------------------------------
 # the registered flat entries: one schedule row each
 # ----------------------------------------------------------------------
-@register("bcast", "mcast-seg-nack")
+@register("bcast", "mcast-seg-nack", "flat")
 def bcast_mcast_seg_nack(comm, obj: Any, root: int = 0) -> Generator:
     """Segmented pipelined broadcast with per-segment NACK repair."""
     return run_streams(comm, "serve", root, obj)
 
 
-@register("reduce", "mcast-seg-combine")
+@register("reduce", "mcast-seg-combine", "flat")
 def reduce_mcast_seg_combine(comm, obj: Any, op: Op,
                              root: int = 0) -> Generator:
     """Segmented NACK-repaired reduce: gather turns folded through ``op``.
@@ -390,7 +390,7 @@ def reduce_mcast_seg_combine(comm, obj: Any, op: Op,
     return run_streams(comm, "fold", root, obj, op)
 
 
-@register("gather", "mcast-seg-root-follow")
+@register("gather", "mcast-seg-root-follow", "flat")
 def gather_mcast_seg_root_follow(comm, obj: Any,
                                  root: int = 0) -> Generator:
     """Returns the rank-ordered list at ``root``; ``None`` elsewhere.
@@ -402,7 +402,7 @@ def gather_mcast_seg_root_follow(comm, obj: Any,
     return run_streams(comm, "collect", root, obj)
 
 
-@register("scatter", "mcast-seg-root")
+@register("scatter", "mcast-seg-root", "flat")
 def scatter_mcast_seg_root(comm, objs: Optional[Sequence[Any]],
                            root: int = 0) -> Generator:
     """Returns this rank's element of the root's sequence.
@@ -422,7 +422,7 @@ def scatter_mcast_seg_root(comm, objs: Optional[Sequence[Any]],
     return run_streams(comm, "deal", root, objs)
 
 
-@register("allgather", "mcast-seg-paced")
+@register("allgather", "mcast-seg-paced", "flat")
 def allgather_mcast_seg_paced(comm, obj: Any) -> Generator:
     """Rank-ordered allgather with segmented, pipelined contributions.
 

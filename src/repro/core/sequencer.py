@@ -32,7 +32,9 @@ __all__ = ["bcast_mcast_sequencer", "SEQUENCER_RANK"]
 SEQUENCER_RANK = 0
 
 
-@register("bcast", "mcast-sequencer")
+@register("bcast", "mcast-sequencer",
+          "estimate: its ack / retransmit tail depends on timing, as for "
+          "mcast-ack")
 def bcast_mcast_sequencer(comm, obj: Any, root: int = 0) -> Generator:
     """Orca-style: root → sequencer (p2p), sequencer → group (multicast
     with ack/retransmit reliability)."""

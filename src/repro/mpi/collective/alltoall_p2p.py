@@ -15,7 +15,7 @@ from .tags import TAG_ALLTOALL
 __all__ = ["alltoall_pairwise"]
 
 
-@register("alltoall", "p2p-pairwise")
+@register("alltoall", "p2p-pairwise", "p2p")
 def alltoall_pairwise(comm, objs: Sequence[Any]) -> Generator:
     """``mine = yield from alltoall_pairwise(comm, per_dest_list)``."""
     size = comm.size

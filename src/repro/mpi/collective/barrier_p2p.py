@@ -31,7 +31,7 @@ def largest_power_of_two_leq(n: int) -> int:
     return 1 << (n.bit_length() - 1)
 
 
-@register("barrier", "p2p-mpich")
+@register("barrier", "p2p-mpich", "mpich-barrier")
 def barrier_mpich(comm) -> Generator:
     """``yield from barrier_mpich(comm)``."""
     size = comm.size

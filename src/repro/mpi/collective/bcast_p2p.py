@@ -21,7 +21,7 @@ from .tags import TAG_BCAST
 __all__ = ["bcast_binomial", "binomial_children", "binomial_parent"]
 
 
-@register("bcast", "p2p-binomial")
+@register("bcast", "p2p-binomial", "p2p")
 def bcast_binomial(comm, obj: Any, root: int = 0) -> Generator:
     """``obj = yield from bcast_binomial(comm, obj, root)``."""
     size = comm.size

@@ -14,7 +14,7 @@ import copy
 from typing import Any, Generator
 
 from ..ops import Op
-from .registry import DEFAULTS, register
+from .registry import register
 from .tags import TAG_SCAN
 
 __all__ = ["exscan_linear"]
@@ -23,7 +23,7 @@ __all__ = ["exscan_linear"]
 TAG_EXSCAN = TAG_SCAN + 100
 
 
-@register("exscan", "p2p-linear")
+@register("exscan", "p2p-linear", "p2p")
 def exscan_linear(comm, obj: Any, op: Op) -> Generator:
     """Exclusive prefix reduction (rank 0 gets ``None``)."""
     rank = comm.rank
@@ -37,5 +37,3 @@ def exscan_linear(comm, obj: Any, op: Op) -> Generator:
         yield from comm._send_coll(mine, rank + 1, TAG_EXSCAN)
     return prefix
 
-
-DEFAULTS.setdefault("exscan", "p2p-linear")

@@ -24,7 +24,7 @@ from .tags import TAG_GATHER, TAG_SCATTER
 __all__ = ["gather_binomial", "scatter_binomial"]
 
 
-@register("gather", "p2p-binomial")
+@register("gather", "p2p-binomial", "p2p")
 def gather_binomial(comm, obj: Any, root: int = 0) -> Generator:
     """Returns the rank-ordered list at ``root``; ``None`` elsewhere."""
     size = comm.size
@@ -52,7 +52,7 @@ def gather_binomial(comm, obj: Any, root: int = 0) -> Generator:
     return [collected[r] for r in range(size)]
 
 
-@register("scatter", "p2p-binomial")
+@register("scatter", "p2p-binomial", "p2p")
 def scatter_binomial(comm, objs: Optional[Sequence[Any]],
                      root: int = 0) -> Generator:
     """Returns this rank's element of the root's sequence."""

@@ -687,7 +687,7 @@ def _hier_call(comm, name: str, root: int, value: Any, kind: str,
     return finish(carried)
 
 
-@register("bcast", "hier-mcast")
+@register("bcast", "hier-mcast", "hier")
 def bcast_hier(comm, obj: Any, root: int = 0) -> Generator:
     """Recursive hierarchical broadcast: the root streams to its leaf,
     the data climbs the root's leader chain (each trunk tier carries
@@ -699,7 +699,7 @@ def bcast_hier(comm, obj: Any, root: int = 0) -> Generator:
                       lambda value: value)
 
 
-@register("reduce", "hier-mcast")
+@register("reduce", "hier-mcast", "hier")
 def reduce_hier(comm, obj: Any, op, root: int = 0) -> Generator:
     """Recursive hierarchical reduce: leaves fold to their leaders,
     leader groups fold bottom-up, and the holder forwards to the root
@@ -716,7 +716,7 @@ def reduce_hier(comm, obj: Any, op, root: int = 0) -> Generator:
         lambda value: value if comm.rank == root else None, op)
 
 
-@register("barrier", "hier-mcast")
+@register("barrier", "hier-mcast", "hier")
 def barrier_hier(comm) -> Generator:
     """Recursive hierarchical barrier: scouts gather up every group of
     this rank's chain (leaf first), the top leader — global rank 0 —
@@ -730,7 +730,7 @@ def barrier_hier(comm) -> Generator:
     return None
 
 
-@register("scatter", "hier-mcast")
+@register("scatter", "hier-mcast", "hier")
 def scatter_hier(comm, objs, root: int = 0) -> Generator:
     """Hierarchical scatter: the root serves its own leaf directly,
     hands the remaining elements to the top group's server (a p2p
@@ -747,7 +747,7 @@ def scatter_hier(comm, objs, root: int = 0) -> Generator:
                         else bundle[comm.rank]))
 
 
-@register("gather", "hier-mcast")
+@register("gather", "hier-mcast", "hier")
 def gather_hier(comm, obj: Any, root: int = 0) -> Generator:
     """Hierarchical gather: the reverse of the scatter — leaves gather
     to their leaders, leader groups gather bundles bottom-up, and the
@@ -759,7 +759,7 @@ def gather_hier(comm, obj: Any, root: int = 0) -> Generator:
                         if comm.rank == root else None))
 
 
-@register("allgather", "hier-mcast")
+@register("allgather", "hier-mcast", "hier")
 def allgather_hier(comm, obj: Any) -> Generator:
     """Hierarchical allgather: every group allgathers its children's
     bundles bottom-up — each trunk tier carries each contribution once

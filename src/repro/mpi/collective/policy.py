@@ -8,13 +8,16 @@ topology-aware multilevel selection of Karonis & de Supinski).  This
 module is that policy layer:
 
 * ``comm.use_collectives(bcast="auto")`` marks an op for per-call
-  resolution; :func:`resolve_auto` then picks among the op's p2p
-  baseline, its flat segmented-multicast implementation
-  (:data:`AUTO_CHOICES`), and — on a multi-segment fabric — the
-  hierarchical ``hier-mcast`` family (:data:`HIER_AUTO`,
-  :mod:`repro.mpi.collective.hier`) each time the collective is invoked;
-  a composite op (:data:`~repro.mpi.collective.registry.COMPOSITIONS`)
-  is offered its parts' own picks instead of its rows;
+  resolution; :func:`resolve_auto` then picks among the op's
+  :func:`candidates` each time the collective is invoked: the
+  implementations registered with a whole-call fold — its flat
+  segmented-multicast implementation (``"flat"``), on a multi-segment
+  fabric the hierarchical ``hier-mcast`` family (``"hier"``,
+  :mod:`repro.mpi.collective.hier`), and its p2p baseline (``"p2p"``).
+  A composite op (:data:`~repro.mpi.collective.registry.COMPOSITIONS`)
+  is offered its parts' own picks instead of its rows.  Every
+  registered op not in :data:`POLICY_WAIVERS` is :func:`auto_capable`;
+  nothing here names an implementation;
 * :meth:`~repro.mpi.communicator.Communicator.set_collective_policy`
   installs a *hook* that replaces the static table wholesale — it sees
   every call once and may return any registered name (or ``"auto"`` to
@@ -22,12 +25,13 @@ module is that policy layer:
 
 The decision metric generalizes the paper's §3 currency: **modeled
 serializations** — closed-form Ethernet frame counts.  Every candidate
-is priced by a fold of :mod:`repro.analysis.framecount` with one
-signature, summed by :func:`_decide`: the p2p baseline by
-``model_p2p_frames`` (every message of the tree it walks), the flat
-segmented implementation as the *one-group plan* and ``hier-mcast`` as
-the hierarchy's (``model_flat_frames`` / ``model_hier_frames``), a
-composite as the sum of its parts' minima.  On
+is priced by the fold its registration names,
+``framecount.FOLDS[model]``, one signature for all three, summed by
+:func:`_decide`: the p2p baseline by ``model_p2p_frames`` (every
+message of the tree it walks), the flat segmented implementation as the
+*one-group plan* and ``hier-mcast`` as the hierarchy's
+(``model_flat_frames`` / ``model_hier_frames``), a composite as the sum
+of its parts' minima.  On
 top of host frames the metric counts
 
 * **trunk crossings** on a tiered fabric (:func:`comm_topology` reads
@@ -81,35 +85,23 @@ from functools import lru_cache
 from typing import Generator, NamedTuple
 
 from ..datatypes import payload_bytes
-from .registry import DEFAULTS, PART_OPS, composite_name
+from .registry import DEFAULTS, PART_OPS, REGISTRY, composite_name
 
-__all__ = ["AUTO", "AUTO_CHOICES", "HIER_AUTO", "POLICY_WAIVERS",
-           "AUTO_OPS", "no_policy", "comm_topology", "auto_impl",
+__all__ = ["AUTO", "POLICY_WAIVERS", "auto_capable", "candidates",
+           "no_policy", "comm_topology", "auto_impl",
            "modeled_frame_costs", "resolve_auto",
            "cache_info", "clear_caches"]
 
 #: the pseudo-implementation name accepted by ``use_collectives``
 AUTO = "auto"
 
-#: op -> (p2p baseline, segmented multicast implementation); a
-#: composite baseline is offered as its parts' picks
-AUTO_CHOICES: dict[str, tuple[str, str]] = {
-    "bcast": ("p2p-binomial", "mcast-seg-nack"),
-    "reduce": ("p2p-binomial", "mcast-seg-combine"),
-    "scatter": ("p2p-binomial", "mcast-seg-root"),
-    "gather": ("p2p-binomial", "mcast-seg-root-follow"),
-    "allgather": ("p2p-gather-bcast", "mcast-seg-paced"),
-}
-
-#: ops with a hierarchical candidate on multi-segment fabrics
-HIER_AUTO: dict[str, str] = dict.fromkeys(AUTO_CHOICES, "hier-mcast")
-
 #: registered ops *deliberately* outside the auto policy, with the
-#: reason on record.  The REG01 lint rule requires every registered op
-#: to be auto-capable (AUTO_OPS) or waived here, so a future collective
-#: cannot silently ship without a selection story — and flags a waiver as
-#: stale the moment its op gains an AUTO_CHOICES entry (or stops being
-#: registered).  These are the ROADMAP's tracked gaps, not oversights.
+#: reason on record.  The REG01 lint rule requires every other
+#: registered op to have a ``"flat"`` implementation (or to be a
+#: composition of such ops), so a future collective cannot silently
+#: ship without a selection story — and flags a waiver as stale the
+#: moment its op gains one (or stops being registered).  These are the
+#: ROADMAP's tracked gaps, not oversights.
 POLICY_WAIVERS: dict[str, str] = {
     "barrier": "latency-bound and payload-free: the serialization "
                "currency of modeled_frame_costs cannot rank its "
@@ -126,11 +118,25 @@ POLICY_WAIVERS: dict[str, str] = {
                       "items",
 }
 
-#: every op "auto" resolves: the ops above, and each unwaived composite
-#: whose parts all are (allreduce: its reduce and bcast picks)
-AUTO_OPS = frozenset(AUTO_CHOICES).union(
-    op for op, parts in PART_OPS.items()
-    if op not in POLICY_WAIVERS and set(parts) <= set(AUTO_CHOICES))
+
+def auto_capable(op: str) -> bool:
+    """Whether ``"auto"`` resolves ``op``: registered and not waived.
+    The per-call paths (``use_collectives``, :func:`auto_impl`,
+    :func:`resolve_auto`) spell the test inline: it runs per rank per
+    call."""
+    return op in REGISTRY and op not in POLICY_WAIVERS
+
+
+def candidates(op: str) -> dict[str, str]:
+    """``op``'s implementations ``"auto"`` prices, name -> model: those
+    registered with a whole-call fold, in the tie order of
+    :data:`~repro.analysis.framecount.CALL_FOLDS` (a composite op adds
+    its parts' pick).  Read off the op's registry row on every call."""
+    from ...analysis.framecount import CALL_FOLDS
+
+    row = REGISTRY.get(op, {})
+    return {name: model for model in CALL_FOLDS
+            for name, impl in row.items() if impl.model == model}
 
 
 def comm_topology(comm):
@@ -165,7 +171,8 @@ def comm_topology(comm):
 def no_policy(op: str) -> KeyError:
     """The error ``"auto"`` raises for an op it cannot resolve."""
     return KeyError(f"no auto selection policy for collective {op!r}; "
-                    f"auto-capable ops: {sorted(AUTO_OPS)}")
+                    f"auto-capable ops: "
+                    f"{sorted(filter(auto_capable, REGISTRY))}")
 
 
 def _hier_competes(topo, hier_ok: bool) -> bool:
@@ -197,34 +204,24 @@ def _decide(op: str, nbytes: int, size: int, params, topo, root: int,
     entry is the §4 consistency rule (identical inputs, identical
     pick) made literal.
 
-    Every candidate costs host frames plus trunk crossings of its fold:
-    the p2p baseline's messages, the flat one-group plan, the
-    hierarchy's plan — the plans with expected repair traffic at
-    ``params.loss`` included: repairs never leave the losing group's
-    switch subtree, which is most of the hierarchy's win under loss.
+    Every :func:`candidates` entry costs host frames plus trunk
+    crossings of its registered fold: the p2p baseline's messages, the
+    flat one-group plan, the hierarchy's plan (only when ``hier``) —
+    the plans with expected repair traffic at ``params.loss`` included:
+    repairs never leave the losing group's switch subtree, which is
+    most of the hierarchy's win under loss.
     A composite op's baseline is its parts, each at root 0 at its
     :func:`~repro.analysis.framecount.part_payloads` with its own pick,
     named as the row they make up (else joined by ``"+"``) and priced
     as the sum of those picks' costs."""
-    from ...analysis.framecount import (model_flat_frames,
-                                        model_hier_frames,
-                                        model_p2p_frames, part_payloads)
+    from ...analysis.framecount import FOLDS, part_payloads
 
-    # candidates in the historical preference order ties keep:
-    # segmented multicast over hierarchical over the p2p baseline
-    costs: dict = {}
-    if op in AUTO_CHOICES:
-        seg_of_rank, paths = (((0,) * size, None) if topo is None
-                              else (topo.seg_of_rank, topo.paths))
-        p2p_name, seg_name = AUTO_CHOICES[op]
-        costs[seg_name] = sum(model_flat_frames(
-            op, seg_of_rank, root, nbytes, params, paths, params.loss))
-        if hier:
-            costs[HIER_AUTO[op]] = sum(model_hier_frames(
-                op, seg_of_rank, root, nbytes, params, paths, params.loss))
-        if op not in PART_OPS:
-            costs[p2p_name] = sum(model_p2p_frames(
-                op, seg_of_rank, root, nbytes, params, paths, commutative))
+    seg_of_rank, paths = (((0,) * size, None) if topo is None
+                          else (topo.seg_of_rank, topo.paths))
+    costs = {name: sum(FOLDS[model](op, seg_of_rank, root, nbytes, params,
+                                    paths, params.loss, commutative))
+             for name, model in candidates(op).items()
+             if hier or model != "hier"}
     if op in PART_OPS:
         picks, total = [], 0
         for part, m in zip(PART_OPS[op], part_payloads(op, size, nbytes)):
@@ -242,7 +239,7 @@ def modeled_frame_costs(op: str, nbytes: int, size: int, params,
     """Modeled serializations of every candidate implementation for one
     call — the table :func:`auto_impl` takes the argmin of (and the
     fabric bench audits against the simulator)."""
-    if op not in AUTO_OPS:
+    if not auto_capable(op):
         raise no_policy(op)
     return dict(_decide(op, nbytes, size, params, topo, root,
                         _hier_competes(topo, hier_ok), commutative)[0])
@@ -254,11 +251,11 @@ def auto_impl(op: str, nbytes: int, size: int, params, topo=None,
     """Pick the implementation for one call: the candidate with the
     lowest modeled serialization count (``topo``: the communicator's
     :func:`comm_topology`, ``None`` on one segment).  Ties keep the
-    historical preference order — segmented multicast over
+    :func:`candidates` order — segmented multicast over
     hierarchical over the p2p baseline — so on a flat, loss-free
     cluster the choice is exactly "segmented iff its frame estimate is
     at or below p2p's"."""
-    if op not in AUTO_OPS:
+    if op not in REGISTRY or op in POLICY_WAIVERS:   # auto_capable(op)
         raise no_policy(op)
     if size < 2:
         return DEFAULTS[op]
@@ -280,7 +277,9 @@ def cache_info() -> CacheInfo:
 
 def clear_caches() -> None:
     """Drop the decision memo and the topology digests under it (the
-    tests' autouse fixture calls this so counts are order-independent)."""
+    tests' autouse fixture calls this so counts are order-independent;
+    call it after (de)registering an implementation, whose candidacy
+    the memo has already read)."""
     from ...analysis import framecount
 
     _decide.cache_clear()
@@ -293,7 +292,7 @@ def resolve_auto(comm, op: str, args: tuple) -> Generator:
     ``"+"``-joined parts — (see module docstring for how consistency is
     guaranteed per op).
     """
-    if op not in AUTO_OPS:
+    if op not in REGISTRY or op in POLICY_WAIVERS:   # auto_capable(op)
         # raise identically on every rank BEFORE any traffic: a policy
         # hook returning "auto" for an op without a policy must fail
         # loudly and symmetrically, not strand the non-root ranks in

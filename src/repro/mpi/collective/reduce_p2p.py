@@ -25,7 +25,7 @@ from .tags import TAG_REDUCE, TAG_SCAN
 __all__ = ["reduce_binomial", "scan_linear"]
 
 
-@register("reduce", "p2p-binomial")
+@register("reduce", "p2p-binomial", "p2p")
 def reduce_binomial(comm, obj: Any, op: Op, root: int = 0) -> Generator:
     """``result = yield from reduce_binomial(comm, obj, op, root)``.
 
@@ -66,7 +66,7 @@ def reduce_binomial(comm, obj: Any, op: Op, root: int = 0) -> Generator:
     return acc if rel == 0 else None
 
 
-@register("scan", "p2p-linear")
+@register("scan", "p2p-linear", "p2p")
 def scan_linear(comm, obj: Any, op: Op) -> Generator:
     """Inclusive prefix reduction along the rank chain."""
     rank = comm.rank

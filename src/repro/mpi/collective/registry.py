@@ -1,7 +1,17 @@
 """Named registry of collective implementations.
 
-``REGISTRY[op][impl_name] -> generator function``.  The paper's experiment
-is exactly a comparison of entries in this table:
+``REGISTRY[op][impl_name] -> Impl(fn, model)``: the generator function
+and the frame model that prices it, named where it registers
+(``@register("bcast", "p2p-binomial", "p2p")``).  The model is a
+:data:`~repro.analysis.framecount.FOLDS` name — ``"p2p"``, ``"flat"``
+and ``"hier"`` price a whole call; ``"mcast-bcast"``,
+``"mpich-barrier"`` and ``"mcast-barrier"`` the paper's closed forms;
+``"parts"`` a composition — or an ``"estimate: <why>"`` marker.  Every
+reader derives from this one fact: ``"auto"``'s candidates
+(:func:`~repro.mpi.collective.policy.candidates`), the coverage ledger
+(:func:`~repro.analysis.framecount.model_coverage`), the generated
+reference and REG01.  The paper's experiment is exactly a comparison of
+entries in this table:
 
 * ``bcast``: ``"p2p-binomial"`` (MPICH) vs ``"mcast-binary"`` /
   ``"mcast-linear"`` (the contribution) plus ``"mcast-ack"`` (the
@@ -49,15 +59,24 @@ to ``"auto"`` or a selection hook is installed with
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Callable, Generator
+from typing import Any, Callable, Generator, NamedTuple
 
 from ..datatypes import Bundle
 from ..ops import Op
 
-__all__ = ["REGISTRY", "register", "get_impl", "DEFAULTS", "COMPOSITIONS",
-           "PART_OPS", "parts_of", "compose", "composite_name"]
+__all__ = ["REGISTRY", "Impl", "register", "get_impl", "DEFAULTS",
+           "COMPOSITIONS", "PART_OPS", "parts_of", "compose",
+           "composite_name"]
 
-REGISTRY: dict[str, dict[str, Callable]] = {}
+
+class Impl(NamedTuple):
+    """One registration: the implementation and its frame model."""
+
+    fn: Callable
+    model: str
+
+
+REGISTRY: dict[str, dict[str, Impl]] = {}
 
 #: implementation chosen when a communicator is not configured otherwise
 DEFAULTS: dict[str, str] = {
@@ -70,6 +89,7 @@ DEFAULTS: dict[str, str] = {
     "allgather": "p2p-gather-bcast",
     "alltoall": "p2p-pairwise",
     "scan": "p2p-linear",
+    "exscan": "p2p-linear",
     "reduce_scatter": "p2p-reduce-scatter",
 }
 
@@ -94,11 +114,12 @@ PART_OPS: dict[str, tuple[str, ...]] = {
     for (op, _name), parts in COMPOSITIONS.items()}
 
 
-def register(op: str, name: str) -> Callable:
-    """Decorator: ``@register("bcast", "p2p-binomial")``."""
+def register(op: str, name: str, model: str) -> Callable:
+    """Decorator: ``@register("bcast", "p2p-binomial", "p2p")`` — the
+    implementation and the model that prices it, in one row entry."""
 
     def deco(fn: Callable) -> Callable:
-        REGISTRY.setdefault(op, {})[name] = fn
+        REGISTRY.setdefault(op, {})[name] = Impl(fn, model)
         return fn
 
     return deco
@@ -112,7 +133,7 @@ def get_impl(op: str, name: str) -> Callable:
             f"unknown collective op {op!r}; "
             f"known ops: {sorted(REGISTRY)}") from None
     try:
-        return impls[name]
+        return impls[name].fn
     except KeyError:
         raise KeyError(
             f"no implementation {name!r} for collective {op!r}; "
@@ -197,9 +218,11 @@ _GLUE = {"allreduce": _allreduce, "allgather": _allgather,
          "reduce_scatter": _reduce_scatter}
 
 
-# a row's entry is its glue body with the parts bound, documented by them
+# a row's entry is its glue body with the parts bound, documented by
+# them and priced as their sum
 for (_op, _name), _parts in COMPOSITIONS.items():
-    _row = REGISTRY.setdefault(_op, {})[_name] = compose(_op, _name)
+    _row = compose(_op, _name)
+    REGISTRY.setdefault(_op, {})[_name] = Impl(_row, "parts")
     _row.__doc__ = ("Parts " + " then ".join(
         f"{part} ``{impl}``" for part, impl in _parts) + ": "
         + _GLUE[_op].__doc__[0].lower() + _GLUE[_op].__doc__[1:])

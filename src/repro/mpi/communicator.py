@@ -29,7 +29,8 @@ from typing import Any, Generator, Optional, Sequence
 import numpy as np
 
 from ..simnet.host import Host
-from .collective.policy import AUTO, AUTO_OPS, no_policy, resolve_auto
+from .collective.policy import (AUTO, POLICY_WAIVERS, no_policy,
+                                resolve_auto)
 from .collective.registry import DEFAULTS, REGISTRY, compose, get_impl
 from .datatypes import payload_bytes
 from .ops import Op
@@ -124,7 +125,7 @@ class Communicator:
         for op, name in ops.items():
             if name != AUTO:
                 get_impl(op, name)   # validate now
-            elif op not in AUTO_OPS:
+            elif op not in REGISTRY or op in POLICY_WAIVERS:
                 raise no_policy(op)
             self._impls[op] = name
         return self
@@ -149,7 +150,8 @@ class Communicator:
             name = self._policy(self, op, name, args)
         if name == AUTO:
             name = yield from resolve_auto(self, op, args)
-            fn = REGISTRY[op].get(name) or compose(op, name)
+            impl = REGISTRY[op].get(name)
+            fn = compose(op, name) if impl is None else impl.fn
         else:
             fn = get_impl(op, name)
         self.call_log.append((op, self.ctx, self._call_signature(op, args)))

@@ -9,29 +9,35 @@ import numpy as np
 import pytest
 
 from repro import run_spmd
-from repro.analysis.framecount import topo_digest
-from repro.mpi.collective.policy import (AUTO_CHOICES, AUTO_OPS,
-                                         auto_impl, comm_topology,
+from repro.analysis.framecount import model_coverage, topo_digest
+from repro.mpi.collective import policy
+from repro.mpi.collective.policy import (auto_capable, auto_impl,
+                                         candidates, comm_topology,
                                          modeled_frame_costs)
-from repro.mpi.collective.registry import DEFAULTS
+from repro.mpi.collective.registry import DEFAULTS, REGISTRY, register
 from repro.mpi.ops import SUM, Op
 from repro.simnet import quiet
 from repro.simnet.calibration import FAST_ETHERNET_SWITCH
 
 QUIET = quiet(FAST_ETHERNET_SWITCH)
 AUTO = replace(QUIET, segment_bytes="auto")
+#: every op "auto" resolves
+AUTO_OPS = sorted(filter(auto_capable, REGISTRY))
+#: op -> its flat segmented candidate, for the ops that have one
+FLAT = {op: name for op in AUTO_OPS
+        for name, model in candidates(op).items() if model == "flat"}
 
 
 def seg_cost(op, nbytes, size, params):
     """The policy's modeled cost of the op's flat segmented candidate."""
-    return modeled_frame_costs(op, nbytes, size, params)[AUTO_CHOICES[op][1]]
+    return modeled_frame_costs(op, nbytes, size, params)[FLAT[op]]
 
 
 def baseline(op, nbytes, size, params):
     """(name, modeled cost) of the op's p2p baseline candidate — a
     composite's is its parts' own picks."""
     costs = modeled_frame_costs(op, nbytes, size, params)
-    (name,) = set(costs) - {AUTO_CHOICES[op][1], "hier-mcast"}
+    (name,) = set(costs) - {FLAT[op], "hier-mcast"}
     return name, costs[name]
 
 
@@ -41,7 +47,7 @@ def p2p_cost(op, nbytes, size, params):
 
 
 # ------------------------------------------------------------ unit layer
-@pytest.mark.parametrize("op", sorted(AUTO_OPS))
+@pytest.mark.parametrize("op", AUTO_OPS)
 def test_auto_picks_p2p_for_tiny_payloads(op):
     p2p_name = DEFAULTS[op]
     assert auto_impl(op, 64, 4, AUTO) == p2p_name
@@ -59,7 +65,7 @@ def test_auto_picks_segmented_multicast_for_big_payloads(op, nbytes, size):
     # allreduce is its parts: the reduce keeps the tree on a flat
     # cluster, the broadcast half streams
     want = ("p2p-binomial+mcast-seg-nack" if op == "allreduce"
-            else AUTO_CHOICES[op][1])
+            else FLAT[op])
     assert auto_impl(op, nbytes, size, AUTO) == want
 
 
@@ -75,7 +81,7 @@ def test_auto_reduce_keeps_the_p2p_tree_at_every_size():
 
 
 def test_frame_estimates_grow_with_payload_and_reject_unknown_ops():
-    for op in sorted(AUTO_CHOICES):
+    for op in sorted(FLAT):
         assert (p2p_cost(op, 100_000, 4, AUTO)
                 > p2p_cost(op, 100, 4, AUTO))
         assert (seg_cost(op, 100_000, 4, AUTO)
@@ -84,6 +90,27 @@ def test_frame_estimates_grow_with_payload_and_reject_unknown_ops():
         auto_impl("barrier", 0, 4, AUTO)
     with pytest.raises(KeyError, match="auto-capable"):
         modeled_frame_costs("barrier", 0, 4, AUTO)
+
+
+def test_a_registered_flat_model_is_priced_and_picked(monkeypatch):
+    """``"auto"`` reads its candidates off the registry: a toy bcast
+    registered with model ``"flat"`` in place of ``mcast-seg-nack`` is
+    priced by the flat fold and picked for a big payload — no table of
+    the policy names it — and deleting its one row entry leaves no
+    model of it behind."""
+    flat = seg_cost("bcast", 48_000, 4, AUTO)
+    with monkeypatch.context() as patch:
+        patch.delitem(REGISTRY["bcast"], "mcast-seg-nack")
+        register("bcast", "toy-flat", "flat")(lambda comm, obj, root=0: obj)
+        policy.clear_caches()
+        costs = modeled_frame_costs("bcast", 48_000, 4, AUTO)
+        assert costs["toy-flat"] == flat and "mcast-seg-nack" not in costs
+        assert auto_impl("bcast", 48_000, 4, AUTO) == "toy-flat"
+        del REGISTRY["bcast"]["toy-flat"]
+    policy.clear_caches()
+    assert ("bcast", "toy-flat") not in model_coverage()
+    assert "toy-flat" not in candidates("bcast")
+    assert auto_impl("bcast", 48_000, 4, AUTO) == "mcast-seg-nack"
 
 
 def test_use_collectives_validates_auto():
@@ -294,11 +321,11 @@ def test_loss_shifts_the_bcast_crossover_back_to_p2p():
 def test_loss_zero_keeps_pr3_choices_exactly():
     """The historical flat, loss-free behaviour is bit-for-bit intact:
     segmented iff its estimate is at or below p2p's."""
-    for op in sorted(AUTO_CHOICES):
+    for op in sorted(FLAT):
         for nbytes in (64, 1460, 12_000, 48_000):
             seg = seg_cost(op, nbytes, 4, AUTO)
             p2p_name, p2p = baseline(op, nbytes, 4, AUTO)
-            expect = AUTO_CHOICES[op][1] if seg <= p2p else p2p_name
+            expect = FLAT[op] if seg <= p2p else p2p_name
             assert auto_impl(op, nbytes, 4, AUTO) == expect
 
 

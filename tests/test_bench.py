@@ -9,7 +9,7 @@ from repro.bench import (Sample, Series, ascii_plot, crossover,
                          load_areas, measure, op_body)
 from repro.bench.sweep import baseline_path
 from repro.bench.sweep_areas import DEEP_FLAT_IMPL, deep_trunk_case
-from repro.mpi.collective.registry import REGISTRY, get_impl
+from repro.mpi.collective.registry import REGISTRY, Impl, get_impl
 
 SIZES = [0, 2000]
 
@@ -102,7 +102,7 @@ def test_deep_trunk_case_checks_the_gather_result(monkeypatch):
         return [b"wrong", *out[1:]] if comm.rank == root else out
 
     monkeypatch.setitem(REGISTRY["gather"], "test-wrong-root",
-                        wrong_at_root)
+                        Impl(wrong_at_root, "flat"))
     with pytest.raises(AssertionError, match="rank 0: gather result"):
         deep_trunk_case("gate", 1, "tree:2x2x2", "gather",
                         impl="test-wrong-root")

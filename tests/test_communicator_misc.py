@@ -110,7 +110,7 @@ def test_split_subcomm_rank_addressing():
 
 
 def test_registry_register_and_lookup():
-    @register("bcast", "test-noop")
+    @register("bcast", "test-noop", "estimate: a test double")
     def _noop(comm, obj, root=0):
         yield comm.sim.timeout(0.0)
         return obj

@@ -6,11 +6,11 @@ always simulates.  The module and its test names stay because the test
 floor pins them by id; what they check now is below.)
 
 * **fold == DES** — for every ``deep-fabric`` / ``fabric-scaling``
-  trunk case whose :data:`~repro.analysis.framecount.MODEL_COVERAGE`
-  entry names the plan fold, the fold's trunk term equals the
-  simulator's per-call measurement.  The parametrization is read off
-  the ledger: a pair it newly marks exact is checked without touching
-  this file.
+  trunk case whose registered model
+  (:func:`~repro.analysis.framecount.model_coverage`) is the plan fold,
+  the fold's trunk term equals the simulator's per-call measurement.
+  The parametrization is read off the ledger: a pair it newly marks
+  exact is checked without touching this file.
 * **document parity** — the gate documents of the committed areas —
   frame counts, datagram counts, repair traffic AND final-clock-derived
   latencies — are bit-identical to the baselines under
@@ -21,8 +21,7 @@ import json
 
 import pytest
 
-from repro.analysis.framecount import (MODEL_COVERAGE, model_flat_frames,
-                                       model_hier_frames)
+from repro.analysis.framecount import FOLDS, model_coverage
 from repro.bench.sweep import baseline_path, run_area
 from repro.bench.sweep_areas import (DEEP_FABRICS, DEEP_FLAT_IMPL,
                                      DIMS, FAB_NPROCS, FAB_SEG_OF,
@@ -31,14 +30,13 @@ from repro.bench.sweep_areas import (DEEP_FABRICS, DEEP_FLAT_IMPL,
 
 GATE_SIZE = DIMS["gate"].deep_size
 
-#: ledger entry -> the fold it names (the one model that returns trunk
-#: serializations beside host frames)
-_FOLDS = {f"{model.__module__}.{model.__name__}": model
-          for model in (model_flat_frames, model_hier_frames)}
+#: the plan folds (the models that return trunk serializations beside
+#: host frames of a multicast plan)
+_PLAN = ("flat", "hier")
 
 
 def _exact(op, impl):
-    entry = MODEL_COVERAGE.get((op, impl))
+    entry = model_coverage().get((op, impl))
     return entry is not None and not entry.startswith("estimate:")
 
 
@@ -61,24 +59,23 @@ def test_hier_exception_drops_estimate_grade_ops():
     # no hier-mcast entry is estimate-grade any more: a bundle is priced
     # by its elements, so every plan names the hierarchy's fold — and
     # the allreduce, a composition of two plans, the sum of its parts
-    hier = {op: entry for (op, impl), entry in MODEL_COVERAGE.items()
+    hier = {op: entry for (op, impl), entry in model_coverage().items()
             if impl == "hier-mcast"}
     assert sorted(hier) == ["allgather", "allreduce", "barrier", "bcast",
                             "gather", "reduce", "scatter"]
-    assert hier.pop("allreduce") == \
-        "repro.analysis.framecount.model_parts_frames"
-    assert set(hier.values()) == {
-        "repro.analysis.framecount.model_hier_frames"}
+    assert hier.pop("allreduce") == "parts"
+    assert set(hier.values()) == {"hier"}
 
 
 # -------------------------------------------------------------- fold == DES
 def _folded_deep_cases():
     """Every deep-fabric (op, impl) the ledger prices with the plan
     fold."""
+    coverage = model_coverage()
     for fabric in DEEP_FABRICS:
         for op, flat in DEEP_FLAT_IMPL.items():
             for impl in (flat, "hier-mcast"):
-                if MODEL_COVERAGE[op, impl] in _FOLDS:
+                if coverage[op, impl] in _PLAN:
                     yield fabric, op, impl
 
 
@@ -87,7 +84,7 @@ def test_fluid_matches_des_on_every_answered_gate_case(fabric, op, impl):
     """The cross-check: the fold's trunk term for each deep-fabric gate
     case equals the simulator's measurement."""
     n, seg_of, paths = DEEP_FABRICS[fabric]
-    fold = _FOLDS[MODEL_COVERAGE[op, impl]]
+    fold = FOLDS[model_coverage()[op, impl]]
     _frames, trunk = fold(op, seg_of, 0, _op_nbytes(op, GATE_SIZE, n),
                           QUIET_AUTO, paths)
     assert trunk == _deep_per_call(fabric, n, op, impl, GATE_SIZE, seed=1)
@@ -95,7 +92,7 @@ def test_fluid_matches_des_on_every_answered_gate_case(fabric, op, impl):
 
 @pytest.mark.parametrize("impl", ["mcast-seg-nack", "hier-mcast"])
 def test_fluid_matches_des_on_fabric_scaling_trunk(impl):
-    fold = _FOLDS[MODEL_COVERAGE["bcast", impl]]
+    fold = FOLDS[model_coverage()["bcast", impl]]
     _frames, trunk = fold("bcast", FAB_SEG_OF, 0, 24_000, QUIET_AUTO)
     assert trunk == _deep_per_call(FAB_TOPOLOGY, FAB_NPROCS, "bcast",
                                    impl, 24_000, seed=1)

@@ -439,27 +439,24 @@ def _doc(name):
 
 
 def _toy_tables():
-    registry = {"bcast": {"fast": _doc("fast"), "slow": _doc("slow")},
-                "scan": {"lin": _doc("lin")}}
-    defaults = {"bcast": "fast", "scan": "lin"}
-    auto = {"bcast": ("fast", "slow")}
-    hier = {"bcast": "fast"}
+    registry = {"bcast": {"fast": (_doc("fast"), "flat"),
+                          "slow": (_doc("slow"),
+                                   "estimate: store-and-forward chain"),
+                          "tree": (_doc("tree"), "hier")},
+                "scan": {"lin": (_doc("lin"), "p2p")}}
+    defaults = {"bcast": "slow", "scan": "lin"}
     waivers = {"scan": "inherently serial"}
-    coverage = {("bcast", "fast"): "models.bcast_fast",
-                ("bcast", "slow"): "estimate: store-and-forward chain",
-                ("scan", "lin"): "models.scan_lin"}
-    return registry, defaults, auto, hier, waivers, coverage
+    folds = {"flat", "hier", "p2p"}
+    return registry, defaults, waivers, folds
 
 
-def _check(resolvable=lambda dotted: True, **overrides):
-    tables = dict(zip(
-        ("registry", "defaults", "auto_choices", "hier_auto", "waivers",
-         "coverage"), _toy_tables()))
+def _check(**overrides):
+    tables = dict(zip(("registry", "defaults", "waivers", "folds"),
+                      _toy_tables()))
     tables.update(overrides)
     return check_tables(tables["registry"], tables["defaults"],
-                        tables["auto_choices"], tables["hier_auto"],
-                        tables["waivers"], tables["coverage"],
-                        resolvable=resolvable)
+                        tables["waivers"], tables["folds"],
+                        tables.get("compositions"))
 
 
 def test_reg01_consistent_toy_tables_are_clean():
@@ -468,7 +465,7 @@ def test_reg01_consistent_toy_tables_are_clean():
 
 def test_reg01_flags_missing_docstring():
     registry, *_ = _toy_tables()
-    registry["bcast"]["fast"].__doc__ = "   "
+    registry["bcast"]["fast"][0].__doc__ = "   "
     assert any("docstring" in v.message
                for v in _check(registry=registry))
 
@@ -476,37 +473,43 @@ def test_reg01_flags_missing_docstring():
 def test_reg01_flags_missing_default_and_policy_gap():
     assert any("DEFAULTS" in v.message
                for v in _check(defaults={"scan": "lin"}))
+    assert any("DEFAULTS" in v.message
+               for v in _check(defaults={"bcast": "gone", "scan": "lin"}))
     assert any("no auto policy" in v.message
                for v in _check(waivers={}))
 
 
-def test_reg01_flags_stale_waiver_and_stale_coverage():
+def test_reg01_flags_stale_waivers():
+    """A waiver outlives its reason once its op gains a ``flat``
+    implementation, or stops being registered."""
     assert any("stale waiver" in v.message for v in _check(
         waivers={"scan": "x", "bcast": "already has a policy"}))
-    cov = dict(_toy_tables()[5])
-    cov[("gather", "gone")] = "models.gone"
-    assert any("stale MODEL_COVERAGE" in v.message
-               for v in _check(coverage=cov))
+    assert any("stale POLICY_WAIVERS" in v.message for v in _check(
+        waivers={"scan": "x", "gather": "gone"}))
 
 
 def test_reg01_flags_dangling_model_and_bare_estimate():
-    assert any("does not resolve" in v.message
-               for v in _check(resolvable=lambda d: False))
-    cov = dict(_toy_tables()[5])
-    cov[("scan", "lin")] = "estimate:"
-    assert any("no rationale" in v.message for v in _check(coverage=cov))
+    registry, *_ = _toy_tables()
+    registry["scan"]["lin"] = (_doc("lin"), "models.scan_lin")
+    assert any("neither a FOLDS name" in v.message
+               for v in _check(registry=registry))
+    registry["scan"]["lin"] = (_doc("lin"), "estimate:")
+    assert any("no rationale" in v.message
+               for v in _check(registry=registry))
 
 
 def test_reg01_flags_an_auto_op_without_a_plan():
-    """``scan`` is registered and waived; promoting it to the auto
-    tables without teaching ``compile_plan`` its steps is flagged —
-    once per table."""
-    found = _check(auto_choices={"bcast": ("fast", "slow"),
-                                 "scan": ("lin", "lin")},
-                   hier_auto={"bcast": "fast", "scan": "lin"}, waivers={})
+    """``scan`` is registered and waived; giving it a flat and a
+    hierarchical implementation without teaching ``compile_plan`` its
+    steps is flagged — once per model."""
+    registry, *_ = _toy_tables()
+    registry["scan"].update(seg=(_doc("seg"), "flat"),
+                            hier=(_doc("hier"), "hier"))
+    found = _check(registry=registry, waivers={})
     assert sorted(v.message.split(" but ")[0] for v in found
                   if "no plan" in v.message) == [
-        "op 'scan' is in AUTO_CHOICES", "op 'scan' is in HIER_AUTO"]
+        "op 'scan' has a 'flat' implementation",
+        "op 'scan' has a 'hier' implementation"]
 
 
 def test_reg01_flags_a_plan_step_kind_outside_the_schedule(monkeypatch):
@@ -516,98 +519,77 @@ def test_reg01_flags_a_plan_step_kind_outside_the_schedule(monkeypatch):
     compiles to ``serve`` steps only and stays clean)."""
     from repro.core import segment
 
-    registry, defaults, auto, hier, waivers, coverage = _toy_tables()
-    registry["allgather"] = {"lin": _doc("lin")}
-    defaults["allgather"] = hier["allgather"] = "lin"
-    auto["allgather"] = ("lin", "lin")
-    coverage["allgather", "lin"] = "estimate: toy"
-    tables = dict(registry=registry, defaults=defaults, auto_choices=auto,
-                  hier_auto=hier, waivers=waivers, coverage=coverage)
-    assert _check(**tables) == []
+    registry, defaults, *_ = _toy_tables()
+    registry["allgather"] = {"seg": (_doc("seg"), "flat"),
+                             "hier": (_doc("hier"), "hier")}
+    defaults["allgather"] = "seg"
+    assert _check(registry=registry, defaults=defaults) == []
     rows = segment.step_streams
     monkeypatch.setattr(
         segment, "step_streams", lambda kind, k, at: rows(
             "no-such-row" if kind == "exchange" else kind, k, at))
-    assert sorted(v.message.split(" holds ")[0] for v in _check(**tables)) \
-        == ["op 'allgather' is in AUTO_CHOICES but its plan on a 1-leaf tree",
-            "op 'allgather' is in HIER_AUTO but its plan on a 2-leaf tree"]
+    assert sorted(v.message.split(" holds ")[0] for v in _check(
+        registry=registry, defaults=defaults)) == [
+        "op 'allgather' has a 'flat' implementation but its plan on a "
+        "1-leaf tree",
+        "op 'allgather' has a 'hier' implementation but its plan on a "
+        "2-leaf tree"]
 
 
 def test_reg01_live_tables_are_consistent():
     import repro  # noqa: F401 - registers every implementation
-    from repro.analysis.framecount import MODEL_COVERAGE
+    from repro.analysis.framecount import FOLDS
     from repro.mpi.collective import policy, registry
 
     assert check_tables(registry.REGISTRY, registry.DEFAULTS,
-                        policy.AUTO_CHOICES, policy.HIER_AUTO,
-                        policy.POLICY_WAIVERS, MODEL_COVERAGE,
+                        policy.POLICY_WAIVERS, FOLDS,
                         registry.COMPOSITIONS) == []
 
 
 def _composite_tables():
-    """The toy tables plus a composite ``allreduce`` of two toy parts,
-    its coverage entry the one derived from them."""
-    from repro.analysis.framecount import composite_coverage
-
-    registry, defaults, auto, hier, waivers, coverage = _toy_tables()
-    registry["reduce"] = {"tree": _doc("tree")}
+    """The toy tables plus a composite ``allreduce`` of two toy parts."""
+    registry, defaults, waivers, folds = _toy_tables()
+    registry["reduce"] = {"tree": (_doc("tree"), "flat")}
     defaults["reduce"] = "tree"
-    auto["reduce"] = ("tree", "tree")
-    coverage["reduce", "tree"] = "models.reduce_tree"
-    parts = (("reduce", "tree"), ("bcast", "fast"))
-    registry["allreduce"] = {"both": _doc("both")}
+    registry["allreduce"] = {"both": (_doc("both"), "parts")}
     defaults["allreduce"] = "both"
-    coverage["allreduce", "both"] = composite_coverage(parts, coverage)
-    return dict(registry=registry, defaults=defaults, auto_choices=auto,
-                hier_auto=hier, waivers=waivers, coverage=coverage,
-                compositions={("allreduce", "both"): parts})
+    return dict(registry=registry, defaults=defaults, waivers=waivers,
+                folds=folds | {"parts"},
+                compositions={("allreduce", "both"): (("reduce", "tree"),
+                                                      ("bcast", "fast"))})
 
 
 def _check_composite(**overrides):
-    tables = {**_composite_tables(), **overrides}
-    return check_tables(*(tables[key] for key in (
-        "registry", "defaults", "auto_choices", "hier_auto", "waivers",
-        "coverage", "compositions")), resolvable=lambda dotted: True)
+    return _check(**{**_composite_tables(), **overrides})
 
 
 def test_reg01_composite_auto_capable_through_its_parts_is_clean():
-    """``allreduce`` is in neither AUTO_CHOICES nor the waivers: its
-    one row is a composition of auto-capable ops, which is its policy."""
+    """``allreduce`` has no flat implementation and no waiver: its one
+    row is a composition of ops that have one, which is its policy."""
     assert _check_composite() == []
-    # ... but not once a part's op is waived out of the policy
-    found = _check_composite(auto_choices={"bcast": ("fast", "slow")},
+    # ... but not once a part's op has no flat implementation
+    tables = _composite_tables()
+    tables["registry"]["reduce"]["tree"] = (_doc("tree"), "p2p")
+    found = _check_composite(registry=tables["registry"],
                              waivers={"scan": "serial", "reduce": "toy"})
     assert [v.message.split(" has ")[0] for v in found] == [
         "op 'allreduce'"]
 
 
 def test_reg01_flags_a_composition_with_an_unregistered_part():
-    tables = _composite_tables()
-    tables["compositions"] = {
-        ("allreduce", "both"): (("reduce", "gone"), ("bcast", "fast"))}
-    found = _check_composite(compositions=tables["compositions"])
+    found = _check_composite(compositions={
+        ("allreduce", "both"): (("reduce", "gone"), ("bcast", "fast"))})
     assert any("unregistered part (reduce, gone)" in v.message
                for v in found), found
-
-
-def test_reg01_flags_a_hand_coverage_entry_for_a_composite():
-    """A composite's MODEL_COVERAGE entry derives from its parts'; a
-    hand entry — here one that outlived its parts' models — is
-    flagged."""
-    coverage = dict(_composite_tables()["coverage"])
-    coverage["allreduce", "both"] = "models.allreduce_both"
-    found = _check_composite(coverage=coverage)
-    assert [v.message.split(" is a ")[0] for v in found] == [
-        "MODEL_COVERAGE[(allreduce, both)]"]
 
 
 def test_estimate_markers_are_a_ratchet():
     """The ``estimate:`` debt is exactly these pairs: pricing another
     pair exactly shrinks the set here, and a new marker needs a
     deliberate edit of this test."""
-    from repro.analysis.framecount import MODEL_COVERAGE
+    from repro.analysis.framecount import model_coverage
 
-    assert sorted(pair for pair, entry in MODEL_COVERAGE.items()
+    assert sorted(pair for pair, entry in model_coverage().items()
                   if entry.startswith("estimate:")) == [
         ("bcast", "mcast-ack"), ("bcast", "mcast-sequencer")]
 

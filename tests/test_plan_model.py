@@ -16,12 +16,12 @@ import numpy as np
 import pytest
 
 from repro import run_spmd
-from repro.analysis.framecount import (model_flat_frames, model_hier_frames,
+from repro.analysis.framecount import (FOLDS, model_flat_frames,
                                        model_p2p_frames, model_parts_frames,
                                        topo_digest)
 from repro.bench.harness import op_body
-from repro.mpi.collective.policy import AUTO_CHOICES, modeled_frame_costs
-from repro.mpi.collective.registry import parts_of
+from repro.mpi.collective.policy import candidates, modeled_frame_costs
+from repro.mpi.collective.registry import DEFAULTS, REGISTRY
 from repro.mpi.ops import MAX, SUM, Op
 from repro.simnet import quiet
 from repro.simnet.calibration import FAST_ETHERNET_SWITCH
@@ -47,22 +47,23 @@ def _placement(fabric):
     return topology, seg_of, tuple(fab.leaf_paths())
 
 
-#: op -> (p2p baseline, flat segmented entry): the auto candidates,
-#: and the allreduce rows made of the reduce's and the bcast's
-CANDIDATES = {**AUTO_CHOICES,
+#: op -> (p2p baseline, flat segmented entry): the static default and
+#: the flat auto candidate, and the allreduce rows made of the reduce's
+#: and the bcast's
+CANDIDATES = {**{op: (DEFAULTS[op], name) for op in REGISTRY
+                 for name, model in candidates(op).items()
+                 if model == "flat"},
               "allreduce": ("p2p-reduce-bcast", "mcast-seg-nack")}
 
 
 def _model(op, impl, seg_of, root, nbytes, paths):
-    """The fold pricing one call of ``(op, impl)``: a composition's
-    parts summed, else its family's."""
-    if parts_of(op, impl) is not None:
+    """The fold ``(op, impl)`` registers pricing one call of it: a
+    composition's parts summed, else its whole-call fold."""
+    model = REGISTRY[op][impl].model
+    if model == "parts":
         return model_parts_frames(op, impl, seg_of, root, nbytes, AUTO,
                                   paths)
-    fold = (model_hier_frames if impl == "hier-mcast" else
-            model_p2p_frames if impl.startswith("p2p-") else
-            model_flat_frames)
-    return fold(op, seg_of, root, nbytes, AUTO, paths)
+    return FOLDS[model](op, seg_of, root, nbytes, AUTO, paths)
 
 
 def _per_call(topology, n, op, impl, body):

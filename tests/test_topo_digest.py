@@ -21,9 +21,10 @@ from repro.core.segment import plan_transport
 from repro.mpi.collective import policy
 from repro.mpi.collective.hier import (build_hier_tree, canonical_order,
                                        hier_state)
-from repro.mpi.collective.policy import (AUTO_CHOICES, AUTO_OPS, auto_impl,
-                                         comm_topology, modeled_frame_costs)
-from repro.mpi.collective.registry import PART_OPS
+from repro.mpi.collective.policy import (auto_capable, auto_impl,
+                                         candidates, comm_topology,
+                                         modeled_frame_costs)
+from repro.mpi.collective.registry import PART_OPS, REGISTRY
 from repro.mpi.ops import SUM
 from repro.simnet import quiet
 from repro.simnet.calibration import FAST_ETHERNET_SWITCH
@@ -34,6 +35,11 @@ LOSSES = (0.0, 0.02)
 SIZES = (0, 512, 24_000, 1 << 20)
 HIER_OPS = ("bcast", "reduce", "allreduce", "scatter", "gather",
             "allgather")
+#: every op "auto" resolves
+AUTO_OPS = sorted(filter(auto_capable, REGISTRY))
+#: op -> its flat segmented candidate, for the ops that have one
+FLAT = {op: name for op in AUTO_OPS
+        for name, model in candidates(op).items() if model == "flat"}
 
 
 def _fabric(spec: str):
@@ -198,7 +204,7 @@ def test_one_digest_per_communicator():
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.one_of(placements(), st.integers(2, 40)), st.booleans(),
-       st.sampled_from(sorted(AUTO_OPS)),
+       st.sampled_from(AUTO_OPS),
        st.one_of(st.sampled_from(SIZES), st.integers(0, 60_000)),
        st.sampled_from((0.0, 0.02, 0.2)), st.data())
 def test_fold_on_the_one_group_plan_equals_the_frozen_ladder(
@@ -227,7 +233,7 @@ def test_fold_on_the_one_group_plan_equals_the_frozen_ladder(
             params, paths, loss))
     else:
         got = modeled_frame_costs(op, nbytes, n, params, topo, root,
-                                  hier_ok=False)[AUTO_CHOICES[op][1]]
+                                  hier_ok=False)[FLAT[op]]
     want = ref.seg_frame_estimate(op, nbytes, n, params, topo, root)
     if loss:
         assert got == pytest.approx(want, rel=1e-12, abs=0)
@@ -265,9 +271,9 @@ def test_modeled_costs_and_picks_match_reference(fabric, monkeypatch):
     topo = framecount.topo_digest(seg_of, paths)
     for loss in LOSSES:
         params = replace(AUTO, loss=loss)
-        for op in sorted(AUTO_OPS):
+        for op in AUTO_OPS:
             # allreduce has one candidate: its parts' picks, summed
-            seg_name = AUTO_CHOICES[op][1] if op in AUTO_CHOICES else None
+            seg_name = FLAT.get(op)
             # every root (a stride of 3 still lands in all eight
             # segments of tree:2x4x4, on leaders and non-leaders;
             # check_models above walks every root of every model)
@@ -400,7 +406,7 @@ def test_cold_evaluation_at_1024_ranks_is_bounded():
     and a repeat is free."""
     seg_of, paths = _fabric("tree:32x32")
     topo = framecount.topo_digest(seg_of, paths)
-    for op in sorted(AUTO_OPS):
+    for op in AUTO_OPS:
         policy.clear_caches()
 
         def evaluate():
