@@ -2,7 +2,9 @@
 # every sweep area run once through the one benchmark entry point
 # (`repro.bench.cli sweep`, gate scale, postconditions checked, documents
 # written to a scratch directory — the tree stays clean), so it cannot
-# silently rot, then one case traced end to end (`cli trace`: flight
+# silently rot, then two cases traced end to end — a deep-fabric
+# hierarchical bcast and a flat lossy segmented bcast with repair
+# rounds, NACKs and decisions (`cli trace`: flight
 # recorder -> `events` view -> exporters; exits non-zero unless the
 # per-call frame attribution equals NetStats).  `make bench-gate` is
 # the perf gate: the same sweeps —
@@ -41,6 +43,9 @@ smoke: test
 	$(PY) -m repro.bench.cli trace deep-fabric \
 		'trunk-hier[fabric=tree:2x2x2,op=bcast]' \
 		--output .bench_build/trace
+	$(PY) -m repro.bench.cli trace segmented-bcast \
+		'frames[impl=seg-fixed,loss=induced,size=12000]' \
+		--output .bench_build/trace-flat
 
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \

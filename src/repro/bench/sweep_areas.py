@@ -61,6 +61,7 @@ from ..mpi.collective.policy import candidates
 from ..runtime import run_spmd
 from ..simnet import quiet
 from ..simnet.calibration import FAST_ETHERNET_SWITCH
+from ..simnet.fabric import parse_topology
 from .harness import measure, op_body
 from .sweep import AreaSpec, Family, find_series, metric, register_area
 
@@ -906,11 +907,6 @@ register_area(AreaSpec(
 THRU_SIZE = 24_000
 
 
-def _thru_nprocs(fabric: str) -> int:
-    segs, hosts = fabric.split(":")[1].split("x")
-    return int(segs) * int(hosts)
-
-
 def thru_workload_case(scale, seed, fabric):
     """One flat segmented broadcast across the whole fabric: exact
     event/clock counters (any increase is a kernel regression) plus
@@ -918,7 +914,7 @@ def thru_workload_case(scale, seed, fabric):
     import time
 
     t0 = time.perf_counter()
-    result = _run(_thru_nprocs(fabric), "bcast", "mcast-seg-nack",
+    result = _run(parse_topology(fabric).n, "bcast", "mcast-seg-nack",
                   THRU_SIZE, seed=seed, topology=fabric)
     wall = time.perf_counter() - t0
     sim = result.cluster.sim

@@ -38,9 +38,11 @@ __all__ = ["allgather_mcast_unpaced"]
 
 
 def _ready_round(comm, channel, seq: int) -> Generator:
-    """Scout-sync "everyone has posted" round at rank 0 (like the
-    barrier, but the release rides the scout socket so it cannot consume
-    a data post)."""
+    """Scout-sync "everyone has posted" round at rank 0: the barrier's
+    gather, but released by N-1 unicast ``ag-go`` messages in rank
+    order instead of the barrier's one multicast answer.  The senders
+    leave the round staggered by one control hop each, and that
+    stagger is what the ``overrun`` paper figure measures."""
     yield from scout_gather_binary(comm, channel, seq, 0, phase="ag-ready")
     if comm.rank == 0:
         for dst in range(1, comm.size):

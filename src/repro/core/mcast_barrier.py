@@ -4,8 +4,8 @@ The three MPICH phases collapse to one gather plus one multicast:
 
 1. scouts reduce to rank 0 up the binary tree (``N-1`` point-to-point
    messages, ``ceil(log2 N)`` steps);
-2. rank 0 releases everyone with a **single data-less multicast**
-   (:func:`release`).
+2. rank 0 releases everyone with a **single data-less multicast** —
+   the gather's :func:`~repro.core.scout.answer`.
 
 The release is a control message on the buffered scout port, beside
 the round engine's decision: it needs no posted descriptor, so a late
@@ -19,20 +19,9 @@ from __future__ import annotations
 from typing import Generator
 
 from ..mpi.collective.registry import register
-from .scout import scout_gather_binary
+from .scout import answer, scout_gather_binary
 
-__all__ = ["barrier_mcast", "release"]
-
-
-def release(comm, channel, seq: int, root: int) -> Generator:
-    """The barrier's release: ``root`` sends ONE data-less
-    ``mcast-release`` control multicast, every other rank waits for it.
-    Call it after a scout gather toward ``root`` of the same ``seq``."""
-    if comm.rank == root:
-        yield from channel.send_ctrl(None, seq, "release",
-                                     kind="mcast-release")
-    else:
-        yield from channel.wait_ctrl({root}, seq, "release")
+__all__ = ["barrier_mcast"]
 
 
 @register("barrier", "mcast", "mcast-barrier")
@@ -43,4 +32,5 @@ def barrier_mcast(comm) -> Generator:
     seq = channel.next_seq()
     if comm.size > 1:
         yield from scout_gather_binary(comm, channel, seq, 0)
-        yield from release(comm, channel, seq, 0)
+        yield from answer(comm, channel, seq, 0, "release",
+                          kind="mcast-release")

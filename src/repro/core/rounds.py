@@ -1,41 +1,42 @@
-"""Reusable multicast round engine: serve/follow with selective NACK repair.
+"""Reusable multicast round engine: one stream loop with selective NACK
+repair.
 
 PR 1/2 grew a reliable segmented-multicast transport inside the broadcast
 implementation; this module extracts it as a standalone **round engine**
 so every collective that streams data through a
 :class:`~repro.core.channel.McastChannel` — every row of the stream
 schedule in :mod:`repro.core.segment`, whose ``run_streams`` is the one
-caller — shares one serve/follow state machine,
-in the spirit of Träff's decomposition of collectives into reusable
-communication rounds ("Decomposing Collectives for Exploiting Multi-lane
-Communication").
+caller — shares one loop, in the spirit of Träff's decomposition of
+collectives into reusable communication rounds ("Decomposing
+Collectives for Exploiting Multi-lane Communication").
 
 The engine's unit is the **stream**: a *header handshake* followed by
-NACK-repaired *rounds*, written once, here, and priced once, in
-:func:`repro.analysis.framecount.model_plan_frames`.  The contract has
-exactly two sides:
+NACK-repaired *rounds*, written once, here — :func:`stream_rounds`,
+which every rank of the group runs — and priced once, in
+:func:`repro.analysis.framecount.model_plan_frames`.  Every step has
+the paper's §3 shape: a gather up the binomial tree, then the root's
+ONE control multicast back down, :func:`~repro.core.scout.answer`.
+The loop branches only where the roles differ:
 
-* :func:`serve_rounds` — the **sender**: given a segment stream, it
-  gathers the header scouts and multicasts the header (segment count
-  and batch factor, or the scatter's per-rank counts); then it arms
-  the group (scout gather), streams the round's datagrams back to back,
-  takes the group's folded NACK report, and multicasts repair rounds
-  built from the union of missing sets until the whole group reports
-  complete (or ``max_repair_rounds`` is exhausted, in which case it
-  tells everyone before raising);
-* :func:`follow_rounds` — a **receiver**: it sends its header scout,
-  waits for the header on the control plane and learns the stream's
-  shape from it; then it posts a ring of one descriptor per expected
-  datagram, arms, parks once while the data socket drains the round's
-  datagrams from the stream's server (nobody else's) into a
-  :class:`Reassembler`, folds its missing bitmap with its subtree's and
-  obeys the sender's per-round decision.
-  A ``needed`` subset restricts what the receiver reassembles and
-  reports — the scatter's per-rank addressing, derived from the
-  header's counts — and ``needed=set()`` is a pure *bystander* that
-  stays in lockstep with the stream, reads its header and reports at
-  its true length, without posting a single descriptor (used by the
-  multicast reduce, where only the root consumes data).
+* the **header**: the root's answer to the header gather announces the
+  segment count and batch factor, or the scatter's per-rank counts; a
+  follower learns the stream's shape (and its ``needed`` slice) from it;
+* the **round's data**: the root arms the group (scout gather) and
+  streams the round's datagrams back to back; a follower posts a ring
+  of one descriptor per expected datagram, arms, and parks once while
+  the data socket drains the round's datagrams from the stream's
+  server (nobody else's) into a :class:`Reassembler`;
+* the **decision**: everyone folds its missing set with its subtree's;
+  the root decides from the union — done, the next repair round's
+  segments, or ``"abort"`` once ``max_repair_rounds`` is exhausted
+  (told to everyone before raising) — and every follower obeys it.
+
+A ``needed`` subset restricts what a follower reassembles and reports —
+the scatter's per-rank addressing, derived from the header's counts —
+and ``needed=set()`` is a pure *bystander* that stays in lockstep with
+the stream, reads its header and reports at its true length, without
+posting a single descriptor (used by the multicast reduce, where only
+the root consumes data).
 
 **The header**, on the wire: ``N-1`` header scouts up the binomial
 tree, then one ``mcast-seg-hdr`` control multicast ``(nsegs, batch,
@@ -55,9 +56,8 @@ All of it is the channel's one control message (``send_ctrl`` /
 ``wait_ctrl``) moved by one tree walk (:mod:`repro.core.scout`): the
 header and arming gathers are the walk keyed ``arm_phase(...)``, the
 fold is the walk keyed ``("seg-report", token)`` carrying the
-subtree's missing set, the header and the decision are
-``send_ctrl(None, ...)``: every round is an up-walk plus one downward
-control multicast.
+subtree's missing set, the header and the decision each answer one:
+every round is an up-walk plus one downward control multicast.
 
 Both multicasts ride the channel's **buffered scout port** — not the
 posted-only data socket, which carries only ``mcast-seg`` data, where
@@ -103,13 +103,13 @@ from dataclasses import dataclass
 
 from .channel import (MCAST_HEADER_BYTES, SCOUT_BYTES, SEG_HEADER_BYTES,
                       McastLost)
-from .scout import (binary_tree_steps, report_fold_binary,
+from .scout import (answer, binary_tree_steps, report_fold_binary,
                     scout_gather_binary)
 
 __all__ = ["McastLost", "Segment", "Reassembler", "chunk_plan",
            "control_hop_us", "frame_segment_bytes", "reassemble",
            "repair_batch", "resolved_segment_bytes", "round_drain_timeout_us",
-           "round_namespace", "serve_rounds", "follow_rounds"]
+           "round_namespace", "stream_rounds"]
 
 
 @dataclass(frozen=True)
@@ -389,166 +389,134 @@ def _consume_round(comm, ring, drain_us: float, rnd: int = 0) -> Generator:
 
 
 # ----------------------------------------------------------------------
-# the serve/follow API
+# the stream loop
 # ----------------------------------------------------------------------
-def serve_rounds(comm, channel, seq, root: int, segments, batch: int,
-                 arm_phase, rnd_token, counts=None) -> Generator:
-    """Sender side of one engine stream: the header handshake, then the
-    NACK repair loop — arm, stream, fold the reports, decide,
-    repair — until the whole group reports complete.
+def stream_rounds(comm, channel, seq, root: int, arm_phase, rnd_token,
+                  segments=None, batch: int = 1, counts=None,
+                  needed: Optional[set] = None) -> Generator:
+    """One engine stream, run by every rank of the group: the header
+    handshake, then the NACK repair loop — arm, stream or drain, fold
+    the reports, decide, repair — until the whole group reports
+    complete.  Returns ``None`` at ``root``, a follower's
+    :class:`Reassembler` elsewhere.
 
-    ``segments`` is the full stream (round 0's plan is all of it); the
-    header announces its length and ``batch`` — or, for a per-rank
-    addressed stream (the scatter), the per-rank segment ``counts``
-    each follower derives its own slice from.  Every other rank of the
-    communicator joins the header gather, each round's arming gather
-    and report fold and hears its decision, so pure bystanders must run
-    :func:`follow_rounds` with ``needed=set()``.  ``arm_phase`` /
-    ``rnd_token`` come from :func:`round_namespace`.
+    ``root`` passes the full stream as ``segments`` (round 0's plan is
+    all of it) and its ``batch`` factor; its header announces both —
+    or, for a per-rank addressed stream (the scatter), the per-rank
+    segment ``counts`` each follower derives its own ``needed`` slice
+    from.  A follower learns the stream's shape from the header; it has
+    posted nothing before, so a delayed or duplicated segment of an
+    earlier stream dies at the posted-only data socket.  Each round it
+    posts a ring of one descriptor per expected datagram — none once it
+    has everything it needs (others may still need repairs; the repair
+    frames die at its socket).  ``needed`` restricts a follower's
+    interest to a stream subset (see :class:`Reassembler`);
+    ``needed=set()`` is a pure bystander: it keeps lockstep, reads the
+    header and reports at the stream's length, but posts no descriptor.
+    ``arm_phase`` / ``rnd_token`` come from :func:`round_namespace`.
+
+    The header and every decision each answer a gather
+    (:func:`~repro.core.scout.answer`): the root's ONE control
+    multicast.  A decision is the next round's segments, ``None`` for
+    "done", or ``"abort"`` once ``max_repair_rounds`` is exhausted —
+    told to the group before everyone raises :class:`McastLost`, so
+    nobody arms a dead round.
     """
     params = comm.host.params
     rec = comm.host.stats.recorder
     addr = comm.host.addr
-    nsegs = len(segments)
+    serving = comm.rank == root
+    role = "serve" if serving else "follow"
     hdr_phase = arm_phase("hdr")
-    yield from scout_gather_binary(comm, channel, seq, root,
-                                   phase=hdr_phase)
-    yield from channel.send_ctrl(
-        None, seq, hdr_phase, (nsegs, batch, counts),
-        MCAST_HEADER_BYTES + SEG_HEADER_BYTES
-        + (0 if counts is None else 4 * len(counts)), "mcast-seg-hdr")
+    if rec is not None:
+        rec.round_open(comm.sim.now, addr, f"{role}:seq{seq}:hdr", None)
+    try:
+        yield from scout_gather_binary(comm, channel, seq, root,
+                                       phase=hdr_phase)
+        nsegs, batch, counts = yield from answer(
+            comm, channel, seq, root, hdr_phase,
+            (len(segments), batch, counts) if serving else None,
+            MCAST_HEADER_BYTES + SEG_HEADER_BYTES
+            + (0 if counts is None else 4 * len(counts)), "mcast-seg-hdr")
+    finally:
+        if rec is not None:
+            rec.round_close(comm.sim.now, addr, f"{role}:seq{seq}:hdr")
+    reasm = None
+    if not serving:
+        if counts is not None:              # per-rank addressed: my slice
+            start = sum(counts[:comm.rank])
+            needed = set(range(start, start + counts[comm.rank]))
+        reasm = Reassembler(nsegs, needed=needed)
+        seg_bytes = resolved_segment_bytes(params)
     plan = list(range(nsegs))
     rnd = 0
     while True:
         rbatch = batch if rnd == 0 else repair_batch(params, len(plan),
                                                      batch)
-        rtok = None
+        rtok = label = None
         if rec is not None:
-            rtok = rec.round_begin(comm.sim.now, addr, "serve", seq, rnd,
+            label = f"{role}:seq{seq}:r{rnd}"
+            rtok = rec.round_begin(comm.sim.now, addr, role, seq, rnd,
                                    len(plan))
-            rec.round_open(comm.sim.now, addr, f"serve:seq{seq}:r{rnd}",
-                           None)
+            rec.round_open(comm.sim.now, addr, label,
+                           None if serving else reasm.missing)
         try:
-            yield from scout_gather_binary(comm, channel, seq, root,
-                                           phase=arm_phase(rnd))
-            for chunk in chunk_plan(plan, rbatch):
-                yield from channel.send_batch(
-                    [segments[j] for j in chunk], seq, retransmit=rnd > 0)
-            # the root itself is missing nothing: the fold starts empty
-            union = yield from report_fold_binary(
-                comm, channel, seq, root, rnd_token(rnd), (), nsegs)
-        finally:
-            if rec is not None:
-                rec.round_close(comm.sim.now, addr,
-                                f"serve:seq{seq}:r{rnd}")
-        if not union:
-            decision = None
-        elif rnd >= params.max_repair_rounds:
-            decision = "abort"      # tell the group before raising,
-        else:                       # so nobody arms a dead round
-            decision = tuple(sorted(union))
-        if rec is not None:
-            rec.repair_decision(comm.sim.now, addr, rnd, decision)
-        # ONE control multicast — the next round's segments, None for
-        # "done", or "abort" — sized as a scout plus the bitmap
-        yield from channel.send_ctrl(
-            None, seq, ("seg-dec", rnd_token(rnd)), decision,
-            SCOUT_BYTES + (nsegs + 7) // 8, "seg-dec")
-        if rec is not None:
-            rec.round_end(comm.sim.now, rtok)
-        if decision is None:
-            return
-        if decision == "abort":
-            raise McastLost(comm.rank, seq, reason=(
-                f"rank {comm.rank}: gave up after {rnd} repair rounds "
-                f"for seq={seq}; still missing segments {sorted(union)}"))
-        rnd += 1
-        plan = list(decision)
-
-
-def follow_rounds(comm, channel, seq, root: int, arm_phase, rnd_token,
-                  needed: Optional[set] = None) -> Generator:
-    """Receiver side of one engine stream; returns the
-    :class:`Reassembler`.
-
-    The follower sends its header scout, then waits for the header on
-    the control plane and learns the stream's length and batch factor —
-    and, from a per-rank count header, its own ``needed`` slice — from
-    it.  It has posted nothing yet, so a delayed or duplicated segment
-    of an earlier stream arriving meanwhile dies at the posted-only
-    data socket.
-
-    A receiver that has everything it needs keeps arming/reporting
-    (other ranks may still need repairs) but posts no descriptors, so
-    the repair frames it does not need die at its posted-only socket.
-    ``needed`` restricts interest to a stream subset (see
-    :class:`Reassembler`); ``needed=set()`` follows the loop as a pure
-    bystander: it reads the header and reports at the stream's length,
-    but posts no descriptor.
-    """
-    params = comm.host.params
-    rec = comm.host.stats.recorder
-    addr = comm.host.addr
-    seg_bytes = resolved_segment_bytes(params)
-    hdr_phase = arm_phase("hdr")
-    yield from scout_gather_binary(comm, channel, seq, root,
-                                   phase=hdr_phase)
-    nsegs, batch, counts = (yield from channel.wait_ctrl(
-        {root}, seq, hdr_phase))[root]
-    if counts is not None:                  # per-rank addressed: my slice
-        start = sum(counts[:comm.rank])
-        needed = set(range(start, start + counts[comm.rank]))
-    reasm = Reassembler(nsegs, needed=needed)
-    plan = list(range(nsegs))
-    rnd = 0
-    if rec is not None:
-        rec.round_open(comm.sim.now, addr, f"follow:seq{seq}",
-                       reasm.missing)
-    try:
-        while True:
-            rbatch = batch if rnd == 0 else repair_batch(params,
-                                                         len(plan), batch)
-            rtok = None
-            if rec is not None:
-                rtok = rec.round_begin(comm.sim.now, addr, "follow", seq,
-                                       rnd, len(plan))
             ring = None
-            if not reasm.complete:
+            if not serving and not reasm.complete:
                 ndatagrams = len(chunk_plan(plan, rbatch))
                 ring = channel.data_sock.post_ring(
                     ndatagrams, _taker(root, seq, reasm, plan[-1]))
             yield from scout_gather_binary(comm, channel, seq, root,
                                            phase=arm_phase(rnd))
-            if ring is not None:
-                dgram_bytes = (min(rbatch, len(plan))
-                               * (seg_bytes + SEG_HEADER_BYTES)
-                               + MCAST_HEADER_BYTES)
-                drain_us = round_drain_timeout_us(
-                    params, ndatagrams, dgram_bytes,
-                    channel.trunk_hops, channel.trunk_us_per_byte,
-                    size=comm.size)
-                yield from _consume_round(comm, ring, drain_us, rnd)
+            if serving:
+                for chunk in chunk_plan(plan, rbatch):
+                    yield from channel.send_batch(
+                        [segments[j] for j in chunk], seq,
+                        retransmit=rnd > 0)
+                missing = ()        # the root lacks nothing
+            else:
+                if ring is not None:
+                    dgram_bytes = (min(rbatch, len(plan))
+                                   * (seg_bytes + SEG_HEADER_BYTES)
+                                   + MCAST_HEADER_BYTES)
+                    drain_us = round_drain_timeout_us(
+                        params, ndatagrams, dgram_bytes,
+                        channel.trunk_hops, channel.trunk_us_per_byte,
+                        size=comm.size)
+                    yield from _consume_round(comm, ring, drain_us, rnd)
+                missing = reasm.missing()
+                if rec is not None:
+                    rec.nack_sent(comm.sim.now, addr, rnd,
+                                  tuple(sorted(missing)))
+            rkey = rnd_token(rnd)
+            union = yield from report_fold_binary(
+                comm, channel, seq, root, rkey, missing, nsegs)
+            decision = None
+            if serving:
+                if union:
+                    decision = ("abort" if rnd >= params.max_repair_rounds
+                                else tuple(sorted(union)))
+                if rec is not None:
+                    rec.repair_decision(comm.sim.now, addr, rnd, decision)
+            # ONE control multicast, sized as a scout plus the bitmap
+            decision = yield from answer(
+                comm, channel, seq, root, ("seg-dec", rkey),
+                decision, SCOUT_BYTES + (nsegs + 7) // 8, "seg-dec")
             if rec is not None:
-                rec.nack_sent(comm.sim.now, addr, rnd,
-                              tuple(sorted(reasm.missing())))
-            yield from report_fold_binary(
-                comm, channel, seq, root, rnd_token(rnd), reasm.missing(),
-                nsegs)
-            plan_t = (yield from channel.wait_ctrl(
-                {root}, seq, ("seg-dec", rnd_token(rnd))))[root]
+                rec.round_end(comm.sim.now, rtok, posted_hw=0 if serving
+                              else channel.data_sock.posted_high_water)
+        finally:
             if rec is not None:
-                rec.round_end(comm.sim.now, rtok,
-                              posted_hw=channel.data_sock
-                              .posted_high_water)
-            if plan_t is None:
-                return reasm
-            if plan_t == "abort":
-                raise McastLost(comm.rank, seq, reason=(
-                    f"rank {comm.rank}: root gave up repairing segmented "
-                    f"transfer seq={seq}; still missing "
-                    f"{sorted(reasm.missing())}"))
-            plan = list(plan_t)
-            rnd += 1
-    finally:
-        if rec is not None:
-            rec.round_close(comm.sim.now, addr, f"follow:seq{seq}")
+                rec.round_close(comm.sim.now, addr, label)
+        if decision is None:
+            return reasm
+        if decision == "abort":
+            raise McastLost(comm.rank, seq, reason=(
+                f"rank {comm.rank}: gave up after {rnd} repair rounds "
+                f"for seq={seq}; still missing segments {sorted(union)}"
+                if serving else
+                f"rank {comm.rank}: root gave up repairing segmented "
+                f"transfer seq={seq}; still missing "
+                f"{sorted(reasm.missing())}"))
+        rnd += 1
+        plan = list(decision)

@@ -24,7 +24,9 @@ then tell the parent — and :func:`_walk_up` writes that once over the
 channel's one control message: with no value it is the scout gather (on
 the binomial tree or the star), with a value and a merge it is the round
 engine's NACK report fold (:func:`report_fold_binary`).
-:func:`scout_scatter_binary` is the same tree walked downward.
+:func:`scout_scatter_binary` is the same tree walked downward, and
+:func:`answer` is the one step that closes a gather: the root's ONE
+control multicast, which every other rank waits for.
 
 The tree layout is the textbook binomial gather (MPICH's reduce tree).
 The paper's Fig. 3 draws a slightly different edge layout, but the text
@@ -42,7 +44,7 @@ from typing import Generator
 from .binomial import binomial_children, binomial_parent
 from .channel import SCOUT_BYTES
 
-__all__ = ["scout_gather_binary", "scout_gather_linear",
+__all__ = ["answer", "scout_gather_binary", "scout_gather_linear",
            "scout_scatter_binary", "report_fold_binary",
            "binary_tree_steps", "scout_count"]
 
@@ -136,6 +138,21 @@ def report_fold_binary(comm, channel, seq: int, root: int, rnd,
     return _walk_up(comm, channel, seq, root, ("seg-report", rnd),
                     frozenset(missing), _merge_reports,
                     SCOUT_BYTES + (nsegs + 7) // 8, "seg-report")
+
+
+def answer(comm, channel, seq: int, root: int, key, value=None,
+           nbytes: int = SCOUT_BYTES, kind: str = "scout") -> Generator:
+    """The gather's answer: ``root`` sends ONE ``(seq, key)`` control
+    multicast carrying ``value`` and returns it; every other rank
+    returns the root's value.  Every downward control multicast is one
+    — the engine's stream header and per-round decision, the barrier's
+    release — and each answers an up-walk of the same ``seq``, so the
+    root sends only once every rank is waiting (or has the answer
+    stashed: a rank running late finds it on the channel)."""
+    if comm.rank == root:
+        yield from channel.send_ctrl(None, seq, key, value, nbytes, kind)
+        return value
+    return (yield from channel.wait_ctrl({root}, seq, key))[root]
 
 
 def scout_scatter_binary(comm, channel, seq: int, root: int = 0,

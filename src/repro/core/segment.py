@@ -20,20 +20,20 @@ broadcasts of Zhou et al. and Träff's multi-lane decompositions:
    an empty bitmap.
 
 The whole **stream** — the header handshake and the
-arm/stream/report/decide state machine — lives in the reusable round
-engine of :mod:`repro.core.rounds`
-(:func:`~repro.core.rounds.serve_rounds` /
-:func:`~repro.core.rounds.follow_rounds`): this module owns payload
+arm/stream/report/decide loop — lives in the reusable round engine of
+:mod:`repro.core.rounds` (:func:`~repro.core.rounds.stream_rounds`,
+which every rank of the group runs): this module owns payload
 *planning* (segment sizing, batching, fragmentation, the closed-form
 frame/datagram formulas), the **stream schedule**
 (:func:`step_streams`: which engine streams a step kind runs —
 ``serve`` one from the server to everyone, ``fold`` / ``collect`` one
 per contributor to the collector alone, ``deal`` one per-part
-addressed, ``exchange`` one per member) and its
-executor :func:`run_streams` — fragment → serve / follow / stand by →
-reassemble.  The five registered flat segmented collectives (the paper
-multicasts only the one-to-many side; its reductions stayed on MPICH's
-p2p trees) are one schedule row each, the hierarchical plans of
+addressed, ``exchange`` one per member) and its executor
+:func:`run_streams` — per row, the server fragments, every rank runs
+the one stream loop, the consumers reassemble.  The five registered
+flat segmented collectives (the paper multicasts only the one-to-many
+side; its reductions stayed on MPICH's p2p trees) are one schedule row
+each, the hierarchical plans of
 :mod:`repro.mpi.collective.hier` run the same rows per group, and the
 frame model prices them.
 
@@ -113,9 +113,9 @@ from typing import Any, Generator, Optional, Sequence
 from ..mpi.collective.registry import register
 from ..mpi.datatypes import payload_bytes
 from ..mpi.ops import Op
-from .rounds import (Reassembler, Segment, chunk_plan, follow_rounds,
-                     frame_segment_bytes, reassemble,
-                     resolved_segment_bytes, round_namespace, serve_rounds)
+from .rounds import (Reassembler, Segment, chunk_plan, frame_segment_bytes,
+                     reassemble, resolved_segment_bytes, round_namespace,
+                     stream_rounds)
 
 __all__ = ["Segment", "Reassembler", "TransportPlan", "auto_batch",
            "plan_transport", "frame_segment_bytes", "chunk_plan",
@@ -297,9 +297,11 @@ def run_streams(comm, kind: str, at: int, mine: Any, op=None) -> Generator:
     contribution (``fold`` / ``collect`` / ``exchange``).  One sequence
     number per call, size 1 included, and no ready round: a stream's
     header gather already tells its server every follower is waiting.
-    Per stream the server fragments and serves, its consumers follow,
-    everyone else follows as a pure bystander (``needed=set()``: every
-    gather and decision, no descriptor).  A
+    Per stream every member runs one
+    :func:`~repro.core.rounds.stream_rounds`: the server with its
+    fragments, its consumers reassembling, everyone else as a pure
+    bystander (``needed=set()``: every gather and decision, no
+    descriptor).  A
     ``deal`` renumbers the other members' fragments into one global
     stream whose header carries the per-member counts; the server's own
     part never touches the wire.
@@ -319,10 +321,9 @@ def run_streams(comm, kind: str, at: int, mine: Any, op=None) -> Generator:
     got: dict[int, Any] = {}            # serving turn -> what reached me
     if size > 1:
         for server, consumer in step_streams(kind, size, at):
-            arm_phase, rnd_token = round_namespace(kind, server)
+            segments, batch, counts, needed = None, 1, None, None
             if rank == server:
                 seg_bytes = resolved_segment_bytes(params)
-                counts = None
                 if consumer == "each":
                     frags = [[] if turn == server
                              else fragment(part, seg_bytes)
@@ -336,22 +337,20 @@ def run_streams(comm, kind: str, at: int, mine: Any, op=None) -> Generator:
                         for i, s in enumerate(chain.from_iterable(frags))]
                 else:
                     segments = fragment(mine, seg_bytes)
-                yield from serve_rounds(
-                    comm, channel, seq, server, segments,
-                    auto_batch(params, len(segments)), arm_phase,
-                    rnd_token, counts)
-            elif consumer in (None, "each", rank):
-                reasm = yield from follow_rounds(
-                    comm, channel, seq, server, arm_phase, rnd_token)
-                if consumer == "each":
-                    segs = reasm.segments()
-                    got[server] = (segs[0].chunk if segs and segs[0].opaque
-                                   else b"".join(s.chunk for s in segs))
-                else:
-                    got[server] = reasm.result()
+                batch = auto_batch(params, len(segments))
+            elif consumer not in (None, "each", rank):
+                needed = set()              # a bystander
+            reasm = yield from stream_rounds(
+                comm, channel, seq, server, *round_namespace(kind, server),
+                segments, batch, counts, needed)
+            if reasm is None or needed is not None:
+                continue
+            if consumer == "each":
+                segs = reasm.segments()
+                got[server] = (segs[0].chunk if segs and segs[0].opaque
+                               else b"".join(s.chunk for s in segs))
             else:
-                yield from follow_rounds(comm, channel, seq, server,
-                                         arm_phase, rnd_token, needed=set())
+                got[server] = reasm.result()
     if kind == "serve":
         return mine if rank == at else got[at]
     if kind == "deal":

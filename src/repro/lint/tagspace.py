@@ -9,8 +9,9 @@ Three independent namespaces keep concurrent protocol traffic apart:
   ``repro.core.rounds.round_namespace(*key)`` — two *different* call
   sites minting the same key would collide in the per-sequence
   scout/report/decision tag space when their streams interleave;
-* the control keys of ``McastChannel.send_ctrl`` / ``wait_ctrl`` — one
-  key space per sequence for scouts, acks, reports and decisions: a
+* the control keys of ``McastChannel.send_ctrl`` / ``wait_ctrl`` (and
+  of ``core.scout.answer``, which sends or waits for one) — one key
+  space per sequence for scouts, acks, reports and decisions: a
   literal minted by two modules could cross-match.
 """
 
@@ -38,7 +39,8 @@ Checked over the whole linted tree:
   ``round_namespace("sc")``, ``round_namespace("ag", turn)`` — so
   interleaved streams can never mint the same (arm, round) tags;
 * every constant control key — the ``key`` of a ``send_ctrl`` /
-  ``wait_ctrl`` call or the ``phase`` / ``tag`` handed to a scout walk;
+  ``wait_ctrl`` / ``answer`` call or the ``phase`` / ``tag`` handed to
+  a scout walk;
   a string, or the leading string of a tuple (``("seg-dec", token)``) —
   belongs to one module: the same literal at call sites in two
   *modules* is flagged (a send and its wait live in one).
@@ -46,7 +48,7 @@ Checked over the whole linted tree:
 
 #: callee -> (keyword, position) of its control-key argument
 KEY_ARG = {"send_ctrl": ("key", 2), "wait_ctrl": ("key", 2),
-           "_walk_up": ("key", 4), "scout_gather_binary": ("phase", 4),
+           "answer": ("key", 4), "_walk_up": ("key", 4), "scout_gather_binary": ("phase", 4),
            "scout_gather_linear": ("phase", 4),
            "scout_scatter_binary": ("tag", 4)}
 

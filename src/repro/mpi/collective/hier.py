@@ -90,10 +90,10 @@ under loss, the trunk term of the group's own
   value; its frames (plus the RTS / CTS pair above the eager
   threshold) x the trunk hops between the two.
 * ``sync`` / ``release`` — the barrier's ``scout_gather_binary`` and
-  :func:`repro.core.mcast_barrier.release`, its data-less control
-  multicast, paired by group key (the release takes the sequence
-  number its sync took); k-1 scouts, then 1 frame x its multicast
-  edges.
+  its :func:`~repro.core.scout.answer`, one data-less
+  ``mcast-release`` control multicast, paired by group key (the
+  release takes the sequence number its sync took); k-1 scouts, then
+  1 frame x its multicast edges.
 
 A member's share in the three :data:`BUNDLE_KINDS` is its bare element
 inside a leaf group, as in the flat engine, and above it a
@@ -636,8 +636,9 @@ def run_plan(comm, st: HierState, steps, value: Any, op=None) -> Generator:
                 seq = pending[group.key] = sub.mcast.next_seq()
                 yield from core.scout_gather_binary(sub, sub.mcast, seq, at)
             elif kind == "release":
-                yield from core.release(sub, sub.mcast,
-                                        pending.pop(group.key), at)
+                yield from core.answer(sub, sub.mcast,
+                                       pending.pop(group.key), at,
+                                       "hier-release", kind="mcast-release")
             else:                       # a row of the stream schedule
                 leaf = group.node.is_leaf
                 mine = value

@@ -74,11 +74,14 @@ class RecorderHooks:
 
     def round_open(self, now: float, addr: int, label: str,
                    missing_fn) -> None:
-        """A reassembly is in flight; ``missing_fn()`` names the segment
-        indices still outstanding (live — for hang diagnostics)."""
+        """A step of an engine stream is in flight on host ``addr`` —
+        its header (``<role>:seq<seq>:hdr``) or one round
+        (``<role>:seq<seq>:r<rnd>``); ``missing_fn()``, when given,
+        names the segment indices still outstanding (live — for hang
+        diagnostics)."""
 
     def round_close(self, now: float, addr: int, label: str) -> None:
-        """The reassembly opened under ``label`` completed or aborted."""
+        """The step opened under ``label`` completed or aborted."""
 
     # -------------------------------------------- collectives (repro.mpi)
     def collective_begin(self, now: float, addr: int, rank: int, op: str,

@@ -8,7 +8,8 @@ from repro import run_spmd
 from repro.bench import (Sample, Series, ascii_plot, crossover,
                          load_areas, measure, op_body)
 from repro.bench.sweep import baseline_path
-from repro.bench.sweep_areas import DEEP_FLAT_IMPL, deep_trunk_case
+from repro.bench.sweep_areas import (DEEP_FLAT_IMPL, deep_trunk_case,
+                                     thru_workload_case)
 from repro.mpi.collective.registry import REGISTRY, Impl, get_impl
 
 SIZES = [0, 2000]
@@ -20,6 +21,13 @@ def small_series():
                       (1000, 300.0), (1000, 310.0)]:
         ser.samples.append(Sample(size=size, iteration=0, latency_us=lat))
     return ser
+
+
+@pytest.mark.parametrize("fabric", ["tree:2x2x2", "tree:[4,8,2]"])
+def test_throughput_case_runs_on_any_tree_topology(fabric):
+    """The ``sim-throughput`` case sizes its run from the parsed fabric,
+    so deep and heterogeneous trees run too."""
+    assert thru_workload_case("gate", 1, fabric)["events"] > 0
 
 
 def test_series_median_and_spread():

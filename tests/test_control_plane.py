@@ -1,8 +1,9 @@
 """The one control plane: ``McastChannel.wait_ctrl`` against a ten-line
 model, the one tree walk of :mod:`repro.core.scout` on every (size,
-root), the stale-copy guard of ``scouted_mcast`` on docs/CHAOS.md's
-reproducer, the data sockets' diet: data only — and a lost control
-multicast, which still wedges a rank (ROADMAP 1(a))."""
+root) and its one answer, the stale-copy guard of ``scouted_mcast`` on
+docs/CHAOS.md's reproducer, the data sockets' diet: data only — and a
+lost control multicast, which still wedges a rank (ROADMAP 1(a)) and
+shows in the hang dump where it does."""
 
 from collections import Counter
 from types import SimpleNamespace
@@ -15,9 +16,10 @@ from repro.bench.harness import op_body
 from repro.core.binomial import binomial_children, binomial_parent
 from repro.core.channel import McastChannel, McastLost
 from repro.core.mcast_bcast import scouted_mcast
-from repro.core.scout import (report_fold_binary, scout_gather_binary,
-                              scout_gather_linear)
+from repro.core.scout import (answer, report_fold_binary,
+                              scout_gather_binary, scout_gather_linear)
 from repro.mpi.collective.registry import REGISTRY
+from repro.obs import FlightRecorder
 from repro.runtime import run_spmd
 from repro.simnet import DeadlockError, quiet
 from repro.simnet.calibration import FAST_ETHERNET_SWITCH
@@ -215,6 +217,34 @@ def test_gathers_are_the_walk_without_a_value(gather, kind):
             assert {dst for _t, _src, dst in sends} <= {root}
 
 
+def test_answer_is_one_multicast_and_a_late_rank_finds_it_stashed():
+    """The root sends ONE control multicast of the given kind and
+    returns its own value; every other rank returns the root's.  A rank
+    busy on another wait when the answer lands stashes it, and its own
+    ``answer`` is then served off the channel's stash."""
+    n, root, late = 4, 1, 3
+
+    def main(env):
+        comm, channel = env.comm, env.comm.mcast
+        seq = channel.next_seq()
+        stashed = None
+        if env.rank == late:    # parked on "go", sent after the answer
+            yield from channel.wait_ctrl({root}, seq, "go")
+            stashed = [k for _src, _s, k, _v in channel._scout_stash]
+        out = yield from answer(comm, channel, seq, root, "verdict",
+                                ("from", env.rank), 40, "verdict")
+        if env.rank == root:
+            yield from channel.send_ctrl(late, seq, "go")
+        return out, stashed, list(channel._scout_stash)
+
+    result = run_spmd(n, main, params=QUIET)
+    assert result.stats["frames_by_kind"]["verdict"] == 1
+    for rank, (out, stashed, left) in enumerate(result.returns):
+        assert out == ("from", root), rank
+        assert stashed == (["verdict"] if rank == late else None)
+        assert left == []
+
+
 # ---------------------------------- the stale-copy guard (docs/CHAOS.md)
 @pytest.mark.parametrize("nbytes", [100, 3000])
 @pytest.mark.parametrize("n", [3, 5, 6, 9])
@@ -333,3 +363,46 @@ def test_a_lost_control_multicast_completes_or_fails_typed(kind, ranks):
                       collectives={"bcast": "mcast-seg-nack"},
                       on_cluster=on_cluster)
     assert all(out in (payload, "lost") for out in result.returns)
+
+
+
+@pytest.mark.parametrize("kind,ranks,waiting", [
+    ("seg-dec", {2}, {"rank2 follow:seq1:r0"}),
+    ("mcast-seg-hdr", {1, 2, 3},
+     {f"rank{r} follow:seq1:hdr" for r in (1, 2, 3)})],
+    ids=["seg-dec@2", "mcast-seg-hdr@1-3"])
+def test_the_hang_dump_names_the_step_a_lost_multicast_wedged(
+        kind, ranks, waiting):
+    """The wedge above, as the hang dump shows it: a rank waiting for
+    its stream header lists the stream's ``hdr`` step, one waiting for
+    a decision lists that round — the waits direction 1(a) must
+    unstick."""
+    recorder = FlightRecorder()
+
+    def on_cluster(cluster):
+        recorder.attach(cluster)
+        for rank in ranks:
+            eaten = []
+
+            def drop_first(dgram, eaten=eaten):
+                if dgram.kind == kind and not eaten:
+                    eaten.append(dgram)
+                    return "drop"
+                return None
+            cluster.hosts[rank].frame_fate = drop_first
+
+    def main(env):
+        out = yield from env.comm.bcast(
+            bytes(24_000) if env.rank == 0 else None, 0)
+        return out
+
+    with pytest.raises(DeadlockError):
+        run_spmd(4, main, "switch", seed=1, params=QUIET,
+                 collectives={"bcast": "mcast-seg-nack"},
+                 on_cluster=on_cluster)
+    section = recorder.hang_report.split("-- open rounds --\n", 1)[1]
+    section = section.split("\n--", 1)[0]
+    labels = {line.strip().rsplit(": missing=", 1)[0]
+              for line in section.splitlines()}
+    assert {label for label in labels if "follow" in label} == waiting, \
+        recorder.hang_report

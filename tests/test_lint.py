@@ -385,6 +385,10 @@ def test_tag01_triggers_on_control_key_minted_by_two_modules(tmp_path):
                            '\n'})
     assert [x.path.rsplit("/", 1)[-1] for x in v if x.code == "TAG01"] \
         == ["b.py"]
+    v = lint_tree(tmp_path / "answers", {
+        "repro/core/a.py": 'a = answer(c, ch, 1, 0, "release", kind="x")\n',
+        "repro/mpi/b.py": 'a = answer(c, ch, 1, 0, key="release")\n'})
+    assert "TAG01" in codes(v)
     v = lint_tree(tmp_path / "walks", {
         "repro/core/a.py": 'g = scout_gather_binary(c, ch, 1, 0, "go")\n',
         "repro/mpi/b.py": 'g = scout_scatter_binary(c, ch, 1, tag="go")\n'})

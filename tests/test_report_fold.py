@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from repro import run_spmd
 from repro.core import rounds
-from repro.core.rounds import (McastLost, follow_rounds, round_namespace,
-                               serve_rounds)
+from repro.core.rounds import McastLost, round_namespace, stream_rounds
 from repro.core.scout import binary_tree_steps
 from repro.core.segment import fragment
 from repro.simnet import quiet
@@ -83,16 +82,16 @@ def test_fold_carries_the_union_and_the_smallest_ring_to_the_root(group):
         arm, tok = round_namespace("fold", 0)
         if env.rank == root:
             channel.scout_sock.drop_filter = count
-            yield from serve_rounds(comm, channel, seq, root,
-                                    fragment(PAYLOAD, 512), 1, arm, tok)
+            yield from stream_rounds(comm, channel, seq, root, arm, tok,
+                                     fragment(PAYLOAD, 512), 1)
             return PAYLOAD
         channel.data_sock.drop_filter = _lose_first_copy_of(
             lost[env.rank])
         if env.rank in bystanders:
-            yield from follow_rounds(comm, channel, seq, root, arm, tok,
+            yield from stream_rounds(comm, channel, seq, root, arm, tok,
                                      needed=set())
             return PAYLOAD
-        reasm = yield from follow_rounds(comm, channel, seq, root, arm,
+        reasm = yield from stream_rounds(comm, channel, seq, root, arm,
                                          tok)
         return reasm.result()
 
@@ -130,19 +129,15 @@ def test_abort_decision_reaches_every_follower():
         comm, channel = env.comm, env.comm.mcast
         seq = channel.next_seq()
         arm, tok = round_namespace("fold", 0)
+        if env.rank == 5:               # segment 3 never gets through
+            channel.data_sock.drop_filter = (
+                lambda d: d.kind == "mcast-seg"
+                and d.payload[2].index == 3)
         try:
-            if env.rank == root:
-                yield from serve_rounds(comm, channel, seq, root,
-                                        fragment(PAYLOAD, 512), 1, arm,
-                                        tok)
-            else:
-                if env.rank == 5:       # segment 3 never gets through
-                    channel.data_sock.drop_filter = (
-                        lambda d: d.kind == "mcast-seg"
-                        and d.payload[2].index == 3)
-                yield from follow_rounds(
-                    comm, channel, seq, root, arm, tok,
-                    needed=set() if env.rank == 0 else None)
+            yield from stream_rounds(
+                comm, channel, seq, root, arm, tok,
+                fragment(PAYLOAD, 512) if env.rank == root else None, 1,
+                needed=set() if env.rank == 0 else None)
         except McastLost as exc:
             return str(exc)
         return "completed"

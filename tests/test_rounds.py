@@ -1,4 +1,4 @@
-"""The reusable round engine: serve/follow contract, needed-subset and
+"""The reusable round engine: the stream loop's contract, needed-subset and
 bystander followers, adaptive drain timeouts, repair re-batching, and
 the stragglers that reach a follower where its header was due or land
 in its data descriptors."""
@@ -9,10 +9,9 @@ import pytest
 
 from _invariants import assert_quiesced
 from repro import run_spmd
-from repro.core.rounds import (Reassembler, Segment,
-                               follow_rounds, repair_batch,
+from repro.core.rounds import (Reassembler, Segment, repair_batch,
                                round_drain_timeout_us, round_namespace,
-                               serve_rounds)
+                               stream_rounds)
 from repro.core.segment import (fragment, seg_nack_datagram_count)
 from repro.mpi.ops import Op
 from repro.simnet import quiet
@@ -248,19 +247,19 @@ def test_serve_follow_contract_with_subsets_and_bystander():
         if env.rank == 0:
             segs = fragment(payload, 512)
             assert len(segs) == nsegs
-            yield from serve_rounds(comm, channel, seq, 0, segs, batch,
-                                    arm, tok)
+            yield from stream_rounds(comm, channel, seq, 0, arm, tok,
+                                     segs, batch)
             return "served"
         if env.rank == 1:
             channel.data_sock.drop_filter = drop_seg7_once()
-            reasm = yield from follow_rounds(comm, channel, seq, 0, arm,
+            reasm = yield from stream_rounds(comm, channel, seq, 0, arm,
                                              tok)
             return reasm.result()
         if env.rank == 2:
-            reasm = yield from follow_rounds(comm, channel, seq, 0, arm,
+            reasm = yield from stream_rounds(comm, channel, seq, 0, arm,
                                              tok, needed=set(range(5)))
             return b"".join(s.chunk for s in reasm.segments())
-        reasm = yield from follow_rounds(comm, channel, seq, 0, arm, tok,
+        reasm = yield from stream_rounds(comm, channel, seq, 0, arm, tok,
                                          needed=set())
         return ("bystander", reasm.segments(),
                 channel.data_sock.posted_high_water)
@@ -295,11 +294,11 @@ def test_serve_follow_sequential_namespaces_do_not_cross_match():
             arm, tok = round_namespace("multi", k)
             if env.rank == 0:
                 segs = fragment(payload, 512)
-                yield from serve_rounds(comm, channel, seq, 0, segs, 1,
-                                        arm, tok)
+                yield from stream_rounds(comm, channel, seq, 0, arm, tok,
+                                         segs, 1)
                 out.append(payload)
             else:
-                reasm = yield from follow_rounds(comm, channel, seq, 0,
+                reasm = yield from stream_rounds(comm, channel, seq, 0,
                                                  arm, tok)
                 out.append(reasm.result())
         return [o == e for o, e in zip(out, (b"a" * 1500, b"b" * 3000))]
