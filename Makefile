@@ -33,7 +33,7 @@
 PY := PYTHONPATH=src python
 
 .PHONY: test smoke lint lint-deep fuzz bench-segmented bench-gate \
-	bench-baselines bench-full perf-compare loc docs docs-check
+	bench-baselines bench-full perf-compare loc unreached docs docs-check
 
 test:
 	$(PY) -m pytest -x -q
@@ -119,6 +119,14 @@ loc:
 			$$dir ':!benchmarks/results' ':!benchmarks/perf')"; \
 	done
 	@python3 scripts/loc_code.py $(BASE) src tests
+
+# The traffic-map ratchet, by hand (~3 min; too slow for CI): every CI
+# command but the test suites runs under a profile hook, and the
+# src/repro functions none of them enters must equal docs/unreached.txt
+# — a newly unreached function or a stale line fails.  Regenerate the
+# file, reasons kept, with `python3 scripts/traffic_map.py --write`.
+unreached:
+	python3 scripts/traffic_map.py --check
 
 # Regenerate the derived docs (the collective registry reference and
 # the benchmarks index).

@@ -13,7 +13,8 @@ from repro import run_spmd
 
 def make_program(payload_size):
     def main(env):
-        # mpi4py-style API; blocking calls use `yield from`.
+        # one lowercase call per MPI operation; blocking calls use
+        # `yield from`.
         data = bytes(payload_size) if env.rank == 0 else None
         t0 = env.now
         data = yield from env.comm.bcast(data, root=0)

@@ -190,10 +190,6 @@ def _run_case(area: str, scale: str, family: str, axes: dict,
     return metrics
 
 
-def _run_case_star(args) -> dict:
-    return _run_case(*args)
-
-
 def run_area(area: str, scale: str = "gate",
              base_seed: int = DEFAULT_BASE_SEED,
              workers: Optional[int] = None,
@@ -231,7 +227,7 @@ def run_area(area: str, scale: str = "gate",
         with futures.ProcessPoolExecutor(
                 max_workers=min(workers, len(cases)),
                 mp_context=ctx) as pool:
-            results = list(pool.map(_run_case_star, args))
+            results = list(pool.map(_run_case, *zip(*args)))
     else:
         results = [_run_case(*a) for a in args]
 

@@ -35,9 +35,8 @@ from .ordering import (UnsafeScheduleError, check_safe_schedule,
 from .rounds import (Reassembler, Segment, chunk_plan, frame_segment_bytes,
                      reassemble, repair_batch, round_drain_timeout_us,
                      round_namespace, stream_rounds)
-from .scout import (answer, binary_tree_steps, scout_count,
-                    scout_gather_binary, scout_gather_linear,
-                    scout_scatter_binary)
+from .scout import (answer, binary_tree_steps, scout_gather_binary,
+                    scout_gather_linear, scout_scatter_binary)
 from .segment import (TransportPlan, allgather_mcast_seg_paced,
                       auto_batch, bcast_mcast_seg_nack, check_scatter_root,
                       fragment, gather_mcast_seg_root_follow, plan_segments,
@@ -58,7 +57,7 @@ __all__ = [
     "gather_mcast_seg_root_follow", "plan_segments", "plan_transport",
     "reassemble", "reduce_mcast_seg_combine", "repair_batch",
     "round_drain_timeout_us", "round_namespace", "run_bcast_sequence",
-    "run_streams", "scatter_mcast_seg_root", "scout_count", "scout_gather_binary",
+    "run_streams", "scatter_mcast_seg_root", "scout_gather_binary",
     "scout_gather_linear", "scout_scatter_binary",
     "seg_nack_datagram_count", "seg_nack_frame_count", "step_streams",
     "stream_rounds",

@@ -46,14 +46,7 @@ from .channel import SCOUT_BYTES
 
 __all__ = ["answer", "scout_gather_binary", "scout_gather_linear",
            "scout_scatter_binary", "report_fold_binary",
-           "binary_tree_steps", "scout_count"]
-
-
-def scout_count(n: int) -> int:
-    """Scouts sent by either gather for ``n`` ranks (the paper's N-1)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return n - 1
+           "binary_tree_steps"]
 
 
 def binary_tree_steps(n: int) -> int:

@@ -5,23 +5,18 @@ table answers "which algorithm?" once per communicator; real MPI
 libraries answer it **per call**, from the message size, the process
 count, and the machine (MPICH's size-thresholded algorithm tables; the
 topology-aware multilevel selection of Karonis & de Supinski).  This
-module is that policy layer:
-
-* ``comm.use_collectives(bcast="auto")`` marks an op for per-call
-  resolution; :func:`resolve_auto` then picks among the op's
-  :func:`candidates` each time the collective is invoked: the
-  implementations registered with a whole-call fold — its flat
-  segmented-multicast implementation (``"flat"``), on a multi-segment
-  fabric the hierarchical ``hier-mcast`` family (``"hier"``,
-  :mod:`repro.mpi.collective.hier`), and its p2p baseline (``"p2p"``).
-  A composite op (:data:`~repro.mpi.collective.registry.COMPOSITIONS`)
-  is offered its parts' own picks instead of its rows.  Every
-  registered op not in :data:`POLICY_WAIVERS` is :func:`auto_capable`;
-  nothing here names an implementation;
-* :meth:`~repro.mpi.communicator.Communicator.set_collective_policy`
-  installs a *hook* that replaces the static table wholesale — it sees
-  every call once and may return any registered name (or ``"auto"`` to
-  fall through to the payload-aware resolution).
+module is that policy layer.  ``comm.use_collectives(bcast="auto")``
+marks an op for per-call resolution; :func:`resolve_auto` then picks
+among the op's :func:`candidates` each time the collective is invoked:
+the implementations registered with a whole-call fold — its flat
+segmented-multicast implementation (``"flat"``), on a multi-segment
+fabric the hierarchical ``hier-mcast`` family (``"hier"``,
+:mod:`repro.mpi.collective.hier`), and its p2p baseline (``"p2p"``).  A
+composite op (:data:`~repro.mpi.collective.registry.COMPOSITIONS`) is
+offered its parts' own picks instead of its rows.  Every registered op
+not in :data:`POLICY_WAIVERS` is :func:`auto_capable`
+(``use_collectives`` rejects ``"auto"`` for any other op); nothing here
+names an implementation.
 
 The decision metric generalizes the paper's §3 currency: **modeled
 serializations** — closed-form Ethernet frame counts.  Every candidate
@@ -292,12 +287,6 @@ def resolve_auto(comm, op: str, args: tuple) -> Generator:
     ``"+"``-joined parts — (see module docstring for how consistency is
     guaranteed per op).
     """
-    if op not in REGISTRY or op in POLICY_WAIVERS:   # auto_capable(op)
-        # raise identically on every rank BEFORE any traffic: a policy
-        # hook returning "auto" for an op without a policy must fail
-        # loudly and symmetrically, not strand the non-root ranks in
-        # the announcement wait
-        raise no_policy(op)
     size = comm.size
     params = comm.host.params
     if size < 2:

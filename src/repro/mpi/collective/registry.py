@@ -52,8 +52,7 @@ a tier-1 test and the CI docs job diff it so it can never go stale.
 :data:`DEFAULTS` is the *static* per-op table a fresh communicator
 starts from; the per-call policy layer
 (:mod:`repro.mpi.collective.policy`) supersedes it wherever an op is set
-to ``"auto"`` or a selection hook is installed with
-``comm.set_collective_policy``.
+to ``"auto"``.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 """Communicators: rank groups, context ids, and the user-facing MPI API.
 
-The API follows the mpi4py conventions from the guides — ``Get_rank`` /
-``Get_size``, lowercase methods for generic Python objects, uppercase
-methods for NumPy buffers — except that, because ranks are simulated
-processes, every blocking call is a generator used with ``yield from``::
+One spelling per MPI call: ``comm.rank`` / ``comm.size`` and one
+lowercase method per operation, taking any Python object or NumPy array
+(sized by :func:`~repro.mpi.datatypes.payload_bytes`).  Because ranks are
+simulated processes, every blocking call is a generator used with
+``yield from``::
 
     def main(env):
         comm = env.comm
@@ -26,11 +27,8 @@ from __future__ import annotations
 
 from typing import Any, Generator, Optional, Sequence
 
-import numpy as np
-
 from ..simnet.host import Host
-from .collective.policy import (AUTO, POLICY_WAIVERS, no_policy,
-                                resolve_auto)
+from .collective.policy import AUTO, POLICY_WAIVERS, no_policy, resolve_auto
 from .collective.registry import DEFAULTS, REGISTRY, compose, get_impl
 from .datatypes import payload_bytes
 from .ops import Op
@@ -55,7 +53,6 @@ class Communicator:
         self.host: Host = self.endpoint.host
         self.sim = self.host.sim
         self._impls = dict(DEFAULTS)
-        self._policy = None
         self._mcast = None
         #: lazily-built hierarchy state (the topology digest and the
         #: per-segment/leaders multicast sub-channels) for the
@@ -89,12 +86,6 @@ class Communicator:
     @property
     def size(self) -> int:
         return len(self.ranks)
-
-    def Get_rank(self) -> int:
-        return self.rank
-
-    def Get_size(self) -> int:
-        return self.size
 
     def addr_of(self, rank: int) -> int:
         """Host address of a rank (the device-level destination)."""
@@ -130,24 +121,8 @@ class Communicator:
             self._impls[op] = name
         return self
 
-    def set_collective_policy(self, policy) -> "Communicator":
-        """Install a per-call selection hook replacing the static table.
-
-        ``policy(comm, op, name, args) -> impl name`` sees every
-        collective call once, with the statically configured ``name``
-        and the call's positional args; whatever registered name it
-        returns is dispatched (``"auto"`` falls through to the
-        payload-aware resolution).  A composite's parts are called, not
-        dispatched: the hook never sees them.  ``None`` removes the
-        hook.  Returns self.
-        """
-        self._policy = policy
-        return self
-
     def _dispatch(self, op: str, *args) -> Generator:
         name = self._impls[op]
-        if self._policy is not None:
-            name = self._policy(self, op, name, args)
         if name == AUTO:
             name = yield from resolve_auto(self, op, args)
             impl = REGISTRY[op].get(name)
@@ -254,16 +229,6 @@ class Communicator:
             self._check_rank(source)
         return self.endpoint.iprobe(self.ctx_pt2pt, source, tag)
 
-    # -- buffer-based p2p (uppercase, mpi4py-style) -------------------------
-    def Send(self, buf: np.ndarray, dest: int, tag: int = 0) -> Generator:
-        yield from self.send(np.array(buf, copy=True), dest, tag)
-
-    def Recv(self, buf: np.ndarray, source: int = ANY_SOURCE,
-             tag: int = ANY_TAG,
-             status: Optional[Status] = None) -> Generator:
-        data = yield from self.recv(source, tag, status)
-        buf[...] = data
-
     # ------------------------------------------------------------------
     # collective-context p2p used by algorithm implementations
     # ------------------------------------------------------------------
@@ -292,7 +257,7 @@ class Communicator:
         return data
 
     # ------------------------------------------------------------------
-    # collectives — lowercase (generic objects)
+    # collectives
     # ------------------------------------------------------------------
     # Each entry returns _dispatch's generator itself: the caller's
     # ``yield from`` drives it with no frame of ours in between.
@@ -337,50 +302,6 @@ class Communicator:
         return self._dispatch("reduce_scatter", objs, op)
 
     # ------------------------------------------------------------------
-    # collectives — uppercase (NumPy buffers)
-    # ------------------------------------------------------------------
-    def Bcast(self, buf: np.ndarray, root: int = 0) -> Generator:
-        if self.rank == root:
-            yield from self.bcast(np.array(buf, copy=True), root)
-        else:
-            data = yield from self.bcast(None, root)
-            buf[...] = data
-
-    def Barrier(self) -> Generator:
-        yield from self.barrier()
-
-    def Reduce(self, sendbuf: np.ndarray, recvbuf: Optional[np.ndarray],
-               op: Op, root: int = 0) -> Generator:
-        result = yield from self.reduce(np.array(sendbuf, copy=True),
-                                        op, root)
-        if self.rank == root:
-            recvbuf[...] = result
-
-    def Allreduce(self, sendbuf: np.ndarray, recvbuf: np.ndarray,
-                  op: Op) -> Generator:
-        result = yield from self.allreduce(np.array(sendbuf, copy=True), op)
-        recvbuf[...] = result
-
-    def Gather(self, sendbuf: np.ndarray, recvbuf: Optional[np.ndarray],
-               root: int = 0) -> Generator:
-        parts = yield from self.gather(np.array(sendbuf, copy=True), root)
-        if self.rank == root:
-            recvbuf[...] = np.stack(parts)
-
-    def Scatter(self, sendbuf: Optional[np.ndarray], recvbuf: np.ndarray,
-                root: int = 0) -> Generator:
-        parts = None
-        if self.rank == root:
-            parts = [np.array(row, copy=True) for row in sendbuf]
-        mine = yield from self.scatter(parts, root)
-        recvbuf[...] = mine
-
-    def Allgather(self, sendbuf: np.ndarray,
-                  recvbuf: np.ndarray) -> Generator:
-        parts = yield from self.allgather(np.array(sendbuf, copy=True))
-        recvbuf[...] = np.stack(parts)
-
-    # ------------------------------------------------------------------
     # communicator construction
     # ------------------------------------------------------------------
     def dup(self) -> Generator:
@@ -392,7 +313,6 @@ class Communicator:
         ctx = yield from self._dispatch("bcast", ctx, 0)
         new = Communicator(self.world, ctx, self.rank, self.ranks)
         new._impls = dict(self._impls)
-        new._policy = self._policy
         yield from new._setup()
         return new
 
@@ -417,7 +337,6 @@ class Communicator:
         ctx = base + colors.index(color)
         new = Communicator(self.world, ctx, my_new_rank, new_ranks)
         new._impls = dict(self._impls)
-        new._policy = self._policy
         yield from new._setup()
         return new
 

@@ -1,65 +1,22 @@
-"""MPI datatypes and message-size accounting.
+"""Message-size accounting.
 
-Follows the mpi4py convention the guides describe: **lowercase** methods
-move generic Python objects (sized by their pickle), **uppercase** methods
-move buffer-like objects (NumPy arrays) with an explicit
-:class:`Datatype`.  Inside the simulator neither path serializes real
-bytes — only the *size* matters for timing — but sizes are computed
-exactly the way a real implementation would see them.
+Inside the simulator no payload is serialized — only the *size* matters
+for timing — but sizes are computed exactly the way a real MPI library
+would see them: NumPy arrays by their buffer, anything else by its
+pickle.
 """
 
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-__all__ = [
-    "Datatype", "BYTE", "CHAR", "INT", "LONG", "FLOAT", "DOUBLE",
-    "COMPLEX", "BOOL", "Bundle", "BUNDLE_LENGTH_BYTES", "payload_bytes",
-    "datatype_of",
-]
+__all__ = ["Bundle", "BUNDLE_LENGTH_BYTES", "payload_bytes"]
 
 #: the length prefix each element of a :class:`Bundle` carries
 BUNDLE_LENGTH_BYTES = 4
-
-
-@dataclass(frozen=True)
-class Datatype:
-    """An MPI basic datatype: a name and an element size in bytes."""
-
-    name: str
-    size: int
-    np_dtype: str
-
-    def __repr__(self) -> str:
-        return f"MPI.{self.name}"
-
-
-BYTE = Datatype("BYTE", 1, "u1")
-CHAR = Datatype("CHAR", 1, "S1")
-INT = Datatype("INT", 4, "i4")
-LONG = Datatype("LONG", 8, "i8")
-FLOAT = Datatype("FLOAT", 4, "f4")
-DOUBLE = Datatype("DOUBLE", 8, "f8")
-COMPLEX = Datatype("COMPLEX", 16, "c16")
-BOOL = Datatype("BOOL", 1, "?")
-
-_NP_TO_DT = {
-    "uint8": BYTE, "int32": INT, "int64": LONG,
-    "float32": FLOAT, "float64": DOUBLE, "complex128": COMPLEX,
-    "bool": BOOL,
-}
-
-
-def datatype_of(array: np.ndarray) -> Datatype:
-    """Automatic datatype discovery for a NumPy array (mpi4py-style)."""
-    dt = _NP_TO_DT.get(array.dtype.name)
-    if dt is None:
-        raise TypeError(f"no MPI datatype for NumPy dtype {array.dtype}")
-    return dt
 
 
 class Bundle(dict):

@@ -1,8 +1,7 @@
 """MPI reduction operations.
 
-Each :class:`Op` carries a binary callable used two ways, mirroring
-mpi4py: on the lowercase path it combines whole Python objects; on the
-uppercase path it combines NumPy arrays elementwise.  All built-in ops are
+Each :class:`Op` carries one binary callable: it combines whole Python
+objects, and NumPy arrays elementwise.  All built-in ops are
 associative (MPI requirement); commutativity is flagged because tree
 reductions may only reorder operands for commutative ops.
 """

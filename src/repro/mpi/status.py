@@ -1,4 +1,4 @@
-"""MPI Status and Request objects (mpi4py-flavoured)."""
+"""MPI Status and Request objects, and ``waitall``."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from typing import Any, Generator, Optional
 
 from ..simnet.kernel import Event
 
-__all__ = ["Status", "Request", "ANY_SOURCE", "ANY_TAG"]
+__all__ = ["Status", "Request", "ANY_SOURCE", "ANY_TAG", "waitall"]
 
 #: wildcard source rank for receives
 ANY_SOURCE = -1
@@ -22,15 +22,6 @@ class Status:
     source: int = ANY_SOURCE
     tag: int = ANY_TAG
     count: int = 0
-
-    def Get_source(self) -> int:
-        return self.source
-
-    def Get_tag(self) -> int:
-        return self.tag
-
-    def Get_count(self) -> int:
-        return self.count
 
 
 @dataclass
@@ -69,38 +60,3 @@ def waitall(reqs: list[Request]) -> Generator:
         results.append((yield from req.wait()))
     return results
 
-
-def waitany(reqs: list[Request]) -> Generator:
-    """``index, data = yield from waitany(reqs)`` — wait for the first.
-
-    Returns the index of the completed request and its data.  The other
-    requests remain valid and can be waited on later.
-    """
-    if not reqs:
-        raise ValueError("waitany needs at least one request")
-    sim = None
-    for req in reqs:
-        done, data = req.test()
-        if done:
-            return reqs.index(req), data
-        sim = req.event.sim
-    yield sim.any_of([r.event for r in reqs])
-    for i, req in enumerate(reqs):
-        done, data = req.test()
-        if done:
-            return i, data
-    raise AssertionError("any_of fired but no request completed")
-
-
-def waitsome(reqs: list[Request]) -> Generator:
-    """``pairs = yield from waitsome(reqs)`` — all currently-completable
-    requests (at least one): list of (index, data) pairs."""
-    first_idx, first_data = yield from waitany(reqs)
-    out = [(first_idx, first_data)]
-    for i, req in enumerate(reqs):
-        if i == first_idx:
-            continue
-        done, data = req.test()
-        if done:
-            out.append((i, data))
-    return out

@@ -55,10 +55,6 @@ class CallRecord:
         #: per-phase sim-time of hierarchical plans, label -> µs
         self.phase_us: dict = {}
 
-    @property
-    def elapsed_us(self) -> float:
-        return self.t1 - self.t0
-
     def as_dict(self) -> dict:
         """The finalized, deterministic record (plain JSON types)."""
         return {

@@ -13,8 +13,8 @@ from .fabric import Fabric, FabricSpec, PartitionError, parse_topology
 from .frame import BROADCAST, Frame, is_multicast, mcast_mac, wire_bytes
 from .host import Host
 from .ip import Datagram, GroupAllocator, fragment_sizes, is_group_addr
-from .kernel import (AllOf, AnyOf, DeadlockError, Event, Interrupt, Process,
-                     SimError, Simulator, Timeout)
+from .kernel import (DeadlockError, Event, Interrupt, Process, SimError,
+                     Simulator, Timeout)
 from .link import FullLink, HalfLink
 from .medium import ExcessiveCollisions, SharedMedium
 from .nic import Nic
@@ -26,7 +26,7 @@ from .trace import RecorderHooks
 from .udp import SocketClosed, UdpSocket
 
 __all__ = [
-    "AllOf", "AnyOf", "BROADCAST", "Cluster", "Datagram", "DeadlockError",
+    "BROADCAST", "Cluster", "Datagram", "DeadlockError",
     "Event", "ExcessiveCollisions", "FAST_ETHERNET_HUB",
     "FAST_ETHERNET_SWITCH", "Fabric", "FabricSpec", "Frame", "FullLink",
     "GroupAllocator", "HalfLink", "Host", "Interrupt", "NetParams",

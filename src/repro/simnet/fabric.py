@@ -139,11 +139,6 @@ class FabricSpec:
     def n(self) -> int:
         return sum(self.leaf_sizes)
 
-    @property
-    def depth(self) -> int:
-        """Switch tiers below the core (1 = the two-tier fabric)."""
-        return len(self.branching)
-
     def leaf_paths(self) -> list[tuple]:
         """Tree path (child indices from the core) of every leaf, in
         segment order."""
@@ -345,11 +340,6 @@ class Fabric:
     @property
     def nsegments(self) -> int:
         return len(self._paths)
-
-    @property
-    def depth(self) -> int:
-        """Deepest switch tier below the core (1 = two-tier)."""
-        return max((len(p) for p in self._paths), default=0)
 
     def segment_of(self, addr: int) -> int:
         """Segment id of a host address."""

@@ -25,7 +25,7 @@ Typical use::
     assert proc.value == "ping"
 
 A wait with a deadline keeps one re-armable :class:`Timer` and yields
-the awaited event itself (no ``Timeout`` + ``AnyOf`` pair per wait)::
+the awaited event itself (no ``Timeout`` racing it per wait)::
 
     timer = sim.timer(sock.expire_recv)     # fn(*args) runs at the deadline
     try:
@@ -64,7 +64,7 @@ whose ranks wait on messages that never arrive.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 __all__ = [
     "Simulator",
@@ -72,8 +72,6 @@ __all__ = [
     "Timeout",
     "Timer",
     "Process",
-    "AnyOf",
-    "AllOf",
     "SimError",
     "DeadlockError",
     "Interrupt",
@@ -359,58 +357,6 @@ class Process(Event):
         target.add_callback(self._resume)
 
 
-class _Condition(Event):
-    """Shared machinery for :class:`AnyOf` / :class:`AllOf`."""
-
-    __slots__ = ("events", "_n_needed", "_n_done")
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event], n_needed: int):
-        super().__init__(sim)
-        self.events = list(events)
-        if not self.events:
-            raise ValueError("condition requires at least one event")
-        self._n_needed = min(n_needed, len(self.events))
-        self._n_done = 0
-        for ev in self.events:
-            ev.add_callback(self._check)
-
-    def _check(self, ev: Event) -> None:
-        if self._triggered:
-            return
-        if not ev.ok:
-            self.fail(ev._value)
-            return
-        self._n_done += 1
-        if self._n_done >= self._n_needed:
-            self.succeed(self._collect())
-
-    def _collect(self) -> dict[Event, Any]:
-        # Only *processed* events count: a Timeout is "triggered" from
-        # birth (its value is known), but it has not happened until its
-        # due time passes and callbacks run.
-        return {ev: ev._value for ev in self.events
-                if ev.processed and ev.ok}
-
-
-class AnyOf(_Condition):
-    """Fires when *any* of the given events fires; value = {event: value}."""
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim, events, n_needed=1)
-
-
-class AllOf(_Condition):
-    """Fires when *all* of the given events have fired."""
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        evs = list(events)
-        super().__init__(sim, evs, n_needed=len(evs))
-
-
 class Simulator:
     """The event loop: one binary heap of ``(due, seq, fn, args)`` records.
 
@@ -472,12 +418,6 @@ class Simulator:
         :class:`DeadlockError` when the heap drains.
         """
         return Process(self, gen, name, daemon=daemon)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
 
     def schedule_call(self, delay: float, fn: Callable, *args: Any) -> None:
         """Call ``fn(*args)`` after ``delay`` µs.

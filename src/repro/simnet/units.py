@@ -35,13 +35,3 @@ def bytes_to_us(nbytes: int | float, rate_mbps: float) -> float:
     if nbytes < 0:
         raise ValueError(f"nbytes must be non-negative, got {nbytes!r}")
     return nbytes / rate_bytes_per_us(rate_mbps)
-
-
-def us_to_ms(us: float) -> float:
-    """Convert microseconds to milliseconds."""
-    return us / 1000.0
-
-
-def kb(n: float) -> int:
-    """``n`` kilobytes (decimal, as the paper's axis labels use) in bytes."""
-    return int(n * 1000)

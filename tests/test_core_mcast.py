@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.framecount import paper_mcast_barrier_messages
-from repro.core.scout import binary_tree_steps, scout_count
+from repro.core.scout import binary_tree_steps
 from repro.runtime import FixedSkew, run_spmd
 from repro.simnet import quiet
 from repro.simnet.calibration import (FAST_ETHERNET_HUB,
@@ -18,10 +18,6 @@ RELIABLE = SCOUTED + ["mcast-ack", "mcast-sequencer"]
 
 
 # ---------------------------------------------------------------- formulas
-def test_scout_count_is_n_minus_1():
-    assert [scout_count(n) for n in (1, 2, 7, 9)] == [0, 1, 6, 8]
-
-
 def test_binary_tree_steps_is_ceil_log2():
     assert [binary_tree_steps(n) for n in (1, 2, 3, 4, 7, 8, 9)] \
         == [0, 1, 2, 2, 3, 3, 4]

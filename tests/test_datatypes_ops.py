@@ -1,28 +1,9 @@
-"""Datatypes, payload sizing and reduction operators."""
+"""Payload sizing and reduction operators."""
 
 import numpy as np
-import pytest
 
-from repro.mpi import (BAND, BOR, BYTE, DOUBLE, INT, LAND, LOR, MAX,
-                       MAXLOC, MIN, MINLOC, PROD, SUM, datatype_of,
-                       payload_bytes)
-
-
-def test_basic_datatype_sizes():
-    assert INT.size == 4
-    assert DOUBLE.size == 8
-    assert BYTE.size == 1
-
-
-def test_datatype_of_numpy():
-    assert datatype_of(np.zeros(3, dtype=np.int32)) is INT
-    assert datatype_of(np.zeros(3, dtype=np.float64)) is DOUBLE
-    assert datatype_of(np.zeros(3, dtype=np.uint8)) is BYTE
-
-
-def test_datatype_of_unsupported():
-    with pytest.raises(TypeError):
-        datatype_of(np.zeros(3, dtype=np.float16))
+from repro.mpi import (BAND, BOR, LAND, LOR, MAX, MAXLOC, MIN, MINLOC, PROD,
+                       SUM, payload_bytes)
 
 
 def test_payload_bytes_buffers_exact():
@@ -76,7 +57,6 @@ def test_maxloc_minloc_tie_breaks_to_lower_index():
 
 def test_ops_repr():
     assert repr(SUM) == "MPI.SUM"
-    assert repr(INT) == "MPI.INT"
 
 
 def test_ops_are_associative_spotcheck():

@@ -20,7 +20,7 @@ AUTO = quiet(replace(FAST_ETHERNET_SWITCH, segment_bytes="auto"))
 def test_parse_topology_deep_and_heterogeneous():
     deep = parse_topology("tree:2x2x2")
     assert deep == FabricSpec(4, 2, branching=(2, 2))
-    assert deep.n == 8 and deep.depth == 2
+    assert deep.n == 8 and len(deep.branching) == 2
     assert deep.leaf_paths() == [(0, 0), (0, 1), (1, 0), (1, 1)]
     het = parse_topology("tree:[4,8,2]")
     assert het.segments == 3 and het.leaf_sizes == (4, 8, 2)
@@ -52,7 +52,7 @@ def test_path_trunk_hops():
 def test_deep_cluster_discovery_api():
     cluster = build_cluster(8, topology="tree:2x2x2", params=QUIET)
     assert cluster.nsegments == 4
-    assert cluster.fabric.depth == 2
+    assert {len(cluster.segment_path(s)) for s in range(4)} == {2}
     seg_of = [cluster.segment_of(a) for a in range(8)]
     assert seg_of == [0, 0, 1, 1, 2, 2, 3, 3]
     assert cluster.segment_path(0) == (0, 0)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.simnet.frame import (BROADCAST, ETH_MIN_PAYLOAD, ETH_OVERHEAD,
                                 Frame, is_multicast, mcast_mac, wire_bytes)
-from repro.simnet.units import bytes_to_us, kb, rate_bytes_per_us, us_to_ms
+from repro.simnet.units import bytes_to_us, rate_bytes_per_us
 
 
 def test_rate_bytes_per_us_fast_ethernet():
@@ -26,15 +26,6 @@ def test_bad_rate_rejected():
 def test_negative_bytes_rejected():
     with pytest.raises(ValueError):
         bytes_to_us(-1, 100)
-
-
-def test_kb_is_decimal():
-    assert kb(5) == 5000
-    assert kb(1.5) == 1500
-
-
-def test_us_to_ms():
-    assert us_to_ms(1500.0) == 1.5
 
 
 def test_wire_bytes_pads_small_frames():

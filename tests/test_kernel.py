@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simnet.kernel import (AllOf, AnyOf, DeadlockError, Event,
-                                 Interrupt, SimError, Simulator, Timeout,
-                                 Timer)
+from repro.simnet.kernel import (DeadlockError, Event, Interrupt, SimError,
+                                 Simulator, Timeout, Timer)
 
 
 def test_timeout_advances_clock():
@@ -165,43 +164,6 @@ def test_run_until_stops_the_clock():
 
     sim.process(ticker(), daemon=True)
     assert sim.run(until=35.0) == 35.0
-
-
-def test_any_of_fires_on_first():
-    sim = Simulator()
-    order = []
-
-    def proc():
-        fast = sim.timeout(1.0, value="fast")
-        slow = sim.timeout(5.0, value="slow")
-        fired = yield sim.any_of([fast, slow])
-        order.append((sim.now, list(fired.values())))
-
-    sim.process(proc())
-    sim.run()
-    assert order == [(1.0, ["fast"])]
-
-
-def test_all_of_waits_for_every_event():
-    sim = Simulator()
-    done_at = []
-
-    def proc():
-        evs = [sim.timeout(t) for t in (3.0, 1.0, 2.0)]
-        yield sim.all_of(evs)
-        done_at.append(sim.now)
-
-    sim.process(proc())
-    sim.run()
-    assert done_at == [3.0]
-
-
-def test_condition_requires_events():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        AnyOf(sim, [])
-    with pytest.raises(ValueError):
-        AllOf(sim, [])
 
 
 def test_tie_break_is_insertion_order():

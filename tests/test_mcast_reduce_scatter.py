@@ -189,14 +189,13 @@ def test_seg_scatter_nonzero_root_and_opaque_elements():
     assert result.returns == [True] * 4
 
 
-def test_seg_scatter_numpy_rows_via_uppercase_api():
+def test_seg_scatter_numpy_rows():
     def main(env):
         env.comm.use_collectives(scatter="mcast-seg-root")
-        send = None
+        rows = None
         if env.rank == 0:
-            send = np.arange(4 * 500, dtype=np.float64).reshape(4, 500)
-        recv = np.empty(500, dtype=np.float64)
-        yield from env.comm.Scatter(send, recv, 0)
+            rows = list(np.arange(4 * 500, dtype=np.float64).reshape(4, 500))
+        recv = yield from env.comm.scatter(rows, 0)
         return bool(np.all(recv == np.arange(500) + env.rank * 500))
 
     result = run_spmd(4, main, params=QUIET)

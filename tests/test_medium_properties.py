@@ -111,27 +111,3 @@ def test_kernel_event_order_is_time_order(delays):
     assert [d for d, _i in fired] == sorted(d for d in delays)
     # ties keep insertion order
     assert fired == sorted(fired, key=lambda pair: (pair[0], pair[1]))
-
-
-@settings(max_examples=30, **COMMON)
-@given(
-    n_events=st.integers(min_value=1, max_value=8),
-    fire_at=st.lists(st.floats(min_value=0.1, max_value=50.0),
-                     min_size=8, max_size=8),
-)
-def test_any_of_fires_at_minimum_all_of_at_maximum(n_events, fire_at):
-    sim = Simulator()
-    times = fire_at[:n_events]
-    evs_any = [sim.timeout(t) for t in times]
-    evs_all = [sim.timeout(t) for t in times]
-    moments = {}
-
-    def waiter(cond, key):
-        yield cond
-        moments[key] = sim.now
-
-    sim.process(waiter(sim.any_of(evs_any), "any"))
-    sim.process(waiter(sim.all_of(evs_all), "all"))
-    sim.run()
-    assert moments["any"] == min(times)
-    assert moments["all"] == max(times)

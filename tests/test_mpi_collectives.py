@@ -1,5 +1,7 @@
 """MPICH-style (p2p) collective algorithm correctness tests."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -249,12 +251,11 @@ def test_scan(n):
     assert result.returns == [sum(range(1, r + 2)) for r in range(n)]
 
 
-# ---------------------------------------------------------------- buffers
+# ---------------------------------------------------------------- ndarrays
 def test_Bcast_numpy():
     def main(env):
-        buf = (np.arange(50, dtype=np.float64) if env.rank == 0
-               else np.empty(50, dtype=np.float64))
-        yield from env.comm.Bcast(buf, root=0)
+        buf = np.arange(50, dtype=np.float64) if env.rank == 0 else None
+        buf = yield from env.comm.bcast(buf, root=0)
         return float(buf.sum())
 
     result = run_spmd(4, main, params=QUIET)
@@ -264,27 +265,25 @@ def test_Bcast_numpy():
 def test_Reduce_Allreduce_numpy_elementwise():
     def main(env):
         send = np.full(8, env.rank, dtype=np.int64)
-        recv = np.empty(8, dtype=np.int64)
-        yield from env.comm.Allreduce(send, recv, SUM)
-        return recv.tolist()
+        prod = yield from env.comm.reduce(send + 1, PROD, root=0)
+        total = yield from env.comm.allreduce(send, SUM)
+        return (None if prod is None else prod.tolist()), total.tolist()
 
     n = 5
     result = run_spmd(n, main, params=QUIET)
-    assert result.returns == [[n * (n - 1) // 2] * 8] * n
+    assert result.returns[0][0] == [math.factorial(n)] * 8
+    assert [prod for prod, _ in result.returns[1:]] == [None] * (n - 1)
+    assert [total for _, total in result.returns] == \
+        [[n * (n - 1) // 2] * 8] * n
 
 
 def test_Gather_Scatter_numpy():
     def main(env):
-        n = env.size
         send = np.full(4, env.rank, dtype=np.int32)
-        recv = np.empty((n, 4), dtype=np.int32) if env.rank == 0 else None
-        yield from env.comm.Gather(send, recv, root=0)
+        rows = yield from env.comm.gather(send, root=0)
         if env.rank == 0:
-            out = np.empty(4, dtype=np.int32)
-            yield from env.comm.Scatter(recv * 2, out, root=0)
-            return out.tolist()
-        out = np.empty(4, dtype=np.int32)
-        yield from env.comm.Scatter(None, out, root=0)
+            rows = list(np.stack(rows) * 2)
+        out = yield from env.comm.scatter(rows, root=0)
         return out.tolist()
 
     result = run_spmd(3, main, params=QUIET)

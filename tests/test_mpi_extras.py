@@ -1,8 +1,8 @@
-"""exscan, reduce_scatter, iprobe, waitany/waitsome."""
+"""exscan, reduce_scatter, iprobe, waitall."""
 
 import pytest
 
-from repro.mpi import SUM, waitall, waitany, waitsome
+from repro.mpi import SUM, waitall
 from repro.runtime import run_spmd
 from repro.simnet import quiet
 from repro.simnet.calibration import FAST_ETHERNET_SWITCH
@@ -61,7 +61,7 @@ def test_iprobe_sees_unexpected_then_recv_consumes():
         empty = env.comm.iprobe(source=0, tag=99)
         data = yield from env.comm.recv(source=0, tag=7)
         after = env.comm.iprobe(source=0, tag=7)
-        return (status.Get_source(), status.Get_count() > 0, empty,
+        return (status.source, status.count > 0, empty,
                 data, after)
 
     result = run_spmd(2, main, params=QUIET)
@@ -70,59 +70,15 @@ def test_iprobe_sees_unexpected_then_recv_consumes():
     assert data == "probe-me" and after is None
 
 
-def test_waitany_returns_first_completion():
+
+def test_waitall_returns_data_in_request_order():
     def main(env):
         if env.rank == 0:
             reqs = [env.comm.irecv(source=1, tag=t) for t in (1, 2, 3)]
-            idx, data = yield from waitany(reqs)
-            rest = yield from waitall([r for i, r in enumerate(reqs)
-                                       if i != idx])
-            return (idx, data, sorted(rest))
-        yield env.sim.timeout(500.0)
+            return (yield from waitall(reqs))
         yield from env.comm.send("second", dest=0, tag=2)   # tag 2 first
-        yield env.sim.timeout(500.0)
         yield from env.comm.send("first", dest=0, tag=1)
         yield from env.comm.send("third", dest=0, tag=3)
 
     result = run_spmd(2, main, params=QUIET)
-    idx, data, rest = result.returns[0]
-    assert (idx, data) == (1, "second")
-    assert rest == ["first", "third"]
-
-
-def test_waitany_already_complete_returns_immediately():
-    def main(env):
-        if env.rank == 0:
-            yield from env.comm.send("x", dest=1, tag=0)
-            return None
-        yield env.sim.timeout(2000.0)
-        req = env.comm.irecv(source=0, tag=0)
-        # drain it first so it's already complete
-        data = yield from req.wait()
-        idx, same = yield from waitany([req])
-        return (idx, data, same)
-
-    result = run_spmd(2, main, params=QUIET)
-    assert result.returns[1] == (0, "x", "x")
-
-
-def test_waitany_empty_rejected():
-    def main(env):
-        with pytest.raises(ValueError):
-            yield from waitany([])
-
-    run_spmd(1, main, params=QUIET)
-
-
-def test_waitsome_collects_simultaneous_completions():
-    def main(env):
-        if env.rank == 0:
-            reqs = [env.comm.irecv(source=1, tag=t) for t in (1, 2)]
-            yield env.sim.timeout(5000.0)   # let both arrive + match
-            pairs = yield from waitsome(reqs)
-            return sorted(pairs)
-        yield from env.comm.send("a", dest=0, tag=1)
-        yield from env.comm.send("b", dest=0, tag=2)
-
-    result = run_spmd(2, main, params=QUIET)
-    assert result.returns[0] == [(0, "a"), (1, "b")]
+    assert result.returns[0] == ["first", "second", "third"]

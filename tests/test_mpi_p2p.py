@@ -50,7 +50,7 @@ def test_any_source_any_tag():
                 status = Status()
                 data = yield from env.comm.recv(source=ANY_SOURCE,
                                                 tag=ANY_TAG, status=status)
-                got.append((data, status.Get_source(), status.Get_tag()))
+                got.append((data, status.source, status.tag))
             return sorted(got)
         else:
             yield env.sim.timeout(env.rank * 50.0)
@@ -153,10 +153,9 @@ def test_buffer_api_send_recv():
     def main(env):
         if env.rank == 0:
             buf = np.arange(100, dtype=np.int32)
-            yield from env.comm.Send(buf, dest=1, tag=3)
+            yield from env.comm.send(buf, dest=1, tag=3)
         else:
-            buf = np.empty(100, dtype=np.int32)
-            yield from env.comm.Recv(buf, source=0, tag=3)
+            buf = yield from env.comm.recv(source=0, tag=3)
             return int(buf.sum())
 
     result = run_spmd(2, main, params=QUIET)

@@ -29,8 +29,8 @@ def test_run_spmd_rejects_zero_ranks():
 def test_env_identity_fields():
     def main(env):
         yield env.sim.timeout(0.0)
-        return (env.rank, env.size, env.comm.Get_rank(),
-                env.comm.Get_size(), env.host.addr)
+        return (env.rank, env.size, env.comm.rank, env.comm.size,
+                env.host.addr)
 
     result = run_spmd(3, main, params=QUIET)
     for r, got in enumerate(result.returns):

@@ -455,7 +455,7 @@ def test_cpu_held_at_fill_queues_behind_the_holder():
     assert not h1.cpu.held
 
 
-@pytest.mark.parametrize("waiter", ["any_of", "callback"])
+@pytest.mark.parametrize("waiter", ["process", "callback"])
 def test_foreign_waiter_is_never_charged(waiter):
     """Only a process inside finish_recv is charged — the socket
     remembers it; it does not guess from ``ev.callbacks``."""
@@ -463,10 +463,10 @@ def test_foreign_waiter_is_never_charged(waiter):
     rx = h1.socket(100, posted_only=True)
     ev = rx.post_recv()
     seen = []
-    if waiter == "any_of":
+    if waiter == "process":             # parked on the bare descriptor
         def proc():
-            got = yield sim.any_of([ev])
-            seen.append((got[ev].payload, sim.now))
+            got = yield ev
+            seen.append((got.payload, sim.now))
         sim.process(proc())
     else:
         ev.add_callback(lambda e: seen.append((e.value.payload, sim.now)))
