@@ -6,7 +6,9 @@ deleted comment moves ``git diff --shortstat`` but not this count.
 
     python3 scripts/loc_code.py BASE [DIR ...]      # DIR defaults to src
 
-prints one line per directory: ``DIR code: <at BASE> -> <now> (<delta>)``.
+prints one line per directory: ``DIR code: <at BASE> -> <now> (<delta>)``;
+a BASE that names no commit (or an option) prints one line to stderr
+and exits 2.
 The revision is read with ``git show``; the working tree counts every
 ``.py`` file git tracks or does not ignore.  Stdlib only.
 """
@@ -73,10 +75,15 @@ def count_worktree(directory: str) -> int:
 
 
 def main(argv: list[str]) -> int:
-    if not argv:
+    if not argv or argv[0].startswith("-"):
         print("usage: loc_code.py BASE [DIR ...]", file=sys.stderr)
         return 2
     rev, dirs = argv[0], argv[1:] or ["src"]
+    if subprocess.run(("git", "rev-parse", "--verify", "--quiet",
+                       f"{rev}^{{commit}}"),
+                      capture_output=True).returncode:
+        print(f"loc_code.py: unknown revision {rev!r}", file=sys.stderr)
+        return 2
     for directory in dirs:
         before, after = count_at(rev, directory), count_worktree(directory)
         print(f"{directory + ' code:':<11}{before} -> {after} "

@@ -29,6 +29,7 @@ ledger off the registry.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property, lru_cache
 
 from ..core.binomial import binomial_edges
@@ -38,7 +39,7 @@ from ..mpi.collective.hier import (BUNDLE_KINDS, build_hier_tree,
                                    canonical_order, compile_plan)
 from ..mpi.collective.registry import COMPOSITIONS, REGISTRY, parts_of
 from ..mpi.datatypes import BUNDLE_LENGTH_BYTES
-from ..mpi.p2p import DEFAULT_EAGER_THRESHOLD
+from ..mpi.p2p import EAGER_THRESHOLD
 from ..simnet.calibration import NetParams
 
 __all__ = [
@@ -256,16 +257,14 @@ class TopoDigest:
             edges[seg] = multicast_trunk_edges(seg, occupied, paths)
         self.edges = tuple(edges)
         # The stream coefficients summed over every root rank.  Rooted
-        # at r, the binomial tree's level-``mask`` edges join ranks a
-        # and a + mask (mod size) for a = r, r + 2*mask, ...; over all
-        # roots every a starts each of those ``terms`` edges once.
-        tree_all, mask = 0, 1
-        while mask < size:
-            terms = len(range(0, size - mask, 2 * mask))
-            tree_all += terms * sum(
-                hops[seg_of_rank[a]][seg_of_rank[(a + mask) % size]]
-                for a in range(size))
-            mask *= 2
+        # at r, an edge of span ``child - parent`` joins ranks a and
+        # a + span (mod size) for a = r + parent; over all roots every
+        # a starts each of the ``terms[span]`` edges of that span once.
+        terms = Counter(child - parent
+                        for parent, child, _cover in binomial_edges(size))
+        tree_all = sum(n * sum(
+            hops[seg_of_rank[a]][seg_of_rank[(a + span) % size]]
+            for a in range(size)) for span, n in terms.items())
         self.edges_all = sum(members[s] * edges[s] for s in occupied)
         self.tree_all = tree_all
 
@@ -338,7 +337,7 @@ def _hop(digest: TopoDigest, params: NetParams, src: int, dst: int,
     envelope — plus the rendezvous RTS + CTS above the eager threshold
     — each crossing the trunks between the two ranks' segments."""
     frames = params.frames_for(nbytes + params.mpi_header)
-    if nbytes > DEFAULT_EAGER_THRESHOLD:
+    if nbytes > EAGER_THRESHOLD:
         frames += 2                          # the rendezvous RTS + CTS
     seg = digest.seg_of_rank
     return frames, frames * digest.hops[seg[src]][seg[dst]]
@@ -352,8 +351,11 @@ def model_p2p_frames(op: str, seg_of_rank, root: int, nbytes: int,
     table's default: a fold of :func:`_hop` over every message it sends.
     Exact (asserted against ``NetStats`` by ``tests/test_plan_model.py``).
 
-    The rooted four walk the binomial tree rooted at ``root``
-    (:func:`~repro.core.binomial.binomial_edges`), one message per edge:
+    The rooted four (:mod:`repro.mpi.collective.tree_p2p`) fold the
+    binomial tree rooted at ``root``
+    (:func:`~repro.core.binomial.binomial_edges`) — the tree whose
+    per-rank restriction, :func:`~repro.core.binomial.binomial_walk`,
+    they execute — one message per edge:
     ``bcast`` and ``reduce`` carry the whole ``nbytes`` message;
     ``scatter`` (``nbytes`` its *total* sequence) and ``gather``
     (``nbytes`` one rank's contribution) carry the bundle of the

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..core.binomial import binomial_walk
 from ..core.channel import MCAST_HEADER_BYTES, SCOUT_BYTES
 from ..mpi.collective.barrier_p2p import largest_power_of_two_leq
 from ..simnet.calibration import NetParams
@@ -151,16 +152,15 @@ class LatencyModel:
     def _binomial_schedule(self, n: int, o_s: float,
                            rest: float) -> dict[int, float]:
         """Exact no-contention schedule of the MPICH binomial bcast."""
-        from ..mpi.collective.bcast_p2p import binomial_children
-
         ready: dict[int, float] = {0: 0.0}
         order = [0]
         for r in order:
             t = ready[r]
-            for child in binomial_children(r, n):
-                t += o_s                    # sender occupies its CPU
-                ready[child] = t + rest     # then the message travels
-                order.append(child)
+            for src, child, _cover in binomial_walk(n, 0, r, True):
+                if src == r:
+                    t += o_s                    # sender occupies its CPU
+                    ready[child] = t + rest     # then the message travels
+                    order.append(child)
         return ready
 
     def mcast_bcast(self, n: int, m: int, variant: str = "binary") -> float:

@@ -138,7 +138,7 @@ def op_body(op: str, size: int, root: int = 0):
 
 def _agree_base(env):
     """Broadcast a common window origin from rank 0 (untimed, p2p)."""
-    from ..mpi.collective.bcast_p2p import bcast_binomial
+    from ..mpi.collective.tree_p2p import bcast_binomial
 
     base = env.now + 10_000.0 if env.rank == 0 else None
     base = yield from bcast_binomial(env.comm, base, 0)

@@ -1,50 +1,27 @@
-"""Binomial-tree shape helpers shared by scouts and p2p collectives.
+"""The binomial tree: MPICH's broadcast tree (the paper's Fig. 2) and
+the tree its binary scouts climb (Fig. 3).
 
-The binomial parent/children layout is pure arithmetic on relative
-ranks — no traffic, no sockets — and both layers walk the same tree: the
-MPICH-style p2p collectives (:mod:`repro.mpi.collective.bcast_p2p`,
-:mod:`repro.mpi.collective.gather_p2p`) move payloads along its edges,
-and the scout scatter (:mod:`repro.core.scout`) announces per-call
-decisions down it.  It lives in ``core`` so the scout layer never has to
-reach up into ``mpi.collective`` (the layering rule LAY01 enforces,
-see ``docs/lint.md``); the historical import path
-``repro.mpi.collective.bcast_p2p.binomial_children`` keeps working as a
-re-export.  The frame model of the p2p collectives
-(:func:`repro.analysis.framecount.model_p2p_frames`) walks the same tree
-as its list of edges, :func:`binomial_edges`.
+The layout is pure arithmetic on root-relative ranks — no traffic, no
+sockets — and every walker reads it here: the MPICH-style p2p
+collectives (:mod:`repro.mpi.collective.tree_p2p`) move payloads along
+its edges, the scouts and the NACK report fold
+(:mod:`repro.core.scout`) climb and descend it, the latency model
+schedules its sends and the frame models
+(:mod:`repro.analysis.framecount`) price it.  It lives in ``core`` so
+the scout layer never has to reach up into ``mpi.collective`` (the
+layering rule LAY01 enforces, see ``docs/lint.md``).
+
+:func:`binomial_edges` is the whole tree; :func:`binomial_walk` is its
+restriction to one rank — the messages that rank sends and receives, in
+the order it issues them.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterator
 
-__all__ = ["binomial_parent", "binomial_children", "binomial_edges"]
-
-
-def binomial_parent(rel: int) -> int:
-    """Parent of relative rank ``rel`` in the binomial broadcast tree."""
-    if rel == 0:
-        raise ValueError("the root has no parent")
-    mask = 1
-    while not rel & mask:
-        mask <<= 1
-    return rel & ~mask
-
-
-def binomial_children(rel: int, size: int) -> list[int]:
-    """Children of relative rank ``rel``, in MPICH send order (big first)."""
-    # The mask where `rel` received (its lowest set bit), halved downward.
-    mask = 1
-    while mask < size and not rel & mask:
-        mask <<= 1
-    mask >>= 1
-    kids = []
-    while mask > 0:
-        child = rel + mask
-        if child < size:
-            kids.append(child)
-        mask >>= 1
-    return kids
+__all__ = ["binomial_edges", "binomial_walk"]
 
 
 def binomial_edges(size: int) -> Iterator[tuple[int, int, range]]:
@@ -58,3 +35,29 @@ def binomial_edges(size: int) -> Iterator[tuple[int, int, range]]:
             child = parent + mask
             yield parent, child, range(child, min(child + mask, size))
         mask <<= 1
+
+
+@lru_cache(maxsize=4096)
+def binomial_walk(size: int, root: int, rank: int,
+                  down: bool) -> tuple[tuple[int, int, range], ...]:
+    """The edges of :func:`binomial_edges` (rooted at ``root``) that
+    touch ``rank``, as the messages ``(src, dst, cover)`` it issues, in
+    order: ``src`` / ``dst`` are absolute ranks, ``cover`` the relative
+    ranks of the edge's child subtree.  ``down`` (bcast, scatter):
+    receive from the parent, then send to the children biggest subtree
+    first.  Up (reduce, gather, the scouts): receive from the children
+    smallest subtree first, then send to the parent."""
+    rel = (rank - root) % size
+    up, mask = [], 1                # its edges, level by level
+    while mask < size and not rel & mask:
+        if rel + mask < size:       # a child per level below rel's low bit
+            up.append((rel, rel + mask,
+                       range(rel + mask, min(rel + 2 * mask, size))))
+        mask <<= 1
+    if rel:                         # the parent clears that bit
+        up.append((rel - mask, rel, range(rel, min(rel + mask, size))))
+    if down:
+        return tuple(((parent + root) % size, (child + root) % size, cover)
+                     for parent, child, cover in reversed(up))
+    return tuple(((child + root) % size, (parent + root) % size, cover)
+                 for parent, child, cover in up)

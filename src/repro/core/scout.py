@@ -21,9 +21,11 @@ property-based tests in ``tests/test_core_properties.py``).
 
 **One walk.**  A gather is a tree walked upward — hear every child,
 then tell the parent — and :func:`_walk_up` writes that once over the
-channel's one control message: with no value it is the scout gather (on
-the binomial tree or the star), with a value and a merge it is the round
-engine's NACK report fold (:func:`report_fold_binary`).
+channel's one control message and the rank's up-walk of
+:func:`~repro.core.binomial.binomial_walk`: with no value it is the
+scout gather (on the binomial tree or the star), with a value and a
+merge it is the round engine's NACK report fold
+(:func:`report_fold_binary`).
 :func:`scout_scatter_binary` is the same tree walked downward, and
 :func:`answer` is the one step that closes a gather: the root's ONE
 control multicast, which every other rank waits for.
@@ -34,14 +36,15 @@ only requires "binary tree, height log2(K)+1, N-1 scout messages", which
 this satisfies; the observable behaviour the paper reports — including
 two inner nodes racing to send to the root at once on 6 nodes (its Fig. 9
 discussion) — emerges identically, so the scouts keep the one binomial
-tree the p2p collectives use (``core/binomial.py``).
+tree the p2p collectives use: both read their walks off
+``core/binomial.py``, and nothing here spells the tree itself.
 """
 
 from __future__ import annotations
 
 from typing import Generator
 
-from .binomial import binomial_children, binomial_parent
+from .binomial import binomial_walk
 from .channel import SCOUT_BYTES
 
 __all__ = ["answer", "scout_gather_binary", "scout_gather_linear",
@@ -66,25 +69,22 @@ def _walk_up(comm, channel, seq: int, root: int, key, value=None,
     tree is the binomial one rooted at ``root`` or, ``star``, the
     paper's linear algorithm: everyone's parent is the root."""
     size = comm.size
-    rel = (comm.rank - root) % size
+    rank = comm.rank
     if star:
-        children = set(range(size)) - {root} if rel == 0 else None
+        children = set(range(size)) - {root} if rank == root else None
         parent = root
     else:
-        # binomial links, inline (no call per rank): a child per bit
-        # below ``rel``'s lowest set bit, the parent clears that bit
-        children = set()
-        mask = 1
-        while mask < size and not rel & mask:
-            if rel | mask < size:
-                children.add(((rel | mask) + root) % size)
-            mask <<= 1
-        parent = ((rel ^ mask) + root) % size
+        children = []
+        for src, dst, _cover in binomial_walk(size, root, rank, False):
+            if dst == rank:
+                children.append(src)
+            else:
+                parent = dst
     if children:
         heard = yield from channel.wait_ctrl(children, seq, key)
         if merge is not None:
             value = merge(comm, key, value, sorted(heard.items()))
-    if rel:
+    if rank != root:
         yield from channel.send_ctrl(parent, seq, key, value, nbytes, kind)
     return value
 
@@ -155,12 +155,11 @@ def scout_scatter_binary(comm, channel, seq: int, root: int = 0,
     keyed ``tag``; every rank returns the root's value.  The "auto"
     selection layer announces the root's per-call implementation choice
     with it before any rank commits to a traffic pattern."""
-    size = comm.size
-    rel = (comm.rank - root) % size
-    if rel:
-        parent = (binomial_parent(rel) + root) % size
-        value = (yield from channel.wait_ctrl({parent}, seq, tag))[parent]
-    for child in binomial_children(rel, size):
-        yield from channel.send_ctrl((child + root) % size, seq, tag,
-                                     value, kind="scout-dec")
+    rank = comm.rank
+    for src, dst, _cover in binomial_walk(comm.size, root, rank, True):
+        if dst == rank:
+            value = (yield from channel.wait_ctrl({src}, seq, tag))[src]
+        else:
+            yield from channel.send_ctrl(dst, seq, tag, value,
+                                         kind="scout-dec")
     return value

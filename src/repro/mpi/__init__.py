@@ -11,13 +11,13 @@ from .communicator import Communicator, UNDEFINED
 from .datatypes import payload_bytes
 from .ops import (BAND, BOR, LAND, LOR, MAX, MAXLOC, MIN, MINLOC, PROD, SUM,
                   Op)
-from .p2p import DEFAULT_EAGER_THRESHOLD, MPI_PORT, MpiEndpoint
+from .p2p import EAGER_THRESHOLD, MPI_PORT, MpiEndpoint
 from .status import ANY_SOURCE, ANY_TAG, Request, Status, waitall
 from .world import MpiWorld
 
 __all__ = [
     "ANY_SOURCE", "ANY_TAG", "BAND", "BOR", "Communicator",
-    "DEFAULT_EAGER_THRESHOLD", "LAND", "LOR", "MAX", "MAXLOC", "MIN",
+    "EAGER_THRESHOLD", "LAND", "LOR", "MAX", "MAXLOC", "MIN",
     "MINLOC", "MPI_PORT", "MpiEndpoint", "MpiWorld", "Op", "PROD",
     "Request", "SUM", "Status", "UNDEFINED", "payload_bytes", "waitall",
 ]

@@ -10,15 +10,9 @@ multicast implementations in :mod:`repro.core` register under
 
 from .registry import REGISTRY, get_impl, register, DEFAULTS
 
-# Importing the modules registers the p2p baselines (and the
-# topology-aware hierarchical family, which lives beside the policy
-# layer it cooperates with).
-from . import bcast_p2p      # noqa: F401  (registration side effect)
-from . import barrier_p2p    # noqa: F401
-from . import reduce_p2p     # noqa: F401
-from . import gather_p2p     # noqa: F401
-from . import alltoall_p2p   # noqa: F401
-from . import extras         # noqa: F401
-from . import hier           # noqa: F401  (registers hier-mcast)
+# Importing the modules registers the p2p baselines, each first in its
+# op's row, and then the topology-aware hierarchical family, which lives
+# beside the policy layer it cooperates with.
+from . import tree_p2p, barrier_p2p, alltoall_p2p, extras, hier  # noqa: F401
 
 __all__ = ["REGISTRY", "get_impl", "register", "DEFAULTS"]

@@ -7,7 +7,7 @@ per rank, with
   ``(context, source, tag)`` with ``ANY_SOURCE``/``ANY_TAG`` wildcards;
   unmatched arrivals park in the unexpected-message queue.  FIFO links +
   FIFO queues give MPI's non-overtaking guarantee;
-* **eager protocol** — messages up to ``eager_threshold`` bytes travel in
+* **eager protocol** — messages up to :data:`EAGER_THRESHOLD` bytes travel in
   one shot, like MPICH's short/eager protocol;
 * **rendezvous protocol** — larger messages first send a request-to-send
   (RTS); the data moves only after the receiver matches and replies
@@ -32,13 +32,13 @@ from ..simnet.kernel import Event
 from ..simnet.udp import SocketClosed
 from .status import ANY_SOURCE, ANY_TAG, Request, Status
 
-__all__ = ["MpiEndpoint", "Envelope", "MPI_PORT", "DEFAULT_EAGER_THRESHOLD"]
+__all__ = ["MpiEndpoint", "Envelope", "MPI_PORT", "EAGER_THRESHOLD"]
 
 #: well-known UDP port of the MPI p2p engine on every host
 MPI_PORT = 5100
 
 #: eager/rendezvous switch-over (bytes), MPICH-ch_p4-flavoured
-DEFAULT_EAGER_THRESHOLD = 16 * 1024
+EAGER_THRESHOLD = 16 * 1024
 
 _rts_ids = itertools.count(1)
 
@@ -80,12 +80,10 @@ class _PostedRecv:
 class MpiEndpoint:
     """Per-rank MPI engine bound to one simulated host."""
 
-    def __init__(self, host: Host,
-                 eager_threshold: int = DEFAULT_EAGER_THRESHOLD):
+    def __init__(self, host: Host):
         self.host = host
         self.sim = host.sim
         self.params = host.params
-        self.eager_threshold = eager_threshold
         self.sock = host.socket(
             MPI_PORT,
             buffer_bytes=4 * 1024 * 1024,      # ch_p4's TCP windows, roughly
@@ -115,7 +113,7 @@ class MpiEndpoint:
         """
         done = self.sim.event()
         env = Envelope(ctx=ctx, src=src_rank, tag=tag)
-        if nbytes <= self.eager_threshold:
+        if nbytes <= EAGER_THRESHOLD:
             self.sim.process(
                 self._send_eager(env, dst_addr, data, nbytes, done),
                 name=f"isend@{self.host.addr}")

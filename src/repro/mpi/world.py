@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from ..simnet.topology import Cluster
 from .communicator import Communicator
-from .p2p import DEFAULT_EAGER_THRESHOLD, MpiEndpoint
+from .p2p import MpiEndpoint
 
 __all__ = ["MpiWorld"]
 
@@ -23,12 +23,11 @@ __all__ = ["MpiWorld"]
 class MpiWorld:
     """Job-wide MPI state over a simulated cluster."""
 
-    def __init__(self, cluster: Cluster,
-                 eager_threshold: int = DEFAULT_EAGER_THRESHOLD):
+    def __init__(self, cluster: Cluster):
         self.cluster = cluster
         self.sim = cluster.sim
         self.endpoints: dict[int, MpiEndpoint] = {
-            host.addr: MpiEndpoint(host, eager_threshold)
+            host.addr: MpiEndpoint(host)
             for host in cluster.hosts
         }
         self._next_ctx = 1  # ctx 0 is COMM_WORLD

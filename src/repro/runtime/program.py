@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from ..mpi.p2p import DEFAULT_EAGER_THRESHOLD
 from ..mpi.world import MpiWorld
 from ..obs import (FlightRecorder, build_hang_dump, register_recorder,
                    trace_enabled)
@@ -84,7 +83,6 @@ def run_spmd(n: int,
              seed: int = 0,
              skew: Optional[SkewModel] = None,
              collectives: Optional[dict[str, str]] = None,
-             eager_threshold: int = DEFAULT_EAGER_THRESHOLD,
              max_sim_us: Optional[float] = None,
              trunk_params: Optional[NetParams] = None,
              on_cluster: Optional[Callable[[Cluster], None]] = None,
@@ -129,7 +127,7 @@ def run_spmd(n: int,
         raise ValueError(f"need at least 1 rank, got {n}")
     cluster = build_cluster(n, topology=topology, params=params, seed=seed,
                             trunk_params=trunk_params)
-    world = MpiWorld(cluster, eager_threshold=eager_threshold)
+    world = MpiWorld(cluster)
     skew = skew if skew is not None else NoSkew()
 
     recorder = None

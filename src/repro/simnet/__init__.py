@@ -15,7 +15,7 @@ from .host import Host
 from .ip import Datagram, GroupAllocator, fragment_sizes, is_group_addr
 from .kernel import (DeadlockError, Event, Interrupt, Process, SimError,
                      Simulator, Timeout)
-from .link import FullLink, HalfLink
+from .link import HalfLink
 from .medium import ExcessiveCollisions, SharedMedium
 from .nic import Nic
 from .resource import Resource
@@ -28,7 +28,7 @@ from .udp import SocketClosed, UdpSocket
 __all__ = [
     "BROADCAST", "Cluster", "Datagram", "DeadlockError",
     "Event", "ExcessiveCollisions", "FAST_ETHERNET_HUB",
-    "FAST_ETHERNET_SWITCH", "Fabric", "FabricSpec", "Frame", "FullLink",
+    "FAST_ETHERNET_SWITCH", "Fabric", "FabricSpec", "Frame",
     "GroupAllocator", "HalfLink", "Host", "Interrupt", "NetParams",
     "NetStats", "Nic", "PartitionError", "Process", "RecorderHooks",
     "Resource", "SharedMedium", "SimError",

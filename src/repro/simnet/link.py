@@ -33,7 +33,7 @@ from .kernel import Simulator
 from .stats import NetStats
 from .units import rate_bytes_per_us
 
-__all__ = ["HalfLink", "FullLink"]
+__all__ = ["HalfLink"]
 
 #: return values a :attr:`HalfLink.fault` hook may produce per frame:
 #: ``None``/``"deliver"`` passes the frame through, ``"drop"`` loses it
@@ -179,11 +179,3 @@ class HalfLink:
             self.deliver(frame)
         else:
             sim.schedule_call(delay, self.deliver, frame)
-
-
-class FullLink:
-    """A pair of half links; convenience container used by topologies."""
-
-    def __init__(self, a_to_b: HalfLink, b_to_a: HalfLink):
-        self.a_to_b = a_to_b
-        self.b_to_a = b_to_a

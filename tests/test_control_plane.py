@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _reference_tree as tree
+
 from repro.bench.harness import op_body
-from repro.core.binomial import binomial_children, binomial_parent
 from repro.core.channel import McastChannel, McastLost
 from repro.core.mcast_bcast import scouted_mcast
 from repro.core.scout import (answer, report_fold_binary,
@@ -146,7 +147,7 @@ def test_wait_ctrl_is_its_model_over_any_interleaving(traffic):
 # ------------------------------------------------------- the one up-walk
 def subtree(rel, size):
     out = {rel}
-    for child in binomial_children(rel, size):
+    for child in tree.children(rel, size):
         out |= subtree(child, size)
     return out
 
@@ -191,11 +192,11 @@ def test_walk_merges_every_subtree_and_sends_one_message_up(n):
             rel = (rank - root) % n
             mine = {(r + root) % n for r in subtree(rel, n)}
             assert result.returns[rank][0] == mine, (n, root, rank)
-            for child in binomial_children(rel, n):
+            for child in tree.children(rel, n):
                 assert sent_at[(child + root) % n] < sent_at.get(
                     rank, float("inf"))
         assert {(src, dst) for _t, src, dst in sends} == {
-            (rank, (binomial_parent((rank - root) % n) + root) % n)
+            (rank, (tree.parent((rank - root) % n) + root) % n)
             for rank in range(n) if rank != root}
 
 

@@ -44,20 +44,6 @@ def test_mcast_bcast_many_fragments():
     assert result.stats["drops_not_posted"] == 0
 
 
-def test_forced_rendezvous_small_threshold():
-    """Dropping the eager threshold reroutes even 1 kB messages through
-    the handshake without changing results."""
-
-    def main(env):
-        out = yield from env.comm.allreduce(
-            np.full(128, env.rank, dtype=np.int64), SUM)
-        return int(out[0])
-
-    result = run_spmd(4, main, params=QUIET, eager_threshold=512)
-    assert result.returns == [6] * 4
-    assert result.stats["frames_by_kind"].get("p2p-rts", 0) > 0
-
-
 def test_gather_large_subtree_payloads():
     def main(env):
         arr = np.full(2048, env.rank, dtype=np.float64)   # 16 kB each

@@ -326,7 +326,7 @@ def test_lay01_triggers_on_substrate_importing_mpi(tmp_path):
 
 def test_lay01_triggers_on_core_importing_p2p_algorithms(tmp_path):
     v = lint_tree(tmp_path, {"repro/core/x.py": """\
-        from repro.mpi.collective.bcast_p2p import binomial_children
+        from repro.mpi.collective.tree_p2p import bcast_binomial
     """})
     assert "LAY01" in codes(v)
 

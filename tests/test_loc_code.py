@@ -69,3 +69,16 @@ def test_code_only_count_at_base_and_in_the_worktree(tmp_path):
     # base: import, def f, s (2 lines), return, def g -> 6
     # now:  the same 6, ``y = x`` and new.py's ``x = 1`` -> 8
     assert out.split() == ["src", "code:", "6", "->", "8", "(+2)"]
+
+
+def test_a_base_that_is_no_revision_is_one_line_and_exit_2(tmp_path):
+    git(tmp_path, "init", "-q")
+    (tmp_path / "m.py").write_text("x = 1\n")
+    git(tmp_path, "add", "-A")
+    git(tmp_path, "commit", "-q", "-m", "base")
+    for args, line in ((["typo"], "loc_code.py: unknown revision 'typo'"),
+                       (["--help"], "usage: loc_code.py BASE [DIR ...]")):
+        run = subprocess.run([sys.executable, str(SCRIPT), *args],
+                             cwd=tmp_path, capture_output=True, text=True)
+        assert (run.returncode, run.stdout, run.stderr) == (2, "",
+                                                             line + "\n")

@@ -8,8 +8,7 @@ import pytest
 from repro.mpi import MAX, MAXLOC, MIN, Op, PROD, SUM
 from repro.analysis.framecount import paper_mpich_barrier_messages
 from repro.mpi.collective.barrier_p2p import largest_power_of_two_leq
-from repro.mpi.collective.bcast_p2p import (binomial_children,
-                                            binomial_parent)
+from repro.core.binomial import binomial_edges, binomial_walk
 from repro.runtime import run_spmd
 from repro.simnet import quiet
 from repro.simnet.calibration import FAST_ETHERNET_SWITCH
@@ -20,24 +19,36 @@ SIZES = [1, 2, 3, 4, 5, 7, 8, 9]
 
 # ---------------------------------------------------------------- tree shape
 def test_binomial_tree_matches_paper_figure2():
-    """7 processes: root 0 sends to 4, 2, 1; 2 -> 3; 4 -> 6, 5."""
-    assert binomial_children(0, 7) == [4, 2, 1]
-    assert binomial_children(2, 7) == [3]
-    assert binomial_children(4, 7) == [6, 5]
-    assert binomial_children(1, 7) == []
-    assert binomial_parent(3) == 2
-    assert binomial_parent(5) == 4
-    assert binomial_parent(4) == 0
+    """7 processes: root 0 sends to 4, 2, 1; 2 -> 3; 4 -> 6, 5 — each
+    rank's down-walk is its parent's message, then its sends."""
+    def walk(rank):
+        return [(src, dst) for src, dst, _cover
+                in binomial_walk(7, 0, rank, True)]
+
+    assert walk(0) == [(0, 4), (0, 2), (0, 1)]
+    assert walk(2) == [(0, 2), (2, 3)]
+    assert walk(4) == [(0, 4), (4, 6), (4, 5)]
+    assert walk(1) == [(0, 1)]
+    assert walk(3) == [(2, 3)]
+    # the up-walk is the same messages reversed, each the other way
+    assert [(src, dst) for src, dst, _cover
+            in binomial_walk(7, 0, 4, False)] == [(5, 4), (6, 4), (4, 0)]
 
 
 def test_binomial_tree_is_a_spanning_tree():
+    """Every rank but the root receives exactly one message down, and
+    the walks of every root are the tree's edges rotated — covers
+    included."""
     for n in range(2, 33):
-        edges = {(binomial_parent(r), r) for r in range(1, n)}
-        assert len(edges) == n - 1
-        children = {c for _p, c in edges}
-        assert children == set(range(1, n))
-        for p, _c in edges:
-            assert 0 <= p < n
+        for root in (0, n // 2, n - 1):
+            edges = {(src, dst, cover) for rank in range(n)
+                     for src, dst, cover in binomial_walk(n, root, rank,
+                                                          True)}
+            assert len(edges) == n - 1
+            assert {dst for _src, dst, _cover in edges} == (
+                set(range(n)) - {root})
+            assert edges == {((p + root) % n, (c + root) % n, cover)
+                             for p, c, cover in binomial_edges(n)}
 
 
 def test_largest_power_of_two():
