@@ -15,7 +15,7 @@ the docs generators and the per-case profiling / tracing tools::
 
 ``sweep`` with no area names runs every registered area — the paper's
 own figures (``paper-figures``) included; see ``docs/BENCHMARKS.md``
-for the document schema and gate tolerances.  Only gate-scale
+for the document schema and the gate's rules.  Only gate-scale
 documents are baselines: a ``--scale full`` run checks the area's
 postconditions and writes nothing unless ``--results-dir`` names
 somewhere other than ``benchmarks/results/``.

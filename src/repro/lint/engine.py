@@ -141,7 +141,7 @@ EXPLAIN = """\
 Every `# repro-lint: skip=CODE` suppression must say *why* the finding
 is safe to ignore:
 
-    sock.post_recv()  # repro-lint: skip=LEAK01 -- consumed by caller
+    sock.join(group)  # repro-lint: skip=LEAK01 -- left by the caller
 
 A suppression without the ` -- reason` trailer is reported as SUP01 (and
 SUP01 itself cannot be suppressed), so the CI lint-deep job fails on any

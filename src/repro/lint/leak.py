@@ -22,20 +22,20 @@ SUMMARY = "acquired transport resource with no reachable release"
 #: including the chaos fault injectors, whose "resource" is a broken
 #: fabric: a partitioned trunk or crashed host left unhealed blocks the
 #: IGMP leaves every teardown depends on
-ACQUIRE = {"post_recv", "post_ring", "join", "join_group",
+ACQUIRE = {"post_ring", "join", "join_group",
            "alloc_hier_slab", "partition_trunk", "power_off", "crash_host"}
 
 #: method names that release (any of them anywhere in the same function
 #: or a sibling method of the same class counts as the pairing)
-RELEASE = {"cancel_recv", "leave", "leave_group", "free", "free_hier_slab",
+RELEASE = {"leave", "leave_group", "free", "free_hier_slab",
            "close", "shutdown", "unbind", "heal_trunk", "power_on",
            "restore_host"}
 
 EXPLAIN = """\
-Calls to the transport acquire APIs (post_recv, post_ring, join,
-join_group, alloc_hier_slab) and the chaos fault injectors
+Calls to the transport acquire APIs (post_ring, join, join_group,
+alloc_hier_slab) and the chaos fault injectors
 (partition_trunk, power_off, crash_host) must have a reachable release
-(cancel_recv, a descriptor ring's close, leave/leave_group,
+(a descriptor ring's close, leave/leave_group,
 free/free_hier_slab, close/shutdown, heal_trunk/power_on/restore_host)
 on the same object.  The rule accepts any of:
 

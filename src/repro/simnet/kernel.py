@@ -24,16 +24,15 @@ Typical use::
     sim.run()
     assert proc.value == "ping"
 
-A wait with a deadline keeps one re-armable :class:`Timer` and yields
-the awaited event itself (no ``Timeout`` racing it per wait)::
+A wait with a deadline keeps one re-armable :class:`Timer` instead of a
+``Timeout`` racing each awaited step — as a socket's descriptor ring
+drains (``repro.simnet.udp.DescriptorRing``)::
 
-    timer = sim.timer(sock.expire_recv)     # fn(*args) runs at the deadline
-    try:
-        for ev in descriptors:
-            timer.arm(500.0, ev)            # due = now + 500, the float a
-            if (yield ev) is None: ...      #   Timeout(500) would have had
-    finally:
-        timer.cancel()                      # on every exit, exceptions too
+    timer = sim.timer(expire)           # fn(*args) runs at the deadline
+    for index in steps:                 # each step the wait reaches empty
+        timer.arm(500.0, index)         # due = now + 500, the float a
+        ...                             #   Timeout(500) would have had
+    timer.cancel()                      # on every exit, exceptions too
 
 However often it is re-armed, a timer keeps one heap record: a record
 that pops before the current deadline re-schedules itself there, one

@@ -3,7 +3,7 @@ delivery disciplines.
 
 A socket operates in one of two modes:
 
-* **buffered** (default) — datagrams arriving with no pending ``recv`` are
+* **buffered** (default) — datagrams arriving with no posted receive are
   queued up to ``buffer_bytes``; beyond that they are dropped and counted
   (``drops_buffer_full``).  This is ordinary BSD-socket behaviour and what
   the MPI point-to-point layer builds on.
@@ -15,6 +15,12 @@ A socket operates in one of two modes:
   in its future work.  The multicast collective data path uses this mode,
   which is why scout synchronization is *necessary* and not just polite.
 
+Every receive is a :class:`DescriptorRing`: ``post_ring(n, take)``
+posts ``n`` descriptors that the socket itself fills, charges and hands
+to ``take``, and ``recv`` is a ring of one.  A datagram with no free
+descriptor is queued (buffered) or dropped (posted-only); a ring posted
+on a buffered socket takes the queued datagrams first.
+
 Send and receive both charge per-datagram software time on the host CPU —
 the dominant term at the paper's message sizes.
 """
@@ -22,7 +28,7 @@ the dominant term at the paper's message sizes.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Generator, Optional
+from typing import Any, Callable, Generator, Optional
 
 from .host import Host
 from .ip import Datagram
@@ -63,11 +69,6 @@ class UdpSocket:
         self._groups: set[int] = set()
         self._queue: deque[Datagram] = deque()
         self._queued_bytes = 0
-        self._posted: deque[Event] = deque()
-        #: the descriptor a process is parked on in :meth:`finish_recv`
-        #: (the only one ``_accept`` may charge) and the one it charged
-        self._parked: Optional[Event] = None
-        self._charged: Optional[Event] = None
         self._ring: Optional[DescriptorRing] = None
         self._closed = False
         self.rx_dropped = 0
@@ -86,10 +87,11 @@ class UdpSocket:
     def close(self) -> None:
         """Close the socket.
 
-        Receives still posted at close time are *failed* with
-        :class:`SocketClosed`, so a process blocked on one gets a clear
-        error instead of hanging until the end-of-simulation deadlock
-        detector trips.
+        A ring still posted stops filling.  A datagram it already holds
+        is still charged and delivered; once its charges reach an empty
+        descriptor it *fails* with :class:`SocketClosed`, so a process
+        blocked on it gets a clear error instead of hanging until the
+        end-of-simulation deadlock detector trips.
         """
         if self._closed:
             return
@@ -98,14 +100,10 @@ class UdpSocket:
         self._closed = True
         self.host.ipstack.unbind(self.port)
         ring = self._ring
-        if ring is not None:
-            ring.close()
-            if not ring.triggered:      # its owner is failed like a post
-                self._posted.append(ring)
-        while self._posted:
-            self._posted.popleft().fail(SocketClosed(
-                f"socket :{self.port} on host {self.host.addr} closed "
-                f"with a receive still posted"))
+        if ring is not None and not ring.triggered:
+            ring._free = 0
+            if ring.filled == ring.taken:   # no charge in flight
+                ring._fail_closed()
 
     def _check_open(self) -> None:
         if self._closed:
@@ -150,62 +148,32 @@ class UdpSocket:
         return dgram
 
     # -- receive ---------------------------------------------------------
-    def post_recv(self) -> Event:
-        """Post a receive; the event fires with the :class:`Datagram`
-        (:meth:`recv`'s first half — a posted-only socket's data
-        descriptors are posted as a :meth:`post_ring`)."""
-        self._check_open()
-        ev = self.sim.event()
-        if self._queue:
-            dgram = self._queue.popleft()
-            self._queued_bytes -= dgram.size
-            ev.succeed(dgram)
-        else:
-            self._posted.append(ev)
-            self.posted_high_water = max(self.posted_high_water,
-                                         len(self._posted))
-        return ev
-
     def post_ring(self, n: int,
-                  take: Callable[[Datagram], bool]) -> "DescriptorRing":
+                  take: Callable[[Datagram], Any]) -> "DescriptorRing":
         """Post ``n`` descriptors as one :class:`DescriptorRing`; close
-        it on every exit."""
+        it on every exit.  On a buffered socket the queued datagrams
+        fill them first, oldest first."""
         self._check_open()
-        if self._posted or self._queue or self._ring is not None:
-            raise SimError(f"socket :{self.port} is not empty")
+        if self._ring is not None:
+            raise SimError(f"socket :{self.port} already has a ring posted")
         self._ring = ring = DescriptorRing(self, n, take)
         self.posted_high_water = max(self.posted_high_water, n)
+        if self._queue:
+            ring._unqueue()
         return ring
 
-    def cancel_recv(self, ev: Event) -> None:
-        """Withdraw a posted receive that has not fired."""
-        try:
-            self._posted.remove(ev)
-        except ValueError:
-            pass
-
-    def expire_recv(self, ev: Event) -> None:
-        """:meth:`recv`'s deadline: withdraw the posted receive ``ev``
-        and complete it with ``None`` (no-op once it has fired)."""
-        if not ev.triggered:
-            self.cancel_recv(ev)
-            ev.succeed(None)
-
     def recv(self, timeout: Optional[float] = None) -> Generator:
-        """Blocking receive; returns a Datagram, or None on timeout.
+        """Blocking receive: a ring of one; returns the Datagram, or
+        None on timeout.
 
         Charges ``udp_recv_us`` on the host CPU once a datagram arrives
         (the syscall + copy cost).  Usage: ``d = yield from sock.recv()``.
         """
-        ev = self.post_recv()
-        if timeout is None or ev.triggered:
-            return (yield from self.finish_recv(ev))
-        timer = self.sim.timer(self.expire_recv)
-        timer.arm(timeout, ev)
+        ring = self.post_ring(1, _itself)
         try:
-            return (yield from self.finish_recv(ev))
+            return (yield ring.drain(timeout))
         finally:
-            timer.cancel()
+            ring.close()
 
     def recv_cost(self, dgram: Datagram) -> float:
         """Mean receive software cost of ``dgram`` on this socket (µs)."""
@@ -216,36 +184,6 @@ class UdpSocket:
             # release) ride the scout socket and skip it.
             cost += self.params.mcast_recv_extra_us
         return cost
-
-    def finish_recv(self, ev: Event) -> Generator:
-        """Complete the posted receive ``ev``: park on it, pay the
-        receive cost on the host CPU, count the delivery; returns the
-        Datagram, or ``None`` if :meth:`expire_recv` timed ``ev`` out.
-
-        A datagram that fills ``ev`` while this process is parked here
-        and the CPU is idle is charged by :meth:`_accept` in the record
-        that completes ``ev`` — the same jitter draw, CPU hold and due
-        time as the two steps below, one kernel record instead of two.
-        One parked process is remembered (a buffered socket has one: a
-        rank on its scout port, p2p's daemon); an earlier one takes two.
-        """
-        self._parked = ev
-        try:
-            dgram = yield ev
-        finally:
-            if self._parked is ev:
-                self._parked = None
-            charged = self._charged is ev
-            if charged:
-                self._charged = None
-                self.host.cpu.release()
-        if dgram is None:
-            return None
-        if not charged:
-            yield from self.host.cpu.use(
-                self.host.jitter(self.recv_cost(dgram)))
-        self.stats.datagrams_delivered += 1
-        return dgram
 
     # -- delivery from the IP stack ---------------------------------------
     def _deliver(self, dgram: Datagram) -> None:
@@ -291,21 +229,11 @@ class UdpSocket:
 
     def _accept(self, dgram: Datagram) -> None:
         """The delivery tail every surviving datagram copy goes through:
-        fill a posted descriptor, or queue/drop per the socket mode."""
+        fill the ring's next descriptor, else queue or drop per the
+        socket mode."""
         ring = self._ring
         if ring is not None and ring._free:
             ring._fill(dgram)
-            return
-        if self._posted:
-            ev = self._posted.popleft()
-            cpu = self.host.cpu
-            if ev is self._parked and not cpu.held:
-                cpu.acquire()
-                self._charged = ev
-                ev.succeed(dgram, delay=self.host.jitter(
-                    self.recv_cost(dgram)))
-            else:
-                ev.succeed(dgram)
             return
         if self.posted_only:
             self.rx_dropped += 1
@@ -326,32 +254,38 @@ class UdpSocket:
     def posted_depth(self) -> int:
         """Receive descriptors currently posted and unfilled."""
         ring = self._ring
-        return len(self._posted) + (ring._free if ring is not None else 0)
+        return ring._free if ring is not None else 0
 
 
 class DescriptorRing(Event):
-    """``n`` posted-only descriptors drained inside the socket: a
-    process looping :meth:`UdpSocket.finish_recv` over them under one
-    drain timer, record for record and jitter draw for jitter draw,
-    minus its resume per datagram.  The owner parks once (``yield
-    ring.drain(us)``); each datagram is charged as ``finish_recv`` would
-    (in its arrival record if awaited with the CPU idle, else after its
-    zero-delay fill record and the charge before it), then handed to
-    ``take(dgram) -> done``.  The ring completes in the record ending a
-    charge — ``True`` when ``take`` reports done, ``False`` when all
-    ``n`` are taken — or, through a zero-delay record, with ``None``
-    after ``us`` of silence on an awaited empty descriptor
-    (``drain(None)``: never); ``take`` may :meth:`post` one more.
+    """``n`` receive descriptors drained inside the socket: a process
+    looping post / park / ``cpu.use`` over them under one drain timer
+    (``tests/_reference_udp.py`` keeps that loop as the oracle), record
+    for record and jitter draw for jitter draw, minus its resume per
+    datagram.  The owner parks once (``yield ring.drain(us)``); each
+    datagram is charged in its arrival record if awaited with the CPU
+    idle, else after its zero-delay fill record (a buffered socket's
+    queued datagrams take that one) and the charge before it, then
+    handed to ``take(dgram) -> done``.  The ring completes in the record
+    ending a charge, with ``done`` once it is truthy or all ``n`` are
+    taken — or, through a zero-delay record, with ``None`` after ``us``
+    of silence on an awaited empty descriptor (``drain(None)``: never);
+    ``take`` may :meth:`post` one more.  :meth:`UdpSocket.recv` is a
+    ring of one whose ``take`` returns the datagram.
     """
 
+    __slots__ = ("sock", "n", "take", "filled", "taken", "_free", "timer",
+                 "_drain_us", "_ready", "_turn", "_parked", "_busy",
+                 "_over")
+
     def __init__(self, sock: UdpSocket, n: int, take: Callable):
-        super().__init__(sock.sim)
+        Event.__init__(self, sock.sim)
         self.sock, self.n, self.take = sock, n, take
         self.filled = self.taken = 0
         self._free = n                  # descriptors posted and unfilled
         self.timer: Optional[Timer] = None     # a deadline drain's
         self._drain_us: Optional[float] = None
-        self._ready: deque[Datagram] = deque()  # filled, not yet charged
+        self._ready: Optional[deque] = None   # filled, not yet charged
         self._turn: Optional[Event] = None
         self._parked = self._busy = self._over = False
 
@@ -370,6 +304,20 @@ class DescriptorRing(Event):
         self._free += 1
         sock = self.sock
         sock.posted_high_water = max(sock.posted_high_water, self._free)
+        if sock._queue:
+            self._unqueue()
+
+    def _unqueue(self) -> None:
+        """Fill free descriptors from the socket's queue, oldest first,
+        each in a zero-delay fill record."""
+        sock = self.sock
+        queue = sock._queue
+        while queue and self._free:
+            dgram = queue.popleft()
+            sock._queued_bytes -= dgram.size
+            self._free -= 1
+            self.filled += 1
+            self.sim.schedule_call(0.0, self._filled, dgram)
 
     def close(self) -> None:
         """Withdraw what is left, give back a charge's CPU; idempotent."""
@@ -379,7 +327,6 @@ class DescriptorRing(Event):
         if self.timer is not None:
             self.timer.cancel()
             self.timer.fn = None        # no ring <-> timer cycle for gc
-        self._ready.clear()
         if self._busy:
             self._busy = False
             self.sock.host.cpu.relinquish(self._turn)
@@ -399,6 +346,8 @@ class DescriptorRing(Event):
 
     def _filled(self, dgram: Datagram) -> None:
         if not self._over:
+            if self._ready is None:
+                self._ready = deque()
             self._ready.append(dgram)
             if self._parked and not self._busy:
                 self._next()
@@ -416,8 +365,18 @@ class DescriptorRing(Event):
             else:
                 turn.add_callback(lambda _: self._over or self.sim.
                                   schedule_call(cost, self._charged, dgram))
-        elif self.filled == self.taken and self.timer is not None:
-            self.timer.arm(self._drain_us, self.taken)
+        elif self.filled == self.taken:
+            if self.sock._closed:
+                self._fail_closed()
+            elif self.timer is not None:
+                self.timer.arm(self._drain_us, self.taken)
+
+    def _fail_closed(self) -> None:
+        sock = self.sock
+        self.close()
+        self.fail(SocketClosed(f"socket :{sock.port} on host "
+                               f"{sock.host.addr} closed with a receive "
+                               f"still posted"))
 
     def _charged(self, dgram: Datagram) -> None:
         if self._over:
@@ -429,7 +388,7 @@ class DescriptorRing(Event):
         done = self.take(dgram)
         if done or self.taken == self.n:
             # in place, as the charge record that resumed a process
-            # parked in finish_recv: trigger and dispatch in this record
+            # parked on its descriptor: trigger and dispatch here
             self._over = self._triggered = True
             self._value = done
             self._dispatch()
@@ -441,3 +400,9 @@ class DescriptorRing(Event):
             self._free -= 1
             self._over = True
             self.succeed(None)
+
+
+def _itself(dgram: Datagram) -> Datagram:
+    """:meth:`UdpSocket.recv`'s ``take``: the ring completes with the
+    datagram."""
+    return dgram

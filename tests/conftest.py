@@ -13,6 +13,10 @@ plain ``pytest`` runs are unaffected.
 The auto policy's decision memo is process-wide; it is dropped before
 every test so ``policy.cache_info()`` counts never depend on test
 order.
+
+``paper_figures_doc`` runs the ``paper-figures`` area once per session
+for the two modules that read it (its figure tests and the gate
+document parity test); a test that mutates it works on a deep copy.
 """
 
 import pytest
@@ -20,6 +24,13 @@ import pytest
 from repro.mpi.collective import policy
 from repro.runtime.sanitize import (drain_pending, full_teardown,
                                     sanitize_enabled)
+
+
+@pytest.fixture(scope="session")
+def paper_figures_doc():
+    from repro.bench.sweep import run_area
+
+    return run_area("paper-figures", workers=1)  # check=True: figures hold
 
 
 @pytest.fixture(autouse=True)

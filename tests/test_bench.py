@@ -212,6 +212,7 @@ def test_profile_records_tally_sums_to_the_documents_events(capsys):
     assert sum(tally.values()) == events
     assert rows[-1][1].startswith(
         f"records pushed; sim.processed = {events:,} over 1 simulator")
-    # receive completions: told apart from the Timeout of a two-step one
-    assert tally["Event._dispatch"] > tally["Timeout._dispatch"] > 0
+    # receive completions, every one a ring's charge: told apart from
+    # the Timeout of a send's or a match's CPU hold
+    assert tally["DescriptorRing._charged"] > tally["Timeout._dispatch"] > 0
     assert tally["HalfLink._arrive"] > 0 and tally["Timer._pop"] > 0

@@ -102,10 +102,12 @@ def test_fluid_matches_des_on_fabric_scaling_trunk(impl):
 @pytest.mark.parametrize("area", ["segmented-bcast", "fabric-scaling",
                                   "deep-fabric", "segmented-reduce",
                                   "paper-figures"])
-def test_des_gate_documents_bit_identical_to_baselines(area):
+def test_des_gate_documents_bit_identical_to_baselines(area, request):
     """The simulator reproduces every committed gate series exactly —
     frame and datagram counters (NetStats) and the latency metrics
     derived from final simulation clocks."""
-    doc = run_area(area, scale="gate", workers=1, check=True)
+    doc = (request.getfixturevalue("paper_figures_doc")
+           if area == "paper-figures"
+           else run_area(area, scale="gate", workers=1, check=True))
     base = json.loads(baseline_path(area).read_text())
     assert doc["series"] == base["series"]

@@ -40,15 +40,15 @@ def test_parse_error_is_reported_not_fatal(tmp_path):
 
 def test_explain_known_and_unknown_codes(capsys):
     assert run_cli(["--explain", "LEAK01"]) == 0
-    assert "post_recv" in capsys.readouterr().out
+    assert "post_ring" in capsys.readouterr().out
     assert run_cli(["--explain", "NOPE99"]) == 2
 
 
 # -------------------------------------------------------------- LEAK01
-def test_leak01_triggers_on_dropped_post_recv(tmp_path):
+def test_leak01_triggers_on_a_dropped_join(tmp_path):
     v = lint_tree(tmp_path, {"repro/core/x.py": """\
-        def collect(sock):
-            ev = sock.post_recv()
+        def collect(sock, group):
+            sock.join(group)
             return 1
     """})
     assert "LEAK01" in codes(v)
@@ -72,20 +72,20 @@ def test_leak01_triggers_on_a_ring_posted_with_no_close(tmp_path):
 
 def test_leak01_clean_with_try_finally_release(tmp_path):
     v = lint_tree(tmp_path, {"repro/core/x.py": """\
-        def collect(sock):
+        def collect(sock, take):
             try:
-                ev = sock.post_recv()
-                use(ev)
+                ring = sock.post_ring(1, take)
+                use(ring)
             finally:
-                sock.cancel_recv(ev)
+                ring.close()
     """})
     assert "LEAK01" not in codes(v)
 
 
 def test_leak01_clean_when_result_is_transferred(tmp_path):
     v = lint_tree(tmp_path, {"repro/core/x.py": """\
-        def post(sock):
-            return sock.post_recv()
+        def post(sock, take):
+            return sock.post_ring(1, take)
     """})
     assert "LEAK01" not in codes(v)
 
@@ -416,8 +416,8 @@ _SKIP = "# repro-" + "lint: skip=LEAK01"
 
 def test_sup01_unjustified_suppression_is_flagged(tmp_path):
     v = lint_tree(tmp_path, {"repro/core/x.py": f"""\
-        def collect(sock):
-            ev = sock.post_recv()  {_SKIP}
+        def collect(sock, take):
+            ring = sock.post_ring(1, take)  {_SKIP}
             return 1
     """})
     # the LEAK01 finding is silenced, but the naked skip becomes SUP01
@@ -426,8 +426,8 @@ def test_sup01_unjustified_suppression_is_flagged(tmp_path):
 
 def test_justified_suppression_silences_and_is_clean(tmp_path):
     v = lint_tree(tmp_path, {"repro/core/x.py": f"""\
-        def collect(sock):
-            ev = sock.post_recv()  {_SKIP} -- consumed by caller
+        def collect(sock, take):
+            ring = sock.post_ring(1, take)  {_SKIP} -- closed by caller
             return 1
     """})
     assert v == []

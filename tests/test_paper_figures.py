@@ -8,7 +8,7 @@ import copy
 
 import pytest
 
-from repro.bench.sweep import find_series, load_areas, run_area
+from repro.bench.sweep import find_series, load_areas
 
 AREA = "paper-figures"
 POSTS = {post.__name__: post
@@ -16,8 +16,8 @@ POSTS = {post.__name__: post
 
 
 @pytest.fixture(scope="module")
-def doc():
-    return run_area(AREA, workers=1)        # check=True: all figures hold
+def doc(paper_figures_doc):
+    return paper_figures_doc                # deep-copy before mutating
 
 
 def _curve(doc, topology, nprocs, impl, platform="udp"):

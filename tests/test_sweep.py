@@ -371,22 +371,26 @@ def test_diff_frame_improvement_is_note_not_error(base_doc):
     assert any("improved" in n for n in report.improvements)
 
 
-def test_diff_latency_within_band_ok(base_doc):
+def test_diff_latency_is_exact(base_doc):
+    # the simulation is deterministic: a 10 % slower latency is a
+    # regression, not drift
     fresh = copy.deepcopy(base_doc)
     entry = find_series(fresh, "grid", size=100, mode="clean")
     entry["metrics"]["latency_us_median"] *= 1.10
     report = diff_docs(base_doc, fresh)
-    assert report.ok and not report.improvements
+    assert not report.ok and not report.improvements
+    assert any("latency_us_median regressed exactly" in e
+               for e in report.errors)
 
 
 def test_diff_artificially_slowed_run_fails(base_doc):
-    # the ISSUE acceptance criterion: slow one case past the band
     fresh = copy.deepcopy(base_doc)
     entry = find_series(fresh, "grid", size=100, mode="clean")
     entry["metrics"]["latency_us_median"] *= 3.0
     report = diff_docs(base_doc, fresh)
     assert not report.ok
-    assert any("regressed beyond band" in e for e in report.errors)
+    assert any("latency_us_median regressed exactly" in e
+               for e in report.errors)
 
 
 def test_diff_latency_big_improvement_is_note(base_doc):
@@ -453,8 +457,8 @@ def test_cli_sweep_check_catches_tampered_baseline(tmp_path, capsys):
     json_path.write_text(dumps_canonical(doc))
     assert main(argv + ["--check"]) == 1
     err = capsys.readouterr().err
-    assert "regressed exactly" in err
-    assert "regressed beyond band" in err
+    assert "frames_total regressed exactly" in err
+    assert "latency_us_median regressed exactly" in err
 
 
 def test_cli_sweep_check_flags_stale_markdown(tmp_path, capsys):

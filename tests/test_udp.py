@@ -18,7 +18,9 @@ from repro.simnet.calibration import FAST_ETHERNET_HUB, FAST_ETHERNET_SWITCH
 from repro.simnet.ip import Datagram
 from repro.simnet.ipstack import PortInUse
 from repro.simnet.kernel import Interrupt
-from repro.simnet.udp import UdpSocket
+from repro.simnet.udp import SocketClosed, UdpSocket
+
+from _reference_udp import UdpSocket as ReferenceUdpSocket
 
 
 def make2(topology="hub", **kw):
@@ -238,13 +240,11 @@ def test_mcast_loop_off_suppresses_local_copy():
 
 
 def test_closed_socket_rejects_operations():
-    from repro.simnet.udp import SocketClosed
-
     cl, sim, h0, h1 = make2()
     s = h0.socket(100)
     s.close()
     with pytest.raises(SocketClosed):
-        s.post_recv()
+        s.post_ring(1, bool)        # repro-lint: skip=LEAK01 -- raises
 
 
 def test_fragmented_datagram_reassembles():
@@ -272,8 +272,6 @@ def test_close_fails_pending_posted_recv():
     """Regression: closing a socket used to leave posted receives
     pending forever, surfacing as an end-of-sim DeadlockError instead of
     a clear error at the blocked receiver."""
-    from repro.simnet.udp import SocketClosed
-
     cl, sim, h0, h1 = make2()
     rx = h1.socket(100)
     caught = []
@@ -295,44 +293,45 @@ def test_close_fails_pending_posted_recv():
 
 
 def test_close_fails_every_pending_descriptor():
-    from repro.simnet.udp import SocketClosed
-
     cl, sim, h0, h1 = make2()
     rx = h1.socket(100, posted_only=True)
-    posted = [rx.post_recv() for _ in range(3)]
-    rx.close()
-    sim.run()
-    assert all(ev.triggered and not ev.ok for ev in posted)
-    assert all(isinstance(ev._value, SocketClosed) for ev in posted)
+    ring = rx.post_ring(3, lambda d: False)
+    try:
+        rx.close()
+        sim.run()
+        assert ring.triggered and not ring.ok
+        assert isinstance(ring._value, SocketClosed)
+        assert rx.posted_depth == 0
+    finally:
+        ring.close()
 
 
-def test_post_recv_many_and_cancel_recv_all():
-    """Descriptors posted back to back fill in posting order;
-    cancel_recv on each withdraws exactly the untriggered ones."""
+def test_ring_close_withdraws_the_unfilled_descriptors():
+    """A drained ring takes a datagram into its first descriptor;
+    closing it withdraws the two still empty, so the next datagram is a
+    counted drop."""
     cl, sim, h0, h1 = make2(topology="switch")
     rx = h1.socket(100, posted_only=True)
     tx = h0.socket(101)
-    posted = [rx.post_recv() for _ in range(3)]
+    got = []
 
-    def sender():
-        yield from tx.sendto("one", 32, dst=1, dst_port=100)
+    def sender(payload):
+        yield from tx.sendto(payload, 32, dst=1, dst_port=100)
 
-    sim.process(sender())
-    sim.run()
-    assert posted[0].triggered and posted[0].value.payload == "one"
-    assert not posted[1].triggered and not posted[2].triggered
-
-    for ev in posted:
-        rx.cancel_recv(ev)
-
-    def sender2():
-        yield from tx.sendto("two", 32, dst=1, dst_port=100)
-
-    sim.process(sender2())
+    ring = rx.post_ring(3, lambda d: got.append(d.payload))
+    try:
+        ring.drain(None)
+        sim.process(sender("one"))
+        sim.run()
+        assert got == ["one"] and rx.posted_depth == 2
+        assert not ring.triggered
+    finally:
+        ring.close()
+    assert rx.posted_depth == 0
+    sim.process(sender("two"))
     sim.run()
     # nothing was posted any more: the datagram is a counted drop
-    assert not posted[1].triggered
-    assert cl.stats.drops_not_posted == 1
+    assert got == ["one"] and cl.stats.drops_not_posted == 1
 
 
 def test_posted_depth_and_high_water_track_the_descriptor_ring():
@@ -344,31 +343,33 @@ def test_posted_depth_and_high_water_track_the_descriptor_ring():
     tx = h0.socket(101)
     assert rx.posted_depth == 0 and rx.posted_high_water == 0
 
-    posted = [rx.post_recv() for _ in range(3)]
-    assert rx.posted_depth == 3 and rx.posted_high_water == 3
+    ring = rx.post_ring(3, lambda d: False)
+    try:
+        assert rx.posted_depth == 3 and rx.posted_high_water == 3
 
-    def sender():
-        yield from tx.sendto("fill", 32, dst=1, dst_port=100)
+        def sender():
+            yield from tx.sendto("fill", 32, dst=1, dst_port=100)
 
-    sim.process(sender())
-    sim.run()
-    assert rx.posted_depth == 2             # one descriptor consumed
-    assert rx.posted_high_water == 3        # high water is sticky
-
-    for ev in posted:
-        rx.cancel_recv(ev)
+        sim.process(sender())
+        sim.run()
+        assert rx.posted_depth == 2         # one descriptor consumed
+        assert rx.posted_high_water == 3    # high water is sticky
+    finally:
+        ring.close()
     assert rx.posted_depth == 0
     assert rx.posted_high_water == 3
 
 
-# ------------------------------------------- receive completion (PR 22)
-# A datagram that fills the descriptor a process is parked on inside
-# finish_recv, CPU idle, is charged in the record that completes the
-# descriptor: one kernel record and one resume instead of two.  Every
-# other case runs the two-step path — fill now, cpu.use on resume — and
-# TwoStepSocket, which never charges, *is* that path: the parent
-# commit's behaviour and the oracle of the property below.
-class TwoStepSocket(UdpSocket):
+# ------------------------------------------------- receive completion
+# A datagram that fills the descriptor a process is parked on, CPU idle,
+# is charged in the record that completes the receive: one kernel record
+# and one resume instead of two.  Every other case runs the two-step
+# path — a zero-delay fill record, then the charge.  ``recv`` is a ring
+# of one, so these are the ring's paths too.  The oracle is the socket's
+# former receive path, kept in tests/_reference_udp.py: a descriptor
+# event per receive, charged by ``cpu.use`` when the process resumes,
+# with that one shortcut in ``_accept`` (TwoStepSocket turns it off).
+class TwoStepSocket(ReferenceUdpSocket):
     def _accept(self, dgram):
         self._parked = None
         super()._accept(dgram)
@@ -380,13 +381,11 @@ def dgram_to(sock, payload, kind="data", size=64):
                     kind=kind)
 
 
-def parked_receiver(sim, sock, out, ev=None):
-    """A process parked in finish_recv on ``ev`` (default: a fresh post),
-    appending ``(payload, completion time)`` to ``out``."""
-    ev = sock.post_recv() if ev is None else ev
-
+def parked_receiver(sim, sock, out):
+    """A process parked in ``sock.recv()``, appending ``(payload,
+    completion time)`` to ``out``."""
     def receiver():
-        d = yield from sock.finish_recv(ev)
+        d = yield from sock.recv()
         out.append((d and d.payload, sim.now))
 
     return sim.process(receiver())
@@ -430,17 +429,21 @@ def test_charge_holds_the_cpu_for_exactly_the_receive_cost():
 
 
 def test_descriptor_filled_before_the_wait_takes_two_steps():
+    """A datagram queued before the receive fills the ring of one in a
+    zero-delay record when it is posted; its charge follows."""
     cl, sim, h0, h1 = make2()
-    rx = h1.socket(100, posted_only=True)
-    ev = rx.post_recv()
+    rx = h1.socket(100)
     sim.schedule_call(10.0, rx._deliver, dgram_to(rx, "early"))
     sim.run()
-    assert ev.triggered and not h1.cpu.held     # nobody to charge
+    assert rx.queue_depth == 1 and not h1.cpu.held  # nobody to charge
     out = []
-    sim.schedule_call(10.0, parked_receiver, sim, rx, out, ev)
+    sim.schedule_call(10.0, parked_receiver, sim, rx, out)
+    before = sim.processed
     sim.run()
     assert out == [("early", 20.0 + rx.recv_cost_us)]
-    assert not h1.cpu.held
+    assert not h1.cpu.held and rx.queue_depth == 0
+    # the call, the process's boot, the fill, the charge, its return
+    assert sim.processed - before == 5
 
 
 def test_cpu_held_at_fill_queues_behind_the_holder():
@@ -457,24 +460,27 @@ def test_cpu_held_at_fill_queues_behind_the_holder():
 
 @pytest.mark.parametrize("waiter", ["process", "callback"])
 def test_foreign_waiter_is_never_charged(waiter):
-    """Only a process inside finish_recv is charged — the socket
-    remembers it; it does not guess from ``ev.callbacks``."""
+    """Only a ring being drained is charged — the ring knows it is; it
+    does not guess from who waits on it."""
     cl, sim, h0, h1 = make2()
     rx = h1.socket(100, posted_only=True)
-    ev = rx.post_recv()
+    ring = rx.post_ring(1, lambda d: True)
     seen = []
-    if waiter == "process":             # parked on the bare descriptor
-        def proc():
-            got = yield ev
-            seen.append((got.payload, sim.now))
-        sim.process(proc())
-    else:
-        ev.add_callback(lambda e: seen.append((e.value.payload, sim.now)))
-    sim.schedule_call(10.0, rx._deliver, dgram_to(rx, "x"))
-    sim.schedule_call(10.0, lambda: seen.append(h1.cpu.held))
-    sim.run()
-    assert seen == [False, ("x", 10.0)] and not h1.cpu.held
-    assert cl.stats.datagrams_delivered == 0    # nobody finished it
+    try:
+        if waiter == "process":         # parked on the undrained ring
+            def proc():
+                seen.append((yield ring))
+            sim.process(proc(), daemon=True)
+        else:
+            ring.add_callback(lambda e: seen.append(e.value))
+        sim.schedule_call(10.0, rx._deliver, dgram_to(rx, "x"))
+        sim.schedule_call(10.0, lambda: seen.append(h1.cpu.held))
+        sim.run()
+        assert seen == [False] and not h1.cpu.held
+        assert ring.filled == 1 and rx.posted_depth == 0
+        assert cl.stats.datagrams_delivered == 0    # nobody finished it
+    finally:
+        ring.close()
 
 
 def test_exception_into_the_parked_waiter_mid_charge_releases_the_cpu():
@@ -497,9 +503,9 @@ def test_exception_into_the_parked_waiter_mid_charge_releases_the_cpu():
 
 
 def test_deadlines_do_not_expire_a_descriptor_mid_charge():
-    """``ev.triggered`` is true from the fill, so neither recv(timeout=)
-    nor the round engine's drain Timer can time out a datagram whose
-    receive cost is being paid."""
+    """A descriptor counts as filled from its fill, so neither
+    recv(timeout=) nor a round's drain timer can time out a datagram
+    whose receive cost is being paid."""
     cl, sim, h0, h1 = make2()
     rx = h1.socket(100)
     cost = rx.recv_cost_us
@@ -508,20 +514,18 @@ def test_deadlines_do_not_expire_a_descriptor_mid_charge():
     def by_recv():
         d = yield from rx.recv(timeout=10.0 + cost / 2)
         out.append((d and d.payload, sim.now))
-        ev = rx.post_recv()
-        timer = sim.timer(rx.expire_recv)      # recv(timeout=)'s timer
-        timer.arm(10.0 + cost / 2, ev)
-        try:
-            d = yield from rx.finish_recv(ev)
+        ring = rx.post_ring(2, lambda d: d.payload == "b")
+        try:                            # a round's drain timer
+            end = yield ring.drain(10.0 + cost / 2)
         finally:
-            timer.cancel()
-        out.append((d and d.payload, sim.now))
+            ring.close()
+        out.append((end, sim.now))
 
     sim.process(by_recv())
     sim.schedule_call(10.0, rx._deliver, dgram_to(rx, "a"))
     sim.schedule_call(10.0 + cost + 10.0, rx._deliver, dgram_to(rx, "b"))
     sim.run()
-    assert out == [("a", 10.0 + cost), ("b", 20.0 + 2 * cost)]
+    assert out == [("a", 10.0 + cost), (True, 20.0 + 2 * cost)]
     assert not h1.cpu.held and cl.stats.datagrams_delivered == 2
 
 
@@ -534,6 +538,31 @@ def test_close_with_a_charge_in_flight_still_delivers():
     sim.schedule_call(20.0, rx.close)
     sim.run()
     assert out == [("x", 10.0 + rx.recv_cost_us)]
+    assert not h1.cpu.held and cl.stats.datagrams_delivered == 1
+
+
+def test_close_mid_charge_fails_the_ring_at_its_next_empty_descriptor():
+    """A ring of two: the charge in flight at the close still delivers,
+    then the ring fails where its next descriptor would have filled."""
+    cl, sim, h0, h1 = make2()
+    rx = h1.socket(100, posted_only=True)
+    got, caught = [], []
+
+    def owner():
+        ring = rx.post_ring(2, lambda d: got.append((d.payload, sim.now)))
+        try:
+            yield ring.drain(None)
+        except SocketClosed:
+            caught.append(sim.now)
+        finally:
+            ring.close()
+
+    sim.process(owner())
+    sim.schedule_call(10.0, rx._deliver, dgram_to(rx, "x"))
+    sim.schedule_call(20.0, rx.close)
+    sim.run()
+    assert got == [("x", 10.0 + rx.recv_cost_us)]
+    assert caught == [10.0 + rx.recv_cost_us]
     assert not h1.cpu.held and cl.stats.datagrams_delivered == 1
 
 
@@ -577,12 +606,15 @@ def test_datagrams_delivered_counts_every_completed_receive():
 
 
 class CountingSocket(UdpSocket):
-    """The socket under test, counting the fills it charged."""
+    """The live socket, counting the fills charged in their arrival
+    record."""
     charges = 0
 
     def _accept(self, dgram):
+        ring = self._ring
+        idle = ring is not None and not ring._busy
         super()._accept(dgram)
-        if self._charged is not None and self._charged.value is dgram:
+        if idle and ring._busy:
             type(self).charges += 1
 
 
@@ -611,11 +643,10 @@ _BURSTS = st.lists(
 
 
 def _loop_round(sim, sock, n, patience, take):
-    """A round as the engine drained it before the ring: one
-    ``finish_recv`` per descriptor posted by ``post_recv`` under one
-    drain timer (none if ``patience`` is None), until ``take(d, post)``
-    reports done; its ``post()`` posts one more descriptor — the ring's
-    oracle."""
+    """A round as the reference socket drains it: one ``finish_recv``
+    per descriptor posted by ``post_recv`` under one drain timer (none
+    if ``patience`` is None), until ``take(d, post)`` reports done; its
+    ``post()`` posts one more descriptor — the ring's oracle."""
     posted = [sock.post_recv() for _ in range(n)]
     timer = sim.timer(sock.expire_recv)
 
@@ -639,7 +670,7 @@ def _loop_round(sim, sock, n, patience, take):
 
 
 def _ring_round(sim, sock, n, patience, take):
-    """The same round drained inside the socket: one park."""
+    """The same round drained inside the live socket: one park."""
     ring = sock.post_ring(n, lambda d: take(d, ring.post))
     try:
         return (yield ring.drain(patience))
@@ -647,17 +678,19 @@ def _ring_round(sim, sock, n, patience, take):
         ring.close()
 
 
-def _drive(sock_cls, sigma, arrivals, waits, bursts, round_fn=None):
+def _drive(sock_cls, sigma, arrivals, waits, bursts):
     """One host, a posted-only and a small buffered socket of
-    ``sock_cls``; returns everything observable about the run.  With a
-    ``round_fn`` each wait on the posted-only socket is one round of it
-    (the buffered one keeps :func:`_loop_round`), ended by the
-    ``mcast-seg-hdr`` datagram."""
+    ``sock_cls``; returns everything observable about the run.  Each
+    wait is one round — a ring on the live socket, the descriptor loop
+    on the reference — ended by the ``mcast-seg-hdr`` datagram, and a
+    round of two descriptors is followed by a plain ``recv``."""
     params = replace(quiet(FAST_ETHERNET_SWITCH), jitter_sigma=sigma)
     cl = build_cluster(2, "switch", params=params, seed=7)
     sim, host = cl.sim, cl.hosts[1]
     socks = [sock_cls(host, 100, posted_only=True),
              sock_cls(host, 101, buffer_bytes=150)]
+    drain = (_loop_round if issubclass(sock_cls, ReferenceUdpSocket)
+             else _ring_round)
     log = []
     for i, (t, which, kind) in enumerate(arrivals):
         sim.schedule_call(float(t), socks[which]._deliver,
@@ -671,23 +704,9 @@ def _drive(sock_cls, sigma, arrivals, waits, bursts, round_fn=None):
                 yield sim.timeout(t + 0.5 - sim.now)
             if patience is not None:
                 patience = float(patience)
-            if round_fn is not None:
-                drain = round_fn if sock.posted_only else _loop_round
-                end = yield from drain(sim, sock, n, patience,
-                                       taker(repost))
-                log.append(("end", sock.port, end, sim.now))
-                continue
-            posted = [sock.post_recv() for _ in range(n)]
-            timer = sim.timer(sock.expire_recv)
-            try:                        # like a round: one drain timer
-                for ev in posted:
-                    if patience is not None:
-                        timer.arm(patience, ev)
-                    d = yield from sock.finish_recv(ev)
-                    log.append(("recv", sock.port, d and d.payload, sim.now))
-            finally:
-                timer.cancel()
-            if n == 2:                  # and like a plain blocking recv
+            end = yield from drain(sim, sock, n, patience, taker(repost))
+            log.append(("end", sock.port, end, sim.now))
+            if n == 2:                  # and a plain blocking recv
                 d = yield from sock.recv(timeout=patience)
                 log.append(("recv", sock.port, d and d.payload, sim.now))
 
@@ -730,8 +749,8 @@ def test_charged_fill_equals_the_two_step_path(arrivals, waits, bursts,
                                                sigma):
     """The slow path is the oracle: completion times (``==`` on floats),
     CPU grant order, the host's jitter stream and every drop counter are
-    those of a socket that never charges — and each charged fill saves
-    exactly the one kernel record it folds away."""
+    those of a reference socket that never charges — and each charged
+    fill saves exactly the one kernel record it folds away."""
     CountingSocket.charges = 0
     fast, fast_records = _drive(CountingSocket, sigma, arrivals, waits,
                                 bursts)
@@ -751,7 +770,8 @@ def test_the_property_reaches_the_fast_path():
     waits = [(0, 0, 3, 400, False)]     # one step: three descriptors
     fast, fast_records = _drive(CountingSocket, 0.06, arrivals, waits, [])
     slow, slow_records = _drive(TwoStepSocket, 0.06, arrivals, waits, [])
-    assert fast == slow and [e[2] for e in fast[0]] == [0, 1, 2]
+    assert fast == slow
+    assert [e[2] for e in fast[0] if e[0] == "recv"] == [0, 1, 2]
     assert CountingSocket.charges == 2 == slow_records - fast_records
 
 
@@ -764,11 +784,12 @@ def test_drained_ring_equals_the_descriptor_loop(arrivals, waits, bursts,
     """The ring is the loop it replaced, below the process: every take
     and round end at the same instant (``==`` on floats), the same CPU
     grant order, jitter stream, drop and delivered counters — and the
-    same kernel records, one for one."""
-    ring, ring_records = _drive(UdpSocket, sigma, arrivals, waits, bursts,
-                                _ring_round)
-    loop, loop_records = _drive(UdpSocket, sigma, arrivals, waits, bursts,
-                                _loop_round)
+    same kernel records, one for one.  On the buffered socket a ring
+    takes the datagrams queued before it, as ``post_recv`` popped them,
+    and ``recv`` is a ring of one."""
+    ring, ring_records = _drive(UdpSocket, sigma, arrivals, waits, bursts)
+    loop, loop_records = _drive(ReferenceUdpSocket, sigma, arrivals, waits,
+                                bursts)
     assert ring == loop and ring_records == loop_records
 
 
@@ -795,16 +816,32 @@ def test_the_ring_property_reaches_every_fill_path(monkeypatch):
                 (300, 0, "mcast-seg"), (2000, 0, "mcast-seg")]
     waits = [(0, 0, 4, 400, False)]     # one round: four descriptors
     bursts = [(290, 60)]            # the CPU is held over [290.5, 350.5)
-    ring, ring_records = _drive(UdpSocket, 0.06, arrivals, waits, bursts,
-                                _ring_round)
-    loop, loop_records = _drive(UdpSocket, 0.06, arrivals, waits, bursts,
-                                _loop_round)
+    ring, ring_records = _drive(UdpSocket, 0.06, arrivals, waits, bursts)
+    loop, loop_records = _drive(ReferenceUdpSocket, 0.06, arrivals, waits,
+                                bursts)
     assert ring == loop and ring_records == loop_records
     assert paths == ["parked idle", "behind charge", "cpu held"]
     log = ring[0]
     assert [e[2] for e in log if e[0] == "recv"] == [0, 1, 2]
     assert [e[:3] for e in log if e[0] == "end"] == [("end", 100, None)]
     assert ring[4] == 1                 # drops_not_posted: the 4th
+
+
+def test_the_ring_property_reaches_the_queue():
+    """Not vacuous: on the buffered socket a ring of two takes the two
+    datagrams queued before it (a third found the buffer full), and the
+    ``recv`` after it one that arrives while it waits."""
+    arrivals = [(10, 1, "data"), (20, 1, "data"), (30, 1, "data"),
+                (150, 1, "data")]
+    waits = [(100, 1, 2, 400, False)]
+    ring, ring_records = _drive(UdpSocket, 0.06, arrivals, waits, [])
+    loop, loop_records = _drive(ReferenceUdpSocket, 0.06, arrivals, waits,
+                                [])
+    assert ring == loop and ring_records == loop_records
+    log = ring[0]
+    assert [e[2] for e in log if e[0] == "recv"] == [0, 1, 3]
+    assert [e[:3] for e in log if e[0] == "end"] == [("end", 101, False)]
+    assert ring[5] == 1                 # drops_buffer_full: the 3rd
 
 
 @pytest.mark.parametrize("repost", [True, False])
@@ -824,10 +861,9 @@ def test_the_ring_property_reaches_no_deadline_and_repost(repost):
 
     arrivals = [(100, 0, "scout"), (300, 0, "mcast-seg-hdr")]
     waits = [(0, 0, 1, None, repost)]
-    ring, ring_records = _drive(UdpSocket, 0.06, arrivals, waits, [],
-                                _ring_round)
-    loop, loop_records = _drive(UdpSocket, 0.06, arrivals, waits, [],
-                                _loop_round)
+    ring, ring_records = _drive(UdpSocket, 0.06, arrivals, waits, [])
+    loop, loop_records = _drive(ReferenceUdpSocket, 0.06, arrivals, waits,
+                                [])
     assert ring == loop and ring_records == loop_records
     log = ring[0]
     assert [e[2] for e in log if e[0] == "recv"] == ([0, 1] if repost
