@@ -26,7 +26,7 @@
 # CI: .github/workflows/ci.yml runs `make smoke` on every push and PR
 # across Python 3.10-3.12 (and asserts it left benchmarks/results/
 # untouched), plus `make bench-gate`, `make lint`, `make lint-deep`,
-# `make fuzz` and `make docs-check` as separate jobs.  Locally, `make lint` runs
+# `make fuzz`, `make docs-check` and `make unreached` as separate jobs.  Locally, `make lint` runs
 # ruff when it is on PATH (pip install ruff); otherwise it runs
 # scripts/lint_fallback.py, a stdlib check of ruff's E9 and F401
 # classes only — CI always installs ruff, so the rest cannot slip
@@ -126,7 +126,7 @@ loc:
 	done
 	@python3 scripts/loc_code.py $(BASE) src tests
 
-# The traffic-map ratchet, by hand (~3 min; too slow for CI): every CI
+# The traffic-map ratchet (~3.5 min, its own CI job): every CI
 # command but the test suites runs under a profile hook, and the
 # src/repro functions none of them enters must equal docs/unreached.txt
 # — a newly unreached function or a stale line fails.  Regenerate the

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Which ``src/repro`` functions does no CI command ever call?
 
-``python3 scripts/traffic_map.py`` (~3 min, by hand) runs every CI
-command but the test suites — the six gate sweeps in write and
-``--check`` mode, smoke's two ``cli trace`` cases,
+``python3 scripts/traffic_map.py`` (~3.5 min; CI's ``unreached`` job
+runs its ``--check``) runs every CI command but the test suites — the
+six gate sweeps in write and ``--check`` mode, smoke's two ``cli trace`` cases,
 ``benchmarks/perf/run.py --smoke``, the ``make fuzz`` command, the
 ``repro.lint`` analyzer and ``registry-doc`` / ``bench-doc --check`` —
 and every ``examples/*.py``, one worker each (a forked pool worker

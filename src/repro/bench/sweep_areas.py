@@ -99,30 +99,30 @@ DIMS = {
 # one induced-loss filter, one quiet run
 # ---------------------------------------------------------------------------
 def _drop_first_copy(kind, want=None):
-    """Filter dropping the first arrival of each distinct ``kind`` data
-    unit: ``(sender, seq)`` — one unit per call, so a one-segment
-    payload still sees loss — or, with ``want``, ``(sender, seq, lowest
-    index)`` of each datagram carrying a segment whose index satisfies
-    ``want``."""
+    """``Host.frame_fate`` dropping the first arrival of each distinct
+    ``kind`` data unit: ``(sender, seq)`` — one unit per call, so a
+    one-segment payload still sees loss — or, with ``want``, ``(sender,
+    seq, lowest index)`` of each datagram carrying a segment whose index
+    satisfies ``want``."""
     seen = set()
 
-    def flt(dgram):
+    def fate(dgram):
         if dgram.kind != kind:
-            return False
+            return None
         sender, seq, seg = dgram.payload
         unit = (sender, seq)
         if want is not None:
             index = [s.index for s in
                      (seg if isinstance(seg, tuple) else (seg,))]
             if not any(want(i) for i in index):
-                return False
+                return None
             unit += (min(index),)
         if unit in seen:
-            return False
+            return None
         seen.add(unit)
-        return True
+        return "drop"
 
-    return flt
+    return fate
 
 
 def _seg_3_mod_8(index):
@@ -133,14 +133,14 @@ def _seg_3_mod_8(index):
 def _install_drop(env, drop, lossy):
     """Give each ``lossy`` rank its own ``_drop_first_copy(*drop)``."""
     if drop is not None and env.rank in lossy:
-        env.comm.mcast.data_sock.drop_filter = _drop_first_copy(*drop)
+        env.host.frame_fate = _drop_first_copy(*drop)
 
 
 def _run(n, op, impl, size, params=QUIET_AUTO, seed=0, topology="switch",
          n_ops=1, drop=None, lossy=()):
     """One quiet run of ``n_ops`` back-to-back ``op`` calls of ``impl``,
     each checked on every rank (:func:`op_body`); ``drop`` —
-    :func:`_drop_first_copy`'s arguments — filters the data socket of
+    :func:`_drop_first_copy`'s arguments — filters the datagrams of
     every ``lossy`` rank.  Each rank returns its ``impl_log``."""
     body = op_body(op, size)
 

@@ -19,7 +19,7 @@ from protocol bugs), and returns an idempotent heal callable the
 caller *must* invoke before teardown — a partitioned trunk would
 otherwise block the IGMP leaves the leak sanitizer asserts on.
 
-Data-plane scenarios touch only ``mcast-seg`` frames: the segmented
+Data-plane scenarios touch only the ``LOSSY_KINDS`` frames: the segmented
 multicast stream is the protocol under test, and it owns loss recovery,
 reordering tolerance and duplicate suppression.  Control traffic
 (scouts, p2p, IGMP) rides transports the paper's protocol *assumes* —
@@ -34,12 +34,10 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from ..runtime.skew import FixedSkew
+from ..simnet.udp import LOSSY_KINDS
 
-__all__ = ["DATA_KINDS", "ScenarioSpec", "SCENARIOS", "register", "get",
+__all__ = ["ScenarioSpec", "SCENARIOS", "register", "get",
            "names", "timed_fault"]
-
-#: frame kinds the data-plane scenarios are allowed to corrupt
-DATA_KINDS = ("mcast-seg",)
 
 
 @dataclass(frozen=True)
@@ -137,7 +135,7 @@ def _gilbert_fate(prng: random.Random, p_enter: float, p_exit: float,
 
     def fate(dgram):
         nonlocal bad
-        if dgram.kind not in DATA_KINDS:
+        if dgram.kind not in LOSSY_KINDS:
             return None
         if bad:
             if prng.random() < p_exit:
@@ -167,7 +165,7 @@ def _stall_fate(prng: random.Random, p: float, lo_us: float,
 
     def fate(frame, link):
         nonlocal release
-        if frame.kind not in DATA_KINDS:
+        if frame.kind not in LOSSY_KINDS:
             return None
         now = link.sim.now
         if prng.random() < p:
@@ -185,7 +183,7 @@ def _dup_fate(prng: random.Random, p: float) -> Callable:
     twice — duplicate suppression is the reassembler's job."""
 
     def fate(frame, link):
-        if frame.kind in DATA_KINDS and prng.random() < p:
+        if frame.kind in LOSSY_KINDS and prng.random() < p:
             return "dup"
         return None
 

@@ -51,8 +51,9 @@ __all__ = ["McastChannel", "McastLost", "GROUP_ID_BASE", "DATA_PORT_BASE",
            "SCOUT_PORT_BASE", "SCOUT_BYTES", "MCAST_HEADER_BYTES",
            "SEG_HEADER_BYTES"]
 
-#: multicast group-id space reserved for communicators (above the
-#: cluster-level GroupAllocator's small ids)
+#: multicast group-id space of the communicators' channels: a channel's
+#: group derives from ``GROUP_ID_BASE + ctx`` (hierarchical sub-channels
+#: take theirs above, from ``MpiWorld.alloc_hier_slab``)
 GROUP_ID_BASE = 1 << 16
 
 DATA_PORT_BASE = 20000

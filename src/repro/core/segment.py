@@ -429,7 +429,7 @@ def allgather_mcast_seg_paced(comm, obj: Any) -> Generator:
     — header scout gather, segment-count announcement, arm gather,
     segment stream, report fold, decision, repair rounds.
     Arm synchronization still makes losses impossible under the
-    paper's readiness model; a loss injected anyway (``drop_filter``
+    paper's readiness model; a loss injected anyway (``Host.frame_fate``
     fault injection, ``NetParams.loss``) is selectively repaired by the
     turn's sender instead of raising ``McastLost``.
     """

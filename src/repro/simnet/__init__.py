@@ -12,9 +12,9 @@ from .calibration import (FAST_ETHERNET_HUB, FAST_ETHERNET_SWITCH,
 from .fabric import Fabric, FabricSpec, PartitionError, parse_topology
 from .frame import BROADCAST, Frame, is_multicast, mcast_mac, wire_bytes
 from .host import Host
-from .ip import Datagram, GroupAllocator, fragment_sizes, is_group_addr
-from .kernel import (DeadlockError, Event, Interrupt, Process, SimError,
-                     Simulator, Timeout)
+from .ip import Datagram, fragment_sizes, is_group_addr
+from .kernel import (DeadlockError, Event, Process, SimError, Simulator,
+                     Timeout)
 from .link import HalfLink
 from .medium import ExcessiveCollisions, SharedMedium
 from .nic import Nic
@@ -29,7 +29,7 @@ __all__ = [
     "BROADCAST", "Cluster", "Datagram", "DeadlockError",
     "Event", "ExcessiveCollisions", "FAST_ETHERNET_HUB",
     "FAST_ETHERNET_SWITCH", "Fabric", "FabricSpec", "Frame",
-    "GroupAllocator", "HalfLink", "Host", "Interrupt", "NetParams",
+    "HalfLink", "Host", "NetParams",
     "NetStats", "Nic", "PartitionError", "Process", "RecorderHooks",
     "Resource", "SharedMedium", "SimError",
     "Simulator", "SocketClosed", "Switch", "TOPOLOGIES", "Timeout",

@@ -111,11 +111,11 @@ class NetParams:
     seg_drain_floor_us: float = 250.0
     #: per-receiver multicast data-datagram loss probability.  Wired to
     #: an actual probabilistic drop at every receiving socket: each
-    #: ``mcast-seg`` datagram is dropped independently with this
-    #: probability, from a per-host seeded RNG substream
-    #: (``Host.loss_rng``), so lossy runs are exactly reproducible and
-    #: counted in ``NetStats.drops_lossy``.  Point fault injection is
-    #: still ``UdpSocket.drop_filter``.
+    #: ``LOSSY_KINDS`` datagram (``repro.simnet.udp``) is dropped
+    #: independently with this probability, from a per-host seeded RNG
+    #: substream (``Host.loss_rng``), so lossy runs are exactly
+    #: reproducible and counted in ``NetStats.drops_lossy``.  Point
+    #: fault injection is ``Host.frame_fate``.
     #: The payload-aware auto policy folds the NACK-repair rounds this
     #: rate implies into its frame estimates
     #: (:func:`repro.analysis.framecount.expected_seg_repair_frames`) —

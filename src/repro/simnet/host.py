@@ -41,15 +41,16 @@ class Host:
         #: reproducible run
         self.loss_rng = random.Random(
             ((seed if seed is not None else addr) << 16) ^ 0x105_5EED)
-        #: optional stateful datagram-fate hook (the chaos-injection
-        #: generalization of ``UdpSocket.drop_filter``): every datagram
-        #: delivered to *any* socket on this host is first offered to
-        #: ``frame_fate(dgram)``, which returns ``None``/``"deliver"``
-        #: to pass it through, ``"drop"`` to lose it
-        #: (``NetStats.drops_chaos``) or ``"dup"`` to deliver it twice
+        #: optional stateful datagram-fate hook, the one receive-side
+        #: fault seam (chaos scenarios, the sweeps' induced loss, tests):
+        #: every datagram delivered to *any* socket on this host is
+        #: first offered to ``frame_fate(dgram)``, which returns
+        #: ``None``/``"deliver"`` to pass it through, ``"drop"`` to lose
+        #: it (``NetStats.drops_chaos``) or ``"dup"`` to deliver it twice
         #: (``NetStats.dups_chaos``).  Host-level (not per-socket) so a
-        #: scenario survives sockets being opened and closed under it;
-        #: stateful hooks (burst loss) keep their state in the closure.
+        #: scenario survives sockets being opened and closed under it; a
+        #: hook meant for one socket checks ``dgram.dst_port``.  Stateful
+        #: hooks (burst loss) keep their state in the closure.
         self.frame_fate = None
         self.cpu = Resource(sim, name=f"{self.name}.cpu")
         self.nic = Nic(sim, params, mac=addr, stats=self.stats,

@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 from .calibration import NetParams
-from .frame import Frame, is_multicast, mcast_mac
+from .frame import Frame, is_multicast
 
 __all__ = ["Datagram", "Fragment", "fragment_sizes", "make_frames",
-           "GroupAllocator", "is_group_addr"]
+           "is_group_addr"]
 
 _datagram_ids = itertools.count(1)
 
@@ -81,16 +81,3 @@ def make_frames(params: NetParams, dgram: Datagram) -> Iterator[Frame]:
         yield Frame(dgram.src, dgram.dst, l2_size,
                     Fragment(dgram, i, nfrags), dgram.kind)
 
-
-class GroupAllocator:
-    """Hands out multicast group addresses (one per communicator).
-
-    Mirrors how the paper maps an MPI process group/context onto one IP
-    class-D address.
-    """
-
-    def __init__(self) -> None:
-        self._next = itertools.count(1)
-
-    def allocate(self) -> int:
-        return mcast_mac(next(self._next))

@@ -73,7 +73,6 @@ __all__ = [
     "Process",
     "SimError",
     "DeadlockError",
-    "Interrupt",
 ]
 
 
@@ -95,14 +94,6 @@ class DeadlockError(SimError):
         )
 
 
-class Interrupt(SimError):
-    """Thrown *into* a process by :meth:`Process.interrupt`."""
-
-    def __init__(self, cause: Any = None):
-        self.cause = cause
-        super().__init__(f"process interrupted (cause={cause!r})")
-
-
 class Event:
     """A one-shot occurrence processes can wait on.
 
@@ -112,7 +103,7 @@ class Event:
     error — it almost always indicates a protocol bug in the caller.
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_ok", "_triggered", "_processed")
+    __slots__ = ("sim", "callbacks", "_value", "_ok", "_triggered")
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
@@ -120,18 +111,12 @@ class Event:
         self._value: Any = None
         self._ok: bool = True
         self._triggered = False
-        self._processed = False
 
     # -- state ---------------------------------------------------------
     @property
     def triggered(self) -> bool:
         """True once the event has a value (callbacks may not have run yet)."""
         return self._triggered
-
-    @property
-    def processed(self) -> bool:
-        """True once callbacks have been dispatched."""
-        return self._processed
 
     @property
     def ok(self) -> bool:
@@ -178,13 +163,12 @@ class Event:
 
     def _dispatch(self) -> None:
         callbacks, self.callbacks = self.callbacks, None
-        self._processed = True
         if callbacks:
             for fn in callbacks:
                 fn(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "processed" if self._processed else (
+        state = "processed" if self.callbacks is None else (
             "triggered" if self._triggered else "pending")
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
 
@@ -207,7 +191,6 @@ class Timeout(Event):
         self._value = value
         self._ok = True
         self._triggered = True
-        self._processed = False
         sim.schedule_call(delay, self._dispatch)
 
 
@@ -285,51 +268,19 @@ class Process(Event):
     def is_alive(self) -> bool:
         return not self._triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if not self.is_alive:
-            raise SimError(f"cannot interrupt finished process {self.name}")
-        target = self._waiting_on
-        if target is not None and not target.triggered:
-            # Detach from the event we were waiting on: drop our stale
-            # _resume callback so a long-lived event the process abandons
-            # does not accumulate dead waiters.  (The event may still fire
-            # later; the _resume staleness guard would ignore it, but the
-            # reference would otherwise pin this process until then.)
-            callbacks = target.callbacks
-            if callbacks is not None:
-                try:
-                    callbacks.remove(self._resume)
-                except ValueError:
-                    pass
-        self.sim.schedule_call(0.0, self._throw, Interrupt(cause))
-
     # -- internal ------------------------------------------------------
     def _boot(self) -> None:
-        if not self._triggered:
-            self._step(self.gen.send, None)
+        self._step(self.gen.send, None)
 
     def _resume(self, event: Event) -> None:
-        if self._triggered:
-            return  # already finished (e.g. interrupted while waiting)
-        if self._waiting_on is not None and event is not self._waiting_on:
-            return  # stale wakeup from an event we abandoned via interrupt
         self._waiting_on = None
         if event._ok:
             self._step(self.gen.send, event._value)
         else:
             self._step(self.gen.throw, event._value)
 
-    def _throw(self, exc: BaseException) -> None:
-        if self._triggered:
-            return
-        self._waiting_on = None
-        self._step(self.gen.throw, exc)
-
     def _step(self, advance: Callable[[Any], Any], arg: Any) -> None:
         sim = self.sim
-        prev = sim.active_process
-        sim.active_process = self
         try:
             target = advance(arg)
         except StopIteration as stop:
@@ -341,8 +292,6 @@ class Process(Event):
             sim._crashed.append((self, exc))
             self.fail(exc)
             return
-        finally:
-            sim.active_process = prev
         if not isinstance(target, Event):
             err = SimError(
                 f"process {self.name} yielded {target!r}; processes must "
@@ -378,7 +327,6 @@ class Simulator:
         self.now: float = 0.0
         self._heap: list[tuple[float, int, Callable, tuple]] = []
         self._seq = 0
-        self.active_process: Optional[Process] = None
         self._live_processes: set[Process] = set()
         self._crashed: list[tuple[Process, BaseException]] = []
         #: records dispatched over the simulator's lifetime (the
@@ -464,16 +412,6 @@ class Simulator:
             fn(*args)
 
     # -- main loop --------------------------------------------------------
-    def step(self) -> None:
-        """Process exactly one record, in global ``(due, seq)`` order."""
-        heap = self._heap
-        if len(heap) > self.peak_live:
-            self.peak_live = len(heap)
-        due, _seq, fn, args = heapq.heappop(heap)
-        self.now = due
-        self.processed += 1
-        fn(*args)
-
     def peek(self) -> float:
         """Due time of the next record, or +inf if nothing is pending."""
         return self._heap[0][0] if self._heap else float("inf")

@@ -77,11 +77,11 @@ class HalfLink:
         self.up = True
         #: optional stateful frame-fate hook consulted on last-bit
         #: arrival: ``fault(frame, link)`` returns a :data:`LinkFate`.
-        #: This is the link-level generalization of
-        #: ``UdpSocket.drop_filter`` — it sees every frame kind (data,
-        #: scouts, IGMP), so it can model corruption-like loss,
-        #: duplication and reordering below the IP stack.  It is offered
-        #: the frames that start serializing while it is installed.
+        #: This is the link-level counterpart of ``Host.frame_fate`` —
+        #: it sees every frame kind (data, scouts, IGMP), so it can
+        #: model corruption-like loss, duplication and reordering below
+        #: the IP stack.  It is offered the frames that start
+        #: serializing while it is installed.
         self.fault: Optional[Callable] = None
         self._queue: deque[tuple[Frame, Optional[Callable]]] = deque()
         self.free_at = 0.0      # instant the frame on the wire ends

@@ -63,7 +63,7 @@ class Resource:
         if turn is not None:
             try:
                 yield turn
-            except BaseException:       # e.g. an Interrupt while queued
+            except BaseException:       # e.g. gen.close() while queued
                 self.relinquish(turn)
                 raise
         try:

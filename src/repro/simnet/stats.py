@@ -28,7 +28,6 @@ class NetStats:
     drops_no_listener: int = 0    #: multicast frame with no ready NIC filter
     drops_buffer_full: int = 0    #: datagram dropped: socket buffer overrun
     drops_not_posted: int = 0     #: datagram dropped: no posted receive
-    drops_induced: int = 0        #: datagram dropped by a fault-injection filter
     drops_lossy: int = 0          #: multicast data dropped by NetParams.loss
     #: chaos-injection counters (:mod:`repro.chaos`): frames or datagrams
     #: dropped by a frame-fate hook, a downed link or a dead switch;
@@ -74,7 +73,6 @@ class NetStats:
             "drops_no_listener": self.drops_no_listener,
             "drops_buffer_full": self.drops_buffer_full,
             "drops_not_posted": self.drops_not_posted,
-            "drops_induced": self.drops_induced,
             "drops_lossy": self.drops_lossy,
             "drops_chaos": self.drops_chaos,
             "dups_chaos": self.dups_chaos,

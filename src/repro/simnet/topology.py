@@ -17,9 +17,8 @@ plus tiered multi-segment fabrics.
   ``"tree:[n1,n2,...]"`` a heterogeneous two-tier build (one leaf per
   entry) — see :mod:`repro.simnet.fabric` for the grammar.
 
-All return a :class:`Cluster` holding the simulator, hosts, shared
-statistics, and a :class:`~repro.simnet.ip.GroupAllocator` for multicast
-group addresses.  The cluster also answers **topology discovery**
+All return a :class:`Cluster` holding the simulator, hosts and shared
+statistics.  The cluster also answers **topology discovery**
 questions (segment membership, per-host segment id, trunk distances) so
 collectives can adapt to the fabric at runtime; on the flat topologies
 the answers degrade to a single segment holding every host.
@@ -34,7 +33,6 @@ from typing import Optional
 from .calibration import NetParams, FAST_ETHERNET_HUB, FAST_ETHERNET_SWITCH
 from .fabric import Fabric, build_fabric, parse_topology, wire_host
 from .host import Host
-from .ip import GroupAllocator
 from .kernel import Simulator
 from .medium import SharedMedium
 from .stats import NetStats
@@ -55,7 +53,6 @@ class Cluster:
     topology: str
     hosts: list[Host]
     stats: NetStats
-    groups: GroupAllocator = field(default_factory=GroupAllocator)
     medium: Optional[SharedMedium] = None
     switch: Optional[Switch] = None
     fabric: Optional[Fabric] = None

@@ -21,6 +21,11 @@ to ``take``, and ``recv`` is a ring of one.  A datagram with no free
 descriptor is queued (buffered) or dropped (posted-only); a ring posted
 on a buffered socket takes the queued datagrams first.
 
+A datagram reaches that point past two gates: the host's one
+receive-side fault seam, :attr:`Host.frame_fate` (``drops_chaos``), then
+the seeded loss model, ``NetParams.loss`` over the :data:`LOSSY_KINDS`
+(``drops_lossy``).
+
 Send and receive both charge per-datagram software time on the host CPU —
 the dominant term at the paper's message sizes.
 """
@@ -34,7 +39,11 @@ from .host import Host
 from .ip import Datagram
 from .kernel import Event, SimError, Timer
 
-__all__ = ["UdpSocket", "SocketClosed", "DescriptorRing"]
+__all__ = ["UdpSocket", "SocketClosed", "DescriptorRing", "LOSSY_KINDS"]
+
+#: the datagram kinds ``NetParams.loss`` drops — the multicast data the
+#: round engine repairs selectively; the chaos scenarios corrupt the same
+LOSSY_KINDS = ("mcast-seg",)
 
 
 class SocketClosed(SimError):
@@ -77,11 +86,6 @@ class UdpSocket:
         #: NIC would need.  The round engine reports it per round to the
         #: flight recorder (``CallRecord.posted_high_water``).
         self.posted_high_water = 0
-        #: optional fault-injection hook: ``drop_filter(dgram) -> bool``;
-        #: a True return drops the datagram before delivery (counted as
-        #: ``drops_induced``).  Benchmarks and tests use this to model
-        #: lossy multicast without touching the wire simulation.
-        self.drop_filter: Optional[Callable[[Datagram], bool]] = None
 
     # -- lifecycle ------------------------------------------------------
     def close(self) -> None:
@@ -190,14 +194,10 @@ class UdpSocket:
         if self._closed:
             self.stats.drops_no_listener += 1
             return
-        if self.drop_filter is not None and self.drop_filter(dgram):
-            self.rx_dropped += 1
-            self.stats.drops_induced += 1
-            return
         if self.host.frame_fate is not None:
-            # The stateful chaos hook (see Host.frame_fate): one
-            # decision per datagram, before the loss model, so chaos
-            # runs compose with (and are distinguishable from)
+            # The fault hook (see Host.frame_fate): one decision per
+            # datagram, before the loss model, so injected faults
+            # compose with (and are distinguishable from)
             # NetParams.loss.
             fate = self.host.frame_fate(dgram)
             if fate == "drop":
@@ -213,12 +213,12 @@ class UdpSocket:
                 raise ValueError(f"frame_fate hook on host "
                                  f"{self.host.addr} returned unknown "
                                  f"fate {fate!r}")
-        if (dgram.kind == "mcast-seg" and self.params.loss > 0.0
+        if (self.params.loss > 0.0 and dgram.kind in LOSSY_KINDS
                 and self.host.loss_rng.random() < self.params.loss):
             # NetParams.loss wired for real: each receiver drops each
             # multicast data datagram independently with probability
             # ``loss`` (seeded per host, so runs stay reproducible).
-            # Only ``mcast-seg`` data is lossy — the engine repairs it
+            # Only the LOSSY_KINDS are lossy — the engine repairs them
             # selectively, and the benches close the loop between this
             # measured repair traffic and the auto policy's
             # ``expected_seg_repair_frames`` expectation.
@@ -290,7 +290,11 @@ class DescriptorRing(Event):
         self._parked = self._busy = self._over = False
 
     def drain(self, drain_us: Optional[float]) -> "DescriptorRing":
-        """Start draining; returns the ring for its owner to yield."""
+        """Start draining; returns the ring for its owner to yield.  A
+        ring already over (its socket closed under it) is returned as
+        it is: the ``yield`` raises its :class:`SocketClosed`."""
+        if self._over:
+            return self
         self._parked = True
         if drain_us is not None:
             self._drain_us = drain_us

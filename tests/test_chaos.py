@@ -85,12 +85,12 @@ def test_max_repair_rounds_is_the_one_retry_bound():
     def drop_first_copy(dgram):
         if dgram.kind == "mcast-seg" and not lost:
             lost.append(dgram)
-            return True
-        return False
+            return "drop"
+        return None
 
     def main(env):
         if env.rank == 1:
-            env.comm.mcast.data_sock.drop_filter = drop_first_copy
+            env.host.frame_fate = drop_first_copy
         out = yield from env.comm.bcast(
             b"x" * 8000 if env.rank == 0 else None, root=0)
         return len(out)

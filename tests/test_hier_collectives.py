@@ -219,21 +219,21 @@ def test_hier_repair_stays_inside_the_losing_segment():
         yield from env.comm.bcast(b"w" if env.rank == 0 else None, 0)
         if env.rank == 6 and lossy:
             seen = set()
+            port = env.comm._hier.seg_comm.mcast.data_sock.port
 
             def drop_first(dgram):
-                if dgram.kind != "mcast-seg":
-                    return False
+                if dgram.kind != "mcast-seg" or dgram.dst_port != port:
+                    return None
                 key = dgram.payload[:2] + (dgram.payload[2][0].index
                                            if isinstance(dgram.payload[2],
                                                          tuple)
                                            else dgram.payload[2].index,)
                 if key in seen:
-                    return False
+                    return None
                 seen.add(key)
-                return True
+                return "drop"
 
-            env.comm._hier.seg_comm.mcast.data_sock.drop_filter = \
-                drop_first
+            env.host.frame_fate = drop_first
         data = yield from env.comm.bcast(
             bytes(size) if env.rank == 0 else None, 0)
         return len(data)

@@ -331,18 +331,18 @@ def test_deep_repair_stays_inside_the_losing_leaf():
         yield from env.comm.bcast(b"w" if env.rank == 0 else None, 0)
         if env.rank == 7 and lossy:
             seen = set()
+            port = env.comm._hier.seg_comm.mcast.data_sock.port
 
             def drop_first(dgram):
-                if dgram.kind != "mcast-seg":
-                    return False
+                if dgram.kind != "mcast-seg" or dgram.dst_port != port:
+                    return None
                 key = dgram.payload[:2]
                 if key in seen:
-                    return False
+                    return None
                 seen.add(key)
-                return True
+                return "drop"
 
-            env.comm._hier.seg_comm.mcast.data_sock.drop_filter = \
-                drop_first
+            env.host.frame_fate = drop_first
         data = yield from env.comm.bcast(
             bytes(size) if env.rank == 0 else None, 0)
         return len(data)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.simnet.calibration import FAST_ETHERNET_HUB, NetParams, quiet
-from repro.simnet.ip import Datagram, GroupAllocator, fragment_sizes
+from repro.simnet.ip import Datagram, fragment_sizes
 from repro.simnet.kernel import Simulator
 from repro.simnet.resource import Resource
 from repro.simnet.kernel import SimError
@@ -45,12 +45,6 @@ def test_datagram_rejects_negative_size():
                  size=-1)
 
 
-def test_group_allocator_unique():
-    alloc = GroupAllocator()
-    groups = {alloc.allocate() for _ in range(100)}
-    assert len(groups) == 100
-
-
 def test_frames_for_rejects_negative():
     with pytest.raises(ValueError):
         PARAMS.frames_for(-1)
@@ -88,18 +82,14 @@ def test_resource_release_without_hold_is_error():
 
 
 def test_resource_released_on_exception():
-    """An exception thrown into a holder mid-``use`` must not leak the
-    resource (the ``finally`` in :meth:`Resource.use` releases)."""
-    from repro.simnet.kernel import Interrupt
-
+    """GeneratorExit at a holder's ``yield`` mid-``use`` (``gen.close()``,
+    what CPython does to an abandoned simulation's ranks) must not leak
+    the resource (the ``finally`` in :meth:`Resource.use` releases)."""
     sim = Simulator()
     cpu = Resource(sim)
 
     def victim():
-        try:
-            yield from cpu.use(100.0)
-        except Interrupt:
-            pass
+        yield from cpu.use(100.0)
 
     def good():
         yield sim.timeout(6.0)
@@ -107,20 +97,19 @@ def test_resource_released_on_exception():
         return sim.now
 
     vproc = sim.process(victim())
-    sim.schedule_call(5.0, vproc.interrupt, "evict")
+    sim.schedule_call(5.0, vproc.gen.close)
     proc = sim.process(good())
     sim.run()
     assert proc.ok and proc.value == pytest.approx(8.0)
     assert not cpu.held
 
 
-@pytest.mark.parametrize("interrupt_at", [2.0, 10.0])
-def test_interrupted_waiter_gives_its_turn_back(interrupt_at):
-    """A waiter interrupted while queued withdraws its turn (at 2 us), and
-    one interrupted in the record that grants it (at 10 us, before it
-    resumes) releases the resource: either way a later ``use`` runs."""
-    from repro.simnet.kernel import Interrupt
-
+@pytest.mark.parametrize("close_at", [2.0, 10.0])
+def test_finalised_waiter_gives_its_turn_back(close_at):
+    """A waiter finalised (``gen.close()``) while queued withdraws its
+    turn (at 2 us), and one finalised after the record that grants it
+    (at 10 us, before it resumes) releases the resource: either way a
+    later ``use`` runs."""
     sim = Simulator()
     cpu = Resource(sim)
     caught, done = [], []
@@ -128,8 +117,9 @@ def test_interrupted_waiter_gives_its_turn_back(interrupt_at):
     def victim():
         try:
             yield from cpu.use(5.0)
-        except Interrupt:
+        except GeneratorExit:
             caught.append(sim.now)
+            raise
 
     def third():
         yield sim.timeout(20.0)
@@ -137,11 +127,11 @@ def test_interrupted_waiter_gives_its_turn_back(interrupt_at):
         done.append(sim.now)
 
     sim.process(cpu.use(10.0))          # the holder, over [0, 10)
-    vproc = sim.process(victim())
-    sim.schedule_at(interrupt_at, vproc.interrupt, "evict")
+    vproc = sim.process(victim(), daemon=True)  # abandoned, never ends
+    sim.schedule_at(close_at, sim.schedule_call, 0.0, vproc.gen.close)
     sim.process(third())
     sim.run()                           # DeadlockError before the fix
-    assert caught == [interrupt_at] and done == [21.0]
+    assert caught == [close_at] and done == [21.0]
     assert not cpu.held and cpu.queue_depth == 0
 
 

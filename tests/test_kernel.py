@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simnet.kernel import (DeadlockError, Event, Interrupt, SimError,
-                                 Simulator, Timeout, Timer)
+from repro.simnet.kernel import (DeadlockError, Event, SimError, Simulator,
+                                 Timeout, Timer)
 
 
 def test_timeout_advances_clock():
@@ -178,34 +178,6 @@ def test_tie_break_is_insertion_order():
         sim.process(proc(tag))
     sim.run()
     assert order == ["a", "b", "c"]
-
-
-def test_interrupt_raises_inside_process():
-    sim = Simulator()
-    seen = []
-
-    def sleeper():
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt as intr:
-            seen.append((sim.now, intr.cause))
-
-    proc = sim.process(sleeper())
-    sim.schedule_call(2.0, proc.interrupt, "wakeup")
-    sim.run()
-    assert seen == [(2.0, "wakeup")]
-
-
-def test_interrupt_finished_process_rejected():
-    sim = Simulator()
-
-    def quick():
-        yield sim.timeout(1.0)
-
-    proc = sim.process(quick())
-    sim.run()
-    with pytest.raises(SimError):
-        proc.interrupt()
 
 
 def test_schedule_call_runs_function():
@@ -436,9 +408,9 @@ def _interpret(sim, program, untils, drive):
     return log, marks
 
 
-def _drive_by_step(sim, _until):
+def _drive_by_instant(sim, _until):
     while sim.peek() != float("inf"):
-        sim.step()
+        sim.run(until=sim.peek())
 
 
 @settings(max_examples=300, deadline=None)
@@ -452,11 +424,11 @@ def test_dispatch_order_is_a_stable_sort_by_due_time(program, untils):
     ``fail``, ``Timeout``, a ``Timer`` armed, re-armed and cancelled —
     from callbacks that schedule further records: the kernel dispatches
     exactly as the model does, and counts what the model counts, at
-    every ``run(until=...)`` cut-off and at the end; driven record by
-    record through ``step`` / ``peek`` it ends in the same place."""
+    every ``run(until=...)`` cut-off and at the end; driven instant by
+    instant through ``run(until=peek())`` it ends in the same place."""
     want = _interpret(ModelSim(), program, untils, ModelSim.run)
     assert _interpret(Simulator(), program, untils, Simulator.run) == want
-    log, marks = _interpret(Simulator(), program, [], _drive_by_step)
+    log, marks = _interpret(Simulator(), program, [], _drive_by_instant)
     assert (log, marks[-1]) == (want[0], want[1][-1])
 
 
@@ -545,6 +517,6 @@ def test_step_runs_a_whole_fanout_record():
     for tag in "abc":
         sim.schedule_fanout(1.0, note, tag)
     sim.schedule_call(2.0, note, "z")
-    sim.step()
+    sim.run(until=1.0)
     assert log == [(1.0, "a"), (1.0, "b"), (1.0, "c")]
     assert sim.processed == 1 and sim.peek() == 2.0

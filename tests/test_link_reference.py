@@ -301,8 +301,8 @@ def drive_cluster(sim_cls, fabric, params, case):
         for group, joined in zip(GROUPS, members):
             if addr in joined:
                 sock.join(group)
-        sock.drop_filter = (lambda d, addr=addr: seen.append(
-            (sim.now, addr, "in", d.payload)) and False)
+        cluster.hosts[addr].frame_fate = (lambda d, addr=addr: seen.append(
+            (sim.now, addr, "in", d.payload)))
 
     def receiver(addr):
         while True:

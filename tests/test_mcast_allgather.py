@@ -141,12 +141,12 @@ def test_unpaced_drain_cancels_every_leftover_descriptor():
         if env.rank == 5:
             # induced loss: rank 5 never sees contributions from 1,2,3,
             # so its drain times out with descriptors still posted
-            env.comm.mcast.data_sock.drop_filter = (
-                lambda dgram: dgram.kind == "mcast-data"
-                and dgram.payload[0] in (1, 2, 3))
+            env.host.frame_fate = (
+                lambda dgram: "drop" if dgram.kind == "mcast-data"
+                and dgram.payload[0] in (1, 2, 3) else None)
         results, lost = yield from allgather_mcast_unpaced(
             env.comm, bytes(1500), descriptors=2)
-        env.comm.mcast.data_sock.drop_filter = None
+        env.host.frame_fate = None
 
         env.comm.use_collectives(allgather=PACED)
         out = yield from env.comm.allgather(env.rank)   # hangs before fix
@@ -157,4 +157,4 @@ def test_unpaced_drain_cancels_every_leftover_descriptor():
     assert losses[5] == 3                   # the induced loss was real
     assert all(r[1] == list(range(6)) for r in result.returns)
     # and no descriptor survived into the paced collective
-    assert result.stats["drops_induced"] == 3
+    assert result.stats["drops_chaos"] == 3

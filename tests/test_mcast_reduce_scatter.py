@@ -30,15 +30,15 @@ def drop_first_copy_of(indices):
 
     def flt(dgram):
         if dgram.kind != "mcast-seg":
-            return False
+            return None
         root, seq, seg = dgram.payload
         segs = seg if isinstance(seg, tuple) else (seg,)
         for s in segs:
             key = (root, seq, s.index)
             if s.index in indices and key not in dropped:
                 dropped.add(key)
-                return True
-        return False
+                return "drop"
+        return None
 
     return flt
 
@@ -109,7 +109,7 @@ def test_seg_reduce_repairs_loss_at_the_root():
     def main(env):
         env.comm.use_collectives(reduce="mcast-seg-combine")
         if env.rank == 0:
-            env.comm.mcast.data_sock.drop_filter = drop_first_copy_of(lost)
+            env.host.frame_fate = drop_first_copy_of(lost)
         arr = np.full(1000, 1.0, dtype=np.float64)   # 8000 B = 6 segments
         out = yield from env.comm.reduce(arr, SUM, 0)
         return out is None or bool(np.all(out == 3.0))
@@ -127,8 +127,8 @@ def test_seg_reduce_loss_at_bystanders_is_free():
     def main(env):
         env.comm.use_collectives(reduce="mcast-seg-combine")
         if env.rank == 2:
-            env.comm.mcast.data_sock.drop_filter = (
-                lambda d: d.kind == "mcast-seg")
+            env.host.frame_fate = (
+                lambda d: "drop" if d.kind == "mcast-seg" else None)
         arr = np.full(1000, 1.0, dtype=np.float64)
         out = yield from env.comm.reduce(arr, SUM, 0)
         return out is None or bool(np.all(out == 3.0))
@@ -210,7 +210,7 @@ def test_seg_scatter_repairs_only_the_needing_rank():
         # global stream: rank1 -> segments 0-2, rank2 -> 3-5 (4000 B
         # each at 1460); rank 2 drops its own first segment (index 3)
         if env.rank == 2:
-            env.comm.mcast.data_sock.drop_filter = drop_first_copy_of({3})
+            env.host.frame_fate = drop_first_copy_of({3})
         objs = None
         if env.rank == 0:
             objs = [bytes([r]) * 4000 for r in range(env.size)]
@@ -225,7 +225,7 @@ def test_seg_scatter_repairs_only_the_needing_rank():
     def main2(env):
         env.comm.use_collectives(scatter="mcast-seg-root")
         if env.rank == 1:
-            env.comm.mcast.data_sock.drop_filter = drop_first_copy_of({3})
+            env.host.frame_fate = drop_first_copy_of({3})
         objs = None
         if env.rank == 0:
             objs = [bytes([r]) * 4000 for r in range(env.size)]
@@ -318,7 +318,7 @@ def test_seg_allreduce_matches_p2p_and_survives_loss():
         env.comm.use_collectives(allreduce="mcast-seg-nack")
         if env.rank == 0:
             # root loses reduce segments; rank 2 loses bcast segments
-            env.comm.mcast.data_sock.drop_filter = drop_first_copy_of({0})
+            env.host.frame_fate = drop_first_copy_of({0})
         b = yield from env.comm.allreduce([env.rank], CONCAT)
         return a == b == [0, 1, 2, 3]
 
@@ -435,7 +435,7 @@ def test_seg_gather_repairs_loss_at_the_root():
     def main(env):
         env.comm.use_collectives(gather="mcast-seg-root-follow")
         if env.rank == 0:
-            env.comm.mcast.data_sock.drop_filter = drop_first_copy_of(
+            env.host.frame_fate = drop_first_copy_of(
                 {0, 5})
         out = yield from env.comm.gather(bytes([env.rank]) * 20_000, 0)
         if env.rank == 0:

@@ -213,8 +213,8 @@ def test_deadline_hang_dump_names_open_round_and_missing():
 
     def main(env):
         if env.rank == 1:
-            env.comm.mcast.data_sock.drop_filter = \
-                lambda dgram: dgram.kind == "mcast-seg"
+            env.host.frame_fate = \
+                lambda dgram: "drop" if dgram.kind == "mcast-seg" else None
         obj = yield from env.comm.bcast(
             bytes(6000) if env.rank == 0 else None, root=0)
         return len(obj)

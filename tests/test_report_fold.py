@@ -24,17 +24,17 @@ PAYLOAD = bytes(range(256)) * 16            # 8 segments of 512 B
 
 
 def _lose_first_copy_of(indices):
-    """A drop_filter eating the first arrival of each listed segment."""
+    """A frame_fate eating the first arrival of each listed segment."""
     pending = set(indices)
 
     def flt(dgram):
         if dgram.kind != "mcast-seg":
-            return False
+            return None
         index = dgram.payload[2].index
         if index in pending:
             pending.discard(index)
-            return True
-        return False
+            return "drop"
+        return None
 
     return flt
 
@@ -74,18 +74,18 @@ def test_fold_carries_the_union_and_the_smallest_ring_to_the_root(group):
     def count(dgram):
         if dgram.kind in at_root:
             at_root[dgram.kind] += 1
-        return False
+        return None
 
     def main(env):
         comm, channel = env.comm, env.comm.mcast
         seq = channel.next_seq()
         arm, tok = round_namespace("fold", 0)
         if env.rank == root:
-            channel.scout_sock.drop_filter = count
+            env.host.frame_fate = count
             yield from stream_rounds(comm, channel, seq, root, arm, tok,
                                      fragment(PAYLOAD, 512), 1)
             return PAYLOAD
-        channel.data_sock.drop_filter = _lose_first_copy_of(
+        env.host.frame_fate = _lose_first_copy_of(
             lost[env.rank])
         if env.rank in bystanders:
             yield from stream_rounds(comm, channel, seq, root, arm, tok,
@@ -130,9 +130,9 @@ def test_abort_decision_reaches_every_follower():
         seq = channel.next_seq()
         arm, tok = round_namespace("fold", 0)
         if env.rank == 5:               # segment 3 never gets through
-            channel.data_sock.drop_filter = (
-                lambda d: d.kind == "mcast-seg"
-                and d.payload[2].index == 3)
+            env.host.frame_fate = (
+                lambda d: "drop" if d.kind == "mcast-seg"
+                and d.payload[2].index == 3 else None)
         try:
             yield from stream_rounds(
                 comm, channel, seq, root, arm, tok,

@@ -60,19 +60,19 @@ def test_whole_round_loss_nacks_faster_than_fixed_timeout():
 
         def flt(dgram):
             if dgram.kind != "mcast-seg":
-                return False
+                return None
             seq = dgram.payload[1]
             if seq in seen:
-                return False
+                return None
             seen.add(seq)
-            return True
+            return "drop"
 
         return flt
 
     def main(env):
         env.comm.use_collectives(bcast="mcast-seg-nack")
         if env.rank == 1:
-            env.comm.mcast.data_sock.drop_filter = drop_first_round()
+            env.host.frame_fate = drop_first_round()
         obj = bytes(12_000) if env.rank == 0 else None
         out = yield from env.comm.bcast(obj, 0)
         return len(out)
@@ -152,20 +152,20 @@ def test_scattered_losses_repack_into_one_repair_datagram():
 
         def flt(dgram):
             if dgram.kind != "mcast-seg":
-                return False
+                return None
             seg = dgram.payload[2]
             segs = seg if isinstance(seg, tuple) else (seg,)
             if len(segs) == 1 and segs[0].index in lost - dropped:
                 dropped.add(segs[0].index)
-                return True
-            return False
+                return "drop"
+            return None
 
         return flt
 
     def main(env):
         env.comm.use_collectives(bcast="mcast-seg-nack")
         if env.rank == 1:
-            env.comm.mcast.data_sock.drop_filter = drop_once()
+            env.host.frame_fate = drop_once()
         obj = bytes(48_000) if env.rank == 0 else None
         out = yield from env.comm.bcast(obj, 0)
         return out == bytes(48_000)
@@ -229,13 +229,13 @@ def test_serve_follow_contract_with_subsets_and_bystander():
 
         def flt(dgram):
             if dgram.kind != "mcast-seg" or state["done"]:
-                return False
+                return None
             seg = dgram.payload[2]
             segs = seg if isinstance(seg, tuple) else (seg,)
             if any(s.index == 7 for s in segs):
                 state["done"] = True
-                return True
-            return False
+                return "drop"
+            return None
 
         return flt
 
@@ -251,7 +251,7 @@ def test_serve_follow_contract_with_subsets_and_bystander():
                                      segs, batch)
             return "served"
         if env.rank == 1:
-            channel.data_sock.drop_filter = drop_seg7_once()
+            env.host.frame_fate = drop_seg7_once()
             reasm = yield from stream_rounds(comm, channel, seq, 0, arm,
                                              tok)
             return reasm.result()
@@ -313,19 +313,19 @@ def test_serve_follow_sequential_namespaces_do_not_cross_match():
 
 # ------------------------------------------------- the drain timer (PR 14)
 def _eat_tail_once():
-    """A drop_filter losing the first datagram that carries the stream's
+    """A frame_fate losing the first datagram that carries the stream's
     last segment — the loss only silence can detect."""
     done = []
 
     def flt(dgram):
         if dgram.kind != "mcast-seg" or done:
-            return False
+            return None
         payload = dgram.payload[2]
         segs = payload if isinstance(payload, tuple) else (payload,)
         if segs[-1].index == segs[-1].nsegs - 1:
             done.append(True)
-            return True
-        return False
+            return "drop"
+        return None
 
     return flt
 
@@ -349,7 +349,7 @@ def test_tail_loss_records_one_drain_timeout_at_the_historical_instant():
     def main(env):
         env.comm.use_collectives(bcast="mcast-seg-nack")
         if env.rank == 2:
-            env.comm.mcast.data_sock.drop_filter = _eat_tail_once()
+            env.host.frame_fate = _eat_tail_once()
         out = yield from env.comm.bcast(
             bytes(range(250)) * 20 if env.rank == 0 else None, 0)
         return len(out)
@@ -358,7 +358,7 @@ def test_tail_loss_records_one_drain_timeout_at_the_historical_instant():
         4, main, params=params, seed=3,
         on_cluster=lambda c: recorders.append(FlightRecorder().attach(c)))
     assert result.returns == [5000] * 4
-    assert result.stats["drops_induced"] == 1
+    assert result.stats["drops_chaos"] == 1
     assert result.stats["retransmissions"] == 1
     drains = [e for e in recorders[0].events
               if e[0] == "inst" and e[3] == "drain-timeout"]
@@ -372,13 +372,13 @@ def test_tail_loss_records_one_drain_timeout_at_the_historical_instant():
     assert result.cluster.sim.processed < 701 * 0.65
 
 
-def test_interrupt_in_consume_round_disarms_and_withdraws(monkeypatch):
-    """Every exit of the wait — an Interrupt thrown into the rank parked
-    on the ring included — closes the ring: drain timer disarmed,
+def test_socket_closed_in_consume_round_disarms_and_withdraws(monkeypatch):
+    """Every exit of the wait — the data socket closing under the rank
+    parked on the ring included — closes the ring: drain timer disarmed,
     descriptors withdrawn (the sanitizer's quiesce check would name a
     leftover one)."""
     from repro.core.rounds import _consume_round, _taker
-    from repro.simnet.kernel import Interrupt
+    from repro.simnet.udp import SocketClosed
 
     monkeypatch.setenv("REPRO_SANITIZE", "1")
 
@@ -386,8 +386,7 @@ def test_interrupt_in_consume_round_disarms_and_withdraws(monkeypatch):
         if env.rank != 1:
             return None
         channel = env.comm.mcast
-        env.sim.schedule_call(200.0, env.sim.active_process.interrupt,
-                              "evict")
+        env.sim.schedule_call(200.0, channel.data_sock.close)
         due = env.sim.now + 200.0
         seq = channel.next_seq()
         ring = channel.data_sock.post_ring(
@@ -395,13 +394,13 @@ def test_interrupt_in_consume_round_disarms_and_withdraws(monkeypatch):
         assert channel.data_sock.posted_depth == 3
         try:
             yield from _consume_round(env.comm, ring, drain_us=5_000.0)
-        except Interrupt as exc:
-            return (exc.cause, ring.timer.armed,
+        except SocketClosed as exc:
+            return (type(exc).__name__, ring.timer.armed,
                     channel.data_sock.posted_depth, env.sim.now == due)
-        return "not interrupted"
+        return "not closed"
 
     result = run_spmd(2, main, params=QUIET)      # check_quiesced passes
-    assert result.returns[1] == ("evict", False, 0, True)
+    assert result.returns[1] == ("SocketClosed", False, 0, True)
     # the orphaned timer record popped as a no-op; nothing else ran
     assert not result.cluster.sim._heap
 

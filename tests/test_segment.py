@@ -169,13 +169,13 @@ def drop_first_copy_of(indices):
 
     def flt(dgram):
         if dgram.kind != "mcast-seg":
-            return False
+            return None
         _root, seq, seg = dgram.payload
         key = (seq, seg.index)
         if seg.index in indices and key not in dropped:
             dropped.add(key)
-            return True
-        return False
+            return "drop"
+        return None
 
     return flt
 
@@ -216,7 +216,7 @@ def test_seg_nack_repairs_induced_loss():
     def main(env):
         env.comm.use_collectives(bcast="mcast-seg-nack")
         if env.rank in (1, 3):
-            env.comm.mcast.data_sock.drop_filter = drop_first_copy_of(lost)
+            env.host.frame_fate = drop_first_copy_of(lost)
         obj = payload if env.rank == 0 else None
         out = yield from env.comm.bcast(obj, 0)
         return out == payload
@@ -236,7 +236,7 @@ def test_seg_nack_repairs_lost_tail_via_drain_timeout():
     def main(env):
         env.comm.use_collectives(bcast="mcast-seg-nack")
         if env.rank == 1:
-            env.comm.mcast.data_sock.drop_filter = drop_first_copy_of({13})
+            env.host.frame_fate = drop_first_copy_of({13})
         obj = payload if env.rank == 0 else None
         out = yield from env.comm.bcast(obj, 0)
         return out == payload
@@ -254,18 +254,18 @@ def test_seg_nack_survives_repeated_loss_rounds():
 
     def flt(dgram):
         if dgram.kind != "mcast-seg":
-            return False
+            return None
         _root, seq, seg = dgram.payload
         if seg.index != 3:
-            return False
+            return None
         seen = copies.get((seq, seg.index), 0)
         copies[(seq, seg.index)] = seen + 1
-        return seen < 2                        # drop first two copies
+        return "drop" if seen < 2 else None  # the first two copies
 
     def main(env):
         env.comm.use_collectives(bcast="mcast-seg-nack")
         if env.rank == 1:
-            env.comm.mcast.data_sock.drop_filter = flt
+            env.host.frame_fate = flt
         obj = payload if env.rank == 0 else None
         out = yield from env.comm.bcast(obj, 0)
         return out == payload
@@ -354,7 +354,7 @@ def test_seg_paced_allgather_repairs_induced_loss():
     def main(env):
         env.comm.use_collectives(allgather="mcast-seg-paced")
         if env.rank == 2:
-            env.comm.mcast.data_sock.drop_filter = drop_first_copy_of({1})
+            env.host.frame_fate = drop_first_copy_of({1})
         out = yield from env.comm.allgather(bytes(5000))
         return [len(x) for x in out]
 
@@ -375,19 +375,19 @@ def test_seg_paced_allgather_repairs_loss_in_every_turn():
 
         def flt(dgram):
             if dgram.kind != "mcast-seg":
-                return False
+                return None
             root, _seq, seg = dgram.payload
             if seg.index == 2 and root not in dropped:
                 dropped.add(root)
-                return True
-            return False
+                return "drop"
+            return None
 
         return flt
 
     def main(env):
         env.comm.use_collectives(allgather="mcast-seg-paced")
         if env.rank == 1:
-            env.comm.mcast.data_sock.drop_filter = \
+            env.host.frame_fate = \
                 drop_seg2_once_per_sender()
         mine = bytes([env.rank]) * 6000
         out = yield from env.comm.allgather(mine)
@@ -448,14 +448,14 @@ def test_seg_nack_batched_bcast_repairs_whole_batch_loss():
     def flt(dgram):
         # drop the first copy of the batch (segments 0..8)
         if dgram.kind != "mcast-seg" or dropped:
-            return False
+            return None
         dropped.append([s.index for s in dgram.payload[2]])
-        return True
+        return "drop"
 
     def main(env):
         env.comm.use_collectives(bcast="mcast-seg-nack")
         if env.rank == 1:
-            env.comm.mcast.data_sock.drop_filter = flt
+            env.host.frame_fate = flt
         obj = payload if env.rank == 0 else None
         out = yield from env.comm.bcast(obj, 0)
         return out == payload
@@ -498,19 +498,19 @@ def _lossy_bcast_frames(impl, nbytes, params, nprocs=4):
 
         def flt(dgram):
             if dgram.kind != data_kind:
-                return False
+                return None
             seq = dgram.payload[1]
             if seq in seen:
-                return False
+                return None
             seen.add(seq)
-            return True
+            return "drop"
 
         return flt
 
     def main(env):
         env.comm.use_collectives(bcast=impl)
         if env.rank % 2 == 1:
-            env.comm.mcast.data_sock.drop_filter = drop_first_copy()
+            env.host.frame_fate = drop_first_copy()
         obj = bytes(nbytes) if env.rank == 0 else None
         out = yield from env.comm.bcast(obj, 0)
         return out == bytes(nbytes)
@@ -552,8 +552,9 @@ def test_seg_nack_gives_up_cleanly_on_unrepairable_loss():
     def main(env):
         env.comm.use_collectives(bcast="mcast-seg-nack")
         if env.rank == 1:
-            env.comm.mcast.data_sock.drop_filter = (
-                lambda d: d.kind == "mcast-seg" and d.payload[2].index == 2)
+            env.host.frame_fate = (
+                lambda d: "drop" if d.kind == "mcast-seg"
+                and d.payload[2].index == 2 else None)
         out = yield from env.comm.bcast(
             bytes(10_000) if env.rank == 0 else None, 0)
         return len(out)

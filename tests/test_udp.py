@@ -17,7 +17,6 @@ from repro.simnet import build_cluster, quiet
 from repro.simnet.calibration import FAST_ETHERNET_HUB, FAST_ETHERNET_SWITCH
 from repro.simnet.ip import Datagram
 from repro.simnet.ipstack import PortInUse
-from repro.simnet.kernel import Interrupt
 from repro.simnet.udp import SocketClosed, UdpSocket
 
 from _reference_udp import UdpSocket as ReferenceUdpSocket
@@ -292,6 +291,33 @@ def test_close_fails_pending_posted_recv():
     assert len(caught) == 1
 
 
+def test_draining_a_ring_whose_socket_closed_raises_socket_closed():
+    """A posted ring whose socket closes before its owner drains it (as
+    ``stream_rounds`` posts before its arming gather and drains after
+    it): ``drain`` hands the failed ring back untouched, arming no
+    timer, and the owner's ``yield`` raises the stored SocketClosed."""
+    cl, sim, h0, h1 = make2()
+    rx = h1.socket(100, posted_only=True)
+    caught, rings = [], []
+
+    def owner():
+        ring = rx.post_ring(2, lambda d: False)
+        rings.append(ring)
+        try:
+            yield sim.timeout(10.0)
+            yield ring.drain(1000.0)
+        except SocketClosed:
+            caught.append(sim.now)
+        finally:
+            ring.close()
+
+    sim.process(owner())
+    sim.schedule_call(5.0, rx.close)
+    sim.run()
+    assert caught == [10.0] and sim.now == 10.0
+    assert rings[0].timer is None and rx.posted_depth == 0
+
+
 def test_close_fails_every_pending_descriptor():
     cl, sim, h0, h1 = make2()
     rx = h1.socket(100, posted_only=True)
@@ -381,14 +407,14 @@ def dgram_to(sock, payload, kind="data", size=64):
                     kind=kind)
 
 
-def parked_receiver(sim, sock, out):
+def parked_receiver(sim, sock, out, daemon=False):
     """A process parked in ``sock.recv()``, appending ``(payload,
     completion time)`` to ``out``."""
     def receiver():
         d = yield from sock.recv()
         out.append((d and d.payload, sim.now))
 
-    return sim.process(receiver())
+    return sim.process(receiver(), daemon=daemon)
 
 
 def test_parked_idle_receive_costs_one_record():
@@ -399,12 +425,16 @@ def test_parked_idle_receive_costs_one_record():
     sim.run(until=5.0)                  # parked; nothing pending
     assert sim.peek() == float("inf")
     sim.schedule_call(5.0, rx._deliver, dgram_to(rx, "x", "mcast-seg"))
-    sim.step()                          # the arrival: fill + charge
-    assert h1.cpu.held and out == []
-    sim.step()                          # ONE record later: the return
+    before = sim.processed
+    sim.run(until=5.0)                  # the arrival: fill + charge
+    assert h1.cpu.held and out == [] and sim.processed - before == 1
     cost = rx.recv_cost_us + rx.params.mcast_recv_extra_us
+    assert sim.peek() == 5.0 + cost
+    sim.run(until=5.0 + cost)           # ONE record later: the return
     assert out == [("x", 5.0 + cost)]
     assert not h1.cpu.held and cl.stats.datagrams_delivered == 1
+    # the charge record, then the finished process's own completion
+    assert sim.processed - before == 3
 
 
 def test_charge_holds_the_cpu_for_exactly_the_receive_cost():
@@ -484,14 +514,16 @@ def test_foreign_waiter_is_never_charged(waiter):
 
 
 def test_exception_into_the_parked_waiter_mid_charge_releases_the_cpu():
+    """GeneratorExit at the waiter's ``yield`` (``gen.close()``, what
+    CPython does to an abandoned simulation's ranks) closes the ring,
+    which gives back the CPU its charge holds."""
     cl, sim, h0, h1 = make2()
     rx = h1.socket(100, posted_only=True)
     out = []
-    proc = parked_receiver(sim, rx, out)
+    proc = parked_receiver(sim, rx, out, daemon=True)
     sim.schedule_call(10.0, rx._deliver, dgram_to(rx, "x"))
-    sim.schedule_call(20.0, proc.interrupt, "stop")
-    with pytest.raises(Interrupt):      # a SimError, not swallowed
-        sim.run()
+    sim.schedule_call(20.0, proc.gen.close)
+    sim.run(until=20.0)
     assert sim.now == 20.0 and not h1.cpu.held and out == []
     sim.run()                           # the orphaned completion: a no-op
     assert out == [] and cl.stats.datagrams_delivered == 0
@@ -885,8 +917,9 @@ def test_closing_the_ring_gives_its_cpu_turn_back(evict_at):
         ring = rx.post_ring(2, lambda d: False)
         try:
             yield ring.drain(1000.0)
-        except Interrupt:
+        except GeneratorExit:
             caught.append((sim.now, ring._busy))
+            raise
         finally:
             ring.close()
 
@@ -895,8 +928,9 @@ def test_closing_the_ring_gives_its_cpu_turn_back(evict_at):
         yield from h1.cpu.use(1.0)
         done.append(sim.now)
 
-    proc = sim.process(owner())
-    sim.schedule_at(evict_at, proc.interrupt, "evict")
+    proc = sim.process(owner(), daemon=True)    # abandoned, never ends
+    # finalised in a zero-delay record: at 100 us after the grant
+    sim.schedule_at(evict_at, sim.schedule_call, 0.0, proc.gen.close)
     sim.process(h1.cpu.use(100.0))      # the burst, over [0, 100)
     sim.schedule_call(10.0, rx._deliver, dgram_to(rx, "x"))
     sim.process(third())
