@@ -351,7 +351,8 @@ def model_p2p_frames(op: str, seg_of_rank, root: int, nbytes: int,
     table's default: a fold of :func:`_hop` over every message it sends.
     Exact (asserted against ``NetStats`` by ``tests/test_plan_model.py``).
 
-    The rooted four (:mod:`repro.mpi.collective.tree_p2p`) fold the
+    ``op`` is one of the rooted four
+    (:mod:`repro.mpi.collective.tree_p2p`), each a fold over the
     binomial tree rooted at ``root``
     (:func:`~repro.core.binomial.binomial_edges`) — the tree whose
     per-rank restriction, :func:`~repro.core.binomial.binomial_walk`,
@@ -361,28 +362,21 @@ def model_p2p_frames(op: str, seg_of_rank, root: int, nbytes: int,
     (``nbytes`` one rank's contribution) carry the bundle of the
     child's subtree, ``BUNDLE_LENGTH_BYTES`` per element beside it.  A
     non-``commutative`` reduce at a nonzero root runs the tree at rank
-    0 and adds its forward to the root.  ``alltoall`` sends one
-    ``nbytes`` element per ordered rank pair; ``scan`` and ``exscan``
-    one ``nbytes`` value down the rank chain.  A composite is priced by
+    0 and adds its forward to the root.  ``barrier`` has a closed form
+    (``"mpich-barrier"``) and a composite is priced by
     :func:`model_parts_frames`."""
     digest = topo_digest(seg_of_rank, paths)
     size = digest.size
-    if op == "alltoall":
-        hops = [(a, b, nbytes) for a in range(size) for b in range(size)
-                if a != b]
-    elif op in ("scan", "exscan"):
-        hops = [(r, r + 1, nbytes) for r in range(size - 1)]
-    elif op in ("bcast", "reduce", "scatter", "gather"):
-        top = root if commutative or op != "reduce" else 0
-        hops = [(0, root, nbytes)] if top != root else []
-        # one rank's element of a bundle, or None: the whole message
-        unit = {"scatter": -(-nbytes // size), "gather": nbytes}.get(op)
-        hops += [((parent + top) % size, (child + top) % size,
-                  nbytes if unit is None
-                  else len(cover) * (unit + BUNDLE_LENGTH_BYTES))
-                 for parent, child, cover in binomial_edges(size)]
-    else:
+    if op not in ("bcast", "reduce", "scatter", "gather"):
         raise KeyError(f"no p2p frame model for collective {op!r}")
+    top = root if commutative or op != "reduce" else 0
+    hops = [(0, root, nbytes)] if top != root else []
+    # one rank's element of a bundle, or None: the whole message
+    unit = {"scatter": -(-nbytes // size), "gather": nbytes}.get(op)
+    hops += [((parent + top) % size, (child + top) % size,
+              nbytes if unit is None
+              else len(cover) * (unit + BUNDLE_LENGTH_BYTES))
+             for parent, child, cover in binomial_edges(size)]
     frames = trunk = 0
     for src, dst, m in hops:
         f, t = _hop(digest, params, src, dst, m)
@@ -553,14 +547,11 @@ def model_hier_frames(op: str, seg_of_rank, root: int, nbytes: int,
 # ---------------------------------------------------------------------------
 def part_payloads(op: str, size: int, nbytes: int) -> tuple[int, ...]:
     """The ``nbytes`` each part of composite ``op`` carries, in run
-    order, for a call whose own ``nbytes`` is one rank's contribution
-    (``reduce_scatter``: one of its ``size`` elements): a reduction
-    keeps its operand's size; a value holding every rank's element is
-    their bundle; a scatter's is its total sequence."""
+    order, for a call whose own ``nbytes`` is one rank's contribution:
+    allreduce's reduce and bcast both carry it; allgather's gather
+    carries it and its bcast the bundle of every rank's element."""
     bundle = size * (nbytes + BUNDLE_LENGTH_BYTES)
-    return {"allgather": (nbytes, bundle),
-            "reduce_scatter": (bundle, size * nbytes)}.get(
-                op, (nbytes, nbytes))
+    return {"allgather": (nbytes, bundle)}.get(op, (nbytes, nbytes))
 
 
 def model_parts_frames(op: str, impl: str, seg_of_rank, root: int,

@@ -43,9 +43,9 @@ fact cannot say itself:
   (``core.segment.step_streams``, which executor, interpreter and model
   all read) or one of ``forward`` / ``sync`` / ``release``.
 
-This turns the ROADMAP's alltoall/scan/exscan/reduce_scatter gaps into
-tracked waivers: deleting the waiver without adding the real policy or
-model brings the lint gate down.
+So an op without a selection story ships only as a tracked waiver
+(``barrier``'s is the one left): deleting the waiver without adding the
+real policy or model brings the lint gate down.
 """
 
 

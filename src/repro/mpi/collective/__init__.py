@@ -13,6 +13,6 @@ from .registry import REGISTRY, get_impl, register, DEFAULTS
 # Importing the modules registers the p2p baselines, each first in its
 # op's row, and then the topology-aware hierarchical family, which lives
 # beside the policy layer it cooperates with.
-from . import tree_p2p, barrier_p2p, alltoall_p2p, extras, hier  # noqa: F401
+from . import tree_p2p, barrier_p2p, hier  # noqa: F401
 
 __all__ = ["REGISTRY", "get_impl", "register", "DEFAULTS"]

@@ -95,22 +95,12 @@ AUTO = "auto"
 #: registered op to have a ``"flat"`` implementation (or to be a
 #: composition of such ops), so a future collective cannot silently
 #: ship without a selection story — and flags a waiver as stale the
-#: moment its op gains one (or stops being registered).  These are the
-#: ROADMAP's tracked gaps, not oversights.
+#: moment its op gains one (or stops being registered).
 POLICY_WAIVERS: dict[str, str] = {
     "barrier": "latency-bound and payload-free: the serialization "
                "currency of modeled_frame_costs cannot rank its "
                "candidates, so selection stays static (DEFAULTS or an "
                "explicit use_collectives choice)",
-    "alltoall": "only p2p-pairwise is registered; no segmented-"
-                "multicast rival to choose between yet (ROADMAP)",
-    "scan": "prefix dependence serializes the chain; no multicast "
-            "candidate exists (ROADMAP)",
-    "exscan": "shifted scan; same serial-chain story as scan (ROADMAP)",
-    "reduce_scatter": "one composition (p2p reduce + scatter), priced "
-                      "exactly from its parts; resolving its parts per "
-                      "call and a dedicated segmented path are ROADMAP "
-                      "items",
 }
 
 

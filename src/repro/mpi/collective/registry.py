@@ -37,6 +37,10 @@ entries in this table:
   segment leaders — recursively, leaders of leaders per switch tier —
   on tiered fabrics (:mod:`repro.simnet.fabric`).
 
+Those seven ops are the whole registry, and exactly the ops the chaos
+fuzzer draws (``repro.chaos.fuzz.OPS``): every registered collective is
+inside its complete-or-fail contract.
+
 **Compositions.**  A composite collective is a row of
 :data:`COMPOSITIONS`: its *parts*, registered ``(op, impl)`` pairs the
 op's one glue body runs in order at root 0, each looked up by name
@@ -86,10 +90,6 @@ DEFAULTS: dict[str, str] = {
     "gather": "p2p-binomial",
     "scatter": "p2p-binomial",
     "allgather": "p2p-gather-bcast",
-    "alltoall": "p2p-pairwise",
-    "scan": "p2p-linear",
-    "exscan": "p2p-linear",
-    "reduce_scatter": "p2p-reduce-scatter",
 }
 
 #: composite (op, impl) -> its parts, the registered (op, impl) pairs
@@ -103,8 +103,6 @@ COMPOSITIONS: dict[tuple[str, str], tuple[tuple[str, str], ...]] = {
         (("reduce", "hier-mcast"), ("bcast", "hier-mcast")),
     ("allgather", "p2p-gather-bcast"):
         (("gather", "p2p-binomial"), ("bcast", "p2p-binomial")),
-    ("reduce_scatter", "p2p-reduce-scatter"):
-        (("reduce", "p2p-binomial"), ("scatter", "p2p-binomial")),
 }
 
 #: composite op -> the ops of its parts, in run order
@@ -189,32 +187,7 @@ def _allgather(parts, comm, obj: Any) -> Generator:
     return list(bundle.values())
 
 
-def _reduce_scatter(parts, comm, objs, op: Op) -> Generator:
-    """The MPICH 1.x reduce_scatter — the bundle of ``size`` elements
-    reduced element-wise to rank 0, element ``r`` scattered to rank
-    ``r``.
-
-    ``objs`` must hold exactly ``size`` elements on every rank."""
-    size = comm.size
-    if objs is None or len(objs) != size:
-        raise ValueError(
-            f"reduce_scatter needs exactly {size} elements, "
-            f"got {None if objs is None else len(objs)}")
-    reduce, scatter = parts
-
-    def fold(a: Bundle, b: Bundle) -> Bundle:
-        return Bundle((r, op(a[r], b[r])) for r in a)
-
-    reduced = yield from get_impl(*reduce)(
-        comm, Bundle(enumerate(objs)),
-        Op(f"vec<{op.name}>", fold, commutative=op.commutative), 0)
-    mine = yield from get_impl(*scatter)(
-        comm, None if reduced is None else list(reduced.values()), 0)
-    return mine
-
-
-_GLUE = {"allreduce": _allreduce, "allgather": _allgather,
-         "reduce_scatter": _reduce_scatter}
+_GLUE = {"allreduce": _allreduce, "allgather": _allgather}
 
 
 # a row's entry is its glue body with the parts bound, documented by

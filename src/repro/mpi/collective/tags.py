@@ -12,8 +12,6 @@ TAG_BARRIER_OUT = 4      #: release phase
 TAG_REDUCE = 5
 TAG_GATHER = 6
 TAG_SCATTER = 7
-TAG_ALLTOALL = 8
-TAG_SCAN = 9
 TAG_SCOUT = 10           #: multicast scout synchronization (over p2p path)
 TAG_ACK = 11             #: ack-based reliable multicast
 TAG_COMM_SETUP = 12      #: communicator construction handshakes

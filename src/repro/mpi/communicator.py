@@ -12,6 +12,10 @@ simulated processes, every blocking call is a generator used with
         data = yield from comm.bcast(data, root=0)
         yield from comm.barrier()
 
+User point-to-point is ``isend`` / ``irecv``, each returning a
+:class:`~repro.mpi.status.Request` completed by ``yield from
+req.wait()``, and ``sendrecv``.
+
 Collective algorithms are *pluggable* (see
 :mod:`repro.mpi.collective.registry`): ``comm.use_collectives(
 bcast="mcast-binary", barrier="mcast")`` switches a communicator from the
@@ -33,7 +37,7 @@ from .collective.registry import DEFAULTS, REGISTRY, compose, get_impl
 from .datatypes import payload_bytes
 from .ops import Op
 from .p2p import MpiEndpoint
-from .status import ANY_SOURCE, ANY_TAG, Request, Status
+from .status import ANY_SOURCE, ANY_TAG, Request
 
 __all__ = ["Communicator", "UNDEFINED"]
 
@@ -157,10 +161,6 @@ class Communicator:
         "gather": (1,),           # (obj, root)
         "scatter": (1,),          # (objs, root)
         "allgather": (),
-        "alltoall": (),
-        "scan": (1,),
-        "exscan": (1,),
-        "reduce_scatter": (1,),
     }
 
     @classmethod
@@ -201,18 +201,6 @@ class Communicator:
             self._check_rank(source)
         return self.endpoint.irecv(self.ctx_pt2pt, source, tag)
 
-    def send(self, obj: Any, dest: int, tag: int = 0) -> Generator:
-        req = self.isend(obj, dest, tag)
-        yield from req.wait()
-
-    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
-             status: Optional[Status] = None) -> Generator:
-        req = self.irecv(source, tag)
-        data = yield from req.wait()
-        if status is not None:
-            status.__dict__.update(req.status.__dict__)
-        return data
-
     def sendrecv(self, obj: Any, dest: int, sendtag: int = 0,
                  source: int = ANY_SOURCE,
                  recvtag: int = ANY_TAG) -> Generator:
@@ -221,13 +209,6 @@ class Communicator:
         data = yield from rreq.wait()
         yield from sreq.wait()
         return data
-
-    def iprobe(self, source: int = ANY_SOURCE,
-               tag: int = ANY_TAG) -> Optional[Status]:
-        """Non-blocking probe of the unexpected-message queue."""
-        if source != ANY_SOURCE:
-            self._check_rank(source)
-        return self.endpoint.iprobe(self.ctx_pt2pt, source, tag)
 
     # ------------------------------------------------------------------
     # collective-context p2p used by algorithm implementations
@@ -245,13 +226,10 @@ class Communicator:
         return data
 
     def _sendrecv_coll(self, obj: Any, dest: int, tag: int,
-                       nbytes: Optional[int] = None,
-                       src: Optional[int] = None) -> Generator:
-        rreq = self.endpoint.irecv(self.ctx_coll,
-                                   dest if src is None else src, tag)
+                       nbytes: int) -> Generator:
+        rreq = self.endpoint.irecv(self.ctx_coll, dest, tag)
         sreq = self.endpoint.isend(
-            self.ctx_coll, self.rank, self.addr_of(dest), obj,
-            payload_bytes(obj) if nbytes is None else nbytes, tag)
+            self.ctx_coll, self.rank, self.addr_of(dest), obj, nbytes, tag)
         data = yield from rreq.wait()
         yield from sreq.wait()
         return data
@@ -286,20 +264,6 @@ class Communicator:
 
     def allgather(self, obj: Any) -> Generator:
         return self._dispatch("allgather", obj)
-
-    def alltoall(self, objs: Sequence[Any]) -> Generator:
-        return self._dispatch("alltoall", objs)
-
-    def scan(self, obj: Any, op: Op) -> Generator:
-        return self._dispatch("scan", obj, op)
-
-    def exscan(self, obj: Any, op: Op) -> Generator:
-        """Exclusive prefix reduction (rank 0 receives None)."""
-        return self._dispatch("exscan", obj, op)
-
-    def reduce_scatter(self, objs: Sequence[Any], op: Op) -> Generator:
-        """Elementwise reduce of ``objs`` then scatter block r to rank r."""
-        return self._dispatch("reduce_scatter", objs, op)
 
     # ------------------------------------------------------------------
     # communicator construction

@@ -167,16 +167,6 @@ class MpiEndpoint:
                 return self._unexpected.pop(i)
         return None
 
-    def iprobe(self, ctx: int, src: int = ANY_SOURCE,
-               tag: int = ANY_TAG) -> Optional[Status]:
-        """Non-blocking probe: Status of a matchable unexpected message
-        (eager or RTS) without consuming it, or None."""
-        for msg in self._unexpected:
-            if msg.env.matches(ctx, src, tag):
-                return Status(source=msg.env.src, tag=msg.env.tag,
-                              count=msg.nbytes)
-        return None
-
     def _answer_rts(self, msg: _Msg, event: Event) -> None:
         self._cts_sent[msg.rts_id] = (event, msg.env)
         self.sim.process(self._send_cts(msg),

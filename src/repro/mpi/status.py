@@ -1,13 +1,13 @@
-"""MPI Status and Request objects, and ``waitall``."""
+"""MPI Status and Request objects."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Generator, Optional
+from typing import Generator
 
 from ..simnet.kernel import Event
 
-__all__ = ["Status", "Request", "ANY_SOURCE", "ANY_TAG", "waitall"]
+__all__ = ["Status", "Request", "ANY_SOURCE", "ANY_TAG"]
 
 #: wildcard source rank for receives
 ANY_SOURCE = -1
@@ -28,8 +28,9 @@ class Status:
 class Request:
     """Handle on an in-flight nonblocking operation.
 
-    ``wait`` is a generator (``data = yield from req.wait()``); ``test``
-    is an instantaneous poll.  The event's value is ``(data, Status)``.
+    ``wait`` is its one completion call, a generator (``data = yield
+    from req.wait()``) that fills :attr:`status` from the event's value
+    ``(data, Status)``; several requests are waited on one by one.
     """
 
     event: Event
@@ -40,23 +41,3 @@ class Request:
         data, status = yield self.event
         self.status.__dict__.update(status.__dict__)
         return data
-
-    def test(self) -> tuple[bool, Optional[Any]]:
-        if not self.event.triggered:
-            return False, None
-        data, status = self.event.value
-        self.status.__dict__.update(status.__dict__)
-        return True, data
-
-    @property
-    def complete(self) -> bool:
-        return self.event.triggered
-
-
-def waitall(reqs: list[Request]) -> Generator:
-    """``results = yield from waitall(reqs)`` — wait on many requests."""
-    results = []
-    for req in reqs:
-        results.append((yield from req.wait()))
-    return results
-

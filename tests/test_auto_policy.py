@@ -322,7 +322,7 @@ def test_hier_estimate_tracks_trunk_savings():
 
 def test_hier_estimate_rejects_non_hier_ops():
     with pytest.raises(KeyError, match="auto-capable"):
-        modeled_frame_costs("alltoall", 1000, 8, AUTO, TREE_2x4)
+        modeled_frame_costs("barrier", 1000, 8, AUTO, TREE_2x4)
 
 
 def test_comm_topology_is_none_on_flat_and_single_segment_comms():

@@ -1,7 +1,7 @@
 """The chaos suite's own contract: crisp failures, honest hang dumps,
 bit-identical replay.
 
-Three properties pinned here:
+Four properties pinned here:
 
 * a receiver cut off mid-collective aborts after ``max_repair_rounds``
   repair rounds with a typed :class:`~repro.core.rounds.McastLost`
@@ -15,7 +15,10 @@ Three properties pinned here:
 * the fuzzer's records — including the CRCs of the per-case stats
   snapshot and the failure artifact — are identical across reruns and
   worker counts, so every printed ``(seed, case index)`` replays bit
-  for bit.
+  for bit;
+* the fuzzer draws every registered collective, so each is inside its
+  complete-or-fail contract, and ``barrier`` is the one op outside the
+  auto policy.
 """
 
 from dataclasses import replace
@@ -24,8 +27,10 @@ import pytest
 
 from repro import run_spmd
 from repro.chaos import timed_fault
-from repro.chaos.fuzz import make_case, run_case, run_fuzz
+from repro.chaos.fuzz import OPS, make_case, run_case, run_fuzz
 from repro.core.rounds import McastLost
+from repro.mpi.collective.policy import POLICY_WAIVERS
+from repro.mpi.collective.registry import REGISTRY
 from repro.obs.trace import FlightRecorder
 from repro.runtime.sanitize import forced_teardown
 from repro.simnet import PartitionError, quiet
@@ -185,3 +190,9 @@ def test_case_generation_is_budget_independent():
     # case i never depends on how many other cases the run draws
     keys = [make_case(9, i).key for i in range(12)]
     assert len(set(keys)) == 12
+
+
+# ------------------------------------------------------------ coverage
+def test_every_registered_collective_is_fuzzed():
+    assert set(REGISTRY) == set(OPS)
+    assert POLICY_WAIVERS.keys() == {"barrier"}

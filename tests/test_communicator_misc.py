@@ -18,9 +18,9 @@ def test_ctx_split_pt2pt_vs_collective():
         assert env.comm.ctx_pt2pt != env.comm.ctx_coll
         if env.rank == 0:
             # a user message with the same tag a collective would use
-            yield from env.comm.send("user", dest=1, tag=1)
+            yield from env.comm.isend("user", dest=1, tag=1).wait()
         else:
-            data = yield from env.comm.recv(source=0, tag=1)
+            data = yield from env.comm.irecv(source=0, tag=1).wait()
             # interleave a collective to stress the separation
             yield from env.comm.barrier()
             return data

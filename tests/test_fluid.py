@@ -47,9 +47,9 @@ def test_exact_model_follows_the_coverage_ledger():
     assert _exact("reduce", "mcast-seg-combine")
     assert _exact("gather", "mcast-seg-root-follow")
     assert _exact("allgather", "mcast-seg-paced")
-    # ...so is a composite whose parts all are (its reduce ships a
+    # ...so is a composite whose parts all are (its bcast ships a
     # bundle, exactly sized)...
-    assert _exact("reduce_scatter", "p2p-reduce-scatter")
+    assert _exact("allgather", "p2p-gather-bcast")
     # ...estimate markers and unknown pairs are not
     assert not _exact("bcast", "mcast-ack")
     assert not _exact("bcast", "no-such-impl")

@@ -108,9 +108,8 @@ def test_phase_plans_cover_and_order_the_deep_tree():
         "barrier-down@node1", "barrier-down@leaf0", "barrier-down@leaf1",
         "barrier-down@leaf2", "barrier-down@leaf3"]
     # a composite has no plan of its own: its parts compile theirs
-    for op in ("allreduce", "alltoall"):
-        with pytest.raises(KeyError):
-            compile_plan(op, tree)
+    with pytest.raises(KeyError):
+        compile_plan("allreduce", tree)
 
 
 @st.composite

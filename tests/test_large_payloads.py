@@ -65,15 +65,3 @@ def test_reduce_large_arrays_elementwise():
     n = 5
     result = run_spmd(n, main, params=QUIET)
     assert result.returns[0] == float(sum(range(n)))
-
-
-def test_alltoall_mixed_sizes():
-    def main(env):
-        objs = [bytes((env.rank + dst) * 700) for dst in range(env.size)]
-        got = yield from env.comm.alltoall(objs)
-        return [len(g) for g in got]
-
-    n = 4
-    result = run_spmd(n, main, params=QUIET)
-    for r in range(n):
-        assert result.returns[r] == [(src + r) * 700 for src in range(n)]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mpi import ANY_SOURCE, ANY_TAG, MpiWorld, Status
+from repro.mpi import ANY_SOURCE, ANY_TAG, MpiWorld
 from repro.runtime import run_spmd
 from repro.simnet import build_cluster, quiet
 from repro.simnet.calibration import FAST_ETHERNET_SWITCH
@@ -14,12 +14,12 @@ QUIET = quiet(FAST_ETHERNET_SWITCH)
 def test_send_recv_roundtrip():
     def main(env):
         if env.rank == 0:
-            yield from env.comm.send({"x": 1}, dest=1, tag=7)
-            reply = yield from env.comm.recv(source=1, tag=8)
+            yield from env.comm.isend({"x": 1}, dest=1, tag=7).wait()
+            reply = yield from env.comm.irecv(source=1, tag=8).wait()
             return reply
         else:
-            data = yield from env.comm.recv(source=0, tag=7)
-            yield from env.comm.send(data["x"] + 1, dest=0, tag=8)
+            data = yield from env.comm.irecv(source=0, tag=7).wait()
+            yield from env.comm.isend(data["x"] + 1, dest=0, tag=8).wait()
             return None
 
     result = run_spmd(2, main, params=QUIET)
@@ -31,11 +31,11 @@ def test_tag_matching_out_of_order():
 
     def main(env):
         if env.rank == 0:
-            yield from env.comm.send("first", dest=1, tag=1)
-            yield from env.comm.send("second", dest=1, tag=2)
+            yield from env.comm.isend("first", dest=1, tag=1).wait()
+            yield from env.comm.isend("second", dest=1, tag=2).wait()
         else:
-            two = yield from env.comm.recv(source=0, tag=2)
-            one = yield from env.comm.recv(source=0, tag=1)
+            two = yield from env.comm.irecv(source=0, tag=2).wait()
+            one = yield from env.comm.irecv(source=0, tag=1).wait()
             return (one, two)
 
     result = run_spmd(2, main, params=QUIET)
@@ -47,15 +47,14 @@ def test_any_source_any_tag():
         if env.rank == 0:
             got = []
             for _ in range(2):
-                status = Status()
-                data = yield from env.comm.recv(source=ANY_SOURCE,
-                                                tag=ANY_TAG, status=status)
-                got.append((data, status.source, status.tag))
+                req = env.comm.irecv(source=ANY_SOURCE, tag=ANY_TAG)
+                data = yield from req.wait()
+                got.append((data, req.status.source, req.status.tag))
             return sorted(got)
         else:
             yield env.sim.timeout(env.rank * 50.0)
-            yield from env.comm.send(f"from{env.rank}", dest=0,
-                                     tag=env.rank * 10)
+            yield from env.comm.isend(f"from{env.rank}", dest=0,
+                                      tag=env.rank * 10).wait()
 
     result = run_spmd(3, main, params=QUIET)
     assert result.returns[0] == [("from1", 1, 10), ("from2", 2, 20)]
@@ -65,11 +64,12 @@ def test_non_overtaking_same_pair_same_tag():
     def main(env):
         if env.rank == 0:
             for i in range(10):
-                yield from env.comm.send(i, dest=1, tag=0)
+                yield from env.comm.isend(i, dest=1, tag=0).wait()
         else:
             got = []
             for _ in range(10):
-                got.append((yield from env.comm.recv(source=0, tag=0)))
+                req = env.comm.irecv(source=0, tag=0)
+                got.append((yield from req.wait()))
             return got
 
     result = run_spmd(2, main, params=QUIET)
@@ -93,6 +93,24 @@ def test_isend_irecv_overlap():
     assert result.returns[1] == [0, 1, 2, 3]
 
 
+def test_posted_receives_complete_in_request_order():
+    """Three receives posted for tags 1, 2, 3; tag 2 arrives first and
+    must complete the second request, not the first."""
+
+    def main(env):
+        if env.rank == 0:
+            reqs = [env.comm.irecv(source=1, tag=t) for t in (1, 2, 3)]
+            out = []
+            for req in reqs:
+                out.append((yield from req.wait()))
+            return out
+        for data, tag in (("second", 2), ("first", 1), ("third", 3)):
+            yield from env.comm.isend(data, dest=0, tag=tag).wait()
+
+    result = run_spmd(2, main, params=QUIET)
+    assert result.returns[0] == ["first", "second", "third"]
+
+
 def test_sendrecv_exchanges_without_deadlock():
     def main(env):
         partner = 1 - env.rank
@@ -111,9 +129,9 @@ def test_rendezvous_protocol_for_large_messages():
     def main(env):
         big = np.arange(8192, dtype=np.float64)    # 64 KB > 16 KB threshold
         if env.rank == 0:
-            yield from env.comm.send(big, dest=1)
+            yield from env.comm.isend(big, dest=1).wait()
         else:
-            data = yield from env.comm.recv(source=0)
+            data = yield from env.comm.irecv(source=0).wait()
             return float(data.sum())
 
     result = run_spmd(2, main, params=QUIET)
@@ -126,9 +144,9 @@ def test_rendezvous_protocol_for_large_messages():
 def test_eager_below_threshold_has_no_handshake():
     def main(env):
         if env.rank == 0:
-            yield from env.comm.send(b"x" * 1000, dest=1)
+            yield from env.comm.isend(b"x" * 1000, dest=1).wait()
         else:
-            yield from env.comm.recv(source=0)
+            yield from env.comm.irecv(source=0).wait()
 
     result = run_spmd(2, main, params=QUIET)
     kinds = result.stats["frames_by_kind"]
@@ -139,10 +157,10 @@ def test_eager_below_threshold_has_no_handshake():
 def test_unexpected_message_queue_holds_early_sends():
     def main(env):
         if env.rank == 0:
-            yield from env.comm.send("early", dest=1, tag=5)
+            yield from env.comm.isend("early", dest=1, tag=5).wait()
         else:
             yield env.sim.timeout(3000.0)   # receive long after arrival
-            data = yield from env.comm.recv(source=0, tag=5)
+            data = yield from env.comm.irecv(source=0, tag=5).wait()
             return data
 
     result = run_spmd(2, main, params=QUIET)
@@ -153,29 +171,13 @@ def test_buffer_api_send_recv():
     def main(env):
         if env.rank == 0:
             buf = np.arange(100, dtype=np.int32)
-            yield from env.comm.send(buf, dest=1, tag=3)
+            yield from env.comm.isend(buf, dest=1, tag=3).wait()
         else:
-            buf = yield from env.comm.recv(source=0, tag=3)
+            buf = yield from env.comm.irecv(source=0, tag=3).wait()
             return int(buf.sum())
 
     result = run_spmd(2, main, params=QUIET)
     assert result.returns[1] == sum(range(100))
-
-
-def test_request_test_polls_without_blocking():
-    def main(env):
-        if env.rank == 0:
-            req = env.comm.irecv(source=1, tag=0)
-            ok_before, _ = req.test()
-            data = yield from req.wait()
-            ok_after, data2 = req.test()
-            return (ok_before, ok_after, data, data2)
-        else:
-            yield env.sim.timeout(200.0)
-            yield from env.comm.send("late", dest=0, tag=0)
-
-    result = run_spmd(2, main, params=QUIET)
-    assert result.returns[0] == (False, True, "late", "late")
 
 
 def test_context_isolation_between_communicators():
@@ -184,11 +186,11 @@ def test_context_isolation_between_communicators():
     def main(env):
         comm2 = yield from env.comm.dup()
         if env.rank == 0:
-            yield from env.comm.send("world", dest=1, tag=0)
-            yield from comm2.send("dup", dest=1, tag=0)
+            yield from env.comm.isend("world", dest=1, tag=0).wait()
+            yield from comm2.isend("dup", dest=1, tag=0).wait()
         else:
-            on_dup = yield from comm2.recv(source=0, tag=0)
-            on_world = yield from env.comm.recv(source=0, tag=0)
+            on_dup = yield from comm2.irecv(source=0, tag=0).wait()
+            on_world = yield from env.comm.irecv(source=0, tag=0).wait()
             return (on_world, on_dup)
 
     result = run_spmd(2, main, params=QUIET)
@@ -212,12 +214,12 @@ def test_world_endpoint_counters():
     def main0():
         comm = world.comm_world(0)
         yield from comm._setup()
-        yield from comm.send("m", dest=1)
+        yield from comm.isend("m", dest=1).wait()
 
     def main1():
         comm = world.comm_world(1)
         yield from comm._setup()
-        yield from comm.recv(source=0)
+        yield from comm.irecv(source=0).wait()
 
     cluster.sim.process(main0())
     cluster.sim.process(main1())

@@ -22,7 +22,7 @@ from repro.analysis.framecount import (FOLDS, model_flat_frames,
 from repro.bench.harness import op_body
 from repro.mpi.collective.policy import candidates, modeled_frame_costs
 from repro.mpi.collective.registry import DEFAULTS, REGISTRY
-from repro.mpi.ops import MAX, SUM, Op
+from repro.mpi.ops import Op
 from repro.simnet import quiet
 from repro.simnet.calibration import FAST_ETHERNET_SWITCH
 from repro.simnet.fabric import parse_topology
@@ -185,60 +185,3 @@ def test_non_commutative_p2p_reduce_adds_its_forward(fabric):
         assert modeled_frame_costs("reduce", nbytes, n, AUTO, topo, root,
                                    commutative=False)["p2p-binomial"] == \
             sum(got)
-
-
-def _element(kind, nbytes, rank):
-    """One ``nbytes`` element of rank ``rank``: bytes or float64."""
-    if kind == "bytes":
-        return bytes([rank % 256]) * nbytes
-    return np.full(nbytes // 8, float(rank + 1))
-
-
-@pytest.mark.parametrize("fabric", ["switch-4", "switch-7", "tree:2x4"])
-@pytest.mark.parametrize("op", ["alltoall", "scan", "exscan"])
-def test_p2p_only_ops_are_priced_exactly(fabric, op):
-    """The ops with one (p2p) implementation take the same fold and the
-    same per-hop price: ``alltoall`` one element per ordered rank pair,
-    ``scan`` / ``exscan`` the value down the rank chain — bytes and
-    float64, eager and rendezvous."""
-    topology, seg_of, paths = _placement(fabric)
-    n = len(seg_of)
-    impl = {"alltoall": "p2p-pairwise"}.get(op, "p2p-linear")
-    for kind, nbytes in (("bytes", 300), ("float64", 4_000),
-                         ("bytes", 20_000), ("float64", 17_600)):
-        def body(env, kind=kind, nbytes=nbytes):
-            comm = env.comm
-            if op == "alltoall":
-                out = yield from comm.alltoall(
-                    [_element(kind, nbytes, comm.rank)] * n)
-                assert [len(x) for x in out] == [len(out[0])] * n
-            else:
-                red = MAX if kind == "bytes" else SUM
-                out = yield from getattr(comm, op)(
-                    _element(kind, nbytes, comm.rank), red)
-                assert (out is None) == (op == "exscan" and comm.rank == 0)
-
-        assert model_p2p_frames(op, seg_of, 0, nbytes, AUTO, paths) == \
-            _per_call(topology, n, op, impl, body), (kind, nbytes)
-
-
-@pytest.mark.parametrize("fabric", ["switch-4", "switch-7", "tree:2x4"])
-def test_reduce_scatter_is_priced_exactly_from_its_parts(fabric):
-    """``reduce_scatter`` is its parts: the reduce ships the bundle of
-    the ``size`` equal-sized elements (reduced element-wise, so every
-    hop carries the same bytes), the scatter deals the reduced ones —
-    the composite fold at one element's bytes is the simulator, eager
-    and rendezvous."""
-    topology, seg_of, paths = _placement(fabric)
-    n = len(seg_of)
-    for nbytes in (8, 800, 4_000):
-        def body(env, nbytes=nbytes):
-            mine = yield from env.comm.reduce_scatter(
-                [np.full(nbytes // 8, float(r + env.rank))
-                 for r in range(n)], SUM)
-            assert np.all(mine == n * env.rank + n * (n - 1) / 2)
-
-        assert model_parts_frames(
-            "reduce_scatter", "p2p-reduce-scatter", seg_of, 0, nbytes,
-            AUTO, paths) == _per_call(topology, n, "reduce_scatter",
-                                      "p2p-reduce-scatter", body), nbytes

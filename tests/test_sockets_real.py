@@ -87,10 +87,10 @@ def test_real_send_recv():
     def main(env):
         comm = env.comm
         if comm.rank == 0:
-            yield from comm.send({"n": 41}, dest=1, tag=9)
-            return (yield from comm.recv(source=1, tag=10))
-        data = yield from comm.recv(source=0, tag=9)
-        yield from comm.send(data["n"] + 1, dest=0, tag=10)
+            yield from comm.isend({"n": 41}, dest=1, tag=9).wait()
+            return (yield from comm.irecv(source=1, tag=10).wait())
+        data = yield from comm.irecv(source=0, tag=9).wait()
+        yield from comm.isend(data["n"] + 1, dest=0, tag=10).wait()
 
     assert run_loopback(2, main).returns[0] == 42
 
@@ -100,11 +100,11 @@ def test_real_tag_matching():
     def main(env):
         comm = env.comm
         if comm.rank == 0:
-            yield from comm.send("first", dest=1, tag=1)
-            yield from comm.send("second", dest=1, tag=2)
+            yield from comm.isend("first", dest=1, tag=1).wait()
+            yield from comm.isend("second", dest=1, tag=2).wait()
             return None
-        two = yield from comm.recv(source=0, tag=2)
-        one = yield from comm.recv(source=0, tag=1)
+        two = yield from comm.irecv(source=0, tag=2).wait()
+        one = yield from comm.irecv(source=0, tag=1).wait()
         return (one, two)
 
     assert run_loopback(2, main).returns[1] == ("first", "second")
@@ -229,7 +229,7 @@ def test_real_reduce_rank_order():
 def test_real_invalid_rank_raises():
     def main(env):
         with pytest.raises(ValueError):
-            yield from env.comm.send("x", dest=99)
+            yield from env.comm.isend("x", dest=99).wait()
         return "ok"
 
     assert run_loopback(2, main).returns == ["ok", "ok"]

@@ -167,7 +167,7 @@ def test_run_threads_validates_and_surfaces_errors():
 
     def stuck(env):
         if env.rank == 1:
-            yield from env.comm.recv(source=0)      # never sent
+            yield from env.comm.irecv(source=0).wait()  # never sent
 
     with pytest.raises(TimeoutError, match=r"0\.2s: rank1$"):
         run_loopback(2, stuck, timeout_s=0.2)
