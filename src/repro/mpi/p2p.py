@@ -43,9 +43,10 @@ EAGER_THRESHOLD = 16 * 1024
 _rts_ids = itertools.count(1)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Envelope:
-    """MPI message envelope used for matching."""
+    """MPI message envelope used for matching; like the datagram that
+    carries it, nothing mutates it once sent."""
 
     ctx: int
     src: int        #: source *rank within ctx's communicator*
@@ -57,7 +58,7 @@ class Envelope:
                 and (tag == ANY_TAG or self.tag == tag))
 
 
-@dataclass
+@dataclass(slots=True)
 class _Msg:
     """What rides inside a p2p datagram."""
 
@@ -69,7 +70,7 @@ class _Msg:
     rts_id: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class _PostedRecv:
     ctx: int
     src: int
@@ -121,7 +122,7 @@ class MpiEndpoint:
             self.sim.process(
                 self._send_rts(env, dst_addr, data, nbytes, done),
                 name=f"isend-rndv@{self.host.addr}")
-        return Request(event=done, kind="send")
+        return Request(event=done)
 
     def _send_eager(self, env: Envelope, dst_addr: int, data: Any,
                     nbytes: int, done: Event) -> Generator:
@@ -158,7 +159,7 @@ class MpiEndpoint:
             self._answer_rts(msg, event)
         else:  # pragma: no cover - defensive
             raise AssertionError(f"unexpected queue held {msg.op!r}")
-        return Request(event=event, kind="recv")
+        return Request(event=event)
 
     def _match_unexpected(self, ctx: int, src: int,
                           tag: int) -> Optional[_Msg]:

@@ -34,7 +34,6 @@ class Request:
     """
 
     event: Event
-    kind: str = "recv"                #: "send" | "recv" (informational)
     status: Status = field(default_factory=Status)
 
     def wait(self) -> Generator:

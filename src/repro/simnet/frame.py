@@ -13,8 +13,9 @@ rule) while remaining byte-accurate for timing.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Optional
 
 from .units import bytes_to_us
 
@@ -69,16 +70,10 @@ def wire_bytes(payload_bytes: int) -> int:
     return max(payload_bytes, ETH_MIN_PAYLOAD) + ETH_OVERHEAD
 
 
-_frame_counter = 0
+_frame_ids = itertools.count(1)
 
 
-def _next_frame_id() -> int:
-    global _frame_counter
-    _frame_counter += 1
-    return _frame_counter
-
-
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class Frame:
     """A single Ethernet frame.
 
@@ -86,7 +81,7 @@ class Frame:
     ``payload`` is the opaque object delivered to the receiver; ``kind`` is
     a short label used by traces and statistics ("data", "scout", ...).
 
-    Nothing mutates a frame once it is on the wire: a multicast fan-out
+    Nothing mutates a frame once it is sent: a multicast fan-out
     hands every port the same object, and whoever holds a reference —
     a fault hook, a trace reader — may keep it as long as it likes.
     """
@@ -96,12 +91,22 @@ class Frame:
     size: int
     payload: Any
     kind: str = "data"
-    frame_id: int = field(default_factory=_next_frame_id)
+    #: drawn from one process-wide counter unless given (as
+    #: ``dataclasses.replace`` gives it)
+    frame_id: int = 0
     #: bytes on the wire including all Ethernet overhead
-    wire_size: int = field(init=False)
+    wire_size: int = field(default=0, init=False)
 
-    def __post_init__(self) -> None:
-        self.wire_size = wire_bytes(self.size)
+    def __init__(self, src: int, dst: int, size: int, payload: Any,
+                 kind: str = "data", frame_id: Optional[int] = None):
+        if size < 0:
+            raise ValueError(f"payload size must be >= 0, got {size}")
+        self.src, self.dst, self.size = src, dst, size
+        self.payload, self.kind = payload, kind
+        self.frame_id = next(_frame_ids) if frame_id is None else frame_id
+        # wire_bytes(size), one call fewer per frame
+        self.wire_size = (size if size > ETH_MIN_PAYLOAD
+                          else ETH_MIN_PAYLOAD) + ETH_OVERHEAD
 
     def wire_time_us(self, rate_mbps: float) -> float:
         """Serialization time of this frame at ``rate_mbps``."""

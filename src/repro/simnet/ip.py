@@ -4,13 +4,18 @@ One UDP datagram becomes ``params.frames_for(size)`` Ethernet frames —
 exactly the paper's ``floor(M/T) + 1`` model.  The first fragment carries
 the UDP header; the receiver reassembles by (source, datagram id) and
 delivers only complete datagrams (a lost fragment kills the datagram).
+
+A :class:`Datagram` and its :class:`Fragment` s are plain slotted
+records, like :class:`~repro.simnet.frame.Frame`: nothing mutates one
+once it is sent.  Every receiver of a multicast — and the sender's own
+loopback copy — holds the very same object.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 from .calibration import NetParams
 from .frame import Frame, is_multicast
@@ -20,15 +25,15 @@ __all__ = ["Datagram", "Fragment", "fragment_sizes", "make_frames",
 
 _datagram_ids = itertools.count(1)
 
+#: True if ``addr`` denotes a multicast group (class-D analogue): group
+#: addresses are multicast MACs
+is_group_addr = is_multicast
 
-def is_group_addr(addr: int) -> bool:
-    """True if ``addr`` denotes a multicast group (class-D analogue)."""
-    return is_multicast(addr)
 
-
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Datagram:
-    """A UDP datagram as the socket layer sees it."""
+    """A UDP datagram as the socket layer sees it (immutable by
+    contract once sent, see the module docstring)."""
 
     src: int                 #: source host address
     src_port: int
@@ -37,14 +42,14 @@ class Datagram:
     payload: Any             #: opaque object (not serialized in-sim)
     size: int                #: user bytes — governs fragmentation & timing
     kind: str = "data"       #: trace label, propagated to frames
-    dgram_id: int = field(default_factory=lambda: next(_datagram_ids))
+    dgram_id: int = field(default_factory=_datagram_ids.__next__)
 
     def __post_init__(self) -> None:
         if self.size < 0:
             raise ValueError(f"datagram size must be >= 0: {self.size}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Fragment:
     """What an Ethernet frame actually carries: a piece of a datagram."""
 
@@ -73,11 +78,16 @@ def fragment_sizes(params: NetParams, user_bytes: int) -> list[int]:
     return sizes
 
 
-def make_frames(params: NetParams, dgram: Datagram) -> Iterator[Frame]:
-    """Fragment a datagram into Ethernet frames."""
-    sizes = fragment_sizes(params, dgram.size)
+def make_frames(params: NetParams, dgram: Datagram) -> list[Frame]:
+    """Fragment a datagram into Ethernet frames (a datagram that fits
+    one frame, the common case, skips :func:`fragment_sizes`)."""
+    size = dgram.size
+    if size <= params.max_udp_payload:
+        return [Frame(dgram.src, dgram.dst,
+                      size + params.ip_header + params.udp_header,
+                      Fragment(dgram, 0, 1), dgram.kind)]
+    sizes = fragment_sizes(params, size)
     nfrags = len(sizes)
-    for i, l2_size in enumerate(sizes):
-        yield Frame(dgram.src, dgram.dst, l2_size,
-                    Fragment(dgram, i, nfrags), dgram.kind)
+    return [Frame(dgram.src, dgram.dst, l2_size, Fragment(dgram, i, nfrags),
+                  dgram.kind) for i, l2_size in enumerate(sizes)]
 

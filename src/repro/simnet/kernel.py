@@ -35,9 +35,14 @@ drains (``repro.simnet.udp.DescriptorRing``)::
     timer.cancel()                      # on every exit, exceptions too
 
 However often it is re-armed, a timer keeps one heap record: a record
-that pops before the current deadline re-schedules itself there, one
-that pops after ``cancel()`` is a no-op.  (Only re-arming to an
-*earlier* deadline pushes a second record, orphaning the later one.)
+that pops before the current deadline re-schedules itself there.
+Re-arming to an *earlier* deadline pushes a second record, and
+``cancel()`` leaves the pending one behind.  An orphaned record pops
+as a no-op, even one due at the very instant of its successor: a
+record knows itself by the identity of its ``due`` float, not by its
+value.  So a timer armed after ``cancel()`` schedules exactly what a
+fresh one would, and a socket's ring of one keeps its timer across
+receives.
 
 A multicast fan-out — a switch's copies leaving one port after
 another, a hub's one transmission reaching every station — lands many
@@ -63,6 +68,7 @@ whose ranks wait on messages that never arrive.
 from __future__ import annotations
 
 import heapq
+from types import SimpleNamespace
 from typing import Any, Callable, Generator, Optional
 
 __all__ = [
@@ -223,14 +229,12 @@ class Timer:
 
     def cancel(self) -> None:
         """Disarm; the pending record (if any) pops as a no-op."""
-        self._due = None
+        self._due = self._rec_due = None
 
     def _pop(self, rec_due: float) -> None:
-        if rec_due != self._rec_due:
-            return                  # orphaned by a re-arm to an earlier time
+        if rec_due is not self._rec_due:
+            return                  # orphaned by an earlier re-arm / cancel
         due, self._rec_due = self._due, None
-        if due is None:
-            return
         if due > self.sim.now:      # re-armed since: chase the deadline
             self._rec_due = due
             self.sim.schedule_at(due, self._pop, due)
@@ -270,19 +274,18 @@ class Process(Event):
 
     # -- internal ------------------------------------------------------
     def _boot(self) -> None:
-        self._step(self.gen.send, None)
+        self._resume(_START)
 
     def _resume(self, event: Event) -> None:
+        """One step: send the event's value into the generator (throw
+        its exception, if it failed) and park on what it yields next."""
         self._waiting_on = None
-        if event._ok:
-            self._step(self.gen.send, event._value)
-        else:
-            self._step(self.gen.throw, event._value)
-
-    def _step(self, advance: Callable[[Any], Any], arg: Any) -> None:
         sim = self.sim
         try:
-            target = advance(arg)
+            if event._ok:
+                target = self.gen.send(event._value)
+            else:
+                target = self.gen.throw(event._value)
         except StopIteration as stop:
             sim._live_processes.discard(self)
             self.succeed(stop.value)
@@ -302,7 +305,15 @@ class Process(Event):
             self.fail(err)
             return
         self._waiting_on = target
-        target.add_callback(self._resume)
+        callbacks = target.callbacks    # add_callback, inlined
+        if callbacks is None:
+            self._resume(target)
+        else:
+            callbacks.append(self._resume)
+
+
+#: what a process's first step resumes with: ``gen.send(None)``
+_START = SimpleNamespace(_ok=True, _value=None)
 
 
 class Simulator:

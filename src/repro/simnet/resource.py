@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Generator, Optional
 
-from .kernel import Event, SimError, Simulator
+from .kernel import Event, SimError, Simulator, Timeout
 
 __all__ = ["Resource"]
 
@@ -67,6 +67,6 @@ class Resource:
                 self.relinquish(turn)
                 raise
         try:
-            yield self.sim.timeout(duration_us)
+            yield Timeout(self.sim, duration_us)
         finally:
             self.release()

@@ -40,7 +40,7 @@ distinguish a trunk port from a host port:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from .calibration import NetParams
 from .frame import BROADCAST, Frame, is_multicast
@@ -52,12 +52,13 @@ __all__ = ["Switch"]
 
 
 class _Port:
-    __slots__ = ("index", "out", "trunk")
+    __slots__ = ("index", "out", "trunk", "outs")
 
     def __init__(self, index: int, out: HalfLink, trunk: bool):
         self.index = index
         self.out = out
         self.trunk = trunk
+        self.outs = (out,)          # a unicast frame's egress set
 
 
 class Switch:
@@ -134,7 +135,7 @@ class Switch:
         if outs:
             self._fanout(outs, frame, at)
 
-    def _fanout(self, outs: list[HalfLink], frame: Frame,
+    def _fanout(self, outs: Sequence[HalfLink], frame: Frame,
                 at: Optional[float]) -> None:
         # The sends run in port order, at one instant, with no records
         # in between: now if the lookup delay has elapsed, else then.
@@ -145,7 +146,7 @@ class Switch:
         for out in outs:
             out.send(frame)
 
-    def _egress(self, ingress: int, frame: Frame) -> list[HalfLink]:
+    def _egress(self, ingress: int, frame: Frame) -> Sequence[HalfLink]:
         dst = frame.dst
         if dst == BROADCAST:
             return [p.out for p in self._ports if p.index != ingress]
@@ -167,7 +168,7 @@ class Switch:
         if port is None:
             self.frames_flooded += 1
             return [p.out for p in self._ports if p.index != ingress]
-        return [self._ports[port].out] if port != ingress else []
+        return self._ports[port].outs if port != ingress else ()
 
     # -- IGMP snooping -------------------------------------------------
     def _snoop(self, port_idx: int, frame: Frame,

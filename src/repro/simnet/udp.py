@@ -17,9 +17,11 @@ A socket operates in one of two modes:
 
 Every receive is a :class:`DescriptorRing`: ``post_ring(n, take)``
 posts ``n`` descriptors that the socket itself fills, charges and hands
-to ``take``, and ``recv`` is a ring of one.  A datagram with no free
-descriptor is queued (buffered) or dropped (posted-only); a ring posted
-on a buffered socket takes the queued datagrams first.
+to ``take``, and ``recv`` is a ring of one — the socket's own, re-armed
+by every call (with its deadline's timer) rather than allocated anew.
+A datagram with no free descriptor is queued (buffered) or dropped
+(posted-only); a ring posted on a buffered socket takes the queued
+datagrams first.
 
 A datagram reaches that point past two gates: the host's one
 receive-side fault seam, :attr:`Host.frame_fate` (``drops_chaos``), then
@@ -79,6 +81,8 @@ class UdpSocket:
         self._queue: deque[Datagram] = deque()
         self._queued_bytes = 0
         self._ring: Optional[DescriptorRing] = None
+        #: recv's ring of one, re-armed per call
+        self._ring_of_one: Optional[DescriptorRing] = None
         self._closed = False
         self.rx_dropped = 0
         #: most receive descriptors simultaneously posted over the
@@ -157,23 +161,34 @@ class UdpSocket:
         """Post ``n`` descriptors as one :class:`DescriptorRing`; close
         it on every exit.  On a buffered socket the queued datagrams
         fill them first, oldest first."""
+        return self._post(DescriptorRing(self, n, take))
+
+    def _post(self, ring: "DescriptorRing") -> "DescriptorRing":
         self._check_open()
         if self._ring is not None:
             raise SimError(f"socket :{self.port} already has a ring posted")
-        self._ring = ring = DescriptorRing(self, n, take)
-        self.posted_high_water = max(self.posted_high_water, n)
+        self._ring = ring
+        if ring.n > self.posted_high_water:
+            self.posted_high_water = ring.n
         if self._queue:
             ring._unqueue()
         return ring
 
     def recv(self, timeout: Optional[float] = None) -> Generator:
-        """Blocking receive: a ring of one; returns the Datagram, or
-        None on timeout.
+        """Blocking receive: the socket's ring of one, re-armed; returns
+        the Datagram, or None on timeout.
 
         Charges ``udp_recv_us`` on the host CPU once a datagram arrives
         (the syscall + copy cost).  Usage: ``d = yield from sock.recv()``.
         """
-        ring = self.post_ring(1, _itself)
+        ring = self._ring_of_one
+        if ring is None or ring.callbacks is not None:
+            # the first call, or the last wait was abandoned: that ring
+            # may still have records in flight, so it is retired
+            ring = self._ring_of_one = DescriptorRing(self, 1, _itself)
+        else:                           # its wait ended: dispatched
+            ring._arm(1, _itself)
+        self._post(ring)
         try:
             return (yield ring.drain(timeout))
         finally:
@@ -271,7 +286,8 @@ class DescriptorRing(Event):
     taken — or, through a zero-delay record, with ``None`` after ``us``
     of silence on an awaited empty descriptor (``drain(None)``: never);
     ``take`` may :meth:`post` one more.  :meth:`UdpSocket.recv` is a
-    ring of one whose ``take`` returns the datagram.
+    ring of one whose ``take`` returns the datagram, re-armed per call
+    (:meth:`_arm`) once its last wait has ended.
     """
 
     __slots__ = ("sock", "n", "take", "filled", "taken", "_free", "timer",
@@ -279,15 +295,25 @@ class DescriptorRing(Event):
                  "_over")
 
     def __init__(self, sock: UdpSocket, n: int, take: Callable):
-        Event.__init__(self, sock.sim)
-        self.sock, self.n, self.take = sock, n, take
-        self.filled = self.taken = 0
-        self._free = n                  # descriptors posted and unfilled
+        self.sim, self.sock = sock.sim, sock
         self.timer: Optional[Timer] = None     # a deadline drain's
-        self._drain_us: Optional[float] = None
         self._ready: Optional[deque] = None   # filled, not yet charged
         self._turn: Optional[Event] = None
-        self._parked = self._busy = self._over = False
+        self._busy = False
+        self._arm(n, take)
+
+    def _arm(self, n: int, take: Callable) -> None:
+        """A new ring's state — or a spent one's, re-armed: ``recv``'s
+        ring of one, whose wait ended with nothing in flight, keeps its
+        timer (disarmed), and its ``_ready`` is empty."""
+        # Event's fields, written directly as in Timeout
+        self.callbacks, self._value = [], None
+        self._ok, self._triggered = True, False
+        self.n, self.take = n, take
+        self.filled = self.taken = 0
+        self._free = n                  # descriptors posted and unfilled
+        self._drain_us: Optional[float] = None  # None: no deadline
+        self._parked = self._over = False
 
     def drain(self, drain_us: Optional[float]) -> "DescriptorRing":
         """Start draining; returns the ring for its owner to yield.  A
@@ -298,7 +324,10 @@ class DescriptorRing(Event):
         self._parked = True
         if drain_us is not None:
             self._drain_us = drain_us
-            self.timer = self.sim.timer(self._expire)
+            if self.timer is None:
+                self.timer = self.sim.timer(self._expire)
+            else:
+                self.timer.fn = self._expire
         self._next()
         return self
 
@@ -372,7 +401,7 @@ class DescriptorRing(Event):
         elif self.filled == self.taken:
             if self.sock._closed:
                 self._fail_closed()
-            elif self.timer is not None:
+            elif self._drain_us is not None:
                 self.timer.arm(self._drain_us, self.taken)
 
     def _fail_closed(self) -> None:

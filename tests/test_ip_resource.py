@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.simnet.calibration import FAST_ETHERNET_HUB, NetParams, quiet
-from repro.simnet.ip import Datagram, fragment_sizes
+from repro.simnet.calibration import (FAST_ETHERNET_HUB,
+                                      FAST_ETHERNET_SWITCH, VIA_SWITCH,
+                                      NetParams, quiet)
+from repro.simnet.frame import (ETH_MIN_PAYLOAD, ETH_OVERHEAD, Frame,
+                                wire_bytes)
+from repro.simnet.ip import Datagram, Fragment, fragment_sizes, make_frames
 from repro.simnet.kernel import Simulator
 from repro.simnet.resource import Resource
 from repro.simnet.kernel import SimError
@@ -39,10 +43,42 @@ def test_fragment_sizes_first_carries_udp_header():
     assert sizes[1] == (2000 - p.max_udp_payload) + p.ip_header
 
 
+@pytest.mark.parametrize("params", [FAST_ETHERNET_SWITCH, VIA_SWITCH],
+                         ids=lambda p: p.label)
+@pytest.mark.parametrize("size", ["0", "1", "max-1", "max", "max+1",
+                                  "3mtu"])
+def test_make_frames_is_what_fragment_sizes_prescribes(params, size):
+    """The one-frame path builds its frame directly; it and the
+    fragmenting path both give the frames ``fragment_sizes``
+    prescribes, minimum-payload padding included on the wire."""
+    top = params.max_udp_payload
+    nbytes = {"0": 0, "1": 1, "max-1": top - 1, "max": top,
+              "max+1": top + 1, "3mtu": 3 * params.mtu}[size]
+    dgram = Datagram(src=3, src_port=1, dst=5, dst_port=2, payload="p",
+                     size=nbytes, kind="mcast-seg")
+    sizes = fragment_sizes(params, nbytes)
+    frames = make_frames(params, dgram)
+    assert [(f.src, f.dst, f.size, f.kind) for f in frames] == [
+        (3, 5, l2, "mcast-seg") for l2 in sizes]
+    assert [f.payload for f in frames] == [
+        Fragment(dgram, i, len(sizes)) for i in range(len(sizes))]
+    assert all(f.payload.dgram is dgram for f in frames)
+    assert [f.wire_size for f in frames] == [wire_bytes(l2) for l2 in sizes]
+    assert len(frames) == params.frames_for(nbytes)
+    if nbytes <= 1:                 # the headers alone: padded on the wire
+        assert frames[0].size < ETH_MIN_PAYLOAD
+        assert frames[0].wire_size == ETH_MIN_PAYLOAD + ETH_OVERHEAD
+
+
 def test_datagram_rejects_negative_size():
     with pytest.raises(ValueError):
         Datagram(src=0, src_port=1, dst=1, dst_port=2, payload=None,
                  size=-1)
+
+
+def test_frame_rejects_negative_size():
+    with pytest.raises(ValueError):
+        Frame(src=0, dst=1, size=-1, payload=None)
 
 
 def test_frames_for_rejects_negative():

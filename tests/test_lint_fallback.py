@@ -1,6 +1,7 @@
 """``scripts/lint_fallback.py`` (``make lint`` without ruff): an unused
-module-level import is F401, a re-export is not, a file that does not
-compile is E999 — and the live tree is clean under it."""
+module-level import is F401, a re-export is not, a name nothing binds
+is F821 (F822 in ``__all__``), a file that does not compile is E999 —
+and the live tree is clean under it."""
 
 import subprocess
 import sys
@@ -31,7 +32,38 @@ def test_unused_import_is_flagged(tmp_path):
         "F401 `os` imported but unused",
         "F401 `typing.List` imported but unused"]
     assert out[-1].endswith("not checked without ruff: "
-                            "E1/E2/E4/E7/W/F63/F7/F82")
+                            "E1/E2/E4/E7/W/F63/F7/F823")
+
+
+def test_undefined_name_is_flagged(tmp_path):
+    """A dropped import leaves its names unbound: in code and in an
+    annotation the future import keeps out of the symbol table; a
+    local, an enclosing function's, a ``global``-bound, a class-level
+    and a builtin name are bound."""
+    (tmp_path / "m.py").write_text(
+        "from __future__ import annotations\n"
+        "__all__ = ['Record', 'missing']\n"
+        "\n"
+        "@dataclass(slots=True)\n"
+        "class Record:\n"
+        "    size: int = field(default=0)\n"
+        "    limit = 3\n"
+        "    double = limit * 2\n"
+        "\n"
+        "def outer(n: Sized) -> int:\n"
+        "    global counter\n"
+        "    counter = 1\n"
+        "    def inner():\n"
+        "        return n + counter + len([])\n"
+        "    return inner() + [k for k in range(n)][0]\n")
+    code, out = lint(tmp_path)
+    assert code == 1
+    assert [line.split(": ", 1)[1] for line in out[:-1]] == [
+        "F822 Undefined name `missing` in `__all__`",
+        "F821 Undefined name `dataclass`",
+        "F821 Undefined name `field`",
+        "F821 Undefined name `Sized`"]
+    assert out[1].startswith(f"{tmp_path / 'm.py'}:4:2: ")
 
 
 def test_reexport_is_not_flagged(tmp_path):

@@ -534,6 +534,24 @@ def test_exception_into_the_parked_waiter_mid_charge_releases_the_cpu():
     assert out == [("y", sim.now)] and not h1.cpu.held
 
 
+def test_a_recv_abandoned_mid_charge_retires_its_ring_of_one():
+    """The next ``recv`` on the socket, started while the abandoned
+    charge is still in flight, parks on a ring of its own: the orphaned
+    completion does not reach it."""
+    cl, sim, h0, h1 = make2()
+    rx = h1.socket(100, posted_only=True)
+    out = []
+    proc = parked_receiver(sim, rx, out, daemon=True)
+    sim.schedule_call(10.0, rx._deliver, dgram_to(rx, "x"))
+    sim.schedule_call(20.0, proc.gen.close)
+    sim.schedule_call(20.0, parked_receiver, sim, rx, out)
+    sim.schedule_call(100.0, rx._deliver, dgram_to(rx, "y"))
+    assert rx.recv_cost_us > 10.0       # the charge ends after 20 us
+    sim.run()
+    assert out == [("y", 100.0 + rx.recv_cost_us)] and not h1.cpu.held
+    assert cl.stats.datagrams_delivered == 1
+
+
 def test_deadlines_do_not_expire_a_descriptor_mid_charge():
     """A descriptor counts as filled from its fill, so neither
     recv(timeout=) nor a round's drain timer can time out a datagram
@@ -902,6 +920,63 @@ def test_the_ring_property_reaches_no_deadline_and_repost(repost):
                                                      else [0])
     assert [e[:3] for e in log if e[0] == "end"] == [("end", 100, repost)]
     assert ring[4] == (0 if repost else 1)  # drops_not_posted
+
+
+def _receives(sock_cls):
+    """One socket, one ``recv`` after another: a deadline that expires,
+    no deadline, a deadline a datagram beats, a deadline at that very
+    instant (``deadline - now`` left, as ``wait_ctrl`` computes it) that
+    expires while the beaten timer's record is still pending, and no
+    deadline that ``close`` fails; returns what is observable and the
+    live socket's ring of one after each call."""
+    params = replace(quiet(FAST_ETHERNET_SWITCH), jitter_sigma=0.06)
+    cl = build_cluster(2, "switch", params=params, seed=7)
+    sim, host = cl.sim, cl.hosts[1]
+    sock = sock_cls(host, 100)
+    log, rings = [], []
+
+    def receiver():
+        deadline = None
+        for timeout in (50.0, None, 400.0, "left", None):
+            if timeout == 400.0:
+                deadline = sim.now + timeout
+            elif timeout == "left":
+                timeout = deadline - sim.now
+                assert sim.now + timeout == deadline
+            try:
+                d = yield from sock.recv(timeout=timeout)
+            except SocketClosed:
+                d = "closed"
+            log.append((d and getattr(d, "payload", d), sim.now))
+            rings.append(getattr(sock, "_ring_of_one", None))
+        log.append(deadline)
+
+    sim.process(receiver())
+    sim.schedule_call(200.0, sock._deliver, dgram_to(sock, "a"))
+    sim.schedule_call(300.0, sock._deliver, dgram_to(sock, "b"))
+    sim.schedule_call(1000.0, sock.close)
+    sim.run()
+    assert not host.cpu.held
+    return (log, sim.now, sim.processed, host.rng.getstate(),
+            cl.stats.datagrams_delivered), rings
+
+
+def test_recv_re_arms_its_ring_of_one():
+    """``recv`` re-arms the socket's one ring, and the timer it keeps,
+    call after call: completion instants (``==``), kernel records and
+    the jitter stream are those of the descriptor-event socket, which
+    allocates a descriptor and a timer per call.  The untimed receive
+    after a timed one arms no deadline; a deadline re-armed onto the
+    instant of the last call's orphaned timer record gets a record of
+    its own, as a fresh timer would."""
+    live, rings = _receives(UdpSocket)
+    reference, _ = _receives(ReferenceUdpSocket)
+    assert live == reference
+    log = live[0]
+    assert [entry[0] for entry in log[:-1]] == [None, "a", "b", None,
+                                                "closed"]
+    assert log[3][1] == log[-1] and log[4][1] == 1000.0
+    assert rings[0] is not None and all(r is rings[0] for r in rings)
 
 
 @pytest.mark.parametrize("evict_at", [50.0, 100.0])
