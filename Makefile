@@ -28,9 +28,9 @@
 # untouched), plus `make bench-gate`, `make lint`, `make lint-deep`,
 # `make fuzz`, `make docs-check` and `make unreached` as separate jobs.  Locally, `make lint` runs
 # ruff when it is on PATH (pip install ruff); otherwise it runs
-# scripts/lint_fallback.py, a stdlib check of ruff's E9, F401, F821
-# and F822 classes only — CI always installs ruff, so the rest cannot
-# slip through.  `make
+# scripts/lint_fallback.py, a stdlib check of ruff's E9, F401, F63,
+# F821 and F822 classes only — CI always installs ruff, so the rest
+# cannot slip through.  `make
 # lint-deep` has no dependencies beyond the repo itself.
 
 PY := PYTHONPATH=src python

@@ -24,8 +24,6 @@ NPROCS = 8
 SIZE = 24_000
 
 PARAMS = quiet(replace(FAST_ETHERNET_SWITCH, segment_bytes="auto"))
-#: per-tier trunk wiring: a gigabit core tier, fast-ethernet below
-TRUNKS = [replace(PARAMS, rate_mbps=1000.0), PARAMS]
 
 
 def show_topology() -> None:
@@ -36,8 +34,7 @@ def show_topology() -> None:
             env.records["digest"] = comm_topology(env.comm)
         return True
 
-    result = run_spmd(NPROCS, main, topology=TOPOLOGY, params=PARAMS,
-                      trunk_params=TRUNKS)
+    result = run_spmd(NPROCS, main, topology=TOPOLOGY, params=PARAMS)
     digest = result.records[0]["digest"]
     print(f"topology {TOPOLOGY}: {digest.nsegments} segments, "
           f"3 switch tiers")
@@ -65,8 +62,7 @@ def trunk_frames(impl: str, n_ops: int) -> int:
             assert (got is None) == (env.rank != 0)
         return True
 
-    result = run_spmd(NPROCS, main, topology=TOPOLOGY, params=PARAMS,
-                      trunk_params=TRUNKS)
+    result = run_spmd(NPROCS, main, topology=TOPOLOGY, params=PARAMS)
     return result.stats["frames_trunk"]
 
 

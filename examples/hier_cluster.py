@@ -30,8 +30,6 @@ NPROCS = 8
 SIZE = 24_000
 
 PARAMS = quiet(replace(FAST_ETHERNET_SWITCH, segment_bytes="auto"))
-#: the backbone can differ from the edge — here a gigabit trunk
-TRUNK = replace(PARAMS, rate_mbps=1000.0)
 
 
 def show_topology() -> None:
@@ -42,8 +40,7 @@ def show_topology() -> None:
             env.records["digest"] = comm_topology(env.comm)
         return True
 
-    result = run_spmd(NPROCS, main, topology=TOPOLOGY, params=PARAMS,
-                      trunk_params=TRUNK)
+    result = run_spmd(NPROCS, main, topology=TOPOLOGY, params=PARAMS)
     digest = result.records[0]["digest"]
     print(f"topology {TOPOLOGY}: {digest.nsegments} segments")
     for s in range(digest.nsegments):
@@ -75,8 +72,7 @@ def trunk_frames(op: str, impl: str, n_ops: int,
                 yield from comm.reduce(np.ones(SIZE // 8), SUM, 0)
         return True
 
-    result = run_spmd(NPROCS, main, topology=TOPOLOGY, params=PARAMS,
-                      trunk_params=TRUNK)
+    result = run_spmd(NPROCS, main, topology=TOPOLOGY, params=PARAMS)
     return result.stats["frames_trunk"]
 
 

@@ -14,9 +14,11 @@ an unsafe schedule.
 Run:  python examples/ordered_groups.py
 """
 
+import random
+
 from repro.core.ordering import (UnsafeScheduleError, check_safe_schedule,
                                  run_bcast_sequence)
-from repro.runtime import UniformSkew, run_spmd
+from repro.runtime import run_spmd
 
 ROOTS = [1, 2, 3]   # the paper's processes 6, 7, 8, as ranks of the group
 
@@ -28,13 +30,15 @@ def main() -> None:
     check_safe_schedule({rank: schedule for rank in range(4)})
     print("static check: schedule is safe (identical on every rank)")
 
-    # (b) run it with scout-synchronized multicast under skewed starts.
+    # (b) run it with scout-synchronized multicast under skewed starts,
+    # one seeded start delay per rank, drawn in rank order.
+    rng = random.Random(3)
     def program(env):
         received = yield from run_bcast_sequence(env, ROOTS)
         return received
 
     result = run_spmd(4, program, topology="switch", seed=9,
-                      skew=UniformSkew(4000.0, seed=3),
+                      skew=[rng.uniform(0.0, 4000.0) for _ in range(4)],
                       collectives={"bcast": "mcast-binary"})
     expected = [(root, i) for i, root in enumerate(ROOTS)]
     print("\nper-rank arrival order (root, call-index):")

@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """The stdlib stand-in for ruff's runtime-breaking classes (``make lint``
 without ruff): E9, a file that does not compile; F401, a module-level
-import never read; F821, a name read that nothing binds — not the
-module, an enclosing scope or the builtins; and F822, a name in
-``__all__`` the module does not bind.
+import never read; F63, a test that cannot mean what it says — F631 an
+``assert`` on a non-empty tuple, F632 ``is`` / ``is not`` against a
+str, bytes or number literal, F633 ``print >>``; F821, a name read
+that nothing binds — not the module, an enclosing scope or the
+builtins; and F822, a name in ``__all__`` the module does not bind.
 
     python3 scripts/lint_fallback.py src tests benchmarks examples
 
@@ -28,7 +30,7 @@ import sys
 from pathlib import Path
 
 #: ruff.toml's other classes: this script does not check them
-UNCHECKED = "E1/E2/E4/E7/W/F63/F7/F823"
+UNCHECKED = "E1/E2/E4/E7/W/F7/F823"
 
 _NOQA = re.compile(r"#\s*noqa(?::\s*([A-Z0-9, ]+))?", re.IGNORECASE)
 _BLOCKS = (ast.If, ast.Try, ast.With)
@@ -155,6 +157,34 @@ def _undefined(path: Path, source: str, tree: ast.Module) -> list[str]:
             for (line, col), code, message in sorted(findings)]
 
 
+def _is_literal(node) -> bool:
+    return (isinstance(node, ast.Constant)
+            and isinstance(node.value, (str, bytes, int, float, complex))
+            and not isinstance(node.value, bool))
+
+
+def _f63(tree: ast.Module):
+    """``(node, code, message)`` of every F631 / F632 / F633 finding."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assert) and isinstance(node.test, ast.Tuple)
+                and node.test.elts):
+            yield (node, "F631", "Assert test is a non-empty tuple, which "
+                                 "is always `True`")
+        elif isinstance(node, ast.Compare):
+            left = node.left
+            for op, right in zip(node.ops, node.comparators):
+                if (isinstance(op, (ast.Is, ast.IsNot))
+                        and (_is_literal(left) or _is_literal(right))):
+                    yield (node, "F632", "Use `==` to compare constant "
+                                         "literals")
+                left = right
+        elif (isinstance(node, ast.BinOp) and isinstance(node.op, ast.RShift)
+              and isinstance(node.left, ast.Name)
+              and node.left.id == "print"):
+            yield (node, "F633", "Use of `>>` is invalid with `print` "
+                                 "function")
+
+
 def check_file(path: Path) -> list[str]:
     """The findings of one file, as ``path:line:col: CODE message``."""
     source = path.read_text(encoding="utf-8")
@@ -165,6 +195,10 @@ def check_file(path: Path) -> list[str]:
                 f"SyntaxError: {exc.msg}"]
     tree = ast.parse(source, str(path))
     findings = _undefined(path, source, tree)
+    findings += [f"{path}:{line}:{col + 1}: {code} {message}"
+                 for (line, col), code, message in sorted(
+                     ((node.lineno, node.col_offset), code, message)
+                     for node, code, message in _f63(tree))]
     if _exempt_file(path):
         return findings
     lines = source.splitlines()
@@ -209,7 +243,7 @@ def main(argv: list[str]) -> int:
     for line in findings:
         print(line)
     print(f"lint_fallback: {len(findings)} finding(s) in {len(files)} "
-          f"files (E9, F401, F821, F822); not checked without ruff: "
+          f"files (E9, F401, F63, F821, F822); not checked without ruff: "
           f"{UNCHECKED}")
     return 1 if findings else 0
 

@@ -35,10 +35,8 @@ Quickstart::
 """
 
 from . import core  # noqa: F401  (registers multicast collectives)
-from .runtime import (FixedSkew, NoSkew, RankEnv, RunResult, UniformSkew,
-                      run_spmd)
+from .runtime import RankEnv, RunResult, run_spmd
 
 __version__ = "1.0.0"
 
-__all__ = ["FixedSkew", "NoSkew", "RankEnv", "RunResult", "UniformSkew",
-           "run_spmd", "__version__"]
+__all__ = ["RankEnv", "RunResult", "run_spmd", "__version__"]

@@ -189,12 +189,41 @@ def _count_records(run) -> None:
           f"simulator(s)")
 
 
+#: ``profile --sort`` keys: the column of a :func:`_profile_rows` row
+#: each orders by, largest first
+PROFILE_SORTS = {"calls": 0, "ncalls": 0, "tottime": 1, "time": 1,
+                 "cumulative": 2, "cumtime": 2}
+
+
+def _profile_rows(profiler, sort: str = "cumulative",
+                  limit: int = 25) -> list[tuple]:
+    """``(ncalls, tottime, cumtime, function)`` per code object a
+    ``cProfile.Profile`` saw, the ``limit`` largest by ``sort``.
+
+    Tallied from ``profiler.getstats()``, not ``pstats``: pstats keys
+    its table by (file, line, name), and every dataclass-generated
+    ``__init__`` is ``<string>:2(__init__)``, so all but one of them
+    would vanish in the collision."""
+    import os
+
+    rows = []
+    for entry in profiler.getstats():
+        code = entry.code
+        name = code if isinstance(code, str) else (
+            f"{os.path.basename(code.co_filename)}:{code.co_firstlineno}"
+            f"({code.co_name})")
+        rows.append((entry.callcount, entry.inlinetime, entry.totaltime,
+                     name))
+    col = PROFILE_SORTS[sort]
+    rows.sort(key=lambda row: row[col], reverse=True)
+    return rows[:limit]
+
+
 def _profile_cmd(args_list, scale: str, base_seed: int, sort: str,
                  limit: int, records: bool) -> int:
     """cProfile one sweep case (or a whole area) and print the stats —
     or, with ``records``, its kernel records by callable."""
     import cProfile
-    import pstats
 
     area, case, run = _find_case("profile", args_list, scale, base_seed)
     target = (f"area {area!r} [{scale}]" if case is None
@@ -208,8 +237,10 @@ def _profile_cmd(args_list, scale: str, base_seed: int, sort: str,
     run()
     profiler.disable()
     print(f"profile of {target}, sorted by {sort}:")
-    stats = pstats.Stats(profiler, stream=sys.stdout)
-    stats.strip_dirs().sort_stats(sort).print_stats(limit)
+    print(f"{'ncalls':>10} {'tottime':>9} {'cumtime':>9}  function")
+    for ncalls, tottime, cumtime, name in _profile_rows(profiler, sort,
+                                                        limit):
+        print(f"{ncalls:>10,} {tottime:>9.3f} {cumtime:>9.3f}  {name}")
     return 0
 
 
@@ -308,8 +339,9 @@ def main(argv=None) -> int:
                         help="sweep: where BENCH_*.json + <area>.md "
                              "live (default benchmarks/results/)")
     parser.add_argument("--sort", default="cumulative",
-                        help="profile: pstats sort key "
-                             "(default cumulative)")
+                        choices=sorted(PROFILE_SORTS),
+                        help="profile: the column to sort by, largest "
+                             "first (default cumulative)")
     parser.add_argument("--limit", type=int, default=25,
                         help="profile: rows of stats to print")
     parser.add_argument("--records", action="store_true",

@@ -33,7 +33,6 @@ import random
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
-from ..runtime.skew import FixedSkew
 from ..simnet.udp import LOSSY_KINDS
 
 __all__ = ["ScenarioSpec", "SCENARIOS", "register", "get",
@@ -46,12 +45,13 @@ class ScenarioSpec:
 
     ``inject(cluster, rng)`` installs the faults (called from
     ``run_spmd``'s ``on_cluster`` seam, before any rank starts) and
-    returns heal callables; ``make_skew(rng, n)`` builds a startup-skew
-    model; ``churn`` asks the fuzzer to wrap the op in a
-    dup/bcast/free membership cycle.  ``may_fail`` scenarios accept a
-    crisp typed failure as a passing outcome; the rest must complete
-    byte-correct.  ``needs_fabric`` restricts the scenario to tiered
-    ``tree:...`` topologies (it faults trunks).
+    returns heal callables; ``make_skew(rng, n)`` draws the per-rank
+    start delays (µs) ``run_spmd`` takes as ``skew``; ``churn`` asks
+    the fuzzer to wrap the op in a dup/bcast/free membership cycle.
+    ``may_fail`` scenarios accept a crisp typed failure as a passing
+    outcome; the rest must complete byte-correct.  ``needs_fabric``
+    restricts the scenario to tiered ``tree:...`` topologies (it faults
+    trunks).
     """
 
     name: str
@@ -294,11 +294,11 @@ def _inject_host_crash(cluster, rng: random.Random) -> list:
                         lambda: cluster.crash_host(victim))]
 
 
-def _make_skew_storm(rng: random.Random, n: int) -> FixedSkew:
+def _make_skew_storm(rng: random.Random, n: int) -> list[float]:
     delays = [0.0] * n
     for rank in rng.sample(range(n), max(1, n // 2)):
         delays[rank] = rng.uniform(20_000.0, 150_000.0)
-    return FixedSkew(delays)
+    return delays
 
 
 # ------------------------------------------------------------ registry

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 from typing import Any, Generator, Optional
 
+from ..simnet.fabric import path_trunk_hops
 from ..simnet.frame import mcast_mac
 
 __all__ = ["McastChannel", "McastLost", "GROUP_ID_BASE", "DATA_PORT_BASE",
@@ -88,43 +89,20 @@ class McastLost(RuntimeError):
         super().__init__(reason)
 
 
-def _members_trunk_path(comm) -> tuple[int, float]:
-    """Worst trunk path between any two members of a communicator view:
-    ``(hops, wire µs per payload byte across those hops)``.
-
-    The per-byte term weighs every hop by its own *tier's* trunk rate
-    (:meth:`~repro.simnet.fabric.Fabric.trunk_params_for`), so a slow
-    backbone under fast edges stretches the drain timeout exactly as
-    much as it stretches the store-and-forward path — sizing it from
-    the edge rate alone would re-create the premature-NACK livelock on
-    any fabric whose trunks are slower than its access links.
-    ``(0, 0.0)`` when the view cannot reach a cluster topology (the
-    real-socket validation stack) or on flat builds.
-    """
+def _members_trunk_hops(comm) -> int:
+    """Worst trunk path between any two members of a communicator view,
+    in trunk hops; 0 when the view cannot reach a cluster topology (the
+    real-socket validation stack) or on flat builds."""
     world = getattr(comm, "world", None)
     if world is None:
         world = getattr(getattr(comm, "parent", None), "world", None)
     cluster = getattr(world, "cluster", None)
-    fabric = getattr(cluster, "fabric", None)
-    if fabric is None:
-        return 0, 0.0
-    # the path depends only on the endpoints' segments: one
-    # representative host per distinct segment, unordered pairs
-    reps: dict[int, int] = {}
-    for r in range(comm.size):
-        addr = comm.addr_of(r)
-        reps.setdefault(cluster.segment_of(addr), addr)
-    addrs = list(reps.values())
-    hops = 0
-    us_per_byte = 0.0
-    for i, a in enumerate(addrs):
-        for b in addrs[i + 1:]:
-            tiers = fabric.trunk_path_tiers(a, b)
-            hops = max(hops, len(tiers))
-            us_per_byte = max(us_per_byte, sum(
-                8.0 / fabric.trunk_params_for(t).rate_mbps
-                for t in tiers))
-    return hops, us_per_byte
+    if getattr(cluster, "fabric", None) is None:
+        return 0
+    # the path depends only on the endpoints' segments
+    paths = [cluster.segment_path(seg) for seg in sorted(
+        {cluster.segment_of(comm.addr_of(r)) for r in range(comm.size)})]
+    return max(path_trunk_hops(pa, pb) for pa in paths for pb in paths)
 
 
 class McastChannel:
@@ -163,14 +141,11 @@ class McastChannel:
         self.seq = 0
         #: the members' trunk diameter — the most switch-to-switch hops
         #: any sender-receiver pair of this channel spans on a tiered
-        #: fabric, and the wire time (µs per payload byte) those hops'
-        #: own trunk tiers add (0 on flat clusters and single-segment
-        #: groups).  The round engine's drain timeout allows one extra
-        #: store-and-forward serialization per hop at the actual trunk
-        #: rate, so a deep tree's far corner — even behind a slow
-        #: backbone — never NACKs data that is still in flight.
-        self.trunk_hops, self.trunk_us_per_byte = \
-            _members_trunk_path(comm)
+        #: fabric (0 on flat clusters and single-segment groups).  The
+        #: round engine's drain timeout allows one extra store-and-forward
+        #: serialization per hop, so a deep tree's far corner never
+        #: NACKs data that is still in flight.
+        self.trunk_hops = _members_trunk_hops(comm)
         self._scout_stash: list[tuple] = []
         self._closed = False
 

@@ -125,10 +125,10 @@ def bcast_acked(comm, obj: Any, server: int) -> Generator:
         return got[0]
     params = comm.host.params
     nbytes = payload_bytes(obj)
-    path = channel.trunk_hops, channel.trunk_us_per_byte
+    hops = channel.trunk_hops
     deadline_us = (round_drain_timeout_us(params, 1, nbytes
-                                          + MCAST_HEADER_BYTES, *path)
-                   + (comm.size - 1) * control_hop_us(params, *path))
+                                          + MCAST_HEADER_BYTES, hops)
+                   + (comm.size - 1) * control_hop_us(params, hops))
     yield from channel.send_data(obj, nbytes, seq)
     missing = set(range(comm.size)) - {server}
     retransmits = 0

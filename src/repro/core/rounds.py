@@ -141,15 +141,26 @@ def frame_segment_bytes(params) -> int:
                - MCAST_HEADER_BYTES - SEG_HEADER_BYTES)
 
 
-def control_hop_us(params, trunk_hops: int = 0,
-                   trunk_us_per_byte: float = 0.0) -> float:
+def _trunk_byte_us(params, trunk_hops: int) -> float:
+    """Wire µs per byte across ``trunk_hops`` store-and-forward trunk
+    serializations.  Summed hop by hop, not multiplied: the deadlines'
+    floats are pinned, and ``hops * (8.0 / rate)`` is another float at
+    6 hops and 100 Mb/s."""
+    total = 0.0
+    for _ in range(trunk_hops):
+        total += 8.0 / params.rate_mbps
+    return total
+
+
+def control_hop_us(params, trunk_hops: int = 0) -> float:
     """One control message (scout, report, ack) sender to receiver:
     send + receive software, NIC input, edge switch and serializations,
     and ``trunk_hops`` trunk hops — every derived deadline's price."""
     scout_bytes = SCOUT_BYTES + params.udp_header + params.ip_header
     return (params.udp_send_us + params.udp_recv_us
             + params.per_frame_rx_us + params.switch_latency_us
-            + scout_bytes * (2 * 8.0 / params.rate_mbps + trunk_us_per_byte)
+            + scout_bytes * (2 * 8.0 / params.rate_mbps
+                             + _trunk_byte_us(params, trunk_hops))
             + trunk_hops * params.switch_latency_us)
 
 
@@ -192,7 +203,6 @@ def repair_batch(params, nplan: int, base_batch: int) -> int:
 def round_drain_timeout_us(params, ndatagrams: int,
                            datagram_bytes: int,
                            trunk_hops: int = 0,
-                           trunk_us_per_byte: float = 0.0,
                            size: int = 1) -> float:
     """Adaptive drain timeout for one round of ``ndatagrams`` datagrams.
 
@@ -211,10 +221,7 @@ def round_drain_timeout_us(params, ndatagrams: int,
     extra serializations (plus switch latency) before declaring the
     round lost — without this, a deep tree's leaf NACKs *before the
     data can physically arrive* and cancels the very descriptor the
-    repair needs, livelocking the repair loop.  ``trunk_us_per_byte``
-    prices those serializations at the trunks' *own* tier rates
-    (``McastChannel.trunk_us_per_byte``) — a backbone slower than the
-    edge needs proportionally more allowance.
+    repair needs, livelocking the repair loop.
 
     ``size`` — the arming skew of a ``size``-rank group: every follower
     leaves a round's decision multicast at the same instant, a leaf
@@ -231,11 +238,10 @@ def round_drain_timeout_us(params, ndatagrams: int,
            + params.seg_drain_estimate_us(datagram_bytes))
     cap = max(params.seg_drain_timeout_us, params.seg_drain_floor_us + per)
     expected = max(1, ndatagrams) * per
-    path = (datagram_bytes * trunk_us_per_byte
+    path = (datagram_bytes * _trunk_byte_us(params, trunk_hops)
             + trunk_hops * params.switch_latency_us)
     return (min(cap, params.seg_drain_floor_us + expected) + path
-            + binary_tree_steps(size)
-            * control_hop_us(params, trunk_hops, trunk_us_per_byte))
+            + binary_tree_steps(size) * control_hop_us(params, trunk_hops))
 
 
 def round_namespace(*key) -> tuple[Callable, Callable]:
@@ -481,8 +487,7 @@ def stream_rounds(comm, channel, seq, root: int, arm_phase, rnd_token,
                                    + MCAST_HEADER_BYTES)
                     drain_us = round_drain_timeout_us(
                         params, ndatagrams, dgram_bytes,
-                        channel.trunk_hops, channel.trunk_us_per_byte,
-                        size=comm.size)
+                        channel.trunk_hops, size=comm.size)
                     yield from _consume_round(comm, ring, drain_us, rnd)
                 missing = reasm.missing()
                 if rec is not None:

@@ -68,10 +68,6 @@ class Communicator:
         #: :func:`~repro.mpi.collective.policy.comm_topology`
         self._topo_key = False
         self._freed = False
-        #: chronological (op, args-signature) log of collective calls on
-        #: this communicator — the raw material for the paper's §4
-        #: safety check (see RunResult.verify_safe_schedules)
-        self.call_log: list[tuple] = []
         #: chronological (op, resolved impl name) log, one entry per
         #: call — how the "auto" policy layer's per-call choices are
         #: observed by tests/benches
@@ -133,7 +129,6 @@ class Communicator:
             fn = compose(op, name) if impl is None else impl.fn
         else:
             fn = get_impl(op, name)
-        self.call_log.append((op, self.ctx, self._call_signature(op, args)))
         self.impl_log.append((op, name))
         rec = self.host.stats.recorder
         if rec is None:
@@ -148,32 +143,6 @@ class Communicator:
             if record is not None:
                 self.metrics_log.append(record)
         return result
-
-    #: which positional args of each collective are rank-invariant and
-    #: belong in the §4 safety signature (payloads never do — they
-    #: legitimately differ per rank).  Index is into the *args tuple
-    #: passed to _dispatch (i.e. without the communicator itself).
-    _SIGNATURE_ARGS: dict[str, tuple[int, ...]] = {
-        "bcast": (1,),            # (obj, root)
-        "barrier": (),
-        "reduce": (1, 2),         # (obj, op, root)
-        "allreduce": (1,),        # (obj, op)
-        "gather": (1,),           # (obj, root)
-        "scatter": (1,),          # (objs, root)
-        "allgather": (),
-    }
-
-    @classmethod
-    def _call_signature(cls, op: str, args: tuple) -> tuple:
-        """Rank-invariant descriptor of a collective call (roots and
-        reduction-operator names, never payloads)."""
-        sig = []
-        for idx in cls._SIGNATURE_ARGS.get(op, ()):
-            if idx >= len(args):
-                continue
-            a = args[idx]
-            sig.append(a.name if isinstance(a, Op) else a)
-        return tuple(sig)
 
     # ------------------------------------------------------------------
     # the multicast channel (lazy; touched eagerly during comm setup)

@@ -2,8 +2,6 @@
 
 from .env import RankEnv
 from .program import RunResult, run_spmd
-from .skew import (FixedSkew, NoSkew, SkewModel, UniformSkew,
-                   compute_phase)
+from .skew import compute_phase
 
-__all__ = ["FixedSkew", "NoSkew", "RankEnv", "RunResult", "SkewModel",
-           "UniformSkew", "compute_phase", "run_spmd"]
+__all__ = ["RankEnv", "RunResult", "compute_phase", "run_spmd"]

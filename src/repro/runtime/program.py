@@ -26,7 +26,7 @@ Example::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
 from ..mpi.world import MpiWorld
 from ..obs import (FlightRecorder, build_hang_dump, register_recorder,
@@ -38,7 +38,6 @@ from ..simnet.topology import Cluster, build_cluster
 from .env import RankEnv
 from .sanitize import (LeakError, check_quiesced, register_for_teardown,
                        sanitize_enabled)
-from .skew import NoSkew, SkewModel
 
 __all__ = ["RunResult", "run_spmd"]
 
@@ -54,26 +53,10 @@ class RunResult:
     cluster: Cluster
     world: MpiWorld
     init_done_us: float = 0.0
-    call_logs: list[list[tuple]] = None
 
     def record_series(self, key: str) -> list[list[Any]]:
         """``records[rank][key]`` for every rank (empty list if absent)."""
         return [r.get(key, []) for r in self.records]
-
-    def verify_safe_schedules(self) -> None:
-        """Check the paper's §4 safety rule post-hoc: every rank issued
-        the same sequence of collective calls (on COMM_WORLD).  Raises
-        :class:`~repro.core.ordering.UnsafeScheduleError` otherwise.
-
-        A run that *completed* was de-facto compatible; this validates
-        the program's discipline explicitly (useful in tests and when
-        auditing applications before switching them to multicast
-        collectives).
-        """
-        from ..core.ordering import check_safe_schedule
-
-        check_safe_schedule({rank: log for rank, log
-                             in enumerate(self.call_logs or [])})
 
 
 def run_spmd(n: int,
@@ -81,10 +64,9 @@ def run_spmd(n: int,
              topology: str = "switch",
              params: Optional[NetParams] = None,
              seed: int = 0,
-             skew: Optional[SkewModel] = None,
+             skew: Optional[Sequence[float]] = None,
              collectives: Optional[dict[str, str]] = None,
              max_sim_us: Optional[float] = None,
-             trunk_params: Optional[NetParams] = None,
              on_cluster: Optional[Callable[[Cluster], None]] = None,
              strict_deadlock: bool = False
              ) -> RunResult:
@@ -92,14 +74,15 @@ def run_spmd(n: int,
 
     ``topology`` is ``"hub"``, ``"switch"``, or a tiered-fabric string
     like ``"tree:2x4"`` (2 leaf switches of 4 hosts each behind a core —
-    see :mod:`repro.simnet.fabric`); ``trunk_params`` then sets the wire
-    parameters of the switch-to-switch trunks.  ``collectives`` maps
-    collective names to implementation names, e.g. ``{"bcast":
-    "mcast-binary", "barrier": "mcast"}`` — the experiment knob of the
-    whole reproduction.
+    see :mod:`repro.simnet.fabric`), every trunk at ``params``.
+    ``collectives`` maps collective names to implementation names, e.g.
+    ``{"bcast": "mcast-binary", "barrier": "mcast"}`` — the experiment
+    knob of the whole reproduction.
 
-    ``skew`` delays each rank's start (startup asynchrony); ``max_sim_us``
-    bounds runaway simulations (e.g. intentional deadlocks in tests).
+    ``skew`` delays each rank's start (startup asynchrony): ``skew[r]``
+    µs for rank ``r``, 0 for a rank past its end; a negative delay
+    raises ``ValueError``.  ``max_sim_us`` bounds runaway simulations
+    (e.g. intentional deadlocks in tests).
 
     ``on_cluster`` is the chaos-injection seam: called with the built
     cluster after the MPI world exists but before any rank process is
@@ -125,10 +108,11 @@ def run_spmd(n: int,
     """
     if n < 1:
         raise ValueError(f"need at least 1 rank, got {n}")
-    cluster = build_cluster(n, topology=topology, params=params, seed=seed,
-                            trunk_params=trunk_params)
+    delays = list(skew or ())
+    if any(d < 0 for d in delays):
+        raise ValueError("skew delays must be >= 0")
+    cluster = build_cluster(n, topology=topology, params=params, seed=seed)
     world = MpiWorld(cluster)
-    skew = skew if skew is not None else NoSkew()
 
     recorder = None
     if trace_enabled():
@@ -147,14 +131,11 @@ def run_spmd(n: int,
     returns: list[Any] = [None] * n
     records: list[dict[str, Any]] = [{} for _ in range(n)]
     init_times: list[float] = [0.0] * n
-    comms: list[Any] = [None] * n
 
     def rank_program(rank: int):
-        delay = skew.delay(rank)
-        if delay > 0:
-            yield cluster.sim.timeout(delay)
+        if rank < len(delays) and delays[rank] > 0:
+            yield cluster.sim.timeout(delays[rank])
         comm = world.comm_world(rank)
-        comms[rank] = comm
         if collectives:
             comm.use_collectives(**collectives)
         yield from comm._setup()
@@ -228,6 +209,4 @@ def run_spmd(n: int,
         register_for_teardown(cluster, world)
     return RunResult(returns=returns, records=records, sim_time_us=end,
                      stats=cluster.stats.snapshot(), cluster=cluster,
-                     world=world, init_done_us=max(init_times),
-                     call_logs=[c.call_log if c is not None else []
-                                for c in comms])
+                     world=world, init_done_us=max(init_times))

@@ -1,79 +1,20 @@
-"""Startup skew and compute-phase models.
+"""Asynchrony between ranks.
 
 "The asynchronous nature of cluster computing makes it impossible for the
 sender to know the receive status of the receiver" (paper §2) — skew is
-*the* reason naive multicast loses messages and scout sync exists.  These
-models inject that asynchrony reproducibly:
-
-* :class:`NoSkew` — lockstep start (unrealistic; for deterministic tests);
-* :class:`UniformSkew` — each rank starts uniformly within ``[0, max)`` µs;
-* :class:`FixedSkew` — explicit per-rank delays (to script the "slow
-  receiver" scenarios);
-* :func:`compute_phase` — an in-loop pseudo-work delay so successive
-  collective iterations don't enter in lockstep (what the benchmark
-  harness uses between repetitions).
+*the* reason naive multicast loses messages and scout sync exists.  Two
+seams inject it reproducibly: startup skew is
+:func:`~repro.runtime.program.run_spmd`'s ``skew`` (per-rank start delays
+in µs), and :func:`compute_phase` is an in-loop pseudo-work delay so
+successive collective iterations don't enter in lockstep (what the
+benchmark harness uses between repetitions).
 """
 
 from __future__ import annotations
 
-import random
-from typing import Generator, Protocol, Sequence
+from typing import Generator
 
-__all__ = ["SkewModel", "NoSkew", "UniformSkew", "FixedSkew",
-           "compute_phase"]
-
-
-class SkewModel(Protocol):
-    """Anything that maps a rank to a start delay in µs."""
-
-    def delay(self, rank: int) -> float:
-        ...
-
-
-class NoSkew:
-    """All ranks start at t = 0."""
-
-    def delay(self, rank: int) -> float:
-        return 0.0
-
-    def __repr__(self) -> str:
-        return "NoSkew()"
-
-
-class UniformSkew:
-    """Ranks start uniformly at random within ``[0, max_us)``."""
-
-    def __init__(self, max_us: float, seed: int = 0):
-        if max_us < 0:
-            raise ValueError(f"max_us must be >= 0, got {max_us}")
-        self.max_us = max_us
-        self._rng = random.Random(seed)
-        self._cache: dict[int, float] = {}
-
-    def delay(self, rank: int) -> float:
-        if rank not in self._cache:
-            self._cache[rank] = self._rng.uniform(0.0, self.max_us)
-        return self._cache[rank]
-
-    def __repr__(self) -> str:
-        return f"UniformSkew(max_us={self.max_us})"
-
-
-class FixedSkew:
-    """Explicit per-rank start delays."""
-
-    def __init__(self, delays_us: Sequence[float]):
-        if any(d < 0 for d in delays_us):
-            raise ValueError("skew delays must be >= 0")
-        self.delays_us = list(delays_us)
-
-    def delay(self, rank: int) -> float:
-        if rank >= len(self.delays_us):
-            return 0.0
-        return self.delays_us[rank]
-
-    def __repr__(self) -> str:
-        return f"FixedSkew({self.delays_us})"
+__all__ = ["compute_phase"]
 
 
 def compute_phase(env, mean_us: float, jitter_frac: float = 0.5) -> Generator:

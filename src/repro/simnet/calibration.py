@@ -15,6 +15,7 @@ figures; tests assert the resulting shapes, not absolute values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 __all__ = [
     "NetParams",
@@ -127,13 +128,13 @@ class NetParams:
 
     label: str = field(default="custom", compare=False)
 
-    # -- derived ---------------------------------------------------------
-    @property
+    # -- derived (once per instance: every datagram reads them) ---------
+    @cached_property
     def max_udp_payload(self) -> int:
         """User bytes that fit in the first fragment of a datagram."""
         return self.mtu - self.ip_header - self.udp_header
 
-    @property
+    @cached_property
     def max_fragment_payload(self) -> int:
         """User bytes per subsequent IP fragment."""
         return self.mtu - self.ip_header

@@ -6,10 +6,8 @@ grows the simulator past that ceiling with recursive "switch of
 switches" fabrics of any depth: every **segment** is a leaf
 :class:`~repro.simnet.switchdev.Switch` with its own hosts, interior
 switches aggregate subtrees, and every parent-child pair is joined by a
-full-duplex **trunk** whose links may carry their own
-:class:`~repro.simnet.calibration.NetParams` — per *tier*, so a fat-tree
-style backbone (fast near the core, slower toward the edge, or the
-reverse) is one list away.
+full-duplex **trunk** that runs at the cluster's own
+:class:`~repro.simnet.calibration.NetParams`.
 
 Topology string grammar (accepted by
 :func:`~repro.simnet.topology.build_cluster` alongside ``"hub"`` and
@@ -60,7 +58,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 from .calibration import NetParams
 from .host import Host
@@ -88,11 +86,6 @@ class PartitionError(SimError):
 
 _TREE_RE = re.compile(r"^tree:(\d+(?:x\d+)+)$")
 _TREE_LIST_RE = re.compile(r"^tree:\[(\d+(?:\s*,\s*\d+)*)\]$")
-
-#: per-tier trunk wire parameters: one NetParams for every trunk, or a
-#: sequence indexed by tier (0 = core-to-children; deeper tiers toward
-#: the leaves reuse the last entry when the sequence is short)
-TrunkParams = Union[NetParams, Sequence[NetParams], None]
 
 
 @dataclass(frozen=True)
@@ -203,18 +196,14 @@ class Fabric:
 
     Interior switches live at tree *paths* (tuples of child indices
     from the core, the core itself at ``()``); leaf switches carry the
-    hosts.  ``trunk_params`` may be a single :class:`NetParams` for
-    every trunk or a sequence indexed by tier (0 = the trunks leaving
-    the core), so each level of the backbone can run its own wire
-    speed.
+    hosts.  Built by :func:`build_fabric`.
     """
 
     def __init__(self, sim: Simulator, params: NetParams,
-                 stats: NetStats, trunk_params: TrunkParams = None):
+                 stats: NetStats):
         self.sim = sim
         self.params = params
         self.stats = stats
-        self.trunk_params = trunk_params
         self.core = Switch(sim, params, stats=stats, name="core")
         #: every switch of the tree, keyed by its path ('()' = core)
         self.nodes: dict[tuple, Switch] = {(): self.core}
@@ -228,78 +217,6 @@ class Fabric:
         self.host_links: dict[int, tuple[HalfLink, HalfLink]] = {}
         self._segment_of: dict[int, int] = {}
         self._paths: list[tuple] = []          # tree path per segment
-
-    # -- construction ----------------------------------------------------
-    def trunk_params_for(self, tier: int) -> NetParams:
-        """Wire parameters of a trunk at ``tier`` (0 = leaving the core).
-        A short per-tier sequence repeats its last entry downwards."""
-        tp = self.trunk_params
-        if tp is None:
-            return self.params
-        if isinstance(tp, NetParams):
-            return tp
-        if not tp:
-            return self.params
-        return tp[min(tier, len(tp) - 1)]
-
-    def _connect(self, parent: Switch, child: Switch, tier: int,
-                 path: tuple) -> None:
-        """Wire the full-duplex trunk between ``parent`` and ``child``;
-        both directions carry the tier's trunk NetParams and are tallied
-        in the trunk counters.  ``path`` (the child's tree path) keys
-        the trunk in :attr:`trunks` for the partition API."""
-        tparams = self.trunk_params_for(tier)
-        up = HalfLink(self.sim, tparams, self.stats, deliver=None,
-                      name=f"{child.name}->{parent.name}",
-                      count_as_send=False, is_trunk=True,
-                      settle_us=parent.params.switch_latency_us)
-        down = HalfLink(self.sim, tparams, self.stats, deliver=None,
-                        name=f"{parent.name}->{child.name}",
-                        count_as_send=False, is_trunk=True,
-                        settle_us=child.params.switch_latency_us)
-        # each direction delivers into the port whose egress is the other
-        down.deliver = partial(child.receive, child.add_port(up, trunk=True))
-        up.deliver = partial(parent.receive,
-                             parent.add_port(down, trunk=True))
-        self.trunks[path] = (up, down)
-
-    def add_node(self, path: tuple) -> Switch:
-        """Create an interior switch at ``path`` and trunk it to its
-        (already existing) parent."""
-        if not path or path in self.nodes:
-            raise ValueError(f"cannot add interior switch at {path!r}")
-        parent = self.nodes[path[:-1]]
-        node = Switch(self.sim, self.params, stats=self.stats,
-                      name="sw" + ".".join(map(str, path)))
-        self.nodes[path] = node
-        self._connect(parent, node, tier=len(path) - 1, path=path)
-        return node
-
-    def add_segment(self, hosts: list[Host],
-                    path: Optional[tuple] = None) -> Switch:
-        """Wire ``hosts`` to a fresh leaf switch at tree position
-        ``path`` (default: directly under the core, the two-tier
-        layout), trunked to its parent."""
-        seg_id = len(self.leaves)
-        if path is None:
-            path = (seg_id,)
-        if path in self.nodes or not path:
-            raise ValueError(f"cannot add leaf switch at {path!r}")
-        parent = self.nodes.get(path[:-1])
-        if parent is None:
-            raise ValueError(f"no parent switch at {path[:-1]!r} for a "
-                             f"leaf at {path!r}")
-        leaf = Switch(self.sim, self.params, stats=self.stats,
-                      name=f"leaf{seg_id}")
-        for host in hosts:
-            self.host_links[host.addr] = wire_host(leaf, host, leaf.name)
-        self.nodes[path] = leaf
-        self._connect(parent, leaf, tier=len(path) - 1, path=path)
-        self.leaves.append(leaf)
-        for host in hosts:
-            self._segment_of[host.addr] = seg_id
-        self._paths.append(path)
-        return leaf
 
     # -- chaos seams -----------------------------------------------------
     def partition_trunk(self, path: tuple):
@@ -357,45 +274,54 @@ class Fabric:
                              f"{len(self._paths)}-segment fabric")
         return self._paths[seg_id]
 
-    def trunk_path_tiers(self, a: int, b: int) -> list[int]:
-        """Tier of every trunk edge on the a↔b host path (one entry per
-        hop :func:`path_trunk_hops` counts between their segments).
-        Lets latency models weigh each hop by its own tier's wire rate
-        when ``trunk_params`` differ per tier."""
-        sa, sb = self.segment_of(a), self.segment_of(b)
-        if sa == sb:
-            return []
-        pa, pb = self._paths[sa], self._paths[sb]
-        common = 0
-        for x, y in zip(pa, pb):
-            if x != y:
-                break
-            common += 1
-        # the edge above a node at depth d is a tier-(d-1) trunk
-        return ([d - 1 for d in range(common + 1, len(pa) + 1)]
-                + [d - 1 for d in range(common + 1, len(pb) + 1)])
-
 
 def build_fabric(sim: Simulator, params: NetParams, hosts: list[Host],
-                 spec: FabricSpec, stats: NetStats,
-                 trunk_params: TrunkParams = None) -> Fabric:
+                 spec: FabricSpec, stats: NetStats) -> Fabric:
     """Partition ``hosts`` into consecutive segments per ``spec`` and
-    wire the (possibly multi-tier) fabric."""
+    wire the (possibly multi-tier) fabric, every trunk at ``params``."""
     if len(hosts) != spec.n:
         raise ValueError(
             f"fabric spec {spec.branching}x{spec.leaf_sizes} needs "
             f"exactly {spec.n} hosts, got {len(hosts)}")
-    fabric = Fabric(sim, params, stats, trunk_params=trunk_params)
+    fabric = Fabric(sim, params, stats)
+
+    def add_switch(path: tuple, name: str, seg_hosts=()) -> Switch:
+        # the switch at `path`, its hosts' access links, then the
+        # full-duplex trunk to its parent — keyed by `path` for the
+        # partition API, both directions tallied as trunk traffic
+        parent = fabric.nodes[path[:-1]]
+        node = Switch(sim, params, stats=stats, name=name)
+        for host in seg_hosts:
+            fabric.host_links[host.addr] = wire_host(node, host, name)
+        fabric.nodes[path] = node
+        up = HalfLink(sim, params, stats, deliver=None,
+                      name=f"{name}->{parent.name}", count_as_send=False,
+                      is_trunk=True, settle_us=params.switch_latency_us)
+        down = HalfLink(sim, params, stats, deliver=None,
+                        name=f"{parent.name}->{name}", count_as_send=False,
+                        is_trunk=True, settle_us=params.switch_latency_us)
+        # each direction delivers into the port whose egress is the other
+        down.deliver = partial(node.receive, node.add_port(up, trunk=True))
+        up.deliver = partial(parent.receive,
+                             parent.add_port(down, trunk=True))
+        fabric.trunks[path] = (up, down)
+        return node
+
     # interior tiers first (top-down), so every leaf finds its parent;
     # `paths` holds the previous tier's node paths as we descend
     paths: list[tuple] = [()]
     for branch in spec.branching[:-1]:
         paths = [p + (i,) for p in paths for i in range(branch)]
         for path in paths:
-            fabric.add_node(path)
+            add_switch(path, "sw" + ".".join(map(str, path)))
     off = 0
-    for path, size in zip(spec.leaf_paths(), spec.leaf_sizes):
-        fabric.add_segment(hosts[off:off + size], path=path)
+    for seg_id, (path, size) in enumerate(zip(spec.leaf_paths(),
+                                              spec.leaf_sizes)):
+        seg_hosts = hosts[off:off + size]
+        fabric.leaves.append(add_switch(path, f"leaf{seg_id}", seg_hosts))
+        for host in seg_hosts:
+            fabric._segment_of[host.addr] = seg_id
+        fabric._paths.append(path)
         off += size
     return fabric
 

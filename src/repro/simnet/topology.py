@@ -10,9 +10,9 @@ plus tiered multi-segment fabrics.
   parallel port-to-port paths, IGMP snooping), or
 * a ``"tree:..."`` string — a recursive
   :class:`~repro.simnet.fabric.Fabric` of switches joined by trunk
-  links that may carry their own ``trunk_params`` (a single
-  :class:`NetParams` or one per tier).  ``"tree:SxH"`` is the two-tier
-  switch-of-switches, ``"tree:B1x..xBkxH"`` an arbitrary-depth tree
+  links at the cluster's own :class:`NetParams`.  ``"tree:SxH"`` is
+  the two-tier switch-of-switches, ``"tree:B1x..xBkxH"`` an
+  arbitrary-depth tree
   (``"tree:2x2x2"`` = three switch tiers, 4 leaves of 2 hosts), and
   ``"tree:[n1,n2,...]"`` a heterogeneous two-tier build (one leaf per
   entry) — see :mod:`repro.simnet.fabric` for the grammar.
@@ -135,17 +135,13 @@ class Cluster:
 
 def build_cluster(n: int, topology: str = "switch",
                   params: Optional[NetParams] = None,
-                  seed: int = 0,
-                  trunk_params=None) -> Cluster:
+                  seed: int = 0) -> Cluster:
     """Build an ``n``-host cluster on the given topology.
 
     ``seed`` drives every stochastic element (CSMA/CD backoff, software
     jitter) through per-host substreams, so a (n, topology, params, seed)
-    tuple is fully reproducible.  ``trunk_params`` sets the wire
-    parameters of the switch-to-switch trunks of a ``"tree:..."`` build:
-    one :class:`NetParams` for every trunk, or a sequence indexed by
-    tier (0 = the trunks leaving the core); defaults to ``params`` — an
-    undifferentiated backbone.
+    tuple is fully reproducible.  The switch-to-switch trunks of a
+    ``"tree:..."`` build run at ``params`` like every access link.
     """
     if n < 1:
         raise ValueError(f"cluster needs at least one host, got n={n}")
@@ -172,8 +168,7 @@ def build_cluster(n: int, topology: str = "switch",
                       hosts=hosts, stats=stats)
 
     if spec is not None:
-        cluster.fabric = build_fabric(sim, params, hosts, spec, stats,
-                                      trunk_params=trunk_params)
+        cluster.fabric = build_fabric(sim, params, hosts, spec, stats)
         cluster.host_links = cluster.fabric.host_links
     elif topology == "hub":
         medium = SharedMedium(sim, params,

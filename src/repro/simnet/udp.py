@@ -147,7 +147,9 @@ class UdpSocket:
         """
         self._check_open()
         cost = self.host.jitter(self.send_cost_us)
-        cost += self.params.per_frame_tx_us * (self.params.frames_for(size) - 1)
+        params = self.params
+        if size > params.max_udp_payload:       # one tx charge per extra frame
+            cost += params.per_frame_tx_us * (params.frames_for(size) - 1)
         yield from self.host.cpu.use(cost)
         dgram = Datagram(src=self.host.addr, src_port=self.port, dst=dst,
                          dst_port=dst_port, payload=payload, size=size,

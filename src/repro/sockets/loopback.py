@@ -193,8 +193,7 @@ def run_loopback(n: int, main: Callable[[RankEnv], Any],
                          records=[env.records for env in envs],
                          sim_time_us=sim.now,
                          stats=cluster.stats.snapshot(),
-                         cluster=cluster, world=world,
-                         call_logs=[env.comm.call_log for env in envs])
+                         cluster=cluster, world=world)
 
 
 def _pump(sim: Simulator, hosts: list[Host], procs: list,

@@ -216,3 +216,33 @@ def test_profile_records_tally_sums_to_the_documents_events(capsys):
     # the Timeout of a send's or a match's CPU hold
     assert tally["DescriptorRing._charged"] > tally["Timeout._dispatch"] > 0
     assert tally["HalfLink._arrive"] > 0 and tally["Timer._pop"] > 0
+
+
+def test_profile_rows_keep_one_row_per_code_object():
+    """Two dataclasses' generated ``__init__`` share ``<string>:2`` —
+    ``pstats`` keeps one of them; the profile table counts each."""
+    import cProfile
+    from dataclasses import dataclass
+
+    from repro.bench.cli import _profile_rows
+
+    @dataclass
+    class A:
+        x: int
+
+    @dataclass
+    class B:
+        y: int
+
+    profiler = cProfile.Profile()
+    profiler.enable()
+    for _ in range(1000):
+        A(1)
+    for _ in range(10):
+        B(2)
+    profiler.disable()
+    rows = _profile_rows(profiler, sort="calls", limit=10_000)
+    inits = [ncalls for ncalls, _t, _c, name in rows
+             if name.endswith("(__init__)") and name.startswith("<string>")]
+    assert inits == [1000, 10]
+    assert len(_profile_rows(profiler, sort="tottime", limit=1)) == 1

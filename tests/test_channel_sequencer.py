@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.channel import (DATA_PORT_BASE, GROUP_ID_BASE,
                                 SCOUT_PORT_BASE)
-from repro.runtime import FixedSkew, run_spmd
+from repro.runtime import run_spmd
 from repro.simnet import quiet
 from repro.simnet.calibration import FAST_ETHERNET_SWITCH
 from repro.simnet.frame import mcast_mac
@@ -167,7 +167,7 @@ def test_sequencer_total_order_across_roots():
         return got
 
     result = run_spmd(4, main, params=QUIET, seed=5,
-                      skew=FixedSkew([0.0, 2000.0, 500.0, 1500.0]),
+                      skew=[0.0, 2000.0, 500.0, 1500.0],
                       collectives={"bcast": "mcast-sequencer"})
     expected = [(root, i) for i, root in enumerate(roots)]
     assert all(r == expected for r in result.returns)

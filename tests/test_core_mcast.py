@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis.framecount import paper_mcast_barrier_messages
 from repro.core.scout import binary_tree_steps
-from repro.runtime import FixedSkew, run_spmd
+from repro.runtime import run_spmd
 from repro.simnet import quiet
 from repro.simnet.calibration import (FAST_ETHERNET_HUB,
                                       FAST_ETHERNET_SWITCH)
@@ -252,7 +252,7 @@ def test_root_multicast_never_precedes_last_post(impl):
         obj = "inv" if env.rank == 3 else None
         return (yield from env.comm.bcast(obj, root=3))
 
-    skews = FixedSkew([0.0, 4000.0, 800.0, 100.0, 2500.0, 50.0])
+    skews = [0.0, 4000.0, 800.0, 100.0, 2500.0, 50.0]
     result = run_spmd(6, main, params=QUIET_SW, skew=skews,
                       collectives={"bcast": impl})
     assert result.returns == ["inv"] * 6

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import model_mcast_bcast_frames
-from repro.runtime import FixedSkew, run_spmd
+from repro.runtime import run_spmd
 from repro.simnet import quiet
 from repro.simnet.calibration import (FAST_ETHERNET_HUB,
                                       FAST_ETHERNET_SWITCH)
@@ -71,7 +71,7 @@ def test_scouted_bcast_immune_to_skew(n, size, skews):
         return len(obj)
 
     result = run_spmd(n, main, params=QUIET_SW,
-                      skew=FixedSkew(skews[:n]),
+                      skew=skews[:n],
                       collectives={"bcast": "mcast-binary"})
     assert result.returns == [size] * n
     assert result.stats["drops_not_posted"] == 0

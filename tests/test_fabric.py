@@ -201,24 +201,6 @@ def test_multicast_crosses_each_trunk_once_per_segment():
     assert_quiesced(result.cluster, result.world)
 
 
-def test_trunk_params_govern_trunk_serialization():
-    """A 10x slower trunk slows only cross-segment traffic."""
-    from dataclasses import replace
-
-    def main(env):
-        data = bytes(40_000) if env.rank == 0 else None
-        data = yield from env.comm.bcast(data, 0)
-        return len(data)
-
-    fast = run_spmd(4, main, topology="tree:2x2", params=QUIET,
-                    collectives={"bcast": "mcast-binary"})
-    slow = run_spmd(4, main, topology="tree:2x2", params=QUIET,
-                    trunk_params=replace(QUIET, rate_mbps=10.0),
-                    collectives={"bcast": "mcast-binary"})
-    assert slow.sim_time_us > fast.sim_time_us * 2
-    assert fast.returns == slow.returns == [40_000] * 4
-
-
 def test_flat_switch_has_no_trunk_frames():
     def main(env):
         yield from env.comm.barrier()

@@ -31,7 +31,6 @@ def test_hier_bcast_delivers_everywhere(root):
     result = run_spmd(8, main, topology="tree:2x4", params=AUTO,
                       collectives={"bcast": "hier-mcast"})
     assert result.returns == [True] * 8
-    result.verify_safe_schedules()
 
 
 def test_hier_bcast_small_and_opaque_payloads():

@@ -1,7 +1,8 @@
 """``scripts/lint_fallback.py`` (``make lint`` without ruff): an unused
 module-level import is F401, a re-export is not, a name nothing binds
-is F821 (F822 in ``__all__``), a file that does not compile is E999 —
-and the live tree is clean under it."""
+is F821 (F822 in ``__all__``), a misused check is F631 / F632 / F633,
+a file that does not compile is E999 — and the live tree is clean
+under it."""
 
 import subprocess
 import sys
@@ -32,7 +33,7 @@ def test_unused_import_is_flagged(tmp_path):
         "F401 `os` imported but unused",
         "F401 `typing.List` imported but unused"]
     assert out[-1].endswith("not checked without ruff: "
-                            "E1/E2/E4/E7/W/F63/F7/F823")
+                            "E1/E2/E4/E7/W/F7/F823")
 
 
 def test_undefined_name_is_flagged(tmp_path):
@@ -64,6 +65,32 @@ def test_undefined_name_is_flagged(tmp_path):
         "F821 Undefined name `field`",
         "F821 Undefined name `Sized`"]
     assert out[1].startswith(f"{tmp_path / 'm.py'}:4:2: ")
+
+
+def test_misused_checks_are_flagged(tmp_path):
+    """F631 asserts a non-empty tuple, F632 compares a str, bytes or
+    number literal by identity, F633 is Python 2's ``print >>``; the
+    empty tuple and ``is`` against None / True are fine."""
+    (tmp_path / "m.py").write_text(
+        "import sys\n"
+        "x = len(sys.argv)\n"
+        "assert (x, 'x must be set')\n"
+        "assert ()\n"
+        "ok = x is None or x is not True\n"
+        "if x is 1 or x is not b'raw':\n"
+        "    pass\n"
+        "same = 'a' is x\n"
+        "print >> sys.stderr, x\n")
+    code, out = lint(tmp_path)
+    assert code == 1
+    assert [line.split(": ", 1)[1] for line in out[:-1]] == [
+        "F631 Assert test is a non-empty tuple, which is always `True`",
+        "F632 Use `==` to compare constant literals",
+        "F632 Use `==` to compare constant literals",
+        "F632 Use `==` to compare constant literals",
+        "F633 Use of `>>` is invalid with `print` function"]
+    assert [line.split(":")[1] for line in out[:-1]] == [
+        "3", "6", "6", "8", "9"]
 
 
 def test_reexport_is_not_flagged(tmp_path):

@@ -386,7 +386,6 @@ def test_reduction_collectives_interleave_on_one_channel():
 
     result = run_spmd(4, main, params=AUTO)
     assert result.returns == [True] * 4
-    result.verify_safe_schedules()
 
 
 # ---------------------------------------------------------------- gather
@@ -462,4 +461,3 @@ def test_seg_gather_interleaves_with_reduce_on_one_channel():
 
     result = run_spmd(5, main, params=AUTO)
     assert result.returns[1] == (True, "01234")
-    result.verify_safe_schedules()

@@ -1,9 +1,8 @@
-"""SPMD runtime: launcher, skew models, records."""
+"""SPMD runtime: launcher, startup skew, records."""
 
 import pytest
 
-from repro.runtime import (FixedSkew, NoSkew, RunResult, UniformSkew,
-                           run_spmd)
+from repro.runtime import RunResult, run_spmd
 from repro.runtime.skew import compute_phase
 from repro.simnet import quiet
 from repro.simnet.calibration import FAST_ETHERNET_SWITCH
@@ -49,7 +48,7 @@ def test_records_and_log():
 
 
 def test_init_done_after_skewed_start():
-    skew = FixedSkew([0.0, 2000.0, 500.0])
+    skew = [0.0, 2000.0, 500.0]
 
     def main(env):
         yield env.sim.timeout(0.0)
@@ -61,34 +60,22 @@ def test_init_done_after_skewed_start():
     assert max(result.returns) - min(result.returns) < 500.0
 
 
-def test_no_skew_is_zero():
-    assert NoSkew().delay(5) == 0.0
-
-
-def test_uniform_skew_reproducible_and_bounded():
-    a = UniformSkew(1000.0, seed=3)
-    b = UniformSkew(1000.0, seed=3)
-    for rank in range(10):
-        d = a.delay(rank)
-        assert 0.0 <= d < 1000.0
-        assert d == b.delay(rank)
-    assert len({a.delay(r) for r in range(10)}) > 5
-
-
-def test_uniform_skew_rejects_negative():
-    with pytest.raises(ValueError):
-        UniformSkew(-1.0)
-
-
 def test_fixed_skew_out_of_range_is_zero():
-    s = FixedSkew([10.0])
-    assert s.delay(0) == 10.0
-    assert s.delay(5) == 0.0
+    """A rank past the end of the delay list starts at 0."""
+    def main(env):
+        yield env.sim.timeout(0.0)
+        return env.now
+
+    short = run_spmd(3, main, params=QUIET, skew=[10_000.0])
+    padded = run_spmd(3, main, params=QUIET, skew=[10_000.0, 0.0, 0.0])
+    assert short.init_done_us >= 10_000.0
+    assert short.returns == padded.returns
+    assert short.init_done_us == padded.init_done_us
 
 
 def test_fixed_skew_rejects_negative():
-    with pytest.raises(ValueError):
-        FixedSkew([-5.0])
+    with pytest.raises(ValueError, match="skew delays must be >= 0"):
+        run_spmd(2, lambda env: iter(()), skew=[0.0, -5.0])
 
 
 def test_compute_phase_advances_clock_reproducibly():
