@@ -15,10 +15,12 @@ Model vocabulary (all µs):
 
 * ``o_s``/``o_r`` — per-datagram software send/receive cost (TCP-ish for
   the p2p engine, UDP-ish for multicast);
-* ``W(b)`` — wire time of a datagram of ``b`` user bytes (sum of its
-  fragments' wire times);
+* ``W(b)`` — wire time of a datagram of ``b`` user bytes on one link
+  (:func:`repro.simnet.ip.datagram_wire_us`, the price the protocol's
+  deadlines read too);
 * ``S`` — switch store-and-forward penalty (lookup + second
-  serialization of the first fragment + propagation), zero on the hub.
+  serialization of the first fragment + propagation,
+  :func:`repro.simnet.ip.store_forward_us`), zero on the hub.
 """
 
 from __future__ import annotations
@@ -29,9 +31,7 @@ from ..core.binomial import binomial_walk
 from ..core.channel import MCAST_HEADER_BYTES, SCOUT_BYTES
 from ..mpi.collective.barrier_p2p import largest_power_of_two_leq
 from ..simnet.calibration import NetParams
-from ..simnet.frame import wire_bytes
-from ..simnet.ip import fragment_sizes
-from ..simnet.units import bytes_to_us
+from ..simnet.ip import datagram_wire_us, store_forward_us
 
 __all__ = ["LatencyModel", "PointEstimate"]
 
@@ -56,35 +56,20 @@ class LatencyModel:
         self.topology = topology
 
     # -- primitives ----------------------------------------------------------
-    def wire_time(self, user_bytes: int) -> float:
-        """Serialization time of one datagram's frames on one link."""
-        p = self.params
-        return sum(bytes_to_us(wire_bytes(sz), p.rate_mbps)
-                   for sz in fragment_sizes(p, user_bytes))
-
-    def switch_penalty(self, user_bytes: int) -> float:
-        """Extra one-way cost of crossing the switch vs. the hub.
-
-        Store-and-forward re-serializes every fragment on the egress
-        link; fragments pipeline, so only the *first* fragment's second
-        serialization adds latency (later ones overlap the ingress of
-        their successors when fragments are equal-sized; for the common
-        1-fragment case this is exact).
-        """
+    def _switch(self, user_bytes: int) -> float:
+        """``S``: the switch's store-and-forward of one datagram (the
+        hub repeats bits, so it stores nothing)."""
         if self.topology == "hub":
             return 0.0
-        p = self.params
-        first = fragment_sizes(p, user_bytes)[0]
-        return (p.switch_latency_us + p.prop_delay_us
-                + bytes_to_us(wire_bytes(first), p.rate_mbps))
+        return store_forward_us(self.params, user_bytes)
 
     def one_way(self, user_bytes: int, o_s: float, o_r: float) -> float:
         """Software + wire + delivery cost of one unicast datagram."""
         p = self.params
         nfrags = p.frames_for(user_bytes)
         return (o_s + p.per_frame_tx_us * (nfrags - 1)
-                + self.wire_time(user_bytes)
-                + self.switch_penalty(user_bytes)
+                + datagram_wire_us(p, user_bytes)
+                + self._switch(user_bytes)
                 + p.prop_delay_us
                 + p.per_frame_rx_us + p.mpi_match_us + o_r)
 
@@ -97,8 +82,8 @@ class LatencyModel:
     def scout_one_way(self) -> float:
         """One scout (UDP costs, no MPI matching)."""
         p = self.params
-        return (p.udp_send_us + self.wire_time(SCOUT_BYTES)
-                + self.switch_penalty(SCOUT_BYTES) + p.prop_delay_us
+        return (p.udp_send_us + datagram_wire_us(p, SCOUT_BYTES)
+                + self._switch(SCOUT_BYTES) + p.prop_delay_us
                 + p.per_frame_rx_us + p.udp_recv_us)
 
     def mcast_one_way(self, payload_bytes: int,
@@ -115,7 +100,7 @@ class LatencyModel:
                   else p.mcast_send_extra_us + p.mcast_recv_extra_us)
         return (p.udp_send_us + extras
                 + p.per_frame_tx_us * (nfrags - 1)
-                + self.wire_time(b) + self.switch_penalty(b)
+                + datagram_wire_us(p, b) + self._switch(b)
                 + p.prop_delay_us + p.per_frame_rx_us + p.udp_recv_us)
 
     # -- collectives ---------------------------------------------------------
@@ -133,7 +118,7 @@ class LatencyModel:
         p = self.params
         msg = m + p.mpi_header
         o_s = p.tcp_send_us + p.per_frame_tx_us * (p.frames_for(msg) - 1)
-        rest = (self.wire_time(msg) + self.switch_penalty(msg)
+        rest = (datagram_wire_us(p, msg) + self._switch(msg)
                 + p.prop_delay_us + p.per_frame_rx_us + p.mpi_match_us
                 + p.tcp_recv_us)
 
@@ -145,7 +130,7 @@ class LatencyModel:
         # finishes after (n-1) wire times plus the pipeline of software
         # costs along the deepest tree path.
         depth = (n - 1).bit_length()
-        return ((n - 1) * self.wire_time(msg)
+        return ((n - 1) * datagram_wire_us(p, msg)
                 + depth * (o_s + p.per_frame_rx_us + p.mpi_match_us
                            + p.tcp_recv_us))
 

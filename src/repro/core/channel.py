@@ -141,10 +141,11 @@ class McastChannel:
         self.seq = 0
         #: the members' trunk diameter — the most switch-to-switch hops
         #: any sender-receiver pair of this channel spans on a tiered
-        #: fabric (0 on flat clusters and single-segment groups).  The
-        #: round engine's drain timeout allows one extra store-and-forward
-        #: serialization per hop, so a deep tree's far corner never
-        #: NACKs data that is still in flight.
+        #: fabric (0 on flat clusters and single-segment groups).  Every
+        #: deadline prices one store-and-forward frame
+        #: (:func:`repro.simnet.ip.store_forward_us`) for the edge switch
+        #: and one per hop, so a deep tree's far corner never NACKs data
+        #: that is still in flight.
         self.trunk_hops = _members_trunk_hops(comm)
         self._scout_stash: list[tuple] = []
         self._closed = False

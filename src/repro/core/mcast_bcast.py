@@ -96,11 +96,13 @@ def bcast_mcast_linear(comm, obj: Any, root: int = 0) -> Generator:
 
 def bcast_acked(comm, obj: Any, server: int) -> Generator:
     """Sender-reliable multicast of ``obj`` from ``server``: multicast,
-    wait one datagram's drain deadline plus N-1 sequential ack hops for
-    every receiver's ack, re-multicast the **full payload** while any is
-    missing (``max_repair_rounds`` times at most).  A receiver keeps
-    posting until its ``(seq, server)`` copy arrives — stale
-    retransmissions are discarded — then acks."""
+    wait one datagram's drain deadline plus one ack hop and N-2 serial
+    ack arrivals at the server (``LatencyModel.mcast_bcast``'s linear
+    rule: the acks pipeline on the wire, only the server's receive
+    path serializes them) for every receiver's ack, re-multicast the
+    **full payload** while any is missing (``max_repair_rounds`` times
+    at most).  A receiver keeps posting until its ``(seq, server)``
+    copy arrives — stale retransmissions are discarded — then acks."""
     channel = comm.mcast
     seq = channel.next_seq()
     if comm.size == 1:
@@ -128,7 +130,9 @@ def bcast_acked(comm, obj: Any, server: int) -> Generator:
     hops = channel.trunk_hops
     deadline_us = (round_drain_timeout_us(params, 1, nbytes
                                           + MCAST_HEADER_BYTES, hops)
-                   + (comm.size - 1) * control_hop_us(params, hops))
+                   + control_hop_us(params, hops)
+                   + (comm.size - 2) * (params.udp_recv_us
+                                        + params.per_frame_rx_us))
     yield from channel.send_data(obj, nbytes, seq)
     missing = set(range(comm.size)) - {server}
     retransmits = 0

@@ -77,14 +77,19 @@ streams on one channel never cross-match each other's control
 traffic.
 
 **Adaptive drain timeout** (:func:`round_drain_timeout_us`).  A receiver
-that lost a round's *tail* can only detect it by silence.  PR 2 waited a
-fixed ``NetParams.seg_drain_timeout_us``; the engine instead scales the
-timeout to the round's expected serialization (wire time + send/receive
-software, per datagram) plus a scheduling-jitter floor
-(``NetParams.seg_drain_floor_us``), capped by the configured timeout,
-plus the arming gather's depth derived from the group size.  A
-single-datagram round — the whole-round-lost case of the auto transport
-plan — now NACKs after ~1-2 ms instead of the full fixed timeout.
+that lost a round's *tail* can only detect it by silence.  The timeout
+is the round's expected serialization (send software + one link's wire
+time + receive software, per datagram) plus a scheduling-jitter floor
+(``NetParams.seg_drain_floor_us``), capped by the configured
+``seg_drain_timeout_us``; on top ride the path — one store-and-forward
+frame per switch, the edge switch and every trunk hop — and the arming
+gather's depth derived from the group size.  Wire and path are the
+simulator's own frame arithmetic
+(:func:`repro.simnet.ip.datagram_wire_us`,
+:func:`~repro.simnet.ip.store_forward_us`), so a slow fabric stretches
+the timer exactly as it stretches the data.  A single-datagram round —
+the whole-round-lost case of the auto transport plan — NACKs after
+~1-2 ms instead of the full fixed timeout.
 
 **Repair re-batching** (:func:`repair_batch`).  Under the auto transport
 policy, a repair round's plan is the actual missing set, not round 0's
@@ -101,6 +106,7 @@ from typing import Any, Callable, Generator, Optional
 
 from dataclasses import dataclass
 
+from ..simnet.ip import datagram_wire_us, store_forward_us
 from .channel import (MCAST_HEADER_BYTES, SCOUT_BYTES, SEG_HEADER_BYTES,
                       McastLost)
 from .scout import (answer, binary_tree_steps, report_fold_binary,
@@ -141,27 +147,15 @@ def frame_segment_bytes(params) -> int:
                - MCAST_HEADER_BYTES - SEG_HEADER_BYTES)
 
 
-def _trunk_byte_us(params, trunk_hops: int) -> float:
-    """Wire µs per byte across ``trunk_hops`` store-and-forward trunk
-    serializations.  Summed hop by hop, not multiplied: the deadlines'
-    floats are pinned, and ``hops * (8.0 / rate)`` is another float at
-    6 hops and 100 Mb/s."""
-    total = 0.0
-    for _ in range(trunk_hops):
-        total += 8.0 / params.rate_mbps
-    return total
-
-
 def control_hop_us(params, trunk_hops: int = 0) -> float:
     """One control message (scout, report, ack) sender to receiver:
-    send + receive software, NIC input, edge switch and serializations,
-    and ``trunk_hops`` trunk hops — every derived deadline's price."""
-    scout_bytes = SCOUT_BYTES + params.udp_header + params.ip_header
+    send + receive software, NIC input, and the scout datagram's
+    :func:`~repro.simnet.ip.datagram_wire_us` plus one
+    :func:`~repro.simnet.ip.store_forward_us` for the edge switch and
+    one per trunk hop — every derived deadline's price."""
     return (params.udp_send_us + params.udp_recv_us
-            + params.per_frame_rx_us + params.switch_latency_us
-            + scout_bytes * (2 * 8.0 / params.rate_mbps
-                             + _trunk_byte_us(params, trunk_hops))
-            + trunk_hops * params.switch_latency_us)
+            + params.per_frame_rx_us + datagram_wire_us(params, SCOUT_BYTES)
+            + (1 + trunk_hops) * store_forward_us(params, SCOUT_BYTES))
 
 
 def resolved_segment_bytes(params) -> int:
@@ -204,24 +198,31 @@ def round_drain_timeout_us(params, ndatagrams: int,
                            datagram_bytes: int,
                            trunk_hops: int = 0,
                            size: int = 1) -> float:
-    """Adaptive drain timeout for one round of ``ndatagrams`` datagrams.
+    """Adaptive drain timeout for one round of ``ndatagrams`` datagrams
+    of ``datagram_bytes`` each: how long a follower's ring may sit on an
+    empty descriptor before it reads the silence as a lost tail.
 
-    Expected per-datagram cost = wire serialization + sender software +
-    receiver drain software; the timeout is that expectation for the
-    whole round plus the ``seg_drain_floor_us`` scheduling-jitter
-    margin, capped by the configured ``seg_drain_timeout_us`` so no
-    round's *flat expectation* ever waits longer than that fixed
-    timeout did — nor less than one datagram's (a 48 kB one is ~3.8 ms
-    of wire).  Two terms of real physics ride on top of the cap:
+    Expected per-datagram cost = sender software + one link's
+    :func:`~repro.simnet.ip.datagram_wire_us` + receiver drain
+    software; the round's *flat expectation* is that times the round
+    plus the ``seg_drain_floor_us`` scheduling-jitter margin, capped by
+    ``seg_drain_timeout_us`` — but never below one datagram's (a 48 kB
+    one is ~3.8 ms of wire).  The cap holds because the silence timer
+    re-arms at every awaited empty descriptor, so only the gap to the
+    *next* datagram must fit under it, never the whole round
+    (``NetParams.seg_drain_timeout_us`` records what deleting it
+    costs).  Two terms ride on top of the cap, both priced with the
+    simulator's own frame arithmetic (:mod:`repro.simnet.ip`):
 
-    ``trunk_hops`` — the store-and-forward path on tiered fabrics
-    (:mod:`repro.simnet.fabric`): each switch-to-switch hop on the
-    farthest sender-receiver path serializes the whole datagram once
-    more, so a receiver ``h`` trunks from the root must allow ``h``
-    extra serializations (plus switch latency) before declaring the
-    round lost — without this, a deep tree's leaf NACKs *before the
-    data can physically arrive* and cancels the very descriptor the
-    repair needs, livelocking the repair loop.
+    ``trunk_hops`` — the store-and-forward devices on the path: the
+    edge switch and each switch-to-switch hop on the farthest
+    sender-receiver path (:mod:`repro.simnet.fabric`) hold each frame
+    once more, and frames pipeline, so each adds one
+    :func:`~repro.simnet.ip.store_forward_us` — one frame, not the
+    whole datagram (a hub stores nothing: there the edge term is
+    slack).  Without this a slow or deep fabric's leaf NACKs
+    *before the data can physically arrive* and cancels the very
+    descriptor the repair needs, livelocking the repair loop.
 
     ``size`` — the arming skew of a ``size``-rank group: every follower
     leaves a round's decision multicast at the same instant, a leaf
@@ -233,14 +234,14 @@ def round_drain_timeout_us(params, ndatagrams: int,
     prices no gather — one round's flat expectation, as the unit tests
     read it.
     """
-    per = (datagram_bytes * 8.0 / params.rate_mbps
-           + params.udp_send_us + params.mcast_send_extra_us
-           + params.seg_drain_estimate_us(datagram_bytes))
+    per = (params.udp_send_us + params.mcast_send_extra_us
+           + datagram_wire_us(params, datagram_bytes)
+           + params.udp_recv_us + params.mcast_recv_extra_us
+           + params.per_frame_rx_us * params.frames_for(datagram_bytes))
     cap = max(params.seg_drain_timeout_us, params.seg_drain_floor_us + per)
     expected = max(1, ndatagrams) * per
-    path = (datagram_bytes * _trunk_byte_us(params, trunk_hops)
-            + trunk_hops * params.switch_latency_us)
-    return (min(cap, params.seg_drain_floor_us + expected) + path
+    return (min(cap, params.seg_drain_floor_us + expected)
+            + (1 + trunk_hops) * store_forward_us(params, datagram_bytes)
             + binary_tree_steps(size) * control_hop_us(params, trunk_hops))
 
 

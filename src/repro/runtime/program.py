@@ -48,6 +48,8 @@ class RunResult:
 
     returns: list[Any]
     records: list[dict[str, Any]]
+    #: the instant the last rank program returned; a bounded run cut
+    #: with ranks still live reports the cut
     sim_time_us: float
     stats: dict[str, Any]
     cluster: Cluster
@@ -131,6 +133,7 @@ def run_spmd(n: int,
     returns: list[Any] = [None] * n
     records: list[dict[str, Any]] = [{} for _ in range(n)]
     init_times: list[float] = [0.0] * n
+    returned_at: list[float] = []       # one instant per returned rank
 
     def rank_program(rank: int):
         if rank < len(delays) and delays[rank] > 0:
@@ -142,14 +145,19 @@ def run_spmd(n: int,
         init_times[rank] = cluster.sim.now
         env = RankEnv(rank=rank, size=n, comm=comm, host=comm.host,
                       sim=cluster.sim, records=records[rank])
-        result = yield from main(env)
-        returns[rank] = result
+        returns[rank] = yield from main(env)
+        returned_at.append(cluster.sim.now)
 
     for rank in range(n):
         cluster.sim.process(rank_program(rank), name=f"rank{rank}")
 
     try:
         end = cluster.sim.run(until=max_sim_us)
+        if len(returned_at) == n:
+            # completed: the run ends when its last rank returns, not
+            # when the heap's last record (a dead timer's, a late
+            # frame's) pops
+            end = returned_at[-1]
         if strict_deadlock and not cluster.sim._heap:
             stuck = [p for p in cluster.sim._live_processes
                      if p.is_alive and not p.daemon]

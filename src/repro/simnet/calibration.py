@@ -98,17 +98,29 @@ class NetParams:
     #: comfortably exceed the inter-segment arrival gap (wire
     #: serialization + per-segment receive software, ~200 µs at Fast
     #: Ethernet sizes) times the longest plausible run of lost segments.
-    #: Since PR 3 this is the *cap*: the round engine scales the actual
-    #: timeout to the round's expected serialization
-    #: (:func:`repro.core.rounds.round_drain_timeout_us`), so a
-    #: whole-round loss on a short round NACKs long before this.
+    #: This is the *cap* of the round's flat expectation: the round
+    #: engine scales the actual timeout to the round's expected
+    #: serialization (:func:`repro.core.rounds.round_drain_timeout_us`),
+    #: so a whole-round loss on a short round NACKs long before this;
+    #: the path and the gather's depth ride on top of it.  The cap is
+    #: safe at any rate (the silence timer re-arms per awaited
+    #: descriptor, and never caps below one datagram), and it pays:
+    #: measured with the wire-byte path price, deleting it changes no
+    #: outcome of a 14,000-case loss-free sweep (every impl, 5-1000
+    #: Mb/s, hub / switch / two trees) and cuts ``hier-lossy`` sim p50
+    #: 2.1 % (seed 1), but the longer timer adds one kernel timer-chase
+    #: record per follower per loss-free round (``sim-throughput``
+    #: ``tree:8x8`` events 6,566 -> 6,629).
     seg_drain_timeout_us: float = 2500.0
     #: fixed floor of the adaptive drain timeout: the scheduling-jitter
     #: margin only.  The arming skew between a leaf receiver (which
     #: starts its silence timer as soon as its scout is away) and the
     #: root (which streams only after the whole gather) grows with the
-    #: gather's depth, so :func:`repro.core.rounds.round_drain_timeout_us`
-    #: derives it from the group size instead of folding it in here.
+    #: gather's depth, and the wire and store-and-forward path grow
+    #: with the rate and the fabric, so
+    #: :func:`repro.core.rounds.round_drain_timeout_us` derives both
+    #: (:mod:`repro.simnet.ip`'s path price) instead of folding them in
+    #: here.
     seg_drain_floor_us: float = 250.0
     #: per-receiver multicast data-datagram loss probability.  Wired to
     #: an actual probabilistic drop at every receiving socket: each
@@ -152,15 +164,6 @@ class NetParams:
         rest = user_bytes - self.max_udp_payload
         full, part = divmod(rest, self.max_fragment_payload)
         return 1 + full + (1 if part else 0)
-
-    def seg_drain_estimate_us(self, datagram_bytes: int) -> float:
-        """Receiver software time to consume one data datagram: the
-        recvfrom syscall + copy, the multicast validation/delivery extra,
-        and the per-frame NIC/IP input cost of each fragment — the
-        receive term of the round engine's adaptive drain timeout.
-        """
-        return (self.udp_recv_us + self.mcast_recv_extra_us
-                + self.per_frame_rx_us * self.frames_for(datagram_bytes))
 
 
 #: The paper's shared-hub platform.

@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .calibration import NetParams
-from .frame import Frame, is_multicast
+from .frame import ETH_MIN_PAYLOAD, ETH_OVERHEAD, Frame, is_multicast
 
-__all__ = ["Datagram", "Fragment", "fragment_sizes", "make_frames",
-           "is_group_addr"]
+__all__ = ["Datagram", "Fragment", "datagram_wire_us", "fragment_sizes",
+           "make_frames", "is_group_addr", "store_forward_us"]
 
 _datagram_ids = itertools.count(1)
 
@@ -62,20 +62,44 @@ def fragment_sizes(params: NetParams, user_bytes: int) -> list[int]:
     """L2 payload size of each frame for a datagram of ``user_bytes``.
 
     Each frame carries an IP header; the first also carries the UDP
-    header.  Sizes include those headers (they ride the wire).
+    header.  Sizes include those headers (they ride the wire).  Every
+    fragment but the last fills the MTU.
     """
     nfrags = params.frames_for(user_bytes)
-    sizes = []
-    remaining = user_bytes
-    for i in range(nfrags):
-        cap = params.max_udp_payload if i == 0 else params.max_fragment_payload
-        chunk = min(remaining, cap)
-        remaining -= chunk
-        hdr = params.ip_header + (params.udp_header if i == 0 else 0)
-        sizes.append(chunk + hdr)
-    if remaining != 0:  # pragma: no cover - defensive invariant
-        raise AssertionError("fragmentation did not consume the datagram")
-    return sizes
+    if nfrags == 1:
+        return [user_bytes + params.ip_header + params.udp_header]
+    last = (user_bytes - params.max_udp_payload
+            - (nfrags - 2) * params.max_fragment_payload)
+    return [params.mtu] * (nfrags - 1) + [last + params.ip_header]
+
+
+def datagram_wire_us(params: NetParams, user_bytes: int) -> float:
+    """One link's serialization of a ``user_bytes`` datagram: every
+    fragment's wire bytes (IP/UDP headers, Ethernet header, FCS,
+    preamble, IFG and min-frame padding) — the closed form of summing
+    :func:`~repro.simnet.frame.wire_bytes` over :func:`fragment_sizes`.
+    Every fragment but the last fills the MTU, so only the last (or
+    only) one can be padded."""
+    nfrags = params.frames_for(user_bytes)
+    l2 = user_bytes + nfrags * params.ip_header + params.udp_header
+    last = l2 - (nfrags - 1) * params.mtu
+    pad = ETH_MIN_PAYLOAD - last if last < ETH_MIN_PAYLOAD else 0
+    return (l2 + pad + nfrags * ETH_OVERHEAD) * 8.0 / params.rate_mbps
+
+
+def store_forward_us(params: NetParams, user_bytes: int) -> float:
+    """What one store-and-forward device adds to a ``user_bytes``
+    datagram's trip: its first fragment's serialization on the egress
+    link, the lookup and one cable.  Later fragments pipeline behind
+    the first, so a path of ``k`` such devices costs one link's
+    :func:`datagram_wire_us` plus ``k`` of these."""
+    cap = params.max_udp_payload
+    first = ((user_bytes if user_bytes < cap else cap)
+             + params.ip_header + params.udp_header)
+    wire = ETH_OVERHEAD + (first if first > ETH_MIN_PAYLOAD
+                           else ETH_MIN_PAYLOAD)
+    return (wire * 8.0 / params.rate_mbps
+            + params.switch_latency_us + params.prop_delay_us)
 
 
 def make_frames(params: NetParams, dgram: Datagram) -> list[Frame]:

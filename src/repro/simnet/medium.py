@@ -15,7 +15,8 @@ The model (standard simplified CSMA/CD for a zero-diameter segment):
   signal, and each retries after binary exponential backoff
   (``r × slot_time`` with ``r`` uniform in ``[0, 2^min(k,10))`` on the
   ``k``-th collision).  After ``max_attempts`` collisions the send fails
-  with :class:`ExcessiveCollisions` (counted, never silently ignored).
+  with :class:`ExcessiveCollisions` (counted in
+  ``NetStats.drops_excessive_collisions``, never silently ignored).
 * A successful transmission occupies the medium for the frame's wire time;
   every *other* attached NIC receives a copy at completion (receive-side
   filtering happens in the NIC).
@@ -154,6 +155,7 @@ class SharedMedium:
         for tx in starters:
             tx.attempts += 1
             if tx.attempts >= self.params.max_attempts:
+                self.stats.drops_excessive_collisions += 1
                 if tx.done is not None:
                     self.sim.schedule_call(
                         0.0, tx.done,

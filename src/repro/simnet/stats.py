@@ -29,6 +29,8 @@ class NetStats:
     drops_buffer_full: int = 0    #: datagram dropped: socket buffer overrun
     drops_not_posted: int = 0     #: datagram dropped: no posted receive
     drops_lossy: int = 0          #: multicast data dropped by NetParams.loss
+    #: hub frames given up after ``max_attempts`` collisions
+    drops_excessive_collisions: int = 0
     #: chaos-injection counters (:mod:`repro.chaos`): frames or datagrams
     #: dropped by a frame-fate hook, a downed link or a dead switch;
     #: duplicate copies injected; frames held back for reordering
@@ -74,6 +76,7 @@ class NetStats:
             "drops_buffer_full": self.drops_buffer_full,
             "drops_not_posted": self.drops_not_posted,
             "drops_lossy": self.drops_lossy,
+            "drops_excessive_collisions": self.drops_excessive_collisions,
             "drops_chaos": self.drops_chaos,
             "dups_chaos": self.dups_chaos,
             "delays_chaos": self.delays_chaos,

@@ -7,7 +7,8 @@ from repro.simnet.calibration import (FAST_ETHERNET_HUB,
                                       NetParams, quiet)
 from repro.simnet.frame import (ETH_MIN_PAYLOAD, ETH_OVERHEAD, Frame,
                                 wire_bytes)
-from repro.simnet.ip import Datagram, Fragment, fragment_sizes, make_frames
+from repro.simnet.ip import (Datagram, Fragment, datagram_wire_us,
+                             fragment_sizes, make_frames, store_forward_us)
 from repro.simnet.kernel import Simulator
 from repro.simnet.resource import Resource
 from repro.simnet.kernel import SimError
@@ -41,6 +42,23 @@ def test_fragment_sizes_first_carries_udp_header():
     sizes = fragment_sizes(p, 2000)
     assert sizes[0] == p.mtu                       # full first fragment
     assert sizes[1] == (2000 - p.max_udp_payload) + p.ip_header
+
+
+@pytest.mark.parametrize("rate", [5.0, 100.0, 1000.0])
+def test_path_price_is_the_frames_wire_arithmetic(rate):
+    """The closed-form path price equals the per-fragment sum it
+    replaces — every fragment's wire bytes, padding included — and one
+    store-and-forward device holds only the first fragment."""
+    p = NetParams(rate_mbps=rate)
+    top = p.max_udp_payload
+    for m in (0, 1, 17, 18, 100, top, top + 1, top + 5, top + 6,
+              top + p.max_fragment_payload, 24_000, 65_000):
+        sizes = fragment_sizes(p, m)
+        wire = sum(wire_bytes(s) for s in sizes) * 8.0 / rate
+        assert datagram_wire_us(p, m) == pytest.approx(wire, rel=1e-12)
+        assert store_forward_us(p, m) == pytest.approx(
+            wire_bytes(sizes[0]) * 8.0 / rate + p.switch_latency_us
+            + p.prop_delay_us, rel=1e-12)
 
 
 @pytest.mark.parametrize("params", [FAST_ETHERNET_SWITCH, VIA_SWITCH],

@@ -122,6 +122,7 @@ def test_excessive_collisions_fails_send():
     assert all(isinstance(f, ExcessiveCollisions) and f.attempts == 16
                for f in failures)
     assert stats.collisions == 16
+    assert stats.snapshot()["drops_excessive_collisions"] == 2
 
 
 def test_collision_count_and_backoff_stats():

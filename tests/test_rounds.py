@@ -35,9 +35,13 @@ def test_round_namespace_shapes():
 
 # ------------------------------------------------- adaptive drain timeout
 def test_drain_timeout_is_capped_by_configured_timeout():
-    # a 33-datagram round exceeds the cap: behave exactly like PR 2
+    """A 33-datagram round exceeds the cap: the flat expectation is
+    the configured fixed timeout, and only the path rides on top — the edge
+    switch's store-and-forward of one full frame, ``1472 + 28`` IP bytes
+    + 38 B of Ethernet framing = 1538 wire B x 0.08 us + 12 us lookup +
+    0.5 us cable = 135.54 us."""
     assert (round_drain_timeout_us(QUIET, 33, 1472)
-            == QUIET.seg_drain_timeout_us)
+            == QUIET.seg_drain_timeout_us + 135.54)
 
 
 def test_drain_timeout_shrinks_for_short_rounds():
@@ -332,15 +336,22 @@ def _eat_tail_once():
 
 def test_tail_loss_records_one_drain_timeout_at_the_historical_instant():
     """The round's drain timer replaced a Timeout + AnyOf per awaited
-    descriptor (PR 14: 701 kernel records at f05fb36, same deadline
-    arithmetic).  PR 18 re-pins the instant, derived not fitted: round
-    0 still arms at the same float, and the timeout moved from
-    ``700 + 5 x 237.96 = 1889.80`` to ``250 + 1189.80`` plus the
-    derived arming-gather allowance of a 4-rank group, ``2`` levels x
-    ``(48 + 45 + 4 + 12 + 32 B x 0.16) = 114.12`` — ``1668.04``, that
-    is 221.76 us earlier: 3497.148... - 221.76 = 3275.388...  The run
-    ends earlier still (the repair's reports fold, its decision is one
-    multicast)."""
+    descriptor (701 kernel records at f05fb36, same deadline
+    arithmetic).  The instant is derived, not fitted: round 0 arms at
+    1607.348... and the timeout is ``round_drain_timeout_us(params, 5,
+    1012, size=4)``, priced in wire bytes (:mod:`repro.simnet.ip`):
+
+    * flat expectation ``250 + 5 x (1078 B x 0.08 + 48 + 15 + 45 + 45
+      + 4) = 250 + 5 x 243.24 = 1466.20`` (1012 user B + 28 IP/UDP +
+      38 Ethernet framing = 1078 wire B), under the 2500 cap;
+    * the edge switch's store-and-forward of that one frame,
+      ``86.24 + 12 + 0.5 = 98.74``;
+    * the arming gather of a 4-rank group, 2 levels x one control hop
+      ``48 + 45 + 4 + 84 B x 0.08 + (6.72 + 12 + 0.5) = 122.94`` (a
+      4 B scout pads to the 46 B minimum payload: 84 wire B).
+
+    ``1466.20 + 98.74 + 245.88 = 1810.82``, so the timer fires at
+    3418.168...  The run ends when the last rank returns."""
     from repro.obs.trace import FlightRecorder
 
     params = replace(FAST_ETHERNET_SWITCH, segment_bytes=1000)  # jittered
@@ -363,12 +374,12 @@ def test_tail_loss_records_one_drain_timeout_at_the_historical_instant():
     drains = [e for e in recorders[0].events
               if e[0] == "inst" and e[3] == "drain-timeout"]
     assert drains == [("inst", 2, "round", "drain-timeout",
-                       3275.388328975861,
+                       3418.168328975861,
                        (("round", 0), ("cancelled", 1)))]
-    assert drains[0][4] == pytest.approx(3497.1483289758607 - 221.76)
+    assert drains[0][4] == pytest.approx(1607.348328975861 + 1810.82)
     assert round_drain_timeout_us(params, 5, 1012, size=4) == \
-        pytest.approx(1668.04)
-    assert result.sim_time_us == 4448.548976282426
+        pytest.approx(1810.82)
+    assert result.sim_time_us == 4585.294052996833
     assert result.cluster.sim.processed < 701 * 0.65
 
 

@@ -139,6 +139,22 @@ def test_max_sim_us_caps_clock_with_pending_events():
     assert result.sim_time_us == 5000.0
 
 
+def test_completed_run_ends_when_its_last_rank_returns():
+    """A cancelled timer's record still pops (as a no-op) and moves the
+    kernel's clock; the run's time is the instant its last rank program
+    returned, not that of the heap's last record."""
+    def main(env):
+        timer = env.sim.timer(lambda: None)
+        timer.arm(10_000.0)
+        yield env.sim.timeout(100.0 * (env.rank + 1))
+        timer.cancel()
+        return env.sim.now
+
+    result = run_spmd(2, main, params=QUIET)
+    assert result.sim_time_us == max(result.returns)
+    assert result.sim_time_us < 10_000.0 <= result.cluster.sim.now
+
+
 def test_collectives_kwarg_validated():
     with pytest.raises(KeyError):
         run_spmd(2, lambda env: iter(()), params=QUIET,
